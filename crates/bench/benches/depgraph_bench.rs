@@ -13,8 +13,6 @@ fn spec(id: u64) -> PendingTxnSpec {
     PendingTxnSpec {
         id: TxnId(id),
         start_ts: SeqNo::snapshot_after(0),
-        read_keys: vec![],
-        write_keys: vec![],
     }
 }
 

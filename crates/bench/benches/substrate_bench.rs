@@ -6,7 +6,7 @@ use eov_common::rwset::{Key, Value};
 use eov_common::txn::{Transaction, TxnId};
 use eov_common::version::SeqNo;
 use eov_ledger::{sha256, Block, Digest};
-use eov_vstore::{CommittedWriteIndex, MultiVersionStore, SnapshotManager};
+use eov_vstore::{CommittedReadIndex, CommittedWriteIndex, MultiVersionStore, SnapshotManager};
 use eov_workload::smallbank::{genesis_accounts, SmallbankContract, SmallbankOp};
 use eov_workload::zipf::Zipfian;
 use fabricsharp_core::endorser::SnapshotEndorser;
@@ -68,6 +68,34 @@ fn bench_indices(c: &mut Criterion) {
     });
     group.bench_function("range_from", |b| {
         b.iter(|| cw.from(&Key::new("k42"), SeqNo::new(40, 0)).len())
+    });
+    group.finish();
+
+    // Formation's persist pattern on one hot key: a committed read is recorded, then a write
+    // commits and drops it — against an index holding 2 500 entries of other keys, which the
+    // drop must not visit.
+    let mut cr = CommittedReadIndex::new();
+    for block in 1..=10u64 {
+        for key in 0..250u64 {
+            cr.record(
+                Key::new(format!("k{key}")),
+                SeqNo::new(block, key as u32 + 1),
+                TxnId(block * 1_000 + key),
+            );
+        }
+    }
+    let hot = Key::new("k42");
+    let mut slot = 0u32;
+    let mut group = c.benchmark_group("committed_read_index");
+    group
+        .sample_size(30)
+        .measurement_time(Duration::from_secs(2));
+    group.bench_function("cr_drop_stale_hot", |b| {
+        b.iter(|| {
+            slot += 2;
+            cr.record(hot.clone(), SeqNo::new(11, slot), TxnId(u64::from(slot)));
+            cr.drop_stale_readers(&hot, SeqNo::new(11, slot + 1))
+        })
     });
     group.finish();
 }

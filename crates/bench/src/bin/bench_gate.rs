@@ -41,6 +41,10 @@
 //!   reference, and — **only when the runner has ≥ 2 cores** — the parallel commit of the
 //!   disjoint block must beat the serial one (on a single-core runner the check is reported
 //!   as SKIP: there is no parallelism to win), and
+//! * `cut_block` on a 100-transaction Smallbank batch must cost at most 2× as much on a
+//!   controller carrying `max_span` blocks of committed history as on a fresh one (persist,
+//!   prune and the committed-index lookups scale with the block's footprint, not with the
+//!   size of the CW/CR indices), and
 //! * the durable ledger is gated both on wall-clock (`ledger_append_seg_200`: 200 blocks
 //!   through the CRC-framed segment writer; `recover_cold_1600`: full cold restart —
 //!   checkpoint load + segment suffix replay + controller rebuild over 1600 txns) and
@@ -91,8 +95,6 @@ fn spec(id: u64) -> PendingTxnSpec {
     PendingTxnSpec {
         id: TxnId(id),
         start_ts: SeqNo::snapshot_after(0),
-        read_keys: vec![],
-        write_keys: vec![],
     }
 }
 
@@ -117,13 +119,17 @@ fn naive_layered(n: u64, fanin: u64) -> NaiveGraph {
 /// Median wall-clock nanoseconds of `RUNS` executions of `body` (one warm-up excluded).
 fn median_ns<F: FnMut() -> u64>(mut body: F) -> f64 {
     std::hint::black_box(body()); // warm-up
-    let mut samples: Vec<u128> = (0..RUNS)
+    let samples = (0..RUNS)
         .map(|_| {
             let start = Instant::now();
             std::hint::black_box(body());
             start.elapsed().as_nanos()
         })
         .collect();
+    median_of(samples)
+}
+
+fn median_of(mut samples: Vec<u128>) -> f64 {
     samples.sort_unstable();
     samples[samples.len() / 2] as f64
 }
@@ -219,6 +225,43 @@ fn arrival_and_cut_ids_cfg(txns: &[Transaction], config: CcConfig) -> Vec<u64> {
         let _ = cc.on_arrival(txn.clone());
     }
     cc.cut_block().iter().map(|t| t.id.0).collect()
+}
+
+/// Transactions per block in the history-independence check.
+const HISTORY_BATCH: usize = 100;
+/// Allowed cost of a cut over `max_span` blocks of committed history, relative to the same
+/// cut on a fresh controller.
+const MAX_HISTORY_CUT_RATIO: f64 = 2.0;
+
+/// Median wall-clock nanoseconds of `cut_block` on `batch`, on a controller that first forms
+/// one block per [`HISTORY_BATCH`]-sized chunk of `history`; every transaction is re-stamped
+/// as endorsed against the tip it arrives at. Only the final cut is timed; with `max_span`
+/// history blocks it is the first cut whose prune has a block to age out.
+fn cut_after_history_ns(history: &[Transaction], batch: &[Transaction]) -> f64 {
+    let arrive = |cc: &mut FabricSharpCC, txns: &[Transaction]| {
+        let snapshot_block = cc.next_block() - 1;
+        for txn in txns {
+            let _ = cc.on_arrival(Transaction {
+                snapshot_block,
+                ..txn.clone()
+            });
+        }
+    };
+    let samples = (0..=RUNS)
+        .map(|_| {
+            let mut cc = FabricSharpCC::new(CcConfig::default());
+            for chunk in history.chunks(HISTORY_BATCH) {
+                arrive(&mut cc, chunk);
+                cc.cut_block();
+            }
+            arrive(&mut cc, batch);
+            let start = Instant::now();
+            std::hint::black_box(cc.cut_block().len());
+            start.elapsed().as_nanos()
+        })
+        .skip(1) // warm-up
+        .collect();
+    median_of(samples)
 }
 
 /// Generations per chunked pipeline input.
@@ -978,6 +1021,33 @@ fn main() {
         } else {
             println!(
                 "  FAIL {input_name}: analyzer predicted {predicted} safe but the orderer bypassed {runtime}"
+            );
+            failures += 1;
+        }
+    }
+    // Committed-index cost model — machine-independent, always enforced: the cost of forming a
+    // block must not grow with the committed history the controller carries.
+    {
+        let max_span = CcConfig::default().max_span as usize;
+        let txns = endorsed_txns(
+            WorkloadKind::ModifiedSmallbank,
+            (max_span + 1) * HISTORY_BATCH,
+        );
+        let (batch, history) = txns.split_at(HISTORY_BATCH);
+        let fresh = cut_after_history_ns(&[], batch);
+        let mut loaded = cut_after_history_ns(history, batch);
+        if loaded > MAX_HISTORY_CUT_RATIO * fresh {
+            // One retry to filter a transient load spike, as for the band comparisons.
+            loaded = cut_after_history_ns(history, batch).min(loaded);
+        }
+        let ratio = loaded / fresh;
+        if ratio <= MAX_HISTORY_CUT_RATIO {
+            println!(
+                "  OK   cut_block over {max_span} blocks of history: {ratio:.2}x of a fresh controller (need <= {MAX_HISTORY_CUT_RATIO:.0}x)"
+            );
+        } else {
+            println!(
+                "  FAIL cut_block over {max_span} blocks of history: {ratio:.2}x of a fresh controller ({loaded:.0} ns vs {fresh:.0} ns, need <= {MAX_HISTORY_CUT_RATIO:.0}x)"
             );
             failures += 1;
         }

@@ -110,9 +110,9 @@ pub fn resolve_dependencies(
 pub struct ShardedResolution {
     /// The flat dependency lists (the cycle test's input).
     pub global: ResolvedDeps,
-    /// Per-shard slices: touched shards in ascending order, each with its keys and the
-    /// dependencies its keys induced. Empty when the indices have a single shard (the
-    /// unsharded reference path needs no split).
+    /// Per-shard slices: touched shards in ascending order, each with the dependencies its
+    /// keys induced. Empty when the indices have a single shard (the unsharded reference
+    /// path needs no split).
     pub per_shard: Vec<ShardDeps>,
 }
 
@@ -147,8 +147,6 @@ pub fn resolve_sharded(txn: &Transaction, indices: &ShardedIndices) -> ShardedRe
             .into_iter()
             .map(|(shard, a)| ShardDeps {
                 shard,
-                read_keys: a.read_keys,
-                write_keys: a.write_keys,
                 predecessors: a.preds,
                 successors: a.succs,
             })
@@ -161,8 +159,6 @@ pub fn resolve_sharded(txn: &Transaction, indices: &ShardedIndices) -> ShardedRe
 /// indices).
 #[derive(Default)]
 struct ShardAcc {
-    read_keys: Vec<eov_common::rwset::Key>,
-    write_keys: Vec<eov_common::rwset::Key>,
     preds: Vec<TxnId>,
     succs: Vec<TxnId>,
 }
@@ -181,20 +177,9 @@ impl ShardCollector {
         self.router.shard_of(key)
     }
 
-    fn note_read_key(&mut self, shard: usize, key: &eov_common::rwset::Key) {
-        self.acc
-            .entry(shard)
-            .or_default()
-            .read_keys
-            .push(key.clone());
-    }
-
-    fn note_write_key(&mut self, shard: usize, key: &eov_common::rwset::Key) {
-        self.acc
-            .entry(shard)
-            .or_default()
-            .write_keys
-            .push(key.clone());
+    /// Owning a key makes `shard` a home of the transaction, dependencies or not.
+    fn note_home(&mut self, shard: usize) {
+        self.acc.entry(shard).or_default();
     }
 
     fn note_pred(&mut self, shard: usize, id: TxnId) {
@@ -213,8 +198,8 @@ impl ShardCollector {
 }
 
 /// The single copy of Section 4.3's four-phase resolution, shared by the flat and the sharded
-/// entry points. `collector`, when present, additionally attributes every key and every
-/// discovered dependency to the shard of the inducing key.
+/// entry points. `collector`, when present, additionally attributes every discovered
+/// dependency to the shard of the inducing key and notes every shard owning a key.
 fn resolve_with<V: KeyIndexView>(
     txn: &Transaction,
     view: &V,
@@ -229,10 +214,10 @@ fn resolve_with<V: KeyIndexView>(
     for read in txn.read_set.iter() {
         let shard = collector.as_deref_mut().map(|c| {
             let shard = c.shard_of(&read.key);
-            c.note_read_key(shard, &read.key);
+            c.note_home(shard);
             shard
         });
-        for w in view.cw(&read.key).from(&read.key, start_ts) {
+        for &(_, w) in view.cw(&read.key).entries_from(&read.key, start_ts) {
             successors.push(w);
             if let (Some(c), Some(shard)) = (collector.as_deref_mut(), shard) {
                 c.note_succ(shard, w);
@@ -251,10 +236,10 @@ fn resolve_with<V: KeyIndexView>(
     for write in txn.write_set.iter() {
         let shard = collector.as_deref_mut().map(|c| {
             let shard = c.shard_of(&write.key);
-            c.note_write_key(shard, &write.key);
+            c.note_home(shard);
             shard
         });
-        for r in view.cr(&write.key).readers(&write.key) {
+        for &(_, r) in view.cr(&write.key).entries(&write.key) {
             predecessors.push(r);
             if let (Some(c), Some(shard)) = (collector.as_deref_mut(), shard) {
                 c.note_pred(shard, r);
@@ -453,15 +438,23 @@ mod tests {
         assert_eq!(resolved.global, flat, "flat lists must be identical");
         assert!(!resolved.per_shard.is_empty());
 
-        // The per-shard slices partition the global sets (no dependency lost, none invented,
-        // every key attributed to its routing shard).
+        // The per-shard slices partition the global sets (no dependency lost, none invented)
+        // and name exactly the shards the transaction's keys route to.
         let router = *sharded.router();
+        let homes: std::collections::BTreeSet<usize> = txn
+            .read_set
+            .keys()
+            .chain(txn.write_set.keys())
+            .map(|key| router.shard_of(key))
+            .collect();
+        assert!(resolved
+            .per_shard
+            .iter()
+            .map(|d| d.shard)
+            .eq(homes.iter().copied()));
         let mut preds_union: Vec<TxnId> = Vec::new();
         let mut succs_union: Vec<TxnId> = Vec::new();
         for d in &resolved.per_shard {
-            for key in d.read_keys.iter().chain(d.write_keys.iter()) {
-                assert_eq!(router.shard_of(key), d.shard, "{key} misrouted");
-            }
             for p in &d.predecessors {
                 if !preds_union.contains(p) {
                     preds_union.push(*p);

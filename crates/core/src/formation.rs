@@ -207,7 +207,9 @@ pub(crate) fn restore_ww_from_chains(
         return;
     }
 
+    // Heads in first-restored order, deduplicated by commit position (dense `0..order.len()`).
     let mut head_txns: Vec<TxnId> = Vec::new();
+    let mut is_head = vec![false; order.len()];
     for (shard, writers) in chains {
         // Connect every consecutive pair that is not already connected; pairs already
         // connected (like Txn0 → Txn3 in Figure 9) are implicit. The paper's Algorithm 5
@@ -223,7 +225,7 @@ pub(crate) fn restore_ww_from_chains(
                 continue;
             }
             graph.add_ww_edge(shard, first, second);
-            if !head_txns.contains(&second) {
+            if !std::mem::replace(&mut is_head[position[&second]], true) {
                 head_txns.push(second);
             }
         }
@@ -285,16 +287,22 @@ pub(crate) fn persist_block_index_side(
             continue;
         }
         let slot = txn.end_ts.expect("block transactions carry their slot");
-        // Committed-read index: record this transaction as a reader of each key it read.
-        for read in txn.read_set.iter() {
-            indices.record_cr(read.key.clone(), slot, txn.id);
-        }
-        // Committed-write index: record the writes and drop readers of the overwritten
-        // values (they no longer read the latest version).
-        for write in txn.write_set.iter() {
-            indices.record_cw(write.key.clone(), slot, txn.id);
-            indices.drop_stale_readers(&write.key, slot);
-        }
+        persist_txn_index_side(indices, txn, slot);
+    }
+}
+
+/// Records one transaction committed at `slot` in CR and CW (shared by block formation and by
+/// [`FabricSharpCC::register_committed`]'s ledger replay).
+pub(crate) fn persist_txn_index_side(indices: &mut ShardedIndices, txn: &Transaction, slot: SeqNo) {
+    // Committed-read index: record this transaction as a reader of each key it read.
+    for read in txn.read_set.iter() {
+        indices.record_cr(read.key.clone(), slot, txn.id);
+    }
+    // Committed-write index: record the writes and drop readers of the overwritten values
+    // (they no longer read the latest version).
+    for write in txn.write_set.iter() {
+        indices.record_cw(write.key.clone(), slot, txn.id);
+        indices.drop_stale_readers(&write.key, slot);
     }
 }
 

@@ -456,8 +456,6 @@ impl FabricSharpCC {
         let spec = PendingTxnSpec {
             id: txn.id,
             start_ts: txn.start_ts(),
-            read_keys: txn.read_set.keys().cloned().collect(),
-            write_keys: txn.write_set.keys().cloned().collect(),
         };
         let t_index = Instant::now();
         for key in txn.write_set.keys() {

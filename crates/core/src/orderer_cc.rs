@@ -156,8 +156,6 @@ impl FabricSharpCC {
         let spec = eov_depgraph::PendingTxnSpec {
             id: txn.id,
             start_ts: txn.start_ts(),
-            read_keys: txn.read_set.keys().cloned().collect(),
-            write_keys: txn.write_set.keys().cloned().collect(),
         };
         self.graph.insert_pending(
             spec,
@@ -167,13 +165,7 @@ impl FabricSharpCC {
             slot.block,
         );
         self.graph.mark_committed(txn.id, slot);
-        for read in txn.read_set.iter() {
-            self.indices.record_cr(read.key.clone(), slot, txn.id);
-        }
-        for write in txn.write_set.iter() {
-            self.indices.record_cw(write.key.clone(), slot, txn.id);
-            self.indices.drop_stale_readers(&write.key, slot);
-        }
+        crate::formation::persist_txn_index_side(&mut self.indices, txn, slot);
         self.next_block = self.next_block.max(slot.block + 1);
     }
 

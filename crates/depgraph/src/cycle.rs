@@ -112,8 +112,6 @@ mod tests {
         PendingTxnSpec {
             id: TxnId(id),
             start_ts: SeqNo::snapshot_after(0),
-            read_keys: vec![],
-            write_keys: vec![],
         }
     }
 
@@ -201,8 +199,6 @@ mod proptests {
                 g.insert_pending(PendingTxnSpec {
                     id: TxnId(id),
                     start_ts: SeqNo::snapshot_after(0),
-                    read_keys: vec![],
-                    write_keys: vec![],
                 }, &p, &[], 1);
             }
             prop_assert!(g.is_acyclic_exact());

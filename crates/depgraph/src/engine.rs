@@ -368,8 +368,6 @@ mod tests {
             let spec = |id: u64| PendingTxnSpec {
                 id: TxnId(id),
                 start_ts: SeqNo::snapshot_after(0),
-                read_keys: vec![],
-                write_keys: vec![],
             };
             engine.insert_pending(spec(1), &[], &[], &[], 1);
             engine.insert_pending(spec(2), &[TxnId(1)], &[], &[], 1);

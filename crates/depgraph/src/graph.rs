@@ -16,7 +16,6 @@ use crate::bloom::BloomFilter;
 use crate::interner::Interner;
 use crate::visited::EpochVisited;
 use eov_common::config::CcConfig;
-use eov_common::rwset::Key;
 use eov_common::txn::TxnId;
 use eov_common::version::SeqNo;
 use std::cell::RefCell;
@@ -114,10 +113,6 @@ pub struct TxnNode {
     /// block can reach this node. Nodes whose age falls behind the pruning threshold can never
     /// join a future cycle and are removed.
     pub age: u64,
-    /// Keys read by the transaction (kept for ww restoration and diagnostics).
-    pub read_keys: Vec<Key>,
-    /// Keys written by the transaction.
-    pub write_keys: Vec<Key>,
 }
 
 impl TxnNode {
@@ -134,10 +129,6 @@ pub struct PendingTxnSpec {
     pub id: TxnId,
     /// Start timestamp (snapshot sequence number).
     pub start_ts: SeqNo,
-    /// Keys read during simulation.
-    pub read_keys: Vec<Key>,
-    /// Keys written during simulation.
-    pub write_keys: Vec<Key>,
 }
 
 /// Outcome of the cycle test performed before inserting a new transaction.
@@ -209,10 +200,9 @@ impl PendingList {
     }
 
     /// Removes every id in `ids`, preserving the relative order of the survivors.
-    fn remove_all(&mut self, ids: &HashSet<u64>) {
-        // lint-determinism: allow (removals are commutative; compaction runs after the loop)
+    fn remove_all(&mut self, ids: &[TxnId]) {
         for id in ids {
-            if let Some(slot) = self.index.remove(id) {
+            if let Some(slot) = self.index.remove(&id.0) {
                 self.slots[slot] = None;
                 self.live -= 1;
             }
@@ -476,8 +466,6 @@ impl DependencyGraph {
             pred: Vec::new(),
             anti_reachable: ReachSet::new(&self.config),
             age: next_block,
-            read_keys: spec.read_keys,
-            write_keys: spec.write_keys,
         };
 
         // Wire predecessors: p.succ ∪= {txn}; txn.anti_reachable ∪= {p} ∪ p.anti_reachable.
@@ -801,22 +789,24 @@ impl DependencyGraph {
         self.nodes[slot as usize].as_mut()
     }
 
-    /// Internal: removes a set of node ids and cleans dangling edge references. Cleanup only
+    /// Internal: removes the given nodes and cleans dangling edge references. Cleanup only
     /// visits the neighbours of removed nodes (via the predecessor mirror), so bulk pruning is
     /// O(removed × degree) instead of O(survivors × successor-list length).
-    pub(crate) fn remove_many(&mut self, ids: &HashSet<u64>) {
+    ///
+    /// `ids` must be sorted: slots are released in the order given and the interner recycles
+    /// them LIFO, so the order decides future slot assignments (and thus slot-ordered node
+    /// walks) — ascending id order is the one every replica agrees on.
+    pub(crate) fn remove_many(&mut self, ids: &[TxnId]) {
+        debug_assert!(
+            ids.windows(2).all(|w| w[0] < w[1]),
+            "ids sorted and distinct"
+        );
         if ids.is_empty() {
             return;
         }
         self.pending.remove_all(ids);
-        // Release in sorted id order: the interner recycles slots LIFO, so iterating the
-        // HashSet directly would make future slot assignments (and thus slot-ordered node
-        // walks) depend on hash-seeded iteration order.
-        // lint-determinism: allow (sorted immediately below)
-        let mut ordered: Vec<u64> = ids.iter().copied().collect();
-        ordered.sort_unstable();
-        for id in &ordered {
-            let Some(slot) = self.interner.release(TxnId(*id)) else {
+        for &id in ids {
+            let Some(slot) = self.interner.release(id) else {
                 continue;
             };
             let node = self.nodes[slot as usize]
@@ -851,8 +841,6 @@ mod tests {
         PendingTxnSpec {
             id: TxnId(id),
             start_ts: SeqNo::snapshot_after(snapshot_block),
-            read_keys: vec![],
-            write_keys: vec![],
         }
     }
 
@@ -1098,8 +1086,7 @@ mod tests {
         g.insert_pending(spec(2, 0), &[TxnId(1)], &[], 1);
         g.insert_pending(spec(3, 0), &[TxnId(2)], &[], 1);
         g.insert_pending(spec(4, 0), &[TxnId(3), TxnId(1)], &[], 1);
-        let victims: HashSet<u64> = [2u64, 3].into_iter().collect();
-        g.remove_many(&victims);
+        g.remove_many(&[TxnId(2), TxnId(3)]);
         assert_eq!(g.len(), 2);
         assert_eq!(g.successors(TxnId(1)), vec![TxnId(4)]);
         assert_eq!(g.predecessors(TxnId(4)), vec![TxnId(1)]);

@@ -16,7 +16,6 @@
 
 use crate::graph::DependencyGraph;
 use eov_common::txn::TxnId;
-use std::collections::HashSet;
 
 /// The snapshot threshold `H = next_block − max_span` (saturating at 0).
 pub fn snapshot_threshold(next_block: u64, max_span: u64) -> u64 {
@@ -28,17 +27,15 @@ impl DependencyGraph {
     /// are never pruned (they are about to be committed in the next block, so their age equals
     /// the next block number by construction). Returns the pruned transaction ids.
     pub fn prune_stale(&mut self, threshold: u64) -> Vec<TxnId> {
-        let victims: HashSet<u64> = self
+        // Collected in slot order — an allocation artifact — so sort before anything
+        // sequences on it (`remove_many` releases slots in the order given).
+        let mut pruned: Vec<TxnId> = self
             .nodes()
             .filter(|n| !n.is_pending() && n.age < threshold)
-            .map(|n| n.id.0)
+            .map(|n| n.id)
             .collect();
-        // Sorted return order: the victim set iterates in hash order, which must never leak
-        // into anything callers sequence on.
-        // lint-determinism: allow (sorted immediately below)
-        let mut pruned: Vec<TxnId> = victims.iter().map(|id| TxnId(*id)).collect();
         pruned.sort_unstable();
-        self.remove_many(&victims);
+        self.remove_many(&pruned);
         pruned
     }
 
@@ -68,8 +65,6 @@ mod tests {
         PendingTxnSpec {
             id: TxnId(id),
             start_ts: SeqNo::snapshot_after(0),
-            read_keys: vec![],
-            write_keys: vec![],
         }
     }
 

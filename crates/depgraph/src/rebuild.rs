@@ -80,8 +80,6 @@ mod tests {
         PendingTxnSpec {
             id: TxnId(id),
             start_ts: SeqNo::snapshot_after(0),
-            read_keys: vec![],
-            write_keys: vec![],
         }
     }
 

@@ -57,23 +57,18 @@ use crate::interner::Interner;
 use crate::parallel::{ShardJob, ShardOutcome, ShardPool};
 use crate::visited::EpochVisited;
 use eov_common::config::CcConfig;
-use eov_common::rwset::Key;
 use eov_common::txn::TxnId;
 use eov_common::version::SeqNo;
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
-/// One shard's slice of a new transaction: the keys it touches there and the dependency edges
-/// induced by those keys.
+/// One shard's slice of a new transaction: a shard owning at least one of its keys (a *home*
+/// of the transaction) and the dependency edges induced by the keys it owns there.
 #[derive(Clone, Debug, Default)]
 pub struct ShardDeps {
-    /// The shard these keys route to.
+    /// The shard the inducing keys route to.
     pub shard: usize,
-    /// Read keys owned by this shard.
-    pub read_keys: Vec<Key>,
-    /// Write keys owned by this shard.
-    pub write_keys: Vec<Key>,
     /// Predecessors resolved against this shard's indices (deduplicated).
     pub predecessors: Vec<TxnId>,
     /// Successors resolved against this shard's indices (deduplicated).
@@ -338,9 +333,9 @@ impl ShardedDependencyGraph {
         }
     }
 
-    /// Algorithm 4 across shards. `per_shard` carries the transaction's keys and resolved
-    /// dependencies split by owning shard; an empty slice means "single shard 0 with the
-    /// spec's full key set and the given global dependency lists" (the `S = 1` convenience).
+    /// Algorithm 4 across shards. `per_shard` carries the transaction's home shards and its
+    /// resolved dependencies split by owning shard; an empty slice means "single shard 0 with
+    /// the given global dependency lists" (the `S = 1` convenience).
     ///
     /// Local fast path: a single-home transaction whose home shard tracks no border
     /// transaction delegates wholesale to that shard's own insert — the coordinator is never
@@ -372,8 +367,6 @@ impl ShardedDependencyGraph {
         let per_shard: &[ShardDeps] = if per_shard.is_empty() {
             single_shard_fallback = [ShardDeps {
                 shard: 0,
-                read_keys: spec.read_keys.clone(),
-                write_keys: spec.write_keys.clone(),
                 predecessors: global_preds.to_vec(),
                 successors: global_succs.to_vec(),
             }];
@@ -392,8 +385,6 @@ impl ShardedDependencyGraph {
                 PendingTxnSpec {
                     id,
                     start_ts: spec.start_ts,
-                    read_keys: d.read_keys.clone(),
-                    write_keys: d.write_keys.clone(),
                 },
                 &d.predecessors,
                 &d.successors,
@@ -421,8 +412,6 @@ impl ShardedDependencyGraph {
                     let copy_spec = PendingTxnSpec {
                         id,
                         start_ts: spec.start_ts,
-                        read_keys: d.read_keys.clone(),
-                        write_keys: d.write_keys.clone(),
                     };
                     let preds = d.predecessors.clone();
                     batch.push((
@@ -443,8 +432,6 @@ impl ShardedDependencyGraph {
                         PendingTxnSpec {
                             id,
                             start_ts: spec.start_ts,
-                            read_keys: d.read_keys.clone(),
-                            write_keys: d.write_keys.clone(),
                         },
                         &d.predecessors,
                         &[],
@@ -1010,7 +997,7 @@ impl ShardedDependencyGraph {
     /// transactions removed.
     pub fn prune_for_next_block(&mut self, next_block: u64) -> usize {
         let threshold = crate::prune::snapshot_threshold(next_block, self.config.max_span);
-        let mut removed: HashSet<u64> = HashSet::new();
+        let mut removed: Vec<TxnId> = Vec::new();
         match self.pool.clone() {
             Some(pool) if self.shards.len() > 1 => {
                 let mut batch: Vec<(DependencyGraph, ShardJob)> =
@@ -1027,27 +1014,24 @@ impl ShardedDependencyGraph {
                 for (shard, (graph, outcome)) in pool.run(batch).into_iter().enumerate() {
                     self.shards[shard] = graph;
                     match outcome {
-                        ShardOutcome::Pruned(ids) => removed.extend(ids.iter().map(|t| t.0)),
+                        ShardOutcome::Pruned(ids) => removed.extend(ids),
                         other => unreachable!("prune job returned {other:?}"),
                     }
                 }
             }
             _ => {
                 for shard in &mut self.shards {
-                    for id in shard.prune_stale(threshold) {
-                        removed.insert(id.0);
-                    }
+                    removed.extend(shard.prune_stale(threshold));
                 }
             }
         }
-        // Release in sorted id order: the interner recycles slots LIFO, so iterating the
-        // HashSet directly would make future slot assignments (and thus slot-ordered walks)
-        // depend on hash-seeded iteration order.
-        // lint-determinism: allow (sorted immediately below)
-        let mut removed_ids: Vec<u64> = removed.into_iter().collect();
-        removed_ids.sort_unstable();
-        for id in &removed_ids {
-            if let Some(slot) = self.gid.release(TxnId(*id)) {
+        // A border transaction is reported once per home shard. Release in sorted id order:
+        // the interner recycles slots LIFO, so the order decides future slot assignments (and
+        // thus slot-ordered walks).
+        removed.sort_unstable();
+        removed.dedup();
+        for &id in &removed {
+            if let Some(slot) = self.gid.release(id) {
                 let homes = std::mem::take(&mut self.homes_at[slot as usize]);
                 if homes.len() > 1 {
                     self.border_total -= 1;
@@ -1057,7 +1041,7 @@ impl ShardedDependencyGraph {
                 }
             }
         }
-        removed_ids.len()
+        removed.len()
     }
 }
 
@@ -1098,12 +1082,10 @@ mod tests {
         }
     }
 
-    fn spec(id: u64, read_keys: Vec<Key>, write_keys: Vec<Key>) -> PendingTxnSpec {
+    fn spec(id: u64) -> PendingTxnSpec {
         PendingTxnSpec {
             id: TxnId(id),
             start_ts: SeqNo::snapshot_after(0),
-            read_keys,
-            write_keys,
         }
     }
 
@@ -1119,8 +1101,6 @@ mod tests {
             .iter()
             .map(|&shard| ShardDeps {
                 shard,
-                read_keys: vec![],
-                write_keys: vec![],
                 predecessors: preds
                     .iter()
                     .filter(|(s, _)| *s == shard)
@@ -1138,27 +1118,15 @@ mod tests {
     #[test]
     fn local_transactions_never_touch_the_coordinator() {
         let mut g = ShardedDependencyGraph::new(cfg_exact(), 2);
+        g.insert_pending(spec(1), &[], &[], &deps_for(&[0], &[], &[]), 1);
         g.insert_pending(
-            spec(1, vec![], vec![]),
-            &[],
-            &[],
-            &deps_for(&[0], &[], &[]),
-            1,
-        );
-        g.insert_pending(
-            spec(2, vec![], vec![]),
+            spec(2),
             &[TxnId(1)],
             &[],
             &deps_for(&[0], &[(0, TxnId(1))], &[]),
             1,
         );
-        g.insert_pending(
-            spec(3, vec![], vec![]),
-            &[],
-            &[],
-            &deps_for(&[1], &[], &[]),
-            1,
-        );
+        g.insert_pending(spec(3), &[], &[], &deps_for(&[1], &[], &[]), 1);
         assert_eq!(g.border_count(), 0);
         assert_eq!(g.len(), 3);
         assert!(g.contains(TxnId(2)));
@@ -1173,15 +1141,9 @@ mod tests {
     fn border_transactions_bridge_reachability_across_shards() {
         let mut g = ShardedDependencyGraph::new(cfg_exact(), 2);
         // Local chain on shard 0: 1 → 2.
+        g.insert_pending(spec(1), &[], &[], &deps_for(&[0], &[], &[]), 1);
         g.insert_pending(
-            spec(1, vec![], vec![]),
-            &[],
-            &[],
-            &deps_for(&[0], &[], &[]),
-            1,
-        );
-        g.insert_pending(
-            spec(2, vec![], vec![]),
+            spec(2),
             &[TxnId(1)],
             &[],
             &deps_for(&[0], &[(0, TxnId(1))], &[]),
@@ -1189,7 +1151,7 @@ mod tests {
         );
         // Border txn 5 with a predecessor on shard 0 (txn 2) and nothing on shard 1 yet.
         g.insert_pending(
-            spec(5, vec![], vec![]),
+            spec(5),
             &[TxnId(2)],
             &[],
             &deps_for(&[0, 1], &[(0, TxnId(2))], &[]),
@@ -1199,7 +1161,7 @@ mod tests {
         assert!(g.is_border(TxnId(5)));
         // Local txn 7 on shard 1 downstream of the border txn.
         g.insert_pending(
-            spec(7, vec![], vec![]),
+            spec(7),
             &[TxnId(5)],
             &[],
             &deps_for(&[1], &[(1, TxnId(5))], &[]),
@@ -1231,15 +1193,9 @@ mod tests {
     fn insert_with_cross_shard_downstream_updates_every_copy() {
         let mut g = ShardedDependencyGraph::new(cfg_exact(), 2);
         // Border txn 10 homed on both shards; local txn 11 downstream on shard 1.
+        g.insert_pending(spec(10), &[], &[], &deps_for(&[0, 1], &[], &[]), 1);
         g.insert_pending(
-            spec(10, vec![], vec![]),
-            &[],
-            &[],
-            &deps_for(&[0, 1], &[], &[]),
-            1,
-        );
-        g.insert_pending(
-            spec(11, vec![], vec![]),
+            spec(11),
             &[TxnId(10)],
             &[],
             &deps_for(&[1], &[(1, TxnId(10))], &[]),
@@ -1248,7 +1204,7 @@ mod tests {
         // New txn 3 on shard 0 whose successor is the border txn 10: 11 (shard 1) must learn
         // that 3 reaches it, through the coordinator walk.
         let report = g.insert_pending(
-            spec(3, vec![], vec![]),
+            spec(3),
             &[],
             &[TxnId(10)],
             &deps_for(&[0], &[], &[(0, TxnId(10))]),
@@ -1288,22 +1244,10 @@ mod tests {
     #[test]
     fn insert_restores_the_new_nodes_reach_set_after_the_coordinator_walk() {
         let mut g = ShardedDependencyGraph::new(cfg_exact(), 2);
+        g.insert_pending(spec(1), &[], &[], &deps_for(&[0], &[], &[]), 1);
+        g.insert_pending(spec(2), &[], &[], &deps_for(&[1], &[], &[]), 1);
         g.insert_pending(
-            spec(1, vec![], vec![]),
-            &[],
-            &[],
-            &deps_for(&[0], &[], &[]),
-            1,
-        );
-        g.insert_pending(
-            spec(2, vec![], vec![]),
-            &[],
-            &[],
-            &deps_for(&[1], &[], &[]),
-            1,
-        );
-        g.insert_pending(
-            spec(3, vec![], vec![]),
+            spec(3),
             &[TxnId(2)],
             &[],
             &deps_for(&[1], &[(1, TxnId(2))], &[]),
@@ -1312,7 +1256,7 @@ mod tests {
         // Border txn 9: preds {1 on shard 0, 2 on shard 1}, succ {3 on shard 1} — the
         // coordinator walk runs over 3 while 9's delta is taken out.
         g.insert_pending(
-            spec(9, vec![], vec![]),
+            spec(9),
             &[TxnId(1), TxnId(2)],
             &[TxnId(3)],
             &deps_for(&[0, 1], &[(0, TxnId(1)), (1, TxnId(2))], &[(1, TxnId(3))]),
@@ -1342,22 +1286,10 @@ mod tests {
     #[test]
     fn ww_edges_and_propagation_keep_copies_in_sync() {
         let mut g = ShardedDependencyGraph::new(cfg_exact(), 2);
+        g.insert_pending(spec(1), &[], &[], &deps_for(&[0], &[], &[]), 1);
+        g.insert_pending(spec(2), &[], &[], &deps_for(&[0, 1], &[], &[]), 1);
         g.insert_pending(
-            spec(1, vec![], vec![]),
-            &[],
-            &[],
-            &deps_for(&[0], &[], &[]),
-            1,
-        );
-        g.insert_pending(
-            spec(2, vec![], vec![]),
-            &[],
-            &[],
-            &deps_for(&[0, 1], &[], &[]),
-            1,
-        );
-        g.insert_pending(
-            spec(3, vec![], vec![]),
+            spec(3),
             &[TxnId(2)],
             &[],
             &deps_for(&[1], &[(1, TxnId(2))], &[]),
@@ -1414,13 +1346,7 @@ mod tests {
             },
             2,
         );
-        g.insert_pending(
-            spec(1, vec![], vec![]),
-            &[],
-            &[],
-            &deps_for(&[0, 1], &[], &[]),
-            1,
-        );
+        g.insert_pending(spec(1), &[], &[], &deps_for(&[0, 1], &[], &[]), 1);
         assert_eq!(g.border_count(), 1);
         g.mark_committed(TxnId(1), SeqNo::new(1, 1));
         assert_eq!(g.pending_len(), 0);
@@ -1441,21 +1367,9 @@ mod tests {
     #[test]
     fn remove_and_reinsert_handle_border_transactions() {
         let mut g = ShardedDependencyGraph::new(cfg_exact(), 2);
-        g.insert_pending(
-            spec(1, vec![], vec![]),
-            &[],
-            &[],
-            &deps_for(&[0, 1], &[], &[]),
-            1,
-        );
+        g.insert_pending(spec(1), &[], &[], &deps_for(&[0, 1], &[], &[]), 1);
         // Replay is a no-op, like the unsharded engine.
-        let report = g.insert_pending(
-            spec(1, vec![], vec![]),
-            &[],
-            &[],
-            &deps_for(&[0, 1], &[], &[]),
-            2,
-        );
+        let report = g.insert_pending(spec(1), &[], &[], &deps_for(&[0, 1], &[], &[]), 2);
         assert_eq!(report, InsertReport::default());
         assert_eq!(g.len(), 1);
         assert_eq!(g.border_count(), 1);
@@ -1474,15 +1388,9 @@ mod tests {
     fn replaying_a_cut_but_unpruned_border_txn_is_a_noop_on_every_copy() {
         for threads in [0usize, 2] {
             let mut g = ShardedDependencyGraph::new(cfg_exact(), 2).with_formation_threads(threads);
+            g.insert_pending(spec(1), &[], &[], &deps_for(&[0], &[], &[]), 1);
             g.insert_pending(
-                spec(1, vec![], vec![]),
-                &[],
-                &[],
-                &deps_for(&[0], &[], &[]),
-                1,
-            );
-            g.insert_pending(
-                spec(5, vec![], vec![]),
+                spec(5),
                 &[TxnId(1)],
                 &[],
                 &deps_for(&[0, 1], &[(0, TxnId(1))], &[]),
@@ -1495,7 +1403,7 @@ mod tests {
             // Replay of the cut transaction, with *different* (stale) dependency lists — the
             // guard must win before any shard sees the new lists.
             let report = g.insert_pending(
-                spec(5, vec![], vec![]),
+                spec(5),
                 &[],
                 &[TxnId(1)],
                 &deps_for(&[0, 1], &[], &[(0, TxnId(1))]),
@@ -1526,16 +1434,10 @@ mod tests {
     fn recycled_slots_start_clean_across_shards_and_coordinator() {
         for threads in [0usize, 2] {
             let mut g = ShardedDependencyGraph::new(cfg_exact(), 2).with_formation_threads(threads);
-            g.insert_pending(
-                spec(1, vec![], vec![]),
-                &[],
-                &[],
-                &deps_for(&[0], &[], &[]),
-                1,
-            );
+            g.insert_pending(spec(1), &[], &[], &deps_for(&[0], &[], &[]), 1);
             // Border txn 5 downstream of 1, homed on both shards.
             g.insert_pending(
-                spec(5, vec![], vec![]),
+                spec(5),
                 &[TxnId(1)],
                 &[],
                 &deps_for(&[0, 1], &[(0, TxnId(1))], &[]),
@@ -1545,13 +1447,7 @@ mod tests {
             assert_eq!(g.border_count(), 0);
 
             // Txn 6 recycles 5's slots: a *local* txn on shard 1, unrelated to txn 1.
-            g.insert_pending(
-                spec(6, vec![], vec![]),
-                &[],
-                &[],
-                &deps_for(&[1], &[], &[]),
-                1,
-            );
+            g.insert_pending(spec(6), &[], &[], &deps_for(&[1], &[], &[]), 1);
             assert!(!g.is_border(TxnId(6)), "W={threads}");
             assert!(
                 g.shard(1).predecessors(TxnId(6)).is_empty(),
@@ -1565,13 +1461,7 @@ mod tests {
             assert!(!g.reaches_exact(TxnId(1), TxnId(6)), "W={threads}");
             assert!(g.shard(0).successors(TxnId(1)).is_empty(), "W={threads}");
             // And a border txn recycling coordinator slots keeps the bookkeeping exact.
-            g.insert_pending(
-                spec(7, vec![], vec![]),
-                &[],
-                &[],
-                &deps_for(&[0, 1], &[], &[]),
-                1,
-            );
+            g.insert_pending(spec(7), &[], &[], &deps_for(&[0, 1], &[], &[]), 1);
             assert_eq!(g.border_count(), 1, "W={threads}");
             g.remove(TxnId(7));
             assert_eq!(g.border_count(), 0, "W={threads}");
@@ -1596,7 +1486,7 @@ mod tests {
                 };
                 let pred_ids: Vec<TxnId> = preds.iter().map(|(_, t)| *t).collect();
                 g.insert_pending(
-                    spec(id, vec![], vec![]),
+                    spec(id),
                     &pred_ids,
                     &[],
                     &deps_for(&[*shard], &preds, &[]),
@@ -1617,13 +1507,7 @@ mod tests {
         let build = || {
             let mut g = ShardedDependencyGraph::new(cfg_exact(), 2);
             for (id, shard) in [(1u64, 0usize), (2, 0), (3, 1), (4, 1), (5, 1)] {
-                g.insert_pending(
-                    spec(id, vec![], vec![]),
-                    &[],
-                    &[],
-                    &deps_for(&[shard], &[], &[]),
-                    1,
-                );
+                g.insert_pending(spec(id), &[], &[], &deps_for(&[shard], &[], &[]), 1);
             }
             g
         };
@@ -1752,15 +1636,11 @@ mod proptests {
             let spec = PendingTxnSpec {
                 id: TxnId(id),
                 start_ts: SeqNo::snapshot_after(0),
-                read_keys: vec![],
-                write_keys: vec![],
             };
             let per_shard: Vec<ShardDeps> = homes[id as usize]
                 .iter()
                 .map(|&shard| ShardDeps {
                     shard,
-                    read_keys: vec![],
-                    write_keys: vec![],
                     predecessors: {
                         let mut seen = Vec::new();
                         for &(s, t) in &p {

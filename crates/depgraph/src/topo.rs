@@ -214,8 +214,6 @@ mod tests {
         PendingTxnSpec {
             id: TxnId(id),
             start_ts: SeqNo::snapshot_after(0),
-            read_keys: vec![],
-            write_keys: vec![],
         }
     }
 
@@ -357,8 +355,6 @@ mod proptests {
                     PendingTxnSpec {
                         id: TxnId(id),
                         start_ts: SeqNo::snapshot_after(0),
-                        read_keys: vec![],
-                        write_keys: vec![],
                     },
                     &p,
                     &[],

@@ -10,7 +10,8 @@
 //! * [`snapshot`] — block snapshot handles and the snapshot manager that pins/prunes them.
 //! * [`index`] — the orderer-side committed-transaction indices `CommittedWriteTxns` (CW) and
 //!   `CommittedReadTxns` (CR) of Section 4.3. The paper stores these in LevelDB; here they are
-//!   ordered in-memory maps exposing the same query surface (`Before`, `Last`, range-from).
+//!   in-memory key-major maps (record key → its entries in commit order) exposing the same
+//!   query surface (`Before`, `Last`, range-from) at a cost that scales with the keys named.
 //! * [`pending`] — the in-memory `PendingWriteTxns` (PW) / `PendingReadTxns` (PR) indices over
 //!   the not-yet-ordered transactions.
 //! * [`shared`] — the [`shared::SharedStore`] handle used by the concurrent pipeline to share
