@@ -1,10 +1,11 @@
 //! Criterion micro-benchmarks of the substrates: multi-version store reads, committed-index
-//! queries, SHA-256 block hashing, Zipfian sampling and Smallbank endorsement.
+//! queries, SHA-256 block hashing, record CRC-32, Zipfian sampling and Smallbank endorsement.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use eov_common::rwset::{Key, Value};
 use eov_common::txn::{Transaction, TxnId};
 use eov_common::version::SeqNo;
+use eov_ledger::codec::crc32;
 use eov_ledger::{sha256, Block, Digest};
 use eov_vstore::{CommittedReadIndex, CommittedWriteIndex, MultiVersionStore, SnapshotManager};
 use eov_workload::smallbank::{genesis_accounts, SmallbankContract, SmallbankOp};
@@ -109,6 +110,13 @@ fn bench_ledger_and_zipf(c: &mut Criterion) {
     group.bench_function("sha256_1kib", |b| {
         let data = vec![0xabu8; 1024];
         b.iter(|| sha256(&data))
+    });
+
+    // The size of one 100-transaction block record: every durable append and every recovery
+    // scan pays this once per block.
+    group.bench_function("crc32_29kib", |b| {
+        let data: Vec<u8> = (0..29 * 1024u32).map(|i| ((i * 31) >> 3) as u8).collect();
+        b.iter(|| crc32(&data))
     });
 
     let txns: Vec<Transaction> = (0..100u64)

@@ -49,7 +49,9 @@
 //!   through the CRC-framed segment writer; `recover_cold_1600`: full cold restart —
 //!   checkpoint load + segment suffix replay + controller rebuild over 1600 txns) and
 //!   structurally: the disk-recovered ledger tip, store bytes and controller must be
-//!   identical to the uninterrupted in-memory run's.
+//!   identical to the uninterrupted in-memory run's, and the 8th periodic checkpoint of a
+//!   store growing by a constant number of fresh keys per interval must write at most 1.5×
+//!   the bytes of the 2nd (a checkpoint costs what changed, not what exists).
 //!
 //! Exit codes: 0 — pass (or baseline recorded); 1 — regression / structural failure;
 //! 2 — baseline missing or unreadable (run with `--record` first). CI runs this as a
@@ -420,6 +422,38 @@ fn durable_fixture() -> (Vec<Block>, Ledger, StoreBackend, PathBuf) {
         blocks.push(block);
     }
     (blocks, ledger, store, dir)
+}
+
+/// Largest allowed size of the 8th periodic checkpoint relative to the 2nd when every
+/// interval adds the same number of fresh keys (full images would sit near 4×).
+const MAX_CHECKPOINT_GROWTH: f64 = 1.5;
+
+/// Bytes of the 2nd and the 8th periodic checkpoint of a store that gains 200 fresh keys
+/// between checkpoints, on top of a genesis checkpoint.
+fn periodic_checkpoint_bytes() -> (u64, u64) {
+    let dir = std::env::temp_dir().join(format!("eov-bench-ckpt-growth-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut store = StoreBackend::for_shards(0);
+    store.seed_genesis((0..64).map(|i| (Key::new(format!("acct:{i}")), Value::from_i64(100))));
+    write_checkpoint(&dir, &store, false).unwrap();
+    let sizes: Vec<u64> = (1..=8u64)
+        .map(|period| {
+            for block in (period - 1) * 10 + 1..=period * 10 {
+                let txn = Transaction::from_parts(
+                    block,
+                    block - 1,
+                    [],
+                    (0..20).map(|i| (Key::new(format!("new:{block}:{i}")), Value::from_i64(i))),
+                );
+                store.apply_block(block, [(&txn, 1)]);
+            }
+            let (_, path) = write_checkpoint(&dir, &store, false).unwrap();
+            std::fs::metadata(path).unwrap().len()
+        })
+        .collect();
+    let _ = std::fs::remove_dir_all(&dir);
+    (sizes[1], sizes[7])
 }
 
 /// Transactions per synthetic wave-commit block.
@@ -1074,6 +1108,20 @@ fn main() {
         } else {
             println!(
                 "  FAIL recover_cold_1600: disk recovery diverged from the in-memory run (tip {tip_ok}, store {store_ok}, cc {cc_ok}, ckpt {ckpt_ok})"
+            );
+            failures += 1;
+        }
+    }
+    {
+        let (second, eighth) = periodic_checkpoint_bytes();
+        let ratio = eighth as f64 / second as f64;
+        if ratio <= MAX_CHECKPOINT_GROWTH {
+            println!(
+                "  OK   checkpoint growth: 8th periodic checkpoint {ratio:.2}x the 2nd ({eighth} B vs {second} B, need <= {MAX_CHECKPOINT_GROWTH}x)"
+            );
+        } else {
+            println!(
+                "  FAIL checkpoint growth: 8th periodic checkpoint {ratio:.2}x the 2nd ({eighth} B vs {second} B, need <= {MAX_CHECKPOINT_GROWTH}x)"
             );
             failures += 1;
         }

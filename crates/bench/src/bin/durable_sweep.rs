@@ -1,4 +1,4 @@
-//! Durable-ledger sweep: the three tables behind BASELINES.md "Durable ledger".
+//! Durable-ledger sweep: the four tables behind BASELINES.md "Durable ledger".
 //!
 //! ```text
 //! cargo run --release -p eov-bench --bin durable_sweep
@@ -11,6 +11,9 @@
 //!    from that directory (newest checkpoint + suffix replay + controller rebuild).
 //! 3. **Recovery time vs suffix length** — a single mid-chain checkpoint at height `h`;
 //!    recovery replays the `200 − h` block suffix on top.
+//! 4. **Rotation size sweep** — 1 000 blocks of 100 transactions (the ~20 KB records the
+//!    `perf_report` workloads append) at `segment_rotate_kib` 64 … 16 384: time per append
+//!    and segment files created. Why the default is 1 MiB.
 
 use eov_common::config::CcConfig;
 use eov_common::rwset::{Key, Value};
@@ -53,6 +56,33 @@ fn fixture_blocks() -> Vec<Block> {
         blocks.push(block);
     }
     blocks
+}
+
+/// 1 000 chained blocks of 100 blind single-key writers each — about 20 KB per record.
+fn wide_blocks() -> Vec<Block> {
+    let mut ledger = Ledger::new();
+    for number in 1..=1_000u64 {
+        let txns: Vec<Transaction> = (0..100u64)
+            .map(|i| {
+                let id = number * 100 + i;
+                Transaction::from_parts(
+                    id,
+                    number - 1,
+                    [],
+                    [
+                        (Key::new(format!("checking:{id}")), Value::from_i64(1_000)),
+                        (Key::new(format!("savings:{id}")), Value::from_i64(1_000)),
+                    ],
+                )
+            })
+            .collect();
+        let mut block = Block::build(number, ledger.tip_hash(), txns);
+        for entry in &mut block.entries {
+            entry.status = TxnStatus::Committed;
+        }
+        ledger.append(block).unwrap();
+    }
+    ledger.iter().cloned().collect()
 }
 
 fn genesis_store() -> StoreBackend {
@@ -190,6 +220,50 @@ fn main() {
         persist(&dir, &blocks, 0, height);
         let ms = recovery_ms(&dir);
         println!("| {height} | {} | {ms:.1} |", BLOCKS - height);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    // 4. Rotation size sweep on block records of realistic size.
+    let wide = wide_blocks();
+    println!("\nrotation size sweep (1000 appends of 100-txn blocks, fsync off):");
+    println!("| segment_rotate_kib | segment files | KB / record | us / append | us / append that rotates |");
+    println!("|---|---|---|---|---|");
+    for rotate_kib in [64u64, 256, 1024, 4096, 16384] {
+        let dir = temp_dir(&format!("rot{rotate_kib}"));
+        let options = DurableOptions {
+            rotate_bytes: rotate_kib * 1024,
+            fsync: false,
+        };
+        let mut rotating_us: Vec<f64> = Vec::new();
+        let mut samples: Vec<f64> = (0..RUNS)
+            .map(|_| {
+                let _ = std::fs::remove_dir_all(&dir);
+                let (mut durable, _) = DurableLedger::open(&dir, options).unwrap();
+                let start = Instant::now();
+                for block in &wide {
+                    let tail_before = durable.tail_segment_len();
+                    let append_start = Instant::now();
+                    durable.append(block.clone()).unwrap();
+                    if durable.tail_segment_len() < tail_before {
+                        rotating_us.push(append_start.elapsed().as_secs_f64() * 1e6);
+                    }
+                }
+                start.elapsed().as_secs_f64() * 1e3
+            })
+            .collect();
+        let ms = median_ms(&mut samples);
+        let (_, _, seg_bytes) = dir_stats(&dir);
+        let segments = std::fs::read_dir(&dir).unwrap().count();
+        println!(
+            "| {rotate_kib} | {segments} | {:.1} | {:.1} | {} |",
+            seg_bytes as f64 / 1e3 / wide.len() as f64,
+            ms * 1e3 / wide.len() as f64,
+            if rotating_us.is_empty() {
+                "-".to_string()
+            } else {
+                format!("{:.1}", median_ms(&mut rotating_us))
+            }
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -102,15 +102,21 @@ pub struct CcConfig {
     pub pipelined_formation: bool,
     /// Size (in KiB) at which the durable ledger rotates to a new segment file. Only consulted
     /// when a durable ledger directory is configured; the in-memory reference ledger ignores
-    /// it. Defaults to 64 KiB — small enough that multi-block test runs exercise rotation.
+    /// it. Defaults to 1 MiB: every rotation is a file creation and one more directory entry
+    /// for each checkpoint and each restart to list, so a segment should hold tens of real
+    /// 12–30 KB block records, not three. Tests that want rotation set a small value
+    /// explicitly.
     pub segment_rotate_kib: u32,
     /// Blocks between multi-version-store checkpoints when durability is enabled. `0` (the
     /// default) writes only the genesis checkpoint, so cold recovery replays the whole segment
-    /// suffix; `N >= 1` checkpoints every `N` blocks, bounding the replay suffix to `N`.
+    /// suffix; `N >= 1` checkpoints every `N` blocks, bounding the replay suffix to `N`. Each
+    /// periodic checkpoint is a delta over the previous one, so its cost follows the writes of
+    /// those `N` blocks, not the size of the store.
     pub checkpoint_interval: u64,
-    /// When `true`, every durable segment append is fsynced before the block is acknowledged
-    /// (crash-durability at the cost of append throughput — see BASELINES.md). `false` (the
-    /// default) leaves flushing to the OS; a torn tail is repaired on recovery either way.
+    /// When `true`, every durable segment append is fsynced before the block is acknowledged,
+    /// and so are a new segment's and a new checkpoint's directory entries (crash-durability
+    /// at the cost of append throughput — see BASELINES.md). `false` (the default) leaves
+    /// flushing to the OS; a torn tail is repaired on recovery either way.
     pub durable_fsync: bool,
 }
 
@@ -126,7 +132,7 @@ impl Default for CcConfig {
             template_fastpath: false,
             execution_threads: 0,
             pipelined_formation: false,
-            segment_rotate_kib: 64,
+            segment_rotate_kib: 1024,
             checkpoint_interval: 0,
             durable_fsync: false,
         }

@@ -18,7 +18,7 @@ use crate::orderer_cc::FabricSharpCC;
 use eov_common::config::CcConfig;
 use eov_common::error::CommonError;
 use eov_ledger::durable::{DurableLedger, DurableOptions, OpenReport};
-use eov_ledger::{latest_checkpoint_at_most, Ledger, LedgerError};
+use eov_ledger::{discard_unusable_checkpoints, latest_checkpoint_at_most, Ledger, LedgerError};
 use eov_vstore::{StateStore, StoreBackend};
 use std::fmt;
 use std::path::Path;
@@ -84,6 +84,15 @@ pub fn recover_from_ledger(
     config: CcConfig,
 ) -> Result<(FabricSharpCC, RecoveryReport), RecoveryError> {
     ledger.verify_integrity()?;
+    Ok(rebuild_controller(ledger, config)?)
+}
+
+/// The controller rebuild proper, over a ledger whose chain rules the caller has already
+/// established.
+fn rebuild_controller(
+    ledger: &Ledger,
+    config: CcConfig,
+) -> Result<(FabricSharpCC, RecoveryReport), CommonError> {
     let mut cc = FabricSharpCC::new(config);
     let height = ledger.height();
     let replay_from = height.saturating_sub(config.max_span).max(1);
@@ -130,6 +139,9 @@ pub struct ColdRecovery {
     pub report: RecoveryReport,
     /// Height of the checkpoint the store was loaded from (0 = genesis or none found).
     pub checkpoint_height: u64,
+    /// Checkpoint files removed because this recovery ruled them out (above the recovered
+    /// height, or failed verification): no later delta checkpoint may be built on one.
+    pub checkpoints_discarded: usize,
     /// What opening the segment files found (blocks, segments, any repaired torn tail).
     pub open: OpenReport,
 }
@@ -139,9 +151,20 @@ pub struct ColdRecovery {
 /// whose shape matches `config.store_shards`, replays the remaining blocks into the store, and
 /// rebuilds the controller from the recovered ledger.
 ///
-/// With no usable checkpoint the store is replayed from an empty block-0 state — correct as
-/// long as a genesis checkpoint was written at seeding time (the simulator always writes one),
-/// because seeded genesis values exist in no block.
+/// Every block is chain-verified exactly once: [`DurableLedger::open`] pushes each decoded
+/// record through [`Ledger::append`] (height sequence, `prev_hash` link, body hash) on its way
+/// into the mirror, so the controller is rebuilt from that mirror without the second
+/// whole-chain pass [`recover_from_ledger`] makes over a ledger it was merely handed.
+///
+/// A directory holding no checkpoint at all is replayed from an empty block-0 state. One whose
+/// checkpoints all fail to load is an error ([`LedgerError::CorruptCheckpoint`]), not a
+/// replay: seeded genesis values exist in no block, only in the genesis image every later
+/// checkpoint chains down to (the simulator always writes one), so replaying without it would
+/// return a store that quietly lacks them.
+///
+/// Checkpoint files the recovery ruled out — leftovers above a repaired torn tail, links that
+/// failed verification — are removed before returning, so the deltas written from here on
+/// build on the chain that was just verified.
 pub fn recover_from_disk(
     dir: impl AsRef<Path>,
     config: CcConfig,
@@ -159,13 +182,17 @@ pub fn recover_from_disk(
         store.apply_block(block_no, block.committed());
     }
 
-    let (cc, report) = recover_from_ledger(ledger.ledger(), config)?;
+    let checkpoints_discarded =
+        discard_unusable_checkpoints(&dir, checkpoint_height, height, config.store_shards)?;
+
+    let (cc, report) = rebuild_controller(ledger.ledger(), config)?;
     Ok(ColdRecovery {
         cc,
         ledger,
         store,
         report,
         checkpoint_height,
+        checkpoints_discarded,
         open,
     })
 }
@@ -189,6 +216,12 @@ mod tests {
     /// Builds a ledger whose block `b` contains one committed transaction writing `K{b}` and
     /// reading the key written by the previous block.
     fn chained_ledger(blocks: u64) -> Ledger {
+        chained_ledger_with_ids_from(0, blocks)
+    }
+
+    /// [`chained_ledger`] with transaction ids offset by `id_base`: the same shape, a
+    /// different history (every block hash differs).
+    fn chained_ledger_with_ids_from(id_base: u64, blocks: u64) -> Ledger {
         let mut ledger = Ledger::new();
         for b in 1..=blocks {
             let reads = if b == 1 {
@@ -197,7 +230,7 @@ mod tests {
                 vec![(Key::new(format!("K{}", b - 1)), SeqNo::new(b - 1, 1))]
             };
             let txn = Transaction::from_parts(
-                b,
+                id_base + b,
                 b - 1,
                 reads,
                 [(Key::new(format!("K{b}")), Value::from_i64(b as i64))],
@@ -316,6 +349,47 @@ mod tests {
             live.on_arrival(probe_clean.clone()).is_accept(),
             recovered.on_arrival(probe_clean).is_accept()
         );
+    }
+
+    /// `recover_from_disk` skips the whole-chain `verify_integrity` pass because opening the
+    /// durable ledger already chain-validated every block. Pin that the one remaining pass is
+    /// real: a record that is intact as far as its CRC and codec can tell, but does not link
+    /// to its predecessor, must surface as a typed chain error.
+    #[test]
+    fn a_crc_valid_record_with_a_broken_hash_link_is_a_typed_chain_error() {
+        let one_block_per_segment = DurableOptions {
+            rotate_bytes: 1,
+            fsync: false,
+        };
+        let dirs = ["graft-a", "graft-b"].map(|tag| {
+            let dir = std::env::temp_dir().join(format!("eov-rec-{tag}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            dir
+        });
+        for (dir, id_base) in dirs.iter().zip([0, 1000]) {
+            let (mut durable, _) = DurableLedger::open(dir, one_block_per_segment).unwrap();
+            for block in chained_ledger_with_ids_from(id_base, 5).iter() {
+                durable.append(block.clone()).unwrap();
+            }
+        }
+        // Graft the other history's block 3 — valid header, CRC and encoding — into this one.
+        let segment = format!("seg-{:020}.log", 3);
+        std::fs::copy(dirs[1].join(&segment), dirs[0].join(&segment)).unwrap();
+
+        let err = recover_from_disk(&dirs[0], CcConfig::default()).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                RecoveryError::Ledger(LedgerError::Chain(CommonError::ChainIntegrity {
+                    block: 3,
+                    ..
+                }))
+            ),
+            "got {err}"
+        );
+        for dir in dirs {
+            std::fs::remove_dir_all(dir).unwrap();
+        }
     }
 
     #[test]

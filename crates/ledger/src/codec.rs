@@ -13,15 +13,18 @@
 //! bytes — the foundation of the bit-identity assertions in the cold-recovery batteries.
 
 use crate::block::{Block, BlockHeader, TxnEntry};
+use crate::error::LedgerError;
 use crate::sha256::Digest;
 use eov_common::abort::AbortReason;
 use eov_common::rwset::{Key, Value};
 use eov_common::txn::{TemplateClass, Transaction, TxnId, TxnStatus};
 use eov_common::version::SeqNo;
 
-/// CRC-32 (IEEE 802.3, reflected) lookup table, built at compile time.
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// CRC-32 (IEEE 802.3, reflected) slicing-by-8 tables, built at compile time. `[0]` is the
+/// classic byte-at-a-time table; `[k][b]` is the CRC of byte `b` followed by `k` zero bytes,
+/// so eight table reads fold eight input bytes into the register at once.
+const CRC32_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -34,19 +37,76 @@ const CRC32_TABLE: [u32; 256] = {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
-/// CRC-32 (IEEE) of `bytes`.
-pub(crate) fn crc32(bytes: &[u8]) -> u32 {
+/// CRC-32 (IEEE) of `bytes`, eight bytes per step.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC32_TABLE[((crc ^ b as u32) & 0xFF) as usize];
+    let mut chunks = bytes.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][c[4] as usize]
+            ^ t[2][c[5] as usize]
+            ^ t[1][c[6] as usize]
+            ^ t[0][c[7] as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
+}
+
+/// The `u32` length field for a `len`-byte payload, or a typed error when the payload is
+/// larger than `max`.
+fn frame_len(what: &'static str, len: usize, max: u32) -> Result<u32, LedgerError> {
+    u32::try_from(len)
+        .ok()
+        .filter(|&len| len <= max)
+        .ok_or(LedgerError::PayloadTooLarge {
+            what,
+            len: len as u64,
+            max: max as u64,
+        })
+}
+
+/// Completes a `u32 length | u32 CRC-32 | payload` frame built in place: `w` holds eight
+/// reserved bytes at `frame_at` and the payload after them; length and CRC are patched in
+/// and the buffer returned — one buffer, one pass over the payload. A payload longer than
+/// `max` is a typed error before a byte reaches disk, because a frame whose length field
+/// wrapped (or that the scanner's sanity cap would read as a torn tail) is silently wrong
+/// data.
+pub(crate) fn seal_frame(
+    w: ByteWriter,
+    frame_at: usize,
+    what: &'static str,
+    max: u32,
+) -> Result<Vec<u8>, LedgerError> {
+    let mut bytes = w.into_bytes();
+    let payload_at = frame_at + 8;
+    let len = frame_len(what, bytes.len() - payload_at, max)?;
+    let crc = crc32(&bytes[payload_at..]);
+    bytes[frame_at..frame_at + 4].copy_from_slice(&len.to_be_bytes());
+    bytes[frame_at + 4..payload_at].copy_from_slice(&crc.to_be_bytes());
+    Ok(bytes)
 }
 
 /// Append-only big-endian byte sink for the durable formats.
@@ -62,6 +122,22 @@ impl ByteWriter {
 
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
+    }
+
+    /// Bytes written so far — the position a later [`Self::set_u64_at`] patches.
+    pub fn len(&self) -> usize {
+        self.buf.len()
+    }
+
+    /// Overwrites the `u64` written at byte offset `at` (a count known only after the items
+    /// it counts have been streamed out).
+    pub fn set_u64_at(&mut self, at: usize, v: u64) {
+        self.buf[at..at + 8].copy_from_slice(&v.to_be_bytes());
+    }
+
+    /// Raw bytes, no length prefix.
+    pub fn put_raw(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
     }
 
     pub fn put_u8(&mut self, v: u8) {
@@ -220,8 +296,7 @@ fn get_status(r: &mut ByteReader<'_>) -> Result<TxnStatus, String> {
 
 /// Encodes a block — header, then every entry with its full transaction (including the
 /// status and template metadata the data hash does not cover).
-pub(crate) fn encode_block(block: &Block) -> Vec<u8> {
-    let mut w = ByteWriter::new();
+pub(crate) fn encode_block(w: &mut ByteWriter, block: &Block) {
     w.put_u64(block.header.number);
     w.put_digest(&block.header.prev_hash);
     w.put_digest(&block.header.data_hash);
@@ -260,9 +335,8 @@ pub(crate) fn encode_block(block: &Block) -> Vec<u8> {
             w.put_bytes(write.value.as_bytes());
         }
         w.put_seqno(entry.slot);
-        put_status(&mut w, entry.status);
+        put_status(w, entry.status);
     }
-    w.into_bytes()
 }
 
 /// Decodes a block from a CRC-validated record payload. Chain rules (height sequencing,
@@ -340,6 +414,12 @@ mod tests {
     use super::*;
     use eov_common::rwset::{Key, Value};
 
+    fn encoded(block: &Block) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        encode_block(&mut w, block);
+        w.into_bytes()
+    }
+
     fn sample_block(number: u64, prev: Digest) -> Block {
         let t1 = Transaction::from_parts(
             number * 10,
@@ -364,7 +444,7 @@ mod tests {
     #[test]
     fn block_roundtrip_preserves_every_field() {
         let block = sample_block(3, Digest::ZERO);
-        let decoded = decode_block(&encode_block(&block)).expect("roundtrip");
+        let decoded = decode_block(&encoded(&block)).expect("roundtrip");
         assert_eq!(decoded, block);
         assert!(decoded.verify_data_hash());
     }
@@ -372,12 +452,12 @@ mod tests {
     #[test]
     fn encoding_is_deterministic() {
         let block = sample_block(1, Digest::ZERO);
-        assert_eq!(encode_block(&block), encode_block(&block));
+        assert_eq!(encoded(&block), encoded(&block));
     }
 
     #[test]
     fn decode_rejects_truncation_and_trailing_bytes() {
-        let bytes = encode_block(&sample_block(1, Digest::ZERO));
+        let bytes = encoded(&sample_block(1, Digest::ZERO));
         assert!(decode_block(&bytes[..bytes.len() - 1]).is_err());
         let mut extended = bytes.clone();
         extended.push(0);
@@ -393,10 +473,75 @@ mod tests {
         assert!(abort_from_code(12).is_err());
     }
 
+    /// The byte-at-a-time CRC-32 the sliced implementation replaced.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            crc = (crc >> 8) ^ CRC32_TABLES[0][((crc ^ b as u32) & 0xFF) as usize];
+        }
+        !crc
+    }
+
     #[test]
     fn crc32_matches_known_vectors() {
         // IEEE CRC-32 check value for "123456789".
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn sliced_crc32_matches_the_bytewise_reference_at_every_alignment() {
+        // Every length 0..=4 KiB covers every remainder of the 8-byte stride; the xorshift
+        // stream keeps the bytes irregular without a generator dependency.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let data: Vec<u8> = (0..4096 + 7)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state >> 32) as u8
+            })
+            .collect();
+        for len in 0..=4096 {
+            let start = len % 8;
+            let slice = &data[start..start + len];
+            assert_eq!(crc32(slice), crc32_bytewise(slice), "length {len}");
+        }
+    }
+
+    #[test]
+    fn seal_frame_patches_length_and_crc_behind_a_prefix() {
+        let mut w = ByteWriter::new();
+        w.put_raw(b"MAGIC");
+        w.put_u64(0);
+        w.put_raw(b"123456789");
+        let bytes = seal_frame(w, 5, "record", 9).unwrap();
+        assert_eq!(&bytes[..5], b"MAGIC");
+        assert_eq!(bytes[5..9], 9u32.to_be_bytes());
+        assert_eq!(bytes[9..13], 0xCBF4_3926u32.to_be_bytes());
+        assert_eq!(&bytes[13..], b"123456789");
+    }
+
+    #[test]
+    fn frame_len_rejects_payloads_the_length_field_cannot_carry() {
+        assert_eq!(frame_len("record", 0, 16).unwrap(), 0);
+        assert_eq!(frame_len("record", 16, 16).unwrap(), 16);
+        let err = frame_len("record", 17, 16).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                LedgerError::PayloadTooLarge {
+                    what: "record",
+                    len: 17,
+                    max: 16
+                }
+            ),
+            "got {err}"
+        );
+        // A checkpoint of 4 GiB or more would wrap its u32 length field.
+        if let Ok(four_gib) = usize::try_from(1u64 << 32) {
+            assert!(frame_len("checkpoint", four_gib, u32::MAX).is_err());
+            assert!(frame_len("checkpoint", four_gib - 1, u32::MAX).is_ok());
+        }
     }
 }

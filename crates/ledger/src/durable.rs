@@ -13,7 +13,6 @@
 //! surface either way.
 
 use crate::chain::Ledger;
-use crate::codec;
 use crate::error::LedgerError;
 use crate::segment::{self, SegmentWriter, TornTail};
 use crate::Block;
@@ -31,10 +30,7 @@ pub struct DurableOptions {
 
 impl Default for DurableOptions {
     fn default() -> Self {
-        DurableOptions {
-            rotate_bytes: 64 * 1024,
-            fsync: false,
-        }
+        Self::from_cc_config(&CcConfig::default())
     }
 }
 
@@ -104,10 +100,10 @@ impl DurableLedger {
     /// Appends a block: chain-validated against the mirror first, then written as one framed
     /// record (rotating segments as configured).
     pub fn append(&mut self, block: Block) -> Result<(), LedgerError> {
-        let payload = codec::encode_block(&block);
+        let record = segment::frame_record(&block)?;
         let number = block.number();
         self.mirror.append(block)?;
-        self.writer.append(number, &payload)
+        self.writer.append(number, &record)
     }
 
     /// The in-memory mirror: the authoritative read surface over everything appended.
@@ -249,19 +245,22 @@ mod tests {
 
     #[test]
     fn small_rotation_size_spreads_blocks_over_many_segments() {
-        let dir = temp_dir("rotate");
-        let options = DurableOptions {
-            rotate_bytes: 256,
-            ..DurableOptions::default()
-        };
-        {
-            let (mut ledger, _) = DurableLedger::open(&dir, options).unwrap();
-            fill(&mut ledger, 10);
+        // fsync on additionally syncs each new segment's directory entry: same files.
+        for fsync in [false, true] {
+            let dir = temp_dir(if fsync { "rotate-sync" } else { "rotate" });
+            let options = DurableOptions {
+                rotate_bytes: 256,
+                fsync,
+            };
+            {
+                let (mut ledger, _) = DurableLedger::open(&dir, options).unwrap();
+                fill(&mut ledger, 10);
+            }
+            let (ledger, report) = DurableLedger::open(&dir, options).unwrap();
+            assert!(report.segments > 1, "expected rotation, got 1 segment");
+            assert_eq!(ledger.height(), 10);
+            std::fs::remove_dir_all(&dir).unwrap();
         }
-        let (ledger, report) = DurableLedger::open(&dir, options).unwrap();
-        assert!(report.segments > 1, "expected rotation, got 1 segment");
-        assert_eq!(ledger.height(), 10);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

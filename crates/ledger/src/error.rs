@@ -36,12 +36,24 @@ pub enum LedgerError {
     },
     /// A checkpoint file that fails its magic, CRC or structural decoding. Recovery treats
     /// individual corrupt checkpoints as skippable (it falls back to an older one); this error
-    /// is returned only when a checkpoint is loaded *directly*.
+    /// is returned when a checkpoint is loaded *directly*, or when checkpoints exist and none
+    /// of them loads (there is then no sound state to replay onto).
     CorruptCheckpoint {
         /// The checkpoint file.
         path: PathBuf,
         /// What failed.
         detail: String,
+    },
+    /// A payload too large for its frame: a record above the scanner's sanity cap (which
+    /// would read back as a torn tail and be truncated) or a checkpoint whose length does not
+    /// fit the `u32` length field. Rejected before any byte is written.
+    PayloadTooLarge {
+        /// What was being framed (`"record"` or `"checkpoint"`).
+        what: &'static str,
+        /// The payload's length in bytes.
+        len: u64,
+        /// The largest length the frame can carry.
+        max: u64,
     },
 }
 
@@ -63,6 +75,12 @@ impl fmt::Display for LedgerError {
             ),
             LedgerError::CorruptCheckpoint { path, detail } => {
                 write!(f, "corrupt checkpoint {}: {detail}", path.display())
+            }
+            LedgerError::PayloadTooLarge { what, len, max } => {
+                write!(
+                    f,
+                    "{what} payload of {len} bytes exceeds the {max}-byte frame limit"
+                )
             }
         }
     }

@@ -36,7 +36,9 @@ pub mod sha256;
 
 pub use block::{Block, BlockHeader, TxnEntry};
 pub use chain::Ledger;
-pub use checkpoint::{latest_checkpoint_at_most, load_checkpoint, write_checkpoint};
+pub use checkpoint::{
+    discard_unusable_checkpoints, latest_checkpoint_at_most, load_checkpoint, write_checkpoint,
+};
 pub use durable::{DurableLedger, DurableOptions, LedgerBackend, OpenReport};
 pub use error::LedgerError;
 pub use reenact::{provenance, Provenance};

@@ -15,10 +15,10 @@
 //! [`LedgerError::CorruptRecord`].
 
 use crate::block::Block;
-use crate::codec;
+use crate::codec::{self, ByteWriter};
 use crate::error::LedgerError;
 use std::fs;
-use std::io::Write;
+use std::io::{BufReader, Read, Write};
 use std::path::{Path, PathBuf};
 
 /// Magic bytes opening every segment file (format version 1).
@@ -27,6 +27,25 @@ const SEGMENT_MAGIC: &[u8; 8] = b"EOVSEG01";
 const HEADER_LEN: u64 = 16;
 /// Sanity cap on a single record payload; a "length" above this in the tail is torn garbage.
 const MAX_RECORD_LEN: u32 = 1 << 28;
+
+/// Flushes a directory's entries to stable storage: a file created in or renamed into `dir`
+/// survives a crash only once the directory itself is synced. Callers gate this on the fsync
+/// knob — the fsync-off path never pays for it.
+pub(crate) fn sync_dir(dir: &Path) -> Result<(), LedgerError> {
+    fs::File::open(dir)
+        .and_then(|d| d.sync_all())
+        .map_err(|e| LedgerError::io(dir, e))
+}
+
+/// Encodes `block` straight into its on-disk record, `u32 length | u32 CRC-32 | payload`.
+/// A payload the scanner's sanity cap would read back as a torn tail is refused here, before
+/// the caller commits to anything.
+pub(crate) fn frame_record(block: &Block) -> Result<Vec<u8>, LedgerError> {
+    let mut w = ByteWriter::new();
+    w.put_u64(0);
+    codec::encode_block(&mut w, block);
+    codec::seal_frame(w, 0, "record", MAX_RECORD_LEN)
+}
 
 /// File name of the segment whose first block is `first_block` (zero-padded so the
 /// lexicographic directory order is the numeric block order for any u64 height).
@@ -86,13 +105,23 @@ pub(crate) fn scan_dir(dir: &Path) -> Result<SegmentScan, LedgerError> {
     let mut torn: Option<TornTail> = None;
     let mut tail: Option<(PathBuf, u64)> = None;
 
+    // One record's payload at a time, whatever the rotation size: the scan's memory is the
+    // largest record, not the largest segment.
+    let mut payload: Vec<u8> = Vec::new();
     for (index, path) in paths.iter().enumerate() {
         let is_last = index + 1 == segment_count;
-        let bytes = fs::read(path).map_err(|e| LedgerError::io(path, e))?;
-        let file_len = bytes.len() as u64;
+        let io = |e| LedgerError::io(path, e);
+        let file = fs::File::open(path).map_err(io)?;
+        let file_len = file.metadata().map_err(io)?.len();
+        let mut reader = BufReader::new(file);
 
         // Header: magic + first block height.
-        if bytes.len() < HEADER_LEN as usize || &bytes[..8] != SEGMENT_MAGIC {
+        let mut header = [0u8; HEADER_LEN as usize];
+        let header_ok = file_len >= HEADER_LEN && {
+            reader.read_exact(&mut header).map_err(io)?;
+            &header[..8] == SEGMENT_MAGIC
+        };
+        if !header_ok {
             if is_last {
                 torn = Some(TornTail {
                     segment: path.clone(),
@@ -107,7 +136,7 @@ pub(crate) fn scan_dir(dir: &Path) -> Result<SegmentScan, LedgerError> {
                 detail: "missing or invalid segment header".into(),
             });
         }
-        let first_block = u64::from_be_bytes(bytes[8..16].try_into().unwrap());
+        let first_block = u64::from_be_bytes(header[8..16].try_into().unwrap());
         let expected_first = blocks.last().map(|b| b.number() + 1).unwrap_or(first_block);
         if first_block != expected_first {
             return Err(LedgerError::CorruptRecord {
@@ -119,24 +148,27 @@ pub(crate) fn scan_dir(dir: &Path) -> Result<SegmentScan, LedgerError> {
             });
         }
 
-        let mut offset = HEADER_LEN as usize;
-        let mut valid_len = HEADER_LEN;
-        while offset < bytes.len() {
-            let frame_ok = bytes.len() - offset >= 8;
+        let mut offset = HEADER_LEN;
+        while offset < file_len {
+            let remaining = file_len - offset;
+            let frame_ok = remaining >= 8;
             let (len, stored_crc) = if frame_ok {
+                let mut frame = [0u8; 8];
+                reader.read_exact(&mut frame).map_err(io)?;
                 (
-                    u32::from_be_bytes(bytes[offset..offset + 4].try_into().unwrap()),
-                    u32::from_be_bytes(bytes[offset + 4..offset + 8].try_into().unwrap()),
+                    u32::from_be_bytes(frame[..4].try_into().unwrap()),
+                    u32::from_be_bytes(frame[4..].try_into().unwrap()),
                 )
             } else {
                 (0, 0)
             };
-            let payload_ok =
-                frame_ok && len <= MAX_RECORD_LEN && bytes.len() - offset - 8 >= len as usize;
-            let payload = payload_ok
-                .then(|| &bytes[offset + 8..offset + 8 + len as usize])
-                .filter(|p| codec::crc32(p) == stored_crc);
-            let Some(payload) = payload else {
+            let payload_ok = frame_ok && len <= MAX_RECORD_LEN && remaining - 8 >= len as u64;
+            let crc_ok = payload_ok && {
+                payload.resize(len as usize, 0);
+                reader.read_exact(&mut payload).map_err(io)?;
+                codec::crc32(&payload) == stored_crc
+            };
+            if !crc_ok {
                 let detail = if !frame_ok {
                     "incomplete record frame"
                 } else if !payload_ok {
@@ -147,28 +179,27 @@ pub(crate) fn scan_dir(dir: &Path) -> Result<SegmentScan, LedgerError> {
                 if is_last {
                     torn = Some(TornTail {
                         segment: path.clone(),
-                        valid_len,
-                        dropped_bytes: file_len - valid_len,
+                        valid_len: offset,
+                        dropped_bytes: file_len - offset,
                     });
                     break;
                 }
                 return Err(LedgerError::CorruptRecord {
                     segment: path.clone(),
-                    offset: offset as u64,
+                    offset,
                     detail: detail.into(),
                 });
-            };
+            }
             // CRC-valid bytes that fail structural decoding are corruption (or a format bug),
             // never a torn write — typed error regardless of position.
             let block =
-                codec::decode_block(payload).map_err(|detail| LedgerError::CorruptRecord {
+                codec::decode_block(&payload).map_err(|detail| LedgerError::CorruptRecord {
                     segment: path.clone(),
-                    offset: offset as u64,
+                    offset,
                     detail,
                 })?;
             blocks.push(block);
-            offset += 8 + payload.len();
-            valid_len = offset as u64;
+            offset += 8 + len as u64;
         }
 
         if is_last {
@@ -242,8 +273,9 @@ impl SegmentWriter {
         })
     }
 
-    /// Appends one framed block record, rotating first if the tail segment is full.
-    pub fn append(&mut self, block_number: u64, payload: &[u8]) -> Result<(), LedgerError> {
+    /// Appends one record (as framed by [`frame_record`]), rotating first if the tail segment
+    /// is full.
+    pub fn append(&mut self, block_number: u64, record: &[u8]) -> Result<(), LedgerError> {
         let needs_rotation = match &self.current {
             None => true,
             Some((_, _, len)) => *len >= self.rotate_bytes,
@@ -260,19 +292,20 @@ impl SegmentWriter {
             header.extend_from_slice(&block_number.to_be_bytes());
             file.write_all(&header)
                 .map_err(|e| LedgerError::io(&path, e))?;
+            if self.fsync {
+                // The record's own `sync_data` below covers the file; its directory entry
+                // needs the directory.
+                sync_dir(&self.dir)?;
+            }
             self.current = Some((file, path, HEADER_LEN));
         }
         let (file, path, len) = self.current.as_mut().expect("rotation installs a segment");
-        let mut frame = Vec::with_capacity(8 + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-        frame.extend_from_slice(&codec::crc32(payload).to_be_bytes());
-        frame.extend_from_slice(payload);
-        file.write_all(&frame)
+        file.write_all(record)
             .map_err(|e| LedgerError::io(&*path, e))?;
         if self.fsync {
             file.sync_data().map_err(|e| LedgerError::io(&*path, e))?;
         }
-        *len += frame.len() as u64;
+        *len += record.len() as u64;
         Ok(())
     }
 

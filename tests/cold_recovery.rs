@@ -256,6 +256,66 @@ fn crash_recovery_is_bit_identical_across_the_grid() {
     }
 }
 
+/// Kills land everywhere along the chain, not only in its last blocks: keep tearing the tail
+/// of the same directory, so each recovery finds fewer blocks, stale too-new checkpoints above
+/// them (which it removes: the chain may grow differently from here), and must start from the
+/// delta link just below — whose own chain runs through every older link down to the genesis
+/// image.
+#[test]
+fn kills_between_any_two_delta_checkpoints_recover_from_the_chain_below() {
+    for shards in STORE_SHARDS {
+        let config = sim_config(shards, 0, 0, 7);
+        let interval = config.cc.checkpoint_interval;
+        let (_, reference, _) = Simulator::run_full(&config);
+        assert!(
+            reference.height() > 3 * interval,
+            "S={shards}: degenerate run"
+        );
+
+        let dir = temp_dir(&format!("walk{shards}"));
+        let mut persisted_config = config.clone();
+        persisted_config.durability_dir = Some(dir.clone());
+        Simulator::run_full(&persisted_config);
+
+        let mut height = reference.height();
+        while height > 0 {
+            tear_tail(&dir, 9);
+            let recovered =
+                recover_from_disk(&dir, recovery_config(&config)).expect("cold recovery");
+            let context = format!("S={shards} after the kill below block {height}");
+            // A tear that only removes an already-empty tail segment drops no block.
+            assert!(recovered.ledger.height() <= height, "{context}");
+            height = recovered.ledger.height();
+            assert_eq!(
+                recovered.ledger.ledger().tip_hash(),
+                prefix_of(&reference, height).tip_hash(),
+                "{context}"
+            );
+            assert_eq!(
+                recovered.store,
+                replay_oracle(&config, &reference, height),
+                "{context}: recovered store != replayed oracle"
+            );
+            assert_eq!(
+                recovered.checkpoint_height,
+                height - height % interval,
+                "{context}: the newest delta link at or below the height must be the one used"
+            );
+            let newest_left = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name().into_string().unwrap())
+                .filter(|name| name.starts_with("ckpt-"))
+                .max();
+            assert_eq!(
+                newest_left,
+                Some(format!("ckpt-{:020}.bin", recovered.checkpoint_height)),
+                "{context}: no checkpoint may outlive the blocks it covers"
+            );
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 

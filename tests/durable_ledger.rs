@@ -10,15 +10,17 @@
 //!    blocks to bit-identity with the uninterrupted reference;
 //! 3. a bit flip in an *earlier* segment is a typed [`LedgerError::CorruptRecord`], reported
 //!    and never silently truncated;
-//! 4. a corrupt newest checkpoint makes cold recovery fall back (older checkpoint or genesis
-//!    + full replay) and still rebuild the exact store;
+//! 4. a corrupt checkpoint link makes cold recovery fall back to the intact chain below it,
+//!    still rebuild the exact store and drop the links it could not use; a corrupt genesis
+//!    image — the one file every chain ends in — is a typed error, never a store that quietly
+//!    lacks the seeded values;
 //! 5. `value_as_of` / `history_range` / `provenance` on the cold-recovered state match an
 //!    oracle that replays the reference ledger block by block.
 
 use fabricsharp::baselines::{SimpleChain, SystemKind};
 use fabricsharp::common::config::{CcConfig, WorkloadParams};
 use fabricsharp::common::rwset::Key;
-use fabricsharp::core::recovery::recover_from_disk;
+use fabricsharp::core::recovery::{recover_from_disk, RecoveryError};
 use fabricsharp::ledger::durable::{DurableLedger, DurableOptions};
 use fabricsharp::ledger::{provenance, write_checkpoint, Ledger, LedgerError};
 use fabricsharp::vstore::{StateRead, StateStore, StoreBackend, TimeTravel};
@@ -191,35 +193,105 @@ fn bit_flip_in_an_earlier_segment_is_a_typed_error_not_a_panic() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-#[test]
-fn corrupt_newest_checkpoint_falls_back_and_recovery_still_matches_the_oracle() {
-    let dir = temp_dir("ckptfall");
-    let reference = build_and_persist(&dir, 13, 60, 5, 3, 0);
-
-    let mut checkpoints: Vec<_> = std::fs::read_dir(&dir)
+/// The checkpoint files of `dir`, ascending by height.
+fn checkpoint_files(dir: &Path) -> Vec<PathBuf> {
+    let mut checkpoints: Vec<_> = std::fs::read_dir(dir)
         .unwrap()
         .map(|e| e.unwrap().path())
         .filter(|p| p.extension().is_some_and(|e| e == "bin"))
         .collect();
     checkpoints.sort();
-    assert!(checkpoints.len() >= 2, "genesis + periodic checkpoints");
-    // Corrupt the newest checkpoint's payload.
-    let newest = checkpoints.last().unwrap();
-    let mut bytes = std::fs::read(newest).unwrap();
+    checkpoints
+}
+
+/// Flips bits near the end of `path`'s payload (a CRC failure, frame intact).
+fn corrupt_payload(path: &Path) {
+    let mut bytes = std::fs::read(path).unwrap();
     let last = bytes.len() - 3;
     bytes[last] ^= 0xFF;
-    std::fs::write(newest, &bytes).unwrap();
+    std::fs::write(path, &bytes).unwrap();
+}
 
-    let recovered = recover_from_disk(&dir, CcConfig::default()).expect("fallback");
+#[test]
+fn a_corrupt_checkpoint_link_falls_back_and_recovery_still_matches_the_oracle() {
+    // Checkpoints are deltas chained down to the genesis image. Corrupt the newest link or one
+    // in the middle: recovery starts from the newest link whose whole chain below is intact,
+    // replays the rest of the log, and removes the links it could not use.
+    for victim in ["newest", "middle"] {
+        let dir = temp_dir(&format!("ckptfall-{victim}"));
+        let reference = build_and_persist(&dir, 13, 60, 5, 3, 0);
+
+        let checkpoints = checkpoint_files(&dir);
+        assert!(
+            checkpoints.len() >= 4,
+            "genesis + three periodic checkpoints"
+        );
+        let index = match victim {
+            "newest" => checkpoints.len() - 1,
+            _ => checkpoints.len() / 2,
+        };
+        corrupt_payload(&checkpoints[index]);
+
+        let recovered = recover_from_disk(&dir, CcConfig::default()).expect("fallback");
+        // Checkpoints sit at heights 0, 3, 6, …: the survivor is the link below the victim.
+        assert_eq!(
+            recovered.checkpoint_height,
+            3 * (index as u64 - 1),
+            "{victim}"
+        );
+        assert_eq!(recovered.ledger.height(), reference.height(), "{victim}");
+        assert_eq!(
+            recovered.ledger.ledger().tip_hash(),
+            reference.tip_hash(),
+            "{victim}"
+        );
+        assert_eq!(
+            recovered.store,
+            replay_oracle(&reference, 13, 0, reference.height()),
+            "{victim}"
+        );
+        // The victim and everything leaning on it are gone, so the next checkpoint builds on
+        // the verified chain — and the restart after it starts from that checkpoint.
+        assert_eq!(
+            recovered.checkpoints_discarded,
+            checkpoints.len() - index,
+            "{victim}"
+        );
+        assert_eq!(checkpoint_files(&dir), checkpoints[..index], "{victim}");
+        write_checkpoint(&dir, &recovered.store, false).expect("checkpoint after recovery");
+        drop(recovered);
+        let again = recover_from_disk(&dir, CcConfig::default()).expect("second restart");
+        assert_eq!(again.checkpoint_height, reference.height(), "{victim}");
+        assert_eq!(again.checkpoints_discarded, 0, "{victim}");
+        assert_eq!(
+            again.store,
+            replay_oracle(&reference, 13, 0, reference.height()),
+            "{victim}"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+#[test]
+fn a_corrupt_genesis_image_is_a_typed_error_not_a_store_without_the_seeded_values() {
+    // Every delta chains down to the genesis image, and the values seeded there are in no
+    // block: with that one file bad, a block-0 replay would hand back a store that lacks them.
+    let dir = temp_dir("ckptfall-genesis");
+    build_and_persist(&dir, 13, 60, 5, 3, 0);
+    let checkpoints = checkpoint_files(&dir);
+    corrupt_payload(&checkpoints[0]);
+
+    let err = recover_from_disk(&dir, CcConfig::default()).unwrap_err();
     assert!(
-        recovered.checkpoint_height < reference.height(),
-        "must not have used the corrupted newest checkpoint"
+        matches!(
+            &err,
+            RecoveryError::Ledger(LedgerError::CorruptCheckpoint { path, .. })
+                if *path == checkpoints[0]
+        ),
+        "got {err}"
     );
-    assert_eq!(recovered.ledger.height(), reference.height());
-    assert_eq!(
-        recovered.store,
-        replay_oracle(&reference, 13, 0, reference.height())
-    );
+    // Reported, not repaired: the files stay for the operator.
+    assert_eq!(checkpoint_files(&dir), checkpoints);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
