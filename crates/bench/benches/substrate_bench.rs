@@ -1,7 +1,11 @@
-//! Criterion micro-benchmarks of the substrates: multi-version store reads, committed-index
-//! queries, SHA-256 block hashing, record CRC-32, Zipfian sampling and Smallbank endorsement.
+//! Criterion micro-benchmarks of the substrates: multi-version store reads and the store
+//! layout's point operations at 20 k and 860 k keys, committed-index queries, SHA-256 block
+//! hashing, record CRC-32, Zipfian sampling and Smallbank endorsement.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use eov_bench::{
+    hot_keys_scattered, latest_pass, smallbank_keys, smallbank_store, GROWN_ACCOUNTS, HOT_ACCOUNTS,
+};
 use eov_common::rwset::{Key, Value};
 use eov_common::txn::{Transaction, TxnId};
 use eov_common::version::SeqNo;
@@ -43,6 +47,56 @@ fn bench_mvstore(c: &mut Criterion) {
                 .read_at(&Key::new("checking:123"), 3)
                 .unwrap()
                 .map(|v| v.version)
+        })
+    });
+    group.finish();
+}
+
+/// The store's point operations at the two sizes `perf_report` runs it at: the 20 k keys of a
+/// Smallbank state, and the same 20 k inside `create_account_durable`'s grown state. One
+/// iteration is one pass over 20 k keys (840 k for `put_fresh_840k`).
+fn bench_mvstore_layout(c: &mut Criterion) {
+    let hot = hot_keys_scattered();
+    let fresh = smallbank_keys(HOT_ACCOUNTS, GROWN_ACCOUNTS);
+    let small = smallbank_store(HOT_ACCOUNTS);
+
+    let mut group = c.benchmark_group("mvstore");
+    group
+        .sample_size(30)
+        .measurement_time(Duration::from_secs(2));
+    group.bench_function("latest_hot20k_in_20k", |b| {
+        b.iter(|| latest_pass(&small, &hot))
+    });
+    {
+        let grown = smallbank_store(GROWN_ACCOUNTS);
+        group.bench_function("latest_hot20k_in_840k", |b| {
+            b.iter(|| latest_pass(&grown, &hot))
+        });
+    }
+    group.bench_function("put_fresh_840k", |b| {
+        b.iter(|| {
+            let mut store = small.clone();
+            for (i, key) in fresh.iter().enumerate() {
+                store.put(
+                    key.clone(),
+                    SeqNo::new(1 + i as u64 / 200, 1),
+                    Value::from_i64(1_000),
+                );
+            }
+            store.key_count()
+        })
+    });
+    let mut store = small.clone();
+    let mut block = 0u64;
+    group.bench_function("put_existing_20k", |b| {
+        b.iter(|| {
+            block += 1;
+            for key in &hot {
+                store.put(key.clone(), SeqNo::new(block, 1), Value::from_i64(1));
+            }
+            store.commit_empty_block(block);
+            // Keep two versions per key, as a pruning node would.
+            store.prune_versions_below(block - 1);
         })
     });
     group.finish();
@@ -160,5 +214,11 @@ fn bench_ledger_and_zipf(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_mvstore, bench_indices, bench_ledger_and_zipf);
+criterion_group!(
+    benches,
+    bench_mvstore,
+    bench_mvstore_layout,
+    bench_indices,
+    bench_ledger_and_zipf
+);
 criterion_main!(benches);

@@ -51,7 +51,10 @@
 //!   structurally: the disk-recovered ledger tip, store bytes and controller must be
 //!   identical to the uninterrupted in-memory run's, and the 8th periodic checkpoint of a
 //!   store growing by a constant number of fresh keys per interval must write at most 1.5×
-//!   the bytes of the 2nd (a checkpoint costs what changed, not what exists).
+//!   the bytes of the 2nd (a checkpoint costs what changed, not what exists), and
+//! * a hot `latest()` must cost at most 1.5× as much inside a store holding 840 k further keys
+//!   as inside one holding the 20 k hot keys alone (a point read is a hash and a probe, not a
+//!   descent that deepens with the store).
 //!
 //! Exit codes: 0 — pass (or baseline recorded); 1 — regression / structural failure;
 //! 2 — baseline missing or unreadable (run with `--record` first). CI runs this as a
@@ -60,6 +63,7 @@
 //! than ±20%.
 
 use eov_baselines::api::SystemKind;
+use eov_bench::{hot_keys_scattered, latest_pass, smallbank_store, GROWN_ACCOUNTS, HOT_ACCOUNTS};
 use eov_common::config::{CcConfig, WorkloadParams};
 use eov_common::rwset::{Key, Value};
 use eov_common::txn::TxnStatus;
@@ -92,6 +96,10 @@ const REQUIRED_TOPO_SPEEDUP: f64 = 5.0;
 /// safe transactions skip graph insertion, cycle probing and index bookkeeping wholesale, so
 /// the whole-orderer path must be at least this much faster on all-safe traffic.
 const REQUIRED_FASTPATH_SPEEDUP: f64 = 1.3;
+
+/// Most a hot `latest()` may cost inside `create_account_durable`'s grown store (860 k keys),
+/// as a multiple of the same read inside a 20 k-key store.
+const MAX_GROWN_LATEST_RATIO: f64 = 1.5;
 
 fn spec(id: u64) -> PendingTxnSpec {
     PendingTxnSpec {
@@ -1122,6 +1130,43 @@ fn main() {
         } else {
             println!(
                 "  FAIL checkpoint growth: 8th periodic checkpoint {ratio:.2}x the 2nd ({eighth} B vs {second} B, need <= {MAX_CHECKPOINT_GROWTH}x)"
+            );
+            failures += 1;
+        }
+    }
+    // State-store layout, structural check — machine-independent, always enforced: a point
+    // read costs a hash and a probe, so reading the 20 k hot keys must not get dearer because
+    // 840 k other keys share the store (an ordered map's descent does: 3.3x at PR 20).
+    {
+        let hot = hot_keys_scattered();
+        let small = smallbank_store(HOT_ACCOUNTS);
+        let grown = smallbank_store(GROWN_ACCOUNTS);
+        let measure = || {
+            let in_small = median_ns(|| latest_pass(&small, &hot));
+            let in_grown = median_ns(|| latest_pass(&grown, &hot));
+            (in_grown / in_small, in_small, in_grown)
+        };
+        let mut measured = measure();
+        if measured.0 > MAX_GROWN_LATEST_RATIO {
+            // One retry to filter a transient load spike, as for the band comparisons.
+            let retry = measure();
+            if retry.0 < measured.0 {
+                measured = retry;
+            }
+        }
+        let (ratio, in_small, in_grown) = measured;
+        let per_read = |pass_ns: f64| pass_ns / hot.len() as f64;
+        if ratio <= MAX_GROWN_LATEST_RATIO {
+            println!(
+                "  OK   mvstore hot latest(): {:.0} ns inside 840k keys, {ratio:.2}x of {:.0} ns inside 20k (need <= {MAX_GROWN_LATEST_RATIO}x)",
+                per_read(in_grown),
+                per_read(in_small)
+            );
+        } else {
+            println!(
+                "  FAIL mvstore hot latest(): {:.0} ns inside 840k keys, {ratio:.2}x of {:.0} ns inside 20k (need <= {MAX_GROWN_LATEST_RATIO}x)",
+                per_read(in_grown),
+                per_read(in_small)
             );
             failures += 1;
         }

@@ -8,7 +8,10 @@
 #![forbid(unsafe_code)]
 
 use eov_baselines::api::SystemKind;
+use eov_common::rwset::Key;
 use eov_sim::{SimReport, SimulationConfig, Simulator};
+use eov_vstore::MultiVersionStore;
+use eov_workload::smallbank;
 
 /// Simulated seconds per data point. Overridden with the `FABRICSHARP_BENCH_SECS` environment
 /// variable (e.g. `FABRICSHARP_BENCH_SECS=3` for a quick smoke run of every figure).
@@ -156,6 +159,45 @@ pub fn print_occupancy_table<T: std::fmt::Display>(x_label: &str, rows: &[(T, Ve
         println!();
     }
     println!();
+}
+
+/// Accounts whose keys the state-store benches read and update: `create_account_durable`'s
+/// genesis (two keys each, 20 k keys in all).
+pub const HOT_ACCOUNTS: usize = 10_000;
+/// Accounts of the large state-store bench input: the hot ones plus the 420 k that
+/// `create_account_durable` adds over a 12-second run (840 k fresh keys).
+pub const GROWN_ACCOUNTS: usize = HOT_ACCOUNTS + 420_000;
+
+/// The Smallbank keys of accounts `from..to`, in the order a run first writes them.
+pub fn smallbank_keys(from: usize, to: usize) -> Vec<Key> {
+    smallbank::genesis_accounts(to)
+        .into_iter()
+        .skip(from * 2)
+        .map(|(key, _)| key)
+        .collect()
+}
+
+/// A store holding one version of every Smallbank key of `accounts` accounts.
+pub fn smallbank_store(accounts: usize) -> MultiVersionStore {
+    let mut store = MultiVersionStore::new();
+    store.seed_genesis(smallbank::genesis_accounts(accounts));
+    store
+}
+
+/// The hot keys in a fixed scattered order (a stride coprime to their count), so that a pass
+/// over them has the locality of a transaction mix and not that of a key-order scan.
+pub fn hot_keys_scattered() -> Vec<Key> {
+    let keys = smallbank_keys(0, HOT_ACCOUNTS);
+    (0..keys.len())
+        .map(|i| keys[i * 7_919 % keys.len()].clone())
+        .collect()
+}
+
+/// One `latest()` per key; returns how many were found (keeps the optimiser honest).
+pub fn latest_pass(store: &MultiVersionStore, keys: &[Key]) -> u64 {
+    keys.iter()
+        .filter(|key| store.latest(key).is_some())
+        .count() as u64
 }
 
 #[cfg(test)]

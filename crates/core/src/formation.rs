@@ -410,6 +410,45 @@ mod tests {
             .reaches_exact(eov_common::txn::TxnId(1), eov_common::txn::TxnId(2)));
     }
 
+    /// ROADMAP item 1, the defect in isolation. Two blind writers of `H` are pending together;
+    /// `second` also overwrites a key 600 filler transactions read, so every filler precedes
+    /// it and its 64-bit, one-hash reach filter saturates. `already_connected(first, second)`
+    /// is then a false positive — nothing connects the two — and Algorithm 5, taking the
+    /// positive as leave to skip the pair, restores neither the ww edge nor its reachability.
+    #[test]
+    #[ignore = "known defect: ROADMAP item 1, bloom-positive skip in Algorithm 5"]
+    fn ww_restoration_survives_a_bloom_false_positive() {
+        use eov_common::txn::TxnId;
+        let mut cc = FabricSharpCC::new(CcConfig {
+            bloom_bits: 64,
+            bloom_hashes: 1,
+            ..CcConfig::default()
+        });
+        let (first, second) = (TxnId(1), TxnId(1_000));
+        assert!(cc.on_arrival(txn(first.0, 0, &[], &["H"])).is_accept());
+        for filler in 2..602u64 {
+            let own = format!("filler:{filler}");
+            assert!(cc
+                .on_arrival(txn(filler, 0, &[("R", (0, 1))], &[own.as_str()]))
+                .is_accept());
+        }
+        assert!(cc
+            .on_arrival(txn(second.0, 0, &[], &["H", "R"]))
+            .is_accept());
+        assert!(
+            cc.graph().already_connected(first, second) && !cc.graph().reaches_exact(first, second),
+            "the set-up must make the filter answer yes where the graph says no"
+        );
+
+        let block = cc.cut_block();
+        let position = |id: TxnId| block.iter().position(|t| t.id == id).expect("committed");
+        assert!(position(first) < position(second));
+        assert!(
+            cc.graph().reaches_exact(first, second),
+            "the ww pair of H must be connected after restoration, filter positive or not"
+        );
+    }
+
     #[test]
     fn block_numbers_and_spans_accumulate_across_blocks() {
         let mut cc = exact_cc();

@@ -1,13 +1,23 @@
-//! Reachability rebuilding — the maintenance counterpart of the two-filter relay.
+//! Reachability rebuilding — a maintenance operation that exists but is **not deployed**.
 //!
 //! The per-node `anti_reachable` bloom filters only ever gain bits: unions at insert time
 //! (Algorithm 4), restored ww edges (Algorithm 5), and bits inherited from transactions that
 //! have since been pruned. Over a long run the filters saturate and the false-positive rate —
 //! and with it the preventive-abort rate — creeps up. Section 4.4 bounds this with the
-//! two-filter relay; an equivalent (and simpler to replicate deterministically) remedy is to
-//! periodically *rebuild* every filter from the current successor edges, which discards every
-//! bit that belongs to pruned transactions. Honest orderers trigger the rebuild at the same
-//! block heights, so determinism is preserved exactly as it is for the relay.
+//! two-filter relay; an equivalent (and simpler to replicate deterministically) remedy would
+//! be to periodically *rebuild* every filter from the current successor edges, which discards
+//! every bit that belongs to pruned transactions; honest orderers triggering the rebuild at
+//! the same block heights would keep determinism exactly as the relay does.
+//!
+//! Nothing outside tests calls [`DependencyGraph::rebuild_reachability`]: no orderer path, no
+//! block-height trigger, no configuration field schedules it, and the two-filter relay is not
+//! implemented either. The saturation it would remedy is therefore what a run at HEAD shows —
+//! about 99 % of early aborts on the contended `perf_report` workloads are filter false
+//! positives (ROADMAP, "Where we stand"). The remedy ROADMAP item 2 plans is not a periodic
+//! rebuild but exact slot-indexed reach sets that forget a transaction when it is pruned;
+//! until that lands, this module is the from-scratch recompute item 1(iii) wants as an
+//! independent check, and [`DependencyGraph::mean_fill_ratio`] is the signal that shows the
+//! saturation.
 
 use crate::graph::DependencyGraph;
 use eov_common::txn::TxnId;
@@ -46,7 +56,8 @@ impl DependencyGraph {
     }
 
     /// Mean bloom-filter fill ratio across all nodes — the saturation signal a deployment
-    /// would use (together with the block height) to decide when to rebuild.
+    /// would use (together with the block height) to decide when to rebuild; like the rebuild
+    /// itself, read by tests only.
     pub fn mean_fill_ratio(&self) -> f64 {
         let mut total = 0.0;
         let mut count = 0usize;

@@ -6,7 +6,7 @@
 //! distinguishes raw throughput (transactions appearing in the ledger) from effective
 //! throughput (transactions whose validity flag is set and whose writes were applied).
 
-use crate::sha256::{sha256, Digest};
+use crate::sha256::{sha256, Digest, Sha256};
 use eov_common::txn::{Transaction, TxnId, TxnStatus};
 use eov_common::version::SeqNo;
 
@@ -24,10 +24,10 @@ pub struct BlockHeader {
 impl BlockHeader {
     /// The header hash that the next block chains to.
     pub fn hash(&self) -> Digest {
-        let mut buf = Vec::with_capacity(8 + 32 + 32);
-        buf.extend_from_slice(&self.number.to_be_bytes());
-        buf.extend_from_slice(self.prev_hash.as_bytes());
-        buf.extend_from_slice(self.data_hash.as_bytes());
+        let mut buf = [0u8; 72];
+        buf[..8].copy_from_slice(&self.number.to_be_bytes());
+        buf[8..40].copy_from_slice(self.prev_hash.as_bytes());
+        buf[40..].copy_from_slice(self.data_hash.as_bytes());
         sha256(&buf)
     }
 }
@@ -85,21 +85,21 @@ impl Block {
     /// Hash over the block body: transaction ids, snapshot blocks, and read/write set keys and
     /// versions, in order. Any change to the batched transactions changes this digest.
     pub fn data_hash(entries: &[TxnEntry]) -> Digest {
-        let mut buf = Vec::new();
+        let mut hasher = Sha256::new();
         for entry in entries {
-            buf.extend_from_slice(&entry.txn.id.0.to_be_bytes());
-            buf.extend_from_slice(&entry.txn.snapshot_block.to_be_bytes());
+            hasher.update(&entry.txn.id.0.to_be_bytes());
+            hasher.update(&entry.txn.snapshot_block.to_be_bytes());
             for read in entry.txn.read_set.iter() {
-                buf.extend_from_slice(read.key.as_str().as_bytes());
-                buf.extend_from_slice(&read.version.block.to_be_bytes());
-                buf.extend_from_slice(&read.version.seq.to_be_bytes());
+                hasher.update(read.key.as_str().as_bytes());
+                hasher.update(&read.version.block.to_be_bytes());
+                hasher.update(&read.version.seq.to_be_bytes());
             }
             for write in entry.txn.write_set.iter() {
-                buf.extend_from_slice(write.key.as_str().as_bytes());
-                buf.extend_from_slice(write.value.as_bytes());
+                hasher.update(write.key.as_str().as_bytes());
+                hasher.update(write.value.as_bytes());
             }
         }
-        sha256(&buf)
+        hasher.finalize()
     }
 
     /// Block height.
@@ -207,6 +207,38 @@ mod tests {
             .write_set
             .record(Key::new("B"), Value::from_i64(9999));
         assert!(!block.verify_data_hash());
+    }
+
+    /// Streaming the body into the hasher must give the digest of the body staged in one
+    /// buffer (what every ledger on disk was hashed with), and likewise for the header.
+    #[test]
+    fn streamed_hashes_equal_the_hash_of_the_staged_bytes() {
+        let block = Block::build(
+            5,
+            sha256(b"prev"),
+            (1..=40).map(sample_txn).collect::<Vec<_>>(),
+        );
+        let mut body = Vec::new();
+        for entry in &block.entries {
+            body.extend_from_slice(&entry.txn.id.0.to_be_bytes());
+            body.extend_from_slice(&entry.txn.snapshot_block.to_be_bytes());
+            for read in entry.txn.read_set.iter() {
+                body.extend_from_slice(read.key.as_str().as_bytes());
+                body.extend_from_slice(&read.version.block.to_be_bytes());
+                body.extend_from_slice(&read.version.seq.to_be_bytes());
+            }
+            for write in entry.txn.write_set.iter() {
+                body.extend_from_slice(write.key.as_str().as_bytes());
+                body.extend_from_slice(write.value.as_bytes());
+            }
+        }
+        assert!(body.len() > 1_000, "several compression blocks");
+        assert_eq!(block.header.data_hash, sha256(&body));
+
+        let mut header = block.header.number.to_be_bytes().to_vec();
+        header.extend_from_slice(block.header.prev_hash.as_bytes());
+        header.extend_from_slice(block.header.data_hash.as_bytes());
+        assert_eq!(block.hash(), sha256(&header));
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //!         | u8 has-base | u64 base height | u32 base payload CRC
 //!         | shard*            (one when unsharded, else `shards`)
 //! shard   = u64 last_block | u64 pruned_below | u64 total keys | u64 chains
-//!         | (key | u32 versions | (seqno | value)*)*      — `BTreeMap` key order
+//!         | (key | u32 versions | (seqno | value)*)*      — ascending key order
 //! ```
 //!
 //! Writes encode into one buffer and go through a temp file plus rename, so a crash
@@ -48,10 +48,10 @@
 use crate::codec::{crc32, seal_frame, ByteReader, ByteWriter};
 use crate::error::LedgerError;
 use crate::segment::sync_dir;
-use eov_common::rwset::Value;
+use eov_common::rwset::{Key, Value};
 use eov_common::shard::{Partitioning, ShardRouter};
 use eov_common::version::SeqNo;
-use eov_vstore::{MultiVersionStore, ShardedStore, StateRead, StoreBackend};
+use eov_vstore::{MultiVersionStore, ShardedStore, StateRead, StoreBackend, VersionedValue};
 use std::fs;
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
@@ -178,29 +178,53 @@ fn get_head(r: &mut ByteReader<'_>, crc: u32) -> Result<LinkHead, String> {
 }
 
 /// Encodes one shard: counters, then every chain suffix newer than `base_height` (every whole
-/// chain when there is no base) in key order.
+/// chain when there is no base) in key order. The store keeps its chains in first-write order,
+/// so the suffixes are picked first and only those sorted: a delta over a large store costs a
+/// scan plus the sort of what changed.
 fn put_shard(w: &mut ByteWriter, shard: &MultiVersionStore, base_height: Option<u64>) {
-    w.put_u64(shard.last_block());
-    w.put_u64(shard.pruned_below());
-    w.put_u64(shard.key_count() as u64);
+    let mut suffixes: Vec<(&Key, &[VersionedValue])> = shard
+        .chains_in_write_order()
+        .map(|(key, chain)| {
+            let start = base_height.map_or(0, |h| chain.partition_point(|v| v.version.block <= h));
+            (key, &chain[start..])
+        })
+        .filter(|(_, suffix)| !suffix.is_empty())
+        .collect();
+    suffixes.sort_unstable_by(|a, b| a.0.cmp(b.0));
+    put_chains(
+        w,
+        [
+            shard.last_block(),
+            shard.pruned_below(),
+            shard.key_count() as u64,
+        ],
+        suffixes,
+    );
+}
+
+/// Encodes a shard's three counters (`last_block`, `pruned_below`, total keys) and `chains`,
+/// which arrive in key order and non-empty.
+fn put_chains<'a>(
+    w: &mut ByteWriter,
+    counters: [u64; 3],
+    chains: impl IntoIterator<Item = (&'a Key, &'a [VersionedValue])>,
+) {
+    for counter in counters {
+        w.put_u64(counter);
+    }
     let chains_at = w.len();
     w.put_u64(0);
-    let mut chains = 0u64;
-    for (key, chain) in shard.iter_history() {
-        let start = base_height.map_or(0, |h| chain.partition_point(|v| v.version.block <= h));
-        let suffix = &chain[start..];
-        if suffix.is_empty() {
-            continue;
-        }
-        chains += 1;
+    let mut count = 0u64;
+    for (key, chain) in chains {
+        count += 1;
         w.put_bytes(key.as_str().as_bytes());
-        w.put_u32(suffix.len() as u32);
-        for version in suffix {
+        w.put_u32(chain.len() as u32);
+        for version in chain {
             w.put_seqno(version.version);
             w.put_bytes(version.value.as_bytes());
         }
     }
-    w.set_u64_at(chains_at, chains);
+    w.set_u64_at(chains_at, count);
 }
 
 /// Applies one encoded shard on top of `shard` (the base state, or empty for a full image).
@@ -495,7 +519,6 @@ pub fn discard_unusable_checkpoints(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eov_common::rwset::{Key, Value};
     use eov_common::txn::Transaction;
     use eov_vstore::StateStore;
     use proptest::prelude::*;
@@ -753,8 +776,71 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// What the ordered-map store wrote for a shard, from an ordered map: walk the keys in
+    /// order, cut each chain at the base height, skip the empty suffixes.
+    fn put_shard_from_ordered_map(
+        w: &mut ByteWriter,
+        counters: [u64; 3],
+        chains: &std::collections::BTreeMap<Key, Vec<VersionedValue>>,
+        base_height: Option<u64>,
+    ) {
+        let suffixes = chains.iter().filter_map(|(key, chain)| {
+            let start = base_height.map_or(0, |h| chain.partition_point(|v| v.version.block <= h));
+            (start < chain.len()).then_some((key, &chain[start..]))
+        });
+        put_chains(w, counters, suffixes);
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The bytes of a shard do not depend on the store's layout: after every step of a
+        /// random history, the full image and the delta over every earlier height are
+        /// byte-identical to what the walk of an ordered map holding the same chains encodes.
+        #[test]
+        fn shard_bytes_equal_those_of_an_ordered_map_walk(
+            ops in proptest::collection::vec((0u8..5, any::<u64>()), 1..40),
+        ) {
+            let mut store = MultiVersionStore::new();
+            let mut oracle: std::collections::BTreeMap<Key, Vec<VersionedValue>> = Default::default();
+            for &(op, arg) in &ops {
+                let block = store.last_block() + 1;
+                if op == 4 {
+                    let horizon = arg % block;
+                    store.prune_versions_below(horizon);
+                    let bound = SeqNo::new(horizon, u32::MAX);
+                    for chain in oracle.values_mut() {
+                        let idx = chain.partition_point(|v| v.version <= bound);
+                        if idx > 1 {
+                            chain.drain(..idx - 1);
+                        }
+                    }
+                } else {
+                    // Keys arrive in an order that is not key order; some are rewritten.
+                    for t in 0..1 + arg % 4 {
+                        for name in [format!("k{}", (arg >> (8 * t)) % 9), format!("n{}-{t}", u64::MAX - block)] {
+                            let (key, version) = (Key::new(name), SeqNo::new(block, t as u32 + 1));
+                            let value = Value::from_i64(arg as i64);
+                            store.put(key.clone(), version, value.clone());
+                            oracle.entry(key).or_default().push(VersionedValue { version, value });
+                        }
+                    }
+                    store.commit_empty_block(block);
+                }
+                let counters = [store.last_block(), store.pruned_below(), store.key_count() as u64];
+                for base_height in std::iter::once(None).chain((0..=store.last_block()).map(Some)) {
+                    let mut from_store = ByteWriter::new();
+                    put_shard(&mut from_store, &store, base_height);
+                    let mut from_map = ByteWriter::new();
+                    put_shard_from_ordered_map(&mut from_map, counters, &oracle, base_height);
+                    prop_assert_eq!(
+                        from_store.into_bytes(),
+                        from_map.into_bytes(),
+                        "base {:?} at height {}", base_height, store.last_block()
+                    );
+                }
+            }
+        }
 
         /// Model-based: over a random interleaving of block commits, prunes and checkpoints,
         /// every checkpoint ever written loads to exactly the live store as it stood when it

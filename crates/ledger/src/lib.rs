@@ -43,4 +43,4 @@ pub use durable::{DurableLedger, DurableOptions, LedgerBackend, OpenReport};
 pub use error::LedgerError;
 pub use reenact::{provenance, Provenance};
 pub use segment::TornTail;
-pub use sha256::{sha256, Digest};
+pub use sha256::{sha256, Digest, Sha256};

@@ -31,6 +31,8 @@
 
 pub mod index;
 pub mod mvstore;
+#[cfg(test)]
+mod mvstore_model;
 pub mod pending;
 pub mod sharded;
 pub mod shared;

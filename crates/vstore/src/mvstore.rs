@@ -10,12 +10,51 @@
 //! The paper implements this with LevelDB storage snapshots; an in-memory multi-version map
 //! provides the same query surface (latest read, snapshot read, version history) and is the
 //! documented substitution in `DESIGN.md`.
+//!
+//! # Layout
+//!
+//! Every Smallbank transaction touches the store 8–12 times, all of them point operations,
+//! so the layout is built for the point operation (FastFabric, arXiv:1901.00910, made the
+//! same move for Fabric's world state):
+//!
+//! * **Slab.** The version chains live in one append-only `Vec<(Key, Chain)>`. A chain's
+//!   position is its id; ids are handed out in first-write order and, because a key is never
+//!   deleted, never reused. A `Chain` holds a key's first version inline and moves to a heap
+//!   vector with the second write, so a key written once costs no allocation of its own.
+//! * **Index.** An open-addressed, linearly probed table of 8-byte slots finds the id: each
+//!   slot is the upper half of the 64-bit hash of the key's bytes above the 32-bit id, and a
+//!   slot's home position is the top bits of that half. A probe therefore compares hashes
+//!   before it dereferences a key, and growing the table re-places its entries from the slots
+//!   alone, without touching a string. The hash is keyed per store from the process's random
+//!   state — keys arrive in transactions, so nobody outside the process may be able to aim
+//!   them at one slot — and slot positions never reach anything observable.
+//!
+//! `read_at`, `latest`, `history` and a `put` to an existing key are therefore one hash and
+//! one probe, independent of how many keys the store holds, where an ordered map pays a
+//! descent of string compares that deepens with it.
+//!
+//! Nothing ordered is read off the index. The ordered walks ([`MultiVersionStore::iter_latest`],
+//! [`MultiVersionStore::iter_history`]) collect from the slab — whose order is the
+//! deterministic first-write order, not a hash order — and sort **what they emit** by key;
+//! the checkpoint writer, whose deltas emit a small part of a large store, takes
+//! [`MultiVersionStore::chains_in_write_order`], filters first and sorts the rest. Equality is
+//! content equality: two stores holding the same chains are equal whatever order their keys
+//! were first written in (a recovered store is filled in checkpoint order, the live one in
+//! commit order).
+//!
+//! Memory per key, beside the key string and the value bytes: a 56-byte slab entry (×1–2
+//! while the slab's vector has room to grow into) and 13–26 bytes of index (8-byte slots at a
+//! load between 5/16 and 5/8). The ordered map spent 40 bytes of node space per entry at a
+//! node fill between one half and full, and every chain began with a 160-byte heap vector of
+//! its own — which is most of the 37 % `create_account_durable`'s peak RSS fell by.
 
 use eov_common::error::{CommonError, Result};
 use eov_common::rwset::{Key, Value};
 use eov_common::txn::Transaction;
 use eov_common::version::SeqNo;
-use std::collections::BTreeMap;
+use std::collections::hash_map::RandomState;
+use std::fmt;
+use std::hash::{BuildHasher, Hasher};
 
 /// A single version of a value: the commit slot that installed it plus the bytes themselves.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -26,14 +65,146 @@ pub struct VersionedValue {
     pub value: Value,
 }
 
+/// One key's versions, ascending and never empty.
+#[derive(Clone)]
+enum Chain {
+    /// The only version the key has ever had, held in the slab entry itself.
+    One(VersionedValue),
+    /// Two or more versions (or what pruning left of them).
+    Many(Vec<VersionedValue>),
+}
+
+impl Chain {
+    fn as_slice(&self) -> &[VersionedValue] {
+        match self {
+            Chain::One(only) => std::slice::from_ref(only),
+            Chain::Many(versions) => versions,
+        }
+    }
+
+    fn newest(&self) -> &VersionedValue {
+        match self {
+            Chain::One(only) => only,
+            Chain::Many(versions) => versions.last().expect("a chain is never empty"),
+        }
+    }
+
+    fn push(&mut self, next: VersionedValue) {
+        if let Chain::Many(versions) = self {
+            versions.push(next);
+            return;
+        }
+        let Chain::One(first) = std::mem::replace(self, Chain::Many(Vec::new())) else {
+            unreachable!("not `Many`, so `One`");
+        };
+        *self = Chain::Many(vec![first, next]);
+    }
+}
+
+/// One slot of the hash index: the upper half of the key's hash above the id of its chain.
+/// A slot's home position is the top bits of that half, so the table grows from its slots
+/// alone.
+#[derive(Clone, Copy)]
+struct Slot(u64);
+
+impl Slot {
+    /// The one id no chain gets: it marks a slot holding nothing. Keys are never deleted, so
+    /// there are no tombstones.
+    const NO_ID: u32 = u32::MAX;
+    const VACANT: Slot = Slot(u64::MAX);
+
+    fn new(hash: u64, id: u32) -> Self {
+        Slot(hash & !u64::from(u32::MAX) | u64::from(id))
+    }
+
+    fn is_vacant(self) -> bool {
+        self.id() == Self::NO_ID
+    }
+
+    fn id(self) -> u32 {
+        self.0 as u32
+    }
+
+    /// Whether this slot may hold the key hashing to `hash`.
+    fn tagged(self, hash: u64) -> bool {
+        (self.0 ^ hash) >> 32 == 0
+    }
+
+    /// Home position of `hash` (or of a slot made from it) in a table of `1 << bits` slots.
+    fn home(hash: u64, bits: u32) -> usize {
+        (hash >> (64 - bits)) as usize
+    }
+}
+
+/// Slots of an empty store's index (a power of two, like every later size).
+const MIN_SLOTS: usize = 8;
+/// The index doubles when more than `MAX_LOAD.0 / MAX_LOAD.1` of its slots are taken: a probe
+/// walks eight slots per cache line and rarely leaves its first line up to there.
+const MAX_LOAD: (usize, usize) = (5, 8);
+
+/// `(a * b)` folded to 64 bits: the mixing step of wyhash / foldhash.
+#[inline]
+fn fold(a: u64, b: u64) -> u64 {
+    let product = u128::from(a) * u128::from(b);
+    (product as u64) ^ ((product >> 64) as u64)
+}
+
+/// A keyed hash of `bytes` costing one multiplication per 16 bytes, where the standard
+/// library's SipHash runs several rounds per 8. Both multiplicands of every [`fold`] carry a
+/// secret word, so without the seed no input can be chosen to zero one.
+#[inline]
+fn hash_bytes(seed: (u64, u64), bytes: &[u8]) -> u64 {
+    let len = bytes.len();
+    let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"));
+    let half = |at: usize| {
+        u64::from(u32::from_le_bytes(
+            bytes[at..at + 4].try_into().expect("4 bytes"),
+        ))
+    };
+    let mut state = seed.1;
+    // The last 1..=16 bytes as two (possibly overlapping) words; whole 16-byte blocks before
+    // them are folded into the state.
+    let (a, b) = if len > 16 {
+        let mut at = 0;
+        while len - at > 16 {
+            state = fold(word(at) ^ seed.0, word(at + 8) ^ state);
+            at += 16;
+        }
+        (word(len - 16), word(len - 8))
+    } else if len >= 8 {
+        (word(0), word(len - 8))
+    } else if len >= 4 {
+        (half(0), half(len - 4))
+    } else if len > 0 {
+        let spread = u64::from(bytes[0]) << 16 | u64::from(bytes[len / 2]) << 8;
+        (spread | u64::from(bytes[len - 1]), 0)
+    } else {
+        (0, 0)
+    };
+    fold(a ^ seed.0, b ^ state ^ (len as u64).rotate_left(56))
+}
+
+/// Two words nobody outside the process knows, drawn from the generator `HashMap` seeds from.
+fn random_seed() -> (u64, u64) {
+    let word = || RandomState::new().build_hasher().finish();
+    (word(), word())
+}
+
 /// A multi-versioned key-value store with per-block snapshot reads.
 ///
 /// Writes are applied block by block (commits are totally ordered), so the per-key version
 /// vectors are naturally sorted by version and snapshot reads are a binary search.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone)]
 pub struct MultiVersionStore {
-    /// Per-key version chains, each sorted by ascending version.
-    data: BTreeMap<Key, Vec<VersionedValue>>,
+    /// Every key with its version chain, in first-write order (see the module header).
+    chains: Vec<(Key, Chain)>,
+    /// The hash index over `chains`; its length is a power of two.
+    slots: Vec<Slot>,
+    /// Key of [`hash_bytes`] for this store and its clones.
+    seed: (u64, u64),
+    /// Tests narrow this to make unrelated keys share hashes; all ones otherwise.
+    #[cfg(test)]
+    hash_mask: u64,
     /// Height of the last committed block (0 = only the genesis state exists).
     last_block: u64,
     /// Versions strictly below this block height may have been garbage collected; snapshot
@@ -41,10 +212,69 @@ pub struct MultiVersionStore {
     pruned_below: u64,
 }
 
+impl Default for MultiVersionStore {
+    fn default() -> Self {
+        MultiVersionStore {
+            chains: Vec::new(),
+            slots: vec![Slot::VACANT; MIN_SLOTS],
+            seed: random_seed(),
+            #[cfg(test)]
+            hash_mask: u64::MAX,
+            last_block: 0,
+            pruned_below: 0,
+        }
+    }
+}
+
+/// Content equality: same heights, same keys, same chains — whatever order the keys were
+/// first written in and wherever the index placed them.
+impl PartialEq for MultiVersionStore {
+    fn eq(&self, other: &Self) -> bool {
+        // Chains are never empty, so a key `other` lacks fails the history comparison.
+        self.last_block == other.last_block
+            && self.pruned_below == other.pruned_below
+            && self.chains.len() == other.chains.len()
+            && self
+                .chains
+                .iter()
+                .all(|(key, chain)| other.history(key) == chain.as_slice())
+    }
+}
+
+impl Eq for MultiVersionStore {}
+
+/// Prints the content in key order (what two stores that compare unequal differ in), not the
+/// layout.
+impl fmt::Debug for MultiVersionStore {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct Chains<'a>(&'a MultiVersionStore);
+        impl fmt::Debug for Chains<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_map().entries(self.0.iter_history()).finish()
+            }
+        }
+        f.debug_struct("MultiVersionStore")
+            .field("chains", &Chains(self))
+            .field("last_block", &self.last_block)
+            .field("pruned_below", &self.pruned_below)
+            .finish()
+    }
+}
+
 impl MultiVersionStore {
     /// Creates an empty store at height 0 (genesis).
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// A store whose key hashes are cut down to the bits of `mask`, so that unrelated keys
+    /// share a hash (and, with few bits, a home slot): lookups must still tell them apart.
+    #[cfg(test)]
+    pub(crate) fn with_hash_mask(mask: u64) -> Self {
+        MultiVersionStore {
+            hash_mask: mask,
+            ..Self::default()
+        }
     }
 
     /// Seeds the genesis state (block 0). Each key receives version `(0, i+1)` in iteration
@@ -62,23 +292,97 @@ impl MultiVersionStore {
 
     /// Number of distinct keys ever written.
     pub fn key_count(&self) -> usize {
-        self.data.len()
+        self.chains.len()
     }
 
     /// Total number of retained versions across all keys (used by pruning tests and metrics).
     pub fn version_count(&self) -> usize {
-        self.data.values().map(Vec::len).sum()
+        self.chains
+            .iter()
+            .map(|(_, chain)| chain.as_slice().len())
+            .sum()
+    }
+
+    fn hash_of(&self, key: &Key) -> u64 {
+        let hash = hash_bytes(self.seed, key.as_str().as_bytes());
+        #[cfg(test)]
+        let hash = hash & self.hash_mask;
+        hash
+    }
+
+    /// Probes the index for `key`: the id of its chain, or the vacant slot a new entry for it
+    /// belongs in. The load bound keeps slots vacant, so the walk ends.
+    #[inline]
+    fn probe(&self, key: &Key, hash: u64) -> std::result::Result<usize, usize> {
+        let mask = self.slots.len() - 1;
+        let mut at = Slot::home(hash, self.slots.len().trailing_zeros());
+        loop {
+            let slot = self.slots[at];
+            if slot.is_vacant() {
+                return Err(at);
+            }
+            let id = slot.id() as usize;
+            if slot.tagged(hash) && self.chains[id].0 == *key {
+                return Ok(id);
+            }
+            at = (at + 1) & mask;
+        }
+    }
+
+    /// The chain of `key`, if it was ever written.
+    #[inline]
+    fn chain(&self, key: &Key) -> Option<&Chain> {
+        let id = self.probe(key, self.hash_of(key)).ok()?;
+        Some(&self.chains[id].1)
+    }
+
+    /// Doubles the index, re-placing every entry by the hash bits its slot carries.
+    fn grow(&mut self) {
+        let bits = self.slots.len().trailing_zeros() + 1;
+        assert!(bits <= 32, "a slot carries 32 bits of its key's hash");
+        let mask = (1usize << bits) - 1;
+        let mut slots = vec![Slot::VACANT; mask + 1];
+        for slot in self.slots.iter().filter(|slot| !slot.is_vacant()) {
+            let mut at = Slot::home(slot.0, bits);
+            while !slots[at].is_vacant() {
+                at = (at + 1) & mask;
+            }
+            slots[at] = *slot;
+        }
+        self.slots = slots;
     }
 
     /// Installs a single versioned value. Versions must be installed in non-decreasing order
     /// per key; this is guaranteed by the block-at-a-time commit protocol.
+    ///
+    /// # Panics
+    ///
+    /// If `version` is older than the key's newest version: snapshot reads binary-search the
+    /// chain, so an unsorted chain would answer them wrongly from then on.
     pub fn put(&mut self, key: Key, version: SeqNo, value: Value) {
-        let chain = self.data.entry(key).or_default();
-        debug_assert!(
-            chain.last().map(|v| v.version <= version).unwrap_or(true),
-            "versions must be installed in order"
-        );
-        chain.push(VersionedValue { version, value });
+        let hash = self.hash_of(&key);
+        let next = VersionedValue { version, value };
+        match self.probe(&key, hash) {
+            Ok(id) => {
+                let chain = &mut self.chains[id].1;
+                assert!(
+                    chain.newest().version <= version,
+                    "versions must be installed in order"
+                );
+                chain.push(next);
+            }
+            Err(vacant) => {
+                let id = u32::try_from(self.chains.len())
+                    .ok()
+                    .filter(|id| *id != Slot::NO_ID)
+                    .expect("chain ids fit in 32 bits");
+                self.chains.push((key, Chain::One(next)));
+                self.slots[vacant] = Slot::new(hash, id);
+                if self.chains.len() * MAX_LOAD.1 > self.slots.len() * MAX_LOAD.0 {
+                    self.grow();
+                }
+            }
+        }
     }
 
     /// Applies the write sets of the committed transactions of block `block_no`, in order.
@@ -106,7 +410,7 @@ impl MultiVersionStore {
 
     /// The latest version of `key`, if any.
     pub fn latest(&self, key: &Key) -> Option<&VersionedValue> {
-        self.data.get(key).and_then(|chain| chain.last())
+        self.chain(key).map(Chain::newest)
     }
 
     /// The latest value of `key`, if any (convenience wrapper over [`Self::latest`]).
@@ -120,29 +424,27 @@ impl MultiVersionStore {
         if block < self.pruned_below {
             return Err(CommonError::SnapshotPruned(block));
         }
-        let Some(chain) = self.data.get(key) else {
-            return Ok(None);
-        };
+        let chain = self.history(key);
         // Versions are sorted; find the last one with version.block <= block.
         let bound = SeqNo::new(block, u32::MAX);
         let idx = chain.partition_point(|v| v.version <= bound);
-        Ok(if idx == 0 {
-            None
-        } else {
-            Some(&chain[idx - 1])
-        })
+        Ok(idx.checked_sub(1).map(|newest| &chain[newest]))
     }
 
     /// Full version history of `key` (oldest first). Empty if the key was never written.
     pub fn history(&self, key: &Key) -> &[VersionedValue] {
-        self.data.get(key).map(|c| c.as_slice()).unwrap_or(&[])
+        self.chain(key).map_or(&[], Chain::as_slice)
     }
 
     /// Iterates over `(key, latest version)` pairs in key order.
     pub fn iter_latest(&self) -> impl Iterator<Item = (&Key, &VersionedValue)> {
-        self.data
+        let mut latest: Vec<(&Key, &VersionedValue)> = self
+            .chains
             .iter()
-            .filter_map(|(k, chain)| chain.last().map(|v| (k, v)))
+            .map(|(key, chain)| (key, chain.newest()))
+            .collect();
+        latest.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        latest.into_iter()
     }
 
     /// Garbage-collects versions that are no longer reachable from any snapshot at or above
@@ -150,10 +452,13 @@ impl MultiVersionStore {
     /// `block` is dropped. Snapshot reads below `block` are refused afterwards.
     pub fn prune_versions_below(&mut self, block: u64) {
         let bound = SeqNo::new(block, u32::MAX);
-        for chain in self.data.values_mut() {
-            let idx = chain.partition_point(|v| v.version <= bound);
-            if idx > 1 {
-                chain.drain(..idx - 1);
+        for (_, chain) in &mut self.chains {
+            // A single version is the newest visible one or not visible yet: it stays.
+            if let Chain::Many(versions) = chain {
+                let idx = versions.partition_point(|v| v.version <= bound);
+                if idx > 1 {
+                    versions.drain(..idx - 1);
+                }
             }
         }
         self.pruned_below = self.pruned_below.max(block);
@@ -164,10 +469,21 @@ impl MultiVersionStore {
         self.pruned_below
     }
 
+    /// Every `(key, full version chain)` pair in the order the keys were first written —
+    /// deterministic, but not key order. For walks that emit a small part of the store and
+    /// sort that (a delta checkpoint); everything else wants [`Self::iter_history`].
+    pub fn chains_in_write_order(&self) -> impl Iterator<Item = (&Key, &[VersionedValue])> {
+        self.chains
+            .iter()
+            .map(|(key, chain)| (key, chain.as_slice()))
+    }
+
     /// Iterates over every `(key, full version chain)` pair in key order — the deterministic
     /// walk the durable checkpoint codec serializes.
     pub fn iter_history(&self) -> impl Iterator<Item = (&Key, &[VersionedValue])> {
-        self.data.iter().map(|(k, chain)| (k, chain.as_slice()))
+        let mut chains: Vec<(&Key, &[VersionedValue])> = self.chains_in_write_order().collect();
+        chains.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        chains.into_iter()
     }
 
     /// Restores the height and pruning horizon recorded in a checkpoint. Only meaningful
@@ -286,6 +602,16 @@ mod tests {
             Some(4)
         );
         assert_eq!(store.pruned_below(), 3);
+    }
+
+    /// An out-of-order version would leave the chain unsorted under `read_at`'s binary search:
+    /// refused in release builds too, not only where `debug_assert!` is compiled in.
+    #[test]
+    #[should_panic(expected = "versions must be installed in order")]
+    fn put_refuses_a_version_older_than_the_chain_tail() {
+        let mut store = MultiVersionStore::new();
+        store.put(k("A"), SeqNo::new(3, 1), Value::from_i64(1));
+        store.put(k("A"), SeqNo::new(2, 9), Value::from_i64(2));
     }
 
     #[test]

@@ -75,8 +75,8 @@ impl ShardedStore {
         self.owner(key).history(key)
     }
 
-    /// Iterates over `(key, latest version)` pairs in global key order — a k-way merge over
-    /// the per-shard ordered maps.
+    /// Iterates over `(key, latest version)` pairs in global key order: the shards' sorted
+    /// walks back to back, merged by one run-detecting sort.
     pub fn iter_latest(&self) -> impl Iterator<Item = (&Key, &VersionedValue)> {
         let mut entries: Vec<(&Key, &VersionedValue)> = self
             .shards
