@@ -38,6 +38,13 @@ impl Ledger {
     /// *hash chain integrity* (its `prev_hash` must equal the current tip hash) and body
     /// integrity (its data hash must match its entries).
     pub fn append(&mut self, block: Block) -> Result<()> {
+        self.check_next(&block)?;
+        self.push_checked(block);
+        Ok(())
+    }
+
+    /// The checks of [`Self::append`] alone: `block` may be appended next.
+    pub(crate) fn check_next(&self, block: &Block) -> Result<()> {
         let expected_number = self.height() + 1;
         if block.number() != expected_number {
             return Err(CommonError::ChainIntegrity {
@@ -57,8 +64,18 @@ impl Ledger {
                 detail: "data hash does not match block body".into(),
             });
         }
-        self.blocks.push(block);
         Ok(())
+    }
+
+    /// The push of [`Self::append`] alone, for a block [`Self::check_next`] accepted with
+    /// nothing appended since.
+    pub(crate) fn push_checked(&mut self, block: Block) {
+        debug_assert_eq!(
+            block.number(),
+            self.height() + 1,
+            "push_checked without check_next"
+        );
+        self.blocks.push(block);
     }
 
     /// Fetches a block by height.

@@ -98,12 +98,14 @@ impl DurableLedger {
     }
 
     /// Appends a block: chain-validated against the mirror first, then written as one framed
-    /// record (rotating segments as configured).
+    /// record (rotating segments as configured), and only once the write succeeded pushed into
+    /// the mirror — a failed write leaves the height where it was.
     pub fn append(&mut self, block: Block) -> Result<(), LedgerError> {
+        self.mirror.check_next(&block)?;
         let record = segment::frame_record(&block)?;
-        let number = block.number();
-        self.mirror.append(block)?;
-        self.writer.append(number, &record)
+        self.writer.append(block.number(), &record)?;
+        self.mirror.push_checked(block);
+        Ok(())
     }
 
     /// The in-memory mirror: the authoritative read surface over everything appended.
@@ -292,6 +294,35 @@ mod tests {
         assert!(matches!(err, LedgerError::Chain(_)), "got {err}");
         assert_eq!(ledger.tail_segment_len(), tail_before, "disk was touched");
         assert_eq!(ledger.height(), 2);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn failed_write_leaves_the_height_and_the_directory_intact() {
+        let dir = temp_dir("failed-write");
+        let options = DurableOptions {
+            rotate_bytes: 1,
+            fsync: false,
+        };
+        let (mut ledger, _) = DurableLedger::open(&dir, options).unwrap();
+        fill(&mut ledger, 3);
+        // Every append rotates; a directory squatting on the next segment's name makes the
+        // rotation's `create_new` fail.
+        let squatter = dir.join(segment::segment_file_name(4));
+        std::fs::create_dir(&squatter).unwrap();
+        let err = ledger
+            .append(block_at(4, ledger.ledger().tip_hash()))
+            .unwrap_err();
+        assert!(matches!(err, LedgerError::Io { .. }), "got {err}");
+        assert_eq!(ledger.height(), 3);
+
+        std::fs::remove_dir(&squatter).unwrap();
+        fill(&mut ledger, 2);
+        let tip = ledger.ledger().tip_hash();
+        drop(ledger);
+        let (ledger, report) = DurableLedger::open(&dir, options).unwrap();
+        assert_eq!(report.blocks_recovered, 5);
+        assert_eq!(ledger.ledger().tip_hash(), tip);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -1,13 +1,26 @@
-//! A small, dependency-free SHA-256 implementation (FIPS 180-4).
+//! A small, dependency-free SHA-256 implementation (FIPS 180-4) with two compression kernels.
 //!
 //! The ledger only needs a collision-resistant hash to chain block headers; pulling in a full
 //! crypto crate is unnecessary for the reproduction and is not on the approved dependency
-//! list, so the compression function is implemented here directly. The compression function
-//! is the straightforward textbook one — correctness is what matters (it is checked against
-//! the NIST test vectors below). What the callers are spared is staging: [`Sha256`] takes the
-//! message piece by piece and buffers at most one 64-byte block, so a block body is hashed
-//! field by field without first being copied into one buffer (it is hashed twice per block on
-//! the write path and once more on recovery).
+//! list, so the hash is implemented here directly. [`Sha256`] takes the message piece by piece
+//! and buffers at most one 64-byte block, so a block body is hashed field by field without
+//! first being copied into one buffer (it is hashed twice per block on the write path and once
+//! more on recovery).
+//!
+//! Full 64-byte blocks go to one of two compression kernels, picked once per hasher from CPUID:
+//!
+//! * **SHA-NI** (`sha_ni::compress_blocks`, x86-64 only) runs on the CPU's SHA extensions
+//!   (`sha256rnds2`, `sha256msg1`, `sha256msg2`) whenever CPUID reports `sha`, `ssse3` and
+//!   `sse4.1`. It keeps the state in two registers across every block of one call.
+//! * **Portable** (`compress_portable`) runs everywhere else: sixteen rounds per loop
+//!   iteration, written out with the working variables renamed instead of shifted, over a
+//!   sixteen-word schedule extended in place. The tests use it as the oracle for the other.
+//!
+//! Both give the same digest for every message, so which one ran never shows in a ledger. The
+//! hardware kernel is a safe `#[target_feature]` function; calling it from code compiled
+//! without those features is this crate's one `unsafe` block, the dispatch in
+//! `Kernel::compress_blocks`. It is sound because only the CPUID check can make the
+//! `Kernel::ShaNi` value that leads there.
 
 /// A 32-byte SHA-256 digest.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
@@ -74,6 +87,8 @@ pub struct Sha256 {
     buffered: usize,
     /// Message bytes fed so far.
     len: u64,
+    /// Where every full block goes.
+    kernel: Kernel,
 }
 
 impl Default for Sha256 {
@@ -83,13 +98,18 @@ impl Default for Sha256 {
 }
 
 impl Sha256 {
-    /// A hasher over the empty message.
+    /// A hasher over the empty message, on the fastest kernel this CPU runs.
     pub fn new() -> Self {
+        Self::with_kernel(Kernel::detect())
+    }
+
+    fn with_kernel(kernel: Kernel) -> Self {
         Sha256 {
             state: H0,
             block: [0u8; 64],
             buffered: 0,
             len: 0,
+            kernel,
         }
     }
 
@@ -113,14 +133,18 @@ impl Sha256 {
         self.len = self.len.wrapping_add(data.len() as u64);
         let (head, data) = data.split_at(64 - self.buffered);
         self.block[self.buffered..].copy_from_slice(head);
-        compress(&mut self.state, &self.block);
-        let mut blocks = data.chunks_exact(64);
-        for block in &mut blocks {
-            compress(&mut self.state, block.try_into().expect("chunks_exact(64)"));
+        self.compress_buffered();
+        let (blocks, rest) = data.as_chunks::<64>();
+        if !blocks.is_empty() {
+            self.kernel.compress_blocks(&mut self.state, blocks);
         }
-        let rest = blocks.remainder();
         self.block[..rest.len()].copy_from_slice(rest);
         self.buffered = rest.len();
+    }
+
+    fn compress_buffered(&mut self) {
+        self.kernel
+            .compress_blocks(&mut self.state, std::slice::from_ref(&self.block));
     }
 
     /// Pads the final block (0x80, zeros, the 64-bit message length in bits) and returns the
@@ -131,11 +155,11 @@ impl Sha256 {
         self.block[self.buffered + 1..].fill(0);
         if self.buffered >= 56 {
             // No room for the length: it goes into one more, otherwise empty, block.
-            compress(&mut self.state, &self.block);
+            self.compress_buffered();
             self.block.fill(0);
         }
         self.block[56..].copy_from_slice(&bit_len.to_be_bytes());
-        compress(&mut self.state, &self.block);
+        self.compress_buffered();
 
         let mut out = [0u8; 32];
         for (i, word) in self.state.iter().enumerate() {
@@ -145,11 +169,49 @@ impl Sha256 {
     }
 }
 
-/// The SHA-256 compression function: folds one 64-byte block into the state.
+/// A compression kernel: folds full 64-byte blocks into the hash state.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Kernel {
+    /// [`compress_portable`], on every CPU.
+    Portable,
+    /// The SHA extensions, holding the proof that CPUID reported them.
+    #[cfg(target_arch = "x86_64")]
+    ShaNi(sha_ni::Detected),
+}
+
+impl Kernel {
+    /// SHA-NI when CPUID reports it, portable otherwise.
+    fn detect() -> Kernel {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(detected) = sha_ni::detect() {
+            return Kernel::ShaNi(detected);
+        }
+        Kernel::Portable
+    }
+
+    /// Folds `blocks`, in order, into `state`.
+    fn compress_blocks(self, state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+        match self {
+            Kernel::Portable => {
+                for block in blocks {
+                    compress_portable(state, block);
+                }
+            }
+            // SAFETY: `sha_ni::compress_blocks` needs `sha`, `sse2`, `ssse3` and `sse4.1`. `sse2`
+            // is part of x86-64 itself, and the `Detected` that only `sha_ni::detect` can make
+            // says CPUID reported the other three.
+            #[cfg(target_arch = "x86_64")]
+            #[allow(unsafe_code)]
+            Kernel::ShaNi(_) => unsafe { sha_ni::compress_blocks(state, blocks) },
+        }
+    }
+}
+
+/// The portable compression function: folds one 64-byte block into the state.
 ///
 /// Sixteen rounds per loop iteration, written out with the eight working variables renamed
 /// from round to round instead of shifted, over a sixteen-word schedule extended in place.
-fn compress(h: &mut [u32; 8], block: &[u8; 64]) {
+fn compress_portable(h: &mut [u32; 8], block: &[u8; 64]) {
     /// One round; the caller rotates the roles of the working variables.
     macro_rules! round {
         ($a:ident, $b:ident, $c:ident, $d:ident, $e:ident, $f:ident, $g:ident, $h:ident, $kw:expr) => {
@@ -204,6 +266,110 @@ fn compress(h: &mut [u32; 8], block: &[u8; 64]) {
 
     for (word, add) in h.iter_mut().zip([a, b, c, d, e, f, g, hh]) {
         *word = word.wrapping_add(add);
+    }
+}
+
+/// The compression kernel on the x86-64 SHA extensions.
+#[cfg(target_arch = "x86_64")]
+mod sha_ni {
+    use super::K;
+    use std::arch::x86_64::{
+        __m128i, _mm_add_epi32, _mm_alignr_epi8, _mm_cvtsi128_si32, _mm_extract_epi32,
+        _mm_set_epi32, _mm_set_epi64x, _mm_sha256msg1_epu32, _mm_sha256msg2_epu32,
+        _mm_sha256rnds2_epu32, _mm_shuffle_epi32, _mm_shuffle_epi8,
+    };
+
+    /// Proof that CPUID reported every feature [`compress_blocks`] is compiled for. Its field
+    /// is private to this module, so [`detect`] is the only way to get one.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub(super) struct Detected(());
+
+    /// `Some` when this CPU can run [`compress_blocks`].
+    pub(super) fn detect() -> Option<Detected> {
+        let supported = is_x86_feature_detected!("sha")
+            && is_x86_feature_detected!("ssse3")
+            && is_x86_feature_detected!("sse4.1");
+        supported.then_some(Detected(()))
+    }
+
+    /// Folds `blocks`, in order, into `state`. The state stays in two registers for the whole
+    /// call, in the lane order `sha256rnds2` works on: ABEF and CDGH, highest lane first.
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    pub(super) fn compress_blocks(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+        let [a, b, c, d, e, f, g, h] = state.map(|word| word as i32);
+        let mut abef = _mm_set_epi32(a, b, e, f);
+        let mut cdgh = _mm_set_epi32(c, d, g, h);
+        for block in blocks {
+            let (abef_in, cdgh_in) = (abef, cdgh);
+            let mut w0 = message_words(block, 0);
+            let mut w1 = message_words(block, 1);
+            let mut w2 = message_words(block, 2);
+            let mut w3 = message_words(block, 3);
+            four_rounds(&mut abef, &mut cdgh, w0, 0);
+            four_rounds(&mut abef, &mut cdgh, w1, 1);
+            four_rounds(&mut abef, &mut cdgh, w2, 2);
+            four_rounds(&mut abef, &mut cdgh, w3, 3);
+            // w0..w3 hold the last sixteen schedule words; each step overwrites the oldest
+            // four with the next four.
+            for quad in (4..16).step_by(4) {
+                w0 = next_words(w0, w1, w2, w3);
+                four_rounds(&mut abef, &mut cdgh, w0, quad);
+                w1 = next_words(w1, w2, w3, w0);
+                four_rounds(&mut abef, &mut cdgh, w1, quad + 1);
+                w2 = next_words(w2, w3, w0, w1);
+                four_rounds(&mut abef, &mut cdgh, w2, quad + 2);
+                w3 = next_words(w3, w0, w1, w2);
+                four_rounds(&mut abef, &mut cdgh, w3, quad + 3);
+            }
+            abef = _mm_add_epi32(abef, abef_in);
+            cdgh = _mm_add_epi32(cdgh, cdgh_in);
+        }
+        *state = [
+            _mm_extract_epi32::<3>(abef),
+            _mm_extract_epi32::<2>(abef),
+            _mm_extract_epi32::<3>(cdgh),
+            _mm_extract_epi32::<2>(cdgh),
+            _mm_extract_epi32::<1>(abef),
+            _mm_cvtsi128_si32(abef),
+            _mm_extract_epi32::<1>(cdgh),
+            _mm_cvtsi128_si32(cdgh),
+        ]
+        .map(|word| word as u32);
+    }
+
+    /// Message words `4 * quad .. 4 * quad + 4` of `block`, the first in the lowest lane.
+    #[inline]
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    fn message_words(block: &[u8; 64], quad: usize) -> __m128i {
+        let bytes = &block[16 * quad..16 * quad + 16];
+        let low = i64::from_le_bytes(bytes[..8].try_into().expect("8 bytes"));
+        let high = i64::from_le_bytes(bytes[8..].try_into().expect("8 bytes"));
+        // Message words are big-endian: reverse the bytes of every 32-bit lane.
+        let byte_swap = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
+        _mm_shuffle_epi8(_mm_set_epi64x(high, low), byte_swap)
+    }
+
+    /// Schedule words W[t..t + 4] from W[t - 16..t], given oldest four first.
+    #[inline]
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    fn next_words(w16: __m128i, w12: __m128i, w8: __m128i, w4: __m128i) -> __m128i {
+        // W[t - 16] + s0(W[t - 15]), plus W[t - 7]; `sha256msg2` adds s1(W[t - 2]) lane by
+        // lane, using the lanes it has just computed for the upper two.
+        let w7 = _mm_alignr_epi8::<4>(w4, w8);
+        _mm_sha256msg2_epu32(_mm_add_epi32(_mm_sha256msg1_epu32(w16, w12), w7), w4)
+    }
+
+    /// Rounds `4 * quad .. 4 * quad + 4` over schedule words `w`.
+    #[inline]
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    fn four_rounds(abef: &mut __m128i, cdgh: &mut __m128i, w: __m128i, quad: usize) {
+        let k = &K[4 * quad..4 * quad + 4];
+        let k = _mm_set_epi32(k[3] as i32, k[2] as i32, k[1] as i32, k[0] as i32);
+        let wk = _mm_add_epi32(w, k);
+        // `sha256rnds2` runs two rounds on the low two lanes of `wk` and returns the new ABEF;
+        // the old ABEF is the new CDGH, so the two registers swap roles in between.
+        *cdgh = _mm_sha256rnds2_epu32(*cdgh, *abef, wk);
+        *abef = _mm_sha256rnds2_epu32(*abef, *cdgh, _mm_shuffle_epi32::<0x0e>(wk));
     }
 }
 
@@ -270,8 +436,30 @@ mod tests {
         );
     }
 
-    /// The pre-streaming implementation, kept as the oracle: copy the whole message, pad the
-    /// copy, compress it block by block.
+    /// Every kernel this CPU runs, portable first.
+    pub(super) fn kernels() -> Vec<Kernel> {
+        let mut kernels = vec![Kernel::Portable];
+        if Kernel::detect() != Kernel::Portable {
+            kernels.push(Kernel::detect());
+        }
+        kernels
+    }
+
+    /// On a CPU whose CPUID reports the SHA extensions every hasher runs the hardware kernel,
+    /// so a silent fall-back to the portable one fails here and not only in the benchmark.
+    #[test]
+    fn dispatch_picks_sha_ni_whenever_cpuid_reports_it() {
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("sha") && is_x86_feature_detected!("sse4.1") {
+            assert!(matches!(Sha256::new().kernel, Kernel::ShaNi(_)));
+            assert_eq!(kernels().len(), 2);
+            return;
+        }
+        assert_eq!(Sha256::new().kernel, Kernel::Portable);
+    }
+
+    /// The pre-streaming implementation on the portable kernel, kept as the oracle: copy the
+    /// whole message, pad the copy, compress it block by block.
     pub(super) fn sha256_padded_copy(data: &[u8]) -> Digest {
         let mut padded = data.to_vec();
         padded.push(0x80);
@@ -280,8 +468,8 @@ mod tests {
         }
         padded.extend_from_slice(&(data.len() as u64).wrapping_mul(8).to_be_bytes());
         let mut h = H0;
-        for chunk in padded.chunks_exact(64) {
-            compress(&mut h, chunk.try_into().unwrap());
+        for block in padded.as_chunks::<64>().0 {
+            compress_portable(&mut h, block);
         }
         let mut out = [0u8; 32];
         for (i, word) in h.iter().enumerate() {
@@ -291,7 +479,8 @@ mod tests {
     }
 
     /// NIST vectors fed through `update` in two pieces, split at every offset 0..=130 the
-    /// message has: the digest never depends on where the message was cut.
+    /// message has, on every kernel: the digest never depends on where the message was cut or
+    /// which kernel compressed it.
     #[test]
     fn nist_vectors_split_at_every_offset() {
         let long = vec![b'a'; 1_000];
@@ -309,23 +498,33 @@ mod tests {
             // Not a NIST vector: long enough for every offset up to 130, checked by the oracle.
             (&long, sha256_padded_copy(&long).to_hex()),
         ];
-        for (message, expected) in &vectors {
-            for split in 0..=message.len().min(130) {
-                let mut hasher = Sha256::new();
-                hasher.update(&message[..split]);
-                hasher.update(&message[split..]);
-                assert_eq!(&hasher.finalize().to_hex(), expected, "split at {split}");
+        let million_a = vec![b'a'; 1_000_000];
+        for kernel in kernels() {
+            for (message, expected) in &vectors {
+                for split in 0..=message.len().min(130) {
+                    let mut hasher = Sha256::with_kernel(kernel);
+                    hasher.update(&message[..split]);
+                    hasher.update(&message[split..]);
+                    let digest = hasher.finalize().to_hex();
+                    assert_eq!(&digest, expected, "{kernel:?}, split at {split}");
+                }
+            }
+            // The million-'a' vector, fed in pieces whose size never divides the block size,
+            // and in one piece (every block but the padded one in a single kernel call).
+            let mut hasher = Sha256::with_kernel(kernel);
+            for piece in million_a.chunks(130) {
+                hasher.update(piece);
+            }
+            let mut whole = Sha256::with_kernel(kernel);
+            whole.update(&million_a);
+            for digest in [hasher.finalize(), whole.finalize()] {
+                assert_eq!(
+                    digest.to_hex(),
+                    "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
+                    "{kernel:?}"
+                );
             }
         }
-        // The million-'a' vector, fed in pieces whose size never divides the block size.
-        let mut hasher = Sha256::new();
-        for piece in vec![b'a'; 1_000_000].chunks(130) {
-            hasher.update(piece);
-        }
-        assert_eq!(
-            hasher.finalize().to_hex(),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
-        );
     }
 
     #[test]
@@ -388,6 +587,25 @@ mod proptests {
             let one_shot = sha256(&data);
             prop_assert_eq!(hasher.finalize(), one_shot);
             prop_assert_eq!(one_shot, super::tests::sha256_padded_copy(&data));
+        }
+
+        /// Every kernel folds any blocks into any state exactly as the portable one does.
+        #[test]
+        fn kernels_agree_on_random_states_and_blocks(
+            state in proptest::collection::vec(any::<u32>(), 8..9),
+            bytes in proptest::collection::vec(any::<u8>(), 0..260),
+        ) {
+            let state: [u32; 8] = state.try_into().unwrap();
+            let blocks = bytes.as_chunks::<64>().0;
+            let mut expected = state;
+            for block in blocks {
+                compress_portable(&mut expected, block);
+            }
+            for kernel in super::tests::kernels() {
+                let mut folded = state;
+                kernel.compress_blocks(&mut folded, blocks);
+                prop_assert_eq!(folded, expected);
+            }
         }
     }
 }

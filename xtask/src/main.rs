@@ -20,6 +20,15 @@
 //! order; fields are private in this workspace, so hash collections are always iterated in
 //! their declaring file). False positives are possible (name collisions within a file) and
 //! are handled with the same allowlist comment.
+//!
+//! * `audit-unsafe` — fails unless every first-party crate root (the `src/lib.rs` and
+//!   `src/main.rs` of the facade, `crates/*` minus the third-party stand-ins in
+//!   `crates/shims`, `xtask` and `perf`) declares `#![forbid(unsafe_code)]`, except
+//!   `eov-ledger`, which declares `#![deny(unsafe_code)]`; and unless the code of every `.rs`
+//!   file in the repository (comments and literals blanked out) holds no `unsafe` and no
+//!   `unsafe_code` lint level besides those attributes and [`UNSAFE_SITE`]'s one
+//!   `#[allow(unsafe_code)]` directly above its one `unsafe` block — the call into the SHA-NI
+//!   kernel.
 
 #![forbid(unsafe_code)]
 
@@ -53,17 +62,237 @@ const ITER_METHODS: &[&str] = &[
     ".retain(",
 ];
 
+/// The crate root that denies `unsafe_code` instead of forbidding it, so that one block can
+/// be allowed.
+const UNSAFE_CRATE_ROOT: &str = "crates/ledger/src/lib.rs";
+
+/// The file holding the one allowed `unsafe` block.
+const UNSAFE_SITE: &str = "crates/ledger/src/sha256.rs";
+
+/// Lines from the `#[allow(unsafe_code)]` down to the `unsafe` it covers, at most.
+const UNSAFE_SITE_SPAN: usize = 3;
+
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     match args.next().as_deref() {
         Some("lint-determinism") => lint_determinism(),
+        Some("audit-unsafe") => audit_unsafe(),
         other => {
             eprintln!(
-                "usage: cargo run -p xtask -- lint-determinism\n(unknown subcommand {other:?})"
+                "usage: cargo run -p xtask -- <lint-determinism | audit-unsafe>\n\
+                 (unknown subcommand {other:?})"
             );
             ExitCode::FAILURE
         }
     }
+}
+
+fn audit_unsafe() -> ExitCode {
+    let root = repo_root();
+    let relative = |path: &Path| {
+        let rel = path.strip_prefix(&root).unwrap_or(path);
+        rel.to_string_lossy().replace('\\', "/")
+    };
+    let mut violations: Vec<String> = Vec::new();
+
+    let roots = crate_roots(&root);
+    let mut files: Vec<PathBuf> = Vec::new();
+    collect_rs_files(&root, &mut files);
+    files.sort();
+    let mut site: Option<usize> = None;
+    for path in &files {
+        let rel = relative(path);
+        let code = code_only(&read(path));
+        if roots.contains(path) {
+            let expected = if rel == UNSAFE_CRATE_ROOT {
+                "#![deny(unsafe_code)]"
+            } else {
+                "#![forbid(unsafe_code)]"
+            };
+            if !code.lines().any(|line| line.trim() == expected) {
+                violations.push(format!("{rel}: crate root lacks `{expected}`"));
+            }
+        }
+        let mut allow_lines: Vec<usize> = Vec::new();
+        let mut unsafe_lines: Vec<usize> = Vec::new();
+        for (i, line) in code.lines().enumerate() {
+            let line_no = i + 1;
+            if word_count(line, "unsafe_code") > 0 {
+                match line.trim() {
+                    "#![forbid(unsafe_code)]" => {}
+                    "#![deny(unsafe_code)]" if rel == UNSAFE_CRATE_ROOT => {}
+                    "#[allow(unsafe_code)]" if rel == UNSAFE_SITE => allow_lines.push(line_no),
+                    other => violations.push(format!(
+                        "{rel}:{line_no}: `unsafe_code` lint level outside the audited ones: \
+                         {other}"
+                    )),
+                }
+            }
+            unsafe_lines.extend(std::iter::repeat_n(line_no, word_count(line, "unsafe")));
+        }
+        if rel != UNSAFE_SITE {
+            for line_no in unsafe_lines {
+                violations.push(format!("{rel}:{line_no}: `unsafe` outside {UNSAFE_SITE}"));
+            }
+            continue;
+        }
+        match (allow_lines.as_slice(), unsafe_lines.as_slice()) {
+            ([allow], [line]) if line > allow && line - allow <= UNSAFE_SITE_SPAN => {
+                site = Some(*line);
+            }
+            _ => violations.push(format!(
+                "{rel}: expected one `#[allow(unsafe_code)]` directly above one `unsafe`, \
+                 found the allow on lines {allow_lines:?} and `unsafe` on lines {unsafe_lines:?}"
+            )),
+        }
+    }
+    match site {
+        Some(line) if violations.is_empty() => {
+            println!(
+                "audit-unsafe: OK ({} crate roots, {} files scanned; the one `unsafe` is \
+                 {UNSAFE_SITE}:{line})",
+                roots.len(),
+                files.len()
+            );
+            return ExitCode::SUCCESS;
+        }
+        None if violations.is_empty() => violations.push(format!("{UNSAFE_SITE}: not found")),
+        _ => {}
+    }
+    eprintln!("audit-unsafe: unsafe code outside the audited site:\n");
+    for v in &violations {
+        eprintln!("  {v}");
+    }
+    eprintln!("\n{} violation(s).", violations.len());
+    ExitCode::FAILURE
+}
+
+/// The library and main-binary roots of every first-party package: the facade, `xtask`,
+/// `perf` and each `crates/*` package except the third-party stand-ins under `crates/shims`.
+/// Every other crate root (a `src/bin`, example, test or bench file) is held to the `unsafe`
+/// scan alone.
+fn crate_roots(root: &Path) -> Vec<PathBuf> {
+    let mut packages = vec![root.to_path_buf(), root.join("xtask"), root.join("perf")];
+    let crates = std::fs::read_dir(root.join("crates")).expect("crates/ readable");
+    for entry in crates {
+        let path = entry.expect("dir entry").path();
+        if path.join("Cargo.toml").is_file() {
+            packages.push(path);
+        }
+    }
+    packages
+        .iter()
+        .flat_map(|package| ["src/lib.rs", "src/main.rs"].map(|file| package.join(file)))
+        .filter(|path| path.is_file())
+        .collect()
+}
+
+fn read(path: &Path) -> String {
+    std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
+}
+
+/// How often `word` stands in `line` as a whole identifier.
+fn word_count(line: &str, word: &str) -> usize {
+    let is_ident = |c: char| c.is_alphanumeric() || c == '_';
+    line.match_indices(word)
+        .filter(|&(at, _)| {
+            boundary_before(line, at) && !line[at + word.len()..].starts_with(is_ident)
+        })
+        .count()
+}
+
+/// `text` with every comment and every string, byte-string and character literal blanked
+/// out, newlines kept so line numbers still hold: what is left is code.
+fn code_only(text: &str) -> String {
+    let chars: Vec<char> = text.chars().collect();
+    let at = |i: usize| chars.get(i).copied().unwrap_or('\0');
+    let is_ident = |c: char| c.is_alphanumeric() || c == '_';
+    let starts_token = |i: usize| i == 0 || !is_ident(chars[i - 1]);
+    let mut out = String::with_capacity(text.len());
+    // Pushes the newlines of `chars[from..to]`, dropping everything else.
+    let blank = |out: &mut String, from: usize, to: usize| {
+        out.extend(
+            chars[from..to.min(chars.len())]
+                .iter()
+                .filter(|&&c| c == '\n'),
+        );
+    };
+    let mut i = 0;
+    while i < chars.len() {
+        let c = chars[i];
+        if c == '/' && at(i + 1) == '/' {
+            while i < chars.len() && chars[i] != '\n' {
+                i += 1;
+            }
+        } else if c == '/' && at(i + 1) == '*' {
+            // Block comments nest.
+            let (start, mut depth) = (i, 0usize);
+            while i < chars.len() {
+                if chars[i] == '/' && at(i + 1) == '*' {
+                    depth += 1;
+                    i += 2;
+                } else if chars[i] == '*' && at(i + 1) == '/' {
+                    depth -= 1;
+                    i += 2;
+                    if depth == 0 {
+                        break;
+                    }
+                } else {
+                    i += 1;
+                }
+            }
+            blank(&mut out, start, i);
+        } else if c == 'r'
+            && (at(i + 1) == '"' || at(i + 1) == '#')
+            && (starts_token(i) || (chars[i - 1] == 'b' && starts_token(i - 1)))
+        {
+            // Raw string `r#"…"#` (the `b` of `br"…"` is already out, harmlessly).
+            let start = i;
+            let mut hashes = 0;
+            i += 1;
+            while at(i) == '#' {
+                hashes += 1;
+                i += 1;
+            }
+            if at(i) != '"' {
+                // `r#ident`, a raw identifier.
+                out.push('r');
+                i = start + 1;
+                continue;
+            }
+            i += 1;
+            while i < chars.len() {
+                if chars[i] == '"' && (1..=hashes).all(|h| at(i + h) == '#') {
+                    i += 1 + hashes;
+                    break;
+                }
+                i += 1;
+            }
+            blank(&mut out, start, i);
+        } else if c == '"' {
+            let start = i;
+            i += 1;
+            while i < chars.len() && chars[i] != '"' {
+                i += if chars[i] == '\\' { 2 } else { 1 };
+            }
+            i += 1;
+            blank(&mut out, start, i);
+        } else if c == '\'' && (at(i + 1) == '\\' || at(i + 2) == '\'') {
+            // A character literal; a `'` that opens neither is a lifetime or label.
+            let mut end = i + 2;
+            if at(i + 1) == '\\' {
+                end = i + 3;
+                while end < chars.len() && chars[end] != '\'' {
+                    end += 1;
+                }
+            }
+            i = end + 1;
+        } else {
+            out.push(c);
+            i += 1;
+        }
+    }
+    out
 }
 
 fn lint_determinism() -> ExitCode {
@@ -150,11 +379,16 @@ fn repo_root() -> PathBuf {
     }
 }
 
+/// Every `.rs` file under `dir`, skipping build output (`target`) and hidden directories.
 fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
     let entries = std::fs::read_dir(dir)
         .unwrap_or_else(|e| panic!("scan root {} unreadable: {e}", dir.display()));
     for entry in entries {
         let path = entry.expect("dir entry").path();
+        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+        if name == "target" || name.starts_with('.') {
+            continue;
+        }
         if path.is_dir() {
             collect_rs_files(&path, out);
         } else if path.extension().is_some_and(|ext| ext == "rs") {
@@ -307,6 +541,35 @@ mod tests {
         assert!(iteration_violation("let n = map.len();", &t).is_none());
         // `for x in map_order` (different ident) is clean.
         assert!(iteration_violation("for x in &map_order {", &t).is_none());
+    }
+
+    #[test]
+    fn code_only_blanks_comments_and_literals_but_keeps_lines() {
+        let text = concat!(
+            "let a = \"unsafe {\\\" }\"; // unsafe\n",
+            "/* unsafe /* nested */ still\n comment */ let b = r#\"unsafe\"#;\n",
+            "let c = '\"'; let d = '\\''; fn e<'a>(x: &'a str) {}\n",
+            "let f = br\"unsafe\"; let r#g = 1; unsafe { f() }\n",
+        );
+        let code = code_only(text);
+        assert_eq!(code.lines().count(), 5, "{code}");
+        let found: Vec<usize> = code
+            .lines()
+            .enumerate()
+            .filter(|(_, line)| word_count(line, "unsafe") > 0)
+            .map(|(i, _)| i + 1)
+            .collect();
+        assert_eq!(found, vec![5], "{code}");
+        assert!(code.contains("fn e<'a>(x: &'a str)"), "{code}");
+        assert!(code.contains("let r#g = 1;"), "{code}");
+    }
+
+    #[test]
+    fn word_count_respects_identifier_boundaries() {
+        assert_eq!(word_count("unsafe { a() }; unsafe { b() }", "unsafe"), 2);
+        assert_eq!(word_count("#![forbid(unsafe_code)]", "unsafe"), 0);
+        assert_eq!(word_count("#![forbid(unsafe_code)]", "unsafe_code"), 1);
+        assert_eq!(word_count("not_unsafe()", "unsafe"), 0);
     }
 
     #[test]
