@@ -1,19 +1,22 @@
 //! Criterion micro-benchmarks of the substrates: multi-version store reads and the store
 //! layout's point operations at 20 k keys and with 840 k more, committed-index queries,
-//! SHA-256 block hashing, record CRC-32, Zipfian sampling and Smallbank endorsement.
+//! SHA-256 block hashing, record CRC-32, block decoding, Zipfian sampling and Smallbank
+//! endorsement.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use eov_bench::{
     hot_keys_scattered, latest_pass, smallbank_keys, smallbank_store, GROWN_ACCOUNTS, HOT_ACCOUNTS,
 };
+use eov_common::config::WorkloadParams;
 use eov_common::rwset::{Key, Value};
 use eov_common::txn::{Transaction, TxnId};
 use eov_common::version::SeqNo;
-use eov_ledger::codec::crc32;
+use eov_ledger::codec::{block_payload, crc32, decode_block};
 use eov_ledger::{sha256, Block, Digest};
 use eov_vstore::{CommittedReadIndex, CommittedWriteIndex, MultiVersionStore, SnapshotManager};
 use eov_workload::smallbank::{genesis_accounts, SmallbankContract, SmallbankOp};
 use eov_workload::zipf::Zipfian;
+use eov_workload::{TxnTemplate, WorkloadGenerator, WorkloadKind};
 use fabricsharp_core::endorser::SnapshotEndorser;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -187,6 +190,12 @@ fn bench_ledger_and_zipf(c: &mut Criterion) {
         b.iter(|| Block::build(1, Digest::ZERO, txns.clone()).hash())
     });
 
+    // What recovery does per block record once its CRC checks out.
+    let payload = block_payload(&Block::build(1, Digest::ZERO, txns));
+    group.bench_function("decode_block_100_txns", |b| {
+        b.iter(|| decode_block(&payload).map(|block| block.entries.len()))
+    });
+
     let zipf = Zipfian::new(10_000, 1.0);
     let mut rng = StdRng::seed_from_u64(3);
     group.bench_function("zipfian_sample", |b| b.iter(|| zipf.sample(&mut rng)));
@@ -209,6 +218,34 @@ fn bench_ledger_and_zipf(c: &mut Criterion) {
                     },
                 )
             })
+        })
+    });
+
+    // The endorser's share of `smallbank_default`: 100 modified-Smallbank simulations (4 reads,
+    // 4 writes, 1 % hot) against a 20 k-key store.
+    let store = smallbank_store(HOT_ACCOUNTS);
+    let mut gen = WorkloadGenerator::new(
+        WorkloadKind::ModifiedSmallbank,
+        WorkloadParams::default(),
+        42,
+    );
+    let ops: Vec<SmallbankOp> = (0..100)
+        .map(|_| match gen.next_template() {
+            TxnTemplate::Smallbank(op) => op,
+            other => unreachable!("modified Smallbank drew {other:?}"),
+        })
+        .collect();
+    group.bench_function("endorse_modified_smallbank_100", |b| {
+        b.iter(|| {
+            ops.iter()
+                .zip(1u64..)
+                .map(|(op, id)| {
+                    endorser
+                        .simulate_at(&store, TxnId(id), 0, |ctx| SmallbankContract.run(ctx, op))
+                        .write_set
+                        .len()
+                })
+                .sum::<usize>()
         })
     });
     group.finish();

@@ -8,6 +8,7 @@
 use crate::version::SeqNo;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// A state-database key.
@@ -24,9 +25,50 @@ impl Key {
         Key(Arc::from(s.as_ref()))
     }
 
+    /// Creates a key from `format_args!(..)` with one allocation, the key's own: the text is
+    /// formatted into a 64-byte stack buffer, and only a longer key is formatted again into a
+    /// `String`.
+    pub fn from_fmt(args: fmt::Arguments<'_>) -> Self {
+        let mut buf = StackStr {
+            buf: [0; KEY_STACK_CAP],
+            len: 0,
+        };
+        match fmt::write(&mut buf, args) {
+            Ok(()) => Key::new(buf.as_str()),
+            Err(fmt::Error) => Key::from(fmt::format(args)),
+        }
+    }
+
     /// Returns the key as a string slice.
     pub fn as_str(&self) -> &str {
         &self.0
+    }
+}
+
+/// Bytes of [`Key::from_fmt`]'s stack buffer.
+const KEY_STACK_CAP: usize = 64;
+
+/// A fixed-capacity `fmt::Write` sink that fails instead of growing.
+struct StackStr {
+    buf: [u8; KEY_STACK_CAP],
+    len: usize,
+}
+
+impl StackStr {
+    fn as_str(&self) -> &str {
+        std::str::from_utf8(&self.buf[..self.len]).expect("only whole `str`s are written")
+    }
+}
+
+impl fmt::Write for StackStr {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        let end = self.len + s.len();
+        self.buf
+            .get_mut(self.len..end)
+            .ok_or(fmt::Error)?
+            .copy_from_slice(s.as_bytes());
+        self.len = end;
+        Ok(())
     }
 }
 
@@ -60,43 +102,101 @@ impl std::borrow::Borrow<str> for Key {
     }
 }
 
+/// Longest value kept inline: the bytes that fit next to a length byte and the enum tag in the
+/// 24 bytes a `Vec<u8>` header would take.
+const INLINE_CAP: usize = 22;
+
 /// A state-database value.
 ///
 /// Values are opaque byte strings, with convenience constructors for the integer balances
-/// used by the Smallbank workloads.
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
-pub struct Value(Vec<u8>);
+/// used by the Smallbank workloads. A value of up to 22 bytes — every 8-byte balance — lives
+/// inline, so creating, cloning or dropping one never touches the heap; a longer one owns a
+/// boxed slice. Either way a `Value` is 24 bytes, and equality, hashing and `Debug` see only
+/// the byte content, never which of the two forms holds it.
+#[derive(Clone, Serialize, Deserialize)]
+pub struct Value(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    Inline { len: u8, bytes: [u8; INLINE_CAP] },
+    Heap(Box<[u8]>),
+}
+
+const _: () = assert!(std::mem::size_of::<Value>() == 24);
 
 impl Value {
     /// Creates a value from raw bytes.
     pub fn from_bytes(bytes: impl Into<Vec<u8>>) -> Self {
-        Value(bytes.into())
+        let bytes = bytes.into();
+        if bytes.len() <= INLINE_CAP {
+            Value::from_slice(&bytes)
+        } else {
+            Value(Repr::Heap(bytes.into_boxed_slice()))
+        }
+    }
+
+    /// Creates a value holding a copy of `bytes` (decoders build values straight from the
+    /// buffer they read, with no intermediate `Vec`).
+    pub fn from_slice(bytes: &[u8]) -> Self {
+        if bytes.len() <= INLINE_CAP {
+            let mut inline = [0u8; INLINE_CAP];
+            inline[..bytes.len()].copy_from_slice(bytes);
+            Value(Repr::Inline {
+                len: bytes.len() as u8,
+                bytes: inline,
+            })
+        } else {
+            Value(Repr::Heap(bytes.into()))
+        }
     }
 
     /// Creates a value holding a little-endian signed 64-bit integer (account balances).
     pub fn from_i64(v: i64) -> Self {
-        Value(v.to_le_bytes().to_vec())
+        Value::from_slice(&v.to_le_bytes())
     }
 
     /// Interprets the value as a signed 64-bit integer, if it has exactly 8 bytes.
     pub fn as_i64(&self) -> Option<i64> {
-        let bytes: [u8; 8] = self.0.as_slice().try_into().ok()?;
+        let bytes: [u8; 8] = self.as_bytes().try_into().ok()?;
         Some(i64::from_le_bytes(bytes))
     }
 
     /// Raw bytes of the value.
     pub fn as_bytes(&self) -> &[u8] {
-        &self.0
+        match &self.0 {
+            Repr::Inline { len, bytes } => &bytes[..*len as usize],
+            Repr::Heap(bytes) => bytes,
+        }
     }
 
     /// Number of bytes in the value.
     pub fn len(&self) -> usize {
-        self.0.len()
+        self.as_bytes().len()
     }
 
     /// Whether the value is empty.
     pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
+        self.len() == 0
+    }
+}
+
+impl Default for Value {
+    fn default() -> Self {
+        Value::from_slice(&[])
+    }
+}
+
+impl PartialEq for Value {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_bytes() == other.as_bytes()
+    }
+}
+
+impl Eq for Value {}
+
+impl Hash for Value {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_bytes().hash(state);
     }
 }
 
@@ -104,7 +204,7 @@ impl fmt::Debug for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self.as_i64() {
             Some(v) => write!(f, "Value({v})"),
-            None => write!(f, "Value({} bytes)", self.0.len()),
+            None => write!(f, "Value({} bytes)", self.len()),
         }
     }
 }
@@ -117,7 +217,7 @@ impl From<i64> for Value {
 
 impl From<&str> for Value {
     fn from(s: &str) -> Self {
-        Value(s.as_bytes().to_vec())
+        Value::from_slice(s.as_bytes())
     }
 }
 
@@ -285,6 +385,27 @@ mod tests {
     }
 
     #[test]
+    fn key_from_fmt_equals_the_formatted_string() {
+        let long = "x".repeat(100);
+        for (n, pad) in [
+            (42usize, ""),
+            (7, &long[..53]),
+            (7, &long[..54]),
+            (7, &long[..55]),
+        ] {
+            // "checking:" + pad + n: 11 / 63 / 64 / 65 bytes, around the stack buffer's size.
+            let key = Key::from_fmt(format_args!("checking:{pad}{n}"));
+            assert_eq!(key, Key::new(format!("checking:{pad}{n}")));
+        }
+        assert_eq!(Key::from_fmt(format_args!("{long}")), Key::new(&long));
+        assert_eq!(
+            Key::from_fmt(format_args!("kv:literal")).as_str(),
+            "kv:literal"
+        );
+        assert_eq!(Key::from_fmt(format_args!("")), Key::new(""));
+    }
+
+    #[test]
     fn value_i64_roundtrip() {
         let v = Value::from_i64(-123456789);
         assert_eq!(v.as_i64(), Some(-123456789));
@@ -292,6 +413,58 @@ mod tests {
         let raw = Value::from_bytes(vec![1, 2, 3]);
         assert_eq!(raw.as_i64(), None);
         assert!(!raw.is_empty());
+        assert!(Value::default().is_empty());
+        assert_eq!(Value::default(), Value::from_bytes(Vec::new()));
+    }
+
+    fn hash_of(value: &impl Hash) -> u64 {
+        let mut hasher = std::collections::hash_map::DefaultHasher::new();
+        value.hash(&mut hasher);
+        hasher.finish()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        /// Inline (≤ 22 bytes) or boxed, a value is its bytes: every constructor round-trips,
+        /// and `==`, `Hash` and `Debug` depend on the content only — as they did when a value
+        /// was a `Vec<u8>`.
+        #[test]
+        fn value_forms_agree_on_content(
+            bytes in proptest::collection::vec(proptest::arbitrary::any::<u8>(), 0..65),
+            int in proptest::arbitrary::any::<i64>(),
+        ) {
+            let sliced = Value::from_slice(&bytes);
+            let owned = Value::from_bytes(bytes.clone());
+            for value in [&sliced, &owned] {
+                assert_eq!(value.as_bytes(), &bytes[..]);
+                assert_eq!((value.len(), value.is_empty()), (bytes.len(), bytes.is_empty()));
+                assert_eq!(hash_of(value), hash_of(&bytes), "hashes like the Vec<u8> it was");
+            }
+            assert_eq!(&sliced, &owned);
+            assert_eq!(sliced.clone(), owned);
+            let debug = match bytes.len() {
+                8 => format!("Value({})", i64::from_le_bytes(bytes[..].try_into().unwrap())),
+                n => format!("Value({n} bytes)"),
+            };
+            assert_eq!(format!("{sliced:?}"), debug);
+
+            // One byte more or less — across the 22/23 boundary too — is another value.
+            let mut longer = bytes.clone();
+            longer.push(0);
+            assert_ne!(Value::from_slice(&longer), sliced);
+            if let Some((_, prefix)) = bytes.split_last() {
+                assert_ne!(Value::from_bytes(prefix.to_vec()), owned);
+            }
+
+            let le = int.to_le_bytes();
+            let from_int = Value::from_i64(int);
+            assert_eq!(from_int.as_i64(), Some(int));
+            assert_eq!(&from_int, &Value::from_slice(&le));
+            assert_eq!(&from_int, &Value::from_bytes(le.to_vec()));
+            assert_eq!(hash_of(&from_int), hash_of(&le.to_vec()));
+            assert_eq!(format!("{from_int:?}"), format!("Value({int})"));
+        }
     }
 
     #[test]

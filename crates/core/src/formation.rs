@@ -129,29 +129,30 @@ fn merge_safe_into_order(
     merged
 }
 
-/// Snapshots the raw per-key pending-writer chains in deterministic key order: for every key
-/// with at least one pending writer, the writers in PW record order. Position filtering
-/// against the commit order happens in [`restore_ww_from_chains`].
+/// The raw per-key pending-writer chains that can induce a ww edge, in deterministic key
+/// order: for every key with at least two pending writers, the writers in PW record order,
+/// borrowed from the index. A key with one writer is dropped before the sort — it can never
+/// yield the two ordered writers [`restore_ww_from_chains`] needs, and dropping it leaves the
+/// relative order of the others alone, so the same edges are restored in the same order.
 ///
 /// Deterministic iteration: the keys are sorted (PendingIndex iteration order is not
 /// deterministic across replicas, but the set of keys is identical, so sorting fixes the
 /// replication requirement of Section 3.5). Each key lives in exactly one index shard, so the
-/// key order is total. Only the `TxnId` lists are copied — the keys themselves stay borrowed
-/// (the ROADMAP-named per-block `String` clone hot spot stays gone).
-fn raw_ww_chains(indices: &ShardedIndices) -> Vec<Vec<TxnId>> {
-    let mut keyed: Vec<(&eov_common::rwset::Key, &[TxnId])> = indices.iter_pw().collect();
+/// key order is total.
+fn raw_ww_chains(indices: &ShardedIndices) -> Vec<&[TxnId]> {
+    let mut keyed: Vec<(&eov_common::rwset::Key, &[TxnId])> = indices
+        .iter_pw()
+        .filter(|(_, txns)| txns.len() >= 2)
+        .collect();
     keyed.sort_by(|a, b| a.0.cmp(b.0));
-    keyed
-        .into_iter()
-        .map(|(_key, txns)| txns.to_vec())
-        .collect()
+    keyed.into_iter().map(|(_key, txns)| txns).collect()
 }
 
 /// Algorithm 5: for every key written by pending transactions, walk its writers in the
 /// computed commit order, connect every consecutive pair that is not already connected in
 /// the reachability structure, and propagate the updated reachability downstream once, in
 /// topological order. `raw_chains` is the key-ordered snapshot from [`raw_ww_chains`].
-fn restore_ww_from_chains(graph: &mut GraphEngine, order: &[TxnId], raw_chains: &[Vec<TxnId>]) {
+fn restore_ww_from_chains(graph: &mut GraphEngine, order: &[TxnId], raw_chains: &[&[TxnId]]) {
     let position: HashMap<TxnId, usize> =
         order.iter().enumerate().map(|(i, id)| (*id, i)).collect();
 
@@ -312,6 +313,43 @@ mod tests {
         assert!(cc
             .graph()
             .reaches_exact(eov_common::txn::TxnId(1), eov_common::txn::TxnId(2)));
+    }
+
+    #[test]
+    fn dropping_single_writer_chains_restores_exactly_the_unfiltered_edges() {
+        let mut cc = exact_cc();
+        // Keys H and K have several pending writers, every S* key exactly one; the reader of H
+        // puts itself ahead of H's writers, so the commit order is not the arrival order.
+        for (id, reads, writes) in [
+            (1, &[][..], &["H", "S1"][..]),
+            (2, &[], &["K", "H", "S2"]),
+            (3, &[], &["S3", "K"]),
+            (4, &[("H", (0, 1))], &["S4"]),
+            (5, &[], &["H", "S5"]),
+            (6, &[], &["K"]),
+        ] {
+            assert!(cc.on_arrival(txn(id, 0, reads, writes)).is_accept());
+        }
+        let order = cc.graph.topo_sort_pending();
+        let mut every_chain: Vec<_> = cc.indices.iter_pw().collect();
+        every_chain.sort_by(|a, b| a.0.cmp(b.0));
+        let every_chain: Vec<&[TxnId]> = every_chain.into_iter().map(|(_, txns)| txns).collect();
+        let mut reference = cc.graph.clone();
+        restore_ww_from_chains(&mut reference, &order, &every_chain);
+
+        let chains = raw_ww_chains(&cc.indices);
+        assert_eq!(chains.len(), 2, "only H and K have two writers");
+        assert_eq!(every_chain.len(), 7);
+        restore_ww_from_chains(&mut cc.graph, &order, &chains);
+        for &id in &order {
+            assert_eq!(
+                format!("{:?}", cc.graph.node(id)),
+                format!("{:?}", reference.node(id)),
+                "edges and reachability of {id:?}"
+            );
+        }
+        assert!(cc.graph.reaches_exact(TxnId(1), TxnId(5)));
+        assert!(cc.graph.reaches_exact(TxnId(3), TxnId(6)));
     }
 
     /// ROADMAP item 1, the defect in isolation. Two blind writers of `H` are pending together;

@@ -251,7 +251,7 @@ fn get_shard(
                 return Err(format!("chain of {key:?} is out of order at {version:?}"));
             }
             newest = Some(version);
-            let value = Value::from_bytes(r.get_bytes("chain value")?.to_vec());
+            let value = Value::from_slice(r.get_bytes("chain value")?);
             shard.put(key.clone(), version, value);
         }
     }
@@ -559,11 +559,22 @@ mod tests {
         // fsync on (S=4) additionally syncs the temp file and the directory: same file.
         for shards in [0usize, 2, 4] {
             let dir = temp_dir(&format!("rt{shards}"));
-            let store = populated(shards, 7);
+            let mut store = populated(shards, 7);
+            // Values on both sides of the 22-byte inline limit, and one far past it.
+            let sized = Transaction::from_parts(
+                80,
+                7,
+                [],
+                [0usize, 22, 23, 4096].map(|len| {
+                    let bytes: Vec<u8> = (0..len).map(|i| (i * 7 + len) as u8).collect();
+                    (Key::new(format!("len{len}")), Value::from_bytes(bytes))
+                }),
+            );
+            store.apply_block(8, [(&sized, 1)]);
             let (height, path) = write_checkpoint(&dir, &store, shards == 4).unwrap();
-            assert_eq!(height, 7);
+            assert_eq!(height, 8);
             let (loaded_height, loaded) = load_checkpoint(&path).unwrap();
-            assert_eq!(loaded_height, 7);
+            assert_eq!(loaded_height, 8);
             assert_eq!(loaded, store, "S={shards}");
             std::fs::remove_dir_all(&dir).unwrap();
         }

@@ -339,10 +339,17 @@ pub(crate) fn encode_block(w: &mut ByteWriter, block: &Block) {
     }
 }
 
+/// The record payload of `block` alone, unframed: what [`decode_block`] reads back.
+pub fn block_payload(block: &Block) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    encode_block(&mut w, block);
+    w.into_bytes()
+}
+
 /// Decodes a block from a CRC-validated record payload. Chain rules (height sequencing,
 /// `prev_hash` link, data-hash match) are *not* checked here — replaying the decoded block
 /// through [`crate::chain::Ledger::append`] enforces them.
-pub(crate) fn decode_block(payload: &[u8]) -> Result<Block, String> {
+pub fn decode_block(payload: &[u8]) -> Result<Block, String> {
     let mut r = ByteReader::new(payload);
     let number = r.get_u64("block number")?;
     let prev_hash = r.get_digest("prev_hash")?;
@@ -379,7 +386,7 @@ pub(crate) fn decode_block(payload: &[u8]) -> Result<Block, String> {
         let mut writes = Vec::with_capacity(write_count.min(1 << 20) as usize);
         for _ in 0..write_count {
             let key = r.get_key("write key")?;
-            let value = Value::from_bytes(r.get_bytes("write value")?.to_vec());
+            let value = Value::from_slice(r.get_bytes("write value")?);
             writes.push((key, value));
         }
         let slot = r.get_seqno("slot")?;
@@ -414,12 +421,6 @@ mod tests {
     use super::*;
     use eov_common::rwset::{Key, Value};
 
-    fn encoded(block: &Block) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        encode_block(&mut w, block);
-        w.into_bytes()
-    }
-
     fn sample_block(number: u64, prev: Digest) -> Block {
         let t1 = Transaction::from_parts(
             number * 10,
@@ -429,11 +430,17 @@ mod tests {
         )
         .with_template_class(TemplateClass::Safe)
         .with_template_id(Some(3));
+        // Values on both sides of the 22-byte inline limit, and one far past it.
         let t2 = Transaction::from_parts(
             number * 10 + 1,
             0,
             [],
-            [(Key::new("C"), Value::from_i64(-1))],
+            [(Key::new("C"), Value::from_i64(-1))]
+                .into_iter()
+                .chain([0usize, 22, 23, 4096].map(|len| {
+                    let bytes = (0..len).map(|i| (i * 7 + len) as u8).collect::<Vec<u8>>();
+                    (Key::new(format!("len{len}")), Value::from_bytes(bytes))
+                })),
         );
         let mut block = Block::build(number, prev, vec![t1, t2]);
         block.entries[0].status = TxnStatus::Committed;
@@ -444,7 +451,7 @@ mod tests {
     #[test]
     fn block_roundtrip_preserves_every_field() {
         let block = sample_block(3, Digest::ZERO);
-        let decoded = decode_block(&encoded(&block)).expect("roundtrip");
+        let decoded = decode_block(&block_payload(&block)).expect("roundtrip");
         assert_eq!(decoded, block);
         assert!(decoded.verify_data_hash());
     }
@@ -452,16 +459,24 @@ mod tests {
     #[test]
     fn encoding_is_deterministic() {
         let block = sample_block(1, Digest::ZERO);
-        assert_eq!(encoded(&block), encoded(&block));
+        assert_eq!(block_payload(&block), block_payload(&block));
     }
 
     #[test]
     fn decode_rejects_truncation_and_trailing_bytes() {
-        let bytes = encoded(&sample_block(1, Digest::ZERO));
+        let bytes = block_payload(&sample_block(1, Digest::ZERO));
         assert!(decode_block(&bytes[..bytes.len() - 1]).is_err());
         let mut extended = bytes.clone();
         extended.push(0);
         assert!(decode_block(&extended).is_err());
+        // A corrupt value length — past the end, or short enough to be read inline — is an
+        // error, not a panic.
+        let at = bytes.windows(7).position(|w| w == b"len4096").unwrap() + 7;
+        for len in [u32::MAX, 4097, 21] {
+            let mut corrupt = bytes.clone();
+            corrupt[at..at + 4].copy_from_slice(&len.to_be_bytes());
+            assert!(decode_block(&corrupt).is_err(), "length {len}");
+        }
     }
 
     #[test]

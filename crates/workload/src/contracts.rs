@@ -44,7 +44,7 @@ impl KvUpdateContract {
     /// Creates an update of key index `i` in the generator's key space.
     pub fn for_index(i: usize) -> Self {
         KvUpdateContract {
-            key: Key::new(format!("kv:{i}")),
+            key: Key::from_fmt(format_args!("kv:{i}")),
         }
     }
 }

@@ -135,7 +135,7 @@ impl WorkloadGenerator {
         match &self.kind {
             WorkloadKind::NoOp => Vec::new(),
             WorkloadKind::KvUpdate { .. } => (0..self.params.num_accounts)
-                .map(|i| (Key::new(format!("kv:{i}")), Value::from_i64(0)))
+                .map(|i| (Key::from_fmt(format_args!("kv:{i}")), Value::from_i64(0)))
                 .collect(),
             WorkloadKind::ModifiedSmallbank
             | WorkloadKind::MixedSmallbank { .. }

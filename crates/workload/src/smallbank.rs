@@ -18,12 +18,12 @@ use fabricsharp_core::endorser::SimulationContext;
 
 /// Key of an account's checking balance.
 pub fn checking_key(account: usize) -> Key {
-    Key::new(format!("checking:{account}"))
+    Key::from_fmt(format_args!("checking:{account}"))
 }
 
 /// Key of an account's savings balance.
 pub fn savings_key(account: usize) -> Key {
-    Key::new(format!("savings:{account}"))
+    Key::from_fmt(format_args!("savings:{account}"))
 }
 
 /// Genesis entries for `num_accounts` accounts, each starting with a 1,000 checking balance

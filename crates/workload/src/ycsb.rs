@@ -17,7 +17,7 @@ use rand::Rng;
 
 /// Key of the `i`-th YCSB record.
 pub fn ycsb_key(index: usize) -> Key {
-    Key::new(format!("usertable:{index}"))
+    Key::from_fmt(format_args!("usertable:{index}"))
 }
 
 /// Genesis entries for `records` YCSB records, each starting at value 0.
