@@ -57,7 +57,8 @@ pub struct CcConfig {
     /// against a snapshot older than `next_block - max_span` are aborted. The paper fixes
     /// this to 10 in all experiments.
     pub max_span: u64,
-    /// Number of bits in each reachability bloom filter (Section 4.4).
+    /// Number of bits in each reachability bloom filter (Section 4.4): a power of two, at
+    /// least 64, so that a probe reduces its hash to a bit with a mask.
     pub bloom_bits: usize,
     /// Number of hash functions per bloom filter.
     pub bloom_hashes: usize,
@@ -122,9 +123,9 @@ impl CcConfig {
                 "max_span must be at least 1".into(),
             ));
         }
-        if self.bloom_bits < 64 {
+        if self.bloom_bits < 64 || !self.bloom_bits.is_power_of_two() {
             return Err(crate::error::CommonError::InvalidConfig(
-                "bloom_bits must be at least 64".into(),
+                "bloom_bits must be a power of two, at least 64".into(),
             ));
         }
         if self.bloom_hashes == 0 || self.bloom_hashes > 16 {
@@ -322,6 +323,13 @@ mod tests {
         assert!(cc.validate().is_ok());
         cc.max_span = 0;
         assert!(cc.validate().is_err());
+        for (bits, ok) in [(32, false), (64, true), (1000, false), (1024, true)] {
+            let cc = CcConfig {
+                bloom_bits: bits,
+                ..CcConfig::default()
+            };
+            assert_eq!(cc.validate().is_ok(), ok, "bloom_bits {bits}");
+        }
 
         let mut wl = WorkloadParams::default();
         assert!(wl.validate().is_ok());

@@ -13,6 +13,7 @@
 //! * [`DependencyKind`] — the six canonical dependencies of Figure 5.
 //! * [`AbortReason`] — the taxonomy of abort causes reported in Figures 12 and 14.
 //! * [`config`] — the experiment parameters of Table 2 and the block/CC configuration knobs.
+//! * [`hash`] — the keyed hash behind the state store's index and the orderer's maps.
 //!
 //! The crate is dependency-light on purpose; it contains no algorithms, only definitions and
 //! small helpers (such as the concurrency predicate of Definition 5) that must be agreed upon
@@ -24,6 +25,7 @@ pub mod abort;
 pub mod config;
 pub mod dep;
 pub mod error;
+pub mod hash;
 pub mod rwset;
 pub mod shard;
 pub mod txn;

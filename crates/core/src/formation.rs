@@ -13,6 +13,7 @@
 //! 4. prunes the graph and the committed indices below the `max_span` horizon (Section 4.6).
 
 use crate::orderer_cc::FabricSharpCC;
+use eov_common::hash::FoldState;
 use eov_common::txn::{Transaction, TxnId};
 use eov_common::version::SeqNo;
 use eov_depgraph::{snapshot_threshold, GraphEngine};
@@ -106,7 +107,7 @@ impl FabricSharpCC {
 fn merge_safe_into_order(
     tracked: Vec<TxnId>,
     safe_pending: &[TxnId],
-    pending_seq: &HashMap<u64, u64>,
+    pending_seq: &HashMap<u64, u64, FoldState>,
 ) -> Vec<TxnId> {
     if safe_pending.is_empty() {
         return tracked;
@@ -153,7 +154,7 @@ fn raw_ww_chains(indices: &ShardedIndices) -> Vec<&[TxnId]> {
 /// the reachability structure, and propagate the updated reachability downstream once, in
 /// topological order. `raw_chains` is the key-ordered snapshot from [`raw_ww_chains`].
 fn restore_ww_from_chains(graph: &mut GraphEngine, order: &[TxnId], raw_chains: &[&[TxnId]]) {
-    let position: HashMap<TxnId, usize> =
+    let position: HashMap<TxnId, usize, FoldState> =
         order.iter().enumerate().map(|(i, id)| (*id, i)).collect();
 
     // Heads in first-restored order, deduplicated by commit position (dense `0..order.len()`).

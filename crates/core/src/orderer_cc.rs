@@ -16,6 +16,7 @@
 
 use crate::stats::CcStats;
 use eov_common::config::CcConfig;
+use eov_common::hash::FoldState;
 use eov_common::shard::ShardRouter;
 use eov_common::txn::{Transaction, TxnId};
 use eov_depgraph::GraphEngine;
@@ -34,7 +35,7 @@ pub struct FabricSharpCC {
     pub(crate) graph: GraphEngine,
     pub(crate) indices: ShardedIndices,
     /// Accepted transactions waiting for the next block, keyed by id.
-    pub(crate) pending_txns: HashMap<u64, Transaction>,
+    pub(crate) pending_txns: HashMap<u64, Transaction, FoldState>,
     /// Number of the block currently being assembled (the first block is 1).
     pub(crate) next_block: u64,
     /// Monotone acceptance counter: every accepted transaction (graph-tracked or fast-path)
@@ -43,7 +44,7 @@ pub struct FabricSharpCC {
     /// position the reference topo sort would have given them.
     pub(crate) arrival_seq: u64,
     /// Acceptance sequence of every pending transaction, keyed by id.
-    pub(crate) pending_seq: HashMap<u64, u64>,
+    pub(crate) pending_seq: HashMap<u64, u64, FoldState>,
     /// Pending transactions that took the template fast path (never graph-inserted), in
     /// acceptance order.
     pub(crate) safe_pending: Vec<TxnId>,
@@ -62,10 +63,10 @@ impl FabricSharpCC {
             graph: GraphEngine::new(config),
             indices: ShardedIndices::new(router),
             config,
-            pending_txns: HashMap::new(),
+            pending_txns: HashMap::default(),
             next_block: 1,
             arrival_seq: 0,
-            pending_seq: HashMap::new(),
+            pending_seq: HashMap::default(),
             safe_pending: Vec::new(),
             stats: CcStats::default(),
         }

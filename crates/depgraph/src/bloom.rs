@@ -29,11 +29,20 @@ pub struct BloomFilter {
 }
 
 impl BloomFilter {
-    /// Creates an empty filter with `num_bits` bits (rounded up to a multiple of 64) and
-    /// `num_hashes` probes per item.
+    /// Creates an empty filter with `num_bits` bits (raised to at least 64) and `num_hashes`
+    /// probes per item.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the bit count is a power of two: a probe reduces its hash to a bit with a
+    /// mask, and [`eov_common::CcConfig::validate`] rejects any other `bloom_bits`.
     pub fn new(num_bits: usize, num_hashes: usize) -> Self {
         let num_bits = num_bits.max(64);
-        let words = vec![0u64; num_bits.div_ceil(64)];
+        assert!(
+            num_bits.is_power_of_two(),
+            "bloom filter bit count {num_bits} is not a power of two"
+        );
+        let words = vec![0u64; num_bits / 64];
         BloomFilter {
             words,
             num_bits,
@@ -121,8 +130,9 @@ impl BloomFilter {
 
     #[inline]
     fn probe(&self, h1: u64, h2: u64, i: usize) -> usize {
-        // Kirsch–Mitzenmacher double hashing: g_i(x) = h1 + i * h2.
-        (h1.wrapping_add((i as u64).wrapping_mul(h2)) % self.num_bits as u64) as usize
+        // Kirsch–Mitzenmacher double hashing: g_i(x) = h1 + i * h2, reduced modulo the bit
+        // count, a power of two, by a mask.
+        (h1.wrapping_add((i as u64).wrapping_mul(h2)) & (self.num_bits as u64 - 1)) as usize
     }
 
     #[inline]
@@ -288,6 +298,12 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "not a power of two")]
+    fn a_bit_count_off_a_power_of_two_is_refused() {
+        BloomFilter::new(1000, 3);
+    }
+
+    #[test]
     fn geometry_is_rounded_and_clamped() {
         let f = BloomFilter::new(10, 99);
         let (bits, hashes) = f.geometry();
@@ -378,5 +394,20 @@ mod proptests {
                 prop_assert!(a.contains(i));
             }
         }
+
+        /// The mask picks the same bit as the modulo at every power-of-two size from 64 to
+        /// 65 536 bits.
+        #[test]
+        fn mask_probe_equals_the_modulo(h1 in any::<u64>(), h2 in any::<u64>(), i in 0usize..16) {
+            for shift in 6..=16 {
+                let f = BloomFilter::new(1 << shift, 1);
+                prop_assert_eq!(f.probe(h1, h2, i), modulo_probe(h1, h2, i, 1 << shift));
+            }
+        }
+    }
+
+    /// The probe as it was before the mask: `(h1 + i * h2) mod n`.
+    fn modulo_probe(h1: u64, h2: u64, i: usize, n: usize) -> usize {
+        (h1.wrapping_add((i as u64).wrapping_mul(h2)) % n as u64) as usize
     }
 }

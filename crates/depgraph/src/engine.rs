@@ -16,6 +16,7 @@
 use crate::graph::{CycleCheck, DependencyGraph, InsertReport, PendingTxnSpec, TxnNode};
 use crate::prune::snapshot_threshold;
 use eov_common::config::CcConfig;
+use eov_common::hash::FoldState;
 use eov_common::txn::TxnId;
 use eov_common::version::SeqNo;
 use std::collections::HashMap;
@@ -27,7 +28,7 @@ pub struct GraphEngine {
     graph: DependencyGraph,
     /// Commit block of every transaction committed without graph insertion, pruned on the
     /// committed-node schedule.
-    untracked: HashMap<TxnId, u64>,
+    untracked: HashMap<TxnId, u64, FoldState>,
 }
 
 impl GraphEngine {
@@ -35,7 +36,7 @@ impl GraphEngine {
     pub fn new(config: CcConfig) -> Self {
         GraphEngine {
             graph: DependencyGraph::new(config),
-            untracked: HashMap::new(),
+            untracked: HashMap::default(),
         }
     }
 

@@ -16,6 +16,7 @@ use crate::bloom::BloomFilter;
 use crate::interner::Interner;
 use crate::visited::EpochVisited;
 use eov_common::config::CcConfig;
+use eov_common::hash::FoldState;
 use eov_common::txn::TxnId;
 use eov_common::version::SeqNo;
 use std::cell::RefCell;
@@ -172,7 +173,7 @@ pub struct InsertReport {
 #[derive(Clone, Debug, Default)]
 struct PendingList {
     slots: Vec<Option<TxnId>>,
-    index: HashMap<u64, usize>,
+    index: HashMap<u64, usize, FoldState>,
     live: usize,
 }
 
@@ -426,8 +427,8 @@ impl DependencyGraph {
     /// their edges can no longer participate in any cycle involving future transactions, which
     /// is exactly why pruning was safe.
     ///
-    /// The downstream delta (the new node's reachability plus the new node itself) is borrowed
-    /// from the stored node for the duration of the walk instead of being cloned per insertion
+    /// The downstream delta (the new node's reachability plus the new node itself) is moved
+    /// out of the new node for the duration of the walk instead of being cloned per insertion
     /// — the per-insert `ReachSet` clone was the dominant arrival-path cost at production
     /// bloom sizes. The walk itself runs on the epoch-tagged scratch, so a warm graph inserts
     /// without allocating.
@@ -507,25 +508,21 @@ impl DependencyGraph {
                 .push(slot);
         }
 
-        let succ_roots = node.succ.clone();
+        // Propagate to every node reachable from the successors (Algorithm 4 lines 5–7): each
+        // visited node learns the new transaction's reachability plus the new transaction
+        // itself. The walk starts from the successors and the delta is moved out of the node
+        // before it enters the slab (the graph is acyclic, so the new node can never appear
+        // in its own downstream); the delta is moved back after the walk.
+        let scratch = self.scratch.get_mut();
+        scratch.visited.reset(self.nodes.len());
+        scratch.visited.insert(slot);
+        scratch.stack.clear();
+        scratch.stack.extend_from_slice(&node.succ);
+        let delta = std::mem::replace(&mut node.anti_reachable, ReachSet::placeholder());
         self.nodes[slot as usize] = Some(node);
         self.pending.push(id);
 
-        // Propagate to every node reachable from the successors (Algorithm 4 lines 5–7): each
-        // visited node learns the new transaction's reachability plus the new transaction
-        // itself. The delta is moved out of the stored node (the graph is acyclic, so the new
-        // node can never appear in its own downstream) and moved back after the walk.
-        let delta = {
-            let n = self.nodes[slot as usize].as_mut().expect("inserted above");
-            std::mem::replace(&mut n.anti_reachable, ReachSet::placeholder())
-        };
         let mut hops = 0usize;
-        let capacity = self.nodes.len();
-        let scratch = self.scratch.get_mut();
-        scratch.visited.reset(capacity);
-        scratch.visited.insert(slot);
-        scratch.stack.clear();
-        scratch.stack.extend_from_slice(&succ_roots);
         while let Some(current) = scratch.stack.pop() {
             if !scratch.visited.insert(current) {
                 continue;

@@ -9,6 +9,7 @@
 //! slot space stays as small as the peak number of live nodes — the property the pruning of
 //! Section 4.6 already guarantees is bounded.
 
+use eov_common::hash::FoldState;
 use eov_common::txn::TxnId;
 use std::collections::HashMap;
 
@@ -16,7 +17,7 @@ use std::collections::HashMap;
 /// one is available, otherwise appends a fresh one; `release` returns a slot to the free list.
 #[derive(Clone, Debug, Default)]
 pub struct Interner {
-    map: HashMap<u64, u32>,
+    map: HashMap<u64, u32, FoldState>,
     /// Raw transaction id stored per slot; stale for vacant slots (callers only index live
     /// slots, which the graph guarantees by cleaning adjacency on removal).
     ids: Vec<u64>,

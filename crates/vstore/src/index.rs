@@ -28,6 +28,7 @@
 //! the map (and without iterating a hash map, whose order is seeded per process): pruning
 //! walks the logs of the blocks that age out and trims only the keys named there.
 
+use eov_common::hash::FoldState;
 use eov_common::rwset::Key;
 use eov_common::txn::TxnId;
 use eov_common::version::SeqNo;
@@ -41,7 +42,7 @@ use std::collections::{BTreeMap, HashMap};
 /// references cost one hash probe when their block ages out and are otherwise harmless.
 #[derive(Clone, Debug, Default)]
 struct KeyMajor {
-    by_key: HashMap<Key, Vec<(SeqNo, TxnId)>>,
+    by_key: HashMap<Key, Vec<(SeqNo, TxnId)>, FoldState>,
     touched: BTreeMap<u64, Vec<Key>>,
     len: usize,
 }
@@ -148,9 +149,15 @@ impl CommittedWriteIndex {
         self.index.entries(key).last().map(|&(_, txn)| txn)
     }
 
+    /// `CW[key]`, borrowed: every committed write of `key` on record, in commit order. The
+    /// arrival path probes it once per read key and splits it at the snapshot: the tail is
+    /// `CW[key][seq:]`, the last entry of the head `CW.Before(key, seq)`.
+    pub fn entries(&self, key: &Key) -> &[(SeqNo, TxnId)] {
+        self.index.entries(key)
+    }
+
     /// `CW[key][seq:]`, borrowed: every committed write of `key` with a commit sequence at or
-    /// after `seq`, in commit order. The arrival path resolves anti-rw candidates through this
-    /// form; it allocates nothing.
+    /// after `seq`, in commit order; it allocates nothing.
     pub fn entries_from(&self, key: &Key, seq: SeqNo) -> &[(SeqNo, TxnId)] {
         self.index.entries_from(key, seq)
     }
@@ -158,11 +165,6 @@ impl CommittedWriteIndex {
     /// `CW[key][seq:]` as an owned list of writers (tests and benches).
     pub fn from(&self, key: &Key, seq: SeqNo) -> Vec<TxnId> {
         txns(self.entries_from(key, seq))
-    }
-
-    /// Every committed writer of `key` in commit order (used by tests and diagnostics).
-    pub fn all(&self, key: &Key) -> Vec<(SeqNo, TxnId)> {
-        self.index.entries(key).to_vec()
     }
 
     /// Drops every entry whose commit block is strictly below `block` (Section 4.6 pruning).
@@ -284,7 +286,7 @@ mod tests {
         // Keys never bleed into each other.
         cw.record(k("AB"), SeqNo::new(1, 1), TxnId(99));
         assert_eq!(cw.from(&k("A"), SeqNo::new(0, 0)).len(), 4);
-        assert_eq!(cw.all(&k("A")).len(), 4);
+        assert_eq!(cw.entries(&k("A")).len(), 4);
     }
 
     #[test]
@@ -459,7 +461,7 @@ mod proptests {
                     prop_assert_eq!(cw.last(&key), cw_all.last().map(|&(_, txn)| txn));
                     prop_assert_eq!(cw.entries_from(&key, probe), cw_from.as_slice());
                     prop_assert_eq!(cw.from(&key, probe), txns(&cw_from));
-                    prop_assert_eq!(cw.all(&key), cw_all);
+                    prop_assert_eq!(cw.entries(&key), cw_all.as_slice());
 
                     let cr_all = cr_model.from(&key, SeqNo::zero());
                     prop_assert_eq!(cr.entries(&key), cr_all.as_slice());

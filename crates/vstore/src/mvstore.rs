@@ -25,9 +25,9 @@
 //!   slot is the upper half of the 64-bit hash of the key's bytes above the 32-bit id, and a
 //!   slot's home position is the top bits of that half. A probe therefore compares hashes
 //!   before it dereferences a key, and growing the table re-places its entries from the slots
-//!   alone, without touching a string. The hash is keyed per store from the process's random
-//!   state — keys arrive in transactions, so nobody outside the process may be able to aim
-//!   them at one slot — and slot positions never reach anything observable.
+//!   alone, without touching a string. The hash is [`eov_common::hash`]'s folded multiply,
+//!   keyed per store from the process's random state (that module's header gives the keying
+//!   argument), and slot positions never reach anything observable.
 //!
 //! `read_at`, `latest`, `history` and a `put` to an existing key are therefore one hash and
 //! one probe, independent of how many keys the store holds, where an ordered map pays a
@@ -49,12 +49,11 @@
 //! its own — which is most of the 37 % `create_account_durable`'s peak RSS fell by.
 
 use eov_common::error::{CommonError, Result};
+use eov_common::hash::FoldState;
 use eov_common::rwset::{Key, Value};
 use eov_common::txn::Transaction;
 use eov_common::version::SeqNo;
-use std::collections::hash_map::RandomState;
 use std::fmt;
-use std::hash::{BuildHasher, Hasher};
 
 /// A single version of a value: the commit slot that installed it plus the bytes themselves.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -142,54 +141,6 @@ const MIN_SLOTS: usize = 8;
 /// walks eight slots per cache line and rarely leaves its first line up to there.
 const MAX_LOAD: (usize, usize) = (5, 8);
 
-/// `(a * b)` folded to 64 bits: the mixing step of wyhash / foldhash.
-#[inline]
-fn fold(a: u64, b: u64) -> u64 {
-    let product = u128::from(a) * u128::from(b);
-    (product as u64) ^ ((product >> 64) as u64)
-}
-
-/// A keyed hash of `bytes` costing one multiplication per 16 bytes, where the standard
-/// library's SipHash runs several rounds per 8. Both multiplicands of every [`fold`] carry a
-/// secret word, so without the seed no input can be chosen to zero one.
-#[inline]
-fn hash_bytes(seed: (u64, u64), bytes: &[u8]) -> u64 {
-    let len = bytes.len();
-    let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"));
-    let half = |at: usize| {
-        u64::from(u32::from_le_bytes(
-            bytes[at..at + 4].try_into().expect("4 bytes"),
-        ))
-    };
-    let mut state = seed.1;
-    // The last 1..=16 bytes as two (possibly overlapping) words; whole 16-byte blocks before
-    // them are folded into the state.
-    let (a, b) = if len > 16 {
-        let mut at = 0;
-        while len - at > 16 {
-            state = fold(word(at) ^ seed.0, word(at + 8) ^ state);
-            at += 16;
-        }
-        (word(len - 16), word(len - 8))
-    } else if len >= 8 {
-        (word(0), word(len - 8))
-    } else if len >= 4 {
-        (half(0), half(len - 4))
-    } else if len > 0 {
-        let spread = u64::from(bytes[0]) << 16 | u64::from(bytes[len / 2]) << 8;
-        (spread | u64::from(bytes[len - 1]), 0)
-    } else {
-        (0, 0)
-    };
-    fold(a ^ seed.0, b ^ state ^ (len as u64).rotate_left(56))
-}
-
-/// Two words nobody outside the process knows, drawn from the generator `HashMap` seeds from.
-fn random_seed() -> (u64, u64) {
-    let word = || RandomState::new().build_hasher().finish();
-    (word(), word())
-}
-
 /// A multi-versioned key-value store with per-block snapshot reads.
 ///
 /// Writes are applied block by block (commits are totally ordered), so the per-key version
@@ -200,8 +151,8 @@ pub struct MultiVersionStore {
     chains: Vec<(Key, Chain)>,
     /// The hash index over `chains`; its length is a power of two.
     slots: Vec<Slot>,
-    /// Key of [`hash_bytes`] for this store and its clones.
-    seed: (u64, u64),
+    /// Key of the index's hash, shared by this store and its clones.
+    hasher: FoldState,
     /// Tests narrow this to make unrelated keys share hashes; all ones otherwise.
     #[cfg(test)]
     hash_mask: u64,
@@ -217,7 +168,7 @@ impl Default for MultiVersionStore {
         MultiVersionStore {
             chains: Vec::new(),
             slots: vec![Slot::VACANT; MIN_SLOTS],
-            seed: random_seed(),
+            hasher: FoldState::default(),
             #[cfg(test)]
             hash_mask: u64::MAX,
             last_block: 0,
@@ -304,7 +255,7 @@ impl MultiVersionStore {
     }
 
     fn hash_of(&self, key: &Key) -> u64 {
-        let hash = hash_bytes(self.seed, key.as_str().as_bytes());
+        let hash = self.hasher.hash_bytes(key.as_str().as_bytes());
         #[cfg(test)]
         let hash = hash & self.hash_mask;
         hash

@@ -6,6 +6,7 @@
 //! pending transactions that read it. Both are consulted when resolving the dependencies of a
 //! newly arrived transaction and are cleared when the block is formed.
 
+use eov_common::hash::FoldState;
 use eov_common::rwset::Key;
 use eov_common::txn::TxnId;
 use std::collections::HashMap;
@@ -14,7 +15,7 @@ use std::collections::HashMap;
 /// writes (PW) and one for reads (PR).
 #[derive(Clone, Debug, Default)]
 pub struct PendingIndex {
-    by_key: HashMap<Key, Vec<TxnId>>,
+    by_key: HashMap<Key, Vec<TxnId>, FoldState>,
 }
 
 impl PendingIndex {

@@ -523,10 +523,21 @@ mod tests {
             "let edges = HashMap::new();",
             "    pending_txns: HashMap<u64, Transaction>,",
             "fn topo(ids: &[TxnId], graph: &HashMap<TxnId, HashSet<TxnId>>) {",
+            "    pending_seq: &HashMap<u64, u64, FoldState>,",
+            "    let position: HashMap<TxnId, usize, FoldState> =",
         ]);
-        for name in ["removed", "edges", "pending_txns", "graph"] {
+        for name in [
+            "removed",
+            "edges",
+            "pending_txns",
+            "graph",
+            "pending_seq",
+            "position",
+        ] {
             assert!(t.contains(name), "missing {name}: {t:?}");
         }
+        // A map with an explicit hasher is iterated in hash order all the same.
+        assert!(iteration_violation("for (id, at) in &position {", &t).is_some());
     }
 
     #[test]
