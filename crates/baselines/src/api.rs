@@ -12,9 +12,9 @@ use eov_common::config::CcConfig;
 use eov_common::txn::{CommitDecision, Transaction, TxnStatus};
 use std::time::Duration;
 
-// The shared commit semantics live in `fabricsharp_core::commit` (the pipeline's committer
-// thread calls them too); re-exported here because every baseline and the chain facades
-// import them through this module.
+// The shared commit semantics live in `fabricsharp_core::commit` (the simulator's commit
+// step calls them too); re-exported here because every baseline and the chain facade import
+// them through this module.
 pub use fabricsharp_core::commit::{
     apply_without_validation, commit_block, count_anti_rw_commits, mvcc_validate_and_apply,
 };

@@ -15,7 +15,7 @@ use eov_common::config::CcConfig;
 use eov_common::rwset::{Key, Value};
 use eov_common::txn::{CommitDecision, Transaction, TxnId, TxnStatus};
 use eov_ledger::{Block, Ledger};
-use eov_vstore::{SnapshotManager, StateRead, StateStore, StoreBackend};
+use eov_vstore::{MultiVersionStore, SnapshotManager};
 use fabricsharp_core::endorser::{SimulationContext, SnapshotEndorser};
 
 /// Outcome of sealing one block.
@@ -33,7 +33,7 @@ pub struct BlockReport {
 /// A single-node EOV blockchain driven synchronously.
 pub struct SimpleChain {
     kind: SystemKind,
-    store: StoreBackend,
+    store: MultiVersionStore,
     ledger: Ledger,
     endorser: SnapshotEndorser,
     cc: Box<dyn ConcurrencyControl>,
@@ -50,42 +50,25 @@ impl SimpleChain {
         Self::with_cc_config(kind, CcConfig::default())
     }
 
-    /// Creates a chain whose state store and CW/CR/PW/PR indices are partitioned across
-    /// `store_shards` key-space shards (`0` = the unsharded reference; the dependency graph is
-    /// one flat graph either way). Ledger outcomes are bit-identical for every shard count; the
-    /// knob exists so tests and benches can exercise the sharded store through the same facade.
-    pub fn with_store_shards(kind: SystemKind, store_shards: usize) -> Self {
-        Self::with_cc_config(
-            kind,
-            CcConfig {
-                store_shards,
-                ..CcConfig::default()
-            },
-        )
-    }
-
-    /// Creates a chain with the template fast path toggled (`store_shards` partitions the
-    /// store as in [`SimpleChain::with_store_shards`]). With the knob on, transactions
+    /// Creates a chain with the template fast path toggled. With the knob on, transactions
     /// tagged [`eov_common::txn::TemplateClass::Safe`] bypass the dependency graph; ledger
     /// outcomes stay bit-identical to the knob-off reference.
-    pub fn with_template_fastpath(kind: SystemKind, store_shards: usize, enabled: bool) -> Self {
+    pub fn with_template_fastpath(kind: SystemKind, enabled: bool) -> Self {
         Self::with_cc_config(
             kind,
             CcConfig {
-                store_shards,
                 template_fastpath: enabled,
                 ..CcConfig::default()
             },
         )
     }
 
-    /// Creates a chain with an explicit concurrency-control configuration
-    /// (`cc_config.store_shards` also selects the state-store backend).
+    /// Creates a chain with an explicit concurrency-control configuration.
     pub fn with_cc_config(kind: SystemKind, cc_config: CcConfig) -> Self {
         let snapshots = SnapshotManager::new();
         SimpleChain {
             kind,
-            store: StoreBackend::for_shards(cc_config.store_shards),
+            store: MultiVersionStore::new(),
             ledger: Ledger::new(),
             endorser: SnapshotEndorser::new(snapshots),
             cc: kind.build(cc_config),
@@ -208,8 +191,8 @@ impl SimpleChain {
         &self.ledger
     }
 
-    /// The underlying state store backend.
-    pub fn store(&self) -> &StoreBackend {
+    /// The underlying state store.
+    pub fn store(&self) -> &MultiVersionStore {
         &self.store
     }
 

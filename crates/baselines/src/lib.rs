@@ -10,9 +10,8 @@
 //!   aborts at arrival).
 //! * [`focc_l`] — Focc-l: sort-based greedy batch reordering at block formation.
 //! * [`sharp`] — the trait implementation for FabricSharp (`fabricsharp-core`).
-//! * [`chain`] — `SimpleChain`, a synchronous single-node EOV pipeline for examples and tests.
-//! * [`parallel`] — `ParallelChain`, the same workflow driven over the concurrent stage
-//!   executor (sharded endorsers + committer thread) with deterministic outcomes.
+//! * [`chain`] — `SimpleChain`, a synchronous single-node EOV pipeline for examples and tests:
+//!   execute, order and validate on the caller's thread.
 
 #![forbid(unsafe_code)]
 
@@ -22,7 +21,6 @@ pub mod fabric;
 pub mod fabricpp;
 pub mod focc_l;
 pub mod focc_s;
-pub mod parallel;
 pub mod sharp;
 
 pub use api::{
@@ -34,4 +32,3 @@ pub use fabric::FabricCC;
 pub use fabricpp::FabricPlusPlusCC;
 pub use focc_l::FoccLightCC;
 pub use focc_s::FoccSerializableCC;
-pub use parallel::ParallelChain;

@@ -8,9 +8,8 @@
 //! Re-times the `graph_commit_path` operations, the `reachability_engine` group
 //! (`topo_sort_pending` / `would_close_cycle`, dense engine vs the retained naive reference)
 //! and the whole-orderer arrival + formation path — including the ww-restoration-heavy input
-//! (unsharded and `S=4` variants) and the sharded (`store_shards = 2`) vs unsharded store and
-//! indices — with a median-of-runs harness, then compares each median
-//! against `BENCH_BASELINE.json` at the repository root. A benchmark fails the gate when it lands outside the tolerance band
+//! — with a median-of-runs harness, then compares each median against `BENCH_BASELINE.json`
+//! at the repository root. A benchmark fails the gate when it lands outside the tolerance band
 //! (±20% by default; `FABRICSHARP_GATE_TOLERANCE=0.35` widens it to ±35%). A baseline ↔
 //! results mismatch is fatal in **both** directions: a measured benchmark missing from the
 //! baseline and a baseline entry no benchmark produces each fail the gate — a stale baseline
@@ -26,8 +25,6 @@
 //!   the fastpath-off reference, commit the identical id order, and bypass **exactly** the
 //!   number of transactions the conflict analyzer predicted (runtime `fastpath_accepted` ==
 //!   static safe-tag count, ±0),
-//! * the unsharded and `S=4` paths must commit the **identical** id order on the ww-heavy and
-//!   cross-shard inputs (the determinism hard check),
 //! * `cut_block` on a 100-transaction Smallbank batch must cost at most 2× as much on a
 //!   controller carrying `max_span` blocks of committed history as on a fresh one (persist,
 //!   prune and the committed-index lookups scale with the block's footprint, not with the
@@ -58,7 +55,7 @@ use eov_common::version::SeqNo;
 use eov_depgraph::{DependencyGraph, NaiveGraph, PendingTxnSpec};
 use eov_ledger::durable::{DurableLedger, DurableOptions};
 use eov_ledger::{write_checkpoint, Block, Ledger};
-use eov_vstore::{MultiVersionStore, SnapshotManager, StateStore, StoreBackend};
+use eov_vstore::{MultiVersionStore, SnapshotManager};
 use eov_workload::generator::{WorkloadGenerator, WorkloadKind};
 use eov_workload::YcsbProfile;
 use fabricsharp_core::endorser::SnapshotEndorser;
@@ -170,20 +167,9 @@ fn ww_heavy_txns() -> Vec<Transaction> {
 }
 
 /// Runs the full FabricSharp orderer path — every arrival plus one block cut — and returns
-/// the committed count (keeps the optimiser honest).
-fn arrival_and_cut(txns: &[Transaction], store_shards: usize) -> u64 {
-    arrival_and_cut_cfg(
-        txns,
-        CcConfig {
-            store_shards,
-            ..CcConfig::default()
-        },
-    )
-}
-
-/// [`arrival_and_cut`] with an explicit configuration (the template-fastpath benches toggle
-/// `CcConfig::template_fastpath` on identically tagged inputs).
-fn arrival_and_cut_cfg(txns: &[Transaction], config: CcConfig) -> u64 {
+/// the committed count (keeps the optimiser honest). The template-fastpath benches toggle
+/// `CcConfig::template_fastpath` on identically tagged inputs.
+fn arrival_and_cut(txns: &[Transaction], config: CcConfig) -> u64 {
     let mut cc = FabricSharpCC::new(config);
     for txn in txns {
         let _ = cc.on_arrival(txn.clone());
@@ -192,19 +178,8 @@ fn arrival_and_cut_cfg(txns: &[Transaction], config: CcConfig) -> u64 {
 }
 
 /// Like [`arrival_and_cut`] but returns the committed transaction ids in block order — the
-/// artefact the structural unsharded-vs-sharded identity check compares exactly.
-fn arrival_and_cut_ids(txns: &[Transaction], store_shards: usize) -> Vec<u64> {
-    arrival_and_cut_ids_cfg(
-        txns,
-        CcConfig {
-            store_shards,
-            ..CcConfig::default()
-        },
-    )
-}
-
-/// [`arrival_and_cut_ids`] with an explicit configuration, for the fastpath identity check.
-fn arrival_and_cut_ids_cfg(txns: &[Transaction], config: CcConfig) -> Vec<u64> {
+/// artefact the fastpath identity check compares exactly.
+fn arrival_and_cut_ids(txns: &[Transaction], config: CcConfig) -> Vec<u64> {
     let mut cc = FabricSharpCC::new(config);
     for txn in txns {
         let _ = cc.on_arrival(txn.clone());
@@ -259,7 +234,6 @@ struct BenchContext {
     miss_preds: Vec<TxnId>,
     miss_succs: Vec<TxnId>,
     smallbank200: Vec<Transaction>,
-    ycsb_cross200: Vec<Transaction>,
     /// 200 read-only YCSB-C transactions, tagged `Safe` by the conflict analyzer — the
     /// all-bypass input for the template-fastpath benches.
     ycsb_c200: Vec<Transaction>,
@@ -274,7 +248,7 @@ struct BenchContext {
     /// a mid-chain checkpoint at [`DURABLE_CKPT_HEIGHT`] for the cold-recovery bench.
     durable_blocks: Vec<Block>,
     durable_reference: Ledger,
-    durable_reference_store: StoreBackend,
+    durable_reference_store: MultiVersionStore,
     recover_dir: PathBuf,
 }
 
@@ -288,11 +262,11 @@ const DURABLE_CKPT_HEIGHT: u64 = 120;
 
 /// Builds the durable fixture: 200 committed blocks appended to both an in-memory reference
 /// and a segment-file directory, checkpointed at genesis and at [`DURABLE_CKPT_HEIGHT`].
-fn durable_fixture() -> (Vec<Block>, Ledger, StoreBackend, PathBuf) {
+fn durable_fixture() -> (Vec<Block>, Ledger, MultiVersionStore, PathBuf) {
     let dir = std::env::temp_dir().join(format!("eov-bench-recover-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let mut ledger = Ledger::new();
-    let mut store = StoreBackend::for_shards(0);
+    let mut store = MultiVersionStore::new();
     store.seed_genesis((0..64).map(|i| (Key::new(format!("acct:{i}")), Value::from_i64(100))));
     let (mut durable, _) = DurableLedger::open(&dir, DurableOptions::default()).unwrap();
     write_checkpoint(&dir, &store, false).unwrap();
@@ -338,7 +312,7 @@ fn periodic_checkpoint_bytes() -> (u64, u64) {
     let dir = std::env::temp_dir().join(format!("eov-bench-ckpt-growth-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
-    let mut store = StoreBackend::for_shards(0);
+    let mut store = MultiVersionStore::new();
     store.seed_genesis((0..64).map(|i| (Key::new(format!("acct:{i}")), Value::from_i64(100))));
     write_checkpoint(&dir, &store, false).unwrap();
     let sizes: Vec<u64> = (1..=8u64)
@@ -371,10 +345,6 @@ impl BenchContext {
             miss_preds: (0..8).map(TxnId).collect(),
             miss_succs: (504..512).map(TxnId).collect(),
             smallbank200: endorsed_txns(WorkloadKind::ModifiedSmallbank, 200),
-            ycsb_cross200: endorsed_txns(
-                WorkloadKind::Ycsb(YcsbProfile::a().with_cross_shard(2, 0.5)),
-                200,
-            ),
             ycsb_c200: endorsed_txns(WorkloadKind::Ycsb(YcsbProfile::c()), 200),
             ycsb_b200: endorsed_txns(
                 WorkloadKind::Ycsb(YcsbProfile::b().with_write_partition(0.125)),
@@ -398,19 +368,15 @@ impl BenchContext {
         &[
             "build_layered_512",
             "formation_ww_restore_400",
-            "formation_ww_restore_400_s4",
             "ledger_append_seg_200",
             "mark_committed_all_1600",
             "recover_cold_1600",
             "remove_half_1600",
-            "sharp_smallbank200_sharded_s2",
             "sharp_smallbank200_unsharded",
             "sharp_ycsb_b_fastpath_off_200",
             "sharp_ycsb_b_fastpath_on_200",
             "sharp_ycsb_c_fastpath_off_200",
             "sharp_ycsb_c_fastpath_on_200",
-            "sharp_ycsb_cross200_sharded_s2",
-            "sharp_ycsb_cross200_unsharded",
             "topo_sort_pending_512",
             "topo_sort_pending_naive_512",
             "would_close_cycle_miss_512",
@@ -491,21 +457,17 @@ impl BenchContext {
                     .ledger
                     .height()
             }),
-            "formation_ww_restore_400" => median_ns(|| arrival_and_cut(&self.ww_heavy, 0)),
-            "formation_ww_restore_400_s4" => median_ns(|| arrival_and_cut(&self.ww_heavy, 4)),
-            "sharp_smallbank200_unsharded" => median_ns(|| arrival_and_cut(&self.smallbank200, 0)),
-            "sharp_smallbank200_sharded_s2" => median_ns(|| arrival_and_cut(&self.smallbank200, 2)),
-            "sharp_ycsb_cross200_unsharded" => {
-                median_ns(|| arrival_and_cut(&self.ycsb_cross200, 0))
+            "formation_ww_restore_400" => {
+                median_ns(|| arrival_and_cut(&self.ww_heavy, CcConfig::default()))
             }
-            "sharp_ycsb_cross200_sharded_s2" => {
-                median_ns(|| arrival_and_cut(&self.ycsb_cross200, 2))
+            "sharp_smallbank200_unsharded" => {
+                median_ns(|| arrival_and_cut(&self.smallbank200, CcConfig::default()))
             }
             "sharp_ycsb_b_fastpath_off_200" => {
-                median_ns(|| arrival_and_cut_cfg(&self.ycsb_b200, CcConfig::default()))
+                median_ns(|| arrival_and_cut(&self.ycsb_b200, CcConfig::default()))
             }
             "sharp_ycsb_b_fastpath_on_200" => median_ns(|| {
-                arrival_and_cut_cfg(
+                arrival_and_cut(
                     &self.ycsb_b200,
                     CcConfig {
                         template_fastpath: true,
@@ -514,10 +476,10 @@ impl BenchContext {
                 )
             }),
             "sharp_ycsb_c_fastpath_off_200" => {
-                median_ns(|| arrival_and_cut_cfg(&self.ycsb_c200, CcConfig::default()))
+                median_ns(|| arrival_and_cut(&self.ycsb_c200, CcConfig::default()))
             }
             "sharp_ycsb_c_fastpath_on_200" => median_ns(|| {
-                arrival_and_cut_cfg(
+                arrival_and_cut(
                     &self.ycsb_c200,
                     CcConfig {
                         template_fastpath: true,
@@ -618,25 +580,6 @@ fn main() {
         );
         failures += 1;
     }
-    // Structural determinism check, machine-independent and always enforced: S = 4 store and
-    // index shards must produce the *identical* committed id order as the unsharded reference,
-    // on both the ww-restoration-heavy input and the cross-shard YCSB input.
-    for (input_name, txns) in [
-        ("ww_heavy_400", &ctx.ww_heavy),
-        ("ycsb_cross200", &ctx.ycsb_cross200),
-    ] {
-        let reference = arrival_and_cut_ids(txns, 0);
-        let sharded_s4 = arrival_and_cut_ids(txns, 4);
-        if reference == sharded_s4 {
-            println!(
-                "  OK   {input_name}: unsharded/S=4 commit orders identical ({} txns)",
-                reference.len()
-            );
-        } else {
-            println!("  FAIL {input_name}: commit orders diverged between unsharded and S=4");
-            failures += 1;
-        }
-    }
     // Template fast path: on all-safe (read-only YCSB-C) traffic the bypass must deliver a
     // real structural speedup — and commit the identical id order as the reference.
     let fp_off = results["sharp_ycsb_c_fastpath_off_200"];
@@ -669,8 +612,8 @@ fn main() {
         failures += 1;
     }
     for (input_name, txns) in [("ycsb_c200", &ctx.ycsb_c200), ("ycsb_b200", &ctx.ycsb_b200)] {
-        let reference = arrival_and_cut_ids_cfg(txns, CcConfig::default());
-        let fastpath = arrival_and_cut_ids_cfg(
+        let reference = arrival_and_cut_ids(txns, CcConfig::default());
+        let fastpath = arrival_and_cut_ids(
             txns,
             CcConfig {
                 template_fastpath: true,
@@ -813,11 +756,6 @@ fn main() {
             failures += 1;
         }
     }
-    println!(
-        "  INFO sharded s2 / unsharded arrival+cut: smallbank {:.2}x, ycsb-cross {:.2}x",
-        results["sharp_smallbank200_sharded_s2"] / results["sharp_smallbank200_unsharded"],
-        results["sharp_ycsb_cross200_sharded_s2"] / results["sharp_ycsb_cross200_unsharded"],
-    );
     println!();
 
     let path = baseline_path();

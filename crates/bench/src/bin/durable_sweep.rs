@@ -20,7 +20,7 @@ use eov_common::rwset::{Key, Value};
 use eov_common::txn::{Transaction, TxnStatus};
 use eov_ledger::durable::{DurableLedger, DurableOptions};
 use eov_ledger::{write_checkpoint, Block, Ledger};
-use eov_vstore::{StateStore, StoreBackend};
+use eov_vstore::MultiVersionStore;
 use fabricsharp_core::recover_from_disk;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -85,8 +85,8 @@ fn wide_blocks() -> Vec<Block> {
     ledger.iter().cloned().collect()
 }
 
-fn genesis_store() -> StoreBackend {
-    let mut store = StoreBackend::for_shards(0);
+fn genesis_store() -> MultiVersionStore {
+    let mut store = MultiVersionStore::new();
     store.seed_genesis((0..64).map(|i| (Key::new(format!("acct:{i}")), Value::from_i64(100))));
     store
 }

@@ -5,9 +5,8 @@
 //! * [`BlockConfig`] — block formation: maximum transactions per block and the formation
 //!   timeout, mirroring Fabric's orderer configuration.
 //! * [`CcConfig`] — FabricSharp-specific concurrency-control knobs: `max_span` for pruning
-//!   (Section 4.6) and the bloom-filter sizing of Section 4.4, plus the store/index sharding,
-//!   template fast path and durability knobs. Those leave the ledger bit-identical, and none
-//!   of them splits the dependency graph.
+//!   (Section 4.6) and the bloom-filter sizing of Section 4.4, plus the template fast path
+//!   and durability knobs, which leave the ledger bit-identical.
 //! * [`WorkloadParams`] / [`ExperimentGrid`] — the Smallbank workload parameters of Table 2
 //!   together with the default value for each (underlined in the paper).
 
@@ -66,12 +65,6 @@ pub struct CcConfig {
     /// filters; used by the ablation benchmarks and by tests that quantify false-positive
     /// aborts. Production configurations leave this off.
     pub track_exact_reachability: bool,
-    /// Number of key-space shards for the multi-version store and the CW/CR/PW/PR indices.
-    /// `0` (the default) runs one unsharded store and one index of each kind; `S >= 1`
-    /// partitions both across `S` shards by key. The dependency graph is one flat graph at
-    /// every value. Any value produces bit-for-bit the same ledgers (asserted by
-    /// `tests/sharding_determinism.rs`); checkpoints record the shard shape.
-    pub store_shards: usize,
     /// When `true`, transactions tagged [`crate::txn::TemplateClass::Safe`] by the workload's
     /// template static analysis bypass dependency-graph insertion, cycle probing and
     /// ww-restore entirely — they are spliced into the committed order at their arrival
@@ -106,7 +99,6 @@ impl Default for CcConfig {
             bloom_bits: 4096,
             bloom_hashes: 3,
             track_exact_reachability: false,
-            store_shards: 0,
             template_fastpath: false,
             segment_rotate_kib: 1024,
             checkpoint_interval: 0,

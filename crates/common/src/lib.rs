@@ -27,7 +27,6 @@ pub mod dep;
 pub mod error;
 pub mod hash;
 pub mod rwset;
-pub mod shard;
 pub mod txn;
 pub mod version;
 
@@ -36,6 +35,5 @@ pub use config::{BlockConfig, CcConfig, ExperimentGrid, WorkloadParams};
 pub use dep::DependencyKind;
 pub use error::{CommonError, Result};
 pub use rwset::{ReadItem, ReadSet, WriteItem, WriteSet};
-pub use shard::{Partitioning, ShardRouter};
 pub use txn::{CommitDecision, Transaction, TxnId, TxnStatus};
 pub use version::{concurrent, EndTs, SeqNo, StartTs};

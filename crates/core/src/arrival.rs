@@ -101,10 +101,10 @@ impl FabricSharpCC {
         // restoration at block formation.
         let t_index = Instant::now();
         for key in txn.write_set.keys() {
-            self.indices.record_pw(key.clone(), txn.id);
+            self.indices.pw.record(key.clone(), txn.id);
         }
         for key in txn.read_set.keys() {
-            self.indices.record_pr(key.clone(), txn.id);
+            self.indices.pr.record(key.clone(), txn.id);
         }
         let seq = self.arrival_seq;
         self.arrival_seq += 1;

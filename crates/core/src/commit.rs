@@ -5,12 +5,21 @@
 //! The baselines crate re-exports them so the five systems, the chain facades and the
 //! simulator share one implementation.
 
-use crate::pipeline::CommitOutcome;
 use eov_common::abort::AbortReason;
 use eov_common::txn::{Transaction, TxnStatus};
 use eov_common::version::SeqNo;
 use eov_vstore::{StateRead, StateStore};
 use std::collections::HashSet;
+
+/// Outcome of validating and applying one block.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct CommitOutcome {
+    /// Final status of every transaction, in block order.
+    pub statuses: Vec<TxnStatus>,
+    /// Transactions that committed while reading a version that was no longer the latest
+    /// (anti-rw tolerance; only meaningful for systems that skip peer validation).
+    pub anti_rw_commits: u64,
+}
 
 /// Peer-side validation of a delivered block (the validate phase of the EOV pipeline), shared
 /// by every system that needs it.
@@ -98,9 +107,9 @@ pub fn count_anti_rw_commits<S: StateRead>(store: &S, txns: &[Transaction]) -> u
     count
 }
 
-/// The complete validator/committer step for one block, shared by the inline and threaded
-/// commit stages: counts anti-rw-tolerant commits against the pre-block state, then either
-/// MVCC-validates (the baselines) or applies unconditionally (FabricSharp).
+/// The complete validator/committer step for one block: counts anti-rw-tolerant commits
+/// against the pre-block state, then either MVCC-validates (the baselines) or applies
+/// unconditionally (FabricSharp).
 pub fn commit_block<S: StateStore>(
     store: &mut S,
     block_no: u64,

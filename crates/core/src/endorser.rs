@@ -76,19 +76,11 @@ impl<'a> SimulationContext<'a> {
 
 /// The endorsing peer's simulation entry point.
 ///
-/// Cloning is cheap (the snapshot manager is shared behind an `Arc`), and the endorser is
-/// `Send + Sync` by construction, so one logical endorser can be handed to every shard of the
-/// concurrent pipeline's [`crate::pipeline::EndorserPool`].
+/// Cloning is cheap: the snapshot manager is shared behind an `Arc`.
 #[derive(Clone, Debug)]
 pub struct SnapshotEndorser {
     snapshots: SnapshotManager,
 }
-
-/// Compile-time audit: the endorser must stay shareable across pipeline shards.
-const _: () = {
-    const fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<SnapshotEndorser>();
-};
 
 impl SnapshotEndorser {
     /// Creates an endorser sharing the given snapshot manager with the commit path.
@@ -102,9 +94,7 @@ impl SnapshotEndorser {
     }
 
     /// Algorithm 1: simulates `logic` against the latest snapshot of `store` and packages the
-    /// result as an endorsed transaction with the given id. Accepts any [`StateRead`] backend
-    /// — the unsharded store or the key-space sharded one — which both serve identical
-    /// snapshot reads for the same committed writes.
+    /// result as an endorsed transaction with the given id.
     pub fn simulate<S, F>(&self, store: &S, id: TxnId, logic: F) -> Transaction
     where
         S: StateRead,

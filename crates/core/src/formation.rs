@@ -17,7 +17,7 @@ use eov_common::hash::FoldState;
 use eov_common::txn::{Transaction, TxnId};
 use eov_common::version::SeqNo;
 use eov_depgraph::{snapshot_threshold, GraphEngine};
-use eov_vstore::ShardedIndices;
+use eov_vstore::{DependencyIndices, PendingIndex};
 use std::collections::HashMap;
 use std::time::Instant;
 
@@ -47,7 +47,7 @@ impl FabricSharpCC {
 
         // Step 2: restore ww dependencies among pending transactions along that order.
         let t_ww = Instant::now();
-        let raw_chains = raw_ww_chains(&self.indices);
+        let raw_chains = raw_ww_chains(&self.indices.pw);
         restore_ww_from_chains(&mut self.graph, &order, &raw_chains);
         self.stats.reorder_restore_ww += t_ww.elapsed();
 
@@ -75,7 +75,8 @@ impl FabricSharpCC {
             block_txns.push(txn);
         }
         self.safe_pending.clear();
-        self.indices.clear_pending();
+        self.indices.pw.clear();
+        self.indices.pr.clear();
         self.stats.reorder_persist += t_persist.elapsed();
 
         // Step 4: prune everything that can no longer matter.
@@ -83,7 +84,8 @@ impl FabricSharpCC {
         let next = block_no + 1;
         self.graph.prune_for_next_block(next);
         let horizon = snapshot_threshold(next, self.config.max_span);
-        self.indices.prune_committed_below(horizon);
+        self.indices.cw.prune_below(horizon);
+        self.indices.cr.prune_below(horizon);
         self.stats.reorder_prune += t_prune.elapsed();
 
         self.stats.blocks_formed += 1;
@@ -138,13 +140,10 @@ fn merge_safe_into_order(
 ///
 /// Deterministic iteration: the keys are sorted (PendingIndex iteration order is not
 /// deterministic across replicas, but the set of keys is identical, so sorting fixes the
-/// replication requirement of Section 3.5). Each key lives in exactly one index shard, so the
-/// key order is total.
-fn raw_ww_chains(indices: &ShardedIndices) -> Vec<&[TxnId]> {
-    let mut keyed: Vec<(&eov_common::rwset::Key, &[TxnId])> = indices
-        .iter_pw()
-        .filter(|(_, txns)| txns.len() >= 2)
-        .collect();
+/// replication requirement of Section 3.5).
+fn raw_ww_chains(pw: &PendingIndex) -> Vec<&[TxnId]> {
+    let mut keyed: Vec<(&eov_common::rwset::Key, &[TxnId])> =
+        pw.iter().filter(|(_, txns)| txns.len() >= 2).collect();
     keyed.sort_by(|a, b| a.0.cmp(b.0));
     keyed.into_iter().map(|(_key, txns)| txns).collect()
 }
@@ -199,16 +198,20 @@ fn restore_ww_from_chains(graph: &mut GraphEngine, order: &[TxnId], raw_chains: 
 
 /// Records one transaction committed at `slot` in CR and CW (shared by block formation and by
 /// [`FabricSharpCC::register_committed`]'s ledger replay).
-pub(crate) fn persist_txn_index_side(indices: &mut ShardedIndices, txn: &Transaction, slot: SeqNo) {
+pub(crate) fn persist_txn_index_side(
+    indices: &mut DependencyIndices,
+    txn: &Transaction,
+    slot: SeqNo,
+) {
     // Committed-read index: record this transaction as a reader of each key it read.
     for read in txn.read_set.iter() {
-        indices.record_cr(read.key.clone(), slot, txn.id);
+        indices.cr.record(read.key.clone(), slot, txn.id);
     }
     // Committed-write index: record the writes and drop readers of the overwritten values
     // (they no longer read the latest version).
     for write in txn.write_set.iter() {
-        indices.record_cw(write.key.clone(), slot, txn.id);
-        indices.drop_stale_readers(&write.key, slot);
+        indices.cw.record(write.key.clone(), slot, txn.id);
+        indices.cr.drop_stale_readers(&write.key, slot);
     }
 }
 
@@ -332,13 +335,13 @@ mod tests {
             assert!(cc.on_arrival(txn(id, 0, reads, writes)).is_accept());
         }
         let order = cc.graph.topo_sort_pending();
-        let mut every_chain: Vec<_> = cc.indices.iter_pw().collect();
+        let mut every_chain: Vec<_> = cc.indices.pw.iter().collect();
         every_chain.sort_by(|a, b| a.0.cmp(b.0));
         let every_chain: Vec<&[TxnId]> = every_chain.into_iter().map(|(_, txns)| txns).collect();
         let mut reference = cc.graph.clone();
         restore_ww_from_chains(&mut reference, &order, &every_chain);
 
-        let chains = raw_ww_chains(&cc.indices);
+        let chains = raw_ww_chains(&cc.indices.pw);
         assert_eq!(chains.len(), 2, "only H and K have two writers");
         assert_eq!(every_chain.len(), 7);
         restore_ww_from_chains(&mut cc.graph, &order, &chains);

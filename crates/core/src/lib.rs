@@ -12,10 +12,6 @@
 //!   restoration of the deliberately-ignored pending c-ww dependencies.
 //! * [`orderer_cc`] — [`orderer_cc::FabricSharpCC`], the controller that ties the above
 //!   together and is plugged into the ordering service (Figure 8).
-//! * [`pipeline`] — the thread-backed stage executor of the concurrent EOV pipeline: sharded
-//!   endorser workers ([`pipeline::EndorserPool`]) and the strictly ordered
-//!   validator/committer ([`pipeline::CommitWorker`]), reused by the simulator's concurrent
-//!   runner and by the `ParallelChain` facade.
 //! * [`commit`] — the committer: MVCC validation and block application in strict block order,
 //!   shared by every chain facade and the simulator.
 //! * [`theory`] — executable forms of the paper's definitions and the Figure 2a / Figure 3a
@@ -23,6 +19,10 @@
 //! * [`serializability`] — an independent offline oracle (multi-version serialization graph)
 //!   used to verify end-to-end that everything FabricSharp commits is serializable.
 //! * [`stats`] — the per-phase latency and abort statistics reported in Figures 11–14.
+//!
+//! Each layer runs on its caller's thread: execute, order and validate are plain calls in
+//! sequence over one store, one set of CW/CR/PW/PR indices and one dependency graph, as in
+//! the paper's Sections 4.2–4.4.
 
 #![forbid(unsafe_code)]
 
@@ -32,7 +32,6 @@ pub mod dependency;
 pub mod endorser;
 pub mod formation;
 pub mod orderer_cc;
-pub mod pipeline;
 pub mod recovery;
 pub mod serializability;
 pub mod stats;
@@ -40,11 +39,11 @@ pub mod theory;
 
 pub use commit::{
     apply_without_validation, commit_block, count_anti_rw_commits, mvcc_validate_and_apply,
+    CommitOutcome,
 };
-pub use dependency::{resolve, resolve_dependencies, ResolvedDeps};
+pub use dependency::{resolve, ResolvedDeps};
 pub use endorser::{SimulationContext, SnapshotEndorser, TxnEffects};
 pub use orderer_cc::FabricSharpCC;
-pub use pipeline::{CommitOutcome, CommitWorker, EndorseJob, EndorseLogic, EndorserPool};
 pub use recovery::{
     recover_from_disk, recover_from_ledger, ColdRecovery, RecoveryError, RecoveryReport,
 };

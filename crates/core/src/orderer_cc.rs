@@ -17,23 +17,18 @@
 use crate::stats::CcStats;
 use eov_common::config::CcConfig;
 use eov_common::hash::FoldState;
-use eov_common::shard::ShardRouter;
 use eov_common::txn::{Transaction, TxnId};
 use eov_depgraph::GraphEngine;
-use eov_vstore::ShardedIndices;
+use eov_vstore::DependencyIndices;
 use std::collections::HashMap;
 
-/// The FabricSharp orderer-side concurrency control.
-///
-/// The graph is one flat [`GraphEngine`] at every `CcConfig::store_shards` value; the knob
-/// only partitions the CW/CR/PW/PR [`ShardedIndices`] by key (`0` = one index of each kind).
-/// Every algorithm below is written once against that surface, and every shard count
-/// produces bit-identical decisions (asserted end to end by `tests/sharding_determinism.rs`).
+/// The FabricSharp orderer-side concurrency control: one [`GraphEngine`] and one set of
+/// CW/CR/PW/PR [`DependencyIndices`].
 #[derive(Debug)]
 pub struct FabricSharpCC {
     pub(crate) config: CcConfig,
     pub(crate) graph: GraphEngine,
-    pub(crate) indices: ShardedIndices,
+    pub(crate) indices: DependencyIndices,
     /// Accepted transactions waiting for the next block, keyed by id.
     pub(crate) pending_txns: HashMap<u64, Transaction, FoldState>,
     /// Number of the block currently being assembled (the first block is 1).
@@ -54,14 +49,9 @@ pub struct FabricSharpCC {
 impl FabricSharpCC {
     /// Creates a controller with the given configuration, starting at block 1.
     pub fn new(config: CcConfig) -> Self {
-        let router = if config.store_shards == 0 {
-            ShardRouter::unsharded()
-        } else {
-            ShardRouter::hash(config.store_shards)
-        };
         FabricSharpCC {
             graph: GraphEngine::new(config),
-            indices: ShardedIndices::new(router),
+            indices: DependencyIndices::default(),
             config,
             pending_txns: HashMap::default(),
             next_block: 1,
@@ -102,8 +92,8 @@ impl FabricSharpCC {
         &self.graph
     }
 
-    /// Read access to the sharded CW/CR/PW/PR indices (tests and diagnostics).
-    pub fn indices(&self) -> &ShardedIndices {
+    /// Read access to the CW/CR/PW/PR indices (tests and diagnostics).
+    pub fn indices(&self) -> &DependencyIndices {
         &self.indices
     }
 
@@ -152,7 +142,8 @@ impl FabricSharpCC {
     pub fn withdraw(&mut self, id: TxnId) -> Option<Transaction> {
         let txn = self.pending_txns.remove(&id.0)?;
         self.graph.remove(id);
-        self.indices.remove_pending_txn(id);
+        self.indices.pw.remove_txn(id);
+        self.indices.pr.remove_txn(id);
         self.pending_seq.remove(&id.0);
         self.safe_pending.retain(|s| *s != id);
         Some(txn)

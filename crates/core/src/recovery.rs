@@ -19,7 +19,7 @@ use eov_common::config::CcConfig;
 use eov_common::error::CommonError;
 use eov_ledger::durable::{DurableLedger, DurableOptions, OpenReport};
 use eov_ledger::{discard_unusable_checkpoints, latest_checkpoint_at_most, Ledger, LedgerError};
-use eov_vstore::{StateStore, StoreBackend};
+use eov_vstore::MultiVersionStore;
 use std::fmt;
 use std::path::Path;
 
@@ -134,7 +134,7 @@ pub struct ColdRecovery {
     /// The reopened durable ledger (torn tail repaired, ready to append).
     pub ledger: DurableLedger,
     /// The state store: newest valid checkpoint plus the replayed segment suffix.
-    pub store: StoreBackend,
+    pub store: MultiVersionStore,
     /// The controller-rebuild summary.
     pub report: RecoveryReport,
     /// Height of the checkpoint the store was loaded from (0 = genesis or none found).
@@ -147,9 +147,9 @@ pub struct ColdRecovery {
 }
 
 /// Cold-starts an orderer from its durability directory: opens the segment files (truncating a
-/// torn trailing record), loads the newest valid checkpoint at or below the recovered height
-/// whose shape matches `config.store_shards`, replays the remaining blocks into the store, and
-/// rebuilds the controller from the recovered ledger.
+/// torn trailing record), loads the newest valid checkpoint at or below the recovered height,
+/// replays the remaining blocks into the store, and rebuilds the controller from the recovered
+/// ledger.
 ///
 /// Every block is chain-verified exactly once: [`DurableLedger::open`] pushes each decoded
 /// record through [`Ledger::append`] (height sequence, `prev_hash` link, body hash) on its way
@@ -160,7 +160,8 @@ pub struct ColdRecovery {
 /// checkpoints all fail to load is an error ([`LedgerError::CorruptCheckpoint`]), not a
 /// replay: seeded genesis values exist in no block, only in the genesis image every later
 /// checkpoint chains down to (the simulator always writes one), so replaying without it would
-/// return a store that quietly lacks them.
+/// return a store that quietly lacks them. Checkpoints written by a store split into shards
+/// are such failures: their head records the shard count, and it is refused.
 ///
 /// Checkpoint files the recovery ruled out — leftovers above a repaired torn tail, links that
 /// failed verification — are removed before returning, so the deltas written from here on
@@ -173,17 +174,13 @@ pub fn recover_from_disk(
     let height = ledger.height();
 
     let (checkpoint_height, mut store) =
-        match latest_checkpoint_at_most(&dir, height, config.store_shards)? {
-            Some((h, store)) => (h, store),
-            None => (0, StoreBackend::for_shards(config.store_shards)),
-        };
+        latest_checkpoint_at_most(&dir, height)?.unwrap_or_else(|| (0, MultiVersionStore::new()));
     for block_no in (checkpoint_height + 1)..=height {
         let block = ledger.ledger().block(block_no)?;
         store.apply_block(block_no, block.committed());
     }
 
-    let checkpoints_discarded =
-        discard_unusable_checkpoints(&dir, checkpoint_height, height, config.store_shards)?;
+    let checkpoints_discarded = discard_unusable_checkpoints(&dir, checkpoint_height)?;
 
     let (cc, report) = rebuild_controller(ledger.ledger(), config)?;
     Ok(ColdRecovery {

@@ -139,61 +139,58 @@ proptest! {
         block_size in 3usize..12,
     ) {
         // The same randomized, contract-obeying stream drives a fast-path controller and a
-        // reference controller (sharded and unsharded): every arrival verdict, every block's
-        // commit order, every slot, and the cross-run statistics must agree bit for bit.
-        for store_shards in [0usize, 2] {
-            let base = CcConfig {
-                max_span: 4,
-                track_exact_reachability: true,
-                store_shards,
-                ..CcConfig::default()
-            };
-            let mut fast = FabricSharpCC::new(CcConfig { template_fastpath: true, ..base });
-            let mut reference = FabricSharpCC::new(base);
-            let mut store_fast = MultiVersionStore::new();
-            let mut store_ref = MultiVersionStore::new();
+        // reference controller: every arrival verdict, every block's commit order, every slot,
+        // and the cross-run statistics must agree bit for bit.
+        let base = CcConfig {
+            max_span: 4,
+            track_exact_reachability: true,
+            ..CcConfig::default()
+        };
+        let mut fast = FabricSharpCC::new(CcConfig { template_fastpath: true, ..base });
+        let mut reference = FabricSharpCC::new(base);
+        let mut store_fast = MultiVersionStore::new();
+        let mut store_ref = MultiVersionStore::new();
 
-            let compare_cut = |fast: &mut FabricSharpCC,
-                                   reference: &mut FabricSharpCC,
-                                   store_fast: &mut MultiVersionStore,
-                                   store_ref: &mut MultiVersionStore| {
-                let cut_fast = fast.cut_block();
-                let cut_ref = reference.cut_block();
-                let slots_fast: Vec<(TxnId, Option<SeqNo>)> =
-                    cut_fast.iter().map(|t| (t.id, t.end_ts)).collect();
-                let slots_ref: Vec<(TxnId, Option<SeqNo>)> =
-                    cut_ref.iter().map(|t| (t.id, t.end_ts)).collect();
-                prop_assert_eq!(slots_fast, slots_ref, "commit order diverged (S={})", store_shards);
-                apply_block(store_fast, &cut_fast);
-                apply_block(store_ref, &cut_ref);
-            };
+        let compare_cut = |fast: &mut FabricSharpCC,
+                               reference: &mut FabricSharpCC,
+                               store_fast: &mut MultiVersionStore,
+                               store_ref: &mut MultiVersionStore| {
+            let cut_fast = fast.cut_block();
+            let cut_ref = reference.cut_block();
+            let slots_fast: Vec<(TxnId, Option<SeqNo>)> =
+                cut_fast.iter().map(|t| (t.id, t.end_ts)).collect();
+            let slots_ref: Vec<(TxnId, Option<SeqNo>)> =
+                cut_ref.iter().map(|t| (t.id, t.end_ts)).collect();
+            prop_assert_eq!(slots_fast, slots_ref, "commit order diverged");
+            apply_block(store_fast, &cut_fast);
+            apply_block(store_ref, &cut_ref);
+        };
 
-            for (i, op) in ops.iter().enumerate() {
-                let id = i as u64 + 1;
-                let txn_fast = materialise_mix(id, op, fast.next_block(), &store_fast);
-                let txn_ref = materialise_mix(id, op, reference.next_block(), &store_ref);
-                let verdict_fast = fast.on_arrival(txn_fast).is_accept();
-                let verdict_ref = reference.on_arrival(txn_ref).is_accept();
-                prop_assert_eq!(
-                    verdict_fast, verdict_ref,
-                    "verdict diverged at txn {} (S={})", id, store_shards
-                );
-                if fast.pending_len() >= block_size {
-                    compare_cut(&mut fast, &mut reference, &mut store_fast, &mut store_ref);
-                }
+        for (i, op) in ops.iter().enumerate() {
+            let id = i as u64 + 1;
+            let txn_fast = materialise_mix(id, op, fast.next_block(), &store_fast);
+            let txn_ref = materialise_mix(id, op, reference.next_block(), &store_ref);
+            let verdict_fast = fast.on_arrival(txn_fast).is_accept();
+            let verdict_ref = reference.on_arrival(txn_ref).is_accept();
+            prop_assert_eq!(
+                verdict_fast, verdict_ref,
+                "verdict diverged at txn {}", id
+            );
+            if fast.pending_len() >= block_size {
+                compare_cut(&mut fast, &mut reference, &mut store_fast, &mut store_ref);
             }
-            compare_cut(&mut fast, &mut reference, &mut store_fast, &mut store_ref);
-
-            // The observable statistics agree too: hops (safe transactions are dependency-free,
-            // so they contribute zero on both paths), spans, and the commit counters. Only the
-            // graph-size peak may differ — the fast path exists to keep safe transactions out
-            // of the graph.
-            prop_assert_eq!(fast.stats().accepted, reference.stats().accepted);
-            prop_assert_eq!(fast.stats().committed, reference.stats().committed);
-            prop_assert_eq!(fast.stats().total_hops, reference.stats().total_hops);
-            prop_assert_eq!(fast.stats().block_span_sum, reference.stats().block_span_sum);
-            prop_assert!(fast.graph().len() <= reference.graph().len());
         }
+        compare_cut(&mut fast, &mut reference, &mut store_fast, &mut store_ref);
+
+        // The observable statistics agree too: hops (safe transactions are dependency-free,
+        // so they contribute zero on both paths), spans, and the commit counters. Only the
+        // graph-size peak may differ — the fast path exists to keep safe transactions out
+        // of the graph.
+        prop_assert_eq!(fast.stats().accepted, reference.stats().accepted);
+        prop_assert_eq!(fast.stats().committed, reference.stats().committed);
+        prop_assert_eq!(fast.stats().total_hops, reference.stats().total_hops);
+        prop_assert_eq!(fast.stats().block_span_sum, reference.stats().block_span_sum);
+        prop_assert!(fast.graph().len() <= reference.graph().len());
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! [`GraphEngine`]: the orderer-facing dependency graph — one flat [`DependencyGraph`] plus the
 //! untracked-commit log.
 //!
-//! `FabricSharpCC` holds one of these at every `CcConfig::store_shards` value: the knob
-//! partitions the state store and the CW/CR/PW/PR indices, never the graph, so the
-//! concurrency control's algorithms run over one global graph as in Section 4.4.
+//! `FabricSharpCC` holds one of these, so the concurrency control's algorithms run over one
+//! global graph as in Section 4.4.
 //!
 //! Besides the tracked graph, the engine keeps an **untracked-commit log**: transactions the
 //! orderer committed *without* ever inserting them into the graph (the template fast path —
@@ -171,34 +170,29 @@ mod tests {
 
     #[test]
     fn untracked_commits_are_known_and_age_out_on_the_committed_schedule() {
-        for shards in [0usize, 2] {
-            let mut engine = GraphEngine::new(CcConfig {
-                store_shards: shards,
-                ..CcConfig::default()
-            });
-            let max_span = engine.config().max_span;
-            engine.note_untracked_commit(TxnId(1), 1);
-            engine.note_untracked_commit(TxnId(2), 5);
-            assert!(engine.is_untracked(TxnId(1)), "shards={shards}");
-            assert!(engine.knows(TxnId(2)));
-            assert!(
-                !engine.contains(TxnId(1)),
-                "log entries are not graph nodes"
-            );
-            assert_eq!(engine.untracked_len(), 2);
-            assert_eq!(engine.len(), 0);
+        let mut engine = GraphEngine::new(CcConfig::default());
+        let max_span = engine.config().max_span;
+        engine.note_untracked_commit(TxnId(1), 1);
+        engine.note_untracked_commit(TxnId(2), 5);
+        assert!(engine.is_untracked(TxnId(1)));
+        assert!(engine.knows(TxnId(2)));
+        assert!(
+            !engine.contains(TxnId(1)),
+            "log entries are not graph nodes"
+        );
+        assert_eq!(engine.untracked_len(), 2);
+        assert_eq!(engine.len(), 0);
 
-            // Pruning for block `1 + max_span + 1` evicts the block-1 commit (its age fell
-            // below the snapshot threshold) but keeps the block-5 one.
-            let pruned = engine.prune_for_next_block(1 + max_span + 1);
-            assert_eq!(pruned, 1, "shards={shards}");
-            assert!(!engine.knows(TxnId(1)));
-            assert!(engine.is_untracked(TxnId(2)));
+        // Pruning for block `1 + max_span + 1` evicts the block-1 commit (its age fell below
+        // the snapshot threshold) but keeps the block-5 one.
+        let pruned = engine.prune_for_next_block(1 + max_span + 1);
+        assert_eq!(pruned, 1);
+        assert!(!engine.knows(TxnId(1)));
+        assert!(engine.is_untracked(TxnId(2)));
 
-            // Withdrawal removes log entries too.
-            engine.remove(TxnId(2));
-            assert!(!engine.knows(TxnId(2)));
-            assert_eq!(engine.untracked_len(), 0);
-        }
+        // Withdrawal removes log entries too.
+        engine.remove(TxnId(2));
+        assert!(!engine.knows(TxnId(2)));
+        assert_eq!(engine.untracked_len(), 0);
     }
 }

@@ -19,8 +19,8 @@
 //! * [`reference`] — the retained naive-DFS implementation, kept as the equivalence oracle
 //!   and bench baseline for the dense engine. Not for production use.
 //! * [`rebuild`] — from-scratch reachability recomputation (called by tests only).
-//! * [`engine`] — [`engine::GraphEngine`], the orderer-facing wrapper: one flat graph at every
-//!   `CcConfig::store_shards` value, plus the log of commits that bypassed it.
+//! * [`engine`] — [`engine::GraphEngine`], the orderer-facing wrapper: one flat graph plus the
+//!   log of commits that bypassed it.
 
 #![forbid(unsafe_code)]
 

@@ -84,7 +84,7 @@ mod tests {
     use crate::block::Block;
     use eov_common::abort::AbortReason;
     use eov_common::txn::{Transaction, TxnStatus};
-    use eov_vstore::{StateStore, StoreBackend};
+    use eov_vstore::MultiVersionStore;
 
     fn k(s: &str) -> Key {
         Key::new(s)
@@ -92,9 +92,9 @@ mod tests {
 
     /// A ledger of 3 blocks over keys A/B, with the matching store; block 2's second entry
     /// aborts so committed slots are sparse.
-    fn fixture() -> (Ledger, StoreBackend) {
+    fn fixture() -> (Ledger, MultiVersionStore) {
         let mut ledger = Ledger::new();
-        let mut store = StoreBackend::for_shards(0);
+        let mut store = MultiVersionStore::new();
         store.seed_genesis([(k("A"), Value::from_i64(0)), (k("B"), Value::from_i64(0))]);
         for b in 1..=3u64 {
             let writer =

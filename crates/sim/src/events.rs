@@ -26,8 +26,7 @@ pub enum Event {
         request_no: u64,
     },
     /// An endorsement finishes simulating at this simulated time; the driver collects the
-    /// result from the endorsement stage (which may have computed it on a sharded worker) and
-    /// broadcasts it.
+    /// result it computed at dispatch and broadcasts it.
     EndorseDone {
         /// The request whose endorsement completes (doubles as the transaction id).
         request_no: u64,

@@ -1,118 +1,20 @@
-//! Stage backends wiring the discrete-event runner to the concurrent pipeline.
+//! The validate step of the runner's pipeline, timed.
 //!
-//! The runner's event loop is the *driver*: it owns simulated time, the workload generator and
-//! the concurrency control, and it decides — deterministically — when each endorsement result
-//! enters the ordering service and when each block commits. The actual CPU work of the two
-//! heavy stages is delegated to a backend chosen by
-//! [`crate::runner::SimulationConfig::endorser_shards`]:
-//!
-//! * **Inline** (`endorser_shards == 0`) — the reference single-threaded mode: endorsement
-//!   simulates at dispatch time and validation/commit runs at the event that consumes it, all
-//!   on the driver thread.
-//! * **Concurrent** (`endorser_shards >= 1`) — endorsement jobs fan out to the sharded
-//!   [`EndorserPool`] and block commits run on the [`CommitWorker`] thread, overlapping with
-//!   the driver's event processing.
-//!
-//! Both modes produce identical ledgers for the same seed: endorsements simulate against
-//! pinned block snapshots (stable under concurrent commits, Section 4.2), results are consumed
-//! at fixed points of the deterministic event order, and commits are strictly serialized. The
-//! `pipeline_determinism` integration tests assert this block for block.
+//! The runner's event loop is the *driver*: it owns simulated time, the workload generator,
+//! the concurrency control and the state store, and it runs every stage itself, on its one
+//! thread.
+//! Endorsement simulates against the block snapshot at dispatch time; validation/commit runs
+//! at the event that consumes the block, through [`timed_commit`], whose wall-clock is the
+//! per-block sample behind `SimReport::commit`.
 
 use eov_common::txn::Transaction;
-use eov_vstore::{SharedStore, StoreBackend};
-use fabricsharp_core::commit::commit_block;
-use fabricsharp_core::endorser::SnapshotEndorser;
-use fabricsharp_core::pipeline::{
-    CommitOutcome, CommitWorker, EndorseJob, EndorseLogic, EndorserPool,
-};
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use eov_vstore::MultiVersionStore;
+use fabricsharp_core::commit::{commit_block, CommitOutcome};
 use std::time::Instant;
 
-/// The endorsement stage: inline simulation or a sharded worker pool.
-pub(crate) enum EndorseStage {
-    /// Single-threaded reference mode: simulate at dispatch time on the driver thread.
-    Inline {
-        endorser: SnapshotEndorser,
-        store: SharedStore,
-        ready: HashMap<u64, Transaction>,
-    },
-    /// Concurrent mode: jobs are routed to `request_no % shards` workers.
-    Sharded(EndorserPool),
-}
-
-impl EndorseStage {
-    /// Builds the stage for the configured shard count (0 = inline).
-    pub fn new(shards: usize, store: SharedStore, endorser: SnapshotEndorser) -> Self {
-        if shards == 0 {
-            EndorseStage::Inline {
-                endorser,
-                store,
-                ready: HashMap::new(),
-            }
-        } else {
-            EndorseStage::Sharded(EndorserPool::spawn(shards, store, endorser))
-        }
-    }
-
-    /// Starts the endorsement for `request_no` against the snapshot after `snapshot_block`.
-    pub fn dispatch(&mut self, request_no: u64, snapshot_block: u64, logic: EndorseLogic) {
-        match self {
-            EndorseStage::Inline {
-                endorser,
-                store,
-                ready,
-            } => {
-                let txn = {
-                    let guard = store.read();
-                    endorser.simulate_at(
-                        &*guard,
-                        eov_common::txn::TxnId(request_no),
-                        snapshot_block,
-                        |ctx| logic(ctx),
-                    )
-                };
-                ready.insert(request_no, txn);
-            }
-            EndorseStage::Sharded(pool) => pool.dispatch(EndorseJob {
-                request_no,
-                snapshot_block,
-                logic,
-            }),
-        }
-    }
-
-    /// Returns the endorsed transaction for `request_no`, blocking on the pool if its shard
-    /// has not finished yet. This is the deterministic merge point: the driver calls it in
-    /// simulated-time order, never in worker completion order.
-    pub fn collect(&mut self, request_no: u64) -> Transaction {
-        match self {
-            EndorseStage::Inline { ready, .. } => ready
-                .remove(&request_no)
-                .expect("inline endorsement was dispatched before its EndorseDone event"),
-            EndorseStage::Sharded(pool) => pool.collect(request_no),
-        }
-    }
-}
-
-/// The validator/committer stage: inline or on the dedicated committer thread. Either way each
-/// block runs [`commit_block`] under the store's write lock, and its wall-clock is recorded
-/// for `SimReport::commit`.
-pub(crate) enum CommitStage {
-    Inline {
-        store: SharedStore,
-        commit_us: Vec<u64>,
-    },
-    Threaded {
-        worker: CommitWorker,
-        /// Filled by the committer thread's block jobs, drained by the driver at report time.
-        commit_us: Arc<Mutex<Vec<u64>>>,
-    },
-}
-
 /// Validates and applies one block, returning the outcome and its wall-clock in µs.
-fn timed_commit(
-    store: &mut StoreBackend,
+pub(crate) fn timed_commit(
+    store: &mut MultiVersionStore,
     block_no: u64,
     txns: &[Transaction],
     needs_validation: bool,
@@ -121,75 +23,4 @@ fn timed_commit(
     let outcome = commit_block(store, block_no, txns, needs_validation);
     let us = started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
     (outcome, us)
-}
-
-impl CommitStage {
-    /// Builds the stage; `threaded` follows the endorser-shard knob (a concurrent pipeline
-    /// gets the committer thread, the reference mode stays inline).
-    pub fn new(threaded: bool, store: SharedStore) -> Self {
-        if threaded {
-            CommitStage::Threaded {
-                worker: CommitWorker::spawn(store),
-                commit_us: Arc::default(),
-            }
-        } else {
-            CommitStage::Inline {
-                store,
-                commit_us: Vec::new(),
-            }
-        }
-    }
-
-    /// Starts validating/applying `block_no`. In threaded mode the committer works ahead under
-    /// the store's write lock while the driver keeps processing events; snapshot reads pinned
-    /// at logically-earlier heights are unaffected (MVCC stability).
-    pub fn begin(&mut self, block_no: u64, txns: &[Transaction], needs_validation: bool) {
-        match self {
-            // Inline mode runs the work lazily in `finish` — the driver consumes it at the
-            // BlockValidated event, which models the same validator service time either way.
-            CommitStage::Inline { .. } => {}
-            CommitStage::Threaded { worker, commit_us } => {
-                let txns = txns.to_vec();
-                let commit_us = Arc::clone(commit_us);
-                worker.begin(
-                    block_no,
-                    Box::new(move |store| {
-                        let (outcome, us) = timed_commit(store, block_no, &txns, needs_validation);
-                        commit_us.lock().expect("commit samples poisoned").push(us);
-                        outcome
-                    }),
-                );
-            }
-        }
-    }
-
-    /// Returns the commit outcome for `block_no`, applying it inline if this stage has no
-    /// worker thread. Must be consumed in block order.
-    pub fn finish(
-        &mut self,
-        block_no: u64,
-        txns: &[Transaction],
-        needs_validation: bool,
-    ) -> CommitOutcome {
-        match self {
-            CommitStage::Inline { store, commit_us } => {
-                let (outcome, us) =
-                    timed_commit(&mut store.write(), block_no, txns, needs_validation);
-                commit_us.push(us);
-                outcome
-            }
-            CommitStage::Threaded { worker, .. } => worker.finish(block_no),
-        }
-    }
-
-    /// Drains the measured per-block commit wall-clock samples (called once, when the run's
-    /// report is assembled).
-    pub fn commit_samples(&mut self) -> Vec<u64> {
-        match self {
-            CommitStage::Inline { commit_us, .. } => std::mem::take(commit_us),
-            CommitStage::Threaded { commit_us, .. } => {
-                std::mem::take(&mut *commit_us.lock().expect("commit samples poisoned"))
-            }
-        }
-    }
 }

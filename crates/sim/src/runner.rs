@@ -15,18 +15,12 @@
 //! (except under FabricSharp) and commits the writes, advancing the chain that subsequent
 //! endorsements read from.
 //!
-//! The *execution* of the two heavy stages is pluggable
-//! ([`SimulationConfig::endorser_shards`]): with 0 shards everything runs inline on the driver
-//! thread (the reference mode); with `N ≥ 1` shards endorsements fan out to `N`
-//! [`fabricsharp_core::pipeline::EndorserPool`] workers and commits run on the dedicated
-//! committer thread, overlapping real CPU work with the driver. Simulated time, the consensus
-//! arrival order and the commit order stay owned by the driver, so both modes produce
-//! block-for-block identical ledgers for the same seed — asserted by the
-//! `pipeline_determinism` integration tests.
+//! Every stage runs on the driver thread, over one state store the runner owns by value:
+//! simulated time models the pipeline's overlap, and the real work is done in event order.
 
 use crate::events::{ms, Event, EventQueue, SimTime};
 use crate::metrics::{FormationTiming, PipelineOccupancy, SimReport};
-use crate::pipeline::{CommitStage, EndorseStage};
+use crate::pipeline::timed_commit;
 use crate::profiles::PipelineProfile;
 use eov_baselines::api::{ConcurrencyControl, SystemKind};
 use eov_common::abort::AbortReason;
@@ -36,13 +30,10 @@ use eov_common::txn::{TemplateClass, Transaction, TxnId, TxnStatus};
 use eov_common::version::SeqNo;
 use eov_ledger::durable::{DurableOptions, LedgerBackend};
 use eov_ledger::{write_checkpoint, Block, Ledger};
-use eov_vstore::{
-    into_shared_backend, SharedStore, SnapshotManager, StateRead, StateStore, StoreBackend,
-};
+use eov_vstore::{MultiVersionStore, SnapshotManager};
 use eov_workload::generator::{WorkloadGenerator, WorkloadKind};
 use fabricsharp_core::endorser::SnapshotEndorser;
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// Everything one simulation run needs.
 #[derive(Clone, Debug)]
@@ -55,8 +46,8 @@ pub struct SimulationConfig {
     pub params: WorkloadParams,
     /// Block-formation parameters.
     pub block: BlockConfig,
-    /// FabricSharp concurrency-control parameters (ignored by the baselines), except
-    /// `cc.store_shards`, which also partitions every system's state store.
+    /// FabricSharp concurrency-control parameters (ignored by the baselines, except the
+    /// durability knobs, which every system's run uses).
     pub cc: CcConfig,
     /// Pipeline cost profile (Fabric or FastFabric testbed).
     pub profile: PipelineProfile,
@@ -65,16 +56,10 @@ pub struct SimulationConfig {
     pub duration_s: f64,
     /// RNG seed for the workload generator.
     pub seed: u64,
-    /// Number of sharded endorser worker threads executing the pipeline's heavy stages.
-    /// `0` (the default) runs every stage inline on the driver thread — the reference
-    /// single-threaded mode; `N ≥ 1` spawns `N` endorser shards plus the committer thread.
-    /// Both modes produce identical ledgers for the same seed.
-    pub endorser_shards: usize,
     /// Persist the run's chain of record: when set, every appended block is also written to
     /// CRC-framed segment files under this directory (rotation and fsync per
     /// [`CcConfig::segment_rotate_kib`] / [`CcConfig::durable_fsync`]), a genesis store
-    /// checkpoint is written at seeding time, and — in inline-stage mode
-    /// (`endorser_shards == 0`) — further checkpoints every
+    /// checkpoint is written at seeding time, and further checkpoints every
     /// [`CcConfig::checkpoint_interval`] blocks. `None` (the default) keeps the run fully
     /// in-memory; the produced ledger is bit-identical either way. The directory must be
     /// fresh: resuming is the recovery path's job
@@ -84,7 +69,7 @@ pub struct SimulationConfig {
 
 impl SimulationConfig {
     /// A configuration with the paper's defaults (Fabric testbed, Table 2 defaults, 15
-    /// simulated seconds, inline stage execution).
+    /// simulated seconds).
     pub fn new(system: SystemKind, workload: WorkloadKind) -> Self {
         SimulationConfig {
             system,
@@ -95,7 +80,6 @@ impl SimulationConfig {
             profile: PipelineProfile::fabric(),
             duration_s: 15.0,
             seed: 42,
-            endorser_shards: 0,
             durability_dir: None,
         }
     }
@@ -106,23 +90,6 @@ impl SimulationConfig {
             profile: PipelineProfile::fast_fabric(),
             ..Self::new(system, workload)
         }
-    }
-
-    /// Same as [`SimulationConfig::new`] but with the concurrent pipeline (`shards` endorser
-    /// workers plus the committer thread).
-    pub fn concurrent(system: SystemKind, workload: WorkloadKind, shards: usize) -> Self {
-        SimulationConfig {
-            endorser_shards: shards,
-            ..Self::new(system, workload)
-        }
-    }
-
-    /// Same as [`SimulationConfig::new`] but with the key space partitioned across
-    /// `store_shards` store and index shards ([`CcConfig::store_shards`]).
-    pub fn sharded_store(system: SystemKind, workload: WorkloadKind, store_shards: usize) -> Self {
-        let mut config = Self::new(system, workload);
-        config.cc.store_shards = store_shards;
-        config
     }
 }
 
@@ -137,30 +104,22 @@ impl Simulator {
     }
 
     /// Runs one configuration to completion, returning the metrics *and* the ledger the run
-    /// produced — the artefact the determinism harness compares block for block across stage
-    /// backends.
+    /// produced — the artefact the determinism harnesses compare block for block.
     pub fn run_with_ledger(config: &SimulationConfig) -> (SimReport, Ledger) {
         let (report, ledger, _) = Self::run_full(config);
         (report, ledger)
     }
 
     /// Runs one configuration to completion, returning the metrics, the ledger *and* the
-    /// final state-store backend — the store is what the determinism and recovery harnesses
-    /// compare byte for byte (via `Debug` formatting).
-    pub fn run_full(config: &SimulationConfig) -> (SimReport, Ledger, StoreBackend) {
+    /// final state store — the store is what the determinism and recovery harnesses compare.
+    pub fn run_full(config: &SimulationConfig) -> (SimReport, Ledger, MultiVersionStore) {
         let profile = PipelineProfile::for_system(config.profile, config.system);
         let mut generator =
             WorkloadGenerator::new(config.workload.clone(), config.params, config.seed);
 
-        // Substrate: state store (shared with the stage backends; unsharded or key-space
-        // partitioned per `cc.store_shards`), ledger, snapshot manager, endorser, concurrency
-        // control. The same knob shards FabricSharp's CW/CR/PW/PR indices alongside the store
-        // (its dependency graph stays one flat graph).
-        let store: SharedStore = {
-            let mut s = StoreBackend::for_shards(config.cc.store_shards);
-            s.seed_genesis(generator.genesis());
-            into_shared_backend(s)
-        };
+        // Substrate: state store, ledger, snapshot manager, endorser, concurrency control.
+        let mut store = MultiVersionStore::new();
+        store.seed_genesis(generator.genesis());
         let snapshots = SnapshotManager::new();
         snapshots.register_block(0);
         let endorser = SnapshotEndorser::new(snapshots.clone());
@@ -177,7 +136,7 @@ impl Simulator {
                     open.blocks_recovered, 0,
                     "durability_dir must be fresh for a simulation run"
                 );
-                write_checkpoint(dir, &store.read(), config.cc.durable_fsync)
+                write_checkpoint(dir, &store, config.cc.durable_fsync)
                     .expect("write genesis checkpoint");
                 backend
             }
@@ -193,11 +152,9 @@ impl Simulator {
         let mut class_by_request: HashMap<u64, (TemplateClass, Option<u16>)> = HashMap::new();
         let mut safe_tagged: u64 = 0;
 
-        // Stage backends (inline for endorser_shards == 0, threaded otherwise).
-        let mut endorse_stage =
-            EndorseStage::new(config.endorser_shards, SharedStore::clone(&store), endorser);
-        let mut commit_stage =
-            CommitStage::new(config.endorser_shards > 0, SharedStore::clone(&store));
+        // Endorsements simulate at dispatch and wait here for their EndorseDone event.
+        let mut endorsed: HashMap<u64, Transaction> = HashMap::new();
+        let mut commit_us: Vec<u64> = Vec::new();
 
         // Event loop state.
         let mut queue = EventQueue::new();
@@ -223,9 +180,8 @@ impl Simulator {
         let mut cut = CutDriver::default();
         let mut validator_windows: Vec<(SimTime, SimTime)> = Vec::new();
         let mut validator_free_at: SimTime = 0;
-        // The chain height at the driver's *logical* time. In concurrent mode the committer
-        // thread may have applied further blocks physically; the driver must never observe
-        // them early, so it mirrors the height itself instead of asking the store.
+        // The chain height at the driver's logical time: the last block a BlockValidated event
+        // applied.
         let mut last_committed: u64 = 0;
         // Height assigned to the next delivered block (delivery order == commit order).
         let mut next_commit_block: u64 = 1;
@@ -261,13 +217,13 @@ impl Simulator {
                     let endorse_ms = profile.endorse_base_ms
                         + config.params.read_interval_ms as f64 * template.read_count() as f64;
                     let done_at = now + ms(endorse_ms);
-                    // Kick the simulation off on the endorsement stage; the result is consumed
-                    // (deterministically) when the EndorseDone event fires.
-                    endorse_stage.dispatch(
-                        request_no,
-                        last_committed,
-                        Box::new(move |ctx| template.run(ctx)),
-                    );
+                    // Simulate now, against the snapshot of the last committed block; the result
+                    // is consumed when the EndorseDone event fires.
+                    let txn =
+                        endorser.simulate_at(&store, TxnId(request_no), last_committed, |ctx| {
+                            template.run(ctx)
+                        });
+                    endorsed.insert(request_no, txn);
                     queue.schedule(
                         done_at,
                         Event::EndorseDone {
@@ -288,7 +244,9 @@ impl Simulator {
                     request_no,
                     submitted_at,
                 } => {
-                    let mut txn = endorse_stage.collect(request_no);
+                    let mut txn = endorsed
+                        .remove(&request_no)
+                        .expect("endorsement was dispatched before its EndorseDone event");
                     let (class, template_id) = class_by_request
                         .remove(&request_no)
                         .unwrap_or((TemplateClass::Unknown, None));
@@ -297,10 +255,7 @@ impl Simulator {
                     // Under the vanilla-Fabric lock the simulation effectively ran against the
                     // latest block at completion time; re-simulate if the chain advanced.
                     if profile.endorsement_lock && txn.snapshot_block < last_committed {
-                        txn = {
-                            let guard = store.read();
-                            Self::resimulate(&guard, &txn, last_committed)
-                        };
+                        txn = Self::resimulate(&store, &txn, last_committed);
                     }
                     if cc.on_endorsement(&txn, last_committed).is_accept() {
                         let broadcast_ms =
@@ -374,10 +329,8 @@ impl Simulator {
                     validator_windows.push((start, validator_free_at));
                     let block_no = next_commit_block;
                     next_commit_block += 1;
-                    // Hand the block to the commit stage now (the committer thread can overlap
-                    // with the driver); its effects become visible to the driver at the
+                    // The block's effects are applied, and become visible, at the
                     // BlockValidated event.
-                    commit_stage.begin(block_no, &txns, needs_validation);
                     queue.schedule(
                         validator_free_at,
                         Event::BlockValidated {
@@ -394,7 +347,8 @@ impl Simulator {
                     submitted_at,
                 } => {
                     debug_assert_eq!(block_no, ledger.height() + 1, "commit order violation");
-                    let outcome = commit_stage.finish(block_no, &txns, needs_validation);
+                    let (outcome, us) = timed_commit(&mut store, block_no, &txns, needs_validation);
+                    commit_us.push(us);
                     // Count commits that tolerate an anti-rw dependency (a
                     // Strong-Serializability system would have aborted them); only systems
                     // without peer validation actually commit them.
@@ -435,16 +389,11 @@ impl Simulator {
                     snapshots.register_block(block_no);
                     cc.on_block_committed(block_no, &block_outcome);
                     last_committed = block_no;
-                    // Periodic store checkpoints, inline-stage mode only: with a committer
-                    // thread running, the store could be mid-block when cloned for
-                    // serialization, so concurrent runs keep the genesis checkpoint alone
-                    // and recover by full replay.
                     if let Some(dir) = &config.durability_dir {
                         if config.cc.checkpoint_interval > 0
-                            && config.endorser_shards == 0
                             && block_no % config.cc.checkpoint_interval == 0
                         {
-                            write_checkpoint(dir, &store.read(), config.cc.durable_fsync)
+                            write_checkpoint(dir, &store, config.cc.durable_fsync)
                                 .expect("write periodic checkpoint");
                         }
                     }
@@ -457,7 +406,6 @@ impl Simulator {
         for (reason, count) in cc.early_aborts() {
             *aborts.entry(reason).or_insert(0) += count;
         }
-        let mut commit_us = commit_stage.commit_samples();
         let duration_s = (last_event_at as f64 / 1_000_000.0).max(config.duration_s);
         let committed_f = committed.max(1) as f64;
         let occupancy = PipelineOccupancy::from_windows(&cut.formation_windows, &validator_windows);
@@ -485,14 +433,7 @@ impl Simulator {
             conflict_matrix: analyzer.matrix().clone(),
             occupancy,
         };
-        // Tear down the pipeline stages (joining their worker threads) so the driver holds
-        // the only remaining reference to the store and can hand the backend out by value.
-        drop(endorse_stage);
-        drop(commit_stage);
-        let backend = Arc::try_unwrap(store)
-            .map(|lock| lock.into_inner())
-            .unwrap_or_else(|shared| shared.read().clone());
-        (report, ledger.into_ledger(), backend)
+        (report, ledger.into_ledger(), store)
     }
 
     /// Runs the same configuration for every system and returns the reports in
@@ -515,7 +456,7 @@ impl Simulator {
     /// retained, so the re-simulation simply refreshes the read versions in place — the write
     /// values are recomputed from the refreshed reads only for balance-style single-key
     /// updates; for everything else the key sets are what matter to the concurrency analysis.
-    fn resimulate(store: &StoreBackend, txn: &Transaction, latest_block: u64) -> Transaction {
+    fn resimulate(store: &MultiVersionStore, txn: &Transaction, latest_block: u64) -> Transaction {
         let mut refreshed = txn.clone();
         refreshed.snapshot_block = latest_block;
         let mut reads = ReadSet::new();
@@ -659,19 +600,6 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_pipeline_matches_the_inline_reference() {
-        let mut config = quick_config(SystemKind::FabricSharp);
-        config.duration_s = 2.0;
-        let (inline_report, inline_ledger) = Simulator::run_with_ledger(&config);
-        config.endorser_shards = 2;
-        let (sharded_report, sharded_ledger) = Simulator::run_with_ledger(&config);
-        assert_eq!(inline_report.offered, sharded_report.offered);
-        assert_eq!(inline_report.committed, sharded_report.committed);
-        assert_eq!(inline_report.blocks, sharded_report.blocks);
-        assert_eq!(inline_ledger.tip_hash(), sharded_ledger.tip_hash());
-    }
-
-    #[test]
     fn cadence_and_count_triggered_cuts_produce_identical_ledgers() {
         // Both block-cut triggers funnel through the single `CutDriver::trigger` path; this
         // pins that the *trigger reason* is invisible to the cut itself. A no-op workload at
@@ -701,23 +629,6 @@ mod tests {
             cadence_ledger.tip_hash(),
             "cadence- and count-triggered cuts must agree"
         );
-    }
-
-    #[test]
-    fn cc_store_shards_partitions_the_simulated_store() {
-        // `cc.store_shards` is the one store-sharding knob: the run's store must come back
-        // sharded, on the same ledger as the unsharded reference.
-        let mut config = quick_config(SystemKind::FabricSharp);
-        config.duration_s = 1.0;
-        let (_, reference_ledger, reference_store) = Simulator::run_full(&config);
-        assert!(matches!(reference_store, StoreBackend::Unsharded(_)));
-        config.cc.store_shards = 2;
-        let (_, ledger, store) = Simulator::run_full(&config);
-        assert!(
-            matches!(store, StoreBackend::Sharded(_)),
-            "cc.store_shards = 2 must run a sharded store"
-        );
-        assert_eq!(reference_ledger.tip_hash(), ledger.tip_hash());
     }
 
     #[test]

@@ -14,18 +14,17 @@
 //!   query surface (`Before`, `Last`, range-from) at a cost that scales with the keys named.
 //! * [`pending`] — the in-memory `PendingWriteTxns` (PW) / `PendingReadTxns` (PR) indices over
 //!   the not-yet-ordered transactions.
-//! * [`shared`] — the [`shared::SharedStore`] handle used by the concurrent pipeline to share
-//!   one store between endorser shards (readers) and the committer (writer), plus the
-//!   compile-time `Send + Sync` audit of every stage-crossing substrate type.
-//! * [`state`] — the [`state::StateRead`] / [`state::StateStore`] traits every backend
-//!   implements, so the endorsement and commit paths are backend-agnostic.
-//! * [`sharded`] — the key-space sharding layer: [`sharded::ShardedStore`] partitions the
-//!   multi-version store across `S` shards behind a deterministic
-//!   [`eov_common::shard::ShardRouter`], and [`sharded::ShardedIndices`] partitions the
-//!   CW/CR/PW/PR dependency-resolution indices the same way.
+//! * [`DependencyIndices`] — the four indices above in one plain struct: what the orderer
+//!   resolves an arriving transaction against.
+//! * [`state`] — the [`state::StateRead`] / [`state::StateStore`] traits the endorsement and
+//!   commit paths are written against.
 //! * [`timetravel`] — the reenactment query surface over the retained history:
 //!   [`timetravel::TimeTravel`] answers "value of `key` as of block `h`", block-range
-//!   histories, and the commit slot behind any visible value, identically on every backend.
+//!   histories, and the commit slot behind any visible value.
+//!
+//! There is one store and one set of indices, owned by the thread that drives them: the
+//! paper's single global multi-version store (Sections 4.2–4.4), with no key-space
+//! partitioning and no lock around it.
 
 #![forbid(unsafe_code)]
 
@@ -34,8 +33,6 @@ pub mod mvstore;
 #[cfg(test)]
 mod mvstore_model;
 pub mod pending;
-pub mod sharded;
-pub mod shared;
 pub mod snapshot;
 pub mod state;
 pub mod timetravel;
@@ -43,8 +40,33 @@ pub mod timetravel;
 pub use index::{CommittedReadIndex, CommittedWriteIndex};
 pub use mvstore::{MultiVersionStore, VersionedValue};
 pub use pending::PendingIndex;
-pub use sharded::{ShardedIndices, ShardedStore};
-pub use shared::{into_shared, into_shared_backend, SharedStore, StoreBackend};
 pub use snapshot::{SnapshotManager, SnapshotView};
 pub use state::{StateRead, StateStore};
 pub use timetravel::TimeTravel;
+
+/// The four dependency-resolution indices of Section 4.3: committed writes (CW), committed
+/// reads (CR), pending writes (PW) and pending reads (PR), one of each.
+#[derive(Clone, Debug, Default)]
+pub struct DependencyIndices {
+    /// Committed writers per key, in commit order.
+    pub cw: CommittedWriteIndex,
+    /// Committed readers of each key's latest value, in commit order.
+    pub cr: CommittedReadIndex,
+    /// Pending (accepted, not yet in a block) writers per key.
+    pub pw: PendingIndex,
+    /// Pending readers per key.
+    pub pr: PendingIndex,
+}
+
+/// The name the state store had while it could be sharded. Kept, with
+/// [`MultiVersionStore::for_shards`], only for `perf/src/driver.rs`; both go once the
+/// benchmark names `MultiVersionStore::new()` (ROADMAP).
+pub type StoreBackend = MultiVersionStore;
+
+impl MultiVersionStore {
+    /// `MultiVersionStore::new()` under its old constructor name; `shards` must be 0.
+    pub fn for_shards(shards: usize) -> Self {
+        assert_eq!(shards, 0, "the state store is never sharded");
+        MultiVersionStore::new()
+    }
+}

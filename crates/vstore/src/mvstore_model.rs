@@ -4,8 +4,6 @@
 //! walks (order included) and equality — after every operation.
 
 use crate::mvstore::{MultiVersionStore, VersionedValue};
-use crate::sharded::ShardedStore;
-use crate::state::StateStore;
 use eov_common::error::{CommonError, Result};
 use eov_common::rwset::{Key, Value};
 use eov_common::version::SeqNo;
@@ -72,65 +70,16 @@ impl ModelStore {
     }
 }
 
-/// What the proptest needs of a store under test beyond the [`StateStore`] surface.
-trait Subject: StateStore + Clone + PartialEq + std::fmt::Debug {
-    /// An empty store of the same shape.
-    fn empty_like(&self) -> Self;
-    fn history_of(&self, key: &Key) -> &[VersionedValue];
-    fn pruned(&self) -> u64;
-    fn latest_walk(&self) -> Vec<(&Key, &VersionedValue)>;
-    /// The `iter_history` walk — of every shard, each of which must come out in key order.
-    fn history_walks(&self) -> Vec<Vec<(&Key, &[VersionedValue])>>;
-}
-
-impl Subject for MultiVersionStore {
-    fn empty_like(&self) -> Self {
-        MultiVersionStore::new()
-    }
-    fn history_of(&self, key: &Key) -> &[VersionedValue] {
-        self.history(key)
-    }
-    fn pruned(&self) -> u64 {
-        self.pruned_below()
-    }
-    fn latest_walk(&self) -> Vec<(&Key, &VersionedValue)> {
-        self.iter_latest().collect()
-    }
-    fn history_walks(&self) -> Vec<Vec<(&Key, &[VersionedValue])>> {
-        vec![self.iter_history().collect()]
-    }
-}
-
-impl Subject for ShardedStore {
-    fn empty_like(&self) -> Self {
-        ShardedStore::new(*self.router())
-    }
-    fn history_of(&self, key: &Key) -> &[VersionedValue] {
-        self.history(key)
-    }
-    fn pruned(&self) -> u64 {
-        self.pruned_below()
-    }
-    fn latest_walk(&self) -> Vec<(&Key, &VersionedValue)> {
-        self.iter_latest().collect()
-    }
-    fn history_walks(&self) -> Vec<Vec<(&Key, &[VersionedValue])>> {
-        (0..self.shard_count())
-            .map(|shard| self.shard(shard).iter_history().collect())
-            .collect()
-    }
-}
-
 /// Every observable answer of `store` against the oracle's.
-fn assert_agrees<S: Subject>(store: &S, model: &ModelStore, probes: &[Key]) {
+fn assert_agrees(store: &MultiVersionStore, model: &ModelStore, probes: &[Key]) {
     assert_eq!(store.key_count(), model.data.len());
     assert_eq!(store.version_count(), model.version_count());
     assert_eq!(store.last_block(), model.last_block);
-    assert_eq!(store.pruned(), model.pruned_below);
+    assert_eq!(store.pruned_below(), model.pruned_below);
     let top = model.last_block + 1;
     for key in probes {
         assert_eq!(store.latest(key), model.latest(key), "latest({key})");
-        assert_eq!(store.history_of(key), model.history(key), "history({key})");
+        assert_eq!(store.history(key), model.history(key), "history({key})");
         for block in [0, model.pruned_below.saturating_sub(1), top / 2, top] {
             assert_eq!(
                 store.read_at(key, block),
@@ -145,26 +94,20 @@ fn assert_agrees<S: Subject>(store: &S, model: &ModelStore, probes: &[Key]) {
         .iter()
         .map(|(key, chain)| (key, chain.last().expect("model chains are never empty")))
         .collect();
-    assert_eq!(store.latest_walk(), latest);
-    let walks = store.history_walks();
-    for walk in &walks {
-        assert!(walk.windows(2).all(|pair| pair[0].0 < pair[1].0));
-    }
-    let mut merged: Vec<(&Key, &[VersionedValue])> = walks.into_iter().flatten().collect();
-    merged.sort_by(|a, b| a.0.cmp(b.0));
+    assert_eq!(store.iter_latest().collect::<Vec<_>>(), latest);
     let histories: Vec<(&Key, &[VersionedValue])> = model
         .data
         .iter()
         .map(|(key, chain)| (key, chain.as_slice()))
         .collect();
-    assert_eq!(merged, histories);
+    assert_eq!(store.iter_history().collect::<Vec<_>>(), histories);
 }
 
 /// Applies `ops` to `store` and to the oracle side by side, checking every answer after every
 /// operation. `(op, key, arg)`: puts to a small key space (existing and fresh keys both come
 /// up), puts of keys past 16 bytes, guaranteed-fresh puts, block commits, prunes and clones
 /// (the run continues on the clone).
-fn run_model<S: Subject>(mut store: S, ops: &[(u8, u8, u8)]) {
+fn run_model(mut store: MultiVersionStore, ops: &[(u8, u8, u8)]) {
     let mut model = ModelStore::default();
     // A copy taken at the last clone op: equal to the live pair exactly until either mutates.
     let mut snapshot = (store.clone(), model.clone());
@@ -209,7 +152,7 @@ fn run_model<S: Subject>(mut store: S, ops: &[(u8, u8, u8)]) {
     }
     // Content equality: the same chains written in key order into a new store (another
     // first-write order, another hash seed) compare equal, and stop doing so with one more.
-    let mut rebuilt = store.empty_like();
+    let mut rebuilt = MultiVersionStore::new();
     for (key, chain) in &model.data {
         for v in chain {
             rebuilt.put(key.clone(), v.version, v.value.clone());
@@ -255,9 +198,9 @@ fn equality_ignores_first_write_order() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
-    /// The slab + hash-index store answers like the ordered map after every operation —
-    /// unsharded with its real hash, unsharded with hashes forced to collide (two hash values
-    /// for every key, then one), and behind the sharded store at S = 2 and 4.
+    /// The slab + hash-index store answers like the ordered map after every operation — with
+    /// its real hash, and with hashes forced to collide (two hash values for every key, then
+    /// one).
     #[test]
     fn store_agrees_with_the_ordered_map_after_every_op(
         ops in proptest::collection::vec((0u8..10, any::<u8>(), any::<u8>()), 1..70),
@@ -265,7 +208,5 @@ proptest! {
         run_model(MultiVersionStore::new(), &ops);
         run_model(MultiVersionStore::with_hash_mask(1), &ops);
         run_model(MultiVersionStore::with_hash_mask(0), &ops);
-        run_model(ShardedStore::with_hash_shards(2), &ops);
-        run_model(ShardedStore::with_hash_shards(4), &ops);
     }
 }

@@ -30,9 +30,8 @@ use std::sync::Arc;
 /// genesis version `(0,0)` so that validation can still detect later creations (phantom
 /// protection, matching Fabric's behaviour of recording absent reads).
 ///
-/// The view holds any [`StateRead`] backend — the unsharded
-/// [`crate::mvstore::MultiVersionStore`] or the key-space sharded store — behind one `&dyn`,
-/// so contract simulation closures stay non-generic while the backend is swappable.
+/// The view holds the store behind one `&dyn` [`StateRead`], so contract simulation closures
+/// stay non-generic.
 #[derive(Clone, Copy)]
 pub struct SnapshotView<'a> {
     store: &'a dyn StateRead,
@@ -281,5 +280,44 @@ mod tests {
         let other = mgr.clone();
         mgr.register_block(7);
         assert_eq!(other.latest(), 7);
+    }
+
+    /// The snapshot manager's pin/unpin/register/prune surface is exercised from many threads
+    /// at once; afterwards no pins may leak and the pruning floor must respect every pin that
+    /// was active when it was computed.
+    #[test]
+    fn snapshot_manager_survives_concurrent_pin_churn() {
+        use std::thread;
+        let mgr = SnapshotManager::new();
+        let register = {
+            let mgr = mgr.clone();
+            thread::spawn(move || {
+                for block in 1..=100u64 {
+                    mgr.register_block(block);
+                }
+            })
+        };
+        let pinners: Vec<_> = (0..4)
+            .map(|_| {
+                let mgr = mgr.clone();
+                thread::spawn(move || {
+                    for _ in 0..200 {
+                        let block = mgr.pin_latest();
+                        assert!(mgr.pin_count(block) >= 1);
+                        mgr.unpin(block);
+                    }
+                })
+            })
+            .collect();
+        register.join().unwrap();
+        for p in pinners {
+            p.join().unwrap();
+        }
+        // All pins released: pruning can advance to the horizon.
+        assert_eq!(mgr.latest(), 100);
+        assert_eq!(mgr.prune_below(90), 90);
+        for block in 0..100u64 {
+            assert_eq!(mgr.pin_count(block), 0, "leaked pin on block {block}");
+        }
     }
 }

@@ -1,13 +1,11 @@
-//! The store surface shared by the unsharded and the sharded state backends.
+//! The store surface the endorsement and commit paths are written against.
 //!
 //! [`StateRead`] is the read surface the endorsement path depends on (snapshot reads, latest
-//! reads, chain height) — object-safe, so [`crate::snapshot::SnapshotView`] can hold any
-//! backend behind one `&dyn` without threading generics through every contract closure.
+//! reads, chain height) — object-safe, so [`crate::snapshot::SnapshotView`] holds the store
+//! behind one `&dyn` without threading generics through every contract closure.
 //! [`StateStore`] adds the commit-path mutations (versioned puts, height advancement, version
 //! GC). [`crate::mvstore::MultiVersionStore`] implements both by delegating to its inherent
-//! methods; [`crate::sharded::ShardedStore`] implements them by key fan-out; and the
-//! [`crate::shared::StoreBackend`] enum dispatches between the two so the concurrent pipeline
-//! keeps a single concrete shared-store type.
+//! methods.
 
 use crate::mvstore::{MultiVersionStore, VersionedValue};
 use eov_common::error::Result;
@@ -51,7 +49,7 @@ pub trait StateStore: StateRead {
 
     /// Seeds the genesis state (block 0) exactly like
     /// [`MultiVersionStore::seed_genesis`]: entry `i` receives version `(0, i + 1)` in
-    /// iteration order, regardless of which shard it lands on.
+    /// iteration order.
     fn seed_genesis(&mut self, entries: impl IntoIterator<Item = (Key, Value)>)
     where
         Self: Sized,

@@ -9,14 +9,8 @@
 //! transaction). Answers below the pruning horizon are refused with the same
 //! [`CommonError::SnapshotPruned`](eov_common::error::CommonError::SnapshotPruned) contract as
 //! snapshot reads, because pruned chains no longer hold the evidence.
-//!
-//! All three backends answer identically for the same committed writes — sharding partitions
-//! the key space without changing any per-key chain — which the cold-recovery batteries
-//! assert against a block-by-block replayed oracle.
 
 use crate::mvstore::{MultiVersionStore, VersionedValue};
-use crate::sharded::ShardedStore;
-use crate::shared::StoreBackend;
 use eov_common::error::{CommonError, Result};
 use eov_common::rwset::Key;
 use eov_common::version::SeqNo;
@@ -69,30 +63,9 @@ impl TimeTravel for MultiVersionStore {
     }
 }
 
-impl TimeTravel for ShardedStore {
-    fn full_history(&self, key: &Key) -> &[VersionedValue] {
-        self.history(key)
-    }
-
-    fn oldest_queryable(&self) -> u64 {
-        self.pruned_below()
-    }
-}
-
-impl TimeTravel for StoreBackend {
-    fn full_history(&self, key: &Key) -> &[VersionedValue] {
-        self.history(key)
-    }
-
-    fn oldest_queryable(&self) -> u64 {
-        self.pruned_below()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::state::{StateRead, StateStore};
     use eov_common::rwset::Value;
     use eov_common::txn::Transaction;
 
@@ -100,9 +73,9 @@ mod tests {
         Key::new(s)
     }
 
-    /// A backend with key `A` rewritten in blocks 1..=5 (value = block) plus genesis 0.
-    fn populated(shards: usize) -> StoreBackend {
-        let mut store = StoreBackend::for_shards(shards);
+    /// A store with key `A` rewritten in blocks 1..=5 (value = block) plus genesis 0.
+    fn populated() -> MultiVersionStore {
+        let mut store = MultiVersionStore::new();
         store.seed_genesis([(k("A"), Value::from_i64(0)), (k("B"), Value::from_i64(-1))]);
         for b in 1..=5u64 {
             let txn = Transaction::from_parts(b, b - 1, [], [(k("A"), Value::from_i64(b as i64))]);
@@ -112,24 +85,22 @@ mod tests {
     }
 
     #[test]
-    fn value_as_of_matches_read_at_on_every_backend() {
-        for shards in [0usize, 2, 4] {
-            let store = populated(shards);
-            for h in 0..=6u64 {
-                for key in [k("A"), k("B"), k("missing")] {
-                    assert_eq!(
-                        store.value_as_of(&key, h).unwrap(),
-                        store.read_at(&key, h).unwrap(),
-                        "S={shards} {key} @ {h}"
-                    );
-                }
+    fn value_as_of_matches_read_at() {
+        let store = populated();
+        for h in 0..=6u64 {
+            for key in [k("A"), k("B"), k("missing")] {
+                assert_eq!(
+                    store.value_as_of(&key, h).unwrap(),
+                    store.read_at(&key, h).unwrap(),
+                    "{key} @ {h}"
+                );
             }
         }
     }
 
     #[test]
     fn history_range_slices_the_chain_by_block() {
-        let store = populated(2);
+        let store = populated();
         let mid = store.history_range(&k("A"), 2, 4).unwrap();
         let blocks: Vec<u64> = mid.iter().map(|v| v.version.block).collect();
         assert_eq!(blocks, vec![2, 3, 4]);
@@ -142,7 +113,7 @@ mod tests {
 
     #[test]
     fn version_as_of_returns_the_committing_slot() {
-        let store = populated(0);
+        let store = populated();
         assert_eq!(
             store.version_as_of(&k("A"), 3).unwrap(),
             Some(SeqNo::new(3, 1))
@@ -156,7 +127,7 @@ mod tests {
 
     #[test]
     fn queries_below_the_pruning_horizon_are_refused() {
-        let mut store = populated(0);
+        let mut store = populated();
         store.prune_versions_below(3);
         assert_eq!(
             store.value_as_of(&k("A"), 2),

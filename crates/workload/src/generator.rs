@@ -35,8 +35,9 @@ pub enum WorkloadKind {
     },
     /// Uniform Create-Account transactions (write-only, contention-free; Section 5.4).
     CreateAccount,
-    /// YCSB-style read/update/RMW mix with Zipfian skew and a cross-shard locality knob
-    /// (see [`crate::ycsb`]); the key population is `params.num_accounts` records.
+    /// YCSB-style read/update/RMW mix with Zipfian skew, optionally with writes confined to a
+    /// tail of the population (see [`crate::ycsb`]); the key population is
+    /// `params.num_accounts` records.
     Ycsb(YcsbProfile),
 }
 

@@ -1,16 +1,13 @@
-//! YCSB-style key-value workloads with a cross-shard locality knob.
+//! YCSB-style key-value workloads.
 //!
 //! The paper evaluates Smallbank only; scaling work needs the standard cloud-serving mixes:
 //! a configurable read / blind-update / read-modify-write operation mix over a Zipfian-skewed
-//! key population (YCSB A/B/C/F shapes). On top of the classic knobs, [`YcsbProfile`] adds a
-//! **cross-shard fraction**: when the generator is told how the key space is partitioned
-//! (`shards` + the same FNV hash router the store uses), it steers each transaction's keys to
-//! either a single shard (*local*) or at least two shards (*border*), so sharding benches can
-//! sweep locality from 0% to 100% cross-shard and measure what cross-shard traffic costs.
+//! key population (YCSB A/B/C/F shapes). On top of the classic knobs, [`YcsbProfile`] can
+//! confine writes to a tail of the population, which gives the static conflict analyzer
+//! read-only instances it can prove safe.
 
 use crate::zipf::Zipfian;
 use eov_common::rwset::{Key, Value};
-use eov_common::shard::ShardRouter;
 use fabricsharp_core::endorser::SimulationContext;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -27,11 +24,10 @@ pub fn ycsb_genesis(records: usize) -> Vec<(Key, Value)> {
         .collect()
 }
 
-/// The YCSB operation mix and locality knobs.
+/// The YCSB operation mix.
 ///
 /// `read_fraction + update_fraction <= 1`; the remainder of the mix is read-modify-write
-/// (the YCSB-F shape). With `shards <= 1` the locality knob is inert and keys are drawn
-/// independently.
+/// (the YCSB-F shape).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct YcsbProfile {
     /// Fraction of operations that only read.
@@ -42,12 +38,6 @@ pub struct YcsbProfile {
     pub theta: f64,
     /// Operations (distinct keys) per transaction.
     pub ops_per_txn: usize,
-    /// Fraction of transactions forced to touch at least two shards. Ignored when
-    /// `shards <= 1`.
-    pub cross_shard_fraction: f64,
-    /// How many key-space shards the generator assumes (must match the store's
-    /// `store_shards` for the locality steering to be meaningful; 0 or 1 disables it).
-    pub shards: usize,
     /// Fraction of the record population that write operations (updates and RMWs) are
     /// confined to. `1.0` (the default) keeps the classic YCSB behaviour: writes share the
     /// reads' Zipfian draw over the whole population, and the generator's RNG stream is
@@ -56,8 +46,7 @@ pub struct YcsbProfile {
     /// `[records - W, records)` (`W = ceil(records × fraction)`, at least 1) while reads keep
     /// the full-population Zipfian — so the skew-favoured head is provably write-free and the
     /// static conflict analyzer ([`crate::conflict`]) can prove read-only instances whose
-    /// sampled keys miss the tail Safe. The partitioned path ignores the cross-shard
-    /// locality steering.
+    /// sampled keys miss the tail Safe.
     pub write_partition_fraction: f64,
 }
 
@@ -69,8 +58,6 @@ impl YcsbProfile {
             update_fraction: 0.5,
             theta: 0.99,
             ops_per_txn: 4,
-            cross_shard_fraction: 0.0,
-            shards: 0,
             write_partition_fraction: 1.0,
         }
     }
@@ -99,16 +86,6 @@ impl YcsbProfile {
             read_fraction: 0.5,
             update_fraction: 0.0,
             ..Self::a()
-        }
-    }
-
-    /// Returns the profile with the locality knob set: `shards` partitions,
-    /// `cross_shard_fraction` of transactions forced to span at least two of them.
-    pub fn with_cross_shard(self, shards: usize, cross_shard_fraction: f64) -> Self {
-        YcsbProfile {
-            shards,
-            cross_shard_fraction,
-            ..self
         }
     }
 
@@ -218,8 +195,8 @@ impl YcsbTxn {
     }
 }
 
-/// Draws one YCSB transaction: `ops_per_txn` distinct keys steered to the requested locality,
-/// each with an operation from the configured mix.
+/// Draws one YCSB transaction: `ops_per_txn` distinct Zipfian keys, each with an operation
+/// from the configured mix.
 pub fn next_ycsb_txn(
     profile: &YcsbProfile,
     zipf: &Zipfian,
@@ -229,62 +206,27 @@ pub fn next_ycsb_txn(
     if profile.write_partitioned() {
         return next_partitioned_txn(profile, zipf, records, rng);
     }
-    let steer = profile.shards > 1 && records > profile.shards;
-    let router = ShardRouter::hash(profile.shards.max(1));
-    let want_cross = steer && rng.gen_bool(profile.cross_shard_fraction.clamp(0.0, 1.0));
-
     let mut indices: Vec<usize> = Vec::with_capacity(profile.ops_per_txn);
-    let home = zipf.sample(rng);
-    indices.push(home);
-    let home_shard = router.shard_of(&ycsb_key(home));
+    indices.push(zipf.sample(rng));
     while indices.len() < profile.ops_per_txn.max(1) {
-        // The second key of a cross-shard transaction must leave the home shard; every key of
-        // a local transaction must stay on it. Resampling keeps the Zipfian shape; the bounded
-        // linear probe guarantees termination even under extreme skew.
-        let force_other = want_cross && indices.len() == 1;
-        let force_home = steer && !want_cross;
+        // Resampling keeps the Zipfian shape; the bounded linear probe guarantees termination
+        // even under extreme skew.
         let mut index = zipf.sample(rng);
         for _ in 0..64 {
-            let shard = router.shard_of(&ycsb_key(index));
-            let ok = if force_other {
-                shard != home_shard
-            } else if force_home {
-                shard == home_shard
-            } else {
-                true
-            };
-            if ok && !indices.contains(&index) {
+            if !indices.contains(&index) {
                 break;
             }
             index = zipf.sample(rng);
         }
         for _ in 0..records {
-            let shard = router.shard_of(&ycsb_key(index));
-            let ok = if force_other {
-                shard != home_shard
-            } else if force_home {
-                shard == home_shard
-            } else {
-                true
-            };
-            if ok && !indices.contains(&index) {
+            if !indices.contains(&index) {
                 break;
             }
             index = (index + 1) % records;
         }
-        // Re-check the probe's final candidate: when the linear scan exhausts the key space
-        // without a match (tiny or pathologically routed populations), `index` can be a
-        // duplicate or violate the locality constraint — pushing it anyway used to leak
-        // wrong-shard keys into "local" transactions. Accept a shorter transaction instead.
-        let shard = router.shard_of(&ycsb_key(index));
-        let ok = if force_other {
-            shard != home_shard
-        } else if force_home {
-            shard == home_shard
-        } else {
-            true
-        };
-        if !ok || indices.contains(&index) {
+        // When the linear scan exhausts a tiny population, `index` is still a duplicate:
+        // accept a shorter transaction instead.
+        if indices.contains(&index) {
             break;
         }
         indices.push(index);
@@ -317,7 +259,7 @@ pub fn next_ycsb_txn(
 /// Zipfian, writes land uniformly in the tail partition `[start, records)`. Distinctness
 /// within the transaction uses the same bounded-resample + linear-probe + shorten discipline
 /// as the classic path, with the probe confined to the operation's own domain so a write can
-/// never escape the partition. Cross-shard locality steering is not supported on this path.
+/// never escape the partition.
 fn next_partitioned_txn(
     profile: &YcsbProfile,
     zipf: &Zipfian,
@@ -396,18 +338,6 @@ mod tests {
             .collect()
     }
 
-    fn shard_spread(txn: &YcsbTxn, shards: usize) -> usize {
-        let router = ShardRouter::hash(shards);
-        let mut seen: Vec<usize> = Vec::new();
-        for op in &txn.ops {
-            let s = router.shard_of(&ycsb_key(op.index()));
-            if !seen.contains(&s) {
-                seen.push(s);
-            }
-        }
-        seen.len()
-    }
-
     #[test]
     fn presets_cover_the_classic_mixes() {
         assert_eq!(YcsbProfile::a().rmw_fraction(), 0.0);
@@ -428,55 +358,16 @@ mod tests {
     }
 
     #[test]
-    fn zero_cross_fraction_keeps_every_transaction_local() {
-        let profile = YcsbProfile::a().with_cross_shard(4, 0.0);
-        for txn in draw(profile, 400, 60, 11) {
-            assert_eq!(
-                shard_spread(&txn, 4),
-                1,
-                "local txn crossed shards: {txn:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn full_cross_fraction_makes_every_transaction_span_shards() {
-        let profile = YcsbProfile::a().with_cross_shard(4, 1.0);
-        for txn in draw(profile, 400, 60, 13) {
-            assert!(
-                shard_spread(&txn, 4) >= 2,
-                "cross txn stayed local: {txn:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn degenerate_populations_never_leak_off_shard_keys_into_local_txns() {
-        // Tiny populations exhaust the linear probe: the home shard may hold fewer keys than
-        // ops_per_txn. The generator must then shorten the transaction, never pad it with a
-        // wrong-shard key (regression for the probe-exhaustion fallback).
-        for records in 3..12usize {
-            let profile = YcsbProfile::a().with_cross_shard(2, 0.0);
-            for txn in draw(profile, records, 40, 5) {
-                assert_eq!(
-                    shard_spread(&txn, 2),
-                    1,
-                    "local txn crossed shards at records={records}: {txn:?}"
-                );
-                assert!(!txn.ops.is_empty());
+    fn tiny_populations_shorten_transactions_instead_of_repeating_keys() {
+        for records in 1..8usize {
+            for txn in draw(YcsbProfile::a(), records, 40, 5) {
+                let mut indices: Vec<usize> = txn.ops.iter().map(YcsbOp::index).collect();
+                indices.sort_unstable();
+                indices.dedup();
+                assert_eq!(indices.len(), records.min(4), "records={records}: {txn:?}");
+                assert_eq!(txn.ops.len(), indices.len());
             }
         }
-    }
-
-    #[test]
-    fn intermediate_fraction_mixes_local_and_cross() {
-        let profile = YcsbProfile::a().with_cross_shard(2, 0.5);
-        let txns = draw(profile, 400, 200, 17);
-        let cross = txns.iter().filter(|t| shard_spread(t, 2) > 1).count();
-        assert!(
-            (40..=160).contains(&cross),
-            "expected roughly half cross-shard, got {cross}/200"
-        );
     }
 
     #[test]

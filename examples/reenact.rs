@@ -16,7 +16,7 @@ use fabricsharp::core::recovery::recover_from_disk;
 use fabricsharp::ledger::durable::{DurableLedger, DurableOptions};
 use fabricsharp::ledger::{provenance, write_checkpoint};
 use fabricsharp::prelude::*;
-use fabricsharp::vstore::{StateStore, StoreBackend, TimeTravel};
+use fabricsharp::vstore::{MultiVersionStore, TimeTravel};
 
 fn main() {
     let dir = std::env::temp_dir().join(format!("eov-reenact-{}", std::process::id()));
@@ -35,7 +35,7 @@ fn main() {
     chain.seed(genesis.clone());
 
     let (mut durable, _) = DurableLedger::open(&dir, DurableOptions::default()).unwrap();
-    let mut genesis_store = StoreBackend::for_shards(0);
+    let mut genesis_store = MultiVersionStore::new();
     genesis_store.seed_genesis(genesis);
     write_checkpoint(&dir, &genesis_store, false).unwrap();
 

@@ -4,32 +4,34 @@
 //! Contracts pinned here, with `template_fastpath` on:
 //!
 //! 1. persisting a run (`durability_dir`) never perturbs it — the durable ledger is
-//!    bit-identical to the in-memory reference for the same seed, at every store shard count;
+//!    bit-identical to the in-memory reference for the same seed;
 //! 2. killing the log at a byte offset and cold-recovering (newest valid checkpoint + segment
 //!    suffix replay) yields a ledger prefix and store bit-identical to the reference replayed
 //!    to the same height, and the resumed log reaches full bit-identity;
 //! 3. the controller rebuilt by `recover_from_disk` is equivalent to `recover_from_ledger`
 //!    over the same in-memory prefix — same resume block, same verdicts, same next cut —
 //!    including on an *instance-rescued* ledger (write-partitioned YCSB-B), where untracked
-//!    fastpath commits interleave with graph-inserted ones inside every block.
+//!    fastpath commits interleave with graph-inserted ones inside every block;
+//! 4. directories written before store sharding was removed still recover: an unsharded one
+//!    to its tip and store, a sharded one to a typed error rather than a replay from nothing.
 
 use fabricsharp::baselines::{SimpleChain, SystemKind};
 use fabricsharp::common::config::{CcConfig, WorkloadParams};
 use fabricsharp::common::rwset::{Key, Value};
 use fabricsharp::common::txn::{TemplateClass, Transaction};
 use fabricsharp::common::version::SeqNo;
-use fabricsharp::core::recovery::{recover_from_disk, recover_from_ledger, ColdRecovery};
+use fabricsharp::core::recovery::{
+    recover_from_disk, recover_from_ledger, ColdRecovery, RecoveryError,
+};
 use fabricsharp::core::FabricSharpCC;
 use fabricsharp::ledger::durable::{DurableLedger, DurableOptions};
-use fabricsharp::ledger::{write_checkpoint, Ledger};
+use fabricsharp::ledger::{write_checkpoint, Ledger, LedgerError};
 use fabricsharp::sim::{SimulationConfig, Simulator};
-use fabricsharp::vstore::{StateStore, StoreBackend};
+use fabricsharp::vstore::MultiVersionStore;
 use fabricsharp::workload::generator::{WorkloadGenerator, WorkloadKind};
 use fabricsharp::workload::YcsbProfile;
 use proptest::prelude::*;
-use std::path::PathBuf;
-
-const STORE_SHARDS: [usize; 3] = [0, 2, 4];
+use std::path::{Path, PathBuf};
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -41,7 +43,7 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn sim_config(shards: usize, seed: u64) -> SimulationConfig {
+fn sim_config(seed: u64) -> SimulationConfig {
     let mut config = SimulationConfig::new(
         SystemKind::FabricSharp,
         WorkloadKind::MixedSmallbank { theta: 0.7 },
@@ -51,17 +53,16 @@ fn sim_config(shards: usize, seed: u64) -> SimulationConfig {
     config.params.num_accounts = 64;
     config.params.request_rate_tps = 600;
     config.block.max_txns_per_block = 12;
-    config.cc.store_shards = shards;
     config.cc.template_fastpath = true;
     config.cc.checkpoint_interval = 3;
     config.cc.segment_rotate_kib = 1;
     config
 }
 
-/// Replays the reference ledger's first `up_to` blocks into a genesis-seeded backend.
-fn replay_oracle(config: &SimulationConfig, ledger: &Ledger, up_to: u64) -> StoreBackend {
+/// Replays the reference ledger's first `up_to` blocks into a genesis-seeded store.
+fn replay_oracle(config: &SimulationConfig, ledger: &Ledger, up_to: u64) -> MultiVersionStore {
     let generator = WorkloadGenerator::new(config.workload.clone(), config.params, config.seed);
-    let mut store = StoreBackend::for_shards(config.cc.store_shards);
+    let mut store = MultiVersionStore::new();
     store.seed_genesis(generator.genesis());
     for block in ledger.iter().take(up_to as usize) {
         let committed: Vec<_> = block.committed().collect();
@@ -153,14 +154,14 @@ fn smallbank_probes(height: u64) -> Vec<Transaction> {
 }
 
 /// One grid point end to end: persist, tear, recover, compare, resume.
-fn crash_and_recover(shards: usize, seed: u64, chopped: u64) {
-    let config = sim_config(shards, seed);
-    let context = format!("S={shards} seed={seed} cut={chopped}");
+fn crash_and_recover(seed: u64, chopped: u64) {
+    let config = sim_config(seed);
+    let context = format!("seed={seed} cut={chopped}");
 
     let (_, reference, reference_store) = Simulator::run_full(&config);
     assert!(reference.height() >= 4, "{context}: degenerate run");
 
-    let dir = temp_dir(&format!("g{shards}-{seed}-{chopped}"));
+    let dir = temp_dir(&format!("g{seed}-{chopped}"));
     let mut persisted_config = config.clone();
     persisted_config.durability_dir = Some(dir.clone());
     let (_, persisted, _) = Simulator::run_full(&persisted_config);
@@ -225,11 +226,11 @@ fn crash_and_recover(shards: usize, seed: u64, chopped: u64) {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// The full grid at a fixed seed and torn offset — the blocking CI matrix.
+/// The full grid of fixed seeds and torn offsets — the blocking CI matrix.
 #[test]
 fn crash_recovery_is_bit_identical_across_the_grid() {
-    for shards in STORE_SHARDS {
-        crash_and_recover(shards, 42, 9);
+    for (seed, chopped) in [(42, 9), (42, 700), (7, 9)] {
+        crash_and_recover(seed, chopped);
     }
 }
 
@@ -240,56 +241,51 @@ fn crash_recovery_is_bit_identical_across_the_grid() {
 /// image.
 #[test]
 fn kills_between_any_two_delta_checkpoints_recover_from_the_chain_below() {
-    for shards in STORE_SHARDS {
-        let config = sim_config(shards, 7);
-        let interval = config.cc.checkpoint_interval;
-        let (_, reference, _) = Simulator::run_full(&config);
-        assert!(
-            reference.height() > 3 * interval,
-            "S={shards}: degenerate run"
+    let config = sim_config(7);
+    let interval = config.cc.checkpoint_interval;
+    let (_, reference, _) = Simulator::run_full(&config);
+    assert!(reference.height() > 3 * interval, "degenerate run");
+
+    let dir = temp_dir("walk");
+    let mut persisted_config = config.clone();
+    persisted_config.durability_dir = Some(dir.clone());
+    Simulator::run_full(&persisted_config);
+
+    let mut height = reference.height();
+    while height > 0 {
+        tear_tail(&dir, 9);
+        let recovered = recover_from_disk(&dir, config.cc).expect("cold recovery");
+        let context = format!("after the kill below block {height}");
+        // A tear that only removes an already-empty tail segment drops no block.
+        assert!(recovered.ledger.height() <= height, "{context}");
+        height = recovered.ledger.height();
+        assert_eq!(
+            recovered.ledger.ledger().tip_hash(),
+            prefix_of(&reference, height).tip_hash(),
+            "{context}"
         );
-
-        let dir = temp_dir(&format!("walk{shards}"));
-        let mut persisted_config = config.clone();
-        persisted_config.durability_dir = Some(dir.clone());
-        Simulator::run_full(&persisted_config);
-
-        let mut height = reference.height();
-        while height > 0 {
-            tear_tail(&dir, 9);
-            let recovered = recover_from_disk(&dir, config.cc).expect("cold recovery");
-            let context = format!("S={shards} after the kill below block {height}");
-            // A tear that only removes an already-empty tail segment drops no block.
-            assert!(recovered.ledger.height() <= height, "{context}");
-            height = recovered.ledger.height();
-            assert_eq!(
-                recovered.ledger.ledger().tip_hash(),
-                prefix_of(&reference, height).tip_hash(),
-                "{context}"
-            );
-            assert_eq!(
-                recovered.store,
-                replay_oracle(&config, &reference, height),
-                "{context}: recovered store != replayed oracle"
-            );
-            assert_eq!(
-                recovered.checkpoint_height,
-                height - height % interval,
-                "{context}: the newest delta link at or below the height must be the one used"
-            );
-            let newest_left = std::fs::read_dir(&dir)
-                .unwrap()
-                .map(|e| e.unwrap().file_name().into_string().unwrap())
-                .filter(|name| name.starts_with("ckpt-"))
-                .max();
-            assert_eq!(
-                newest_left,
-                Some(format!("ckpt-{:020}.bin", recovered.checkpoint_height)),
-                "{context}: no checkpoint may outlive the blocks it covers"
-            );
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
+        assert_eq!(
+            recovered.store,
+            replay_oracle(&config, &reference, height),
+            "{context}: recovered store != replayed oracle"
+        );
+        assert_eq!(
+            recovered.checkpoint_height,
+            height - height % interval,
+            "{context}: the newest delta link at or below the height must be the one used"
+        );
+        let newest_left = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .filter(|name| name.starts_with("ckpt-"))
+            .max();
+        assert_eq!(
+            newest_left,
+            Some(format!("ckpt-{:020}.bin", recovered.checkpoint_height)),
+            "{context}: no checkpoint may outlive the blocks it covers"
+        );
     }
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 proptest! {
@@ -301,13 +297,13 @@ proptest! {
         seed in any::<u64>(),
         chopped in 1u64..2_000,
     ) {
-        crash_and_recover(2, seed, chopped);
+        crash_and_recover(seed, chopped);
     }
 }
 
 /// Satellite regression: an *instance-rescued* ledger (write-partitioned YCSB-B, fastpath on)
-/// cold-recovered from disk produces the same post-recovery cuts as in-memory replay, at
-/// every store sharding. This is the adversarial case for the splice-preserving rebuild:
+/// cold-recovered from disk produces the same post-recovery cuts as in-memory replay. This is
+/// the adversarial case for the splice-preserving rebuild:
 /// untracked commits and graph-inserted ones interleave inside every block, and the disk
 /// round-trip (encode → CRC → decode) must not disturb the replay order the rebuild sees.
 #[test]
@@ -321,12 +317,12 @@ fn rescued_instance_ledger_recovers_identically_from_disk() {
     let kind = WorkloadKind::Ycsb(YcsbProfile::b().with_write_partition(0.25));
     let mut generator = WorkloadGenerator::new(kind.clone(), params, seed);
     let analyzer = generator.analyzer();
-    let mut chain = SimpleChain::with_template_fastpath(SystemKind::FabricSharp, 0, true);
+    let mut chain = SimpleChain::with_template_fastpath(SystemKind::FabricSharp, true);
     chain.seed(generator.genesis());
 
     let dir = temp_dir("rescued");
     let (mut durable, _) = DurableLedger::open(&dir, DurableOptions::default()).unwrap();
-    let mut store = StoreBackend::for_shards(0);
+    let mut store = MultiVersionStore::new();
     store.seed_genesis(WorkloadGenerator::new(kind, params, seed).genesis());
     write_checkpoint(&dir, &store, false).unwrap();
 
@@ -354,52 +350,136 @@ fn rescued_instance_ledger_recovers_identically_from_disk() {
     let reference = chain.ledger().clone();
     assert!(reference.height() >= 2);
 
-    for shards in STORE_SHARDS {
-        let config = CcConfig {
-            store_shards: shards,
-            template_fastpath: true,
-            track_exact_reachability: true,
-            ..CcConfig::default()
-        };
-        let recovered = recover_from_disk(&dir, config).expect("cold recovery");
-        assert_eq!(recovered.ledger.height(), reference.height(), "S={shards}");
-        assert_eq!(
-            recovered.ledger.ledger().tip_hash(),
-            reference.tip_hash(),
-            "S={shards}"
-        );
-        let (from_memory, _) = recover_from_ledger(&reference, config).expect("memory recovery");
-        // Rescued reads below the write partition interleaved with unknown tail writers.
-        let snapshot = reference.height();
-        let probes: Vec<Transaction> = (0..6u64)
-            .map(|i| {
-                if i % 2 == 0 {
-                    Transaction::from_parts(
-                        800_000 + i,
-                        snapshot,
-                        [(Key::new(format!("usertable:{}", i % 48)), SeqNo::zero())],
-                        [],
-                    )
-                    .with_template_class(TemplateClass::Safe)
-                } else {
-                    Transaction::from_parts(
-                        800_000 + i,
-                        snapshot,
-                        [],
-                        [(
-                            Key::new(format!("usertable:{}", 48 + i % 16)),
-                            Value::from_i64(1),
-                        )],
-                    )
-                }
-            })
-            .collect();
-        assert_controllers_equivalent(
-            recovered.cc,
-            from_memory,
-            probes,
-            &format!("rescued S={shards}"),
-        );
+    let config = CcConfig {
+        template_fastpath: true,
+        track_exact_reachability: true,
+        ..CcConfig::default()
+    };
+    let recovered = recover_from_disk(&dir, config).expect("cold recovery");
+    assert_eq!(recovered.ledger.height(), reference.height());
+    assert_eq!(recovered.ledger.ledger().tip_hash(), reference.tip_hash());
+    assert_eq!(recovered.store, *chain.store());
+    let (from_memory, _) = recover_from_ledger(&reference, config).expect("memory recovery");
+    // Rescued reads below the write partition interleaved with unknown tail writers.
+    let snapshot = reference.height();
+    let probes: Vec<Transaction> = (0..6u64)
+        .map(|i| {
+            if i % 2 == 0 {
+                Transaction::from_parts(
+                    800_000 + i,
+                    snapshot,
+                    [(Key::new(format!("usertable:{}", i % 48)), SeqNo::zero())],
+                    [],
+                )
+                .with_template_class(TemplateClass::Safe)
+            } else {
+                Transaction::from_parts(
+                    800_000 + i,
+                    snapshot,
+                    [],
+                    [(
+                        Key::new(format!("usertable:{}", 48 + i % 16)),
+                        Value::from_i64(1),
+                    )],
+                )
+            }
+        })
+        .collect();
+    assert_controllers_equivalent(recovered.cc, from_memory, probes, "rescued");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The fixture directories `tests/fixtures/checkpoint_s{0,2}` were written by the last revision
+/// that could shard the store (57703dc), with `CcConfig`'s store-shard count at 0 and at 2:
+/// Fabric# on modified Smallbank, 8 accounts, 40 tps for 0.5 simulated seconds, 4-transaction
+/// blocks and a checkpoint every 2 blocks — 5 blocks in one segment, checkpoints at 0, 2 and
+/// 4. At that revision, for `S` in 0 and 2, as the body of an example's `main`:
+///
+/// ```text
+/// let mut cfg = SimulationConfig::new(SystemKind::FabricSharp, WorkloadKind::ModifiedSmallbank);
+/// cfg.duration_s = 0.5;
+/// cfg.params.num_accounts = 8;
+/// cfg.params.request_rate_tps = 40;
+/// cfg.block.max_txns_per_block = 4;
+/// cfg.cc.checkpoint_interval = 2;
+/// // ...and the store-shard count field of `cfg.cc` set to S.
+/// cfg.durability_dir = Some(format!("tests/fixtures/checkpoint_s{S}").into());
+/// Simulator::run_full(&cfg);
+/// ```
+fn fixture_config() -> SimulationConfig {
+    let mut config =
+        SimulationConfig::new(SystemKind::FabricSharp, WorkloadKind::ModifiedSmallbank);
+    config.duration_s = 0.5;
+    config.params.num_accounts = 8;
+    config.params.request_rate_tps = 40;
+    config.block.max_txns_per_block = 4;
+    config.cc.checkpoint_interval = 2;
+    config
+}
+
+/// The tip both fixture runs ended on.
+const FIXTURE_TIP: &str = "3a2431c76c7ec4e847c01340bfa6a641d137d99ecc27632e3e231c0c4f35b029";
+
+/// Copies a fixture directory to a scratch one (recovery may remove checkpoint files).
+fn copy_fixture(name: &str) -> PathBuf {
+    let from = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures")
+        .join(name);
+    let to = temp_dir(name);
+    std::fs::create_dir_all(&to).unwrap();
+    for entry in std::fs::read_dir(from).unwrap() {
+        let path = entry.unwrap().path();
+        std::fs::copy(&path, to.join(path.file_name().unwrap())).unwrap();
     }
+    to
+}
+
+fn file_names(dir: &Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    names.sort();
+    names
+}
+
+/// An unsharded directory written before store sharding was removed recovers to the tip and
+/// the store it was written with: the checkpoint bytes did not change.
+#[test]
+fn an_unsharded_directory_from_before_the_removal_recovers_its_tip_and_store() {
+    let dir = copy_fixture("checkpoint_s0");
+    let config = fixture_config();
+    let recovered = recover_from_disk(&dir, config.cc).expect("cold recovery");
+    let (_, ledger, store) = Simulator::run_full(&config);
+    assert_eq!(recovered.ledger.ledger().tip_hash().to_hex(), FIXTURE_TIP);
+    assert_eq!(ledger.tip_hash().to_hex(), FIXTURE_TIP);
+    assert_eq!(recovered.ledger.height(), 5);
+    assert_eq!(recovered.checkpoint_height, 4);
+    assert_eq!(recovered.checkpoints_discarded, 0);
+    assert_eq!(recovered.store, store);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A directory whose checkpoints were written by a store split into 2 shards cannot be read
+/// as an unsharded store. Recovery used to pass every such checkpoint over, replay the blocks
+/// into an empty store and return `Ok` without the genesis balances; now it is a typed error
+/// naming the newest checkpoint and its shard count, and the directory is left as it was.
+#[test]
+fn a_sharded_checkpoint_is_a_typed_error_not_a_silent_restart() {
+    let dir = copy_fixture("checkpoint_s2");
+    let before = file_names(&dir);
+    let err = recover_from_disk(&dir, fixture_config().cc).unwrap_err();
+    match &err {
+        RecoveryError::Ledger(LedgerError::CorruptCheckpoint { path, detail }) => {
+            assert_eq!(*path, dir.join("ckpt-00000000000000000004.bin"));
+            assert!(detail.contains("split into 2 shards"), "got {err}");
+        }
+        other => panic!("expected a corrupt-checkpoint error, got {other}"),
+    }
+    assert_eq!(
+        file_names(&dir),
+        before,
+        "a refused recovery removes nothing"
+    );
     std::fs::remove_dir_all(&dir).unwrap();
 }

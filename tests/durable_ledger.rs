@@ -23,7 +23,7 @@ use fabricsharp::common::rwset::Key;
 use fabricsharp::core::recovery::{recover_from_disk, RecoveryError};
 use fabricsharp::ledger::durable::{DurableLedger, DurableOptions};
 use fabricsharp::ledger::{provenance, write_checkpoint, Ledger, LedgerError};
-use fabricsharp::vstore::{StateRead, StateStore, StoreBackend, TimeTravel};
+use fabricsharp::vstore::{MultiVersionStore, TimeTravel};
 use fabricsharp::workload::generator::{WorkloadGenerator, WorkloadKind};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
@@ -48,10 +48,10 @@ fn workload(seed: u64) -> WorkloadGenerator {
     WorkloadGenerator::new(WorkloadKind::MixedSmallbank { theta: 0.7 }, params, seed)
 }
 
-/// Replays the committed writes of `ledger` into a fresh genesis-seeded backend — the oracle
+/// Replays the committed writes of `ledger` into a fresh genesis-seeded store — the oracle
 /// every recovered store is compared against.
-fn replay_oracle(ledger: &Ledger, seed: u64, shards: usize, up_to: u64) -> StoreBackend {
-    let mut store = StoreBackend::for_shards(shards);
+fn replay_oracle(ledger: &Ledger, seed: u64, up_to: u64) -> MultiVersionStore {
+    let mut store = MultiVersionStore::new();
     store.seed_genesis(workload(seed).genesis());
     for block in ledger.iter().take(up_to as usize) {
         let committed: Vec<_> = block.committed().collect();
@@ -69,7 +69,6 @@ fn build_and_persist(
     num_txns: usize,
     block_size: usize,
     ckpt_every: u64,
-    shards: usize,
 ) -> Ledger {
     let mut generator = workload(seed);
     let analyzer = generator.analyzer();
@@ -81,21 +80,22 @@ fn build_and_persist(
         fsync: false,
     };
     let (mut durable, _) = DurableLedger::open(dir, options).expect("fresh dir");
-    let mut store = StoreBackend::for_shards(shards);
+    let mut store = MultiVersionStore::new();
     store.seed_genesis(workload(seed).genesis());
     write_checkpoint(dir, &store, false).expect("genesis checkpoint");
 
-    let seal = |chain: &mut SimpleChain, durable: &mut DurableLedger, store: &mut StoreBackend| {
-        if let Some(height) = chain.seal_block().block_number {
-            let block = chain.ledger().block(height).unwrap().clone();
-            let committed: Vec<_> = block.committed().collect();
-            store.apply_block(height, committed);
-            durable.append(block).expect("mirror append");
-            if ckpt_every > 0 && height % ckpt_every == 0 {
-                write_checkpoint(dir, store, false).expect("periodic checkpoint");
+    let seal =
+        |chain: &mut SimpleChain, durable: &mut DurableLedger, store: &mut MultiVersionStore| {
+            if let Some(height) = chain.seal_block().block_number {
+                let block = chain.ledger().block(height).unwrap().clone();
+                let committed: Vec<_> = block.committed().collect();
+                store.apply_block(height, committed);
+                durable.append(block).expect("mirror append");
+                if ckpt_every > 0 && height % ckpt_every == 0 {
+                    write_checkpoint(dir, store, false).expect("periodic checkpoint");
+                }
             }
-        }
-    };
+        };
     for i in 0..num_txns {
         let template = generator.next_template();
         let class = analyzer.classify_instance(&template);
@@ -142,7 +142,7 @@ fn provenance_oracle(ledger: &Ledger, key: &Key, height: u64) -> Option<(u64, u3
 #[test]
 fn persisted_workload_ledger_reopens_bit_identically() {
     let dir = temp_dir("reopen");
-    let reference = build_and_persist(&dir, 7, 60, 5, 4, 0);
+    let reference = build_and_persist(&dir, 7, 60, 5, 4);
     assert!(reference.height() >= 4);
 
     let (durable, report) = DurableLedger::open(
@@ -165,7 +165,7 @@ fn persisted_workload_ledger_reopens_bit_identically() {
 #[test]
 fn bit_flip_in_an_earlier_segment_is_a_typed_error_not_a_panic() {
     let dir = temp_dir("bitflip");
-    build_and_persist(&dir, 11, 60, 5, 0, 0);
+    build_and_persist(&dir, 11, 60, 5, 0);
     let mut segments: Vec<_> = std::fs::read_dir(&dir)
         .unwrap()
         .map(|e| e.unwrap().path())
@@ -219,7 +219,7 @@ fn a_corrupt_checkpoint_link_falls_back_and_recovery_still_matches_the_oracle() 
     // replays the rest of the log, and removes the links it could not use.
     for victim in ["newest", "middle"] {
         let dir = temp_dir(&format!("ckptfall-{victim}"));
-        let reference = build_and_persist(&dir, 13, 60, 5, 3, 0);
+        let reference = build_and_persist(&dir, 13, 60, 5, 3);
 
         let checkpoints = checkpoint_files(&dir);
         assert!(
@@ -247,7 +247,7 @@ fn a_corrupt_checkpoint_link_falls_back_and_recovery_still_matches_the_oracle() 
         );
         assert_eq!(
             recovered.store,
-            replay_oracle(&reference, 13, 0, reference.height()),
+            replay_oracle(&reference, 13, reference.height()),
             "{victim}"
         );
         // The victim and everything leaning on it are gone, so the next checkpoint builds on
@@ -265,7 +265,7 @@ fn a_corrupt_checkpoint_link_falls_back_and_recovery_still_matches_the_oracle() 
         assert_eq!(again.checkpoints_discarded, 0, "{victim}");
         assert_eq!(
             again.store,
-            replay_oracle(&reference, 13, 0, reference.height()),
+            replay_oracle(&reference, 13, reference.height()),
             "{victim}"
         );
         std::fs::remove_dir_all(&dir).unwrap();
@@ -277,7 +277,7 @@ fn a_corrupt_genesis_image_is_a_typed_error_not_a_store_without_the_seeded_value
     // Every delta chains down to the genesis image, and the values seeded there are in no
     // block: with that one file bad, a block-0 replay would hand back a store that lacks them.
     let dir = temp_dir("ckptfall-genesis");
-    build_and_persist(&dir, 13, 60, 5, 3, 0);
+    build_and_persist(&dir, 13, 60, 5, 3);
     let checkpoints = checkpoint_files(&dir);
     corrupt_payload(&checkpoints[0]);
 
@@ -299,13 +299,13 @@ fn a_corrupt_genesis_image_is_a_typed_error_not_a_store_without_the_seeded_value
 fn time_travel_and_provenance_match_the_replayed_oracle() {
     let seed = 17;
     let dir = temp_dir("reenact");
-    let reference = build_and_persist(&dir, seed, 70, 6, 4, 0);
+    let reference = build_and_persist(&dir, seed, 70, 6, 4);
     let recovered = recover_from_disk(&dir, CcConfig::default()).expect("cold recovery");
     assert_eq!(recovered.ledger.height(), reference.height());
 
     let keys = account_keys(seed);
     for height in 0..=reference.height() {
-        let oracle = replay_oracle(&reference, seed, 0, height);
+        let oracle = replay_oracle(&reference, seed, height);
         for key in &keys {
             // value_as_of against the block-by-block replay oracle's latest value.
             assert_eq!(
@@ -333,7 +333,7 @@ fn time_travel_and_provenance_match_the_replayed_oracle() {
             .store
             .history_range(key, 0, reference.height())
             .unwrap();
-        let oracle = replay_oracle(&reference, seed, 0, reference.height());
+        let oracle = replay_oracle(&reference, seed, reference.height());
         assert_eq!(full, oracle.history(key), "{key}");
     }
     std::fs::remove_dir_all(&dir).unwrap();
@@ -350,7 +350,7 @@ proptest! {
         chopped in 1u64..600,
     ) {
         let dir = temp_dir(&format!("torn{seed}-{chopped}"));
-        let reference = build_and_persist(&dir, seed, 50, 4, 0, 0);
+        let reference = build_and_persist(&dir, seed, 50, 4, 0);
         prop_assert!(reference.height() >= 3);
 
         let mut segments: Vec<_> = std::fs::read_dir(&dir)

@@ -6,14 +6,13 @@
 //! insertion, no cycle probing, no CW/CR/PW/PR entries, no ww-restoration participation. The
 //! knob is a pure execution-path optimisation — the paper's Algorithms 2/3/5 semantics must
 //! be preserved **bit for bit**. This battery pins that contract end to end: with the fast
-//! path on, every tested `S` (store shards) must reproduce the fastpath-off inline
-//! reference ledger block for block, hash for hash, for all
-//! five systems, two seeds, and workloads covering safe-heavy (YCSB-C: 100% reads),
-//! safe-fresh-writer (CreateAccount), instance-rescued (write-partitioned YCSB-B: read
-//! arrivals whose sampled keys miss the write tail are safe even though their template is
-//! not), and all-unknown (YCSB-A, ModifiedSmallbank — the knob must be perfectly inert)
-//! mixes. It also pins the knob's composition with `endorser_shards`, transaction-level
-//! decisions through `SimpleChain`, the structural claim that the fast path actually engages
+//! path on, the simulator must reproduce the fastpath-off reference ledger block for block,
+//! hash for hash, for all five systems, two seeds, and workloads covering safe-heavy
+//! (YCSB-C: 100% reads), safe-fresh-writer (CreateAccount), instance-rescued
+//! (write-partitioned YCSB-B: read arrivals whose sampled keys miss the write tail are safe
+//! even though their template is not), and all-unknown (YCSB-A, ModifiedSmallbank — the knob
+//! must be perfectly inert) mixes. It also pins transaction-level decisions through
+//! `SimpleChain`, the structural claim that the fast path actually engages
 //! (graph stays empty on read-only traffic), and — via a randomized proptest over partition
 //! geometry — that instance-safe bypass preserves the raw orderer's commit sequence exactly.
 
@@ -27,7 +26,6 @@ use fabricsharp::sim::SimReport;
 use fabricsharp::workload::generator::{WorkloadGenerator, WorkloadKind};
 use fabricsharp::workload::YcsbProfile;
 
-const SHARD_COUNTS: [usize; 3] = [0, 2, 4];
 const SEEDS: [u64; 2] = [7, 42];
 
 fn workloads() -> Vec<(&'static str, WorkloadKind)> {
@@ -79,8 +77,8 @@ fn assert_reports_match(context: &str, reference: &SimReport, candidate: &SimRep
     );
 }
 
-/// The acceptance criterion: for every system × workload × seed, the fast path at every `S`
-/// reproduces the fastpath-off inline reference ledger block for block.
+/// The acceptance criterion: for every system × workload × seed, the fast path reproduces
+/// the fastpath-off reference ledger block for block.
 #[test]
 fn fastpath_ledgers_are_bit_identical_across_the_grid() {
     for system in SystemKind::all() {
@@ -94,68 +92,41 @@ fn fastpath_ledgers_are_bit_identical_across_the_grid() {
                     "{system}/{name}/seed{seed}: reference run must commit work"
                 );
 
-                for shards in SHARD_COUNTS {
-                    let mut cfg = reference_cfg.clone();
-                    cfg.cc.template_fastpath = true;
-                    cfg.cc.store_shards = shards;
-                    let (report, ledger) = Simulator::run_with_ledger(&cfg);
-                    let context = format!("{system}/{name}/seed{seed}/fastpath/S{shards}");
+                let mut cfg = reference_cfg.clone();
+                cfg.cc.template_fastpath = true;
+                let (report, ledger) = Simulator::run_with_ledger(&cfg);
+                let context = format!("{system}/{name}/seed{seed}/fastpath");
 
-                    assert_reports_match(&context, &reference_report, &report);
+                assert_reports_match(&context, &reference_report, &report);
+                assert_eq!(
+                    reference_ledger.height(),
+                    ledger.height(),
+                    "{context}: ledger height"
+                );
+                for (expected, actual) in reference_ledger.iter().zip(ledger.iter()) {
                     assert_eq!(
-                        reference_ledger.height(),
-                        ledger.height(),
-                        "{context}: ledger height"
+                        expected,
+                        actual,
+                        "{context}: block {} diverged",
+                        expected.number()
                     );
-                    for (expected, actual) in reference_ledger.iter().zip(ledger.iter()) {
-                        assert_eq!(
-                            expected,
-                            actual,
-                            "{context}: block {} diverged",
-                            expected.number()
-                        );
-                    }
-                    assert_eq!(
-                        reference_ledger.tip_hash(),
-                        ledger.tip_hash(),
-                        "{context}: tip hash"
-                    );
-                    assert!(ledger.verify_integrity().is_ok(), "{context}: integrity");
                 }
+                assert_eq!(
+                    reference_ledger.tip_hash(),
+                    ledger.tip_hash(),
+                    "{context}: tip hash"
+                );
+                assert!(ledger.verify_integrity().is_ok(), "{context}: integrity");
             }
         }
-    }
-}
-
-/// The fast path composes with the other concurrency knobs: endorser worker shards and store
-/// shards together with `template_fastpath` still reproduce the all-off inline reference
-/// ledger.
-#[test]
-fn fastpath_composes_with_endorser_shards() {
-    for (name, workload) in workloads() {
-        let reference_cfg = base_config(SystemKind::FabricSharp, workload, 7);
-        let (reference_report, reference_ledger) = Simulator::run_with_ledger(&reference_cfg);
-        let mut cfg = reference_cfg.clone();
-        cfg.cc.template_fastpath = true;
-        cfg.cc.store_shards = 2;
-        cfg.endorser_shards = 2;
-        let (report, ledger) = Simulator::run_with_ledger(&cfg);
-        let context = format!("{name}/fastpath+store2+endorser2");
-        assert_reports_match(&context, &reference_report, &report);
-        assert_eq!(
-            reference_ledger.tip_hash(),
-            ledger.tip_hash(),
-            "{context}: tip hash"
-        );
     }
 }
 
 /// Transaction-level pinning through the `SimpleChain` facade: on a mix that interleaves safe
 /// (read-only YCSB-C) and generic traffic, every submission's decision, every block's commit
 /// order, the chain hashes and the early-abort sequences must agree between the fastpath-off
-/// reference, the fastpath-on unsharded chain and the fastpath-on sharded chain. FabricSharp
-/// peers skip MVCC validation, so the serializability oracle on the fast-path chain's history
-/// is the end-to-end safety check.
+/// reference and the fastpath-on chain. FabricSharp peers skip MVCC validation, so the
+/// serializability oracle on the fast-path chain's history is the end-to-end safety check.
 #[test]
 fn decisions_and_commit_orders_match_transaction_for_transaction() {
     for (name, workload) in [
@@ -174,11 +145,9 @@ fn decisions_and_commit_orders_match_transaction_for_transaction() {
         let mut generator = WorkloadGenerator::new(workload, params, 99);
         let analyzer = generator.analyzer();
 
-        let mut reference = SimpleChain::with_template_fastpath(SystemKind::FabricSharp, 0, false);
-        let mut fast = SimpleChain::with_template_fastpath(SystemKind::FabricSharp, 0, true);
-        let mut fast_sharded =
-            SimpleChain::with_template_fastpath(SystemKind::FabricSharp, 2, true);
-        for chain in [&mut reference, &mut fast, &mut fast_sharded] {
+        let mut reference = SimpleChain::with_template_fastpath(SystemKind::FabricSharp, false);
+        let mut fast = SimpleChain::with_template_fastpath(SystemKind::FabricSharp, true);
+        for chain in [&mut reference, &mut fast] {
             chain.seed(generator.genesis());
         }
 
@@ -191,36 +160,18 @@ fn decisions_and_commit_orders_match_transaction_for_transaction() {
             let txn_fast = fast
                 .execute(|ctx| template.run(ctx))
                 .with_template_class(class);
-            let txn_sharded = fast_sharded
-                .execute(|ctx| template.run(ctx))
-                .with_template_class(class);
             assert_eq!(txn_ref, txn_fast, "{name}: endorsement diverged at txn {i}");
-            assert_eq!(
-                txn_ref, txn_sharded,
-                "{name}: endorsement diverged at txn {i}"
-            );
 
             let d_ref = reference.submit(txn_ref);
             let d_fast = fast.submit(txn_fast);
-            let d_sharded = fast_sharded.submit(txn_sharded);
-            assert_eq!(d_ref, d_fast, "{name}: decision diverged at txn {i} (S0)");
-            assert_eq!(
-                d_ref, d_sharded,
-                "{name}: decision diverged at txn {i} (S2)"
-            );
+            assert_eq!(d_ref, d_fast, "{name}: decision diverged at txn {i}");
 
             if (i + 1) % 10 == 0 {
                 let b_ref = reference.seal_block();
                 let b_fast = fast.seal_block();
-                let b_sharded = fast_sharded.seal_block();
                 assert_eq!(
                     b_ref.committed, b_fast.committed,
-                    "{name}: commit order diverged at block {:?} (S0)",
-                    b_ref.block_number
-                );
-                assert_eq!(
-                    b_ref.committed, b_sharded.committed,
-                    "{name}: commit order diverged at block {:?} (S2)",
+                    "{name}: commit order diverged at block {:?}",
                     b_ref.block_number
                 );
                 assert!(
@@ -230,19 +181,14 @@ fn decisions_and_commit_orders_match_transaction_for_transaction() {
                 );
             }
         }
-        for chain in [&mut reference, &mut fast, &mut fast_sharded] {
+        for chain in [&mut reference, &mut fast] {
             chain.seal_block();
         }
         assert!(is_serializable(fast.committed_history()));
         assert_eq!(
             reference.ledger().tip_hash(),
             fast.ledger().tip_hash(),
-            "{name}: tip hash (S0)"
-        );
-        assert_eq!(
-            reference.ledger().tip_hash(),
-            fast_sharded.ledger().tip_hash(),
-            "{name}: tip hash (S2)"
+            "{name}: tip hash"
         );
         assert!(
             reference.ledger().committed_txn_count() > 0,
@@ -313,8 +259,7 @@ fn fastpath_keeps_safe_transactions_out_of_the_graph() {
 
 mod instance_soundness {
     //! Randomized soundness: for arbitrary write-partition geometry, instance-safe bypass
-    //! must preserve the raw orderer's commit sequence (ids *and* slots) exactly, at every
-    //! store-shard count.
+    //! must preserve the raw orderer's commit sequence (ids *and* slots) exactly.
 
     use fabricsharp::common::config::{CcConfig, WorkloadParams};
     use fabricsharp::common::txn::{Transaction, TxnId};
@@ -376,8 +321,7 @@ mod instance_soundness {
         #![proptest_config(ProptestConfig::with_cases(10))]
 
         /// For any partition geometry, fast path on reproduces the fastpath-off commit
-        /// sequence at every S, and the bypass count matches the analyzer's prediction
-        /// exactly.
+        /// sequence, and the bypass count matches the analyzer's prediction exactly.
         #[test]
         fn instance_fastpath_preserves_the_commit_sequence(
             seed in 0u64..10_000,
@@ -388,22 +332,19 @@ mod instance_soundness {
             let (reference, _) = commit_sequence(&txns, CcConfig::default());
             prop_assert!(!reference.is_empty(), "reference run must commit work");
 
-            for shards in [0usize, 2, 4] {
-                let (fast, bypassed) = commit_sequence(
-                    &txns,
-                    CcConfig {
-                        template_fastpath: true,
-                        store_shards: shards,
-                        ..CcConfig::default()
-                    },
-                );
-                prop_assert_eq!(&reference, &fast, "commit sequence diverged at S{}", shards);
-                prop_assert_eq!(
-                    predicted, bypassed,
-                    "analyzer predicted {} safe but S{} bypassed {}",
-                    predicted, shards, bypassed
-                );
-            }
+            let (fast, bypassed) = commit_sequence(
+                &txns,
+                CcConfig {
+                    template_fastpath: true,
+                    ..CcConfig::default()
+                },
+            );
+            prop_assert_eq!(&reference, &fast, "commit sequence diverged");
+            prop_assert_eq!(
+                predicted, bypassed,
+                "analyzer predicted {} safe but the fast path bypassed {}",
+                predicted, bypassed
+            );
         }
     }
 }

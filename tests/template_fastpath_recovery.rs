@@ -7,11 +7,11 @@
 //!
 //! 1. a ledger produced with the fast path **on** is bit-identical to the fastpath-off ledger
 //!    (the knob never leaks into the persisted artefact);
-//! 2. recovering from that ledger with the fast path on and off — at `S = 0 / 2 / 4` store
-//!    shards — yields controllers that resume at the same block and make identical decisions
-//!    on fresh in-contract arrivals, cut for cut;
-//! 3. replaying the ledger's committed writes into the unsharded and sharded store backends
-//!    answers every read identically (the "identical stores" half of a cold replay).
+//! 2. recovering from that ledger with the fast path on and off yields controllers that
+//!    resume at the same block and make identical decisions on fresh in-contract arrivals,
+//!    cut for cut;
+//! 3. replaying the ledger's committed writes into a genesis-seeded store reproduces the live
+//!    chain's store (the "identical stores" half of a cold replay).
 
 use fabricsharp::baselines::{SimpleChain, SystemKind};
 use fabricsharp::common::config::{CcConfig, WorkloadParams};
@@ -20,30 +20,28 @@ use fabricsharp::common::txn::{TemplateClass, Transaction};
 use fabricsharp::core::recovery::recover_from_ledger;
 use fabricsharp::core::FabricSharpCC;
 use fabricsharp::ledger::Ledger;
-use fabricsharp::vstore::{StateRead, StateStore, StoreBackend};
+use fabricsharp::vstore::MultiVersionStore;
 use fabricsharp::workload::generator::{WorkloadGenerator, WorkloadKind};
 use fabricsharp::workload::YcsbProfile;
 use proptest::prelude::*;
 
-const SHARD_COUNTS: [usize; 3] = [0, 2, 4];
-
 /// Drives a live FabricSharp chain over a classified workload stream — tagging every
-/// transaction exactly like the simulator does — and returns its ledger.
-fn build_ledger(
+/// transaction exactly like the simulator does — and returns it.
+fn build_chain(
     kind: WorkloadKind,
     num_accounts: usize,
     num_txns: usize,
     block_size: usize,
     seed: u64,
     fastpath: bool,
-) -> Ledger {
+) -> SimpleChain {
     let params = WorkloadParams {
         num_accounts,
         ..WorkloadParams::default()
     };
     let mut generator = WorkloadGenerator::new(kind, params, seed);
     let analyzer = generator.analyzer();
-    let mut chain = SimpleChain::with_template_fastpath(SystemKind::FabricSharp, 0, fastpath);
+    let mut chain = SimpleChain::with_template_fastpath(SystemKind::FabricSharp, fastpath);
     chain.seed(generator.genesis());
     for i in 0..num_txns {
         let template = generator.next_template();
@@ -57,14 +55,27 @@ fn build_ledger(
         }
     }
     chain.seal_block();
-    chain.ledger().clone()
+    chain
 }
 
-fn recovered(ledger: &Ledger, store_shards: usize, fastpath: bool) -> FabricSharpCC {
+/// [`build_chain`]'s ledger.
+fn build_ledger(
+    kind: WorkloadKind,
+    num_accounts: usize,
+    num_txns: usize,
+    block_size: usize,
+    seed: u64,
+    fastpath: bool,
+) -> Ledger {
+    build_chain(kind, num_accounts, num_txns, block_size, seed, fastpath)
+        .ledger()
+        .clone()
+}
+
+fn recovered(ledger: &Ledger, fastpath: bool) -> FabricSharpCC {
     let (cc, report) = recover_from_ledger(
         ledger,
         CcConfig {
-            store_shards,
             template_fastpath: fastpath,
             track_exact_reachability: true,
             ..CcConfig::default()
@@ -94,8 +105,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// A cold replay of a fastpath-on ledger must rebuild equivalent controllers whether the
-    /// recovering orderer has the fast path on or off, at every store sharding — same resume
-    /// block, same verdicts on fresh in-contract arrivals, same post-recovery blocks.
+    /// recovering orderer has the fast path on or off — same resume block, same verdicts on
+    /// fresh in-contract arrivals, same post-recovery blocks.
     #[test]
     fn cold_replay_rebuilds_identical_controllers(
         seed in any::<u64>(),
@@ -116,50 +127,48 @@ proptest! {
         prop_assert_eq!(ledger_on.tip_hash(), ledger_off.tip_hash());
         prop_assert!(ledger_on.height() >= 2, "degenerate run: height {}", ledger_on.height());
 
-        for shards in SHARD_COUNTS {
-            let mut with_fastpath = recovered(&ledger_on, shards, true);
-            let mut without = recovered(&ledger_on, shards, false);
+        let mut with_fastpath = recovered(&ledger_on, true);
+        let mut without = recovered(&ledger_on, false);
 
-            // (2) Same resume point. The fastpath recoverer logged the safe suffix as
-            // untracked commits instead of graph nodes; the reference recoverer inserted
-            // committed nodes — both must know every replayed transaction.
-            prop_assert_eq!(with_fastpath.next_block(), without.next_block());
-            prop_assert!(with_fastpath.graph().len() <= without.graph().len());
-            // Only the replayed suffix matters: recovery (and the untracked-commit log's
-            // pruning schedule) both cut off `max_span` blocks below the tip.
-            let replay_from = ledger_on
-                .height()
-                .saturating_sub(CcConfig::default().max_span)
-                .max(1);
-            for block in ledger_on.iter().filter(|b| b.number() >= replay_from) {
-                for entry in &block.entries {
-                    if entry.status.is_committed() {
-                        prop_assert!(
-                            with_fastpath.graph().knows(entry.txn.id),
-                            "fastpath recoverer must know replayed txn {:?} (S={})",
-                            entry.txn.id, shards
-                        );
-                    }
+        // (2) Same resume point. The fastpath recoverer logged the safe suffix as
+        // untracked commits instead of graph nodes; the reference recoverer inserted
+        // committed nodes — both must know every replayed transaction.
+        prop_assert_eq!(with_fastpath.next_block(), without.next_block());
+        prop_assert!(with_fastpath.graph().len() <= without.graph().len());
+        // Only the replayed suffix matters: recovery (and the untracked-commit log's
+        // pruning schedule) both cut off `max_span` blocks below the tip.
+        let replay_from = ledger_on
+            .height()
+            .saturating_sub(CcConfig::default().max_span)
+            .max(1);
+        for block in ledger_on.iter().filter(|b| b.number() >= replay_from) {
+            for entry in &block.entries {
+                if entry.status.is_committed() {
+                    prop_assert!(
+                        with_fastpath.graph().knows(entry.txn.id),
+                        "fastpath recoverer must know replayed txn {:?}",
+                        entry.txn.id
+                    );
                 }
             }
-
-            // Identical decisions on fresh in-contract arrivals...
-            let base = 100_000u64;
-            let snapshot = ledger_on.height();
-            for i in 0..6u64 {
-                let probe = fresh_probe(base + i, snapshot.saturating_sub(i % 3));
-                let d_on = with_fastpath.on_arrival(probe.clone()).is_accept();
-                let d_off = without.on_arrival(probe).is_accept();
-                prop_assert_eq!(d_on, d_off, "probe {} diverged (S={})", i, shards);
-            }
-
-            // ...and identical blocks when the recovered controllers keep running.
-            let cut_on = with_fastpath.cut_block();
-            let cut_off = without.cut_block();
-            let ids_on: Vec<_> = cut_on.iter().map(|t| (t.id, t.end_ts)).collect();
-            let ids_off: Vec<_> = cut_off.iter().map(|t| (t.id, t.end_ts)).collect();
-            prop_assert_eq!(ids_on, ids_off, "post-recovery block diverged (S={})", shards);
         }
+
+        // Identical decisions on fresh in-contract arrivals...
+        let base = 100_000u64;
+        let snapshot = ledger_on.height();
+        for i in 0..6u64 {
+            let probe = fresh_probe(base + i, snapshot.saturating_sub(i % 3));
+            let d_on = with_fastpath.on_arrival(probe.clone()).is_accept();
+            let d_off = without.on_arrival(probe).is_accept();
+            prop_assert_eq!(d_on, d_off, "probe {} diverged", i);
+        }
+
+        // ...and identical blocks when the recovered controllers keep running.
+        let cut_on = with_fastpath.cut_block();
+        let cut_off = without.cut_block();
+        let ids_on: Vec<_> = cut_on.iter().map(|t| (t.id, t.end_ts)).collect();
+        let ids_off: Vec<_> = cut_off.iter().map(|t| (t.id, t.end_ts)).collect();
+        prop_assert_eq!(ids_on, ids_off, "post-recovery block diverged");
     }
 
     /// Same contract on an *instance-rescued* ledger: write-partitioned YCSB-B interleaves
@@ -185,113 +194,82 @@ proptest! {
         prop_assert_eq!(ledger_on.tip_hash(), ledger_off.tip_hash());
         prop_assert!(ledger_on.height() >= 2, "degenerate run: height {}", ledger_on.height());
 
-        for shards in SHARD_COUNTS {
-            let mut with_fastpath = recovered(&ledger_on, shards, true);
-            let mut without = recovered(&ledger_on, shards, false);
-            prop_assert_eq!(with_fastpath.next_block(), without.next_block());
-            prop_assert!(with_fastpath.graph().len() <= without.graph().len());
-            let replay_from = ledger_on
-                .height()
-                .saturating_sub(CcConfig::default().max_span)
-                .max(1);
-            for block in ledger_on.iter().filter(|b| b.number() >= replay_from) {
-                for entry in &block.entries {
-                    if entry.status.is_committed() {
-                        prop_assert!(
-                            with_fastpath.graph().knows(entry.txn.id),
-                            "fastpath recoverer must know replayed txn {:?} (S={})",
-                            entry.txn.id, shards
-                        );
-                    }
+        let mut with_fastpath = recovered(&ledger_on, true);
+        let mut without = recovered(&ledger_on, false);
+        prop_assert_eq!(with_fastpath.next_block(), without.next_block());
+        prop_assert!(with_fastpath.graph().len() <= without.graph().len());
+        let replay_from = ledger_on
+            .height()
+            .saturating_sub(CcConfig::default().max_span)
+            .max(1);
+        for block in ledger_on.iter().filter(|b| b.number() >= replay_from) {
+            for entry in &block.entries {
+                if entry.status.is_committed() {
+                    prop_assert!(
+                        with_fastpath.graph().knows(entry.txn.id),
+                        "fastpath recoverer must know replayed txn {:?}",
+                        entry.txn.id
+                    );
                 }
             }
-
-            // Fresh in-contract arrivals: rescued reads (below the partition, tagged Safe by
-            // the instance rule) interleaved with unknown writers into the tail.
-            let base = 200_000u64;
-            let snapshot = ledger_on.height();
-            for i in 0..6u64 {
-                let probe = if i % 2 == 0 {
-                    Transaction::from_parts(
-                        base + i,
-                        snapshot,
-                        [(Key::new(format!("usertable:{}", i % 48)), SeqNo::zero())],
-                        [],
-                    )
-                    .with_template_class(TemplateClass::Safe)
-                } else {
-                    Transaction::from_parts(
-                        base + i,
-                        snapshot,
-                        [],
-                        [(Key::new(format!("usertable:{}", 48 + i % 16)), Value::from_i64(1))],
-                    )
-                };
-                let d_on = with_fastpath.on_arrival(probe.clone()).is_accept();
-                let d_off = without.on_arrival(probe).is_accept();
-                prop_assert_eq!(d_on, d_off, "probe {} diverged (S={})", i, shards);
-            }
-            let cut_on = with_fastpath.cut_block();
-            let cut_off = without.cut_block();
-            let ids_on: Vec<_> = cut_on.iter().map(|t| (t.id, t.end_ts)).collect();
-            let ids_off: Vec<_> = cut_off.iter().map(|t| (t.id, t.end_ts)).collect();
-            prop_assert_eq!(ids_on, ids_off, "post-recovery block diverged (S={})", shards);
         }
+
+        // Fresh in-contract arrivals: rescued reads (below the partition, tagged Safe by
+        // the instance rule) interleaved with unknown writers into the tail.
+        let base = 200_000u64;
+        let snapshot = ledger_on.height();
+        for i in 0..6u64 {
+            let probe = if i % 2 == 0 {
+                Transaction::from_parts(
+                    base + i,
+                    snapshot,
+                    [(Key::new(format!("usertable:{}", i % 48)), SeqNo::zero())],
+                    [],
+                )
+                .with_template_class(TemplateClass::Safe)
+            } else {
+                Transaction::from_parts(
+                    base + i,
+                    snapshot,
+                    [],
+                    [(Key::new(format!("usertable:{}", 48 + i % 16)), Value::from_i64(1))],
+                )
+            };
+            let d_on = with_fastpath.on_arrival(probe.clone()).is_accept();
+            let d_off = without.on_arrival(probe).is_accept();
+            prop_assert_eq!(d_on, d_off, "probe {} diverged", i);
+        }
+        let cut_on = with_fastpath.cut_block();
+        let cut_off = without.cut_block();
+        let ids_on: Vec<_> = cut_on.iter().map(|t| (t.id, t.end_ts)).collect();
+        let ids_off: Vec<_> = cut_off.iter().map(|t| (t.id, t.end_ts)).collect();
+        prop_assert_eq!(ids_on, ids_off, "post-recovery block diverged");
     }
 
-    /// The state-store half of the cold replay: the committed writes of a fastpath-on ledger
-    /// replayed into the unsharded and sharded backends answer every read identically.
+    /// The state-store half of the cold replay: the committed writes of a fastpath-on ledger,
+    /// replayed into a genesis-seeded store, reproduce the live chain's store.
     #[test]
-    fn store_replay_of_a_fastpath_ledger_is_identical_across_shardings(
+    fn store_replay_of_a_fastpath_ledger_matches_the_live_store(
         seed in any::<u64>(),
         num_txns in 20usize..40,
         block_size in 3usize..7,
     ) {
         let num_accounts = 12usize;
-        let ledger = build_ledger(
+        let chain = build_chain(
             WorkloadKind::CreateAccount, num_accounts, num_txns, block_size, seed, true,
         );
+        let ledger = chain.ledger();
         prop_assert!(ledger.height() >= 2);
 
-        let mut backends: Vec<StoreBackend> = SHARD_COUNTS
-            .iter()
-            .map(|shards| StoreBackend::for_shards(*shards))
-            .collect();
-        for backend in &mut backends {
-            let params = WorkloadParams { num_accounts, ..WorkloadParams::default() };
-            let generator =
-                WorkloadGenerator::new(WorkloadKind::CreateAccount, params, seed);
-            backend.seed_genesis(generator.genesis());
-            for block in ledger.iter() {
-                let committed: Vec<_> = block.committed().collect();
-                backend.apply_block(block.number(), committed);
-            }
+        let params = WorkloadParams { num_accounts, ..WorkloadParams::default() };
+        let generator = WorkloadGenerator::new(WorkloadKind::CreateAccount, params, seed);
+        let mut replayed = MultiVersionStore::new();
+        replayed.seed_genesis(generator.genesis());
+        for block in ledger.iter() {
+            let committed: Vec<_> = block.committed().collect();
+            replayed.apply_block(block.number(), committed);
         }
-
-        let (reference, sharded) = backends.split_first().unwrap();
-        prop_assert_eq!(reference.last_block(), ledger.height());
-        // Every key the run created (the genesis population plus one fresh account pair per
-        // committed create) must read identically at every height.
-        let created = num_accounts + num_txns;
-        for candidate in sharded {
-            prop_assert_eq!(reference.last_block(), candidate.last_block());
-            prop_assert_eq!(reference.key_count(), candidate.key_count());
-            prop_assert_eq!(reference.version_count(), candidate.version_count());
-            for account in 0..created {
-                for key in [
-                    Key::new(format!("checking:{account}")),
-                    Key::new(format!("savings:{account}")),
-                ] {
-                    prop_assert_eq!(reference.latest(&key), candidate.latest(&key));
-                    for block in 0..=ledger.height() {
-                        prop_assert_eq!(
-                            reference.read_at(&key, block).unwrap(),
-                            candidate.read_at(&key, block).unwrap(),
-                            "{} @ {}", key, block
-                        );
-                    }
-                }
-            }
-        }
+        prop_assert_eq!(replayed.last_block(), ledger.height());
+        prop_assert_eq!(&replayed, chain.store());
     }
 }
