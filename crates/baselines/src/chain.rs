@@ -50,19 +50,6 @@ impl SimpleChain {
         Self::with_cc_config(kind, CcConfig::default())
     }
 
-    /// Creates a chain with the template fast path toggled. With the knob on, transactions
-    /// tagged [`eov_common::txn::TemplateClass::Safe`] bypass the dependency graph; ledger
-    /// outcomes stay bit-identical to the knob-off reference.
-    pub fn with_template_fastpath(kind: SystemKind, enabled: bool) -> Self {
-        Self::with_cc_config(
-            kind,
-            CcConfig {
-                template_fastpath: enabled,
-                ..CcConfig::default()
-            },
-        )
-    }
-
     /// Creates a chain with an explicit concurrency-control configuration.
     pub fn with_cc_config(kind: SystemKind, cc_config: CcConfig) -> Self {
         let snapshots = SnapshotManager::new();

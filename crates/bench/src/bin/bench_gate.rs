@@ -19,12 +19,13 @@
 //! * `topo_sort_pending` on the dense engine must be ≥ 5× faster than the naive reference at
 //!   512 pending transactions (the tentpole acceptance criterion),
 //! * the miss-path `would_close_cycle` must not be slower than the naive pair scan,
-//! * the template fast path must run the read-only YCSB-C arrival + cut input ≥ 1.3× faster
-//!   than the fastpath-off reference while committing the identical id order,
-//! * the *instance* fast path must run the write-partitioned YCSB-B input ≥ 1.3× faster than
-//!   the fastpath-off reference, commit the identical id order, and bypass **exactly** the
-//!   number of transactions the conflict analyzer predicted (runtime `fastpath_accepted` ==
-//!   static safe-tag count, ±0),
+//! * the template fast path must run the read-only YCSB-C arrival + cut input, as the conflict
+//!   analyzer tags it, ≥ 1.3× faster than the same input re-tagged `Unknown` (the reference
+//!   path) while committing the identical id order,
+//! * the *instance* fast path must run the tagged write-partitioned YCSB-B input ≥ 1.3× faster
+//!   than the same input re-tagged `Unknown`, commit the identical id order, and bypass
+//!   **exactly** the number of transactions the conflict analyzer predicted (runtime
+//!   `fastpath_accepted` == static safe-tag count, ±0),
 //! * `cut_block` on a 100-transaction Smallbank batch must cost at most 2× as much on a
 //!   controller carrying `max_span` blocks of committed history as on a fresh one (persist,
 //!   prune and the committed-index lookups scale with the block's footprint, not with the
@@ -46,7 +47,9 @@
 //! and `FABRICSHARP_GATE_TOLERANCE` widens the band if a runner generation proves noisier
 //! than ±20%.
 
-use eov_bench::{hot_keys_scattered, latest_pass, smallbank_store, GROWN_ACCOUNTS, HOT_ACCOUNTS};
+use eov_bench::{
+    hot_keys_scattered, latest_pass, smallbank_store, untagged, GROWN_ACCOUNTS, HOT_ACCOUNTS,
+};
 use eov_common::config::{CcConfig, WorkloadParams};
 use eov_common::rwset::{Key, Value};
 use eov_common::txn::TxnStatus;
@@ -70,9 +73,9 @@ const RUNS: usize = 15;
 const DEFAULT_TOLERANCE: f64 = 0.20;
 /// Required dense-vs-naive speedup for `topo_sort_pending` at 512 pending.
 const REQUIRED_TOPO_SPEEDUP: f64 = 5.0;
-/// Required fastpath-off / fastpath-on speedup for the read-only YCSB-C arrival + cut path:
-/// safe transactions skip graph insertion, cycle probing and index bookkeeping wholesale, so
-/// the whole-orderer path must be at least this much faster on all-safe traffic.
+/// Required untagged / tagged speedup for the read-only YCSB-C arrival + cut path: safe
+/// transactions skip graph insertion, cycle probing and index bookkeeping wholesale, so the
+/// whole-orderer path must be at least this much faster on all-safe traffic.
 const REQUIRED_FASTPATH_SPEEDUP: f64 = 1.3;
 
 /// Most a hot `latest()` may cost inside `create_account_durable`'s grown store (840 k keys
@@ -167,24 +170,20 @@ fn ww_heavy_txns() -> Vec<Transaction> {
 }
 
 /// Runs the full FabricSharp orderer path — every arrival plus one block cut — and returns
-/// the committed count (keeps the optimiser honest). The template-fastpath benches toggle
-/// `CcConfig::template_fastpath` on identically tagged inputs.
-fn arrival_and_cut(txns: &[Transaction], config: CcConfig) -> u64 {
-    let mut cc = FabricSharpCC::new(config);
+/// the controller and the block. The template-fastpath benches run it on tagged inputs and on
+/// the same inputs re-tagged by [`untagged`].
+fn arrival_and_cut(txns: &[Transaction]) -> (FabricSharpCC, Vec<Transaction>) {
+    let mut cc = FabricSharpCC::new(CcConfig::default());
     for txn in txns {
         let _ = cc.on_arrival(txn.clone());
     }
-    cc.cut_block().len() as u64
+    let block = cc.cut_block();
+    (cc, block)
 }
 
-/// Like [`arrival_and_cut`] but returns the committed transaction ids in block order — the
-/// artefact the fastpath identity check compares exactly.
-fn arrival_and_cut_ids(txns: &[Transaction], config: CcConfig) -> Vec<u64> {
-    let mut cc = FabricSharpCC::new(config);
-    for txn in txns {
-        let _ = cc.on_arrival(txn.clone());
-    }
-    cc.cut_block().iter().map(|t| t.id.0).collect()
+/// [`arrival_and_cut`]'s committed count (keeps the optimiser honest).
+fn arrival_and_cut_len(txns: &[Transaction]) -> u64 {
+    arrival_and_cut(txns).1.len() as u64
 }
 
 /// Transactions per block in the history-independence check.
@@ -235,13 +234,15 @@ struct BenchContext {
     miss_succs: Vec<TxnId>,
     smallbank200: Vec<Transaction>,
     /// 200 read-only YCSB-C transactions, tagged `Safe` by the conflict analyzer — the
-    /// all-bypass input for the template-fastpath benches.
+    /// all-bypass input for the template-fastpath benches — and the same input untagged.
     ycsb_c200: Vec<Transaction>,
+    ycsb_c200_untagged: Vec<Transaction>,
     /// 200 write-partitioned YCSB-B transactions: reads Zipfian over the full population,
     /// writes uniform in the top 1/8 tail. The read template still conflicts with the writer
     /// template, so only *instance* classification (bound keys provably below the partition)
-    /// tags the ~75% rescued arrivals `Safe`.
+    /// tags the ~75% rescued arrivals `Safe`. Also kept untagged.
     ycsb_b200: Vec<Transaction>,
+    ycsb_b200_untagged: Vec<Transaction>,
     ww_heavy: Vec<Transaction>,
     /// 200 committed blocks (1600 txns) for the durable-ledger benches: the append input,
     /// the in-memory reference, the uninterrupted-run store, and a persisted directory with
@@ -338,6 +339,11 @@ impl BenchContext {
     fn new() -> Self {
         let (durable_blocks, durable_reference, durable_reference_store, recover_dir) =
             durable_fixture();
+        let ycsb_c200 = endorsed_txns(WorkloadKind::Ycsb(YcsbProfile::c()), 200);
+        let ycsb_b200 = endorsed_txns(
+            WorkloadKind::Ycsb(YcsbProfile::b().with_write_partition(0.125)),
+            200,
+        );
         BenchContext {
             dense512: layered(512, 3),
             naive512: naive_layered(512, 3),
@@ -345,11 +351,10 @@ impl BenchContext {
             miss_preds: (0..8).map(TxnId).collect(),
             miss_succs: (504..512).map(TxnId).collect(),
             smallbank200: endorsed_txns(WorkloadKind::ModifiedSmallbank, 200),
-            ycsb_c200: endorsed_txns(WorkloadKind::Ycsb(YcsbProfile::c()), 200),
-            ycsb_b200: endorsed_txns(
-                WorkloadKind::Ycsb(YcsbProfile::b().with_write_partition(0.125)),
-                200,
-            ),
+            ycsb_c200_untagged: untagged(&ycsb_c200),
+            ycsb_c200,
+            ycsb_b200_untagged: untagged(&ycsb_b200),
+            ycsb_b200,
             ww_heavy: ww_heavy_txns(),
             durable_blocks,
             durable_reference,
@@ -457,36 +462,16 @@ impl BenchContext {
                     .ledger
                     .height()
             }),
-            "formation_ww_restore_400" => {
-                median_ns(|| arrival_and_cut(&self.ww_heavy, CcConfig::default()))
-            }
-            "sharp_smallbank200_unsharded" => {
-                median_ns(|| arrival_and_cut(&self.smallbank200, CcConfig::default()))
-            }
+            "formation_ww_restore_400" => median_ns(|| arrival_and_cut_len(&self.ww_heavy)),
+            "sharp_smallbank200_unsharded" => median_ns(|| arrival_and_cut_len(&self.smallbank200)),
             "sharp_ycsb_b_fastpath_off_200" => {
-                median_ns(|| arrival_and_cut(&self.ycsb_b200, CcConfig::default()))
+                median_ns(|| arrival_and_cut_len(&self.ycsb_b200_untagged))
             }
-            "sharp_ycsb_b_fastpath_on_200" => median_ns(|| {
-                arrival_and_cut(
-                    &self.ycsb_b200,
-                    CcConfig {
-                        template_fastpath: true,
-                        ..CcConfig::default()
-                    },
-                )
-            }),
+            "sharp_ycsb_b_fastpath_on_200" => median_ns(|| arrival_and_cut_len(&self.ycsb_b200)),
             "sharp_ycsb_c_fastpath_off_200" => {
-                median_ns(|| arrival_and_cut(&self.ycsb_c200, CcConfig::default()))
+                median_ns(|| arrival_and_cut_len(&self.ycsb_c200_untagged))
             }
-            "sharp_ycsb_c_fastpath_on_200" => median_ns(|| {
-                arrival_and_cut(
-                    &self.ycsb_c200,
-                    CcConfig {
-                        template_fastpath: true,
-                        ..CcConfig::default()
-                    },
-                )
-            }),
+            "sharp_ycsb_c_fastpath_on_200" => median_ns(|| arrival_and_cut_len(&self.ycsb_c200)),
             other => unreachable!("unknown benchmark {other}"),
         }
     }
@@ -581,7 +566,8 @@ fn main() {
         failures += 1;
     }
     // Template fast path: on all-safe (read-only YCSB-C) traffic the bypass must deliver a
-    // real structural speedup — and commit the identical id order as the reference.
+    // real structural speedup over the same input untagged — and commit the identical id
+    // order.
     let fp_off = results["sharp_ycsb_c_fastpath_off_200"];
     let fp_on = results["sharp_ycsb_c_fastpath_on_200"];
     let fp_speedup = fp_off / fp_on;
@@ -611,35 +597,25 @@ fn main() {
         );
         failures += 1;
     }
-    for (input_name, txns) in [("ycsb_c200", &ctx.ycsb_c200), ("ycsb_b200", &ctx.ycsb_b200)] {
-        let reference = arrival_and_cut_ids(txns, CcConfig::default());
-        let fastpath = arrival_and_cut_ids(
-            txns,
-            CcConfig {
-                template_fastpath: true,
-                ..CcConfig::default()
-            },
-        );
-        if reference == fastpath {
+    for (input_name, txns, reference_txns) in [
+        ("ycsb_c200", &ctx.ycsb_c200, &ctx.ycsb_c200_untagged),
+        ("ycsb_b200", &ctx.ycsb_b200, &ctx.ycsb_b200_untagged),
+    ] {
+        let ids = |block: &[Transaction]| block.iter().map(|t| t.id).collect::<Vec<_>>();
+        let (_, reference) = arrival_and_cut(reference_txns);
+        let (cc, fastpath) = arrival_and_cut(txns);
+        if ids(&reference) == ids(&fastpath) {
             println!(
-                "  OK   {input_name}: fastpath/reference commit orders identical ({} txns)",
+                "  OK   {input_name}: tagged/untagged commit orders identical ({} txns)",
                 reference.len()
             );
         } else {
-            println!("  FAIL {input_name}: commit orders diverged between fastpath and reference");
+            println!("  FAIL {input_name}: commit orders diverged between tagged and untagged");
             failures += 1;
         }
         // Exactness: the orderer must bypass precisely the arrivals the static analyzer
         // tagged Safe — no more (soundness hole), no fewer (rescue not wired through).
         let predicted = txns.iter().filter(|t| t.template_class.is_safe()).count() as u64;
-        let mut cc = FabricSharpCC::new(CcConfig {
-            template_fastpath: true,
-            ..CcConfig::default()
-        });
-        for txn in txns.iter() {
-            let _ = cc.on_arrival(txn.clone());
-        }
-        let _ = cc.cut_block();
         let runtime = cc.stats().fastpath_accepted;
         if predicted == runtime {
             println!(

@@ -1,22 +1,24 @@
-//! Template-fastpath measurement table: whole-orderer arrival + formation medians with
-//! `CcConfig::template_fastpath` off vs on, per workload mix.
+//! Template-fastpath measurement table: whole-orderer arrival + formation medians for each
+//! workload mix, untagged vs tagged.
 //!
 //! ```text
 //! cargo run --release -p eov-bench --bin fastpath_table
 //! ```
 //!
 //! Replays 200 endorsed transactions of each mix through `FabricSharpCC::on_arrival` plus one
-//! `cut_block`, median of 15 runs, with the fast path off and on. Transactions are tagged by
-//! the key-granular conflict analyzer (instance classification) exactly like the simulator
-//! tags them, so the "on" column reflects what the knob buys on that mix: YCSB-C (100% reads)
-//! is entirely safe and bypasses the graph wholesale; the write-partitioned YCSB-B row shows
-//! the instance-level rescue — read instances whose sampled keys provably miss the write tail
-//! are safe even though the read template itself is not; unpartitioned YCSB-A/B/F and the
-//! Smallbank mixes classify unknown throughout, so their numbers must stay at ~1.0× (the knob
-//! is inert there — and the `template_fastpath_determinism` battery pins that the ledgers are
+//! `cut_block`, median of 15 runs, once with every transaction tagged `Unknown` (the reference
+//! path through the dependency graph) and once tagged by the key-granular conflict analyzer
+//! (instance classification) exactly like the simulator tags them, so the "tagged" column
+//! reflects what the fast path buys on that mix: YCSB-C (100% reads) is entirely safe and
+//! bypasses the graph wholesale; the write-partitioned YCSB-B row shows the instance-level
+//! rescue — read instances whose sampled keys provably miss the write tail are safe even
+//! though the read template itself is not; unpartitioned YCSB-A/B/F and the Smallbank mixes
+//! classify unknown throughout, so their numbers must stay at ~1.0× (the fast path never
+//! engages there — and the `template_fastpath_determinism` battery pins that the ledgers are
 //! bit-identical either way). This binary produces the BASELINES.md "Template fast path"
 //! table.
 
+use eov_bench::untagged;
 use eov_common::config::{CcConfig, WorkloadParams};
 use eov_common::txn::{Transaction, TxnId};
 use eov_vstore::{MultiVersionStore, SnapshotManager};
@@ -52,12 +54,9 @@ fn endorsed_txns(kind: WorkloadKind) -> Vec<Transaction> {
         .collect()
 }
 
-fn median_ns(txns: &[Transaction], fastpath: bool) -> f64 {
+fn median_ns(txns: &[Transaction]) -> f64 {
     let body = || {
-        let mut cc = FabricSharpCC::new(CcConfig {
-            template_fastpath: fastpath,
-            ..CcConfig::default()
-        });
+        let mut cc = FabricSharpCC::new(CcConfig::default());
         for txn in txns {
             let _ = cc.on_arrival(txn.clone());
         }
@@ -94,13 +93,13 @@ fn main() {
     ];
 
     println!("FabricSharp arrival + cut, {TXNS} txns, median of {RUNS} runs");
-    println!("| workload | fastpath off (ns) | fastpath on (ns) | off/on |");
+    println!("| workload | untagged (ns) | tagged (ns) | untagged/tagged |");
     println!("|---|---|---|---|");
     for (name, kind) in workloads {
         let txns = endorsed_txns(kind);
         let safe = txns.iter().filter(|t| t.template_class.is_safe()).count();
-        let off = median_ns(&txns, false);
-        let on = median_ns(&txns, true);
+        let off = median_ns(&untagged(&txns));
+        let on = median_ns(&txns);
         println!(
             "| {name} ({safe}/{TXNS} safe) | {off:.0} | {on:.0} | {:.2}x |",
             off / on

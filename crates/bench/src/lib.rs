@@ -9,6 +9,7 @@
 
 use eov_baselines::api::SystemKind;
 use eov_common::rwset::Key;
+use eov_common::txn::{TemplateClass, Transaction};
 use eov_sim::{SimReport, SimulationConfig, Simulator};
 use eov_vstore::MultiVersionStore;
 use eov_workload::smallbank;
@@ -195,6 +196,14 @@ pub fn latest_pass(store: &MultiVersionStore, keys: &[Key]) -> u64 {
     keys.iter()
         .filter(|key| store.latest(key).is_some())
         .count() as u64
+}
+
+/// The same transactions tagged [`TemplateClass::Unknown`]: every one takes the reference
+/// path through the dependency graph, the baseline the template fast path is measured against.
+pub fn untagged(txns: &[Transaction]) -> Vec<Transaction> {
+    txns.iter()
+        .map(|t| t.clone().with_template_class(TemplateClass::Unknown))
+        .collect()
 }
 
 #[cfg(test)]

@@ -5,8 +5,9 @@
 //! * [`BlockConfig`] — block formation: maximum transactions per block and the formation
 //!   timeout, mirroring Fabric's orderer configuration.
 //! * [`CcConfig`] — FabricSharp-specific concurrency-control knobs: `max_span` for pruning
-//!   (Section 4.6) and the bloom-filter sizing of Section 4.4, plus the template fast path
-//!   and durability knobs, which leave the ledger bit-identical.
+//!   (Section 4.6) and the bloom-filter sizing of Section 4.4, plus the durability knobs,
+//!   which leave the ledger bit-identical. The template fast path has no knob: a transaction
+//!   tagged [`crate::txn::TemplateClass::Safe`] always bypasses the dependency graph.
 //! * [`WorkloadParams`] / [`ExperimentGrid`] — the Smallbank workload parameters of Table 2
 //!   together with the default value for each (underlined in the paper).
 
@@ -65,13 +66,6 @@ pub struct CcConfig {
     /// filters; used by the ablation benchmarks and by tests that quantify false-positive
     /// aborts. Production configurations leave this off.
     pub track_exact_reachability: bool,
-    /// When `true`, transactions tagged [`crate::txn::TemplateClass::Safe`] by the workload's
-    /// template static analysis bypass dependency-graph insertion, cycle probing and
-    /// ww-restore entirely — they are spliced into the committed order at their arrival
-    /// position. `false` (the default) ignores the tag and runs the reference path. Either
-    /// setting produces bit-for-bit the same ledgers, orders and verdicts (asserted by
-    /// `tests/template_fastpath_determinism.rs`).
-    pub template_fastpath: bool,
     /// Size (in KiB) at which the durable ledger rotates to a new segment file. Only consulted
     /// when a durable ledger directory is configured; the in-memory reference ledger ignores
     /// it. Defaults to 1 MiB: every rotation is a file creation and one more directory entry
@@ -99,7 +93,6 @@ impl Default for CcConfig {
             bloom_bits: 4096,
             bloom_hashes: 3,
             track_exact_reachability: false,
-            template_fastpath: false,
             segment_rotate_kib: 1024,
             checkpoint_interval: 0,
             durable_fsync: false,

@@ -38,9 +38,11 @@ impl From<u64> for TxnId {
 ///
 /// `Safe` asserts that, given the whole template mix the workload draws from, no instance of
 /// this template can ever participate in a serializability-violating cycle — so the orderer
-/// may skip dependency-graph insertion and cycle probing for it entirely. `Unknown` is the
-/// conservative default: the transaction takes the full Algorithm 2 path. The tag is advisory
-/// metadata; with `CcConfig::template_fastpath` off it is ignored everywhere.
+/// skips dependency-graph insertion and cycle probing for it entirely. `Unknown` is the
+/// conservative default: the transaction takes the full Algorithm 2 path. The tag is an input
+/// the orderer trusts (debug builds re-check it against the dependency indices on every
+/// arrival and replay); re-tagging a transaction `Unknown` yields the same verdicts, commit
+/// order and ledger, only slower.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum TemplateClass {
     /// No static guarantee: full dependency tracking applies.

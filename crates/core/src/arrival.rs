@@ -10,8 +10,11 @@
 //!    transaction can never be serialized by reordering (Theorem 2) and is dropped before it
 //!    ever occupies a block slot;
 //! 4. otherwise inserts it into the graph (Algorithm 4) and into the pending indices.
+//!
+//! A transaction tagged `TemplateClass::Safe` (the template fast path) takes step 1 and then
+//! skips steps 2–4: it cannot acquire a dependency, so it is only queued for the next block.
 
-use crate::dependency::resolve;
+use crate::dependency::{debug_assert_dependency_free, resolve};
 use crate::orderer_cc::FabricSharpCC;
 use eov_common::abort::AbortReason;
 use eov_common::txn::{CommitDecision, Transaction};
@@ -50,7 +53,8 @@ impl FabricSharpCC {
         // edge-free (0 reachability hops) and the PW/PR/CW/CR entries would never be
         // consulted. Skip all of it: remember only the acceptance position, which is all
         // block formation needs to splice the transaction into the reference commit order.
-        if self.config.template_fastpath && txn.template_class.is_safe() {
+        if txn.template_class.is_safe() {
+            debug_assert_dependency_free(&txn, &self.indices);
             let seq = self.arrival_seq;
             self.arrival_seq += 1;
             self.pending_seq.insert(txn.id.0, seq);
@@ -122,6 +126,7 @@ mod tests {
     use super::*;
     use eov_common::config::CcConfig;
     use eov_common::rwset::{Key, Value};
+    use eov_common::txn::{TemplateClass, TxnId};
     use eov_common::version::SeqNo;
 
     fn k(s: &str) -> Key {
@@ -247,6 +252,51 @@ mod tests {
         // not possible — A was only read); its predecessors include readers of A.
         assert!(cc.on_arrival(txn(4, 0, &[], &["A"])).is_accept());
         assert!(cc.stats().graph_size_peak >= 4);
+    }
+
+    #[test]
+    fn safe_arrivals_bypass_the_graph_and_the_indices() {
+        let mut cc = exact_cc();
+        assert!(cc
+            .on_arrival(txn(1, 0, &[("A", (0, 1))], &["B"]))
+            .is_accept());
+        let safe = txn(2, 0, &[("R", (0, 1))], &["FRESH"]).with_template_class(TemplateClass::Safe);
+        assert!(cc.on_arrival(safe).is_accept());
+        assert_eq!(cc.stats().fastpath_accepted, 1);
+        assert_eq!(cc.pending_len(), 2);
+        assert!(!cc.graph().contains(TxnId(2)));
+        assert!(cc.indices().pw.get(&k("FRESH")).is_empty());
+        let ids: Vec<TxnId> = cc.cut_block().iter().map(|t| t.id).collect();
+        assert_eq!(ids, [TxnId(1), TxnId(2)]);
+        assert!(cc.graph().knows(TxnId(2)));
+    }
+
+    /// The shadow check: a transaction that reads a key a tracked pending transaction writes has
+    /// an anti-rw successor, so tagging it `Safe` is a false static-safety claim.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "is tagged Safe but depends on tracked transactions")]
+    fn a_conflicting_arrival_tagged_safe_fails_the_debug_check() {
+        let mut cc = exact_cc();
+        assert!(cc.on_arrival(txn(1, 0, &[], &["A"])).is_accept());
+        let _ = cc.on_arrival(
+            txn(2, 0, &[("A", (0, 1))], &["C"]).with_template_class(TemplateClass::Safe),
+        );
+    }
+
+    /// The same check on ledger replay: a committed writer of `A` is registered, then a
+    /// `Safe`-tagged transaction that overwrites `A` (a ww predecessor) is replayed.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "is tagged Safe but depends on tracked transactions")]
+    fn a_conflicting_replay_tagged_safe_fails_the_debug_check() {
+        let mut cc = exact_cc();
+        let mut writer = txn(1, 0, &[], &["A"]);
+        writer.end_ts = Some(SeqNo::new(1, 1));
+        cc.register_committed(&writer);
+        let mut overwriter = txn(2, 1, &[], &["A"]).with_template_class(TemplateClass::Safe);
+        overwriter.end_ts = Some(SeqNo::new(2, 1));
+        cc.register_committed(&overwriter);
     }
 
     #[test]

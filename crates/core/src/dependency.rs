@@ -94,6 +94,18 @@ pub fn resolve(txn: &Transaction, indices: &DependencyIndices) -> ResolvedDeps {
     }
 }
 
+/// The runtime check behind the template fast path, in debug builds only: a transaction
+/// tagged [`eov_common::txn::TemplateClass::Safe`] skips resolution, so resolve it anyway
+/// and insist it depends on no tracked transaction. Release builds never run the resolution.
+pub(crate) fn debug_assert_dependency_free(txn: &Transaction, indices: &DependencyIndices) {
+    debug_assert!(
+        resolve(txn, indices).is_empty(),
+        "{:?} is tagged Safe but depends on tracked transactions: {:?}",
+        txn.id,
+        resolve(txn, indices)
+    );
+}
+
 /// Order-preserving deduplicating collector that also filters out the transaction itself.
 struct Dedup {
     own: TxnId,

@@ -40,8 +40,8 @@ impl FabricSharpCC {
             .filter(|id| self.pending_txns.contains_key(&id.0))
             .collect();
         // Template fast path: splice the untracked (safe-class) transactions back in at their
-        // acceptance positions. With the fast path off, `safe_pending` is always empty and
-        // `tracked_order` passes through untouched.
+        // acceptance positions. With no safe transaction pending, `tracked_order` passes
+        // through untouched.
         let order = merge_safe_into_order(tracked_order, &self.safe_pending, &self.pending_seq);
         self.stats.reorder_compute_order += t_order.elapsed();
 
@@ -62,7 +62,7 @@ impl FabricSharpCC {
             self.pending_seq.remove(&id.0);
             let slot = SeqNo::new(block_no, i as u32 + 1);
             txn.end_ts = Some(slot);
-            if self.config.template_fastpath && txn.template_class.is_safe() {
+            if txn.template_class.is_safe() {
                 // Fast-path transaction: no graph node to mark, and nothing ever resolves
                 // against its keys, so the CW/CR updates are skipped. The untracked-commit
                 // log keeps replay idempotent until the commit ages past the pruning horizon.

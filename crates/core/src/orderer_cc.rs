@@ -120,7 +120,8 @@ impl FabricSharpCC {
         // dependency, so replaying it needs no graph node and no committed-index entries —
         // nothing ever resolves against its keys. Log it so future replays and arrivals see
         // it as known, exactly like a committed graph node until it ages out.
-        if self.config.template_fastpath && txn.template_class.is_safe() {
+        if txn.template_class.is_safe() {
+            crate::dependency::debug_assert_dependency_free(txn, &self.indices);
             self.graph.note_untracked_commit(txn.id, slot.block);
             self.next_block = self.next_block.max(slot.block + 1);
             return;

@@ -19,10 +19,10 @@ pub struct CcStats {
     /// Transactions accepted into the pending set.
     pub accepted: u64,
     /// Of the accepted transactions, how many were admitted through the template fast path
-    /// (`CcConfig::template_fastpath` + a [`TemplateClass::Safe`] tag) and therefore skipped
-    /// dependency resolution, the cycle probe and the graph entirely. The simulator exports
-    /// this so benches can check it against the static conflict analyzer's predicted safe
-    /// count — the two must agree exactly.
+    /// (tagged [`TemplateClass::Safe`]) and therefore skipped dependency resolution, the cycle
+    /// probe and the graph entirely. The simulator exports this so benches can check it
+    /// against the static conflict analyzer's predicted safe count — the two must agree
+    /// exactly.
     ///
     /// [`TemplateClass::Safe`]: eov_common::txn::TemplateClass::Safe
     pub fastpath_accepted: u64,

@@ -101,9 +101,20 @@ fn mix_strategy() -> impl Strategy<Value = MixOp> {
 }
 
 /// Materialises a mix transaction exactly like [`materialise`], tagging the statically safe
-/// shapes with [`TemplateClass::Safe`]. The tag is applied under *both* knob settings — only
-/// `CcConfig::template_fastpath` decides whether it activates.
-fn materialise_mix(id: u64, op: &MixOp, next_block: u64, store: &MultiVersionStore) -> Transaction {
+/// shapes with [`TemplateClass::Safe`] when `tagged` — the reference side leaves every tag
+/// `Unknown`, which sends the same transactions down the full path.
+fn materialise_mix(
+    id: u64,
+    op: &MixOp,
+    next_block: u64,
+    store: &MultiVersionStore,
+    tagged: bool,
+) -> Transaction {
+    let safe = if tagged {
+        TemplateClass::Safe
+    } else {
+        TemplateClass::Unknown
+    };
     match op {
         MixOp::SafeRead { keys, snapshot_lag } => {
             let snapshot = next_block.saturating_sub(1 + snapshot_lag);
@@ -114,7 +125,7 @@ fn materialise_mix(id: u64, op: &MixOp, next_block: u64, store: &MultiVersionSto
                     .map(|r| (Key::new(format!("ro{r}")), SeqNo::zero())),
                 [],
             )
-            .with_template_class(TemplateClass::Safe)
+            .with_template_class(safe)
         }
         MixOp::SafeFresh { snapshot_lag } => {
             let snapshot = next_block.saturating_sub(1 + snapshot_lag);
@@ -124,7 +135,7 @@ fn materialise_mix(id: u64, op: &MixOp, next_block: u64, store: &MultiVersionSto
                 [],
                 [(Key::new(format!("fresh{id}")), Value::from_i64(id as i64))],
             )
-            .with_template_class(TemplateClass::Safe)
+            .with_template_class(safe)
         }
         MixOp::Tracked(shape) => materialise(id, shape, next_block, store),
     }
@@ -138,16 +149,17 @@ proptest! {
         ops in proptest::collection::vec(mix_strategy(), 1..100),
         block_size in 3usize..12,
     ) {
-        // The same randomized, contract-obeying stream drives a fast-path controller and a
-        // reference controller: every arrival verdict, every block's commit order, every slot,
-        // and the cross-run statistics must agree bit for bit.
-        let base = CcConfig {
+        // The same randomized, contract-obeying stream drives a controller fed the safe tags
+        // and a reference controller fed the stream untagged: every arrival verdict, every
+        // block's commit order, every slot, and the cross-run statistics must agree bit for
+        // bit.
+        let config = CcConfig {
             max_span: 4,
             track_exact_reachability: true,
             ..CcConfig::default()
         };
-        let mut fast = FabricSharpCC::new(CcConfig { template_fastpath: true, ..base });
-        let mut reference = FabricSharpCC::new(base);
+        let mut fast = FabricSharpCC::new(config);
+        let mut reference = FabricSharpCC::new(config);
         let mut store_fast = MultiVersionStore::new();
         let mut store_ref = MultiVersionStore::new();
 
@@ -168,8 +180,8 @@ proptest! {
 
         for (i, op) in ops.iter().enumerate() {
             let id = i as u64 + 1;
-            let txn_fast = materialise_mix(id, op, fast.next_block(), &store_fast);
-            let txn_ref = materialise_mix(id, op, reference.next_block(), &store_ref);
+            let txn_fast = materialise_mix(id, op, fast.next_block(), &store_fast, true);
+            let txn_ref = materialise_mix(id, op, reference.next_block(), &store_ref, false);
             let verdict_fast = fast.on_arrival(txn_fast).is_accept();
             let verdict_ref = reference.on_arrival(txn_ref).is_accept();
             prop_assert_eq!(
@@ -191,6 +203,7 @@ proptest! {
         prop_assert_eq!(fast.stats().total_hops, reference.stats().total_hops);
         prop_assert_eq!(fast.stats().block_span_sum, reference.stats().block_span_sum);
         prop_assert!(fast.graph().len() <= reference.graph().len());
+        prop_assert_eq!(reference.stats().fastpath_accepted, 0);
     }
 
     #[test]

@@ -10,7 +10,9 @@
 //! idempotence questions the graph would otherwise answer (`is_untracked` backs the arrival
 //! guard and `register_committed`'s already-seen check) and is pruned on the same
 //! `snapshot_threshold` schedule as committed graph nodes, so recovery and replay behave
-//! identically whether a committed transaction was tracked or not.
+//! identically whether a committed transaction was tracked or not. Its ids are also kept
+//! grouped by commit block, oldest first, so a prune pops the aged-out groups and touches only
+//! the entries it removes.
 
 use crate::graph::{CycleCheck, DependencyGraph, InsertReport, PendingTxnSpec, TxnNode};
 use crate::prune::snapshot_threshold;
@@ -18,7 +20,7 @@ use eov_common::config::CcConfig;
 use eov_common::hash::FoldState;
 use eov_common::txn::TxnId;
 use eov_common::version::SeqNo;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 /// The dependency-graph engine behind the FabricSharp orderer: the tracked graph plus the
 /// untracked-commit log for graph-bypassing transactions.
@@ -28,6 +30,10 @@ pub struct GraphEngine {
     /// Commit block of every transaction committed without graph insertion, pruned on the
     /// committed-node schedule.
     untracked: HashMap<TxnId, u64, FoldState>,
+    /// The ids of `untracked` grouped by commit block, in ascending block order. A group may
+    /// still name an id that was withdrawn or re-logged under another block since; pruning
+    /// removes an id only while the map still records it under that group's block.
+    untracked_by_block: VecDeque<(u64, Vec<TxnId>)>,
 }
 
 impl GraphEngine {
@@ -36,6 +42,7 @@ impl GraphEngine {
         GraphEngine {
             graph: DependencyGraph::new(config),
             untracked: HashMap::default(),
+            untracked_by_block: VecDeque::new(),
         }
     }
 
@@ -65,6 +72,13 @@ impl GraphEngine {
     /// would ([`GraphEngine::prune_for_next_block`]).
     pub fn note_untracked_commit(&mut self, id: TxnId, block: u64) {
         self.untracked.insert(id, block);
+        // Formation and replay log blocks in ascending order, so this is almost always the
+        // last group or a new one after it.
+        let at = self.untracked_by_block.partition_point(|(b, _)| *b < block);
+        match self.untracked_by_block.get_mut(at) {
+            Some((b, ids)) if *b == block => ids.push(id),
+            _ => self.untracked_by_block.insert(at, (block, vec![id])),
+        }
     }
 
     /// Whether `id` committed via the untracked (graph-bypassing) path and has not yet aged
@@ -146,10 +160,20 @@ impl GraphEngine {
     /// removed across both stores, so the count is independent of which path committed them.
     pub fn prune_for_next_block(&mut self, next_block: u64) -> usize {
         let threshold = snapshot_threshold(next_block, self.config().max_span);
-        let before = self.untracked.len();
-        // lint-determinism: allow (pure filter; the predicate has no side effects)
-        self.untracked.retain(|_, block| *block >= threshold);
-        let untracked_pruned = before - self.untracked.len();
+        let mut untracked_pruned = 0;
+        while self
+            .untracked_by_block
+            .front()
+            .is_some_and(|(block, _)| *block < threshold)
+        {
+            let (block, ids) = self.untracked_by_block.pop_front().expect("front checked");
+            for id in ids {
+                if self.untracked.get(&id) == Some(&block) {
+                    self.untracked.remove(&id);
+                    untracked_pruned += 1;
+                }
+            }
+        }
         self.graph.prune_for_next_block(next_block) + untracked_pruned
     }
 
@@ -194,5 +218,32 @@ mod tests {
         engine.remove(TxnId(2));
         assert!(!engine.knows(TxnId(2)));
         assert_eq!(engine.untracked_len(), 0);
+    }
+
+    /// A withdrawn id stays named in its block's group; pruning that group must neither count
+    /// it nor evict the same id logged again under a later block.
+    #[test]
+    fn pruning_skips_withdrawn_and_relogged_ids() {
+        let mut engine = GraphEngine::new(CcConfig::default());
+        let max_span = engine.config().max_span;
+        for (id, block) in [(1, 1), (2, 1), (3, 2), (4, 3)] {
+            engine.note_untracked_commit(TxnId(id), block);
+        }
+        engine.remove(TxnId(2));
+        engine.remove(TxnId(3));
+        engine.note_untracked_commit(TxnId(3), 4);
+        // Logged out of block order: still pruned on its own block's schedule.
+        engine.note_untracked_commit(TxnId(5), 2);
+        assert_eq!(engine.untracked_len(), 4);
+
+        // The threshold passes blocks 1 and 2: ids 1 and 5 go; 2 was withdrawn, 3 now
+        // belongs to block 4.
+        assert_eq!(engine.prune_for_next_block(2 + max_span + 1), 2);
+        assert!(!engine.knows(TxnId(1)) && !engine.knows(TxnId(5)));
+        assert!(engine.is_untracked(TxnId(3)) && engine.is_untracked(TxnId(4)));
+
+        assert_eq!(engine.prune_for_next_block(4 + max_span + 1), 2);
+        assert_eq!(engine.untracked_len(), 0);
+        assert!(engine.untracked_by_block.is_empty());
     }
 }

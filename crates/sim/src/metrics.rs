@@ -161,10 +161,10 @@ pub struct SimReport {
     /// installation.
     pub commit: FormationTiming,
     /// Offered transactions the static conflict analyzer classified instance-Safe (tagged
-    /// before the orderer saw them; independent of whether the fast path was switched on).
+    /// before the orderer saw them, for every system).
     pub safe_tagged: u64,
-    /// Accepted transactions that actually rode the orderer's template fast path (zero when
-    /// `CcConfig::template_fastpath` is off or the system lacks the knob).
+    /// Accepted transactions that actually rode the orderer's template fast path (zero for
+    /// systems without one).
     pub fastpath_accepted: u64,
     /// The static template×template conflict matrix of the workload's mix, for downstream
     /// consumers (the `conflict_matrix` bench bin).

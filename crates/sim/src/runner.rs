@@ -145,9 +145,9 @@ impl Simulator {
         let needs_validation = cc.needs_peer_validation();
 
         // Key-granular conflict analyzer (see `eov_workload::conflict`). The class of every
-        // generated *instance* is computed here — identically whether `cc.template_fastpath`
-        // is on or off — and stamped on the transaction before it reaches the CC, so the
-        // knob alone decides whether the fast path activates.
+        // generated *instance* is computed here, for every system, and stamped on the
+        // transaction before it reaches the CC; Fabric# sends every `Safe` one down its
+        // template fast path, the other systems ignore the tag.
         let analyzer = generator.analyzer();
         let mut class_by_request: HashMap<u64, (TemplateClass, Option<u16>)> = HashMap::new();
         let mut safe_tagged: u64 = 0;

@@ -43,11 +43,10 @@
 //! set; and no possible instance of any template in the mix can ever write a key `t` reads —
 //! the generator only materialises keys inside the declared write domains, which `t`'s read
 //! keys provably miss. Hence no wr edge into `t` and no rw/anti-rw edge out of `t` can exist,
-//! `t` can never lie on a dependency cycle, and removing it from the graph
-//! (`CcConfig::template_fastpath`) is invisible to every other transaction's verdict while
-//! its own verdict is always "acyclic". The splice position
-//! (`DependencyGraph::merge_safe_into_order`) is exact for the same reason: an edge-free node
-//! is ready at Kahn step 0.
+//! `t` can never lie on a dependency cycle, and removing it from the graph (the orderer's
+//! template fast path) is invisible to every other transaction's verdict while its own verdict
+//! is always "acyclic". The splice position (`merge_safe_into_order` in block formation) is
+//! exact for the same reason: an edge-free node is ready at Kahn step 0.
 //!
 //! The payoff: with YCSB-B's writes confined to a tail partition
 //! ([`YcsbProfile::with_write_partition`]), the Zipfian-favoured head is provably write-free

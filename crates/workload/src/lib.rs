@@ -12,8 +12,8 @@
 //!   client delay, read interval, request rate) and Section 5.4 (Create-Account and mixed
 //!   workloads with Zipfian skew).
 //! * [`templates`] — Vandevoort-style template-robustness analysis: classifies each
-//!   template in a workload's mix as safe (provably cycle-free) or unknown, feeding the
-//!   orderer's `template_fastpath` knob.
+//!   template in a workload's mix as safe (provably cycle-free) or unknown; the orderer's
+//!   template fast path lets every safe-tagged transaction bypass its dependency graph.
 //! * [`conflict`] — the key-granular refinement of [`templates`]: symbolic per-template
 //!   key-expression footprints with functional constraints, a static template×template
 //!   conflict matrix, and **instance-level** safe classification (rescuing e.g. YCSB-B read

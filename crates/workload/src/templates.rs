@@ -6,8 +6,9 @@
 //! a workload draws from — rather than over individual transactions. This module applies the
 //! same idea to FabricSharp's orderer-side reordering: a template is classified
 //! [`TemplateClass::Safe`] when no instance of it can ever sit on a dependency cycle given the
-//! whole template mix, which lets the orderer skip graph insertion and cycle probing for those
-//! transactions entirely (`CcConfig::template_fastpath`).
+//! whole template mix, and the orderer skips graph insertion and cycle probing for those
+//! transactions entirely (the template fast path; always on, debug builds re-check the claim
+//! on every arrival and replay).
 //!
 //! # Classification rule
 //!

@@ -1,7 +1,7 @@
 //! The cold-recovery grid: simulator runs persisted to disk, killed mid-write, and recovered
 //! to bit-identity with the uninterrupted reference.
 //!
-//! Contracts pinned here, with `template_fastpath` on:
+//! Contracts pinned here:
 //!
 //! 1. persisting a run (`durability_dir`) never perturbs it — the durable ledger is
 //!    bit-identical to the in-memory reference for the same seed;
@@ -53,7 +53,6 @@ fn sim_config(seed: u64) -> SimulationConfig {
     config.params.num_accounts = 64;
     config.params.request_rate_tps = 600;
     config.block.max_txns_per_block = 12;
-    config.cc.template_fastpath = true;
     config.cc.checkpoint_interval = 3;
     config.cc.segment_rotate_kib = 1;
     config
@@ -301,11 +300,12 @@ proptest! {
     }
 }
 
-/// Satellite regression: an *instance-rescued* ledger (write-partitioned YCSB-B, fastpath on)
-/// cold-recovered from disk produces the same post-recovery cuts as in-memory replay. This is
-/// the adversarial case for the splice-preserving rebuild:
+/// Satellite regression: an *instance-rescued* ledger (write-partitioned YCSB-B, every instance
+/// tagged by the conflict analyzer) cold-recovered from disk produces the same post-recovery
+/// cuts as in-memory replay. This is the adversarial case for the splice-preserving rebuild:
 /// untracked commits and graph-inserted ones interleave inside every block, and the disk
-/// round-trip (encode → CRC → decode) must not disturb the replay order the rebuild sees.
+/// round-trip (encode → CRC → decode) must not disturb the replay order the rebuild sees. The
+/// same transactions untagged build a chain with the same tip and store.
 #[test]
 fn rescued_instance_ledger_recovers_identically_from_disk() {
     let seed = 23;
@@ -317,8 +317,10 @@ fn rescued_instance_ledger_recovers_identically_from_disk() {
     let kind = WorkloadKind::Ycsb(YcsbProfile::b().with_write_partition(0.25));
     let mut generator = WorkloadGenerator::new(kind.clone(), params, seed);
     let analyzer = generator.analyzer();
-    let mut chain = SimpleChain::with_template_fastpath(SystemKind::FabricSharp, true);
+    let mut chain = SimpleChain::new(SystemKind::FabricSharp);
+    let mut untagged = SimpleChain::new(SystemKind::FabricSharp);
     chain.seed(generator.genesis());
+    untagged.seed(generator.genesis());
 
     let dir = temp_dir("rescued");
     let (mut durable, _) = DurableLedger::open(&dir, DurableOptions::default()).unwrap();
@@ -329,11 +331,11 @@ fn rescued_instance_ledger_recovers_identically_from_disk() {
     for i in 0..40 {
         let template = generator.next_template();
         let class = analyzer.classify_instance(&template);
-        let txn = chain
-            .execute(|ctx| template.run(ctx))
-            .with_template_class(class);
-        let _ = chain.submit(txn);
+        let txn = chain.execute(|ctx| template.run(ctx));
+        let _ = untagged.submit(txn.clone());
+        let _ = chain.submit(txn.with_template_class(class));
         if (i + 1) % 5 == 0 {
+            untagged.seal_block();
             if let Some(height) = chain.seal_block().block_number {
                 durable
                     .append(chain.ledger().block(height).unwrap().clone())
@@ -346,12 +348,14 @@ fn rescued_instance_ledger_recovers_identically_from_disk() {
             .append(chain.ledger().block(height).unwrap().clone())
             .unwrap();
     }
+    untagged.seal_block();
     drop(durable);
     let reference = chain.ledger().clone();
     assert!(reference.height() >= 2);
+    assert_eq!(untagged.ledger().tip_hash(), reference.tip_hash());
+    assert_eq!(untagged.store(), chain.store());
 
     let config = CcConfig {
-        template_fastpath: true,
         track_exact_reachability: true,
         ..CcConfig::default()
     };

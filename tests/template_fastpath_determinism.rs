@@ -1,54 +1,33 @@
 //! Determinism harness for the template-robustness fast path.
 //!
-//! `CcConfig::template_fastpath` lets transactions classified statically safe — per template
-//! by `eov_workload::templates`, and per *instance* by the key-granular
-//! `eov_workload::conflict` analyzer — bypass the dependency graph entirely: no node
-//! insertion, no cycle probing, no CW/CR/PW/PR entries, no ww-restoration participation. The
-//! knob is a pure execution-path optimisation — the paper's Algorithms 2/3/5 semantics must
-//! be preserved **bit for bit**. This battery pins that contract end to end: with the fast
-//! path on, the simulator must reproduce the fastpath-off reference ledger block for block,
-//! hash for hash, for all five systems, two seeds, and workloads covering safe-heavy
-//! (YCSB-C: 100% reads), safe-fresh-writer (CreateAccount), instance-rescued
-//! (write-partitioned YCSB-B: read arrivals whose sampled keys miss the write tail are safe
-//! even though their template is not), and all-unknown (YCSB-A, ModifiedSmallbank — the knob
-//! must be perfectly inert) mixes. It also pins transaction-level decisions through
-//! `SimpleChain`, the structural claim that the fast path actually engages
-//! (graph stays empty on read-only traffic), and — via a randomized proptest over partition
-//! geometry — that instance-safe bypass preserves the raw orderer's commit sequence exactly.
+//! Transactions classified statically safe — per template by `eov_workload::templates`, and per
+//! *instance* by the key-granular `eov_workload::conflict` analyzer — carry
+//! `TemplateClass::Safe` and always bypass the dependency graph: no node insertion, no cycle
+//! probing, no CW/CR/PW/PR entries, no ww-restoration participation. The bypass is a pure
+//! execution-path optimisation — the paper's Algorithms 2/3/5 semantics must be preserved
+//! **bit for bit**. The tag is the input, so the reference is the same input re-tagged
+//! `TemplateClass::Unknown`, which takes the full path. This battery pins that contract end to
+//! end: the simulator's Fabric# ledgers equal the ones recorded before the fast path became
+//! unconditional, on workloads covering safe-heavy (YCSB-C: 100% reads), safe-fresh-writer
+//! (CreateAccount), instance-rescued (write-partitioned YCSB-B: read arrivals whose sampled
+//! keys miss the write tail are safe even though their template is not), and all-unknown
+//! (YCSB-A, ModifiedSmallbank — the fast path never engages) mixes. It also pins
+//! transaction-level decisions through `SimpleChain`, the structural claim that the fast path
+//! actually engages (graph stays empty on read-only traffic), and — via a randomized proptest
+//! over partition geometry — that instance-safe bypass preserves the raw orderer's commit
+//! sequence exactly.
 
 use fabricsharp::baselines::{SimpleChain, SystemKind};
-use fabricsharp::common::config::{CcConfig, WorkloadParams};
-use fabricsharp::common::txn::TxnId;
+use fabricsharp::common::config::WorkloadParams;
+use fabricsharp::common::txn::{TemplateClass, TxnId};
 use fabricsharp::core::serializability::is_serializable;
 use fabricsharp::core::FabricSharpCC;
 use fabricsharp::sim::runner::{SimulationConfig, Simulator};
-use fabricsharp::sim::SimReport;
 use fabricsharp::workload::generator::{WorkloadGenerator, WorkloadKind};
 use fabricsharp::workload::YcsbProfile;
 
-const SEEDS: [u64; 2] = [7, 42];
-
-fn workloads() -> Vec<(&'static str, WorkloadKind)> {
-    vec![
-        // 100% reads: every transaction is statically safe — the maximal-bypass case.
-        ("ycsb-c", WorkloadKind::Ycsb(YcsbProfile::c())),
-        // Blind writers of fresh keys: safe through the fresh-write rule.
-        ("create-account", WorkloadKind::CreateAccount),
-        // Instance-rescued: the read template conflicts with the writer template, but reads
-        // whose sampled keys land below the write partition are provably safe per instance.
-        (
-            "ycsb-b part.",
-            WorkloadKind::Ycsb(YcsbProfile::b().with_write_partition(0.125)),
-        ),
-        // 50% updates over the full population: every instance unknown, knob inert.
-        ("ycsb-a", WorkloadKind::Ycsb(YcsbProfile::a())),
-        // Every template unknown: the knob must change nothing at all.
-        ("modified-smallbank", WorkloadKind::ModifiedSmallbank),
-    ]
-}
-
-fn base_config(system: SystemKind, workload: WorkloadKind, seed: u64) -> SimulationConfig {
-    let mut config = SimulationConfig::new(system, workload);
+fn base_config(workload: WorkloadKind, seed: u64) -> SimulationConfig {
+    let mut config = SimulationConfig::new(SystemKind::FabricSharp, workload);
     config.duration_s = 1.2;
     config.params.num_accounts = 400;
     config.params.request_rate_tps = 400;
@@ -57,76 +36,107 @@ fn base_config(system: SystemKind, workload: WorkloadKind, seed: u64) -> Simulat
     config
 }
 
-fn assert_reports_match(context: &str, reference: &SimReport, candidate: &SimReport) {
-    assert_eq!(reference.offered, candidate.offered, "{context}: offered");
-    assert_eq!(
-        reference.committed, candidate.committed,
-        "{context}: committed"
-    );
-    assert_eq!(
-        reference.in_ledger, candidate.in_ledger,
-        "{context}: in_ledger"
-    );
-    assert_eq!(reference.blocks, candidate.blocks, "{context}: blocks");
-    // Abort counts by reason pin the verdicts: a single divergent accept/reject shifts a
-    // reason bucket.
-    assert_eq!(reference.aborts, candidate.aborts, "{context}: aborts");
-    assert_eq!(
-        reference.committed_with_anti_rw, candidate.committed_with_anti_rw,
-        "{context}: anti-rw commits"
-    );
+/// The simulator's workloads by short name: safe-heavy, safe-fresh-writer, instance-rescued and
+/// two all-unknown mixes.
+fn sim_workload(name: &str) -> WorkloadKind {
+    match name {
+        "ycsb-c" => WorkloadKind::Ycsb(YcsbProfile::c()),
+        "create" => WorkloadKind::CreateAccount,
+        "ycsb-b-part" => WorkloadKind::Ycsb(YcsbProfile::b().with_write_partition(0.125)),
+        "ycsb-a" => WorkloadKind::Ycsb(YcsbProfile::a()),
+        "smallbank" => WorkloadKind::ModifiedSmallbank,
+        other => unreachable!("no workload {other}"),
+    }
 }
 
-/// The acceptance criterion: for every system × workload × seed, the fast path reproduces
-/// the fastpath-off reference ledger block for block.
+/// The simulator tags every instance itself, so its reference is a record: per workload and
+/// seed, the Fabric# tip from the last revision where the fast path could be switched off (the
+/// same with it off and on), and the number of arrivals the fast path admitted there with it on.
+const PINNED_TIPS: [(&str, u64, &str, u64); 10] = [
+    (
+        "ycsb-c",
+        7,
+        "32f82c228643229c5378eac137e8e6cd25acab5e7a9677789530b11eff5edf60",
+        480,
+    ),
+    (
+        "ycsb-c",
+        42,
+        "45604e661f00b0d1bfb9cec04f354f9bca82b1de619988c66eb321984d030eb3",
+        480,
+    ),
+    (
+        "create",
+        7,
+        "12c6fbd3739a6f9cd95d8feb7d0b2ecce8a1a14a13b1317214aafb54eeeefa00",
+        480,
+    ),
+    (
+        "create",
+        42,
+        "12c6fbd3739a6f9cd95d8feb7d0b2ecce8a1a14a13b1317214aafb54eeeefa00",
+        480,
+    ),
+    (
+        "ycsb-b-part",
+        7,
+        "f7cf7ed84181d402c551da5d05f37906573a9bda11952287775672c465bfffeb",
+        369,
+    ),
+    (
+        "ycsb-b-part",
+        42,
+        "21806602ae19e791fdd352514b6bf96b74b00cd70c282bd16a2205c8dcf672ee",
+        342,
+    ),
+    (
+        "ycsb-a",
+        7,
+        "3010ea7c95dc53de411ff201e270f0f2a8b0234b987988df19fd6a9ecb3186ca",
+        0,
+    ),
+    (
+        "ycsb-a",
+        42,
+        "12b4f03c1f21910e6226f413ebd1ee03cc658e0b92a2c1d6faf2f550849f52fe",
+        0,
+    ),
+    (
+        "smallbank",
+        7,
+        "5069de87096e36bfdbb8d006112cc72b8f82cf991bc31abcc8b1111dd04ff2e0",
+        0,
+    ),
+    (
+        "smallbank",
+        42,
+        "fbca9385a6871dfb5bd497f744b2b1dfc3fb5f69425ffdbbfc6290e799d51591",
+        0,
+    ),
+];
+
 #[test]
 fn fastpath_ledgers_are_bit_identical_across_the_grid() {
-    for system in SystemKind::all() {
-        for (name, workload) in workloads() {
-            for seed in SEEDS {
-                let reference_cfg = base_config(system, workload.clone(), seed);
-                let (reference_report, reference_ledger) =
-                    Simulator::run_with_ledger(&reference_cfg);
-                assert!(
-                    reference_report.committed > 0,
-                    "{system}/{name}/seed{seed}: reference run must commit work"
-                );
-
-                let mut cfg = reference_cfg.clone();
-                cfg.cc.template_fastpath = true;
-                let (report, ledger) = Simulator::run_with_ledger(&cfg);
-                let context = format!("{system}/{name}/seed{seed}/fastpath");
-
-                assert_reports_match(&context, &reference_report, &report);
-                assert_eq!(
-                    reference_ledger.height(),
-                    ledger.height(),
-                    "{context}: ledger height"
-                );
-                for (expected, actual) in reference_ledger.iter().zip(ledger.iter()) {
-                    assert_eq!(
-                        expected,
-                        actual,
-                        "{context}: block {} diverged",
-                        expected.number()
-                    );
-                }
-                assert_eq!(
-                    reference_ledger.tip_hash(),
-                    ledger.tip_hash(),
-                    "{context}: tip hash"
-                );
-                assert!(ledger.verify_integrity().is_ok(), "{context}: integrity");
-            }
-        }
+    for (name, seed, tip, bypassed) in PINNED_TIPS {
+        let context = format!("{name}/seed{seed}");
+        let (report, ledger) = Simulator::run_with_ledger(&base_config(sim_workload(name), seed));
+        assert!(report.committed > 0, "{context}: the run must commit work");
+        assert_eq!(ledger.height(), 12, "{context}: ledger height");
+        assert_eq!(ledger.tip_hash().to_hex(), tip, "{context}: tip hash");
+        assert_eq!(
+            report.fastpath_accepted, bypassed,
+            "{context}: bypassed arrivals"
+        );
+        assert!(ledger.verify_integrity().is_ok(), "{context}: integrity");
     }
 }
 
 /// Transaction-level pinning through the `SimpleChain` facade: on a mix that interleaves safe
 /// (read-only YCSB-C) and generic traffic, every submission's decision, every block's commit
-/// order, the chain hashes and the early-abort sequences must agree between the fastpath-off
-/// reference and the fastpath-on chain. FabricSharp peers skip MVCC validation, so the
-/// serializability oracle on the fast-path chain's history is the end-to-end safety check.
+/// order, the chain hashes and the early-abort sequences must agree between a chain fed the
+/// analyzer's tags and a reference chain fed the same transactions untagged. FabricSharp peers
+/// skip MVCC validation, so the serializability oracle on the fast-path chain's history is the
+/// end-to-end safety check.
 #[test]
 fn decisions_and_commit_orders_match_transaction_for_transaction() {
     for (name, workload) in [
@@ -145,8 +155,8 @@ fn decisions_and_commit_orders_match_transaction_for_transaction() {
         let mut generator = WorkloadGenerator::new(workload, params, 99);
         let analyzer = generator.analyzer();
 
-        let mut reference = SimpleChain::with_template_fastpath(SystemKind::FabricSharp, false);
-        let mut fast = SimpleChain::with_template_fastpath(SystemKind::FabricSharp, true);
+        let mut reference = SimpleChain::new(SystemKind::FabricSharp);
+        let mut fast = SimpleChain::new(SystemKind::FabricSharp);
         for chain in [&mut reference, &mut fast] {
             chain.seed(generator.genesis());
         }
@@ -154,13 +164,15 @@ fn decisions_and_commit_orders_match_transaction_for_transaction() {
         for i in 0..120usize {
             let template = generator.next_template();
             let class = analyzer.classify_instance(&template);
-            let txn_ref = reference
-                .execute(|ctx| template.run(ctx))
-                .with_template_class(class);
+            let txn_ref = reference.execute(|ctx| template.run(ctx));
             let txn_fast = fast
                 .execute(|ctx| template.run(ctx))
                 .with_template_class(class);
-            assert_eq!(txn_ref, txn_fast, "{name}: endorsement diverged at txn {i}");
+            assert_eq!(
+                txn_ref.clone().with_template_class(class),
+                txn_fast,
+                "{name}: endorsement diverged at txn {i}"
+            );
 
             let d_ref = reference.submit(txn_ref);
             let d_fast = fast.submit(txn_fast);
@@ -202,19 +214,17 @@ fn decisions_and_commit_orders_match_transaction_for_transaction() {
     }
 }
 
-/// Structural check that the fast path actually engages: on pure read-only traffic the
-/// fast-path controller's graph stays empty (everything lands in the untracked-commit log)
-/// while the reference controller's graph grows — and both still cut identical blocks.
+/// Structural check that the fast path actually engages: on pure read-only traffic tagged
+/// `Safe` the controller's graph stays empty (everything lands in the untracked-commit log),
+/// while a controller fed the same traffic untagged grows its graph — and both still cut
+/// identical blocks.
 #[test]
 fn fastpath_keeps_safe_transactions_out_of_the_graph() {
     use fabricsharp::common::rwset::Key;
-    use fabricsharp::common::txn::{TemplateClass, Transaction};
+    use fabricsharp::common::txn::Transaction;
     use fabricsharp::common::version::SeqNo;
 
-    let mut fast = FabricSharpCC::new(CcConfig {
-        template_fastpath: true,
-        ..CcConfig::default()
-    });
+    let mut fast = FabricSharpCC::with_defaults();
     let mut reference = FabricSharpCC::with_defaults();
 
     for batch in 0..4u64 {
@@ -225,9 +235,10 @@ fn fastpath_keeps_safe_transactions_out_of_the_graph() {
                 batch,
                 [(Key::new(format!("u:{}", id % 7)), SeqNo::zero())],
                 [],
-            )
-            .with_template_class(TemplateClass::Safe);
-            assert!(fast.on_arrival(txn.clone()).is_accept());
+            );
+            assert!(fast
+                .on_arrival(txn.clone().with_template_class(TemplateClass::Safe))
+                .is_accept());
             assert!(reference.on_arrival(txn).is_accept());
         }
         let cut_fast = fast.cut_block();
@@ -262,7 +273,7 @@ mod instance_soundness {
     //! must preserve the raw orderer's commit sequence (ids *and* slots) exactly.
 
     use fabricsharp::common::config::{CcConfig, WorkloadParams};
-    use fabricsharp::common::txn::{Transaction, TxnId};
+    use fabricsharp::common::txn::{TemplateClass, Transaction, TxnId};
     use fabricsharp::common::version::SeqNo;
     use fabricsharp::core::endorser::SnapshotEndorser;
     use fabricsharp::core::FabricSharpCC;
@@ -302,12 +313,17 @@ mod instance_soundness {
         (txns, predicted)
     }
 
-    /// Runs every arrival plus one cut and returns the committed (id, slot) sequence and the
-    /// runtime fast-path bypass count.
-    fn commit_sequence(txns: &[Transaction], config: CcConfig) -> (Vec<(TxnId, SeqNo)>, u64) {
-        let mut cc = FabricSharpCC::new(config);
+    /// Runs every arrival, with each transaction's tag replaced by `retag` if given, plus one
+    /// cut, and returns the committed (id, slot) sequence and the runtime fast-path bypass
+    /// count.
+    fn commit_sequence(
+        txns: &[Transaction],
+        retag: Option<TemplateClass>,
+    ) -> (Vec<(TxnId, SeqNo)>, u64) {
+        let mut cc = FabricSharpCC::new(CcConfig::default());
         for txn in txns {
-            let _ = cc.on_arrival(txn.clone());
+            let class = retag.unwrap_or(txn.template_class);
+            let _ = cc.on_arrival(txn.clone().with_template_class(class));
         }
         let sequence = cc
             .cut_block()
@@ -320,8 +336,9 @@ mod instance_soundness {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(10))]
 
-        /// For any partition geometry, fast path on reproduces the fastpath-off commit
-        /// sequence, and the bypass count matches the analyzer's prediction exactly.
+        /// For any partition geometry, the tagged input reproduces the commit sequence of the
+        /// same input untagged, and the bypass count matches the analyzer's prediction
+        /// exactly.
         #[test]
         fn instance_fastpath_preserves_the_commit_sequence(
             seed in 0u64..10_000,
@@ -329,16 +346,12 @@ mod instance_soundness {
             fraction in 0.02f64..0.9,
         ) {
             let (txns, predicted) = endorsed(seed, records, fraction, 120);
-            let (reference, _) = commit_sequence(&txns, CcConfig::default());
+            let (reference, untagged_bypassed) =
+                commit_sequence(&txns, Some(TemplateClass::Unknown));
             prop_assert!(!reference.is_empty(), "reference run must commit work");
+            prop_assert_eq!(untagged_bypassed, 0);
 
-            let (fast, bypassed) = commit_sequence(
-                &txns,
-                CcConfig {
-                    template_fastpath: true,
-                    ..CcConfig::default()
-                },
-            );
+            let (fast, bypassed) = commit_sequence(&txns, None);
             prop_assert_eq!(&reference, &fast, "commit sequence diverged");
             prop_assert_eq!(
                 predicted, bypassed,

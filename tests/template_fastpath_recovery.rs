@@ -1,39 +1,44 @@
 //! Cold-replay recovery under the template fast path.
 //!
-//! With `CcConfig::template_fastpath` on, statically safe transactions commit without ever
-//! being graph-inserted — but they still land in the ledger, and an orderer that restarts
-//! must rebuild a correct controller from that ledger alone. This battery pins the recovery
-//! contract three ways:
+//! Statically safe transactions (tagged `TemplateClass::Safe`) commit without ever being
+//! graph-inserted — but they still land in the ledger, tag included, and an orderer that
+//! restarts must rebuild a correct controller from that ledger alone. The reference is the
+//! same input with every tag replaced by `TemplateClass::Unknown`, which takes the full path.
+//! This battery pins the recovery contract four ways:
 //!
-//! 1. a ledger produced with the fast path **on** is bit-identical to the fastpath-off ledger
-//!    (the knob never leaks into the persisted artefact);
-//! 2. recovering from that ledger with the fast path on and off yields controllers that
-//!    resume at the same block and make identical decisions on fresh in-contract arrivals,
-//!    cut for cut;
+//! 1. a ledger produced from tagged inputs has the same tip as the one produced from the same
+//!    inputs untagged (the bypass never leaks into the persisted artefact);
+//! 2. recovering each of the two ledgers yields controllers that resume at the same block and
+//!    make identical decisions on fresh in-contract arrivals, cut for cut;
 //! 3. replaying the ledger's committed writes into a genesis-seeded store reproduces the live
-//!    chain's store (the "identical stores" half of a cold replay).
+//!    chain's store (the "identical stores" half of a cold replay);
+//! 4. the benchmark's `create_account_durable` shape — Create-Account endorsed two blocks
+//!    behind the tip, a checkpoint every 500 blocks, cold recovery from disk — reaches the same
+//!    tip and recovered store tagged and untagged.
 
 use fabricsharp::baselines::{SimpleChain, SystemKind};
 use fabricsharp::common::config::{CcConfig, WorkloadParams};
 use fabricsharp::common::rwset::{Key, Value};
 use fabricsharp::common::txn::{TemplateClass, Transaction};
-use fabricsharp::core::recovery::recover_from_ledger;
+use fabricsharp::core::recovery::{recover_from_disk, recover_from_ledger};
 use fabricsharp::core::FabricSharpCC;
-use fabricsharp::ledger::Ledger;
+use fabricsharp::ledger::durable::{DurableLedger, DurableOptions};
+use fabricsharp::ledger::{write_checkpoint, Digest, Ledger};
 use fabricsharp::vstore::MultiVersionStore;
 use fabricsharp::workload::generator::{WorkloadGenerator, WorkloadKind};
 use fabricsharp::workload::YcsbProfile;
 use proptest::prelude::*;
 
 /// Drives a live FabricSharp chain over a classified workload stream — tagging every
-/// transaction exactly like the simulator does — and returns it.
+/// transaction exactly like the simulator does when `tagged`, leaving every one `Unknown`
+/// otherwise — and returns it.
 fn build_chain(
     kind: WorkloadKind,
     num_accounts: usize,
     num_txns: usize,
     block_size: usize,
     seed: u64,
-    fastpath: bool,
+    tagged: bool,
 ) -> SimpleChain {
     let params = WorkloadParams {
         num_accounts,
@@ -41,11 +46,11 @@ fn build_chain(
     };
     let mut generator = WorkloadGenerator::new(kind, params, seed);
     let analyzer = generator.analyzer();
-    let mut chain = SimpleChain::with_template_fastpath(SystemKind::FabricSharp, fastpath);
+    let mut chain = SimpleChain::new(SystemKind::FabricSharp);
     chain.seed(generator.genesis());
     for i in 0..num_txns {
         let template = generator.next_template();
-        let class = analyzer.classify_instance(&template);
+        let class = tag(analyzer.classify_instance(&template), tagged);
         let txn = chain
             .execute(|ctx| template.run(ctx))
             .with_template_class(class);
@@ -65,18 +70,31 @@ fn build_ledger(
     num_txns: usize,
     block_size: usize,
     seed: u64,
-    fastpath: bool,
+    tagged: bool,
 ) -> Ledger {
-    build_chain(kind, num_accounts, num_txns, block_size, seed, fastpath)
+    build_chain(kind, num_accounts, num_txns, block_size, seed, tagged)
         .ledger()
         .clone()
 }
 
-fn recovered(ledger: &Ledger, fastpath: bool) -> FabricSharpCC {
+/// `class` on the tagged side, `Unknown` on the reference side.
+fn tag(class: TemplateClass, tagged: bool) -> TemplateClass {
+    if tagged {
+        class
+    } else {
+        TemplateClass::Unknown
+    }
+}
+
+/// `txn` as the reference side sees it: every tag `Unknown`.
+fn untagged(txn: Transaction) -> Transaction {
+    txn.with_template_class(TemplateClass::Unknown)
+}
+
+fn recovered(ledger: &Ledger) -> FabricSharpCC {
     let (cc, report) = recover_from_ledger(
         ledger,
         CcConfig {
-            template_fastpath: fastpath,
             track_exact_reachability: true,
             ..CcConfig::default()
         },
@@ -104,9 +122,10 @@ fn fresh_probe(id: u64, snapshot: u64) -> Transaction {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// A cold replay of a fastpath-on ledger must rebuild equivalent controllers whether the
-    /// recovering orderer has the fast path on or off — same resume block, same verdicts on
-    /// fresh in-contract arrivals, same post-recovery blocks.
+    /// A cold replay of a tagged ledger must rebuild a controller equivalent to the one a
+    /// replay of the untagged ledger builds — same resume block, same verdicts on fresh
+    /// in-contract arrivals (tagged on one side, untagged on the other), same post-recovery
+    /// blocks.
     #[test]
     fn cold_replay_rebuilds_identical_controllers(
         seed in any::<u64>(),
@@ -114,7 +133,7 @@ proptest! {
         block_size in 3usize..7,
     ) {
         let num_accounts = 16usize;
-        // The safe-writer mix: every transaction is classified safe, so with the fast path on
+        // The safe-writer mix: every transaction is classified safe, so on the tagged side
         // *nothing* in the ledger suffix was ever graph-inserted — the adversarial case for
         // recovery.
         let ledger_on = build_ledger(
@@ -123,16 +142,16 @@ proptest! {
         let ledger_off = build_ledger(
             WorkloadKind::CreateAccount, num_accounts, num_txns, block_size, seed, false,
         );
-        // (1) The knob never leaks into the persisted artefact.
+        // (1) The bypass never leaks into the persisted artefact.
         prop_assert_eq!(ledger_on.tip_hash(), ledger_off.tip_hash());
         prop_assert!(ledger_on.height() >= 2, "degenerate run: height {}", ledger_on.height());
 
-        let mut with_fastpath = recovered(&ledger_on, true);
-        let mut without = recovered(&ledger_on, false);
+        let mut with_fastpath = recovered(&ledger_on);
+        let mut without = recovered(&ledger_off);
 
-        // (2) Same resume point. The fastpath recoverer logged the safe suffix as
-        // untracked commits instead of graph nodes; the reference recoverer inserted
-        // committed nodes — both must know every replayed transaction.
+        // (2) Same resume point. The tagged recoverer logged the safe suffix as untracked
+        // commits instead of graph nodes; the reference recoverer inserted committed nodes —
+        // both must know every replayed transaction.
         prop_assert_eq!(with_fastpath.next_block(), without.next_block());
         prop_assert!(with_fastpath.graph().len() <= without.graph().len());
         // Only the replayed suffix matters: recovery (and the untracked-commit log's
@@ -159,7 +178,7 @@ proptest! {
         for i in 0..6u64 {
             let probe = fresh_probe(base + i, snapshot.saturating_sub(i % 3));
             let d_on = with_fastpath.on_arrival(probe.clone()).is_accept();
-            let d_off = without.on_arrival(probe).is_accept();
+            let d_off = without.on_arrival(untagged(probe)).is_accept();
             prop_assert_eq!(d_on, d_off, "probe {} diverged", i);
         }
 
@@ -174,7 +193,7 @@ proptest! {
     /// Same contract on an *instance-rescued* ledger: write-partitioned YCSB-B interleaves
     /// untracked commits (reads the analyzer proved miss the write tail) with graph-inserted
     /// ones (writers and tail reads) inside every block — the adversarial case for the
-    /// splice-preserving recovery rebuild. The ledger must not depend on the knob, and
+    /// splice-preserving recovery rebuild. The tip must not depend on the tags, and the
     /// recovered controllers must agree on resume point, replayed-suffix knowledge, verdicts
     /// on fresh rescued/unknown arrivals, and the next cut.
     #[test]
@@ -194,8 +213,8 @@ proptest! {
         prop_assert_eq!(ledger_on.tip_hash(), ledger_off.tip_hash());
         prop_assert!(ledger_on.height() >= 2, "degenerate run: height {}", ledger_on.height());
 
-        let mut with_fastpath = recovered(&ledger_on, true);
-        let mut without = recovered(&ledger_on, false);
+        let mut with_fastpath = recovered(&ledger_on);
+        let mut without = recovered(&ledger_off);
         prop_assert_eq!(with_fastpath.next_block(), without.next_block());
         prop_assert!(with_fastpath.graph().len() <= without.graph().len());
         let replay_from = ledger_on
@@ -236,7 +255,7 @@ proptest! {
                 )
             };
             let d_on = with_fastpath.on_arrival(probe.clone()).is_accept();
-            let d_off = without.on_arrival(probe).is_accept();
+            let d_off = without.on_arrival(untagged(probe)).is_accept();
             prop_assert_eq!(d_on, d_off, "probe {} diverged", i);
         }
         let cut_on = with_fastpath.cut_block();
@@ -246,7 +265,7 @@ proptest! {
         prop_assert_eq!(ids_on, ids_off, "post-recovery block diverged");
     }
 
-    /// The state-store half of the cold replay: the committed writes of a fastpath-on ledger,
+    /// The state-store half of the cold replay: the committed writes of a tagged ledger,
     /// replayed into a genesis-seeded store, reproduce the live chain's store.
     #[test]
     fn store_replay_of_a_fastpath_ledger_matches_the_live_store(
@@ -272,4 +291,119 @@ proptest! {
         prop_assert_eq!(replayed.last_block(), ledger.height());
         prop_assert_eq!(&replayed, chain.store());
     }
+}
+
+/// Blocks in the `create_account_durable`-shaped run: past the first periodic checkpoint, so
+/// recovery loads a delta checkpoint and replays the suffix above it.
+const DURABLE_BLOCKS: u64 = 620;
+/// Transactions per block of that run (the benchmark uses 100; the shape does not need them).
+const DURABLE_BLOCK_TXNS: usize = 10;
+/// Blocks of snapshot staleness at endorsement, as in the benchmark.
+const LAG: u64 = 2;
+/// Blocks between store checkpoints, as in the benchmark.
+const CHECKPOINT_EVERY: u64 = 500;
+
+/// What one `create_account_durable`-shaped run leaves behind.
+struct DurableRun {
+    tip: Digest,
+    store: MultiVersionStore,
+    accepted: u64,
+    bypassed: u64,
+    recovered_tip: Digest,
+    recovered_store: MultiVersionStore,
+    checkpoint_height: u64,
+    recovered_cc: FabricSharpCC,
+}
+
+/// Create-Account endorsed `LAG` blocks behind the tip, every block mirrored into a durable
+/// ledger, a checkpoint every `CHECKPOINT_EVERY` blocks, then a cold recovery of the directory.
+fn create_account_durable(seed: u64, tagged: bool) -> DurableRun {
+    let dir = std::env::temp_dir().join(format!(
+        "eov-fastpath-durable-{tagged}-{}-{:?}",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = CcConfig {
+        checkpoint_interval: CHECKPOINT_EVERY,
+        ..CcConfig::default()
+    };
+    let mut generator =
+        WorkloadGenerator::new(WorkloadKind::CreateAccount, WorkloadParams::default(), seed);
+    let analyzer = generator.analyzer();
+    let mut chain = SimpleChain::with_cc_config(SystemKind::FabricSharp, config);
+    chain.seed(generator.genesis());
+    let (mut durable, _) =
+        DurableLedger::open(&dir, DurableOptions::from_cc_config(&config)).unwrap();
+    write_checkpoint(&dir, chain.store(), config.durable_fsync).unwrap();
+
+    let mut accepted = 0u64;
+    for _ in 0..DURABLE_BLOCKS {
+        let snapshot = chain.ledger().height().saturating_sub(LAG);
+        for _ in 0..DURABLE_BLOCK_TXNS {
+            let template = generator.next_template();
+            let class = tag(analyzer.classify_instance(&template), tagged);
+            let txn = chain
+                .execute_at(snapshot, |ctx| template.run(ctx))
+                .with_template_class(class);
+            accepted += u64::from(chain.submit(txn).is_accept());
+        }
+        let height = chain
+            .seal_block()
+            .block_number
+            .expect("every batch commits");
+        durable
+            .append(chain.ledger().block(height).unwrap().clone())
+            .unwrap();
+        if height.is_multiple_of(CHECKPOINT_EVERY) {
+            write_checkpoint(&dir, chain.store(), config.durable_fsync).unwrap();
+        }
+    }
+    drop(durable);
+
+    let recovered = recover_from_disk(&dir, config).expect("cold recovery");
+    std::fs::remove_dir_all(&dir).unwrap();
+    DurableRun {
+        tip: chain.ledger().tip_hash(),
+        store: chain.store().clone(),
+        accepted,
+        bypassed: chain.cc().fastpath_accepted(),
+        recovered_tip: recovered.ledger.ledger().tip_hash(),
+        recovered_store: recovered.store,
+        checkpoint_height: recovered.checkpoint_height,
+        recovered_cc: recovered.cc,
+    }
+}
+
+/// The path the benchmark's `create_account_durable` workload takes: every arrival bypasses the
+/// graph, and the run — live and cold-recovered — is the one the untagged input produces.
+#[test]
+fn create_account_durable_runs_tagged_and_untagged_alike() {
+    let tagged = create_account_durable(42, true);
+    let reference = create_account_durable(42, false);
+
+    let offered = DURABLE_BLOCKS * DURABLE_BLOCK_TXNS as u64;
+    assert_eq!(tagged.accepted, offered, "Create-Account never conflicts");
+    assert_eq!(
+        tagged.bypassed, tagged.accepted,
+        "every tagged arrival bypasses"
+    );
+    assert_eq!(reference.accepted, offered);
+    assert_eq!(reference.bypassed, 0, "no untagged arrival bypasses");
+
+    assert_eq!(tagged.tip, reference.tip);
+    assert_eq!(tagged.store, reference.store);
+    for run in [&tagged, &reference] {
+        assert_eq!(run.recovered_tip, run.tip);
+        assert_eq!(run.recovered_store, run.store);
+        assert_eq!(run.checkpoint_height, CHECKPOINT_EVERY);
+        assert_eq!(run.recovered_cc.next_block(), DURABLE_BLOCKS + 1);
+    }
+    assert_eq!(tagged.recovered_store, reference.recovered_store);
+    // The tagged recovery replays the suffix into the untracked log, the reference into the
+    // graph.
+    assert!(tagged.recovered_cc.graph().is_empty());
+    assert!(tagged.recovered_cc.graph().untracked_len() > 0);
+    assert!(!reference.recovered_cc.graph().is_empty());
+    assert_eq!(reference.recovered_cc.graph().untracked_len(), 0);
 }
