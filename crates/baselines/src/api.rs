@@ -131,8 +131,8 @@ pub trait ConcurrencyControl: Send {
     }
 
     /// How many accepted transactions rode the template fast path (skipping the dependency
-    /// graph); zero for systems without the knob. The simulator exports this so the static
-    /// conflict analyzer's predicted safe count can be checked against runtime behaviour.
+    /// graph); zero for systems without one. The simulator reports it, so the count of
+    /// `Safe`-tagged arrivals can be checked against runtime behaviour.
     fn fastpath_accepted(&self) -> u64 {
         0
     }

@@ -19,13 +19,10 @@
 //! * `topo_sort_pending` on the dense engine must be ≥ 5× faster than the naive reference at
 //!   512 pending transactions (the tentpole acceptance criterion),
 //! * the miss-path `would_close_cycle` must not be slower than the naive pair scan,
-//! * the template fast path must run the read-only YCSB-C arrival + cut input, as the conflict
-//!   analyzer tags it, ≥ 1.3× faster than the same input re-tagged `Unknown` (the reference
-//!   path) while committing the identical id order,
-//! * the *instance* fast path must run the tagged write-partitioned YCSB-B input ≥ 1.3× faster
-//!   than the same input re-tagged `Unknown`, commit the identical id order, and bypass
-//!   **exactly** the number of transactions the conflict analyzer predicted (runtime
-//!   `fastpath_accepted` == static safe-tag count, ±0),
+//! * the template fast path must run the read-only YCSB-C arrival + cut input, as the template
+//!   classifier tags it, ≥ 1.3× faster than the same input re-tagged `Unknown` (the reference
+//!   path) while committing the identical id order and bypassing **exactly** the transactions
+//!   tagged `Safe` (runtime `fastpath_accepted` == static safe-tag count, ±0),
 //! * `cut_block` on a 100-transaction Smallbank batch must cost at most 2× as much on a
 //!   controller carrying `max_span` blocks of committed history as on a fresh one (persist,
 //!   prune and the committed-index lookups scale with the block's footprint, not with the
@@ -133,7 +130,7 @@ fn endorsed_txns(kind: WorkloadKind, count: usize) -> Vec<Transaction> {
         ..WorkloadParams::default()
     };
     let mut generator = WorkloadGenerator::new(kind, params, 7);
-    let analyzer = generator.analyzer();
+    let classifier = generator.analyzer();
     let mut store = MultiVersionStore::new();
     store.seed_genesis(generator.genesis());
     let snapshots = SnapshotManager::new();
@@ -142,7 +139,7 @@ fn endorsed_txns(kind: WorkloadKind, count: usize) -> Vec<Transaction> {
     (0..count)
         .map(|i| {
             let template = generator.next_template();
-            let class = analyzer.classify_instance(&template);
+            let class = classifier.classify_instance(&template);
             endorser
                 .simulate_at(&store, TxnId(i as u64 + 1), 0, |ctx| template.run(ctx))
                 .with_template_class(class)
@@ -233,16 +230,10 @@ struct BenchContext {
     miss_preds: Vec<TxnId>,
     miss_succs: Vec<TxnId>,
     smallbank200: Vec<Transaction>,
-    /// 200 read-only YCSB-C transactions, tagged `Safe` by the conflict analyzer — the
+    /// 200 read-only YCSB-C transactions, tagged `Safe` by the template classifier — the
     /// all-bypass input for the template-fastpath benches — and the same input untagged.
     ycsb_c200: Vec<Transaction>,
     ycsb_c200_untagged: Vec<Transaction>,
-    /// 200 write-partitioned YCSB-B transactions: reads Zipfian over the full population,
-    /// writes uniform in the top 1/8 tail. The read template still conflicts with the writer
-    /// template, so only *instance* classification (bound keys provably below the partition)
-    /// tags the ~75% rescued arrivals `Safe`. Also kept untagged.
-    ycsb_b200: Vec<Transaction>,
-    ycsb_b200_untagged: Vec<Transaction>,
     ww_heavy: Vec<Transaction>,
     /// 200 committed blocks (1600 txns) for the durable-ledger benches: the append input,
     /// the in-memory reference, the uninterrupted-run store, and a persisted directory with
@@ -340,10 +331,6 @@ impl BenchContext {
         let (durable_blocks, durable_reference, durable_reference_store, recover_dir) =
             durable_fixture();
         let ycsb_c200 = endorsed_txns(WorkloadKind::Ycsb(YcsbProfile::c()), 200);
-        let ycsb_b200 = endorsed_txns(
-            WorkloadKind::Ycsb(YcsbProfile::b().with_write_partition(0.125)),
-            200,
-        );
         BenchContext {
             dense512: layered(512, 3),
             naive512: naive_layered(512, 3),
@@ -353,8 +340,6 @@ impl BenchContext {
             smallbank200: endorsed_txns(WorkloadKind::ModifiedSmallbank, 200),
             ycsb_c200_untagged: untagged(&ycsb_c200),
             ycsb_c200,
-            ycsb_b200_untagged: untagged(&ycsb_b200),
-            ycsb_b200,
             ww_heavy: ww_heavy_txns(),
             durable_blocks,
             durable_reference,
@@ -378,8 +363,6 @@ impl BenchContext {
             "recover_cold_1600",
             "remove_half_1600",
             "sharp_smallbank200_unsharded",
-            "sharp_ycsb_b_fastpath_off_200",
-            "sharp_ycsb_b_fastpath_on_200",
             "sharp_ycsb_c_fastpath_off_200",
             "sharp_ycsb_c_fastpath_on_200",
             "topo_sort_pending_512",
@@ -464,10 +447,6 @@ impl BenchContext {
             }),
             "formation_ww_restore_400" => median_ns(|| arrival_and_cut_len(&self.ww_heavy)),
             "sharp_smallbank200_unsharded" => median_ns(|| arrival_and_cut_len(&self.smallbank200)),
-            "sharp_ycsb_b_fastpath_off_200" => {
-                median_ns(|| arrival_and_cut_len(&self.ycsb_b200_untagged))
-            }
-            "sharp_ycsb_b_fastpath_on_200" => median_ns(|| arrival_and_cut_len(&self.ycsb_b200)),
             "sharp_ycsb_c_fastpath_off_200" => {
                 median_ns(|| arrival_and_cut_len(&self.ycsb_c200_untagged))
             }
@@ -581,49 +560,34 @@ fn main() {
         );
         failures += 1;
     }
-    // Instance fast path: the write-partitioned YCSB-B input is ~75% instance-safe (reads
-    // whose sampled keys provably miss the write tail), so the bypass must deliver the same
-    // structural speedup there as on all-safe traffic.
-    let fpb_off = results["sharp_ycsb_b_fastpath_off_200"];
-    let fpb_on = results["sharp_ycsb_b_fastpath_on_200"];
-    let fpb_speedup = fpb_off / fpb_on;
-    if fpb_speedup >= REQUIRED_FASTPATH_SPEEDUP {
-        println!(
-            "  OK   ycsb-b (partitioned) instance fastpath: {fpb_speedup:.2}x over reference (need >= {REQUIRED_FASTPATH_SPEEDUP:.1}x)"
-        );
-    } else {
-        println!(
-            "  FAIL ycsb-b (partitioned) instance fastpath: only {fpb_speedup:.2}x over reference (need >= {REQUIRED_FASTPATH_SPEEDUP:.1}x)"
-        );
-        failures += 1;
-    }
-    for (input_name, txns, reference_txns) in [
-        ("ycsb_c200", &ctx.ycsb_c200, &ctx.ycsb_c200_untagged),
-        ("ycsb_b200", &ctx.ycsb_b200, &ctx.ycsb_b200_untagged),
-    ] {
+    {
         let ids = |block: &[Transaction]| block.iter().map(|t| t.id).collect::<Vec<_>>();
-        let (_, reference) = arrival_and_cut(reference_txns);
-        let (cc, fastpath) = arrival_and_cut(txns);
+        let (_, reference) = arrival_and_cut(&ctx.ycsb_c200_untagged);
+        let (cc, fastpath) = arrival_and_cut(&ctx.ycsb_c200);
         if ids(&reference) == ids(&fastpath) {
             println!(
-                "  OK   {input_name}: tagged/untagged commit orders identical ({} txns)",
+                "  OK   ycsb_c200: tagged/untagged commit orders identical ({} txns)",
                 reference.len()
             );
         } else {
-            println!("  FAIL {input_name}: commit orders diverged between tagged and untagged");
+            println!("  FAIL ycsb_c200: commit orders diverged between tagged and untagged");
             failures += 1;
         }
-        // Exactness: the orderer must bypass precisely the arrivals the static analyzer
-        // tagged Safe — no more (soundness hole), no fewer (rescue not wired through).
-        let predicted = txns.iter().filter(|t| t.template_class.is_safe()).count() as u64;
+        // Exactness: the orderer must bypass precisely the arrivals the classifier tagged
+        // Safe — no more (soundness hole), no fewer (tag not wired through).
+        let predicted = ctx
+            .ycsb_c200
+            .iter()
+            .filter(|t| t.template_class.is_safe())
+            .count() as u64;
         let runtime = cc.stats().fastpath_accepted;
         if predicted == runtime {
             println!(
-                "  OK   {input_name}: analyzer-predicted safe count == runtime fastpath count ({runtime})"
+                "  OK   ycsb_c200: classifier-predicted safe count == runtime fastpath count ({runtime})"
             );
         } else {
             println!(
-                "  FAIL {input_name}: analyzer predicted {predicted} safe but the orderer bypassed {runtime}"
+                "  FAIL ycsb_c200: classifier predicted {predicted} safe but the orderer bypassed {runtime}"
             );
             failures += 1;
         }

@@ -7,16 +7,13 @@
 //!
 //! Replays 200 endorsed transactions of each mix through `FabricSharpCC::on_arrival` plus one
 //! `cut_block`, median of 15 runs, once with every transaction tagged `Unknown` (the reference
-//! path through the dependency graph) and once tagged by the key-granular conflict analyzer
-//! (instance classification) exactly like the simulator tags them, so the "tagged" column
-//! reflects what the fast path buys on that mix: YCSB-C (100% reads) is entirely safe and
-//! bypasses the graph wholesale; the write-partitioned YCSB-B row shows the instance-level
-//! rescue — read instances whose sampled keys provably miss the write tail are safe even
-//! though the read template itself is not; unpartitioned YCSB-A/B/F and the Smallbank mixes
-//! classify unknown throughout, so their numbers must stay at ~1.0× (the fast path never
-//! engages there — and the `template_fastpath_determinism` battery pins that the ledgers are
-//! bit-identical either way). This binary produces the BASELINES.md "Template fast path"
-//! table.
+//! path through the dependency graph) and once tagged by the template classifier exactly like
+//! the simulator tags them, so the "tagged" column reflects what the fast path buys on that
+//! mix: YCSB-C (100% reads) and Create-Account (fresh writes) are entirely safe and bypass the
+//! graph wholesale; YCSB-A/B/F and the Smallbank mixes classify unknown throughout, so their
+//! numbers must stay at ~1.0× (the fast path never engages there — and the
+//! `template_fastpath_determinism` battery pins that the ledgers are bit-identical either
+//! way). This binary produces the BASELINES.md "Template fast path" table.
 
 use eov_bench::untagged;
 use eov_common::config::{CcConfig, WorkloadParams};
@@ -37,7 +34,7 @@ fn endorsed_txns(kind: WorkloadKind) -> Vec<Transaction> {
         ..WorkloadParams::default()
     };
     let mut generator = WorkloadGenerator::new(kind, params, 7);
-    let analyzer = generator.analyzer();
+    let classifier = generator.analyzer();
     let mut store = MultiVersionStore::new();
     store.seed_genesis(generator.genesis());
     let snapshots = SnapshotManager::new();
@@ -46,7 +43,7 @@ fn endorsed_txns(kind: WorkloadKind) -> Vec<Transaction> {
     (0..TXNS)
         .map(|i| {
             let template = generator.next_template();
-            let class = analyzer.classify_instance(&template);
+            let class = classifier.classify_instance(&template);
             endorser
                 .simulate_at(&store, TxnId(i as u64 + 1), 0, |ctx| template.run(ctx))
                 .with_template_class(class)
@@ -78,10 +75,6 @@ fn main() {
     let workloads: Vec<(&str, WorkloadKind)> = vec![
         ("ycsb-a", WorkloadKind::Ycsb(YcsbProfile::a())),
         ("ycsb-b", WorkloadKind::Ycsb(YcsbProfile::b())),
-        (
-            "ycsb-b part.",
-            WorkloadKind::Ycsb(YcsbProfile::b().with_write_partition(0.125)),
-        ),
         ("ycsb-c", WorkloadKind::Ycsb(YcsbProfile::c())),
         ("ycsb-f", WorkloadKind::Ycsb(YcsbProfile::f())),
         ("modified-smallbank", WorkloadKind::ModifiedSmallbank),

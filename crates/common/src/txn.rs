@@ -80,10 +80,10 @@ pub struct Transaction {
     /// tracked path). Absent in serialized transactions from older ledgers.
     #[serde(default)]
     pub template_class: TemplateClass,
-    /// Index of the workload template this instance was generated from, in the workload's
-    /// static conflict-matrix row order (`eov_workload::conflict::ConflictMatrix`). `None`
-    /// (the default, and the value for transactions from older ledgers) means "template
-    /// unknown". The ledger codec persists it; no ordering or commit decision reads it.
+    /// Index of the workload template this instance was generated from: its position in the
+    /// workload's template catalog (`eov_workload::templates::catalog`). `None` (the default,
+    /// and the value for transactions from older ledgers) means "template unknown". The
+    /// ledger codec persists it; nothing in the workspace reads it back.
     #[serde(default)]
     pub template_id: Option<u16>,
 }

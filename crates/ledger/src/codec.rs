@@ -559,4 +559,59 @@ mod tests {
             assert!(frame_len("checkpoint", four_gib - 1, u32::MAX).is_ok());
         }
     }
+
+    /// `decode_block` on `bytes` returns `Ok` or `Err`; a panic fails with the input.
+    fn assert_decodes_without_panic(bytes: &[u8]) {
+        let outcome = std::panic::catch_unwind(|| decode_block(bytes));
+        assert!(outcome.is_ok(), "decode_block panicked on {bytes:?}");
+    }
+
+    mod proptests {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// Bytes from a damaged disk: anything at all decodes to a block or an error.
+            #[test]
+            fn decode_never_panics_on_arbitrary_bytes(
+                bytes in prop::collection::vec(any::<u8>(), 0..512),
+            ) {
+                assert_decodes_without_panic(&bytes);
+            }
+
+            /// Bytes that are nearly a block: a valid payload with 1–4 bytes overwritten hits
+            /// the tags, counts and lengths deep inside the format. The block holds small
+            /// transactions in every status, so most overwrites land on framing, not on value
+            /// bytes.
+            #[test]
+            fn decode_never_panics_on_a_damaged_block(
+                number in 1u64..1_000,
+                overwrites in prop::collection::vec(
+                    (any::<prop::sample::Index>(), any::<u8>()),
+                    1..5,
+                ),
+            ) {
+                let txns = (0..3u64).map(|i| {
+                    Transaction::from_parts(
+                        number * 10 + i,
+                        number - 1,
+                        [(Key::new(format!("r{i}")), SeqNo::new(0, i as u32))],
+                        [(Key::new(format!("w{i}")), Value::from_i64(i as i64))],
+                    )
+                    .with_template_id(Some(i as u16))
+                });
+                let mut block = Block::build(number, Digest::ZERO, txns.collect());
+                block.entries[0].status = TxnStatus::Committed;
+                block.entries[1].status = TxnStatus::Aborted(AbortReason::StaleRead);
+                let mut bytes = block_payload(&block);
+                for (at, byte) in overwrites {
+                    let at = at.index(bytes.len());
+                    bytes[at] = byte;
+                }
+                assert_decodes_without_panic(&bytes);
+            }
+        }
+    }
 }

@@ -2,7 +2,6 @@
 
 use eov_baselines::api::SystemKind;
 use eov_common::abort::AbortReason;
-use eov_workload::conflict::ConflictMatrix;
 use std::collections::HashMap;
 
 /// Wall-clock statistics of the per-block formation step (`cut_block`), measured — not
@@ -160,15 +159,9 @@ pub struct SimReport {
     /// execution-stage companion of `formation`, covering MVCC validation plus write
     /// installation.
     pub commit: FormationTiming,
-    /// Offered transactions the static conflict analyzer classified instance-Safe (tagged
-    /// before the orderer saw them, for every system).
-    pub safe_tagged: u64,
     /// Accepted transactions that actually rode the orderer's template fast path (zero for
     /// systems without one).
     pub fastpath_accepted: u64,
-    /// The static template×template conflict matrix of the workload's mix, for downstream
-    /// consumers (the `conflict_matrix` bench bin).
-    pub conflict_matrix: ConflictMatrix,
     /// Per-stage busy/overlap accounting of the formation and commit stages.
     pub occupancy: PipelineOccupancy,
 }
@@ -239,16 +232,6 @@ impl SimReport {
     pub fn aborts_for(&self, reason: AbortReason) -> u64 {
         self.aborts.get(&reason).copied().unwrap_or(0)
     }
-
-    /// Fraction of offered transactions the conflict analyzer proved instance-Safe, in
-    /// `[0, 1]` — the mix's static fast-path eligibility.
-    pub fn safe_rate(&self) -> f64 {
-        if self.offered == 0 {
-            0.0
-        } else {
-            self.safe_tagged as f64 / self.offered as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -276,9 +259,7 @@ mod tests {
             committed_with_anti_rw: 0,
             formation: FormationTiming::default(),
             commit: FormationTiming::default(),
-            safe_tagged: 250,
             fastpath_accepted: 0,
-            conflict_matrix: ConflictMatrix::default(),
             occupancy: PipelineOccupancy::default(),
         }
     }
@@ -288,7 +269,6 @@ mod tests {
         let r = report();
         assert_eq!(r.raw_tps(), 90.0);
         assert_eq!(r.effective_tps(), 85.0);
-        assert!((r.safe_rate() - 0.25).abs() < 1e-12);
         assert_eq!(r.aborted(), 50);
         assert!((r.abort_rate() - 0.05).abs() < 1e-12);
         assert_eq!(r.aborts_for(AbortReason::StaleRead), 30);

@@ -144,13 +144,12 @@ impl Simulator {
         let mut cc: Box<dyn ConcurrencyControl> = config.system.build(config.cc);
         let needs_validation = cc.needs_peer_validation();
 
-        // Key-granular conflict analyzer (see `eov_workload::conflict`). The class of every
-        // generated *instance* is computed here, for every system, and stamped on the
-        // transaction before it reaches the CC; Fabric# sends every `Safe` one down its
-        // template fast path, the other systems ignore the tag.
-        let analyzer = generator.analyzer();
+        // Template classifier (see `eov_workload::templates`). The class of every generated
+        // transaction is computed here, for every system, and stamped on the transaction
+        // before it reaches the CC; Fabric# sends every `Safe` one down its template fast
+        // path, the other systems ignore the tag.
+        let classifier = generator.analyzer();
         let mut class_by_request: HashMap<u64, (TemplateClass, Option<u16>)> = HashMap::new();
-        let mut safe_tagged: u64 = 0;
 
         // Endorsements simulate at dispatch and wait here for their EndorseDone event.
         let mut endorsed: HashMap<u64, Transaction> = HashMap::new();
@@ -208,12 +207,13 @@ impl Simulator {
                     }
                     offered += 1;
                     let template = generator.next_template();
-                    let class = analyzer.classify_instance(&template);
-                    if class.is_safe() {
-                        safe_tagged += 1;
-                    }
-                    class_by_request
-                        .insert(request_no, (class, analyzer.template_index(&template)));
+                    class_by_request.insert(
+                        request_no,
+                        (
+                            classifier.classify_instance(&template),
+                            classifier.template_index(&template),
+                        ),
+                    );
                     let endorse_ms = profile.endorse_base_ms
                         + config.params.read_interval_ms as f64 * template.read_count() as f64;
                     let done_at = now + ms(endorse_ms);
@@ -428,9 +428,7 @@ impl Simulator {
             committed_with_anti_rw,
             formation: FormationTiming::from_samples(&mut formation_us),
             commit: FormationTiming::from_samples(&mut commit_us),
-            safe_tagged,
             fastpath_accepted: cc.fastpath_accepted(),
-            conflict_matrix: analyzer.matrix().clone(),
             occupancy,
         };
         (report, ledger.into_ledger(), store)

@@ -7,6 +7,7 @@
 
 use crate::contracts::{KvUpdateContract, SmartContract};
 use crate::smallbank::{self, SmallbankContract, SmallbankOp};
+use crate::templates::TemplateClassifier;
 use crate::ycsb::{self, YcsbProfile, YcsbTxn};
 use crate::zipf::Zipfian;
 use eov_common::config::WorkloadParams;
@@ -35,9 +36,8 @@ pub enum WorkloadKind {
     },
     /// Uniform Create-Account transactions (write-only, contention-free; Section 5.4).
     CreateAccount,
-    /// YCSB-style read/update/RMW mix with Zipfian skew, optionally with writes confined to a
-    /// tail of the population (see [`crate::ycsb`]); the key population is
-    /// `params.num_accounts` records.
+    /// YCSB-style read/update/RMW mix with Zipfian skew (see [`crate::ycsb`]); the key
+    /// population is `params.num_accounts` records.
     Ycsb(YcsbProfile),
 }
 
@@ -120,15 +120,8 @@ impl WorkloadGenerator {
     }
 
     /// The template-robustness classifier for this workload's mix (see [`crate::templates`]).
-    pub fn classifier(&self) -> crate::templates::TemplateClassifier {
-        crate::templates::TemplateClassifier::new(&self.kind)
-    }
-
-    /// The key-granular conflict analyzer for this workload's mix (see [`crate::conflict`]):
-    /// refines [`WorkloadGenerator::classifier`] from template-level to instance-level safe
-    /// classification, over domains derived from these exact generator parameters.
-    pub fn analyzer(&self) -> crate::conflict::ConflictAnalyzer {
-        crate::conflict::ConflictAnalyzer::new(&self.kind, &self.params)
+    pub fn analyzer(&self) -> TemplateClassifier {
+        TemplateClassifier::new(&self.kind)
     }
 
     /// The genesis state this workload expects.

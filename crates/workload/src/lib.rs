@@ -13,15 +13,12 @@
 //!   workloads with Zipfian skew).
 //! * [`templates`] — Vandevoort-style template-robustness analysis: classifies each
 //!   template in a workload's mix as safe (provably cycle-free) or unknown; the orderer's
-//!   template fast path lets every safe-tagged transaction bypass its dependency graph.
-//! * [`conflict`] — the key-granular refinement of [`templates`]: symbolic per-template
-//!   key-expression footprints with functional constraints, a static template×template
-//!   conflict matrix, and **instance-level** safe classification (rescuing e.g. YCSB-B read
-//!   transactions whose sampled keys provably miss the write partition).
+//!   template fast path lets every safe-tagged transaction bypass its dependency graph. It is
+//!   the workspace's only static classifier: every instance of a template gets its template's
+//!   verdict.
 
 #![forbid(unsafe_code)]
 
-pub mod conflict;
 pub mod contracts;
 pub mod generator;
 pub mod smallbank;
@@ -29,7 +26,6 @@ pub mod templates;
 pub mod ycsb;
 pub mod zipf;
 
-pub use conflict::{ConflictAnalyzer, ConflictMatrix, KeyExpr, ParamDomain, TemplateFootprint};
 pub use contracts::{KvUpdateContract, NoOpContract, SmartContract};
 pub use generator::{TxnTemplate, WorkloadGenerator, WorkloadKind};
 pub use smallbank::{SmallbankContract, SmallbankOp};

@@ -47,7 +47,6 @@
 use crate::generator::{TxnTemplate, WorkloadKind};
 use crate::ycsb::YcsbProfile;
 use eov_common::txn::TemplateClass;
-use std::collections::HashMap;
 
 /// A key family: the key-space prefix a template's operations target.
 pub type KeyFamily = &'static str;
@@ -214,11 +213,13 @@ pub fn template_spec_name(template: &TxnTemplate) -> &'static str {
     }
 }
 
-/// Precomputed per-workload classifier: maps each generated template to its class in the
-/// workload's mix. Templates outside the catalog fall back to [`TemplateClass::Unknown`].
+/// Precomputed per-workload classifier: every template of the workload's catalog with its
+/// class, in [`catalog`] order. A mix holds at most six templates, so a lookup is a linear scan
+/// by name, which is cheaper than hashing the name. Templates outside the catalog fall back to
+/// [`TemplateClass::Unknown`].
 #[derive(Clone, Debug)]
 pub struct TemplateClassifier {
-    classes: HashMap<&'static str, TemplateClass>,
+    templates: Vec<(&'static str, TemplateClass)>,
 }
 
 impl TemplateClassifier {
@@ -227,26 +228,26 @@ impl TemplateClassifier {
         let mix = catalog(kind);
         let classes = classify(&mix);
         TemplateClassifier {
-            classes: mix
-                .iter()
-                .zip(classes)
-                .map(|(spec, class)| (spec.name, class))
-                .collect(),
+            templates: mix.iter().map(|spec| spec.name).zip(classes).collect(),
         }
     }
 
-    /// The class of one generated template.
-    pub fn classify_template(&self, template: &TxnTemplate) -> TemplateClass {
-        self.classes
-            .get(template_spec_name(template))
-            .copied()
-            .unwrap_or(TemplateClass::Unknown)
+    fn position(&self, template: &TxnTemplate) -> Option<usize> {
+        let name = template_spec_name(template);
+        self.templates.iter().position(|(n, _)| *n == name)
     }
 
-    /// Whether any template in the workload's mix is safe (lets callers skip per-transaction
-    /// work when the whole mix is unknown).
-    pub fn any_safe(&self) -> bool {
-        self.classes.values().any(TemplateClass::is_safe)
+    /// The class of one generated instance: its template's class (the rule is per template).
+    pub fn classify_instance(&self, template: &TxnTemplate) -> TemplateClass {
+        self.position(template)
+            .map_or(TemplateClass::Unknown, |i| self.templates[i].1)
+    }
+
+    /// The [`catalog`] position of a generated template, or `None` for templates outside the
+    /// mix. Stamped onto `Transaction::template_id`, which the ledger codec persists, so the
+    /// catalog order is part of every ledger record.
+    pub fn template_index(&self, template: &TxnTemplate) -> Option<u16> {
+        self.position(template).and_then(|i| u16::try_from(i).ok())
     }
 }
 
@@ -255,80 +256,123 @@ mod tests {
     use super::*;
     use crate::smallbank::SmallbankOp;
 
-    fn classes_of(kind: &WorkloadKind) -> Vec<(&'static str, TemplateClass)> {
+    /// One instance of the catalog template called `name`.
+    fn instance_of(name: &str) -> TxnTemplate {
+        let account = 1;
+        let op = match name {
+            "noop" => return TxnTemplate::NoOp,
+            "kv-update" => return TxnTemplate::KvUpdate { key_index: 1 },
+            "ycsb" => return TxnTemplate::Ycsb(crate::ycsb::YcsbTxn { ops: vec![] }),
+            "modified-rw" => SmallbankOp::ModifiedRw {
+                reads: vec![1],
+                writes: vec![2],
+            },
+            "create-account" => SmallbankOp::CreateAccount {
+                account,
+                checking: 1,
+                savings: 1,
+            },
+            "query-account" => SmallbankOp::QueryAccount { account },
+            "deposit-checking" => SmallbankOp::DepositChecking { account, amount: 1 },
+            "write-check" => SmallbankOp::WriteCheck { account, amount: 1 },
+            "transact-savings" => SmallbankOp::TransactSavings { account, amount: 1 },
+            "send-payment" => SmallbankOp::SendPayment {
+                from: 1,
+                to: 2,
+                amount: 1,
+            },
+            "amalgamate" => SmallbankOp::Amalgamate { from: 1, to: 2 },
+            other => unreachable!("no template {other}"),
+        };
+        TxnTemplate::Smallbank(op)
+    }
+
+    /// Each catalog template of `kind` with its class and index, as the classifier reports
+    /// them for an instance of it.
+    fn classes_of(kind: &WorkloadKind) -> Vec<(&'static str, TemplateClass, Option<u16>)> {
+        let classifier = TemplateClassifier::new(kind);
         let mix = catalog(kind);
-        let classes = classify(&mix);
-        mix.iter().map(|s| s.name).zip(classes).collect()
+        mix.iter()
+            .zip(classify(&mix))
+            .map(|(spec, class)| {
+                let instance = instance_of(spec.name);
+                assert_eq!(template_spec_name(&instance), spec.name);
+                assert_eq!(classifier.classify_instance(&instance), class);
+                (spec.name, class, classifier.template_index(&instance))
+            })
+            .collect()
     }
 
     /// The pinned Smallbank / YCSB classification table: these verdicts are part of the
-    /// fast path's correctness contract and must not drift silently.
+    /// fast path's correctness contract and must not drift silently. The indices are pinned
+    /// too: every ledger record persists one as its `template_id`, so reordering a catalog
+    /// changes every ledger.
     #[test]
     fn classification_table_is_pinned() {
         use TemplateClass::{Safe, Unknown};
-        assert_eq!(classes_of(&WorkloadKind::NoOp), vec![("noop", Safe)]);
+        assert_eq!(
+            classes_of(&WorkloadKind::NoOp),
+            vec![("noop", Safe, Some(0))]
+        );
         assert_eq!(
             classes_of(&WorkloadKind::KvUpdate { theta: 0.5 }),
-            vec![("kv-update", Unknown)]
+            vec![("kv-update", Unknown, Some(0))]
         );
         assert_eq!(
             classes_of(&WorkloadKind::ModifiedSmallbank),
-            vec![("modified-rw", Unknown)]
+            vec![("modified-rw", Unknown, Some(0))]
         );
         assert_eq!(
             classes_of(&WorkloadKind::CreateAccount),
-            vec![("create-account", Safe)]
+            vec![("create-account", Safe, Some(0))]
         );
         // Mixed Smallbank: writers cover both families, so even the read-only query is
         // unknown (it can sit between a near-wr predecessor and an anti-rw successor).
         assert_eq!(
             classes_of(&WorkloadKind::MixedSmallbank { theta: 0.5 }),
             vec![
-                ("query-account", Unknown),
-                ("deposit-checking", Unknown),
-                ("write-check", Unknown),
-                ("transact-savings", Unknown),
-                ("send-payment", Unknown),
-                ("amalgamate", Unknown),
+                ("query-account", Unknown, Some(0)),
+                ("deposit-checking", Unknown, Some(1)),
+                ("write-check", Unknown, Some(2)),
+                ("transact-savings", Unknown, Some(3)),
+                ("send-payment", Unknown, Some(4)),
+                ("amalgamate", Unknown, Some(5)),
             ]
         );
         // YCSB: only the pure-read C mix qualifies.
         assert_eq!(
             classes_of(&WorkloadKind::Ycsb(YcsbProfile::a())),
-            vec![("ycsb", Unknown)]
+            vec![("ycsb", Unknown, Some(0))]
         );
         assert_eq!(
             classes_of(&WorkloadKind::Ycsb(YcsbProfile::b())),
-            vec![("ycsb", Unknown)]
+            vec![("ycsb", Unknown, Some(0))]
         );
         assert_eq!(
             classes_of(&WorkloadKind::Ycsb(YcsbProfile::f())),
-            vec![("ycsb", Unknown)]
+            vec![("ycsb", Unknown, Some(0))]
         );
         assert_eq!(
             classes_of(&WorkloadKind::Ycsb(YcsbProfile::c())),
-            vec![("ycsb", Safe)]
+            vec![("ycsb", Safe, Some(0))]
         );
     }
 
     #[test]
     fn classifier_tags_generated_templates() {
         let classifier = TemplateClassifier::new(&WorkloadKind::Ycsb(YcsbProfile::c()));
-        assert!(classifier.any_safe());
-        let txn = TxnTemplate::Ycsb(crate::ycsb::YcsbTxn { ops: vec![] });
-        assert_eq!(classifier.classify_template(&txn), TemplateClass::Safe);
-        // Templates outside the catalog are conservatively unknown.
+        let txn = instance_of("ycsb");
+        assert_eq!(classifier.classify_instance(&txn), TemplateClass::Safe);
+        // Templates outside the catalog are conservatively unknown and have no index.
         assert_eq!(
-            classifier.classify_template(&TxnTemplate::NoOp),
+            classifier.classify_instance(&TxnTemplate::NoOp),
             TemplateClass::Unknown
         );
+        assert_eq!(classifier.template_index(&TxnTemplate::NoOp), None);
 
         let mixed = TemplateClassifier::new(&WorkloadKind::MixedSmallbank { theta: 0.0 });
-        assert!(!mixed.any_safe());
         assert_eq!(
-            mixed.classify_template(&TxnTemplate::Smallbank(SmallbankOp::QueryAccount {
-                account: 0
-            })),
+            mixed.classify_instance(&instance_of("query-account")),
             TemplateClass::Unknown
         );
     }

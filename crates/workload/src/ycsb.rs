@@ -2,9 +2,7 @@
 //!
 //! The paper evaluates Smallbank only; scaling work needs the standard cloud-serving mixes:
 //! a configurable read / blind-update / read-modify-write operation mix over a Zipfian-skewed
-//! key population (YCSB A/B/C/F shapes). On top of the classic knobs, [`YcsbProfile`] can
-//! confine writes to a tail of the population, which gives the static conflict analyzer
-//! read-only instances it can prove safe.
+//! key population (YCSB A/B/C/F shapes).
 
 use crate::zipf::Zipfian;
 use eov_common::rwset::{Key, Value};
@@ -38,16 +36,6 @@ pub struct YcsbProfile {
     pub theta: f64,
     /// Operations (distinct keys) per transaction.
     pub ops_per_txn: usize,
-    /// Fraction of the record population that write operations (updates and RMWs) are
-    /// confined to. `1.0` (the default) keeps the classic YCSB behaviour: writes share the
-    /// reads' Zipfian draw over the whole population, and the generator's RNG stream is
-    /// bit-identical to what it was before this knob existed. Below `1.0` the generator
-    /// switches to a *partitioned* draw: writes land uniformly in the **tail**
-    /// `[records - W, records)` (`W = ceil(records × fraction)`, at least 1) while reads keep
-    /// the full-population Zipfian — so the skew-favoured head is provably write-free and the
-    /// static conflict analyzer ([`crate::conflict`]) can prove read-only instances whose
-    /// sampled keys miss the tail Safe.
-    pub write_partition_fraction: f64,
 }
 
 impl YcsbProfile {
@@ -58,7 +46,6 @@ impl YcsbProfile {
             update_fraction: 0.5,
             theta: 0.99,
             ops_per_txn: 4,
-            write_partition_fraction: 1.0,
         }
     }
 
@@ -87,33 +74,6 @@ impl YcsbProfile {
             update_fraction: 0.0,
             ..Self::a()
         }
-    }
-
-    /// Returns the profile with writes confined to the tail `fraction` of the record
-    /// population (see [`YcsbProfile::write_partition_fraction`]). `1.0` restores the
-    /// classic whole-population draw.
-    pub fn with_write_partition(self, fraction: f64) -> Self {
-        YcsbProfile {
-            write_partition_fraction: fraction.clamp(0.0, 1.0),
-            ..self
-        }
-    }
-
-    /// Whether the partitioned write draw is active (writes confined to a proper tail).
-    pub fn write_partitioned(&self) -> bool {
-        self.write_partition_fraction < 1.0
-    }
-
-    /// First record index of the write partition over a population of `records`: writes land
-    /// uniformly in `[start, records)`. With the knob at `1.0` the partition is the whole
-    /// population (`start == 0`). The conflict analyzer derives its symbolic write domain
-    /// from this same function, so the static model and the generator can never drift.
-    pub fn write_partition_start(&self, records: usize) -> usize {
-        if !self.write_partitioned() || records == 0 {
-            return 0;
-        }
-        let width = (records as f64 * self.write_partition_fraction).ceil() as usize;
-        records - width.clamp(1, records)
     }
 
     /// The implied read-modify-write fraction.
@@ -203,9 +163,6 @@ pub fn next_ycsb_txn(
     records: usize,
     rng: &mut StdRng,
 ) -> YcsbTxn {
-    if profile.write_partitioned() {
-        return next_partitioned_txn(profile, zipf, records, rng);
-    }
     let mut indices: Vec<usize> = Vec::with_capacity(profile.ops_per_txn);
     indices.push(zipf.sample(rng));
     while indices.len() < profile.ops_per_txn.max(1) {
@@ -251,77 +208,6 @@ pub fn next_ycsb_txn(
             }
         })
         .collect();
-    YcsbTxn { ops }
-}
-
-/// The write-partitioned draw (`write_partition_fraction < 1.0`): each operation rolls its
-/// kind *first*, then samples a key from the kind's domain — reads keep the full-population
-/// Zipfian, writes land uniformly in the tail partition `[start, records)`. Distinctness
-/// within the transaction uses the same bounded-resample + linear-probe + shorten discipline
-/// as the classic path, with the probe confined to the operation's own domain so a write can
-/// never escape the partition.
-fn next_partitioned_txn(
-    profile: &YcsbProfile,
-    zipf: &Zipfian,
-    records: usize,
-    rng: &mut StdRng,
-) -> YcsbTxn {
-    let start = profile.write_partition_start(records);
-    let mut indices: Vec<usize> = Vec::with_capacity(profile.ops_per_txn.max(1));
-    let mut ops: Vec<YcsbOp> = Vec::with_capacity(profile.ops_per_txn.max(1));
-    for _ in 0..profile.ops_per_txn.max(1) {
-        let roll: f64 = rng.gen_range(0.0..1.0);
-        let is_write = roll >= profile.read_fraction;
-        let (lo, len) = if is_write {
-            (start, records - start)
-        } else {
-            (0, records)
-        };
-        let sample = |rng: &mut StdRng| {
-            if is_write {
-                lo + rng.gen_range(0..len.max(1))
-            } else {
-                zipf.sample(rng)
-            }
-        };
-        let mut index = sample(rng);
-        let mut distinct = !indices.contains(&index);
-        for _ in 0..64 {
-            if distinct {
-                break;
-            }
-            index = sample(rng);
-            distinct = !indices.contains(&index);
-        }
-        if !distinct {
-            // Linear probe inside the operation's own domain; gives up (shortening the
-            // transaction) when the domain is exhausted.
-            for _ in 0..len {
-                index = lo + (index - lo + 1) % len.max(1);
-                if !indices.contains(&index) {
-                    distinct = true;
-                    break;
-                }
-            }
-        }
-        if !distinct {
-            break;
-        }
-        indices.push(index);
-        ops.push(if roll < profile.read_fraction {
-            YcsbOp::Read { index }
-        } else if roll < profile.read_fraction + profile.update_fraction {
-            YcsbOp::Update {
-                index,
-                value: rng.gen_range(0..1_000_000),
-            }
-        } else {
-            YcsbOp::ReadModifyWrite {
-                index,
-                delta: rng.gen_range(1..100),
-            }
-        });
-    }
     YcsbTxn { ops }
 }
 
@@ -387,75 +273,6 @@ mod tests {
             reads as f64 / total > 0.9,
             "YCSB-B must be read-dominated: {reads}/{total}"
         );
-    }
-
-    #[test]
-    fn write_partition_start_math() {
-        let p = YcsbProfile::b().with_write_partition(0.125);
-        assert!(p.write_partitioned());
-        assert_eq!(p.write_partition_start(2_000), 1_750);
-        assert_eq!(p.write_partition_start(8), 7);
-        // Tiny populations clamp to a single-record partition.
-        assert_eq!(p.write_partition_start(1), 0);
-        assert_eq!(p.write_partition_start(0), 0);
-        // The degenerate fraction still leaves one writable record.
-        assert_eq!(
-            YcsbProfile::b()
-                .with_write_partition(0.0)
-                .write_partition_start(100),
-            99
-        );
-        // Fraction 1.0 disables the partitioned path entirely.
-        let whole = YcsbProfile::b().with_write_partition(1.0);
-        assert!(!whole.write_partitioned());
-        assert_eq!(whole.write_partition_start(2_000), 0);
-    }
-
-    #[test]
-    fn partitioned_writes_stay_inside_the_tail() {
-        let records = 500;
-        let profile = YcsbProfile::a().with_write_partition(0.1);
-        let start = profile.write_partition_start(records);
-        assert_eq!(start, 450);
-        let mut saw_write = false;
-        let mut saw_head_read = false;
-        for txn in draw(profile, records, 300, 29) {
-            let mut indices: Vec<usize> = txn.ops.iter().map(YcsbOp::index).collect();
-            let before = indices.len();
-            indices.sort_unstable();
-            indices.dedup();
-            assert_eq!(indices.len(), before, "duplicate key in {txn:?}");
-            for op in &txn.ops {
-                match op {
-                    YcsbOp::Read { index } => saw_head_read |= *index < start,
-                    YcsbOp::Update { index, .. } | YcsbOp::ReadModifyWrite { index, .. } => {
-                        saw_write = true;
-                        assert!(
-                            *index >= start,
-                            "write escaped the partition: {op:?} (start {start})"
-                        );
-                    }
-                }
-            }
-        }
-        assert!(saw_write, "mix must produce writes");
-        assert!(saw_head_read, "reads must still cover the Zipfian head");
-    }
-
-    #[test]
-    fn partitioned_draw_survives_tiny_write_partitions() {
-        // A one-record partition cannot host two distinct writes: transactions shorten
-        // rather than duplicate or escape.
-        let profile = YcsbProfile {
-            read_fraction: 0.0,
-            update_fraction: 1.0,
-            ..YcsbProfile::a()
-        }
-        .with_write_partition(0.001);
-        for txn in draw(profile, 100, 50, 31) {
-            assert_eq!(txn.ops.len(), 1, "one-slot partition must shorten: {txn:?}");
-            assert_eq!(txn.ops[0].index(), 99);
-        }
     }
 
     #[test]

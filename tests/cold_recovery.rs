@@ -10,8 +10,8 @@
 //!    to the same height, and the resumed log reaches full bit-identity;
 //! 3. the controller rebuilt by `recover_from_disk` is equivalent to `recover_from_ledger`
 //!    over the same in-memory prefix — same resume block, same verdicts, same next cut —
-//!    including on an *instance-rescued* ledger (write-partitioned YCSB-B), where untracked
-//!    fastpath commits interleave with graph-inserted ones inside every block;
+//!    including on a ledger where untracked fastpath commits interleave with graph-inserted
+//!    ones inside every block;
 //! 4. directories written before store sharding was removed still recover: an unsharded one
 //!    to its tip and store, a sharded one to a typed error rather than a replay from nothing.
 
@@ -29,7 +29,6 @@ use fabricsharp::ledger::{write_checkpoint, Ledger, LedgerError};
 use fabricsharp::sim::{SimulationConfig, Simulator};
 use fabricsharp::vstore::MultiVersionStore;
 use fabricsharp::workload::generator::{WorkloadGenerator, WorkloadKind};
-use fabricsharp::workload::YcsbProfile;
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 
@@ -96,6 +95,19 @@ fn prefix_of(reference: &Ledger, height: u64) -> Ledger {
         prefix.append(block.clone()).unwrap();
     }
     prefix
+}
+
+/// Whether some block of `ledger` commits both a `Safe`-tagged and an `Unknown` transaction.
+fn interleaves(ledger: &Ledger) -> bool {
+    ledger.iter().any(|block| {
+        let safe: Vec<bool> = block
+            .entries
+            .iter()
+            .filter(|e| e.status.is_committed())
+            .map(|e| e.txn.template_class.is_safe())
+            .collect();
+        safe.contains(&true) && safe.contains(&false)
+    })
 }
 
 /// Asserts the disk-recovered controller is equivalent to the in-memory-replayed one: same
@@ -300,12 +312,14 @@ proptest! {
     }
 }
 
-/// Satellite regression: an *instance-rescued* ledger (write-partitioned YCSB-B, every instance
-/// tagged by the conflict analyzer) cold-recovered from disk produces the same post-recovery
-/// cuts as in-memory replay. This is the adversarial case for the splice-preserving rebuild:
-/// untracked commits and graph-inserted ones interleave inside every block, and the disk
-/// round-trip (encode → CRC → decode) must not disturb the replay order the rebuild sees. The
-/// same transactions untagged build a chain with the same tip and store.
+/// A ledger where untracked commits and graph-inserted ones interleave inside every block,
+/// cold-recovered from disk, produces the same post-recovery cuts as in-memory replay. This is
+/// the adversarial case for the splice-preserving rebuild: the disk round-trip (encode → CRC →
+/// decode) must not disturb the replay order the rebuild sees. The stream alternates
+/// Create-Account instances tagged `Safe` by hand with modified-Smallbank instances left
+/// `Unknown`, over one genesis; the tags are sound because Create-Account ids start at
+/// `num_accounts` and Smallbank draws accounts below it (debug builds re-check every `Safe`
+/// arrival). The same transactions untagged build a chain with the same tip and store.
 #[test]
 fn rescued_instance_ledger_recovers_identically_from_disk() {
     let seed = 23;
@@ -314,23 +328,25 @@ fn rescued_instance_ledger_recovers_identically_from_disk() {
         num_accounts,
         ..WorkloadParams::default()
     };
-    let kind = WorkloadKind::Ycsb(YcsbProfile::b().with_write_partition(0.25));
-    let mut generator = WorkloadGenerator::new(kind.clone(), params, seed);
-    let analyzer = generator.analyzer();
+    let mut create = WorkloadGenerator::new(WorkloadKind::CreateAccount, params, seed);
+    let mut smallbank = WorkloadGenerator::new(WorkloadKind::ModifiedSmallbank, params, seed);
     let mut chain = SimpleChain::new(SystemKind::FabricSharp);
     let mut untagged = SimpleChain::new(SystemKind::FabricSharp);
-    chain.seed(generator.genesis());
-    untagged.seed(generator.genesis());
+    chain.seed(smallbank.genesis());
+    untagged.seed(smallbank.genesis());
 
     let dir = temp_dir("rescued");
     let (mut durable, _) = DurableLedger::open(&dir, DurableOptions::default()).unwrap();
     let mut store = MultiVersionStore::new();
-    store.seed_genesis(WorkloadGenerator::new(kind, params, seed).genesis());
+    store.seed_genesis(smallbank.genesis());
     write_checkpoint(&dir, &store, false).unwrap();
 
     for i in 0..40 {
-        let template = generator.next_template();
-        let class = analyzer.classify_instance(&template);
+        let (template, class) = if i % 2 == 0 {
+            (create.next_template(), TemplateClass::Safe)
+        } else {
+            (smallbank.next_template(), TemplateClass::Unknown)
+        };
         let txn = chain.execute(|ctx| template.run(ctx));
         let _ = untagged.submit(txn.clone());
         let _ = chain.submit(txn.with_template_class(class));
@@ -352,6 +368,10 @@ fn rescued_instance_ledger_recovers_identically_from_disk() {
     drop(durable);
     let reference = chain.ledger().clone();
     assert!(reference.height() >= 2);
+    assert!(
+        interleaves(&reference),
+        "no block mixes Safe and tracked commits"
+    );
     assert_eq!(untagged.ledger().tip_hash(), reference.tip_hash());
     assert_eq!(untagged.store(), chain.store());
 
@@ -364,27 +384,29 @@ fn rescued_instance_ledger_recovers_identically_from_disk() {
     assert_eq!(recovered.ledger.ledger().tip_hash(), reference.tip_hash());
     assert_eq!(recovered.store, *chain.store());
     let (from_memory, _) = recover_from_ledger(&reference, config).expect("memory recovery");
-    // Rescued reads below the write partition interleaved with unknown tail writers.
+    // New accounts (tagged Safe) interleaved with unknown read-writes of genesis accounts.
     let snapshot = reference.height();
     let probes: Vec<Transaction> = (0..6u64)
         .map(|i| {
             if i % 2 == 0 {
+                let id = 800_000 + i;
                 Transaction::from_parts(
-                    800_000 + i,
+                    id,
                     snapshot,
-                    [(Key::new(format!("usertable:{}", i % 48)), SeqNo::zero())],
                     [],
+                    [
+                        (Key::new(format!("checking:{id}")), Value::from_i64(1_000)),
+                        (Key::new(format!("savings:{id}")), Value::from_i64(1_000)),
+                    ],
                 )
                 .with_template_class(TemplateClass::Safe)
             } else {
+                let key = Key::new(format!("checking:{i}"));
                 Transaction::from_parts(
                     800_000 + i,
                     snapshot,
-                    [],
-                    [(
-                        Key::new(format!("usertable:{}", 48 + i % 16)),
-                        Value::from_i64(1),
-                    )],
+                    [(key.clone(), SeqNo::zero())],
+                    [(key, Value::from_i64(1))],
                 )
             }
         })

@@ -71,7 +71,7 @@ fn build_and_persist(
     ckpt_every: u64,
 ) -> Ledger {
     let mut generator = workload(seed);
-    let analyzer = generator.analyzer();
+    let classifier = generator.analyzer();
     let mut chain = SimpleChain::new(SystemKind::FabricSharp);
     chain.seed(generator.genesis());
 
@@ -98,7 +98,7 @@ fn build_and_persist(
         };
     for i in 0..num_txns {
         let template = generator.next_template();
-        let class = analyzer.classify_instance(&template);
+        let class = classifier.classify_instance(&template);
         let txn = chain
             .execute(|ctx| template.run(ctx))
             .with_template_class(class);
