@@ -1,8 +1,11 @@
-//! End-to-end integration tests over the synchronous `SimpleChain` pipeline: every system is
-//! driven through execute → order → validate on contended workloads, and the committed
-//! histories are checked against the independent serializability oracle.
+//! End-to-end integration tests of the execute → order → validate pipeline for all five
+//! systems: the synchronous `SimpleChain` facade on contended workloads, with the committed
+//! histories checked against the independent serializability oracle, and the discrete-event
+//! simulator pinned run for run — ledger tip and every deterministic `SimReport` field — in
+//! memory and persisted to disk.
 
 use fabricsharp::prelude::*;
+use fabricsharp::workload::YcsbProfile;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -161,5 +164,151 @@ fn read_only_transactions_commit_under_every_system() {
             keys.len(),
             "{kind}: read-only txns must commit"
         );
+    }
+}
+
+/// One simulator run per system and workload at seed 42: a second of Table 2 traffic over 400
+/// accounts in 40-transaction blocks. The durability knobs only matter to the persisted rerun,
+/// where they rotate segments and write checkpoints.
+fn pinned_sim_config(workload: &str, system: SystemKind) -> SimulationConfig {
+    let workload = match workload {
+        "smallbank" => WorkloadKind::ModifiedSmallbank,
+        "ycsb-a" => WorkloadKind::Ycsb(YcsbProfile::a()),
+        other => unreachable!("no workload {other}"),
+    };
+    let mut config = SimulationConfig::new(system, workload);
+    config.duration_s = 1.2;
+    config.params.num_accounts = 400;
+    config.params.request_rate_tps = 400;
+    config.block.max_txns_per_block = 40;
+    config.cc.checkpoint_interval = 4;
+    config.cc.segment_rotate_kib = 1;
+    config.seed = 42;
+    config
+}
+
+/// The deterministic fields of a report on one line; aborts sorted by reason.
+fn deterministic_fields(report: &SimReport) -> String {
+    let mut aborts: Vec<String> = report
+        .aborts
+        .iter()
+        .map(|(reason, n)| format!("{reason:?}:{n}"))
+        .collect();
+    aborts.sort();
+    format!(
+        "offered={} in_ledger={} committed={} blocks={} anti_rw={} fastpath={} aborts={}",
+        report.offered,
+        report.in_ledger,
+        report.committed,
+        report.blocks,
+        report.committed_with_anti_rw,
+        report.fastpath_accepted,
+        aborts.join(",")
+    )
+}
+
+/// Per workload and system: the simulator's ledger tip and [`deterministic_fields`], recorded
+/// while the simulator still composed its own commit → append → checkpoint step.
+const SIMULATOR_PINS: [(&str, SystemKind, &str, &str); 10] = [
+    (
+        "smallbank",
+        SystemKind::Fabric,
+        "ff80cca79a5e9a60b80f7ded43818bcd508f9ec9c707a47712ba1c5d59f9af49",
+        "offered=480 in_ledger=480 committed=170 blocks=12 anti_rw=0 fastpath=0 \
+         aborts=StaleRead:310",
+    ),
+    (
+        "smallbank",
+        SystemKind::FabricPlusPlus,
+        "8fc416e2911765a5cd8c8eb4dd6243a4534db1dd7c29c6f54b9f09f1c2f88aed",
+        "offered=480 in_ledger=237 committed=237 blocks=12 anti_rw=0 fastpath=0 \
+         aborts=CrossBlockRead:12,InBlockCycle:19,StaleRead:212",
+    ),
+    (
+        "smallbank",
+        SystemKind::FabricSharp,
+        "fbca9385a6871dfb5bd497f744b2b1dfc3fb5f69425ffdbbfc6290e799d51591",
+        "offered=480 in_ledger=267 committed=267 blocks=12 anti_rw=82 fastpath=0 \
+         aborts=UnreorderableCycle:213",
+    ),
+    (
+        "smallbank",
+        SystemKind::FoccS,
+        "ac8b21a20adc855ccf8ea33725b5e76feca2732029aabb9a9a411c0a7559c6d2",
+        "offered=480 in_ledger=215 committed=116 blocks=12 anti_rw=0 fastpath=0 \
+         aborts=ConcurrentWriteWrite:230,DangerousStructure:35,StaleRead:99",
+    ),
+    (
+        "smallbank",
+        SystemKind::FoccL,
+        "553bb53bb9753c5fc4561bf145bd0b50cba1825496e0a54d958a5b65adc99812",
+        "offered=480 in_ledger=480 committed=190 blocks=12 anti_rw=0 fastpath=0 \
+         aborts=StaleRead:290",
+    ),
+    (
+        "ycsb-a",
+        SystemKind::Fabric,
+        "d66a3f9bfad4a122364d027718d87f63dd19f7923573c67fc9d66ed50026df39",
+        "offered=480 in_ledger=480 committed=168 blocks=12 anti_rw=0 fastpath=0 \
+         aborts=StaleRead:312",
+    ),
+    (
+        "ycsb-a",
+        SystemKind::FabricPlusPlus,
+        "f4584b77ec288bcf725661b125a6cdfd85d461984ed0d1c871622927c2fff146",
+        "offered=480 in_ledger=236 committed=236 blocks=12 anti_rw=0 fastpath=0 \
+         aborts=CrossBlockRead:11,InBlockCycle:12,StaleRead:221",
+    ),
+    (
+        "ycsb-a",
+        SystemKind::FabricSharp,
+        "12b4f03c1f21910e6226f413ebd1ee03cc658e0b92a2c1d6faf2f550849f52fe",
+        "offered=480 in_ledger=305 committed=305 blocks=12 anti_rw=111 fastpath=0 \
+         aborts=UnreorderableCycle:175",
+    ),
+    (
+        "ycsb-a",
+        SystemKind::FoccS,
+        "8b75f657c2c7b4b8f327b2f8ee0f4e1609946608668cc6d6d934f6931afb6256",
+        "offered=480 in_ledger=222 committed=100 blocks=12 anti_rw=0 fastpath=0 \
+         aborts=ConcurrentWriteWrite:223,DangerousStructure:35,StaleRead:122",
+    ),
+    (
+        "ycsb-a",
+        SystemKind::FoccL,
+        "d728b20585c9305e1968edac7973a19074af629bda9e43ddd8f87cd6538a332b",
+        "offered=480 in_ledger=480 committed=189 blocks=12 anti_rw=0 fastpath=0 \
+         aborts=StaleRead:291",
+    ),
+];
+
+/// Every system on modified Smallbank and YCSB-A reproduces its pinned simulator run, and
+/// persisting the run to a fresh directory changes none of it.
+#[test]
+fn simulator_runs_match_their_pins_for_every_system_in_memory_and_on_disk() {
+    for (workload, system, tip, fields) in SIMULATOR_PINS {
+        let context = format!("{system}/{workload}");
+        let config = pinned_sim_config(workload, system);
+        let (report, ledger, _) = Simulator::run_full(&config);
+        assert_eq!(ledger.tip_hash().to_hex(), tip, "{context}: tip");
+        assert_eq!(deterministic_fields(&report), fields, "{context}");
+
+        let dir = std::env::temp_dir().join(format!(
+            "eov-pins-{workload}-{system:?}-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let persisted = SimulationConfig {
+            durability_dir: Some(dir.clone()),
+            ..config
+        };
+        let (report, ledger, _) = Simulator::run_full(&persisted);
+        assert_eq!(ledger.tip_hash().to_hex(), tip, "{context}: persisted tip");
+        assert_eq!(
+            deterministic_fields(&report),
+            fields,
+            "{context}: persisted"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }
