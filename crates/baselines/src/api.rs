@@ -2,19 +2,18 @@
 //! validation routine.
 //!
 //! The paper compares five systems that differ only in their concurrency control: vanilla
-//! Fabric, Fabric++, FabricSharp, Focc-s and Focc-l. The simulator and the `SimpleChain`
-//! facade drive all of them through this trait, so every experiment exercises exactly the same
-//! pipeline with only the CC swapped out — mirroring how the paper implemented each variant
-//! inside the same Fabric codebase.
+//! Fabric, Fabric++, FabricSharp, Focc-s and Focc-l. The `SimpleChain` node drives all of them
+//! through this trait — for the examples, the tests and the simulator alike — so every
+//! experiment exercises exactly the same pipeline with only the CC swapped out, mirroring how
+//! the paper implemented each variant inside the same Fabric codebase.
 
 use eov_common::abort::AbortReason;
 use eov_common::config::CcConfig;
 use eov_common::txn::{CommitDecision, Transaction, TxnStatus};
 use std::time::Duration;
 
-// The shared commit semantics live in `fabricsharp_core::commit` (the simulator's commit
-// step calls them too); re-exported here because every baseline and the chain facade import
-// them through this module.
+// The shared commit semantics live in `fabricsharp_core::commit`; re-exported here because
+// every baseline and the chain facade import them through this module.
 pub use fabricsharp_core::commit::{
     apply_without_validation, commit_block, count_anti_rw_commits, mvcc_validate_and_apply,
 };

@@ -1,24 +1,31 @@
-//! `SimpleChain`: a single-process EOV blockchain for examples, doctests and integration tests.
+//! `SimpleChain`: the one node that runs the EOV step on the caller's thread. Examples,
+//! doctests and tests drive it directly; the simulator in `eov-sim` drives the same calls from
+//! its event clock, which only decides *when* each happens.
 //!
-//! The full discrete-event simulator in `eov-sim` models time, request rates and pipeline
-//! bottlenecks; `SimpleChain` strips all of that away and exposes the bare workflow —
-//! *execute* (simulate a contract against the latest snapshot), *order* (submit to the chosen
-//! concurrency control), *validate* (seal a block, validate if the system requires it, commit
-//! the writes, append to the hash-chained ledger). It is the quickest way to see any of the
-//! five systems make commit/abort decisions on a concrete scenario.
+//! * execute — [`SimpleChain::execute`] / [`SimpleChain::execute_at`] (an explicit, possibly
+//!   stale snapshot);
+//! * order — [`SimpleChain::endorse_check`] then [`SimpleChain::arrive`], or both as
+//!   [`SimpleChain::submit`];
+//! * validate — [`SimpleChain::cut`] then [`SimpleChain::commit`] (validate if the system
+//!   requires it, apply, append, notify the CC), or both as [`SimpleChain::seal_block`].
+//!
+//! [`SimpleChain::persist_to`] moves the ledger to segment files; `commit` then also
+//! checkpoints every `CcConfig::checkpoint_interval` blocks and returns I/O failures as a
+//! [`LedgerError`].
 
-use crate::api::{
-    apply_without_validation, mvcc_validate_and_apply, ConcurrencyControl, SystemKind,
-};
+use crate::api::{commit_block, ConcurrencyControl, SystemKind};
 use eov_common::abort::AbortReason;
 use eov_common::config::CcConfig;
+use eov_common::error::CommonError;
 use eov_common::rwset::{Key, Value};
 use eov_common::txn::{CommitDecision, Transaction, TxnId, TxnStatus};
-use eov_ledger::{Block, Ledger};
+use eov_ledger::durable::{DurableOptions, LedgerBackend};
+use eov_ledger::{write_checkpoint, Block, Ledger, LedgerError};
 use eov_vstore::{MultiVersionStore, SnapshotManager};
 use fabricsharp_core::endorser::{SimulationContext, SnapshotEndorser};
+use std::path::Path;
 
-/// Outcome of sealing one block.
+/// Outcome of committing one block.
 #[derive(Clone, Debug, Default)]
 pub struct BlockReport {
     /// Height of the block that was appended, or `None` if nothing was pending (or everything
@@ -28,20 +35,24 @@ pub struct BlockReport {
     pub committed: Vec<TxnId>,
     /// Transactions that were included in the block but aborted during validation.
     pub aborted: Vec<(TxnId, AbortReason)>,
+    /// Transactions that read a version no longer the latest when the block was applied —
+    /// commits that tolerate an anti-rw dependency if the system skips peer validation.
+    pub anti_rw_commits: u64,
 }
 
 /// A single-node EOV blockchain driven synchronously.
 pub struct SimpleChain {
-    kind: SystemKind,
+    cc_config: CcConfig,
     store: MultiVersionStore,
-    ledger: Ledger,
+    ledger: LedgerBackend,
     endorser: SnapshotEndorser,
     cc: Box<dyn ConcurrencyControl>,
     next_txn_id: u64,
-    /// Every transaction that ever committed, in commit order (for serializability checks).
-    committed_history: Vec<Transaction>,
     /// Early aborts observed at submission time (endorsement or arrival), by transaction.
     early_aborted: Vec<(TxnId, AbortReason)>,
+    /// The block whose commit failed after its writes reached the store. The store is then
+    /// ahead of the ledger of record, so every later commit is refused.
+    failed_block: Option<u64>,
 }
 
 impl SimpleChain {
@@ -50,30 +61,55 @@ impl SimpleChain {
         Self::with_cc_config(kind, CcConfig::default())
     }
 
-    /// Creates a chain with an explicit concurrency-control configuration.
+    /// Creates a chain with an explicit concurrency-control configuration (its durability
+    /// knobs apply once the chain is persisted).
     pub fn with_cc_config(kind: SystemKind, cc_config: CcConfig) -> Self {
-        let snapshots = SnapshotManager::new();
         SimpleChain {
-            kind,
+            cc_config,
             store: MultiVersionStore::new(),
-            ledger: Ledger::new(),
-            endorser: SnapshotEndorser::new(snapshots),
+            ledger: LedgerBackend::memory(),
+            endorser: SnapshotEndorser::new(SnapshotManager::new()),
             cc: kind.build(cc_config),
             next_txn_id: 1,
-            committed_history: Vec::new(),
             early_aborted: Vec::new(),
+            failed_block: None,
         }
-    }
-
-    /// Which system this chain runs.
-    pub fn kind(&self) -> SystemKind {
-        self.kind
     }
 
     /// Seeds the genesis state (block 0).
     pub fn seed(&mut self, entries: impl IntoIterator<Item = (Key, Value)>) {
         self.store.seed_genesis(entries);
         self.endorser.snapshots().register_block(0);
+    }
+
+    /// Persists the chain from here on: the ledger moves to CRC-framed segment files in `dir`
+    /// (rotation and fsync per the chain's `CcConfig`), the genesis state is checkpointed — its
+    /// seeded values live in no block, so replay alone cannot recreate them — and every
+    /// `checkpoint_interval` blocks [`Self::commit`] checkpoints the store again. Call it after
+    /// [`Self::seed`] and before the first block. `dir` must not exist or be empty: resuming a
+    /// directory is cold recovery's job (`fabricsharp_core::recovery::recover_from_disk`).
+    pub fn persist_to(&mut self, dir: impl AsRef<Path>) -> Result<(), LedgerError> {
+        let dir = dir.as_ref();
+        if self.ledger.height() > 0 {
+            return Err(LedgerError::Chain(CommonError::InvalidConfig(
+                "persist_to needs a chain with no blocks".into(),
+            )));
+        }
+        let used = std::fs::read_dir(dir).map_or_else(
+            |e| e.kind() != std::io::ErrorKind::NotFound,
+            |mut entries| entries.next().is_some(),
+        );
+        if used {
+            return Err(LedgerError::Io {
+                path: dir.to_path_buf(),
+                detail: "persist_to needs an absent or empty directory".into(),
+            });
+        }
+        let (ledger, _) =
+            LedgerBackend::durable(dir, DurableOptions::from_cc_config(&self.cc_config))?;
+        write_checkpoint(dir, &self.store, self.cc_config.durable_fsync)?;
+        self.ledger = ledger;
+        Ok(())
     }
 
     /// Execute phase: simulates `logic` against the latest snapshot and returns the endorsed
@@ -99,20 +135,36 @@ impl SimpleChain {
             .simulate_at(&self.store, id, snapshot_block, logic)
     }
 
-    /// Order phase: submits an endorsed transaction to the system's concurrency control.
-    /// Returns the early decision (endorsement-time or arrival-time abort, if any).
-    pub fn submit(&mut self, txn: Transaction) -> CommitDecision {
+    /// Order phase, first half: the peer-side early-abort decision taken when the endorsement
+    /// result is about to be submitted (Fabric++ aborts reads across blocks here).
+    pub fn endorse_check(&mut self, txn: &Transaction) -> CommitDecision {
+        let decision = self.cc.on_endorsement(txn, self.store.last_block());
+        self.record_early(txn.id, decision)
+    }
+
+    /// Order phase, second half: delivers an endorsed transaction to the orderer's
+    /// concurrency control and returns its arrival-time decision.
+    pub fn arrive(&mut self, txn: Transaction) -> CommitDecision {
         let id = txn.id;
-        let endorse = self.cc.on_endorsement(&txn, self.store.last_block());
-        if let CommitDecision::Reject(reason) = endorse {
-            self.early_aborted.push((id, reason));
+        let decision = self.cc.on_arrival(txn);
+        self.record_early(id, decision)
+    }
+
+    /// Order phase: [`Self::endorse_check`], then [`Self::arrive`] if it accepted. Returns the
+    /// early decision (endorsement-time or arrival-time abort, if any).
+    pub fn submit(&mut self, txn: Transaction) -> CommitDecision {
+        let endorse = self.endorse_check(&txn);
+        if !endorse.is_accept() {
             return endorse;
         }
-        let arrival = self.cc.on_arrival(txn);
-        if let CommitDecision::Reject(reason) = arrival {
+        self.arrive(txn)
+    }
+
+    fn record_early(&mut self, id: TxnId, decision: CommitDecision) -> CommitDecision {
+        if let CommitDecision::Reject(reason) = decision {
             self.early_aborted.push((id, reason));
         }
-        arrival
+        decision
     }
 
     /// Convenience: execute and submit in one call, returning the transaction id and decision.
@@ -125,47 +177,76 @@ impl SimpleChain {
         (id, self.submit(txn))
     }
 
-    /// Validate phase: cuts a block from everything pending, validates it if the system
-    /// requires peer validation, applies the committed writes, and appends the block to the
-    /// hash-chained ledger.
-    pub fn seal_block(&mut self) -> BlockReport {
-        let ordered = self.cc.cut_block();
-        if ordered.is_empty() {
-            return BlockReport::default();
+    /// Block formation: cuts the next block from everything pending, in final commit order.
+    /// Empty when nothing was pending.
+    pub fn cut(&mut self) -> Vec<Transaction> {
+        self.cc.cut_block()
+    }
+
+    /// Validate phase for one cut block: validate (if the system requires it), apply, append,
+    /// make its snapshot readable, notify the CC; on a persisted chain, checkpoint every
+    /// `checkpoint_interval` blocks. An empty `txns` appends nothing.
+    ///
+    /// A failed append or checkpoint comes back as the [`LedgerError`]. The store holds the
+    /// block's writes by then, so every later `commit` fails too rather than append on top of
+    /// a state the disk lacks.
+    pub fn commit(&mut self, txns: Vec<Transaction>) -> Result<BlockReport, LedgerError> {
+        if let Some(block) = self.failed_block {
+            return Err(LedgerError::Chain(CommonError::ChainIntegrity {
+                block,
+                detail: "this block's commit failed after its writes reached the store".into(),
+            }));
+        }
+        if txns.is_empty() {
+            return Ok(BlockReport::default());
         }
         let block_no = self.ledger.height() + 1;
-        let needs_validation = self.cc.needs_peer_validation();
-
-        let statuses = if needs_validation {
-            mvcc_validate_and_apply(&mut self.store, block_no, &ordered)
-        } else {
-            apply_without_validation(&mut self.store, block_no, &ordered)
-        };
-
-        let mut block = Block::build(block_no, self.ledger.tip_hash(), ordered.clone());
+        let outcome = commit_block(
+            &mut self.store,
+            block_no,
+            &txns,
+            self.cc.needs_peer_validation(),
+        );
+        let mut block = Block::build(block_no, self.ledger.as_ledger().tip_hash(), txns);
         let mut report = BlockReport {
             block_number: Some(block_no),
+            anti_rw_commits: outcome.anti_rw_commits,
             ..BlockReport::default()
         };
-        let mut outcome: Vec<(Transaction, TxnStatus)> = Vec::with_capacity(ordered.len());
-        for (entry, status) in block.entries.iter_mut().zip(statuses) {
+        let mut validated: Vec<(Transaction, TxnStatus)> = Vec::with_capacity(block.entries.len());
+        for (entry, status) in block.entries.iter_mut().zip(outcome.statuses) {
             entry.status = status;
             match status {
-                TxnStatus::Committed => {
-                    report.committed.push(entry.txn.id);
-                    self.committed_history.push(entry.txn.clone());
-                }
+                TxnStatus::Committed => report.committed.push(entry.txn.id),
                 TxnStatus::Aborted(reason) => report.aborted.push((entry.txn.id, reason)),
                 TxnStatus::Pending => unreachable!("validation assigns a final status"),
             }
-            outcome.push((entry.txn.clone(), status));
+            validated.push((entry.txn.clone(), status));
         }
-        self.ledger
-            .append(block)
-            .expect("locally built blocks always chain correctly");
+        // An interval of 0 divides no height: no periodic checkpoints.
+        let persisted = self.ledger.append(block).and_then(|()| match &self.ledger {
+            LedgerBackend::Durable(durable)
+                if block_no.is_multiple_of(self.cc_config.checkpoint_interval) =>
+            {
+                write_checkpoint(durable.dir(), &self.store, self.cc_config.durable_fsync).map(drop)
+            }
+            _ => Ok(()),
+        });
+        if let Err(e) = persisted {
+            self.failed_block = Some(block_no);
+            return Err(e);
+        }
         self.endorser.snapshots().register_block(block_no);
-        self.cc.on_block_committed(block_no, &outcome);
-        report
+        self.cc.on_block_committed(block_no, &validated);
+        Ok(report)
+    }
+
+    /// Validate phase: [`Self::cut`] then [`Self::commit`], for in-memory chains, whose appends
+    /// cannot fail. A persisted chain calls the two itself; this panics on a [`LedgerError`].
+    pub fn seal_block(&mut self) -> BlockReport {
+        let txns = self.cut();
+        self.commit(txns)
+            .expect("in-memory blocks always append; persisted chains call cut + commit")
     }
 
     /// The latest committed value of `key`, if any.
@@ -173,9 +254,9 @@ impl SimpleChain {
         self.store.latest_value(key).cloned()
     }
 
-    /// The underlying hash-chained ledger.
+    /// The hash-chained ledger (the durable ledger's in-memory mirror once persisted).
     pub fn ledger(&self) -> &Ledger {
-        &self.ledger
+        self.ledger.as_ledger()
     }
 
     /// The underlying state store.
@@ -183,14 +264,22 @@ impl SimpleChain {
         &self.store
     }
 
+    /// Consumes the chain, returning its ledger and store.
+    pub fn into_parts(self) -> (Ledger, MultiVersionStore) {
+        (self.ledger.into_ledger(), self.store)
+    }
+
     /// The concurrency control driving this chain (for stats inspection).
     pub fn cc(&self) -> &dyn ConcurrencyControl {
         self.cc.as_ref()
     }
 
-    /// Every committed transaction so far, in commit order.
-    pub fn committed_history(&self) -> &[Transaction] {
-        &self.committed_history
+    /// Every committed transaction so far, in commit order, read off the ledger.
+    pub fn committed_history(&self) -> Vec<Transaction> {
+        self.ledger()
+            .iter()
+            .flat_map(|block| block.committed().map(|(txn, _)| txn.clone()))
+            .collect()
     }
 
     /// Early aborts recorded at submission time (endorsement or arrival).
@@ -203,6 +292,7 @@ impl SimpleChain {
 mod tests {
     use super::*;
     use fabricsharp_core::serializability::is_serializable;
+    use std::path::PathBuf;
 
     fn k(s: &str) -> Key {
         Key::new(s)
@@ -291,7 +381,7 @@ mod tests {
             }
             chain.seal_block();
         }
-        assert!(is_serializable(chain.committed_history()));
+        assert!(is_serializable(&chain.committed_history()));
         assert!(chain.ledger().verify_integrity().is_ok());
         assert!(chain.ledger().committed_txn_count() > 0);
     }
@@ -302,6 +392,68 @@ mod tests {
         let report = chain.seal_block();
         assert_eq!(report.block_number, None);
         assert_eq!(chain.ledger().height(), 0);
+    }
+
+    fn temp_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!(
+            "eov-chain-{tag}-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    #[test]
+    fn persist_to_refuses_a_used_directory_and_a_chain_with_blocks() {
+        let dir = temp_dir("refuse");
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("leftover"), b"x").unwrap();
+        let mut chain = transfer_chain(SystemKind::FabricSharp);
+        let err = chain.persist_to(&dir).unwrap_err();
+        assert!(matches!(err, LedgerError::Io { .. }), "got {err}");
+        std::fs::remove_dir_all(&dir).unwrap();
+
+        chain.execute_and_submit(|ctx| ctx.write(k("carol"), Value::from_i64(1)));
+        chain.seal_block();
+        let err = chain.persist_to(&dir).unwrap_err();
+        assert!(matches!(err, LedgerError::Chain(_)), "got {err}");
+        assert!(!dir.exists(), "a refused persist_to creates nothing");
+    }
+
+    #[test]
+    fn a_failed_durable_append_fails_every_later_commit() {
+        let dir = temp_dir("failed-append");
+        let config = CcConfig {
+            segment_rotate_kib: 1,
+            ..CcConfig::default()
+        };
+        let mut chain = SimpleChain::with_cc_config(SystemKind::Fabric, config);
+        chain.seed([(k("alice"), Value::from_i64(100))]);
+        chain.persist_to(&dir).unwrap();
+        // Block 1's record fills the first 1 KiB segment, so block 2 opens a new one; a
+        // directory squatting on that segment's name makes the append fail.
+        chain.execute_and_submit(|ctx| ctx.write(k("big"), Value::from_bytes(vec![7u8; 1500])));
+        let txns = chain.cut();
+        assert_eq!(chain.commit(txns).unwrap().block_number, Some(1));
+        let squatter = dir.join(format!("seg-{:020}.log", 2));
+        std::fs::create_dir(&squatter).unwrap();
+
+        chain.execute_and_submit(|ctx| ctx.write(k("alice"), Value::from_i64(1)));
+        let txns = chain.cut();
+        let err = chain.commit(txns).unwrap_err();
+        assert!(matches!(err, LedgerError::Io { .. }), "got {err}");
+        assert_eq!(chain.ledger().height(), 1);
+
+        // The store already holds block 2's write: nothing may be appended on top of it.
+        std::fs::remove_dir(&squatter).unwrap();
+        chain.execute_and_submit(|ctx| ctx.write(k("bob"), Value::from_i64(1)));
+        let txns = chain.cut();
+        let err = chain.commit(txns).unwrap_err();
+        assert!(matches!(err, LedgerError::Chain(_)), "got {err}");
+        assert!(chain.commit(Vec::new()).is_err());
+        assert_eq!(chain.ledger().height(), 1);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //!   aborts at arrival).
 //! * [`focc_l`] — Focc-l: sort-based greedy batch reordering at block formation.
 //! * [`sharp`] — the trait implementation for FabricSharp (`fabricsharp-core`).
-//! * [`chain`] — `SimpleChain`, a synchronous single-node EOV pipeline for examples and tests:
-//!   execute, order and validate on the caller's thread.
+//! * [`chain`] — `SimpleChain`, the one node that runs the EOV step (execute, order, validate,
+//!   append, optionally persisted) on the caller's thread; examples, tests and the simulator
+//!   all drive it.
 
 #![forbid(unsafe_code)]
 

@@ -4,33 +4,19 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use eov_baselines::api::SystemKind;
+use eov_bench::{bench_params, endorsed_txns};
 use eov_common::config::{CcConfig, WorkloadParams};
-use eov_common::txn::{Transaction, TxnId};
-use eov_vstore::{MultiVersionStore, SnapshotManager};
-use eov_workload::generator::{WorkloadGenerator, WorkloadKind};
-use fabricsharp_core::endorser::SnapshotEndorser;
+use eov_common::txn::Transaction;
+use eov_workload::generator::WorkloadKind;
 use std::time::Duration;
 
-/// Materialises `count` endorsed Smallbank transactions against a seeded store.
+/// `count` endorsed Smallbank transactions with the given write-hot ratio.
 fn sample_txns(count: usize, write_hot_ratio: f64) -> Vec<Transaction> {
     let params = WorkloadParams {
-        num_accounts: 2_000,
         write_hot_ratio,
-        ..WorkloadParams::default()
+        ..bench_params()
     };
-    let mut generator = WorkloadGenerator::new(WorkloadKind::ModifiedSmallbank, params, 7);
-    let mut store = MultiVersionStore::new();
-    store.seed_genesis(generator.genesis());
-    let snapshots = SnapshotManager::new();
-    snapshots.register_block(0);
-    let endorser = SnapshotEndorser::new(snapshots);
-
-    (0..count)
-        .map(|i| {
-            let template = generator.next_template();
-            endorser.simulate_at(&store, TxnId(i as u64 + 1), 0, |ctx| template.run(ctx))
-        })
-        .collect()
+    endorsed_txns(WorkloadKind::ModifiedSmallbank, params, count)
 }
 
 fn bench_arrival(c: &mut Criterion) {

@@ -45,20 +45,19 @@
 //! than ±20%.
 
 use eov_bench::{
-    hot_keys_scattered, latest_pass, smallbank_store, untagged, GROWN_ACCOUNTS, HOT_ACCOUNTS,
+    bench_params, blind_write_chain, endorsed_txns, hot_keys_scattered, latest_pass,
+    smallbank_store, untagged, GROWN_ACCOUNTS, HOT_ACCOUNTS,
 };
-use eov_common::config::{CcConfig, WorkloadParams};
+use eov_common::config::CcConfig;
 use eov_common::rwset::{Key, Value};
-use eov_common::txn::TxnStatus;
 use eov_common::txn::{Transaction, TxnId};
 use eov_common::version::SeqNo;
 use eov_depgraph::{DependencyGraph, NaiveGraph, PendingTxnSpec};
 use eov_ledger::durable::{DurableLedger, DurableOptions};
 use eov_ledger::{write_checkpoint, Block, Ledger};
-use eov_vstore::{MultiVersionStore, SnapshotManager};
-use eov_workload::generator::{WorkloadGenerator, WorkloadKind};
+use eov_vstore::MultiVersionStore;
+use eov_workload::generator::WorkloadKind;
 use eov_workload::YcsbProfile;
-use fabricsharp_core::endorser::SnapshotEndorser;
 use fabricsharp_core::{recover_from_disk, recover_from_ledger, FabricSharpCC};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -120,31 +119,6 @@ fn median_ns<F: FnMut() -> u64>(mut body: F) -> f64 {
 fn median_of(mut samples: Vec<u128>) -> f64 {
     samples.sort_unstable();
     samples[samples.len() / 2] as f64
-}
-
-/// Endorses `count` transactions of `kind` against a seeded store (the realistic input for
-/// the whole-orderer arrival + formation benchmarks).
-fn endorsed_txns(kind: WorkloadKind, count: usize) -> Vec<Transaction> {
-    let params = WorkloadParams {
-        num_accounts: 2_000,
-        ..WorkloadParams::default()
-    };
-    let mut generator = WorkloadGenerator::new(kind, params, 7);
-    let classifier = generator.analyzer();
-    let mut store = MultiVersionStore::new();
-    store.seed_genesis(generator.genesis());
-    let snapshots = SnapshotManager::new();
-    snapshots.register_block(0);
-    let endorser = SnapshotEndorser::new(snapshots);
-    (0..count)
-        .map(|i| {
-            let template = generator.next_template();
-            let class = classifier.classify_instance(&template);
-            endorser
-                .simulate_at(&store, TxnId(i as u64 + 1), 0, |ctx| template.run(ctx))
-                .with_template_class(class)
-        })
-        .collect()
 }
 
 /// 400 blind writers over 40 keys: `cut_block` on this input is dominated by Algorithm 5's
@@ -252,46 +226,15 @@ const DURABLE_TXNS_PER_BLOCK: u64 = 8;
 /// replays the 80-block segment suffix on top.
 const DURABLE_CKPT_HEIGHT: u64 = 120;
 
-/// Builds the durable fixture: 200 committed blocks appended to both an in-memory reference
-/// and a segment-file directory, checkpointed at genesis and at [`DURABLE_CKPT_HEIGHT`].
+/// The durable fixture: [`blind_write_chain`]'s 200 blocks persisted to a directory with
+/// checkpoints at genesis and at [`DURABLE_CKPT_HEIGHT`]; also its blocks, ledger and store.
 fn durable_fixture() -> (Vec<Block>, Ledger, MultiVersionStore, PathBuf) {
     let dir = std::env::temp_dir().join(format!("eov-bench-recover-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let mut ledger = Ledger::new();
-    let mut store = MultiVersionStore::new();
-    store.seed_genesis((0..64).map(|i| (Key::new(format!("acct:{i}")), Value::from_i64(100))));
-    let (mut durable, _) = DurableLedger::open(&dir, DurableOptions::default()).unwrap();
-    write_checkpoint(&dir, &store, false).unwrap();
-    let mut blocks = Vec::with_capacity(DURABLE_BLOCKS as usize);
-    let mut id = 0u64;
-    for number in 1..=DURABLE_BLOCKS {
-        let txns: Vec<Transaction> = (0..DURABLE_TXNS_PER_BLOCK)
-            .map(|_| {
-                id += 1;
-                Transaction::from_parts(
-                    id,
-                    number - 1,
-                    [],
-                    [(
-                        Key::new(format!("acct:{}", id % 64)),
-                        Value::from_i64(id as i64),
-                    )],
-                )
-            })
-            .collect();
-        let mut block = Block::build(number, ledger.tip_hash(), txns);
-        for entry in &mut block.entries {
-            entry.status = TxnStatus::Committed;
-        }
-        store.apply_block(number, block.committed());
-        durable.append(block.clone()).unwrap();
-        ledger.append(block.clone()).unwrap();
-        if number == DURABLE_CKPT_HEIGHT {
-            write_checkpoint(&dir, &store, false).unwrap();
-        }
-        blocks.push(block);
-    }
-    (blocks, ledger, store, dir)
+    let persist = Some((dir.as_path(), DURABLE_CKPT_HEIGHT));
+    let chain = blind_write_chain(DURABLE_BLOCKS, DURABLE_TXNS_PER_BLOCK, persist);
+    let (ledger, store) = chain.into_parts();
+    (ledger.iter().cloned().collect(), ledger, store, dir)
 }
 
 /// Largest allowed size of the 8th periodic checkpoint relative to the 2nd when every
@@ -330,14 +273,14 @@ impl BenchContext {
     fn new() -> Self {
         let (durable_blocks, durable_reference, durable_reference_store, recover_dir) =
             durable_fixture();
-        let ycsb_c200 = endorsed_txns(WorkloadKind::Ycsb(YcsbProfile::c()), 200);
+        let ycsb_c200 = endorsed_txns(WorkloadKind::Ycsb(YcsbProfile::c()), bench_params(), 200);
         BenchContext {
             dense512: layered(512, 3),
             naive512: naive_layered(512, 3),
             built1600: layered(1600, 3),
             miss_preds: (0..8).map(TxnId).collect(),
             miss_succs: (504..512).map(TxnId).collect(),
-            smallbank200: endorsed_txns(WorkloadKind::ModifiedSmallbank, 200),
+            smallbank200: endorsed_txns(WorkloadKind::ModifiedSmallbank, bench_params(), 200),
             ycsb_c200_untagged: untagged(&ycsb_c200),
             ycsb_c200,
             ww_heavy: ww_heavy_txns(),
@@ -598,6 +541,7 @@ fn main() {
         let max_span = CcConfig::default().max_span as usize;
         let txns = endorsed_txns(
             WorkloadKind::ModifiedSmallbank,
+            bench_params(),
             (max_span + 1) * HISTORY_BATCH,
         );
         let (batch, history) = txns.split_at(HISTORY_BATCH);

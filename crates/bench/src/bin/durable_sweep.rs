@@ -15,11 +15,12 @@
 //!    `perf_report` workloads append) at `segment_rotate_kib` 64 … 16 384: time per append
 //!    and segment files created. Why the default is 1 MiB.
 
+use eov_baselines::{SimpleChain, SystemKind};
+use eov_bench::blind_write_chain;
 use eov_common::config::CcConfig;
 use eov_common::rwset::{Key, Value};
-use eov_common::txn::{Transaction, TxnStatus};
 use eov_ledger::durable::{DurableLedger, DurableOptions};
-use eov_ledger::{write_checkpoint, Block, Ledger};
+use eov_ledger::{write_checkpoint, Block};
 use eov_vstore::MultiVersionStore;
 use fabricsharp_core::recover_from_disk;
 use std::path::PathBuf;
@@ -30,65 +31,35 @@ const TXNS_PER_BLOCK: u64 = 8;
 const RUNS: usize = 5;
 
 fn fixture_blocks() -> Vec<Block> {
-    let mut ledger = Ledger::new();
-    let mut blocks = Vec::with_capacity(BLOCKS as usize);
-    let mut id = 0u64;
-    for number in 1..=BLOCKS {
-        let txns: Vec<Transaction> = (0..TXNS_PER_BLOCK)
-            .map(|_| {
-                id += 1;
-                Transaction::from_parts(
-                    id,
-                    number - 1,
-                    [],
-                    [(
-                        Key::new(format!("acct:{}", id % 64)),
-                        Value::from_i64(id as i64),
-                    )],
-                )
-            })
-            .collect();
-        let mut block = Block::build(number, ledger.tip_hash(), txns);
-        for entry in &mut block.entries {
-            entry.status = TxnStatus::Committed;
-        }
-        ledger.append(block.clone()).unwrap();
-        blocks.push(block);
-    }
-    blocks
-}
-
-/// 1 000 chained blocks of 100 blind single-key writers each — about 20 KB per record.
-fn wide_blocks() -> Vec<Block> {
-    let mut ledger = Ledger::new();
-    for number in 1..=1_000u64 {
-        let txns: Vec<Transaction> = (0..100u64)
-            .map(|i| {
-                let id = number * 100 + i;
-                Transaction::from_parts(
-                    id,
-                    number - 1,
-                    [],
-                    [
-                        (Key::new(format!("checking:{id}")), Value::from_i64(1_000)),
-                        (Key::new(format!("savings:{id}")), Value::from_i64(1_000)),
-                    ],
-                )
-            })
-            .collect();
-        let mut block = Block::build(number, ledger.tip_hash(), txns);
-        for entry in &mut block.entries {
-            entry.status = TxnStatus::Committed;
-        }
-        ledger.append(block).unwrap();
-    }
+    let (ledger, _) = blind_write_chain(BLOCKS, TXNS_PER_BLOCK, None).into_parts();
     ledger.iter().cloned().collect()
 }
 
+/// 1 000 chained blocks of 100 blind writers of two fresh keys each — about 20 KB per record.
+fn wide_blocks() -> Vec<Block> {
+    let mut chain = SimpleChain::new(SystemKind::Fabric);
+    for id in 1..=100_000u64 {
+        let txn = chain.execute(|ctx| {
+            ctx.write(
+                Key::new(format!("checking:{}", id + 99)),
+                Value::from_i64(1_000),
+            );
+            ctx.write(
+                Key::new(format!("savings:{}", id + 99)),
+                Value::from_i64(1_000),
+            );
+        });
+        assert!(chain.submit(txn).is_accept());
+        if id % 100 == 0 {
+            chain.seal_block();
+        }
+    }
+    chain.into_parts().0.iter().cloned().collect()
+}
+
+/// [`fixture_blocks`]' genesis state.
 fn genesis_store() -> MultiVersionStore {
-    let mut store = MultiVersionStore::new();
-    store.seed_genesis((0..64).map(|i| (Key::new(format!("acct:{i}")), Value::from_i64(100))));
-    store
+    blind_write_chain(0, 1, None).into_parts().1
 }
 
 fn temp_dir(tag: &str) -> PathBuf {

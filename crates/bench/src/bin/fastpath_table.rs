@@ -15,41 +15,16 @@
 //! `template_fastpath_determinism` battery pins that the ledgers are bit-identical either
 //! way). This binary produces the BASELINES.md "Template fast path" table.
 
-use eov_bench::untagged;
-use eov_common::config::{CcConfig, WorkloadParams};
-use eov_common::txn::{Transaction, TxnId};
-use eov_vstore::{MultiVersionStore, SnapshotManager};
-use eov_workload::generator::{WorkloadGenerator, WorkloadKind};
+use eov_bench::{bench_params, endorsed_txns, untagged};
+use eov_common::config::CcConfig;
+use eov_common::txn::Transaction;
+use eov_workload::generator::WorkloadKind;
 use eov_workload::YcsbProfile;
-use fabricsharp_core::endorser::SnapshotEndorser;
 use fabricsharp_core::FabricSharpCC;
 use std::time::Instant;
 
 const RUNS: usize = 15;
 const TXNS: usize = 200;
-
-fn endorsed_txns(kind: WorkloadKind) -> Vec<Transaction> {
-    let params = WorkloadParams {
-        num_accounts: 2_000,
-        ..WorkloadParams::default()
-    };
-    let mut generator = WorkloadGenerator::new(kind, params, 7);
-    let classifier = generator.analyzer();
-    let mut store = MultiVersionStore::new();
-    store.seed_genesis(generator.genesis());
-    let snapshots = SnapshotManager::new();
-    snapshots.register_block(0);
-    let endorser = SnapshotEndorser::new(snapshots);
-    (0..TXNS)
-        .map(|i| {
-            let template = generator.next_template();
-            let class = classifier.classify_instance(&template);
-            endorser
-                .simulate_at(&store, TxnId(i as u64 + 1), 0, |ctx| template.run(ctx))
-                .with_template_class(class)
-        })
-        .collect()
-}
 
 fn median_ns(txns: &[Transaction]) -> f64 {
     let body = || {
@@ -89,7 +64,7 @@ fn main() {
     println!("| workload | untagged (ns) | tagged (ns) | untagged/tagged |");
     println!("|---|---|---|---|");
     for (name, kind) in workloads {
-        let txns = endorsed_txns(kind);
+        let txns = endorsed_txns(kind, bench_params(), TXNS);
         let safe = txns.iter().filter(|t| t.template_class.is_safe()).count();
         let off = median_ns(&untagged(&txns));
         let on = median_ns(&txns);

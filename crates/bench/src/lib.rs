@@ -8,11 +8,15 @@
 #![forbid(unsafe_code)]
 
 use eov_baselines::api::SystemKind;
-use eov_common::rwset::Key;
+use eov_baselines::SimpleChain;
+use eov_common::config::{CcConfig, WorkloadParams};
+use eov_common::rwset::{Key, Value};
 use eov_common::txn::{TemplateClass, Transaction};
 use eov_sim::{SimReport, SimulationConfig, Simulator};
 use eov_vstore::MultiVersionStore;
+use eov_workload::generator::{WorkloadGenerator, WorkloadKind};
 use eov_workload::smallbank;
+use std::path::Path;
 
 /// Simulated seconds per data point. Overridden with the `FABRICSHARP_BENCH_SECS` environment
 /// variable (e.g. `FABRICSHARP_BENCH_SECS=3` for a quick smoke run of every figure).
@@ -103,12 +107,12 @@ pub fn print_formation_table<T: std::fmt::Display>(x_label: &str, rows: &[(T, Ve
     println!();
 }
 
-/// Prints the measured per-block validate/commit wall-clock (p50 / p99 / total) for every
+/// Prints the measured per-block validate → append wall-clock (p50 / p99 / total) for every
 /// system at every sweep point — the execution-stage companion of
-/// [`print_formation_table`], covering MVCC validation plus write installation.
+/// [`print_formation_table`], covering one `SimpleChain::commit` call.
 pub fn print_commit_table<T: std::fmt::Display>(x_label: &str, rows: &[(T, Vec<SimReport>)]) {
     println!(
-        "measured block validate/commit wall-clock (this machine): p50 µs / p99 µs / total ms"
+        "measured block validate -> append wall-clock (this machine): p50 µs / p99 µs / total ms"
     );
     print!("{x_label:<22}");
     for system in SystemKind::all() {
@@ -198,6 +202,66 @@ pub fn latest_pass(store: &MultiVersionStore, keys: &[Key]) -> u64 {
         .count() as u64
 }
 
+/// The generator parameters of the orderer benchmarks: Table 2 defaults over 2 000 accounts.
+pub fn bench_params() -> WorkloadParams {
+    WorkloadParams {
+        num_accounts: 2_000,
+        ..WorkloadParams::default()
+    }
+}
+
+/// `count` transactions of `kind` (generator seed 7), endorsed against the genesis snapshot and
+/// tagged by the template classifier as the simulator tags them: the realistic input for the
+/// orderer benchmarks.
+pub fn endorsed_txns(kind: WorkloadKind, params: WorkloadParams, count: usize) -> Vec<Transaction> {
+    let mut generator = WorkloadGenerator::new(kind, params, 7);
+    let classifier = generator.analyzer();
+    let mut chain = SimpleChain::new(SystemKind::FabricSharp);
+    chain.seed(generator.genesis());
+    (0..count)
+        .map(|_| {
+            let template = generator.next_template();
+            chain
+                .execute_at(0, |ctx| template.run(ctx))
+                .with_template_class(classifier.classify_instance(&template))
+        })
+        .collect()
+}
+
+/// A vanilla-Fabric chain over 64 accounts of 100 after `blocks` blocks of `per_block` blind
+/// writers (transaction `id` sets `acct:{id % 64}` to `id`): the durable-ledger benchmarks'
+/// input. With `persist = Some((dir, k))` it is persisted to `dir`, checkpointing every `k`
+/// blocks.
+pub fn blind_write_chain(
+    blocks: u64,
+    per_block: u64,
+    persist: Option<(&Path, u64)>,
+) -> SimpleChain {
+    let config = CcConfig {
+        checkpoint_interval: persist.map_or(0, |(_, k)| k),
+        ..CcConfig::default()
+    };
+    let mut chain = SimpleChain::with_cc_config(SystemKind::Fabric, config);
+    chain.seed((0..64).map(|i| (Key::new(format!("acct:{i}")), Value::from_i64(100))));
+    if let Some((dir, _)) = persist {
+        chain.persist_to(dir).unwrap();
+    }
+    for id in 1..=blocks * per_block {
+        let txn = chain.execute(|ctx| {
+            ctx.write(
+                Key::new(format!("acct:{}", id % 64)),
+                Value::from_i64(id as i64),
+            )
+        });
+        assert!(chain.submit(txn).is_accept());
+        if id % per_block == 0 {
+            let txns = chain.cut();
+            chain.commit(txns).unwrap();
+        }
+    }
+    chain
+}
+
 /// The same transactions tagged [`TemplateClass::Unknown`]: every one takes the reference
 /// path through the dependency graph, the baseline the template fast path is measured against.
 pub fn untagged(txns: &[Transaction]) -> Vec<Transaction> {
@@ -209,7 +273,6 @@ pub fn untagged(txns: &[Transaction]) -> Vec<Transaction> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eov_workload::generator::WorkloadKind;
 
     #[test]
     fn run_one_produces_a_report() {

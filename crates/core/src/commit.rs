@@ -2,8 +2,8 @@
 //!
 //! These routines are the one committer: transactions are validated and applied strictly in
 //! block order against the `StateStore` surface, as the paper's single serial validator does.
-//! The baselines crate re-exports them so the five systems, the chain facades and the
-//! simulator share one implementation.
+//! The baselines crate re-exports them; `SimpleChain::commit`, the step the examples, tests
+//! and the simulator all drive, calls [`commit_block`] once per block.
 
 use eov_common::abort::AbortReason;
 use eov_common::txn::{Transaction, TxnStatus};

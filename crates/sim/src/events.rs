@@ -25,11 +25,11 @@ pub enum Event {
         /// Sequence number of the request (doubles as the transaction id).
         request_no: u64,
     },
-    /// An endorsement finishes simulating at this simulated time; the driver collects the
-    /// result it computed at dispatch and broadcasts it.
+    /// An endorsement finishes simulating at this simulated time; the driver broadcasts the
+    /// result it computed at dispatch.
     EndorseDone {
-        /// The request whose endorsement completes (doubles as the transaction id).
-        request_no: u64,
+        /// The endorsed transaction, simulated at dispatch.
+        txn: Transaction,
         /// When the client originally submitted the request.
         submitted_at: SimTime,
     },
@@ -52,13 +52,9 @@ pub enum Event {
         txns: Vec<Transaction>,
         /// Submission times of those transactions (for latency accounting), same order.
         submitted_at: Vec<SimTime>,
-        /// When the orderer cut the block.
-        formed_at: SimTime,
     },
     /// The validator finished processing a delivered block; its effects are applied.
     BlockValidated {
-        /// Ledger height this block commits at (assigned in delivery order).
-        block_no: u64,
         /// The block's transactions in final commit order.
         txns: Vec<Transaction>,
         /// Submission times of those transactions, same order.

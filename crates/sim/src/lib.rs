@@ -3,9 +3,11 @@
 //! A deterministic discrete-event simulator of the execute-order-validate pipeline, standing
 //! in for the paper's Fabric / FastFabric testbed (see `DESIGN.md` for the substitution
 //! argument). The five concurrency-control systems are the *real* implementations from
-//! `fabricsharp-core` and `eov-baselines`; the simulator only supplies time: request rates,
-//! endorsement latency (including the read-interval model), client delay, consensus latency,
-//! block formation, the modelled reordering cost, and the validation bottleneck.
+//! `fabricsharp-core` and `eov-baselines`, and the work is done by the same
+//! `eov_baselines::SimpleChain` node the examples and tests drive (execute, endorsement check,
+//! arrival, cut, commit). The simulator only supplies time: request rates, endorsement latency
+//! (including the read-interval model), client delay, consensus latency, block formation, the
+//! modelled reordering cost, and the validation bottleneck.
 //!
 //! * [`profiles`] — calibrated per-phase costs (Fabric ≈677 raw tps, FastFabric ≈3100 raw tps).
 //! * [`events`] — simulated time, events, deterministic event queue.
@@ -17,7 +19,6 @@
 
 pub mod events;
 pub mod metrics;
-mod pipeline;
 pub mod profiles;
 pub mod runner;
 

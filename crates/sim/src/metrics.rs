@@ -155,9 +155,10 @@ pub struct SimReport {
     pub committed_with_anti_rw: u64,
     /// Measured per-block formation wall-clock (p50/p99/total) on this machine.
     pub formation: FormationTiming,
-    /// Measured per-block validate/commit wall-clock (p50/p99/total) on this machine — the
-    /// execution-stage companion of `formation`, covering MVCC validation plus write
-    /// installation.
+    /// Measured per-block validate → append wall-clock (p50/p99/total) on this machine — the
+    /// execution-stage companion of `formation`: one `SimpleChain::commit` call, covering MVCC
+    /// validation, write installation, building and appending the block and, on a persisted
+    /// run, its checkpoint.
     pub commit: FormationTiming,
     /// Accepted transactions that actually rode the orderer's template fast path (zero for
     /// systems without one).

@@ -108,6 +108,6 @@ fn main() {
     );
     println!(
         "committed history serializable: {}",
-        is_serializable(chain.committed_history())
+        is_serializable(&chain.committed_history())
     );
 }

@@ -13,31 +13,25 @@
 //! *what was alice's balance as of block h, and which transaction produced it?*
 
 use fabricsharp::core::recovery::recover_from_disk;
-use fabricsharp::ledger::durable::{DurableLedger, DurableOptions};
-use fabricsharp::ledger::{provenance, write_checkpoint};
+use fabricsharp::ledger::provenance;
 use fabricsharp::prelude::*;
-use fabricsharp::vstore::{MultiVersionStore, TimeTravel};
+use fabricsharp::vstore::TimeTravel;
 
 fn main() {
     let dir = std::env::temp_dir().join(format!("eov-reenact-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
 
-    // A live chain, mirrored block by block into the durable ledger. The genesis checkpoint
-    // is written up front: seeded balances exist in no block, so replay alone could never
-    // recreate them on a cold start.
+    // A live chain persisted to segment files. `persist_to` checkpoints the genesis state up
+    // front: seeded balances exist in no block, so replay alone could never recreate them on a
+    // cold start.
     let mut chain = SimpleChain::new(SystemKind::FabricSharp);
     let alice = Key::new("alice");
     let bob = Key::new("bob");
-    let genesis = [
+    chain.seed([
         (alice.clone(), Value::from_i64(100)),
         (bob.clone(), Value::from_i64(100)),
-    ];
-    chain.seed(genesis.clone());
-
-    let (mut durable, _) = DurableLedger::open(&dir, DurableOptions::default()).unwrap();
-    let mut genesis_store = MultiVersionStore::new();
-    genesis_store.seed_genesis(genesis);
-    write_checkpoint(&dir, &genesis_store, false).unwrap();
+    ]);
+    chain.persist_to(&dir).unwrap();
 
     println!("== Running: 5 blocks of alice -> bob transfers, persisted to {dir:?} ==");
     for round in 1..=5i64 {
@@ -48,18 +42,15 @@ fn main() {
             ctx.write(bob.clone(), Value::from_i64(b + 10 * round));
         });
         assert!(chain.submit(txn).is_accept());
-        let report = chain.seal_block();
-        let height = report.block_number.unwrap();
-        durable
-            .append(chain.ledger().block(height).unwrap().clone())
-            .unwrap();
+        let txns = chain.cut();
+        let height = chain.commit(txns).unwrap().block_number.unwrap();
         println!(
             "  block {height}: alice={}, bob={}",
             chain.latest(&alice).unwrap().as_i64().unwrap(),
             chain.latest(&bob).unwrap().as_i64().unwrap()
         );
     }
-    drop(durable);
+    drop(chain);
 
     // Crash: the machine dies mid-append, leaving a torn trailing record.
     let mut segments: Vec<_> = std::fs::read_dir(&dir)

@@ -24,8 +24,7 @@ use fabricsharp::core::recovery::{
     recover_from_disk, recover_from_ledger, ColdRecovery, RecoveryError,
 };
 use fabricsharp::core::FabricSharpCC;
-use fabricsharp::ledger::durable::{DurableLedger, DurableOptions};
-use fabricsharp::ledger::{write_checkpoint, Ledger, LedgerError};
+use fabricsharp::ledger::{Ledger, LedgerError};
 use fabricsharp::sim::{SimulationConfig, Simulator};
 use fabricsharp::vstore::MultiVersionStore;
 use fabricsharp::workload::generator::{WorkloadGenerator, WorkloadKind};
@@ -336,10 +335,7 @@ fn rescued_instance_ledger_recovers_identically_from_disk() {
     untagged.seed(smallbank.genesis());
 
     let dir = temp_dir("rescued");
-    let (mut durable, _) = DurableLedger::open(&dir, DurableOptions::default()).unwrap();
-    let mut store = MultiVersionStore::new();
-    store.seed_genesis(smallbank.genesis());
-    write_checkpoint(&dir, &store, false).unwrap();
+    chain.persist_to(&dir).unwrap();
 
     for i in 0..40 {
         let (template, class) = if i % 2 == 0 {
@@ -352,20 +348,13 @@ fn rescued_instance_ledger_recovers_identically_from_disk() {
         let _ = chain.submit(txn.with_template_class(class));
         if (i + 1) % 5 == 0 {
             untagged.seal_block();
-            if let Some(height) = chain.seal_block().block_number {
-                durable
-                    .append(chain.ledger().block(height).unwrap().clone())
-                    .unwrap();
-            }
+            let txns = chain.cut();
+            chain.commit(txns).unwrap();
         }
     }
-    if let Some(height) = chain.seal_block().block_number {
-        durable
-            .append(chain.ledger().block(height).unwrap().clone())
-            .unwrap();
-    }
+    let txns = chain.cut();
+    chain.commit(txns).unwrap();
     untagged.seal_block();
-    drop(durable);
     let reference = chain.ledger().clone();
     assert!(reference.height() >= 2);
     assert!(

@@ -3,7 +3,7 @@
 //!
 //! Contracts pinned here:
 //!
-//! 1. a workload ledger persisted through [`DurableLedger`] reopens bit-identically (tip
+//! 1. a workload ledger persisted by `SimpleChain::persist_to` reopens bit-identically (tip
 //!    hash, per-transaction statuses);
 //! 2. truncating the tail segment at *any* byte offset — a torn trailing write — recovers a
 //!    valid prefix, never panics, and the reopened ledger resumes appending the missing
@@ -60,9 +60,9 @@ fn replay_oracle(ledger: &Ledger, seed: u64, up_to: u64) -> MultiVersionStore {
     store
 }
 
-/// Drives a FabricSharp chain over the Smallbank mix, mirroring every sealed block into a
-/// durable ledger under `dir` (small segments so rotation is exercised) with a genesis
-/// checkpoint plus one every `ckpt_every` blocks. Returns the in-memory reference ledger.
+/// Drives a FabricSharp chain over the Smallbank mix, persisted under `dir` in 1 KiB segments
+/// (so rotation is exercised) with a genesis checkpoint plus one every `ckpt_every` blocks.
+/// Returns the chain's ledger.
 fn build_and_persist(
     dir: &Path,
     seed: u64,
@@ -72,30 +72,19 @@ fn build_and_persist(
 ) -> Ledger {
     let mut generator = workload(seed);
     let classifier = generator.analyzer();
-    let mut chain = SimpleChain::new(SystemKind::FabricSharp);
-    chain.seed(generator.genesis());
-
-    let options = DurableOptions {
-        rotate_bytes: 512,
-        fsync: false,
+    let config = CcConfig {
+        segment_rotate_kib: 1,
+        checkpoint_interval: ckpt_every,
+        ..CcConfig::default()
     };
-    let (mut durable, _) = DurableLedger::open(dir, options).expect("fresh dir");
-    let mut store = MultiVersionStore::new();
-    store.seed_genesis(workload(seed).genesis());
-    write_checkpoint(dir, &store, false).expect("genesis checkpoint");
+    let mut chain = SimpleChain::with_cc_config(SystemKind::FabricSharp, config);
+    chain.seed(generator.genesis());
+    chain.persist_to(dir).expect("fresh dir");
 
-    let seal =
-        |chain: &mut SimpleChain, durable: &mut DurableLedger, store: &mut MultiVersionStore| {
-            if let Some(height) = chain.seal_block().block_number {
-                let block = chain.ledger().block(height).unwrap().clone();
-                let committed: Vec<_> = block.committed().collect();
-                store.apply_block(height, committed);
-                durable.append(block).expect("mirror append");
-                if ckpt_every > 0 && height % ckpt_every == 0 {
-                    write_checkpoint(dir, store, false).expect("periodic checkpoint");
-                }
-            }
-        };
+    let seal = |chain: &mut SimpleChain| {
+        let txns = chain.cut();
+        chain.commit(txns).expect("durable commit");
+    };
     for i in 0..num_txns {
         let template = generator.next_template();
         let class = classifier.classify_instance(&template);
@@ -104,10 +93,10 @@ fn build_and_persist(
             .with_template_class(class);
         let _ = chain.submit(txn);
         if (i + 1) % block_size == 0 {
-            seal(&mut chain, &mut durable, &mut store);
+            seal(&mut chain);
         }
     }
-    seal(&mut chain, &mut durable, &mut store);
+    seal(&mut chain);
     chain.ledger().clone()
 }
 
@@ -145,16 +134,9 @@ fn persisted_workload_ledger_reopens_bit_identically() {
     let reference = build_and_persist(&dir, 7, 60, 5, 4);
     assert!(reference.height() >= 4);
 
-    let (durable, report) = DurableLedger::open(
-        &dir,
-        DurableOptions {
-            rotate_bytes: 512,
-            fsync: false,
-        },
-    )
-    .expect("reopen");
+    let (durable, report) = DurableLedger::open(&dir, DurableOptions::default()).expect("reopen");
     assert!(report.torn.is_none());
-    assert!(report.segments >= 2, "512-byte rotation must have rotated");
+    assert!(report.segments >= 2, "1 KiB rotation must have rotated");
     assert_eq!(durable.height(), reference.height());
     assert_eq!(durable.ledger().tip_hash(), reference.tip_hash());
     assert_eq!(durable.ledger().statuses(), reference.statuses());
@@ -369,7 +351,7 @@ proptest! {
             .set_len(len - cut)
             .unwrap();
 
-        let options = DurableOptions { rotate_bytes: 512, fsync: false };
+        let options = DurableOptions::default();
         let (mut durable, report) = DurableLedger::open(&dir, options).expect("torn tail repairs");
         let height = durable.height();
         prop_assert!(height < reference.height(), "truncation must drop the tail record");

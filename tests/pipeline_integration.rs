@@ -4,6 +4,7 @@
 //! simulator pinned run for run — ledger tip and every deterministic `SimReport` field — in
 //! memory and persisted to disk.
 
+use fabricsharp::ledger::Ledger;
 use fabricsharp::prelude::*;
 use fabricsharp::workload::YcsbProfile;
 use rand::rngs::StdRng;
@@ -52,7 +53,7 @@ fn every_system_produces_a_serializable_history_under_contention() {
         for seed in [1u64, 7, 42] {
             let chain = run_contended_workload(kind, seed, 6, 10);
             assert!(
-                is_serializable(chain.committed_history()),
+                is_serializable(&chain.committed_history()),
                 "{kind} produced a non-serializable history (seed {seed})"
             );
             assert!(
@@ -73,7 +74,7 @@ fn fabric_and_fabricpp_histories_are_strongly_serializable() {
     ] {
         let chain = run_contended_workload(kind, 3, 5, 10);
         assert!(
-            is_strongly_serializable(chain.committed_history()),
+            is_strongly_serializable(&chain.committed_history()),
             "{kind}: validation-gated systems must be strongly serializable"
         );
     }
@@ -187,8 +188,9 @@ fn pinned_sim_config(workload: &str, system: SystemKind) -> SimulationConfig {
     config
 }
 
-/// The deterministic fields of a report on one line; aborts sorted by reason.
-fn deterministic_fields(report: &SimReport) -> String {
+/// One [`SIMULATOR_PINS`] row: the run's ledger tip, then its deterministic report fields,
+/// aborts sorted by reason.
+fn pin_row(workload: &str, report: &SimReport, ledger: &Ledger) -> String {
     let mut aborts: Vec<String> = report
         .aborts
         .iter()
@@ -196,7 +198,10 @@ fn deterministic_fields(report: &SimReport) -> String {
         .collect();
     aborts.sort();
     format!(
-        "offered={} in_ledger={} committed={} blocks={} anti_rw={} fastpath={} aborts={}",
+        "{workload} {} {}\n  offered={} in_ledger={} committed={} blocks={} anti_rw={} \
+         fastpath={}\n  aborts {}\n",
+        report.system,
+        ledger.tip_hash().to_hex(),
         report.offered,
         report.in_ledger,
         report.committed,
@@ -207,108 +212,66 @@ fn deterministic_fields(report: &SimReport) -> String {
     )
 }
 
-/// Per workload and system: the simulator's ledger tip and [`deterministic_fields`], recorded
-/// while the simulator still composed its own commit → append → checkpoint step.
-const SIMULATOR_PINS: [(&str, SystemKind, &str, &str); 10] = [
-    (
-        "smallbank",
-        SystemKind::Fabric,
-        "ff80cca79a5e9a60b80f7ded43818bcd508f9ec9c707a47712ba1c5d59f9af49",
-        "offered=480 in_ledger=480 committed=170 blocks=12 anti_rw=0 fastpath=0 \
-         aborts=StaleRead:310",
-    ),
-    (
-        "smallbank",
-        SystemKind::FabricPlusPlus,
-        "8fc416e2911765a5cd8c8eb4dd6243a4534db1dd7c29c6f54b9f09f1c2f88aed",
-        "offered=480 in_ledger=237 committed=237 blocks=12 anti_rw=0 fastpath=0 \
-         aborts=CrossBlockRead:12,InBlockCycle:19,StaleRead:212",
-    ),
-    (
-        "smallbank",
-        SystemKind::FabricSharp,
-        "fbca9385a6871dfb5bd497f744b2b1dfc3fb5f69425ffdbbfc6290e799d51591",
-        "offered=480 in_ledger=267 committed=267 blocks=12 anti_rw=82 fastpath=0 \
-         aborts=UnreorderableCycle:213",
-    ),
-    (
-        "smallbank",
-        SystemKind::FoccS,
-        "ac8b21a20adc855ccf8ea33725b5e76feca2732029aabb9a9a411c0a7559c6d2",
-        "offered=480 in_ledger=215 committed=116 blocks=12 anti_rw=0 fastpath=0 \
-         aborts=ConcurrentWriteWrite:230,DangerousStructure:35,StaleRead:99",
-    ),
-    (
-        "smallbank",
-        SystemKind::FoccL,
-        "553bb53bb9753c5fc4561bf145bd0b50cba1825496e0a54d958a5b65adc99812",
-        "offered=480 in_ledger=480 committed=190 blocks=12 anti_rw=0 fastpath=0 \
-         aborts=StaleRead:290",
-    ),
-    (
-        "ycsb-a",
-        SystemKind::Fabric,
-        "d66a3f9bfad4a122364d027718d87f63dd19f7923573c67fc9d66ed50026df39",
-        "offered=480 in_ledger=480 committed=168 blocks=12 anti_rw=0 fastpath=0 \
-         aborts=StaleRead:312",
-    ),
-    (
-        "ycsb-a",
-        SystemKind::FabricPlusPlus,
-        "f4584b77ec288bcf725661b125a6cdfd85d461984ed0d1c871622927c2fff146",
-        "offered=480 in_ledger=236 committed=236 blocks=12 anti_rw=0 fastpath=0 \
-         aborts=CrossBlockRead:11,InBlockCycle:12,StaleRead:221",
-    ),
-    (
-        "ycsb-a",
-        SystemKind::FabricSharp,
-        "12b4f03c1f21910e6226f413ebd1ee03cc658e0b92a2c1d6faf2f550849f52fe",
-        "offered=480 in_ledger=305 committed=305 blocks=12 anti_rw=111 fastpath=0 \
-         aborts=UnreorderableCycle:175",
-    ),
-    (
-        "ycsb-a",
-        SystemKind::FoccS,
-        "8b75f657c2c7b4b8f327b2f8ee0f4e1609946608668cc6d6d934f6931afb6256",
-        "offered=480 in_ledger=222 committed=100 blocks=12 anti_rw=0 fastpath=0 \
-         aborts=ConcurrentWriteWrite:223,DangerousStructure:35,StaleRead:122",
-    ),
-    (
-        "ycsb-a",
-        SystemKind::FoccL,
-        "d728b20585c9305e1968edac7973a19074af629bda9e43ddd8f87cd6538a332b",
-        "offered=480 in_ledger=480 committed=189 blocks=12 anti_rw=0 fastpath=0 \
-         aborts=StaleRead:291",
-    ),
-];
+/// [`pin_row`] for every system on modified Smallbank and YCSB-A, recorded while the simulator
+/// still composed its own commit → append → checkpoint step.
+const SIMULATOR_PINS: &str = "\
+smallbank Fabric ff80cca79a5e9a60b80f7ded43818bcd508f9ec9c707a47712ba1c5d59f9af49
+  offered=480 in_ledger=480 committed=170 blocks=12 anti_rw=0 fastpath=0
+  aborts StaleRead:310
+smallbank Fabric++ 8fc416e2911765a5cd8c8eb4dd6243a4534db1dd7c29c6f54b9f09f1c2f88aed
+  offered=480 in_ledger=237 committed=237 blocks=12 anti_rw=0 fastpath=0
+  aborts CrossBlockRead:12,InBlockCycle:19,StaleRead:212
+smallbank Fabric# fbca9385a6871dfb5bd497f744b2b1dfc3fb5f69425ffdbbfc6290e799d51591
+  offered=480 in_ledger=267 committed=267 blocks=12 anti_rw=82 fastpath=0
+  aborts UnreorderableCycle:213
+smallbank Focc-s ac8b21a20adc855ccf8ea33725b5e76feca2732029aabb9a9a411c0a7559c6d2
+  offered=480 in_ledger=215 committed=116 blocks=12 anti_rw=0 fastpath=0
+  aborts ConcurrentWriteWrite:230,DangerousStructure:35,StaleRead:99
+smallbank Focc-l 553bb53bb9753c5fc4561bf145bd0b50cba1825496e0a54d958a5b65adc99812
+  offered=480 in_ledger=480 committed=190 blocks=12 anti_rw=0 fastpath=0
+  aborts StaleRead:290
+ycsb-a Fabric d66a3f9bfad4a122364d027718d87f63dd19f7923573c67fc9d66ed50026df39
+  offered=480 in_ledger=480 committed=168 blocks=12 anti_rw=0 fastpath=0
+  aborts StaleRead:312
+ycsb-a Fabric++ f4584b77ec288bcf725661b125a6cdfd85d461984ed0d1c871622927c2fff146
+  offered=480 in_ledger=236 committed=236 blocks=12 anti_rw=0 fastpath=0
+  aborts CrossBlockRead:11,InBlockCycle:12,StaleRead:221
+ycsb-a Fabric# 12b4f03c1f21910e6226f413ebd1ee03cc658e0b92a2c1d6faf2f550849f52fe
+  offered=480 in_ledger=305 committed=305 blocks=12 anti_rw=111 fastpath=0
+  aborts UnreorderableCycle:175
+ycsb-a Focc-s 8b75f657c2c7b4b8f327b2f8ee0f4e1609946608668cc6d6d934f6931afb6256
+  offered=480 in_ledger=222 committed=100 blocks=12 anti_rw=0 fastpath=0
+  aborts ConcurrentWriteWrite:223,DangerousStructure:35,StaleRead:122
+ycsb-a Focc-l d728b20585c9305e1968edac7973a19074af629bda9e43ddd8f87cd6538a332b
+  offered=480 in_ledger=480 committed=189 blocks=12 anti_rw=0 fastpath=0
+  aborts StaleRead:291
+";
 
 /// Every system on modified Smallbank and YCSB-A reproduces its pinned simulator run, and
 /// persisting the run to a fresh directory changes none of it.
 #[test]
 fn simulator_runs_match_their_pins_for_every_system_in_memory_and_on_disk() {
-    for (workload, system, tip, fields) in SIMULATOR_PINS {
-        let context = format!("{system}/{workload}");
-        let config = pinned_sim_config(workload, system);
-        let (report, ledger, _) = Simulator::run_full(&config);
-        assert_eq!(ledger.tip_hash().to_hex(), tip, "{context}: tip");
-        assert_eq!(deterministic_fields(&report), fields, "{context}");
+    let (mut in_memory, mut persisted) = (String::new(), String::new());
+    for workload in ["smallbank", "ycsb-a"] {
+        for system in SystemKind::all() {
+            let config = pinned_sim_config(workload, system);
+            let (report, ledger, _) = Simulator::run_full(&config);
+            in_memory += &pin_row(workload, &report, &ledger);
 
-        let dir = std::env::temp_dir().join(format!(
-            "eov-pins-{workload}-{system:?}-{}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let persisted = SimulationConfig {
-            durability_dir: Some(dir.clone()),
-            ..config
-        };
-        let (report, ledger, _) = Simulator::run_full(&persisted);
-        assert_eq!(ledger.tip_hash().to_hex(), tip, "{context}: persisted tip");
-        assert_eq!(
-            deterministic_fields(&report),
-            fields,
-            "{context}: persisted"
-        );
-        std::fs::remove_dir_all(&dir).unwrap();
+            let dir = std::env::temp_dir().join(format!(
+                "eov-pins-{workload}-{system:?}-{}",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            let config = SimulationConfig {
+                durability_dir: Some(dir.clone()),
+                ..config
+            };
+            let (report, ledger, _) = Simulator::run_full(&config);
+            persisted += &pin_row(workload, &report, &ledger);
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
+    assert_eq!(in_memory, SIMULATOR_PINS);
+    assert_eq!(persisted, SIMULATOR_PINS);
 }

@@ -68,7 +68,7 @@ proptest! {
         block_size in 2usize..12,
     ) {
         let chain = run_workload(SystemKind::FabricSharp, &shapes, block_size);
-        prop_assert!(is_serializable(chain.committed_history()));
+        prop_assert!(is_serializable(&chain.committed_history()));
         prop_assert!(chain.ledger().verify_integrity().is_ok());
         // FabricSharp places only guaranteed-serializable transactions in blocks, so raw and
         // effective counts coincide.
@@ -84,7 +84,7 @@ proptest! {
     ) {
         for kind in [SystemKind::Fabric, SystemKind::FabricPlusPlus, SystemKind::FoccS, SystemKind::FoccL] {
             let chain = run_workload(kind, &shapes, block_size);
-            prop_assert!(is_strongly_serializable(chain.committed_history()),
+            prop_assert!(is_strongly_serializable(&chain.committed_history()),
                 "{} committed a non-strongly-serializable history", kind);
         }
     }

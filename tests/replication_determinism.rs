@@ -8,7 +8,7 @@ use fabricsharp::consensus::adversary::{
     FrontRunningLeader, LeaderPolicy,
 };
 use fabricsharp::consensus::{BlockCutter, ConsensusLog, Submission};
-use fabricsharp::ledger::{Block, Ledger};
+use fabricsharp::ledger::Ledger;
 use fabricsharp::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -116,35 +116,23 @@ fn simulator_runs_are_reproducible_for_identical_configurations() {
     assert_eq!(a.aborted(), b.aborted());
 }
 
-/// Replays one proposed total order through an independent FabricSharp orderer replica,
-/// sealing a block every `block_size` deliveries, and returns the resulting hash chain —
-/// the artefact replicas exchange to audit for forks.
+/// Replays one proposed total order through an independent FabricSharp node, sealing a block
+/// every `block_size` deliveries, and returns the resulting hash chain — the artefact replicas
+/// exchange to audit for forks.
 fn replay_branch(branch: &[ClientSubmission], block_size: usize) -> Ledger {
-    let mut cc = FabricSharpCC::with_defaults();
-    let mut ledger = Ledger::new();
-    let mut since_cut = 0usize;
-    let seal = |cc: &mut FabricSharpCC, ledger: &mut Ledger| {
-        let txns = cc.cut_block();
-        if txns.is_empty() {
-            return;
-        }
-        let block = Block::build(ledger.height() + 1, ledger.tip_hash(), txns);
-        ledger.append(block).expect("replica blocks always chain");
-    };
-    for submission in branch {
+    let mut chain = SimpleChain::new(SystemKind::FabricSharp);
+    for (i, submission) in branch.iter().enumerate() {
         let txn = submission
             .clone()
             .reveal()
             .expect("plain submissions always reveal");
-        let _ = cc.on_arrival(txn);
-        since_cut += 1;
-        if since_cut >= block_size {
-            since_cut = 0;
-            seal(&mut cc, &mut ledger);
+        let _ = chain.arrive(txn);
+        if (i + 1) % block_size == 0 {
+            chain.seal_block();
         }
     }
-    seal(&mut cc, &mut ledger);
-    ledger
+    chain.seal_block();
+    chain.into_parts().0
 }
 
 fn block_hashes(ledger: &Ledger) -> Vec<fabricsharp::ledger::Digest> {

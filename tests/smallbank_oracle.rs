@@ -40,14 +40,14 @@ fn run_and_check_oracle(
             // The satellite invariant: every block FabricSharpCC commits keeps the whole
             // committed history serializable (not just the latest block in isolation).
             assert!(
-                is_serializable(chain.committed_history()),
+                is_serializable(&chain.committed_history()),
                 "history became non-serializable after sealing block {}",
                 chain.ledger().height()
             );
         }
     }
     chain.seal_block();
-    assert!(is_serializable(chain.committed_history()));
+    assert!(is_serializable(&chain.committed_history()));
     chain
 }
 
@@ -83,7 +83,7 @@ fn lagged_history_is_serializable(kind: WorkloadKind, seed: u64, lag: u64, block
         }
         chain.seal_block();
     }
-    is_serializable(chain.committed_history())
+    is_serializable(&chain.committed_history())
 }
 
 /// The seeds of [`LAG_SEEDS`] on which `kind` at `lag` commits a non-serializable history.

@@ -102,7 +102,7 @@ const PINNED_TIPS: [(&str, u64, &str, u64); 8] = [
 fn fastpath_ledgers_are_bit_identical_across_the_grid() {
     for (name, seed, tip, bypassed) in PINNED_TIPS {
         let context = format!("{name}/seed{seed}");
-        let (report, ledger) = Simulator::run_with_ledger(&base_config(sim_workload(name), seed));
+        let (report, ledger, _) = Simulator::run_full(&base_config(sim_workload(name), seed));
         assert!(report.committed > 0, "{context}: the run must commit work");
         assert_eq!(ledger.height(), 12, "{context}: ledger height");
         assert_eq!(ledger.tip_hash().to_hex(), tip, "{context}: tip hash");
@@ -173,7 +173,7 @@ fn decisions_and_commit_orders_match_transaction_for_transaction() {
                     b_ref.block_number
                 );
                 assert!(
-                    is_serializable(fast.committed_history()),
+                    is_serializable(&fast.committed_history()),
                     "{name}: history became non-serializable after block {:?}",
                     b_fast.block_number
                 );
@@ -182,7 +182,7 @@ fn decisions_and_commit_orders_match_transaction_for_transaction() {
         for chain in [&mut reference, &mut fast] {
             chain.seal_block();
         }
-        assert!(is_serializable(fast.committed_history()));
+        assert!(is_serializable(&fast.committed_history()));
         assert_eq!(
             reference.ledger().tip_hash(),
             fast.ledger().tip_hash(),

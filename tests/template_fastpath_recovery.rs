@@ -23,8 +23,7 @@ use fabricsharp::common::rwset::{Key, Value};
 use fabricsharp::common::txn::{TemplateClass, Transaction};
 use fabricsharp::core::recovery::{recover_from_disk, recover_from_ledger};
 use fabricsharp::core::FabricSharpCC;
-use fabricsharp::ledger::durable::{DurableLedger, DurableOptions};
-use fabricsharp::ledger::{write_checkpoint, Digest, Ledger};
+use fabricsharp::ledger::{Digest, Ledger};
 use fabricsharp::vstore::MultiVersionStore;
 use fabricsharp::workload::generator::{TxnTemplate, WorkloadGenerator, WorkloadKind};
 use proptest::prelude::*;
@@ -103,20 +102,6 @@ fn interleaved_stream(num_accounts: usize, num_txns: usize, seed: u64) -> Stream
     (smallbank.genesis(), txns)
 }
 
-/// [`build_chain`]'s ledger.
-fn build_ledger(
-    kind: WorkloadKind,
-    num_accounts: usize,
-    num_txns: usize,
-    block_size: usize,
-    seed: u64,
-    tagged: bool,
-) -> Ledger {
-    build_chain(kind, num_accounts, num_txns, block_size, seed, tagged)
-        .ledger()
-        .clone()
-}
-
 /// `class` on the tagged side, `Unknown` on the reference side.
 fn tag(class: TemplateClass, tagged: bool) -> TemplateClass {
     if tagged {
@@ -189,12 +174,12 @@ proptest! {
         // The safe-writer mix: every transaction is classified safe, so on the tagged side
         // *nothing* in the ledger suffix was ever graph-inserted — the adversarial case for
         // recovery.
-        let ledger_on = build_ledger(
-            WorkloadKind::CreateAccount, num_accounts, num_txns, block_size, seed, true,
-        );
-        let ledger_off = build_ledger(
-            WorkloadKind::CreateAccount, num_accounts, num_txns, block_size, seed, false,
-        );
+        let build = |tagged| {
+            build_chain(WorkloadKind::CreateAccount, num_accounts, num_txns, block_size, seed, tagged)
+                .into_parts()
+                .0
+        };
+        let (ledger_on, ledger_off) = (build(true), build(false));
         // (1) The bypass never leaks into the persisted artefact.
         prop_assert_eq!(ledger_on.tip_hash(), ledger_off.tip_hash());
         prop_assert!(ledger_on.height() >= 2, "degenerate run: height {}", ledger_on.height());
@@ -361,8 +346,8 @@ struct DurableRun {
     recovered_cc: FabricSharpCC,
 }
 
-/// Create-Account endorsed `LAG` blocks behind the tip, every block mirrored into a durable
-/// ledger, a checkpoint every `CHECKPOINT_EVERY` blocks, then a cold recovery of the directory.
+/// Create-Account endorsed `LAG` blocks behind the tip on a persisted chain with a checkpoint
+/// every `CHECKPOINT_EVERY` blocks, then a cold recovery of the directory.
 fn create_account_durable(seed: u64, tagged: bool) -> DurableRun {
     let dir = std::env::temp_dir().join(format!(
         "eov-fastpath-durable-{tagged}-{}-{:?}",
@@ -379,9 +364,7 @@ fn create_account_durable(seed: u64, tagged: bool) -> DurableRun {
     let classifier = generator.analyzer();
     let mut chain = SimpleChain::with_cc_config(SystemKind::FabricSharp, config);
     chain.seed(generator.genesis());
-    let (mut durable, _) =
-        DurableLedger::open(&dir, DurableOptions::from_cc_config(&config)).unwrap();
-    write_checkpoint(&dir, chain.store(), config.durable_fsync).unwrap();
+    chain.persist_to(&dir).unwrap();
 
     let mut accepted = 0u64;
     for _ in 0..DURABLE_BLOCKS {
@@ -394,18 +377,10 @@ fn create_account_durable(seed: u64, tagged: bool) -> DurableRun {
                 .with_template_class(class);
             accepted += u64::from(chain.submit(txn).is_accept());
         }
-        let height = chain
-            .seal_block()
-            .block_number
-            .expect("every batch commits");
-        durable
-            .append(chain.ledger().block(height).unwrap().clone())
-            .unwrap();
-        if height.is_multiple_of(CHECKPOINT_EVERY) {
-            write_checkpoint(&dir, chain.store(), config.durable_fsync).unwrap();
-        }
+        let txns = chain.cut();
+        let report = chain.commit(txns).unwrap();
+        assert!(report.block_number.is_some(), "every batch commits");
     }
-    drop(durable);
 
     let recovered = recover_from_disk(&dir, config).expect("cold recovery");
     std::fs::remove_dir_all(&dir).unwrap();
