@@ -177,6 +177,7 @@ impl ConcurrencyControl for FoccSerializableCC {
     }
 
     fn early_aborts(&self) -> Vec<(AbortReason, u64)> {
+        // lint-determinism: allow (callers only look pairs up, sum them or fold them into a map)
         self.early_aborts.iter().map(|(r, c)| (*r, *c)).collect()
     }
 

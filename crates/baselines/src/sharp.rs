@@ -45,6 +45,7 @@ impl ConcurrencyControl for FabricSharpCC {
     }
 
     fn early_aborts(&self) -> Vec<(AbortReason, u64)> {
+        // lint-determinism: allow (callers only look pairs up, sum them or fold them into a map)
         self.stats()
             .early_aborts
             .iter()

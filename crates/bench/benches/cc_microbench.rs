@@ -70,8 +70,8 @@ fn bench_block_formation(c: &mut Criterion) {
 }
 
 fn bench_bloom_vs_exact_reachability(c: &mut Criterion) {
-    // The ablation called out in DESIGN.md: FabricSharp arrival processing with bloom-only
-    // reachability vs bloom + exact shadow sets.
+    // Ablation: FabricSharp arrival processing with bloom-only reachability vs bloom + exact
+    // shadow sets.
     let txns = sample_txns(200, 0.3);
     let mut group = c.benchmark_group("fabricsharp_reachability_ablation");
     group

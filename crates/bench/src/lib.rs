@@ -1,9 +1,9 @@
 //! Shared plumbing for the experiment harness binaries.
 //!
-//! Every paper figure/table has its own binary under `src/bin/` (see `DESIGN.md` §4 for the
-//! index); this library holds the pieces they share — default run length, the standard
-//! "systems × sweep" runner, and plain-text table printing, so that each binary reads like the
-//! experiment it reproduces.
+//! Every paper figure/table has its own binary under `src/bin/` (see the README's
+//! "Benchmarks and experiments"); this library holds the pieces they share — default run
+//! length, the standard "systems × sweep" runner, and plain-text table printing, so that each
+//! binary reads like the experiment it reproduces.
 
 #![forbid(unsafe_code)]
 

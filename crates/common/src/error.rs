@@ -7,7 +7,7 @@ use std::fmt;
 /// Result alias used by the substrate crates.
 pub type Result<T> = std::result::Result<T, CommonError>;
 
-/// Errors that can arise in the substrate layers (state store, ledger, consensus).
+/// Errors that can arise in the substrate layers (state store, ledger).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CommonError {
     /// A requested key does not exist in the state database.
@@ -20,8 +20,6 @@ pub enum CommonError {
     ChainIntegrity { block: u64, detail: String },
     /// A transaction was submitted twice.
     DuplicateTransaction(u64),
-    /// The consensus log rejected an operation (e.g. reading past the end).
-    Consensus(String),
     /// A configuration value is out of its valid range.
     InvalidConfig(String),
     /// Internal invariant violation; indicates a bug rather than a user error.
@@ -41,7 +39,6 @@ impl fmt::Display for CommonError {
                 )
             }
             CommonError::DuplicateTransaction(id) => write!(f, "duplicate transaction Txn{id}"),
-            CommonError::Consensus(msg) => write!(f, "consensus error: {msg}"),
             CommonError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
             CommonError::Internal(msg) => write!(f, "internal invariant violation: {msg}"),
         }
@@ -70,7 +67,7 @@ mod tests {
 
     #[test]
     fn error_trait_object_compatible() {
-        let e: Box<dyn std::error::Error> = Box::new(CommonError::Consensus("closed".into()));
+        let e: Box<dyn std::error::Error> = Box::new(CommonError::Internal("closed".into()));
         assert!(e.to_string().contains("closed"));
     }
 }

@@ -9,47 +9,58 @@
 //! on `TxnT'` with anti-rw) and every honest orderer aborts it.
 //!
 //! The mitigation is to hide transaction contents until the order is established: clients
-//! submit only the transaction *hash*; details are disclosed after sequencing. This module
-//! models both the attack and the defence so the example and the integration tests can
-//! demonstrate each.
+//! submit only a *commitment* — SHA-256 over a client-chosen 32-byte nonce and the
+//! transaction's codec encoding — and disclose the transaction and nonce after sequencing.
+//! The nonce is what makes the commitment hiding: a leader that guesses the transaction
+//! exactly still cannot confirm the guess without it. This module models both the attack and
+//! the defence so the example and the integration tests can demonstrate each.
 
 use eov_common::rwset::Key;
 use eov_common::txn::Transaction;
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
+use eov_ledger::codec::txn_payload;
+use eov_ledger::sha256::{sha256_concat, Digest};
 
 /// What a client actually hands to the (possibly malicious) leader.
 #[derive(Clone, Debug)]
 pub enum ClientSubmission {
     /// The full transaction is visible to the leader before ordering (vanilla behaviour).
     Plain(Transaction),
-    /// Only a commitment (hash) is visible; the transaction is revealed after the order is
-    /// fixed. The leader cannot inspect read/write sets at proposal time.
+    /// Only a commitment is visible; the transaction is revealed after the order is fixed.
+    /// The leader cannot inspect read/write sets at proposal time.
     Committed {
-        /// Commitment over the transaction contents.
-        commitment: u64,
+        /// `commitment_of(nonce, sealed)`, the only field the leader sees.
+        commitment: Digest,
+        /// The client's secret nonce, disclosed with the transaction after ordering.
+        nonce: [u8; 32],
         /// The transaction, carried along for post-ordering reveal. A real deployment would
-        /// deliver this separately; the tuple keeps the simulation single-process.
+        /// deliver this and the nonce separately; the tuple keeps the simulation
+        /// single-process.
         sealed: Transaction,
     },
 }
 
 impl ClientSubmission {
-    /// Builds a commitment-style submission for `txn`.
-    pub fn committed(txn: Transaction) -> Self {
+    /// Builds a commitment-style submission for `txn` under the client's secret `nonce`.
+    pub fn committed(txn: Transaction, nonce: [u8; 32]) -> Self {
         ClientSubmission::Committed {
-            commitment: commitment_of(&txn),
+            commitment: commitment_of(&nonce, &txn),
+            nonce,
             sealed: txn,
         }
     }
 
-    /// The transaction as revealed *after* ordering. Checks that the revealed contents match
-    /// the commitment (a client that mutates its transaction post-commitment is caught here).
+    /// The transaction as revealed *after* ordering. Recomputes the commitment from the nonce
+    /// and the revealed contents (a client that mutates its transaction post-commitment is
+    /// caught here).
     pub fn reveal(self) -> Result<Transaction, CommitmentMismatch> {
         match self {
             ClientSubmission::Plain(txn) => Ok(txn),
-            ClientSubmission::Committed { commitment, sealed } => {
-                if commitment_of(&sealed) == commitment {
+            ClientSubmission::Committed {
+                commitment,
+                nonce,
+                sealed,
+            } => {
+                if commitment_of(&nonce, &sealed) == commitment {
                     Ok(sealed)
                 } else {
                     Err(CommitmentMismatch { commitment })
@@ -71,26 +82,13 @@ impl ClientSubmission {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CommitmentMismatch {
     /// The original commitment value.
-    pub commitment: u64,
+    pub commitment: Digest,
 }
 
-/// Commitment function over a transaction's identity and read/write sets. (A deployment would
-/// use SHA-256 over the serialized payload; the collision resistance of the hash is not what
-/// these tests exercise, so a 64-bit std hash keeps the crate dependency-free.)
-pub fn commitment_of(txn: &Transaction) -> u64 {
-    let mut hasher = DefaultHasher::new();
-    txn.id.0.hash(&mut hasher);
-    txn.snapshot_block.hash(&mut hasher);
-    for read in txn.read_set.iter() {
-        read.key.as_str().hash(&mut hasher);
-        read.version.block.hash(&mut hasher);
-        read.version.seq.hash(&mut hasher);
-    }
-    for write in txn.write_set.iter() {
-        write.key.as_str().hash(&mut hasher);
-        write.value.as_bytes().hash(&mut hasher);
-    }
-    hasher.finish()
+/// The commitment to `txn` under `nonce`: SHA-256 over the nonce followed by the
+/// transaction's codec encoding ([`txn_payload`], the bytes a block record stores).
+pub fn commitment_of(nonce: &[u8; 32], txn: &Transaction) -> Digest {
+    sha256_concat([nonce.as_slice(), &txn_payload(txn)])
 }
 
 /// A leader policy decides the proposed order of a batch of submissions.
@@ -256,6 +254,10 @@ mod tests {
     use super::*;
     use eov_common::rwset::Value;
     use eov_common::version::SeqNo;
+    use eov_ledger::sha256::sha256;
+
+    /// The victim client's secret nonce.
+    const NONCE: [u8; 32] = [0x5a; 32];
 
     fn victim_txn(id: u64) -> Transaction {
         Transaction::from_parts(
@@ -298,7 +300,7 @@ mod tests {
     fn commitments_blind_the_front_runner() {
         let mut leader =
             FrontRunningLeader::new(Key::new("asset"), |victim: &Transaction| victim.clone());
-        let out = leader.propose_order(vec![ClientSubmission::committed(victim_txn(7))]);
+        let out = leader.propose_order(vec![ClientSubmission::committed(victim_txn(7), NONCE)]);
         assert_eq!(out.len(), 1, "no attack transaction was injected");
         assert_eq!(leader.attacks_launched, 0);
         assert_eq!(out.into_iter().next().unwrap().reveal().unwrap().id.0, 7);
@@ -308,7 +310,8 @@ mod tests {
     fn tampered_reveal_is_detected() {
         let txn = victim_txn(9);
         let sub = ClientSubmission::Committed {
-            commitment: commitment_of(&txn),
+            commitment: commitment_of(&NONCE, &txn),
+            nonce: NONCE,
             sealed: {
                 let mut mutated = txn;
                 mutated
@@ -378,22 +381,54 @@ mod tests {
     }
 
     #[test]
+    fn a_guessed_transaction_does_not_open_the_commitment_without_its_nonce() {
+        let ClientSubmission::Committed { commitment, .. } =
+            ClientSubmission::committed(victim_txn(7), NONCE)
+        else {
+            unreachable!("committed() builds a commitment")
+        };
+        // The leader guesses the victim bit for bit, but not the nonce.
+        let guess = victim_txn(7);
+        assert_ne!(sha256(&txn_payload(&guess)), commitment);
+        assert_ne!(commitment_of(&[0; 32], &guess), commitment);
+        let mut wrong_nonce = NONCE;
+        wrong_nonce[31] ^= 1;
+        assert_ne!(commitment_of(&wrong_nonce, &guess), commitment);
+        // Binding: the disclosed nonce opens the commitment to exactly this transaction.
+        assert_eq!(commitment_of(&NONCE, &guess), commitment);
+    }
+
+    #[test]
     fn commitment_is_sensitive_to_every_component() {
         let base = victim_txn(1);
-        let c0 = commitment_of(&base);
+        let c0 = commitment_of(&NONCE, &base);
+
+        let mut different_nonce = NONCE;
+        different_nonce[0] ^= 1;
+        assert_ne!(c0, commitment_of(&different_nonce, &base));
 
         let mut different_id = base.clone();
         different_id.id = eov_common::txn::TxnId(2);
-        assert_ne!(c0, commitment_of(&different_id));
+        assert_ne!(c0, commitment_of(&NONCE, &different_id));
 
         let mut different_write = base.clone();
         different_write
             .write_set
             .record(Key::new("asset"), Value::from_i64(43));
-        assert_ne!(c0, commitment_of(&different_write));
+        assert_ne!(c0, commitment_of(&NONCE, &different_write));
 
         let mut different_snapshot = base;
         different_snapshot.snapshot_block = 4;
-        assert_ne!(c0, commitment_of(&different_snapshot));
+        assert_ne!(c0, commitment_of(&NONCE, &different_snapshot));
+
+        // Shifting the key/value boundary keeps the concatenated bytes but not the
+        // length-prefixed encoding.
+        let write = |key: &str, value: &str| {
+            Transaction::from_parts(1, 3, [], [(Key::new(key), Value::from(value))])
+        };
+        assert_ne!(
+            commitment_of(&NONCE, &write("ab", "c")),
+            commitment_of(&NONCE, &write("a", "bc"))
+        );
     }
 }

@@ -1,26 +1,18 @@
 //! # eov-consensus
 //!
-//! The ordering substrate of the EOV pipeline (the paper's Kafka + orderer layer):
+//! The Section 3.5 security model on top of the ordering service. Ordering itself is the
+//! paper's Kafka stream, modelled by the simulator's count-or-timeout block cut; this crate
+//! adds only what a Byzantine leader changes:
 //!
-//! * [`log`] — a totally-ordered, replicated in-process log with multi-producer submission and
-//!   independent per-orderer read cursors (the Kafka substitution documented in `DESIGN.md`).
-//! * [`orderer`] — the replicated block-formation state machine of Figure 2b: enqueue
-//!   transactions from consensus, cut a block on size or timeout.
-//! * [`adversary`] — the Section 3.5 security model: leader policies (honest / front-running)
-//!   and the hash-commitment mitigation that hides transaction contents until the order is
-//!   fixed.
+//! * [`adversary`] — leader policies (honest / front-running / equivocating), the
+//!   hash-commitment mitigation that hides transaction contents until the order is fixed, and
+//!   the fork audit that compares replicas' sealed block hashes.
 
 #![forbid(unsafe_code)]
 
 pub mod adversary;
-pub mod log;
-pub mod orderer;
-pub mod replica;
 
 pub use adversary::{
     audit_fork, ClientSubmission, EquivocatingLeader, ForkVerdict, FrontRunningLeader,
     HonestLeader, LeaderPolicy,
 };
-pub use log::{ConsensusLog, LogCursor, LogProducer, Submission};
-pub use orderer::{BlockCutter, CutBatch, CutReason};
-pub use replica::{OrdererReplica, ReplicaSet};

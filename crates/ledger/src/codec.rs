@@ -302,41 +302,53 @@ pub(crate) fn encode_block(w: &mut ByteWriter, block: &Block) {
     w.put_digest(&block.header.data_hash);
     w.put_u32(block.entries.len() as u32);
     for entry in &block.entries {
-        let txn = &entry.txn;
-        w.put_u64(txn.id.0);
-        w.put_u64(txn.snapshot_block);
-        w.put_u32(txn.endorsements);
-        match txn.end_ts {
-            None => w.put_u8(0),
-            Some(ts) => {
-                w.put_u8(1);
-                w.put_seqno(ts);
-            }
-        }
-        w.put_u8(match txn.template_class {
-            TemplateClass::Unknown => 0,
-            TemplateClass::Safe => 1,
-        });
-        match txn.template_id {
-            None => w.put_u8(0),
-            Some(id) => {
-                w.put_u8(1);
-                w.put_u16(id);
-            }
-        }
-        w.put_u32(txn.read_set.len() as u32);
-        for read in txn.read_set.iter() {
-            w.put_bytes(read.key.as_str().as_bytes());
-            w.put_seqno(read.version);
-        }
-        w.put_u32(txn.write_set.len() as u32);
-        for write in txn.write_set.iter() {
-            w.put_bytes(write.key.as_str().as_bytes());
-            w.put_bytes(write.value.as_bytes());
-        }
+        encode_txn(w, &entry.txn);
         w.put_seqno(entry.slot);
         put_status(w, entry.status);
     }
+}
+
+/// Encodes one transaction: every field a block entry stores apart from its slot and status.
+fn encode_txn(w: &mut ByteWriter, txn: &Transaction) {
+    w.put_u64(txn.id.0);
+    w.put_u64(txn.snapshot_block);
+    w.put_u32(txn.endorsements);
+    match txn.end_ts {
+        None => w.put_u8(0),
+        Some(ts) => {
+            w.put_u8(1);
+            w.put_seqno(ts);
+        }
+    }
+    w.put_u8(match txn.template_class {
+        TemplateClass::Unknown => 0,
+        TemplateClass::Safe => 1,
+    });
+    match txn.template_id {
+        None => w.put_u8(0),
+        Some(id) => {
+            w.put_u8(1);
+            w.put_u16(id);
+        }
+    }
+    w.put_u32(txn.read_set.len() as u32);
+    for read in txn.read_set.iter() {
+        w.put_bytes(read.key.as_str().as_bytes());
+        w.put_seqno(read.version);
+    }
+    w.put_u32(txn.write_set.len() as u32);
+    for write in txn.write_set.iter() {
+        w.put_bytes(write.key.as_str().as_bytes());
+        w.put_bytes(write.value.as_bytes());
+    }
+}
+
+/// The encoding of `txn` alone, exactly as it appears inside a block record. Every key and
+/// value is length-prefixed, so distinct transactions never share an encoding.
+pub fn txn_payload(txn: &Transaction) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    encode_txn(&mut w, txn);
+    w.into_bytes()
 }
 
 /// The record payload of `block` alone, unframed: what [`decode_block`] reads back.
@@ -460,6 +472,23 @@ mod tests {
     fn encoding_is_deterministic() {
         let block = sample_block(1, Digest::ZERO);
         assert_eq!(block_payload(&block), block_payload(&block));
+    }
+
+    #[test]
+    fn block_records_embed_each_txn_payload_verbatim() {
+        let block = sample_block(2, Digest::ZERO);
+        let bytes = block_payload(&block);
+        // Header: number, two digests, entry count.
+        let mut at = 8 + 32 + 32 + 4;
+        for entry in &block.entries {
+            let txn = txn_payload(&entry.txn);
+            assert_eq!(&bytes[at..at + txn.len()], txn.as_slice());
+            let mut tail = ByteWriter::new();
+            tail.put_seqno(entry.slot);
+            put_status(&mut tail, entry.status);
+            at += txn.len() + tail.len();
+        }
+        assert_eq!(at, bytes.len());
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! # eov-sim
 //!
 //! A deterministic discrete-event simulator of the execute-order-validate pipeline, standing
-//! in for the paper's Fabric / FastFabric testbed (see `DESIGN.md` for the substitution
-//! argument). The five concurrency-control systems are the *real* implementations from
-//! `fabricsharp-core` and `eov-baselines`, and the work is done by the same
+//! in for the paper's Fabric / FastFabric testbed (see the README's "One thread per layer" for
+//! the substitution argument). The five concurrency-control systems are the *real*
+//! implementations from `fabricsharp-core` and `eov-baselines`, and the work is done by the same
 //! `eov_baselines::SimpleChain` node the examples and tests drive (execute, endorsement check,
 //! arrival, cut, commit). The simulator only supplies time: request rates, endorsement latency
 //! (including the read-interval model), client delay, consensus latency, block formation, the

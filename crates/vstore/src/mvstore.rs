@@ -8,8 +8,8 @@
 //! answer "what was the value of `key` as of the snapshot after block `b`?" directly.
 //!
 //! The paper implements this with LevelDB storage snapshots; an in-memory multi-version map
-//! provides the same query surface (latest read, snapshot read, version history) and is the
-//! documented substitution in `DESIGN.md`.
+//! provides the same query surface (latest read, snapshot read, version history); the
+//! README's "State store layout" section documents the substitution.
 //!
 //! # Layout
 //!

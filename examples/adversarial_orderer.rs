@@ -81,15 +81,18 @@ fn main() {
         attacker.attacks_launched
     );
 
-    // Mitigation: the client submits only a hash commitment; the leader cannot inspect the
-    // read/write sets before the order is fixed, so it has nothing to front-run. The contents
-    // are revealed (and checked against the commitment) only after sequencing.
+    // Mitigation: the client submits only a hash commitment over a secret nonce and the
+    // transaction; the leader cannot inspect the read/write sets before the order is fixed,
+    // and cannot confirm a guessed transaction without the nonce, so it has nothing to
+    // front-run. The contents and nonce are revealed (and checked against the commitment)
+    // only after sequencing. A real client draws the nonce at random.
+    let nonce = [0x5a; 32];
     let mut blinded_attacker =
         FrontRunningLeader::new(Key::new("asset"), |victim: &Transaction| victim.clone());
     run_scenario(
         "malicious leader, hash-commitment submission (mitigated)",
         &mut blinded_attacker,
-        vec![ClientSubmission::committed(victim_txn(7))],
+        vec![ClientSubmission::committed(victim_txn(7), nonce)],
     );
     println!(
         "  attacks launched by the leader: {}",

@@ -12,7 +12,7 @@
 //! | [`common`] | `eov-common` | sequence numbers, transactions, read/write sets, abort reasons, configuration |
 //! | [`vstore`] | `eov-vstore` | multi-versioned state store, block snapshots, CW/CR/PW/PR indices |
 //! | [`ledger`] | `eov-ledger` | SHA-256, blocks, hash-chained ledger |
-//! | [`consensus`] | `eov-consensus` | simulated ordering service and adversarial leader hooks |
+//! | [`consensus`] | `eov-consensus` | Section 3.5 adversarial leaders, hash commitments, fork audit |
 //! | [`depgraph`] | `eov-depgraph` | dependency graph, bloom-filter reachability, pruning |
 //! | [`core`] | `fabricsharp-core` | **the paper's contribution**: Algorithms 1–5, the FabricSharp orderer-side concurrency control and the serializability oracle |
 //! | [`baselines`] | `eov-baselines` | vanilla Fabric, Fabric++, Focc-s, Focc-l, and the `SimpleChain` facade |

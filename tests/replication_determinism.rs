@@ -1,13 +1,12 @@
 //! Replication and determinism: the paper's safety argument (Section 3.5) requires every
 //! honest orderer, fed the same consensus stream, to perform the same reordering and deliver
-//! identical blocks. These tests drive independent controller replicas from a shared
-//! `ConsensusLog` and compare their outputs, and exercise the hash-commitment mitigation.
+//! identical blocks. These tests replay one proposed order through independent `SimpleChain`
+//! replicas and compare their block hashes, and exercise the hash-commitment mitigation.
 
 use fabricsharp::consensus::adversary::{
     audit_fork, commitment_of, ClientSubmission, EquivocatingLeader, ForkVerdict,
     FrontRunningLeader, LeaderPolicy,
 };
-use fabricsharp::consensus::{BlockCutter, ConsensusLog, Submission};
 use fabricsharp::ledger::Ledger;
 use fabricsharp::prelude::*;
 use rand::rngs::StdRng;
@@ -28,77 +27,6 @@ fn transaction_stream(count: usize, seed: u64) -> Vec<Transaction> {
             )
         })
         .collect()
-}
-
-#[test]
-fn replicated_fabricsharp_orderers_produce_identical_blocks() {
-    let log = ConsensusLog::new();
-    for txn in transaction_stream(120, 4) {
-        log.append(Submission { txn, submitter: 0 });
-    }
-
-    // Two independent replicas replay the same log with the same block-formation rule.
-    let mut replicas: Vec<(FabricSharpCC, Vec<Vec<u64>>)> = (0..2)
-        .map(|_| (FabricSharpCC::with_defaults(), Vec::new()))
-        .collect();
-    for (cc, blocks) in &mut replicas {
-        let mut cursor = log.cursor();
-        while let Some(submission) = cursor.poll() {
-            let _ = cc.on_arrival(submission.txn);
-            if cc.pending_len() >= 30 {
-                blocks.push(cc.cut_block().iter().map(|t| t.id.0).collect());
-            }
-        }
-        let tail = cc.cut_block();
-        if !tail.is_empty() {
-            blocks.push(tail.iter().map(|t| t.id.0).collect());
-        }
-    }
-    let (_, blocks_a) = &replicas[0];
-    let (_, blocks_b) = &replicas[1];
-    assert_eq!(
-        blocks_a, blocks_b,
-        "replicas disagreed on block contents or order"
-    );
-    assert!(!blocks_a.is_empty());
-}
-
-#[test]
-fn block_cutters_fed_from_the_same_log_cut_identical_batches() {
-    let log = ConsensusLog::new();
-    let producer = log.producer();
-    for txn in transaction_stream(57, 9) {
-        producer.submit(txn, 1);
-    }
-    log.ingest();
-
-    let config = BlockConfig {
-        max_txns_per_block: 10,
-        block_timeout_ms: 1_000,
-    };
-    let cut_ids = |mut cutter: BlockCutter| -> Vec<Vec<u64>> {
-        let mut cursor = log.cursor();
-        let mut blocks = Vec::new();
-        let mut t = 0u64;
-        while let Some(submission) = cursor.poll() {
-            t += 1;
-            if let Some(batch) = cutter.enqueue(submission.txn, t) {
-                blocks.push(batch.txns.iter().map(|x| x.id.0).collect());
-            }
-        }
-        if let Some(batch) = cutter.flush(t + 1) {
-            blocks.push(batch.txns.iter().map(|x| x.id.0).collect());
-        }
-        blocks
-    };
-    let a = cut_ids(BlockCutter::new(config));
-    let b = cut_ids(BlockCutter::new(config));
-    assert_eq!(a, b);
-    assert_eq!(
-        a.len(),
-        6,
-        "57 transactions at 10 per block = 5 full blocks + 1 flush"
-    );
 }
 
 #[test]
@@ -253,7 +181,8 @@ fn front_running_leader_aborts_the_victim_but_commitments_defeat_it() {
     // Commitment submission: the leader sees only the hash, injects nothing, and the victim
     // commits. A post-ordering mutation of the sealed contents is detected.
     let mut blinded = FrontRunningLeader::new(Key::new("asset"), |v: &Transaction| v.clone());
-    let order = blinded.propose_order(vec![ClientSubmission::committed(victim.clone())]);
+    let nonce = [0x5a; 32];
+    let order = blinded.propose_order(vec![ClientSubmission::committed(victim.clone(), nonce)]);
     assert_eq!(order.len(), 1);
     assert_eq!(blinded.attacks_launched, 0);
     let mut cc = FabricSharpCC::with_defaults();
@@ -265,7 +194,8 @@ fn front_running_leader_aborts_the_victim_but_commitments_defeat_it() {
         .write_set
         .record(Key::new("asset"), Value::from_i64(999));
     let bad = ClientSubmission::Committed {
-        commitment: commitment_of(&victim),
+        commitment: commitment_of(&nonce, &victim),
+        nonce,
         sealed: tampered,
     };
     assert!(

@@ -2,8 +2,10 @@
 //!
 //! * `lint-determinism` — static lint over the ledger-order-affecting modules (see
 //!   [`SCAN_ROOTS`]: the dependency graph, the orderer's arrival/formation paths, the
-//!   store and indices, the committer, the simulator's event loop and commit step, and — since the ledger is persisted byte-for-byte — the durable ledger codec,
-//!   checkpoint writer and the versioned store they serialise). Fails on iteration over
+//!   store and indices, the committer, the simulator's event loop and commit step, the four
+//!   baseline concurrency controls and `SimpleChain`, the Section 3.5 leader policies, and —
+//!   since the ledger is persisted byte-for-byte — the durable ledger codec, checkpoint
+//!   writer and the versioned store they serialise). Fails on iteration over
 //!   `HashMap`/`HashSet` bindings (`.iter()`, `.keys()`, `.values()`, `.drain()`,
 //!   `for … in &map`, …) outside an explicit allowlist. Hash iteration order is seeded per
 //!   process, so any such loop whose effects reach the commit order reintroduces exactly the
@@ -43,6 +45,8 @@ const SCAN_ROOTS: &[&str] = &[
     "crates/sim/src",
     "crates/ledger/src",
     "crates/vstore/src",
+    "crates/baselines/src",
+    "crates/consensus/src",
 ];
 
 /// The allowlist marker: `lint-determinism: allow (reason)` on the flagged line or the line
