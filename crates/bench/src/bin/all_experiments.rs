@@ -1,5 +1,5 @@
 //! Runs every experiment harness in sequence (Figure 1, Table 1, Figures 10–15) — the one
-//! command that regenerates all the data behind `EXPERIMENTS.md`.
+//! command that regenerates the data behind every paper figure.
 //!
 //! ```text
 //! cargo run --release -p eov-bench --bin all_experiments            # full sweeps

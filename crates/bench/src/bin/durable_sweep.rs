@@ -31,7 +31,7 @@ const TXNS_PER_BLOCK: u64 = 8;
 const RUNS: usize = 5;
 
 fn fixture_blocks() -> Vec<Block> {
-    let (ledger, _) = blind_write_chain(BLOCKS, TXNS_PER_BLOCK, None).into_parts();
+    let (ledger, _) = blind_write_chain(BLOCKS, TXNS_PER_BLOCK).into_parts();
     ledger.iter().cloned().collect()
 }
 
@@ -59,7 +59,7 @@ fn wide_blocks() -> Vec<Block> {
 
 /// [`fixture_blocks`]' genesis state.
 fn genesis_store() -> MultiVersionStore {
-    blind_write_chain(0, 1, None).into_parts().1
+    blind_write_chain(0, 1).into_parts().1
 }
 
 fn temp_dir(tag: &str) -> PathBuf {

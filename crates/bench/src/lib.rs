@@ -9,14 +9,13 @@
 
 use eov_baselines::api::SystemKind;
 use eov_baselines::SimpleChain;
-use eov_common::config::{CcConfig, WorkloadParams};
+use eov_common::config::WorkloadParams;
 use eov_common::rwset::{Key, Value};
 use eov_common::txn::{TemplateClass, Transaction};
 use eov_sim::{SimReport, SimulationConfig, Simulator};
 use eov_vstore::MultiVersionStore;
 use eov_workload::generator::{WorkloadGenerator, WorkloadKind};
 use eov_workload::smallbank;
-use std::path::Path;
 
 /// Simulated seconds per data point. Overridden with the `FABRICSHARP_BENCH_SECS` environment
 /// variable (e.g. `FABRICSHARP_BENCH_SECS=3` for a quick smoke run of every figure).
@@ -230,22 +229,10 @@ pub fn endorsed_txns(kind: WorkloadKind, params: WorkloadParams, count: usize) -
 
 /// A vanilla-Fabric chain over 64 accounts of 100 after `blocks` blocks of `per_block` blind
 /// writers (transaction `id` sets `acct:{id % 64}` to `id`): the durable-ledger benchmarks'
-/// input. With `persist = Some((dir, k))` it is persisted to `dir`, checkpointing every `k`
-/// blocks.
-pub fn blind_write_chain(
-    blocks: u64,
-    per_block: u64,
-    persist: Option<(&Path, u64)>,
-) -> SimpleChain {
-    let config = CcConfig {
-        checkpoint_interval: persist.map_or(0, |(_, k)| k),
-        ..CcConfig::default()
-    };
-    let mut chain = SimpleChain::with_cc_config(SystemKind::Fabric, config);
+/// input.
+pub fn blind_write_chain(blocks: u64, per_block: u64) -> SimpleChain {
+    let mut chain = SimpleChain::new(SystemKind::Fabric);
     chain.seed((0..64).map(|i| (Key::new(format!("acct:{i}")), Value::from_i64(100))));
-    if let Some((dir, _)) = persist {
-        chain.persist_to(dir).unwrap();
-    }
     for id in 1..=blocks * per_block {
         let txn = chain.execute(|ctx| {
             ctx.write(

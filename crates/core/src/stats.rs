@@ -20,8 +20,8 @@ pub struct CcStats {
     pub accepted: u64,
     /// Of the accepted transactions, how many were admitted through the template fast path
     /// (tagged [`TemplateClass::Safe`]) and therefore skipped dependency resolution, the cycle
-    /// probe and the graph entirely: exactly the accepted arrivals tagged `Safe`, as
-    /// `bench_gate` and the template fast-path tests check.
+    /// probe and the graph entirely: exactly the accepted arrivals tagged `Safe`, as the
+    /// template fast-path tests check.
     ///
     /// [`TemplateClass::Safe`]: eov_common::txn::TemplateClass::Safe
     pub fastpath_accepted: u64,

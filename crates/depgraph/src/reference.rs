@@ -10,9 +10,10 @@
 //!    identical `topo_sort_pending` output, `would_close_cycle` verdicts (bloom false
 //!    positives included — both sides share the same filter geometry and insertion sets),
 //!    `reaches_exact` answers and insert hop counts.
-//! 2. **Speedup baseline** — the `reachability_engine` bench group and the `bench_gate`
-//!    binary measure the dense engine against this module on identical graphs, which keeps
-//!    the claimed complexity win honest on every machine the benches run on.
+//! 2. **Speedup baseline** — the `reachability_engine` bench group and the release-mode
+//!    `eov-bench` `cost_model` tests measure the dense engine against this module on
+//!    identical graphs, which keeps the claimed complexity win honest on every machine the
+//!    tests run on.
 //!
 //! It is deliberately *not* optimised; do not use it outside tests and benchmarks.
 

@@ -201,15 +201,22 @@ fn get_store(
     let pruned_below = r.get_u64("store pruned_below")?;
     let total_keys = r.get_u64("store key count")?;
     let chains = r.get_u64("store chain count")?;
+    let mut previous: Option<Key> = None;
     for _ in 0..chains {
         let key = r.get_key("chain key")?;
+        // Strictly ascending keys: a key listed twice would append to its own chain.
+        if previous.as_ref().is_some_and(|p| *p >= key) {
+            return Err(format!("chain of {key:?} is out of key order"));
+        }
         let versions = r.get_u32("chain length")?;
         let mut newest: Option<SeqNo> = None;
         for _ in 0..versions {
             let version = r.get_seqno("chain version")?;
-            // Everything at or below the base height is the base's to hold; a suffix that
-            // reaches into it (or runs backwards) would break the chain's sort order.
+            // Everything at or below the base height is the base's to hold, and nothing is
+            // above this link's own height, which the link above builds on; a suffix outside
+            // those bounds (or running backwards) would break the chain's sort order.
             if base_height.is_some_and(|h| version.block <= h)
+                || version.block > last_block
                 || newest.is_some_and(|n| n > version)
             {
                 return Err(format!("chain of {key:?} is out of order at {version:?}"));
@@ -218,6 +225,7 @@ fn get_store(
             let value = Value::from_slice(r.get_bytes("chain value")?);
             store.put(key.clone(), version, value);
         }
+        previous = Some(key);
     }
     if pruned_below > store.pruned_below() {
         store.prune_versions_below(pruned_below);
@@ -595,6 +603,36 @@ mod tests {
             assert_eq!(load_checkpoint(path).unwrap(), (height, populated(height)));
         }
         std::fs::remove_dir_all(&dir).unwrap();
+
+        // A store that gains 200 fresh keys per interval: a full image would grow with the
+        // store (the 8th near 4x the 2nd), a delta costs what changed.
+        let dir = temp_dir("delta-growth");
+        let mut store = MultiVersionStore::new();
+        store.seed_genesis((0..64).map(|i| (Key::new(format!("acct:{i}")), Value::from_i64(100))));
+        write_checkpoint(&dir, &store, false).unwrap();
+        let sizes: Vec<u64> = (1..=8u64)
+            .map(|period| {
+                for block in (period - 1) * 10 + 1..=period * 10 {
+                    let txn = Transaction::from_parts(
+                        block,
+                        block - 1,
+                        [],
+                        (0..20).map(|i| (Key::new(format!("new:{block}:{i}")), Value::from_i64(i))),
+                    );
+                    store.apply_block(block, [(&txn, 1)]);
+                }
+                len(&write_checkpoint(&dir, &store, false).unwrap().1)
+            })
+            .collect();
+        assert!(
+            sizes[7] <= sizes[1],
+            "8th checkpoint {} B, 2nd {} B",
+            sizes[7],
+            sizes[1]
+        );
+        let newest = dir.join(checkpoint_file_name(80));
+        assert_eq!(load_checkpoint(newest).unwrap(), (80, store));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -729,6 +767,62 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// Writes a link at `height` over `base` whose store records `last_block` and holds
+    /// `chains` (one version `(block, 1)` each) in the order given: the CRC is valid whatever
+    /// rule of the format the chains break.
+    fn write_raw_link(
+        dir: &Path,
+        height: u64,
+        base: Option<LinkId>,
+        last_block: u64,
+        chains: &[(&str, u64)],
+    ) -> (LinkId, PathBuf) {
+        let chains: Vec<(Key, [VersionedValue; 1])> = chains
+            .iter()
+            .map(|&(key, block)| {
+                let version = SeqNo::new(block, 1);
+                let value = Value::from_i64(block as i64);
+                (Key::new(key), [VersionedValue { version, value }])
+            })
+            .collect();
+        let mut w = ByteWriter::new();
+        w.put_raw(CHECKPOINT_MAGIC);
+        w.put_u64(0);
+        put_head(&mut w, height, base);
+        let versions = chains.iter().map(|(key, chain)| (key, &chain[..]));
+        put_chains(&mut w, [last_block, 0, 1], versions);
+        let path = dir.join(checkpoint_file_name(height));
+        std::fs::write(&path, seal_frame(w, 8, "checkpoint", u32::MAX).unwrap()).unwrap();
+        (peek_head(&path).unwrap().id, path)
+    }
+
+    #[test]
+    fn links_that_would_misorder_a_chain_are_corrupt_not_a_panic() {
+        let is_corrupt_at = |path: &Path, err: LedgerError| matches!(&err, LedgerError::CorruptCheckpoint { path: at, .. } if at == path);
+        // A full image listing key `a` twice, the second time with an older version.
+        let dir = temp_dir("repeated-key");
+        let (_, image) = write_raw_link(&dir, 5, None, 5, &[("a", 5), ("a", 3)]);
+        let err = load_checkpoint(&image).unwrap_err();
+        assert!(err.to_string().contains("out of key order"), "got {err}");
+        assert!(is_corrupt_at(&image, err));
+        std::fs::remove_dir_all(&dir).unwrap();
+
+        // A base holding a version above its own height, under a delta with an older version
+        // of the same key that is still above the base height.
+        let dir = temp_dir("version-above-height");
+        let (base, base_path) = write_raw_link(&dir, 3, None, 3, &[("a", 5)]);
+        let (_, delta) = write_raw_link(&dir, 6, Some(base), 6, &[("a", 4)]);
+        assert!(is_corrupt_at(
+            &base_path,
+            load_checkpoint(&delta).unwrap_err()
+        ));
+        assert!(is_corrupt_at(
+            &base_path,
+            latest_checkpoint_at_most(&dir, 100).unwrap_err()
+        ));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     /// What the ordered-map store wrote for its chains, from an ordered map: walk the keys in
     /// order, cut each chain at the base height, skip the empty suffixes.
     fn put_store_from_ordered_map(
@@ -846,6 +940,30 @@ mod tests {
                 let found = latest_checkpoint_at_most(&dir, *height).unwrap();
                 prop_assert_eq!(found.as_ref(), Some(&(*height, expected.clone())));
             }
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    proptest! {
+        /// A valid chain with 1–4 payload bytes of one link overwritten and that link's CRC
+        /// recomputed, so that the damage reaches the decoder: loading it, or recovering from
+        /// the directory, is an error or a store, never a panic.
+        #[test]
+        fn load_never_panics_on_a_damaged_link(
+            link in 0usize..3,
+            overwrites in prop::collection::vec((any::<prop::sample::Index>(), any::<u8>()), 1..5),
+        ) {
+            let (dir, paths) = chain_at("damaged", &[0, 3, 6]);
+            let mut bytes = std::fs::read(&paths[link]).unwrap();
+            for (at, byte) in overwrites {
+                let at = FRAME_LEN + at.index(bytes.len() - FRAME_LEN);
+                bytes[at] = byte;
+            }
+            let crc = crc32(&bytes[FRAME_LEN..]);
+            bytes[12..16].copy_from_slice(&crc.to_be_bytes());
+            std::fs::write(&paths[link], &bytes).unwrap();
+            let _ = load_checkpoint(&paths[link]);
+            let _ = latest_checkpoint_at_most(&dir, 100);
             std::fs::remove_dir_all(&dir).unwrap();
         }
     }

@@ -11,7 +11,7 @@ use std::fmt;
 use std::path::PathBuf;
 
 /// Errors from the durable ledger: segment files, checkpoints, and the chain rules.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub enum LedgerError {
     /// A chain-rule violation (no-skipping, broken hash link, body/data-hash mismatch) or any
     /// other error from the in-memory reference machinery.

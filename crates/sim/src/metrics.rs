@@ -2,6 +2,7 @@
 
 use eov_baselines::api::SystemKind;
 use eov_common::abort::AbortReason;
+use eov_ledger::LedgerError;
 use std::collections::HashMap;
 
 /// Wall-clock statistics of the per-block formation step (`cut_block`), measured — not
@@ -165,6 +166,10 @@ pub struct SimReport {
     pub fastpath_accepted: u64,
     /// Per-stage busy/overlap accounting of the formation and commit stages.
     pub occupancy: PipelineOccupancy,
+    /// The ledger failure that ended a persisted run early (`persist_to` refusing the
+    /// durability directory, or a failed append or checkpoint); the counters above cover the
+    /// run up to it. Always `None` for an in-memory run.
+    pub ledger_error: Option<LedgerError>,
 }
 
 impl SimReport {
@@ -262,6 +267,7 @@ mod tests {
             commit: FormationTiming::default(),
             fastpath_accepted: 0,
             occupancy: PipelineOccupancy::default(),
+            ledger_error: None,
         }
     }
 

@@ -60,7 +60,9 @@ pub struct SimulationConfig {
     /// [`CcConfig::segment_rotate_kib`] / [`CcConfig::durable_fsync`]) and checkpoints at
     /// genesis and every [`CcConfig::checkpoint_interval`] blocks. `None` (the default) keeps
     /// the run in memory; the ledger is bit-identical either way. The directory must not exist
-    /// or be empty: resuming is `fabricsharp_core::recovery::recover_from_disk`'s job.
+    /// or be empty: resuming is `fabricsharp_core::recovery::recover_from_disk`'s job. A used
+    /// directory, or a failed append or checkpoint, ends the run with the error in
+    /// [`SimReport::ledger_error`].
     pub durability_dir: Option<std::path::PathBuf>,
 }
 
@@ -108,14 +110,14 @@ impl Simulator {
             WorkloadGenerator::new(config.workload.clone(), config.params, config.seed);
 
         // The node: store, snapshots, endorser, concurrency control and the ledger of record,
-        // on disk when a durability directory is configured.
+        // on disk when a durability directory is configured. A ledger failure ends the run
+        // there and is carried in the report.
         let mut chain = SimpleChain::with_cc_config(config.system, config.cc);
         chain.seed(generator.genesis());
-        if let Some(dir) = &config.durability_dir {
-            chain
-                .persist_to(dir)
-                .expect("durability_dir must be a fresh directory");
-        }
+        let mut ledger_error = config
+            .durability_dir
+            .as_ref()
+            .and_then(|dir| chain.persist_to(dir).err());
 
         // Template classifier (see `eov_workload::templates`): every endorsed transaction is
         // tagged at dispatch, for every system; Fabric# sends every `Safe` one down its template
@@ -158,7 +160,9 @@ impl Simulator {
             0.0
         };
 
-        queue.schedule(0, Event::ClientSubmit { request_no: 1 });
+        if ledger_error.is_none() {
+            queue.schedule(0, Event::ClientSubmit { request_no: 1 });
+        }
 
         while let Some((at, event)) = queue.pop() {
             let now = at;
@@ -281,9 +285,13 @@ impl Simulator {
 
                 Event::BlockValidated { txns, submitted_at } => {
                     let started = Instant::now();
-                    let report = chain
-                        .commit(txns)
-                        .expect("simulator blocks always chain onto a writable ledger");
+                    let report = match chain.commit(txns) {
+                        Ok(report) => report,
+                        Err(e) => {
+                            ledger_error = Some(e);
+                            break;
+                        }
+                    };
                     commit_us.push(elapsed_us(started));
                     // Count commits that tolerate an anti-rw dependency (a
                     // Strong-Serializability system would have aborted them); only systems
@@ -342,6 +350,7 @@ impl Simulator {
             commit: FormationTiming::from_samples(&mut commit_us),
             fastpath_accepted: cc.fastpath_accepted(),
             occupancy,
+            ledger_error,
         };
         let (ledger, store) = chain.into_parts();
         (report, ledger, store)
@@ -440,6 +449,7 @@ impl CutDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eov_ledger::LedgerError;
 
     fn quick_config(system: SystemKind) -> SimulationConfig {
         let mut config = SimulationConfig::new(system, WorkloadKind::ModifiedSmallbank);
@@ -465,7 +475,26 @@ mod tests {
             assert_eq!(report.committed, report.in_ledger, "{system}");
             assert!(report.effective_tps() > 0.0, "{system}");
             assert!(report.blocks > 0, "{system}");
+            assert!(report.ledger_error.is_none(), "{system}");
         }
+    }
+
+    #[test]
+    fn a_ledger_failure_ends_the_run_in_the_report_not_in_a_panic() {
+        let dir = std::env::temp_dir().join(format!("eov-sim-used-dir-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("leftover"), b"not a ledger").unwrap();
+        let mut config = quick_config(SystemKind::FabricSharp);
+        config.durability_dir = Some(dir.clone());
+        let (report, ledger, _) = Simulator::run_full(&config);
+        assert!(
+            matches!(&report.ledger_error, Some(LedgerError::Io { path, .. }) if *path == dir),
+            "got {:?}",
+            report.ledger_error
+        );
+        assert_eq!((report.offered, report.blocks, ledger.height()), (0, 0, 0));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
