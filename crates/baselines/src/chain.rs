@@ -254,7 +254,8 @@ impl SimpleChain {
         self.store.latest_value(key).cloned()
     }
 
-    /// The hash-chained ledger (the durable ledger's in-memory mirror once persisted).
+    /// The hash-chained ledger (the durable ledger's mirror once persisted: blocks outside
+    /// its live window are read back from disk).
     pub fn ledger(&self) -> &Ledger {
         self.ledger.as_ledger()
     }

@@ -204,6 +204,7 @@ fn main() {
         let options = DurableOptions {
             rotate_bytes: rotate_kib * 1024,
             fsync: false,
+            ..DurableOptions::default()
         };
         let mut rotating_us: Vec<f64> = Vec::new();
         let mut samples: Vec<f64> = (0..RUNS)

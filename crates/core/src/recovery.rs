@@ -8,10 +8,10 @@
 //! a fresh controller via [`FabricSharpCC::register_committed`], leaving it ready to process
 //! new arrivals exactly as if it had been running all along.
 //!
-//! [`recover_from_disk`] is the cold-start path on top of the same machinery: open the
-//! durable segment files (repairing a torn trailing record), load the newest valid store
-//! checkpoint at or below the recovered height, replay the segment suffix into the store, and
-//! rebuild the controller from the in-memory mirror. Every failure mode is a typed
+//! [`recover_from_disk`] is the cold-start path on top of the same machinery: load the newest
+//! valid store checkpoint, walk the durable segment files once (repairing a torn trailing
+//! record) while replaying the blocks above the checkpoint into the store, and rebuild the
+//! controller from the reopened ledger's live window. Every failure mode is a typed
 //! [`RecoveryError`] — a corrupt ledger is *reported*, never a panic.
 
 use crate::orderer_cc::FabricSharpCC;
@@ -146,15 +146,20 @@ pub struct ColdRecovery {
     pub open: OpenReport,
 }
 
-/// Cold-starts an orderer from its durability directory: opens the segment files (truncating a
-/// torn trailing record), loads the newest valid checkpoint at or below the recovered height,
-/// replays the remaining blocks into the store, and rebuilds the controller from the recovered
-/// ledger.
+/// Cold-starts an orderer from its durability directory: loads the newest valid checkpoint,
+/// opens the segment files (truncating a torn trailing record) while replaying the blocks above
+/// the checkpoint into its store, and rebuilds the controller from the recovered ledger.
 ///
-/// Every block is chain-verified exactly once: [`DurableLedger::open`] pushes each decoded
-/// record through [`Ledger::append`] (height sequence, `prev_hash` link, body hash) on its way
-/// into the mirror, so the controller is rebuilt from that mirror without the second
-/// whole-chain pass [`recover_from_ledger`] makes over a ledger it was merely handed.
+/// Every record is checked exactly once, on the one walk [`DurableLedger::open_replaying`]
+/// makes: CRC, every field, data hash, height and `prev_hash` link — the checks of decoding a
+/// block and [`Ledger::append`]ing it — with the committed writes handed straight to the store.
+/// The controller is rebuilt from that ledger without the second whole-chain pass
+/// [`recover_from_ledger`] makes over a ledger it was merely handed.
+///
+/// The checkpoint is picked before the walk, when the ledger height is not known yet. If a
+/// torn tail leaves the log below it, the newest checkpoint at or below the recovered height
+/// is loaded instead and the log walked again; so the store always comes from
+/// `latest_checkpoint_at_most(dir, height)`.
 ///
 /// A directory holding no checkpoint at all is replayed from an empty block-0 state. One whose
 /// checkpoints all fail to load is an error ([`LedgerError::CorruptCheckpoint`]), not a
@@ -170,17 +175,26 @@ pub fn recover_from_disk(
     dir: impl AsRef<Path>,
     config: CcConfig,
 ) -> Result<ColdRecovery, RecoveryError> {
-    let (ledger, open) = DurableLedger::open(&dir, DurableOptions::from_cc_config(&config))?;
-    let height = ledger.height();
+    let dir = dir.as_ref();
+    let options = DurableOptions::from_cc_config(&config);
+    let empty = || (0, MultiVersionStore::new());
 
-    let (checkpoint_height, mut store) =
-        latest_checkpoint_at_most(&dir, height)?.unwrap_or_else(|| (0, MultiVersionStore::new()));
-    for block_no in (checkpoint_height + 1)..=height {
-        let block = ledger.ledger().block(block_no)?;
-        store.apply_block(block_no, block.committed());
+    // When no checkpoint loads, walk from an empty store: that is the right start if none is
+    // at or below the height either, and the lookup below reports the error otherwise.
+    let newest = latest_checkpoint_at_most(dir, u64::MAX);
+    let none_loads = newest.is_err();
+    let (mut checkpoint_height, mut store) = newest.unwrap_or(None).unwrap_or_else(empty);
+    let (mut ledger, open) = DurableLedger::open_replaying(dir, options, &mut store)?;
+    let height = ledger.height();
+    if none_loads {
+        latest_checkpoint_at_most(dir, height)?;
+    } else if checkpoint_height > height {
+        drop(ledger);
+        (checkpoint_height, store) = latest_checkpoint_at_most(dir, height)?.unwrap_or_else(empty);
+        ledger = DurableLedger::open_replaying(dir, options, &mut store)?.0;
     }
 
-    let checkpoints_discarded = discard_unusable_checkpoints(&dir, checkpoint_height)?;
+    let checkpoints_discarded = discard_unusable_checkpoints(dir, checkpoint_height)?;
 
     let (cc, report) = rebuild_controller(ledger.ledger(), config)?;
     Ok(ColdRecovery {
@@ -349,7 +363,7 @@ mod tests {
     }
 
     /// `recover_from_disk` skips the whole-chain `verify_integrity` pass because opening the
-    /// durable ledger already chain-validated every block. Pin that the one remaining pass is
+    /// durable ledger already walked and chain-validated every record. Pin that the one remaining pass is
     /// real: a record that is intact as far as its CRC and codec can tell, but does not link
     /// to its predecessor, must surface as a typed chain error.
     #[test]
@@ -357,6 +371,7 @@ mod tests {
         let one_block_per_segment = DurableOptions {
             rotate_bytes: 1,
             fsync: false,
+            ..DurableOptions::default()
         };
         let dirs = ["graft-a", "graft-b"].map(|tag| {
             let dir = std::env::temp_dir().join(format!("eov-rec-{tag}-{}", std::process::id()));

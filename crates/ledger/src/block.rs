@@ -10,6 +10,42 @@ use crate::sha256::{sha256, Digest, Sha256};
 use eov_common::txn::{Transaction, TxnId, TxnStatus};
 use eov_common::version::SeqNo;
 
+/// A block's data hash, fed one transaction at a time: its id and snapshot block, then every
+/// read's key and version and every write's key and value, in order. [`Block::data_hash`]
+/// hashes a decoded block through it and the record parser hashes a record's bytes through it
+/// as it checks them, so the two cannot drift apart.
+pub(crate) struct BodyHasher(Sha256);
+
+impl BodyHasher {
+    pub fn new() -> Self {
+        BodyHasher(Sha256::new())
+    }
+
+    pub fn txn(&mut self, id: u64, snapshot_block: u64) {
+        let mut head = [0u8; 16];
+        head[..8].copy_from_slice(&id.to_be_bytes());
+        head[8..].copy_from_slice(&snapshot_block.to_be_bytes());
+        self.0.update(&head);
+    }
+
+    pub fn read(&mut self, key: &[u8], version: SeqNo) {
+        let mut at = [0u8; 12];
+        at[..8].copy_from_slice(&version.block.to_be_bytes());
+        at[8..].copy_from_slice(&version.seq.to_be_bytes());
+        self.0.update(key);
+        self.0.update(&at);
+    }
+
+    pub fn write(&mut self, key: &[u8], value: &[u8]) {
+        self.0.update(key);
+        self.0.update(value);
+    }
+
+    pub fn finish(self) -> Digest {
+        self.0.finalize()
+    }
+}
+
 /// The header of a block: everything that is hashed into the chain.
 #[derive(Clone, Debug, PartialEq)]
 pub struct BlockHeader {
@@ -85,21 +121,18 @@ impl Block {
     /// Hash over the block body: transaction ids, snapshot blocks, and read/write set keys and
     /// versions, in order. Any change to the batched transactions changes this digest.
     pub fn data_hash(entries: &[TxnEntry]) -> Digest {
-        let mut hasher = Sha256::new();
+        let mut hasher = BodyHasher::new();
         for entry in entries {
-            hasher.update(&entry.txn.id.0.to_be_bytes());
-            hasher.update(&entry.txn.snapshot_block.to_be_bytes());
-            for read in entry.txn.read_set.iter() {
-                hasher.update(read.key.as_str().as_bytes());
-                hasher.update(&read.version.block.to_be_bytes());
-                hasher.update(&read.version.seq.to_be_bytes());
+            let txn = &entry.txn;
+            hasher.txn(txn.id.0, txn.snapshot_block);
+            for read in txn.read_set.iter() {
+                hasher.read(read.key.as_str().as_bytes(), read.version);
             }
-            for write in entry.txn.write_set.iter() {
-                hasher.update(write.key.as_str().as_bytes());
-                hasher.update(write.value.as_bytes());
+            for write in txn.write_set.iter() {
+                hasher.write(write.key.as_str().as_bytes(), write.value.as_bytes());
             }
         }
-        hasher.finalize()
+        hasher.finish()
     }
 
     /// Block height.

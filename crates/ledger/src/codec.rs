@@ -12,7 +12,7 @@
 //! `BTreeMap` key order inside checkpoints), so identical states always produce identical
 //! bytes — the foundation of the bit-identity assertions in the cold-recovery batteries.
 
-use crate::block::{Block, BlockHeader, TxnEntry};
+use crate::block::{Block, BlockHeader, BodyHasher, TxnEntry};
 use crate::error::LedgerError;
 use crate::sha256::Digest;
 use eov_common::abort::AbortReason;
@@ -189,6 +189,11 @@ impl<'a> ByteReader<'a> {
         self.pos == self.buf.len()
     }
 
+    /// Bytes not read yet.
+    pub fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
     fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], String> {
         let end = self
             .pos
@@ -226,9 +231,13 @@ impl<'a> ByteReader<'a> {
     }
 
     pub fn get_key(&mut self, what: &str) -> Result<Key, String> {
+        self.get_str(what).map(Key::new)
+    }
+
+    /// A length-prefixed UTF-8 string, borrowed from the payload.
+    pub fn get_str(&mut self, what: &str) -> Result<&'a str, String> {
         let bytes = self.get_bytes(what)?;
-        let s = std::str::from_utf8(bytes).map_err(|_| format!("{what}: key is not UTF-8"))?;
-        Ok(Key::new(s))
+        std::str::from_utf8(bytes).map_err(|_| format!("{what}: key is not UTF-8"))
     }
 
     pub fn get_seqno(&mut self, what: &str) -> Result<SeqNo, String> {
@@ -358,19 +367,76 @@ pub fn block_payload(block: &Block) -> Vec<u8> {
     w.into_bytes()
 }
 
-/// Decodes a block from a CRC-validated record payload. Chain rules (height sequencing,
-/// `prev_hash` link, data-hash match) are *not* checked here — replaying the decoded block
-/// through [`crate::chain::Ledger::append`] enforces them.
-pub fn decode_block(payload: &[u8]) -> Result<Block, String> {
-    let mut r = ByteReader::new(payload);
-    let number = r.get_u64("block number")?;
-    let prev_hash = r.get_digest("prev_hash")?;
-    let data_hash = r.get_digest("data_hash")?;
-    let entry_count = r.get_u32("entry count")?;
-    let mut entries = Vec::with_capacity(entry_count.min(1 << 20) as usize);
-    for _ in 0..entry_count {
+/// Bytes of the smallest block entry: the fixed-width fields, both optional fields absent,
+/// no read and no write.
+const MIN_ENTRY_LEN: usize = 8 + 8 + 4 + 1 + 1 + 1 + 4 + 4 + 12 + 1;
+
+/// One block record, parsed field by field without building a [`Block`]: the header first,
+/// then one entry at a time. Every tag, count, length and UTF-8 key is checked, a read or
+/// write set may not name a key twice, entry `i` must occupy slot `(number, i + 1)` (what
+/// [`Block::build`] assigns), and the payload must end with the last entry. The body is hashed
+/// on the same pass ([`Self::body_hash`]). [`decode_block`] builds blocks from it and the
+/// durable ledger's open walk checks records with it, so the two accept exactly the same
+/// records.
+pub(crate) struct RecordParser<'a> {
+    r: ByteReader<'a>,
+    header: BlockHeader,
+    entry_count: u32,
+    parsed: u32,
+    hasher: BodyHasher,
+    /// The keys of the read or write set being parsed (reused: one allocation per record).
+    seen: Vec<&'a [u8]>,
+}
+
+impl<'a> RecordParser<'a> {
+    /// Parses the record's header.
+    pub fn new(payload: &'a [u8]) -> Result<Self, String> {
+        let mut r = ByteReader::new(payload);
+        let header = BlockHeader {
+            number: r.get_u64("block number")?,
+            prev_hash: r.get_digest("prev_hash")?,
+            data_hash: r.get_digest("data_hash")?,
+        };
+        let entry_count = r.get_u32("entry count")?;
+        Ok(RecordParser {
+            r,
+            header,
+            entry_count,
+            parsed: 0,
+            hasher: BodyHasher::new(),
+            seen: Vec::new(),
+        })
+    }
+
+    pub fn header(&self) -> &BlockHeader {
+        &self.header
+    }
+
+    /// The hash of the body parsed so far: once [`Self::next_entry`] returned `None`, what the
+    /// header's data hash must be.
+    pub fn body_hash(self) -> Digest {
+        self.hasher.finish()
+    }
+
+    /// The next entry, or `None` once every entry was parsed and nothing trails them.
+    pub fn next_entry(&mut self) -> Result<Option<EntryView<'a>>, String> {
+        let RecordParser {
+            r,
+            header,
+            entry_count,
+            parsed,
+            hasher,
+            seen,
+        } = self;
+        if *parsed == *entry_count {
+            if !r.is_exhausted() {
+                return Err("trailing bytes after block payload".into());
+            }
+            return Ok(None);
+        }
         let id = r.get_u64("txn id")?;
         let snapshot_block = r.get_u64("snapshot block")?;
+        hasher.txn(id, snapshot_block);
         let endorsements = r.get_u32("endorsements")?;
         let end_ts = match r.get_u8("end_ts tag")? {
             0 => None,
@@ -387,45 +453,157 @@ pub fn decode_block(payload: &[u8]) -> Result<Block, String> {
             1 => Some(r.get_u16("template id")?),
             other => return Err(format!("unknown template id tag {other}")),
         };
-        let read_count = r.get_u32("read count")?;
-        let mut reads = Vec::with_capacity(read_count.min(1 << 20) as usize);
-        for _ in 0..read_count {
-            let key = r.get_key("read key")?;
-            let version = r.get_seqno("read version")?;
-            reads.push((key, version));
-        }
-        let write_count = r.get_u32("write count")?;
-        let mut writes = Vec::with_capacity(write_count.min(1 << 20) as usize);
-        for _ in 0..write_count {
-            let key = r.get_key("write key")?;
-            let value = Value::from_slice(r.get_bytes("write value")?);
-            writes.push((key, value));
-        }
+        let reads = Items::take(r, seen, "read", |r, key| {
+            hasher.read(key, r.get_seqno("read version")?);
+            Ok(())
+        })?;
+        let writes = Items::take(r, seen, "write", |r, key| {
+            hasher.write(key, r.get_bytes("write value")?);
+            Ok(())
+        })?;
         let slot = r.get_seqno("slot")?;
-        let status = get_status(&mut r)?;
-        let mut txn = Transaction::new(
-            TxnId(id),
+        let expected = SeqNo::new(header.number, *parsed + 1);
+        if slot != expected {
+            return Err(format!(
+                "entry {parsed} occupies slot {slot:?}, expected {expected:?}"
+            ));
+        }
+        let status = get_status(r)?;
+        *parsed += 1;
+        Ok(Some(EntryView {
+            id,
             snapshot_block,
-            reads.into_iter().collect(),
-            writes.into_iter().collect(),
+            endorsements,
+            end_ts,
+            template_class,
+            template_id,
+            reads,
+            writes,
+            slot,
+            status,
+        }))
+    }
+}
+
+/// A parsed, checked run of read or write items inside a record: `count` length-prefixed
+/// keys, each followed by its version (reads) or its length-prefixed value (writes).
+#[derive(Clone, Copy)]
+struct Items<'a> {
+    bytes: &'a [u8],
+    count: u32,
+}
+
+impl<'a> Items<'a> {
+    /// Parses a count and that many items, `rest` reading what follows each key. Every key
+    /// must be UTF-8 and none may repeat (`seen` collects them): a read or write set holds
+    /// each key once.
+    fn take(
+        r: &mut ByteReader<'a>,
+        seen: &mut Vec<&'a [u8]>,
+        what: &str,
+        mut rest: impl FnMut(&mut ByteReader<'a>, &'a [u8]) -> Result<(), String>,
+    ) -> Result<Self, String> {
+        let count = r.get_u32(what)?;
+        let start = r.pos;
+        seen.clear();
+        for _ in 0..count {
+            let key = r.get_bytes(what)?;
+            if !key.is_ascii() && std::str::from_utf8(key).is_err() {
+                return Err(format!("{what}: key is not UTF-8"));
+            }
+            if seen.contains(&key) {
+                let key = String::from_utf8_lossy(key);
+                return Err(format!("{what} key {key:?} appears twice"));
+            }
+            seen.push(key);
+            rest(r, key)?;
+        }
+        Ok(Items {
+            bytes: &r.buf[start..r.pos],
+            count,
+        })
+    }
+
+    /// Iterates the items, reading what follows each key with `rest`. [`Self::take`] checked
+    /// the bytes, so no read fails.
+    fn iter<T>(
+        self,
+        rest: impl Fn(&mut ByteReader<'a>) -> Option<T>,
+    ) -> impl Iterator<Item = (&'a str, T)> {
+        let mut r = ByteReader::new(self.bytes);
+        (0..self.count).map_while(move |_| Some((r.get_str("").ok()?, rest(&mut r)?)))
+    }
+}
+
+/// One entry of a record, checked by [`RecordParser::next_entry`]; its reads and writes are
+/// borrowed from the payload.
+pub(crate) struct EntryView<'a> {
+    pub id: u64,
+    pub snapshot_block: u64,
+    pub endorsements: u32,
+    pub end_ts: Option<SeqNo>,
+    pub template_class: TemplateClass,
+    pub template_id: Option<u16>,
+    reads: Items<'a>,
+    writes: Items<'a>,
+    pub slot: SeqNo,
+    pub status: TxnStatus,
+}
+
+impl<'a> EntryView<'a> {
+    /// `(key, version)` of every read, in record order.
+    pub fn reads(&self) -> impl Iterator<Item = (&'a str, SeqNo)> {
+        self.reads.iter(|r| r.get_seqno("").ok())
+    }
+
+    /// `(key, value bytes)` of every write, in record order.
+    pub fn writes(&self) -> impl Iterator<Item = (&'a str, &'a [u8])> {
+        self.writes.iter(|r| r.get_bytes("").ok())
+    }
+
+    /// The entry as a block holds it.
+    fn to_entry(&self) -> TxnEntry {
+        let mut txn = Transaction::new(
+            TxnId(self.id),
+            self.snapshot_block,
+            self.reads().map(|(key, v)| (Key::new(key), v)).collect(),
+            self.writes()
+                .map(|(key, v)| (Key::new(key), Value::from_slice(v)))
+                .collect(),
         );
-        txn.endorsements = endorsements;
-        txn.end_ts = end_ts;
-        txn.template_class = template_class;
-        txn.template_id = template_id;
-        entries.push(TxnEntry { txn, slot, status });
+        txn.endorsements = self.endorsements;
+        txn.end_ts = self.end_ts;
+        txn.template_class = self.template_class;
+        txn.template_id = self.template_id;
+        TxnEntry {
+            txn,
+            slot: self.slot,
+            status: self.status,
+        }
     }
-    if !r.is_exhausted() {
-        return Err("trailing bytes after block payload".into());
+}
+
+/// Decodes a block from a CRC-validated record payload ([`RecordParser`] checks every field)
+/// and returns it with the hash of its body. Chain rules (height sequencing, `prev_hash` link,
+/// data-hash match) are *not* checked here.
+pub(crate) fn decode_record(payload: &[u8]) -> Result<(Block, Digest), String> {
+    let mut parser = RecordParser::new(payload)?;
+    // A count is only a claim until the entries are there: reserve no more than the bytes
+    // left could hold.
+    let capacity = (parser.entry_count as usize).min(parser.r.remaining() / MIN_ENTRY_LEN);
+    let mut entries = Vec::with_capacity(capacity);
+    while let Some(entry) = parser.next_entry()? {
+        entries.push(entry.to_entry());
     }
-    Ok(Block {
-        header: BlockHeader {
-            number,
-            prev_hash,
-            data_hash,
-        },
-        entries,
-    })
+    let header = parser.header.clone();
+    Ok((Block { header, entries }, parser.body_hash()))
+}
+
+/// Decodes a block from a CRC-validated record payload ([`RecordParser`] checks every field).
+/// Chain rules (height sequencing, `prev_hash` link, data-hash match) are *not* checked here —
+/// replaying the decoded block through [`crate::chain::Ledger::append`] enforces them.
+pub fn decode_block(payload: &[u8]) -> Result<Block, String> {
+    decode_record(payload).map(|(block, _)| block)
 }
 
 #[cfg(test)]
@@ -506,6 +684,67 @@ mod tests {
             corrupt[at..at + 4].copy_from_slice(&len.to_be_bytes());
             assert!(decode_block(&corrupt).is_err(), "length {len}");
         }
+    }
+
+    /// A short record claiming a huge count is an error, and a count reserves no more than the
+    /// bytes left could hold (the smallest entry is `MIN_ENTRY_LEN` bytes).
+    #[test]
+    fn a_short_record_claiming_huge_counts_is_an_error() {
+        let header = |w: &mut ByteWriter, entries: u32| {
+            w.put_u64(1);
+            w.put_digest(&Digest::ZERO);
+            w.put_digest(&Digest::ZERO);
+            w.put_u32(entries);
+        };
+        let mut w = ByteWriter::new();
+        header(&mut w, u32::MAX);
+        assert!(decode_block(&w.into_bytes()).is_err());
+
+        for count_field in 0..2 {
+            let mut w = ByteWriter::new();
+            header(&mut w, 1);
+            w.put_u64(7);
+            w.put_u64(0);
+            w.put_u32(0);
+            w.put_raw(&[0, 0, 0]);
+            if count_field == 1 {
+                w.put_u32(0);
+            }
+            w.put_u32(u32::MAX);
+            assert!(
+                decode_block(&w.into_bytes()).is_err(),
+                "count {count_field}"
+            );
+        }
+
+        let smallest = Transaction::new(TxnId(1), 0, Default::default(), Default::default());
+        let mut w = ByteWriter::new();
+        encode_txn(&mut w, &smallest);
+        w.put_seqno(SeqNo::new(1, 1));
+        put_status(&mut w, TxnStatus::Pending);
+        assert_eq!(w.len(), MIN_ENTRY_LEN);
+    }
+
+    #[test]
+    fn a_key_repeated_in_a_read_or_write_set_is_an_error() {
+        let block = sample_block(1, Digest::ZERO);
+        let bytes = block_payload(&block);
+        // Entry 1 writes `len0`, `len22`, `len23`, ...: make `len23` a second `len22`.
+        let at = bytes.windows(5).position(|w| w == b"len23").unwrap();
+        let mut repeated = bytes.clone();
+        repeated[at + 3..at + 5].copy_from_slice(b"22");
+        let err = decode_block(&repeated).unwrap_err();
+        assert!(err.contains("twice"), "{err}");
+    }
+
+    #[test]
+    fn an_entry_outside_its_slot_is_an_error() {
+        let mut block = sample_block(2, Digest::ZERO);
+        block.entries.swap(0, 1);
+        assert!(decode_block(&block_payload(&block)).is_err());
+        block.entries.swap(0, 1);
+        block.entries[1].slot = SeqNo::new(3, 2);
+        assert!(decode_block(&block_payload(&block)).is_err());
     }
 
     #[test]

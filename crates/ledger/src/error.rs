@@ -44,6 +44,18 @@ pub enum LedgerError {
         /// What failed.
         detail: String,
     },
+    /// A failed append left bytes at the end of its segment that could not be cut back off.
+    /// Appending behind them would bury every later record under unreadable bytes, so the
+    /// writer refuses every append from then on; reopening the directory repairs the tail
+    /// (the partial record reads back as a torn write).
+    WriterPoisoned {
+        /// The segment holding the partial record.
+        segment: PathBuf,
+        /// Bytes of whole records the segment should have been cut back to.
+        valid_len: u64,
+        /// Why cutting it back failed.
+        detail: String,
+    },
     /// A payload too large for its frame: a record above the scanner's sanity cap (which
     /// would read back as a torn tail and be truncated) or a checkpoint whose length does not
     /// fit the `u32` length field. Rejected before any byte is written.
@@ -76,6 +88,16 @@ impl fmt::Display for LedgerError {
             LedgerError::CorruptCheckpoint { path, detail } => {
                 write!(f, "corrupt checkpoint {}: {detail}", path.display())
             }
+            LedgerError::WriterPoisoned {
+                segment,
+                valid_len,
+                detail,
+            } => write!(
+                f,
+                "segment {} holds a partial record past byte {valid_len} that could not be \
+                 cut back off ({detail}); appends are refused until the ledger is reopened",
+                segment.display()
+            ),
             LedgerError::PayloadTooLarge { what, len, max } => {
                 write!(
                     f,

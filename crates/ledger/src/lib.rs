@@ -10,15 +10,16 @@
 //!   compression kernel, and an x86-64 SHA-NI one chosen at run time when CPUID reports it.
 //! * [`block`] — block headers, block bodies, and per-transaction commit flags.
 //! * [`chain`] — the append-only hash-chained block store with integrity verification
-//!   (the safety properties of Section 3.5: hash-chain integrity, no skipping, no creation).
+//!   (the safety properties of Section 3.5: hash-chain integrity, no skipping, no creation);
+//!   a durable ledger's blocks outside the live window are read back from disk on demand.
 //! * [`error`] — the typed [`error::LedgerError`] every durable operation reports instead of
 //!   panicking.
 //! * [`codec`] — the deterministic big-endian binary codec + CRC-32 behind the disk formats.
 //! * [`segment`] — append-only, CRC-framed, size-rotated segment files holding the block
 //!   records, with torn-tail repair on open.
-//! * [`durable`] — [`durable::DurableLedger`] (segment files mirroring an in-memory
-//!   [`Ledger`]) and the [`durable::LedgerBackend`] enum that keeps the in-memory ledger as
-//!   the reference implementation.
+//! * [`durable`] — [`durable::DurableLedger`] (segment files behind a [`Ledger`] mirror that
+//!   keeps the last `max_span` blocks decoded) and the [`durable::LedgerBackend`] enum that
+//!   keeps the in-memory ledger as the reference implementation.
 //! * [`checkpoint`] — periodic multi-version-store snapshots cold recovery replays from.
 //! * [`reenact`] — provenance queries joining a [`eov_vstore::TimeTravel`] answer back to the
 //!   committing transaction in the ledger.

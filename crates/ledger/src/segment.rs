@@ -13,12 +13,18 @@
 //! repair, never a panic. The same damage in any *earlier* segment cannot be a torn write
 //! (earlier segments were sealed before later ones existed) and surfaces as a typed
 //! [`LedgerError::CorruptRecord`].
+//!
+//! A record write that fails part-way is cut back off the segment before the error returns,
+//! so the next append lands where the failed one began; a segment that cannot be cut back
+//! refuses every later append ([`LedgerError::WriterPoisoned`]). Once appended, a record
+//! never moves: [`RecordAt`] names it for as long as the directory exists, which is how the
+//! durable ledger reads evicted blocks back ([`read_record`]).
 
 use crate::block::Block;
 use crate::codec::{self, ByteWriter};
 use crate::error::LedgerError;
 use std::fs;
-use std::io::{BufReader, Read, Write};
+use std::io::{BufReader, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// Magic bytes opening every segment file (format version 1).
@@ -53,6 +59,44 @@ pub(crate) fn segment_file_name(first_block: u64) -> String {
     format!("seg-{first_block:020}.log")
 }
 
+/// Where one record sits: the segment holding it (named by its first block) and the byte
+/// offset of its frame in that file.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct RecordAt {
+    /// First block of the segment file.
+    pub segment: u64,
+    /// Offset of the record's `length | CRC` frame.
+    pub offset: u64,
+}
+
+/// Reads back the CRC-checked payload of the record at `at` in the segment directory `dir`.
+pub(crate) fn read_record(dir: &Path, at: RecordAt) -> Result<Vec<u8>, LedgerError> {
+    let path = dir.join(segment_file_name(at.segment));
+    let io = |e| LedgerError::io(&path, e);
+    let corrupt = |detail: &str| LedgerError::CorruptRecord {
+        segment: path.clone(),
+        offset: at.offset,
+        detail: detail.into(),
+    };
+    let mut file = fs::File::open(&path).map_err(io)?;
+    let file_len = file.metadata().map_err(io)?.len();
+    file.seek(SeekFrom::Start(at.offset)).map_err(io)?;
+    let mut frame = [0u8; 8];
+    file.read_exact(&mut frame)
+        .map_err(|_| corrupt("incomplete record frame"))?;
+    let len = u32::from_be_bytes(frame[..4].try_into().unwrap());
+    let stored_crc = u32::from_be_bytes(frame[4..].try_into().unwrap());
+    if len > MAX_RECORD_LEN || at.offset + 8 + len as u64 > file_len {
+        return Err(corrupt("record length exceeds remaining bytes"));
+    }
+    let mut payload = vec![0u8; len as usize];
+    file.read_exact(&mut payload).map_err(io)?;
+    if codec::crc32(&payload) != stored_crc {
+        return Err(corrupt("CRC mismatch"));
+    }
+    Ok(payload)
+}
+
 /// A torn trailing write found while scanning the last segment: everything at or after
 /// `valid_len` is dropped when the tail is repaired.
 #[derive(Clone, Debug)]
@@ -66,18 +110,23 @@ pub struct TornTail {
     pub dropped_bytes: u64,
 }
 
-/// Result of scanning a ledger directory: the decoded blocks in order, the torn tail (if
-/// any), and where the writer should resume.
+/// Result of scanning a ledger directory: the torn tail (if any) and where the writer should
+/// resume. The records themselves went to the scan's visitor.
 pub(crate) struct SegmentScan {
-    /// Every decoded block, in segment/record order. Chain rules are enforced by replay.
-    pub blocks: Vec<Block>,
     /// Torn trailing record of the last segment, if one was found.
     pub torn: Option<TornTail>,
-    /// The last segment and its valid length (post-repair), for the writer to resume into.
-    /// `None` when the directory has no (surviving) segment.
-    pub tail: Option<(PathBuf, u64)>,
+    /// The last segment as it survives the repair, for the writer to resume into. `None` when
+    /// the directory has no (surviving) segment.
+    pub tail: Option<TailSegment>,
     /// Number of segment files seen.
     pub segment_count: usize,
+}
+
+/// The last segment of a directory: its file, first block and valid length.
+pub(crate) struct TailSegment {
+    pub path: PathBuf,
+    pub first_block: u64,
+    pub len: u64,
 }
 
 /// Lists the segment files of `dir` in block order.
@@ -96,14 +145,20 @@ fn segment_paths(dir: &Path) -> Result<Vec<PathBuf>, LedgerError> {
     Ok(paths)
 }
 
-/// Scans every segment of `dir`, decoding blocks and classifying damage (torn tail vs
-/// corrupt record) per the module rules. The directory must exist.
-pub(crate) fn scan_dir(dir: &Path) -> Result<SegmentScan, LedgerError> {
+/// Scans every segment of `dir`, classifying damage (torn tail vs corrupt record) per the
+/// module rules and handing every CRC-valid record to `visit` in log order: the segment file,
+/// where the record sits, and its payload. `visit` returns the record's block height — the
+/// next segment must start right after it — or the error that ends the scan. The directory
+/// must exist.
+pub(crate) fn scan_dir(
+    dir: &Path,
+    mut visit: impl FnMut(&Path, RecordAt, &[u8]) -> Result<u64, LedgerError>,
+) -> Result<SegmentScan, LedgerError> {
     let paths = segment_paths(dir)?;
     let segment_count = paths.len();
-    let mut blocks: Vec<Block> = Vec::new();
+    let mut last_block: Option<u64> = None;
     let mut torn: Option<TornTail> = None;
-    let mut tail: Option<(PathBuf, u64)> = None;
+    let mut tail: Option<TailSegment> = None;
 
     // One record's payload at a time, whatever the rotation size: the scan's memory is the
     // largest record, not the largest segment.
@@ -137,7 +192,7 @@ pub(crate) fn scan_dir(dir: &Path) -> Result<SegmentScan, LedgerError> {
             });
         }
         let first_block = u64::from_be_bytes(header[8..16].try_into().unwrap());
-        let expected_first = blocks.last().map(|b| b.number() + 1).unwrap_or(first_block);
+        let expected_first = last_block.map_or(first_block, |n| n.wrapping_add(1));
         if first_block != expected_first {
             return Err(LedgerError::CorruptRecord {
                 segment: path.clone(),
@@ -191,14 +246,12 @@ pub(crate) fn scan_dir(dir: &Path) -> Result<SegmentScan, LedgerError> {
                 });
             }
             // CRC-valid bytes that fail structural decoding are corruption (or a format bug),
-            // never a torn write — typed error regardless of position.
-            let block =
-                codec::decode_block(&payload).map_err(|detail| LedgerError::CorruptRecord {
-                    segment: path.clone(),
-                    offset,
-                    detail,
-                })?;
-            blocks.push(block);
+            // never a torn write: the visitor's typed error ends the scan wherever it is.
+            let at = RecordAt {
+                segment: first_block,
+                offset,
+            };
+            last_block = Some(visit(path, at, &payload)?);
             offset += 8 + len as u64;
         }
 
@@ -208,12 +261,15 @@ pub(crate) fn scan_dir(dir: &Path) -> Result<SegmentScan, LedgerError> {
                 None => file_len,
             };
             // A tail torn before the header survives as no file at all.
-            tail = (surviving_len >= HEADER_LEN).then(|| (path.clone(), surviving_len));
+            tail = (surviving_len >= HEADER_LEN).then(|| TailSegment {
+                path: path.clone(),
+                first_block,
+                len: surviving_len,
+            });
         }
     }
 
     Ok(SegmentScan {
-        blocks,
         torn,
         tail,
         segment_count,
@@ -243,8 +299,27 @@ pub(crate) struct SegmentWriter {
     dir: PathBuf,
     rotate_bytes: u64,
     fsync: bool,
-    /// The open tail segment and its current length, if any.
-    current: Option<(fs::File, PathBuf, u64)>,
+    /// The open tail segment, if any.
+    current: Option<OpenSegment>,
+    /// Set when a failed append left bytes behind that could not be cut back off: every later
+    /// append is refused with it.
+    poisoned: Option<LedgerError>,
+    /// Test-only fault injection: bytes the writer may still write before a write fails.
+    #[cfg(test)]
+    pub(crate) write_budget: Option<u64>,
+    /// Test-only fault injection: cutting a failed record back off fails too.
+    #[cfg(test)]
+    pub(crate) fail_truncate: bool,
+}
+
+/// The segment appends go to.
+#[derive(Debug)]
+struct OpenSegment {
+    file: fs::File,
+    path: PathBuf,
+    first_block: u64,
+    /// Bytes of whole records (and header) in the file.
+    len: u64,
 }
 
 impl SegmentWriter {
@@ -253,16 +328,25 @@ impl SegmentWriter {
         dir: &Path,
         rotate_bytes: u64,
         fsync: bool,
-        tail: Option<(PathBuf, u64)>,
+        tail: Option<TailSegment>,
     ) -> Result<Self, LedgerError> {
         let current = match tail {
             None => None,
-            Some((path, len)) => {
+            Some(TailSegment {
+                path,
+                first_block,
+                len,
+            }) => {
                 let file = fs::OpenOptions::new()
                     .append(true)
                     .open(&path)
                     .map_err(|e| LedgerError::io(&path, e))?;
-                Some((file, path, len))
+                Some(OpenSegment {
+                    file,
+                    path,
+                    first_block,
+                    len,
+                })
             }
         };
         Ok(SegmentWriter {
@@ -270,15 +354,26 @@ impl SegmentWriter {
             rotate_bytes: rotate_bytes.max(1),
             fsync,
             current,
+            poisoned: None,
+            #[cfg(test)]
+            write_budget: None,
+            #[cfg(test)]
+            fail_truncate: false,
         })
     }
 
     /// Appends one record (as framed by [`frame_record`]), rotating first if the tail segment
-    /// is full.
-    pub fn append(&mut self, block_number: u64, record: &[u8]) -> Result<(), LedgerError> {
+    /// is full, and returns where it landed. A write that fails part-way is cut back off, so
+    /// the segment ends at its last whole record again.
+    pub fn append(&mut self, block_number: u64, record: &[u8]) -> Result<RecordAt, LedgerError> {
+        if let Some(poisoned) = &self.poisoned {
+            return Err(poisoned.clone());
+        }
+        // A segment holding no record yet takes the next one whatever the rotation size: it
+        // was made for that block, and a new file for it would take its name.
         let needs_rotation = match &self.current {
             None => true,
-            Some((_, _, len)) => *len >= self.rotate_bytes,
+            Some(segment) => segment.len > HEADER_LEN && segment.len >= self.rotate_bytes,
         };
         if needs_rotation {
             let path = self.dir.join(segment_file_name(block_number));
@@ -297,20 +392,66 @@ impl SegmentWriter {
                 // needs the directory.
                 sync_dir(&self.dir)?;
             }
-            self.current = Some((file, path, HEADER_LEN));
+            self.current = Some(OpenSegment {
+                file,
+                path,
+                first_block: block_number,
+                len: HEADER_LEN,
+            });
         }
-        let (file, path, len) = self.current.as_mut().expect("rotation installs a segment");
-        file.write_all(record)
-            .map_err(|e| LedgerError::io(&*path, e))?;
+        let written = self.write_record(record);
+        let segment = self.current.as_mut().expect("rotation installs a segment");
+        if let Err(e) = written {
+            // Bytes of a failed write may have reached the file. Left there, the next record
+            // would land behind them and reopen as torn garbage, taking every later record
+            // with it: cut the file back to its last whole record first.
+            #[cfg(test)]
+            let truncated = if self.fail_truncate {
+                Err(std::io::Error::other("injected truncate failure"))
+            } else {
+                segment.file.set_len(segment.len)
+            };
+            #[cfg(not(test))]
+            let truncated = segment.file.set_len(segment.len);
+            if let Err(cut) = truncated {
+                self.poisoned = Some(LedgerError::WriterPoisoned {
+                    segment: segment.path.clone(),
+                    valid_len: segment.len,
+                    detail: cut.to_string(),
+                });
+            }
+            return Err(LedgerError::io(&segment.path, e));
+        }
+        let at = RecordAt {
+            segment: segment.first_block,
+            offset: segment.len,
+        };
+        segment.len += record.len() as u64;
+        Ok(at)
+    }
+
+    /// Writes (and, with fsync on, syncs) `record` at the end of the current segment.
+    fn write_record(&mut self, record: &[u8]) -> std::io::Result<()> {
+        let segment = self.current.as_mut().expect("rotation installs a segment");
+        #[cfg(test)]
+        if let Some(budget) = self.write_budget.as_mut() {
+            if (record.len() as u64) > *budget {
+                let allowed = *budget as usize;
+                *budget = 0;
+                segment.file.write_all(&record[..allowed])?;
+                return Err(std::io::Error::other("injected short write"));
+            }
+            *budget -= record.len() as u64;
+        }
+        segment.file.write_all(record)?;
         if self.fsync {
-            file.sync_data().map_err(|e| LedgerError::io(&*path, e))?;
+            segment.file.sync_data()?;
         }
-        *len += record.len() as u64;
         Ok(())
     }
 
     /// Number of bytes in the current tail segment (diagnostics/tests).
     pub fn tail_len(&self) -> u64 {
-        self.current.as_ref().map(|(_, _, len)| *len).unwrap_or(0)
+        self.current.as_ref().map_or(0, |segment| segment.len)
     }
 }

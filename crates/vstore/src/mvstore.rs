@@ -53,6 +53,7 @@ use eov_common::hash::FoldState;
 use eov_common::rwset::{Key, Value};
 use eov_common::txn::Transaction;
 use eov_common::version::SeqNo;
+use std::borrow::Borrow;
 use std::fmt;
 
 /// A single version of a value: the commit slot that installed it plus the bytes themselves.
@@ -254,8 +255,8 @@ impl MultiVersionStore {
             .sum()
     }
 
-    fn hash_of(&self, key: &Key) -> u64 {
-        let hash = self.hasher.hash_bytes(key.as_str().as_bytes());
+    fn hash_of(&self, key: &str) -> u64 {
+        let hash = self.hasher.hash_bytes(key.as_bytes());
         #[cfg(test)]
         let hash = hash & self.hash_mask;
         hash
@@ -264,7 +265,7 @@ impl MultiVersionStore {
     /// Probes the index for `key`: the id of its chain, or the vacant slot a new entry for it
     /// belongs in. The load bound keeps slots vacant, so the walk ends.
     #[inline]
-    fn probe(&self, key: &Key, hash: u64) -> std::result::Result<usize, usize> {
+    fn probe(&self, key: &str, hash: u64) -> std::result::Result<usize, usize> {
         let mask = self.slots.len() - 1;
         let mut at = Slot::home(hash, self.slots.len().trailing_zeros());
         loop {
@@ -273,7 +274,7 @@ impl MultiVersionStore {
                 return Err(at);
             }
             let id = slot.id() as usize;
-            if slot.tagged(hash) && self.chains[id].0 == *key {
+            if slot.tagged(hash) && self.chains[id].0.as_str() == key {
                 return Ok(id);
             }
             at = (at + 1) & mask;
@@ -283,6 +284,7 @@ impl MultiVersionStore {
     /// The chain of `key`, if it was ever written.
     #[inline]
     fn chain(&self, key: &Key) -> Option<&Chain> {
+        let key = key.as_str();
         let id = self.probe(key, self.hash_of(key)).ok()?;
         Some(&self.chains[id].1)
     }
@@ -311,9 +313,23 @@ impl MultiVersionStore {
     /// If `version` is older than the key's newest version: snapshot reads binary-search the
     /// chain, so an unsorted chain would answer them wrongly from then on.
     pub fn put(&mut self, key: Key, version: SeqNo, value: Value) {
-        let hash = self.hash_of(&key);
+        self.put_with(key, version, value);
+    }
+
+    /// [`Self::put`] by the key's text: a [`Key`] is made only when the key is new, so
+    /// replaying writes read straight off disk allocates nothing for a key already held.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::put`].
+    pub fn put_str(&mut self, key: &str, version: SeqNo, value: Value) {
+        self.put_with(key, version, value);
+    }
+
+    fn put_with<K: Borrow<str> + Into<Key>>(&mut self, key: K, version: SeqNo, value: Value) {
+        let hash = self.hash_of(key.borrow());
         let next = VersionedValue { version, value };
-        match self.probe(&key, hash) {
+        match self.probe(key.borrow(), hash) {
             Ok(id) => {
                 let chain = &mut self.chains[id].1;
                 assert!(
@@ -327,7 +343,7 @@ impl MultiVersionStore {
                     .ok()
                     .filter(|id| *id != Slot::NO_ID)
                     .expect("chain ids fit in 32 bits");
-                self.chains.push((key, Chain::One(next)));
+                self.chains.push((key.into(), Chain::One(next)));
                 self.slots[vacant] = Slot::new(hash, id);
                 if self.chains.len() * MAX_LOAD.1 > self.slots.len() * MAX_LOAD.0 {
                     self.grow();

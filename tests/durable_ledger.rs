@@ -15,7 +15,9 @@
 //!    image — the one file every chain ends in — is a typed error, never a store that quietly
 //!    lacks the seeded values;
 //! 5. `value_as_of` / `history_range` / `provenance` on the cold-recovered state match an
-//!    oracle that replays the reference ledger block by block.
+//!    oracle that replays the reference ledger block by block;
+//! 6. a record damaged behind a recomputed CRC, in a sealed segment or the tail, makes opening
+//!    and cold recovery return `Ok` or a typed error, never panic.
 
 use fabricsharp::baselines::{SimpleChain, SystemKind};
 use fabricsharp::common::config::{CcConfig, WorkloadParams};
@@ -376,5 +378,64 @@ proptest! {
         // Record what the first open found, for the curious failure case.
         let _ = report;
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+/// Every record of `dir` in log order: its segment and the byte offset of its frame.
+fn record_frames(dir: &Path) -> Vec<(PathBuf, usize)> {
+    let mut segments: Vec<_> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|e| e == "log"))
+        .collect();
+    segments.sort();
+    let mut frames = Vec::new();
+    for segment in segments {
+        let bytes = std::fs::read(&segment).unwrap();
+        let mut at = 16;
+        while at + 8 <= bytes.len() {
+            frames.push((segment.clone(), at));
+            at += 8 + u32::from_be_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
+        }
+    }
+    frames
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Overwrite 1–4 payload bytes of one record and recompute its CRC, so the damage gets
+    /// past the frame check into the record walk and the window decode: opening the ledger
+    /// and cold recovery both return `Ok` or a typed error, agree on the height, and never
+    /// panic.
+    #[test]
+    fn a_damaged_record_behind_a_valid_crc_never_panics_open_or_recovery(
+        record in any::<prop::sample::Index>(),
+        overwrites in prop::collection::vec((any::<prop::sample::Index>(), any::<u8>()), 1..5),
+    ) {
+        let dir = temp_dir("crc-damage");
+        build_and_persist(&dir, 5, 60, 5, 4);
+        let frames = record_frames(&dir);
+        let (segment, at) = &frames[record.index(frames.len())];
+        let mut bytes = std::fs::read(segment).unwrap();
+        let len = u32::from_be_bytes(bytes[*at..at + 4].try_into().unwrap()) as usize;
+        let payload = &mut bytes[at + 8..at + 8 + len];
+        for (i, byte) in overwrites {
+            payload[i.index(len)] = byte;
+        }
+        let crc = fabricsharp::ledger::codec::crc32(payload);
+        bytes[at + 4..at + 8].copy_from_slice(&crc.to_be_bytes());
+        std::fs::write(segment, &bytes).unwrap();
+
+        let outcome = std::panic::catch_unwind(|| {
+            let opened = DurableLedger::open(&dir, DurableOptions::default())
+                .map(|(ledger, _)| ledger.height());
+            let recovered = recover_from_disk(&dir, CcConfig::default())
+                .map(|recovered| recovered.ledger.height());
+            (opened.ok(), recovered.ok())
+        });
+        std::fs::remove_dir_all(&dir).unwrap();
+        let (opened, recovered) = outcome.expect("a damaged record made recovery panic");
+        prop_assert_eq!(opened, recovered);
     }
 }
