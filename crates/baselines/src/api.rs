@@ -9,8 +9,10 @@
 
 use eov_common::abort::AbortReason;
 use eov_common::config::CcConfig;
+use eov_common::rwset::{Key, Value};
 use eov_common::txn::{CommitDecision, Transaction, TxnStatus};
-use std::time::Duration;
+use eov_common::version::SeqNo;
+use fabricsharp_core::theory::figure2a_fixture;
 
 // The shared commit semantics live in `fabricsharp_core::commit`; re-exported here because
 // every baseline and the chain facade import them through this module.
@@ -75,6 +77,43 @@ impl std::fmt::Display for SystemKind {
     }
 }
 
+/// Table 1: drives Txn2–Txn5 of Figure 2a ([`figure2a_fixture`]) through `system` as block 3
+/// and returns the ids that commit, in block order.
+pub fn table1_commits(system: SystemKind) -> Vec<u64> {
+    let (mut store, txns) = figure2a_fixture();
+    let mut cc = system.build(CcConfig::default());
+    // Teach the controller about the block-2 writer so dependency analysis sees the committed
+    // state of Figure 2a (the paper's orderers observed blocks 1 and 2 live).
+    let mut block2_writer = Transaction::from_parts(
+        90,
+        1,
+        [],
+        [
+            (Key::new("B"), Value::from_i64(201)),
+            (Key::new("C"), Value::from_i64(201)),
+        ],
+    );
+    block2_writer.end_ts = Some(SeqNo::new(2, 1));
+    cc.on_block_committed(2, &[(block2_writer, TxnStatus::Committed)]);
+    for txn in txns {
+        if cc.on_endorsement(&txn, store.last_block()).is_accept() {
+            let _ = cc.on_arrival(txn);
+        }
+    }
+    let block = cc.cut_block();
+    let statuses = if cc.needs_peer_validation() {
+        mvcc_validate_and_apply(&mut store, 3, &block)
+    } else {
+        vec![TxnStatus::Committed; block.len()]
+    };
+    block
+        .iter()
+        .zip(statuses)
+        .filter(|(_, status)| status.is_committed())
+        .map(|(txn, _)| txn.id.0)
+        .collect()
+}
+
 /// The orderer/peer-side concurrency-control interface shared by all five systems.
 pub trait ConcurrencyControl: Send {
     /// Which system this is.
@@ -111,16 +150,6 @@ pub trait ConcurrencyControl: Send {
     /// Early aborts performed by this CC so far, grouped by reason.
     fn early_aborts(&self) -> Vec<(AbortReason, u64)> {
         Vec::new()
-    }
-
-    /// Cumulative time spent reordering at block formation (Figure 11 right).
-    fn reorder_time(&self) -> Duration {
-        Duration::ZERO
-    }
-
-    /// Cumulative time spent processing arrivals (Figure 12 right).
-    fn arrival_time(&self) -> Duration {
-        Duration::ZERO
     }
 
     /// Mean dependency-graph hops per arrival (Figure 13 right); zero for systems that do not

@@ -23,7 +23,6 @@ use eov_common::rwset::Key;
 use eov_common::txn::{CommitDecision, Transaction, TxnStatus};
 use eov_common::version::SeqNo;
 use std::collections::{BTreeSet, HashMap};
-use std::time::{Duration, Instant};
 
 /// The Fabric++ orderer-side concurrency control.
 #[derive(Debug, Default)]
@@ -34,7 +33,6 @@ pub struct FabricPlusPlusCC {
     /// early-abort-of-stale-reads step of the reordering.
     latest_versions: HashMap<Key, SeqNo>,
     early_aborts: HashMap<AbortReason, u64>,
-    reorder_time: Duration,
 }
 
 impl FabricPlusPlusCC {
@@ -45,7 +43,6 @@ impl FabricPlusPlusCC {
             next_block: 1,
             latest_versions: HashMap::new(),
             early_aborts: HashMap::new(),
-            reorder_time: Duration::ZERO,
         }
     }
 
@@ -230,9 +227,7 @@ impl ConcurrencyControl for FabricPlusPlusCC {
         }
         let block_no = self.next_block;
         let batch = std::mem::take(&mut self.pending);
-        let started = Instant::now();
         let reordered = self.reorder_block(batch);
-        self.reorder_time += started.elapsed();
         if reordered.is_empty() {
             // Every transaction was dropped; no block is produced and the number is not
             // consumed (matching the cutter semantics of never emitting empty blocks).
@@ -264,10 +259,6 @@ impl ConcurrencyControl for FabricPlusPlusCC {
     fn early_aborts(&self) -> Vec<(AbortReason, u64)> {
         // lint-determinism: allow (callers only look pairs up, sum them or fold them into a map)
         self.early_aborts.iter().map(|(r, c)| (*r, *c)).collect()
-    }
-
-    fn reorder_time(&self) -> Duration {
-        self.reorder_time
     }
 }
 

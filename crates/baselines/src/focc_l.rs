@@ -15,14 +15,12 @@ use crate::api::{ConcurrencyControl, SystemKind};
 use eov_common::txn::{CommitDecision, Transaction};
 use eov_common::version::SeqNo;
 use std::collections::HashSet;
-use std::time::{Duration, Instant};
 
 /// The Focc-l orderer-side concurrency control.
 #[derive(Debug, Default)]
 pub struct FoccLightCC {
     pending: Vec<Transaction>,
     next_block: u64,
-    reorder_time: Duration,
 }
 
 impl FoccLightCC {
@@ -31,7 +29,6 @@ impl FoccLightCC {
         FoccLightCC {
             pending: Vec::new(),
             next_block: 1,
-            reorder_time: Duration::ZERO,
         }
     }
 
@@ -108,9 +105,7 @@ impl ConcurrencyControl for FoccLightCC {
         let block_no = self.next_block;
         self.next_block += 1;
         let batch = std::mem::take(&mut self.pending);
-        let started = Instant::now();
         let order = Self::greedy_order(&batch);
-        self.reorder_time += started.elapsed();
 
         debug_assert_eq!(
             order.iter().copied().collect::<HashSet<_>>().len(),
@@ -126,10 +121,6 @@ impl ConcurrencyControl for FoccLightCC {
                 txn
             })
             .collect()
-    }
-
-    fn reorder_time(&self) -> Duration {
-        self.reorder_time
     }
 }
 

@@ -21,7 +21,6 @@ use eov_common::rwset::Key;
 use eov_common::txn::{CommitDecision, Transaction, TxnStatus};
 use eov_common::version::{concurrent, SeqNo};
 use std::collections::HashMap;
-use std::time::{Duration, Instant};
 
 /// Footprint of a committed transaction kept for concurrency checks against later arrivals.
 #[derive(Clone, Debug)]
@@ -42,7 +41,6 @@ pub struct FoccSerializableCC {
     /// How many past blocks of committed footprints to retain for concurrency checks.
     history_blocks: u64,
     early_aborts: HashMap<AbortReason, u64>,
-    arrival_time: Duration,
 }
 
 impl FoccSerializableCC {
@@ -55,7 +53,6 @@ impl FoccSerializableCC {
             next_block: 1,
             history_blocks: 10,
             early_aborts: HashMap::new(),
-            arrival_time: Duration::ZERO,
         }
     }
 
@@ -121,11 +118,10 @@ impl ConcurrencyControl for FoccSerializableCC {
     }
 
     fn on_arrival(&mut self, txn: Transaction) -> CommitDecision {
-        let started = Instant::now();
         // The transaction, if accepted, will commit somewhere in the block being assembled.
         let assumed_end = SeqNo::new(self.next_block, self.pending.len() as u32 + 1);
 
-        let decision = if self.has_concurrent_ww(&txn, assumed_end) {
+        if self.has_concurrent_ww(&txn, assumed_end) {
             self.record_abort(AbortReason::ConcurrentWriteWrite);
             CommitDecision::Reject(AbortReason::ConcurrentWriteWrite)
         } else if self.has_dangerous_structure(&txn, assumed_end) {
@@ -134,9 +130,7 @@ impl ConcurrencyControl for FoccSerializableCC {
         } else {
             self.pending.push(txn);
             CommitDecision::Accept
-        };
-        self.arrival_time += started.elapsed();
-        decision
+        }
     }
 
     fn pending_len(&self) -> usize {
@@ -179,10 +173,6 @@ impl ConcurrencyControl for FoccSerializableCC {
     fn early_aborts(&self) -> Vec<(AbortReason, u64)> {
         // lint-determinism: allow (callers only look pairs up, sum them or fold them into a map)
         self.early_aborts.iter().map(|(r, c)| (*r, *c)).collect()
-    }
-
-    fn arrival_time(&self) -> Duration {
-        self.arrival_time
     }
 }
 

@@ -11,7 +11,6 @@ use crate::api::{ConcurrencyControl, SystemKind};
 use eov_common::abort::AbortReason;
 use eov_common::txn::{CommitDecision, Transaction, TxnStatus};
 use fabricsharp_core::FabricSharpCC;
-use std::time::Duration;
 
 impl ConcurrencyControl for FabricSharpCC {
     fn kind(&self) -> SystemKind {
@@ -51,14 +50,6 @@ impl ConcurrencyControl for FabricSharpCC {
             .iter()
             .map(|(r, c)| (*r, *c))
             .collect()
-    }
-
-    fn reorder_time(&self) -> Duration {
-        self.stats().reorder_latency_total()
-    }
-
-    fn arrival_time(&self) -> Duration {
-        self.stats().arrival_latency_total()
     }
 
     fn avg_hops(&self) -> f64 {

@@ -19,7 +19,6 @@ use crate::orderer_cc::FabricSharpCC;
 use eov_common::abort::AbortReason;
 use eov_common::txn::{CommitDecision, Transaction};
 use eov_depgraph::{CycleCheck, PendingTxnSpec};
-use std::time::Instant;
 
 impl FabricSharpCC {
     /// Algorithm 2: decides whether `txn` is reorderable. Accepted transactions join the
@@ -66,14 +65,12 @@ impl FabricSharpCC {
         }
 
         // Step 2: dependency resolution (all kinds except pending-pending c-ww).
-        let t_resolve = Instant::now();
         let deps = resolve(&txn, &self.indices);
 
         // Step 3: cycle test on the reachability filters.
         let check = self
             .graph
             .would_close_cycle(&deps.predecessors, &deps.successors);
-        self.stats.arrival_identify_conflict += t_resolve.elapsed();
 
         if let CycleCheck::Cycle { confirmed_exact } = check {
             let reason = match confirmed_exact {
@@ -88,7 +85,6 @@ impl FabricSharpCC {
         }
 
         // Step 4a: insert into the dependency graph (Algorithm 4).
-        let t_graph = Instant::now();
         let spec = PendingTxnSpec {
             id: txn.id,
             start_ts: txn.start_ts(),
@@ -96,14 +92,12 @@ impl FabricSharpCC {
         let report =
             self.graph
                 .insert_pending(spec, &deps.predecessors, &deps.successors, self.next_block);
-        self.stats.arrival_update_graph += t_graph.elapsed();
         self.stats.total_hops += report.hops as u64;
         self.stats.max_hops = self.stats.max_hops.max(report.hops as u64);
         self.stats.graph_size_peak = self.stats.graph_size_peak.max(self.graph.len());
 
         // Step 4b: index the pending transaction's accesses for later arrivals and for the ww
         // restoration at block formation.
-        let t_index = Instant::now();
         for key in txn.write_set.keys() {
             self.indices.pw.record(key.clone(), txn.id);
         }
@@ -114,7 +108,6 @@ impl FabricSharpCC {
         self.arrival_seq += 1;
         self.pending_seq.insert(txn.id.0, seq);
         self.pending_txns.insert(txn.id.0, txn);
-        self.stats.arrival_index_record += t_index.elapsed();
 
         self.stats.accepted += 1;
         CommitDecision::Accept

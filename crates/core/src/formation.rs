@@ -19,7 +19,6 @@ use eov_common::version::SeqNo;
 use eov_depgraph::{snapshot_threshold, GraphEngine};
 use eov_vstore::{DependencyIndices, PendingIndex};
 use std::collections::HashMap;
-use std::time::Instant;
 
 impl FabricSharpCC {
     /// Algorithm 3: forms the next block from the pending set. Returns the transactions in
@@ -32,7 +31,6 @@ impl FabricSharpCC {
         let block_no = self.next_block;
 
         // Step 1: compute the commit order (topological sort over reachability).
-        let t_order = Instant::now();
         let tracked_order: Vec<TxnId> = self
             .graph
             .topo_sort_pending()
@@ -43,16 +41,12 @@ impl FabricSharpCC {
         // acceptance positions. With no safe transaction pending, `tracked_order` passes
         // through untouched.
         let order = merge_safe_into_order(tracked_order, &self.safe_pending, &self.pending_seq);
-        self.stats.reorder_compute_order += t_order.elapsed();
 
         // Step 2: restore ww dependencies among pending transactions along that order.
-        let t_ww = Instant::now();
         let raw_chains = raw_ww_chains(&self.indices.pw);
         restore_ww_from_chains(&mut self.graph, &order, &raw_chains);
-        self.stats.reorder_restore_ww += t_ww.elapsed();
 
         // Step 3: persist — assign slots, update CW/CR, mark committed in the graph.
-        let t_persist = Instant::now();
         let mut block_txns = Vec::with_capacity(order.len());
         for (i, id) in order.iter().enumerate() {
             let mut txn = self
@@ -77,16 +71,13 @@ impl FabricSharpCC {
         self.safe_pending.clear();
         self.indices.pw.clear();
         self.indices.pr.clear();
-        self.stats.reorder_persist += t_persist.elapsed();
 
         // Step 4: prune everything that can no longer matter.
-        let t_prune = Instant::now();
         let next = block_no + 1;
         self.graph.prune_for_next_block(next);
         let horizon = snapshot_threshold(next, self.config.max_span);
         self.indices.cw.prune_below(horizon);
         self.indices.cr.prune_below(horizon);
-        self.stats.reorder_prune += t_prune.elapsed();
 
         self.stats.blocks_formed += 1;
         self.stats.committed += block_txns.len() as u64;

@@ -18,7 +18,7 @@
 //!   fixtures shared by tests, examples and the Table 1 harness.
 //! * [`serializability`] — an independent offline oracle (multi-version serialization graph)
 //!   used to verify end-to-end that everything FabricSharp commits is serializable.
-//! * [`stats`] — the per-phase latency and abort statistics reported in Figures 11–14.
+//! * [`stats`] — the hop, block-span and abort counts reported in Figures 13 and 14.
 //!
 //! Each layer runs on its caller's thread: execute, order and validate are plain calls in
 //! sequence over one store, one set of CW/CR/PW/PR indices and one dependency graph, as in

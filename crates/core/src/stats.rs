@@ -1,15 +1,13 @@
 //! Concurrency-control statistics.
 //!
-//! The paper's evaluation reports several internal metrics besides throughput: the breakdown
-//! of per-transaction arrival processing (Figure 12 right — identify conflict / update graph /
-//! index record), the breakdown of the block-formation reordering latency (Figure 11 right —
-//! compute order / restore ww / persist to storage / prune G), the number of reachability hops
-//! traversed per arrival and the transaction block span (Figure 13 right), and the abort-rate
-//! breakdown by cause (Figure 14 right). [`CcStats`] accumulates all of them.
+//! The paper's evaluation reports several internal metrics besides throughput: the number of
+//! reachability hops traversed per arrival and the transaction block span (Figure 13 right),
+//! and the abort-rate breakdown by cause (Figure 14 right). [`CcStats`] accumulates them as
+//! counts, so they are deterministic. The wall-clock panels (Figures 11 and 12 right) are
+//! timed by the caller around `on_arrival` / `cut_block`, not here.
 
 use eov_common::abort::AbortReason;
 use std::collections::HashMap;
-use std::time::Duration;
 
 /// Cumulative statistics of a concurrency-control instance.
 #[derive(Clone, Debug, Default)]
@@ -42,22 +40,6 @@ pub struct CcStats {
     pub block_span_sum: u64,
     /// Peak number of nodes in the dependency graph.
     pub graph_size_peak: usize,
-
-    /// Arrival-path latency: dependency resolution + cycle test (Figure 12 "Identify conflict").
-    pub arrival_identify_conflict: Duration,
-    /// Arrival-path latency: reachability maintenance (Figure 12 "Update graph").
-    pub arrival_update_graph: Duration,
-    /// Arrival-path latency: PW/PR/pending bookkeeping (Figure 12 "Index record").
-    pub arrival_index_record: Duration,
-
-    /// Block-formation latency: topological sort (Figure 11 "Compute order").
-    pub reorder_compute_order: Duration,
-    /// Block-formation latency: ww restoration (Figure 11 "Restore ww").
-    pub reorder_restore_ww: Duration,
-    /// Block-formation latency: committed-index updates (Figure 11 "Persist to storage").
-    pub reorder_persist: Duration,
-    /// Block-formation latency: graph/index pruning (Figure 11 "Prune G").
-    pub reorder_prune: Duration,
 }
 
 impl CcStats {
@@ -94,37 +76,6 @@ impl CcStats {
             self.block_span_sum as f64 / self.committed as f64
         }
     }
-
-    /// Total arrival-path processing time.
-    pub fn arrival_latency_total(&self) -> Duration {
-        self.arrival_identify_conflict + self.arrival_update_graph + self.arrival_index_record
-    }
-
-    /// Total block-formation (reordering) time.
-    pub fn reorder_latency_total(&self) -> Duration {
-        self.reorder_compute_order
-            + self.reorder_restore_ww
-            + self.reorder_persist
-            + self.reorder_prune
-    }
-
-    /// Mean arrival-path latency per transaction.
-    pub fn arrival_latency_per_txn(&self) -> Duration {
-        if self.arrivals == 0 {
-            Duration::ZERO
-        } else {
-            self.arrival_latency_total() / self.arrivals as u32
-        }
-    }
-
-    /// Mean reordering latency per block.
-    pub fn reorder_latency_per_block(&self) -> Duration {
-        if self.blocks_formed == 0 {
-            Duration::ZERO
-        } else {
-            self.reorder_latency_total() / self.blocks_formed as u32
-        }
-    }
 }
 
 #[cfg(test)]
@@ -147,8 +98,6 @@ mod tests {
         let stats = CcStats::default();
         assert_eq!(stats.avg_hops(), 0.0);
         assert_eq!(stats.avg_block_span(), 0.0);
-        assert_eq!(stats.arrival_latency_per_txn(), Duration::ZERO);
-        assert_eq!(stats.reorder_latency_per_block(), Duration::ZERO);
     }
 
     #[test]
@@ -158,22 +107,9 @@ mod tests {
             total_hops: 12,
             committed: 2,
             block_span_sum: 6,
-            blocks_formed: 2,
-            arrival_identify_conflict: Duration::from_micros(100),
-            arrival_update_graph: Duration::from_micros(200),
-            arrival_index_record: Duration::from_micros(100),
-            reorder_compute_order: Duration::from_micros(500),
-            reorder_restore_ww: Duration::from_micros(300),
             ..CcStats::default()
         };
         assert_eq!(stats.avg_hops(), 3.0);
         assert_eq!(stats.avg_block_span(), 3.0);
-        assert_eq!(stats.arrival_latency_total(), Duration::from_micros(400));
-        assert_eq!(stats.arrival_latency_per_txn(), Duration::from_micros(100));
-        assert_eq!(stats.reorder_latency_total(), Duration::from_micros(800));
-        assert_eq!(
-            stats.reorder_latency_per_block(),
-            Duration::from_micros(400)
-        );
     }
 }

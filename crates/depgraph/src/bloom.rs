@@ -6,13 +6,7 @@
 //! bit vectors. False positives are possible and lead to preventive aborts; false negatives
 //! are impossible, which is what the serializability guarantee relies on.
 //!
-//! The module provides:
-//!
-//! * [`BloomFilter`] — a fixed-size double-hashing bloom filter with O(words) union.
-//! * [`RelayBloom`] — the paper's two-filter relay that bounds the false-positive rate over a
-//!   long-running orderer: one filter covers transactions from block `M` onward, the standby
-//!   covers transactions from a later block `N`, and when every transaction still tracked in
-//!   the dependency graph postdates `N` the roles rotate and the stale filter is cleared.
+//! [`BloomFilter`] is a fixed-size double-hashing bloom filter with O(words) union.
 
 /// A fixed-size bloom filter over `u64` items (transaction identifiers).
 ///
@@ -112,8 +106,7 @@ impl BloomFilter {
         self.words.iter().map(|w| w.count_ones()).sum()
     }
 
-    /// Fraction of bits set, in `[0, 1]`; a crude saturation estimate used to decide when the
-    /// relay should rotate in stress tests.
+    /// Fraction of bits set, in `[0, 1]`; a crude saturation estimate.
     pub fn fill_ratio(&self) -> f64 {
         self.popcount() as f64 / self.num_bits as f64
     }
@@ -151,73 +144,6 @@ fn splitmix64(mut x: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     x ^ (x >> 31)
-}
-
-/// The two-filter relay of Section 4.4.
-///
-/// A long-lived orderer inserts every arriving transaction into the reachability filters, and
-/// a single filter's false-positive rate would grow without bound. The relay keeps two
-/// filters: the *active* one (covering every transaction inserted since block `starts[active]`)
-/// answers queries; the *standby* one covers transactions since a later block. Once the
-/// earliest block still referenced by the dependency graph (`earliest_live_block`) passes the
-/// standby's start block, the standby covers everything that still matters, so the roles swap
-/// and the stale filter is cleared. Honest orderers must rotate at the same blocks to stay
-/// deterministic, which callers ensure by driving rotation from replicated state only.
-#[derive(Clone, Debug)]
-pub struct RelayBloom {
-    filters: [BloomFilter; 2],
-    starts: [u64; 2],
-    active: usize,
-}
-
-impl RelayBloom {
-    /// Creates a relay whose two filters both start covering at block 0.
-    pub fn new(num_bits: usize, num_hashes: usize) -> Self {
-        RelayBloom {
-            filters: [
-                BloomFilter::new(num_bits, num_hashes),
-                BloomFilter::new(num_bits, num_hashes),
-            ],
-            starts: [0, 0],
-            active: 0,
-        }
-    }
-
-    /// Inserts an item into both filters.
-    pub fn insert(&mut self, item: u64) {
-        self.filters[0].insert(item);
-        self.filters[1].insert(item);
-    }
-
-    /// Tests membership against the active filter.
-    pub fn contains(&self, item: u64) -> bool {
-        self.filters[self.active].contains(item)
-    }
-
-    /// Rotates if every transaction still tracked by the graph (earliest block
-    /// `earliest_live_block`) postdates the standby filter's start block. The cleared filter
-    /// restarts its coverage at `current_block`. Returns `true` if a rotation happened.
-    pub fn maybe_rotate(&mut self, earliest_live_block: u64, current_block: u64) -> bool {
-        let standby = 1 - self.active;
-        if earliest_live_block > self.starts[standby] {
-            self.filters[self.active].clear();
-            self.starts[self.active] = current_block;
-            self.active = standby;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Fill ratio of the filter currently answering queries.
-    pub fn active_fill_ratio(&self) -> f64 {
-        self.filters[self.active].fill_ratio()
-    }
-
-    /// Index (0 or 1) of the active filter; exposed for determinism tests across replicas.
-    pub fn active_index(&self) -> usize {
-        self.active
-    }
 }
 
 #[cfg(test)]
@@ -309,55 +235,6 @@ mod tests {
         let (bits, hashes) = f.geometry();
         assert_eq!(bits, 64);
         assert_eq!(hashes, 16);
-    }
-
-    #[test]
-    fn relay_rotation_clears_the_stale_filter() {
-        let mut relay = RelayBloom::new(512, 3);
-        for i in 0..100u64 {
-            relay.insert(i);
-        }
-        assert!(relay.contains(5));
-        assert_eq!(relay.active_index(), 0);
-
-        // The graph's earliest live block is now 10 > standby start (0): rotate.
-        assert!(relay.maybe_rotate(10, 12));
-        assert_eq!(relay.active_index(), 1);
-        // Items inserted before rotation are still covered by the (new) active filter because
-        // both filters receive every insert.
-        assert!(relay.contains(5));
-
-        // Insert more, then rotate again once the graph has moved past block 12.
-        for i in 100..150u64 {
-            relay.insert(i);
-        }
-        assert!(relay.maybe_rotate(13, 20));
-        assert_eq!(relay.active_index(), 0);
-        // The filter that was cleared at the first rotation only covers inserts made after it,
-        // so old items may or may not appear — but recent ones must.
-        assert!(relay.contains(120));
-        // No rotation while the earliest live block has not passed the standby start.
-        assert!(!relay.maybe_rotate(15, 25));
-    }
-
-    #[test]
-    fn relay_keeps_false_positive_rate_bounded() {
-        // Without rotation a 1024-bit filter absorbing 2000 items would be nearly saturated.
-        // With periodic rotation the active filter only ever covers a bounded window.
-        let mut relay = RelayBloom::new(1024, 3);
-        let mut max_fill: f64 = 0.0;
-        for batch in 0..20u64 {
-            for i in 0..100u64 {
-                relay.insert(batch * 100 + i);
-            }
-            // The graph only keeps the last two batches alive.
-            relay.maybe_rotate(batch.saturating_sub(1), batch);
-            max_fill = max_fill.max(relay.active_fill_ratio());
-        }
-        assert!(
-            max_fill < 0.95,
-            "active filter should not saturate under rotation, fill={max_fill}"
-        );
     }
 }
 

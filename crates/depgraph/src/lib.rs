@@ -3,8 +3,7 @@
 //! The transaction dependency graph substrate behind FabricSharp's fine-grained concurrency
 //! control (Sections 4.3–4.6 of the paper):
 //!
-//! * [`bloom`] — bloom filters with O(words) union and the two-filter relay that keeps the
-//!   false-positive rate bounded over a long-running orderer.
+//! * [`bloom`] — bloom filters with O(words) union.
 //! * [`graph`] — the dependency graph itself: slab node storage over interned slots,
 //!   successor edges, per-node `anti_reachable` reachability sets, Algorithm 4's reachability
 //!   maintenance, and the pair-wise cycle test used by Algorithm 2.
@@ -35,7 +34,7 @@ pub mod reference;
 pub mod topo;
 pub mod visited;
 
-pub use bloom::{BloomFilter, RelayBloom};
+pub use bloom::BloomFilter;
 pub use engine::GraphEngine;
 pub use graph::{CycleCheck, DependencyGraph, InsertReport, PendingTxnSpec, ReachSet, TxnNode};
 pub use interner::Interner;

@@ -21,8 +21,9 @@
 //!   keeps the last `max_span` blocks decoded) and the [`durable::LedgerBackend`] enum that
 //!   keeps the in-memory ledger as the reference implementation.
 //! * [`checkpoint`] — periodic multi-version-store snapshots cold recovery replays from.
-//! * [`reenact`] — provenance queries joining a [`eov_vstore::TimeTravel`] answer back to the
-//!   committing transaction in the ledger.
+//! * [`reenact`] — provenance queries joining a
+//!   [`MultiVersionStore::version_as_of`](eov_vstore::MultiVersionStore::version_as_of) answer
+//!   back to the committing transaction in the ledger.
 
 // `deny`, not `forbid`: `sha256` allows the one `unsafe` block that calls the SHA-NI kernel.
 #![deny(unsafe_code)]

@@ -1,6 +1,6 @@
 //! Provenance: joining a time-travel answer back to the committing transaction.
 //!
-//! [`TimeTravel::version_as_of`] yields the commit slot `(block, seq)` behind any historical
+//! [`MultiVersionStore::version_as_of`] yields the commit slot `(block, seq)` behind any historical
 //! value; this module resolves that slot against the ledger to recover *who* wrote it — the
 //! reenactment query of the audit literature ("which transaction, in which block, produced the
 //! balance the auditor is looking at?"). Slot `(0, _)` denotes genesis state, which no
@@ -15,7 +15,7 @@ use eov_common::error::CommonError;
 use eov_common::rwset::{Key, Value};
 use eov_common::txn::TxnId;
 use eov_common::version::SeqNo;
-use eov_vstore::TimeTravel;
+use eov_vstore::MultiVersionStore;
 
 /// The full answer to "where did the value of `key` at height `h` come from?".
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -34,7 +34,7 @@ pub struct Provenance {
 /// and ledger disagree.
 pub fn provenance(
     ledger: &Ledger,
-    store: &impl TimeTravel,
+    store: &MultiVersionStore,
     key: &Key,
     height: u64,
 ) -> Result<Option<Provenance>, LedgerError> {

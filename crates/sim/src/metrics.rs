@@ -146,9 +146,9 @@ pub struct SimReport {
     pub avg_block_span: f64,
     /// Mean dependency-graph hops per arrival, FabricSharp only (Figure 13 right).
     pub avg_hops: f64,
-    /// Measured (not modelled) orderer reordering CPU time per block, in ms (Figure 11 right).
-    pub measured_reorder_ms_per_block: f64,
-    /// Measured arrival-path CPU time per transaction, in µs (Figure 12 right).
+    /// Measured (not modelled) arrival wall-clock per transaction delivered to the orderer,
+    /// in µs on this machine: the simulator times every `SimpleChain::arrive` call (Figure 12
+    /// right).
     pub measured_arrival_us_per_txn: f64,
     /// Committed transactions whose commit required tolerating an anti-rw dependency (i.e.
     /// transactions a Strong-Serializability system would have aborted); highlighted in
@@ -207,15 +207,16 @@ impl SimReport {
     }
 
     /// The Figure 14 abort breakdown: fraction of all aborts falling into each of the paper's
-    /// four buckets (`Concurrent-ww`, `2 consecutive rw`, `Simulation abort`, `Others`).
+    /// four buckets, in the paper's order (`Concurrent-ww`, `2 consecutive rw`,
+    /// `Simulation abort`, `Others`).
     pub fn abort_breakdown(&self) -> Vec<(&'static str, f64)> {
         let total = self.aborted().max(1) as f64;
         let mut buckets: HashMap<&'static str, u64> = HashMap::new();
-        // lint-determinism: allow (commutative bucket accumulation; output sorted below)
+        // lint-determinism: allow (commutative bucket accumulation; output in fixed bucket order)
         for (reason, count) in &self.aborts {
             *buckets.entry(reason.figure14_bucket()).or_insert(0) += count;
         }
-        let mut out: Vec<(&'static str, f64)> = [
+        [
             "Concurrent-ww",
             "2 consecutive rw",
             "Simulation abort",
@@ -228,10 +229,7 @@ impl SimReport {
                 buckets.get(name).copied().unwrap_or(0) as f64 / total,
             )
         })
-        .collect();
-        // Keep deterministic order for table output.
-        out.sort_by(|a, b| a.0.cmp(b.0));
-        out
+        .collect()
     }
 
     /// Aborts recorded for a specific reason.
@@ -260,7 +258,6 @@ mod tests {
             avg_latency_ms: 800.0,
             avg_block_span: 1.5,
             avg_hops: 0.0,
-            measured_reorder_ms_per_block: 0.0,
             measured_arrival_us_per_txn: 0.0,
             committed_with_anti_rw: 0,
             formation: FormationTiming::default(),

@@ -18,9 +18,10 @@
 //!   resolves an arriving transaction against.
 //! * [`state`] — the [`state::StateRead`] / [`state::StateStore`] traits the endorsement and
 //!   commit paths are written against.
-//! * [`timetravel`] — the reenactment query surface over the retained history:
-//!   [`timetravel::TimeTravel`] answers "value of `key` as of block `h`", block-range
-//!   histories, and the commit slot behind any visible value.
+//! * [`timetravel`] — the reenactment query surface over the retained history, as
+//!   `MultiVersionStore` methods: [`MultiVersionStore::value_as_of`] ("value of `key` as of
+//!   block `h`"), [`MultiVersionStore::history_range`] (block-range histories) and
+//!   [`MultiVersionStore::version_as_of`] (the commit slot behind any visible value).
 //!
 //! There is one store and one set of indices, owned by the thread that drives them: the
 //! paper's single global multi-version store (Sections 4.2–4.4), with no key-space
@@ -42,7 +43,6 @@ pub use mvstore::{MultiVersionStore, VersionedValue};
 pub use pending::PendingIndex;
 pub use snapshot::{SnapshotManager, SnapshotView};
 pub use state::{StateRead, StateStore};
-pub use timetravel::TimeTravel;
 
 /// The four dependency-resolution indices of Section 4.3: committed writes (CW), committed
 /// reads (CR), pending writes (PW) and pending reads (PR), one of each.

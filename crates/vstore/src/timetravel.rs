@@ -1,7 +1,7 @@
 //! Time-travel (reenactment) queries over the retained version history.
 //!
 //! The multi-version store already holds everything a historical audit needs: every key maps
-//! to its full chain of `(version, value)` pairs, sorted by commit slot. [`TimeTravel`] turns
+//! to its full chain of `(version, value)` pairs, sorted by commit slot. The methods here turn
 //! that into the reenactment query surface of Arab et al. (PAPERS.md): *what was the value of
 //! `key` as of block `h`?* (`value_as_of`), *how did it evolve between `h0` and `h1`?*
 //! (`history_range`), and *which commit slot produced the visible value?* (`version_as_of` —
@@ -15,32 +15,30 @@ use eov_common::error::{CommonError, Result};
 use eov_common::rwset::Key;
 use eov_common::version::SeqNo;
 
-/// Historical queries over a multi-versioned backend.
-pub trait TimeTravel {
-    /// Full version history of `key` (oldest first); empty if never written.
-    fn full_history(&self, key: &Key) -> &[VersionedValue];
-
+impl MultiVersionStore {
     /// The lowest block height whose history is still complete (the pruning horizon).
-    fn oldest_queryable(&self) -> u64;
+    pub fn oldest_queryable(&self) -> u64 {
+        self.pruned_below()
+    }
 
     /// The value of `key` as of the snapshot after block `height`: the newest version whose
     /// block component is `<= height`. Errors below the pruning horizon.
-    fn value_as_of(&self, key: &Key, height: u64) -> Result<Option<&VersionedValue>> {
+    pub fn value_as_of(&self, key: &Key, height: u64) -> Result<Option<&VersionedValue>> {
         if height < self.oldest_queryable() {
             return Err(CommonError::SnapshotPruned(height));
         }
-        let chain = self.full_history(key);
+        let chain = self.history(key);
         let idx = chain.partition_point(|v| v.version <= SeqNo::new(height, u32::MAX));
         Ok(idx.checked_sub(1).map(|i| &chain[i]))
     }
 
     /// Every version of `key` committed in blocks `h0..=h1` (oldest first). Errors if `h0` is
     /// below the pruning horizon (versions there may already be gone).
-    fn history_range(&self, key: &Key, h0: u64, h1: u64) -> Result<&[VersionedValue]> {
+    pub fn history_range(&self, key: &Key, h0: u64, h1: u64) -> Result<&[VersionedValue]> {
         if h0 < self.oldest_queryable() {
             return Err(CommonError::SnapshotPruned(h0));
         }
-        let chain = self.full_history(key);
+        let chain = self.history(key);
         let lo = chain.partition_point(|v| v.version.block < h0);
         let hi = chain.partition_point(|v| v.version <= SeqNo::new(h1, u32::MAX));
         Ok(&chain[lo..hi.max(lo)])
@@ -48,18 +46,8 @@ pub trait TimeTravel {
 
     /// The commit slot `(block, seq)` that produced the value visible at `height`, if any —
     /// the key into the ledger for provenance resolution.
-    fn version_as_of(&self, key: &Key, height: u64) -> Result<Option<SeqNo>> {
+    pub fn version_as_of(&self, key: &Key, height: u64) -> Result<Option<SeqNo>> {
         Ok(self.value_as_of(key, height)?.map(|v| v.version))
-    }
-}
-
-impl TimeTravel for MultiVersionStore {
-    fn full_history(&self, key: &Key) -> &[VersionedValue] {
-        self.history(key)
-    }
-
-    fn oldest_queryable(&self) -> u64 {
-        self.pruned_below()
     }
 }
 

@@ -15,7 +15,6 @@
 use fabricsharp::core::recovery::recover_from_disk;
 use fabricsharp::ledger::provenance;
 use fabricsharp::prelude::*;
-use fabricsharp::vstore::TimeTravel;
 
 fn main() {
     let dir = std::env::temp_dir().join(format!("eov-reenact-{}", std::process::id()));

@@ -25,7 +25,7 @@ use fabricsharp::common::rwset::Key;
 use fabricsharp::core::recovery::{recover_from_disk, RecoveryError};
 use fabricsharp::ledger::durable::{DurableLedger, DurableOptions};
 use fabricsharp::ledger::{provenance, write_checkpoint, Ledger, LedgerError};
-use fabricsharp::vstore::{MultiVersionStore, TimeTravel};
+use fabricsharp::vstore::MultiVersionStore;
 use fabricsharp::workload::generator::{WorkloadGenerator, WorkloadKind};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};

@@ -2,49 +2,11 @@
 //! snapshot-consistency examples, Theorem 1 (Strong Serializability of anti-rw-free systems)
 //! and Theorem 2 (unreorderable cycles are rejected before ordering, reorderable ones are not).
 
-use fabricsharp::baselines::api::{mvcc_validate_and_apply, SystemKind};
+use fabricsharp::baselines::api::{table1_commits, SystemKind};
 use fabricsharp::core::theory::{
     figure2a_fixture, figure3a_txn1, figure3a_txn2, snapshot_consistency,
 };
 use fabricsharp::prelude::*;
-
-/// Drives the Table 1 transactions through one system and returns the ids that end up
-/// committed.
-fn table1_commits(system: SystemKind) -> Vec<u64> {
-    let (store, txns) = figure2a_fixture();
-    let mut cc = system.build(CcConfig::default());
-    let mut block2_writer = Transaction::from_parts(
-        90,
-        1,
-        [],
-        [
-            (Key::new("B"), Value::from_i64(201)),
-            (Key::new("C"), Value::from_i64(201)),
-        ],
-    );
-    block2_writer.end_ts = Some(SeqNo::new(2, 1));
-    cc.on_block_committed(2, &[(block2_writer, TxnStatus::Committed)]);
-
-    for txn in txns {
-        if !cc.on_endorsement(&txn, store.last_block()).is_accept() {
-            continue;
-        }
-        let _ = cc.on_arrival(txn);
-    }
-    let block = cc.cut_block();
-    let mut store = store;
-    let statuses: Vec<TxnStatus> = if cc.needs_peer_validation() {
-        mvcc_validate_and_apply(&mut store, 3, &block)
-    } else {
-        block.iter().map(|_| TxnStatus::Committed).collect()
-    };
-    block
-        .iter()
-        .zip(statuses)
-        .filter(|(_, s)| s.is_committed())
-        .map(|(t, _)| t.id.0)
-        .collect()
-}
 
 #[test]
 fn table1_fabric_commits_only_txn3() {
