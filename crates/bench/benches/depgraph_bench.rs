@@ -88,8 +88,9 @@ fn bench_graph_ops(c: &mut Criterion) {
             b.iter(|| layered_graph(n, 3, CcConfig::default()).len());
         });
         let g = layered_graph(n, 3, CcConfig::default());
+        let pending: Vec<TxnId> = (0..n).map(TxnId).collect();
         group.bench_with_input(BenchmarkId::new("topo_sort_pending", n), &n, |b, _| {
-            b.iter(|| g.topo_sort_pending().len());
+            b.iter(|| g.topo_sort_pending(&pending).len());
         });
         group.bench_with_input(BenchmarkId::new("cycle_check_bloom", n), &n, |b, _| {
             b.iter(|| {
@@ -104,10 +105,11 @@ fn bench_graph_ops(c: &mut Criterion) {
     group.finish();
 }
 
-/// The commit/removal hot path the pending-list index and the predecessor mirror optimise:
-/// `mark_committed` was O(pending) per call (a `Vec::retain` scan) and `remove` was O(nodes ×
-/// successor-list length) per call in the seed. Both are now O(1) / O(degree) amortised, which
-/// these benches pin down (numbers tracked in BASELINES.md).
+/// The commit/removal hot path: `mark_committed` was O(pending) per call (a `Vec::retain`
+/// scan) and `remove` was O(nodes × successor-list length) per call in the seed. Both are now
+/// O(1) / O(degree) — the graph keeps no pending list, and the predecessor mirror confines a
+/// removal to the node's neighbours — which these benches pin down (numbers tracked in
+/// BASELINES.md).
 fn bench_commit_and_removal(c: &mut Criterion) {
     let mut group = c.benchmark_group("graph_commit_path");
     group
@@ -115,14 +117,14 @@ fn bench_commit_and_removal(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(2));
     for &n in &[400u64, 1600] {
         let built = layered_graph(n, 3, CcConfig::default());
-        // Committing every node: dominated by the pending-list removal per call.
+        // Committing every node: one slot lookup per call.
         group.bench_with_input(BenchmarkId::new("mark_committed_all", n), &n, |b, &n| {
             b.iter(|| {
                 let mut g = built.clone();
                 for id in 0..n {
                     g.mark_committed(TxnId(id), SeqNo::new(1, id as u32 + 1));
                 }
-                g.pending_len()
+                g.len()
             });
         });
         // Removing every other node one by one: dominated by the edge cleanup per call.
@@ -156,8 +158,9 @@ fn bench_reachability_engine(c: &mut Criterion) {
     for &n in &[128u64, 512] {
         let dense = layered_graph(n, 3, CcConfig::default());
         let naive = naive_layered_graph(n, 3, CcConfig::default());
+        let pending = naive.pending_ids();
         group.bench_with_input(BenchmarkId::new("topo_sort_pending", n), &n, |b, _| {
-            b.iter(|| dense.topo_sort_pending().len());
+            b.iter(|| dense.topo_sort_pending(&pending).len());
         });
         group.bench_with_input(
             BenchmarkId::new("topo_sort_pending_naive", n),

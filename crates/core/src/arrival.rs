@@ -33,7 +33,7 @@ impl FabricSharpCC {
         // graph-tracked or committed via the template fast path — re-accepting one of those
         // must not re-enter it into the pending set (it would be committed twice) or
         // re-insert its graph node.
-        if self.pending_txns.contains_key(&txn.id.0) || self.graph.knows(txn.id) {
+        if self.pending_at.contains_key(&txn.id.0) || self.knows(txn.id) {
             return CommitDecision::Accept;
         }
 
@@ -50,18 +50,12 @@ impl FabricSharpCC {
         // its writes — if any — are fresh keys nobody else touches), so resolution would
         // return empty lists, the cycle probe would trivially pass, the graph node would be
         // edge-free (0 reachability hops) and the PW/PR/CW/CR entries would never be
-        // consulted. Skip all of it: remember only the acceptance position, which is all
-        // block formation needs to splice the transaction into the reference commit order.
+        // consulted. Skip all of it: only queue it in the pending set, where block formation's
+        // topological sort places it by its acceptance rank as an edge-free transaction.
         if txn.template_class.is_safe() {
             debug_assert_dependency_free(&txn, &self.indices);
-            let seq = self.arrival_seq;
-            self.arrival_seq += 1;
-            self.pending_seq.insert(txn.id.0, seq);
-            self.safe_pending.push(txn.id);
-            self.pending_txns.insert(txn.id.0, txn);
-            self.stats.accepted += 1;
             self.stats.fastpath_accepted += 1;
-            return CommitDecision::Accept;
+            return self.accept(txn);
         }
 
         // Step 2: dependency resolution (all kinds except pending-pending c-ww).
@@ -74,10 +68,7 @@ impl FabricSharpCC {
 
         if let CycleCheck::Cycle { confirmed_exact } = check {
             let reason = match confirmed_exact {
-                Some(false) => {
-                    self.stats.bloom_false_positive_aborts += 1;
-                    AbortReason::BloomFalsePositive
-                }
+                Some(false) => AbortReason::BloomFalsePositive,
                 _ => AbortReason::UnreorderableCycle,
             };
             self.stats.record_abort(reason);
@@ -93,7 +84,6 @@ impl FabricSharpCC {
             self.graph
                 .insert_pending(spec, &deps.predecessors, &deps.successors, self.next_block);
         self.stats.total_hops += report.hops as u64;
-        self.stats.max_hops = self.stats.max_hops.max(report.hops as u64);
         self.stats.graph_size_peak = self.stats.graph_size_peak.max(self.graph.len());
 
         // Step 4b: index the pending transaction's accesses for later arrivals and for the ww
@@ -104,11 +94,14 @@ impl FabricSharpCC {
         for key in txn.read_set.keys() {
             self.indices.pr.record(key.clone(), txn.id);
         }
-        let seq = self.arrival_seq;
-        self.arrival_seq += 1;
-        self.pending_seq.insert(txn.id.0, seq);
-        self.pending_txns.insert(txn.id.0, txn);
+        self.accept(txn)
+    }
 
+    /// Appends an accepted transaction to the pending set `P`, after everything accepted
+    /// before it.
+    fn accept(&mut self, txn: Transaction) -> CommitDecision {
+        self.pending_at.insert(txn.id.0, self.pending.len());
+        self.pending.push(txn);
         self.stats.accepted += 1;
         CommitDecision::Accept
     }
@@ -261,7 +254,7 @@ mod tests {
         assert!(cc.indices().pw.get(&k("FRESH")).is_empty());
         let ids: Vec<TxnId> = cc.cut_block().iter().map(|t| t.id).collect();
         assert_eq!(ids, [TxnId(1), TxnId(2)]);
-        assert!(cc.graph().knows(TxnId(2)));
+        assert!(cc.knows(TxnId(2)));
     }
 
     /// The shadow check: a transaction that reads a key a tracked pending transaction writes has

@@ -16,7 +16,7 @@ use crate::orderer_cc::FabricSharpCC;
 use eov_common::hash::FoldState;
 use eov_common::txn::{Transaction, TxnId};
 use eov_common::version::SeqNo;
-use eov_depgraph::{snapshot_threshold, GraphEngine};
+use eov_depgraph::{snapshot_threshold, DependencyGraph};
 use eov_vstore::{DependencyIndices, PendingIndex};
 use std::collections::HashMap;
 
@@ -25,50 +25,37 @@ impl FabricSharpCC {
     /// their final commit order with `end_ts` assigned; returns an empty vector (and does not
     /// advance the block number) when nothing is pending.
     pub fn cut_block(&mut self) -> Vec<Transaction> {
-        if self.pending_txns.is_empty() {
+        if self.pending.is_empty() {
             return Vec::new();
         }
         let block_no = self.next_block;
 
-        // Step 1: compute the commit order (topological sort over reachability).
-        let tracked_order: Vec<TxnId> = self
-            .graph
-            .topo_sort_pending()
-            .into_iter()
-            .filter(|id| self.pending_txns.contains_key(&id.0))
-            .collect();
-        // Template fast path: splice the untracked (safe-class) transactions back in at their
-        // acceptance positions. With no safe transaction pending, `tracked_order` passes
-        // through untouched.
-        let order = merge_safe_into_order(tracked_order, &self.safe_pending, &self.pending_seq);
+        // Step 1: compute the commit order (topological sort over reachability). Fast-path
+        // transactions have no graph node, so the sort places them by acceptance rank alone.
+        let accepted: Vec<TxnId> = self.pending.iter().map(|txn| txn.id).collect();
+        let order = self.graph.topo_sort_pending(&accepted);
 
         // Step 2: restore ww dependencies among pending transactions along that order.
         let raw_chains = raw_ww_chains(&self.indices.pw);
         restore_ww_from_chains(&mut self.graph, &order, &raw_chains);
 
         // Step 3: persist — assign slots, update CW/CR, mark committed in the graph.
+        let mut pending: Vec<Option<Transaction>> = std::mem::take(&mut self.pending)
+            .into_iter()
+            .map(Some)
+            .collect();
         let mut block_txns = Vec::with_capacity(order.len());
         for (i, id) in order.iter().enumerate() {
-            let mut txn = self
-                .pending_txns
-                .remove(&id.0)
-                .expect("order only contains pending transactions");
-            self.pending_seq.remove(&id.0);
+            let mut txn = pending[self.pending_at[&id.0]]
+                .take()
+                .expect("the order lists each pending transaction once");
             let slot = SeqNo::new(block_no, i as u32 + 1);
             txn.end_ts = Some(slot);
-            if txn.template_class.is_safe() {
-                // Fast-path transaction: no graph node to mark, and nothing ever resolves
-                // against its keys, so the CW/CR updates are skipped. The untracked-commit
-                // log keeps replay idempotent until the commit ages past the pruning horizon.
-                self.graph.note_untracked_commit(txn.id, block_no);
-            } else {
-                self.graph.mark_committed(txn.id, slot);
-                persist_txn_index_side(&mut self.indices, &txn, slot);
-            }
+            self.record_commit(&txn, slot);
             self.stats.block_span_sum += txn.block_span().unwrap_or(0);
             block_txns.push(txn);
         }
-        self.safe_pending.clear();
+        self.pending_at.clear();
         self.indices.pw.clear();
         self.indices.pr.clear();
 
@@ -76,6 +63,7 @@ impl FabricSharpCC {
         let next = block_no + 1;
         self.graph.prune_for_next_block(next);
         let horizon = snapshot_threshold(next, self.config.max_span);
+        self.untracked.prune_below(horizon);
         self.indices.cw.prune_below(horizon);
         self.indices.cr.prune_below(horizon);
 
@@ -84,43 +72,19 @@ impl FabricSharpCC {
         self.next_block = next;
         block_txns
     }
-}
 
-/// Merges the fast-path (untracked) pending transactions into the tracked topological
-/// order by acceptance sequence, reproducing the reference order bit for bit.
-///
-/// Why this is exact: the reference topo sort is a Kahn sort whose ready-heap is keyed by
-/// pending-list slot — i.e. acceptance order. A safe transaction's node is edge-free, so
-/// in the reference run it is ready from the first step and pops exactly when its slot is
-/// the minimum among ready nodes: immediately before the first tracked transaction that
-/// *follows* it in acceptance order pops. Emitting safe transactions changes no tracked
-/// transaction's readiness (no edges), so the tracked subsequence is unchanged. Hence:
-/// walk the tracked order, and before each tracked transaction emit every remaining safe
-/// transaction accepted earlier than it; leftovers go at the end.
-fn merge_safe_into_order(
-    tracked: Vec<TxnId>,
-    safe_pending: &[TxnId],
-    pending_seq: &HashMap<u64, u64, FoldState>,
-) -> Vec<TxnId> {
-    if safe_pending.is_empty() {
-        return tracked;
-    }
-    let mut merged = Vec::with_capacity(tracked.len() + safe_pending.len());
-    let mut safe = safe_pending.iter().copied().peekable();
-    for id in tracked {
-        let tracked_seq = pending_seq[&id.0];
-        while let Some(next_safe) = safe.peek().copied() {
-            if pending_seq[&next_safe.0] < tracked_seq {
-                merged.push(next_safe);
-                safe.next();
-            } else {
-                break;
-            }
+    /// Records `txn` as committed at `slot` (block formation and ledger replay alike). A
+    /// fast-path transaction has no graph node to mark, and nothing ever resolves against its
+    /// keys, so the CW/CR updates are skipped; the untracked-commit log keeps replay idempotent
+    /// until the commit ages past the pruning horizon.
+    pub(crate) fn record_commit(&mut self, txn: &Transaction, slot: SeqNo) {
+        if txn.template_class.is_safe() {
+            self.untracked.note(txn.id, slot.block);
+        } else {
+            self.graph.mark_committed(txn.id, slot);
+            persist_txn_index_side(&mut self.indices, txn, slot);
         }
-        merged.push(id);
     }
-    merged.extend(safe);
-    merged
 }
 
 /// The raw per-key pending-writer chains that can induce a ww edge, in deterministic key
@@ -143,7 +107,7 @@ fn raw_ww_chains(pw: &PendingIndex) -> Vec<&[TxnId]> {
 /// computed commit order, connect every consecutive pair that is not already connected in
 /// the reachability structure, and propagate the updated reachability downstream once, in
 /// topological order. `raw_chains` is the key-ordered snapshot from [`raw_ww_chains`].
-fn restore_ww_from_chains(graph: &mut GraphEngine, order: &[TxnId], raw_chains: &[&[TxnId]]) {
+fn restore_ww_from_chains(graph: &mut DependencyGraph, order: &[TxnId], raw_chains: &[&[TxnId]]) {
     let position: HashMap<TxnId, usize, FoldState> =
         order.iter().enumerate().map(|(i, id)| (*id, i)).collect();
 
@@ -175,7 +139,7 @@ fn restore_ww_from_chains(graph: &mut GraphEngine, order: &[TxnId], raw_chains: 
             if graph.already_connected(first, second) {
                 continue;
             }
-            graph.add_ww_edge(first, second);
+            graph.add_edge_with_union(first, second);
             if !std::mem::replace(&mut is_head[position[&second]], true) {
                 head_txns.push(second);
             }
@@ -184,16 +148,15 @@ fn restore_ww_from_chains(graph: &mut GraphEngine, order: &[TxnId], raw_chains: 
 
     // Propagate the new reachability downstream exactly once per node, in topological
     // order (Figure 9: Txn8 is reachable through both restored edges but is updated once).
-    graph.propagate_from(&head_txns);
+    for txn in graph.reachable_in_topo_order(&head_txns) {
+        for s in graph.successors(txn) {
+            graph.propagate_reachability(txn, s);
+        }
+    }
 }
 
-/// Records one transaction committed at `slot` in CR and CW (shared by block formation and by
-/// [`FabricSharpCC::register_committed`]'s ledger replay).
-pub(crate) fn persist_txn_index_side(
-    indices: &mut DependencyIndices,
-    txn: &Transaction,
-    slot: SeqNo,
-) {
+/// Records one transaction committed at `slot` in CR and CW.
+fn persist_txn_index_side(indices: &mut DependencyIndices, txn: &Transaction, slot: SeqNo) {
     // Committed-read index: record this transaction as a reader of each key it read.
     for read in txn.read_set.iter() {
         indices.cr.record(read.key.clone(), slot, txn.id);
@@ -325,7 +288,8 @@ mod tests {
         ] {
             assert!(cc.on_arrival(txn(id, 0, reads, writes)).is_accept());
         }
-        let order = cc.graph.topo_sort_pending();
+        let accepted: Vec<TxnId> = cc.pending.iter().map(|txn| txn.id).collect();
+        let order = cc.graph.topo_sort_pending(&accepted);
         let mut every_chain: Vec<_> = cc.indices.pw.iter().collect();
         every_chain.sort_by(|a, b| a.0.cmp(b.0));
         let every_chain: Vec<&[TxnId]> = every_chain.into_iter().map(|(_, txns)| txns).collect();

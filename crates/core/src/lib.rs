@@ -36,6 +36,7 @@ pub mod recovery;
 pub mod serializability;
 pub mod stats;
 pub mod theory;
+mod untracked;
 
 pub use commit::{
     apply_without_validation, commit_block, count_anti_rw_commits, mvcc_validate_and_apply,

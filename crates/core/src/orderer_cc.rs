@@ -2,9 +2,12 @@
 //!
 //! This struct owns everything the FabricSharp ordering service adds to a vanilla orderer:
 //!
-//! * the transaction dependency graph `G` with bloom-filter reachability,
+//! * the transaction dependency graph `G` with bloom-filter reachability, called directly,
 //! * the committed-transaction indices CW / CR and the pending indices PW / PR,
-//! * the accepted-but-not-yet-blocked transactions (the pending set `P`),
+//! * the accepted-but-not-yet-blocked transactions — the pending set `P`, kept once, in
+//!   acceptance order, graph-tracked and template-fast-path transactions alike; block
+//!   formation's topological sort reads it whole,
+//! * the log of fast-path commits that never had a graph node, pruned like committed nodes,
 //! * the statistics the evaluation section reports.
 //!
 //! The two entry points mirror Figure 8: [`FabricSharpCC::on_arrival`] (Algorithm 2, called
@@ -15,34 +18,31 @@
 //! the offline oracle in [`crate::serializability`].
 
 use crate::stats::CcStats;
+use crate::untracked::UntrackedLog;
 use eov_common::config::CcConfig;
 use eov_common::hash::FoldState;
 use eov_common::txn::{Transaction, TxnId};
-use eov_depgraph::GraphEngine;
+use eov_depgraph::DependencyGraph;
 use eov_vstore::DependencyIndices;
 use std::collections::HashMap;
 
-/// The FabricSharp orderer-side concurrency control: one [`GraphEngine`] and one set of
-/// CW/CR/PW/PR [`DependencyIndices`].
+/// The FabricSharp orderer-side concurrency control: one [`DependencyGraph`], one set of
+/// CW/CR/PW/PR [`DependencyIndices`] and the pending set `P`.
 #[derive(Debug)]
 pub struct FabricSharpCC {
     pub(crate) config: CcConfig,
-    pub(crate) graph: GraphEngine,
+    pub(crate) graph: DependencyGraph,
+    /// Commits that bypassed the graph (template fast path), pruned on its schedule.
+    pub(crate) untracked: UntrackedLog,
     pub(crate) indices: DependencyIndices,
-    /// Accepted transactions waiting for the next block, keyed by id.
-    pub(crate) pending_txns: HashMap<u64, Transaction, FoldState>,
+    /// The pending set `P` of Algorithms 2 and 3: every accepted transaction waiting for the
+    /// next block, graph-tracked and fast-path alike, in acceptance order. A transaction's
+    /// position is the arrival rank block formation's topological sort breaks ties by.
+    pub(crate) pending: Vec<Transaction>,
+    /// Position of every pending transaction in `pending`, keyed by id.
+    pub(crate) pending_at: HashMap<u64, usize, FoldState>,
     /// Number of the block currently being assembled (the first block is 1).
     pub(crate) next_block: u64,
-    /// Monotone acceptance counter: every accepted transaction (graph-tracked or fast-path)
-    /// takes the next value. Mirrors the graph's pending-list slot order, so the template
-    /// fast path can splice untracked transactions back into the commit order at exactly the
-    /// position the reference topo sort would have given them.
-    pub(crate) arrival_seq: u64,
-    /// Acceptance sequence of every pending transaction, keyed by id.
-    pub(crate) pending_seq: HashMap<u64, u64, FoldState>,
-    /// Pending transactions that took the template fast path (never graph-inserted), in
-    /// acceptance order.
-    pub(crate) safe_pending: Vec<TxnId>,
     pub(crate) stats: CcStats,
 }
 
@@ -50,14 +50,13 @@ impl FabricSharpCC {
     /// Creates a controller with the given configuration, starting at block 1.
     pub fn new(config: CcConfig) -> Self {
         FabricSharpCC {
-            graph: GraphEngine::new(config),
+            graph: DependencyGraph::new(config),
+            untracked: UntrackedLog::default(),
             indices: DependencyIndices::default(),
             config,
-            pending_txns: HashMap::default(),
+            pending: Vec::new(),
+            pending_at: HashMap::default(),
             next_block: 1,
-            arrival_seq: 0,
-            pending_seq: HashMap::default(),
-            safe_pending: Vec::new(),
             stats: CcStats::default(),
         }
     }
@@ -79,7 +78,7 @@ impl FabricSharpCC {
 
     /// Number of transactions accepted and waiting for the next block.
     pub fn pending_len(&self) -> usize {
-        self.pending_txns.len()
+        self.pending.len()
     }
 
     /// Cumulative statistics.
@@ -87,8 +86,8 @@ impl FabricSharpCC {
         &self.stats
     }
 
-    /// Read access to the dependency-graph engine (tests, diagnostics, benches).
-    pub fn graph(&self) -> &GraphEngine {
+    /// Read access to the dependency graph (tests, diagnostics, benches).
+    pub fn graph(&self) -> &DependencyGraph {
         &self.graph
     }
 
@@ -97,9 +96,16 @@ impl FabricSharpCC {
         &self.indices
     }
 
-    /// Looks up an accepted pending transaction.
-    pub fn pending_txn(&self, id: TxnId) -> Option<&Transaction> {
-        self.pending_txns.get(&id.0)
+    /// Whether the controller still knows `id` as committed — a graph node, or a fast-path
+    /// commit in the untracked log — until it ages out. This is the idempotence question
+    /// arrival and replay ask.
+    pub fn knows(&self, id: TxnId) -> bool {
+        self.graph.contains(id) || self.untracked.contains(id)
+    }
+
+    /// Number of not-yet-pruned fast-path commits (tests and stats).
+    pub fn untracked_len(&self) -> usize {
+        self.untracked.len()
     }
 
     /// Bootstrap / recovery: registers a transaction that committed *outside* this controller
@@ -113,40 +119,42 @@ impl FabricSharpCC {
         // `knows` also covers transactions this controller committed via the template fast
         // path: they were never graph-inserted, but the untracked-commit log remembers them,
         // so a replayed delivery of the block must not re-register them.
-        if self.graph.knows(txn.id) {
+        if self.knows(txn.id) {
             return;
         }
-        // Template fast path: a statically safe transaction never participates in any
-        // dependency, so replaying it needs no graph node and no committed-index entries —
-        // nothing ever resolves against its keys. Log it so future replays and arrivals see
-        // it as known, exactly like a committed graph node until it ages out.
         if txn.template_class.is_safe() {
+            // Template fast path: a statically safe transaction never participates in any
+            // dependency, so replaying it needs no graph node and no committed-index entries —
+            // nothing ever resolves against its keys.
             crate::dependency::debug_assert_dependency_free(txn, &self.indices);
-            self.graph.note_untracked_commit(txn.id, slot.block);
-            self.next_block = self.next_block.max(slot.block + 1);
-            return;
+        } else {
+            let deps = crate::dependency::resolve(txn, &self.indices);
+            let spec = eov_depgraph::PendingTxnSpec {
+                id: txn.id,
+                start_ts: txn.start_ts(),
+            };
+            self.graph
+                .insert_pending(spec, &deps.predecessors, &deps.successors, slot.block);
         }
-        let deps = crate::dependency::resolve(txn, &self.indices);
-        let spec = eov_depgraph::PendingTxnSpec {
-            id: txn.id,
-            start_ts: txn.start_ts(),
-        };
-        self.graph
-            .insert_pending(spec, &deps.predecessors, &deps.successors, slot.block);
-        self.graph.mark_committed(txn.id, slot);
-        crate::formation::persist_txn_index_side(&mut self.indices, txn, slot);
+        self.record_commit(txn, slot);
         self.next_block = self.next_block.max(slot.block + 1);
     }
 
     /// Drops an accepted pending transaction (used by adversarial scenarios and tests only;
     /// the normal pipeline never un-accepts a transaction).
     pub fn withdraw(&mut self, id: TxnId) -> Option<Transaction> {
-        let txn = self.pending_txns.remove(&id.0)?;
+        let at = self.pending_at.remove(&id.0)?;
+        let txn = self.pending.remove(at);
+        for later in &self.pending[at..] {
+            *self
+                .pending_at
+                .get_mut(&later.id.0)
+                .expect("pending ids are indexed") -= 1;
+        }
         self.graph.remove(id);
+        self.untracked.remove(id);
         self.indices.pw.remove_txn(id);
         self.indices.pr.remove_txn(id);
-        self.pending_seq.remove(&id.0);
-        self.safe_pending.retain(|s| *s != id);
         Some(txn)
     }
 }
@@ -178,12 +186,44 @@ mod tests {
         );
         assert!(cc.on_arrival(txn).is_accept());
         assert_eq!(cc.pending_len(), 1);
-        assert!(cc.pending_txn(TxnId(1)).is_some());
 
         let withdrawn = cc.withdraw(TxnId(1)).unwrap();
         assert_eq!(withdrawn.id, TxnId(1));
         assert_eq!(cc.pending_len(), 0);
         assert!(!cc.graph().contains(TxnId(1)));
         assert!(cc.withdraw(TxnId(1)).is_none());
+    }
+
+    /// A fast-path (`Safe`) transaction withdrawn between two arrivals leaves no gap and no
+    /// trace: the next block holds every other transaction in acceptance order.
+    #[test]
+    fn a_withdrawn_safe_transaction_leaves_the_rest_in_acceptance_order() {
+        use eov_common::txn::TemplateClass;
+        let mut cc = FabricSharpCC::with_defaults();
+        let arrive = |cc: &mut FabricSharpCC, id: u64, safe: bool| {
+            let txn = Transaction::from_parts(
+                id,
+                0,
+                [(Key::new("R"), SeqNo::new(0, 1))],
+                [(Key::new(format!("W{id}")), Value::from_i64(1))],
+            );
+            let class = if safe {
+                TemplateClass::Safe
+            } else {
+                TemplateClass::Unknown
+            };
+            assert!(cc.on_arrival(txn.with_template_class(class)).is_accept());
+        };
+        arrive(&mut cc, 1, false);
+        arrive(&mut cc, 2, true);
+        arrive(&mut cc, 3, false);
+        assert_eq!(cc.withdraw(TxnId(2)).map(|t| t.id), Some(TxnId(2)));
+        arrive(&mut cc, 4, true);
+        arrive(&mut cc, 5, false);
+
+        let block: Vec<TxnId> = cc.cut_block().iter().map(|t| t.id).collect();
+        assert_eq!(block, [1, 3, 4, 5].map(TxnId));
+        assert!(!cc.knows(TxnId(2)));
+        assert!([1, 3, 4, 5].into_iter().all(|id| cc.knows(TxnId(id))));
     }
 }

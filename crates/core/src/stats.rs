@@ -25,17 +25,12 @@ pub struct CcStats {
     pub fastpath_accepted: u64,
     /// Early aborts by reason (before the transaction was sequenced into a block).
     pub early_aborts: HashMap<AbortReason, u64>,
-    /// Of the early aborts, how many were bloom-filter false positives (only known when exact
-    /// reachability tracking is enabled).
-    pub bloom_false_positive_aborts: u64,
     /// Blocks formed.
     pub blocks_formed: u64,
     /// Transactions committed into blocks.
     pub committed: u64,
     /// Total reachability-update hops across all arrivals (Figure 13, "# of hops").
     pub total_hops: u64,
-    /// Largest single-arrival hop count observed.
-    pub max_hops: u64,
     /// Sum of block spans of committed transactions (Figure 13, "Txn blk span").
     pub block_span_sum: u64,
     /// Peak number of nodes in the dependency graph.

@@ -16,11 +16,10 @@ use crate::bloom::BloomFilter;
 use crate::interner::Interner;
 use crate::visited::EpochVisited;
 use eov_common::config::CcConfig;
-use eov_common::hash::FoldState;
 use eov_common::txn::TxnId;
 use eov_common::version::SeqNo;
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// The set of transactions that can reach a node.
 ///
@@ -163,73 +162,6 @@ pub struct InsertReport {
     pub hops: usize,
 }
 
-/// The pending transactions in arrival order (the set `P` of Algorithms 2 and 3).
-///
-/// An order-preserving index: arrival order is kept in a slot vector whose entries are
-/// tombstoned on removal (`mark_committed` / `remove` are O(1) amortised instead of the
-/// `Vec::retain` O(n) scan per commit the seed shipped with), while a hash index maps each id
-/// to its slot. The slot vector is compacted once more than half of it is tombstones, so
-/// iteration stays O(live) amortised.
-#[derive(Clone, Debug, Default)]
-struct PendingList {
-    slots: Vec<Option<TxnId>>,
-    index: HashMap<u64, usize, FoldState>,
-    live: usize,
-}
-
-impl PendingList {
-    /// Appends `id` at the end of the arrival order. Ignores ids already present.
-    fn push(&mut self, id: TxnId) {
-        if self.index.contains_key(&id.0) {
-            return;
-        }
-        self.index.insert(id.0, self.slots.len());
-        self.slots.push(Some(id));
-        self.live += 1;
-    }
-
-    /// Removes `id`, preserving the relative order of everything else. Returns whether the id
-    /// was present.
-    fn remove(&mut self, id: TxnId) -> bool {
-        let Some(slot) = self.index.remove(&id.0) else {
-            return false;
-        };
-        self.slots[slot] = None;
-        self.live -= 1;
-        self.maybe_compact();
-        true
-    }
-
-    /// Removes every id in `ids`, preserving the relative order of the survivors.
-    fn remove_all(&mut self, ids: &[TxnId]) {
-        for id in ids {
-            if let Some(slot) = self.index.remove(&id.0) {
-                self.slots[slot] = None;
-                self.live -= 1;
-            }
-        }
-        self.maybe_compact();
-    }
-
-    fn maybe_compact(&mut self) {
-        if self.slots.len() > 32 && self.live * 2 < self.slots.len() {
-            self.slots.retain(Option::is_some);
-            for (slot, id) in self.slots.iter().enumerate() {
-                let id = id.expect("tombstones were just dropped");
-                self.index.insert(id.0, slot);
-            }
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.live
-    }
-
-    fn iter(&self) -> impl Iterator<Item = TxnId> + '_ {
-        self.slots.iter().filter_map(|slot| *slot)
-    }
-}
-
 /// Reusable traversal scratch shared by the query paths. One instance lives inside the graph
 /// behind a `RefCell` (queries take `&self`); mutating entry points reach it without runtime
 /// borrow checks through `RefCell::get_mut`.
@@ -252,7 +184,6 @@ pub struct DependencyGraph {
     interner: Interner,
     /// Node slab, parallel to the interner's slot space; `None` marks a recyclable slot.
     nodes: Vec<Option<TxnNode>>,
-    pending: PendingList,
     config: CcConfig,
     scratch: RefCell<Scratch>,
 }
@@ -263,7 +194,6 @@ impl DependencyGraph {
         DependencyGraph {
             interner: Interner::new(),
             nodes: Vec::new(),
-            pending: PendingList::default(),
             config,
             scratch: RefCell::new(Scratch::default()),
         }
@@ -309,16 +239,6 @@ impl DependencyGraph {
             .unwrap_or_default()
     }
 
-    /// The pending transactions in arrival order.
-    pub fn pending_ids(&self) -> Vec<TxnId> {
-        self.pending.iter().collect()
-    }
-
-    /// Number of pending transactions.
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
-    }
-
     /// Iterates over all nodes in slot order.
     pub fn nodes(&self) -> impl Iterator<Item = &TxnNode> {
         self.nodes.iter().filter_map(Option::as_ref)
@@ -351,12 +271,6 @@ impl DependencyGraph {
     /// The traversal scratch (shared with the `topo` and `cycle` modules).
     pub(crate) fn scratch(&self) -> &RefCell<Scratch> {
         &self.scratch
-    }
-
-    /// The earliest commit block among committed nodes still in the graph (`C` in the
-    /// two-filter-relay discussion of Section 4.4), if any committed node remains.
-    pub fn earliest_committed_block(&self) -> Option<u64> {
-        self.nodes().filter_map(|n| n.end_ts.map(|e| e.block)).min()
     }
 
     /// Section 4.4's cycle test: for each pair `(p, s)` of a predecessor and a successor of the
@@ -520,7 +434,6 @@ impl DependencyGraph {
         scratch.stack.extend_from_slice(&node.succ);
         let delta = std::mem::replace(&mut node.anti_reachable, ReachSet::placeholder());
         self.nodes[slot as usize] = Some(node);
-        self.pending.push(id);
 
         let mut hops = 0usize;
         while let Some(current) = scratch.stack.pop() {
@@ -619,12 +532,9 @@ impl DependencyGraph {
     /// Marks a pending transaction as committed at `end_ts`. The node stays in the graph (its
     /// dependencies may still matter for future cycles) until pruning removes it.
     pub fn mark_committed(&mut self, id: TxnId, end_ts: SeqNo) {
-        if let Some(slot) = self.interner.get(id) {
-            if let Some(node) = self.nodes[slot as usize].as_mut() {
-                node.end_ts = Some(end_ts);
-            }
+        if let Some(node) = self.node_mut(id) {
+            node.end_ts = Some(end_ts);
         }
-        self.pending.remove(id);
     }
 
     /// Removes a pending transaction entirely (used by adversarial tests and by callers that
@@ -632,23 +542,7 @@ impl DependencyGraph {
     /// — the predecessor lists make the cleanup O(degree) instead of a full graph scan — and
     /// the freed slot returns to the interner's free list for reuse.
     pub fn remove(&mut self, id: TxnId) {
-        self.pending.remove(id);
-        let Some(slot) = self.interner.release(id) else {
-            return;
-        };
-        let node = self.nodes[slot as usize]
-            .take()
-            .expect("interned slots are live");
-        for p in node.pred {
-            if let Some(p_node) = self.nodes[p as usize].as_mut() {
-                p_node.succ.retain(|s| *s != slot);
-            }
-        }
-        for s in node.succ {
-            if let Some(s_node) = self.nodes[s as usize].as_mut() {
-                s_node.pred.retain(|p| *p != slot);
-            }
-        }
+        self.remove_many(&[id]);
     }
 
     /// Exact reachability query over successor edges (DFS on the epoch-tagged scratch). Used
@@ -703,10 +597,6 @@ impl DependencyGraph {
             ids.windows(2).all(|w| w[0] < w[1]),
             "ids sorted and distinct"
         );
-        if ids.is_empty() {
-            return;
-        }
-        self.pending.remove_all(ids);
         for &id in ids {
             let Some(slot) = self.interner.release(id) else {
                 continue;
@@ -781,7 +671,7 @@ mod tests {
         assert!(g.node(TxnId(2)).unwrap().anti_reachable.contains(TxnId(1)));
         assert!(g.reaches_exact(TxnId(1), TxnId(2)));
         assert!(!g.reaches_exact(TxnId(2), TxnId(1)));
-        assert_eq!(g.pending_ids(), vec![TxnId(1), TxnId(2)]);
+        assert!(g.nodes().all(TxnNode::is_pending));
         assert_edge_mirror(&g);
     }
 
@@ -899,10 +789,9 @@ mod tests {
         let mut g = DependencyGraph::new(cfg_exact());
         g.insert_pending(spec(1, 0), &[], &[], 1);
         g.mark_committed(TxnId(1), SeqNo::new(1, 1));
-        assert_eq!(g.pending_len(), 0);
         assert!(g.contains(TxnId(1)));
         assert!(!g.node(TxnId(1)).unwrap().is_pending());
-        assert_eq!(g.earliest_committed_block(), Some(1));
+        assert_eq!(g.node(TxnId(1)).unwrap().end_ts, Some(SeqNo::new(1, 1)));
     }
 
     #[test]
@@ -913,7 +802,7 @@ mod tests {
         g.remove(TxnId(2));
         assert!(!g.contains(TxnId(2)));
         assert!(g.successors(TxnId(1)).is_empty());
-        assert_eq!(g.pending_len(), 1);
+        assert_eq!(g.len(), 1);
     }
 
     #[test]
@@ -946,7 +835,7 @@ mod tests {
         let report = g.insert_pending(spec(2, 0), &[], &[], 2);
         assert_eq!(report, InsertReport::default());
         assert_eq!(g.len(), 3);
-        assert_eq!(g.pending_ids(), vec![TxnId(0), TxnId(1)]);
+        assert!(g.node(TxnId(0)).unwrap().is_pending() && g.node(TxnId(1)).unwrap().is_pending());
         assert!(!g.node(TxnId(2)).unwrap().is_pending());
         assert_eq!(g.successors(TxnId(1)), vec![TxnId(2)]);
         assert_eq!(g.predecessors(TxnId(2)), vec![TxnId(1)]);
@@ -992,39 +881,8 @@ mod tests {
         assert_eq!(g.len(), 2);
         assert_eq!(g.successors(TxnId(1)), vec![TxnId(4)]);
         assert_eq!(g.predecessors(TxnId(4)), vec![TxnId(1)]);
-        assert_eq!(g.pending_ids(), vec![TxnId(1), TxnId(4)]);
+        assert!(g.contains(TxnId(1)) && g.contains(TxnId(4)));
         assert_edge_mirror(&g);
-    }
-
-    /// Regression test for the pending-list index: removals (commits) must preserve arrival
-    /// order for the survivors, across enough churn to trigger slot compaction several times.
-    #[test]
-    fn pending_order_survives_heavy_commit_churn() {
-        let mut g = DependencyGraph::new(cfg_exact());
-        for id in 0..200u64 {
-            g.insert_pending(spec(id, 0), &[], &[], 1);
-        }
-        // Commit every even id (forces compaction: >50% tombstones).
-        for id in (0..200u64).step_by(2) {
-            g.mark_committed(TxnId(id), SeqNo::new(1, 1));
-        }
-        let expected: Vec<TxnId> = (0..200u64).filter(|id| id % 2 == 1).map(TxnId).collect();
-        assert_eq!(g.pending_ids(), expected);
-        assert_eq!(g.pending_len(), 100);
-
-        // New arrivals land at the end of the order.
-        g.insert_pending(spec(500, 0), &[], &[], 2);
-        let ids = g.pending_ids();
-        assert_eq!(*ids.last().unwrap(), TxnId(500));
-        assert_eq!(ids.len(), 101);
-
-        // Commit everything; pending drains to empty and re-fills cleanly.
-        for id in ids {
-            g.mark_committed(id, SeqNo::new(2, 1));
-        }
-        assert_eq!(g.pending_len(), 0);
-        g.insert_pending(spec(900, 0), &[], &[], 3);
-        assert_eq!(g.pending_ids(), vec![TxnId(900)]);
     }
 
     #[test]

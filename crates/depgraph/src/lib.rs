@@ -10,22 +10,23 @@
 //! * [`interner`] — `TxnId` → dense `u32` slot interning with a free list; turns every hot
 //!   path's hash lookups into `Vec` indexing.
 //! * [`visited`] — epoch-tagged visited sets: O(1) clearing, allocation-free traversals.
-//! * [`topo`] — deterministic topological ordering of the pending set (Algorithm 3, line 1) in
-//!   O(V + E) bitset-union work, and topologically-ordered traversal used by Algorithm 5.
+//! * [`topo`] — deterministic topological ordering of the caller's pending set (Algorithm 3,
+//!   line 1) in O(V + E) bitset-union work, ids without a node sorting as edge-free
+//!   transactions, and topologically-ordered traversal used by Algorithm 5.
 //! * [`cycle`] — exact (non-probabilistic) cycle detection used as a test oracle and for the
 //!   bloom-vs-exact ablation.
 //! * [`prune`] — `max_span` snapshot thresholds and age-based pruning (Section 4.6).
 //! * [`reference`] — the retained naive-DFS implementation, kept as the equivalence oracle
 //!   and bench baseline for the dense engine. Not for production use.
 //! * [`rebuild`] — from-scratch reachability recomputation (called by tests only).
-//! * [`engine`] — [`engine::GraphEngine`], the orderer-facing wrapper: one flat graph plus the
-//!   log of commits that bypassed it.
+//!
+//! The orderer (`fabricsharp-core`'s `FabricSharpCC`) holds one [`DependencyGraph`] and calls
+//! it directly; the pending set `P` and the log of commits that bypassed the graph are its own.
 
 #![forbid(unsafe_code)]
 
 pub mod bloom;
 pub mod cycle;
-pub mod engine;
 pub mod graph;
 pub mod interner;
 pub mod prune;
@@ -35,7 +36,6 @@ pub mod topo;
 pub mod visited;
 
 pub use bloom::BloomFilter;
-pub use engine::GraphEngine;
 pub use graph::{CycleCheck, DependencyGraph, InsertReport, PendingTxnSpec, ReachSet, TxnNode};
 pub use interner::Interner;
 pub use prune::snapshot_threshold;

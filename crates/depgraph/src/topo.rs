@@ -7,7 +7,9 @@
 //!
 //! Determinism matters: every honest orderer must produce the same order from the same input
 //! (the agreement property of Section 3.5). Ties are therefore broken by arrival order, which
-//! is itself replicated because it is derived from the consensus stream.
+//! is itself replicated because it is derived from the consensus stream. The caller owns the
+//! pending set and passes it in arrival order; an id the graph has no node for (the template
+//! fast path never inserts one) sorts as an edge-free transaction.
 //!
 //! The closure is computed in O(V + E) set-union work instead of one DFS per pending
 //! transaction: a single postorder sweep over the sub-graph reachable from the pending set
@@ -27,27 +29,34 @@ use std::collections::BinaryHeap;
 const NOT_PENDING: u32 = u32::MAX;
 
 impl DependencyGraph {
-    /// Returns the pending transactions in a topological order consistent with reachability in
-    /// the full graph, breaking ties by arrival order. The pending sub-graph is acyclic by
-    /// construction (Algorithm 2 rejects cycle-closing transactions), so an order always
-    /// exists; if the exact structure were ever cyclic (which would indicate a bug), the
-    /// remaining transactions are appended in arrival order so the orderer still makes
-    /// progress deterministically.
-    pub fn topo_sort_pending(&self) -> Vec<TxnId> {
-        let pending = self.pending_ids();
-        let p = pending.len();
-        if p <= 1 {
-            return pending;
+    /// Returns `pending` — the pending set in arrival order — in a topological order consistent
+    /// with reachability in the full graph, breaking ties by arrival order. An id with no node
+    /// (a transaction that bypassed the graph) is edge-free: nothing reaches it and it reaches
+    /// nothing, so it is ready from the first step and keeps its arrival rank among the ready
+    /// transactions. When at most one listed id has a node there is no edge to respect and the
+    /// list comes back unchanged.
+    ///
+    /// The pending sub-graph is acyclic by construction (Algorithm 2 rejects cycle-closing
+    /// transactions), so an order always exists; if the exact structure were ever cyclic
+    /// (which would indicate a bug), the remaining transactions are appended in arrival order
+    /// so the orderer still makes progress deterministically.
+    pub fn topo_sort_pending(&self, pending: &[TxnId]) -> Vec<TxnId> {
+        // (arrival index, slot) of every listed id that has a node.
+        let tracked: Vec<(u32, u32)> = pending
+            .iter()
+            .enumerate()
+            .filter_map(|(i, id)| Some((i as u32, self.slot_of(*id)?)))
+            .collect();
+        if tracked.len() <= 1 {
+            return pending.to_vec();
         }
+        let p = pending.len();
         let capacity = self.capacity();
 
-        // Dense side tables over the slot space: arrival index per pending slot.
+        // Dense side table over the slot space: arrival index per pending slot.
         let mut arrival: Vec<u32> = vec![NOT_PENDING; capacity];
-        let mut pending_slots: Vec<u32> = Vec::with_capacity(p);
-        for (i, id) in pending.iter().enumerate() {
-            let slot = self.slot_of(*id).expect("pending ids are tracked");
-            arrival[slot as usize] = i as u32;
-            pending_slots.push(slot);
+        for &(i, slot) in &tracked {
+            arrival[slot as usize] = i;
         }
 
         // Postorder DFS over everything reachable from the pending set (committed
@@ -57,7 +66,7 @@ impl DependencyGraph {
             let mut scratch = self.scratch().borrow_mut();
             scratch.visited.reset(capacity);
             let mut dfs: Vec<(u32, u32)> = Vec::new();
-            for &root in &pending_slots {
+            for &(_, root) in &tracked {
                 if !scratch.visited.insert(root) {
                     continue;
                 }
@@ -110,7 +119,7 @@ impl DependencyGraph {
         // Closure in-degrees: pending `b` has one incoming closure edge per pending `a` that
         // reaches it.
         let mut indegree: Vec<u32> = vec![0; p];
-        for &slot in &pending_slots {
+        for &(_, slot) in &tracked {
             let row = &reach[row_of[slot as usize] as usize * words..][..words];
             for (wi, &word) in row.iter().enumerate() {
                 let mut bits = word;
@@ -120,6 +129,12 @@ impl DependencyGraph {
                     bits &= bits - 1;
                 }
             }
+        }
+
+        // Closure row of each listed id by arrival index; an id without a node has none.
+        let mut row_at: Vec<u32> = vec![NOT_PENDING; p];
+        for &(i, slot) in &tracked {
+            row_at[i as usize] = row_of[slot as usize];
         }
 
         // Kahn's algorithm with arrival-order tie-breaking: among ready transactions always
@@ -135,8 +150,11 @@ impl DependencyGraph {
         while let Some(Reverse(next)) = heap.pop() {
             emitted[next as usize] = true;
             order.push(pending[next as usize]);
-            let slot = pending_slots[next as usize];
-            let row = &reach[row_of[slot as usize] as usize * words..][..words];
+            let r = row_at[next as usize];
+            if r == NOT_PENDING {
+                continue;
+            }
+            let row = &reach[r as usize * words..][..words];
             for (wi, &word) in row.iter().enumerate() {
                 let mut bits = word;
                 while bits != 0 {
@@ -224,6 +242,10 @@ mod tests {
         })
     }
 
+    fn ids(raw: &[u64]) -> Vec<TxnId> {
+        raw.iter().copied().map(TxnId).collect()
+    }
+
     #[test]
     fn topo_respects_direct_dependencies() {
         let mut g = exact_graph();
@@ -232,7 +254,7 @@ mod tests {
         g.insert_pending(spec(2), &[], &[TxnId(3)], 1);
         g.insert_pending(spec(1), &[], &[TxnId(2)], 1);
 
-        let order = g.topo_sort_pending();
+        let order = g.topo_sort_pending(&ids(&[3, 2, 1]));
         let pos = |id: u64| order.iter().position(|t| t.0 == id).unwrap();
         assert!(pos(1) < pos(2));
         assert!(pos(2) < pos(3));
@@ -246,7 +268,7 @@ mod tests {
             g.insert_pending(spec(id), &[], &[], 1);
         }
         // No dependencies at all: the order must be exactly the arrival order.
-        assert_eq!(g.topo_sort_pending(), vec![TxnId(7), TxnId(5), TxnId(9)]);
+        assert_eq!(g.topo_sort_pending(&ids(&[7, 5, 9])), ids(&[7, 5, 9]));
     }
 
     #[test]
@@ -258,16 +280,33 @@ mod tests {
         g.insert_pending(spec(2), &[TxnId(100)], &[], 2);
         g.insert_pending(spec(1), &[], &[TxnId(100)], 2);
 
-        let order = g.topo_sort_pending();
-        assert_eq!(order, vec![TxnId(1), TxnId(2)]);
+        let order = g.topo_sort_pending(&ids(&[2, 1]));
+        assert_eq!(order, ids(&[1, 2]));
     }
 
     #[test]
     fn empty_and_singleton_pending_sets() {
         let mut g = exact_graph();
-        assert!(g.topo_sort_pending().is_empty());
+        assert!(g.topo_sort_pending(&[]).is_empty());
         g.insert_pending(spec(1), &[], &[], 1);
-        assert_eq!(g.topo_sort_pending(), vec![TxnId(1)]);
+        assert_eq!(g.topo_sort_pending(&ids(&[1])), ids(&[1]));
+    }
+
+    /// Ids without a node are edge-free: ready from the start, they pop at their arrival
+    /// rank among the ready transactions, and with at most one tracked id the list is
+    /// returned as given.
+    #[test]
+    fn ids_without_a_node_keep_their_arrival_rank() {
+        let mut g = exact_graph();
+        // Arrival order 2, 1 but dependency 1 → 2; 5, 6 and 7 have no node.
+        g.insert_pending(spec(2), &[], &[], 1);
+        g.insert_pending(spec(1), &[], &[TxnId(2)], 1);
+        assert_eq!(
+            g.topo_sort_pending(&ids(&[5, 2, 6, 1, 7])),
+            ids(&[5, 6, 1, 2, 7])
+        );
+        assert_eq!(g.topo_sort_pending(&ids(&[5, 2, 6])), ids(&[5, 2, 6]));
+        assert_eq!(g.topo_sort_pending(&ids(&[5, 6])), ids(&[5, 6]));
     }
 
     /// More pending transactions than one bitset word, with dependencies crossing the word
@@ -285,7 +324,7 @@ mod tests {
             };
             g.insert_pending(spec(id), &[], &succs, 1);
         }
-        let order = g.topo_sort_pending();
+        let order = g.topo_sort_pending(&(0..100u64).rev().map(TxnId).collect::<Vec<_>>());
         let expected: Vec<TxnId> = (0..100u64).map(TxnId).collect();
         assert_eq!(order, expected);
     }
@@ -329,51 +368,88 @@ mod proptests {
     use eov_common::version::SeqNo;
     use proptest::prelude::*;
 
+    /// Ids of the random graphs: `0..NODES`, inserted in id order.
+    const NODES: u64 = 12;
+
+    fn spec(id: u64) -> PendingTxnSpec {
+        PendingTxnSpec {
+            id: TxnId(id),
+            start_ts: SeqNo::snapshot_after(0),
+        }
+    }
+
+    /// A random DAG over `0..NODES`: edge (a, b) becomes the dependency min → max, given as
+    /// "max's predecessors include min" at insert time.
+    fn random_dag(edges: &[(u64, u64)]) -> DependencyGraph {
+        let mut g = DependencyGraph::new(CcConfig {
+            track_exact_reachability: true,
+            ..CcConfig::default()
+        });
+        let mut preds: std::collections::HashMap<u64, Vec<TxnId>> = Default::default();
+        for &(a, b) in edges {
+            let (lo, hi) = if a < b { (a, b) } else { (b, a) };
+            if lo != hi {
+                preds.entry(hi).or_default().push(TxnId(lo));
+            }
+        }
+        for id in 0..NODES {
+            let p = preds.remove(&id).unwrap_or_default();
+            g.insert_pending(spec(id), &p, &[], 1);
+        }
+        g
+    }
+
     proptest! {
         /// The topological order always respects exact reachability between pending
         /// transactions, for random DAGs built by only adding edges from older to newer ids.
         #[test]
         fn topo_order_respects_every_dependency(
-            edges in proptest::collection::vec((0u64..12, 0u64..12), 0..40)
+            edges in proptest::collection::vec((0..NODES, 0..NODES), 0..40)
         ) {
-            let mut g = DependencyGraph::new(CcConfig {
-                track_exact_reachability: true,
-                ..CcConfig::default()
-            });
-            // Insert 12 pending transactions; edge (a, b) with a < b becomes a dependency
-            // a → b expressed as "b's predecessors include a" at insert time.
-            let mut preds: std::collections::HashMap<u64, Vec<TxnId>> = Default::default();
-            for (a, b) in edges {
-                let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-                if lo != hi {
-                    preds.entry(hi).or_default().push(TxnId(lo));
-                }
-            }
-            for id in 0u64..12 {
-                let p = preds.remove(&id).unwrap_or_default();
-                g.insert_pending(
-                    PendingTxnSpec {
-                        id: TxnId(id),
-                        start_ts: SeqNo::snapshot_after(0),
-                    },
-                    &p,
-                    &[],
-                    1,
-                );
-            }
-
-            let order = g.topo_sort_pending();
-            prop_assert_eq!(order.len(), 12);
+            let g = random_dag(&edges);
+            let order = g.topo_sort_pending(&(0..NODES).map(TxnId).collect::<Vec<_>>());
+            prop_assert_eq!(order.len(), NODES as usize);
             let pos: std::collections::HashMap<TxnId, usize> =
                 order.iter().enumerate().map(|(i, t)| (*t, i)).collect();
-            for a in 0u64..12 {
-                for b in 0u64..12 {
+            for a in 0..NODES {
+                for b in 0..NODES {
                     if a != b && g.reaches_exact(TxnId(a), TxnId(b)) {
                         prop_assert!(pos[&TxnId(a)] < pos[&TxnId(b)],
                             "order violates {} -> {}", a, b);
                     }
                 }
             }
+        }
+
+        /// Ids the graph has no node for sort exactly like edge-free pending nodes: interleave
+        /// absent ids into a random DAG's pending list at random positions (some graph nodes
+        /// committed, so they order the rest only as intermediaries) and the order equals the
+        /// one of a copy of the graph where those ids were inserted without edges.
+        #[test]
+        fn absent_ids_sort_like_edge_free_pending_nodes(
+            edges in proptest::collection::vec((0..NODES, 0..NODES), 0..40),
+            committed in proptest::collection::vec(any::<bool>(), NODES as usize..NODES as usize + 1),
+            absent_at in proptest::collection::vec(0..NODES as usize + 1, 0..10),
+        ) {
+            let mut g = random_dag(&edges);
+            let mut pending = Vec::new();
+            for id in 0..NODES {
+                if committed[id as usize] {
+                    g.mark_committed(TxnId(id), SeqNo::new(1, id as u32 + 1));
+                } else {
+                    pending.push(TxnId(id));
+                }
+            }
+            let mut with_nodes = g.clone();
+            for (k, &at) in absent_at.iter().enumerate() {
+                let id = 100 + k as u64;
+                pending.insert(at.min(pending.len()), TxnId(id));
+                with_nodes.insert_pending(spec(id), &[], &[], 1);
+            }
+            prop_assert_eq!(
+                g.topo_sort_pending(&pending),
+                with_nodes.topo_sort_pending(&pending)
+            );
         }
     }
 }

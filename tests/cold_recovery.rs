@@ -313,7 +313,7 @@ proptest! {
 
 /// A ledger where untracked commits and graph-inserted ones interleave inside every block,
 /// cold-recovered from disk, produces the same post-recovery cuts as in-memory replay. This is
-/// the adversarial case for the splice-preserving rebuild: the disk round-trip (encode → CRC →
+/// the adversarial case for the order-preserving rebuild: the disk round-trip (encode → CRC →
 /// decode) must not disturb the replay order the rebuild sees. The stream alternates
 /// Create-Account instances tagged `Safe` by hand with modified-Smallbank instances left
 /// `Unknown`, over one genesis; the tags are sound because Create-Account ids start at

@@ -250,7 +250,7 @@ fn fastpath_keeps_safe_transactions_out_of_the_graph() {
             "fast path must not populate the graph"
         );
         assert!(
-            fast.graph().untracked_len() > 0,
+            fast.untracked_len() > 0,
             "fast path must log untracked commits"
         );
         assert!(

@@ -202,7 +202,7 @@ proptest! {
             for entry in &block.entries {
                 if entry.status.is_committed() {
                     prop_assert!(
-                        with_fastpath.graph().knows(entry.txn.id),
+                        with_fastpath.knows(entry.txn.id),
                         "fastpath recoverer must know replayed txn {:?}",
                         entry.txn.id
                     );
@@ -230,7 +230,7 @@ proptest! {
 
     /// Same contract on a ledger where untracked commits (Create-Account, tagged `Safe`)
     /// interleave with graph-inserted ones (modified Smallbank, `Unknown`) inside every block —
-    /// the adversarial case for the splice-preserving recovery rebuild. The tip must not depend
+    /// the adversarial case for the order-preserving recovery rebuild. The tip must not depend
     /// on the tags, and the recovered controllers must agree on resume point, replayed-suffix
     /// knowledge, verdicts on fresh `Safe` and `Unknown` arrivals, and the next cut.
     #[test]
@@ -261,7 +261,7 @@ proptest! {
             for entry in &block.entries {
                 if entry.status.is_committed() {
                     prop_assert!(
-                        with_fastpath.graph().knows(entry.txn.id),
+                        with_fastpath.knows(entry.txn.id),
                         "fastpath recoverer must know replayed txn {:?}",
                         entry.txn.id
                     );
@@ -424,7 +424,7 @@ fn create_account_durable_runs_tagged_and_untagged_alike() {
     // The tagged recovery replays the suffix into the untracked log, the reference into the
     // graph.
     assert!(tagged.recovered_cc.graph().is_empty());
-    assert!(tagged.recovered_cc.graph().untracked_len() > 0);
+    assert!(tagged.recovered_cc.untracked_len() > 0);
     assert!(!reference.recovered_cc.graph().is_empty());
-    assert_eq!(reference.recovered_cc.graph().untracked_len(), 0);
+    assert_eq!(reference.recovered_cc.untracked_len(), 0);
 }
