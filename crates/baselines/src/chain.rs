@@ -167,16 +167,6 @@ impl SimpleChain {
         decision
     }
 
-    /// Convenience: execute and submit in one call, returning the transaction id and decision.
-    pub fn execute_and_submit<F>(&mut self, logic: F) -> (TxnId, CommitDecision)
-    where
-        F: FnOnce(&mut SimulationContext<'_>),
-    {
-        let txn = self.execute(logic);
-        let id = txn.id;
-        (id, self.submit(txn))
-    }
-
     /// Block formation: cuts the next block from everything pending, in final commit order.
     /// Empty when nothing was pending.
     pub fn cut(&mut self) -> Vec<Transaction> {
@@ -415,7 +405,8 @@ mod tests {
         assert!(matches!(err, LedgerError::Io { .. }), "got {err}");
         std::fs::remove_dir_all(&dir).unwrap();
 
-        chain.execute_and_submit(|ctx| ctx.write(k("carol"), Value::from_i64(1)));
+        let txn = chain.execute(|ctx| ctx.write(k("carol"), Value::from_i64(1)));
+        chain.submit(txn);
         chain.seal_block();
         let err = chain.persist_to(&dir).unwrap_err();
         assert!(matches!(err, LedgerError::Chain(_)), "got {err}");
@@ -434,13 +425,15 @@ mod tests {
         chain.persist_to(&dir).unwrap();
         // Block 1's record fills the first 1 KiB segment, so block 2 opens a new one; a
         // directory squatting on that segment's name makes the append fail.
-        chain.execute_and_submit(|ctx| ctx.write(k("big"), Value::from_bytes(vec![7u8; 1500])));
+        let txn = chain.execute(|ctx| ctx.write(k("big"), Value::from_bytes(vec![7u8; 1500])));
+        chain.submit(txn);
         let txns = chain.cut();
         assert_eq!(chain.commit(txns).unwrap().block_number, Some(1));
         let squatter = dir.join(format!("seg-{:020}.log", 2));
         std::fs::create_dir(&squatter).unwrap();
 
-        chain.execute_and_submit(|ctx| ctx.write(k("alice"), Value::from_i64(1)));
+        let txn = chain.execute(|ctx| ctx.write(k("alice"), Value::from_i64(1)));
+        chain.submit(txn);
         let txns = chain.cut();
         let err = chain.commit(txns).unwrap_err();
         assert!(matches!(err, LedgerError::Io { .. }), "got {err}");
@@ -448,7 +441,8 @@ mod tests {
 
         // The store already holds block 2's write: nothing may be appended on top of it.
         std::fs::remove_dir(&squatter).unwrap();
-        chain.execute_and_submit(|ctx| ctx.write(k("bob"), Value::from_i64(1)));
+        let txn = chain.execute(|ctx| ctx.write(k("bob"), Value::from_i64(1)));
+        chain.submit(txn);
         let txns = chain.cut();
         let err = chain.commit(txns).unwrap_err();
         assert!(matches!(err, LedgerError::Chain(_)), "got {err}");
@@ -462,11 +456,11 @@ mod tests {
         let mut chain = transfer_chain(SystemKind::Fabric);
         let alice = k("alice");
         // Commit a block that bumps alice.
-        let (_, d) = chain.execute_and_submit(|ctx| {
+        let txn = chain.execute(|ctx| {
             let a = ctx.read_balance(&k("alice"));
             ctx.write(k("alice"), Value::from_i64(a + 1));
         });
-        assert!(d.is_accept());
+        assert!(chain.submit(txn).is_accept());
         chain.seal_block();
 
         // Now simulate against the stale genesis snapshot: Fabric's validation must abort it.

@@ -15,7 +15,7 @@ use eov_common::version::SeqNo;
 
 /// The vanilla Fabric "concurrency control": FIFO batching, validation at the peers.
 #[derive(Debug, Default)]
-pub struct FabricCC {
+pub(crate) struct FabricCC {
     pending: Vec<Transaction>,
     next_block: u64,
 }
@@ -27,11 +27,6 @@ impl FabricCC {
             pending: Vec::new(),
             next_block: 1,
         }
-    }
-
-    /// The number of the block currently being assembled.
-    pub fn next_block(&self) -> u64 {
-        self.next_block
     }
 }
 
@@ -92,7 +87,7 @@ mod tests {
         assert_eq!(ids, vec![5, 3, 9]);
         assert_eq!(block[0].end_ts, Some(SeqNo::new(1, 1)));
         assert_eq!(block[2].end_ts, Some(SeqNo::new(1, 3)));
-        assert_eq!(cc.next_block(), 2);
+        assert_eq!(cc.next_block, 2);
         assert_eq!(cc.pending_len(), 0);
     }
 
@@ -100,7 +95,7 @@ mod tests {
     fn empty_cut_does_not_advance_the_block_number() {
         let mut cc = FabricCC::new();
         assert!(cc.cut_block().is_empty());
-        assert_eq!(cc.next_block(), 1);
+        assert_eq!(cc.next_block, 1);
     }
 
     #[test]

@@ -26,7 +26,7 @@ use std::collections::{BTreeSet, HashMap};
 
 /// The Fabric++ orderer-side concurrency control.
 #[derive(Debug, Default)]
-pub struct FabricPlusPlusCC {
+pub(crate) struct FabricPlusPlusCC {
     pending: Vec<Transaction>,
     next_block: u64,
     /// Latest committed version per key, learnt from `on_block_committed`; used for the

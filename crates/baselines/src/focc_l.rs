@@ -18,7 +18,7 @@ use std::collections::HashSet;
 
 /// The Focc-l orderer-side concurrency control.
 #[derive(Debug, Default)]
-pub struct FoccLightCC {
+pub(crate) struct FoccLightCC {
     pending: Vec<Transaction>,
     next_block: u64,
 }

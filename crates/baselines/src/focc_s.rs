@@ -33,7 +33,7 @@ struct CommittedFootprint {
 
 /// The Focc-s orderer-side concurrency control.
 #[derive(Debug, Default)]
-pub struct FoccSerializableCC {
+pub(crate) struct FoccSerializableCC {
     pending: Vec<Transaction>,
     /// Recently committed transactions, kept for `history_blocks` blocks.
     committed: Vec<CommittedFootprint>,

@@ -6,9 +6,9 @@
 //!
 //! * [`fabric`] — vanilla Hyperledger Fabric v1.3 (FIFO ordering, MVCC validation at peers).
 //! * [`fabricpp`] — Fabric++ (early abort of cross-block reads + within-block reordering).
-//! * [`focc_s`] — Focc-s: standard serializable OCC (concurrent-ww / dangerous-structure
+//! * `focc_s` — Focc-s: standard serializable OCC (concurrent-ww / dangerous-structure
 //!   aborts at arrival).
-//! * [`focc_l`] — Focc-l: sort-based greedy batch reordering at block formation.
+//! * `focc_l` — Focc-l: sort-based greedy batch reordering at block formation.
 //! * [`sharp`] — the trait implementation for FabricSharp (`fabricsharp-core`).
 //! * [`chain`] — `SimpleChain`, the one node that runs the EOV step (execute, order, validate,
 //!   append, optionally persisted) on the caller's thread; examples, tests and the simulator
@@ -20,8 +20,8 @@ pub mod api;
 pub mod chain;
 pub mod fabric;
 pub mod fabricpp;
-pub mod focc_l;
-pub mod focc_s;
+mod focc_l;
+mod focc_s;
 pub mod sharp;
 
 pub use api::{
@@ -29,7 +29,3 @@ pub use api::{
     ConcurrencyControl, SystemKind,
 };
 pub use chain::{BlockReport, SimpleChain};
-pub use fabric::FabricCC;
-pub use fabricpp::FabricPlusPlusCC;
-pub use focc_l::FoccLightCC;
-pub use focc_s::FoccSerializableCC;

@@ -54,12 +54,6 @@ impl AbortReason {
             _ => "Others",
         }
     }
-
-    /// Whether the abort happened before the transaction was sequenced (early abort), as
-    /// opposed to a validation-phase abort after the transaction already occupied a block slot.
-    pub fn is_early(&self) -> bool {
-        !matches!(self, AbortReason::StaleRead)
-    }
 }
 
 impl fmt::Display for AbortReason {
@@ -104,14 +98,6 @@ mod tests {
         );
         assert_eq!(AbortReason::StaleRead.figure14_bucket(), "Others");
         assert_eq!(AbortReason::UnreorderableCycle.figure14_bucket(), "Others");
-    }
-
-    #[test]
-    fn stale_read_is_the_only_late_abort() {
-        assert!(!AbortReason::StaleRead.is_early());
-        assert!(AbortReason::UnreorderableCycle.is_early());
-        assert!(AbortReason::CrossBlockRead.is_early());
-        assert!(AbortReason::ConcurrentWriteWrite.is_early());
     }
 
     #[test]

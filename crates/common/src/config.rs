@@ -216,7 +216,8 @@ impl WorkloadParams {
 }
 
 /// The experiment parameter grid of Table 2. Each field lists the values swept by the paper;
-/// the default (underlined in the paper) is produced by [`ExperimentGrid::default_params`].
+/// the defaults (underlined in the paper) are [`BlockConfig::default`] and
+/// [`WorkloadParams::default`].
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct ExperimentGrid {
     /// "# of transactions per block": 50, 100, 200, 300, 400, 500.
@@ -249,21 +250,13 @@ impl Default for ExperimentGrid {
     }
 }
 
-impl ExperimentGrid {
-    /// The default workload parameters (the underlined column of Table 2): block size 100,
-    /// 10% hot ratios, no client delay, no read interval, 700 tps offered load.
-    pub fn default_params() -> (BlockConfig, WorkloadParams) {
-        (BlockConfig::default(), WorkloadParams::default())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn defaults_match_table2_underlined_values() {
-        let (block, wl) = ExperimentGrid::default_params();
+        let (block, wl) = (BlockConfig::default(), WorkloadParams::default());
         assert_eq!(block.max_txns_per_block, 100);
         assert!((wl.read_hot_ratio - 0.10).abs() < 1e-9);
         assert!((wl.write_hot_ratio - 0.10).abs() < 1e-9);

@@ -31,50 +31,6 @@ pub enum DependencyKind {
 }
 
 impl DependencyKind {
-    /// Whether the two endpoints of the edge are concurrent.
-    pub fn is_concurrent(&self) -> bool {
-        matches!(
-            self,
-            DependencyKind::ConcurrentWriteWrite
-                | DependencyKind::ConcurrentReadWrite
-                | DependencyKind::AntiReadWrite
-        )
-    }
-
-    /// Whether the edge is a write-write conflict (concurrent or not).
-    pub fn is_write_write(&self) -> bool {
-        matches!(
-            self,
-            DependencyKind::ConcurrentWriteWrite | DependencyKind::NonConcurrentWriteWrite
-        )
-    }
-
-    /// Whether the edge is a read-write conflict in either direction (c-rw, anti-rw, n-rw).
-    pub fn is_read_write(&self) -> bool {
-        matches!(
-            self,
-            DependencyKind::ConcurrentReadWrite
-                | DependencyKind::AntiReadWrite
-                | DependencyKind::NonConcurrentReadWrite
-        )
-    }
-
-    /// Lemma 3 / Lemma 4: what the edge becomes when the commit order of its two concurrent
-    /// endpoints is switched. Non-concurrent edges cannot be reordered (Lemma 1) and return
-    /// `None`.
-    pub fn after_commit_order_switch(&self) -> Option<DependencyKind> {
-        match self {
-            // c-rw and anti-rw swap into each other, but the *direction* of the dependency
-            // (reader → writer) is preserved, which is exactly Lemma 3.
-            DependencyKind::ConcurrentReadWrite => Some(DependencyKind::AntiReadWrite),
-            DependencyKind::AntiReadWrite => Some(DependencyKind::ConcurrentReadWrite),
-            // c-ww stays c-ww but the direction of the edge flips (Lemma 4); callers must
-            // reverse the endpoints themselves.
-            DependencyKind::ConcurrentWriteWrite => Some(DependencyKind::ConcurrentWriteWrite),
-            _ => None,
-        }
-    }
-
     /// Short label used in traces and experiment output.
     pub fn label(&self) -> &'static str {
         match self {
@@ -100,60 +56,9 @@ mod tests {
     use DependencyKind::*;
 
     #[test]
-    fn concurrency_classification_matches_figure5() {
-        assert!(ConcurrentWriteWrite.is_concurrent());
-        assert!(ConcurrentReadWrite.is_concurrent());
-        assert!(AntiReadWrite.is_concurrent());
-        assert!(!NonConcurrentWriteWrite.is_concurrent());
-        assert!(!NonConcurrentWriteRead.is_concurrent());
-        assert!(!NonConcurrentReadWrite.is_concurrent());
-    }
-
-    #[test]
-    fn lemma3_rw_edges_preserve_dependency_order() {
-        // Switching the commit order turns c-rw into anti-rw and vice versa; in both cases the
-        // reader still depends on the writer.
-        assert_eq!(
-            ConcurrentReadWrite.after_commit_order_switch(),
-            Some(AntiReadWrite)
-        );
-        assert_eq!(
-            AntiReadWrite.after_commit_order_switch(),
-            Some(ConcurrentReadWrite)
-        );
-    }
-
-    #[test]
-    fn lemma4_ww_edge_flips() {
-        assert_eq!(
-            ConcurrentWriteWrite.after_commit_order_switch(),
-            Some(ConcurrentWriteWrite)
-        );
-    }
-
-    #[test]
-    fn non_concurrent_edges_cannot_be_reordered() {
-        // Lemma 1: reordering can only happen between concurrent transactions.
-        assert_eq!(NonConcurrentWriteWrite.after_commit_order_switch(), None);
-        assert_eq!(NonConcurrentWriteRead.after_commit_order_switch(), None);
-        assert_eq!(NonConcurrentReadWrite.after_commit_order_switch(), None);
-    }
-
-    #[test]
     fn labels_are_stable() {
         assert_eq!(AntiReadWrite.to_string(), "anti-rw");
         assert_eq!(ConcurrentWriteWrite.label(), "c-ww");
         assert_eq!(NonConcurrentWriteRead.label(), "n-wr");
-    }
-
-    #[test]
-    fn classification_helpers() {
-        assert!(ConcurrentWriteWrite.is_write_write());
-        assert!(NonConcurrentWriteWrite.is_write_write());
-        assert!(!AntiReadWrite.is_write_write());
-        assert!(AntiReadWrite.is_read_write());
-        assert!(ConcurrentReadWrite.is_read_write());
-        assert!(NonConcurrentReadWrite.is_read_write());
-        assert!(!NonConcurrentWriteRead.is_read_write());
     }
 }

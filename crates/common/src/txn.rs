@@ -137,13 +137,6 @@ impl Transaction {
         SeqNo::snapshot_after(self.snapshot_block)
     }
 
-    /// The commit slot assigned by consensus, panicking if the transaction has not been
-    /// sequenced yet. Use [`Transaction::end_ts`] directly when the slot may be absent.
-    pub fn committed_end_ts(&self) -> EndTs {
-        self.end_ts
-            .expect("transaction has not been assigned a commit slot yet")
-    }
-
     /// Definition 5: whether this transaction's execution overlaps `other`'s. Both must have
     /// been assigned end timestamps.
     pub fn is_concurrent_with(&self, other: &Transaction) -> bool {
@@ -161,12 +154,6 @@ impl Transaction {
     pub fn block_span(&self) -> Option<u64> {
         self.end_ts
             .map(|e| e.block.saturating_sub(self.snapshot_block))
-    }
-
-    /// Returns `true` if the transaction never reads (e.g. Create-Account / no-op workloads);
-    /// such transactions can never participate in an anti-rw dependency.
-    pub fn is_blind_write(&self) -> bool {
-        self.read_set.is_empty()
     }
 
     /// Returns `true` if the transaction never writes (read-only queries).
@@ -263,12 +250,10 @@ mod tests {
     #[test]
     fn blind_write_and_read_only_classification() {
         let blind = Transaction::from_parts(1, 0, [], [(Key::new("A"), Value::from_i64(1))]);
-        assert!(blind.is_blind_write());
         assert!(!blind.is_read_only());
 
         let ro = Transaction::from_parts(2, 0, [(Key::new("A"), SeqNo::new(0, 0))], []);
         assert!(ro.is_read_only());
-        assert!(!ro.is_blind_write());
     }
 
     #[test]

@@ -48,24 +48,6 @@ impl SeqNo {
     pub const fn zero() -> Self {
         SeqNo { block: 0, seq: 0 }
     }
-
-    /// Returns `true` if this sequence number denotes a snapshot position (`seq == 0`).
-    pub const fn is_snapshot(&self) -> bool {
-        self.seq == 0
-    }
-
-    /// The smallest transaction slot inside `block`, `(block, 1)`.
-    pub const fn first_in_block(block: u64) -> Self {
-        SeqNo { block, seq: 1 }
-    }
-
-    /// Returns the sequence number of the next transaction slot in the same block.
-    pub const fn next_in_block(&self) -> Self {
-        SeqNo {
-            block: self.block,
-            seq: self.seq + 1,
-        }
-    }
 }
 
 impl fmt::Debug for SeqNo {
@@ -127,8 +109,6 @@ mod tests {
     #[test]
     fn snapshot_after_block() {
         assert_eq!(SeqNo::snapshot_after(2), SeqNo::new(3, 0));
-        assert!(SeqNo::snapshot_after(2).is_snapshot());
-        assert!(!SeqNo::first_in_block(3).is_snapshot());
     }
 
     #[test]
@@ -172,11 +152,5 @@ mod tests {
         let s = SeqNo::new(3, 2);
         assert_eq!(format!("{s}"), "(3,2)");
         assert_eq!(format!("{s:?}"), "(3,2)");
-    }
-
-    #[test]
-    fn next_in_block_increments_seq_only() {
-        let s = SeqNo::new(4, 1).next_in_block();
-        assert_eq!(s, SeqNo::new(4, 2));
     }
 }

@@ -149,7 +149,7 @@ mod tests {
         }
         assert_eq!(cc.pending_len(), 5);
         assert_eq!(cc.stats().accepted, 5);
-        assert_eq!(cc.stats().early_abort_total(), 0);
+        assert_eq!(cc.stats().early_aborts.values().sum::<u64>(), 0);
         assert!(cc.graph().is_acyclic_exact());
     }
 

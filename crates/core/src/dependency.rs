@@ -21,7 +21,7 @@ use eov_vstore::DependencyIndices;
 /// The dependencies of a newly arrived transaction, split into the two roles they play in the
 /// cycle test of Algorithm 2.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ResolvedDeps {
+pub(crate) struct ResolvedDeps {
     /// Transactions that must be serialized *before* the new one (ww ∪ n-wr ∪ rw).
     pub predecessors: Vec<TxnId>,
     /// Transactions that must be serialized *after* the new one (anti-rw).
@@ -47,7 +47,7 @@ impl ResolvedDeps {
 /// the anti-rw successors, the last entry of the head the n-wr predecessor. The rw pass runs
 /// first, since rw is the only phase that pushes predecessors before n-wr; each list then
 /// comes out in the order of the four phases above.
-pub fn resolve(txn: &Transaction, indices: &DependencyIndices) -> ResolvedDeps {
+pub(crate) fn resolve(txn: &Transaction, indices: &DependencyIndices) -> ResolvedDeps {
     let DependencyIndices { cw, cr, pw, pr } = indices;
     let start_ts = txn.start_ts();
     let mut successors = Dedup::new(txn.id);

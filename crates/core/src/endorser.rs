@@ -17,7 +17,7 @@ use eov_vstore::{SnapshotManager, SnapshotView, StateRead};
 /// and buffered writes. Writes are visible to subsequent reads *within the same simulation*
 /// (read-your-own-writes), matching chaincode semantics.
 #[derive(Debug, Default)]
-pub struct TxnEffects {
+pub(crate) struct TxnEffects {
     reads: ReadSet,
     writes: WriteSet,
 }
@@ -26,16 +26,6 @@ impl TxnEffects {
     /// Records a write of `value` to `key`.
     pub fn write(&mut self, key: Key, value: Value) {
         self.writes.record(key, value);
-    }
-
-    /// The readset accumulated so far.
-    pub fn reads(&self) -> &ReadSet {
-        &self.reads
-    }
-
-    /// The writeset accumulated so far.
-    pub fn writes(&self) -> &WriteSet {
-        &self.writes
     }
 }
 

@@ -4,13 +4,13 @@
 //! control for execute-order-validate blockchains.
 //!
 //! * [`endorser`] — Algorithm 1: snapshot-consistent contract simulation (the execute phase).
-//! * [`dependency`] — Section 4.3: dependency resolution of an incoming transaction against
+//! * `dependency` — Section 4.3: dependency resolution of an incoming transaction against
 //!   the committed (CW/CR) and pending (PW/PR) indices.
 //! * [`arrival`] — Algorithm 2: the reorderability test; unserializable transactions are
 //!   dropped before ordering (Theorem 2).
 //! * [`formation`] — Algorithm 3 + Algorithm 5: abort-free reordering at block formation and
 //!   restoration of the deliberately-ignored pending c-ww dependencies.
-//! * [`orderer_cc`] — [`orderer_cc::FabricSharpCC`], the controller that ties the above
+//! * `orderer_cc` — [`FabricSharpCC`], the controller that ties the above
 //!   together and is plugged into the ordering service (Figure 8).
 //! * [`commit`] — the committer: MVCC validation and block application in strict block order,
 //!   shared by every chain facade and the simulator.
@@ -28,10 +28,10 @@
 
 pub mod arrival;
 pub mod commit;
-pub mod dependency;
+mod dependency;
 pub mod endorser;
 pub mod formation;
-pub mod orderer_cc;
+mod orderer_cc;
 pub mod recovery;
 pub mod serializability;
 pub mod stats;
@@ -42,11 +42,10 @@ pub use commit::{
     apply_without_validation, commit_block, count_anti_rw_commits, mvcc_validate_and_apply,
     CommitOutcome,
 };
-pub use dependency::{resolve, ResolvedDeps};
-pub use endorser::{SimulationContext, SnapshotEndorser, TxnEffects};
+pub use endorser::{SimulationContext, SnapshotEndorser};
 pub use orderer_cc::FabricSharpCC;
 pub use recovery::{
     recover_from_disk, recover_from_ledger, ColdRecovery, RecoveryError, RecoveryReport,
 };
-pub use serializability::{is_serializable, is_strongly_serializable, serialization_order};
+pub use serializability::{is_serializable, is_strongly_serializable};
 pub use stats::CcStats;

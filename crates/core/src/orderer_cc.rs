@@ -139,31 +139,11 @@ impl FabricSharpCC {
         self.record_commit(txn, slot);
         self.next_block = self.next_block.max(slot.block + 1);
     }
-
-    /// Drops an accepted pending transaction (used by adversarial scenarios and tests only;
-    /// the normal pipeline never un-accepts a transaction).
-    pub fn withdraw(&mut self, id: TxnId) -> Option<Transaction> {
-        let at = self.pending_at.remove(&id.0)?;
-        let txn = self.pending.remove(at);
-        for later in &self.pending[at..] {
-            *self
-                .pending_at
-                .get_mut(&later.id.0)
-                .expect("pending ids are indexed") -= 1;
-        }
-        self.graph.remove(id);
-        self.untracked.remove(id);
-        self.indices.pw.remove_txn(id);
-        self.indices.pr.remove_txn(id);
-        Some(txn)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eov_common::rwset::{Key, Value};
-    use eov_common::version::SeqNo;
 
     #[test]
     fn construction_defaults() {
@@ -173,57 +153,5 @@ mod tests {
         assert_eq!(cc.config().max_span, 10);
         assert_eq!(cc.stats().arrivals, 0);
         assert!(cc.graph().is_empty());
-    }
-
-    #[test]
-    fn withdraw_removes_all_traces() {
-        let mut cc = FabricSharpCC::with_defaults();
-        let txn = Transaction::from_parts(
-            1,
-            0,
-            [(Key::new("A"), SeqNo::new(0, 1))],
-            [(Key::new("B"), Value::from_i64(1))],
-        );
-        assert!(cc.on_arrival(txn).is_accept());
-        assert_eq!(cc.pending_len(), 1);
-
-        let withdrawn = cc.withdraw(TxnId(1)).unwrap();
-        assert_eq!(withdrawn.id, TxnId(1));
-        assert_eq!(cc.pending_len(), 0);
-        assert!(!cc.graph().contains(TxnId(1)));
-        assert!(cc.withdraw(TxnId(1)).is_none());
-    }
-
-    /// A fast-path (`Safe`) transaction withdrawn between two arrivals leaves no gap and no
-    /// trace: the next block holds every other transaction in acceptance order.
-    #[test]
-    fn a_withdrawn_safe_transaction_leaves_the_rest_in_acceptance_order() {
-        use eov_common::txn::TemplateClass;
-        let mut cc = FabricSharpCC::with_defaults();
-        let arrive = |cc: &mut FabricSharpCC, id: u64, safe: bool| {
-            let txn = Transaction::from_parts(
-                id,
-                0,
-                [(Key::new("R"), SeqNo::new(0, 1))],
-                [(Key::new(format!("W{id}")), Value::from_i64(1))],
-            );
-            let class = if safe {
-                TemplateClass::Safe
-            } else {
-                TemplateClass::Unknown
-            };
-            assert!(cc.on_arrival(txn.with_template_class(class)).is_accept());
-        };
-        arrive(&mut cc, 1, false);
-        arrive(&mut cc, 2, true);
-        arrive(&mut cc, 3, false);
-        assert_eq!(cc.withdraw(TxnId(2)).map(|t| t.id), Some(TxnId(2)));
-        arrive(&mut cc, 4, true);
-        arrive(&mut cc, 5, false);
-
-        let block: Vec<TxnId> = cc.cut_block().iter().map(|t| t.id).collect();
-        assert_eq!(block, [1, 3, 4, 5].map(TxnId));
-        assert!(!cc.knows(TxnId(2)));
-        assert!([1, 3, 4, 5].into_iter().all(|id| cc.knows(TxnId(id))));
     }
 }

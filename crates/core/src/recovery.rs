@@ -211,7 +211,7 @@ pub fn recover_from_disk(
 impl FabricSharpCC {
     /// Ensures the controller's block counter is at least `next_block` (recovery: resume after
     /// the ledger tip even when the replayed suffix contained no committed transactions).
-    pub fn set_next_block_at_least(&mut self, next_block: u64) {
+    pub(crate) fn set_next_block_at_least(&mut self, next_block: u64) {
         self.next_block = self.next_block.max(next_block);
     }
 }

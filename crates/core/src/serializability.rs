@@ -26,7 +26,7 @@ pub fn is_serializable(history: &[Transaction]) -> bool {
 
 /// Computes a serial order witnessing serializability (a topological order of the
 /// serialization graph), or `None` if the history is not serializable.
-pub fn serialization_order(history: &[Transaction]) -> Option<Vec<TxnId>> {
+pub(crate) fn serialization_order(history: &[Transaction]) -> Option<Vec<TxnId>> {
     let committed: Vec<&Transaction> = history.iter().filter(|t| t.end_ts.is_some()).collect();
     let ids: Vec<TxnId> = committed.iter().map(|t| t.id).collect();
     let id_set: HashSet<TxnId> = ids.iter().copied().collect();

@@ -43,12 +43,6 @@ impl CcStats {
         *self.early_aborts.entry(reason).or_insert(0) += 1;
     }
 
-    /// Total early aborts across all reasons.
-    pub fn early_abort_total(&self) -> u64 {
-        // lint-determinism: allow (commutative sum)
-        self.early_aborts.values().sum()
-    }
-
     /// Early aborts for one reason.
     pub fn aborts_for(&self, reason: AbortReason) -> u64 {
         self.early_aborts.get(&reason).copied().unwrap_or(0)
@@ -83,7 +77,7 @@ mod tests {
         stats.record_abort(AbortReason::UnreorderableCycle);
         stats.record_abort(AbortReason::UnreorderableCycle);
         stats.record_abort(AbortReason::SnapshotTooOld);
-        assert_eq!(stats.early_abort_total(), 3);
+        assert_eq!(stats.early_aborts.values().sum::<u64>(), 3);
         assert_eq!(stats.aborts_for(AbortReason::UnreorderableCycle), 2);
         assert_eq!(stats.aborts_for(AbortReason::StaleRead), 0);
     }

@@ -5,6 +5,7 @@
 //! example — so that unit tests, integration tests, the Table 1 harness binary and the
 //! `reorder_walkthrough` example all share one source of truth.
 
+#[cfg(test)]
 use eov_common::dep::DependencyKind;
 use eov_common::rwset::{Key, Value};
 use eov_common::txn::Transaction;
@@ -56,7 +57,11 @@ pub fn snapshot_consistency(txn: &Transaction, store: &MultiVersionStore) -> Opt
 /// earlier. Returns the edge *direction* implicitly: for every kind except
 /// [`DependencyKind::AntiReadWrite`] the edge points `first → second`; for anti-rw it points
 /// `second → first` (the later-committed reader depends on the earlier-committed writer).
-pub fn classify_dependency_on_key(
+///
+/// Nothing on the orderer path calls it: it is the test oracle the arrival path's dependency
+/// resolution is checked against.
+#[cfg(test)]
+pub(crate) fn classify_dependency_on_key(
     first: &Transaction,
     second: &Transaction,
     key: &Key,

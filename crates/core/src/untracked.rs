@@ -20,8 +20,8 @@ use std::collections::{HashMap, VecDeque};
 pub(crate) struct UntrackedLog {
     block_of: HashMap<TxnId, u64, FoldState>,
     /// The ids of `block_of` grouped by commit block, in ascending block order. A group may
-    /// still name an id that was withdrawn or re-logged under another block since; pruning
-    /// removes an id only while the map still records it under that group's block.
+    /// still name an id that was re-logged under another block since; pruning removes an id
+    /// only while the map still records it under that group's block.
     by_block: VecDeque<(u64, Vec<TxnId>)>,
 }
 
@@ -47,11 +47,6 @@ impl UntrackedLog {
     /// Number of not-yet-pruned entries.
     pub(crate) fn len(&self) -> usize {
         self.block_of.len()
-    }
-
-    /// Forgets `id` (withdrawals).
-    pub(crate) fn remove(&mut self, id: TxnId) {
-        self.block_of.remove(&id);
     }
 
     /// Section 4.6 pruning: drops every entry whose commit block is below `threshold`
@@ -104,32 +99,24 @@ mod tests {
         assert_eq!(pruned, 1);
         assert!(!cc.knows(TxnId(1)));
         assert!(cc.untracked.contains(TxnId(2)));
-
-        // Withdrawal removes log entries too.
-        cc.untracked.remove(TxnId(2));
-        assert!(!cc.knows(TxnId(2)));
-        assert_eq!(cc.untracked_len(), 0);
     }
 
-    /// A withdrawn id stays named in its block's group; pruning that group must neither count
-    /// it nor evict the same id logged again under a later block.
+    /// An id logged again under a later block stays named in its first block's group; pruning
+    /// that group must neither count it nor evict it.
     #[test]
-    fn pruning_skips_withdrawn_and_relogged_ids() {
+    fn pruning_skips_relogged_ids() {
         let mut cc = FabricSharpCC::with_defaults();
         let max_span = cc.config().max_span;
         let log = &mut cc.untracked;
-        for (id, block) in [(1, 1), (2, 1), (3, 2), (4, 3)] {
+        for (id, block) in [(1, 1), (3, 2), (4, 3)] {
             log.note(TxnId(id), block);
         }
-        log.remove(TxnId(2));
-        log.remove(TxnId(3));
         log.note(TxnId(3), 4);
         // Logged out of block order: still pruned on its own block's schedule.
         log.note(TxnId(5), 2);
         assert_eq!(log.len(), 4);
 
-        // The threshold passes blocks 1 and 2: ids 1 and 5 go; 2 was withdrawn, 3 now
-        // belongs to block 4.
+        // The threshold passes blocks 1 and 2: ids 1 and 5 go; 3 now belongs to block 4.
         assert_eq!(
             log.prune_below(snapshot_threshold(2 + max_span + 1, max_span)),
             2

@@ -18,8 +18,6 @@ pub struct BloomFilter {
     words: Vec<u64>,
     num_bits: usize,
     num_hashes: usize,
-    /// Number of direct `insert` calls (unions do not count); used to estimate saturation.
-    insertions: usize,
 }
 
 impl BloomFilter {
@@ -41,7 +39,6 @@ impl BloomFilter {
             words,
             num_bits,
             num_hashes: num_hashes.clamp(1, 16),
-            insertions: 0,
         }
     }
 
@@ -52,7 +49,6 @@ impl BloomFilter {
             let bit = self.probe(h1, h2, i);
             self.words[bit / 64] |= 1u64 << (bit % 64);
         }
-        self.insertions += 1;
     }
 
     /// Tests membership. May return a false positive, never a false negative.
@@ -93,7 +89,6 @@ impl BloomFilter {
     /// Clears every bit.
     pub fn clear(&mut self) {
         self.words.iter_mut().for_each(|w| *w = 0);
-        self.insertions = 0;
     }
 
     /// Whether no bit is set.
@@ -104,21 +99,6 @@ impl BloomFilter {
     /// Number of set bits (diagnostics / saturation metrics).
     pub fn popcount(&self) -> u32 {
         self.words.iter().map(|w| w.count_ones()).sum()
-    }
-
-    /// Fraction of bits set, in `[0, 1]`; a crude saturation estimate.
-    pub fn fill_ratio(&self) -> f64 {
-        self.popcount() as f64 / self.num_bits as f64
-    }
-
-    /// Number of direct insert operations performed (unions excluded).
-    pub fn insertions(&self) -> usize {
-        self.insertions
-    }
-
-    /// Geometry: `(num_bits, num_hashes)`.
-    pub fn geometry(&self) -> (usize, usize) {
-        (self.num_bits, self.num_hashes)
     }
 
     #[inline]
@@ -159,7 +139,6 @@ mod tests {
         for i in 0..200u64 {
             assert!(f.contains(i * 7 + 1), "false negative for {}", i * 7 + 1);
         }
-        assert_eq!(f.insertions(), 200);
         assert!(!f.is_empty());
     }
 
@@ -215,12 +194,11 @@ mod tests {
     fn clear_and_fill_ratio() {
         let mut f = BloomFilter::new(256, 2);
         assert!(f.is_empty());
-        assert_eq!(f.fill_ratio(), 0.0);
+        assert_eq!(f.popcount(), 0);
         f.insert(42);
-        assert!(f.fill_ratio() > 0.0);
+        assert!(f.popcount() > 0);
         f.clear();
         assert!(f.is_empty());
-        assert_eq!(f.insertions(), 0);
     }
 
     #[test]
@@ -232,9 +210,8 @@ mod tests {
     #[test]
     fn geometry_is_rounded_and_clamped() {
         let f = BloomFilter::new(10, 99);
-        let (bits, hashes) = f.geometry();
-        assert_eq!(bits, 64);
-        assert_eq!(hashes, 16);
+        assert_eq!(f.num_bits, 64);
+        assert_eq!(f.num_hashes, 16);
     }
 }
 

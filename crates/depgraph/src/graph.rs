@@ -1,7 +1,7 @@
 //! The transaction dependency graph (Sections 4.3–4.5).
 //!
 //! Every transaction accepted by the FabricSharp orderer becomes a node. Node storage is a
-//! slab indexed by dense interned slots ([`crate::interner::Interner`]): edges follow the
+//! slab indexed by dense interned slots (`crate::interner::Interner`): edges follow the
 //! *dependency order* (`from` must be serialized before `to`) and are stored as immediate
 //! successor lists (`succ`) of `u32` slots mirrored by predecessor lists (`pred`), so removals
 //! touch only a node's neighbourhood and traversals index a `Vec` instead of hashing. Each
@@ -9,7 +9,7 @@
 //! for the ablation experiments — of every transaction that can reach it. Cycle detection for
 //! a new transaction then reduces to membership tests between its prospective predecessors and
 //! successors (Section 4.4), and Algorithm 4's reachability maintenance reduces to bit-vector
-//! unions. Exact reachability queries run on a reusable [`crate::visited::EpochVisited`]
+//! unions. Exact reachability queries run on a reusable `crate::visited::EpochVisited`
 //! scratch set, so the per-transaction path allocates nothing once the slab is warm.
 
 use crate::bloom::BloomFilter;
@@ -85,8 +85,9 @@ impl ReachSet {
         }
     }
 
-    /// Number of set bits in the bloom filter (saturation diagnostics).
-    pub fn bloom_popcount(&self) -> u32 {
+    /// Number of set bits in the bloom filter.
+    #[cfg(test)]
+    pub(crate) fn bloom_popcount(&self) -> u32 {
         self.bloom.popcount()
     }
 }

@@ -16,7 +16,7 @@ use std::collections::HashMap;
 /// A slab-style interner with a free list. `intern` hands out the smallest recycled slot if
 /// one is available, otherwise appends a fresh one; `release` returns a slot to the free list.
 #[derive(Clone, Debug, Default)]
-pub struct Interner {
+pub(crate) struct Interner {
     map: HashMap<u64, u32, FoldState>,
     /// Raw transaction id stored per slot; stale for vacant slots (callers only index live
     /// slots, which the graph guarantees by cleaning adjacency on removal).
@@ -40,12 +40,6 @@ impl Interner {
         self.map.is_empty()
     }
 
-    /// Total slot space ever allocated (live + recyclable). Dense per-slot side tables are
-    /// sized by this.
-    pub fn capacity(&self) -> usize {
-        self.ids.len()
-    }
-
     /// The slot of `id`, if interned.
     #[inline]
     pub fn get(&self, id: TxnId) -> Option<u32> {
@@ -54,7 +48,7 @@ impl Interner {
 
     /// Interns `id`, returning its (possibly pre-existing) slot. Recycles released slots
     /// before growing the slot space.
-    pub fn intern(&mut self, id: TxnId) -> u32 {
+    pub(crate) fn intern(&mut self, id: TxnId) -> u32 {
         if let Some(&slot) = self.map.get(&id.0) {
             return slot;
         }
@@ -74,7 +68,7 @@ impl Interner {
     }
 
     /// Releases `id`, returning its now-recyclable slot (or `None` if it was not interned).
-    pub fn release(&mut self, id: TxnId) -> Option<u32> {
+    pub(crate) fn release(&mut self, id: TxnId) -> Option<u32> {
         let slot = self.map.remove(&id.0)?;
         self.free.push(slot);
         Some(slot)
@@ -82,7 +76,7 @@ impl Interner {
 
     /// The transaction id stored at a **live** slot.
     #[inline]
-    pub fn id_at(&self, slot: u32) -> TxnId {
+    pub(crate) fn id_at(&self, slot: u32) -> TxnId {
         TxnId(self.ids[slot as usize])
     }
 }
@@ -99,7 +93,7 @@ mod tests {
         assert_eq!(i.intern(TxnId(100)), a);
         assert_ne!(a, b);
         assert_eq!(i.len(), 2);
-        assert_eq!(i.capacity(), 2);
+        assert_eq!(i.ids.len(), 2);
         assert_eq!(i.get(TxnId(200)), Some(b));
         assert_eq!(i.id_at(a), TxnId(100));
     }
@@ -115,7 +109,7 @@ mod tests {
         // The freed slot is handed out again; capacity does not grow.
         let c = i.intern(TxnId(3));
         assert_eq!(c, a);
-        assert_eq!(i.capacity(), 2);
+        assert_eq!(i.ids.len(), 2);
         assert_eq!(i.id_at(c), TxnId(3));
         // Releasing an unknown id is a no-op.
         assert_eq!(i.release(TxnId(77)), None);
@@ -133,6 +127,6 @@ mod tests {
             }
         }
         assert!(i.is_empty());
-        assert_eq!(i.capacity(), 10, "free-list reuse must cap the slot space");
+        assert_eq!(i.ids.len(), 10, "free-list reuse must cap the slot space");
     }
 }

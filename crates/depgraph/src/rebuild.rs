@@ -16,12 +16,10 @@
 //! positives (ROADMAP, "Where we stand"). The remedy ROADMAP item 2 plans is not a periodic
 //! rebuild but exact slot-indexed reach sets that forget a transaction when it is pruned;
 //! until that lands, this module is the from-scratch recompute item 1(iii) wants as an
-//! independent check, and [`DependencyGraph::mean_fill_ratio`] is the signal that shows the
-//! saturation.
+//! independent check.
 
 use crate::graph::DependencyGraph;
 use eov_common::txn::TxnId;
-use std::collections::HashMap;
 
 impl DependencyGraph {
     /// Recomputes every node's `anti_reachable` set from scratch using the current successor
@@ -53,30 +51,6 @@ impl DependencyGraph {
             }
         }
         order.len()
-    }
-
-    /// Mean bloom-filter fill ratio across all nodes — the saturation signal a deployment
-    /// would use (together with the block height) to decide when to rebuild; like the rebuild
-    /// itself, read by tests only.
-    pub fn mean_fill_ratio(&self) -> f64 {
-        let mut total = 0.0;
-        let mut count = 0usize;
-        for node in self.nodes() {
-            total += node.anti_reachable.bloom_popcount() as f64 / self.config().bloom_bits as f64;
-            count += 1;
-        }
-        if count == 0 {
-            0.0
-        } else {
-            total / count as f64
-        }
-    }
-
-    /// Diagnostic: per-node popcounts keyed by transaction id (used by the saturation tests).
-    pub fn popcounts(&self) -> HashMap<TxnId, u32> {
-        self.nodes()
-            .map(|n| (n.id, n.anti_reachable.bloom_popcount()))
-            .collect()
     }
 }
 
@@ -168,14 +142,11 @@ mod tests {
             .unwrap()
             .anti_reachable
             .contains(TxnId(30)));
-        assert!(g.mean_fill_ratio() > 0.0);
-        assert_eq!(g.popcounts().len(), 2);
     }
 
     #[test]
     fn rebuild_on_an_empty_graph_is_a_noop() {
         let mut g = exact_graph();
         assert_eq!(g.rebuild_reachability(), 0);
-        assert_eq!(g.mean_fill_ratio(), 0.0);
     }
 }

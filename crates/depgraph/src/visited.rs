@@ -8,24 +8,20 @@
 //! no per-query allocation once the array has grown to the slab's capacity.
 
 /// A visited set over dense `u32` slots, cleared in O(1) by bumping an epoch counter.
+/// [`EpochVisited::reset`] must be called (with the current slot capacity) before each
+/// traversal.
 #[derive(Clone, Debug, Default)]
-pub struct EpochVisited {
+pub(crate) struct EpochVisited {
     marks: Vec<u32>,
     epoch: u32,
 }
 
 impl EpochVisited {
-    /// Creates an empty set. [`EpochVisited::reset`] must be called (with the current slot
-    /// capacity) before each traversal.
-    pub fn new() -> Self {
-        EpochVisited::default()
-    }
-
     /// Starts a new traversal over `capacity` slots: grows the mark array if the slot space
     /// grew and invalidates every previous mark by bumping the epoch. On the (practically
     /// unreachable) epoch wrap-around the marks are hard-cleared so stale marks from 4 billion
     /// traversals ago cannot alias the new epoch.
-    pub fn reset(&mut self, capacity: usize) {
+    pub(crate) fn reset(&mut self, capacity: usize) {
         if self.marks.len() < capacity {
             self.marks.resize(capacity, 0);
         }
@@ -61,7 +57,7 @@ mod tests {
 
     #[test]
     fn insert_and_contains_within_one_epoch() {
-        let mut v = EpochVisited::new();
+        let mut v = EpochVisited::default();
         v.reset(4);
         assert!(v.insert(2));
         assert!(!v.insert(2), "second insert reports already-visited");
@@ -71,7 +67,7 @@ mod tests {
 
     #[test]
     fn reset_clears_in_constant_time() {
-        let mut v = EpochVisited::new();
+        let mut v = EpochVisited::default();
         v.reset(8);
         for slot in 0..8 {
             assert!(v.insert(slot));
@@ -88,7 +84,7 @@ mod tests {
 
     #[test]
     fn reset_grows_with_the_slot_space() {
-        let mut v = EpochVisited::new();
+        let mut v = EpochVisited::default();
         v.reset(2);
         v.insert(1);
         v.reset(10);

@@ -15,10 +15,10 @@
 //! exactly still cannot confirm the guess without it. This module models both the attack and
 //! the defence so the example and the integration tests can demonstrate each.
 
+use crate::codec::txn_payload;
+use crate::sha256::{sha256_concat, Digest};
 use eov_common::rwset::Key;
 use eov_common::txn::Transaction;
-use eov_ledger::codec::txn_payload;
-use eov_ledger::sha256::{sha256_concat, Digest};
 
 /// What a client actually hands to the (possibly malicious) leader.
 #[derive(Clone, Debug)]
@@ -70,7 +70,7 @@ impl ClientSubmission {
     }
 
     /// The transaction contents, if the leader is allowed to see them at proposal time.
-    pub fn visible_to_leader(&self) -> Option<&Transaction> {
+    pub(crate) fn visible_to_leader(&self) -> Option<&Transaction> {
         match self {
             ClientSubmission::Plain(txn) => Some(txn),
             ClientSubmission::Committed { .. } => None,
@@ -86,7 +86,7 @@ pub struct CommitmentMismatch {
 }
 
 /// The commitment to `txn` under `nonce`: SHA-256 over the nonce followed by the
-/// transaction's codec encoding ([`txn_payload`], the bytes a block record stores).
+/// transaction's codec encoding (`txn_payload`, the bytes a block record stores).
 pub fn commitment_of(nonce: &[u8; 32], txn: &Transaction) -> Digest {
     sha256_concat([nonce.as_slice(), &txn_payload(txn)])
 }
@@ -252,9 +252,9 @@ pub fn audit_fork<T: PartialEq>(a: &[T], b: &[T]) -> ForkVerdict {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sha256::sha256;
     use eov_common::rwset::Value;
     use eov_common::version::SeqNo;
-    use eov_ledger::sha256::sha256;
 
     /// The victim client's secret nonce.
     const NONCE: [u8; 32] = [0x5a; 32];

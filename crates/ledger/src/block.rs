@@ -7,7 +7,7 @@
 //! throughput (transactions whose validity flag is set and whose writes were applied).
 
 use crate::sha256::{sha256, Digest, Sha256};
-use eov_common::txn::{Transaction, TxnId, TxnStatus};
+use eov_common::txn::{Transaction, TxnStatus};
 use eov_common::version::SeqNo;
 
 /// A block's data hash, fed one transaction at a time: its id and snapshot block, then every
@@ -147,7 +147,7 @@ impl Block {
 
     /// Number of transactions in the block (committed or not): the block's contribution to
     /// *raw* throughput.
-    pub fn raw_count(&self) -> usize {
+    pub(crate) fn raw_count(&self) -> usize {
         self.entries.len()
     }
 
@@ -159,30 +159,12 @@ impl Block {
             .count()
     }
 
-    /// Number of aborted transactions in the block.
-    pub fn aborted_count(&self) -> usize {
-        self.entries
-            .iter()
-            .filter(|e| e.status.is_aborted())
-            .count()
-    }
-
-    /// Looks up the entry of a given transaction.
-    pub fn entry_of(&self, id: TxnId) -> Option<&TxnEntry> {
-        self.entries.iter().find(|e| e.txn.id == id)
-    }
-
     /// Iterates over the committed transactions together with their intra-block sequence.
     pub fn committed(&self) -> impl Iterator<Item = (&Transaction, u32)> {
         self.entries
             .iter()
             .filter(|e| e.status.is_committed())
             .map(|e| (&e.txn, e.slot.seq))
-    }
-
-    /// Recomputes the data hash and checks it against the header (tamper detection).
-    pub fn verify_data_hash(&self) -> bool {
-        Self::data_hash(&self.entries) == self.header.data_hash
     }
 }
 
@@ -225,7 +207,6 @@ mod tests {
 
         assert_eq!(block.raw_count(), 3);
         assert_eq!(block.committed_count(), 2);
-        assert_eq!(block.aborted_count(), 1);
         let committed_ids: Vec<u64> = block.committed().map(|(t, _)| t.id.0).collect();
         assert_eq!(committed_ids, vec![1, 3]);
     }
@@ -233,13 +214,13 @@ mod tests {
     #[test]
     fn data_hash_detects_tampering() {
         let mut block = Block::build(1, Digest::ZERO, vec![sample_txn(1)]);
-        assert!(block.verify_data_hash());
+        assert_eq!(Block::data_hash(&block.entries), block.header.data_hash);
         // Tamper with a write value after the block was formed.
         block.entries[0]
             .txn
             .write_set
             .record(Key::new("B"), Value::from_i64(9999));
-        assert!(!block.verify_data_hash());
+        assert_ne!(Block::data_hash(&block.entries), block.header.data_hash);
     }
 
     /// Streaming the body into the hasher must give the digest of the body staged in one
@@ -286,12 +267,5 @@ mod tests {
         let mut different_prev = block.clone();
         different_prev.header.prev_hash = sha256(b"something else");
         assert_ne!(base, different_prev.hash());
-    }
-
-    #[test]
-    fn entry_lookup_by_id() {
-        let block = Block::build(1, Digest::ZERO, vec![sample_txn(7), sample_txn(9)]);
-        assert!(block.entry_of(TxnId(9)).is_some());
-        assert!(block.entry_of(TxnId(5)).is_none());
     }
 }

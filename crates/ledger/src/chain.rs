@@ -249,9 +249,10 @@ impl Ledger {
         }
     }
 
-    /// How many blocks are held decoded (diagnostics/tests): all of them in an in-memory
-    /// ledger; in a durable one, the live window plus any evicted block read since.
-    pub fn resident_blocks(&self) -> usize {
+    /// How many blocks are held decoded: all of them in an in-memory ledger; in a durable one,
+    /// the live window plus any evicted block read since.
+    #[cfg(test)]
+    pub(crate) fn resident_blocks(&self) -> usize {
         self.blocks
             .iter()
             .filter(|b| b.body.get().is_some())

@@ -68,7 +68,7 @@ const FRAME_LEN: usize = 16;
 const HEAD_LEN: usize = 26;
 
 /// File name of the checkpoint at `height`.
-pub fn checkpoint_file_name(height: u64) -> String {
+pub(crate) fn checkpoint_file_name(height: u64) -> String {
     format!("ckpt-{height:020}.bin")
 }
 
@@ -391,7 +391,9 @@ fn apply_link(
 
 /// Loads the checkpoint at `path`: its whole chain, base image first, every link validated
 /// (magic, CRC, head, base CRC, structure). Any bad link is an error.
-pub fn load_checkpoint(path: impl AsRef<Path>) -> Result<(u64, MultiVersionStore), LedgerError> {
+pub(crate) fn load_checkpoint(
+    path: impl AsRef<Path>,
+) -> Result<(u64, MultiVersionStore), LedgerError> {
     let mut store = None;
     for link in chain_paths(path.as_ref())? {
         store = Some(apply_link(&link, store)?);
@@ -402,7 +404,9 @@ pub fn load_checkpoint(path: impl AsRef<Path>) -> Result<(u64, MultiVersionStore
 
 /// The heights of every checkpoint file in `dir`, ascending (parsed from file names; files
 /// whose names do not parse are ignored).
-pub fn checkpoint_heights(dir: impl AsRef<Path>) -> Result<Vec<(u64, PathBuf)>, LedgerError> {
+pub(crate) fn checkpoint_heights(
+    dir: impl AsRef<Path>,
+) -> Result<Vec<(u64, PathBuf)>, LedgerError> {
     let dir = dir.as_ref();
     let entries = fs::read_dir(dir).map_err(|e| LedgerError::io(dir, e))?;
     let mut found: Vec<(u64, PathBuf)> = Vec::new();

@@ -120,7 +120,7 @@ impl ByteWriter {
         Self::default()
     }
 
-    pub fn into_bytes(self) -> Vec<u8> {
+    pub(crate) fn into_bytes(self) -> Vec<u8> {
         self.buf
     }
 
@@ -131,42 +131,42 @@ impl ByteWriter {
 
     /// Overwrites the `u64` written at byte offset `at` (a count known only after the items
     /// it counts have been streamed out).
-    pub fn set_u64_at(&mut self, at: usize, v: u64) {
+    pub(crate) fn set_u64_at(&mut self, at: usize, v: u64) {
         self.buf[at..at + 8].copy_from_slice(&v.to_be_bytes());
     }
 
     /// Raw bytes, no length prefix.
-    pub fn put_raw(&mut self, bytes: &[u8]) {
+    pub(crate) fn put_raw(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
     }
 
-    pub fn put_u8(&mut self, v: u8) {
+    pub(crate) fn put_u8(&mut self, v: u8) {
         self.buf.push(v);
     }
 
-    pub fn put_u16(&mut self, v: u16) {
+    pub(crate) fn put_u16(&mut self, v: u16) {
         self.buf.extend_from_slice(&v.to_be_bytes());
     }
 
-    pub fn put_u32(&mut self, v: u32) {
+    pub(crate) fn put_u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_be_bytes());
     }
 
-    pub fn put_u64(&mut self, v: u64) {
+    pub(crate) fn put_u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_be_bytes());
     }
 
-    pub fn put_digest(&mut self, d: &Digest) {
+    pub(crate) fn put_digest(&mut self, d: &Digest) {
         self.buf.extend_from_slice(d.as_bytes());
     }
 
     /// Length-prefixed (u32) raw bytes.
-    pub fn put_bytes(&mut self, bytes: &[u8]) {
+    pub(crate) fn put_bytes(&mut self, bytes: &[u8]) {
         self.put_u32(bytes.len() as u32);
         self.buf.extend_from_slice(bytes);
     }
 
-    pub fn put_seqno(&mut self, s: SeqNo) {
+    pub(crate) fn put_seqno(&mut self, s: SeqNo) {
         self.put_u64(s.block);
         self.put_u32(s.seq);
     }
@@ -185,7 +185,7 @@ impl<'a> ByteReader<'a> {
         ByteReader { buf, pos: 0 }
     }
 
-    pub fn is_exhausted(&self) -> bool {
+    pub(crate) fn is_exhausted(&self) -> bool {
         self.pos == self.buf.len()
     }
 
@@ -205,42 +205,42 @@ impl<'a> ByteReader<'a> {
         Ok(slice)
     }
 
-    pub fn get_u8(&mut self, what: &str) -> Result<u8, String> {
+    pub(crate) fn get_u8(&mut self, what: &str) -> Result<u8, String> {
         Ok(self.take(1, what)?[0])
     }
 
-    pub fn get_u16(&mut self, what: &str) -> Result<u16, String> {
+    pub(crate) fn get_u16(&mut self, what: &str) -> Result<u16, String> {
         Ok(u16::from_be_bytes(self.take(2, what)?.try_into().unwrap()))
     }
 
-    pub fn get_u32(&mut self, what: &str) -> Result<u32, String> {
+    pub(crate) fn get_u32(&mut self, what: &str) -> Result<u32, String> {
         Ok(u32::from_be_bytes(self.take(4, what)?.try_into().unwrap()))
     }
 
-    pub fn get_u64(&mut self, what: &str) -> Result<u64, String> {
+    pub(crate) fn get_u64(&mut self, what: &str) -> Result<u64, String> {
         Ok(u64::from_be_bytes(self.take(8, what)?.try_into().unwrap()))
     }
 
-    pub fn get_digest(&mut self, what: &str) -> Result<Digest, String> {
+    pub(crate) fn get_digest(&mut self, what: &str) -> Result<Digest, String> {
         Ok(Digest(self.take(32, what)?.try_into().unwrap()))
     }
 
-    pub fn get_bytes(&mut self, what: &str) -> Result<&'a [u8], String> {
+    pub(crate) fn get_bytes(&mut self, what: &str) -> Result<&'a [u8], String> {
         let len = self.get_u32(what)? as usize;
         self.take(len, what)
     }
 
-    pub fn get_key(&mut self, what: &str) -> Result<Key, String> {
+    pub(crate) fn get_key(&mut self, what: &str) -> Result<Key, String> {
         self.get_str(what).map(Key::new)
     }
 
     /// A length-prefixed UTF-8 string, borrowed from the payload.
-    pub fn get_str(&mut self, what: &str) -> Result<&'a str, String> {
+    pub(crate) fn get_str(&mut self, what: &str) -> Result<&'a str, String> {
         let bytes = self.get_bytes(what)?;
         std::str::from_utf8(bytes).map_err(|_| format!("{what}: key is not UTF-8"))
     }
 
-    pub fn get_seqno(&mut self, what: &str) -> Result<SeqNo, String> {
+    pub(crate) fn get_seqno(&mut self, what: &str) -> Result<SeqNo, String> {
         let block = self.get_u64(what)?;
         let seq = self.get_u32(what)?;
         Ok(SeqNo::new(block, seq))
@@ -354,7 +354,7 @@ fn encode_txn(w: &mut ByteWriter, txn: &Transaction) {
 
 /// The encoding of `txn` alone, exactly as it appears inside a block record. Every key and
 /// value is length-prefixed, so distinct transactions never share an encoding.
-pub fn txn_payload(txn: &Transaction) -> Vec<u8> {
+pub(crate) fn txn_payload(txn: &Transaction) -> Vec<u8> {
     let mut w = ByteWriter::new();
     encode_txn(&mut w, txn);
     w.into_bytes()
@@ -414,12 +414,12 @@ impl<'a> RecordParser<'a> {
 
     /// The hash of the body parsed so far: once [`Self::next_entry`] returned `None`, what the
     /// header's data hash must be.
-    pub fn body_hash(self) -> Digest {
+    pub(crate) fn body_hash(self) -> Digest {
         self.hasher.finish()
     }
 
     /// The next entry, or `None` once every entry was parsed and nothing trails them.
-    pub fn next_entry(&mut self) -> Result<Option<EntryView<'a>>, String> {
+    pub(crate) fn next_entry(&mut self) -> Result<Option<EntryView<'a>>, String> {
         let RecordParser {
             r,
             header,
@@ -643,7 +643,7 @@ mod tests {
         let block = sample_block(3, Digest::ZERO);
         let decoded = decode_block(&block_payload(&block)).expect("roundtrip");
         assert_eq!(decoded, block);
-        assert!(decoded.verify_data_hash());
+        assert_eq!(Block::data_hash(&decoded.entries), decoded.header.data_hash);
     }
 
     #[test]

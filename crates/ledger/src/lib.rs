@@ -20,31 +20,34 @@
 //! * [`durable`] — [`durable::DurableLedger`] (segment files behind a [`Ledger`] mirror that
 //!   keeps the last `max_span` blocks decoded) and the [`durable::LedgerBackend`] enum that
 //!   keeps the in-memory ledger as the reference implementation.
-//! * [`checkpoint`] — periodic multi-version-store snapshots cold recovery replays from.
-//! * [`reenact`] — provenance queries joining a
-//!   [`MultiVersionStore::version_as_of`](eov_vstore::MultiVersionStore::version_as_of) answer
+//! * `checkpoint` — periodic multi-version-store snapshots cold recovery replays from.
+//! * `reenact` — provenance queries joining a
+//!   [`MultiVersionStore::value_as_of`](eov_vstore::MultiVersionStore::value_as_of) answer
 //!   back to the committing transaction in the ledger.
+//! * [`adversary`] — the Section 3.5 security model over the ordering service: leader
+//!   policies (honest / front-running / equivocating), the hash-commitment mitigation that
+//!   hides transaction contents until the order is fixed, and the fork audit that compares
+//!   replicas' sealed block hashes.
 
 // `deny`, not `forbid`: `sha256` allows the one `unsafe` block that calls the SHA-NI kernel.
 #![deny(unsafe_code)]
 
+pub mod adversary;
 pub mod block;
 pub mod chain;
-pub mod checkpoint;
+mod checkpoint;
 pub mod codec;
 pub mod durable;
 pub mod error;
-pub mod reenact;
+mod reenact;
 pub mod segment;
 pub mod sha256;
 
 pub use block::{Block, BlockHeader, TxnEntry};
 pub use chain::Ledger;
-pub use checkpoint::{
-    discard_unusable_checkpoints, latest_checkpoint_at_most, load_checkpoint, write_checkpoint,
-};
+pub use checkpoint::{discard_unusable_checkpoints, latest_checkpoint_at_most, write_checkpoint};
 pub use durable::{DurableLedger, DurableOptions, LedgerBackend, OpenReport};
 pub use error::LedgerError;
 pub use reenact::{provenance, Provenance};
 pub use segment::TornTail;
-pub use sha256::{sha256, Digest, Sha256};
+pub use sha256::{sha256, Digest};

@@ -1,6 +1,6 @@
 //! Provenance: joining a time-travel answer back to the committing transaction.
 //!
-//! [`MultiVersionStore::version_as_of`] yields the commit slot `(block, seq)` behind any historical
+//! [`MultiVersionStore::value_as_of`] yields the commit slot `(block, seq)` behind any historical
 //! value; this module resolves that slot against the ledger to recover *who* wrote it — the
 //! reenactment query of the audit literature ("which transaction, in which block, produced the
 //! balance the auditor is looking at?"). Slot `(0, _)` denotes genesis state, which no

@@ -324,7 +324,7 @@ struct OpenSegment {
 
 impl SegmentWriter {
     /// A writer over `dir`, resuming into `tail` (the scan's post-repair tail segment).
-    pub fn resume(
+    pub(crate) fn resume(
         dir: &Path,
         rotate_bytes: u64,
         fsync: bool,
@@ -451,7 +451,7 @@ impl SegmentWriter {
     }
 
     /// Number of bytes in the current tail segment (diagnostics/tests).
-    pub fn tail_len(&self) -> u64 {
+    pub(crate) fn tail_len(&self) -> u64 {
         self.current.as_ref().map_or(0, |segment| segment.len)
     }
 }

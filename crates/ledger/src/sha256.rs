@@ -2,7 +2,7 @@
 //!
 //! The ledger only needs a collision-resistant hash to chain block headers; pulling in a full
 //! crypto crate is unnecessary for the reproduction and is not on the approved dependency
-//! list, so the hash is implemented here directly. [`Sha256`] takes the message piece by piece
+//! list, so the hash is implemented here directly. `Sha256` takes the message piece by piece
 //! and buffers at most one 64-byte block, so a block body is hashed field by field without
 //! first being copied into one buffer (it is hashed twice per block on the write path and once
 //! more on recovery).
@@ -80,7 +80,7 @@ const H0: [u32; 8] = [
 /// [`Sha256::finalize`]. Only a partial trailing block is ever buffered, so hashing a block
 /// body never stages the body itself.
 #[derive(Clone)]
-pub struct Sha256 {
+pub(crate) struct Sha256 {
     state: [u32; 8],
     /// Bytes of the current, not yet compressed block (`buffered` of them are valid).
     block: [u8; 64],
@@ -118,7 +118,7 @@ impl Sha256 {
     /// Inlined so that the common call — a field of a few bytes that fits the buffered block —
     /// is a length check and a fixed-size store at the call site.
     #[inline]
-    pub fn update(&mut self, data: &[u8]) {
+    pub(crate) fn update(&mut self, data: &[u8]) {
         if data.len() < 64 - self.buffered {
             self.block[self.buffered..self.buffered + data.len()].copy_from_slice(data);
             self.buffered += data.len();
@@ -149,7 +149,7 @@ impl Sha256 {
 
     /// Pads the final block (0x80, zeros, the 64-bit message length in bits) and returns the
     /// digest.
-    pub fn finalize(mut self) -> Digest {
+    pub(crate) fn finalize(mut self) -> Digest {
         let bit_len = self.len.wrapping_mul(8);
         self.block[self.buffered] = 0x80;
         self.block[self.buffered + 1..].fill(0);
@@ -382,7 +382,7 @@ pub fn sha256(data: &[u8]) -> Digest {
 
 /// Convenience: hash the concatenation of several byte slices (avoids intermediate buffers at
 /// call sites that assemble block headers).
-pub fn sha256_concat<'a>(parts: impl IntoIterator<Item = &'a [u8]>) -> Digest {
+pub(crate) fn sha256_concat<'a>(parts: impl IntoIterator<Item = &'a [u8]>) -> Digest {
     let mut hasher = Sha256::new();
     for p in parts {
         hasher.update(p);

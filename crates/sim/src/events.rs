@@ -64,7 +64,7 @@ pub enum Event {
 
 /// A deterministic priority queue of timestamped events. Ties are broken by insertion order.
 #[derive(Debug, Default)]
-pub struct EventQueue {
+pub(crate) struct EventQueue {
     heap: BinaryHeap<Reverse<(SimTime, u64)>>,
     payloads: std::collections::HashMap<u64, Event>,
     next_seq: u64,
@@ -77,7 +77,7 @@ impl EventQueue {
     }
 
     /// Schedules `event` at absolute simulated time `at`.
-    pub fn schedule(&mut self, at: SimTime, event: Event) {
+    pub(crate) fn schedule(&mut self, at: SimTime, event: Event) {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.heap.push(Reverse((at, seq)));
@@ -92,16 +92,6 @@ impl EventQueue {
             .remove(&seq)
             .expect("payload exists for scheduled event");
         Some((at, event))
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
     }
 }
 
@@ -123,7 +113,7 @@ mod tests {
         q.schedule(50, Event::ClientSubmit { request_no: 2 });
         q.schedule(10, Event::ClientSubmit { request_no: 1 });
         q.schedule(50, Event::ClientSubmit { request_no: 3 });
-        assert_eq!(q.len(), 3);
+        assert_eq!(q.heap.len(), 3);
 
         let order: Vec<(SimTime, u64)> = std::iter::from_fn(|| q.pop())
             .map(|(t, e)| match e {
@@ -132,7 +122,7 @@ mod tests {
             })
             .collect();
         assert_eq!(order, vec![(10, 1), (50, 2), (50, 3)]);
-        assert!(q.is_empty());
+        assert!(q.heap.is_empty());
     }
 
     #[test]

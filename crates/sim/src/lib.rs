@@ -9,8 +9,8 @@
 //! (including the read-interval model), client delay, consensus latency, block formation, the
 //! modelled reordering cost, and the validation bottleneck.
 //!
-//! * [`profiles`] — calibrated per-phase costs (Fabric ≈677 raw tps, FastFabric ≈3100 raw tps).
-//! * [`events`] — simulated time, events, deterministic event queue.
+//! * `profiles` — calibrated per-phase costs (Fabric ≈677 raw tps, FastFabric ≈3100 raw tps).
+//! * `events` — simulated time, events, deterministic event queue.
 //! * [`runner`] — the event loop ([`runner::Simulator`]) and [`runner::SimulationConfig`].
 //! * [`metrics`] — [`metrics::SimReport`]: raw/effective throughput, latency, abort breakdown,
 //!   block span, reachability hops, and the measured wall-clock of arrival, formation and
@@ -19,9 +19,9 @@
 
 #![forbid(unsafe_code)]
 
-pub mod events;
+mod events;
 pub mod metrics;
-pub mod profiles;
+mod profiles;
 pub mod runner;
 
 pub use metrics::{FormationTiming, PipelineOccupancy, SimReport};

@@ -24,7 +24,7 @@ pub struct FormationTiming {
 impl FormationTiming {
     /// Builds the summary from raw per-block samples in microseconds. The slice is sorted in
     /// place; an empty slice yields the zero summary.
-    pub fn from_samples(samples: &mut [u64]) -> Self {
+    pub(crate) fn from_samples(samples: &mut [u64]) -> Self {
         if samples.is_empty() {
             return FormationTiming::default();
         }
@@ -64,7 +64,7 @@ pub struct PipelineOccupancy {
 impl PipelineOccupancy {
     /// Builds the occupancy summary from per-stage `(start, end)` busy windows in simulated
     /// microseconds (any order, overlaps allowed — both lists are union-merged first).
-    pub fn from_windows(formation: &[(u64, u64)], commit: &[(u64, u64)]) -> Self {
+    pub(crate) fn from_windows(formation: &[(u64, u64)], commit: &[(u64, u64)]) -> Self {
         let formation = merge_windows(formation);
         let commit = merge_windows(commit);
         PipelineOccupancy {

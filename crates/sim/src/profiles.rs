@@ -50,15 +50,6 @@ impl PipelineProfile {
         }
     }
 
-    /// The same testbed but for the vanilla-Fabric execute-phase lock semantics. Only the
-    /// vanilla system uses this; every other system removed the lock.
-    pub fn fabric_with_lock() -> Self {
-        PipelineProfile {
-            endorsement_lock: true,
-            ..Self::fabric()
-        }
-    }
-
     /// The FastFabric testbed of Section 5.4: endorsers, storage and validators are split, so
     /// the per-transaction validation cost drops by roughly the paper's 4.5× speedup.
     pub fn fast_fabric() -> Self {
@@ -75,7 +66,7 @@ impl PipelineProfile {
     /// The profile a given system runs on top of a base profile: vanilla Fabric keeps the
     /// execute-phase lock, every other system removes it (Fabric++/FabricSharp replace it with
     /// snapshot reads).
-    pub fn for_system(base: PipelineProfile, system: SystemKind) -> PipelineProfile {
+    pub(crate) fn for_system(base: PipelineProfile, system: SystemKind) -> PipelineProfile {
         PipelineProfile {
             endorsement_lock: base.endorsement_lock || system == SystemKind::Fabric,
             ..base
@@ -83,13 +74,13 @@ impl PipelineProfile {
     }
 
     /// Validation service time for a block of `txns` transactions, in ms.
-    pub fn validation_ms(&self, txns: usize) -> f64 {
+    pub(crate) fn validation_ms(&self, txns: usize) -> f64 {
         self.per_block_overhead_ms + self.per_txn_validate_ms * txns as f64
     }
 
     /// Modelled orderer-side reordering cost for a batch of `batch` transactions, in ms,
     /// calibrated to the measurements reported in Section 5.3.
-    pub fn reorder_ms(&self, system: SystemKind, batch: usize) -> f64 {
+    pub(crate) fn reorder_ms(&self, system: SystemKind, batch: usize) -> f64 {
         let b = batch as f64;
         match system {
             // Fabric and Focc-s do nothing at block formation.
@@ -106,9 +97,9 @@ impl PipelineProfile {
     }
 
     /// The raw-throughput ceiling implied by the validation bottleneck for a given block size,
-    /// in transactions per second. Used by calibration tests and the experiment harness to
-    /// sanity-check the profile.
-    pub fn raw_ceiling_tps(&self, block_size: usize) -> f64 {
+    /// in transactions per second: what the calibration tests check the profile against.
+    #[cfg(test)]
+    pub(crate) fn raw_ceiling_tps(&self, block_size: usize) -> f64 {
         1_000.0 * block_size as f64 / self.validation_ms(block_size)
     }
 }
@@ -165,6 +156,5 @@ mod tests {
         assert!(PipelineProfile::for_system(base, SystemKind::Fabric).endorsement_lock);
         assert!(!PipelineProfile::for_system(base, SystemKind::FabricSharp).endorsement_lock);
         assert!(!PipelineProfile::for_system(base, SystemKind::FabricPlusPlus).endorsement_lock);
-        assert!(PipelineProfile::fabric_with_lock().endorsement_lock);
     }
 }

@@ -13,7 +13,7 @@
 //!
 //! The paper stores both in LevelDB, placing the record key before the commit sequence so that
 //! every query is a seek to the record key's prefix followed by a short scan in commit order.
-//! The documented LevelDB substitution is the **key-major** layout of [`KeyMajor`]: a hash
+//! The documented LevelDB substitution is the **key-major** layout of `KeyMajor`: a hash
 //! map from record key to that key's `(commit seq, txn)` entries, kept sorted by commit
 //! sequence. The hash probe plays the role of the prefix seek and the per-key vector is the
 //! prefix's ordered run, so the query surface — and the order of every answer — is exactly
@@ -211,16 +211,6 @@ impl CommittedReadIndex {
         self.index.entries(key)
     }
 
-    /// `CR[key]` as an owned list of readers (tests and benches).
-    pub fn readers(&self, key: &Key) -> Vec<TxnId> {
-        txns(self.entries(key))
-    }
-
-    /// Readers of `key` with commit sequence at or after `seq`.
-    pub fn readers_from(&self, key: &Key, seq: SeqNo) -> Vec<TxnId> {
-        txns(self.index.entries_from(key, seq))
-    }
-
     /// Drops readers of `key` that observed values older than the newest committed write, i.e.
     /// entries whose commit sequence is at or before `overwritten_at`. Called when a new write
     /// to `key` commits so the index only tracks readers of the latest value.
@@ -310,14 +300,13 @@ mod tests {
         cr.record(k("A"), SeqNo::new(4, 3), TxnId(8));
         cr.record(k("B"), SeqNo::new(4, 2), TxnId(9));
 
-        assert_eq!(cr.readers(&k("A")), vec![TxnId(7), TxnId(8)]);
-        assert_eq!(cr.readers_from(&k("A"), SeqNo::new(4, 2)), vec![TxnId(8)]);
+        assert_eq!(txns(cr.entries(&k("A"))), vec![TxnId(7), TxnId(8)]);
 
         // A new write to A committed at (5,1): readers of the previous value are dropped.
         let dropped = cr.drop_stale_readers(&k("A"), SeqNo::new(5, 1));
         assert_eq!(dropped, 2);
-        assert!(cr.readers(&k("A")).is_empty());
-        assert_eq!(cr.readers(&k("B")), vec![TxnId(9)]);
+        assert!(txns(cr.entries(&k("A"))).is_empty());
+        assert_eq!(txns(cr.entries(&k("B"))), vec![TxnId(9)]);
     }
 
     #[test]
@@ -347,16 +336,16 @@ mod tests {
         cr.record(k("A"), SeqNo::new(3, 5), TxnId(5));
         assert_eq!(cr.drop_stale_readers(&k("Z"), SeqNo::new(9, 9)), 0);
         assert_eq!(cr.len(), 2);
-        assert_eq!(cr.readers(&k("A")), vec![TxnId(5)]);
-        assert_eq!(cr.readers(&k("B")), vec![TxnId(1)]);
+        assert_eq!(txns(cr.entries(&k("A"))), vec![TxnId(5)]);
+        assert_eq!(txns(cr.entries(&k("B"))), vec![TxnId(1)]);
 
         cr.record(k("A"), SeqNo::new(4, 1), TxnId(6));
         cr.record(k("C"), SeqNo::new(4, 2), TxnId(7));
         assert_eq!(cr.prune_below(4), 2);
         assert_eq!(cr.len(), 2);
-        assert_eq!(cr.readers(&k("A")), vec![TxnId(6)]);
-        assert!(cr.readers(&k("B")).is_empty());
-        assert_eq!(cr.readers(&k("C")), vec![TxnId(7)]);
+        assert_eq!(txns(cr.entries(&k("A"))), vec![TxnId(6)]);
+        assert!(txns(cr.entries(&k("B"))).is_empty());
+        assert_eq!(txns(cr.entries(&k("C"))), vec![TxnId(7)]);
         assert_eq!(cr.prune_below(4), 0);
         assert_eq!(cr.prune_below(5), 2);
         assert!(cr.is_empty());
@@ -465,8 +454,8 @@ mod proptests {
 
                     let cr_all = cr_model.from(&key, SeqNo::zero());
                     prop_assert_eq!(cr.entries(&key), cr_all.as_slice());
-                    prop_assert_eq!(cr.readers(&key), txns(&cr_all));
-                    prop_assert_eq!(cr.readers_from(&key, probe), txns(&cr_model.from(&key, probe)));
+                    let cr_from = cr_model.from(&key, probe);
+                    prop_assert_eq!(cr.index.entries_from(&key, probe), cr_from.as_slice());
                 }
             }
         }

@@ -18,10 +18,10 @@
 //!   resolves an arriving transaction against.
 //! * [`state`] — the [`state::StateRead`] / [`state::StateStore`] traits the endorsement and
 //!   commit paths are written against.
-//! * [`timetravel`] — the reenactment query surface over the retained history, as
+//! * `timetravel` — the reenactment query surface over the retained history, as
 //!   `MultiVersionStore` methods: [`MultiVersionStore::value_as_of`] ("value of `key` as of
-//!   block `h`"), [`MultiVersionStore::history_range`] (block-range histories) and
-//!   [`MultiVersionStore::version_as_of`] (the commit slot behind any visible value).
+//!   block `h`", with the commit slot behind it) and [`MultiVersionStore::history_range`]
+//!   (block-range histories).
 //!
 //! There is one store and one set of indices, owned by the thread that drives them: the
 //! paper's single global multi-version store (Sections 4.2–4.4), with no key-space
@@ -30,13 +30,13 @@
 #![forbid(unsafe_code)]
 
 pub mod index;
-pub mod mvstore;
+mod mvstore;
 #[cfg(test)]
 mod mvstore_model;
 pub mod pending;
 pub mod snapshot;
 pub mod state;
-pub mod timetravel;
+mod timetravel;
 
 pub use index::{CommittedReadIndex, CommittedWriteIndex};
 pub use mvstore::{MultiVersionStore, VersionedValue};

@@ -33,9 +33,9 @@
 //! one probe, independent of how many keys the store holds, where an ordered map pays a
 //! descent of string compares that deepens with it.
 //!
-//! Nothing ordered is read off the index. The ordered walks ([`MultiVersionStore::iter_latest`],
-//! [`MultiVersionStore::iter_history`]) collect from the slab — whose order is the
-//! deterministic first-write order, not a hash order — and sort **what they emit** by key;
+//! Nothing ordered is read off the index. The ordered walk ([`MultiVersionStore::iter_history`])
+//! collects from the slab — whose order is the deterministic first-write order, not a hash
+//! order — and sorts **what it emits** by key;
 //! the checkpoint writer, whose deltas emit a small part of a large store, takes
 //! [`MultiVersionStore::chains_in_write_order`], filters first and sorts the rest. Equality is
 //! content equality: two stores holding the same chains are equal whatever order their keys
@@ -403,17 +403,6 @@ impl MultiVersionStore {
         self.chain(key).map_or(&[], Chain::as_slice)
     }
 
-    /// Iterates over `(key, latest version)` pairs in key order.
-    pub fn iter_latest(&self) -> impl Iterator<Item = (&Key, &VersionedValue)> {
-        let mut latest: Vec<(&Key, &VersionedValue)> = self
-            .chains
-            .iter()
-            .map(|(key, chain)| (key, chain.newest()))
-            .collect();
-        latest.sort_unstable_by(|a, b| a.0.cmp(b.0));
-        latest.into_iter()
-    }
-
     /// Garbage-collects versions that are no longer reachable from any snapshot at or above
     /// `block`: for each key, every version strictly older than the newest version visible at
     /// `block` is dropped. Snapshot reads below `block` are refused afterwards.
@@ -438,7 +427,7 @@ impl MultiVersionStore {
 
     /// Every `(key, full version chain)` pair in the order the keys were first written —
     /// deterministic, but not key order. For walks that emit a small part of the store and
-    /// sort that (a delta checkpoint); everything else wants [`Self::iter_history`].
+    /// sort that (a delta checkpoint); everything else wants `Self::iter_history`.
     pub fn chains_in_write_order(&self) -> impl Iterator<Item = (&Key, &[VersionedValue])> {
         self.chains
             .iter()
@@ -447,7 +436,7 @@ impl MultiVersionStore {
 
     /// Iterates over every `(key, full version chain)` pair in key order — the deterministic
     /// walk the durable checkpoint codec serializes.
-    pub fn iter_history(&self) -> impl Iterator<Item = (&Key, &[VersionedValue])> {
+    pub(crate) fn iter_history(&self) -> impl Iterator<Item = (&Key, &[VersionedValue])> {
         let mut chains: Vec<(&Key, &[VersionedValue])> = self.chains_in_write_order().collect();
         chains.sort_unstable_by(|a, b| a.0.cmp(b.0));
         chains.into_iter()
@@ -579,14 +568,6 @@ mod tests {
         let mut store = MultiVersionStore::new();
         store.put(k("A"), SeqNo::new(3, 1), Value::from_i64(1));
         store.put(k("A"), SeqNo::new(2, 9), Value::from_i64(2));
-    }
-
-    #[test]
-    fn iter_latest_walks_keys_in_order() {
-        let mut store = MultiVersionStore::new();
-        store.seed_genesis([(k("b"), Value::from_i64(2)), (k("a"), Value::from_i64(1))]);
-        let keys: Vec<&str> = store.iter_latest().map(|(k, _)| k.as_str()).collect();
-        assert_eq!(keys, vec!["a", "b"]);
     }
 }
 

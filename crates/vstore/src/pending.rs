@@ -45,17 +45,6 @@ impl PendingIndex {
         self.by_key.iter().map(|(k, v)| (k, v.as_slice()))
     }
 
-    /// Removes a single transaction from every key's list (used when an accepted transaction is
-    /// later dropped, e.g. by an adversarial-orderer test).
-    pub fn remove_txn(&mut self, txn: TxnId) {
-        // lint-determinism: allow (removal from every list is commutative across keys)
-        for txns in self.by_key.values_mut() {
-            txns.retain(|t| *t != txn);
-        }
-        // lint-determinism: allow (pure emptiness filter, order-insensitive)
-        self.by_key.retain(|_, txns| !txns.is_empty());
-    }
-
     /// Clears the index (block formation empties the pending set).
     pub fn clear(&mut self) {
         self.by_key.clear();
@@ -99,19 +88,6 @@ mod tests {
         assert_eq!(pw.get(&k("C")), &[] as &[TxnId]);
         assert_eq!(pw.key_count(), 2);
         assert_eq!(pw.entry_count(), 3);
-    }
-
-    #[test]
-    fn remove_txn_drops_it_everywhere() {
-        let mut pw = PendingIndex::new();
-        pw.record(k("A"), TxnId(1));
-        pw.record(k("A"), TxnId(2));
-        pw.record(k("B"), TxnId(1));
-        pw.remove_txn(TxnId(1));
-        assert_eq!(pw.get(&k("A")), &[TxnId(2)]);
-        assert!(pw.get(&k("B")).is_empty());
-        // Keys whose lists became empty are removed entirely.
-        assert_eq!(pw.key_count(), 1);
     }
 
     #[test]

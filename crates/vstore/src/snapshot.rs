@@ -15,7 +15,7 @@
 #[cfg(test)]
 use crate::mvstore::MultiVersionStore;
 use crate::state::StateRead;
-use eov_common::error::{CommonError, Result};
+use eov_common::error::Result;
 use eov_common::rwset::{Key, ReadSet, Value};
 use eov_common::version::SeqNo;
 use parking_lot::RwLock;
@@ -140,18 +140,7 @@ impl SnapshotManager {
         block
     }
 
-    /// Pins a specific snapshot height (used by tests and by replayed simulations). Fails if the
-    /// snapshot has already been pruned.
-    pub fn pin(&self, block: u64) -> Result<()> {
-        let mut st = self.inner.write();
-        if block < st.pruned_below {
-            return Err(CommonError::SnapshotPruned(block));
-        }
-        *st.pins.entry(block).or_insert(0) += 1;
-        Ok(())
-    }
-
-    /// Releases a pin taken by [`SnapshotManager::pin_latest`] / [`SnapshotManager::pin`].
+    /// Releases a pin taken by [`SnapshotManager::pin_latest`].
     pub fn unpin(&self, block: u64) {
         let mut st = self.inner.write();
         if let Some(count) = st.pins.get_mut(&block) {
@@ -163,7 +152,8 @@ impl SnapshotManager {
     }
 
     /// Number of active pins on `block`.
-    pub fn pin_count(&self, block: u64) -> usize {
+    #[cfg(test)]
+    pub(crate) fn pin_count(&self, block: u64) -> usize {
         self.inner.read().pins.get(&block).copied().unwrap_or(0)
     }
 
@@ -174,18 +164,13 @@ impl SnapshotManager {
     pub fn prune_below(&self, horizon: u64) -> u64 {
         let mut st = self.inner.write();
         // The floor cannot pass the oldest pinned snapshot.
+        // lint-determinism: allow (the minimum does not depend on iteration order)
         let oldest_pinned = st.pins.keys().copied().min().unwrap_or(u64::MAX);
         let floor = horizon.min(oldest_pinned).min(st.latest + 1);
         if floor > st.pruned_below {
             st.pruned_below = floor;
         }
         st.pruned_below
-    }
-
-    /// Whether a snapshot height is still readable.
-    pub fn is_available(&self, block: u64) -> bool {
-        let st = self.inner.read();
-        block >= st.pruned_below && block <= st.latest
     }
 }
 
@@ -249,21 +234,17 @@ mod tests {
     #[test]
     fn pruning_respects_pins() {
         let mgr = SnapshotManager::new();
-        for b in 1..=5 {
+        mgr.register_block(1);
+        mgr.register_block(2);
+        assert_eq!(mgr.pin_latest(), 2);
+        for b in 3..=5 {
             mgr.register_block(b);
         }
-        mgr.pin(2).unwrap();
         // Pruning up to 4 is capped by the pin on block 2.
         assert_eq!(mgr.prune_below(4), 2);
-        assert!(mgr.is_available(2));
-        assert!(mgr.is_available(3));
 
         mgr.unpin(2);
         assert_eq!(mgr.prune_below(4), 4);
-        assert!(!mgr.is_available(3));
-        assert!(mgr.is_available(4));
-        // Pinning a pruned snapshot now fails.
-        assert_eq!(mgr.pin(1), Err(CommonError::SnapshotPruned(1)));
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! to its full chain of `(version, value)` pairs, sorted by commit slot. The methods here turn
 //! that into the reenactment query surface of Arab et al. (PAPERS.md): *what was the value of
 //! `key` as of block `h`?* (`value_as_of`), *how did it evolve between `h0` and `h1`?*
-//! (`history_range`), and *which commit slot produced the visible value?* (`version_as_of` —
-//! the store half of provenance; `eov_ledger::reenact` joins the slot back to the committing
-//! transaction). Answers below the pruning horizon are refused with the same
+//! (`history_range`), and *which commit slot produced the visible value?* (the `version` of
+//! the `value_as_of` answer — the store half of provenance; `eov_ledger::reenact` joins the
+//! slot back to the committing transaction). Answers below the pruning horizon are refused with the same
 //! [`CommonError::SnapshotPruned`](eov_common::error::CommonError::SnapshotPruned) contract as
 //! snapshot reads, because pruned chains no longer hold the evidence.
 
@@ -17,7 +17,7 @@ use eov_common::version::SeqNo;
 
 impl MultiVersionStore {
     /// The lowest block height whose history is still complete (the pruning horizon).
-    pub fn oldest_queryable(&self) -> u64 {
+    pub(crate) fn oldest_queryable(&self) -> u64 {
         self.pruned_below()
     }
 
@@ -42,12 +42,6 @@ impl MultiVersionStore {
         let lo = chain.partition_point(|v| v.version.block < h0);
         let hi = chain.partition_point(|v| v.version <= SeqNo::new(h1, u32::MAX));
         Ok(&chain[lo..hi.max(lo)])
-    }
-
-    /// The commit slot `(block, seq)` that produced the value visible at `height`, if any —
-    /// the key into the ledger for provenance resolution.
-    pub fn version_as_of(&self, key: &Key, height: u64) -> Result<Option<SeqNo>> {
-        Ok(self.value_as_of(key, height)?.map(|v| v.version))
     }
 }
 
@@ -102,15 +96,10 @@ mod tests {
     #[test]
     fn version_as_of_returns_the_committing_slot() {
         let store = populated();
-        assert_eq!(
-            store.version_as_of(&k("A"), 3).unwrap(),
-            Some(SeqNo::new(3, 1))
-        );
-        assert_eq!(
-            store.version_as_of(&k("B"), 3).unwrap(),
-            Some(SeqNo::new(0, 2))
-        );
-        assert_eq!(store.version_as_of(&k("missing"), 3).unwrap(), None);
+        let version_as_of = |key: &str| store.value_as_of(&k(key), 3).unwrap().map(|v| v.version);
+        assert_eq!(version_as_of("A"), Some(SeqNo::new(3, 1)));
+        assert_eq!(version_as_of("B"), Some(SeqNo::new(0, 2)));
+        assert_eq!(version_as_of("missing"), None);
     }
 
     #[test]

@@ -1,60 +1,32 @@
-//! Smart contracts for the motivation experiment (Figure 1).
+//! The single-key update contract of the motivation experiment (Figure 1).
 //!
-//! A [`SmartContract`] is anything that can be simulated in an endorsing peer's
-//! [`SimulationContext`]: it reads and writes keys, and the context records the read/write
-//! sets. Two trivial contracts live here — the no-op contract and the single-key update
-//! contract that Figure 1 uses to show that Fabric's *raw* throughput is flat while its
-//! *effective* throughput collapses under skew. The Smallbank family is in
-//! [`crate::smallbank`].
+//! A contract runs in an endorsing peer's [`SimulationContext`]: it reads and writes keys, and
+//! the context records the read/write sets. Figure 1 uses this one to show that Fabric's *raw*
+//! throughput is flat while its *effective* throughput collapses under skew. The no-op
+//! workload runs no contract at all, and the Smallbank family is in [`crate::smallbank`].
 
 use eov_common::rwset::{Key, Value};
 use fabricsharp_core::endorser::SimulationContext;
-
-/// A contract that can be simulated against a snapshot.
-pub trait SmartContract {
-    /// Human-readable contract name (used in experiment output).
-    fn name(&self) -> &'static str;
-    /// Runs the contract logic inside a simulation context.
-    fn run(&self, ctx: &mut SimulationContext<'_>);
-}
-
-/// The no-op contract: touches no state at all. Every invocation is trivially serializable, so
-/// its effective throughput equals the raw throughput — the left-most bar of Figure 1.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NoOpContract;
-
-impl SmartContract for NoOpContract {
-    fn name(&self) -> &'static str {
-        "no-op"
-    }
-
-    fn run(&self, _ctx: &mut SimulationContext<'_>) {}
-}
 
 /// The single-modification contract of Figure 1: read one key (chosen by the workload
 /// generator with Zipfian skew) and write it back incremented. Under skew, concurrent
 /// invocations pile up on the hot keys and fail Fabric's validation.
 #[derive(Clone, Debug)]
-pub struct KvUpdateContract {
+pub(crate) struct KvUpdateContract {
     /// The key this invocation updates.
     pub key: Key,
 }
 
 impl KvUpdateContract {
     /// Creates an update of key index `i` in the generator's key space.
-    pub fn for_index(i: usize) -> Self {
+    pub(crate) fn for_index(i: usize) -> Self {
         KvUpdateContract {
             key: Key::from_fmt(format_args!("kv:{i}")),
         }
     }
-}
 
-impl SmartContract for KvUpdateContract {
-    fn name(&self) -> &'static str {
-        "kv-update"
-    }
-
-    fn run(&self, ctx: &mut SimulationContext<'_>) {
+    /// Runs the contract logic inside a simulation context.
+    pub(crate) fn run(&self, ctx: &mut SimulationContext<'_>) {
         let current = ctx.read_balance(&self.key);
         ctx.write(self.key.clone(), Value::from_i64(current + 1));
     }
@@ -68,22 +40,13 @@ mod tests {
     use fabricsharp_core::endorser::SnapshotEndorser;
 
     fn endorse(
-        contract: &dyn SmartContract,
+        contract: &KvUpdateContract,
         store: &MultiVersionStore,
     ) -> eov_common::txn::Transaction {
         let mgr = SnapshotManager::new();
         mgr.register_block(store.last_block());
         let endorser = SnapshotEndorser::new(mgr);
         endorser.simulate(store, TxnId(1), |ctx| contract.run(ctx))
-    }
-
-    #[test]
-    fn noop_contract_produces_empty_sets() {
-        let store = MultiVersionStore::new();
-        let txn = endorse(&NoOpContract, &store);
-        assert!(txn.read_set.is_empty());
-        assert!(txn.write_set.is_empty());
-        assert_eq!(NoOpContract.name(), "no-op");
     }
 
     #[test]
@@ -97,7 +60,6 @@ mod tests {
             txn.write_set.value_of(&Key::new("kv:7")).unwrap().as_i64(),
             Some(42)
         );
-        assert_eq!(contract.name(), "kv-update");
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! template by running the corresponding contract inside an endorsement simulation, which is
 //! what produces the read/write sets the concurrency controls operate on.
 
-use crate::contracts::{KvUpdateContract, SmartContract};
+use crate::contracts::KvUpdateContract;
 use crate::smallbank::{self, SmallbankContract, SmallbankOp};
 use crate::templates::TemplateClassifier;
 use crate::ycsb::{self, YcsbProfile, YcsbTxn};
@@ -36,7 +36,7 @@ pub enum WorkloadKind {
     },
     /// Uniform Create-Account transactions (write-only, contention-free; Section 5.4).
     CreateAccount,
-    /// YCSB-style read/update/RMW mix with Zipfian skew (see [`crate::ycsb`]); the key
+    /// YCSB-style read/update/RMW mix with Zipfian skew (see `crate::ycsb`); the key
     /// population is `params.num_accounts` records.
     Ycsb(YcsbProfile),
 }

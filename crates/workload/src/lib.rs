@@ -4,8 +4,7 @@
 //!
 //! * [`zipf`] — a Zipfian index sampler (inverse-CDF over `1/i^θ` weights), used by the
 //!   Figure 1 motivation experiment and the Figure 15 mixed workload.
-//! * [`contracts`] — the smart-contract abstraction plus the no-op and single-key-update
-//!   contracts of Figure 1.
+//! * `contracts` — the single-key-update contract of Figure 1.
 //! * [`smallbank`] — the Smallbank contract family: the original operation mix used in
 //!   Section 5.4 and the modified 4-read/4-write transaction of Section 5.2.
 //! * [`generator`] — workload generators parameterised exactly like Table 2 (hot ratios,
@@ -19,16 +18,15 @@
 
 #![forbid(unsafe_code)]
 
-pub mod contracts;
+mod contracts;
 pub mod generator;
 pub mod smallbank;
 pub mod templates;
-pub mod ycsb;
+mod ycsb;
 pub mod zipf;
 
-pub use contracts::{KvUpdateContract, NoOpContract, SmartContract};
 pub use generator::{TxnTemplate, WorkloadGenerator, WorkloadKind};
 pub use smallbank::{SmallbankContract, SmallbankOp};
-pub use templates::{TemplateClassifier, TemplateSpec};
+pub use templates::TemplateClassifier;
 pub use ycsb::{YcsbOp, YcsbProfile, YcsbTxn};
 pub use zipf::Zipfian;

@@ -17,12 +17,12 @@ use eov_common::rwset::{Key, Value};
 use fabricsharp_core::endorser::SimulationContext;
 
 /// Key of an account's checking balance.
-pub fn checking_key(account: usize) -> Key {
+pub(crate) fn checking_key(account: usize) -> Key {
     Key::from_fmt(format_args!("checking:{account}"))
 }
 
 /// Key of an account's savings balance.
-pub fn savings_key(account: usize) -> Key {
+pub(crate) fn savings_key(account: usize) -> Key {
     Key::from_fmt(format_args!("savings:{account}"))
 }
 

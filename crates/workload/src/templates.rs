@@ -49,20 +49,20 @@ use crate::ycsb::YcsbProfile;
 use eov_common::txn::TemplateClass;
 
 /// A key family: the key-space prefix a template's operations target.
-pub type KeyFamily = &'static str;
+pub(crate) type KeyFamily = &'static str;
 
 /// The `kv:` family (the Figure 1 single-key-update workload).
-pub const FAMILY_KV: KeyFamily = "kv";
+pub(crate) const FAMILY_KV: KeyFamily = "kv";
 /// The `checking:` family (Smallbank checking balances).
-pub const FAMILY_CHECKING: KeyFamily = "checking";
+pub(crate) const FAMILY_CHECKING: KeyFamily = "checking";
 /// The `savings:` family (Smallbank savings balances).
-pub const FAMILY_SAVINGS: KeyFamily = "savings";
+pub(crate) const FAMILY_SAVINGS: KeyFamily = "savings";
 /// The `usertable:` family (YCSB records).
-pub const FAMILY_USERTABLE: KeyFamily = "usertable";
+pub(crate) const FAMILY_USERTABLE: KeyFamily = "usertable";
 
 /// The read/write key-set shape of one transaction template.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TemplateSpec {
+pub(crate) struct TemplateSpec {
     /// Stable template name (used to map generated templates back to their spec).
     pub name: &'static str,
     /// Families the template reads.
@@ -76,7 +76,7 @@ pub struct TemplateSpec {
 
 impl TemplateSpec {
     /// A template that only reads.
-    pub fn read_only(name: &'static str, reads: impl Into<Vec<KeyFamily>>) -> Self {
+    pub(crate) fn read_only(name: &'static str, reads: impl Into<Vec<KeyFamily>>) -> Self {
         TemplateSpec {
             name,
             reads: reads.into(),
@@ -86,7 +86,7 @@ impl TemplateSpec {
     }
 
     /// A template that reads and writes existing keys.
-    pub fn read_write(
+    pub(crate) fn read_write(
         name: &'static str,
         reads: impl Into<Vec<KeyFamily>>,
         writes: impl Into<Vec<KeyFamily>>,
@@ -100,7 +100,7 @@ impl TemplateSpec {
     }
 
     /// A write-only template whose keys are fresh per instance.
-    pub fn fresh_writer(name: &'static str, writes: impl Into<Vec<KeyFamily>>) -> Self {
+    pub(crate) fn fresh_writer(name: &'static str, writes: impl Into<Vec<KeyFamily>>) -> Self {
         TemplateSpec {
             name,
             reads: Vec::new(),
@@ -112,7 +112,7 @@ impl TemplateSpec {
 
 /// Classifies every template in `mix` per the module-level rule. The verdicts are
 /// mix-relative: the same template can be safe in one mix and unknown in another.
-pub fn classify(mix: &[TemplateSpec]) -> Vec<TemplateClass> {
+pub(crate) fn classify(mix: &[TemplateSpec]) -> Vec<TemplateClass> {
     mix.iter()
         .enumerate()
         .map(|(i, spec)| {
@@ -138,7 +138,7 @@ pub fn classify(mix: &[TemplateSpec]) -> Vec<TemplateClass> {
 }
 
 /// The template mix a [`WorkloadKind`] draws from, as key-family shapes.
-pub fn catalog(kind: &WorkloadKind) -> Vec<TemplateSpec> {
+pub(crate) fn catalog(kind: &WorkloadKind) -> Vec<TemplateSpec> {
     match kind {
         WorkloadKind::NoOp => vec![TemplateSpec::read_only("noop", [])],
         WorkloadKind::KvUpdate { .. } => vec![TemplateSpec::read_write(
@@ -194,7 +194,7 @@ fn ycsb_spec(profile: &YcsbProfile) -> TemplateSpec {
 }
 
 /// The stable spec name of a generated template (see [`catalog`]).
-pub fn template_spec_name(template: &TxnTemplate) -> &'static str {
+pub(crate) fn template_spec_name(template: &TxnTemplate) -> &'static str {
     use crate::smallbank::SmallbankOp;
     match template {
         TxnTemplate::NoOp => "noop",
@@ -214,7 +214,7 @@ pub fn template_spec_name(template: &TxnTemplate) -> &'static str {
 }
 
 /// Precomputed per-workload classifier: every template of the workload's catalog with its
-/// class, in [`catalog`] order. A mix holds at most six templates, so a lookup is a linear scan
+/// class, in `catalog` order. A mix holds at most six templates, so a lookup is a linear scan
 /// by name, which is cheaper than hashing the name. Templates outside the catalog fall back to
 /// [`TemplateClass::Unknown`].
 #[derive(Clone, Debug)]
@@ -243,7 +243,7 @@ impl TemplateClassifier {
             .map_or(TemplateClass::Unknown, |i| self.templates[i].1)
     }
 
-    /// The [`catalog`] position of a generated template, or `None` for templates outside the
+    /// The `catalog` position of a generated template, or `None` for templates outside the
     /// mix. Stamped onto `Transaction::template_id`, which the ledger codec persists, so the
     /// catalog order is part of every ledger record.
     pub fn template_index(&self, template: &TxnTemplate) -> Option<u16> {

@@ -11,12 +11,12 @@ use rand::rngs::StdRng;
 use rand::Rng;
 
 /// Key of the `i`-th YCSB record.
-pub fn ycsb_key(index: usize) -> Key {
+pub(crate) fn ycsb_key(index: usize) -> Key {
     Key::from_fmt(format_args!("usertable:{index}"))
 }
 
 /// Genesis entries for `records` YCSB records, each starting at value 0.
-pub fn ycsb_genesis(records: usize) -> Vec<(Key, Value)> {
+pub(crate) fn ycsb_genesis(records: usize) -> Vec<(Key, Value)> {
     (0..records)
         .map(|i| (ycsb_key(i), Value::from_i64(0)))
         .collect()
@@ -77,7 +77,7 @@ impl YcsbProfile {
     }
 
     /// The implied read-modify-write fraction.
-    pub fn rmw_fraction(&self) -> f64 {
+    pub(crate) fn rmw_fraction(&self) -> f64 {
         (1.0 - self.read_fraction - self.update_fraction).max(0.0)
     }
 }
@@ -157,7 +157,7 @@ impl YcsbTxn {
 
 /// Draws one YCSB transaction: `ops_per_txn` distinct Zipfian keys, each with an operation
 /// from the configured mix.
-pub fn next_ycsb_txn(
+pub(crate) fn next_ycsb_txn(
     profile: &YcsbProfile,
     zipf: &Zipfian,
     records: usize,

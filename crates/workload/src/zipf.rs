@@ -63,7 +63,8 @@ impl Zipfian {
     }
 
     /// The probability mass assigned to index `i`.
-    pub fn probability(&self, i: usize) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn probability(&self, i: usize) -> f64 {
         if i >= self.cumulative.len() {
             return 0.0;
         }

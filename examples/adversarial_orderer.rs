@@ -7,7 +7,7 @@
 //! cargo run --example adversarial_orderer
 //! ```
 
-use fabricsharp::consensus::adversary::{
+use fabricsharp::ledger::adversary::{
     ClientSubmission, FrontRunningLeader, HonestLeader, LeaderPolicy,
 };
 use fabricsharp::prelude::*;

@@ -11,9 +11,7 @@
 //! |---|---|---|
 //! | [`common`] | `eov-common` | sequence numbers, transactions, read/write sets, abort reasons, configuration |
 //! | [`vstore`] | `eov-vstore` | multi-versioned state store, block snapshots, CW/CR/PW/PR indices |
-//! | [`ledger`] | `eov-ledger` | SHA-256, blocks, hash-chained ledger |
-//! | [`consensus`] | `eov-consensus` | Section 3.5 adversarial leaders, hash commitments, fork audit |
-//! | [`depgraph`] | `eov-depgraph` | dependency graph, bloom-filter reachability, pruning |
+//! | [`ledger`] | `eov-ledger` | SHA-256, blocks, hash-chained ledger, Section 3.5 commitments and fork audit |
 //! | [`core`] | `fabricsharp-core` | **the paper's contribution**: Algorithms 1–5, the FabricSharp orderer-side concurrency control and the serializability oracle |
 //! | [`baselines`] | `eov-baselines` | vanilla Fabric, Fabric++, Focc-s, Focc-l, and the `SimpleChain` facade |
 //! | [`workload`] | `eov-workload` | Zipfian sampler, Smallbank contracts, workload generators |
@@ -50,8 +48,6 @@
 
 pub use eov_baselines as baselines;
 pub use eov_common as common;
-pub use eov_consensus as consensus;
-pub use eov_depgraph as depgraph;
 pub use eov_ledger as ledger;
 pub use eov_sim as sim;
 pub use eov_vstore as vstore;

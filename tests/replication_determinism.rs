@@ -3,7 +3,7 @@
 //! identical blocks. These tests replay one proposed order through independent `SimpleChain`
 //! replicas and compare their block hashes, and exercise the hash-commitment mitigation.
 
-use fabricsharp::consensus::adversary::{
+use fabricsharp::ledger::adversary::{
     audit_fork, commitment_of, ClientSubmission, EquivocatingLeader, ForkVerdict,
     FrontRunningLeader, LeaderPolicy,
 };

@@ -3,9 +3,9 @@
 //! * `lint-determinism` — static lint over the ledger-order-affecting modules (see
 //!   [`SCAN_ROOTS`]: the dependency graph, the orderer's arrival/formation paths, the
 //!   store and indices, the committer, the simulator's event loop and commit step, the four
-//!   baseline concurrency controls and `SimpleChain`, the Section 3.5 leader policies, and —
-//!   since the ledger is persisted byte-for-byte — the durable ledger codec, checkpoint
-//!   writer and the versioned store they serialise). Fails on iteration over
+//!   baseline concurrency controls and `SimpleChain`, and — since the ledger is persisted
+//!   byte-for-byte — the durable ledger codec, checkpoint writer and the versioned store they
+//!   serialise, with the ledger's Section 3.5 leader policies). Fails on iteration over
 //!   `HashMap`/`HashSet` bindings (`.iter()`, `.keys()`, `.values()`, `.drain()`,
 //!   `for … in &map`, …) outside an explicit allowlist. Hash iteration order is seeded per
 //!   process, so any such loop whose effects reach the commit order reintroduces exactly the
@@ -17,9 +17,9 @@
 //! The lint is a two-pass text heuristic, deliberately conservative: pass 1 collects every
 //! binding or field declared with a `HashMap`/`HashSet` type (or initialised from one) in a
 //! file; pass 2 flags iteration-shaped uses of those names in the same file's non-test code
-//! (scanning stops at the first `#[cfg(test)]` — test-only iteration cannot affect ledger
-//! order; fields are private in this workspace, so hash collections are always iterated in
-//! their declaring file). False positives are possible (name collisions within a file) and
+//! (`#[cfg(test)]` items are skipped — test-only iteration cannot affect ledger order;
+//! fields are private in this workspace, so hash collections are always iterated in their
+//! declaring file). False positives are possible (name collisions within a file) and
 //! are handled with the same allowlist comment.
 //!
 //! * `audit-unsafe` — fails unless every first-party crate root (the `src/lib.rs` and
@@ -30,10 +30,20 @@
 //!   `unsafe_code` lint level besides those attributes and [`UNSAFE_SITE`]'s one
 //!   `#[allow(unsafe_code)]` directly above its one `unsafe` block — the call into the SHA-NI
 //!   kernel.
+//!
+//! * `audit-pub` — fails on any `pub` fn, struct, enum, trait, type alias, const, static or
+//!   module in the non-test code of a library crate under `crates/` (the third-party
+//!   stand-ins in `crates/shims` aside) whose name appears in no file outside that crate's
+//!   `src/` — other crates, the crate's own `tests/`, `benches/` and `src/bin/`, the facade,
+//!   `examples/`, `tests/`, `perf/` and `xtask` — and in the `pub` signature of no other item
+//!   of its crate. rustc's `dead_code` lint never fires on an exported item, so every `pub`
+//!   must have a user for the compiler to find the dead code behind it. The match is by name
+//!   over code with comments and literals blanked out, so an item whose name a user elsewhere
+//!   happens to share passes; there is no allowlist.
 
 #![forbid(unsafe_code)]
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -46,7 +56,6 @@ const SCAN_ROOTS: &[&str] = &[
     "crates/ledger/src",
     "crates/vstore/src",
     "crates/baselines/src",
-    "crates/consensus/src",
 ];
 
 /// The allowlist marker: `lint-determinism: allow (reason)` on the flagged line or the line
@@ -80,9 +89,10 @@ fn main() -> ExitCode {
     match args.next().as_deref() {
         Some("lint-determinism") => lint_determinism(),
         Some("audit-unsafe") => audit_unsafe(),
+        Some("audit-pub") => audit_pub(),
         other => {
             eprintln!(
-                "usage: cargo run -p xtask -- <lint-determinism | audit-unsafe>\n\
+                "usage: cargo run -p xtask -- <lint-determinism | audit-unsafe | audit-pub>\n\
                  (unknown subcommand {other:?})"
             );
             ExitCode::FAILURE
@@ -92,10 +102,7 @@ fn main() -> ExitCode {
 
 fn audit_unsafe() -> ExitCode {
     let root = repo_root();
-    let relative = |path: &Path| {
-        let rel = path.strip_prefix(&root).unwrap_or(path);
-        rel.to_string_lossy().replace('\\', "/")
-    };
+    let relative = |path: &Path| relative(&root, path);
     let mut violations: Vec<String> = Vec::new();
 
     let roots = crate_roots(&root);
@@ -188,6 +195,12 @@ fn crate_roots(root: &Path) -> Vec<PathBuf> {
         .flat_map(|package| ["src/lib.rs", "src/main.rs"].map(|file| package.join(file)))
         .filter(|path| path.is_file())
         .collect()
+}
+
+/// `path` relative to `root`, with `/` separators.
+fn relative(root: &Path, path: &Path) -> String {
+    let rel = path.strip_prefix(root).unwrap_or(path);
+    rel.to_string_lossy().replace('\\', "/")
 }
 
 fn read(path: &Path) -> String {
@@ -298,6 +311,199 @@ fn code_only(text: &str) -> String {
     out
 }
 
+/// The item kinds `audit-pub` holds to having a user outside their crate.
+const PUB_KINDS: &[&str] = &[
+    "fn", "struct", "enum", "trait", "type", "const", "static", "mod",
+];
+
+/// A `pub` item of a crate's library code.
+#[derive(Debug)]
+struct PubItem {
+    line: usize,
+    kind: &'static str,
+    name: String,
+    /// The identifiers a user of the item sees (see [`pub_items`]).
+    signature: BTreeSet<String>,
+}
+
+fn audit_pub() -> ExitCode {
+    let root = repo_root();
+    let mut files: Vec<PathBuf> = Vec::new();
+    collect_rs_files(&root, &mut files);
+    files.sort();
+    let sources: Vec<(String, String)> = files
+        .iter()
+        .map(|path| (relative(&root, path), read(path)))
+        .collect();
+    let (items, unused) = unused_pub_items(&sources);
+    if unused.is_empty() {
+        println!(
+            "audit-pub: OK ({items} pub items, each named outside its crate's src/; {} files \
+             scanned)",
+            sources.len()
+        );
+        return ExitCode::SUCCESS;
+    }
+    eprintln!("audit-pub: pub items that nothing outside their crate names:\n");
+    for (file, item) in &unused {
+        eprintln!("  {file}:{}: pub {} {}", item.line, item.kind, item.name);
+    }
+    eprintln!(
+        "\n{} of {items} item(s). Make each `pub(crate)`, or delete it if nothing in its crate \
+         uses it either.",
+        unused.len()
+    );
+    ExitCode::FAILURE
+}
+
+/// The number of `pub` items in the library code of the non-shim crates among `sources`
+/// (repo-relative path, text), and those of them whose name appears in no file outside their
+/// crate's `src/` — other crates, the crate's own `tests/`, `benches/` and `src/bin/`, the
+/// facade, `examples/`, `tests/`, `perf/` and `xtask` — and in the `pub` signature of no other
+/// item of their crate nor in an associated type of its trait impls. Comments, literals and
+/// `#[cfg(test)]` items are not users.
+fn unused_pub_items(sources: &[(String, String)]) -> (usize, Vec<(String, PubItem)>) {
+    // Every identifier in the code of each owner: a crate's library code, or (`None`) the rest.
+    let mut idents: BTreeMap<Option<&str>, BTreeSet<String>> = BTreeMap::new();
+    // Every `pub` item, with its crate and file.
+    let mut declared: Vec<(&str, &str, PubItem)> = Vec::new();
+    // Per crate, the names its trait impls' associated types use: public, though not `pub`.
+    let mut associated: BTreeMap<&str, BTreeSet<String>> = BTreeMap::new();
+    for (rel, text) in sources {
+        let code = code_only(text);
+        let owner = library_crate(rel);
+        idents.entry(owner).or_default().extend(identifiers(&code));
+        if let Some(krate) = owner {
+            let code: Vec<(usize, &str)> = non_test_lines(&code).collect();
+            declared.extend(
+                pub_items(&code)
+                    .into_iter()
+                    .map(|item| (krate, rel.as_str(), item)),
+            );
+            let types = code.iter().filter(|(_, line)| {
+                line.starts_with(char::is_whitespace) && line.trim_start().starts_with("type ")
+            });
+            let entry = associated.entry(krate).or_default();
+            entry.extend(types.flat_map(|(_, line)| identifiers(line)));
+        }
+    }
+    let used: Vec<bool> = declared
+        .iter()
+        .enumerate()
+        .map(|(i, (krate, _, item))| {
+            let named_outside = idents
+                .iter()
+                .any(|(owner, names)| *owner != Some(*krate) && names.contains(&item.name));
+            let in_signature = declared.iter().enumerate().any(|(j, (other, _, by))| {
+                j != i && other == krate && by.signature.contains(&item.name)
+            });
+            named_outside || in_signature || associated[krate].contains(&item.name)
+        })
+        .collect();
+    let total = declared.len();
+    let unused = declared
+        .into_iter()
+        .zip(used)
+        .filter(|(_, used)| !used)
+        .map(|((_, rel, item), _)| (rel.to_string(), item))
+        .collect();
+    (total, unused)
+}
+
+/// The crate directory (`crates/<name>`) whose library code `rel` is: a file under a non-shim
+/// crate's `src/`, other than its `src/bin/`.
+fn library_crate(rel: &str) -> Option<&str> {
+    let (name, path) = rel.strip_prefix("crates/")?.split_once('/')?;
+    let library = name != "shims" && path.starts_with("src/") && !path.starts_with("src/bin/");
+    library.then(|| &rel[.."crates/".len() + name.len()])
+}
+
+/// Every identifier in `code`.
+fn identifiers(code: &str) -> BTreeSet<String> {
+    code.split(|c: char| !(c.is_alphanumeric() || c == '_'))
+        .filter(|word| word.starts_with(|c: char| c.is_alphabetic() || c == '_'))
+        .map(str::to_string)
+        .collect()
+}
+
+/// The `pub` items declared at the start of a line of `lines` (numbered code lines), each with
+/// its signature: a function's or module's declaration up to its body, the whole of any other
+/// item.
+fn pub_items(lines: &[(usize, &str)]) -> Vec<PubItem> {
+    let mut items = Vec::new();
+    for (at, (line_no, line)) in lines.iter().enumerate() {
+        let Some(decl) = line.trim_start().strip_prefix("pub ") else {
+            continue;
+        };
+        if let Some((kind, name)) = kind_and_name(decl) {
+            items.push(pub_item(*line_no, kind, name, lines, at));
+        }
+    }
+    items
+}
+
+/// The kind and name of the item `decl` declares (`decl` follows a `pub `), if it is one of
+/// [`PUB_KINDS`]; qualifiers such as the `const` of `pub const fn` are skipped.
+fn kind_and_name(decl: &str) -> Option<(&'static str, &str)> {
+    const QUALIFIERS: &[&str] = &["const", "unsafe", "async", "extern"];
+    let mut words = decl
+        .split(|c: char| !(c.is_alphanumeric() || c == '_'))
+        .filter(|word| !word.is_empty());
+    let mut word = words.next()?;
+    if word == "const" {
+        let next = words.next()?;
+        if !QUALIFIERS.contains(&next) && next != "fn" {
+            return Some(("const", next));
+        }
+        word = next;
+    }
+    while QUALIFIERS.contains(&word) {
+        word = words.next()?;
+    }
+    let kind = PUB_KINDS.iter().find(|kind| **kind == word)?;
+    Some((kind, words.next()?))
+}
+
+/// The item of `kind` named `name` declared on `lines[at]`, with its signature.
+fn pub_item(
+    line: usize,
+    kind: &'static str,
+    name: &str,
+    lines: &[(usize, &str)],
+    at: usize,
+) -> PubItem {
+    let text: String = lines[at..]
+        .iter()
+        .map(|(_, line)| format!("{line}\n"))
+        .collect();
+    // A function's or module's declaration up to its body; any other item whole.
+    let end = match kind {
+        "fn" | "mod" => header_len(&text),
+        _ => item_len(&text),
+    };
+    PubItem {
+        line,
+        kind,
+        name: name.to_string(),
+        signature: identifiers(&text[..end]),
+    }
+}
+
+/// The length of the declaration at the start of `text` up to its body: to the first `{` or
+/// `;` outside `(…)` and `[…]`.
+fn header_len(text: &str) -> usize {
+    let mut depth = 0usize;
+    for (i, c) in text.char_indices() {
+        match c {
+            '(' | '[' => depth += 1,
+            ')' | ']' => depth = depth.saturating_sub(1),
+            '{' | ';' if depth == 0 => return i,
+            _ => {}
+        }
+    }
+    text.len()
+}
+
 fn lint_determinism() -> ExitCode {
     let root = repo_root();
     let mut files: Vec<PathBuf> = Vec::new();
@@ -322,25 +528,24 @@ fn lint_determinism() -> ExitCode {
         // hash collection. Per-file scoping avoids cross-file name collisions; hash fields
         // are private in this workspace, so they are only iterated where declared.
         let mut tracked: BTreeSet<String> = BTreeSet::new();
-        for line in non_test_lines(text) {
+        let lines: Vec<(usize, &str)> = non_test_lines(text).collect();
+        for (_, line) in &lines {
             collect_hash_bindings(line, &mut tracked);
         }
         tracked_total += tracked.len();
 
         // Pass 2: flag iteration-shaped uses of tracked names outside the allowlist.
-        let lines: Vec<&str> = non_test_lines(text).collect();
-        for (i, line) in lines.iter().enumerate() {
+        for (i, (line_no, line)) in lines.iter().enumerate() {
             let Some(what) = iteration_violation(line, &tracked) else {
                 continue;
             };
             let allowed =
-                line.contains(ALLOW_MARKER) || (i > 0 && lines[i - 1].contains(ALLOW_MARKER));
+                line.contains(ALLOW_MARKER) || (i > 0 && lines[i - 1].1.contains(ALLOW_MARKER));
             if !allowed {
                 let rel = path.strip_prefix(&root).unwrap_or(path);
                 violations.push(format!(
-                    "{}:{}: {what}: {}",
+                    "{}:{line_no}: {what}: {}",
                     rel.display(),
-                    i + 1,
                     line.trim()
                 ));
             }
@@ -400,10 +605,52 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-/// Lines of a file up to (excluding) the first `#[cfg(test)]` — test modules sit at the end
-/// of every file in this repo, and test-only iteration cannot affect ledger order.
-fn non_test_lines(text: &str) -> impl Iterator<Item = &str> {
-    text.lines().take_while(|l| !l.contains("#[cfg(test)]"))
+/// The numbered lines of `text` outside its `#[cfg(test)]` items: the test modules at the end
+/// of a file, and the test-only fields, methods and statements a few files carry. Test code
+/// cannot affect ledger order, and it is no user of a `pub` item. A gated item runs from the
+/// attribute to the end of the item (see [`item_len`]).
+fn non_test_lines(text: &str) -> impl Iterator<Item = (usize, &str)> {
+    const GATE: &str = "#[cfg(test)]";
+    let code = code_only(text);
+    let mut gated: BTreeSet<usize> = BTreeSet::new();
+    let mut from = 0;
+    while let Some(found) = code[from..].find(GATE) {
+        let start = from + found;
+        from = start + GATE.len() + item_len(&code[start + GATE.len()..]);
+        let first = code[..start].matches('\n').count();
+        gated.extend(first..=first + code[start..from].matches('\n').count());
+    }
+    text.lines()
+        .enumerate()
+        .filter(move |(i, _)| !gated.contains(i))
+        .map(|(i, line)| (i + 1, line))
+}
+
+/// The length of the item (or field, or statement) at the start of `code`: through its first
+/// `{…}` block, to the first `;` or `,` outside brackets and generic arguments, or to the `}`
+/// that closes the block around it, whichever comes first.
+fn item_len(code: &str) -> usize {
+    let (mut depth, mut generics) = (0usize, 0usize);
+    let mut prev = ' ';
+    for (i, c) in code.char_indices() {
+        match c {
+            '(' | '[' | '{' => depth += 1,
+            ')' | ']' => depth = depth.saturating_sub(1),
+            '<' if prev.is_alphanumeric() || prev == '_' || prev == ':' => generics += 1,
+            '>' if generics > 0 && prev != '-' && prev != '=' => generics -= 1,
+            '}' if depth == 0 => return i,
+            '}' => {
+                depth -= 1;
+                if depth == 0 {
+                    return i + 1;
+                }
+            }
+            ';' | ',' if depth == 0 && generics == 0 => return i + 1,
+            _ => {}
+        }
+        prev = c;
+    }
+    code.len()
 }
 
 /// Pass-1 extraction: records `name` for declarations like `let mut name: HashMap<…>`,
@@ -590,5 +837,94 @@ mod tests {
     fn test_modules_are_excluded() {
         let text = "fn a() {}\n#[cfg(test)]\nmod tests { for v in map.values() {} }\n";
         assert_eq!(non_test_lines(text).count(), 1);
+        let text = concat!(
+            "struct S {\n",
+            "    #[cfg(test)]\n",
+            "    mask: HashMap<u8, u8>,\n",
+            "    live: u8,\n",
+            "}\n",
+            "#[cfg(test)]\n",
+            "fn helper(a: u8, b: u8) -> u8 {\n",
+            "    a + b\n",
+            "}\n",
+            "pub fn after() {}\n",
+        );
+        let kept: Vec<usize> = non_test_lines(text).map(|(line, _)| line).collect();
+        assert_eq!(kept, vec![1, 4, 5, 10]);
+    }
+
+    #[test]
+    fn audit_pub_flags_only_items_nothing_outside_names() {
+        let source = |rel: &str, text: &str| (rel.to_string(), text.to_string());
+        let sources =
+            vec![
+            source(
+                "crates/a/src/lib.rs",
+                concat!(
+                    "pub mod inner;\n",
+                    "pub struct Assoc;\n",
+                    "impl Iterator for Walk {\n",
+                    "    type Item = Assoc;\n",
+                    "}\n",
+                    "pub fn used() {}\n",
+                    "pub fn unused() {}\n",
+                    "pub struct InSignature;\n",
+                    "pub fn entry(x: u8) -> InSignature { InSignature }\n",
+                    "#[cfg(test)]\n",
+                    "mod tests { pub fn test_only() {} }\n",
+                ),
+            ),
+            source("crates/a/src/inner.rs", "pub const fn also_unused() -> u8 { 0 }\n"),
+            source(
+                "crates/b/src/lib.rs",
+                "// unused\npub fn b() -> &'static str { a::used(); a::inner::x(); \"unused\" }\n",
+            ),
+            source("crates/a/tests/it.rs", "#[test]\nfn t() { a::entry(1); b::b(); }\n"),
+        ];
+        let (items, unused) = unused_pub_items(&sources);
+        assert_eq!(items, 8);
+        let flagged: Vec<(&str, usize, &str, &str)> = unused
+            .iter()
+            .map(|(file, item)| (file.as_str(), item.line, item.kind, item.name.as_str()))
+            .collect();
+        assert_eq!(
+            flagged,
+            vec![
+                ("crates/a/src/lib.rs", 7, "fn", "unused"),
+                ("crates/a/src/inner.rs", 1, "fn", "also_unused"),
+            ]
+        );
+    }
+
+    #[test]
+    fn pub_items_read_kinds_names_and_signatures() {
+        let text = concat!(
+            "pub const LIMIT: Limit = Limit(3);\n",
+            "pub struct Pair<A, B>(pub Left<A>, B);\n",
+            "pub fn make(x: [u8; 4]) -> Made {\n",
+            "    Inner::build(x)\n",
+            "}\n",
+            "pub(crate) fn narrow() {}\n",
+            "pub use other::Thing;\n",
+        );
+        let lines: Vec<(usize, &str)> = non_test_lines(text).collect();
+        let items: Vec<(usize, &str, String, String)> = pub_items(&lines)
+            .into_iter()
+            .map(|item| {
+                let signature: Vec<String> = item.signature.into_iter().collect();
+                (item.line, item.kind, item.name, signature.join(" "))
+            })
+            .collect();
+        let item = |line, kind, name: &str, signature: &str| {
+            (line, kind, name.to_string(), signature.to_string())
+        };
+        assert_eq!(
+            items,
+            vec![
+                item(1, "const", "LIMIT", "LIMIT Limit const pub"),
+                item(2, "struct", "Pair", "A B Left Pair pub struct"),
+                item(3, "fn", "make", "Made fn make pub u8 x"),
+            ]
+        );
     }
 }
