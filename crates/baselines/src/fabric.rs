@@ -22,7 +22,7 @@ pub(crate) struct FabricCC {
 
 impl FabricCC {
     /// Creates a new instance starting at block 1.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         FabricCC {
             pending: Vec::new(),
             next_block: 1,

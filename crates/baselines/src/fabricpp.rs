@@ -37,7 +37,7 @@ pub(crate) struct FabricPlusPlusCC {
 
 impl FabricPlusPlusCC {
     /// Creates a new instance starting at block 1.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         FabricPlusPlusCC {
             pending: Vec::new(),
             next_block: 1,

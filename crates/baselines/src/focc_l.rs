@@ -25,7 +25,7 @@ pub(crate) struct FoccLightCC {
 
 impl FoccLightCC {
     /// Creates a new instance starting at block 1.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         FoccLightCC {
             pending: Vec::new(),
             next_block: 1,

@@ -46,7 +46,7 @@ pub(crate) struct FoccSerializableCC {
 impl FoccSerializableCC {
     /// Creates a new instance starting at block 1, retaining 10 blocks of history (the same
     /// horizon FabricSharp uses for `max_span`).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         FoccSerializableCC {
             pending: Vec::new(),
             committed: Vec::new(),

@@ -4,12 +4,12 @@
 //! [`api::ConcurrencyControl`] trait so the simulator and the benchmark harness can swap them
 //! freely:
 //!
-//! * [`fabric`] — vanilla Hyperledger Fabric v1.3 (FIFO ordering, MVCC validation at peers).
-//! * [`fabricpp`] — Fabric++ (early abort of cross-block reads + within-block reordering).
+//! * `fabric` — vanilla Hyperledger Fabric v1.3 (FIFO ordering, MVCC validation at peers).
+//! * `fabricpp` — Fabric++ (early abort of cross-block reads + within-block reordering).
 //! * `focc_s` — Focc-s: standard serializable OCC (concurrent-ww / dangerous-structure
 //!   aborts at arrival).
 //! * `focc_l` — Focc-l: sort-based greedy batch reordering at block formation.
-//! * [`sharp`] — the trait implementation for FabricSharp (`fabricsharp-core`).
+//! * `sharp` — the trait implementation for FabricSharp (`fabricsharp-core`).
 //! * [`chain`] — `SimpleChain`, the one node that runs the EOV step (execute, order, validate,
 //!   append, optionally persisted) on the caller's thread; examples, tests and the simulator
 //!   all drive it.
@@ -18,11 +18,11 @@
 
 pub mod api;
 pub mod chain;
-pub mod fabric;
-pub mod fabricpp;
+mod fabric;
+mod fabricpp;
 mod focc_l;
 mod focc_s;
-pub mod sharp;
+mod sharp;
 
 pub use api::{
     apply_without_validation, commit_block, count_anti_rw_commits, mvcc_validate_and_apply,

@@ -5,17 +5,15 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use eov_baselines::api::SystemKind;
 use eov_bench::{bench_params, endorsed_txns};
-use eov_common::config::{CcConfig, WorkloadParams};
+use eov_common::config::CcConfig;
 use eov_common::txn::Transaction;
 use eov_workload::generator::WorkloadKind;
 use std::time::Duration;
 
 /// `count` endorsed Smallbank transactions with the given write-hot ratio.
 fn sample_txns(count: usize, write_hot_ratio: f64) -> Vec<Transaction> {
-    let params = WorkloadParams {
-        write_hot_ratio,
-        ..bench_params()
-    };
+    let mut params = bench_params();
+    params.write_hot_ratio = write_hot_ratio;
     endorsed_txns(WorkloadKind::ModifiedSmallbank, params, count)
 }
 

@@ -6,15 +6,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use eov_common::config::CcConfig;
 use eov_common::txn::TxnId;
 use eov_common::version::SeqNo;
-use eov_depgraph::{BloomFilter, DependencyGraph, NaiveGraph, PendingTxnSpec};
+use eov_depgraph::{BloomFilter, DependencyGraph, NaiveGraph};
 use std::time::Duration;
-
-fn spec(id: u64) -> PendingTxnSpec {
-    PendingTxnSpec {
-        id: TxnId(id),
-        start_ts: SeqNo::snapshot_after(0),
-    }
-}
 
 /// Builds a layered DAG of `n` pending transactions where each node depends on the previous
 /// `fanin` nodes — a dense-but-acyclic shape similar to a contended Smallbank block.
@@ -22,7 +15,7 @@ fn layered_graph(n: u64, fanin: u64, config: CcConfig) -> DependencyGraph {
     let mut g = DependencyGraph::new(config);
     for id in 0..n {
         let preds: Vec<TxnId> = (id.saturating_sub(fanin)..id).map(TxnId).collect();
-        g.insert_pending(spec(id), &preds, &[], 1);
+        g.insert_pending(TxnId(id), &preds, &[], 1);
     }
     g
 }
@@ -32,7 +25,7 @@ fn naive_layered_graph(n: u64, fanin: u64, config: CcConfig) -> NaiveGraph {
     let mut g = NaiveGraph::new(config);
     for id in 0..n {
         let preds: Vec<TxnId> = (id.saturating_sub(fanin)..id).map(TxnId).collect();
-        g.insert_pending(spec(id), &preds, &[], 1);
+        g.insert_pending(TxnId(id), &preds, &[], 1);
     }
     g
 }

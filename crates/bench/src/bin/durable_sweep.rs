@@ -129,10 +129,8 @@ fn main() {
     println!("|---|---|---|---|");
     for fsync in [false, true] {
         let dir = temp_dir(if fsync { "app-sync" } else { "app" });
-        let options = DurableOptions {
-            fsync,
-            ..DurableOptions::default()
-        };
+        let mut options = DurableOptions::default();
+        options.fsync = fsync;
         let mut samples: Vec<f64> = (0..RUNS)
             .map(|_| {
                 let _ = std::fs::remove_dir_all(&dir);
@@ -201,11 +199,9 @@ fn main() {
     println!("|---|---|---|---|---|");
     for rotate_kib in [64u64, 256, 1024, 4096, 16384] {
         let dir = temp_dir(&format!("rot{rotate_kib}"));
-        let options = DurableOptions {
-            rotate_bytes: rotate_kib * 1024,
-            fsync: false,
-            ..DurableOptions::default()
-        };
+        let mut options = DurableOptions::default();
+        options.rotate_bytes = rotate_kib * 1024;
+        options.fsync = false;
         let mut rotating_us: Vec<f64> = Vec::new();
         let mut samples: Vec<f64> = (0..RUNS)
             .map(|_| {

@@ -59,10 +59,9 @@ pub fn latest_pass(store: &MultiVersionStore, keys: &[Key]) -> u64 {
 
 /// The generator parameters of the orderer benchmarks: Table 2 defaults over 2 000 accounts.
 pub fn bench_params() -> WorkloadParams {
-    WorkloadParams {
-        num_accounts: 2_000,
-        ..WorkloadParams::default()
-    }
+    let mut params = WorkloadParams::default();
+    params.num_accounts = 2_000;
+    params
 }
 
 /// `count` transactions of `kind` (generator seed 7), endorsed against the genesis snapshot and

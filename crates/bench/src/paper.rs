@@ -87,19 +87,6 @@ const COMMIT: Panel = Panel::Systems {
     width: 22,
     cell: |r| timing(&r.commit),
 };
-const OCCUPANCY: Panel = Panel::Systems {
-    caption: "pipeline occupancy (simulated time): formation-busy ms / commit-busy ms / overlap %",
-    width: 22,
-    cell: |r| {
-        let o = &r.occupancy;
-        format!(
-            "{:.0}/{:.0}/{:.0}%",
-            o.formation_busy_ms,
-            o.commit_busy_ms,
-            o.overlap_fraction() * 100.0
-        )
-    },
-};
 
 fn timing(t: &FormationTiming) -> String {
     format!("{:.0}/{:.0}/{:.1}", t.p50_us, t.p99_us, t.total_ms)
@@ -147,7 +134,6 @@ const SWEEPS: [Sweep; 5] = [
             },
             FORMATION,
             COMMIT,
-            OCCUPANCY,
         ],
         shape: "Paper's shape: Fabric# peaks at 100-txn blocks (542 tps) and stays highest \
                 everywhere;\nFabric/Fabric++/Focc-s peak at 200 (411/437/327 tps) and Focc-l at \
@@ -164,7 +150,7 @@ const SWEEPS: [Sweep; 5] = [
                 c.params.write_hot_ratio = r
             })
         },
-        panels: &[EFFECTIVE_TPS, FORMATION, COMMIT, OCCUPANCY],
+        panels: &[EFFECTIVE_TPS, FORMATION, COMMIT],
         shape: "Paper's shape: Fabric# stays highest at every ratio; Focc-s collapses as the \
                 write hot\nratio grows (it aborts every concurrent write-write conflict); \
                 Fabric++'s reordering\nlatency is large and flat, Focc-l's is small and grows \

@@ -21,8 +21,7 @@ use eov_bench::{
 };
 use eov_common::config::CcConfig;
 use eov_common::txn::{Transaction, TxnId};
-use eov_common::version::SeqNo;
-use eov_depgraph::{DependencyGraph, NaiveGraph, PendingTxnSpec};
+use eov_depgraph::{DependencyGraph, NaiveGraph};
 use eov_workload::generator::WorkloadKind;
 use eov_workload::YcsbProfile;
 use fabricsharp_core::FabricSharpCC;
@@ -79,18 +78,11 @@ fn assert_cost_ratio(what: &str, bound: f64, mut measure: impl FnMut() -> (f64, 
     panic!("{what}: ratio {best:.3} in the better of two readings (need <= {bound:.3})");
 }
 
-fn spec(id: u64) -> PendingTxnSpec {
-    PendingTxnSpec {
-        id: TxnId(id),
-        start_ts: SeqNo::snapshot_after(0),
-    }
-}
-
 /// `n` pending transactions, each depending on the `fanin` before it.
-fn layered_preds(n: u64, fanin: u64) -> impl Iterator<Item = (PendingTxnSpec, Vec<TxnId>)> {
+fn layered_preds(n: u64, fanin: u64) -> impl Iterator<Item = (TxnId, Vec<TxnId>)> {
     (0..n).map(move |id| {
         (
-            spec(id),
+            TxnId(id),
             (id.saturating_sub(fanin)..id).map(TxnId).collect(),
         )
     })
@@ -98,16 +90,16 @@ fn layered_preds(n: u64, fanin: u64) -> impl Iterator<Item = (PendingTxnSpec, Ve
 
 fn layered(n: u64, fanin: u64) -> DependencyGraph {
     let mut g = DependencyGraph::new(CcConfig::default());
-    for (spec, preds) in layered_preds(n, fanin) {
-        g.insert_pending(spec, &preds, &[], 1);
+    for (id, preds) in layered_preds(n, fanin) {
+        g.insert_pending(id, &preds, &[], 1);
     }
     g
 }
 
 fn naive_layered(n: u64, fanin: u64) -> NaiveGraph {
     let mut g = NaiveGraph::new(CcConfig::default());
-    for (spec, preds) in layered_preds(n, fanin) {
-        g.insert_pending(spec, &preds, &[], 1);
+    for (id, preds) in layered_preds(n, fanin) {
+        g.insert_pending(id, &preds, &[], 1);
     }
     g
 }

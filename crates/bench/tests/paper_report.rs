@@ -59,8 +59,8 @@ fn every_figure_renders_one_row_per_sweep_point_and_one_column_per_system() {
     let grid = ExperimentGrid::default();
     let text: HashMap<&str, String> = FIGURES.iter().map(|&f| (f, rendered(f))).collect();
     let sweeps = [
-        ("fig10", grid.block_sizes.len(), 5),
-        ("fig11", grid.write_hot_ratios.len(), 4),
+        ("fig10", grid.block_sizes.len(), 4),
+        ("fig11", grid.write_hot_ratios.len(), 3),
         ("fig12", grid.read_hot_ratios.len(), 2),
         ("fig13", grid.client_delays_ms.len(), 1),
         ("fig14", grid.read_intervals_ms.len(), 1),

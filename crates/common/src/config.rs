@@ -10,6 +10,9 @@
 //!   tagged [`crate::txn::TemplateClass::Safe`] always bypasses the dependency graph.
 //! * [`WorkloadParams`] / [`ExperimentGrid`] — the Smallbank workload parameters of Table 2
 //!   together with the default value for each (underlined in the paper).
+//!
+//! Nothing validates a configuration as a whole. The bloom filter raises `bloom_bits` to at
+//! least 64 and refuses any other count that is not a power of two when the first one is built.
 
 use serde::{Deserialize, Serialize};
 
@@ -30,23 +33,6 @@ impl Default for BlockConfig {
             max_txns_per_block: 100,
             block_timeout_ms: 1_000,
         }
-    }
-}
-
-impl BlockConfig {
-    /// Validates the configuration, rejecting degenerate values.
-    pub fn validate(&self) -> crate::error::Result<()> {
-        if self.max_txns_per_block == 0 {
-            return Err(crate::error::CommonError::InvalidConfig(
-                "max_txns_per_block must be at least 1".into(),
-            ));
-        }
-        if self.block_timeout_ms == 0 {
-            return Err(crate::error::CommonError::InvalidConfig(
-                "block_timeout_ms must be positive".into(),
-            ));
-        }
-        Ok(())
     }
 }
 
@@ -100,40 +86,13 @@ impl Default for CcConfig {
     }
 }
 
-impl CcConfig {
-    /// Validates the configuration, rejecting degenerate values.
-    pub fn validate(&self) -> crate::error::Result<()> {
-        if self.max_span == 0 {
-            return Err(crate::error::CommonError::InvalidConfig(
-                "max_span must be at least 1".into(),
-            ));
-        }
-        if self.bloom_bits < 64 || !self.bloom_bits.is_power_of_two() {
-            return Err(crate::error::CommonError::InvalidConfig(
-                "bloom_bits must be a power of two, at least 64".into(),
-            ));
-        }
-        if self.bloom_hashes == 0 || self.bloom_hashes > 16 {
-            return Err(crate::error::CommonError::InvalidConfig(
-                "bloom_hashes must be in 1..=16".into(),
-            ));
-        }
-        if self.segment_rotate_kib == 0 {
-            return Err(crate::error::CommonError::InvalidConfig(
-                "segment_rotate_kib must be at least 1".into(),
-            ));
-        }
-        Ok(())
-    }
-}
-
 /// Workload parameters for the modified Smallbank benchmark (Section 5.2, Table 2).
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct WorkloadParams {
     /// Total number of bank accounts (the paper uses 10,000).
     pub num_accounts: usize,
     /// Fraction of accounts designated "hot" (the paper uses 1%).
-    pub hot_account_fraction: f64,
+    pub(crate) hot_account_fraction: f64,
     /// Probability that a read targets a hot account (Table 2: 0–50%, default 10%).
     pub read_hot_ratio: f64,
     /// Probability that a write targets a hot account (Table 2: 0–50%, default 10%).
@@ -148,8 +107,6 @@ pub struct WorkloadParams {
     pub reads_per_txn: usize,
     /// Number of accounts written by each modified-Smallbank transaction (the paper uses 4).
     pub writes_per_txn: usize,
-    /// Zipfian skew coefficient used by the Figure 1 and Figure 15 workloads.
-    pub zipf_theta: f64,
     /// Offered request rate in transactions per second (the paper fixes 700 tps for the
     /// FabricSharp experiments and uses higher rates for FastFabric).
     pub request_rate_tps: u64,
@@ -166,7 +123,6 @@ impl Default for WorkloadParams {
             read_interval_ms: 0,
             reads_per_txn: 4,
             writes_per_txn: 4,
-            zipf_theta: 0.0,
             request_rate_tps: 700,
         }
     }
@@ -181,37 +137,6 @@ impl WorkloadParams {
         } else {
             ((self.num_accounts as f64 * self.hot_account_fraction).round() as usize).max(1)
         }
-    }
-
-    /// Validates the parameters, rejecting out-of-range ratios.
-    pub fn validate(&self) -> crate::error::Result<()> {
-        let ratio_ok = |r: f64| (0.0..=1.0).contains(&r);
-        if !ratio_ok(self.hot_account_fraction) {
-            return Err(crate::error::CommonError::InvalidConfig(
-                "hot_account_fraction must be in [0, 1]".into(),
-            ));
-        }
-        if !ratio_ok(self.read_hot_ratio) || !ratio_ok(self.write_hot_ratio) {
-            return Err(crate::error::CommonError::InvalidConfig(
-                "hot ratios must be in [0, 1]".into(),
-            ));
-        }
-        if self.num_accounts == 0 {
-            return Err(crate::error::CommonError::InvalidConfig(
-                "num_accounts must be positive".into(),
-            ));
-        }
-        if self.zipf_theta < 0.0 {
-            return Err(crate::error::CommonError::InvalidConfig(
-                "zipf_theta must be non-negative".into(),
-            ));
-        }
-        if self.request_rate_tps == 0 {
-            return Err(crate::error::CommonError::InvalidConfig(
-                "request_rate_tps must be positive".into(),
-            ));
-        }
-        Ok(())
     }
 }
 
@@ -287,35 +212,6 @@ mod tests {
         assert_eq!(wl.num_hot_accounts(), 0);
         wl.hot_account_fraction = 0.00001;
         assert_eq!(wl.num_hot_accounts(), 1);
-    }
-
-    #[test]
-    fn validation_rejects_degenerate_values() {
-        let block = BlockConfig {
-            max_txns_per_block: 0,
-            ..BlockConfig::default()
-        };
-        assert!(block.validate().is_err());
-
-        let mut cc = CcConfig::default();
-        assert!(cc.validate().is_ok());
-        cc.max_span = 0;
-        assert!(cc.validate().is_err());
-        for (bits, ok) in [(32, false), (64, true), (1000, false), (1024, true)] {
-            let cc = CcConfig {
-                bloom_bits: bits,
-                ..CcConfig::default()
-            };
-            assert_eq!(cc.validate().is_ok(), ok, "bloom_bits {bits}");
-        }
-
-        let mut wl = WorkloadParams::default();
-        assert!(wl.validate().is_ok());
-        wl.read_hot_ratio = 1.5;
-        assert!(wl.validate().is_err());
-        wl.read_hot_ratio = 0.1;
-        wl.num_accounts = 0;
-        assert!(wl.validate().is_err());
     }
 
     #[test]

@@ -32,7 +32,7 @@ pub enum DependencyKind {
 
 impl DependencyKind {
     /// Short label used in traces and experiment output.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             DependencyKind::NonConcurrentWriteWrite => "n-ww",
             DependencyKind::NonConcurrentWriteRead => "n-wr",

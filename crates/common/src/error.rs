@@ -12,7 +12,7 @@ pub type Result<T> = std::result::Result<T, CommonError>;
 pub enum CommonError {
     /// A requested key does not exist in the state database.
     KeyNotFound(String),
-    /// A requested block number does not exist in the ledger or snapshot manager.
+    /// A requested block number does not exist in the ledger.
     BlockNotFound(u64),
     /// A snapshot that has already been pruned was requested.
     SnapshotPruned(u64),

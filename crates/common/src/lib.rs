@@ -33,7 +33,6 @@ pub mod version;
 pub use abort::AbortReason;
 pub use config::{BlockConfig, CcConfig, ExperimentGrid, WorkloadParams};
 pub use dep::DependencyKind;
-pub use error::{CommonError, Result};
 pub use rwset::{ReadItem, ReadSet, WriteItem, WriteSet};
 pub use txn::{CommitDecision, Transaction, TxnId, TxnStatus};
 pub use version::{concurrent, EndTs, SeqNo, StartTs};

@@ -170,13 +170,8 @@ impl Value {
     }
 
     /// Number of bytes in the value.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.as_bytes().len()
-    }
-
-    /// Whether the value is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -412,8 +407,6 @@ mod tests {
         assert_eq!(v.len(), 8);
         let raw = Value::from_bytes(vec![1, 2, 3]);
         assert_eq!(raw.as_i64(), None);
-        assert!(!raw.is_empty());
-        assert!(Value::default().is_empty());
         assert_eq!(Value::default(), Value::from_bytes(Vec::new()));
     }
 
@@ -438,7 +431,7 @@ mod tests {
             let owned = Value::from_bytes(bytes.clone());
             for value in [&sliced, &owned] {
                 assert_eq!(value.as_bytes(), &bytes[..]);
-                assert_eq!((value.len(), value.is_empty()), (bytes.len(), bytes.is_empty()));
+                assert_eq!(value.len(), bytes.len());
                 assert_eq!(hash_of(value), hash_of(&bytes), "hashes like the Vec<u8> it was");
             }
             assert_eq!(&sliced, &owned);

@@ -155,11 +155,6 @@ impl Transaction {
         self.end_ts
             .map(|e| e.block.saturating_sub(self.snapshot_block))
     }
-
-    /// Returns `true` if the transaction never writes (read-only queries).
-    pub fn is_read_only(&self) -> bool {
-        self.write_set.is_empty()
-    }
 }
 
 /// The outcome of a transaction as recorded by the driver / simulator.
@@ -199,14 +194,6 @@ impl CommitDecision {
     /// Whether the decision is `Accept`.
     pub fn is_accept(&self) -> bool {
         matches!(self, CommitDecision::Accept)
-    }
-
-    /// The abort reason, if the decision is `Reject`.
-    pub fn reason(&self) -> Option<AbortReason> {
-        match self {
-            CommitDecision::Accept => None,
-            CommitDecision::Reject(r) => Some(*r),
-        }
     }
 }
 
@@ -248,21 +235,10 @@ mod tests {
     }
 
     #[test]
-    fn blind_write_and_read_only_classification() {
-        let blind = Transaction::from_parts(1, 0, [], [(Key::new("A"), Value::from_i64(1))]);
-        assert!(!blind.is_read_only());
-
-        let ro = Transaction::from_parts(2, 0, [(Key::new("A"), SeqNo::new(0, 0))], []);
-        assert!(ro.is_read_only());
-    }
-
-    #[test]
     fn commit_decision_helpers() {
         assert!(CommitDecision::Accept.is_accept());
-        assert_eq!(CommitDecision::Accept.reason(), None);
         let rej = CommitDecision::Reject(AbortReason::StaleRead);
         assert!(!rej.is_accept());
-        assert_eq!(rej.reason(), Some(AbortReason::StaleRead));
     }
 
     #[test]

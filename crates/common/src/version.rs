@@ -37,7 +37,7 @@ impl SeqNo {
 
     /// The snapshot sequence number of the state *after* `block` has committed, i.e.
     /// `(block + 1, 0)` per the paper's footnote 1.
-    pub const fn snapshot_after(block: u64) -> Self {
+    pub(crate) const fn snapshot_after(block: u64) -> Self {
         SeqNo {
             block: block + 1,
             seq: 0,

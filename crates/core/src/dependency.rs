@@ -23,15 +23,15 @@ use eov_vstore::DependencyIndices;
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub(crate) struct ResolvedDeps {
     /// Transactions that must be serialized *before* the new one (ww ∪ n-wr ∪ rw).
-    pub predecessors: Vec<TxnId>,
+    pub(crate) predecessors: Vec<TxnId>,
     /// Transactions that must be serialized *after* the new one (anti-rw).
-    pub successors: Vec<TxnId>,
+    pub(crate) successors: Vec<TxnId>,
 }
 
 impl ResolvedDeps {
     /// Whether the transaction has no dependencies at all (the common case under uniform
     /// workloads, which is what makes the arrival path cheap on average).
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.predecessors.is_empty() && self.successors.is_empty()
     }
 }

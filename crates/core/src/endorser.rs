@@ -24,7 +24,7 @@ pub(crate) struct TxnEffects {
 
 impl TxnEffects {
     /// Records a write of `value` to `key`.
-    pub fn write(&mut self, key: Key, value: Value) {
+    pub(crate) fn write(&mut self, key: Key, value: Value) {
         self.writes.record(key, value);
     }
 }
@@ -39,13 +39,13 @@ pub struct SimulationContext<'a> {
 impl<'a> SimulationContext<'a> {
     /// Reads `key`, observing the buffered write if the simulation already wrote it, otherwise
     /// the snapshot value. Snapshot reads are recorded into the readset.
-    pub fn read(&mut self, key: &Key) -> Option<Value> {
+    pub(crate) fn read(&mut self, key: &Key) -> Option<Value> {
         if let Some(v) = self.effects.writes.value_of(key) {
             return Some(v.clone());
         }
         self.view
             .read_recording(key, &mut self.effects.reads)
-            .expect("snapshot pinned for the duration of the simulation")
+            .expect("no run prunes store versions, so every snapshot stays readable")
     }
 
     /// Reads `key` as an `i64` balance, defaulting to 0 when absent (Smallbank convention).
@@ -57,16 +57,11 @@ impl<'a> SimulationContext<'a> {
     pub fn write(&mut self, key: Key, value: Value) {
         self.effects.write(key, value);
     }
-
-    /// The snapshot block this simulation runs against.
-    pub fn snapshot_block(&self) -> u64 {
-        self.view.block()
-    }
 }
 
 /// The endorsing peer's simulation entry point.
 ///
-/// Cloning is cheap: the snapshot manager is shared behind an `Arc`.
+/// Cloning is cheap: the latest snapshot height is shared behind an `Arc`.
 #[derive(Clone, Debug)]
 pub struct SnapshotEndorser {
     snapshots: SnapshotManager,
@@ -90,10 +85,7 @@ impl SnapshotEndorser {
         S: StateRead,
         F: FnOnce(&mut SimulationContext<'_>),
     {
-        let block = self.snapshots.pin_latest();
-        let txn = self.simulate_at(store, id, block, logic);
-        self.snapshots.unpin(block);
-        txn
+        self.simulate_at(store, id, self.snapshots.latest(), logic)
     }
 
     /// Simulates against an explicit snapshot block — used by tests and by the simulator when

@@ -52,7 +52,6 @@ impl FabricSharpCC {
             let slot = SeqNo::new(block_no, i as u32 + 1);
             txn.end_ts = Some(slot);
             self.record_commit(&txn, slot);
-            self.stats.block_span_sum += txn.block_span().unwrap_or(0);
             block_txns.push(txn);
         }
         self.pending_at.clear();
@@ -67,8 +66,6 @@ impl FabricSharpCC {
         self.indices.cw.prune_below(horizon);
         self.indices.cr.prune_below(horizon);
 
-        self.stats.blocks_formed += 1;
-        self.stats.committed += block_txns.len() as u64;
         self.next_block = next;
         block_txns
     }
@@ -203,7 +200,6 @@ mod tests {
         let mut cc = exact_cc();
         assert!(cc.cut_block().is_empty());
         assert_eq!(cc.next_block(), 1);
-        assert_eq!(cc.stats().blocks_formed, 0);
     }
 
     #[test]
@@ -228,7 +224,6 @@ mod tests {
         assert_eq!(block[1].end_ts, Some(V::new(1, 2)));
         assert_eq!(cc.next_block(), 2);
         assert_eq!(cc.pending_len(), 0);
-        assert_eq!(cc.stats().committed, 2);
     }
 
     #[test]
@@ -364,8 +359,9 @@ mod tests {
         assert_eq!(b2[0].end_ts.unwrap().block, 2);
         // Spans: txn1 committed in block 1 from snapshot 0 (span 1); txn2 block 2 from
         // snapshot 0 (span 2); txn3 block 2 from snapshot 1 (span 1). Total 4.
-        assert_eq!(cc.stats().block_span_sum, 4);
-        assert_eq!(cc.stats().blocks_formed, 2);
+        let spans: u64 = b1.iter().chain(&b2).filter_map(|t| t.block_span()).sum();
+        assert_eq!(spans, 4);
+        assert_eq!(cc.next_block(), 3);
     }
 
     #[test]

@@ -6,9 +6,9 @@
 //! * [`endorser`] — Algorithm 1: snapshot-consistent contract simulation (the execute phase).
 //! * `dependency` — Section 4.3: dependency resolution of an incoming transaction against
 //!   the committed (CW/CR) and pending (PW/PR) indices.
-//! * [`arrival`] — Algorithm 2: the reorderability test; unserializable transactions are
+//! * `arrival` — Algorithm 2: the reorderability test; unserializable transactions are
 //!   dropped before ordering (Theorem 2).
-//! * [`formation`] — Algorithm 3 + Algorithm 5: abort-free reordering at block formation and
+//! * `formation` — Algorithm 3 + Algorithm 5: abort-free reordering at block formation and
 //!   restoration of the deliberately-ignored pending c-ww dependencies.
 //! * `orderer_cc` — [`FabricSharpCC`], the controller that ties the above
 //!   together and is plugged into the ordering service (Figure 8).
@@ -18,7 +18,7 @@
 //!   fixtures shared by tests, examples and the Table 1 harness.
 //! * [`serializability`] — an independent offline oracle (multi-version serialization graph)
 //!   used to verify end-to-end that everything FabricSharp commits is serializable.
-//! * [`stats`] — the hop, block-span and abort counts reported in Figures 13 and 14.
+//! * `stats` — the hop and abort counts reported in Figures 13 and 14.
 //!
 //! Each layer runs on its caller's thread: execute, order and validate are plain calls in
 //! sequence over one store, one set of CW/CR/PW/PR indices and one dependency graph, as in
@@ -26,26 +26,21 @@
 
 #![forbid(unsafe_code)]
 
-pub mod arrival;
+mod arrival;
 pub mod commit;
 mod dependency;
 pub mod endorser;
-pub mod formation;
+mod formation;
 mod orderer_cc;
 pub mod recovery;
 pub mod serializability;
-pub mod stats;
+mod stats;
 pub mod theory;
 mod untracked;
 
-pub use commit::{
-    apply_without_validation, commit_block, count_anti_rw_commits, mvcc_validate_and_apply,
-    CommitOutcome,
-};
 pub use endorser::{SimulationContext, SnapshotEndorser};
 pub use orderer_cc::FabricSharpCC;
 pub use recovery::{
     recover_from_disk, recover_from_ledger, ColdRecovery, RecoveryError, RecoveryReport,
 };
 pub use serializability::{is_serializable, is_strongly_serializable};
-pub use stats::CcStats;

@@ -66,11 +66,6 @@ impl FabricSharpCC {
         Self::new(CcConfig::default())
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &CcConfig {
-        &self.config
-    }
-
     /// The number of the block currently being assembled.
     pub fn next_block(&self) -> u64 {
         self.next_block
@@ -89,11 +84,6 @@ impl FabricSharpCC {
     /// Read access to the dependency graph (tests, diagnostics, benches).
     pub fn graph(&self) -> &DependencyGraph {
         &self.graph
-    }
-
-    /// Read access to the CW/CR/PW/PR indices (tests and diagnostics).
-    pub fn indices(&self) -> &DependencyIndices {
-        &self.indices
     }
 
     /// Whether the controller still knows `id` as committed — a graph node, or a fast-path
@@ -129,12 +119,8 @@ impl FabricSharpCC {
             crate::dependency::debug_assert_dependency_free(txn, &self.indices);
         } else {
             let deps = crate::dependency::resolve(txn, &self.indices);
-            let spec = eov_depgraph::PendingTxnSpec {
-                id: txn.id,
-                start_ts: txn.start_ts(),
-            };
             self.graph
-                .insert_pending(spec, &deps.predecessors, &deps.successors, slot.block);
+                .insert_pending(txn.id, &deps.predecessors, &deps.successors, slot.block);
         }
         self.record_commit(txn, slot);
         self.next_block = self.next_block.max(slot.block + 1);
@@ -150,7 +136,7 @@ mod tests {
         let cc = FabricSharpCC::with_defaults();
         assert_eq!(cc.next_block(), 1);
         assert_eq!(cc.pending_len(), 0);
-        assert_eq!(cc.config().max_span, 10);
+        assert_eq!(cc.config.max_span, 10);
         assert_eq!(cc.stats().arrivals, 0);
         assert!(cc.graph().is_empty());
     }

@@ -70,7 +70,7 @@ pub struct RecoveryReport {
     pub ledger_height: u64,
     /// First block whose transactions were replayed (older blocks are irrelevant by the
     /// `max_span` argument).
-    pub replay_from_block: u64,
+    pub(crate) replay_from_block: u64,
     /// Number of committed transactions registered into the controller.
     pub transactions_registered: usize,
 }
@@ -368,11 +368,9 @@ mod tests {
     /// to its predecessor, must surface as a typed chain error.
     #[test]
     fn a_crc_valid_record_with_a_broken_hash_link_is_a_typed_chain_error() {
-        let one_block_per_segment = DurableOptions {
-            rotate_bytes: 1,
-            fsync: false,
-            ..DurableOptions::default()
-        };
+        let mut one_block_per_segment = DurableOptions::default();
+        one_block_per_segment.rotate_bytes = 1;
+        one_block_per_segment.fsync = false;
         let dirs = ["graft-a", "graft-b"].map(|tag| {
             let dir = std::env::temp_dir().join(format!("eov-rec-{tag}-{}", std::process::id()));
             let _ = std::fs::remove_dir_all(&dir);

@@ -79,7 +79,7 @@ mod tests {
     #[test]
     fn untracked_commits_are_known_and_age_out_on_the_committed_schedule() {
         let mut cc = FabricSharpCC::with_defaults();
-        let max_span = cc.config().max_span;
+        let max_span = cc.config.max_span;
         cc.untracked.note(TxnId(1), 1);
         cc.untracked.note(TxnId(2), 5);
         assert!(cc.untracked.contains(TxnId(1)));
@@ -106,7 +106,7 @@ mod tests {
     #[test]
     fn pruning_skips_relogged_ids() {
         let mut cc = FabricSharpCC::with_defaults();
-        let max_span = cc.config().max_span;
+        let max_span = cc.config.max_span;
         let log = &mut cc.untracked;
         for (id, block) in [(1, 1), (3, 2), (4, 3)] {
             log.note(TxnId(id), block);

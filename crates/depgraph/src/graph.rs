@@ -35,7 +35,7 @@ pub struct ReachSet {
 
 impl ReachSet {
     /// Creates an empty reach set with the given bloom geometry.
-    pub fn new(config: &CcConfig) -> Self {
+    pub(crate) fn new(config: &CcConfig) -> Self {
         ReachSet {
             bloom: BloomFilter::new(config.bloom_bits, config.bloom_hashes),
             exact: config.track_exact_reachability.then(HashSet::new),
@@ -52,7 +52,7 @@ impl ReachSet {
     }
 
     /// Inserts a transaction id.
-    pub fn insert(&mut self, id: TxnId) {
+    pub(crate) fn insert(&mut self, id: TxnId) {
         self.bloom.insert(id.0);
         if let Some(exact) = &mut self.exact {
             exact.insert(id.0);
@@ -78,7 +78,7 @@ impl ReachSet {
     }
 
     /// Unions `other` into `self`.
-    pub fn union_with(&mut self, other: &ReachSet) {
+    pub(crate) fn union_with(&mut self, other: &ReachSet) {
         self.bloom.union_with(&other.bloom);
         if let (Some(mine), Some(theirs)) = (&mut self.exact, &other.exact) {
             mine.extend(theirs.iter().copied());
@@ -97,11 +97,9 @@ impl ReachSet {
 pub struct TxnNode {
     /// The transaction this node represents.
     pub id: TxnId,
-    /// Start timestamp (Definition 3): the snapshot the transaction was simulated against.
-    pub start_ts: SeqNo,
     /// End timestamp (Definition 4) once the transaction has been placed in a block; `None`
     /// while it is still pending.
-    pub end_ts: Option<SeqNo>,
+    pub(crate) end_ts: Option<SeqNo>,
     /// Immediate successors in dependency order, as interned slots. External callers read
     /// transaction ids through [`DependencyGraph::successors`].
     pub(crate) succ: Vec<u32>,
@@ -113,7 +111,7 @@ pub struct TxnNode {
     /// Age (Section 4.6): the highest block number such that a transaction destined for that
     /// block can reach this node. Nodes whose age falls behind the pruning threshold can never
     /// join a future cycle and are removed.
-    pub age: u64,
+    pub(crate) age: u64,
 }
 
 impl TxnNode {
@@ -121,15 +119,6 @@ impl TxnNode {
     pub fn is_pending(&self) -> bool {
         self.end_ts.is_none()
     }
-}
-
-/// Specification of a new pending transaction to be inserted into the graph.
-#[derive(Clone, Debug)]
-pub struct PendingTxnSpec {
-    /// Transaction id.
-    pub id: TxnId,
-    /// Start timestamp (snapshot sequence number).
-    pub start_ts: SeqNo,
 }
 
 /// Outcome of the cycle test performed before inserting a new transaction.
@@ -201,7 +190,7 @@ impl DependencyGraph {
     }
 
     /// The configuration the graph was built with.
-    pub fn config(&self) -> &CcConfig {
+    pub(crate) fn config(&self) -> &CcConfig {
         &self.config
     }
 
@@ -230,13 +219,6 @@ impl DependencyGraph {
     pub fn successors(&self, id: TxnId) -> Vec<TxnId> {
         self.node(id)
             .map(|n| n.succ.iter().map(|&s| self.interner.id_at(s)).collect())
-            .unwrap_or_default()
-    }
-
-    /// The immediate predecessors of `id`, as transaction ids (empty if `id` is untracked).
-    pub fn predecessors(&self, id: TxnId) -> Vec<TxnId> {
-        self.node(id)
-            .map(|n| n.pred.iter().map(|&p| self.interner.id_at(p)).collect())
             .unwrap_or_default()
     }
 
@@ -355,12 +337,11 @@ impl DependencyGraph {
     /// on this guard.
     pub fn insert_pending(
         &mut self,
-        spec: PendingTxnSpec,
+        id: TxnId,
         preds: &[TxnId],
         succs: &[TxnId],
         next_block: u64,
     ) -> InsertReport {
-        let id = spec.id;
         if self.interner.get(id).is_some() {
             return InsertReport::default();
         }
@@ -370,7 +351,6 @@ impl DependencyGraph {
         }
         let mut node = TxnNode {
             id,
-            start_ts: spec.start_ts,
             end_ts: None,
             succ: Vec::new(),
             pred: Vec::new(),
@@ -630,11 +610,11 @@ mod tests {
         }
     }
 
-    fn spec(id: u64, snapshot_block: u64) -> PendingTxnSpec {
-        PendingTxnSpec {
-            id: TxnId(id),
-            start_ts: SeqNo::snapshot_after(snapshot_block),
-        }
+    /// The immediate predecessors of `id`, as transaction ids (empty if `id` is untracked).
+    fn predecessors(g: &DependencyGraph, id: TxnId) -> Vec<TxnId> {
+        g.node(id)
+            .map(|n| n.pred.iter().map(|&p| g.interner.id_at(p)).collect())
+            .unwrap_or_default()
     }
 
     /// Checks the succ/pred mirror invariant: every edge appears in exactly both lists and
@@ -643,13 +623,13 @@ mod tests {
         for node in g.nodes() {
             for s in g.successors(node.id) {
                 assert!(
-                    g.predecessors(s).contains(&node.id),
+                    predecessors(g, s).contains(&node.id),
                     "edge {:?} → {:?} missing from pred mirror",
                     node.id,
                     s
                 );
             }
-            for p in g.predecessors(node.id) {
+            for p in predecessors(g, node.id) {
                 assert!(
                     g.successors(p).contains(&node.id),
                     "edge {:?} → {:?} missing from succ list",
@@ -663,12 +643,12 @@ mod tests {
     #[test]
     fn insert_wires_predecessors_and_successors() {
         let mut g = DependencyGraph::new(cfg_exact());
-        g.insert_pending(spec(1, 0), &[], &[], 1);
-        g.insert_pending(spec(2, 0), &[TxnId(1)], &[], 1);
+        g.insert_pending(TxnId(1), &[], &[], 1);
+        g.insert_pending(TxnId(2), &[TxnId(1)], &[], 1);
 
         assert_eq!(g.len(), 2);
         assert_eq!(g.successors(TxnId(1)), vec![TxnId(2)]);
-        assert_eq!(g.predecessors(TxnId(2)), vec![TxnId(1)]);
+        assert_eq!(predecessors(&g, TxnId(2)), vec![TxnId(1)]);
         assert!(g.node(TxnId(2)).unwrap().anti_reachable.contains(TxnId(1)));
         assert!(g.reaches_exact(TxnId(1), TxnId(2)));
         assert!(!g.reaches_exact(TxnId(2), TxnId(1)));
@@ -679,9 +659,9 @@ mod tests {
     #[test]
     fn reachability_is_transitive_through_unions() {
         let mut g = DependencyGraph::new(cfg_exact());
-        g.insert_pending(spec(1, 0), &[], &[], 1);
-        g.insert_pending(spec(2, 0), &[TxnId(1)], &[], 1);
-        g.insert_pending(spec(3, 0), &[TxnId(2)], &[], 1);
+        g.insert_pending(TxnId(1), &[], &[], 1);
+        g.insert_pending(TxnId(2), &[TxnId(1)], &[], 1);
+        g.insert_pending(TxnId(3), &[TxnId(2)], &[], 1);
         // 1 → 2 → 3: node 3's anti_reachable must contain both 1 and 2.
         let n3 = g.node(TxnId(3)).unwrap();
         assert!(n3.anti_reachable.contains(TxnId(1)));
@@ -692,11 +672,11 @@ mod tests {
     fn inserting_with_successors_propagates_downstream() {
         let mut g = DependencyGraph::new(cfg_exact());
         // Existing chain 10 → 11.
-        g.insert_pending(spec(10, 0), &[], &[], 1);
-        g.insert_pending(spec(11, 0), &[TxnId(10)], &[], 1);
+        g.insert_pending(TxnId(10), &[], &[], 1);
+        g.insert_pending(TxnId(11), &[TxnId(10)], &[], 1);
         // New transaction 5 whose successor is 10: everything downstream of 10 must now know
         // that 5 can reach it.
-        let report = g.insert_pending(spec(5, 0), &[], &[TxnId(10)], 1);
+        let report = g.insert_pending(TxnId(5), &[], &[TxnId(10)], 1);
         assert!(
             report.hops >= 2,
             "should traverse 10 and 11, got {}",
@@ -715,13 +695,13 @@ mod tests {
     #[test]
     fn insert_restores_the_new_nodes_reach_set_after_propagation() {
         let mut g = DependencyGraph::new(cfg_exact());
-        g.insert_pending(spec(1, 0), &[], &[], 1);
-        g.insert_pending(spec(2, 0), &[TxnId(1)], &[], 1);
-        g.insert_pending(spec(7, 0), &[], &[], 1);
-        g.insert_pending(spec(8, 0), &[TxnId(7)], &[], 1);
+        g.insert_pending(TxnId(1), &[], &[], 1);
+        g.insert_pending(TxnId(2), &[TxnId(1)], &[], 1);
+        g.insert_pending(TxnId(7), &[], &[], 1);
+        g.insert_pending(TxnId(8), &[TxnId(7)], &[], 1);
         // New node 5: preds {2}, succs {7} — its stored set must contain 1 and 2 after the
         // downstream walk through 7 and 8.
-        g.insert_pending(spec(5, 0), &[TxnId(2)], &[TxnId(7)], 1);
+        g.insert_pending(TxnId(5), &[TxnId(2)], &[TxnId(7)], 1);
         let n5 = g.node(TxnId(5)).unwrap();
         assert!(n5.anti_reachable.contains(TxnId(1)));
         assert!(n5.anti_reachable.contains(TxnId(2)));
@@ -746,8 +726,8 @@ mod tests {
     fn cycle_detection_catches_pred_reachable_from_succ() {
         let mut g = DependencyGraph::new(cfg_exact());
         // 1 → 2 (1 is a predecessor of 2).
-        g.insert_pending(spec(1, 0), &[], &[], 1);
-        g.insert_pending(spec(2, 0), &[TxnId(1)], &[], 1);
+        g.insert_pending(TxnId(1), &[], &[], 1);
+        g.insert_pending(TxnId(2), &[TxnId(1)], &[], 1);
         // A new transaction with predecessor 2 and successor 1 would close 1 → 2 → new → 1.
         let check = g.would_close_cycle(&[TxnId(2)], &[TxnId(1)]);
         assert!(!check.is_acyclic());
@@ -764,7 +744,7 @@ mod tests {
     #[test]
     fn same_txn_as_pred_and_succ_is_a_two_node_cycle() {
         let mut g = DependencyGraph::new(cfg_exact());
-        g.insert_pending(spec(1, 0), &[], &[], 1);
+        g.insert_pending(TxnId(1), &[], &[], 1);
         let check = g.would_close_cycle(&[TxnId(1)], &[TxnId(1)]);
         assert_eq!(
             check,
@@ -777,18 +757,18 @@ mod tests {
     #[test]
     fn unknown_ids_are_ignored_by_cycle_test_and_insert() {
         let mut g = DependencyGraph::new(cfg_exact());
-        g.insert_pending(spec(1, 0), &[], &[], 1);
+        g.insert_pending(TxnId(1), &[], &[], 1);
         assert!(g.would_close_cycle(&[TxnId(99)], &[TxnId(1)]).is_acyclic());
-        let report = g.insert_pending(spec(2, 0), &[TxnId(77)], &[TxnId(88)], 1);
+        let report = g.insert_pending(TxnId(2), &[TxnId(77)], &[TxnId(88)], 1);
         assert_eq!(report.hops, 0);
         assert!(g.successors(TxnId(2)).is_empty());
-        assert!(g.predecessors(TxnId(2)).is_empty());
+        assert!(predecessors(&g, TxnId(2)).is_empty());
     }
 
     #[test]
     fn mark_committed_moves_out_of_pending_but_keeps_the_node() {
         let mut g = DependencyGraph::new(cfg_exact());
-        g.insert_pending(spec(1, 0), &[], &[], 1);
+        g.insert_pending(TxnId(1), &[], &[], 1);
         g.mark_committed(TxnId(1), SeqNo::new(1, 1));
         assert!(g.contains(TxnId(1)));
         assert!(!g.node(TxnId(1)).unwrap().is_pending());
@@ -798,8 +778,8 @@ mod tests {
     #[test]
     fn remove_cleans_successor_references() {
         let mut g = DependencyGraph::new(cfg_exact());
-        g.insert_pending(spec(1, 0), &[], &[], 1);
-        g.insert_pending(spec(2, 0), &[TxnId(1)], &[], 1);
+        g.insert_pending(TxnId(1), &[], &[], 1);
+        g.insert_pending(TxnId(2), &[TxnId(1)], &[], 1);
         g.remove(TxnId(2));
         assert!(!g.contains(TxnId(2)));
         assert!(g.successors(TxnId(1)).is_empty());
@@ -809,12 +789,12 @@ mod tests {
     #[test]
     fn remove_cleans_predecessor_references_too() {
         let mut g = DependencyGraph::new(cfg_exact());
-        g.insert_pending(spec(1, 0), &[], &[], 1);
-        g.insert_pending(spec(2, 0), &[TxnId(1)], &[], 1);
-        g.insert_pending(spec(3, 0), &[TxnId(2)], &[], 1);
+        g.insert_pending(TxnId(1), &[], &[], 1);
+        g.insert_pending(TxnId(2), &[TxnId(1)], &[], 1);
+        g.insert_pending(TxnId(3), &[TxnId(2)], &[], 1);
         g.remove(TxnId(2));
         assert!(g.successors(TxnId(1)).is_empty());
-        assert!(g.predecessors(TxnId(3)).is_empty());
+        assert!(predecessors(&g, TxnId(3)).is_empty());
         assert_edge_mirror(&g);
     }
 
@@ -827,26 +807,26 @@ mod tests {
     #[test]
     fn reinserting_a_tracked_id_is_a_noop() {
         let mut g = DependencyGraph::new(cfg_exact());
-        g.insert_pending(spec(0, 0), &[], &[], 1);
-        g.insert_pending(spec(1, 0), &[], &[], 1);
-        g.insert_pending(spec(2, 0), &[TxnId(1)], &[], 1);
+        g.insert_pending(TxnId(0), &[], &[], 1);
+        g.insert_pending(TxnId(1), &[], &[], 1);
+        g.insert_pending(TxnId(2), &[TxnId(1)], &[], 1);
         g.mark_committed(TxnId(2), SeqNo::new(1, 1));
 
         // Replay of txn 2 (still tracked, no longer pending): must change nothing.
-        let report = g.insert_pending(spec(2, 0), &[], &[], 2);
+        let report = g.insert_pending(TxnId(2), &[], &[], 2);
         assert_eq!(report, InsertReport::default());
         assert_eq!(g.len(), 3);
         assert!(g.node(TxnId(0)).unwrap().is_pending() && g.node(TxnId(1)).unwrap().is_pending());
         assert!(!g.node(TxnId(2)).unwrap().is_pending());
         assert_eq!(g.successors(TxnId(1)), vec![TxnId(2)]);
-        assert_eq!(g.predecessors(TxnId(2)), vec![TxnId(1)]);
+        assert_eq!(predecessors(&g, TxnId(2)), vec![TxnId(1)]);
         assert_edge_mirror(&g);
 
         // The reviewer's corruption scenario: remove the replayed node, then let a fresh
         // transaction recycle its slot — no panic, no phantom reachability.
         g.remove(TxnId(2));
         assert!(g.successors(TxnId(1)).is_empty());
-        g.insert_pending(spec(3, 0), &[], &[], 2);
+        g.insert_pending(TxnId(3), &[], &[], 2);
         assert!(!g.reaches_exact(TxnId(1), TxnId(0)));
         assert!(!g.reaches_exact(TxnId(1), TxnId(3)));
         assert_eq!(g.node(TxnId(3)).unwrap().anti_reachable.bloom_popcount(), 0);
@@ -858,13 +838,13 @@ mod tests {
     #[test]
     fn recycled_slots_start_clean() {
         let mut g = DependencyGraph::new(cfg_exact());
-        g.insert_pending(spec(1, 0), &[], &[], 1);
-        g.insert_pending(spec(2, 0), &[TxnId(1)], &[], 1);
+        g.insert_pending(TxnId(1), &[], &[], 1);
+        g.insert_pending(TxnId(2), &[TxnId(1)], &[], 1);
         g.remove(TxnId(2));
         // Txn 3 reuses txn 2's slot (free-list LIFO) but has no relation to txn 1.
-        g.insert_pending(spec(3, 0), &[], &[], 1);
+        g.insert_pending(TxnId(3), &[], &[], 1);
         assert!(g.successors(TxnId(1)).is_empty());
-        assert!(g.predecessors(TxnId(3)).is_empty());
+        assert!(predecessors(&g, TxnId(3)).is_empty());
         assert_eq!(g.node(TxnId(3)).unwrap().anti_reachable.bloom_popcount(), 0);
         assert!(!g.reaches_exact(TxnId(1), TxnId(3)));
         assert_edge_mirror(&g);
@@ -874,14 +854,14 @@ mod tests {
     fn remove_many_only_touches_neighbours_and_keeps_the_mirror_consistent() {
         let mut g = DependencyGraph::new(cfg_exact());
         // Chain 1 → 2 → 3 → 4 plus a cross edge 1 → 4.
-        g.insert_pending(spec(1, 0), &[], &[], 1);
-        g.insert_pending(spec(2, 0), &[TxnId(1)], &[], 1);
-        g.insert_pending(spec(3, 0), &[TxnId(2)], &[], 1);
-        g.insert_pending(spec(4, 0), &[TxnId(3), TxnId(1)], &[], 1);
+        g.insert_pending(TxnId(1), &[], &[], 1);
+        g.insert_pending(TxnId(2), &[TxnId(1)], &[], 1);
+        g.insert_pending(TxnId(3), &[TxnId(2)], &[], 1);
+        g.insert_pending(TxnId(4), &[TxnId(3), TxnId(1)], &[], 1);
         g.remove_many(&[TxnId(2), TxnId(3)]);
         assert_eq!(g.len(), 2);
         assert_eq!(g.successors(TxnId(1)), vec![TxnId(4)]);
-        assert_eq!(g.predecessors(TxnId(4)), vec![TxnId(1)]);
+        assert_eq!(predecessors(&g, TxnId(4)), vec![TxnId(1)]);
         assert!(g.contains(TxnId(1)) && g.contains(TxnId(4)));
         assert_edge_mirror(&g);
     }
@@ -889,16 +869,16 @@ mod tests {
     #[test]
     fn add_edge_with_union_and_already_connected() {
         let mut g = DependencyGraph::new(cfg_exact());
-        g.insert_pending(spec(1, 0), &[], &[], 1);
-        g.insert_pending(spec(2, 0), &[], &[], 1);
+        g.insert_pending(TxnId(1), &[], &[], 1);
+        g.insert_pending(TxnId(2), &[], &[], 1);
         assert!(!g.already_connected(TxnId(1), TxnId(2)));
         g.add_edge_with_union(TxnId(1), TxnId(2));
         assert!(g.already_connected(TxnId(1), TxnId(2)));
         assert!(g.reaches_exact(TxnId(1), TxnId(2)));
-        assert_eq!(g.predecessors(TxnId(2)), vec![TxnId(1)]);
+        assert_eq!(predecessors(&g, TxnId(2)), vec![TxnId(1)]);
         // Re-adding the same edge does not duplicate the mirror entry.
         g.add_edge_with_union(TxnId(1), TxnId(2));
-        assert_eq!(g.predecessors(TxnId(2)), vec![TxnId(1)]);
+        assert_eq!(predecessors(&g, TxnId(2)), vec![TxnId(1)]);
         // Self edges and unknown nodes are no-ops.
         g.add_edge_with_union(TxnId(1), TxnId(1));
         g.add_edge_with_union(TxnId(9), TxnId(1));
@@ -909,9 +889,9 @@ mod tests {
     #[test]
     fn propagate_reachability_keeps_the_source_set_intact() {
         let mut g = DependencyGraph::new(cfg_exact());
-        g.insert_pending(spec(1, 0), &[], &[], 1);
-        g.insert_pending(spec(2, 0), &[TxnId(1)], &[], 1);
-        g.insert_pending(spec(3, 0), &[], &[], 1);
+        g.insert_pending(TxnId(1), &[], &[], 1);
+        g.insert_pending(TxnId(2), &[TxnId(1)], &[], 1);
+        g.insert_pending(TxnId(3), &[], &[], 1);
         g.propagate_reachability(TxnId(2), TxnId(3));
         // Target learned {1, 2}; source still knows {1}.
         let n3 = g.node(TxnId(3)).unwrap();
@@ -924,11 +904,11 @@ mod tests {
     #[test]
     fn ages_are_bumped_on_downstream_nodes() {
         let mut g = DependencyGraph::new(cfg_exact());
-        g.insert_pending(spec(1, 0), &[], &[], 3);
+        g.insert_pending(TxnId(1), &[], &[], 3);
         g.mark_committed(TxnId(1), SeqNo::new(3, 1));
         assert_eq!(g.node(TxnId(1)).unwrap().age, 3);
         // New transaction for block 7 whose successor is 1: 1's age must be bumped to 7.
-        g.insert_pending(spec(2, 5), &[], &[TxnId(1)], 7);
+        g.insert_pending(TxnId(2), &[], &[TxnId(1)], 7);
         assert_eq!(g.node(TxnId(1)).unwrap().age, 7);
         assert_eq!(g.node(TxnId(2)).unwrap().age, 7);
     }
@@ -936,8 +916,8 @@ mod tests {
     #[test]
     fn bloom_only_configuration_reports_unconfirmed_cycles() {
         let mut g = DependencyGraph::new(CcConfig::default());
-        g.insert_pending(spec(1, 0), &[], &[], 1);
-        g.insert_pending(spec(2, 0), &[TxnId(1)], &[], 1);
+        g.insert_pending(TxnId(1), &[], &[], 1);
+        g.insert_pending(TxnId(2), &[TxnId(1)], &[], 1);
         match g.would_close_cycle(&[TxnId(2)], &[TxnId(1)]) {
             CycleCheck::Cycle { confirmed_exact } => assert_eq!(confirmed_exact, None),
             CycleCheck::Acyclic => panic!("expected a cycle"),

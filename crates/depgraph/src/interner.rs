@@ -26,23 +26,23 @@ pub(crate) struct Interner {
 
 impl Interner {
     /// Creates an empty interner.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Interner::default()
     }
 
     /// Number of live (interned, not released) ids.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.map.len()
     }
 
     /// Whether no id is interned.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.map.is_empty()
     }
 
     /// The slot of `id`, if interned.
     #[inline]
-    pub fn get(&self, id: TxnId) -> Option<u32> {
+    pub(crate) fn get(&self, id: TxnId) -> Option<u32> {
         self.map.get(&id.0).copied()
     }
 

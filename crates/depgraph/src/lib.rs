@@ -16,7 +16,7 @@
 //! * `cycle` — exact (non-probabilistic) cycle detection used as a test oracle and for the
 //!   bloom-vs-exact ablation.
 //! * `prune` — `max_span` snapshot thresholds and age-based pruning (Section 4.6).
-//! * [`reference`] — the retained naive-DFS implementation, kept as the equivalence oracle
+//! * `reference` — the retained naive-DFS implementation, kept as the equivalence oracle
 //!   and bench baseline for the dense engine. Not for production use.
 //! * `rebuild` — from-scratch reachability recomputation (called by tests only).
 //!
@@ -31,11 +31,11 @@ pub mod graph;
 mod interner;
 mod prune;
 mod rebuild;
-pub mod reference;
+mod reference;
 mod topo;
 mod visited;
 
 pub use bloom::BloomFilter;
-pub use graph::{CycleCheck, DependencyGraph, InsertReport, PendingTxnSpec, ReachSet, TxnNode};
+pub use graph::{CycleCheck, DependencyGraph, InsertReport, ReachSet, TxnNode};
 pub use prune::snapshot_threshold;
 pub use reference::NaiveGraph;

@@ -57,16 +57,8 @@ impl DependencyGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::PendingTxnSpec;
     use eov_common::config::CcConfig;
     use eov_common::version::SeqNo;
-
-    fn spec(id: u64) -> PendingTxnSpec {
-        PendingTxnSpec {
-            id: TxnId(id),
-            start_ts: SeqNo::snapshot_after(0),
-        }
-    }
 
     fn exact_graph() -> DependencyGraph {
         DependencyGraph::new(CcConfig {
@@ -88,11 +80,11 @@ mod tests {
         let mut g = exact_graph();
         // Node 1 committed long ago (age 1); node 2 is a recent committed successor (age 8);
         // node 3 is pending.
-        g.insert_pending(spec(1), &[], &[], 1);
+        g.insert_pending(TxnId(1), &[], &[], 1);
         g.mark_committed(TxnId(1), SeqNo::new(1, 1));
-        g.insert_pending(spec(2), &[TxnId(1)], &[], 8);
+        g.insert_pending(TxnId(2), &[TxnId(1)], &[], 8);
         g.mark_committed(TxnId(2), SeqNo::new(8, 1));
-        g.insert_pending(spec(3), &[TxnId(2)], &[], 9);
+        g.insert_pending(TxnId(3), &[TxnId(2)], &[], 9);
         g.set_age_for_test(TxnId(1), 1);
         g.set_age_for_test(TxnId(2), 8);
 
@@ -112,7 +104,7 @@ mod tests {
     #[test]
     fn pending_nodes_are_never_pruned() {
         let mut g = exact_graph();
-        g.insert_pending(spec(1), &[], &[], 1);
+        g.insert_pending(TxnId(1), &[], &[], 1);
         g.set_age_for_test(TxnId(1), 0);
         let pruned = g.prune_stale(100);
         assert!(pruned.is_empty());
@@ -125,7 +117,7 @@ mod tests {
         // (red) is subject to pruning while the rest stay.
         let mut g = exact_graph();
         for id in 0..10u64 {
-            g.insert_pending(spec(id), &[], &[], 4);
+            g.insert_pending(TxnId(id), &[], &[], 4);
             if id != 3 && id != 5 && id != 7 && id != 4 && id != 0 {
                 g.mark_committed(TxnId(id), SeqNo::new(3, id as u32 + 1));
             }
@@ -139,7 +131,7 @@ mod tests {
     #[test]
     fn prune_for_next_block_uses_configured_max_span() {
         let mut g = exact_graph();
-        g.insert_pending(spec(1), &[], &[], 2);
+        g.insert_pending(TxnId(1), &[], &[], 2);
         g.mark_committed(TxnId(1), SeqNo::new(2, 1));
         g.set_age_for_test(TxnId(1), 2);
         // next block 5 → threshold max(5-10, 0)=0: nothing pruned.

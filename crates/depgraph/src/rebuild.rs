@@ -57,16 +57,8 @@ impl DependencyGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::PendingTxnSpec;
     use eov_common::config::CcConfig;
     use eov_common::version::SeqNo;
-
-    fn spec(id: u64) -> PendingTxnSpec {
-        PendingTxnSpec {
-            id: TxnId(id),
-            start_ts: SeqNo::snapshot_after(0),
-        }
-    }
 
     fn exact_graph() -> DependencyGraph {
         DependencyGraph::new(CcConfig {
@@ -79,10 +71,10 @@ mod tests {
     fn rebuild_preserves_reachability_semantics() {
         let mut g = exact_graph();
         // Chain 1 → 2 → 3 plus a side edge 1 → 4.
-        g.insert_pending(spec(1), &[], &[], 1);
-        g.insert_pending(spec(2), &[TxnId(1)], &[], 1);
-        g.insert_pending(spec(3), &[TxnId(2)], &[], 1);
-        g.insert_pending(spec(4), &[TxnId(1)], &[], 1);
+        g.insert_pending(TxnId(1), &[], &[], 1);
+        g.insert_pending(TxnId(2), &[TxnId(1)], &[], 1);
+        g.insert_pending(TxnId(3), &[TxnId(2)], &[], 1);
+        g.insert_pending(TxnId(4), &[TxnId(1)], &[], 1);
 
         let rebuilt = g.rebuild_reachability();
         assert_eq!(rebuilt, 4);
@@ -117,10 +109,10 @@ mod tests {
         // A long committed chain feeding one survivor.
         for id in 1..=30u64 {
             let preds: Vec<TxnId> = if id == 1 { vec![] } else { vec![TxnId(id - 1)] };
-            g.insert_pending(spec(id), &preds, &[], 1);
+            g.insert_pending(TxnId(id), &preds, &[], 1);
             g.mark_committed(TxnId(id), SeqNo::new(1, id as u32));
         }
-        g.insert_pending(spec(31), &[TxnId(30)], &[], 2);
+        g.insert_pending(TxnId(31), &[TxnId(30)], &[], 2);
 
         let before = g.node(TxnId(31)).unwrap().anti_reachable.bloom_popcount();
         // Prune everything but the last committed ancestor and the pending node.

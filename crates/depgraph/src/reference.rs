@@ -17,7 +17,7 @@
 //!
 //! It is deliberately *not* optimised; do not use it outside tests and benchmarks.
 
-use crate::graph::{CycleCheck, PendingTxnSpec, ReachSet};
+use crate::graph::{CycleCheck, ReachSet};
 use eov_common::config::CcConfig;
 use eov_common::txn::TxnId;
 use eov_common::version::SeqNo;
@@ -25,26 +25,24 @@ use std::collections::{HashMap, HashSet};
 
 /// A node of the naive graph.
 #[derive(Clone, Debug)]
-pub struct NaiveNode {
+pub(crate) struct NaiveNode {
     /// The transaction this node represents.
-    pub id: TxnId,
-    /// Start timestamp.
-    pub start_ts: SeqNo,
+    pub(crate) id: TxnId,
     /// End timestamp once committed.
-    pub end_ts: Option<SeqNo>,
+    pub(crate) end_ts: Option<SeqNo>,
     /// Immediate successors in dependency order.
-    pub succ: Vec<TxnId>,
+    pub(crate) succ: Vec<TxnId>,
     /// Immediate predecessors (mirror of `succ`).
-    pub pred: Vec<TxnId>,
+    pub(crate) pred: Vec<TxnId>,
     /// Every transaction that can reach this node.
-    pub anti_reachable: ReachSet,
+    pub(crate) anti_reachable: ReachSet,
     /// Pruning age (Section 4.6).
-    pub age: u64,
+    pub(crate) age: u64,
 }
 
 impl NaiveNode {
     /// Whether the node is still pending.
-    pub fn is_pending(&self) -> bool {
+    pub(crate) fn is_pending(&self) -> bool {
         self.end_ts.is_none()
     }
 }
@@ -85,7 +83,7 @@ impl NaiveGraph {
     }
 
     /// Immutable access to a node.
-    pub fn node(&self, id: TxnId) -> Option<&NaiveNode> {
+    pub(crate) fn node(&self, id: TxnId) -> Option<&NaiveNode> {
         self.nodes.get(&id.0)
     }
 
@@ -130,18 +128,16 @@ impl NaiveGraph {
     /// engine's contract.
     pub fn insert_pending(
         &mut self,
-        spec: PendingTxnSpec,
+        id: TxnId,
         preds: &[TxnId],
         succs: &[TxnId],
         next_block: u64,
     ) -> usize {
-        let id = spec.id;
         if self.nodes.contains_key(&id.0) {
             return 0;
         }
         let mut node = NaiveNode {
             id,
-            start_ts: spec.start_ts,
             end_ts: None,
             succ: Vec::new(),
             pred: Vec::new(),
@@ -202,25 +198,8 @@ impl NaiveGraph {
         hops
     }
 
-    /// Adds `from → to` and unions `from`'s reachability (plus `from`) into `to`.
-    pub fn add_edge_with_union(&mut self, from: TxnId, to: TxnId) {
-        if from == to || !self.nodes.contains_key(&from.0) || !self.nodes.contains_key(&to.0) {
-            return;
-        }
-        let from_node = self.nodes.get_mut(&from.0).expect("checked above");
-        if !from_node.succ.contains(&to) {
-            from_node.succ.push(to);
-            self.nodes
-                .get_mut(&to.0)
-                .expect("checked above")
-                .pred
-                .push(from);
-        }
-        self.union_through(from, to);
-    }
-
     /// Unions `source`'s reachability (plus `source`) into `target` without adding an edge.
-    pub fn propagate_reachability(&mut self, source: TxnId, target: TxnId) {
+    pub(crate) fn propagate_reachability(&mut self, source: TxnId, target: TxnId) {
         if source == target
             || !self.nodes.contains_key(&source.0)
             || !self.nodes.contains_key(&target.0)
@@ -235,14 +214,6 @@ impl NaiveGraph {
         let t = self.nodes.get_mut(&target.0).expect("caller checked");
         t.anti_reachable.union_with(&delta);
         t.anti_reachable.insert(source);
-    }
-
-    /// Whether `earlier` is recorded as reaching `later`.
-    pub fn already_connected(&self, earlier: TxnId, later: TxnId) -> bool {
-        self.nodes
-            .get(&later.0)
-            .map(|n| n.anti_reachable.contains(earlier))
-            .unwrap_or(false)
     }
 
     /// Marks a pending transaction committed.
@@ -396,7 +367,7 @@ impl NaiveGraph {
     }
 
     /// Every transaction reachable from `roots` in topological order (reverse postorder).
-    pub fn reachable_in_topo_order(&self, roots: &[TxnId]) -> Vec<TxnId> {
+    pub(crate) fn reachable_in_topo_order(&self, roots: &[TxnId]) -> Vec<TxnId> {
         let mut visited: HashSet<u64> = HashSet::new();
         let mut postorder: Vec<TxnId> = Vec::new();
         for &root in roots {
@@ -460,18 +431,11 @@ mod tests {
         }
     }
 
-    fn spec(id: u64) -> PendingTxnSpec {
-        PendingTxnSpec {
-            id: TxnId(id),
-            start_ts: SeqNo::snapshot_after(0),
-        }
-    }
-
     #[test]
     fn naive_graph_basic_semantics() {
         let mut g = NaiveGraph::new(cfg_exact());
-        g.insert_pending(spec(1), &[], &[], 1);
-        g.insert_pending(spec(2), &[TxnId(1)], &[], 1);
+        g.insert_pending(TxnId(1), &[], &[], 1);
+        g.insert_pending(TxnId(2), &[TxnId(1)], &[], 1);
         assert_eq!(g.len(), 2);
         assert!(g.reaches_exact(TxnId(1), TxnId(2)));
         assert!(!g.reaches_exact(TxnId(2), TxnId(1)));

@@ -224,16 +224,8 @@ impl DependencyGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::PendingTxnSpec;
     use eov_common::config::CcConfig;
     use eov_common::version::SeqNo;
-
-    fn spec(id: u64) -> PendingTxnSpec {
-        PendingTxnSpec {
-            id: TxnId(id),
-            start_ts: SeqNo::snapshot_after(0),
-        }
-    }
 
     fn exact_graph() -> DependencyGraph {
         DependencyGraph::new(CcConfig {
@@ -250,9 +242,9 @@ mod tests {
     fn topo_respects_direct_dependencies() {
         let mut g = exact_graph();
         // Arrival order 3, 2, 1 but dependencies 1 → 2 → 3.
-        g.insert_pending(spec(3), &[], &[], 1);
-        g.insert_pending(spec(2), &[], &[TxnId(3)], 1);
-        g.insert_pending(spec(1), &[], &[TxnId(2)], 1);
+        g.insert_pending(TxnId(3), &[], &[], 1);
+        g.insert_pending(TxnId(2), &[], &[TxnId(3)], 1);
+        g.insert_pending(TxnId(1), &[], &[TxnId(2)], 1);
 
         let order = g.topo_sort_pending(&ids(&[3, 2, 1]));
         let pos = |id: u64| order.iter().position(|t| t.0 == id).unwrap();
@@ -265,7 +257,7 @@ mod tests {
     fn topo_breaks_ties_by_arrival_order() {
         let mut g = exact_graph();
         for id in [7, 5, 9] {
-            g.insert_pending(spec(id), &[], &[], 1);
+            g.insert_pending(TxnId(id), &[], &[], 1);
         }
         // No dependencies at all: the order must be exactly the arrival order.
         assert_eq!(g.topo_sort_pending(&ids(&[7, 5, 9])), ids(&[7, 5, 9]));
@@ -275,10 +267,10 @@ mod tests {
     fn topo_orders_through_committed_intermediaries() {
         let mut g = exact_graph();
         // committed node 100 sits between pending 1 and pending 2: 1 → 100 → 2.
-        g.insert_pending(spec(100), &[], &[], 1);
+        g.insert_pending(TxnId(100), &[], &[], 1);
         g.mark_committed(TxnId(100), SeqNo::new(1, 1));
-        g.insert_pending(spec(2), &[TxnId(100)], &[], 2);
-        g.insert_pending(spec(1), &[], &[TxnId(100)], 2);
+        g.insert_pending(TxnId(2), &[TxnId(100)], &[], 2);
+        g.insert_pending(TxnId(1), &[], &[TxnId(100)], 2);
 
         let order = g.topo_sort_pending(&ids(&[2, 1]));
         assert_eq!(order, ids(&[1, 2]));
@@ -288,7 +280,7 @@ mod tests {
     fn empty_and_singleton_pending_sets() {
         let mut g = exact_graph();
         assert!(g.topo_sort_pending(&[]).is_empty());
-        g.insert_pending(spec(1), &[], &[], 1);
+        g.insert_pending(TxnId(1), &[], &[], 1);
         assert_eq!(g.topo_sort_pending(&ids(&[1])), ids(&[1]));
     }
 
@@ -299,8 +291,8 @@ mod tests {
     fn ids_without_a_node_keep_their_arrival_rank() {
         let mut g = exact_graph();
         // Arrival order 2, 1 but dependency 1 → 2; 5, 6 and 7 have no node.
-        g.insert_pending(spec(2), &[], &[], 1);
-        g.insert_pending(spec(1), &[], &[TxnId(2)], 1);
+        g.insert_pending(TxnId(2), &[], &[], 1);
+        g.insert_pending(TxnId(1), &[], &[TxnId(2)], 1);
         assert_eq!(
             g.topo_sort_pending(&ids(&[5, 2, 6, 1, 7])),
             ids(&[5, 6, 1, 2, 7])
@@ -322,7 +314,7 @@ mod tests {
             } else {
                 vec![TxnId(id + 1)]
             };
-            g.insert_pending(spec(id), &[], &succs, 1);
+            g.insert_pending(TxnId(id), &[], &succs, 1);
         }
         let order = g.topo_sort_pending(&(0..100u64).rev().map(TxnId).collect::<Vec<_>>());
         let expected: Vec<TxnId> = (0..100u64).map(TxnId).collect();
@@ -333,10 +325,10 @@ mod tests {
     fn reachable_in_topo_order_visits_each_node_once_in_dependency_order() {
         let mut g = exact_graph();
         // Diamond: 1 → {2, 3} → 4.
-        g.insert_pending(spec(1), &[], &[], 1);
-        g.insert_pending(spec(2), &[TxnId(1)], &[], 1);
-        g.insert_pending(spec(3), &[TxnId(1)], &[], 1);
-        g.insert_pending(spec(4), &[TxnId(2), TxnId(3)], &[], 1);
+        g.insert_pending(TxnId(1), &[], &[], 1);
+        g.insert_pending(TxnId(2), &[TxnId(1)], &[], 1);
+        g.insert_pending(TxnId(3), &[TxnId(1)], &[], 1);
+        g.insert_pending(TxnId(4), &[TxnId(2), TxnId(3)], &[], 1);
 
         let order = g.reachable_in_topo_order(&[TxnId(1)]);
         assert_eq!(order.len(), 4);
@@ -363,20 +355,12 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use crate::graph::PendingTxnSpec;
     use eov_common::config::CcConfig;
     use eov_common::version::SeqNo;
     use proptest::prelude::*;
 
     /// Ids of the random graphs: `0..NODES`, inserted in id order.
     const NODES: u64 = 12;
-
-    fn spec(id: u64) -> PendingTxnSpec {
-        PendingTxnSpec {
-            id: TxnId(id),
-            start_ts: SeqNo::snapshot_after(0),
-        }
-    }
 
     /// A random DAG over `0..NODES`: edge (a, b) becomes the dependency min → max, given as
     /// "max's predecessors include min" at insert time.
@@ -394,7 +378,7 @@ mod proptests {
         }
         for id in 0..NODES {
             let p = preds.remove(&id).unwrap_or_default();
-            g.insert_pending(spec(id), &p, &[], 1);
+            g.insert_pending(TxnId(id), &p, &[], 1);
         }
         g
     }
@@ -444,7 +428,7 @@ mod proptests {
             for (k, &at) in absent_at.iter().enumerate() {
                 let id = 100 + k as u64;
                 pending.insert(at.min(pending.len()), TxnId(id));
-                with_nodes.insert_pending(spec(id), &[], &[], 1);
+                with_nodes.insert_pending(TxnId(id), &[], &[], 1);
             }
             prop_assert_eq!(
                 g.topo_sort_pending(&pending),

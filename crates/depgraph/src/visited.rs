@@ -34,7 +34,7 @@ impl EpochVisited {
 
     /// Marks `slot` visited; returns `true` if it was not already visited in this traversal.
     #[inline]
-    pub fn insert(&mut self, slot: u32) -> bool {
+    pub(crate) fn insert(&mut self, slot: u32) -> bool {
         let mark = &mut self.marks[slot as usize];
         if *mark == self.epoch {
             false
@@ -46,7 +46,7 @@ impl EpochVisited {
 
     /// Whether `slot` was visited in the current traversal.
     #[inline]
-    pub fn contains(&self, slot: u32) -> bool {
+    pub(crate) fn contains(&self, slot: u32) -> bool {
         self.marks[slot as usize] == self.epoch
     }
 }

@@ -9,17 +9,9 @@
 
 use eov_common::config::CcConfig;
 use eov_common::txn::TxnId;
-use eov_common::version::SeqNo;
-use eov_depgraph::graph::{CycleCheck, DependencyGraph, PendingTxnSpec};
+use eov_depgraph::graph::{CycleCheck, DependencyGraph};
 use proptest::prelude::*;
 use proptest::sample::Index;
-
-fn spec(id: u64) -> PendingTxnSpec {
-    PendingTxnSpec {
-        id: TxnId(id),
-        start_ts: SeqNo::snapshot_after(0),
-    }
-}
 
 /// One randomly generated insertion: which existing nodes become predecessors / successors.
 type InsertOp = (Vec<Index>, Vec<Index>);
@@ -73,7 +65,7 @@ fn replay(config: CcConfig, ops: &[InsertOp]) -> (DependencyGraph, Vec<ObservedO
         });
         if verdict.is_acyclic() {
             let id = TxnId(i as u64 + 1);
-            graph.insert_pending(spec(id.0), &preds, &succs, 1);
+            graph.insert_pending(id, &preds, &succs, 1);
             inserted.push(id);
         }
         observed.push(ObservedOp {
@@ -91,7 +83,7 @@ fn exact_config() -> CcConfig {
     }
 }
 
-/// A deliberately starved bloom geometry (the minimum `validate()` accepts) so that false
+/// A deliberately starved bloom geometry (the smallest `BloomFilter::new` builds) so that false
 /// positives actually occur at these graph sizes.
 fn tiny_bloom_config() -> CcConfig {
     CcConfig {
@@ -220,7 +212,7 @@ fn starved_bloom_produces_observable_false_positives() {
             verdict.is_acyclic(),
             "pred-only insertions never close a cycle"
         );
-        graph.insert_pending(spec(id.0), &preds, &[], 1);
+        graph.insert_pending(id, &preds, &[], 1);
         recent.push(id);
         // Now probe reachability pairs that are truly unreachable and count bloom hits.
         for &old in recent.iter().take(8) {

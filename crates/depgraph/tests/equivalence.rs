@@ -17,7 +17,7 @@
 use eov_common::config::CcConfig;
 use eov_common::txn::TxnId;
 use eov_common::version::SeqNo;
-use eov_depgraph::{DependencyGraph, NaiveGraph, PendingTxnSpec};
+use eov_depgraph::{DependencyGraph, NaiveGraph};
 use proptest::prelude::*;
 
 const ID_SPACE: u64 = 24;
@@ -57,13 +57,6 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
-fn spec(id: u64) -> PendingTxnSpec {
-    PendingTxnSpec {
-        id: TxnId(id),
-        start_ts: SeqNo::snapshot_after(0),
-    }
-}
-
 /// Applies `ops` to both engines, asserting agreement after every step and a deep
 /// reachability/verdict comparison at the end.
 fn run_equivalence(config: CcConfig, ops: Vec<Op>) {
@@ -95,8 +88,8 @@ fn run_equivalence(config: CcConfig, ops: Vec<Op>) {
                     continue;
                 }
 
-                let report = engine.insert_pending(spec(id), &preds, &succs, next_block);
-                let naive_hops = naive.insert_pending(spec(id), &preds, &succs, next_block);
+                let report = engine.insert_pending(TxnId(id), &preds, &succs, next_block);
+                let naive_hops = naive.insert_pending(TxnId(id), &preds, &succs, next_block);
                 prop_assert_eq!(
                     report.hops,
                     naive_hops,

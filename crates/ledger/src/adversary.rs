@@ -82,7 +82,7 @@ impl ClientSubmission {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CommitmentMismatch {
     /// The original commitment value.
-    pub commitment: Digest,
+    pub(crate) commitment: Digest,
 }
 
 /// The commitment to `txn` under `nonce`: SHA-256 over the nonce followed by the
@@ -115,9 +115,9 @@ where
     F: FnMut(&Transaction) -> Transaction,
 {
     /// The record the adversary wants to contend on.
-    pub target_key: Key,
+    pub(crate) target_key: Key,
     /// Factory producing the front-running transaction from the observed victim.
-    pub fabricate: F,
+    pub(crate) fabricate: F,
     /// How many victims were front-run (diagnostics for tests).
     pub attacks_launched: usize,
 }
@@ -170,7 +170,7 @@ where
 /// what [`audit_fork`] does.
 pub struct EquivocatingLeader {
     /// Number of leading submissions proposed identically to both partitions.
-    pub fork_after: usize,
+    pub(crate) fork_after: usize,
     /// Whether the leader has actually equivocated yet (diagnostics for tests: a stream
     /// shorter than the prefix never forks).
     pub equivocated: bool,

@@ -17,18 +17,18 @@ use eov_common::version::SeqNo;
 pub(crate) struct BodyHasher(Sha256);
 
 impl BodyHasher {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         BodyHasher(Sha256::new())
     }
 
-    pub fn txn(&mut self, id: u64, snapshot_block: u64) {
+    pub(crate) fn txn(&mut self, id: u64, snapshot_block: u64) {
         let mut head = [0u8; 16];
         head[..8].copy_from_slice(&id.to_be_bytes());
         head[8..].copy_from_slice(&snapshot_block.to_be_bytes());
         self.0.update(&head);
     }
 
-    pub fn read(&mut self, key: &[u8], version: SeqNo) {
+    pub(crate) fn read(&mut self, key: &[u8], version: SeqNo) {
         let mut at = [0u8; 12];
         at[..8].copy_from_slice(&version.block.to_be_bytes());
         at[8..].copy_from_slice(&version.seq.to_be_bytes());
@@ -36,12 +36,12 @@ impl BodyHasher {
         self.0.update(&at);
     }
 
-    pub fn write(&mut self, key: &[u8], value: &[u8]) {
+    pub(crate) fn write(&mut self, key: &[u8], value: &[u8]) {
         self.0.update(key);
         self.0.update(value);
     }
 
-    pub fn finish(self) -> Digest {
+    pub(crate) fn finish(self) -> Digest {
         self.0.finalize()
     }
 }
@@ -50,16 +50,16 @@ impl BodyHasher {
 #[derive(Clone, Debug, PartialEq)]
 pub struct BlockHeader {
     /// Block height (the genesis block is 0).
-    pub number: u64,
+    pub(crate) number: u64,
     /// Hash of the previous block's header; [`Digest::ZERO`] for the genesis block.
-    pub prev_hash: Digest,
+    pub(crate) prev_hash: Digest,
     /// Hash over the ordered transaction ids and read/write sets in this block.
-    pub data_hash: Digest,
+    pub(crate) data_hash: Digest,
 }
 
 impl BlockHeader {
     /// The header hash that the next block chains to.
-    pub fn hash(&self) -> Digest {
+    pub(crate) fn hash(&self) -> Digest {
         let mut buf = [0u8; 72];
         buf[..8].copy_from_slice(&self.number.to_be_bytes());
         buf[8..40].copy_from_slice(self.prev_hash.as_bytes());
@@ -85,7 +85,7 @@ pub struct TxnEntry {
 #[derive(Clone, Debug, PartialEq)]
 pub struct Block {
     /// The hashed header.
-    pub header: BlockHeader,
+    pub(crate) header: BlockHeader,
     /// Transactions in their final commit order. Slot sequence numbers start at 1.
     pub entries: Vec<TxnEntry>,
 }
@@ -120,7 +120,7 @@ impl Block {
 
     /// Hash over the block body: transaction ids, snapshot blocks, and read/write set keys and
     /// versions, in order. Any change to the batched transactions changes this digest.
-    pub fn data_hash(entries: &[TxnEntry]) -> Digest {
+    pub(crate) fn data_hash(entries: &[TxnEntry]) -> Digest {
         let mut hasher = BodyHasher::new();
         for entry in entries {
             let txn = &entry.txn;

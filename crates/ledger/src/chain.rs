@@ -52,9 +52,9 @@ struct Stored {
 
 /// What walking a block's record established: its header and commit counts.
 pub(crate) struct WalkedRecord {
-    pub header: BlockHeader,
-    pub raw: usize,
-    pub committed: usize,
+    pub(crate) header: BlockHeader,
+    pub(crate) raw: usize,
+    pub(crate) committed: usize,
 }
 
 /// Why a record failed its walk.

@@ -116,7 +116,7 @@ pub(crate) struct ByteWriter {
 }
 
 impl ByteWriter {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -125,7 +125,7 @@ impl ByteWriter {
     }
 
     /// Bytes written so far — the position a later [`Self::set_u64_at`] patches.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.buf.len()
     }
 
@@ -181,7 +181,7 @@ pub(crate) struct ByteReader<'a> {
 }
 
 impl<'a> ByteReader<'a> {
-    pub fn new(buf: &'a [u8]) -> Self {
+    pub(crate) fn new(buf: &'a [u8]) -> Self {
         ByteReader { buf, pos: 0 }
     }
 
@@ -190,7 +190,7 @@ impl<'a> ByteReader<'a> {
     }
 
     /// Bytes not read yet.
-    pub fn remaining(&self) -> usize {
+    pub(crate) fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
@@ -390,7 +390,7 @@ pub(crate) struct RecordParser<'a> {
 
 impl<'a> RecordParser<'a> {
     /// Parses the record's header.
-    pub fn new(payload: &'a [u8]) -> Result<Self, String> {
+    pub(crate) fn new(payload: &'a [u8]) -> Result<Self, String> {
         let mut r = ByteReader::new(payload);
         let header = BlockHeader {
             number: r.get_u64("block number")?,
@@ -408,7 +408,7 @@ impl<'a> RecordParser<'a> {
         })
     }
 
-    pub fn header(&self) -> &BlockHeader {
+    pub(crate) fn header(&self) -> &BlockHeader {
         &self.header
     }
 
@@ -538,26 +538,26 @@ impl<'a> Items<'a> {
 /// One entry of a record, checked by [`RecordParser::next_entry`]; its reads and writes are
 /// borrowed from the payload.
 pub(crate) struct EntryView<'a> {
-    pub id: u64,
-    pub snapshot_block: u64,
-    pub endorsements: u32,
-    pub end_ts: Option<SeqNo>,
-    pub template_class: TemplateClass,
-    pub template_id: Option<u16>,
+    pub(crate) id: u64,
+    pub(crate) snapshot_block: u64,
+    pub(crate) endorsements: u32,
+    pub(crate) end_ts: Option<SeqNo>,
+    pub(crate) template_class: TemplateClass,
+    pub(crate) template_id: Option<u16>,
     reads: Items<'a>,
     writes: Items<'a>,
-    pub slot: SeqNo,
-    pub status: TxnStatus,
+    pub(crate) slot: SeqNo,
+    pub(crate) status: TxnStatus,
 }
 
 impl<'a> EntryView<'a> {
     /// `(key, version)` of every read, in record order.
-    pub fn reads(&self) -> impl Iterator<Item = (&'a str, SeqNo)> {
+    pub(crate) fn reads(&self) -> impl Iterator<Item = (&'a str, SeqNo)> {
         self.reads.iter(|r| r.get_seqno("").ok())
     }
 
     /// `(key, value bytes)` of every write, in record order.
-    pub fn writes(&self) -> impl Iterator<Item = (&'a str, &'a [u8])> {
+    pub(crate) fn writes(&self) -> impl Iterator<Item = (&'a str, &'a [u8])> {
         self.writes.iter(|r| r.get_bytes("").ok())
     }
 

@@ -1,11 +1,11 @@
 //! The durable ledger: segment-file persistence behind the in-memory reference [`Ledger`].
 //!
-//! [`DurableLedger`] couples an append-only segment log (see [`crate::segment`]) with a
+//! [`DurableLedger`] couples an append-only segment log (see `segment`) with a
 //! [`Ledger`] mirror that enforces the chain rules. Every append validates against the mirror
 //! first — a block that violates no-skipping, the hash link or body integrity is rejected
 //! *before* any byte reaches disk — then writes one CRC-framed record.
 //!
-//! The mirror keeps only its live window decoded: the last [`DurableOptions::window`] blocks
+//! The mirror keeps only its live window decoded: the last `DurableOptions::window` blocks
 //! (`CcConfig::max_span`, all the concurrency control ever looks back on, Section 4.6). Older
 //! heights keep their header, commit counts and record position, and [`Ledger::block`] reads
 //! their bodies back from the segments on demand.
@@ -37,7 +37,7 @@ pub struct DurableOptions {
     /// Fsync after every append (see `CcConfig::durable_fsync`).
     pub fsync: bool,
     /// Blocks the mirror keeps decoded, counting back from the tip (`CcConfig::max_span`).
-    pub window: u64,
+    pub(crate) window: u64,
 }
 
 impl Default for DurableOptions {

@@ -8,14 +8,14 @@
 //!
 //! * [`sha256`] — the dependency-free SHA-256 behind every block hash: a portable
 //!   compression kernel, and an x86-64 SHA-NI one chosen at run time when CPUID reports it.
-//! * [`block`] — block headers, block bodies, and per-transaction commit flags.
-//! * [`chain`] — the append-only hash-chained block store with integrity verification
+//! * `block` — block headers, block bodies, and per-transaction commit flags.
+//! * `chain` — the append-only hash-chained block store with integrity verification
 //!   (the safety properties of Section 3.5: hash-chain integrity, no skipping, no creation);
 //!   a durable ledger's blocks outside the live window are read back from disk on demand.
-//! * [`error`] — the typed [`error::LedgerError`] every durable operation reports instead of
+//! * `error` — the typed [`LedgerError`] every durable operation reports instead of
 //!   panicking.
 //! * [`codec`] — the deterministic big-endian binary codec + CRC-32 behind the disk formats.
-//! * [`segment`] — append-only, CRC-framed, size-rotated segment files holding the block
+//! * `segment` — append-only, CRC-framed, size-rotated segment files holding the block
 //!   records, with torn-tail repair on open.
 //! * [`durable`] — [`durable::DurableLedger`] (segment files behind a [`Ledger`] mirror that
 //!   keeps the last `max_span` blocks decoded) and the [`durable::LedgerBackend`] enum that
@@ -33,14 +33,14 @@
 #![deny(unsafe_code)]
 
 pub mod adversary;
-pub mod block;
-pub mod chain;
+mod block;
+mod chain;
 mod checkpoint;
 pub mod codec;
 pub mod durable;
-pub mod error;
+mod error;
 mod reenact;
-pub mod segment;
+mod segment;
 pub mod sha256;
 
 pub use block::{Block, BlockHeader, TxnEntry};
@@ -49,5 +49,4 @@ pub use checkpoint::{discard_unusable_checkpoints, latest_checkpoint_at_most, wr
 pub use durable::{DurableLedger, DurableOptions, LedgerBackend, OpenReport};
 pub use error::LedgerError;
 pub use reenact::{provenance, Provenance};
-pub use segment::TornTail;
 pub use sha256::{sha256, Digest};

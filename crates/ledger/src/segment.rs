@@ -64,9 +64,9 @@ pub(crate) fn segment_file_name(first_block: u64) -> String {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct RecordAt {
     /// First block of the segment file.
-    pub segment: u64,
+    pub(crate) segment: u64,
     /// Offset of the record's `length | CRC` frame.
-    pub offset: u64,
+    pub(crate) offset: u64,
 }
 
 /// Reads back the CRC-checked payload of the record at `at` in the segment directory `dir`.
@@ -102,10 +102,10 @@ pub(crate) fn read_record(dir: &Path, at: RecordAt) -> Result<Vec<u8>, LedgerErr
 #[derive(Clone, Debug)]
 pub struct TornTail {
     /// The segment file holding the torn record.
-    pub segment: PathBuf,
+    pub(crate) segment: PathBuf,
     /// Bytes of the file that remain valid (the repair truncates to this length; `0` means
     /// even the header was torn and the whole file is removed).
-    pub valid_len: u64,
+    pub(crate) valid_len: u64,
     /// Bytes dropped by the repair.
     pub dropped_bytes: u64,
 }
@@ -114,19 +114,19 @@ pub struct TornTail {
 /// resume. The records themselves went to the scan's visitor.
 pub(crate) struct SegmentScan {
     /// Torn trailing record of the last segment, if one was found.
-    pub torn: Option<TornTail>,
+    pub(crate) torn: Option<TornTail>,
     /// The last segment as it survives the repair, for the writer to resume into. `None` when
     /// the directory has no (surviving) segment.
-    pub tail: Option<TailSegment>,
+    pub(crate) tail: Option<TailSegment>,
     /// Number of segment files seen.
-    pub segment_count: usize,
+    pub(crate) segment_count: usize,
 }
 
 /// The last segment of a directory: its file, first block and valid length.
 pub(crate) struct TailSegment {
-    pub path: PathBuf,
-    pub first_block: u64,
-    pub len: u64,
+    pub(crate) path: PathBuf,
+    pub(crate) first_block: u64,
+    pub(crate) len: u64,
 }
 
 /// Lists the segment files of `dir` in block order.
@@ -365,7 +365,11 @@ impl SegmentWriter {
     /// Appends one record (as framed by [`frame_record`]), rotating first if the tail segment
     /// is full, and returns where it landed. A write that fails part-way is cut back off, so
     /// the segment ends at its last whole record again.
-    pub fn append(&mut self, block_number: u64, record: &[u8]) -> Result<RecordAt, LedgerError> {
+    pub(crate) fn append(
+        &mut self,
+        block_number: u64,
+        record: &[u8],
+    ) -> Result<RecordAt, LedgerError> {
         if let Some(poisoned) = &self.poisoned {
             return Err(poisoned.clone());
         }

@@ -40,7 +40,7 @@ impl Digest {
     }
 
     /// Raw digest bytes.
-    pub fn as_bytes(&self) -> &[u8; 32] {
+    pub(crate) fn as_bytes(&self) -> &[u8; 32] {
         &self.0
     }
 }
@@ -99,7 +99,7 @@ impl Default for Sha256 {
 
 impl Sha256 {
     /// A hasher over the empty message, on the fastest kernel this CPU runs.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::with_kernel(Kernel::detect())
     }
 

@@ -10,16 +10,16 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// Simulated time in microseconds since the start of the run.
-pub type SimTime = u64;
+pub(crate) type SimTime = u64;
 
 /// Converts milliseconds (possibly fractional) to simulated microseconds.
-pub fn ms(value: f64) -> SimTime {
+pub(crate) fn ms(value: f64) -> SimTime {
     (value * 1_000.0).round().max(0.0) as SimTime
 }
 
 /// One simulation event.
 #[derive(Debug)]
-pub enum Event {
+pub(crate) enum Event {
     /// A client issues the next request; the payload is the request's ordinal number.
     ClientSubmit {
         /// Sequence number of the request (doubles as the transaction id).
@@ -72,7 +72,7 @@ pub(crate) struct EventQueue {
 
 impl EventQueue {
     /// Creates an empty queue.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -85,7 +85,7 @@ impl EventQueue {
     }
 
     /// Pops the earliest event, if any.
-    pub fn pop(&mut self) -> Option<(SimTime, Event)> {
+    pub(crate) fn pop(&mut self) -> Option<(SimTime, Event)> {
         let Reverse((at, seq)) = self.heap.pop()?;
         let event = self
             .payloads

@@ -12,7 +12,7 @@
 //! * `profiles` — calibrated per-phase costs (Fabric ≈677 raw tps, FastFabric ≈3100 raw tps).
 //! * `events` — simulated time, events, deterministic event queue.
 //! * [`runner`] — the event loop ([`runner::Simulator`]) and [`runner::SimulationConfig`].
-//! * [`metrics`] — [`metrics::SimReport`]: raw/effective throughput, latency, abort breakdown,
+//! * `metrics` — [`SimReport`]: raw/effective throughput, latency, abort breakdown,
 //!   block span, reachability hops, and the measured wall-clock of arrival, formation and
 //!   commit. The concurrency controls keep no clock: the simulator times each
 //!   `arrive` / `cut` / `commit` call around the call, the same way for all five systems.
@@ -20,10 +20,10 @@
 #![forbid(unsafe_code)]
 
 mod events;
-pub mod metrics;
+mod metrics;
 mod profiles;
 pub mod runner;
 
-pub use metrics::{FormationTiming, PipelineOccupancy, SimReport};
+pub use metrics::{FormationTiming, SimReport};
 pub use profiles::PipelineProfile;
 pub use runner::{SimulationConfig, Simulator};

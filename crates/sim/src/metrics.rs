@@ -12,7 +12,7 @@ use std::collections::HashMap;
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct FormationTiming {
     /// Number of blocks whose formation was measured.
-    pub blocks: u64,
+    pub(crate) blocks: u64,
     /// Total formation wall-clock across the run, in milliseconds.
     pub total_ms: f64,
     /// Median per-block formation time, in microseconds.
@@ -46,88 +46,13 @@ fn percentile(sorted: &[u64], q: f64) -> f64 {
     sorted[rank - 1] as f64
 }
 
-/// Per-stage occupancy of the orderer→validator pipeline over one run, in *simulated* time:
-/// how long the formation stage and the validate/commit stage were busy, and for how long the
-/// two overlapped (blocks still validating when the next cut fires).
-///
-/// Occupancy is diagnostic output only; the determinism comparisons leave it out.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct PipelineOccupancy {
-    /// Simulated ms the formation stage (seal → delivery-ready) was busy.
-    pub formation_busy_ms: f64,
-    /// Simulated ms the validator/commit stage was busy.
-    pub commit_busy_ms: f64,
-    /// Simulated ms both stages were busy at once.
-    pub overlap_ms: f64,
-}
-
-impl PipelineOccupancy {
-    /// Builds the occupancy summary from per-stage `(start, end)` busy windows in simulated
-    /// microseconds (any order, overlaps allowed — both lists are union-merged first).
-    pub(crate) fn from_windows(formation: &[(u64, u64)], commit: &[(u64, u64)]) -> Self {
-        let formation = merge_windows(formation);
-        let commit = merge_windows(commit);
-        PipelineOccupancy {
-            formation_busy_ms: total_us(&formation) as f64 / 1_000.0,
-            commit_busy_ms: total_us(&commit) as f64 / 1_000.0,
-            overlap_ms: overlap_us(&formation, &commit) as f64 / 1_000.0,
-        }
-    }
-
-    /// Fraction of the formation stage's busy time spent overlapping the commit stage, in
-    /// `[0, 1]`.
-    pub fn overlap_fraction(&self) -> f64 {
-        if self.formation_busy_ms <= 0.0 {
-            0.0
-        } else {
-            self.overlap_ms / self.formation_busy_ms
-        }
-    }
-}
-
-/// Sorts and unions possibly-overlapping `(start, end)` windows.
-fn merge_windows(windows: &[(u64, u64)]) -> Vec<(u64, u64)> {
-    let mut sorted: Vec<(u64, u64)> = windows.iter().copied().filter(|(s, e)| e > s).collect();
-    sorted.sort_unstable();
-    let mut merged: Vec<(u64, u64)> = Vec::with_capacity(sorted.len());
-    for (start, end) in sorted {
-        match merged.last_mut() {
-            Some((_, last_end)) if start <= *last_end => *last_end = (*last_end).max(end),
-            _ => merged.push((start, end)),
-        }
-    }
-    merged
-}
-
-fn total_us(merged: &[(u64, u64)]) -> u64 {
-    merged.iter().map(|(s, e)| e - s).sum()
-}
-
-/// Total overlap of two disjoint, ascending window lists (two-pointer sweep).
-fn overlap_us(a: &[(u64, u64)], b: &[(u64, u64)]) -> u64 {
-    let (mut i, mut j, mut total) = (0usize, 0usize, 0u64);
-    while i < a.len() && j < b.len() {
-        let lo = a[i].0.max(b[j].0);
-        let hi = a[i].1.min(b[j].1);
-        if hi > lo {
-            total += hi - lo;
-        }
-        if a[i].1 <= b[j].1 {
-            i += 1;
-        } else {
-            j += 1;
-        }
-    }
-    total
-}
-
 /// The result of one simulation run.
 #[derive(Clone, Debug)]
 pub struct SimReport {
     /// Which system was simulated.
     pub system: SystemKind,
     /// Simulated run length in seconds.
-    pub duration_s: f64,
+    pub(crate) duration_s: f64,
     /// Requests issued by clients.
     pub offered: u64,
     /// Transactions that appeared in the ledger (committed or validation-aborted) — the
@@ -164,8 +89,6 @@ pub struct SimReport {
     /// Accepted transactions that actually rode the orderer's template fast path (zero for
     /// systems without one).
     pub fastpath_accepted: u64,
-    /// Per-stage busy/overlap accounting of the formation and commit stages.
-    pub occupancy: PipelineOccupancy,
     /// The ledger failure that ended a persisted run early (`persist_to` refusing the
     /// durability directory, or a failed append or checkpoint); the counters above cover the
     /// run up to it. Always `None` for an in-memory run.
@@ -263,7 +186,6 @@ mod tests {
             formation: FormationTiming::default(),
             commit: FormationTiming::default(),
             fastpath_accepted: 0,
-            occupancy: PipelineOccupancy::default(),
             ledger_error: None,
         }
     }
@@ -314,26 +236,6 @@ mod tests {
         assert_eq!(timing.blocks, 1);
         assert_eq!(timing.p50_us, 7.0);
         assert_eq!(timing.p99_us, 7.0);
-    }
-
-    #[test]
-    fn occupancy_merges_and_overlaps_windows() {
-        // Formation busy [0,10]ms ∪ [5,20]ms → merged [0,20]ms; commit busy [15,30] ∪ [40,50].
-        let occ = PipelineOccupancy::from_windows(
-            &[(0, 10_000), (5_000, 20_000)],
-            &[(15_000, 30_000), (40_000, 50_000)],
-        );
-        assert!((occ.formation_busy_ms - 20.0).abs() < 1e-9);
-        assert!((occ.commit_busy_ms - 25.0).abs() < 1e-9);
-        assert!((occ.overlap_ms - 5.0).abs() < 1e-9);
-        assert!((occ.overlap_fraction() - 0.25).abs() < 1e-9);
-    }
-
-    #[test]
-    fn occupancy_handles_empty_windows() {
-        let occ = PipelineOccupancy::from_windows(&[], &[(1, 1)]);
-        assert_eq!(occ, PipelineOccupancy::default());
-        assert_eq!(occ.overlap_fraction(), 0.0);
     }
 
     #[test]

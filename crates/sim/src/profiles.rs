@@ -21,25 +21,25 @@ use eov_baselines::api::SystemKind;
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PipelineProfile {
     /// Human-readable profile name ("Fabric testbed", "FastFabric testbed").
-    pub name: &'static str,
+    pub(crate) name: &'static str,
     /// Fixed endorsement cost per transaction (contract execution, signing), in ms.
-    pub endorse_base_ms: f64,
+    pub(crate) endorse_base_ms: f64,
     /// Network + consensus latency between the client broadcast and the orderer seeing the
     /// transaction, in ms.
-    pub ordering_latency_ms: f64,
+    pub(crate) ordering_latency_ms: f64,
     /// Fixed per-block validation/commit overhead (block crypto, state DB commit), in ms.
-    pub per_block_overhead_ms: f64,
+    pub(crate) per_block_overhead_ms: f64,
     /// Per-transaction validation cost (endorsement policy + MVCC check + write apply), in ms.
-    pub per_txn_validate_ms: f64,
+    pub(crate) per_txn_validate_ms: f64,
     /// Whether the execute phase holds Fabric's read-write lock against block commit. When
     /// `true` (vanilla Fabric only), validation of a block additionally waits for in-flight
     /// simulations to drain.
-    pub endorsement_lock: bool,
+    pub(crate) endorsement_lock: bool,
 }
 
 impl PipelineProfile {
     /// The Fabric testbed of Sections 5.1–5.3: saturates at ≈677 raw tps with 100-txn blocks.
-    pub fn fabric() -> Self {
+    pub(crate) fn fabric() -> Self {
         PipelineProfile {
             name: "Fabric testbed",
             endorse_base_ms: 3.0,
@@ -52,7 +52,7 @@ impl PipelineProfile {
 
     /// The FastFabric testbed of Section 5.4: endorsers, storage and validators are split, so
     /// the per-transaction validation cost drops by roughly the paper's 4.5× speedup.
-    pub fn fast_fabric() -> Self {
+    pub(crate) fn fast_fabric() -> Self {
         PipelineProfile {
             name: "FastFabric testbed",
             endorse_base_ms: 1.0,

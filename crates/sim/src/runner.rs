@@ -20,7 +20,7 @@
 //! time models the pipeline's overlap; the real work is done in event order, on one thread.
 
 use crate::events::{ms, Event, EventQueue, SimTime};
-use crate::metrics::{FormationTiming, PipelineOccupancy, SimReport};
+use crate::metrics::{FormationTiming, SimReport};
 use crate::profiles::PipelineProfile;
 use eov_baselines::api::SystemKind;
 use eov_baselines::chain::SimpleChain;
@@ -145,11 +145,9 @@ impl Simulator {
         let mut block_span_sum: u64 = 0;
         let mut validation_aborts: HashMap<AbortReason, u64> = HashMap::new();
         let mut submitted_at_by_txn: HashMap<TxnId, SimTime> = HashMap::new();
-        // All block-cut state (trigger counters, formation samples and the formation-stage
-        // occupancy windows) lives in one driver so both cut triggers — batch-size and
-        // cadence — share a single code path.
+        // All block-cut state (trigger counter and formation samples) lives in one driver so
+        // both cut triggers — batch-size and cadence — share a single code path.
         let mut cut = CutDriver::default();
-        let mut validator_windows: Vec<(SimTime, SimTime)> = Vec::new();
         let mut validator_free_at: SimTime = 0;
         // For the vanilla-Fabric execute-phase lock: before a block can commit (write lock),
         // the in-flight simulations holding the read lock must drain, which on average costs
@@ -280,7 +278,6 @@ impl Simulator {
                     let start = now.max(validator_free_at);
                     let service = profile.validation_ms(txns.len()) + lock_penalty_ms;
                     validator_free_at = start + ms(service);
-                    validator_windows.push((start, validator_free_at));
                     // The block's effects are applied, and become visible, at the
                     // BlockValidated event.
                     queue.schedule(
@@ -334,7 +331,6 @@ impl Simulator {
         let blocks = chain.ledger().height();
         let duration_s = (last_event_at as f64 / 1_000_000.0).max(config.duration_s);
         let committed_f = committed.max(1) as f64;
-        let occupancy = PipelineOccupancy::from_windows(&cut.formation_windows, &validator_windows);
         let mut formation_us = cut.formation_us;
         let report = SimReport {
             system: config.system,
@@ -353,7 +349,6 @@ impl Simulator {
             formation: FormationTiming::from_samples(&mut formation_us),
             commit: FormationTiming::from_samples(&mut commit_us),
             fastpath_accepted: cc.fastpath_accepted(),
-            occupancy,
             ledger_error,
         };
         let (ledger, store) = chain.into_parts();
@@ -402,18 +397,15 @@ fn elapsed_us(started: Instant) -> u64 {
     started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64
 }
 
-/// Driver-side owner of the block-cut path: the trigger counter, the measured formation
-/// samples and the formation-stage occupancy windows. Both cut triggers (batch size and cadence
-/// timeout) funnel through [`CutDriver::trigger`], the single place a block leaves the pending
-/// set.
+/// Driver-side owner of the block-cut path: the trigger counter and the measured formation
+/// samples. Both cut triggers (batch size and cadence timeout) funnel through
+/// [`CutDriver::trigger`], the single place a block leaves the pending set.
 #[derive(Default)]
 struct CutDriver {
     /// Blocks cut so far — the cadence trigger's staleness guard.
     blocks_formed: u64,
     /// Measured wall-clock per formed block, in µs (one sample per non-empty block).
     formation_us: Vec<u64>,
-    /// `(cut, delivery)` simulated windows of the formation stage, for occupancy.
-    formation_windows: Vec<(SimTime, SimTime)>,
 }
 
 impl CutDriver {
@@ -442,7 +434,6 @@ impl CutDriver {
             .map(|t| submitted_at_by_txn.remove(&t.id).unwrap_or(now))
             .collect();
         let delay = profile.reorder_ms(chain.cc().kind(), txns.len()) + 2.0;
-        self.formation_windows.push((now, now + ms(delay)));
         queue.schedule(
             now + ms(delay),
             Event::BlockDelivered { txns, submitted_at },

@@ -44,7 +44,6 @@ use std::collections::{BTreeMap, HashMap};
 struct KeyMajor {
     by_key: HashMap<Key, Vec<(SeqNo, TxnId)>, FoldState>,
     touched: BTreeMap<u64, Vec<Key>>,
-    len: usize,
 }
 
 impl KeyMajor {
@@ -65,7 +64,6 @@ impl KeyMajor {
         let logged = (at > 0 && entries[at - 1].0.block == seq.block)
             || entries.get(at).is_some_and(|(s, _)| s.block == seq.block);
         entries.insert(at, (seq, txn));
-        self.len += 1;
         if !logged {
             self.touched.entry(seq.block).or_default().push(key);
         }
@@ -101,7 +99,6 @@ impl KeyMajor {
         } else {
             entries.drain(..stale);
         }
-        self.len -= stale;
         stale
     }
 
@@ -172,16 +169,6 @@ impl CommittedWriteIndex {
     pub fn prune_below(&mut self, block: u64) -> usize {
         self.index.prune_below(block)
     }
-
-    /// Number of entries currently held.
-    pub fn len(&self) -> usize {
-        self.index.len
-    }
-
-    /// Whether the index is empty.
-    pub fn is_empty(&self) -> bool {
-        self.index.len == 0
-    }
 }
 
 /// Index over committed reads: `(key, commit seq) → reader`.
@@ -222,16 +209,6 @@ impl CommittedReadIndex {
     /// Returns the number of entries removed.
     pub fn prune_below(&mut self, block: u64) -> usize {
         self.index.prune_below(block)
-    }
-
-    /// Number of entries currently held.
-    pub fn len(&self) -> usize {
-        self.index.len
-    }
-
-    /// Whether the index is empty.
-    pub fn is_empty(&self) -> bool {
-        self.index.len == 0
     }
 }
 
@@ -287,8 +264,7 @@ mod tests {
         let removed = cw.prune_below(3);
         assert_eq!(removed, 1);
         assert_eq!(cw.last(&k("A")), Some(TxnId(2)));
-        assert_eq!(cw.len(), 1);
-        assert!(!cw.is_empty());
+        assert_eq!(cw.entries(&k("A")).len(), 1);
     }
 
     #[test]
@@ -315,8 +291,7 @@ mod tests {
         cr.record(k("A"), SeqNo::new(1, 1), TxnId(1));
         cr.record(k("A"), SeqNo::new(9, 1), TxnId(2));
         assert_eq!(cr.prune_below(5), 1);
-        assert_eq!(cr.len(), 1);
-        assert!(!cr.is_empty());
+        assert_eq!(cr.entries(&k("A")).len(), 1);
     }
 
     /// The per-block key log accumulates stale references when a key is dropped and
@@ -324,31 +299,37 @@ mod tests {
     /// them disturb other keys' entries or the entry count.
     #[test]
     fn stale_log_references_leave_other_keys_and_len_exact() {
+        let len = |cr: &CommittedReadIndex| -> usize {
+            ["A", "B", "C"]
+                .map(|key| cr.entries(&k(key)).len())
+                .iter()
+                .sum()
+        };
         let mut cr = CommittedReadIndex::new();
         cr.record(k("A"), SeqNo::new(3, 1), TxnId(1));
         cr.record(k("B"), SeqNo::new(3, 1), TxnId(1));
         // A is overwritten and re-read twice within block 3: block 3's log now names A three
         // times, two of them for entries that no longer exist.
         assert_eq!(cr.drop_stale_readers(&k("A"), SeqNo::new(3, 2)), 1);
-        assert_eq!(cr.len(), 1);
+        assert_eq!(len(&cr), 1);
         cr.record(k("A"), SeqNo::new(3, 3), TxnId(3));
         assert_eq!(cr.drop_stale_readers(&k("A"), SeqNo::new(3, 4)), 1);
         cr.record(k("A"), SeqNo::new(3, 5), TxnId(5));
         assert_eq!(cr.drop_stale_readers(&k("Z"), SeqNo::new(9, 9)), 0);
-        assert_eq!(cr.len(), 2);
+        assert_eq!(len(&cr), 2);
         assert_eq!(txns(cr.entries(&k("A"))), vec![TxnId(5)]);
         assert_eq!(txns(cr.entries(&k("B"))), vec![TxnId(1)]);
 
         cr.record(k("A"), SeqNo::new(4, 1), TxnId(6));
         cr.record(k("C"), SeqNo::new(4, 2), TxnId(7));
         assert_eq!(cr.prune_below(4), 2);
-        assert_eq!(cr.len(), 2);
+        assert_eq!(len(&cr), 2);
         assert_eq!(txns(cr.entries(&k("A"))), vec![TxnId(6)]);
         assert!(txns(cr.entries(&k("B"))).is_empty());
         assert_eq!(txns(cr.entries(&k("C"))), vec![TxnId(7)]);
         assert_eq!(cr.prune_below(4), 0);
         assert_eq!(cr.prune_below(5), 2);
-        assert!(cr.is_empty());
+        assert_eq!(len(&cr), 0);
     }
 }
 
@@ -439,10 +420,6 @@ mod proptests {
                     _ => prop_assert_eq!(cr.prune_below(block), cr_model.prune_below(block)),
                 }
 
-                prop_assert_eq!(cw.len(), cw_model.entries.len());
-                prop_assert_eq!(cr.len(), cr_model.entries.len());
-                prop_assert_eq!(cw.is_empty(), cw_model.entries.is_empty());
-                prop_assert_eq!(cr.is_empty(), cr_model.entries.is_empty());
                 for key in (0..KEYS).map(|i| Key::new(format!("k{i}"))) {
                     let cw_all = cw_model.from(&key, SeqNo::zero());
                     let cw_from = cw_model.from(&key, probe);

@@ -7,8 +7,8 @@
 //!   that installed it (Figure 2a of the paper). The store keeps *all* versions so that any
 //!   block snapshot can be read back, which is exactly the storage-snapshot mechanism
 //!   Algorithm 1 relies on (Section 4.2).
-//! * [`snapshot`] — block snapshot handles and the snapshot manager that pins/prunes them.
-//! * [`index`] — the orderer-side committed-transaction indices `CommittedWriteTxns` (CW) and
+//! * [`snapshot`] — block snapshot handles and the shared latest-snapshot height.
+//! * `index` — the orderer-side committed-transaction indices `CommittedWriteTxns` (CW) and
 //!   `CommittedReadTxns` (CR) of Section 4.3. The paper stores these in LevelDB; here they are
 //!   in-memory key-major maps (record key → its entries in commit order) exposing the same
 //!   query surface (`Before`, `Last`, range-from) at a cost that scales with the keys named.
@@ -29,7 +29,7 @@
 
 #![forbid(unsafe_code)]
 
-pub mod index;
+mod index;
 mod mvstore;
 #[cfg(test)]
 mod mvstore_model;

@@ -248,7 +248,7 @@ impl MultiVersionStore {
     }
 
     /// Total number of retained versions across all keys (used by pruning tests and metrics).
-    pub fn version_count(&self) -> usize {
+    pub(crate) fn version_count(&self) -> usize {
         self.chains
             .iter()
             .map(|(_, chain)| chain.as_slice().len())

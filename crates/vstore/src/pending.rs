@@ -19,11 +19,6 @@ pub struct PendingIndex {
 }
 
 impl PendingIndex {
-    /// Creates an empty index.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Records that pending transaction `txn` accesses `key`. Arrival order is preserved per
     /// key; duplicates (the same transaction touching the same key twice) are ignored.
     pub fn record(&mut self, key: Key, txn: TxnId) {
@@ -49,22 +44,6 @@ impl PendingIndex {
     pub fn clear(&mut self) {
         self.by_key.clear();
     }
-
-    /// Number of keys with at least one pending accessor.
-    pub fn key_count(&self) -> usize {
-        self.by_key.len()
-    }
-
-    /// Total number of `(key, txn)` associations.
-    pub fn entry_count(&self) -> usize {
-        // lint-determinism: allow (sum over lists is commutative)
-        self.by_key.values().map(Vec::len).sum()
-    }
-
-    /// Whether the index holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.by_key.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -77,7 +56,7 @@ mod tests {
 
     #[test]
     fn records_preserve_arrival_order_and_dedupe() {
-        let mut pw = PendingIndex::new();
+        let mut pw = PendingIndex::default();
         pw.record(k("A"), TxnId(3));
         pw.record(k("A"), TxnId(1));
         pw.record(k("A"), TxnId(3)); // duplicate
@@ -86,23 +65,20 @@ mod tests {
         assert_eq!(pw.get(&k("A")), &[TxnId(3), TxnId(1)]);
         assert_eq!(pw.get(&k("B")), &[TxnId(2)]);
         assert_eq!(pw.get(&k("C")), &[] as &[TxnId]);
-        assert_eq!(pw.key_count(), 2);
-        assert_eq!(pw.entry_count(), 3);
     }
 
     #[test]
     fn clear_empties_the_index() {
-        let mut pr = PendingIndex::new();
+        let mut pr = PendingIndex::default();
         pr.record(k("A"), TxnId(1));
-        assert!(!pr.is_empty());
         pr.clear();
-        assert!(pr.is_empty());
-        assert_eq!(pr.entry_count(), 0);
+        assert!(pr.get(&k("A")).is_empty());
+        assert_eq!(pr.iter().count(), 0);
     }
 
     #[test]
     fn iter_visits_every_key_once() {
-        let mut pw = PendingIndex::new();
+        let mut pw = PendingIndex::default();
         pw.record(k("A"), TxnId(1));
         pw.record(k("B"), TxnId(2));
         pw.record(k("B"), TxnId(3));

@@ -1,16 +1,15 @@
-//! Block snapshots and the snapshot manager.
+//! Block snapshots and the latest snapshot height.
 //!
 //! Definition 1 of the paper: a *blockchain snapshot* is the state of the blockchain after a
 //! block has committed. Algorithm 1 simulates every contract invocation against such a
-//! snapshot; Section 4.2 explains that FabricSharp creates a storage snapshot after each block
-//! commit, lets simulations pin it, and periodically prunes snapshots that no simulation uses
-//! any longer. This module provides exactly that:
+//! snapshot, the one of "the last block". The multi-version store keeps every version, so each
+//! block's snapshot stays readable without being copied. This module provides:
 //!
-//! * [`SnapshotView`] — a read handle over a [`MultiVersionStore`] frozen at one block height,
-//!   which also records every read into a [`ReadSet`] so endorsement produces the transaction's
-//!   version dependencies as a side effect.
-//! * [`SnapshotManager`] — tracks which block snapshots are pinned by in-flight simulations and
-//!   prunes stale ones, refusing reads from pruned snapshots.
+//! * [`SnapshotView`] — a read handle over a [`MultiVersionStore`](crate::MultiVersionStore)
+//!   frozen at one block height, which also records every read into a [`ReadSet`] so
+//!   endorsement produces the transaction's version dependencies as a side effect.
+//! * [`SnapshotManager`] — the height of the latest committed block, registered by the commit
+//!   path and read by the endorsers.
 
 #[cfg(test)]
 use crate::mvstore::MultiVersionStore;
@@ -18,8 +17,7 @@ use crate::state::StateRead;
 use eov_common::error::Result;
 use eov_common::rwset::{Key, ReadSet, Value};
 use eov_common::version::SeqNo;
-use parking_lot::RwLock;
-use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A read-only view of the state as of the snapshot after a specific block.
@@ -52,19 +50,6 @@ impl<'a> SnapshotView<'a> {
         SnapshotView { store, block }
     }
 
-    /// The block height this view is frozen at.
-    pub fn block(&self) -> u64 {
-        self.block
-    }
-
-    /// Reads `key` as of this snapshot without recording it.
-    pub fn read(&self, key: &Key) -> Result<Option<(SeqNo, Value)>> {
-        Ok(self
-            .store
-            .read_at(key, self.block)?
-            .map(|vv| (vv.version, vv.value.clone())))
-    }
-
     /// Reads `key` and records the observation (key + version) into `reads`.
     pub fn read_recording(&self, key: &Key, reads: &mut ReadSet) -> Result<Option<Value>> {
         match self.store.read_at(key, self.block)? {
@@ -80,35 +65,14 @@ impl<'a> SnapshotView<'a> {
     }
 }
 
-/// Tracks which block snapshots are pinned by in-flight simulations and which have been pruned.
-///
-/// The manager is shared between the endorsement path (which pins a snapshot for the duration
-/// of a simulation) and the commit path (which registers new snapshots and periodically prunes
-/// old, unpinned ones). It is internally synchronised so endorsement and validation can proceed
-/// in parallel — the extra parallelism over vanilla Fabric's read-write lock that Section 4.2
-/// highlights.
-#[derive(Debug, Default)]
+/// The height of the latest registered block snapshot, shared between the commit path (which
+/// registers each block once its writes are applied) and the endorsers (which simulate against
+/// it). Clones share one height, and reading it takes no lock, so endorsement and validation
+/// proceed in parallel — the extra parallelism over vanilla Fabric's read-write lock that
+/// Section 4.2 highlights.
+#[derive(Clone, Debug, Default)]
 pub struct SnapshotManager {
-    inner: Arc<RwLock<ManagerState>>,
-}
-
-#[derive(Debug, Default)]
-struct ManagerState {
-    /// Pin counts per block height. A block may have zero pins and still be retained until the
-    /// next prune pass.
-    pins: HashMap<u64, usize>,
-    /// Latest registered snapshot height.
-    latest: u64,
-    /// Snapshots strictly below this height have been pruned.
-    pruned_below: u64,
-}
-
-impl Clone for SnapshotManager {
-    fn clone(&self) -> Self {
-        SnapshotManager {
-            inner: Arc::clone(&self.inner),
-        }
-    }
+    latest: Arc<AtomicU64>,
 }
 
 impl SnapshotManager {
@@ -117,60 +81,16 @@ impl SnapshotManager {
         Self::default()
     }
 
-    /// Registers the snapshot created by committing `block`. Called by the validation/commit
-    /// path after applying a block's writes.
+    /// Registers the snapshot created by committing `block`. Called by the commit path after
+    /// applying a block's writes; the height never goes back.
     pub fn register_block(&self, block: u64) {
-        let mut st = self.inner.write();
-        if block > st.latest {
-            st.latest = block;
-        }
+        self.latest.fetch_max(block, Ordering::Release);
     }
 
     /// The latest registered snapshot height (Algorithm 1 line 1: "fetch the number of the last
     /// block").
     pub fn latest(&self) -> u64 {
-        self.inner.read().latest
-    }
-
-    /// Pins the latest snapshot for a new simulation and returns its height.
-    pub fn pin_latest(&self) -> u64 {
-        let mut st = self.inner.write();
-        let block = st.latest;
-        *st.pins.entry(block).or_insert(0) += 1;
-        block
-    }
-
-    /// Releases a pin taken by [`SnapshotManager::pin_latest`].
-    pub fn unpin(&self, block: u64) {
-        let mut st = self.inner.write();
-        if let Some(count) = st.pins.get_mut(&block) {
-            *count = count.saturating_sub(1);
-            if *count == 0 {
-                st.pins.remove(&block);
-            }
-        }
-    }
-
-    /// Number of active pins on `block`.
-    #[cfg(test)]
-    pub(crate) fn pin_count(&self, block: u64) -> usize {
-        self.inner.read().pins.get(&block).copied().unwrap_or(0)
-    }
-
-    /// Prunes every snapshot strictly below `horizon` that has no active pins. Returns the new
-    /// effective pruning floor (which may be lower than `horizon` if a pinned snapshot blocks
-    /// it). The corresponding versions can then be garbage collected from the store with
-    /// [`MultiVersionStore::prune_versions_below`].
-    pub fn prune_below(&self, horizon: u64) -> u64 {
-        let mut st = self.inner.write();
-        // The floor cannot pass the oldest pinned snapshot.
-        // lint-determinism: allow (the minimum does not depend on iteration order)
-        let oldest_pinned = st.pins.keys().copied().min().unwrap_or(u64::MAX);
-        let floor = horizon.min(oldest_pinned).min(st.latest + 1);
-        if floor > st.pruned_below {
-            st.pruned_below = floor;
-        }
-        st.pruned_below
+        self.latest.load(Ordering::Acquire)
     }
 }
 
@@ -192,16 +112,16 @@ mod tests {
 
         let snap0 = SnapshotView::new(&store, 0);
         let snap1 = SnapshotView::new(&store, 1);
-        assert_eq!(snap0.block(), 0);
 
         let mut reads = ReadSet::new();
         let v0 = snap0.read_recording(&Key::new("A"), &mut reads).unwrap();
         assert_eq!(v0.unwrap().as_i64(), Some(100));
         assert_eq!(reads.version_of(&Key::new("A")), Some(SeqNo::new(0, 1)));
 
-        let (ver, val) = snap1.read(&Key::new("A")).unwrap().unwrap();
-        assert_eq!(ver, SeqNo::new(1, 1));
-        assert_eq!(val.as_i64(), Some(200));
+        let mut reads = ReadSet::new();
+        let v1 = snap1.read_recording(&Key::new("A"), &mut reads).unwrap();
+        assert_eq!(v1.unwrap().as_i64(), Some(200));
+        assert_eq!(reads.version_of(&Key::new("A")), Some(SeqNo::new(1, 1)));
     }
 
     #[test]
@@ -217,39 +137,9 @@ mod tests {
     }
 
     #[test]
-    fn manager_tracks_latest_and_pins() {
-        let mgr = SnapshotManager::new();
-        assert_eq!(mgr.latest(), 0);
-        mgr.register_block(1);
-        mgr.register_block(2);
-        assert_eq!(mgr.latest(), 2);
-
-        let pinned = mgr.pin_latest();
-        assert_eq!(pinned, 2);
-        assert_eq!(mgr.pin_count(2), 1);
-        mgr.unpin(2);
-        assert_eq!(mgr.pin_count(2), 0);
-    }
-
-    #[test]
-    fn pruning_respects_pins() {
-        let mgr = SnapshotManager::new();
-        mgr.register_block(1);
-        mgr.register_block(2);
-        assert_eq!(mgr.pin_latest(), 2);
-        for b in 3..=5 {
-            mgr.register_block(b);
-        }
-        // Pruning up to 4 is capped by the pin on block 2.
-        assert_eq!(mgr.prune_below(4), 2);
-
-        mgr.unpin(2);
-        assert_eq!(mgr.prune_below(4), 4);
-    }
-
-    #[test]
     fn register_never_regresses_latest() {
         let mgr = SnapshotManager::new();
+        assert_eq!(mgr.latest(), 0);
         mgr.register_block(5);
         mgr.register_block(3);
         assert_eq!(mgr.latest(), 5);
@@ -263,11 +153,10 @@ mod tests {
         assert_eq!(other.latest(), 7);
     }
 
-    /// The snapshot manager's pin/unpin/register/prune surface is exercised from many threads
-    /// at once; afterwards no pins may leak and the pruning floor must respect every pin that
-    /// was active when it was computed.
+    /// One thread registers blocks while others read the height: every reader sees it only
+    /// grow, and the last registration wins.
     #[test]
-    fn snapshot_manager_survives_concurrent_pin_churn() {
+    fn snapshot_manager_survives_concurrent_registers_and_reads() {
         use std::thread;
         let mgr = SnapshotManager::new();
         let register = {
@@ -278,27 +167,23 @@ mod tests {
                 }
             })
         };
-        let pinners: Vec<_> = (0..4)
+        let readers: Vec<_> = (0..4)
             .map(|_| {
                 let mgr = mgr.clone();
                 thread::spawn(move || {
+                    let mut seen = 0;
                     for _ in 0..200 {
-                        let block = mgr.pin_latest();
-                        assert!(mgr.pin_count(block) >= 1);
-                        mgr.unpin(block);
+                        let block = mgr.latest();
+                        assert!(block >= seen, "height went back from {seen} to {block}");
+                        seen = block;
                     }
                 })
             })
             .collect();
         register.join().unwrap();
-        for p in pinners {
-            p.join().unwrap();
+        for r in readers {
+            r.join().unwrap();
         }
-        // All pins released: pruning can advance to the horizon.
         assert_eq!(mgr.latest(), 100);
-        assert_eq!(mgr.prune_below(90), 90);
-        for block in 0..100u64 {
-            assert_eq!(mgr.pin_count(block), 0, "leaked pin on block {block}");
-        }
     }
 }

@@ -14,7 +14,7 @@ use fabricsharp_core::endorser::SimulationContext;
 #[derive(Clone, Debug)]
 pub(crate) struct KvUpdateContract {
     /// The key this invocation updates.
-    pub key: Key,
+    pub(crate) key: Key,
 }
 
 impl KvUpdateContract {

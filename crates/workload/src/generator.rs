@@ -109,17 +109,7 @@ impl WorkloadGenerator {
         }
     }
 
-    /// The workload kind.
-    pub fn kind(&self) -> &WorkloadKind {
-        &self.kind
-    }
-
-    /// The workload parameters.
-    pub fn params(&self) -> &WorkloadParams {
-        &self.params
-    }
-
-    /// The template-robustness classifier for this workload's mix (see [`crate::templates`]).
+    /// The template-robustness classifier for this workload's mix (see `templates`).
     pub fn analyzer(&self) -> TemplateClassifier {
         TemplateClassifier::new(&self.kind)
     }
@@ -240,10 +230,9 @@ mod tests {
     use super::*;
 
     fn params(accounts: usize) -> WorkloadParams {
-        WorkloadParams {
-            num_accounts: accounts,
-            ..WorkloadParams::default()
-        }
+        let mut params = WorkloadParams::default();
+        params.num_accounts = accounts;
+        params
     }
 
     #[test]
@@ -255,7 +244,7 @@ mod tests {
         for _ in 0..50 {
             assert_eq!(a.next_template(), b.next_template());
         }
-        assert_eq!(a.kind(), &WorkloadKind::MixedSmallbank { theta: 0.8 });
+        assert_eq!(a.kind, WorkloadKind::MixedSmallbank { theta: 0.8 });
     }
 
     #[test]
@@ -349,7 +338,7 @@ mod tests {
         assert_eq!(gen_kv.genesis().len(), 10);
         let gen_sb = WorkloadGenerator::new(WorkloadKind::ModifiedSmallbank, params(10), 0);
         assert_eq!(gen_sb.genesis().len(), 20);
-        assert_eq!(gen_sb.params().num_accounts, 10);
+        assert_eq!(gen_sb.params.num_accounts, 10);
     }
 
     #[test]

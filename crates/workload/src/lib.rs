@@ -10,7 +10,7 @@
 //! * [`generator`] — workload generators parameterised exactly like Table 2 (hot ratios,
 //!   client delay, read interval, request rate) and Section 5.4 (Create-Account and mixed
 //!   workloads with Zipfian skew).
-//! * [`templates`] — Vandevoort-style template-robustness analysis: classifies each
+//! * `templates` — Vandevoort-style template-robustness analysis: classifies each
 //!   template in a workload's mix as safe (provably cycle-free) or unknown; the orderer's
 //!   template fast path lets every safe-tagged transaction bypass its dependency graph. It is
 //!   the workspace's only static classifier: every instance of a template gets its template's
@@ -21,12 +21,9 @@
 mod contracts;
 pub mod generator;
 pub mod smallbank;
-pub mod templates;
+mod templates;
 mod ycsb;
 pub mod zipf;
 
 pub use generator::{TxnTemplate, WorkloadGenerator, WorkloadKind};
-pub use smallbank::{SmallbankContract, SmallbankOp};
-pub use templates::TemplateClassifier;
 pub use ycsb::{YcsbOp, YcsbProfile, YcsbTxn};
-pub use zipf::Zipfian;

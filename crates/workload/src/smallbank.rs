@@ -104,7 +104,7 @@ pub enum SmallbankOp {
 impl SmallbankOp {
     /// Number of state reads this operation performs (used by the simulator to model the
     /// read-interval parameter).
-    pub fn read_count(&self) -> usize {
+    pub(crate) fn read_count(&self) -> usize {
         match self {
             SmallbankOp::CreateAccount { .. } => 0,
             SmallbankOp::QueryAccount { .. } => 2,
@@ -115,11 +115,6 @@ impl SmallbankOp {
             SmallbankOp::Amalgamate { .. } => 3,
             SmallbankOp::ModifiedRw { reads, .. } => reads.len(),
         }
-    }
-
-    /// Whether the operation performs no writes (read-only queries).
-    pub fn is_read_only(&self) -> bool {
-        matches!(self, SmallbankOp::QueryAccount { .. })
     }
 }
 
@@ -262,7 +257,6 @@ mod tests {
         let store = seeded_store(2);
         let op = SmallbankOp::QueryAccount { account: 1 };
         let txn = endorse(&store, &op);
-        assert!(op.is_read_only());
         assert!(txn.write_set.is_empty());
         assert_eq!(txn.read_set.len(), 2);
     }
@@ -279,7 +273,6 @@ mod tests {
         assert!(txn.read_set.is_empty());
         assert_eq!(txn.write_set.len(), 2);
         assert_eq!(op.read_count(), 0);
-        assert!(!op.is_read_only());
     }
 
     #[test]

@@ -64,14 +64,14 @@ pub(crate) const FAMILY_USERTABLE: KeyFamily = "usertable";
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub(crate) struct TemplateSpec {
     /// Stable template name (used to map generated templates back to their spec).
-    pub name: &'static str,
+    pub(crate) name: &'static str,
     /// Families the template reads.
-    pub reads: Vec<KeyFamily>,
+    pub(crate) reads: Vec<KeyFamily>,
     /// Families the template writes.
-    pub writes: Vec<KeyFamily>,
+    pub(crate) writes: Vec<KeyFamily>,
     /// Whether every written key is brand-new and globally unique per instance (the
     /// Create-Account pattern). Only fresh writers can be safe despite writing.
-    pub fresh_writes: bool,
+    pub(crate) fresh_writes: bool,
 }
 
 impl TemplateSpec {
@@ -224,7 +224,7 @@ pub struct TemplateClassifier {
 
 impl TemplateClassifier {
     /// Builds the classifier for a workload kind by classifying its whole catalog.
-    pub fn new(kind: &WorkloadKind) -> Self {
+    pub(crate) fn new(kind: &WorkloadKind) -> Self {
         let mix = catalog(kind);
         let classes = classify(&mix);
         TemplateClassifier {

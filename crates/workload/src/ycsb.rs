@@ -29,13 +29,13 @@ pub(crate) fn ycsb_genesis(records: usize) -> Vec<(Key, Value)> {
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct YcsbProfile {
     /// Fraction of operations that only read.
-    pub read_fraction: f64,
+    pub(crate) read_fraction: f64,
     /// Fraction of operations that blindly overwrite.
-    pub update_fraction: f64,
+    pub(crate) update_fraction: f64,
     /// Zipfian skew over the record population (YCSB's default is 0.99).
-    pub theta: f64,
+    pub(crate) theta: f64,
     /// Operations (distinct keys) per transaction.
-    pub ops_per_txn: usize,
+    pub(crate) ops_per_txn: usize,
 }
 
 impl YcsbProfile {
@@ -108,7 +108,7 @@ pub enum YcsbOp {
 
 impl YcsbOp {
     /// The record index this operation touches.
-    pub fn index(&self) -> usize {
+    pub(crate) fn index(&self) -> usize {
         match self {
             YcsbOp::Read { index }
             | YcsbOp::Update { index, .. }
@@ -117,7 +117,7 @@ impl YcsbOp {
     }
 
     /// Whether the operation performs a snapshot read.
-    pub fn reads(&self) -> bool {
+    pub(crate) fn reads(&self) -> bool {
         !matches!(self, YcsbOp::Update { .. })
     }
 }
@@ -126,17 +126,17 @@ impl YcsbOp {
 #[derive(Clone, Debug, PartialEq)]
 pub struct YcsbTxn {
     /// The operations, over distinct record indices.
-    pub ops: Vec<YcsbOp>,
+    pub(crate) ops: Vec<YcsbOp>,
 }
 
 impl YcsbTxn {
     /// Number of snapshot reads (drives the simulator's read-interval timing model).
-    pub fn read_count(&self) -> usize {
+    pub(crate) fn read_count(&self) -> usize {
         self.ops.iter().filter(|op| op.reads()).count()
     }
 
     /// Runs the transaction's contract logic inside a simulation context.
-    pub fn run(&self, ctx: &mut SimulationContext<'_>) {
+    pub(crate) fn run(&self, ctx: &mut SimulationContext<'_>) {
         for op in &self.ops {
             let key = ycsb_key(op.index());
             match op {

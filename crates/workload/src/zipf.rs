@@ -14,7 +14,6 @@ use rand::Rng;
 #[derive(Clone, Debug)]
 pub struct Zipfian {
     cumulative: Vec<f64>,
-    theta: f64,
 }
 
 impl Zipfian {
@@ -36,22 +35,7 @@ impl Zipfian {
         if let Some(last) = cumulative.last_mut() {
             *last = 1.0;
         }
-        Zipfian { cumulative, theta }
-    }
-
-    /// Number of items.
-    pub fn len(&self) -> usize {
-        self.cumulative.len()
-    }
-
-    /// Whether the range is empty (never true — construction requires `n > 0`).
-    pub fn is_empty(&self) -> bool {
-        self.cumulative.is_empty()
-    }
-
-    /// The skew coefficient.
-    pub fn theta(&self) -> f64 {
-        self.theta
+        Zipfian { cumulative }
     }
 
     /// Draws one index in `0..n`: index 0 is the most popular item.
@@ -85,8 +69,6 @@ mod tests {
         for i in 0..4 {
             assert!((z.probability(i) - 0.25).abs() < 1e-12);
         }
-        assert_eq!(z.len(), 4);
-        assert!(!z.is_empty());
     }
 
     #[test]
@@ -109,7 +91,6 @@ mod tests {
         let heavy = Zipfian::new(1000, 1.2);
         let head_mass = |z: &Zipfian| (0..10).map(|i| z.probability(i)).sum::<f64>();
         assert!(head_mass(&heavy) > head_mass(&mild));
-        assert!(heavy.theta() > mild.theta());
     }
 
     #[test]
@@ -175,7 +156,6 @@ mod tests {
         for theta in [0.0, 1.0, 3.0] {
             let z = Zipfian::new(1, theta);
             assert_eq!(z.probability(0), 1.0, "theta={theta}");
-            assert_eq!(z.len(), 1);
         }
         let uniform = Zipfian::new(1_000, 0.0);
         for i in [0, 499, 999] {

@@ -259,7 +259,8 @@ fn kills_between_any_two_delta_checkpoints_recover_from_the_chain_below() {
     let dir = temp_dir("walk");
     let mut persisted_config = config.clone();
     persisted_config.durability_dir = Some(dir.clone());
-    Simulator::run_full(&persisted_config);
+    let (report, _, _) = Simulator::run_full(&persisted_config);
+    assert!(report.ledger_error.is_none(), "{:?}", report.ledger_error);
 
     let mut height = reference.height();
     while height > 0 {
@@ -323,10 +324,8 @@ proptest! {
 fn rescued_instance_ledger_recovers_identically_from_disk() {
     let seed = 23;
     let num_accounts = 64usize;
-    let params = WorkloadParams {
-        num_accounts,
-        ..WorkloadParams::default()
-    };
+    let mut params = WorkloadParams::default();
+    params.num_accounts = num_accounts;
     let mut create = WorkloadGenerator::new(WorkloadKind::CreateAccount, params, seed);
     let mut smallbank = WorkloadGenerator::new(WorkloadKind::ModifiedSmallbank, params, seed);
     let mut chain = SimpleChain::new(SystemKind::FabricSharp);

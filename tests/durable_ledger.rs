@@ -43,10 +43,8 @@ fn temp_dir(tag: &str) -> PathBuf {
 }
 
 fn workload(seed: u64) -> WorkloadGenerator {
-    let params = WorkloadParams {
-        num_accounts: NUM_ACCOUNTS,
-        ..WorkloadParams::default()
-    };
+    let mut params = WorkloadParams::default();
+    params.num_accounts = NUM_ACCOUNTS;
     WorkloadGenerator::new(WorkloadKind::MixedSmallbank { theta: 0.7 }, params, seed)
 }
 

@@ -23,10 +23,8 @@ fn run_and_check_oracle(
     block_size: usize,
     seed: u64,
 ) -> SimpleChain {
-    let params = WorkloadParams {
-        num_accounts,
-        ..WorkloadParams::default()
-    };
+    let mut params = WorkloadParams::default();
+    params.num_accounts = num_accounts;
     let mut generator = WorkloadGenerator::new(kind, params, seed);
     let mut chain = SimpleChain::new(SystemKind::FabricSharp);
     chain.seed(generator.genesis());

@@ -131,10 +131,8 @@ fn decisions_and_commit_orders_match_transaction_for_transaction() {
     }
     for (name, workload, lag) in runs {
         let name = format!("{name}/lag{lag}");
-        let params = WorkloadParams {
-            num_accounts: 24,
-            ..WorkloadParams::default()
-        };
+        let mut params = WorkloadParams::default();
+        params.num_accounts = 24;
         let mut generator = WorkloadGenerator::new(workload, params, 99);
         let classifier = generator.analyzer();
 

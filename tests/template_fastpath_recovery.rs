@@ -39,10 +39,8 @@ fn build_chain(
     seed: u64,
     tagged: bool,
 ) -> SimpleChain {
-    let params = WorkloadParams {
-        num_accounts,
-        ..WorkloadParams::default()
-    };
+    let mut params = WorkloadParams::default();
+    params.num_accounts = num_accounts;
     let mut generator = WorkloadGenerator::new(kind, params, seed);
     let classifier = generator.analyzer();
     let genesis = generator.genesis();
@@ -84,10 +82,8 @@ fn drive_chain((genesis, txns): &Stream, block_size: usize, tagged: bool) -> Sim
 /// start at `num_accounts` and Smallbank draws accounts below it, so no Smallbank instance
 /// touches a key a Create-Account writes. Debug builds re-check every `Safe` arrival.
 fn interleaved_stream(num_accounts: usize, num_txns: usize, seed: u64) -> Stream {
-    let params = WorkloadParams {
-        num_accounts,
-        ..WorkloadParams::default()
-    };
+    let mut params = WorkloadParams::default();
+    params.num_accounts = num_accounts;
     let mut create = WorkloadGenerator::new(WorkloadKind::CreateAccount, params, seed);
     let mut smallbank = WorkloadGenerator::new(WorkloadKind::ModifiedSmallbank, params, seed);
     let txns = (0..num_txns)
@@ -311,7 +307,8 @@ proptest! {
         let ledger = chain.ledger();
         prop_assert!(ledger.height() >= 2);
 
-        let params = WorkloadParams { num_accounts, ..WorkloadParams::default() };
+        let mut params = WorkloadParams::default();
+        params.num_accounts = num_accounts;
         let generator = WorkloadGenerator::new(WorkloadKind::CreateAccount, params, seed);
         let mut replayed = MultiVersionStore::new();
         replayed.seed_genesis(generator.genesis());

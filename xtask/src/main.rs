@@ -36,10 +36,14 @@
 //!   stand-ins in `crates/shims` aside) whose name appears in no file outside that crate's
 //!   `src/` — other crates, the crate's own `tests/`, `benches/` and `src/bin/`, the facade,
 //!   `examples/`, `tests/`, `perf/` and `xtask` — and in the `pub` signature of no other item
-//!   of its crate. rustc's `dead_code` lint never fires on an exported item, so every `pub`
+//!   of its crate; and on any `pub` struct field whose name appears in no file outside that
+//!   crate's `src/`. rustc's `dead_code` lint never fires on an exported item, so every `pub`
 //!   must have a user for the compiler to find the dead code behind it. The match is by name
 //!   over code with comments and literals blanked out, so an item whose name a user elsewhere
-//!   happens to share passes; there is no allowlist.
+//!   happens to share passes; there is no allowlist. The audit also fails on any
+//!   `#[allow(…)]` or `#[expect(…)]` of `dead_code` or an `unused…` lint in the non-test code
+//!   under `crates/*/src` (shims aside): the audit is only worth its keep while that lint
+//!   stays on.
 
 #![forbid(unsafe_code)]
 
@@ -316,7 +320,7 @@ const PUB_KINDS: &[&str] = &[
     "fn", "struct", "enum", "trait", "type", "const", "static", "mod",
 ];
 
-/// A `pub` item of a crate's library code.
+/// A `pub` item, or a `pub` struct field (kind `field`), of a crate's library code.
 #[derive(Debug)]
 struct PubItem {
     line: usize,
@@ -336,32 +340,74 @@ fn audit_pub() -> ExitCode {
         .map(|path| (relative(&root, path), read(path)))
         .collect();
     let (items, unused) = unused_pub_items(&sources);
-    if unused.is_empty() {
+    let mut violations: Vec<String> = unused
+        .iter()
+        .map(|(file, item)| format!("{file}:{}: pub {} {}", item.line, item.kind, item.name))
+        .collect();
+    violations.extend(
+        dead_code_allows(&sources)
+            .into_iter()
+            .map(|(file, line)| format!("{file}:{line}: silences rustc's dead-code report")),
+    );
+    if violations.is_empty() {
         println!(
-            "audit-pub: OK ({items} pub items, each named outside its crate's src/; {} files \
-             scanned)",
+            "audit-pub: OK ({items} pub items and fields, each named outside its crate's src/; \
+             no dead-code allow; {} files scanned)",
             sources.len()
         );
         return ExitCode::SUCCESS;
     }
-    eprintln!("audit-pub: pub items that nothing outside their crate names:\n");
-    for (file, item) in &unused {
-        eprintln!("  {file}:{}: pub {} {}", item.line, item.kind, item.name);
+    eprintln!(
+        "audit-pub: pub items and fields that nothing outside their crate names, and allows \
+         that hide dead code:\n"
+    );
+    for v in &violations {
+        eprintln!("  {v}");
     }
     eprintln!(
-        "\n{} of {items} item(s). Make each `pub(crate)`, or delete it if nothing in its crate \
-         uses it either.",
+        "\n{} violation(s); {} of {items} pub item(s) unused. Make each unused item \
+         `pub(crate)`, or delete it if nothing in its crate uses it either; delete the dead \
+         code an allow hides.",
+        violations.len(),
         unused.len()
     );
     ExitCode::FAILURE
 }
 
-/// The number of `pub` items in the library code of the non-shim crates among `sources`
-/// (repo-relative path, text), and those of them whose name appears in no file outside their
-/// crate's `src/` — other crates, the crate's own `tests/`, `benches/` and `src/bin/`, the
-/// facade, `examples/`, `tests/`, `perf/` and `xtask` — and in the `pub` signature of no other
-/// item of their crate nor in an associated type of its trait impls. Comments, literals and
-/// `#[cfg(test)]` items are not users.
+/// The `(file, line)` of every `allow` or `expect` attribute that names `dead_code` or an
+/// `unused…` lint in the non-test code under a non-shim crate's `src/` among `sources`.
+fn dead_code_allows(sources: &[(String, String)]) -> Vec<(String, usize)> {
+    let mut found = Vec::new();
+    for (rel, text) in sources {
+        let in_src = rel
+            .strip_prefix("crates/")
+            .and_then(|rest| rest.split_once('/'))
+            .is_some_and(|(name, path)| name != "shims" && path.starts_with("src/"));
+        if !in_src {
+            continue;
+        }
+        let code = code_only(text);
+        for (line_no, line) in non_test_lines(&code) {
+            let attr = line.trim_start();
+            let silences = (attr.starts_with("#[") || attr.starts_with("#!["))
+                && (attr.contains("allow(") || attr.contains("expect("))
+                && identifiers(attr)
+                    .iter()
+                    .any(|lint| lint == "dead_code" || lint.starts_with("unused"));
+            if silences {
+                found.push((rel.clone(), line_no));
+            }
+        }
+    }
+    found
+}
+
+/// The number of `pub` items and fields in the library code of the non-shim crates among
+/// `sources` (repo-relative path, text), and those of them whose name appears in no file
+/// outside their crate's `src/` — other crates, the crate's own `tests/`, `benches/` and
+/// `src/bin/`, the facade, `examples/`, `tests/`, `perf/` and `xtask` — and, for an item, in
+/// the `pub` signature of no other item of their crate nor in an associated type of its trait
+/// impls. Comments, literals and `#[cfg(test)]` items are not users.
 fn unused_pub_items(sources: &[(String, String)]) -> (usize, Vec<(String, PubItem)>) {
     // Every identifier in the code of each owner: a crate's library code, or (`None`) the rest.
     let mut idents: BTreeMap<Option<&str>, BTreeSet<String>> = BTreeMap::new();
@@ -394,6 +440,9 @@ fn unused_pub_items(sources: &[(String, String)]) -> (usize, Vec<(String, PubIte
             let named_outside = idents
                 .iter()
                 .any(|(owner, names)| *owner != Some(*krate) && names.contains(&item.name));
+            if item.kind == "field" {
+                return named_outside;
+            }
             let in_signature = declared.iter().enumerate().any(|(j, (other, _, by))| {
                 j != i && other == krate && by.signature.contains(&item.name)
             });
@@ -426,9 +475,10 @@ fn identifiers(code: &str) -> BTreeSet<String> {
         .collect()
 }
 
-/// The `pub` items declared at the start of a line of `lines` (numbered code lines), each with
-/// its signature: a function's or module's declaration up to its body, the whole of any other
-/// item.
+/// The `pub` items and named struct fields declared at the start of a line of `lines`
+/// (numbered code lines), each item with its signature: a function's or module's declaration
+/// up to its body, the whole of any other item. A field's signature is empty: its struct's
+/// signature already holds its type.
 fn pub_items(lines: &[(usize, &str)]) -> Vec<PubItem> {
     let mut items = Vec::new();
     for (at, (line_no, line)) in lines.iter().enumerate() {
@@ -437,9 +487,24 @@ fn pub_items(lines: &[(usize, &str)]) -> Vec<PubItem> {
         };
         if let Some((kind, name)) = kind_and_name(decl) {
             items.push(pub_item(*line_no, kind, name, lines, at));
+        } else if let Some(name) = field_name(decl) {
+            items.push(PubItem {
+                line: *line_no,
+                kind: "field",
+                name: name.to_string(),
+                signature: BTreeSet::new(),
+            });
         }
     }
     items
+}
+
+/// The name of the struct field `decl` declares (`decl` follows a `pub `): an identifier
+/// followed by a single `:`.
+fn field_name(decl: &str) -> Option<&str> {
+    let name = leading_ident(decl)?;
+    let rest = decl[name.len()..].trim_start();
+    (rest.starts_with(':') && !rest.starts_with("::")).then_some(name)
 }
 
 /// The kind and name of the item `decl` declares (`decl` follows a `pub `), if it is one of
@@ -868,8 +933,13 @@ mod tests {
                     "}\n",
                     "pub fn used() {}\n",
                     "pub fn unused() {}\n",
-                    "pub struct InSignature;\n",
-                    "pub fn entry(x: u8) -> InSignature { InSignature }\n",
+                    "pub struct InSignature {\n",
+                    "    pub read_outside: u8,\n",
+                    "    pub unread: u8,\n",
+                    "}\n",
+                    "pub fn entry(x: u8) -> InSignature {\n",
+                    "    InSignature { read_outside: x, unread: x }\n",
+                    "}\n",
                     "#[cfg(test)]\n",
                     "mod tests { pub fn test_only() {} }\n",
                 ),
@@ -879,10 +949,13 @@ mod tests {
                 "crates/b/src/lib.rs",
                 "// unused\npub fn b() -> &'static str { a::used(); a::inner::x(); \"unused\" }\n",
             ),
-            source("crates/a/tests/it.rs", "#[test]\nfn t() { a::entry(1); b::b(); }\n"),
+            source(
+                "crates/a/tests/it.rs",
+                "#[test]\nfn t() { a::entry(1).read_outside; b::b(); }\n",
+            ),
         ];
         let (items, unused) = unused_pub_items(&sources);
-        assert_eq!(items, 8);
+        assert_eq!(items, 10);
         let flagged: Vec<(&str, usize, &str, &str)> = unused
             .iter()
             .map(|(file, item)| (file.as_str(), item.line, item.kind, item.name.as_str()))
@@ -891,7 +964,56 @@ mod tests {
             flagged,
             vec![
                 ("crates/a/src/lib.rs", 7, "fn", "unused"),
+                ("crates/a/src/lib.rs", 10, "field", "unread"),
                 ("crates/a/src/inner.rs", 1, "fn", "also_unused"),
+            ]
+        );
+    }
+
+    #[test]
+    fn audit_pub_flags_dead_code_allows_in_library_code_only() {
+        let source = |rel: &str, text: &str| (rel.to_string(), text.to_string());
+        let sources = vec![
+            source(
+                "crates/a/src/lib.rs",
+                concat!(
+                    "#![allow(unused_imports)]\n",
+                    "#[allow(dead_code)]\n",
+                    "fn a() {}\n",
+                    "#[allow(clippy::too_many_arguments, unused_variables)]\n",
+                    "fn b() {}\n",
+                    "#[allow(clippy::len_without_is_empty)]\n",
+                    "// #[allow(dead_code)]\n",
+                    "#[cfg(test)]\n",
+                    "mod tests {\n",
+                    "    #[allow(dead_code)]\n",
+                    "    fn helper() {}\n",
+                    "}\n",
+                ),
+            ),
+            source(
+                "crates/a/src/bin/tool.rs",
+                "#[expect(dead_code)]\nfn c() {}\n",
+            ),
+            source(
+                "crates/shims/rand/src/lib.rs",
+                "#[allow(dead_code)]\nfn d() {}\n",
+            ),
+            source("crates/a/tests/it.rs", "#[allow(dead_code)]\nfn e() {}\n"),
+            source("tests/it.rs", "#[allow(unused)]\nfn f() {}\n"),
+        ];
+        let allows = dead_code_allows(&sources);
+        let found: Vec<(&str, usize)> = allows
+            .iter()
+            .map(|(file, line)| (file.as_str(), *line))
+            .collect();
+        assert_eq!(
+            found,
+            vec![
+                ("crates/a/src/lib.rs", 1),
+                ("crates/a/src/lib.rs", 2),
+                ("crates/a/src/lib.rs", 4),
+                ("crates/a/src/bin/tool.rs", 1),
             ]
         );
     }
@@ -906,6 +1028,7 @@ mod tests {
             "}\n",
             "pub(crate) fn narrow() {}\n",
             "pub use other::Thing;\n",
+            "    pub field: path::Type,\n",
         );
         let lines: Vec<(usize, &str)> = non_test_lines(text).collect();
         let items: Vec<(usize, &str, String, String)> = pub_items(&lines)
@@ -924,6 +1047,7 @@ mod tests {
                 item(1, "const", "LIMIT", "LIMIT Limit const pub"),
                 item(2, "struct", "Pair", "A B Left Pair pub struct"),
                 item(3, "fn", "make", "Made fn make pub u8 x"),
+                item(8, "field", "field", ""),
             ]
         );
     }
