@@ -10,16 +10,12 @@ pub type Result<T> = std::result::Result<T, CommonError>;
 /// Errors that can arise in the substrate layers (state store, ledger).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CommonError {
-    /// A requested key does not exist in the state database.
-    KeyNotFound(String),
     /// A requested block number does not exist in the ledger.
     BlockNotFound(u64),
     /// A snapshot that has already been pruned was requested.
     SnapshotPruned(u64),
     /// The hash chain failed an integrity check at the given block.
     ChainIntegrity { block: u64, detail: String },
-    /// A transaction was submitted twice.
-    DuplicateTransaction(u64),
     /// A configuration value is out of its valid range.
     InvalidConfig(String),
     /// Internal invariant violation; indicates a bug rather than a user error.
@@ -29,7 +25,6 @@ pub enum CommonError {
 impl fmt::Display for CommonError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CommonError::KeyNotFound(k) => write!(f, "key not found: {k}"),
             CommonError::BlockNotFound(b) => write!(f, "block not found: {b}"),
             CommonError::SnapshotPruned(b) => write!(f, "snapshot for block {b} has been pruned"),
             CommonError::ChainIntegrity { block, detail } => {
@@ -38,7 +33,6 @@ impl fmt::Display for CommonError {
                     "hash chain integrity violation at block {block}: {detail}"
                 )
             }
-            CommonError::DuplicateTransaction(id) => write!(f, "duplicate transaction Txn{id}"),
             CommonError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
             CommonError::Internal(msg) => write!(f, "internal invariant violation: {msg}"),
         }
@@ -53,9 +47,6 @@ mod tests {
 
     #[test]
     fn display_messages_mention_the_offending_entity() {
-        assert!(CommonError::KeyNotFound("acct:1".into())
-            .to_string()
-            .contains("acct:1"));
         assert!(CommonError::BlockNotFound(7).to_string().contains('7'));
         assert!(CommonError::SnapshotPruned(3).to_string().contains('3'));
         let e = CommonError::ChainIntegrity {

@@ -6,11 +6,13 @@
 //! every framed payload. The CRC matters beyond torn-write detection: a block's `data_hash`
 //! deliberately covers only the transaction ids and read/write sets — *not* the validation
 //! statuses or template metadata — so the record CRC is the sole integrity check for those
-//! fields on disk.
+//! fields on disk. [`crc32`] runs on a carry-less-multiply kernel where CPUID reports one and
+//! on a slicing-by-8 loop elsewhere, with the same checksum either way.
 //!
-//! Every encoder iterates its inputs in a deterministic order (entry order inside blocks,
-//! `BTreeMap` key order inside checkpoints), so identical states always produce identical
-//! bytes — the foundation of the bit-identity assertions in the cold-recovery batteries.
+//! Every encoder iterates its inputs in a deterministic order (entry order inside blocks; in
+//! checkpoints, key order, which `put_store` gets by sorting the chain suffixes it picks from
+//! the store's write-ordered slab), so identical states always produce identical bytes — the
+//! foundation of the bit-identity assertions in the cold-recovery batteries.
 
 use crate::block::{Block, BlockHeader, BodyHasher, TxnEntry};
 use crate::error::LedgerError;
@@ -53,10 +55,26 @@ const CRC32_TABLES: [[u32; 256]; 8] = {
     tables
 };
 
-/// CRC-32 (IEEE) of `bytes`, eight bytes per step.
+/// CRC-32 (IEEE) of `bytes`.
+///
+/// From 64 bytes up, on a CPU whose CPUID reports `pclmulqdq` and `sse4.1`, every whole
+/// 16-byte chunk goes to the carry-less-multiply kernel and the under-16-byte tail to the
+/// slicing-by-8 loop; shorter inputs and other CPUs run on the loop alone. Both paths give the
+/// same checksum, so which one ran never shows on disk.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    #[cfg(target_arch = "x86_64")]
+    if bytes.len() >= 64 {
+        if let Some(detected) = clmul::detect() {
+            return !crc32_clmul(detected, !0, bytes);
+        }
+    }
+    !crc32_sliced(!0, bytes)
+}
+
+/// Folds `bytes` into the CRC register `crc` (the caller inverts before and after), eight
+/// bytes per step: the portable path, and the tests' oracle for the kernel.
+fn crc32_sliced(mut crc: u32, bytes: &[u8]) -> u32 {
     let t = &CRC32_TABLES;
-    let mut crc = 0xFFFF_FFFFu32;
     let mut chunks = bytes.chunks_exact(8);
     for c in &mut chunks {
         let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
@@ -72,7 +90,155 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     for &b in chunks.remainder() {
         crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
-    !crc
+    crc
+}
+
+/// [`crc32_sliced`] with the whole 16-byte chunks of `bytes` (at least four) folded by the
+/// carry-less-multiply kernel, through the ledger's one hardware-kernel dispatch.
+#[cfg(target_arch = "x86_64")]
+fn crc32_clmul(detected: clmul::Detected, mut crc: u32, bytes: &[u8]) -> u32 {
+    let (chunks, tail) = bytes.as_chunks::<16>();
+    crate::sha256::KernelCall::Clmul(detected, &mut crc, chunks).run();
+    crc32_sliced(crc, tail)
+}
+
+/// The CRC-32 kernel on the x86-64 carry-less multiply (`pclmulqdq`).
+///
+/// A CRC is the message, read as a polynomial over GF(2), modulo P(x). Four 128-bit lanes
+/// take 64-byte strides: a lane moves 512 bits further down the message by two carry-less
+/// multiplications with x^n mod P(x) constants, and the next 16 bytes are XORed in. The four
+/// lanes then fold into one, the leftover 16-byte chunks fold in one at a time, and the
+/// 128-bit remainder shrinks to 64 bits by two more folds and to the 32-bit CRC by Barrett
+/// reduction. Everything is in this CRC's bit-reflected order (bit 0 of byte 0 is the
+/// highest power of x), which makes every load a plain little-endian one.
+#[cfg(target_arch = "x86_64")]
+pub(crate) mod clmul {
+    use std::arch::x86_64::{
+        __m128i, _mm_and_si128, _mm_clmulepi64_si128, _mm_cvtsi32_si128, _mm_extract_epi32,
+        _mm_set_epi32, _mm_set_epi64x, _mm_srli_si128, _mm_xor_si128,
+    };
+
+    /// Proof that CPUID reported every feature [`fold`] is compiled for. Its field is private
+    /// to this module, so [`detect`] is the only way to get one.
+    pub(crate) struct Detected(());
+
+    /// `Some` when this CPU can run [`fold`].
+    pub(crate) fn detect() -> Option<Detected> {
+        let supported = is_x86_feature_detected!("pclmulqdq") && is_x86_feature_detected!("sse4.1");
+        supported.then_some(Detected(()))
+    }
+
+    /// P(x) without its x^32 term, highest power first.
+    const POLY: u64 = 0x04C1_1DB7;
+
+    /// A polynomial of degree at most 32 in the bit-reflected order: x^32 in bit 0, x^0 in
+    /// bit 32. A carry-less product of two reflected values comes out reflected and shifted
+    /// one bit, which this 33-bit width absorbs.
+    const fn reflect33(p: u64) -> i64 {
+        (p.reverse_bits() >> 31) as i64
+    }
+
+    /// x^n mod P(x), reflected.
+    const fn x_pow_mod_p(n: u32) -> i64 {
+        let mut r = 1u64;
+        let mut i = 0;
+        while i < n {
+            r <<= 1;
+            if r & (1 << 32) != 0 {
+                r ^= (1 << 32) | POLY;
+            }
+            i += 1;
+        }
+        reflect33(r)
+    }
+
+    /// Multipliers that move a lane's low and high halves 4 x 128 bits down the message.
+    const FOLD_BY_4: (i64, i64) = (x_pow_mod_p(4 * 128 + 32), x_pow_mod_p(4 * 128 - 32));
+    /// The same for 128 bits: one lane onto the next.
+    const FOLD_BY_1: (i64, i64) = (x_pow_mod_p(128 + 32), x_pow_mod_p(128 - 32));
+    /// Folds the low 32 bits of a 96-bit remainder onto the bits above them.
+    const FOLD_32: i64 = x_pow_mod_p(64);
+    /// P(x) itself, reflected.
+    const P: i64 = reflect33((1 << 32) | POLY);
+    /// Barrett's constant floor(x^64 / P(x)), reflected.
+    const MU: i64 = {
+        let mut rem = 1u128 << 64;
+        let mut quotient = 0u64;
+        let mut bit = 64;
+        while bit >= 32 {
+            if rem & (1 << bit) != 0 {
+                rem ^= ((1 << 32) | POLY as u128) << (bit - 32);
+                quotient |= 1 << (bit - 32);
+            }
+            bit -= 1;
+        }
+        reflect33(quotient)
+    };
+
+    /// Folds `chunks`, in order, into the CRC register `crc`. Needs at least four chunks.
+    #[target_feature(enable = "pclmulqdq,sse2,sse4.1")]
+    pub(crate) fn fold(crc: &mut u32, chunks: &[[u8; 16]]) {
+        let (first, rest) = chunks
+            .split_first_chunk::<4>()
+            .expect("the kernel folds at least 64 bytes");
+        let mut lanes = [
+            load(&first[0]),
+            load(&first[1]),
+            load(&first[2]),
+            load(&first[3]),
+        ];
+        lanes[0] = _mm_xor_si128(lanes[0], _mm_cvtsi32_si128(*crc as i32));
+        let (strides, rest) = rest.as_chunks::<4>();
+        let by_4 = _mm_set_epi64x(FOLD_BY_4.1, FOLD_BY_4.0);
+        for stride in strides {
+            for (lane, chunk) in lanes.iter_mut().zip(stride) {
+                *lane = fold_onto(*lane, load(chunk), by_4);
+            }
+        }
+        let by_1 = _mm_set_epi64x(FOLD_BY_1.1, FOLD_BY_1.0);
+        let mut x = lanes[0];
+        for lane in &lanes[1..] {
+            x = fold_onto(x, *lane, by_1);
+        }
+        for chunk in rest {
+            x = fold_onto(x, load(chunk), by_1);
+        }
+
+        // 128 -> 96 bits: the low 64 onto the high 64; then 96 -> 64: the low 32 onto the rest.
+        let low_32 = _mm_set_epi32(0, 0, 0, -1);
+        x = _mm_xor_si128(
+            _mm_clmulepi64_si128::<0x10>(x, by_1),
+            _mm_srli_si128::<8>(x),
+        );
+        x = _mm_xor_si128(
+            _mm_clmulepi64_si128::<0x00>(_mm_and_si128(x, low_32), _mm_set_epi64x(0, FOLD_32)),
+            _mm_srli_si128::<4>(x),
+        );
+        // Barrett: the quotient's low 32 bits times P(x) cancel the remainder's low 32 bits,
+        // leaving the CRC in the next 32.
+        let p_mu = _mm_set_epi64x(MU, P);
+        let t1 = _mm_clmulepi64_si128::<0x10>(_mm_and_si128(x, low_32), p_mu);
+        let t2 = _mm_clmulepi64_si128::<0x00>(_mm_and_si128(t1, low_32), p_mu);
+        *crc = _mm_extract_epi32::<1>(_mm_xor_si128(x, t2)) as u32;
+    }
+
+    /// `lane` moved down the message by the distance `k` encodes, with `next` XORed in.
+    #[inline]
+    #[target_feature(enable = "pclmulqdq,sse2,sse4.1")]
+    fn fold_onto(lane: __m128i, next: __m128i, k: __m128i) -> __m128i {
+        let low = _mm_clmulepi64_si128::<0x00>(lane, k);
+        let high = _mm_clmulepi64_si128::<0x11>(lane, k);
+        _mm_xor_si128(_mm_xor_si128(low, high), next)
+    }
+
+    /// Sixteen message bytes, the first in the lowest lane.
+    #[inline]
+    #[target_feature(enable = "pclmulqdq,sse2,sse4.1")]
+    fn load(chunk: &[u8; 16]) -> __m128i {
+        let low = u64::from_le_bytes(chunk[..8].try_into().expect("8 bytes"));
+        let high = u64::from_le_bytes(chunk[8..].try_into().expect("8 bytes"));
+        _mm_set_epi64x(high as i64, low as i64)
+    }
 }
 
 /// The `u32` length field for a `len`-byte payload, or a typed error when the payload is
@@ -792,6 +958,82 @@ mod tests {
         }
     }
 
+    /// `bytes`' CRC from every path this CPU runs, each named: the dispatch, the slicing-by-8
+    /// loop, and, from 64 bytes up where CPUID reports it, the carry-less-multiply kernel.
+    fn crc32_every_path(bytes: &[u8]) -> Vec<(&'static str, u32)> {
+        let mut paths = vec![
+            ("crc32", crc32(bytes)),
+            ("sliced", !crc32_sliced(!0, bytes)),
+        ];
+        #[cfg(target_arch = "x86_64")]
+        if let (Some(detected), true) = (clmul::detect(), bytes.len() >= 64) {
+            paths.push(("clmul", !crc32_clmul(detected, !0, bytes)));
+        }
+        paths
+    }
+
+    /// `len` irregular bytes from an xorshift stream seeded with `seed` (non-zero).
+    fn xorshift_bytes(mut seed: u64, len: usize) -> Vec<u8> {
+        (0..len)
+            .map(|_| {
+                seed ^= seed << 13;
+                seed ^= seed >> 7;
+                seed ^= seed << 17;
+                (seed >> 32) as u8
+            })
+            .collect()
+    }
+
+    /// Every path gives the IEEE check value, and zlib's CRC-32 of three inputs long enough
+    /// for the kernel: one fold-by-4 stride and a tail, many strides, and 64 KiB of zeros.
+    #[test]
+    fn crc32_paths_match_known_vectors() {
+        let digits = b"123456789".repeat(8);
+        let pattern: Vec<u8> = (0..4099u32).map(|i| (i * 7 + i / 256) as u8).collect();
+        let zeros = vec![0u8; 1 << 16];
+        let vectors: [(&[u8], u32); 4] = [
+            (b"123456789", 0xCBF4_3926),
+            (&digits, 0x8811_A440),
+            (&pattern, 0xC3FD_BC3A),
+            (&zeros, 0xD797_8EEB),
+        ];
+        for (bytes, expected) in vectors {
+            for (path, crc) in crc32_every_path(bytes) {
+                assert_eq!(crc, expected, "{path}, length {}", bytes.len());
+            }
+        }
+    }
+
+    /// Every length 0..=1 KiB at every start offset 0..16: across the 64-byte threshold, the
+    /// 63/64/65- and 127/128/129-byte fold boundaries and every tail length, each path gives
+    /// the byte-at-a-time reference's CRC.
+    #[test]
+    fn crc32_paths_match_the_bytewise_reference_at_every_length_and_offset() {
+        let data = xorshift_bytes(0x2545_F491_4F6C_DD1D, 1024 + 16);
+        for len in 0..=1024 {
+            for start in 0..16 {
+                let slice = &data[start..start + len];
+                let expected = crc32_bytewise(slice);
+                for (path, crc) in crc32_every_path(slice) {
+                    assert_eq!(crc, expected, "{path}, length {len}, offset {start}");
+                }
+            }
+        }
+    }
+
+    /// On a CPU whose CPUID reports `pclmulqdq` and `sse4.1` the kernel is detected, and so
+    /// checked by the tests above: a silent fall-back to the loop fails here, not only in the
+    /// benchmark.
+    #[test]
+    fn crc32_kernel_is_detected_whenever_cpuid_reports_it() {
+        #[cfg(target_arch = "x86_64")]
+        let reported = is_x86_feature_detected!("pclmulqdq") && is_x86_feature_detected!("sse4.1");
+        #[cfg(not(target_arch = "x86_64"))]
+        let reported = false;
+        let paths = crc32_every_path(&[0; 64]);
+        assert_eq!(paths.iter().any(|&(path, _)| path == "clmul"), reported);
+    }
+
     #[test]
     fn seal_frame_patches_length_and_crc_behind_a_prefix() {
         let mut w = ByteWriter::new();
@@ -840,6 +1082,22 @@ mod tests {
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// Random buffers up to 64 KiB at a random start offset: every path gives the
+            /// byte-at-a-time reference's CRC.
+            #[test]
+            fn crc32_paths_match_the_bytewise_reference_on_random_buffers(
+                len in 0usize..64 * 1024 + 1,
+                start in 0usize..16,
+                seed in any::<u64>(),
+            ) {
+                let data = xorshift_bytes(seed | 1, start + len);
+                let slice = &data[start..];
+                let expected = crc32_bytewise(slice);
+                for (path, crc) in crc32_every_path(slice) {
+                    prop_assert_eq!(crc, expected, "{}, length {}", path, len);
+                }
+            }
 
             /// Bytes from a damaged disk: anything at all decodes to a block or an error.
             #[test]

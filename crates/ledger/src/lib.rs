@@ -14,7 +14,8 @@
 //!   a durable ledger's blocks outside the live window are read back from disk on demand.
 //! * `error` — the typed [`LedgerError`] every durable operation reports instead of
 //!   panicking.
-//! * [`codec`] — the deterministic big-endian binary codec + CRC-32 behind the disk formats.
+//! * [`codec`] — the deterministic big-endian binary codec + CRC-32 behind the disk formats;
+//!   the CRC runs on a carry-less-multiply kernel when CPUID reports `pclmulqdq`.
 //! * `segment` — append-only, CRC-framed, size-rotated segment files holding the block
 //!   records, with torn-tail repair on open.
 //! * [`durable`] — [`durable::DurableLedger`] (segment files behind a [`Ledger`] mirror that
@@ -29,7 +30,8 @@
 //!   hides transaction contents until the order is fixed, and the fork audit that compares
 //!   replicas' sealed block hashes.
 
-// `deny`, not `forbid`: `sha256` allows the one `unsafe` block that calls the SHA-NI kernel.
+// `deny`, not `forbid`: `sha256` allows the one `unsafe` block, the dispatch that calls the
+// SHA-NI and carry-less-multiply CRC-32 kernels.
 #![deny(unsafe_code)]
 
 pub mod adversary;

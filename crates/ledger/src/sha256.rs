@@ -16,11 +16,16 @@
 //!   iteration, written out with the working variables renamed instead of shifted, over a
 //!   sixteen-word schedule extended in place. The tests use it as the oracle for the other.
 //!
-//! Both give the same digest for every message, so which one ran never shows in a ledger. The
-//! hardware kernel is a safe `#[target_feature]` function; calling it from code compiled
-//! without those features is this crate's one `unsafe` block, the dispatch in
-//! `Kernel::compress_blocks`. It is sound because only the CPUID check can make the
-//! `Kernel::ShaNi` value that leads there.
+//! Both give the same digest for every message, so which one ran never shows in a ledger.
+//!
+//! This module also holds the ledger's single entry into hardware kernels, `KernelCall::run`,
+//! which reaches both the SHA-NI kernel and the CRC-32 one (`codec::clmul::fold`, on the
+//! carry-less multiply). Each is a safe `#[target_feature]` function, and calling one from
+//! code compiled without those features is this crate's one `unsafe` block, in `run`. It is
+//! sound because every `KernelCall` variant holds its kernel's own `Detected`, which only that
+//! kernel's CPUID check can make. CPUs that are not x86-64 always take the portable paths, as
+//! do x86-64 CPUs whose CPUID lacks `sha`, `ssse3` or `sse4.1` (SHA-256) or `pclmulqdq` or
+//! `sse4.1` (CRC-32).
 
 /// A 32-byte SHA-256 digest.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
@@ -197,12 +202,38 @@ impl Kernel {
                     compress_portable(state, block);
                 }
             }
-            // SAFETY: `sha_ni::compress_blocks` needs `sha`, `sse2`, `ssse3` and `sse4.1`. `sse2`
-            // is part of x86-64 itself, and the `Detected` that only `sha_ni::detect` can make
-            // says CPUID reported the other three.
             #[cfg(target_arch = "x86_64")]
-            #[allow(unsafe_code)]
-            Kernel::ShaNi(_) => unsafe { sha_ni::compress_blocks(state, blocks) },
+            Kernel::ShaNi(detected) => KernelCall::ShaNi(detected, state, blocks).run(),
+        }
+    }
+}
+
+/// A call into one of the ledger's hardware kernels. Each variant holds its own kernel's
+/// `Detected`, which only that kernel's `detect` can make, so a call exists only on a CPU
+/// whose CPUID reported every feature the kernel it names is compiled for.
+#[cfg(target_arch = "x86_64")]
+pub(crate) enum KernelCall<'a> {
+    /// Folds the blocks, in order, into the SHA-256 state.
+    ShaNi(sha_ni::Detected, &'a mut [u32; 8], &'a [[u8; 64]]),
+    /// Folds the chunks, in order, into the CRC-32 register.
+    Clmul(crate::codec::clmul::Detected, &'a mut u32, &'a [[u8; 16]]),
+}
+
+#[cfg(target_arch = "x86_64")]
+impl KernelCall<'_> {
+    /// Runs the call: the ledger's one entry into code compiled for CPU features the rest of
+    /// the crate is not compiled for.
+    pub(crate) fn run(self) {
+        // SAFETY: each kernel is a safe `#[target_feature]` function, and calling it is sound
+        // once the CPU has its features. `sha_ni::compress_blocks` needs `sha`, `sse2`, `ssse3`
+        // and `sse4.1`; `clmul::fold` needs `pclmulqdq`, `sse2` and `sse4.1`. `sse2` is part of
+        // x86-64 itself, and the variant's `Detected` says CPUID reported the rest.
+        #[allow(unsafe_code)]
+        unsafe {
+            match self {
+                KernelCall::ShaNi(_, state, blocks) => sha_ni::compress_blocks(state, blocks),
+                KernelCall::Clmul(_, crc, chunks) => crate::codec::clmul::fold(crc, chunks),
+            }
         }
     }
 }
@@ -282,7 +313,7 @@ mod sha_ni {
     /// Proof that CPUID reported every feature [`compress_blocks`] is compiled for. Its field
     /// is private to this module, so [`detect`] is the only way to get one.
     #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-    pub(super) struct Detected(());
+    pub(crate) struct Detected(());
 
     /// `Some` when this CPU can run [`compress_blocks`].
     pub(super) fn detect() -> Option<Detected> {

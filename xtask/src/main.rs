@@ -28,8 +28,8 @@
 //!   `eov-ledger`, which declares `#![deny(unsafe_code)]`; and unless the code of every `.rs`
 //!   file in the repository (comments and literals blanked out) holds no `unsafe` and no
 //!   `unsafe_code` lint level besides those attributes and [`UNSAFE_SITE`]'s one
-//!   `#[allow(unsafe_code)]` directly above its one `unsafe` block — the call into the SHA-NI
-//!   kernel.
+//!   `#[allow(unsafe_code)]` directly above its one `unsafe` block — the ledger's single
+//!   dispatch into its hardware kernels (SHA-NI for SHA-256, carry-less multiply for CRC-32).
 //!
 //! * `audit-pub` — fails on any `pub` fn, struct, enum, trait, type alias, const, static or
 //!   module in the non-test code of a library crate under `crates/` (the third-party
