@@ -6,23 +6,13 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use eov_common::config::CcConfig;
 use eov_common::txn::TxnId;
 use eov_common::version::SeqNo;
-use eov_depgraph::{BloomFilter, DependencyGraph, NaiveGraph};
+use eov_depgraph::{BloomFilter, DependencyGraph};
 use std::time::Duration;
 
 /// Builds a layered DAG of `n` pending transactions where each node depends on the previous
 /// `fanin` nodes — a dense-but-acyclic shape similar to a contended Smallbank block.
 fn layered_graph(n: u64, fanin: u64, config: CcConfig) -> DependencyGraph {
     let mut g = DependencyGraph::new(config);
-    for id in 0..n {
-        let preds: Vec<TxnId> = (id.saturating_sub(fanin)..id).map(TxnId).collect();
-        g.insert_pending(TxnId(id), &preds, &[], 1);
-    }
-    g
-}
-
-/// The same layered DAG on the retained naive reference implementation.
-fn naive_layered_graph(n: u64, fanin: u64, config: CcConfig) -> NaiveGraph {
-    let mut g = NaiveGraph::new(config);
     for id in 0..n {
         let preds: Vec<TxnId> = (id.saturating_sub(fanin)..id).map(TxnId).collect();
         g.insert_pending(TxnId(id), &preds, &[], 1);
@@ -138,11 +128,9 @@ fn bench_commit_and_removal(c: &mut Criterion) {
     group.finish();
 }
 
-/// The dense reachability engine against the retained naive reference, on identical graphs —
-/// the tentpole comparison for the epoch-bitset rewrite. `topo_sort_pending` at 512 pending is
-/// the headline number (the naive version is the seed's O(pending²) per-pair DFS);
-/// `would_close_cycle_miss` scans a preds×succs pair matrix whose probes all miss, the worst
-/// case for the arrival-path pre-filter.
+/// The dense reachability engine on layered graphs: `topo_sort_pending` at 512 pending is the
+/// headline number; `would_close_cycle_miss` scans a preds×succs pair matrix whose probes all
+/// miss, the worst case for the arrival-path pre-filter.
 fn bench_reachability_engine(c: &mut Criterion) {
     let mut group = c.benchmark_group("reachability_engine");
     group
@@ -150,18 +138,10 @@ fn bench_reachability_engine(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(2));
     for &n in &[128u64, 512] {
         let dense = layered_graph(n, 3, CcConfig::default());
-        let naive = naive_layered_graph(n, 3, CcConfig::default());
-        let pending = naive.pending_ids();
+        let pending: Vec<TxnId> = (0..n).map(TxnId).collect();
         group.bench_with_input(BenchmarkId::new("topo_sort_pending", n), &n, |b, _| {
             b.iter(|| dense.topo_sort_pending(&pending).len());
         });
-        group.bench_with_input(
-            BenchmarkId::new("topo_sort_pending_naive", n),
-            &n,
-            |b, _| {
-                b.iter(|| naive.topo_sort_pending().len());
-            },
-        );
         // Early ids have (near-)empty filters, so every probe is a definite miss and the
         // whole pair matrix is scanned — the arrival-path worst case.
         let miss_preds: Vec<TxnId> = (0..8).map(TxnId).collect();
@@ -173,17 +153,6 @@ fn bench_reachability_engine(c: &mut Criterion) {
                     .is_acyclic()
             });
         });
-        group.bench_with_input(
-            BenchmarkId::new("would_close_cycle_miss_naive", n),
-            &n,
-            |b, _| {
-                b.iter(|| {
-                    naive
-                        .would_close_cycle(&miss_preds, &miss_succs)
-                        .is_acyclic()
-                });
-            },
-        );
     }
     group.finish();
 }

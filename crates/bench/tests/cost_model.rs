@@ -20,8 +20,7 @@ use eov_bench::{
     GROWN_ACCOUNTS, HOT_ACCOUNTS,
 };
 use eov_common::config::CcConfig;
-use eov_common::txn::{Transaction, TxnId};
-use eov_depgraph::{DependencyGraph, NaiveGraph};
+use eov_common::txn::Transaction;
 use eov_workload::generator::WorkloadKind;
 use eov_workload::YcsbProfile;
 use fabricsharp_core::FabricSharpCC;
@@ -76,64 +75,6 @@ fn assert_cost_ratio(what: &str, bound: f64, mut measure: impl FnMut() -> (f64, 
         }
     }
     panic!("{what}: ratio {best:.3} in the better of two readings (need <= {bound:.3})");
-}
-
-/// `n` pending transactions, each depending on the `fanin` before it.
-fn layered_preds(n: u64, fanin: u64) -> impl Iterator<Item = (TxnId, Vec<TxnId>)> {
-    (0..n).map(move |id| {
-        (
-            TxnId(id),
-            (id.saturating_sub(fanin)..id).map(TxnId).collect(),
-        )
-    })
-}
-
-fn layered(n: u64, fanin: u64) -> DependencyGraph {
-    let mut g = DependencyGraph::new(CcConfig::default());
-    for (id, preds) in layered_preds(n, fanin) {
-        g.insert_pending(id, &preds, &[], 1);
-    }
-    g
-}
-
-fn naive_layered(n: u64, fanin: u64) -> NaiveGraph {
-    let mut g = NaiveGraph::new(CcConfig::default());
-    for (id, preds) in layered_preds(n, fanin) {
-        g.insert_pending(id, &preds, &[], 1);
-    }
-    g
-}
-
-/// Ordering 512 layered pending transactions costs the dense engine at most a fifth of what
-/// it costs the naive reference.
-#[test]
-fn dense_topo_sort_is_five_times_faster_than_the_naive_one() {
-    let _only = exclusive();
-    let (dense, naive) = (layered(512, 3), naive_layered(512, 3));
-    let pending = naive.pending_ids();
-    assert_cost_ratio("topo_sort_pending 512, dense / naive", 1.0 / 5.0, || {
-        (
-            median_ns(|| dense.topo_sort_pending(&pending).len() as u64),
-            median_ns(|| naive.topo_sort_pending().len() as u64),
-        )
-    });
-}
-
-/// A cycle probe that finds no path (first eight predecessors, last eight successors) costs
-/// the dense engine no more than the naive pair scan.
-#[test]
-fn cycle_probe_miss_is_no_dearer_than_the_naive_one() {
-    let _only = exclusive();
-    let (dense, naive) = (layered(512, 3), naive_layered(512, 3));
-    let preds: Vec<TxnId> = (0..8).map(TxnId).collect();
-    let succs: Vec<TxnId> = (504..512).map(TxnId).collect();
-    let probes = |acyclic: &dyn Fn() -> bool| (0..64).filter(|_| acyclic()).count() as u64;
-    assert_cost_ratio("would_close_cycle miss 512, dense / naive", 1.0, || {
-        (
-            median_ns(|| probes(&|| dense.would_close_cycle(&preds, &succs).is_acyclic())),
-            median_ns(|| probes(&|| naive.would_close_cycle(&preds, &succs).is_acyclic())),
-        )
-    });
 }
 
 /// Every arrival plus one block cut on a fresh controller; returns the block's length.

@@ -49,8 +49,10 @@ pub struct CcConfig {
     /// Number of hash functions per bloom filter.
     pub bloom_hashes: usize,
     /// When `true`, the dependency graph keeps exact reachability sets alongside the bloom
-    /// filters; used by the ablation benchmarks and by tests that quantify false-positive
-    /// aborts. Production configurations leave this off.
+    /// filters, so a bloom hit the exact set refutes aborts as `BloomFalsePositive` rather than
+    /// `UnreorderableCycle`; every decision stays the same. Set only by tests (the accept-rule
+    /// specification's abort table among them) and by `cc_microbench`'s bloom-vs-exact rows.
+    /// Production configurations leave this off.
     pub track_exact_reachability: bool,
     /// Size (in KiB) at which the durable ledger rotates to a new segment file. Only consulted
     /// when a durable ledger directory is configured; the in-memory reference ledger ignores

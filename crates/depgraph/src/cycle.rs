@@ -1,11 +1,11 @@
 //! Exact cycle detection — the test oracle behind the bloom-filter fast path.
 //!
 //! Production FabricSharp never materialises full reachability; it relies on the bloom filters
-//! (Section 4.4), accepting occasional false-positive aborts. For testing, benchmarking the
-//! ablation, and validating Theorem 2 end-to-end, this module provides exact graph algorithms
-//! over the successor edges: whole-graph acyclicity and an exact version of the arrival-time
-//! cycle check. Both run directly on interned slots — dense colour tables and the epoch-tagged
-//! scratch replace the per-call hash maps of the seed implementation.
+//! (Section 4.4), accepting occasional false-positive aborts. For the tests that assert the
+//! graph stays acyclic and for `depgraph_bench`'s exact-probe rows, this module provides exact
+//! graph algorithms over the successor edges: whole-graph acyclicity and an exact version of
+//! the arrival-time cycle check. Both run directly on interned slots — dense colour tables and
+//! the epoch-tagged scratch replace the per-call hash maps of the seed implementation.
 
 use crate::graph::DependencyGraph;
 use eov_common::txn::TxnId;

@@ -6,10 +6,10 @@
 //! successor lists (`succ`) of `u32` slots mirrored by predecessor lists (`pred`), so removals
 //! touch only a node's neighbourhood and traversals index a `Vec` instead of hashing. Each
 //! node carries `anti_reachable`: a set — a bloom filter, optionally shadowed by an exact set
-//! for the ablation experiments — of every transaction that can reach it. Cycle detection for
-//! a new transaction then reduces to membership tests between its prospective predecessors and
-//! successors (Section 4.4), and Algorithm 4's reachability maintenance reduces to bit-vector
-//! unions. Exact reachability queries run on a reusable `crate::visited::EpochVisited`
+//! that labels bloom false positives — of every transaction that can reach it. Cycle detection
+//! for a new transaction then reduces to membership tests between its prospective predecessors
+//! and successors (Section 4.4), and Algorithm 4's reachability maintenance reduces to
+//! bit-vector unions. Exact reachability queries run on a reusable `crate::visited::EpochVisited`
 //! scratch set, so the per-transaction path allocates nothing once the slab is warm.
 
 use crate::bloom::BloomFilter;
@@ -25,8 +25,8 @@ use std::collections::HashSet;
 ///
 /// Always backed by a bloom filter (the production representation); when
 /// [`CcConfig::track_exact_reachability`] is enabled an exact `HashSet` is maintained
-/// alongside, which lets tests and the ablation benchmarks distinguish genuine cycles from
-/// bloom false positives.
+/// alongside, which lets tests, the accept-rule specification's abort table and
+/// `cc_microbench` distinguish genuine cycles from bloom false positives.
 #[derive(Clone, Debug)]
 pub struct ReachSet {
     bloom: BloomFilter,

@@ -13,12 +13,10 @@
 //! * `topo` — deterministic topological ordering of the caller's pending set (Algorithm 3,
 //!   line 1) in O(V + E) bitset-union work, ids without a node sorting as edge-free
 //!   transactions, and topologically-ordered traversal used by Algorithm 5.
-//! * `cycle` — exact (non-probabilistic) cycle detection used as a test oracle and for the
-//!   bloom-vs-exact ablation.
+//! * `cycle` — exact (non-probabilistic) cycle detection: whole-graph acyclicity for tests,
+//!   and the exact arrival probe `depgraph_bench` times against the bloom one.
 //! * `prune` — `max_span` snapshot thresholds and age-based pruning (Section 4.6).
-//! * `reference` — the retained naive-DFS implementation, kept as the equivalence oracle
-//!   and bench baseline for the dense engine. Not for production use.
-//! * `rebuild` — from-scratch reachability recomputation (called by tests only).
+//! * `rebuild` — from-scratch reachability recomputation (compiled for tests only).
 //!
 //! The orderer (`fabricsharp-core`'s `FabricSharpCC`) holds one [`DependencyGraph`] and calls
 //! it directly; the pending set `P` and the log of commits that bypassed the graph are its own.
@@ -30,12 +28,11 @@ mod cycle;
 pub mod graph;
 mod interner;
 mod prune;
+#[cfg(test)]
 mod rebuild;
-mod reference;
 mod topo;
 mod visited;
 
 pub use bloom::BloomFilter;
 pub use graph::{CycleCheck, DependencyGraph, InsertReport, ReachSet, TxnNode};
 pub use prune::snapshot_threshold;
-pub use reference::NaiveGraph;

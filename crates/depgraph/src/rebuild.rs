@@ -14,9 +14,8 @@
 //! implemented either. The saturation it would remedy is therefore what a run at HEAD shows —
 //! about 99 % of early aborts on the contended `perf_report` workloads are filter false
 //! positives (ROADMAP, "Where we stand"). The remedy ROADMAP item 2 plans is not a periodic
-//! rebuild but exact slot-indexed reach sets that forget a transaction when it is pruned;
-//! until that lands, this module is the from-scratch recompute item 1(iii) wants as an
-//! independent check.
+//! rebuild but exact slot-indexed reach sets that forget a transaction when it is pruned, with
+//! this recompute as its debug-build check.
 
 use crate::graph::DependencyGraph;
 use eov_common::txn::TxnId;
@@ -28,7 +27,7 @@ impl DependencyGraph {
     /// The rebuild walks nodes in reverse topological order (ancestors before descendants is
     /// not required — each node's set is the union over *predecessor* closures, so we process
     /// in topological order and push forward, mirroring Algorithm 4's propagation).
-    pub fn rebuild_reachability(&mut self) -> usize {
+    pub(crate) fn rebuild_reachability(&mut self) -> usize {
         let ids: Vec<TxnId> = self.nodes().map(|n| n.id).collect();
         if ids.is_empty() {
             return 0;

@@ -16,9 +16,8 @@
 //! unions dense pending-bitsets bottom-up (each node's "reachable pending set" is the OR of
 //! its successors' sets plus the pending successors themselves), and Kahn's algorithm then
 //! runs on a `BinaryHeap` keyed by arrival index instead of a shift-on-pop sorted vector.
-//! The result is bit-for-bit the order the per-pair DFS produced (same closure edges, same
-//! tie-break), which the `equivalence` proptest suite pins against the retained naive
-//! reference implementation.
+//! Ties break by arrival index, so the order is a pure function of the graph and the pending
+//! list; `topo_order_respects_every_dependency` and the pinned ledger tips hold it there.
 
 use crate::graph::DependencyGraph;
 use eov_common::txn::TxnId;

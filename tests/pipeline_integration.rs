@@ -199,7 +199,7 @@ fn pin_row(workload: &str, report: &SimReport, ledger: &Ledger) -> String {
     aborts.sort();
     format!(
         "{workload} {} {}\n  offered={} in_ledger={} committed={} blocks={} anti_rw={} \
-         fastpath={}\n  aborts {}\n",
+         fastpath={} hops={:.3}\n  aborts {}\n",
         report.system,
         ledger.tip_hash().to_hex(),
         report.offered,
@@ -208,6 +208,7 @@ fn pin_row(workload: &str, report: &SimReport, ledger: &Ledger) -> String {
         report.blocks,
         report.committed_with_anti_rw,
         report.fastpath_accepted,
+        report.avg_hops,
         aborts.join(",")
     )
 }
@@ -216,34 +217,34 @@ fn pin_row(workload: &str, report: &SimReport, ledger: &Ledger) -> String {
 /// still composed its own commit → append → checkpoint step.
 const SIMULATOR_PINS: &str = "\
 smallbank Fabric ff80cca79a5e9a60b80f7ded43818bcd508f9ec9c707a47712ba1c5d59f9af49
-  offered=480 in_ledger=480 committed=170 blocks=12 anti_rw=0 fastpath=0
+  offered=480 in_ledger=480 committed=170 blocks=12 anti_rw=0 fastpath=0 hops=0.000
   aborts StaleRead:310
 smallbank Fabric++ 8fc416e2911765a5cd8c8eb4dd6243a4534db1dd7c29c6f54b9f09f1c2f88aed
-  offered=480 in_ledger=237 committed=237 blocks=12 anti_rw=0 fastpath=0
+  offered=480 in_ledger=237 committed=237 blocks=12 anti_rw=0 fastpath=0 hops=0.000
   aborts CrossBlockRead:12,InBlockCycle:19,StaleRead:212
 smallbank Fabric# fbca9385a6871dfb5bd497f744b2b1dfc3fb5f69425ffdbbfc6290e799d51591
-  offered=480 in_ledger=267 committed=267 blocks=12 anti_rw=82 fastpath=0
+  offered=480 in_ledger=267 committed=267 blocks=12 anti_rw=82 fastpath=0 hops=2.244
   aborts UnreorderableCycle:213
 smallbank Focc-s ac8b21a20adc855ccf8ea33725b5e76feca2732029aabb9a9a411c0a7559c6d2
-  offered=480 in_ledger=215 committed=116 blocks=12 anti_rw=0 fastpath=0
+  offered=480 in_ledger=215 committed=116 blocks=12 anti_rw=0 fastpath=0 hops=0.000
   aborts ConcurrentWriteWrite:230,DangerousStructure:35,StaleRead:99
 smallbank Focc-l 553bb53bb9753c5fc4561bf145bd0b50cba1825496e0a54d958a5b65adc99812
-  offered=480 in_ledger=480 committed=190 blocks=12 anti_rw=0 fastpath=0
+  offered=480 in_ledger=480 committed=190 blocks=12 anti_rw=0 fastpath=0 hops=0.000
   aborts StaleRead:290
 ycsb-a Fabric d66a3f9bfad4a122364d027718d87f63dd19f7923573c67fc9d66ed50026df39
-  offered=480 in_ledger=480 committed=168 blocks=12 anti_rw=0 fastpath=0
+  offered=480 in_ledger=480 committed=168 blocks=12 anti_rw=0 fastpath=0 hops=0.000
   aborts StaleRead:312
 ycsb-a Fabric++ f4584b77ec288bcf725661b125a6cdfd85d461984ed0d1c871622927c2fff146
-  offered=480 in_ledger=236 committed=236 blocks=12 anti_rw=0 fastpath=0
+  offered=480 in_ledger=236 committed=236 blocks=12 anti_rw=0 fastpath=0 hops=0.000
   aborts CrossBlockRead:11,InBlockCycle:12,StaleRead:221
 ycsb-a Fabric# 12b4f03c1f21910e6226f413ebd1ee03cc658e0b92a2c1d6faf2f550849f52fe
-  offered=480 in_ledger=305 committed=305 blocks=12 anti_rw=111 fastpath=0
+  offered=480 in_ledger=305 committed=305 blocks=12 anti_rw=111 fastpath=0 hops=3.558
   aborts UnreorderableCycle:175
 ycsb-a Focc-s 8b75f657c2c7b4b8f327b2f8ee0f4e1609946608668cc6d6d934f6931afb6256
-  offered=480 in_ledger=222 committed=100 blocks=12 anti_rw=0 fastpath=0
+  offered=480 in_ledger=222 committed=100 blocks=12 anti_rw=0 fastpath=0 hops=0.000
   aborts ConcurrentWriteWrite:223,DangerousStructure:35,StaleRead:122
 ycsb-a Focc-l d728b20585c9305e1968edac7973a19074af629bda9e43ddd8f87cd6538a332b
-  offered=480 in_ledger=480 committed=189 blocks=12 anti_rw=0 fastpath=0
+  offered=480 in_ledger=480 committed=189 blocks=12 anti_rw=0 fastpath=0 hops=0.000
   aborts StaleRead:291
 ";
 
