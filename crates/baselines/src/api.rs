@@ -115,7 +115,7 @@ pub fn table1_commits(system: SystemKind) -> Vec<u64> {
 }
 
 /// The orderer/peer-side concurrency-control interface shared by all five systems.
-pub trait ConcurrencyControl: Send {
+pub trait ConcurrencyControl {
     /// Which system this is.
     fn kind(&self) -> SystemKind;
 

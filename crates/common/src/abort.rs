@@ -34,14 +34,6 @@ pub enum AbortReason {
     /// Fabric++: the transaction was aborted by the in-block cycle-elimination step of the
     /// reordering algorithm.
     InBlockCycle,
-    /// Focc-l: the sort-based greedy reorderer dropped the transaction to break conflicts.
-    GreedyVictim,
-    /// The endorsement policy was not satisfied (not enough endorsements).
-    EndorsementPolicy,
-    /// The client or ordering service dropped the transaction (queue overflow / timeout).
-    Dropped,
-    /// Any cause not covered above ("Others" in Figure 14).
-    Other,
 }
 
 impl AbortReason {
@@ -69,10 +61,6 @@ impl fmt::Display for AbortReason {
                 "bloom-filter reachability hit (possible false positive)"
             }
             AbortReason::InBlockCycle => "in-block dependency cycle (Fabric++ reordering)",
-            AbortReason::GreedyVictim => "dropped by sort-based greedy reordering",
-            AbortReason::EndorsementPolicy => "endorsement policy not satisfied",
-            AbortReason::Dropped => "dropped by the pipeline",
-            AbortReason::Other => "other",
         };
         f.write_str(s)
     }

@@ -7,7 +7,8 @@
 //!
 //! * [`SeqNo`] — the paper's two-component sequence numbers `(block, seq)` used both for
 //!   record versions and transaction timestamps (Definitions 3 and 4).
-//! * [`Key`] / [`Value`] — the versioned key-value vocabulary of the state database.
+//! * [`rwset::Key`] / [`rwset::Value`] — the versioned key-value vocabulary of the state
+//!   database.
 //! * [`Transaction`], [`ReadSet`], [`WriteSet`] — endorsed transactions carrying the
 //!   simulation results produced in the *execute* phase.
 //! * [`DependencyKind`] — the six canonical dependencies of Figure 5.

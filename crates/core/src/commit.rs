@@ -1,14 +1,14 @@
 //! Serial commit semantics for one delivered block — the validate phase of the EOV pipeline.
 //!
 //! These routines are the one committer: transactions are validated and applied strictly in
-//! block order against the `StateStore` surface, as the paper's single serial validator does.
+//! block order against the one `MultiVersionStore`, as the paper's single serial validator does.
 //! The baselines crate re-exports them; `SimpleChain::commit`, the step the examples, tests
 //! and the simulator all drive, calls [`commit_block`] once per block.
 
 use eov_common::abort::AbortReason;
 use eov_common::txn::{Transaction, TxnStatus};
 use eov_common::version::SeqNo;
-use eov_vstore::{StateRead, StateStore};
+use eov_vstore::MultiVersionStore;
 use std::collections::HashSet;
 
 /// Outcome of validating and applying one block.
@@ -29,8 +29,8 @@ pub struct CommitOutcome {
 /// transactions earlier in the same block. Valid transactions immediately apply their writes
 /// to the store at version `(block_no, slot)`. The store's height advances to `block_no`
 /// regardless, so later snapshots exist even for blocks whose transactions all aborted.
-pub fn mvcc_validate_and_apply<S: StateStore>(
-    store: &mut S,
+pub fn mvcc_validate_and_apply(
+    store: &mut MultiVersionStore,
     block_no: u64,
     txns: &[Transaction],
 ) -> Vec<TxnStatus> {
@@ -63,8 +63,8 @@ pub fn mvcc_validate_and_apply<S: StateStore>(
 
 /// Applies every transaction of a block without validation (used for FabricSharp, whose
 /// ordering already guarantees serializability). Writes are installed in block order.
-pub fn apply_without_validation<S: StateStore>(
-    store: &mut S,
+pub fn apply_without_validation(
+    store: &mut MultiVersionStore,
     block_no: u64,
     txns: &[Transaction],
 ) -> Vec<TxnStatus> {
@@ -85,7 +85,7 @@ pub fn apply_without_validation<S: StateStore>(
 /// the latest — i.e. commits that tolerate an anti-rw dependency. Evaluated serially in block
 /// order against the pre-block state plus earlier in-block writes, exactly like the MVCC check
 /// would be. Feeds the Figure 5 "commits a Strong-Serializability system would abort" metric.
-pub fn count_anti_rw_commits<S: StateRead>(store: &S, txns: &[Transaction]) -> u64 {
+pub fn count_anti_rw_commits(store: &MultiVersionStore, txns: &[Transaction]) -> u64 {
     let mut in_block_writes: HashSet<&str> = HashSet::new();
     let mut count = 0;
     for txn in txns {
@@ -110,8 +110,8 @@ pub fn count_anti_rw_commits<S: StateRead>(store: &S, txns: &[Transaction]) -> u
 /// The complete validator/committer step for one block: counts anti-rw-tolerant commits
 /// against the pre-block state, then either MVCC-validates (the baselines) or applies
 /// unconditionally (FabricSharp).
-pub fn commit_block<S: StateStore>(
-    store: &mut S,
+pub fn commit_block(
+    store: &mut MultiVersionStore,
     block_no: u64,
     txns: &[Transaction],
     needs_validation: bool,

@@ -9,9 +9,8 @@
 
 use eov_common::rwset::{Key, ReadSet, Value, WriteSet};
 use eov_common::txn::{Transaction, TxnId};
-#[cfg(test)]
-use eov_vstore::MultiVersionStore;
-use eov_vstore::{SnapshotManager, SnapshotView, StateRead};
+use eov_common::version::SeqNo;
+use eov_vstore::{MultiVersionStore, SnapshotManager};
 
 /// The mutable effects a contract accumulates while simulating: reads (with observed versions)
 /// and buffered writes. Writes are visible to subsequent reads *within the same simulation*
@@ -29,23 +28,30 @@ impl TxnEffects {
     }
 }
 
-/// A contract execution context handed to the simulation closure: snapshot reads plus buffered
-/// writes.
+/// A contract execution context handed to the simulation closure: the store read as of the
+/// snapshot after block `snapshot_block`, plus buffered writes.
 pub struct SimulationContext<'a> {
-    view: SnapshotView<'a>,
+    store: &'a MultiVersionStore,
+    snapshot_block: u64,
     effects: &'a mut TxnEffects,
 }
 
 impl<'a> SimulationContext<'a> {
     /// Reads `key`, observing the buffered write if the simulation already wrote it, otherwise
-    /// the snapshot value. Snapshot reads are recorded into the readset.
+    /// the snapshot value. A snapshot read is recorded into the readset with the version it
+    /// observed; a key absent at the snapshot is recorded at `(0, 0)`, so validation still sees
+    /// a later creation of it (Fabric records absent reads the same way).
     pub(crate) fn read(&mut self, key: &Key) -> Option<Value> {
         if let Some(v) = self.effects.writes.value_of(key) {
             return Some(v.clone());
         }
-        self.view
-            .read_recording(key, &mut self.effects.reads)
-            .expect("no run prunes store versions, so every snapshot stays readable")
+        let observed = self
+            .store
+            .read_at(key, self.snapshot_block)
+            .expect("no run prunes store versions, so every snapshot stays readable");
+        let version = observed.map_or(SeqNo::zero(), |vv| vv.version);
+        self.effects.reads.record(key.clone(), version);
+        observed.map(|vv| vv.value.clone())
     }
 
     /// Reads `key` as an `i64` balance, defaulting to 0 when absent (Smallbank convention).
@@ -80,9 +86,8 @@ impl SnapshotEndorser {
 
     /// Algorithm 1: simulates `logic` against the latest snapshot of `store` and packages the
     /// result as an endorsed transaction with the given id.
-    pub fn simulate<S, F>(&self, store: &S, id: TxnId, logic: F) -> Transaction
+    pub fn simulate<F>(&self, store: &MultiVersionStore, id: TxnId, logic: F) -> Transaction
     where
-        S: StateRead,
         F: FnOnce(&mut SimulationContext<'_>),
     {
         self.simulate_at(store, id, self.snapshots.latest(), logic)
@@ -91,21 +96,21 @@ impl SnapshotEndorser {
     /// Simulates against an explicit snapshot block — used by tests and by the simulator when
     /// it needs to model a stale snapshot (e.g. a long-running simulation that started several
     /// blocks ago).
-    pub fn simulate_at<S, F>(
+    pub fn simulate_at<F>(
         &self,
-        store: &S,
+        store: &MultiVersionStore,
         id: TxnId,
         snapshot_block: u64,
         logic: F,
     ) -> Transaction
     where
-        S: StateRead,
         F: FnOnce(&mut SimulationContext<'_>),
     {
         let mut effects = TxnEffects::default();
         {
             let mut ctx = SimulationContext {
-                view: SnapshotView::new(store, snapshot_block),
+                store,
+                snapshot_block,
                 effects: &mut effects,
             };
             logic(&mut ctx);
@@ -117,7 +122,6 @@ impl SnapshotEndorser {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eov_common::version::SeqNo;
 
     fn setup() -> (MultiVersionStore, SnapshotEndorser) {
         let mut store = MultiVersionStore::new();
@@ -211,6 +215,10 @@ mod tests {
             ctx.write(Key::new("alice"), Value::from_i64(a + 1));
         });
         assert_eq!(txn.snapshot_block, 0);
+        assert_eq!(
+            txn.read_set.version_of(&Key::new("alice")),
+            Some(SeqNo::new(0, 1))
+        );
         assert_eq!(
             txn.write_set.value_of(&Key::new("alice")).unwrap().as_i64(),
             Some(101)

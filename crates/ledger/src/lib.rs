@@ -6,7 +6,7 @@
 //! block rather than removing them, so the raw ledger throughput counts them too — this is
 //! exactly the raw-vs-effective distinction of Figure 1).
 //!
-//! * [`sha256`] — the dependency-free SHA-256 behind every block hash: a portable
+//! * [`mod@sha256`] — the dependency-free SHA-256 behind every block hash: a portable
 //!   compression kernel, and an x86-64 SHA-NI one chosen at run time when CPUID reports it.
 //! * `block` — block headers, block bodies, and per-transaction commit flags.
 //! * `chain` — the append-only hash-chained block store with integrity verification

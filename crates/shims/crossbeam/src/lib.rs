@@ -1,249 +1,3 @@
-//! Offline shim for the subset of `crossbeam` used by this workspace:
-//! `channel::{unbounded, Sender, Receiver}`. Like the upstream crate (and
-//! unlike `std::sync::mpsc`), both endpoints are `Clone + Send + Sync`, which
-//! the consensus log relies on to hand producer handles to orderer threads and
-//! the pipeline stage executor relies on for its sharded worker pools.
-//!
-//! [`Receiver::recv`] blocks (condvar, no spinning) until a message arrives or
-//! every sender has been dropped, which is what lets pipeline workers park
-//! between jobs and shut down cleanly when the driver drops its job senders.
-
-pub mod channel {
-    use std::collections::VecDeque;
-    use std::fmt;
-    use std::sync::{Arc, Condvar, Mutex};
-
-    struct State<T> {
-        items: VecDeque<T>,
-        /// Live [`Sender`] handles; when this reaches zero the channel is disconnected and
-        /// blocked receivers wake up with [`RecvError`].
-        senders: usize,
-    }
-
-    struct Queue<T> {
-        state: Mutex<State<T>>,
-        available: Condvar,
-    }
-
-    impl<T> Queue<T> {
-        fn lock(&self) -> std::sync::MutexGuard<'_, State<T>> {
-            self.state.lock().unwrap_or_else(|e| e.into_inner())
-        }
-    }
-
-    /// Creates an unbounded MPMC channel.
-    pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
-        let queue = Arc::new(Queue {
-            state: Mutex::new(State {
-                items: VecDeque::new(),
-                senders: 1,
-            }),
-            available: Condvar::new(),
-        });
-        (
-            Sender {
-                queue: Arc::clone(&queue),
-            },
-            Receiver { queue },
-        )
-    }
-
-    /// The sending half; cloneable across threads.
-    pub struct Sender<T> {
-        queue: Arc<Queue<T>>,
-    }
-
-    impl<T> Sender<T> {
-        /// Enqueues a message. Never fails: the queue lives as long as any endpoint.
-        pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-            self.queue.lock().items.push_back(value);
-            self.queue.available.notify_one();
-            Ok(())
-        }
-    }
-
-    impl<T> Clone for Sender<T> {
-        fn clone(&self) -> Self {
-            self.queue.lock().senders += 1;
-            Sender {
-                queue: Arc::clone(&self.queue),
-            }
-        }
-    }
-
-    impl<T> Drop for Sender<T> {
-        fn drop(&mut self) {
-            let mut state = self.queue.lock();
-            state.senders -= 1;
-            if state.senders == 0 {
-                drop(state);
-                self.queue.available.notify_all();
-            }
-        }
-    }
-
-    impl<T> fmt::Debug for Sender<T> {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            f.write_str("Sender { .. }")
-        }
-    }
-
-    /// The receiving half; cloneable, with clones competing for messages.
-    pub struct Receiver<T> {
-        queue: Arc<Queue<T>>,
-    }
-
-    impl<T> Receiver<T> {
-        /// Dequeues the oldest message, or reports the channel empty / disconnected.
-        pub fn try_recv(&self) -> Result<T, TryRecvError> {
-            let mut state = self.queue.lock();
-            match state.items.pop_front() {
-                Some(value) => Ok(value),
-                None if state.senders == 0 => Err(TryRecvError::Disconnected),
-                None => Err(TryRecvError::Empty),
-            }
-        }
-
-        /// Blocks until a message is available and dequeues it. Returns [`RecvError`] once the
-        /// channel is empty and every sender has been dropped.
-        pub fn recv(&self) -> Result<T, RecvError> {
-            let mut state = self.queue.lock();
-            loop {
-                if let Some(value) = state.items.pop_front() {
-                    return Ok(value);
-                }
-                if state.senders == 0 {
-                    return Err(RecvError);
-                }
-                state = self
-                    .queue
-                    .available
-                    .wait(state)
-                    .unwrap_or_else(|e| e.into_inner());
-            }
-        }
-
-        /// Number of messages currently queued.
-        pub fn len(&self) -> usize {
-            self.queue.lock().items.len()
-        }
-
-        /// Whether the queue is currently empty.
-        pub fn is_empty(&self) -> bool {
-            self.len() == 0
-        }
-    }
-
-    impl<T> Clone for Receiver<T> {
-        fn clone(&self) -> Self {
-            Receiver {
-                queue: Arc::clone(&self.queue),
-            }
-        }
-    }
-
-    impl<T> fmt::Debug for Receiver<T> {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            f.write_str("Receiver { .. }")
-        }
-    }
-
-    /// Error type for [`Sender::send`]; never actually produced by this shim.
-    #[derive(Debug, PartialEq, Eq)]
-    pub struct SendError<T>(pub T);
-
-    /// Error type for [`Receiver::recv`]: every sender was dropped and the queue is drained.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub struct RecvError;
-
-    /// Error type for [`Receiver::try_recv`].
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum TryRecvError {
-        /// No message was queued at the time of the call.
-        Empty,
-        /// All senders dropped and the queue is drained.
-        Disconnected,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::channel::{unbounded, RecvError, TryRecvError};
-
-    #[test]
-    fn fifo_order_across_cloned_senders() {
-        let (tx, rx) = unbounded();
-        let tx2 = tx.clone();
-        tx.send(1).unwrap();
-        tx2.send(2).unwrap();
-        tx.send(3).unwrap();
-        assert_eq!(rx.try_recv(), Ok(1));
-        assert_eq!(rx.try_recv(), Ok(2));
-        assert_eq!(rx.try_recv(), Ok(3));
-        assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
-    }
-
-    #[test]
-    fn senders_work_from_multiple_threads() {
-        let (tx, rx) = unbounded();
-        let handles: Vec<_> = (0..4)
-            .map(|t| {
-                let tx = tx.clone();
-                std::thread::spawn(move || {
-                    for i in 0..100u64 {
-                        tx.send(t * 1000 + i).unwrap();
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        let mut received = 0;
-        while rx.try_recv().is_ok() {
-            received += 1;
-        }
-        assert_eq!(received, 400);
-    }
-
-    #[test]
-    fn recv_blocks_until_a_message_arrives() {
-        let (tx, rx) = unbounded();
-        let producer = std::thread::spawn(move || {
-            std::thread::sleep(std::time::Duration::from_millis(20));
-            tx.send(7u64).unwrap();
-        });
-        // The consumer parks until the producer wakes it.
-        assert_eq!(rx.recv(), Ok(7));
-        producer.join().unwrap();
-    }
-
-    #[test]
-    fn recv_reports_disconnect_after_queue_drains() {
-        let (tx, rx) = unbounded();
-        tx.send(1u64).unwrap();
-        drop(tx);
-        assert_eq!(rx.recv(), Ok(1));
-        assert_eq!(rx.recv(), Err(RecvError));
-        assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected));
-    }
-
-    #[test]
-    fn cloned_senders_keep_the_channel_connected() {
-        let (tx, rx) = unbounded::<u64>();
-        let tx2 = tx.clone();
-        drop(tx);
-        assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
-        drop(tx2);
-        assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected));
-    }
-
-    #[test]
-    fn blocked_receivers_wake_on_disconnect() {
-        let (tx, rx) = unbounded::<u64>();
-        let consumer = std::thread::spawn(move || rx.recv());
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        drop(tx);
-        assert_eq!(consumer.join().unwrap(), Err(RecvError));
-    }
-}
+//! Offline stand-in for `crossbeam`. It provides nothing: no code in the workspace uses it. The
+//! crate is kept only because `perf/Cargo.lock` lists it as a dependency of `eov-depgraph` and
+//! `fabricsharp-core` (see `crates/shims/README.md`).

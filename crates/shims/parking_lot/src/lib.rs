@@ -1,85 +1,3 @@
-//! Offline shim for the subset of `parking_lot` used by this workspace: a
-//! non-poisoning [`RwLock`] with the `read()` / `write()` signatures of the
-//! upstream crate, backed by `std::sync::RwLock`. Poisoned locks (a writer
-//! panicked) are recovered rather than propagated, matching parking_lot's
-//! no-poisoning semantics.
-
-use std::fmt;
-use std::sync::RwLock as StdRwLock;
-
-pub use std::sync::{RwLockReadGuard, RwLockWriteGuard};
-
-/// A reader-writer lock whose guards are acquired infallibly.
-#[derive(Default)]
-pub struct RwLock<T: ?Sized> {
-    inner: StdRwLock<T>,
-}
-
-impl<T> RwLock<T> {
-    /// Creates a new unlocked lock.
-    pub fn new(value: T) -> Self {
-        RwLock {
-            inner: StdRwLock::new(value),
-        }
-    }
-
-    /// Consumes the lock, returning the protected value.
-    pub fn into_inner(self) -> T {
-        self.inner.into_inner().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    /// Acquires shared read access, blocking until available.
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        self.inner.read().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Acquires exclusive write access, blocking until available.
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        self.inner.write().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Mutable access without locking (the borrow checker guarantees exclusivity).
-    pub fn get_mut(&mut self) -> &mut T {
-        match self.inner.get_mut() {
-            Ok(v) => v,
-            Err(e) => e.into_inner(),
-        }
-    }
-}
-
-impl<T: fmt::Debug + ?Sized> fmt::Debug for RwLock<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.inner.try_read() {
-            Ok(guard) => f.debug_struct("RwLock").field("data", &&*guard).finish(),
-            Err(_) => f.debug_struct("RwLock").field("data", &"<locked>").finish(),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::RwLock;
-
-    #[test]
-    fn read_write_round_trip() {
-        let lock = RwLock::new(vec![1, 2, 3]);
-        lock.write().push(4);
-        assert_eq!(*lock.read(), vec![1, 2, 3, 4]);
-        assert_eq!(lock.into_inner(), vec![1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn poisoned_locks_recover() {
-        let lock = std::sync::Arc::new(RwLock::new(0u32));
-        let clone = std::sync::Arc::clone(&lock);
-        let _ = std::thread::spawn(move || {
-            let _guard = clone.write();
-            panic!("poison the lock");
-        })
-        .join();
-        *lock.write() += 1;
-        assert_eq!(*lock.read(), 1);
-    }
-}
+//! Offline stand-in for `parking_lot`. It provides nothing: no code in the workspace uses it.
+//! The crate is kept only because `perf/Cargo.lock` lists it as a dependency of `eov-vstore`
+//! (see `crates/shims/README.md`).

@@ -1,6 +1,6 @@
 //! Offline shim for the subset of `proptest` used by this workspace.
 //!
-//! Provides the `proptest!` / `prop_assert*!` macros, the [`Strategy`] trait
+//! Provides the `proptest!` / `prop_assert*!` macros, the [`strategy::Strategy`] trait
 //! with `prop_map`, range and tuple strategies, `collection::{vec, hash_set}`,
 //! `any::<T>()`, `sample::Index` and `ProptestConfig::with_cases`.
 //!

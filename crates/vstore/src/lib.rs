@@ -7,7 +7,7 @@
 //!   that installed it (Figure 2a of the paper). The store keeps *all* versions so that any
 //!   block snapshot can be read back, which is exactly the storage-snapshot mechanism
 //!   Algorithm 1 relies on (Section 4.2).
-//! * [`snapshot`] — block snapshot handles and the shared latest-snapshot height.
+//! * [`snapshot`] — [`SnapshotManager`], the latest committed height the endorsers read.
 //! * `index` — the orderer-side committed-transaction indices `CommittedWriteTxns` (CW) and
 //!   `CommittedReadTxns` (CR) of Section 4.3. The paper stores these in LevelDB; here they are
 //!   in-memory key-major maps (record key → its entries in commit order) exposing the same
@@ -16,8 +16,6 @@
 //!   the not-yet-ordered transactions.
 //! * [`DependencyIndices`] — the four indices above in one plain struct: what the orderer
 //!   resolves an arriving transaction against.
-//! * [`state`] — the [`state::StateRead`] / [`state::StateStore`] traits the endorsement and
-//!   commit paths are written against.
 //! * `timetravel` — the reenactment query surface over the retained history, as
 //!   `MultiVersionStore` methods: [`MultiVersionStore::value_as_of`] ("value of `key` as of
 //!   block `h`", with the commit slot behind it) and [`MultiVersionStore::history_range`]
@@ -35,14 +33,12 @@ mod mvstore;
 mod mvstore_model;
 pub mod pending;
 pub mod snapshot;
-pub mod state;
 mod timetravel;
 
 pub use index::{CommittedReadIndex, CommittedWriteIndex};
 pub use mvstore::{MultiVersionStore, VersionedValue};
 pub use pending::PendingIndex;
-pub use snapshot::{SnapshotManager, SnapshotView};
-pub use state::{StateRead, StateStore};
+pub use snapshot::SnapshotManager;
 
 /// The four dependency-resolution indices of Section 4.3: committed writes (CW), committed
 /// reads (CR), pending writes (PW) and pending reads (PR), one of each.
@@ -62,6 +58,14 @@ pub struct DependencyIndices {
 /// [`MultiVersionStore::for_shards`], only for `perf/src/driver.rs`; both go once the
 /// benchmark names `MultiVersionStore::new()` (ROADMAP).
 pub type StoreBackend = MultiVersionStore;
+
+/// A name with no methods and no implementor, kept only because `perf/src/driver.rs` imports
+/// it; it goes with [`StoreBackend`] once the benchmark stops naming it (ROADMAP).
+pub trait StateRead {}
+
+/// A name with no methods and no implementor, kept only because `perf/src/driver.rs` imports
+/// it; it goes with [`StoreBackend`] once the benchmark stops naming it (ROADMAP).
+pub trait StateStore {}
 
 impl MultiVersionStore {
     /// `MultiVersionStore::new()` under its old constructor name; `shards` must be 0.

@@ -247,7 +247,8 @@ impl MultiVersionStore {
         self.chains.len()
     }
 
-    /// Total number of retained versions across all keys (used by pruning tests and metrics).
+    /// Total number of retained versions across all keys (used by pruning tests).
+    #[cfg(test)]
     pub(crate) fn version_count(&self) -> usize {
         self.chains
             .iter()
@@ -387,15 +388,17 @@ impl MultiVersionStore {
 
     /// Reads `key` as of the snapshot after block `block`: the newest version whose block
     /// component is `<= block`. Returns an error if that snapshot has been pruned.
+    ///
+    /// The walk starts at the newest version: endorsement reads a snapshot a few blocks behind
+    /// the tip, so the answer is at most those blocks' writes of the key away, where a binary
+    /// search of a hot key's long chain takes a dependent cache miss per probe. Reads at any
+    /// height binary-search in [`Self::value_as_of`].
     pub fn read_at(&self, key: &Key, block: u64) -> Result<Option<&VersionedValue>> {
         if block < self.pruned_below {
             return Err(CommonError::SnapshotPruned(block));
         }
-        let chain = self.history(key);
-        // Versions are sorted; find the last one with version.block <= block.
         let bound = SeqNo::new(block, u32::MAX);
-        let idx = chain.partition_point(|v| v.version <= bound);
-        Ok(idx.checked_sub(1).map(|newest| &chain[newest]))
+        Ok(self.history(key).iter().rev().find(|v| v.version <= bound))
     }
 
     /// Full version history of `key` (oldest first). Empty if the key was never written.

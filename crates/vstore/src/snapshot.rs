@@ -1,75 +1,18 @@
-//! Block snapshots and the latest snapshot height.
+//! The latest committed block height.
 //!
 //! Definition 1 of the paper: a *blockchain snapshot* is the state of the blockchain after a
 //! block has committed. Algorithm 1 simulates every contract invocation against such a
 //! snapshot, the one of "the last block". The multi-version store keeps every version, so each
-//! block's snapshot stays readable without being copied. This module provides:
-//!
-//! * [`SnapshotView`] — a read handle over a [`MultiVersionStore`](crate::MultiVersionStore)
-//!   frozen at one block height, which also records every read into a [`ReadSet`] so
-//!   endorsement produces the transaction's version dependencies as a side effect.
-//! * [`SnapshotManager`] — the height of the latest committed block, registered by the commit
-//!   path and read by the endorsers.
+//! block's snapshot stays readable without being copied; all that needs sharing is which block
+//! is the last one. [`SnapshotManager`] holds that height: the commit path registers each block
+//! and `SnapshotEndorser::simulate` reads it.
 
-#[cfg(test)]
-use crate::mvstore::MultiVersionStore;
-use crate::state::StateRead;
-use eov_common::error::Result;
-use eov_common::rwset::{Key, ReadSet, Value};
-use eov_common::version::SeqNo;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// A read-only view of the state as of the snapshot after a specific block.
-///
-/// Reads performed through [`SnapshotView::read_recording`] are recorded into the supplied
-/// [`ReadSet`] with the version they observed, mirroring how an endorsing peer builds the
-/// readset during simulation. Keys that do not exist at the snapshot are recorded with the
-/// genesis version `(0,0)` so that validation can still detect later creations (phantom
-/// protection, matching Fabric's behaviour of recording absent reads).
-///
-/// The view holds the store behind one `&dyn` [`StateRead`], so contract simulation closures
-/// stay non-generic.
-#[derive(Clone, Copy)]
-pub struct SnapshotView<'a> {
-    store: &'a dyn StateRead,
-    block: u64,
-}
-
-impl std::fmt::Debug for SnapshotView<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SnapshotView")
-            .field("block", &self.block)
-            .finish_non_exhaustive()
-    }
-}
-
-impl<'a> SnapshotView<'a> {
-    /// Creates a view of `store` frozen at the snapshot after `block`.
-    pub fn new<S: StateRead>(store: &'a S, block: u64) -> Self {
-        SnapshotView { store, block }
-    }
-
-    /// Reads `key` and records the observation (key + version) into `reads`.
-    pub fn read_recording(&self, key: &Key, reads: &mut ReadSet) -> Result<Option<Value>> {
-        match self.store.read_at(key, self.block)? {
-            Some(vv) => {
-                reads.record(key.clone(), vv.version);
-                Ok(Some(vv.value.clone()))
-            }
-            None => {
-                reads.record(key.clone(), SeqNo::zero());
-                Ok(None)
-            }
-        }
-    }
-}
-
-/// The height of the latest registered block snapshot, shared between the commit path (which
-/// registers each block once its writes are applied) and the endorsers (which simulate against
-/// it). Clones share one height, and reading it takes no lock, so endorsement and validation
-/// proceed in parallel — the extra parallelism over vanilla Fabric's read-write lock that
-/// Section 4.2 highlights.
+/// The latest committed block height: the commit path registers each block once its writes are
+/// applied, and `SnapshotEndorser::simulate` reads it as the snapshot to simulate against.
+/// Clones share one height.
 #[derive(Clone, Debug, Default)]
 pub struct SnapshotManager {
     latest: Arc<AtomicU64>,
@@ -97,44 +40,6 @@ impl SnapshotManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn seeded_store() -> MultiVersionStore {
-        let mut store = MultiVersionStore::new();
-        store.seed_genesis([(Key::new("A"), Value::from_i64(100))]);
-        store
-    }
-
-    #[test]
-    fn snapshot_view_reads_frozen_state_and_records_versions() {
-        let mut store = seeded_store();
-        store.put(Key::new("A"), SeqNo::new(1, 1), Value::from_i64(200));
-        store.commit_empty_block(1);
-
-        let snap0 = SnapshotView::new(&store, 0);
-        let snap1 = SnapshotView::new(&store, 1);
-
-        let mut reads = ReadSet::new();
-        let v0 = snap0.read_recording(&Key::new("A"), &mut reads).unwrap();
-        assert_eq!(v0.unwrap().as_i64(), Some(100));
-        assert_eq!(reads.version_of(&Key::new("A")), Some(SeqNo::new(0, 1)));
-
-        let mut reads = ReadSet::new();
-        let v1 = snap1.read_recording(&Key::new("A"), &mut reads).unwrap();
-        assert_eq!(v1.unwrap().as_i64(), Some(200));
-        assert_eq!(reads.version_of(&Key::new("A")), Some(SeqNo::new(1, 1)));
-    }
-
-    #[test]
-    fn missing_keys_are_recorded_with_genesis_version() {
-        let store = seeded_store();
-        let snap = SnapshotView::new(&store, 0);
-        let mut reads = ReadSet::new();
-        let v = snap
-            .read_recording(&Key::new("missing"), &mut reads)
-            .unwrap();
-        assert!(v.is_none());
-        assert_eq!(reads.version_of(&Key::new("missing")), Some(SeqNo::zero()));
-    }
 
     #[test]
     fn register_never_regresses_latest() {
