@@ -67,35 +67,5 @@ fn bench_block_formation(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_bloom_vs_exact_reachability(c: &mut Criterion) {
-    // Ablation: FabricSharp arrival processing with bloom-only reachability vs bloom + exact
-    // shadow sets.
-    let txns = sample_txns(200, 0.3);
-    let mut group = c.benchmark_group("fabricsharp_reachability_ablation");
-    group
-        .sample_size(20)
-        .measurement_time(Duration::from_secs(2));
-    for (label, exact) in [("bloom_only", false), ("bloom_plus_exact", true)] {
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                let mut cc = fabricsharp_core::FabricSharpCC::new(CcConfig {
-                    track_exact_reachability: exact,
-                    ..CcConfig::default()
-                });
-                for txn in &txns {
-                    let _ = cc.on_arrival(txn.clone());
-                }
-                cc.cut_block().len()
-            });
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_arrival,
-    bench_block_formation,
-    bench_bloom_vs_exact_reachability
-);
+criterion_group!(benches, bench_arrival, bench_block_formation);
 criterion_main!(benches);

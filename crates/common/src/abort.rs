@@ -26,10 +26,15 @@ pub enum AbortReason {
     /// conflicts with at least one anti-rw ("2 consecutive rw" in Figure 14).
     DangerousStructure,
     /// FabricSharp (Theorem 2): the transaction closes a dependency cycle with no c-ww edge
-    /// between pending transactions, so no reordering can ever serialize it.
+    /// between pending transactions, so no reordering can ever serialize it. The cycle test
+    /// probes bloom filters, so a filter false positive is booked here too (a preventive
+    /// abort, Section 4.4).
     UnreorderableCycle,
-    /// FabricSharp: the bloom-filter reachability test reported a (possibly false-positive)
-    /// cycle, so the transaction is preventively aborted (Section 4.4).
+    /// A bloom-filter false positive in FabricSharp's cycle test (Section 4.4). No code path
+    /// builds this variant: Fabric# books every positive of its filter probe, false or not,
+    /// as [`AbortReason::UnreorderableCycle`], and only the ledger codec's decode table maps
+    /// code 6 to it. It stays because `perf/src/driver.rs` names it for the
+    /// `arrival.abort.BloomFalsePositive` metric, until ROADMAP items 1(e) and 2 retire both.
     BloomFalsePositive,
     /// Fabric++: the transaction was aborted by the in-block cycle-elimination step of the
     /// reordering algorithm.

@@ -48,12 +48,6 @@ pub struct CcConfig {
     pub bloom_bits: usize,
     /// Number of hash functions per bloom filter.
     pub bloom_hashes: usize,
-    /// When `true`, the dependency graph keeps exact reachability sets alongside the bloom
-    /// filters, so a bloom hit the exact set refutes aborts as `BloomFalsePositive` rather than
-    /// `UnreorderableCycle`; every decision stays the same. Set only by tests (the accept-rule
-    /// specification's abort table among them) and by `cc_microbench`'s bloom-vs-exact rows.
-    /// Production configurations leave this off.
-    pub track_exact_reachability: bool,
     /// Size (in KiB) at which the durable ledger rotates to a new segment file. Only consulted
     /// when a durable ledger directory is configured; the in-memory reference ledger ignores
     /// it. Defaults to 1 MiB: every rotation is a file creation and one more directory entry
@@ -80,7 +74,6 @@ impl Default for CcConfig {
             max_span: 10,
             bloom_bits: 4096,
             bloom_hashes: 3,
-            track_exact_reachability: false,
             segment_rotate_kib: 1024,
             checkpoint_interval: 0,
             durable_fsync: false,
@@ -221,6 +214,5 @@ mod tests {
         let cc = CcConfig::default();
         assert_eq!(cc.max_span, 10);
         assert!(cc.bloom_bits >= 64);
-        assert!(!cc.track_exact_reachability);
     }
 }

@@ -18,7 +18,6 @@ use crate::dependency::{debug_assert_dependency_free, resolve};
 use crate::orderer_cc::FabricSharpCC;
 use eov_common::abort::AbortReason;
 use eov_common::txn::{CommitDecision, Transaction};
-use eov_depgraph::CycleCheck;
 
 impl FabricSharpCC {
     /// Algorithm 2: decides whether `txn` is reorderable. Accepted transactions join the
@@ -61,18 +60,14 @@ impl FabricSharpCC {
         // Step 2: dependency resolution (all kinds except pending-pending c-ww).
         let deps = resolve(&txn, &self.indices);
 
-        // Step 3: cycle test on the reachability filters.
-        let check = self
+        // Step 3: cycle test on the reachability filters. A filter false positive aborts too
+        // (preventive abort, Section 4.4), under the same reason.
+        if self
             .graph
-            .would_close_cycle(&deps.predecessors, &deps.successors);
-
-        if let CycleCheck::Cycle { confirmed_exact } = check {
-            let reason = match confirmed_exact {
-                Some(false) => AbortReason::BloomFalsePositive,
-                _ => AbortReason::UnreorderableCycle,
-            };
-            self.stats.record_abort(reason);
-            return CommitDecision::Reject(reason);
+            .would_close_cycle(&deps.predecessors, &deps.successors)
+        {
+            self.stats.record_abort(AbortReason::UnreorderableCycle);
+            return CommitDecision::Reject(AbortReason::UnreorderableCycle);
         }
 
         // Step 4a: insert into the dependency graph (Algorithm 4).
@@ -129,16 +124,13 @@ mod tests {
         )
     }
 
-    fn exact_cc() -> FabricSharpCC {
-        FabricSharpCC::new(CcConfig {
-            track_exact_reachability: true,
-            ..CcConfig::default()
-        })
+    fn default_cc() -> FabricSharpCC {
+        FabricSharpCC::new(CcConfig::default())
     }
 
     #[test]
     fn independent_transactions_are_accepted() {
-        let mut cc = exact_cc();
+        let mut cc = default_cc();
         let keys = ["K1", "K2", "K3", "K4", "K5"];
         for id in 1..=5u64 {
             let t = txn(id, 0, &[("A", (0, 1))], &[keys[(id - 1) as usize]]);
@@ -154,7 +146,7 @@ mod tests {
         // Txn1 reads A writes B; Txn2 reads B writes A — a cycle of two rw conflicts with no
         // pending c-ww edge: Theorem 2 says it can never be reordered, so the second
         // transaction must be rejected.
-        let mut cc = exact_cc();
+        let mut cc = default_cc();
         let t1 = txn(1, 0, &[("A", (0, 1))], &["B"]);
         let t2 = txn(2, 0, &[("B", (0, 2))], &["A"]);
         assert!(cc.on_arrival(t1).is_accept());
@@ -171,7 +163,7 @@ mod tests {
     fn pending_write_write_conflicts_are_accepted() {
         // Two pending transactions writing the same key have a c-ww dependency, which is
         // exactly the kind reordering can flip (Lemma 4) — both must be accepted.
-        let mut cc = exact_cc();
+        let mut cc = default_cc();
         let t1 = txn(1, 0, &[("A", (0, 1))], &["H"]);
         let t2 = txn(2, 0, &[("B", (0, 2))], &["H"]);
         assert!(cc.on_arrival(t1).is_accept());
@@ -184,7 +176,7 @@ mod tests {
         // Figure 7b: Txn1 reads X which Txn2 overwrites (rw), Txn2 and Txn3 write the same key
         // (c-ww), Txn3's write is read... — the cycle involves a pending c-ww, so every
         // transaction stays and reordering resolves it at block formation.
-        let mut cc = exact_cc();
+        let mut cc = default_cc();
         // Txn1: reads X, writes nothing else relevant.
         let t1 = txn(1, 0, &[("X", (0, 1))], &["OUT1"]);
         // Txn2: writes X (rw edge t1 → t2) and writes W.
@@ -202,7 +194,6 @@ mod tests {
     fn stale_snapshots_are_rejected_by_max_span() {
         let mut cc = FabricSharpCC::new(CcConfig {
             max_span: 2,
-            track_exact_reachability: true,
             ..CcConfig::default()
         });
         cc.next_block = 5;
@@ -218,7 +209,7 @@ mod tests {
 
     #[test]
     fn hops_statistics_accumulate() {
-        let mut cc = exact_cc();
+        let mut cc = default_cc();
         // Chain of dependencies through a shared key: each new reader/writer pair grows the
         // graph and the reachability updates traverse it.
         assert!(cc
@@ -238,7 +229,7 @@ mod tests {
 
     #[test]
     fn safe_arrivals_bypass_the_graph_and_the_indices() {
-        let mut cc = exact_cc();
+        let mut cc = default_cc();
         assert!(cc
             .on_arrival(txn(1, 0, &[("A", (0, 1))], &["B"]))
             .is_accept());
@@ -259,7 +250,7 @@ mod tests {
     #[cfg(debug_assertions)]
     #[should_panic(expected = "is tagged Safe but depends on tracked transactions")]
     fn a_conflicting_arrival_tagged_safe_fails_the_debug_check() {
-        let mut cc = exact_cc();
+        let mut cc = default_cc();
         assert!(cc.on_arrival(txn(1, 0, &[], &["A"])).is_accept());
         let _ = cc.on_arrival(
             txn(2, 0, &[("A", (0, 1))], &["C"]).with_template_class(TemplateClass::Safe),
@@ -272,7 +263,7 @@ mod tests {
     #[cfg(debug_assertions)]
     #[should_panic(expected = "is tagged Safe but depends on tracked transactions")]
     fn a_conflicting_replay_tagged_safe_fails_the_debug_check() {
-        let mut cc = exact_cc();
+        let mut cc = default_cc();
         let mut writer = txn(1, 0, &[], &["A"]);
         writer.end_ts = Some(SeqNo::new(1, 1));
         cc.register_committed(&writer);
@@ -283,7 +274,7 @@ mod tests {
 
     #[test]
     fn duplicate_arrivals_do_not_double_count_pending() {
-        let mut cc = exact_cc();
+        let mut cc = default_cc();
         let t = txn(1, 0, &[("A", (0, 1))], &["B"]);
         assert!(cc.on_arrival(t.clone()).is_accept());
         // The same id arriving again simply replaces the stored pending transaction; the graph
@@ -297,7 +288,7 @@ mod tests {
     /// must not re-enter the pending set (it would be committed twice) or disturb the graph.
     #[test]
     fn replayed_arrival_of_a_cut_transaction_is_ignored() {
-        let mut cc = exact_cc();
+        let mut cc = default_cc();
         let t = txn(1, 0, &[("A", (0, 1))], &["B"]);
         assert!(cc.on_arrival(t.clone()).is_accept());
         let block = cc.cut_block();

@@ -188,23 +188,20 @@ mod tests {
         )
     }
 
-    fn exact_cc() -> FabricSharpCC {
-        FabricSharpCC::new(CcConfig {
-            track_exact_reachability: true,
-            ..CcConfig::default()
-        })
+    fn default_cc() -> FabricSharpCC {
+        FabricSharpCC::new(CcConfig::default())
     }
 
     #[test]
     fn empty_cut_is_a_noop() {
-        let mut cc = exact_cc();
+        let mut cc = default_cc();
         assert!(cc.cut_block().is_empty());
         assert_eq!(cc.next_block(), 1);
     }
 
     #[test]
     fn cut_assigns_slots_in_dependency_respecting_order() {
-        let mut cc = exact_cc();
+        let mut cc = default_cc();
         // Consensus order: t2 then t1, but t2 depends on t1 (t2 writes A which t1 read, giving
         // t1 → t2 via rw when t1 arrives first... here we arrange the reverse): t1 reads A,
         // t2 writes A. Arrival order t2, t1: when t1 arrives, PW[A] contains t2, so t1 gains an
@@ -228,7 +225,7 @@ mod tests {
 
     #[test]
     fn committed_indices_are_updated_for_later_arrivals() {
-        let mut cc = exact_cc();
+        let mut cc = default_cc();
         assert!(cc
             .on_arrival(txn(1, 0, &[("A", (0, 1))], &["B"]))
             .is_accept());
@@ -252,7 +249,7 @@ mod tests {
 
     #[test]
     fn ww_restoration_orders_pending_writers_of_the_same_key() {
-        let mut cc = exact_cc();
+        let mut cc = default_cc();
         // Three blind writers of the same key H: no dependencies at arrival (c-ww ignored), so
         // the commit order is the arrival order and the restoration links the first
         // unconnected pair.
@@ -270,7 +267,7 @@ mod tests {
 
     #[test]
     fn dropping_single_writer_chains_restores_exactly_the_unfiltered_edges() {
-        let mut cc = exact_cc();
+        let mut cc = default_cc();
         // Keys H and K have several pending writers, every S* key exactly one; the reader of H
         // puts itself ahead of H's writers, so the commit order is not the arrival order.
         for (id, reads, writes) in [
@@ -347,7 +344,7 @@ mod tests {
 
     #[test]
     fn block_numbers_and_spans_accumulate_across_blocks() {
-        let mut cc = exact_cc();
+        let mut cc = default_cc();
         assert!(cc.on_arrival(txn(1, 0, &[], &["A"])).is_accept());
         let b1 = cc.cut_block();
         assert_eq!(b1[0].end_ts.unwrap().block, 1);
@@ -368,7 +365,6 @@ mod tests {
     fn graph_is_pruned_once_transactions_age_out() {
         let mut cc = FabricSharpCC::new(CcConfig {
             max_span: 2,
-            track_exact_reachability: true,
             ..CcConfig::default()
         });
         assert!(cc.on_arrival(txn(1, 0, &[], &["A"])).is_accept());

@@ -155,7 +155,6 @@ proptest! {
         // bit.
         let config = CcConfig {
             max_span: 4,
-            track_exact_reachability: true,
             ..CcConfig::default()
         };
         let mut fast = FabricSharpCC::new(config);
@@ -207,10 +206,7 @@ proptest! {
         shapes in proptest::collection::vec(shape_strategy(), 1..80),
         block_size in 3usize..15,
     ) {
-        let mut cc = FabricSharpCC::new(CcConfig {
-            track_exact_reachability: true,
-            ..CcConfig::default()
-        });
+        let mut cc = FabricSharpCC::new(CcConfig::default());
         let mut store = MultiVersionStore::new();
         let mut accepted: HashSet<u64> = HashSet::new();
         let mut all_blocks: Vec<Vec<Transaction>> = Vec::new();
@@ -266,7 +262,6 @@ proptest! {
         // transactions, no matter how long the run is.
         let mut cc = FabricSharpCC::new(CcConfig {
             max_span: 3,
-            track_exact_reachability: true,
             ..CcConfig::default()
         });
         let mut store = MultiVersionStore::new();
@@ -295,7 +290,7 @@ proptest! {
     ) {
         // Two controllers fed the identical stream make identical decisions and cut identical
         // blocks — the agreement requirement of Section 3.5 at the CC level.
-        let build = || FabricSharpCC::new(CcConfig { track_exact_reachability: true, ..CcConfig::default() });
+        let build = || FabricSharpCC::new(CcConfig::default());
         let mut a = build();
         let mut b = build();
         let mut store_a = MultiVersionStore::new();

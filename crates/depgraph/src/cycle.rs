@@ -1,11 +1,11 @@
 //! Exact cycle detection — the test oracle behind the bloom-filter fast path.
 //!
 //! Production FabricSharp never materialises full reachability; it relies on the bloom filters
-//! (Section 4.4), accepting occasional false-positive aborts. For the tests that assert the
-//! graph stays acyclic and for `depgraph_bench`'s exact-probe rows, this module provides exact
-//! graph algorithms over the successor edges: whole-graph acyclicity and an exact version of
-//! the arrival-time cycle check. Both run directly on interned slots — dense colour tables and
-//! the epoch-tagged scratch replace the per-call hash maps of the seed implementation.
+//! (Section 4.4), accepting occasional false-positive aborts. The successor edges are the only
+//! exact answer, and this module asks them: whole-graph acyclicity (a colouring DFS over dense
+//! slot tables) for the tests that assert the graph stays acyclic, and an exact version of the
+//! arrival-time cycle test, one [`DependencyGraph::reaches_exact`] probe per (successor,
+//! predecessor) pair, for the tests and `depgraph_bench`'s exact-probe row.
 
 use crate::graph::DependencyGraph;
 use eov_common::txn::TxnId;
@@ -57,47 +57,12 @@ impl DependencyGraph {
 
     /// Exact version of [`DependencyGraph::would_close_cycle`]: inserting a transaction with
     /// the given predecessors and successors closes a cycle iff some successor can reach some
-    /// predecessor through existing edges (or a transaction appears on both sides).
+    /// predecessor through existing edges, or one id is on both sides (tracked or not, as the
+    /// bloom probe answers).
     pub fn would_close_cycle_exact(&self, preds: &[TxnId], succs: &[TxnId]) -> bool {
-        let mut scratch = self.scratch().borrow_mut();
-        let capacity = self.capacity();
-        // Mark the (tracked) predecessor slots; the DFS below tests membership in O(1).
-        scratch.marks.reset(capacity);
-        let mut any_pred = false;
-        for &p in preds {
-            if let Some(slot) = self.slot_of(p) {
-                scratch.marks.insert(slot);
-                any_pred = true;
-            }
-        }
-        if !any_pred {
-            return false;
-        }
-        for &s in succs {
-            let Some(s_slot) = self.slot_of(s) else {
-                continue;
-            };
-            if scratch.marks.contains(s_slot) {
-                return true;
-            }
-            // DFS from s looking for any predecessor.
-            scratch.visited.reset(capacity);
-            scratch.visited.insert(s_slot);
-            scratch.stack.clear();
-            scratch.stack.push(s_slot);
-            while let Some(current) = scratch.stack.pop() {
-                let node = self.node_at(current).expect("adjacency never dangles");
-                for &nxt in &node.succ {
-                    if scratch.marks.contains(nxt) {
-                        return true;
-                    }
-                    if scratch.visited.insert(nxt) {
-                        scratch.stack.push(nxt);
-                    }
-                }
-            }
-        }
-        false
+        preds
+            .iter()
+            .any(|&p| succs.iter().any(|&s| self.reaches_exact(s, p)))
     }
 }
 
@@ -106,16 +71,13 @@ mod tests {
     use super::*;
     use eov_common::config::CcConfig;
 
-    fn exact_graph() -> DependencyGraph {
-        DependencyGraph::new(CcConfig {
-            track_exact_reachability: true,
-            ..CcConfig::default()
-        })
+    fn graph() -> DependencyGraph {
+        DependencyGraph::new(CcConfig::default())
     }
 
     #[test]
     fn chains_and_diamonds_are_acyclic() {
-        let mut g = exact_graph();
+        let mut g = graph();
         g.insert_pending(TxnId(1), &[], &[], 1);
         g.insert_pending(TxnId(2), &[TxnId(1)], &[], 1);
         g.insert_pending(TxnId(3), &[TxnId(1)], &[], 1);
@@ -125,7 +87,7 @@ mod tests {
 
     #[test]
     fn manually_forced_cycle_is_detected() {
-        let mut g = exact_graph();
+        let mut g = graph();
         g.insert_pending(TxnId(1), &[], &[], 1);
         g.insert_pending(TxnId(2), &[TxnId(1)], &[], 1);
         // Force 2 → 1 by adding the edge directly (bypassing Algorithm 2's guard).
@@ -135,7 +97,7 @@ mod tests {
 
     #[test]
     fn exact_would_close_cycle_agrees_with_reachability() {
-        let mut g = exact_graph();
+        let mut g = graph();
         g.insert_pending(TxnId(1), &[], &[], 1);
         g.insert_pending(TxnId(2), &[TxnId(1)], &[], 1);
         g.insert_pending(TxnId(3), &[TxnId(2)], &[], 1);
@@ -143,16 +105,18 @@ mod tests {
         assert!(g.would_close_cycle_exact(&[TxnId(3)], &[TxnId(1)]));
         // succ 3, pred 1 does not (1 already reaches 3, new extends the chain).
         assert!(!g.would_close_cycle_exact(&[TxnId(1)], &[TxnId(3)]));
-        // Same node on both sides is a cycle.
+        // Same node on both sides is a cycle, tracked or not, and the bloom probe agrees.
         assert!(g.would_close_cycle_exact(&[TxnId(2)], &[TxnId(2)]));
-        // Unknown ids never close cycles.
+        assert!(g.would_close_cycle_exact(&[TxnId(9)], &[TxnId(9)]));
+        assert!(g.would_close_cycle(&[TxnId(9)], &[TxnId(9)]));
+        // An unknown id on one side only never closes a cycle.
         assert!(!g.would_close_cycle_exact(&[TxnId(9)], &[TxnId(1)]));
         assert!(!g.would_close_cycle_exact(&[], &[TxnId(1)]));
     }
 
     #[test]
     fn empty_graph_is_acyclic() {
-        let g = exact_graph();
+        let g = graph();
         assert!(g.is_acyclic_exact());
     }
 }
@@ -160,7 +124,6 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use crate::graph::CycleCheck;
     use eov_common::config::CcConfig;
     use proptest::prelude::*;
 
@@ -173,10 +136,7 @@ mod proptests {
             probe_preds in proptest::collection::vec(0u64..10, 1..4),
             probe_succs in proptest::collection::vec(0u64..10, 1..4),
         ) {
-            let mut g = DependencyGraph::new(CcConfig {
-                track_exact_reachability: true,
-                ..CcConfig::default()
-            });
+            let mut g = DependencyGraph::new(CcConfig::default());
             let mut preds: std::collections::HashMap<u64, Vec<TxnId>> = Default::default();
             for (a, b) in edges {
                 let (lo, hi) = if a < b { (a, b) } else { (b, a) };
@@ -192,10 +152,8 @@ mod proptests {
 
             let pred_ids: Vec<TxnId> = probe_preds.into_iter().map(TxnId).collect();
             let succ_ids: Vec<TxnId> = probe_succs.into_iter().map(TxnId).collect();
-            let exact = g.would_close_cycle_exact(&pred_ids, &succ_ids);
-            let bloom = g.would_close_cycle(&pred_ids, &succ_ids);
-            if exact {
-                prop_assert!(matches!(bloom, CycleCheck::Cycle { .. }),
+            if g.would_close_cycle_exact(&pred_ids, &succ_ids) {
+                prop_assert!(g.would_close_cycle(&pred_ids, &succ_ids),
                     "bloom check missed a genuine cycle");
             }
         }

@@ -5,12 +5,12 @@
 //! *dependency order* (`from` must be serialized before `to`) and are stored as immediate
 //! successor lists (`succ`) of `u32` slots mirrored by predecessor lists (`pred`), so removals
 //! touch only a node's neighbourhood and traversals index a `Vec` instead of hashing. Each
-//! node carries `anti_reachable`: a set — a bloom filter, optionally shadowed by an exact set
-//! that labels bloom false positives — of every transaction that can reach it. Cycle detection
-//! for a new transaction then reduces to membership tests between its prospective predecessors
-//! and successors (Section 4.4), and Algorithm 4's reachability maintenance reduces to
-//! bit-vector unions. Exact reachability queries run on a reusable `crate::visited::EpochVisited`
-//! scratch set, so the per-transaction path allocates nothing once the slab is warm.
+//! node carries `anti_reachable`: a bloom filter of every transaction that can reach it. Cycle
+//! detection for a new transaction then reduces to membership tests between its prospective
+//! predecessors and successors (Section 4.4), and Algorithm 4's reachability maintenance
+//! reduces to bit-vector unions. The successor edges are the only exact answer: exact
+//! reachability queries walk them on a reusable `crate::visited::EpochVisited` scratch set, so
+//! the per-transaction path allocates nothing once the slab is warm.
 
 use crate::bloom::BloomFilter;
 use crate::interner::Interner;
@@ -19,78 +19,6 @@ use eov_common::config::CcConfig;
 use eov_common::txn::TxnId;
 use eov_common::version::SeqNo;
 use std::cell::RefCell;
-use std::collections::HashSet;
-
-/// The set of transactions that can reach a node.
-///
-/// Always backed by a bloom filter (the production representation); when
-/// [`CcConfig::track_exact_reachability`] is enabled an exact `HashSet` is maintained
-/// alongside, which lets tests, the accept-rule specification's abort table and
-/// `cc_microbench` distinguish genuine cycles from bloom false positives.
-#[derive(Clone, Debug)]
-pub struct ReachSet {
-    bloom: BloomFilter,
-    exact: Option<HashSet<u64>>,
-}
-
-impl ReachSet {
-    /// Creates an empty reach set with the given bloom geometry.
-    pub(crate) fn new(config: &CcConfig) -> Self {
-        ReachSet {
-            bloom: BloomFilter::new(config.bloom_bits, config.bloom_hashes),
-            exact: config.track_exact_reachability.then(HashSet::new),
-        }
-    }
-
-    /// A minimal throwaway set used to temporarily displace a stored set while it is borrowed
-    /// as a union source (see [`DependencyGraph::insert_pending`]); never unioned or queried.
-    pub(crate) fn placeholder() -> Self {
-        ReachSet {
-            bloom: BloomFilter::new(64, 1),
-            exact: None,
-        }
-    }
-
-    /// Inserts a transaction id.
-    pub(crate) fn insert(&mut self, id: TxnId) {
-        self.bloom.insert(id.0);
-        if let Some(exact) = &mut self.exact {
-            exact.insert(id.0);
-        }
-    }
-
-    /// Membership test against the bloom filter (may be a false positive).
-    pub fn contains(&self, id: TxnId) -> bool {
-        self.bloom.contains(id.0)
-    }
-
-    /// Membership test with the double-hashing pair precomputed by
-    /// [`BloomFilter::hash_pair`]. Equivalent to [`ReachSet::contains`]; lets the cycle test
-    /// hash each candidate successor once instead of once per (pred, succ) pair.
-    #[inline]
-    pub(crate) fn contains_prehashed(&self, hashes: (u64, u64)) -> bool {
-        self.bloom.contains_prehashed(hashes)
-    }
-
-    /// Exact membership, if exact tracking is enabled.
-    pub fn contains_exact(&self, id: TxnId) -> Option<bool> {
-        self.exact.as_ref().map(|s| s.contains(&id.0))
-    }
-
-    /// Unions `other` into `self`.
-    pub(crate) fn union_with(&mut self, other: &ReachSet) {
-        self.bloom.union_with(&other.bloom);
-        if let (Some(mine), Some(theirs)) = (&mut self.exact, &other.exact) {
-            mine.extend(theirs.iter().copied());
-        }
-    }
-
-    /// Number of set bits in the bloom filter.
-    #[cfg(test)]
-    pub(crate) fn bloom_popcount(&self) -> u32 {
-        self.bloom.popcount()
-    }
-}
 
 /// A node of the dependency graph.
 #[derive(Clone, Debug)]
@@ -106,8 +34,9 @@ pub struct TxnNode {
     /// Immediate predecessors — the mirror of `succ`, maintained so removing a node only has
     /// to visit its neighbours instead of scanning every successor list in the graph.
     pub(crate) pred: Vec<u32>,
-    /// Every transaction that can reach this node (bloom-filter representation).
-    pub anti_reachable: ReachSet,
+    /// Every transaction that can reach this node, as a bloom filter: it may hold
+    /// transactions that cannot reach the node (false positives), never miss one that can.
+    pub anti_reachable: BloomFilter,
     /// Age (Section 4.6): the highest block number such that a transaction destined for that
     /// block can reach this node. Nodes whose age falls behind the pruning threshold can never
     /// join a future cycle and are removed.
@@ -121,35 +50,18 @@ impl TxnNode {
     }
 }
 
-/// Outcome of the cycle test performed before inserting a new transaction.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CycleCheck {
-    /// No predecessor is reachable from any successor: inserting the transaction keeps the
-    /// graph acyclic.
-    Acyclic,
-    /// Some successor (possibly) reaches some predecessor. `confirmed_exact` reports whether
-    /// the exact shadow structure (if enabled) agrees — `Some(false)` marks a bloom false
-    /// positive, which still aborts the transaction (preventive abort, Section 4.4).
-    Cycle {
-        /// `Some(true)` — the exact structure confirms the cycle; `Some(false)` — bloom false
-        /// positive; `None` — exact tracking disabled.
-        confirmed_exact: Option<bool>,
-    },
-}
-
-impl CycleCheck {
-    /// Whether the transaction may be inserted.
-    pub fn is_acyclic(&self) -> bool {
-        matches!(self, CycleCheck::Acyclic)
-    }
-}
-
 /// Report returned by [`DependencyGraph::insert_pending`]; feeds the Figure 13 statistics.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct InsertReport {
     /// Number of nodes visited while propagating reachability to the new transaction's
     /// descendants ("# of hops" in Figure 13).
     pub hops: usize,
+}
+
+/// A minimal throwaway filter that displaces a stored reach set while it is borrowed as a
+/// union source (see [`DependencyGraph::insert_pending`]); never unioned or queried.
+fn placeholder() -> BloomFilter {
+    BloomFilter::new(64, 1)
 }
 
 /// Reusable traversal scratch shared by the query paths. One instance lives inside the graph
@@ -159,11 +71,8 @@ pub struct InsertReport {
 pub(crate) struct Scratch {
     /// Visited set for DFS walks.
     pub(crate) visited: EpochVisited,
-    /// Second mark set for queries that need membership and visited simultaneously (the exact
-    /// cycle oracle marks predecessor slots here while `visited` tracks the DFS).
-    pub(crate) marks: EpochVisited,
     /// DFS stack of slots.
-    pub(crate) stack: Vec<u32>,
+    stack: Vec<u32>,
     /// Per-successor (slot, bloom hash pair) cache for the arrival-time cycle test.
     succ_info: Vec<(Option<u32>, (u64, u64))>,
 }
@@ -192,6 +101,11 @@ impl DependencyGraph {
     /// The configuration the graph was built with.
     pub(crate) fn config(&self) -> &CcConfig {
         &self.config
+    }
+
+    /// An empty reach set in the configured bloom geometry.
+    pub(crate) fn empty_reach_set(&self) -> BloomFilter {
+        BloomFilter::new(self.config.bloom_bits, self.config.bloom_hashes)
     }
 
     /// Number of nodes currently tracked (pending + committed, before pruning).
@@ -260,60 +174,40 @@ impl DependencyGraph {
     /// new transaction, a cycle would be closed iff `s` can already reach `p` (the new
     /// transaction would supply the missing `p → new → s` segment). Membership is tested on
     /// the predecessor's `anti_reachable` filter; a predecessor that is itself a successor is
-    /// an immediate two-node cycle.
+    /// an immediate two-node cycle. `true` may be a filter false positive, which still aborts
+    /// the transaction (preventive abort, Section 4.4); `false` is never wrong.
     ///
     /// The pair loop resolves each id to its interned slot once and precomputes each
     /// successor's bloom probe hashes once, so a scan over `|preds| × |succs|` pairs costs one
     /// filter probe per pair — no hashing, no map lookups — and bails out on the first
     /// (possible) hit.
-    pub fn would_close_cycle(&self, preds: &[TxnId], succs: &[TxnId]) -> CycleCheck {
-        let mut hit: Option<(TxnId, TxnId)> = None;
-        {
-            let mut scratch = self.scratch.borrow_mut();
-            scratch.succ_info.clear();
-            for s in succs {
-                scratch
-                    .succ_info
-                    .push((self.interner.get(*s), BloomFilter::hash_pair(s.0)));
-            }
-            'pairs: for &p in preds {
-                let p_node = self
-                    .interner
-                    .get(p)
-                    .and_then(|slot| self.nodes[slot as usize].as_ref());
-                for (i, &s) in succs.iter().enumerate() {
-                    if p == s {
-                        return CycleCheck::Cycle {
-                            confirmed_exact: Some(true),
-                        };
-                    }
-                    let Some(p_node) = p_node else {
-                        continue;
-                    };
-                    let (s_slot, s_hashes) = scratch.succ_info[i];
-                    if s_slot.is_none() {
-                        continue;
-                    }
-                    if p_node.anti_reachable.contains_prehashed(s_hashes) {
-                        hit = Some((p, s));
-                        break 'pairs;
-                    }
+    pub fn would_close_cycle(&self, preds: &[TxnId], succs: &[TxnId]) -> bool {
+        let mut scratch = self.scratch.borrow_mut();
+        scratch.succ_info.clear();
+        for s in succs {
+            scratch
+                .succ_info
+                .push((self.interner.get(*s), BloomFilter::hash_pair(s.0)));
+        }
+        for &p in preds {
+            let p_node = self
+                .interner
+                .get(p)
+                .and_then(|slot| self.nodes[slot as usize].as_ref());
+            for (i, &s) in succs.iter().enumerate() {
+                if p == s {
+                    return true;
+                }
+                let Some(p_node) = p_node else {
+                    continue;
+                };
+                let (s_slot, s_hashes) = scratch.succ_info[i];
+                if s_slot.is_some() && p_node.anti_reachable.contains_prehashed(s_hashes) {
+                    return true;
                 }
             }
         }
-        match hit {
-            None => CycleCheck::Acyclic,
-            Some((p, s)) => {
-                let p_node = self.node(p).expect("bloom hit implies a tracked pred");
-                let confirmed = p_node
-                    .anti_reachable
-                    .contains_exact(s)
-                    .map(|exact| exact || self.reaches_exact(s, p));
-                CycleCheck::Cycle {
-                    confirmed_exact: confirmed,
-                }
-            }
-        }
+        false
     }
 
     /// Algorithm 4: inserts a pending transaction with the given immediate predecessors and
@@ -326,7 +220,7 @@ impl DependencyGraph {
     ///
     /// The downstream delta (the new node's reachability plus the new node itself) is moved
     /// out of the new node for the duration of the walk instead of being cloned per insertion
-    /// — the per-insert `ReachSet` clone was the dominant arrival-path cost at production
+    /// — the per-insert filter clone was the dominant arrival-path cost at production
     /// bloom sizes. The walk itself runs on the epoch-tagged scratch, so a warm graph inserts
     /// without allocating.
     ///
@@ -354,7 +248,7 @@ impl DependencyGraph {
             end_ts: None,
             succ: Vec::new(),
             pred: Vec::new(),
-            anti_reachable: ReachSet::new(&self.config),
+            anti_reachable: self.empty_reach_set(),
             age: next_block,
         };
 
@@ -373,7 +267,7 @@ impl DependencyGraph {
                 p_node.succ.push(slot);
                 node.pred.push(p_slot);
             }
-            node.anti_reachable.insert(p);
+            node.anti_reachable.insert(p.0);
             // Split borrow: clone nothing — union from an immutable re-borrow after the push.
             let p_reach = &self.nodes[p_slot as usize]
                 .as_ref()
@@ -413,7 +307,7 @@ impl DependencyGraph {
         scratch.visited.insert(slot);
         scratch.stack.clear();
         scratch.stack.extend_from_slice(&node.succ);
-        let delta = std::mem::replace(&mut node.anti_reachable, ReachSet::placeholder());
+        let delta = std::mem::replace(&mut node.anti_reachable, placeholder());
         self.nodes[slot as usize] = Some(node);
 
         let mut hops = 0usize;
@@ -426,7 +320,7 @@ impl DependencyGraph {
                 .expect("adjacency never dangles");
             hops += 1;
             n.anti_reachable.union_with(&delta);
-            n.anti_reachable.insert(id);
+            n.anti_reachable.insert(id.0);
             n.age = n.age.max(next_block);
             scratch.stack.extend_from_slice(&n.succ);
         }
@@ -486,14 +380,14 @@ impl DependencyGraph {
             let s = self.nodes[source as usize]
                 .as_mut()
                 .expect("caller checked");
-            std::mem::replace(&mut s.anti_reachable, ReachSet::placeholder())
+            std::mem::replace(&mut s.anti_reachable, placeholder())
         };
         {
             let t = self.nodes[target as usize]
                 .as_mut()
                 .expect("caller checked");
             t.anti_reachable.union_with(&delta);
-            t.anti_reachable.insert(source_id);
+            t.anti_reachable.insert(source_id.0);
         }
         self.nodes[source as usize]
             .as_mut()
@@ -506,7 +400,7 @@ impl DependencyGraph {
     /// edges (the Txn0 → Txn3 case of Figure 9).
     pub fn already_connected(&self, earlier: TxnId, later: TxnId) -> bool {
         self.node(later)
-            .map(|n| n.anti_reachable.contains(earlier))
+            .map(|n| n.anti_reachable.contains(earlier.0))
             .unwrap_or(false)
     }
 
@@ -526,8 +420,9 @@ impl DependencyGraph {
         self.remove_many(&[id]);
     }
 
-    /// Exact reachability query over successor edges (DFS on the epoch-tagged scratch). Used
-    /// by the test oracles and to classify bloom false positives.
+    /// Exact reachability over successor edges (DFS on the epoch-tagged scratch): whether
+    /// `from` reaches `to`, counting every id as reaching itself. The one exact pairwise probe;
+    /// the test oracles and [`DependencyGraph::would_close_cycle_exact`] ask it.
     pub fn reaches_exact(&self, from: TxnId, to: TxnId) -> bool {
         if from == to {
             return true;
@@ -603,11 +498,17 @@ impl DependencyGraph {
 mod tests {
     use super::*;
 
-    fn cfg_exact() -> CcConfig {
-        CcConfig {
-            track_exact_reachability: true,
-            ..CcConfig::default()
+    fn graph() -> DependencyGraph {
+        DependencyGraph::new(CcConfig::default())
+    }
+
+    /// The filter a node would store if exactly `members` could reach it.
+    fn reach_set_of(g: &DependencyGraph, members: &[TxnId]) -> BloomFilter {
+        let mut set = g.empty_reach_set();
+        for m in members {
+            set.insert(m.0);
         }
+        set
     }
 
     /// The immediate predecessors of `id`, as transaction ids (empty if `id` is untracked).
@@ -642,14 +543,14 @@ mod tests {
 
     #[test]
     fn insert_wires_predecessors_and_successors() {
-        let mut g = DependencyGraph::new(cfg_exact());
+        let mut g = graph();
         g.insert_pending(TxnId(1), &[], &[], 1);
         g.insert_pending(TxnId(2), &[TxnId(1)], &[], 1);
 
         assert_eq!(g.len(), 2);
         assert_eq!(g.successors(TxnId(1)), vec![TxnId(2)]);
         assert_eq!(predecessors(&g, TxnId(2)), vec![TxnId(1)]);
-        assert!(g.node(TxnId(2)).unwrap().anti_reachable.contains(TxnId(1)));
+        assert!(g.node(TxnId(2)).unwrap().anti_reachable.contains(1));
         assert!(g.reaches_exact(TxnId(1), TxnId(2)));
         assert!(!g.reaches_exact(TxnId(2), TxnId(1)));
         assert!(g.nodes().all(TxnNode::is_pending));
@@ -658,19 +559,19 @@ mod tests {
 
     #[test]
     fn reachability_is_transitive_through_unions() {
-        let mut g = DependencyGraph::new(cfg_exact());
+        let mut g = graph();
         g.insert_pending(TxnId(1), &[], &[], 1);
         g.insert_pending(TxnId(2), &[TxnId(1)], &[], 1);
         g.insert_pending(TxnId(3), &[TxnId(2)], &[], 1);
         // 1 → 2 → 3: node 3's anti_reachable must contain both 1 and 2.
         let n3 = g.node(TxnId(3)).unwrap();
-        assert!(n3.anti_reachable.contains(TxnId(1)));
-        assert!(n3.anti_reachable.contains(TxnId(2)));
+        assert!(n3.anti_reachable.contains(1));
+        assert!(n3.anti_reachable.contains(2));
     }
 
     #[test]
     fn inserting_with_successors_propagates_downstream() {
-        let mut g = DependencyGraph::new(cfg_exact());
+        let mut g = graph();
         // Existing chain 10 → 11.
         g.insert_pending(TxnId(10), &[], &[], 1);
         g.insert_pending(TxnId(11), &[TxnId(10)], &[], 1);
@@ -682,8 +583,8 @@ mod tests {
             "should traverse 10 and 11, got {}",
             report.hops
         );
-        assert!(g.node(TxnId(10)).unwrap().anti_reachable.contains(TxnId(5)));
-        assert!(g.node(TxnId(11)).unwrap().anti_reachable.contains(TxnId(5)));
+        assert!(g.node(TxnId(10)).unwrap().anti_reachable.contains(5));
+        assert!(g.node(TxnId(11)).unwrap().anti_reachable.contains(5));
         assert!(g.reaches_exact(TxnId(5), TxnId(11)));
         assert_edge_mirror(&g);
     }
@@ -694,7 +595,7 @@ mod tests {
     /// cycle detection through the new node.
     #[test]
     fn insert_restores_the_new_nodes_reach_set_after_propagation() {
-        let mut g = DependencyGraph::new(cfg_exact());
+        let mut g = graph();
         g.insert_pending(TxnId(1), &[], &[], 1);
         g.insert_pending(TxnId(2), &[TxnId(1)], &[], 1);
         g.insert_pending(TxnId(7), &[], &[], 1);
@@ -703,62 +604,44 @@ mod tests {
         // downstream walk through 7 and 8.
         g.insert_pending(TxnId(5), &[TxnId(2)], &[TxnId(7)], 1);
         let n5 = g.node(TxnId(5)).unwrap();
-        assert!(n5.anti_reachable.contains(TxnId(1)));
-        assert!(n5.anti_reachable.contains(TxnId(2)));
-        assert_eq!(n5.anti_reachable.contains_exact(TxnId(1)), Some(true));
-        // ...and must NOT contain itself or its downstream.
-        assert_eq!(n5.anti_reachable.contains_exact(TxnId(5)), Some(false));
-        assert_eq!(n5.anti_reachable.contains_exact(TxnId(7)), Some(false));
-        // Downstream nodes learned the full delta: {1, 2, 5}.
-        for downstream in [TxnId(7), TxnId(8)] {
-            let n = g.node(downstream).unwrap();
-            for member in [TxnId(1), TxnId(2), TxnId(5)] {
-                assert_eq!(
-                    n.anti_reachable.contains_exact(member),
-                    Some(true),
-                    "{downstream:?} must know {member:?} reaches it"
-                );
-            }
-        }
+        // Exactly {1, 2}: not itself, not its downstream.
+        assert_eq!(n5.anti_reachable, reach_set_of(&g, &[TxnId(1), TxnId(2)]));
+        // Downstream nodes learned the full delta {1, 2, 5} on top of their own predecessors.
+        assert_eq!(
+            g.node(TxnId(7)).unwrap().anti_reachable,
+            reach_set_of(&g, &[TxnId(1), TxnId(2), TxnId(5)])
+        );
+        assert_eq!(
+            g.node(TxnId(8)).unwrap().anti_reachable,
+            reach_set_of(&g, &[TxnId(1), TxnId(2), TxnId(5), TxnId(7)])
+        );
     }
 
     #[test]
     fn cycle_detection_catches_pred_reachable_from_succ() {
-        let mut g = DependencyGraph::new(cfg_exact());
+        let mut g = graph();
         // 1 → 2 (1 is a predecessor of 2).
         g.insert_pending(TxnId(1), &[], &[], 1);
         g.insert_pending(TxnId(2), &[TxnId(1)], &[], 1);
         // A new transaction with predecessor 2 and successor 1 would close 1 → 2 → new → 1.
-        let check = g.would_close_cycle(&[TxnId(2)], &[TxnId(1)]);
-        assert!(!check.is_acyclic());
-        assert_eq!(
-            check,
-            CycleCheck::Cycle {
-                confirmed_exact: Some(true)
-            }
-        );
+        assert!(g.would_close_cycle(&[TxnId(2)], &[TxnId(1)]));
+        assert!(g.would_close_cycle_exact(&[TxnId(2)], &[TxnId(1)]));
         // The reverse direction (pred 1, succ 2) is fine: new sits between them.
-        assert!(g.would_close_cycle(&[TxnId(1)], &[TxnId(2)]).is_acyclic());
+        assert!(!g.would_close_cycle(&[TxnId(1)], &[TxnId(2)]));
     }
 
     #[test]
     fn same_txn_as_pred_and_succ_is_a_two_node_cycle() {
-        let mut g = DependencyGraph::new(cfg_exact());
+        let mut g = graph();
         g.insert_pending(TxnId(1), &[], &[], 1);
-        let check = g.would_close_cycle(&[TxnId(1)], &[TxnId(1)]);
-        assert_eq!(
-            check,
-            CycleCheck::Cycle {
-                confirmed_exact: Some(true)
-            }
-        );
+        assert!(g.would_close_cycle(&[TxnId(1)], &[TxnId(1)]));
     }
 
     #[test]
     fn unknown_ids_are_ignored_by_cycle_test_and_insert() {
-        let mut g = DependencyGraph::new(cfg_exact());
+        let mut g = graph();
         g.insert_pending(TxnId(1), &[], &[], 1);
-        assert!(g.would_close_cycle(&[TxnId(99)], &[TxnId(1)]).is_acyclic());
+        assert!(!g.would_close_cycle(&[TxnId(99)], &[TxnId(1)]));
         let report = g.insert_pending(TxnId(2), &[TxnId(77)], &[TxnId(88)], 1);
         assert_eq!(report.hops, 0);
         assert!(g.successors(TxnId(2)).is_empty());
@@ -767,7 +650,7 @@ mod tests {
 
     #[test]
     fn mark_committed_moves_out_of_pending_but_keeps_the_node() {
-        let mut g = DependencyGraph::new(cfg_exact());
+        let mut g = graph();
         g.insert_pending(TxnId(1), &[], &[], 1);
         g.mark_committed(TxnId(1), SeqNo::new(1, 1));
         assert!(g.contains(TxnId(1)));
@@ -777,7 +660,7 @@ mod tests {
 
     #[test]
     fn remove_cleans_successor_references() {
-        let mut g = DependencyGraph::new(cfg_exact());
+        let mut g = graph();
         g.insert_pending(TxnId(1), &[], &[], 1);
         g.insert_pending(TxnId(2), &[TxnId(1)], &[], 1);
         g.remove(TxnId(2));
@@ -788,7 +671,7 @@ mod tests {
 
     #[test]
     fn remove_cleans_predecessor_references_too() {
-        let mut g = DependencyGraph::new(cfg_exact());
+        let mut g = graph();
         g.insert_pending(TxnId(1), &[], &[], 1);
         g.insert_pending(TxnId(2), &[TxnId(1)], &[], 1);
         g.insert_pending(TxnId(3), &[TxnId(2)], &[], 1);
@@ -806,7 +689,7 @@ mod tests {
     /// that was cut into a block but not yet pruned.
     #[test]
     fn reinserting_a_tracked_id_is_a_noop() {
-        let mut g = DependencyGraph::new(cfg_exact());
+        let mut g = graph();
         g.insert_pending(TxnId(0), &[], &[], 1);
         g.insert_pending(TxnId(1), &[], &[], 1);
         g.insert_pending(TxnId(2), &[TxnId(1)], &[], 1);
@@ -829,7 +712,7 @@ mod tests {
         g.insert_pending(TxnId(3), &[], &[], 2);
         assert!(!g.reaches_exact(TxnId(1), TxnId(0)));
         assert!(!g.reaches_exact(TxnId(1), TxnId(3)));
-        assert_eq!(g.node(TxnId(3)).unwrap().anti_reachable.bloom_popcount(), 0);
+        assert_eq!(g.node(TxnId(3)).unwrap().anti_reachable.popcount(), 0);
         assert_edge_mirror(&g);
     }
 
@@ -837,7 +720,7 @@ mod tests {
     /// transaction that inherits a freed slot starts with clean adjacency and a clean filter.
     #[test]
     fn recycled_slots_start_clean() {
-        let mut g = DependencyGraph::new(cfg_exact());
+        let mut g = graph();
         g.insert_pending(TxnId(1), &[], &[], 1);
         g.insert_pending(TxnId(2), &[TxnId(1)], &[], 1);
         g.remove(TxnId(2));
@@ -845,14 +728,14 @@ mod tests {
         g.insert_pending(TxnId(3), &[], &[], 1);
         assert!(g.successors(TxnId(1)).is_empty());
         assert!(predecessors(&g, TxnId(3)).is_empty());
-        assert_eq!(g.node(TxnId(3)).unwrap().anti_reachable.bloom_popcount(), 0);
+        assert_eq!(g.node(TxnId(3)).unwrap().anti_reachable.popcount(), 0);
         assert!(!g.reaches_exact(TxnId(1), TxnId(3)));
         assert_edge_mirror(&g);
     }
 
     #[test]
     fn remove_many_only_touches_neighbours_and_keeps_the_mirror_consistent() {
-        let mut g = DependencyGraph::new(cfg_exact());
+        let mut g = graph();
         // Chain 1 → 2 → 3 → 4 plus a cross edge 1 → 4.
         g.insert_pending(TxnId(1), &[], &[], 1);
         g.insert_pending(TxnId(2), &[TxnId(1)], &[], 1);
@@ -868,7 +751,7 @@ mod tests {
 
     #[test]
     fn add_edge_with_union_and_already_connected() {
-        let mut g = DependencyGraph::new(cfg_exact());
+        let mut g = graph();
         g.insert_pending(TxnId(1), &[], &[], 1);
         g.insert_pending(TxnId(2), &[], &[], 1);
         assert!(!g.already_connected(TxnId(1), TxnId(2)));
@@ -888,22 +771,25 @@ mod tests {
 
     #[test]
     fn propagate_reachability_keeps_the_source_set_intact() {
-        let mut g = DependencyGraph::new(cfg_exact());
+        let mut g = graph();
         g.insert_pending(TxnId(1), &[], &[], 1);
         g.insert_pending(TxnId(2), &[TxnId(1)], &[], 1);
         g.insert_pending(TxnId(3), &[], &[], 1);
         g.propagate_reachability(TxnId(2), TxnId(3));
-        // Target learned {1, 2}; source still knows {1}.
-        let n3 = g.node(TxnId(3)).unwrap();
-        assert_eq!(n3.anti_reachable.contains_exact(TxnId(1)), Some(true));
-        assert_eq!(n3.anti_reachable.contains_exact(TxnId(2)), Some(true));
-        let n2 = g.node(TxnId(2)).unwrap();
-        assert_eq!(n2.anti_reachable.contains_exact(TxnId(1)), Some(true));
+        // Target learned exactly {1, 2}; source still holds exactly {1}.
+        assert_eq!(
+            g.node(TxnId(3)).unwrap().anti_reachable,
+            reach_set_of(&g, &[TxnId(1), TxnId(2)])
+        );
+        assert_eq!(
+            g.node(TxnId(2)).unwrap().anti_reachable,
+            reach_set_of(&g, &[TxnId(1)])
+        );
     }
 
     #[test]
     fn ages_are_bumped_on_downstream_nodes() {
-        let mut g = DependencyGraph::new(cfg_exact());
+        let mut g = graph();
         g.insert_pending(TxnId(1), &[], &[], 3);
         g.mark_committed(TxnId(1), SeqNo::new(3, 1));
         assert_eq!(g.node(TxnId(1)).unwrap().age, 3);
@@ -911,16 +797,5 @@ mod tests {
         g.insert_pending(TxnId(2), &[], &[TxnId(1)], 7);
         assert_eq!(g.node(TxnId(1)).unwrap().age, 7);
         assert_eq!(g.node(TxnId(2)).unwrap().age, 7);
-    }
-
-    #[test]
-    fn bloom_only_configuration_reports_unconfirmed_cycles() {
-        let mut g = DependencyGraph::new(CcConfig::default());
-        g.insert_pending(TxnId(1), &[], &[], 1);
-        g.insert_pending(TxnId(2), &[TxnId(1)], &[], 1);
-        match g.would_close_cycle(&[TxnId(2)], &[TxnId(1)]) {
-            CycleCheck::Cycle { confirmed_exact } => assert_eq!(confirmed_exact, None),
-            CycleCheck::Acyclic => panic!("expected a cycle"),
-        }
     }
 }

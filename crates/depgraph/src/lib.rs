@@ -3,18 +3,20 @@
 //! The transaction dependency graph substrate behind FabricSharp's fine-grained concurrency
 //! control (Sections 4.3–4.6 of the paper):
 //!
-//! * `bloom` — bloom filters with O(words) union.
+//! * `bloom` — bloom filters with O(words) union: every node's one reach set.
 //! * [`graph`] — the dependency graph itself: slab node storage over interned slots,
-//!   successor edges, per-node `anti_reachable` reachability sets, Algorithm 4's reachability
-//!   maintenance, and the pair-wise cycle test used by Algorithm 2.
+//!   successor edges, per-node `anti_reachable` bloom filters, Algorithm 4's reachability
+//!   maintenance, the pair-wise cycle test used by Algorithm 2, and the one exact pairwise
+//!   reachability probe, a DFS over the successor edges.
 //! * `interner` — `TxnId` → dense `u32` slot interning with a free list; turns every hot
 //!   path's hash lookups into `Vec` indexing.
 //! * `visited` — epoch-tagged visited sets: O(1) clearing, allocation-free traversals.
 //! * `topo` — deterministic topological ordering of the caller's pending set (Algorithm 3,
 //!   line 1) in O(V + E) bitset-union work, ids without a node sorting as edge-free
 //!   transactions, and topologically-ordered traversal used by Algorithm 5.
-//! * `cycle` — exact (non-probabilistic) cycle detection: whole-graph acyclicity for tests,
-//!   and the exact arrival probe `depgraph_bench` times against the bloom one.
+//! * `cycle` — exact (non-probabilistic) cycle detection over the successor edges:
+//!   whole-graph acyclicity for tests, and the exact arrival probe `depgraph_bench` times
+//!   against the bloom one.
 //! * `prune` — `max_span` snapshot thresholds and age-based pruning (Section 4.6).
 //! * `rebuild` — from-scratch reachability recomputation (compiled for tests only).
 //!
@@ -34,5 +36,5 @@ mod topo;
 mod visited;
 
 pub use bloom::BloomFilter;
-pub use graph::{CycleCheck, DependencyGraph, InsertReport, ReachSet, TxnNode};
+pub use graph::{DependencyGraph, InsertReport, TxnNode};
 pub use prune::snapshot_threshold;

@@ -60,9 +60,8 @@ mod tests {
     use eov_common::config::CcConfig;
     use eov_common::version::SeqNo;
 
-    fn exact_graph() -> DependencyGraph {
+    fn graph() -> DependencyGraph {
         DependencyGraph::new(CcConfig {
-            track_exact_reachability: true,
             max_span: 10,
             ..CcConfig::default()
         })
@@ -77,7 +76,7 @@ mod tests {
 
     #[test]
     fn old_committed_nodes_are_pruned_and_links_cleaned() {
-        let mut g = exact_graph();
+        let mut g = graph();
         // Node 1 committed long ago (age 1); node 2 is a recent committed successor (age 8);
         // node 3 is pending.
         g.insert_pending(TxnId(1), &[], &[], 1);
@@ -103,7 +102,7 @@ mod tests {
 
     #[test]
     fn pending_nodes_are_never_pruned() {
-        let mut g = exact_graph();
+        let mut g = graph();
         g.insert_pending(TxnId(1), &[], &[], 1);
         g.set_age_for_test(TxnId(1), 0);
         let pruned = g.prune_stale(100);
@@ -115,7 +114,7 @@ mod tests {
     fn figure9_txn1_is_prunable_others_are_not() {
         // Figure 9: ages — Txn1: 1, all others: 4; the snapshot threshold has passed 1 so Txn1
         // (red) is subject to pruning while the rest stay.
-        let mut g = exact_graph();
+        let mut g = graph();
         for id in 0..10u64 {
             g.insert_pending(TxnId(id), &[], &[], 4);
             if id != 3 && id != 5 && id != 7 && id != 4 && id != 0 {
@@ -130,7 +129,7 @@ mod tests {
 
     #[test]
     fn prune_for_next_block_uses_configured_max_span() {
-        let mut g = exact_graph();
+        let mut g = graph();
         g.insert_pending(TxnId(1), &[], &[], 2);
         g.mark_committed(TxnId(1), SeqNo::new(2, 1));
         g.set_age_for_test(TxnId(1), 2);

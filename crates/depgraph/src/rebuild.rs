@@ -11,9 +11,8 @@
 //!
 //! Nothing outside tests calls [`DependencyGraph::rebuild_reachability`]: no orderer path, no
 //! block-height trigger, no configuration field schedules it, and the two-filter relay is not
-//! implemented either. The saturation it would remedy is therefore what a run at HEAD shows —
-//! about 99 % of early aborts on the contended `perf_report` workloads are filter false
-//! positives (ROADMAP, "Where we stand"). The remedy ROADMAP item 2 plans is not a periodic
+//! implemented either, so the filters of a long run saturate and a filter false positive aborts
+//! a transaction that could have committed. The remedy ROADMAP item 2 plans is not a periodic
 //! rebuild but exact slot-indexed reach sets that forget a transaction when it is pruned, with
 //! this recompute as its debug-build check.
 
@@ -34,10 +33,10 @@ impl DependencyGraph {
         }
 
         // Fresh, empty reach sets for every node.
-        let config = *self.config();
         for &id in &ids {
+            let empty = self.empty_reach_set();
             if let Some(node) = self.node_mut(id) {
-                node.anti_reachable = crate::graph::ReachSet::new(&config);
+                node.anti_reachable = empty;
             }
         }
 
@@ -59,16 +58,13 @@ mod tests {
     use eov_common::config::CcConfig;
     use eov_common::version::SeqNo;
 
-    fn exact_graph() -> DependencyGraph {
-        DependencyGraph::new(CcConfig {
-            track_exact_reachability: true,
-            ..CcConfig::default()
-        })
+    fn graph() -> DependencyGraph {
+        DependencyGraph::new(CcConfig::default())
     }
 
     #[test]
     fn rebuild_preserves_reachability_semantics() {
-        let mut g = exact_graph();
+        let mut g = graph();
         // Chain 1 → 2 → 3 plus a side edge 1 → 4.
         g.insert_pending(TxnId(1), &[], &[], 1);
         g.insert_pending(TxnId(2), &[TxnId(1)], &[], 1);
@@ -92,10 +88,7 @@ mod tests {
             );
             if expected {
                 assert!(
-                    g.node(TxnId(to))
-                        .unwrap()
-                        .anti_reachable
-                        .contains(TxnId(from)),
+                    g.node(TxnId(to)).unwrap().anti_reachable.contains(from),
                     "filter must still report {from} reaches {to}"
                 );
             }
@@ -104,7 +97,7 @@ mod tests {
 
     #[test]
     fn rebuild_discards_bits_of_pruned_transactions() {
-        let mut g = exact_graph();
+        let mut g = graph();
         // A long committed chain feeding one survivor.
         for id in 1..=30u64 {
             let preds: Vec<TxnId> = if id == 1 { vec![] } else { vec![TxnId(id - 1)] };
@@ -113,7 +106,7 @@ mod tests {
         }
         g.insert_pending(TxnId(31), &[TxnId(30)], &[], 2);
 
-        let before = g.node(TxnId(31)).unwrap().anti_reachable.bloom_popcount();
+        let before = g.node(TxnId(31)).unwrap().anti_reachable.popcount();
         // Prune everything but the last committed ancestor and the pending node.
         for id in 1..=29u64 {
             g.set_age_for_test(TxnId(id), 0);
@@ -122,22 +115,18 @@ mod tests {
         assert_eq!(g.len(), 2);
 
         g.rebuild_reachability();
-        let after = g.node(TxnId(31)).unwrap().anti_reachable.bloom_popcount();
+        let after = g.node(TxnId(31)).unwrap().anti_reachable.popcount();
         assert!(
             after < before,
             "rebuild should shrink the filter ({after} >= {before})"
         );
         // The surviving dependency is still represented.
-        assert!(g
-            .node(TxnId(31))
-            .unwrap()
-            .anti_reachable
-            .contains(TxnId(30)));
+        assert!(g.node(TxnId(31)).unwrap().anti_reachable.contains(30));
     }
 
     #[test]
     fn rebuild_on_an_empty_graph_is_a_noop() {
-        let mut g = exact_graph();
+        let mut g = graph();
         assert_eq!(g.rebuild_reachability(), 0);
     }
 }

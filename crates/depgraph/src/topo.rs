@@ -58,32 +58,9 @@ impl DependencyGraph {
             arrival[slot as usize] = i;
         }
 
-        // Postorder DFS over everything reachable from the pending set (committed
-        // intermediaries included). On a DAG, every node's successors finish before it does.
-        let mut postorder: Vec<u32> = Vec::with_capacity(p);
-        {
-            let mut scratch = self.scratch().borrow_mut();
-            scratch.visited.reset(capacity);
-            let mut dfs: Vec<(u32, u32)> = Vec::new();
-            for &(_, root) in &tracked {
-                if !scratch.visited.insert(root) {
-                    continue;
-                }
-                dfs.push((root, 0));
-                while let Some((slot, child_idx)) = dfs.last_mut() {
-                    let node = self.node_at(*slot).expect("visited slots are live");
-                    if let Some(&child) = node.succ.get(*child_idx as usize) {
-                        *child_idx += 1;
-                        if scratch.visited.insert(child) {
-                            dfs.push((child, 0));
-                        }
-                    } else {
-                        postorder.push(*slot);
-                        dfs.pop();
-                    }
-                }
-            }
-        }
+        // Everything reachable from the pending set (committed intermediaries included), in
+        // postorder.
+        let postorder = self.postorder(tracked.iter().map(|&(_, slot)| slot), p);
 
         // Bottom-up closure: row i (a bitset over arrival indices) holds the pending
         // transactions reachable from postorder[i]. Successors precede their parents in a
@@ -180,28 +157,34 @@ impl DependencyGraph {
         order
     }
 
-    /// Every transaction reachable from `roots` (roots excluded unless re-reachable), returned
-    /// in a topological order over successor edges. Used by Algorithm 5 to propagate restored
-    /// ww reachability downstream exactly once per node.
+    /// Every transaction reachable from `roots` (roots included), returned in a topological
+    /// order over successor edges. Used by Algorithm 5 to propagate restored ww reachability
+    /// downstream exactly once per node.
     pub fn reachable_in_topo_order(&self, roots: &[TxnId]) -> Vec<TxnId> {
-        // Iterative DFS with post-order collection; reversing the post-order of a DAG yields a
-        // topological order. The reachable sub-graph is acyclic because the whole graph is.
-        // The visited set is the reusable epoch scratch — no per-call allocation beyond the
-        // result itself.
+        // Reversing the postorder of a DAG yields a topological order. The reachable sub-graph
+        // is acyclic because the whole graph is.
+        let postorder = self.postorder(roots.iter().filter_map(|&id| self.slot_of(id)), 0);
+        postorder
+            .iter()
+            .rev()
+            .map(|&slot| self.id_at(slot))
+            .collect()
+    }
+
+    /// Iterative postorder DFS over every slot reachable from `roots` (roots included), each
+    /// emitted once; on a DAG every node's successors finish before it does. `capacity` sizes
+    /// the result up front. The visited set is the reusable epoch scratch.
+    fn postorder(&self, roots: impl IntoIterator<Item = u32>, capacity: usize) -> Vec<u32> {
+        let mut postorder: Vec<u32> = Vec::with_capacity(capacity);
         let mut scratch = self.scratch().borrow_mut();
         scratch.visited.reset(self.capacity());
-        let mut postorder: Vec<TxnId> = Vec::new();
+        // Stack of (slot, next-child-index).
         let mut dfs: Vec<(u32, u32)> = Vec::new();
-
-        for &root in roots {
-            let Some(root_slot) = self.slot_of(root) else {
-                continue;
-            };
-            if !scratch.visited.insert(root_slot) {
+        for root in roots {
+            if !scratch.visited.insert(root) {
                 continue;
             }
-            // Stack of (slot, next-child-index).
-            dfs.push((root_slot, 0));
+            dfs.push((root, 0));
             while let Some((slot, child_idx)) = dfs.last_mut() {
                 let node = self.node_at(*slot).expect("visited slots are live");
                 if let Some(&child) = node.succ.get(*child_idx as usize) {
@@ -210,12 +193,11 @@ impl DependencyGraph {
                         dfs.push((child, 0));
                     }
                 } else {
-                    postorder.push(self.id_at(*slot));
+                    postorder.push(*slot);
                     dfs.pop();
                 }
             }
         }
-        postorder.reverse();
         postorder
     }
 }
@@ -226,11 +208,8 @@ mod tests {
     use eov_common::config::CcConfig;
     use eov_common::version::SeqNo;
 
-    fn exact_graph() -> DependencyGraph {
-        DependencyGraph::new(CcConfig {
-            track_exact_reachability: true,
-            ..CcConfig::default()
-        })
+    fn graph() -> DependencyGraph {
+        DependencyGraph::new(CcConfig::default())
     }
 
     fn ids(raw: &[u64]) -> Vec<TxnId> {
@@ -239,7 +218,7 @@ mod tests {
 
     #[test]
     fn topo_respects_direct_dependencies() {
-        let mut g = exact_graph();
+        let mut g = graph();
         // Arrival order 3, 2, 1 but dependencies 1 → 2 → 3.
         g.insert_pending(TxnId(3), &[], &[], 1);
         g.insert_pending(TxnId(2), &[], &[TxnId(3)], 1);
@@ -254,7 +233,7 @@ mod tests {
 
     #[test]
     fn topo_breaks_ties_by_arrival_order() {
-        let mut g = exact_graph();
+        let mut g = graph();
         for id in [7, 5, 9] {
             g.insert_pending(TxnId(id), &[], &[], 1);
         }
@@ -264,7 +243,7 @@ mod tests {
 
     #[test]
     fn topo_orders_through_committed_intermediaries() {
-        let mut g = exact_graph();
+        let mut g = graph();
         // committed node 100 sits between pending 1 and pending 2: 1 → 100 → 2.
         g.insert_pending(TxnId(100), &[], &[], 1);
         g.mark_committed(TxnId(100), SeqNo::new(1, 1));
@@ -277,7 +256,7 @@ mod tests {
 
     #[test]
     fn empty_and_singleton_pending_sets() {
-        let mut g = exact_graph();
+        let mut g = graph();
         assert!(g.topo_sort_pending(&[]).is_empty());
         g.insert_pending(TxnId(1), &[], &[], 1);
         assert_eq!(g.topo_sort_pending(&ids(&[1])), ids(&[1]));
@@ -288,7 +267,7 @@ mod tests {
     /// returned as given.
     #[test]
     fn ids_without_a_node_keep_their_arrival_rank() {
-        let mut g = exact_graph();
+        let mut g = graph();
         // Arrival order 2, 1 but dependency 1 → 2; 5, 6 and 7 have no node.
         g.insert_pending(TxnId(2), &[], &[], 1);
         g.insert_pending(TxnId(1), &[], &[TxnId(2)], 1);
@@ -304,7 +283,7 @@ mod tests {
     /// boundary — exercises the multi-word OR path of the closure sweep.
     #[test]
     fn topo_handles_more_than_64_pending_transactions() {
-        let mut g = exact_graph();
+        let mut g = graph();
         // 100 transactions in a chain: 99 → 98 → ... → 0 by id, inserted in reverse order so
         // arrival order disagrees with dependency order everywhere.
         for id in (0..100u64).rev() {
@@ -322,7 +301,7 @@ mod tests {
 
     #[test]
     fn reachable_in_topo_order_visits_each_node_once_in_dependency_order() {
-        let mut g = exact_graph();
+        let mut g = graph();
         // Diamond: 1 → {2, 3} → 4.
         g.insert_pending(TxnId(1), &[], &[], 1);
         g.insert_pending(TxnId(2), &[TxnId(1)], &[], 1);
@@ -346,7 +325,7 @@ mod tests {
 
     #[test]
     fn reachable_in_topo_order_ignores_unknown_roots() {
-        let g = exact_graph();
+        let g = graph();
         assert!(g.reachable_in_topo_order(&[TxnId(42)]).is_empty());
     }
 }
@@ -364,10 +343,7 @@ mod proptests {
     /// A random DAG over `0..NODES`: edge (a, b) becomes the dependency min → max, given as
     /// "max's predecessors include min" at insert time.
     fn random_dag(edges: &[(u64, u64)]) -> DependencyGraph {
-        let mut g = DependencyGraph::new(CcConfig {
-            track_exact_reachability: true,
-            ..CcConfig::default()
-        });
+        let mut g = DependencyGraph::new(CcConfig::default());
         let mut preds: std::collections::HashMap<u64, Vec<TxnId>> = Default::default();
         for &(a, b) in edges {
             let (lo, hi) = if a < b { (a, b) } else { (b, a) };

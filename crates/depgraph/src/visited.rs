@@ -1,7 +1,7 @@
 //! Epoch-tagged visited sets for allocation-free graph traversals.
 //!
 //! Every reachability query used to allocate a fresh `HashSet<u64>` per call — the dominant
-//! arrival-path cost after PR 2 removed the per-insert `ReachSet` clone. [`EpochVisited`]
+//! arrival-path cost once the per-insert reach-set clone was gone. [`EpochVisited`]
 //! replaces that with one reusable array of epoch marks over the interned slot space
 //! ([`crate::interner::Interner`]): "clearing" the set is a single epoch-counter bump, and
 //! membership is one array read, so a DFS costs exactly its touched edges with no hashing and
@@ -45,8 +45,8 @@ impl EpochVisited {
     }
 
     /// Whether `slot` was visited in the current traversal.
-    #[inline]
-    pub(crate) fn contains(&self, slot: u32) -> bool {
+    #[cfg(test)]
+    fn contains(&self, slot: u32) -> bool {
         self.marks[slot as usize] == self.epoch
     }
 }

@@ -363,10 +363,7 @@ fn rescued_instance_ledger_recovers_identically_from_disk() {
     assert_eq!(untagged.ledger().tip_hash(), reference.tip_hash());
     assert_eq!(untagged.store(), chain.store());
 
-    let config = CcConfig {
-        track_exact_reachability: true,
-        ..CcConfig::default()
-    };
+    let config = CcConfig::default();
     let recovered = recover_from_disk(&dir, config).expect("cold recovery");
     assert_eq!(recovered.ledger.height(), reference.height());
     assert_eq!(recovered.ledger.ledger().tip_hash(), reference.tip_hash());

@@ -126,14 +126,7 @@ fn interleaves(ledger: &Ledger) -> bool {
 }
 
 fn recovered(ledger: &Ledger) -> FabricSharpCC {
-    let (cc, report) = recover_from_ledger(
-        ledger,
-        CcConfig {
-            track_exact_reachability: true,
-            ..CcConfig::default()
-        },
-    )
-    .expect("ledger verifies");
+    let (cc, report) = recover_from_ledger(ledger, CcConfig::default()).expect("ledger verifies");
     assert_eq!(report.ledger_height, ledger.height());
     cc
 }
