@@ -85,12 +85,10 @@ fn bench_graph_ops(c: &mut Criterion) {
     group.finish();
 }
 
-/// The commit/removal hot path: `mark_committed` was O(pending) per call (a `Vec::retain`
-/// scan) and `remove` was O(nodes × successor-list length) per call in the seed. Both are now
-/// O(1) / O(degree) — the graph keeps no pending list, and the predecessor mirror confines a
-/// removal to the node's neighbours — which these benches pin down (numbers tracked in
-/// BASELINES.md).
-fn bench_commit_and_removal(c: &mut Criterion) {
+/// The commit hot path: `mark_committed` was O(pending) per call (a `Vec::retain` scan) in the
+/// seed and is now one slot lookup, since the graph keeps no pending list (numbers tracked in
+/// BASELINES.md). Removal is timed where production performs it, in `graph_pruning`.
+fn bench_commit_path(c: &mut Criterion) {
     let mut group = c.benchmark_group("graph_commit_path");
     group
         .sample_size(20)
@@ -107,17 +105,7 @@ fn bench_commit_and_removal(c: &mut Criterion) {
                 g.len()
             });
         });
-        // Removing every other node one by one: dominated by the edge cleanup per call.
-        group.bench_with_input(BenchmarkId::new("remove_half", n), &n, |b, &n| {
-            b.iter(|| {
-                let mut g = built.clone();
-                for id in (0..n).step_by(2) {
-                    g.remove(TxnId(id));
-                }
-                g.len()
-            });
-        });
-        // The baseline cost of the clone the two benches above pay per iteration.
+        // The baseline cost of the clone the bench above pays per iteration.
         group.bench_with_input(BenchmarkId::new("clone_only", n), &n, |b, _| {
             b.iter(|| built.clone().len());
         });
@@ -176,7 +164,7 @@ criterion_group!(
     benches,
     bench_bloom,
     bench_graph_ops,
-    bench_commit_and_removal,
+    bench_commit_path,
     bench_reachability_engine,
     bench_pruning
 );

@@ -11,14 +11,18 @@
 //! 3. persists the block's effects into the committed-transaction indices (CW / CR), marks the
 //!    transactions committed in the graph, and clears the pending indices;
 //! 4. prunes the graph and the committed indices below the `max_span` horizon (Section 4.6).
+//!
+//! Both graph steps live in the graph
+//! ([`eov_depgraph::DependencyGraph::topo_sort_pending`] and
+//! [`eov_depgraph::DependencyGraph::restore_ww`]); this module supplies the pending list and
+//! the per-key writer chains from the PW index, and owns the persistence and pruning around
+//! them.
 
 use crate::orderer_cc::FabricSharpCC;
-use eov_common::hash::FoldState;
 use eov_common::txn::{Transaction, TxnId};
 use eov_common::version::SeqNo;
-use eov_depgraph::{snapshot_threshold, DependencyGraph};
+use eov_depgraph::snapshot_threshold;
 use eov_vstore::{DependencyIndices, PendingIndex};
-use std::collections::HashMap;
 
 impl FabricSharpCC {
     /// Algorithm 3: forms the next block from the pending set. Returns the transactions in
@@ -36,8 +40,8 @@ impl FabricSharpCC {
         let order = self.graph.topo_sort_pending(&accepted);
 
         // Step 2: restore ww dependencies among pending transactions along that order.
-        let raw_chains = raw_ww_chains(&self.indices.pw);
-        restore_ww_from_chains(&mut self.graph, &order, &raw_chains);
+        self.graph
+            .restore_ww(&order, &raw_ww_chains(&self.indices.pw));
 
         // Step 3: persist — assign slots, update CW/CR, mark committed in the graph.
         let mut pending: Vec<Option<Transaction>> = std::mem::take(&mut self.pending)
@@ -87,8 +91,10 @@ impl FabricSharpCC {
 /// The raw per-key pending-writer chains that can induce a ww edge, in deterministic key
 /// order: for every key with at least two pending writers, the writers in PW record order,
 /// borrowed from the index. A key with one writer is dropped before the sort — it can never
-/// yield the two ordered writers [`restore_ww_from_chains`] needs, and dropping it leaves the
-/// relative order of the others alone, so the same edges are restored in the same order.
+/// yield the two ordered writers [`eov_depgraph::DependencyGraph::restore_ww`] needs, and
+/// dropping it leaves the relative order of the others alone, so the same edges are restored
+/// in the same order. Only graph-tracked writers are here: a statically safe transaction never
+/// enters PW.
 ///
 /// Deterministic iteration: the keys are sorted (PendingIndex iteration order is not
 /// deterministic across replicas, but the set of keys is identical, so sorting fixes the
@@ -98,58 +104,6 @@ fn raw_ww_chains(pw: &PendingIndex) -> Vec<&[TxnId]> {
         pw.iter().filter(|(_, txns)| txns.len() >= 2).collect();
     keyed.sort_by(|a, b| a.0.cmp(b.0));
     keyed.into_iter().map(|(_key, txns)| txns).collect()
-}
-
-/// Algorithm 5: for every key written by pending transactions, walk its writers in the
-/// computed commit order, connect every consecutive pair that is not already connected in
-/// the reachability structure, and propagate the updated reachability downstream once, in
-/// topological order. `raw_chains` is the key-ordered snapshot from [`raw_ww_chains`].
-fn restore_ww_from_chains(graph: &mut DependencyGraph, order: &[TxnId], raw_chains: &[&[TxnId]]) {
-    let position: HashMap<TxnId, usize, FoldState> =
-        order.iter().enumerate().map(|(i, id)| (*id, i)).collect();
-
-    // Heads in first-restored order, deduplicated by commit position (dense `0..order.len()`).
-    let mut head_txns: Vec<TxnId> = Vec::new();
-    let mut is_head = vec![false; order.len()];
-    for txns in raw_chains {
-        // Only pending writers that made it into the order matter, and a chain needs at
-        // least two of them to induce an edge.
-        let mut writers: Vec<TxnId> = txns
-            .iter()
-            .copied()
-            .filter(|t| position.contains_key(t))
-            .collect();
-        if writers.len() < 2 {
-            continue;
-        }
-        writers.sort_by_key(|t| position[t]);
-        // Connect every consecutive pair that is not already connected; pairs already
-        // connected (like Txn0 → Txn3 in Figure 9) are implicit. The paper's Algorithm 5
-        // restores only the *first* unconnected pair per key, but with three or more
-        // pending writers of one key that leaves the ww chain incomplete and a later
-        // arrival can close an undetected cycle through the committed tail of the chain
-        // (caught by the `formation_properties` property test). Restoring every
-        // consecutive pair keeps the graph acyclic (edges always follow the commit order)
-        // and is therefore a strictly safe strengthening.
-        for pair in writers.windows(2) {
-            let (first, second) = (pair[0], pair[1]);
-            if graph.already_connected(first, second) {
-                continue;
-            }
-            graph.add_edge_with_union(first, second);
-            if !std::mem::replace(&mut is_head[position[&second]], true) {
-                head_txns.push(second);
-            }
-        }
-    }
-
-    // Propagate the new reachability downstream exactly once per node, in topological
-    // order (Figure 9: Txn8 is reachable through both restored edges but is updated once).
-    for txn in graph.reachable_in_topo_order(&head_txns) {
-        for s in graph.successors(txn) {
-            graph.propagate_reachability(txn, s);
-        }
-    }
 }
 
 /// Records one transaction committed at `slot` in CR and CW.
@@ -286,12 +240,12 @@ mod tests {
         every_chain.sort_by(|a, b| a.0.cmp(b.0));
         let every_chain: Vec<&[TxnId]> = every_chain.into_iter().map(|(_, txns)| txns).collect();
         let mut reference = cc.graph.clone();
-        restore_ww_from_chains(&mut reference, &order, &every_chain);
+        reference.restore_ww(&order, &every_chain);
 
         let chains = raw_ww_chains(&cc.indices.pw);
         assert_eq!(chains.len(), 2, "only H and K have two writers");
         assert_eq!(every_chain.len(), 7);
-        restore_ww_from_chains(&mut cc.graph, &order, &chains);
+        cc.graph.restore_ww(&order, &chains);
         for &id in &order {
             assert_eq!(
                 format!("{:?}", cc.graph.node(id)),
@@ -303,13 +257,13 @@ mod tests {
         assert!(cc.graph.reaches_exact(TxnId(3), TxnId(6)));
     }
 
-    /// ROADMAP item 1, the defect in isolation. Two blind writers of `H` are pending together;
+    /// ROADMAP item 2, the defect in isolation. Two blind writers of `H` are pending together;
     /// `second` also overwrites a key 600 filler transactions read, so every filler precedes
-    /// it and its 64-bit, one-hash reach filter saturates. `already_connected(first, second)`
-    /// is then a false positive — nothing connects the two — and Algorithm 5, taking the
-    /// positive as leave to skip the pair, restores neither the ww edge nor its reachability.
+    /// it and its 64-bit, one-hash reach filter saturates. Its filter then holds `first` as a
+    /// false positive — nothing connects the two — and Algorithm 5, taking the positive as
+    /// leave to skip the pair, restores neither the ww edge nor its reachability.
     #[test]
-    #[ignore = "known defect: ROADMAP item 1, bloom-positive skip in Algorithm 5"]
+    #[ignore = "known defect: ROADMAP item 2, bloom-positive skip in Algorithm 5"]
     fn ww_restoration_survives_a_bloom_false_positive() {
         use eov_common::txn::TxnId;
         let mut cc = FabricSharpCC::new(CcConfig {
@@ -328,8 +282,9 @@ mod tests {
         assert!(cc
             .on_arrival(txn(second.0, 0, &[], &["H", "R"]))
             .is_accept());
+        let filter = &cc.graph().node(second).unwrap().anti_reachable;
         assert!(
-            cc.graph().already_connected(first, second) && !cc.graph().reaches_exact(first, second),
+            filter.contains(first.0) && !cc.graph().reaches_exact(first, second),
             "the set-up must make the filter answer yes where the graph says no"
         );
 

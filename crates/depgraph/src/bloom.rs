@@ -12,7 +12,7 @@
 ///
 /// Two filters can be unioned only if they share the same geometry (bit count and hash count);
 /// the dependency graph always builds them from one [`eov_common::CcConfig`], so this holds by
-/// construction and is checked with a debug assertion.
+/// construction, and [`BloomFilter::union_with`] asserts it in every build.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BloomFilter {
     words: Vec<u64>,

@@ -91,7 +91,7 @@ mod tests {
         g.insert_pending(TxnId(1), &[], &[], 1);
         g.insert_pending(TxnId(2), &[TxnId(1)], &[], 1);
         // Force 2 → 1 by adding the edge directly (bypassing Algorithm 2's guard).
-        g.add_edge_with_union(TxnId(2), TxnId(1));
+        g.link(g.slot_of(TxnId(2)).unwrap(), g.slot_of(TxnId(1)).unwrap());
         assert!(!g.is_acyclic_exact());
     }
 

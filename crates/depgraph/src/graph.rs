@@ -28,8 +28,8 @@ pub struct TxnNode {
     /// End timestamp (Definition 4) once the transaction has been placed in a block; `None`
     /// while it is still pending.
     pub(crate) end_ts: Option<SeqNo>,
-    /// Immediate successors in dependency order, as interned slots. External callers read
-    /// transaction ids through [`DependencyGraph::successors`].
+    /// Immediate successors in dependency order, as interned slots. Only the graph's own
+    /// walks read them; nothing outside the crate sees an edge.
     pub(crate) succ: Vec<u32>,
     /// Immediate predecessors — the mirror of `succ`, maintained so removing a node only has
     /// to visit its neighbours instead of scanning every successor list in the graph.
@@ -68,9 +68,9 @@ fn placeholder() -> BloomFilter {
 /// behind a `RefCell` (queries take `&self`); mutating entry points reach it without runtime
 /// borrow checks through `RefCell::get_mut`.
 #[derive(Clone, Debug, Default)]
-pub(crate) struct Scratch {
+struct Scratch {
     /// Visited set for DFS walks.
-    pub(crate) visited: EpochVisited,
+    visited: EpochVisited,
     /// DFS stack of slots.
     stack: Vec<u32>,
     /// Per-successor (slot, bloom hash pair) cache for the arrival-time cycle test.
@@ -129,13 +129,6 @@ impl DependencyGraph {
         self.nodes[slot as usize].as_ref()
     }
 
-    /// The immediate successors of `id`, as transaction ids (empty if `id` is untracked).
-    pub fn successors(&self, id: TxnId) -> Vec<TxnId> {
-        self.node(id)
-            .map(|n| n.succ.iter().map(|&s| self.interner.id_at(s)).collect())
-            .unwrap_or_default()
-    }
-
     /// Iterates over all nodes in slot order.
     pub fn nodes(&self) -> impl Iterator<Item = &TxnNode> {
         self.nodes.iter().filter_map(Option::as_ref)
@@ -163,11 +156,6 @@ impl DependencyGraph {
     #[inline]
     pub(crate) fn slot_of(&self, id: TxnId) -> Option<u32> {
         self.interner.get(id)
-    }
-
-    /// The traversal scratch (shared with the `topo` and `cycle` modules).
-    pub(crate) fn scratch(&self) -> &RefCell<Scratch> {
-        &self.scratch
     }
 
     /// Section 4.4's cycle test: for each pair `(p, s)` of a predecessor and a successor of the
@@ -332,60 +320,90 @@ impl DependencyGraph {
         InsertReport { hops }
     }
 
-    /// Adds a dependency edge `from → to` between two existing nodes and unions `from`'s
-    /// reachability (plus `from` itself) into `to`. Used by the ww-restoration step
-    /// (Algorithm 5), which then propagates further downstream itself in topological order.
-    pub fn add_edge_with_union(&mut self, from: TxnId, to: TxnId) {
-        if from == to {
-            return;
-        }
-        let (Some(from_slot), Some(to_slot)) = (self.interner.get(from), self.interner.get(to))
-        else {
-            return;
-        };
-        let from_node = self.nodes[from_slot as usize]
+    /// Adds the edge `from → to` between two live slots (once, mirrored in `to`'s
+    /// predecessor list) and unions `from`'s reachability plus `from` itself into `to`:
+    /// Algorithm 5's restored ww edge. Callers guarantee `from != to`.
+    pub(crate) fn link(&mut self, from: u32, to: u32) {
+        let from_node = self.nodes[from as usize]
             .as_mut()
             .expect("interned slots are live");
-        if !from_node.succ.contains(&to_slot) {
-            from_node.succ.push(to_slot);
-            self.nodes[to_slot as usize]
+        if !from_node.succ.contains(&to) {
+            from_node.succ.push(to);
+            self.nodes[to as usize]
                 .as_mut()
                 .expect("interned slots are live")
                 .pred
-                .push(from_slot);
+                .push(from);
         }
-        self.union_through(from_slot, to_slot);
+        self.union_into(from, &[to]);
     }
 
-    /// Unions the reachability of `source` (plus `source` itself) into `target` without adding
-    /// an edge; used by Algorithm 5's downstream propagation loop.
-    pub fn propagate_reachability(&mut self, source: TxnId, target: TxnId) {
-        if source == target {
-            return;
+    /// In-degree of every node of the sub-graph reachable from the slots `roots` (roots
+    /// included), counted inside that sub-graph, indexed by slot; one DFS over its edges.
+    pub(crate) fn subgraph_indegrees(&self, roots: impl IntoIterator<Item = u32>) -> Vec<u32> {
+        let mut indegree = vec![0; self.nodes.len()];
+        let mut scratch = self.scratch.borrow_mut();
+        let Scratch { visited, stack, .. } = &mut *scratch;
+        visited.reset(self.nodes.len());
+        stack.clear();
+        stack.extend(roots.into_iter().filter(|&slot| visited.insert(slot)));
+        while let Some(slot) = stack.pop() {
+            let node = self.nodes[slot as usize]
+                .as_ref()
+                .expect("adjacency never dangles");
+            for &s in &node.succ {
+                indegree[s as usize] += 1;
+                if visited.insert(s) {
+                    stack.push(s);
+                }
+            }
         }
-        let (Some(source_slot), Some(target_slot)) =
-            (self.interner.get(source), self.interner.get(target))
-        else {
-            return;
-        };
-        self.union_through(source_slot, target_slot);
+        indegree
     }
 
-    /// `target.anti_reachable ∪= source.anti_reachable ∪ {source}` without cloning: the source
-    /// set is moved out for the duration of the union and moved back. Callers guarantee
-    /// `source != target` and that both slots are live.
-    fn union_through(&mut self, source: u32, target: u32) {
+    /// Pushes reachability downstream from the distinct slots `roots`: every node reachable
+    /// from them (roots included) unions its reach set plus itself into each immediate
+    /// successor once every predecessor inside that sub-graph has done so (Kahn's order), so
+    /// each set is final before it is passed on and each node is visited once (Figure 9:
+    /// Txn8, reachable through both restored edges, is updated once).
+    pub(crate) fn propagate_from(&mut self, roots: &[u32]) {
+        let mut indegree = self.subgraph_indegrees(roots.iter().copied());
+        let mut ready: Vec<u32> = roots
+            .iter()
+            .copied()
+            .filter(|&slot| indegree[slot as usize] == 0)
+            .collect();
+        while let Some(slot) = ready.pop() {
+            let node = self.nodes[slot as usize].as_mut().expect("live");
+            let succ = std::mem::take(&mut node.succ);
+            self.union_into(slot, &succ);
+            for &s in &succ {
+                indegree[s as usize] -= 1;
+                if indegree[s as usize] == 0 {
+                    ready.push(s);
+                }
+            }
+            self.nodes[slot as usize].as_mut().expect("live").succ = succ;
+        }
+    }
+
+    /// `t.anti_reachable ∪= source.anti_reachable ∪ {source}` for every slot `t` of `targets`,
+    /// without cloning: the source set is moved out for the duration of the unions and moved
+    /// back. Callers guarantee that every slot is live and that `source` is not a target.
+    fn union_into(&mut self, source: u32, targets: &[u32]) {
+        if targets.is_empty() {
+            return;
+        }
         let source_id = self.interner.id_at(source);
-        let delta = {
-            let s = self.nodes[source as usize]
+        let delta = std::mem::replace(
+            &mut self.nodes[source as usize]
                 .as_mut()
-                .expect("caller checked");
-            std::mem::replace(&mut s.anti_reachable, placeholder())
-        };
-        {
-            let t = self.nodes[target as usize]
-                .as_mut()
-                .expect("caller checked");
+                .expect("caller checked")
+                .anti_reachable,
+            placeholder(),
+        );
+        for &t in targets {
+            let t = self.nodes[t as usize].as_mut().expect("caller checked");
             t.anti_reachable.union_with(&delta);
             t.anti_reachable.insert(source_id.0);
         }
@@ -395,29 +413,12 @@ impl DependencyGraph {
             .anti_reachable = delta;
     }
 
-    /// Whether the pending pair `(earlier, later)` is already connected in the reachability
-    /// structure, i.e. `earlier` can reach `later`. Used by Algorithm 5 to skip redundant ww
-    /// edges (the Txn0 → Txn3 case of Figure 9).
-    pub fn already_connected(&self, earlier: TxnId, later: TxnId) -> bool {
-        self.node(later)
-            .map(|n| n.anti_reachable.contains(earlier.0))
-            .unwrap_or(false)
-    }
-
     /// Marks a pending transaction as committed at `end_ts`. The node stays in the graph (its
     /// dependencies may still matter for future cycles) until pruning removes it.
     pub fn mark_committed(&mut self, id: TxnId, end_ts: SeqNo) {
         if let Some(node) = self.node_mut(id) {
             node.end_ts = Some(end_ts);
         }
-    }
-
-    /// Removes a pending transaction entirely (used by adversarial tests and by callers that
-    /// drop a transaction after accepting it). Only the removed node's neighbours are visited
-    /// — the predecessor lists make the cleanup O(degree) instead of a full graph scan — and
-    /// the freed slot returns to the interner's free list for reuse.
-    pub fn remove(&mut self, id: TxnId) {
-        self.remove_many(&[id]);
     }
 
     /// Exact reachability over successor edges (DFS on the epoch-tagged scratch): whether
@@ -453,6 +454,16 @@ impl DependencyGraph {
             }
         }
         false
+    }
+
+    /// The filter a node would store if exactly the transactions `members` could reach it.
+    #[cfg(test)]
+    pub(crate) fn reach_set_of(&self, members: &[u64]) -> BloomFilter {
+        let mut set = self.empty_reach_set();
+        for &m in members {
+            set.insert(m);
+        }
+        set
     }
 
     /// Mutable access to a node — only exposed to the pruning/rebuild modules and tests.
@@ -502,13 +513,11 @@ mod tests {
         DependencyGraph::new(CcConfig::default())
     }
 
-    /// The filter a node would store if exactly `members` could reach it.
-    fn reach_set_of(g: &DependencyGraph, members: &[TxnId]) -> BloomFilter {
-        let mut set = g.empty_reach_set();
-        for m in members {
-            set.insert(m.0);
-        }
-        set
+    /// The immediate successors of `id`, as transaction ids (empty if `id` is untracked).
+    fn successors(g: &DependencyGraph, id: TxnId) -> Vec<TxnId> {
+        g.node(id)
+            .map(|n| n.succ.iter().map(|&s| g.interner.id_at(s)).collect())
+            .unwrap_or_default()
     }
 
     /// The immediate predecessors of `id`, as transaction ids (empty if `id` is untracked).
@@ -522,7 +531,7 @@ mod tests {
     /// never dangles.
     fn assert_edge_mirror(g: &DependencyGraph) {
         for node in g.nodes() {
-            for s in g.successors(node.id) {
+            for s in successors(g, node.id) {
                 assert!(
                     predecessors(g, s).contains(&node.id),
                     "edge {:?} → {:?} missing from pred mirror",
@@ -532,7 +541,7 @@ mod tests {
             }
             for p in predecessors(g, node.id) {
                 assert!(
-                    g.successors(p).contains(&node.id),
+                    successors(g, p).contains(&node.id),
                     "edge {:?} → {:?} missing from succ list",
                     p,
                     node.id
@@ -548,7 +557,7 @@ mod tests {
         g.insert_pending(TxnId(2), &[TxnId(1)], &[], 1);
 
         assert_eq!(g.len(), 2);
-        assert_eq!(g.successors(TxnId(1)), vec![TxnId(2)]);
+        assert_eq!(successors(&g, TxnId(1)), vec![TxnId(2)]);
         assert_eq!(predecessors(&g, TxnId(2)), vec![TxnId(1)]);
         assert!(g.node(TxnId(2)).unwrap().anti_reachable.contains(1));
         assert!(g.reaches_exact(TxnId(1), TxnId(2)));
@@ -605,15 +614,15 @@ mod tests {
         g.insert_pending(TxnId(5), &[TxnId(2)], &[TxnId(7)], 1);
         let n5 = g.node(TxnId(5)).unwrap();
         // Exactly {1, 2}: not itself, not its downstream.
-        assert_eq!(n5.anti_reachable, reach_set_of(&g, &[TxnId(1), TxnId(2)]));
+        assert_eq!(n5.anti_reachable, g.reach_set_of(&[1, 2]));
         // Downstream nodes learned the full delta {1, 2, 5} on top of their own predecessors.
         assert_eq!(
             g.node(TxnId(7)).unwrap().anti_reachable,
-            reach_set_of(&g, &[TxnId(1), TxnId(2), TxnId(5)])
+            g.reach_set_of(&[1, 2, 5])
         );
         assert_eq!(
             g.node(TxnId(8)).unwrap().anti_reachable,
-            reach_set_of(&g, &[TxnId(1), TxnId(2), TxnId(5), TxnId(7)])
+            g.reach_set_of(&[1, 2, 5, 7])
         );
     }
 
@@ -644,7 +653,7 @@ mod tests {
         assert!(!g.would_close_cycle(&[TxnId(99)], &[TxnId(1)]));
         let report = g.insert_pending(TxnId(2), &[TxnId(77)], &[TxnId(88)], 1);
         assert_eq!(report.hops, 0);
-        assert!(g.successors(TxnId(2)).is_empty());
+        assert!(successors(&g, TxnId(2)).is_empty());
         assert!(predecessors(&g, TxnId(2)).is_empty());
     }
 
@@ -663,9 +672,9 @@ mod tests {
         let mut g = graph();
         g.insert_pending(TxnId(1), &[], &[], 1);
         g.insert_pending(TxnId(2), &[TxnId(1)], &[], 1);
-        g.remove(TxnId(2));
+        g.remove_many(&[TxnId(2)]);
         assert!(!g.contains(TxnId(2)));
-        assert!(g.successors(TxnId(1)).is_empty());
+        assert!(successors(&g, TxnId(1)).is_empty());
         assert_eq!(g.len(), 1);
     }
 
@@ -675,8 +684,8 @@ mod tests {
         g.insert_pending(TxnId(1), &[], &[], 1);
         g.insert_pending(TxnId(2), &[TxnId(1)], &[], 1);
         g.insert_pending(TxnId(3), &[TxnId(2)], &[], 1);
-        g.remove(TxnId(2));
-        assert!(g.successors(TxnId(1)).is_empty());
+        g.remove_many(&[TxnId(2)]);
+        assert!(successors(&g, TxnId(1)).is_empty());
         assert!(predecessors(&g, TxnId(3)).is_empty());
         assert_edge_mirror(&g);
     }
@@ -701,14 +710,14 @@ mod tests {
         assert_eq!(g.len(), 3);
         assert!(g.node(TxnId(0)).unwrap().is_pending() && g.node(TxnId(1)).unwrap().is_pending());
         assert!(!g.node(TxnId(2)).unwrap().is_pending());
-        assert_eq!(g.successors(TxnId(1)), vec![TxnId(2)]);
+        assert_eq!(successors(&g, TxnId(1)), vec![TxnId(2)]);
         assert_eq!(predecessors(&g, TxnId(2)), vec![TxnId(1)]);
         assert_edge_mirror(&g);
 
         // The reviewer's corruption scenario: remove the replayed node, then let a fresh
         // transaction recycle its slot — no panic, no phantom reachability.
-        g.remove(TxnId(2));
-        assert!(g.successors(TxnId(1)).is_empty());
+        g.remove_many(&[TxnId(2)]);
+        assert!(successors(&g, TxnId(1)).is_empty());
         g.insert_pending(TxnId(3), &[], &[], 2);
         assert!(!g.reaches_exact(TxnId(1), TxnId(0)));
         assert!(!g.reaches_exact(TxnId(1), TxnId(3)));
@@ -723,10 +732,10 @@ mod tests {
         let mut g = graph();
         g.insert_pending(TxnId(1), &[], &[], 1);
         g.insert_pending(TxnId(2), &[TxnId(1)], &[], 1);
-        g.remove(TxnId(2));
+        g.remove_many(&[TxnId(2)]);
         // Txn 3 reuses txn 2's slot (free-list LIFO) but has no relation to txn 1.
         g.insert_pending(TxnId(3), &[], &[], 1);
-        assert!(g.successors(TxnId(1)).is_empty());
+        assert!(successors(&g, TxnId(1)).is_empty());
         assert!(predecessors(&g, TxnId(3)).is_empty());
         assert_eq!(g.node(TxnId(3)).unwrap().anti_reachable.popcount(), 0);
         assert!(!g.reaches_exact(TxnId(1), TxnId(3)));
@@ -743,47 +752,48 @@ mod tests {
         g.insert_pending(TxnId(4), &[TxnId(3), TxnId(1)], &[], 1);
         g.remove_many(&[TxnId(2), TxnId(3)]);
         assert_eq!(g.len(), 2);
-        assert_eq!(g.successors(TxnId(1)), vec![TxnId(4)]);
+        assert_eq!(successors(&g, TxnId(1)), vec![TxnId(4)]);
         assert_eq!(predecessors(&g, TxnId(4)), vec![TxnId(1)]);
         assert!(g.contains(TxnId(1)) && g.contains(TxnId(4)));
         assert_edge_mirror(&g);
     }
 
     #[test]
-    fn add_edge_with_union_and_already_connected() {
+    fn link_adds_one_mirrored_edge_and_unions_reachability() {
         let mut g = graph();
         g.insert_pending(TxnId(1), &[], &[], 1);
         g.insert_pending(TxnId(2), &[], &[], 1);
-        assert!(!g.already_connected(TxnId(1), TxnId(2)));
-        g.add_edge_with_union(TxnId(1), TxnId(2));
-        assert!(g.already_connected(TxnId(1), TxnId(2)));
+        let (one, two) = (g.slot_of(TxnId(1)).unwrap(), g.slot_of(TxnId(2)).unwrap());
+        assert!(!g.node(TxnId(2)).unwrap().anti_reachable.contains(1));
+        g.link(one, two);
+        assert!(g.node(TxnId(2)).unwrap().anti_reachable.contains(1));
         assert!(g.reaches_exact(TxnId(1), TxnId(2)));
         assert_eq!(predecessors(&g, TxnId(2)), vec![TxnId(1)]);
-        // Re-adding the same edge does not duplicate the mirror entry.
-        g.add_edge_with_union(TxnId(1), TxnId(2));
+        // Re-linking the same pair does not duplicate the mirror entry.
+        g.link(one, two);
         assert_eq!(predecessors(&g, TxnId(2)), vec![TxnId(1)]);
-        // Self edges and unknown nodes are no-ops.
-        g.add_edge_with_union(TxnId(1), TxnId(1));
-        g.add_edge_with_union(TxnId(9), TxnId(1));
-        assert_eq!(g.len(), 2);
+        assert_eq!(successors(&g, TxnId(1)), vec![TxnId(2)]);
         assert_edge_mirror(&g);
     }
 
     #[test]
-    fn propagate_reachability_keeps_the_source_set_intact() {
+    fn propagate_from_keeps_the_source_set_intact() {
         let mut g = graph();
         g.insert_pending(TxnId(1), &[], &[], 1);
         g.insert_pending(TxnId(2), &[TxnId(1)], &[], 1);
         g.insert_pending(TxnId(3), &[], &[], 1);
-        g.propagate_reachability(TxnId(2), TxnId(3));
-        // Target learned exactly {1, 2}; source still holds exactly {1}.
+        // An edge 2 → 3 whose union has not happened yet: the downstream pass from 2 supplies
+        // it. Target learned exactly {1, 2}; source still holds exactly {1}.
+        let (two, three) = (g.slot_of(TxnId(2)).unwrap(), g.slot_of(TxnId(3)).unwrap());
+        g.nodes[two as usize].as_mut().unwrap().succ.push(three);
+        g.propagate_from(&[two]);
         assert_eq!(
             g.node(TxnId(3)).unwrap().anti_reachable,
-            reach_set_of(&g, &[TxnId(1), TxnId(2)])
+            g.reach_set_of(&[1, 2])
         );
         assert_eq!(
             g.node(TxnId(2)).unwrap().anti_reachable,
-            reach_set_of(&g, &[TxnId(1)])
+            g.reach_set_of(&[1])
         );
     }
 

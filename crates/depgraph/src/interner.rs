@@ -4,8 +4,8 @@
 //! topological sort) used to address nodes through `HashMap<u64, TxnNode>` lookups. Interning
 //! every tracked transaction into a dense slot turns those into direct `Vec` indexing:
 //! adjacency lists store `u32` slots, visited sets become epoch-tagged arrays
-//! ([`crate::visited::EpochVisited`]) and per-block closure sets become dense bitsets over
-//! pending indices. Slots of removed transactions are recycled through a free list, so the
+//! ([`crate::visited::EpochVisited`]) and block formation's in-degree and commit-position
+//! tables become dense arrays over the slot space. Slots of removed transactions are recycled through a free list, so the
 //! slot space stays as small as the peak number of live nodes — the property the pruning of
 //! Section 4.6 already guarantees is bounded.
 

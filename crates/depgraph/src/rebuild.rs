@@ -23,32 +23,20 @@ impl DependencyGraph {
     /// Recomputes every node's `anti_reachable` set from scratch using the current successor
     /// edges. Returns the number of nodes whose filters were rebuilt.
     ///
-    /// The rebuild walks nodes in reverse topological order (ancestors before descendants is
-    /// not required — each node's set is the union over *predecessor* closures, so we process
-    /// in topological order and push forward, mirroring Algorithm 4's propagation).
+    /// Every set starts empty, then one downstream pass from every node pushes each node's
+    /// closure (itself plus everything that reaches it) into its successors in topological
+    /// order — the pass Algorithm 5 runs from the heads of its restored edges.
     pub(crate) fn rebuild_reachability(&mut self) -> usize {
         let ids: Vec<TxnId> = self.nodes().map(|n| n.id).collect();
-        if ids.is_empty() {
-            return 0;
-        }
-
-        // Fresh, empty reach sets for every node.
         for &id in &ids {
             let empty = self.empty_reach_set();
             if let Some(node) = self.node_mut(id) {
                 node.anti_reachable = empty;
             }
         }
-
-        // Process every node in topological order over successor edges and push its closure
-        // (itself plus everything that reaches it) into each successor.
-        let order = self.reachable_in_topo_order(&ids);
-        for &from in &order {
-            for to in self.successors(from) {
-                self.propagate_reachability(from, to);
-            }
-        }
-        order.len()
+        let slots: Vec<u32> = ids.iter().filter_map(|&id| self.slot_of(id)).collect();
+        self.propagate_from(&slots);
+        slots.len()
     }
 }
 

@@ -1,8 +1,9 @@
-//! Topological ordering of the pending transaction set (Algorithm 3, line 1).
+//! Block formation's graph work: the commit order of the pending set (Algorithm 3, line 1)
+//! and the restoration of the pending c-ww edges along it (Algorithm 5, on interned slots).
 //!
 //! On block formation, FabricSharp retrieves a commit order for the pending transactions that
 //! respects every dependency recorded in the graph. Two pending transactions may be ordered
-//! through committed intermediaries (`a → committed → b`), so the ordering is computed from
+//! through committed intermediaries (`a → committed → b`), so the ordering follows
 //! *reachability* over successor edges, not just direct edges within the pending set.
 //!
 //! Determinism matters: every honest orderer must produce the same order from the same input
@@ -11,21 +12,22 @@
 //! pending set and passes it in arrival order; an id the graph has no node for (the template
 //! fast path never inserts one) sorts as an edge-free transaction.
 //!
-//! The closure is computed in O(V + E) set-union work instead of one DFS per pending
-//! transaction: a single postorder sweep over the sub-graph reachable from the pending set
-//! unions dense pending-bitsets bottom-up (each node's "reachable pending set" is the OR of
-//! its successors' sets plus the pending successors themselves), and Kahn's algorithm then
-//! runs on a `BinaryHeap` keyed by arrival index instead of a shift-on-pop sorted vector.
-//! Ties break by arrival index, so the order is a pure function of the graph and the pending
-//! list; `topo_order_respects_every_dependency` and the pinned ledger tips hold it there.
+//! The sort is Kahn's algorithm over the sub-graph reachable from the listed ids, committed
+//! intermediaries included: one DFS counts every in-degree inside that sub-graph, an unlisted
+//! node is released from a plain stack once its last predecessor is, and the stack is drained
+//! before each pop of the min-heap of ready listed ids keyed by arrival index. A listed id thus
+//! becomes ready exactly when every listed id that reaches it has been emitted, so the order is
+//! the greedy "earliest-arrived id that no remaining id reaches" order, in O(V + E) plus
+//! O(P log P) for the heap. `topo_sort_matches_the_greedy_specification` and the pinned ledger
+//! tips hold it there.
 
 use crate::graph::DependencyGraph;
 use eov_common::txn::TxnId;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Sentinel for "slot is not a pending transaction" in the dense arrival-index table.
-const NOT_PENDING: u32 = u32::MAX;
+/// Sentinel for "no entry" in the dense per-slot tables.
+const NONE: u32 = u32::MAX;
 
 impl DependencyGraph {
     /// Returns `pending` — the pending set in arrival order — in a topological order consistent
@@ -40,165 +42,109 @@ impl DependencyGraph {
     /// (which would indicate a bug), the remaining transactions are appended in arrival order
     /// so the orderer still makes progress deterministically.
     pub fn topo_sort_pending(&self, pending: &[TxnId]) -> Vec<TxnId> {
-        // (arrival index, slot) of every listed id that has a node.
-        let tracked: Vec<(u32, u32)> = pending
-            .iter()
-            .enumerate()
-            .filter_map(|(i, id)| Some((i as u32, self.slot_of(*id)?)))
-            .collect();
-        if tracked.len() <= 1 {
+        let slot_at: Vec<Option<u32>> = pending.iter().map(|&id| self.slot_of(id)).collect();
+        if slot_at.iter().flatten().count() <= 1 {
             return pending.to_vec();
         }
-        let p = pending.len();
-        let capacity = self.capacity();
 
-        // Dense side table over the slot space: arrival index per pending slot.
-        let mut arrival: Vec<u32> = vec![NOT_PENDING; capacity];
-        for &(i, slot) in &tracked {
-            arrival[slot as usize] = i;
-        }
-
-        // Everything reachable from the pending set (committed intermediaries included), in
-        // postorder.
-        let postorder = self.postorder(tracked.iter().map(|&(_, slot)| slot), p);
-
-        // Bottom-up closure: row i (a bitset over arrival indices) holds the pending
-        // transactions reachable from postorder[i]. Successors precede their parents in a
-        // DAG's postorder, so each row is the OR of already-final successor rows plus the
-        // pending successors' own bits — every edge is visited exactly once.
-        let words = p.div_ceil(64);
-        let mut row_of: Vec<u32> = vec![NOT_PENDING; capacity];
-        for (i, &slot) in postorder.iter().enumerate() {
-            row_of[slot as usize] = i as u32;
-        }
-        let mut reach: Vec<u64> = vec![0u64; postorder.len() * words];
-        for (i, &slot) in postorder.iter().enumerate() {
-            let node = self.node_at(slot).expect("visited slots are live");
-            let (done, rest) = reach.split_at_mut(i * words);
-            let row = &mut rest[..words];
-            for &s in &node.succ {
-                let s_row = row_of[s as usize] as usize;
-                // `s_row < i` always holds on a DAG; the guard only matters for the
-                // defensive-cyclic case, where the fallback below still emits everything.
-                if s_row < i {
-                    for (w, src) in row.iter_mut().zip(&done[s_row * words..]) {
-                        *w |= src;
-                    }
-                }
-                let a = arrival[s as usize];
-                if a != NOT_PENDING {
-                    row[(a / 64) as usize] |= 1u64 << (a % 64);
-                }
+        // Dense side table over the slot space: arrival index per listed slot.
+        let mut arrival: Vec<u32> = vec![NONE; self.capacity()];
+        for (i, slot) in slot_at.iter().enumerate() {
+            if let Some(slot) = slot {
+                arrival[*slot as usize] = i as u32;
             }
         }
+        let mut indegree = self.subgraph_indegrees(slot_at.iter().flatten().copied());
 
-        // Closure in-degrees: pending `b` has one incoming closure edge per pending `a` that
-        // reaches it.
-        let mut indegree: Vec<u32> = vec![0; p];
-        for &(_, slot) in &tracked {
-            let row = &reach[row_of[slot as usize] as usize * words..][..words];
-            for (wi, &word) in row.iter().enumerate() {
-                let mut bits = word;
-                while bits != 0 {
-                    let b = wi * 64 + bits.trailing_zeros() as usize;
-                    indegree[b] += 1;
-                    bits &= bits - 1;
-                }
-            }
-        }
-
-        // Closure row of each listed id by arrival index; an id without a node has none.
-        let mut row_at: Vec<u32> = vec![NOT_PENDING; p];
-        for &(i, slot) in &tracked {
-            row_at[i as usize] = row_of[slot as usize];
-        }
-
-        // Kahn's algorithm with arrival-order tie-breaking: among ready transactions always
-        // emit the earliest-arrived one (min-heap on arrival index).
-        let mut heap: BinaryHeap<Reverse<u32>> = indegree
+        // Kahn's algorithm. The heap holds the ready listed ids by arrival index; the stack
+        // holds emitted or released nodes whose out-edges are still to be released. Draining
+        // the stack before each pop releases every committed intermediary that can be released,
+        // so the heap always holds every ready listed id when the earliest one is chosen.
+        let mut heap: BinaryHeap<Reverse<u32>> = slot_at
             .iter()
             .enumerate()
-            .filter(|(_, d)| **d == 0)
+            .filter(|(_, slot)| slot.is_none_or(|s| indegree[s as usize] == 0))
             .map(|(i, _)| Reverse(i as u32))
             .collect();
-        let mut order: Vec<TxnId> = Vec::with_capacity(p);
-        let mut emitted = vec![false; p];
-        while let Some(Reverse(next)) = heap.pop() {
-            emitted[next as usize] = true;
-            order.push(pending[next as usize]);
-            let r = row_at[next as usize];
-            if r == NOT_PENDING {
-                continue;
-            }
-            let row = &reach[r as usize * words..][..words];
-            for (wi, &word) in row.iter().enumerate() {
-                let mut bits = word;
-                while bits != 0 {
-                    let b = wi * 64 + bits.trailing_zeros() as usize;
-                    let d = &mut indegree[b];
+        let mut stack: Vec<u32> = Vec::new();
+        let mut order: Vec<TxnId> = Vec::with_capacity(pending.len());
+        loop {
+            while let Some(slot) = stack.pop() {
+                for &s in &self.node_at(slot).expect("visited slots are live").succ {
+                    let d = &mut indegree[s as usize];
                     *d -= 1;
                     if *d == 0 {
-                        heap.push(Reverse(b as u32));
+                        match arrival[s as usize] {
+                            NONE => stack.push(s),
+                            a => heap.push(Reverse(a)),
+                        }
                     }
-                    bits &= bits - 1;
                 }
             }
+            let Some(Reverse(next)) = heap.pop() else {
+                break;
+            };
+            order.push(pending[next as usize]);
+            stack.extend(slot_at[next as usize]);
         }
 
-        // Defensive fallback: if anything was left (exact cycle — should be impossible), append
-        // it in arrival order so every pending transaction still receives a slot.
-        if order.len() < p {
-            for (i, &t) in pending.iter().enumerate() {
-                if !emitted[i] {
-                    order.push(t);
-                }
-            }
-        }
+        // Defensive fallback: a listed id never released (exact cycle — should be impossible)
+        // is appended in arrival order, so every pending transaction still receives a slot.
+        order.extend(
+            pending
+                .iter()
+                .zip(&slot_at)
+                .filter(|(_, slot)| slot.is_some_and(|s| indegree[s as usize] > 0))
+                .map(|(&t, _)| t),
+        );
         order
     }
 
-    /// Every transaction reachable from `roots` (roots included), returned in a topological
-    /// order over successor edges. Used by Algorithm 5 to propagate restored ww reachability
-    /// downstream exactly once per node.
-    pub fn reachable_in_topo_order(&self, roots: &[TxnId]) -> Vec<TxnId> {
-        // Reversing the postorder of a DAG yields a topological order. The reachable sub-graph
-        // is acyclic because the whole graph is.
-        let postorder = self.postorder(roots.iter().filter_map(|&id| self.slot_of(id)), 0);
-        postorder
-            .iter()
-            .rev()
-            .map(|&slot| self.id_at(slot))
-            .collect()
-    }
-
-    /// Iterative postorder DFS over every slot reachable from `roots` (roots included), each
-    /// emitted once; on a DAG every node's successors finish before it does. `capacity` sizes
-    /// the result up front. The visited set is the reusable epoch scratch.
-    fn postorder(&self, roots: impl IntoIterator<Item = u32>, capacity: usize) -> Vec<u32> {
-        let mut postorder: Vec<u32> = Vec::with_capacity(capacity);
-        let mut scratch = self.scratch().borrow_mut();
-        scratch.visited.reset(self.capacity());
-        // Stack of (slot, next-child-index).
-        let mut dfs: Vec<(u32, u32)> = Vec::new();
-        for root in roots {
-            if !scratch.visited.insert(root) {
-                continue;
-            }
-            dfs.push((root, 0));
-            while let Some((slot, child_idx)) = dfs.last_mut() {
-                let node = self.node_at(*slot).expect("visited slots are live");
-                if let Some(&child) = node.succ.get(*child_idx as usize) {
-                    *child_idx += 1;
-                    if scratch.visited.insert(child) {
-                        dfs.push((child, 0));
-                    }
-                } else {
-                    postorder.push(*slot);
-                    dfs.pop();
-                }
+    /// Algorithm 5: restores the c-ww dependencies among pending writers that arrival left out,
+    /// oriented along `order`, the commit order from [`DependencyGraph::topo_sort_pending`].
+    /// `chains` holds one key's pending writers per entry, in a key order every replica agrees
+    /// on; a writer absent from `order` (or from the graph) is skipped. Every consecutive pair
+    /// of a chain in commit order that is not already connected gains an edge and a reach-set
+    /// union, and the new reachability then flows downstream once per node.
+    ///
+    /// "Already connected" is the later writer's reach filter answering yes, so a filter false
+    /// positive skips a pair that needed its edge — the known defect ROADMAP item 2 fixes.
+    pub fn restore_ww(&mut self, order: &[TxnId], chains: &[&[TxnId]]) {
+        let mut position: Vec<u32> = vec![NONE; self.capacity()];
+        for (i, &id) in order.iter().enumerate() {
+            if let Some(slot) = self.slot_of(id) {
+                position[slot as usize] = i as u32;
             }
         }
-        postorder
+        let mut heads: Vec<u32> = Vec::new();
+        for chain in chains {
+            let mut writers: Vec<u32> = chain
+                .iter()
+                .filter_map(|&id| self.slot_of(id))
+                .filter(|&slot| position[slot as usize] != NONE)
+                .collect();
+            writers.sort_unstable_by_key(|&slot| position[slot as usize]);
+            // Connect every consecutive pair that is not already connected; pairs already
+            // connected (like Txn0 → Txn3 in Figure 9) are implicit. The paper's Algorithm 5
+            // restores only the *first* unconnected pair per key, but with three or more
+            // pending writers of one key that leaves the ww chain incomplete and a later
+            // arrival can close an undetected cycle through the committed tail of the chain
+            // (caught by the `formation_properties` property test). Restoring every
+            // consecutive pair keeps the graph acyclic (edges always follow the commit order)
+            // and is therefore a strictly safe strengthening.
+            for pair in writers.windows(2) {
+                let (first, second) = (pair[0], pair[1]);
+                let later = self.node_at(second).expect("interned slots are live");
+                if later.anti_reachable.contains(self.id_at(first).0) {
+                    continue;
+                }
+                self.link(first, second);
+                heads.push(second);
+            }
+        }
+        heads.sort_unstable();
+        heads.dedup();
+        self.propagate_from(&heads);
     }
 }
 
@@ -279,8 +225,25 @@ mod tests {
         assert_eq!(g.topo_sort_pending(&ids(&[5, 6])), ids(&[5, 6]));
     }
 
-    /// More pending transactions than one bitset word, with dependencies crossing the word
-    /// boundary — exercises the multi-word OR path of the closure sweep.
+    /// The defensive fallback: ids on or below a forced cycle are never released and follow
+    /// the others in arrival order.
+    #[test]
+    fn ids_on_a_forced_cycle_are_appended_in_arrival_order() {
+        let mut g = graph();
+        for id in 1..=4 {
+            g.insert_pending(TxnId(id), &[], &[], 1);
+        }
+        // 1 → 2 → 1 (bypassing Algorithm 2's guard) and 2 → 3; 4 is free.
+        let slot = |id| g.slot_of(TxnId(id)).unwrap();
+        let (one, two, three) = (slot(1), slot(2), slot(3));
+        g.link(one, two);
+        g.link(two, one);
+        g.link(two, three);
+        assert_eq!(g.topo_sort_pending(&ids(&[3, 2, 4, 1])), ids(&[4, 3, 2, 1]));
+    }
+
+    /// A 100-transaction chain whose arrival order is its dependency order reversed: every
+    /// pop releases exactly the next transaction, so the heap never holds more than one id.
     #[test]
     fn topo_handles_more_than_64_pending_transactions() {
         let mut g = graph();
@@ -299,34 +262,55 @@ mod tests {
         assert_eq!(order, expected);
     }
 
+    /// Algorithm 5 on Figure 9's shape: two pending writers of one key with no edge between
+    /// them and a diamond downstream of the later one. Restoration links them along the commit
+    /// order (not the chain's record order) and pushes the earlier writer and its upstream
+    /// into every downstream filter, once; a node upstream keeps its filter.
     #[test]
-    fn reachable_in_topo_order_visits_each_node_once_in_dependency_order() {
+    fn restore_ww_links_the_writers_and_propagates_downstream_once() {
         let mut g = graph();
-        // Diamond: 1 → {2, 3} → 4.
-        g.insert_pending(TxnId(1), &[], &[], 1);
-        g.insert_pending(TxnId(2), &[TxnId(1)], &[], 1);
-        g.insert_pending(TxnId(3), &[TxnId(1)], &[], 1);
-        g.insert_pending(TxnId(4), &[TxnId(2), TxnId(3)], &[], 1);
+        // 0 → 1; 2 → {3, 4} → 5. Key H is written by 1 and 2.
+        g.insert_pending(TxnId(0), &[], &[], 1);
+        g.insert_pending(TxnId(1), &[TxnId(0)], &[], 1);
+        g.insert_pending(TxnId(2), &[], &[], 1);
+        g.insert_pending(TxnId(3), &[TxnId(2)], &[], 1);
+        g.insert_pending(TxnId(4), &[TxnId(2)], &[], 1);
+        g.insert_pending(TxnId(5), &[TxnId(3), TxnId(4)], &[], 1);
 
-        let order = g.reachable_in_topo_order(&[TxnId(1)]);
-        assert_eq!(order.len(), 4);
-        let pos = |id: u64| order.iter().position(|t| t.0 == id).unwrap();
-        assert!(pos(1) < pos(2));
-        assert!(pos(1) < pos(3));
-        assert!(pos(2) < pos(4));
-        assert!(pos(3) < pos(4));
-
-        // Starting from the middle only visits the downstream part.
-        let partial = g.reachable_in_topo_order(&[TxnId(2)]);
-        assert_eq!(partial.len(), 2);
-        assert_eq!(partial[0], TxnId(2));
-        assert_eq!(partial[1], TxnId(4));
+        g.restore_ww(&ids(&[0, 1, 2, 3, 4, 5]), &[&ids(&[2, 1])]);
+        assert!(g.reaches_exact(TxnId(1), TxnId(2)));
+        assert!(!g.reaches_exact(TxnId(2), TxnId(1)));
+        let filter = |id: u64| g.node(TxnId(id)).unwrap().anti_reachable.clone();
+        assert_eq!(filter(0), g.reach_set_of(&[]));
+        assert_eq!(filter(1), g.reach_set_of(&[0]));
+        assert_eq!(filter(2), g.reach_set_of(&[0, 1]));
+        assert_eq!(filter(3), g.reach_set_of(&[0, 1, 2]));
+        assert_eq!(filter(4), g.reach_set_of(&[0, 1, 2]));
+        assert_eq!(filter(5), g.reach_set_of(&[0, 1, 2, 3, 4]));
+        assert!(g.is_acyclic_exact());
     }
 
+    /// A writer absent from the order or from the graph is skipped, so its neighbours in the
+    /// chain pair up around it; a pair the filter already connects gains no second edge.
     #[test]
-    fn reachable_in_topo_order_ignores_unknown_roots() {
-        let g = graph();
-        assert!(g.reachable_in_topo_order(&[TxnId(42)]).is_empty());
+    fn restore_ww_skips_absent_writers_and_connected_pairs() {
+        let mut g = graph();
+        g.insert_pending(TxnId(1), &[], &[], 1);
+        g.insert_pending(TxnId(2), &[], &[], 1);
+        g.insert_pending(TxnId(3), &[], &[], 1);
+        g.insert_pending(TxnId(4), &[TxnId(1)], &[], 1);
+        // 3 has a node but is not in the order; 99 has no node.
+        g.restore_ww(&ids(&[1, 2, 4, 99]), &[&ids(&[2, 99, 3, 1]), &ids(&[1, 4])]);
+        assert!(g.reaches_exact(TxnId(1), TxnId(2)));
+        let node = |id: u64| g.node(TxnId(id)).unwrap();
+        assert_eq!(
+            node(1).succ.len(),
+            2,
+            "edges to 4 (arrival) and 2 (restored) only"
+        );
+        assert!(node(3).succ.is_empty() && node(3).pred.is_empty());
+        assert_eq!(node(3).anti_reachable, g.reach_set_of(&[]));
+        assert!(!g.contains(TxnId(99)));
     }
 }
 
@@ -356,6 +340,49 @@ mod proptests {
             g.insert_pending(TxnId(id), &p, &[], 1);
         }
         g
+    }
+
+    /// Marks the nodes flagged in `committed` committed and returns the others, in id order,
+    /// as the pending list: committed nodes order the rest only as intermediaries.
+    fn commit_some(g: &mut DependencyGraph, committed: &[bool]) -> Vec<TxnId> {
+        let mut pending = Vec::new();
+        for id in 0..NODES {
+            if committed[id as usize] {
+                g.mark_committed(TxnId(id), SeqNo::new(1, id as u32 + 1));
+            } else {
+                pending.push(TxnId(id));
+            }
+        }
+        pending
+    }
+
+    /// Inserts one id without a node (`100`, `101`, …) into `pending` per entry of
+    /// `absent_at`, at that position; returns the inserted ids.
+    fn interleave_absent(pending: &mut Vec<TxnId>, absent_at: &[usize]) -> Vec<TxnId> {
+        let absent: Vec<TxnId> = (0..absent_at.len() as u64)
+            .map(|k| TxnId(100 + k))
+            .collect();
+        for (&at, &id) in absent_at.iter().zip(&absent) {
+            pending.insert(at.min(pending.len()), id);
+        }
+        absent
+    }
+
+    /// The specification of the commit order: repeatedly emit the earliest-arrived listed id
+    /// that no other remaining listed id reaches over the exact edges.
+    fn greedy_order(g: &DependencyGraph, pending: &[TxnId]) -> Vec<TxnId> {
+        let mut left = pending.to_vec();
+        let mut order = Vec::with_capacity(left.len());
+        while !left.is_empty() {
+            let k = (0..left.len())
+                .find(|&k| {
+                    left.iter()
+                        .all(|&o| o == left[k] || !g.reaches_exact(o, left[k]))
+                })
+                .expect("an acyclic graph always has a ready id");
+            order.push(left.remove(k));
+        }
+        order
     }
 
     proptest! {
@@ -391,24 +418,36 @@ mod proptests {
             absent_at in proptest::collection::vec(0..NODES as usize + 1, 0..10),
         ) {
             let mut g = random_dag(&edges);
-            let mut pending = Vec::new();
-            for id in 0..NODES {
-                if committed[id as usize] {
-                    g.mark_committed(TxnId(id), SeqNo::new(1, id as u32 + 1));
-                } else {
-                    pending.push(TxnId(id));
-                }
-            }
+            let mut pending = commit_some(&mut g, &committed);
             let mut with_nodes = g.clone();
-            for (k, &at) in absent_at.iter().enumerate() {
-                let id = 100 + k as u64;
-                pending.insert(at.min(pending.len()), TxnId(id));
-                with_nodes.insert_pending(TxnId(id), &[], &[], 1);
+            for id in interleave_absent(&mut pending, &absent_at) {
+                with_nodes.insert_pending(id, &[], &[], 1);
             }
             prop_assert_eq!(
                 g.topo_sort_pending(&pending),
                 with_nodes.topo_sort_pending(&pending)
             );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The tie-break rule, pinned against its specification ([`greedy_order`]): random
+        /// DAGs, a random subset committed (ordering the rest only as intermediaries), the
+        /// pending list in a shuffled arrival order, and ids without a node interleaved.
+        #[test]
+        fn topo_sort_matches_the_greedy_specification(
+            edges in proptest::collection::vec((0..NODES, 0..NODES), 0..40),
+            committed in proptest::collection::vec(any::<bool>(), NODES as usize..NODES as usize + 1),
+            arrival_keys in proptest::collection::vec(any::<u64>(), NODES as usize..NODES as usize + 1),
+            absent_at in proptest::collection::vec(0..NODES as usize + 1, 0..6),
+        ) {
+            let mut g = random_dag(&edges);
+            let mut pending = commit_some(&mut g, &committed);
+            pending.sort_by_key(|t| arrival_keys[t.0 as usize]);
+            interleave_absent(&mut pending, &absent_at);
+            prop_assert_eq!(g.topo_sort_pending(&pending), greedy_order(&g, &pending));
         }
     }
 }
