@@ -11,37 +11,123 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
+/// Longest key or value kept inline: the bytes that fit next to a length byte and the enum tag
+/// in the 24 bytes a `Vec<u8>` header would take.
+const INLINE_CAP: usize = 22;
+
 /// A state-database key.
 ///
-/// Keys are immutable, cheaply cloneable strings (`Arc<str>`): the dependency-resolution
-/// indices clone keys heavily, and a reference-counted slice keeps that cheap without
-/// introducing lifetimes into the transaction types.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct Key(Arc<str>);
+/// Keys are immutable, cheaply cloneable strings. A key of up to 22 bytes — every workload key
+/// — lives inline, so creating, cloning or dropping one never touches the heap, and a store
+/// holding it spends no heap chunk on it; a longer key shares an `Arc<str>`. Either way a
+/// `Key` is 24 bytes. Equality, order and hashing see only the bytes, exactly as `str`'s do
+/// (so a map keyed by `Key` can be probed with a `&str`), never which form holds them.
+///
+/// Hot paths read [`Key::as_bytes`]: [`Key::as_str`] re-checks an inline key's UTF-8.
+#[derive(Clone, Serialize, Deserialize)]
+pub struct Key(KeyRepr);
+
+/// The two forms of a [`Key`]. A key of up to `INLINE_CAP` bytes is always `Inline`, with
+/// the bytes past `len` zero, so two inline keys are equal exactly when their fields are.
+#[derive(Clone)]
+enum KeyRepr {
+    Inline { len: u8, bytes: [u8; INLINE_CAP] },
+    Shared(Arc<str>),
+}
+
+const _: () = assert!(std::mem::size_of::<Key>() == 24);
 
 impl Key {
     /// Creates a key from anything string-like.
     pub fn new(s: impl AsRef<str>) -> Self {
-        Key(Arc::from(s.as_ref()))
+        let s = s.as_ref();
+        Key::inline(s.as_bytes()).unwrap_or_else(|| Key(KeyRepr::Shared(Arc::from(s))))
     }
 
-    /// Creates a key from `format_args!(..)` with one allocation, the key's own: the text is
-    /// formatted into a 64-byte stack buffer, and only a longer key is formatted again into a
-    /// `String`.
+    /// The inline key holding `bytes`, if they fit; `bytes` must be a whole `str`.
+    #[inline]
+    fn inline(bytes: &[u8]) -> Option<Self> {
+        let mut inline = [0u8; INLINE_CAP];
+        inline.get_mut(..bytes.len())?.copy_from_slice(bytes);
+        Some(Key(KeyRepr::Inline {
+            len: bytes.len() as u8,
+            bytes: inline,
+        }))
+    }
+
+    /// Creates a key from `format_args!(..)`: the text is formatted into a 64-byte stack
+    /// buffer, so a key of up to 22 bytes allocates nothing (and its UTF-8 is not checked
+    /// again) and one of up to 64 bytes allocates only its `Arc<str>`; a longer one is
+    /// formatted again into a `String`.
     pub fn from_fmt(args: fmt::Arguments<'_>) -> Self {
         let mut buf = StackStr {
             buf: [0; KEY_STACK_CAP],
             len: 0,
         };
         match fmt::write(&mut buf, args) {
-            Ok(()) => Key::new(buf.as_str()),
+            Ok(()) => Key::inline(&buf.buf[..buf.len]).unwrap_or_else(|| Key::new(buf.as_str())),
             Err(fmt::Error) => Key::from(fmt::format(args)),
         }
     }
 
-    /// Returns the key as a string slice.
+    /// The key's bytes: its UTF-8 text, without checking it again.
+    #[inline]
+    pub fn as_bytes(&self) -> &[u8] {
+        match &self.0 {
+            KeyRepr::Inline { len, bytes } => &bytes[..*len as usize],
+            KeyRepr::Shared(s) => s.as_bytes(),
+        }
+    }
+
+    /// Returns the key as a string slice. An inline key's bytes are checked as UTF-8 on every
+    /// call (this crate has no `unsafe`), so hot paths take [`Key::as_bytes`] instead.
     pub fn as_str(&self) -> &str {
-        &self.0
+        match &self.0 {
+            KeyRepr::Inline { len, bytes } => std::str::from_utf8(&bytes[..*len as usize])
+                .expect("a key is built from a whole `str`"),
+            KeyRepr::Shared(s) => s,
+        }
+    }
+}
+
+impl PartialEq for Key {
+    #[inline]
+    fn eq(&self, other: &Self) -> bool {
+        match (&self.0, &other.0) {
+            (KeyRepr::Inline { len, bytes }, KeyRepr::Inline { len: l, bytes: b }) => {
+                len == l && bytes == b
+            }
+            (KeyRepr::Shared(a), KeyRepr::Shared(b)) => a == b,
+            // Each length has one form, so the forms differ only where the lengths do.
+            _ => false,
+        }
+    }
+}
+
+impl Eq for Key {}
+
+/// `str`'s order: bytewise.
+impl Ord for Key {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.as_bytes().cmp(other.as_bytes())
+    }
+}
+
+impl PartialOrd for Key {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// `str`'s hash: the bytes, then the `0xff` no UTF-8 text contains. [`Borrow<str>`] relies on
+/// the two agreeing.
+///
+/// [`Borrow<str>`]: std::borrow::Borrow
+impl Hash for Key {
+    #[inline]
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write(self.as_bytes());
+        state.write_u8(0xff);
     }
 }
 
@@ -92,7 +178,7 @@ impl From<&str> for Key {
 
 impl From<String> for Key {
     fn from(s: String) -> Self {
-        Key(Arc::from(s.as_str()))
+        Key::new(s)
     }
 }
 
@@ -101,10 +187,6 @@ impl std::borrow::Borrow<str> for Key {
         self.as_str()
     }
 }
-
-/// Longest value kept inline: the bytes that fit next to a length byte and the enum tag in the
-/// 24 bytes a `Vec<u8>` header would take.
-const INLINE_CAP: usize = 22;
 
 /// A state-database value.
 ///
@@ -368,6 +450,9 @@ impl FromIterator<(Key, Value)> for WriteSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hash::FoldState;
+    use std::collections::hash_map::RandomState;
+    use std::hash::BuildHasher;
 
     #[test]
     fn key_is_cheap_to_clone_and_compares_by_content() {
@@ -398,6 +483,70 @@ mod tests {
             "kv:literal"
         );
         assert_eq!(Key::from_fmt(format_args!("")), Key::new(""));
+    }
+
+    /// Characters of one to four UTF-8 bytes, for keys that end on either side of the 22/23
+    /// boundary on a character boundary or not.
+    const KEY_CHARS: [char; 8] = ['a', 'z', '0', ':', 'é', 'ß', '€', '𝄞'];
+
+    /// The text of `picks` (indices into [`KEY_CHARS`]), cut before it passes 40 bytes.
+    fn key_text(picks: &[usize]) -> String {
+        let mut text = String::new();
+        for &pick in picks {
+            let c = KEY_CHARS[pick % KEY_CHARS.len()];
+            if text.len() + c.len_utf8() > 40 {
+                break;
+            }
+            text.push(c);
+        }
+        text
+    }
+
+    /// The largest character boundary of `text` at or below `at`.
+    fn char_floor(text: &str, at: usize) -> usize {
+        (0..=at.min(text.len()))
+            .rev()
+            .find(|&i| text.is_char_boundary(i))
+            .expect("0 is a boundary")
+    }
+
+    fn key_picks() -> impl proptest::strategy::Strategy<Value = Vec<usize>> {
+        proptest::collection::vec(0..KEY_CHARS.len(), 0..41)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(512))]
+
+        /// Inline (≤ 22 bytes) or shared, a key is its `str`: every constructor gives the same
+        /// key, and `==`, `cmp` and `Hash` (under both map hashers) answer as on the `&str`s.
+        #[test]
+        fn key_agrees_with_str(a in key_picks(), b in key_picks(), shared in 0usize..41) {
+            let a = key_text(&a);
+            // Half the time `b` shares a prefix with `a`, so equal keys and long common
+            // prefixes come up.
+            let b = if shared % 2 == 0 {
+                let mut b = format!("{}{}", &a[..char_floor(&a, shared / 2)], key_text(&b));
+                b.truncate(char_floor(&b, 40));
+                b
+            } else {
+                key_text(&b)
+            };
+            let (fold, random) = (FoldState::default(), RandomState::new());
+            for text in [&a, &b] {
+                let key = Key::new(text);
+                assert_eq!(key.as_str(), text.as_str());
+                assert_eq!(key.as_bytes(), text.as_bytes());
+                assert_eq!(Key::from_fmt(format_args!("{text}")), key);
+                assert_eq!(Key::from(text.clone()), key);
+                assert_eq!(Key::from(text.as_str()), key);
+                assert_eq!(fold.hash_one(&key), fold.hash_one(text.as_str()));
+                assert_eq!(random.hash_one(&key), random.hash_one(text.as_str()));
+                assert_eq!(format!("{key:?}"), format!("{text:?}"));
+            }
+            let (ka, kb) = (Key::new(&a), Key::new(&b));
+            assert_eq!(ka == kb, a == b, "{a:?} == {b:?}");
+            assert_eq!(ka.cmp(&kb), a.as_str().cmp(b.as_str()), "{a:?} cmp {b:?}");
+        }
     }
 
     #[test]

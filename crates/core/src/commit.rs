@@ -6,6 +6,8 @@
 //! and the simulator all drive, calls [`commit_block`] once per block.
 
 use eov_common::abort::AbortReason;
+use eov_common::hash::FoldState;
+use eov_common::rwset::Key;
 use eov_common::txn::{Transaction, TxnStatus};
 use eov_common::version::SeqNo;
 use eov_vstore::MultiVersionStore;
@@ -48,11 +50,7 @@ pub fn mvcc_validate_and_apply(
             statuses.push(TxnStatus::Aborted(AbortReason::StaleRead));
         } else {
             for write in txn.write_set.iter() {
-                store.put(
-                    write.key.clone(),
-                    SeqNo::new(block_no, slot),
-                    write.value.clone(),
-                );
+                store.put(&write.key, SeqNo::new(block_no, slot), write.value.clone());
             }
             statuses.push(TxnStatus::Committed);
         }
@@ -71,7 +69,7 @@ pub fn apply_without_validation(
     for (i, txn) in txns.iter().enumerate() {
         for write in txn.write_set.iter() {
             store.put(
-                write.key.clone(),
+                &write.key,
                 SeqNo::new(block_no, i as u32 + 1),
                 write.value.clone(),
             );
@@ -86,11 +84,11 @@ pub fn apply_without_validation(
 /// order against the pre-block state plus earlier in-block writes, exactly like the MVCC check
 /// would be. Feeds the Figure 5 "commits a Strong-Serializability system would abort" metric.
 pub fn count_anti_rw_commits(store: &MultiVersionStore, txns: &[Transaction]) -> u64 {
-    let mut in_block_writes: HashSet<&str> = HashSet::new();
+    let mut in_block_writes: HashSet<&Key, FoldState> = HashSet::default();
     let mut count = 0;
     for txn in txns {
         let stale = txn.read_set.iter().any(|read| {
-            let overwritten_in_block = in_block_writes.contains(read.key.as_str());
+            let overwritten_in_block = in_block_writes.contains(&read.key);
             let latest = store
                 .latest(&read.key)
                 .map(|vv| vv.version)
@@ -101,7 +99,7 @@ pub fn count_anti_rw_commits(store: &MultiVersionStore, txns: &[Transaction]) ->
             count += 1;
         }
         for write in txn.write_set.iter() {
-            in_block_writes.insert(write.key.as_str());
+            in_block_writes.insert(&write.key);
         }
     }
     count

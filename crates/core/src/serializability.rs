@@ -14,6 +14,8 @@
 //! independent of the dependency-graph machinery in `eov-depgraph`, so the property tests that
 //! assert "everything FabricSharp commits is serializable" are not circular.
 
+use eov_common::hash::FoldState;
+use eov_common::rwset::Key;
 use eov_common::txn::{Transaction, TxnId};
 use eov_common::version::SeqNo;
 use std::collections::{HashMap, HashSet};
@@ -29,23 +31,23 @@ pub fn is_serializable(history: &[Transaction]) -> bool {
 pub(crate) fn serialization_order(history: &[Transaction]) -> Option<Vec<TxnId>> {
     let committed: Vec<&Transaction> = history.iter().filter(|t| t.end_ts.is_some()).collect();
     let ids: Vec<TxnId> = committed.iter().map(|t| t.id).collect();
-    let id_set: HashSet<TxnId> = ids.iter().copied().collect();
+    let id_set: HashSet<TxnId, FoldState> = ids.iter().copied().collect();
     if ids.len() != id_set.len() {
         // Duplicate transaction ids make the history ill-formed.
         return None;
     }
 
     // Index writers per key, ordered by commit slot, so ww and rw edges are cheap to derive.
-    let mut writers_by_key: HashMap<&str, Vec<(SeqNo, TxnId)>> = HashMap::new();
-    let mut version_installer: HashMap<(&str, SeqNo), TxnId> = HashMap::new();
+    let mut writers_by_key: HashMap<&Key, Vec<(SeqNo, TxnId)>, FoldState> = HashMap::default();
+    let mut version_installer: HashMap<(&Key, SeqNo), TxnId, FoldState> = HashMap::default();
     for txn in &committed {
         let end = txn.end_ts.expect("filtered to committed");
         for w in txn.write_set.iter() {
             writers_by_key
-                .entry(w.key.as_str())
+                .entry(&w.key)
                 .or_default()
                 .push((end, txn.id));
-            version_installer.insert((w.key.as_str(), end), txn.id);
+            version_installer.insert((&w.key, end), txn.id);
         }
     }
     // lint-determinism: allow (each value is sorted independently; visit order is irrelevant)
@@ -53,9 +55,8 @@ pub(crate) fn serialization_order(history: &[Transaction]) -> Option<Vec<TxnId>>
         writers.sort();
     }
 
-    let mut edges: HashMap<TxnId, HashSet<TxnId>> =
-        ids.iter().map(|id| (*id, HashSet::new())).collect();
-    let add_edge = |from: TxnId, to: TxnId, edges: &mut HashMap<TxnId, HashSet<TxnId>>| {
+    let mut edges: Edges = ids.iter().map(|id| (*id, HashSet::default())).collect();
+    let add_edge = |from: TxnId, to: TxnId, edges: &mut Edges| {
         if from != to {
             edges.get_mut(&from).expect("known id").insert(to);
         }
@@ -72,7 +73,7 @@ pub(crate) fn serialization_order(history: &[Transaction]) -> Option<Vec<TxnId>>
     // wr and rw edges from each read.
     for txn in &committed {
         for read in txn.read_set.iter() {
-            let key = read.key.as_str();
+            let key = &read.key;
             // wr: whoever installed the observed version precedes the reader. Genesis versions
             // (block 0) have no installer in the history.
             if let Some(&installer) = version_installer.get(&(key, read.version)) {
@@ -92,10 +93,13 @@ pub(crate) fn serialization_order(history: &[Transaction]) -> Option<Vec<TxnId>>
     topological_order(&ids, &edges)
 }
 
+/// The serialization graph: each committed transaction's successors.
+type Edges = HashMap<TxnId, HashSet<TxnId, FoldState>, FoldState>;
+
 /// Kahn's algorithm; returns `None` when the graph has a cycle. Ties are broken by the order
 /// ids appear in `ids` (commit order), so the witness is stable.
-fn topological_order(ids: &[TxnId], edges: &HashMap<TxnId, HashSet<TxnId>>) -> Option<Vec<TxnId>> {
-    let mut indegree: HashMap<TxnId, usize> = ids.iter().map(|id| (*id, 0)).collect();
+fn topological_order(ids: &[TxnId], edges: &Edges) -> Option<Vec<TxnId>> {
+    let mut indegree: HashMap<TxnId, usize, FoldState> = ids.iter().map(|id| (*id, 0)).collect();
     // lint-determinism: allow (indegree increments are commutative)
     for targets in edges.values() {
         for t in targets {
@@ -137,10 +141,10 @@ pub fn is_strongly_serializable(history: &[Transaction]) -> bool {
 
     // Replay in commit order: every read must observe the latest version installed so far (or
     // its own snapshot version if the key was never touched), i.e. no anti-rw edge exists.
-    let mut latest: HashMap<&str, SeqNo> = HashMap::new();
+    let mut latest: HashMap<&Key, SeqNo, FoldState> = HashMap::default();
     for txn in &committed {
         for read in txn.read_set.iter() {
-            if let Some(&installed) = latest.get(read.key.as_str()) {
+            if let Some(&installed) = latest.get(&read.key) {
                 if installed > read.version {
                     return false;
                 }
@@ -148,7 +152,7 @@ pub fn is_strongly_serializable(history: &[Transaction]) -> bool {
         }
         let end = txn.end_ts.expect("committed");
         for w in txn.write_set.iter() {
-            latest.insert(w.key.as_str(), end);
+            latest.insert(&w.key, end);
         }
     }
     true
@@ -157,7 +161,7 @@ pub fn is_strongly_serializable(history: &[Transaction]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eov_common::rwset::{Key, Value};
+    use eov_common::rwset::Value;
 
     fn k(s: &str) -> Key {
         Key::new(s)

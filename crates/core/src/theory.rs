@@ -108,9 +108,9 @@ pub(crate) fn classify_dependency_on_key(
 pub fn figure2a_fixture() -> (MultiVersionStore, Vec<Transaction>) {
     let mut store = MultiVersionStore::new();
     // State after block 1: A=(1,1)=100, B=(1,2)=101, C=(1,3)=102.
-    store.put(Key::new("A"), SeqNo::new(1, 1), Value::from_i64(100));
-    store.put(Key::new("B"), SeqNo::new(1, 2), Value::from_i64(101));
-    store.put(Key::new("C"), SeqNo::new(1, 3), Value::from_i64(102));
+    store.put(&Key::new("A"), SeqNo::new(1, 1), Value::from_i64(100));
+    store.put(&Key::new("B"), SeqNo::new(1, 2), Value::from_i64(101));
+    store.put(&Key::new("C"), SeqNo::new(1, 3), Value::from_i64(102));
     store.commit_empty_block(1);
     // Block 2, transaction 1 updates B and C to 201 (versions (2,1)).
     let block2_txn = Transaction::from_parts(

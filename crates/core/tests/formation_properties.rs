@@ -73,7 +73,7 @@ fn apply_block(store: &mut MultiVersionStore, block: &[Transaction]) {
         for txn in block {
             let slot = txn.end_ts.expect("cut transactions carry slots");
             for write in txn.write_set.iter() {
-                store.put(write.key.clone(), slot, write.value.clone());
+                store.put(&write.key, slot, write.value.clone());
             }
         }
         store.commit_empty_block(block_no);

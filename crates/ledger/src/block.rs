@@ -126,10 +126,10 @@ impl Block {
             let txn = &entry.txn;
             hasher.txn(txn.id.0, txn.snapshot_block);
             for read in txn.read_set.iter() {
-                hasher.read(read.key.as_str().as_bytes(), read.version);
+                hasher.read(read.key.as_bytes(), read.version);
             }
             for write in txn.write_set.iter() {
-                hasher.write(write.key.as_str().as_bytes(), write.value.as_bytes());
+                hasher.write(write.key.as_bytes(), write.value.as_bytes());
             }
         }
         hasher.finish()
@@ -237,12 +237,12 @@ mod tests {
             body.extend_from_slice(&entry.txn.id.0.to_be_bytes());
             body.extend_from_slice(&entry.txn.snapshot_block.to_be_bytes());
             for read in entry.txn.read_set.iter() {
-                body.extend_from_slice(read.key.as_str().as_bytes());
+                body.extend_from_slice(read.key.as_bytes());
                 body.extend_from_slice(&read.version.block.to_be_bytes());
                 body.extend_from_slice(&read.version.seq.to_be_bytes());
             }
             for write in entry.txn.write_set.iter() {
-                body.extend_from_slice(write.key.as_str().as_bytes());
+                body.extend_from_slice(write.key.as_bytes());
                 body.extend_from_slice(write.value.as_bytes());
             }
         }

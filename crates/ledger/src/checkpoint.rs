@@ -181,7 +181,7 @@ fn put_chains<'a>(
     let mut count = 0u64;
     for (key, chain) in chains {
         count += 1;
-        w.put_bytes(key.as_str().as_bytes());
+        w.put_bytes(key.as_bytes());
         w.put_u32(chain.len() as u32);
         for version in chain {
             w.put_seqno(version.version);
@@ -223,7 +223,7 @@ fn get_store(
             }
             newest = Some(version);
             let value = Value::from_slice(r.get_bytes("chain value")?);
-            store.put(key.clone(), version, value);
+            store.put(&key, version, value);
         }
         previous = Some(key);
     }
@@ -872,7 +872,7 @@ mod tests {
                         for name in [format!("k{}", (arg >> (8 * t)) % 9), format!("n{}-{t}", u64::MAX - block)] {
                             let (key, version) = (Key::new(name), SeqNo::new(block, t as u32 + 1));
                             let value = Value::from_i64(arg as i64);
-                            store.put(key.clone(), version, value.clone());
+                            store.put(&key, version, value.clone());
                             oracle.entry(key).or_default().push(VersionedValue { version, value });
                         }
                     }

@@ -500,12 +500,12 @@ fn encode_txn(w: &mut ByteWriter, txn: &Transaction) {
     }
     w.put_u32(txn.read_set.len() as u32);
     for read in txn.read_set.iter() {
-        w.put_bytes(read.key.as_str().as_bytes());
+        w.put_bytes(read.key.as_bytes());
         w.put_seqno(read.version);
     }
     w.put_u32(txn.write_set.len() as u32);
     for write in txn.write_set.iter() {
-        w.put_bytes(write.key.as_str().as_bytes());
+        w.put_bytes(write.key.as_bytes());
         w.put_bytes(write.value.as_bytes());
     }
 }
@@ -802,6 +802,29 @@ mod tests {
         let decoded = decode_block(&block_payload(&block)).expect("roundtrip");
         assert_eq!(decoded, block);
         assert_eq!(Block::data_hash(&decoded.entries), decoded.header.data_hash);
+    }
+
+    /// Keys on both sides of the 22-byte inline limit, and one far past it, in reads and
+    /// writes: each decodes to the key it was, and the body hashes as before.
+    #[test]
+    fn keys_across_the_inline_limit_roundtrip() {
+        let texts = [22usize, 23, 200].map(|len| "k".repeat(len));
+        // 20 + 2 and 21 + 2 bytes: a two-byte character across the limit.
+        let wide = ["é".repeat(10) + "ab", "é".repeat(10) + "abc"];
+        let keys: Vec<Key> = texts.iter().chain(&wide).map(Key::new).collect();
+        let txn = Transaction::from_parts(
+            7,
+            0,
+            keys.iter().map(|key| (key.clone(), SeqNo::new(0, 1))),
+            keys.iter()
+                .map(|key| (Key::new(format!("w{key}")), Value::from_i64(1))),
+        );
+        let block = Block::build(1, Digest::ZERO, vec![txn]);
+        let decoded = decode_block(&block_payload(&block)).expect("roundtrip");
+        assert_eq!(decoded, block);
+        let read: Vec<&Key> = decoded.entries[0].txn.read_set.keys().collect();
+        assert_eq!(read, keys.iter().collect::<Vec<_>>());
+        assert_eq!(Block::data_hash(&decoded.entries), block.header.data_hash);
     }
 
     #[test]

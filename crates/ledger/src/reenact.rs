@@ -146,7 +146,7 @@ mod tests {
     fn store_ledger_divergence_is_an_error_not_a_panic() {
         let (ledger, mut store) = fixture();
         // Plant a version claiming a slot that holds an aborted entry.
-        store.put(k("B"), SeqNo::new(3, 9), Value::from_i64(99));
+        store.put(&k("B"), SeqNo::new(3, 9), Value::from_i64(99));
         let err = provenance(&ledger, &store, &k("B"), 3).unwrap_err();
         assert!(matches!(err, LedgerError::Chain(CommonError::Internal(_))));
     }

@@ -42,18 +42,21 @@
 //! were first written in (a recovered store is filled in checkpoint order, the live one in
 //! commit order).
 //!
-//! Memory per key, beside the key string and the value bytes: a 56-byte slab entry (×1–2
-//! while the slab's vector has room to grow into) and 13–26 bytes of index (8-byte slots at a
-//! load between 5/16 and 5/8). The ordered map spent 40 bytes of node space per entry at a
-//! node fill between one half and full, and every chain began with a 160-byte heap vector of
-//! its own — which is most of the 37 % `create_account_durable`'s peak RSS fell by.
+//! Memory per key, beside the bytes of a key or value longer than 22: a 64-byte slab entry
+//! (the 24-byte key with its bytes inline, and a 40-byte chain; ×1–2 while the slab's vector
+//! has room to grow into) and 13–26 bytes of index (8-byte slots at a load between 5/16 and
+//! 5/8). The ordered map spent 40 bytes of node space per entry at a node fill between one
+//! half and full, and every chain began with a 160-byte heap vector of its own — which is
+//! most of the 37 % `create_account_durable`'s peak RSS fell by.
+//!
+//! The index hashes and compares the key's bytes ([`Key::as_bytes`]), never its `&str`, which
+//! an inline key can only build by checking its UTF-8 again.
 
 use eov_common::error::{CommonError, Result};
 use eov_common::hash::FoldState;
 use eov_common::rwset::{Key, Value};
 use eov_common::txn::Transaction;
 use eov_common::version::SeqNo;
-use std::borrow::Borrow;
 use std::fmt;
 
 /// A single version of a value: the commit slot that installed it plus the bytes themselves.
@@ -233,7 +236,7 @@ impl MultiVersionStore {
     /// order, mirroring how a bootstrap block would install them.
     pub fn seed_genesis(&mut self, entries: impl IntoIterator<Item = (Key, Value)>) {
         for (i, (key, value)) in entries.into_iter().enumerate() {
-            self.put(key, SeqNo::new(0, i as u32 + 1), value);
+            self.put(&key, SeqNo::new(0, i as u32 + 1), value);
         }
     }
 
@@ -256,8 +259,8 @@ impl MultiVersionStore {
             .sum()
     }
 
-    fn hash_of(&self, key: &str) -> u64 {
-        let hash = self.hasher.hash_bytes(key.as_bytes());
+    fn hash_of(&self, key: &[u8]) -> u64 {
+        let hash = self.hasher.hash_bytes(key);
         #[cfg(test)]
         let hash = hash & self.hash_mask;
         hash
@@ -266,7 +269,7 @@ impl MultiVersionStore {
     /// Probes the index for `key`: the id of its chain, or the vacant slot a new entry for it
     /// belongs in. The load bound keeps slots vacant, so the walk ends.
     #[inline]
-    fn probe(&self, key: &str, hash: u64) -> std::result::Result<usize, usize> {
+    fn probe(&self, key: &[u8], hash: u64) -> std::result::Result<usize, usize> {
         let mask = self.slots.len() - 1;
         let mut at = Slot::home(hash, self.slots.len().trailing_zeros());
         loop {
@@ -275,7 +278,7 @@ impl MultiVersionStore {
                 return Err(at);
             }
             let id = slot.id() as usize;
-            if slot.tagged(hash) && self.chains[id].0.as_str() == key {
+            if slot.tagged(hash) && self.chains[id].0.as_bytes() == key {
                 return Ok(id);
             }
             at = (at + 1) & mask;
@@ -285,7 +288,7 @@ impl MultiVersionStore {
     /// The chain of `key`, if it was ever written.
     #[inline]
     fn chain(&self, key: &Key) -> Option<&Chain> {
-        let key = key.as_str();
+        let key = key.as_bytes();
         let id = self.probe(key, self.hash_of(key)).ok()?;
         Some(&self.chains[id].1)
     }
@@ -309,12 +312,16 @@ impl MultiVersionStore {
     /// Installs a single versioned value. Versions must be installed in non-decreasing order
     /// per key; this is guaranteed by the block-at-a-time commit protocol.
     ///
+    /// The store copies `key` only when it is new, straight from the caller's key into the
+    /// slab entry: taking the 24-byte key by value made every call write it to the stack and
+    /// read it back, which cost a fresh key's `put` about a third more.
+    ///
     /// # Panics
     ///
     /// If `version` is older than the key's newest version: snapshot reads binary-search the
     /// chain, so an unsorted chain would answer them wrongly from then on.
-    pub fn put(&mut self, key: Key, version: SeqNo, value: Value) {
-        self.put_with(key, version, value);
+    pub fn put(&mut self, key: &Key, version: SeqNo, value: Value) {
+        self.put_with(key.as_bytes(), || key.clone(), version, value);
     }
 
     /// [`Self::put`] by the key's text: a [`Key`] is made only when the key is new, so
@@ -324,13 +331,21 @@ impl MultiVersionStore {
     ///
     /// As [`Self::put`].
     pub fn put_str(&mut self, key: &str, version: SeqNo, value: Value) {
-        self.put_with(key, version, value);
+        self.put_with(key.as_bytes(), || Key::new(key), version, value);
     }
 
-    fn put_with<K: Borrow<str> + Into<Key>>(&mut self, key: K, version: SeqNo, value: Value) {
-        let hash = self.hash_of(key.borrow());
+    /// Installs `value` under the key whose bytes are `key`; `new_key` makes the [`Key`] a new
+    /// slab entry keeps.
+    fn put_with(
+        &mut self,
+        key: &[u8],
+        new_key: impl FnOnce() -> Key,
+        version: SeqNo,
+        value: Value,
+    ) {
+        let hash = self.hash_of(key);
         let next = VersionedValue { version, value };
-        match self.probe(key.borrow(), hash) {
+        match self.probe(key, hash) {
             Ok(id) => {
                 let chain = &mut self.chains[id].1;
                 assert!(
@@ -344,7 +359,7 @@ impl MultiVersionStore {
                     .ok()
                     .filter(|id| *id != Slot::NO_ID)
                     .expect("chain ids fit in 32 bits");
-                self.chains.push((key.into(), Chain::One(next)));
+                self.chains.push((new_key(), Chain::One(next)));
                 self.slots[vacant] = Slot::new(hash, id);
                 if self.chains.len() * MAX_LOAD.1 > self.slots.len() * MAX_LOAD.0 {
                     self.grow();
@@ -364,7 +379,7 @@ impl MultiVersionStore {
         for (txn, seq) in committed {
             let version = SeqNo::new(block_no, seq);
             for item in txn.write_set.iter() {
-                self.put(item.key.clone(), version, item.value.clone());
+                self.put(&item.key, version, item.value.clone());
             }
         }
         self.last_block = self.last_block.max(block_no);
@@ -477,9 +492,9 @@ mod tests {
     #[test]
     fn figure2a_state_evolution() {
         let mut store = MultiVersionStore::new();
-        store.put(k("A"), SeqNo::new(1, 1), Value::from_i64(100));
-        store.put(k("B"), SeqNo::new(1, 2), Value::from_i64(101));
-        store.put(k("C"), SeqNo::new(1, 3), Value::from_i64(102));
+        store.put(&k("A"), SeqNo::new(1, 1), Value::from_i64(100));
+        store.put(&k("B"), SeqNo::new(1, 2), Value::from_i64(101));
+        store.put(&k("C"), SeqNo::new(1, 3), Value::from_i64(102));
         store.commit_empty_block(1);
 
         let t = txn_writing(1, 0, &[("B", 201), ("C", 201)]);
@@ -505,7 +520,7 @@ mod tests {
     fn read_at_missing_key_or_future_key_is_none() {
         let mut store = MultiVersionStore::new();
         assert!(store.read_at(&k("X"), 5).unwrap().is_none());
-        store.put(k("X"), SeqNo::new(3, 1), Value::from_i64(1));
+        store.put(&k("X"), SeqNo::new(3, 1), Value::from_i64(1));
         // Before block 3 the key did not exist.
         assert!(store.read_at(&k("X"), 2).unwrap().is_none());
         assert!(store.read_at(&k("X"), 3).unwrap().is_some());
@@ -569,8 +584,8 @@ mod tests {
     #[should_panic(expected = "versions must be installed in order")]
     fn put_refuses_a_version_older_than_the_chain_tail() {
         let mut store = MultiVersionStore::new();
-        store.put(k("A"), SeqNo::new(3, 1), Value::from_i64(1));
-        store.put(k("A"), SeqNo::new(2, 9), Value::from_i64(2));
+        store.put(&k("A"), SeqNo::new(3, 1), Value::from_i64(1));
+        store.put(&k("A"), SeqNo::new(2, 9), Value::from_i64(2));
     }
 }
 
@@ -610,7 +625,7 @@ mod proptests {
             for (key, block, val) in &writes {
                 let seq = seq_in_block.entry(*block).or_insert(0);
                 *seq += 1;
-                store.put(Key::new(format!("k{key}")), SeqNo::new(*block, *seq), Value::from_i64(*val));
+                store.put(&Key::new(format!("k{key}")), SeqNo::new(*block, *seq), Value::from_i64(*val));
             }
 
             for (key, block) in queries {
@@ -636,7 +651,7 @@ mod proptests {
             for (key, block, val) in &writes {
                 let seq = seq_in_block.entry(*block).or_insert(0);
                 *seq += 1;
-                store.put(Key::new(format!("k{key}")), SeqNo::new(*block, *seq), Value::from_i64(*val));
+                store.put(&Key::new(format!("k{key}")), SeqNo::new(*block, *seq), Value::from_i64(*val));
             }
 
             let before: Vec<Option<i64>> = (0u8..4)

@@ -120,7 +120,7 @@ fn run_model(mut store: MultiVersionStore, ops: &[(u8, u8, u8)]) {
                 let key = Key::new(key);
                 seq += 1;
                 let (version, value) = (SeqNo::new(block, seq), Value::from_i64(i64::from(arg)));
-                store.put(key.clone(), version, value.clone());
+                store.put(&key, version, value.clone());
                 model.put(key.clone(), version, value);
                 if !probes.contains(&key) {
                     probes.push(key);
@@ -149,14 +149,14 @@ fn run_model(mut store: MultiVersionStore, ops: &[(u8, u8, u8)]) {
     let mut rebuilt = MultiVersionStore::new();
     for (key, chain) in &model.data {
         for v in chain {
-            rebuilt.put(key.clone(), v.version, v.value.clone());
+            rebuilt.put(key, v.version, v.value.clone());
         }
     }
     rebuilt.commit_empty_block(model.last_block);
     rebuilt.prune_versions_below(model.pruned_below);
     assert_eq!(rebuilt, store);
     rebuilt.put(
-        Key::new("one-more"),
+        &Key::new("one-more"),
         SeqNo::new(u64::MAX, 1),
         Value::from_i64(0),
     );
@@ -170,22 +170,14 @@ fn equality_ignores_first_write_order() {
     let mut forward = MultiVersionStore::new();
     let mut backward = MultiVersionStore::new();
     for (i, key) in keys.iter().enumerate() {
-        forward.put(
-            key.clone(),
-            SeqNo::new(0, i as u32),
-            Value::from_i64(i as i64),
-        );
+        forward.put(key, SeqNo::new(0, i as u32), Value::from_i64(i as i64));
     }
     for (i, key) in keys.iter().enumerate().rev() {
-        backward.put(
-            key.clone(),
-            SeqNo::new(0, i as u32),
-            Value::from_i64(i as i64),
-        );
+        backward.put(key, SeqNo::new(0, i as u32), Value::from_i64(i as i64));
     }
     assert_eq!(forward, backward);
     assert_eq!(format!("{forward:?}"), format!("{backward:?}"));
-    backward.put(keys[7].clone(), SeqNo::new(1, 1), Value::from_i64(0));
+    backward.put(&keys[7], SeqNo::new(1, 1), Value::from_i64(0));
     assert_ne!(forward, backward);
 }
 

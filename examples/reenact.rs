@@ -32,7 +32,9 @@ fn main() {
     ]);
     chain.persist_to(&dir).unwrap();
 
-    println!("== Running: 5 blocks of alice -> bob transfers, persisted to {dir:?} ==");
+    // The directory is unique per process; the output leaves its name out, so two runs print
+    // the same text.
+    println!("== Running: 5 blocks of alice -> bob transfers, persisted to a fresh directory ==");
     for round in 1..=5i64 {
         let txn = chain.execute(|ctx| {
             let a = ctx.read_balance(&alice);
