@@ -1,13 +1,12 @@
 //! Criterion micro-benchmarks of the substrates: multi-version store reads and the store
-//! layout's point operations at 20 k keys and with 840 k more, committed-index queries,
-//! SHA-256 block hashing, record CRC-32, block decoding, Zipfian sampling and Smallbank
-//! endorsement.
+//! layout's point operations at 20 k keys and with 840 k more, SHA-256 block hashing, record
+//! CRC-32, block decoding, Zipfian sampling and Smallbank endorsement.
 //!
 //! Every Smallbank key is at most 22 bytes, so every key here is inline: the store cases
 //! measure the hash index and the slab, not key allocation, and `put_fresh_840k` copies each
 //! key into its slab entry (a `put` takes the key by reference).
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use eov_bench::{
     hot_keys_scattered, latest_pass, smallbank_keys, smallbank_store, GROWN_ACCOUNTS, HOT_ACCOUNTS,
 };
@@ -17,7 +16,7 @@ use eov_common::txn::{Transaction, TxnId};
 use eov_common::version::SeqNo;
 use eov_ledger::codec::{block_payload, crc32, decode_block};
 use eov_ledger::{sha256, Block, Digest};
-use eov_vstore::{CommittedReadIndex, CommittedWriteIndex, MultiVersionStore, SnapshotManager};
+use eov_vstore::{MultiVersionStore, SnapshotManager};
 use eov_workload::smallbank::{genesis_accounts, SmallbankContract, SmallbankOp};
 use eov_workload::zipf::Zipfian;
 use eov_workload::{TxnTemplate, WorkloadGenerator, WorkloadKind};
@@ -93,71 +92,27 @@ fn bench_mvstore_layout(c: &mut Criterion) {
             store.key_count()
         })
     });
-    let mut store = small.clone();
-    let mut block = 0u64;
+    // Every iteration starts from the same state, each hot key holding two versions as on a
+    // pruning node, and adds a third and prunes back to two: a long-lived store grown and
+    // pruned by the timed body left the row bimodal (2 vs 5 ms) on one binary.
+    let mut two_versions = small.clone();
+    for key in &hot {
+        two_versions.put(key, SeqNo::new(1, 1), Value::from_i64(1));
+    }
+    two_versions.commit_empty_block(1);
     group.bench_function("put_existing_20k", |b| {
-        b.iter(|| {
-            block += 1;
-            for key in &hot {
-                store.put(key, SeqNo::new(block, 1), Value::from_i64(1));
-            }
-            store.commit_empty_block(block);
-            // Keep two versions per key, as a pruning node would.
-            store.prune_versions_below(block - 1);
-        })
-    });
-    group.finish();
-}
-
-fn bench_indices(c: &mut Criterion) {
-    let mut cw = CommittedWriteIndex::new();
-    for block in 1..=50u64 {
-        for key in 0..200u64 {
-            cw.record(
-                Key::new(format!("k{key}")),
-                SeqNo::new(block, key as u32 + 1),
-                TxnId(block * 1_000 + key),
-            );
-        }
-    }
-    let mut group = c.benchmark_group("committed_write_index");
-    group
-        .sample_size(30)
-        .measurement_time(Duration::from_secs(2));
-    group.bench_function("last", |b| b.iter(|| cw.last(&Key::new("k42"))));
-    group.bench_function("before", |b| {
-        b.iter(|| cw.before(&Key::new("k42"), SeqNo::new(25, 0)))
-    });
-    group.bench_function("range_from", |b| {
-        b.iter(|| cw.from(&Key::new("k42"), SeqNo::new(40, 0)).len())
-    });
-    group.finish();
-
-    // Formation's persist pattern on one hot key: a committed read is recorded, then a write
-    // commits and drops it — against an index holding 2 500 entries of other keys, which the
-    // drop must not visit.
-    let mut cr = CommittedReadIndex::new();
-    for block in 1..=10u64 {
-        for key in 0..250u64 {
-            cr.record(
-                Key::new(format!("k{key}")),
-                SeqNo::new(block, key as u32 + 1),
-                TxnId(block * 1_000 + key),
-            );
-        }
-    }
-    let hot = Key::new("k42");
-    let mut slot = 0u32;
-    let mut group = c.benchmark_group("committed_read_index");
-    group
-        .sample_size(30)
-        .measurement_time(Duration::from_secs(2));
-    group.bench_function("cr_drop_stale_hot", |b| {
-        b.iter(|| {
-            slot += 2;
-            cr.record(hot.clone(), SeqNo::new(11, slot), TxnId(u64::from(slot)));
-            cr.drop_stale_readers(&hot, SeqNo::new(11, slot + 1))
-        })
+        b.iter_batched(
+            || two_versions.clone(),
+            |mut store| {
+                for key in &hot {
+                    store.put(key, SeqNo::new(2, 1), Value::from_i64(2));
+                }
+                store.commit_empty_block(2);
+                store.prune_versions_below(1);
+                store
+            },
+            BatchSize::LargeInput,
+        )
     });
     group.finish();
 }
@@ -259,7 +214,6 @@ criterion_group!(
     benches,
     bench_mvstore,
     bench_mvstore_layout,
-    bench_indices,
     bench_ledger_and_zipf
 );
 criterion_main!(benches);

@@ -44,6 +44,11 @@ impl Key {
         Key::inline(s.as_bytes()).unwrap_or_else(|| Key(KeyRepr::Shared(Arc::from(s))))
     }
 
+    /// The key whose text is `bytes`, if they are UTF-8.
+    pub fn from_utf8(bytes: &[u8]) -> Result<Self, std::str::Utf8Error> {
+        std::str::from_utf8(bytes).map(Key::new)
+    }
+
     /// The inline key holding `bytes`, if they fit; `bytes` must be a whole `str`.
     #[inline]
     fn inline(bytes: &[u8]) -> Option<Self> {
@@ -539,6 +544,7 @@ mod tests {
                 assert_eq!(Key::from_fmt(format_args!("{text}")), key);
                 assert_eq!(Key::from(text.clone()), key);
                 assert_eq!(Key::from(text.as_str()), key);
+                assert_eq!(Key::from_utf8(text.as_bytes()), Ok(key.clone()));
                 assert_eq!(fold.hash_one(&key), fold.hash_one(text.as_str()));
                 assert_eq!(random.hash_one(&key), random.hash_one(text.as_str()));
                 assert_eq!(format!("{key:?}"), format!("{text:?}"));

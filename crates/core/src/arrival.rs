@@ -9,13 +9,14 @@
 //! 3. tests whether adding it would close a dependency cycle (Section 4.4); if so the
 //!    transaction can never be serialized by reordering (Theorem 2) and is dropped before it
 //!    ever occupies a block slot;
-//! 4. otherwise inserts it into the graph (Algorithm 4) and into the pending indices.
+//! 4. otherwise inserts it into the graph (Algorithm 4) and into the pending indices, through
+//!    the key-table ids step 2 looked up.
 //!
 //! A transaction tagged `TemplateClass::Safe` (the template fast path) takes step 1 and then
 //! skips steps 2–4: it cannot acquire a dependency, so it is only queued for the next block.
 
 use crate::dependency::{debug_assert_dependency_free, resolve};
-use crate::orderer_cc::FabricSharpCC;
+use crate::orderer_cc::{FabricSharpCC, PendingTxn};
 use eov_common::abort::AbortReason;
 use eov_common::txn::{CommitDecision, Transaction};
 
@@ -52,13 +53,14 @@ impl FabricSharpCC {
         // consulted. Skip all of it: only queue it in the pending set, where block formation's
         // topological sort places it by its acceptance rank as an edge-free transaction.
         if txn.template_class.is_safe() {
-            debug_assert_dependency_free(&txn, &self.indices);
+            debug_assert_dependency_free(&txn, &mut self.keys);
             self.stats.fastpath_accepted += 1;
             return self.accept(txn);
         }
 
-        // Step 2: dependency resolution (all kinds except pending-pending c-ww).
-        let deps = resolve(&txn, &self.indices);
+        // Step 2: dependency resolution (all kinds except pending-pending c-ww), one key-table
+        // lookup per key.
+        let deps = resolve(&txn, &mut self.keys);
 
         // Step 3: cycle test on the reachability filters. A filter false positive aborts too
         // (preventive abort, Section 4.4), under the same reason.
@@ -80,21 +82,18 @@ impl FabricSharpCC {
         self.stats.total_hops += report.hops as u64;
 
         // Step 4b: index the pending transaction's accesses for later arrivals and for the ww
-        // restoration at block formation.
-        for key in txn.write_set.keys() {
-            self.indices.pw.record(key.clone(), txn.id);
-        }
-        for key in txn.read_set.keys() {
-            self.indices.pr.record(key.clone(), txn.id);
-        }
+        // restoration at block formation, through the ids step 2 found; keep the ids.
+        self.keys.admit(&txn, &mut self.pending_keys);
         self.accept(txn)
     }
 
     /// Appends an accepted transaction to the pending set `P`, after everything accepted
-    /// before it.
+    /// before it, with the key-table ids recorded for it since the last one.
     fn accept(&mut self, txn: Transaction) -> CommitDecision {
+        let from = self.pending.last().map_or(0, |last| last.keys.end);
+        let keys = from..self.pending_keys.len();
         self.pending_at.insert(txn.id.0, self.pending.len());
-        self.pending.push(txn);
+        self.pending.push(PendingTxn { txn, keys });
         CommitDecision::Accept
     }
 }
@@ -238,7 +237,7 @@ mod tests {
         assert_eq!(cc.stats().fastpath_accepted, 1);
         assert_eq!(cc.pending_len(), 2);
         assert!(!cc.graph().contains(TxnId(2)));
-        assert!(cc.indices.pw.get(&k("FRESH")).is_empty());
+        assert!(cc.keys.record_of(&k("FRESH")).is_none());
         let ids: Vec<TxnId> = cc.cut_block().iter().map(|t| t.id).collect();
         assert_eq!(ids, [TxnId(1), TxnId(2)]);
         assert!(cc.knows(TxnId(2)));

@@ -15,8 +15,8 @@
 //! they are the only edges reordering can flip, so they are restored later (Algorithm 5) once
 //! the block's commit order has been fixed.
 
+use crate::keys::KeyTable;
 use eov_common::txn::{Transaction, TxnId};
-use eov_vstore::DependencyIndices;
 
 /// The dependencies of a newly arrived transaction, split into the two roles they play in the
 /// cycle test of Algorithm 2.
@@ -36,43 +36,47 @@ impl ResolvedDeps {
     }
 }
 
-/// Computes the dependencies of `txn` against the orderer's CW/CR/PW/PR indices — what
-/// arrival and ledger replay both call.
+/// Computes the dependencies of `txn` against the orderer's CW/CR/PW/PR key table — what
+/// arrival and ledger replay both call. It looks each key up once ([`KeyTable::find`]) and
+/// leaves what it found in the table for the caller to intern the keys by.
 ///
 /// The transaction's own id never appears in the result (a transaction cannot depend on
 /// itself), and each side is deduplicated while preserving first-seen order so the downstream
 /// graph insertion is deterministic across replicated orderers.
 ///
-/// Each read key's CW entries are looked up once and split at the snapshot: the tail holds
-/// the anti-rw successors, the last entry of the head the n-wr predecessor. The rw pass runs
-/// first, since rw is the only phase that pushes predecessors before n-wr; each list then
-/// comes out in the order of the four phases above.
-pub(crate) fn resolve(txn: &Transaction, indices: &DependencyIndices) -> ResolvedDeps {
-    let DependencyIndices { cw, cr, pw, pr } = indices;
+/// Each read key's CW entries are split at the snapshot: the tail holds the anti-rw
+/// successors, the last entry of the head the n-wr predecessor. The rw pass runs first, since
+/// rw is the only phase that pushes predecessors before n-wr; each list then comes out in the
+/// order of the four phases above.
+pub(crate) fn resolve(txn: &Transaction, keys: &mut KeyTable) -> ResolvedDeps {
+    keys.find(txn);
+    let keys = &*keys;
     let start_ts = txn.start_ts();
+    let reads = 0..txn.read_set.len();
+    let writes = reads.end..reads.end + txn.write_set.len();
     let mut successors = Dedup::new(txn.id);
     let mut predecessors = Dedup::new(txn.id);
 
     // rw: committed or pending readers of keys we overwrite — they read the previous value, so
     // they come before us.
-    for write in txn.write_set.iter() {
-        for &(_, r) in cr.entries(&write.key) {
+    for record in writes.clone().filter_map(|i| keys.found_record(i)) {
+        for &(_, r) in &record.cr {
             predecessors.push(r);
         }
-        for &r in pr.get(&write.key) {
+        for &r in &record.pr {
             predecessors.push(r);
         }
     }
 
-    for read in txn.read_set.iter() {
-        let writes = cw.entries(&read.key);
+    for record in reads.filter_map(|i| keys.found_record(i)) {
+        let writes = &record.cw;
         let (before, from) = writes.split_at(writes.partition_point(|&(s, _)| s < start_ts));
         // anti-rw: committed or pending writers that overwrite something we read at or after
         // our snapshot — we must come before them in any serializable order.
         for &(_, w) in from {
             successors.push(w);
         }
-        for &w in pw.get(&read.key) {
+        for &w in &record.pw {
             successors.push(w);
         }
         // n-wr: the committed writer that installed the version we read.
@@ -82,8 +86,8 @@ pub(crate) fn resolve(txn: &Transaction, indices: &DependencyIndices) -> Resolve
     }
 
     // ww: the last committed writer of each key we overwrite.
-    for write in txn.write_set.iter() {
-        if let Some(w) = cw.last(&write.key) {
+    for record in writes.filter_map(|i| keys.found_record(i)) {
+        if let Some(&(_, w)) = record.cw.last() {
             predecessors.push(w);
         }
     }
@@ -97,13 +101,15 @@ pub(crate) fn resolve(txn: &Transaction, indices: &DependencyIndices) -> Resolve
 /// The runtime check behind the template fast path, in debug builds only: a transaction
 /// tagged [`eov_common::txn::TemplateClass::Safe`] skips resolution, so resolve it anyway
 /// and insist it depends on no tracked transaction. Release builds never run the resolution.
-pub(crate) fn debug_assert_dependency_free(txn: &Transaction, indices: &DependencyIndices) {
-    debug_assert!(
-        resolve(txn, indices).is_empty(),
-        "{:?} is tagged Safe but depends on tracked transactions: {:?}",
-        txn.id,
-        resolve(txn, indices)
-    );
+pub(crate) fn debug_assert_dependency_free(txn: &Transaction, keys: &mut KeyTable) {
+    if cfg!(debug_assertions) {
+        let deps = resolve(txn, keys);
+        assert!(
+            deps.is_empty(),
+            "{:?} is tagged Safe but depends on tracked transactions: {deps:?}",
+            txn.id,
+        );
+    }
 }
 
 /// Order-preserving deduplicating collector that also filters out the transaction itself.
@@ -152,47 +158,52 @@ mod tests {
         )
     }
 
+    fn committed(keys: &mut KeyTable, key: &str, write: bool, seq: SeqNo, txn: u64) {
+        let id = keys.id_of(&k(key));
+        keys.record_committed(id, write, seq, TxnId(txn));
+    }
+
     #[test]
     fn empty_indices_give_no_dependencies() {
-        let deps = resolve(&sample_txn(), &DependencyIndices::default());
+        let deps = resolve(&sample_txn(), &mut KeyTable::default());
         assert!(deps.is_empty());
     }
 
     #[test]
     fn anti_rw_picks_up_committed_and_pending_writers_of_read_keys() {
-        let mut indices = DependencyIndices::default();
+        let mut keys = KeyTable::default();
         // A committed writer of A *after* our snapshot (3,0) → anti-rw successor.
-        indices.cw.record(k("A"), SeqNo::new(3, 1), TxnId(1));
+        committed(&mut keys, "A", true, SeqNo::new(3, 1), 1);
         // A committed writer of A *before* our snapshot → n-wr predecessor, not anti-rw.
-        indices.cw.record(k("A"), SeqNo::new(1, 1), TxnId(2));
-        indices.pw.record(k("A"), TxnId(3));
+        committed(&mut keys, "A", true, SeqNo::new(1, 1), 2);
+        keys.add_pending(&k("A"), true, TxnId(3));
 
-        let deps = resolve(&sample_txn(), &indices);
+        let deps = resolve(&sample_txn(), &mut keys);
         assert_eq!(deps.successors, vec![TxnId(1), TxnId(3)]);
         assert_eq!(deps.predecessors, vec![TxnId(2)]);
     }
 
     #[test]
     fn rw_and_ww_pick_up_accessors_of_written_keys() {
-        let mut indices = DependencyIndices::default();
-        indices.cr.record(k("B"), SeqNo::new(2, 1), TxnId(4)); // committed reader of B
-        indices.pr.record(k("B"), TxnId(5)); // pending reader of B
-        indices.cw.record(k("B"), SeqNo::new(2, 2), TxnId(6)); // last committed writer of B
+        let mut keys = KeyTable::default();
+        committed(&mut keys, "B", false, SeqNo::new(2, 1), 4); // committed reader of B
+        keys.add_pending(&k("B"), false, TxnId(5)); // pending reader of B
+        committed(&mut keys, "B", true, SeqNo::new(2, 2), 6); // last committed writer of B
 
-        let deps = resolve(&sample_txn(), &indices);
+        let deps = resolve(&sample_txn(), &mut keys);
         assert_eq!(deps.predecessors, vec![TxnId(4), TxnId(5), TxnId(6)]);
         assert!(deps.successors.is_empty());
     }
 
     #[test]
     fn own_id_and_duplicates_are_filtered() {
-        let mut indices = DependencyIndices::default();
-        indices.pw.record(k("A"), TxnId(100)); // the transaction itself
-        indices.pw.record(k("A"), TxnId(7));
-        indices.pr.record(k("B"), TxnId(7)); // same id also a predecessor via a different key
-        indices.pr.record(k("B"), TxnId(100));
+        let mut keys = KeyTable::default();
+        keys.add_pending(&k("A"), true, TxnId(100)); // the transaction itself
+        keys.add_pending(&k("A"), true, TxnId(7));
+        keys.add_pending(&k("B"), false, TxnId(7)); // same id also a predecessor via another key
+        keys.add_pending(&k("B"), false, TxnId(100));
 
-        let deps = resolve(&sample_txn(), &indices);
+        let deps = resolve(&sample_txn(), &mut keys);
         assert_eq!(deps.successors, vec![TxnId(7)]);
         assert_eq!(deps.predecessors, vec![TxnId(7)]);
     }
@@ -201,9 +212,9 @@ mod tests {
     fn blind_writes_have_no_successors() {
         // A transaction with no reads can never be on the reading end of an anti-rw.
         let txn = Transaction::from_parts(1, 0, [], [(k("X"), Value::from_i64(1))]);
-        let mut indices = DependencyIndices::default();
-        indices.cw.record(k("X"), SeqNo::new(1, 1), TxnId(9));
-        let deps = resolve(&txn, &indices);
+        let mut keys = KeyTable::default();
+        committed(&mut keys, "X", true, SeqNo::new(1, 1), 9);
+        let deps = resolve(&txn, &mut keys);
         assert!(deps.successors.is_empty());
         assert_eq!(deps.predecessors, vec![TxnId(9)]);
     }
@@ -217,36 +228,40 @@ mod proptests {
     use proptest::collection::vec;
     use proptest::prelude::*;
 
-    /// Section 4.3's resolution as four passes, probing CW twice per read key (once for
-    /// anti-rw, once for n-wr): the model the one-probe [`resolve`] must reproduce.
-    fn resolve_four_pass(txn: &Transaction, indices: &DependencyIndices) -> ResolvedDeps {
-        let DependencyIndices { cw, cr, pw, pr } = indices;
+    /// Section 4.3's resolution as four passes, looking every key up by name and querying
+    /// CW twice per read key (`CW[key][startTS:]` for anti-rw, `CW.Before(key, startTS)` for
+    /// n-wr): the model the one-lookup [`resolve`] must reproduce.
+    pub(crate) fn resolve_four_pass(txn: &Transaction, keys: &KeyTable) -> ResolvedDeps {
         let start_ts = txn.start_ts();
+        let cw = |key: &Key| keys.record_of(key).map_or(&[][..], |r| r.cw.as_slice());
+        let cr = |key: &Key| keys.record_of(key).map_or(&[][..], |r| r.cr.as_slice());
+        let pw = |key: &Key| keys.record_of(key).map_or(&[][..], |r| r.pw.as_slice());
+        let pr = |key: &Key| keys.record_of(key).map_or(&[][..], |r| r.pr.as_slice());
         let mut successors = Dedup::new(txn.id);
         let mut predecessors = Dedup::new(txn.id);
         for read in txn.read_set.iter() {
-            for &(_, w) in cw.entries_from(&read.key, start_ts) {
+            for &(_, w) in cw(&read.key).iter().filter(|&&(s, _)| s >= start_ts) {
                 successors.push(w);
             }
-            for &w in pw.get(&read.key) {
+            for &w in pw(&read.key) {
                 successors.push(w);
             }
         }
         for write in txn.write_set.iter() {
-            for &(_, r) in cr.entries(&write.key) {
+            for &(_, r) in cr(&write.key) {
                 predecessors.push(r);
             }
-            for &r in pr.get(&write.key) {
+            for &r in pr(&write.key) {
                 predecessors.push(r);
             }
         }
         for read in txn.read_set.iter() {
-            if let Some(w) = cw.before(&read.key, start_ts) {
+            if let Some(&(_, w)) = cw(&read.key).iter().rev().find(|&&(s, _)| s < start_ts) {
                 predecessors.push(w);
             }
         }
         for write in txn.write_set.iter() {
-            if let Some(w) = cw.last(&write.key) {
+            if let Some(&(_, w)) = cw(&write.key).last() {
                 predecessors.push(w);
             }
         }
@@ -275,18 +290,13 @@ mod proptests {
             pending in vec((0u8..KEYS, 0u64..IDS, any::<bool>()), 0..16),
             txns in vec((0u64..IDS, 0u64..8, vec(0u8..KEYS, 0..5), vec(0u8..KEYS, 0..5)), 1..8),
         ) {
-            let mut indices = DependencyIndices::default();
+            let mut keys = KeyTable::default();
             for (key, block, seq, id, is_write) in committed {
-                let seq = SeqNo::new(block, seq);
-                if is_write {
-                    indices.cw.record(k(key), seq, TxnId(id));
-                } else {
-                    indices.cr.record(k(key), seq, TxnId(id));
-                }
+                let record = keys.id_of(&k(key));
+                keys.record_committed(record, is_write, SeqNo::new(block, seq), TxnId(id));
             }
             for (key, id, is_write) in pending {
-                let index = if is_write { &mut indices.pw } else { &mut indices.pr };
-                index.record(k(key), TxnId(id));
+                keys.add_pending(&k(key), is_write, TxnId(id));
             }
             for (id, snapshot, reads, writes) in txns {
                 let txn = Transaction::from_parts(
@@ -295,7 +305,8 @@ mod proptests {
                     reads.iter().map(|&key| (k(key), SeqNo::new(snapshot, 1))),
                     writes.iter().map(|&key| (k(key), Value::from_i64(id as i64))),
                 );
-                prop_assert_eq!(resolve(&txn, &indices), resolve_four_pass(&txn, &indices));
+                let model = resolve_four_pass(&txn, &keys);
+                prop_assert_eq!(resolve(&txn, &mut keys), model);
             }
         }
     }

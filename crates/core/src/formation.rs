@@ -15,14 +15,14 @@
 //! Both graph steps live in the graph
 //! ([`eov_depgraph::DependencyGraph::topo_sort_pending`] and
 //! [`eov_depgraph::DependencyGraph::restore_ww`]); this module supplies the pending list and
-//! the per-key writer chains from the PW index, and owns the persistence and pruning around
-//! them.
+//! the per-key writer chains from PW, and owns the persistence and pruning around them. Every
+//! key-table step works through the record ids kept beside each pending transaction.
 
-use crate::orderer_cc::FabricSharpCC;
+use crate::keys::{KeyTable, RecordId};
+use crate::orderer_cc::{FabricSharpCC, PendingTxn};
 use eov_common::txn::{Transaction, TxnId};
 use eov_common::version::SeqNo;
 use eov_depgraph::snapshot_threshold;
-use eov_vstore::{DependencyIndices, PendingIndex};
 
 impl FabricSharpCC {
     /// Algorithm 3: forms the next block from the pending set. Returns the transactions in
@@ -36,88 +36,79 @@ impl FabricSharpCC {
 
         // Step 1: compute the commit order (topological sort over reachability). Fast-path
         // transactions have no graph node, so the sort places them by acceptance rank alone.
-        let accepted: Vec<TxnId> = self.pending.iter().map(|txn| txn.id).collect();
+        let accepted: Vec<TxnId> = self.pending.iter().map(|p| p.txn.id).collect();
         let order = self.graph.topo_sort_pending(&accepted);
 
         // Step 2: restore ww dependencies among pending transactions along that order.
-        self.graph
-            .restore_ww(&order, &raw_ww_chains(&self.indices.pw));
+        let chains = ww_chains(&self.keys, &self.pending, &self.pending_keys);
+        self.graph.restore_ww(&order, &chains);
 
         // Step 3: persist — assign slots, update CW/CR, mark committed in the graph.
-        let mut pending: Vec<Option<Transaction>> = std::mem::take(&mut self.pending)
+        let pending_keys = std::mem::take(&mut self.pending_keys);
+        let mut pending: Vec<Option<PendingTxn>> = std::mem::take(&mut self.pending)
             .into_iter()
             .map(Some)
             .collect();
         let mut block_txns = Vec::with_capacity(order.len());
         for (i, id) in order.iter().enumerate() {
-            let mut txn = pending[self.pending_at[&id.0]]
+            let PendingTxn { mut txn, keys } = pending[self.pending_at[&id.0]]
                 .take()
                 .expect("the order lists each pending transaction once");
             let slot = SeqNo::new(block_no, i as u32 + 1);
             txn.end_ts = Some(slot);
-            self.record_commit(&txn, slot);
+            self.record_commit(&txn, slot, &pending_keys[keys]);
             block_txns.push(txn);
         }
         self.pending_at.clear();
-        self.indices.pw.clear();
-        self.indices.pr.clear();
+        self.keys.clear_pending(&pending_keys);
+        self.pending_keys = pending_keys;
+        self.pending_keys.clear();
 
         // Step 4: prune everything that can no longer matter.
         let next = block_no + 1;
         self.graph.prune_for_next_block(next);
         let horizon = snapshot_threshold(next, self.config.max_span);
         self.untracked.prune_below(horizon);
-        self.indices.cw.prune_below(horizon);
-        self.indices.cr.prune_below(horizon);
+        self.keys.prune_below(horizon);
 
         self.next_block = next;
         block_txns
     }
 
-    /// Records `txn` as committed at `slot` (block formation and ledger replay alike). A
-    /// fast-path transaction has no graph node to mark, and nothing ever resolves against its
-    /// keys, so the CW/CR updates are skipped; the untracked-commit log keeps replay idempotent
-    /// until the commit ages past the pruning horizon.
-    pub(crate) fn record_commit(&mut self, txn: &Transaction, slot: SeqNo) {
+    /// Records `txn` as committed at `slot` (block formation and ledger replay alike); `ids`
+    /// are the key-table ids of its keys, reads first. A fast-path transaction has no graph
+    /// node to mark, and nothing ever resolves against its keys, so the CW/CR updates are
+    /// skipped; the untracked-commit log keeps replay idempotent until the commit ages past
+    /// the pruning horizon.
+    pub(crate) fn record_commit(&mut self, txn: &Transaction, slot: SeqNo, ids: &[RecordId]) {
         if txn.template_class.is_safe() {
             self.untracked.note(txn.id, slot.block);
         } else {
             self.graph.mark_committed(txn.id, slot);
-            persist_txn_index_side(&mut self.indices, txn, slot);
+            self.keys.record_commit(txn, slot, ids);
         }
     }
 }
 
-/// The raw per-key pending-writer chains that can induce a ww edge, in deterministic key
-/// order: for every key with at least two pending writers, the writers in PW record order,
-/// borrowed from the index. A key with one writer is dropped before the sort — it can never
-/// yield the two ordered writers [`eov_depgraph::DependencyGraph::restore_ww`] needs, and
-/// dropping it leaves the relative order of the others alone, so the same edges are restored
-/// in the same order. Only graph-tracked writers are here: a statically safe transaction never
-/// enters PW.
+/// The raw per-key pending-writer chains that can induce a ww edge, in key order: for every
+/// key with at least two pending writers, the writers in PW record order, borrowed from the
+/// key table. A key with one writer is left out — it can never yield the two ordered writers
+/// [`eov_depgraph::DependencyGraph::restore_ww`] needs, and leaving it out leaves the relative
+/// order of the others alone, so the same edges are restored in the same order. Only
+/// graph-tracked writers are here: a statically safe transaction never enters PW.
 ///
-/// Deterministic iteration: the keys are sorted (PendingIndex iteration order is not
-/// deterministic across replicas, but the set of keys is identical, so sorting fixes the
+/// The keys are sorted, so every replica restores the same edges in the same order (the
 /// replication requirement of Section 3.5).
-fn raw_ww_chains(pw: &PendingIndex) -> Vec<&[TxnId]> {
-    let mut keyed: Vec<(&eov_common::rwset::Key, &[TxnId])> =
-        pw.iter().filter(|(_, txns)| txns.len() >= 2).collect();
-    keyed.sort_by(|a, b| a.0.cmp(b.0));
-    keyed.into_iter().map(|(_key, txns)| txns).collect()
-}
-
-/// Records one transaction committed at `slot` in CR and CW.
-fn persist_txn_index_side(indices: &mut DependencyIndices, txn: &Transaction, slot: SeqNo) {
-    // Committed-read index: record this transaction as a reader of each key it read.
-    for read in txn.read_set.iter() {
-        indices.cr.record(read.key.clone(), slot, txn.id);
-    }
-    // Committed-write index: record the writes and drop readers of the overwritten values
-    // (they no longer read the latest version).
-    for write in txn.write_set.iter() {
-        indices.cw.record(write.key.clone(), slot, txn.id);
-        indices.cr.drop_stale_readers(&write.key, slot);
-    }
+fn ww_chains<'a>(
+    keys: &'a KeyTable,
+    pending: &[PendingTxn],
+    pending_keys: &[RecordId],
+) -> Vec<&'a [TxnId]> {
+    keys.ww_chains(pending.iter().flat_map(|p| {
+        let ids = &pending_keys[p.keys.clone()];
+        let writes = ids.get(p.txn.read_set.len()..).unwrap_or_default();
+        writes.iter().map(move |&id| (p.txn.id, id))
+    }))
 }
 
 #[cfg(test)]
@@ -234,15 +225,17 @@ mod tests {
         ] {
             assert!(cc.on_arrival(txn(id, 0, reads, writes)).is_accept());
         }
-        let accepted: Vec<TxnId> = cc.pending.iter().map(|txn| txn.id).collect();
+        let accepted: Vec<TxnId> = cc.pending.iter().map(|p| p.txn.id).collect();
         let order = cc.graph.topo_sort_pending(&accepted);
-        let mut every_chain: Vec<_> = cc.indices.pw.iter().collect();
-        every_chain.sort_by(|a, b| a.0.cmp(b.0));
-        let every_chain: Vec<&[TxnId]> = every_chain.into_iter().map(|(_, txns)| txns).collect();
+        let every_chain: Vec<&[TxnId]> = ["H", "K", "S1", "S2", "S3", "S4", "S5"]
+            .map(|key| cc.keys.record_of(&k(key)).unwrap().pw.as_slice())
+            .into_iter()
+            .filter(|pw| !pw.is_empty())
+            .collect();
         let mut reference = cc.graph.clone();
         reference.restore_ww(&order, &every_chain);
 
-        let chains = raw_ww_chains(&cc.indices.pw);
+        let chains = ww_chains(&cc.keys, &cc.pending, &cc.pending_keys);
         assert_eq!(chains.len(), 2, "only H and K have two writers");
         assert_eq!(every_chain.len(), 7);
         cc.graph.restore_ww(&order, &chains);

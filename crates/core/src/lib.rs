@@ -4,8 +4,11 @@
 //! control for execute-order-validate blockchains.
 //!
 //! * [`endorser`] — Algorithm 1: snapshot-consistent contract simulation (the execute phase).
+//! * `keys` — Section 4.3's committed (CW/CR) and pending (PW/PR) indices as one key-major
+//!   table: one lookup per key, record ids kept with each pending transaction, per-block id
+//!   logs for pruning.
 //! * `dependency` — Section 4.3: dependency resolution of an incoming transaction against
-//!   the committed (CW/CR) and pending (PW/PR) indices.
+//!   that table.
 //! * `arrival` — Algorithm 2: the reorderability test; unserializable transactions are
 //!   dropped before ordering (Theorem 2).
 //! * `formation` — Algorithm 3 + Algorithm 5: abort-free reordering at block formation and
@@ -21,7 +24,7 @@
 //! * `stats` — the hop and abort counts reported in Figures 13 and 14.
 //!
 //! Each layer runs on its caller's thread: execute, order and validate are plain calls in
-//! sequence over one store, one set of CW/CR/PW/PR indices and one dependency graph, as in
+//! sequence over one store, one CW/CR/PW/PR key table and one dependency graph, as in
 //! the paper's Sections 4.2–4.4.
 
 #![forbid(unsafe_code)]
@@ -31,6 +34,7 @@ pub mod commit;
 mod dependency;
 pub mod endorser;
 mod formation;
+mod keys;
 mod orderer_cc;
 pub mod recovery;
 pub mod serializability;

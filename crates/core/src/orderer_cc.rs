@@ -3,10 +3,11 @@
 //! This struct owns everything the FabricSharp ordering service adds to a vanilla orderer:
 //!
 //! * the transaction dependency graph `G` with bloom-filter reachability, called directly,
-//! * the committed-transaction indices CW / CR and the pending indices PW / PR,
+//! * the committed-transaction indices CW / CR and the pending indices PW / PR, as one key
+//!   table (`keys`),
 //! * the accepted-but-not-yet-blocked transactions — the pending set `P`, kept once, in
-//!   acceptance order, graph-tracked and template-fast-path transactions alike; block
-//!   formation's topological sort reads it whole,
+//!   acceptance order, graph-tracked and template-fast-path transactions alike, each beside
+//!   the key-table ids of its keys; block formation's topological sort reads it whole,
 //! * the log of fast-path commits that never had a graph node, pruned like committed nodes,
 //! * the statistics the evaluation section reports.
 //!
@@ -17,33 +18,48 @@
 //! block is guaranteed serializable, which is checked end-to-end by the property tests against
 //! the offline oracle in [`crate::serializability`].
 
+use crate::dependency::{debug_assert_dependency_free, resolve};
+use crate::keys::{KeyTable, RecordId};
 use crate::stats::CcStats;
 use crate::untracked::UntrackedLog;
 use eov_common::config::CcConfig;
 use eov_common::hash::FoldState;
 use eov_common::txn::{Transaction, TxnId};
 use eov_depgraph::DependencyGraph;
-use eov_vstore::DependencyIndices;
 use std::collections::HashMap;
+use std::ops::Range;
 
-/// The FabricSharp orderer-side concurrency control: one [`DependencyGraph`], one set of
-/// CW/CR/PW/PR [`DependencyIndices`] and the pending set `P`.
+/// The FabricSharp orderer-side concurrency control: one [`DependencyGraph`], one table of
+/// the CW/CR/PW/PR indices and the pending set `P`.
 #[derive(Debug)]
 pub struct FabricSharpCC {
     pub(crate) config: CcConfig,
     pub(crate) graph: DependencyGraph,
     /// Commits that bypassed the graph (template fast path), pruned on its schedule.
     pub(crate) untracked: UntrackedLog,
-    pub(crate) indices: DependencyIndices,
+    /// The CW/CR/PW/PR indices of Section 4.3.
+    pub(crate) keys: KeyTable,
     /// The pending set `P` of Algorithms 2 and 3: every accepted transaction waiting for the
     /// next block, graph-tracked and fast-path alike, in acceptance order. A transaction's
     /// position is the arrival rank block formation's topological sort breaks ties by.
-    pub(crate) pending: Vec<Transaction>,
+    pub(crate) pending: Vec<PendingTxn>,
+    /// The key-table ids of the pending transactions' keys, each transaction's reads then its
+    /// writes, in acceptance order ([`PendingTxn::keys`] ranges over it).
+    pub(crate) pending_keys: Vec<RecordId>,
     /// Position of every pending transaction in `pending`, keyed by id.
     pub(crate) pending_at: HashMap<u64, usize, FoldState>,
     /// Number of the block currently being assembled (the first block is 1).
     pub(crate) next_block: u64,
     pub(crate) stats: CcStats,
+}
+
+/// One member of the pending set `P`.
+#[derive(Debug)]
+pub(crate) struct PendingTxn {
+    pub(crate) txn: Transaction,
+    /// Where the record ids of its keys are in `pending_keys`: reads first, then writes; empty
+    /// for a fast-path transaction, which the key table never sees.
+    pub(crate) keys: Range<usize>,
 }
 
 impl FabricSharpCC {
@@ -52,9 +68,10 @@ impl FabricSharpCC {
         FabricSharpCC {
             graph: DependencyGraph::new(config),
             untracked: UntrackedLog::default(),
-            indices: DependencyIndices::default(),
+            keys: KeyTable::default(),
             config,
             pending: Vec::new(),
+            pending_keys: Vec::new(),
             pending_at: HashMap::default(),
             next_block: 1,
             stats: CcStats::default(),
@@ -101,8 +118,8 @@ impl FabricSharpCC {
     /// Bootstrap / recovery: registers a transaction that committed *outside* this controller
     /// (e.g. in blocks formed before the orderer joined, or blocks replayed from the ledger).
     /// The transaction's dependencies are resolved against the current indices, it is inserted
-    /// into the graph as a committed node, and the committed-read/-write indices are updated so
-    /// future arrivals see its conflicts. Transactions already known to the controller (i.e.
+    /// into the graph as a committed node, and the committed-read/-write indices are updated
+    /// (through the same key-table ids) so future arrivals see its conflicts. Transactions already known to the controller (i.e.
     /// ones it cut itself) are ignored, as are transactions without a commit slot.
     pub fn register_committed(&mut self, txn: &Transaction) {
         let Some(slot) = txn.end_ts else { return };
@@ -112,17 +129,19 @@ impl FabricSharpCC {
         if self.knows(txn.id) {
             return;
         }
+        let mut ids = Vec::new();
         if txn.template_class.is_safe() {
             // Template fast path: a statically safe transaction never participates in any
             // dependency, so replaying it needs no graph node and no committed-index entries —
             // nothing ever resolves against its keys.
-            crate::dependency::debug_assert_dependency_free(txn, &self.indices);
+            debug_assert_dependency_free(txn, &mut self.keys);
         } else {
-            let deps = crate::dependency::resolve(txn, &self.indices);
+            let deps = resolve(txn, &mut self.keys);
             self.graph
                 .insert_pending(txn.id, &deps.predecessors, &deps.successors, slot.block);
+            self.keys.intern_found(txn, &mut ids);
         }
-        self.record_commit(txn, slot);
+        self.record_commit(txn, slot, &ids);
         self.next_block = self.next_block.max(slot.block + 1);
     }
 }

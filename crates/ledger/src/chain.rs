@@ -156,7 +156,7 @@ pub(crate) fn walk_record(
             if let Some(store) = replay.as_deref_mut() {
                 let version = SeqNo::new(number, entry.slot.seq);
                 for (key, value) in entry.writes() {
-                    store.put_str(key, version, Value::from_slice(value));
+                    store.put_utf8(key, version, Value::from_slice(value));
                 }
             }
         }

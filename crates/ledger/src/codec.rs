@@ -683,13 +683,14 @@ impl<'a> Items<'a> {
     }
 
     /// Iterates the items, reading what follows each key with `rest`. [`Self::take`] checked
-    /// the bytes, so no read fails.
+    /// the bytes, so no read fails; each key comes back as its bytes, already checked as UTF-8
+    /// there, so only a caller that makes a new [`Key`] of them checks them again.
     fn iter<T>(
         self,
         rest: impl Fn(&mut ByteReader<'a>) -> Option<T>,
-    ) -> impl Iterator<Item = (&'a str, T)> {
+    ) -> impl Iterator<Item = (&'a [u8], T)> {
         let mut r = ByteReader::new(self.bytes);
-        (0..self.count).map_while(move |_| Some((r.get_str("").ok()?, rest(&mut r)?)))
+        (0..self.count).map_while(move |_| Some((r.get_bytes("").ok()?, rest(&mut r)?)))
     }
 }
 
@@ -709,24 +710,25 @@ pub(crate) struct EntryView<'a> {
 }
 
 impl<'a> EntryView<'a> {
-    /// `(key, version)` of every read, in record order.
-    pub(crate) fn reads(&self) -> impl Iterator<Item = (&'a str, SeqNo)> {
+    /// `(key bytes, version)` of every read, in record order.
+    pub(crate) fn reads(&self) -> impl Iterator<Item = (&'a [u8], SeqNo)> {
         self.reads.iter(|r| r.get_seqno("").ok())
     }
 
-    /// `(key, value bytes)` of every write, in record order.
-    pub(crate) fn writes(&self) -> impl Iterator<Item = (&'a str, &'a [u8])> {
+    /// `(key bytes, value bytes)` of every write, in record order.
+    pub(crate) fn writes(&self) -> impl Iterator<Item = (&'a [u8], &'a [u8])> {
         self.writes.iter(|r| r.get_bytes("").ok())
     }
 
     /// The entry as a block holds it.
     fn to_entry(&self) -> TxnEntry {
+        let key = |bytes| Key::from_utf8(bytes).expect("`Items::take` checked every key");
         let mut txn = Transaction::new(
             TxnId(self.id),
             self.snapshot_block,
-            self.reads().map(|(key, v)| (Key::new(key), v)).collect(),
+            self.reads().map(|(k, v)| (key(k), v)).collect(),
             self.writes()
-                .map(|(key, v)| (Key::new(key), Value::from_slice(v)))
+                .map(|(k, v)| (key(k), Value::from_slice(v)))
                 .collect(),
         );
         txn.endorsements = self.endorsements;

@@ -154,6 +154,51 @@ impl Bencher {
     }
 }
 
+/// How many inputs [`Bencher::iter_batched`] prepares at a time. Accepted for API parity:
+/// the shim always prepares one input per iteration.
+#[derive(Clone, Copy, Debug)]
+pub enum BatchSize {
+    /// Inputs cheap to hold many of.
+    SmallInput,
+    /// Inputs too large to hold many of.
+    LargeInput,
+    /// One input per iteration.
+    PerIteration,
+}
+
+impl Bencher {
+    /// Times `routine` on a fresh input from `setup` per call: only `routine` is timed, and
+    /// both making the input and dropping the output are left out, so a body that would
+    /// otherwise grow one long-lived state starts from the same state every iteration.
+    pub fn iter_batched<I, O, S, R>(&mut self, mut setup: S, mut routine: R, _size: BatchSize)
+    where
+        S: FnMut() -> I,
+        R: FnMut(I) -> O,
+    {
+        drop(black_box(routine(setup()))); // warm-up, excluded from timing
+        let (max_iters, budget) = if smoke_mode() {
+            (1, Duration::ZERO)
+        } else {
+            (MAX_ITERS, BUDGET)
+        };
+        let start = Instant::now();
+        let (mut iters, mut timed) = (0u64, Duration::ZERO);
+        while iters < max_iters {
+            let input = setup();
+            let begin = Instant::now();
+            let output = black_box(routine(input));
+            timed += begin.elapsed();
+            drop(output);
+            iters += 1;
+            if start.elapsed() >= budget {
+                break;
+            }
+        }
+        self.iters = iters;
+        self.mean_ns = timed.as_nanos() as f64 / iters as f64;
+    }
+}
+
 fn run_one<F: FnMut(&mut Bencher)>(label: &str, mut f: F) {
     let mut bencher = Bencher {
         iters: 0,

@@ -324,14 +324,16 @@ impl MultiVersionStore {
         self.put_with(key.as_bytes(), || key.clone(), version, value);
     }
 
-    /// [`Self::put`] by the key's text: a [`Key`] is made only when the key is new, so
-    /// replaying writes read straight off disk allocates nothing for a key already held.
+    /// [`Self::put`] by the key's UTF-8 bytes: a [`Key`] is made (and the bytes checked) only
+    /// when the key is new, so replaying writes read straight off disk neither allocates nor
+    /// re-checks anything for a key already held.
     ///
     /// # Panics
     ///
-    /// As [`Self::put`].
-    pub fn put_str(&mut self, key: &str, version: SeqNo, value: Value) {
-        self.put_with(key.as_bytes(), || Key::new(key), version, value);
+    /// As [`Self::put`], and if the key is new and its bytes are not UTF-8.
+    pub fn put_utf8(&mut self, key: &[u8], version: SeqNo, value: Value) {
+        let new_key = || Key::from_utf8(key).expect("a key is UTF-8");
+        self.put_with(key, new_key, version, value);
     }
 
     /// Installs `value` under the key whose bytes are `key`; `new_key` makes the [`Key`] a new
