@@ -250,13 +250,13 @@ mod tests {
         assert!(cc.graph.reaches_exact(TxnId(3), TxnId(6)));
     }
 
-    /// ROADMAP item 2, the defect in isolation. Two blind writers of `H` are pending together;
-    /// `second` also overwrites a key 600 filler transactions read, so every filler precedes
-    /// it and its 64-bit, one-hash reach filter saturates. Its filter then holds `first` as a
-    /// false positive — nothing connects the two — and Algorithm 5, taking the positive as
-    /// leave to skip the pair, restores neither the ww edge nor its reachability.
+    /// A reach-filter false positive must not skip a ww pair. Two blind writers of `H` are
+    /// pending together; `second` also overwrites a key 600 filler transactions read, so every
+    /// filler precedes it and its 64-bit, one-hash reach filter saturates. Its filter then
+    /// holds `first` as a false positive — nothing connects the two — and Algorithm 5 must
+    /// still restore the ww edge and its reachability (it skips a pair only when the exact
+    /// edge walk confirms the filter).
     #[test]
-    #[ignore = "known defect: ROADMAP item 2, bloom-positive skip in Algorithm 5"]
     fn ww_restoration_survives_a_bloom_false_positive() {
         use eov_common::txn::TxnId;
         let mut cc = FabricSharpCC::new(CcConfig {

@@ -107,8 +107,11 @@ impl DependencyGraph {
     /// of a chain in commit order that is not already connected gains an edge and a reach-set
     /// union, and the new reachability then flows downstream once per node.
     ///
-    /// "Already connected" is the later writer's reach filter answering yes, so a filter false
-    /// positive skips a pair that needed its edge — the known defect ROADMAP item 2 fixes.
+    /// "Already connected" is the later writer's reach filter answering yes *and* the exact
+    /// edge walk confirming it ([`DependencyGraph::reaches_exact`]). A filter positive is a
+    /// safe reason to abort, never a reason to do less: skipping on a false positive would
+    /// leave the pair unlinked and every reach set downstream of it short, so a later arrival
+    /// could close a cycle the probe never sees. A filter negative keeps the cheap path.
     pub fn restore_ww(&mut self, order: &[TxnId], chains: &[&[TxnId]]) {
         let mut position: Vec<u32> = vec![NONE; self.capacity()];
         for (i, &id) in order.iter().enumerate() {
@@ -135,7 +138,10 @@ impl DependencyGraph {
             for pair in writers.windows(2) {
                 let (first, second) = (pair[0], pair[1]);
                 let later = self.node_at(second).expect("interned slots are live");
-                if later.anti_reachable.contains(self.id_at(first).0) {
+                let (first_id, second_id) = (self.id_at(first), self.id_at(second));
+                if later.anti_reachable.contains(first_id.0)
+                    && self.reaches_exact(first_id, second_id)
+                {
                     continue;
                 }
                 self.link(first, second);

@@ -6,9 +6,9 @@
 //! committed history serializable.
 //!
 //! The proptests endorse at the tip. The snapshot-lag tests endorse whole batches a fixed
-//! number of blocks behind it, as a real endorser's stale snapshot does: at `LAG` 0 they must
-//! pass, at `LAG` 1–3 they reproduce the known serializability defect (ROADMAP item 2) inside
-//! `cargo test -- --ignored`.
+//! number of blocks behind it, as a real endorser's stale snapshot does; they must pass at
+//! every lag. At `LAG` 1–3 they are what caught Algorithm 5 taking a reach-filter positive as
+//! leave to skip a ww pair.
 
 use fabricsharp::prelude::*;
 use fabricsharp::workload::YcsbProfile;
@@ -106,7 +106,6 @@ fn lag_0_histories_are_serializable() {
 }
 
 #[test]
-#[ignore = "known defect: ROADMAP item 2, bloom-positive skip in Algorithm 5"]
 fn ycsb_a_histories_are_serializable_behind_the_tip() {
     for lag in 1..=3 {
         assert_eq!(
@@ -118,7 +117,6 @@ fn ycsb_a_histories_are_serializable_behind_the_tip() {
 }
 
 #[test]
-#[ignore = "known defect: ROADMAP item 2, bloom-positive skip in Algorithm 5"]
 fn modified_smallbank_histories_are_serializable_at_lag_2() {
     assert_eq!(
         non_serializable_seeds(WorkloadKind::ModifiedSmallbank, 2, LAG_BLOCKS),
