@@ -93,22 +93,29 @@ fn bench_mvstore_layout(c: &mut Criterion) {
         })
     });
     // Every iteration starts from the same state, each hot key holding two versions as on a
-    // pruning node, and adds a third and prunes back to two: a long-lived store grown and
-    // pruned by the timed body left the row bimodal (2 vs 5 ms) on one binary.
-    let mut two_versions = small.clone();
-    for key in &hot {
-        two_versions.put(key, SeqNo::new(1, 1), Value::from_i64(1));
+    // pruning node (with room for two more, as a pruned chain has), and adds a third and
+    // prunes back to two: a long-lived store grown and pruned by the timed body left the row bimodal
+    // (2 vs 5 ms) on one binary, and a chain cloned full would time its reallocation.
+    let mut four_versions = small.clone();
+    for block in 1..=3 {
+        for key in &hot {
+            four_versions.put(key, SeqNo::new(block, 1), Value::from_i64(1));
+        }
+        four_versions.commit_empty_block(block);
     }
-    two_versions.commit_empty_block(1);
     group.bench_function("put_existing_20k", |b| {
         b.iter_batched(
-            || two_versions.clone(),
+            || {
+                let mut store = four_versions.clone();
+                store.prune_versions_below(2);
+                store
+            },
             |mut store| {
                 for key in &hot {
-                    store.put(key, SeqNo::new(2, 1), Value::from_i64(2));
+                    store.put(key, SeqNo::new(4, 1), Value::from_i64(2));
                 }
-                store.commit_empty_block(2);
-                store.prune_versions_below(1);
+                store.commit_empty_block(4);
+                store.prune_versions_below(3);
                 store
             },
             BatchSize::LargeInput,

@@ -231,7 +231,7 @@ mod proptests {
     /// Section 4.3's resolution as four passes, looking every key up by name and querying
     /// CW twice per read key (`CW[key][startTS:]` for anti-rw, `CW.Before(key, startTS)` for
     /// n-wr): the model the one-lookup [`resolve`] must reproduce.
-    pub(crate) fn resolve_four_pass(txn: &Transaction, keys: &KeyTable) -> ResolvedDeps {
+    fn resolve_four_pass(txn: &Transaction, keys: &KeyTable) -> ResolvedDeps {
         let start_ts = txn.start_ts();
         let cw = |key: &Key| keys.record_of(key).map_or(&[][..], |r| r.cw.as_slice());
         let cr = |key: &Key| keys.record_of(key).map_or(&[][..], |r| r.cr.as_slice());

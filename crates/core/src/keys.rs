@@ -121,7 +121,7 @@ fn home(hash: u64, bits: u32) -> usize {
 
 impl KeyTable {
     /// The record `id` names.
-    pub(crate) fn record(&self, id: RecordId) -> &Record {
+    fn record(&self, id: RecordId) -> &Record {
         &self.records[id as usize]
     }
 
@@ -315,7 +315,7 @@ impl KeyTable {
 
     /// Drops the CR entries of record `id` at or before `overwritten_at`: the readers of values
     /// a write committed at `overwritten_at` replaced no longer read the latest version.
-    pub(crate) fn drop_stale_readers(&mut self, id: RecordId, overwritten_at: SeqNo) {
+    fn drop_stale_readers(&mut self, id: RecordId, overwritten_at: SeqNo) {
         let cr = &mut self.records[id as usize].cr;
         cr.drain(..cr.partition_point(|&(s, _)| s <= overwritten_at));
     }
@@ -605,8 +605,9 @@ mod tests {
         assert_eq!(keys.record_of(&k("B")).unwrap().pr, [TxnId(3)]);
         assert_eq!(keys.record_of(&k("C")).unwrap().pw, [TxnId(1)]);
         // Reads first, then writes; A read and written by one transaction is one record.
-        let [b, a, ..] = ids[..] else { panic!() };
-        assert_eq!(ids, [b, a, a, a, ids[4]]);
+        let (b, a, c) = (ids[0], ids[1], ids[4]);
+        assert_eq!(ids, [b, a, a, a, c]);
+        assert!(a != b && a != c && b != c);
         assert_eq!(keys.live_records(), 3);
     }
 
