@@ -15,6 +15,8 @@
 //! * [`AbortReason`] — the taxonomy of abort causes reported in Figures 12 and 14.
 //! * [`config`] — the experiment parameters of Table 2 and the block/CC configuration knobs.
 //! * [`hash`] — the keyed hash behind the state store's index and the orderer's maps.
+//! * [`id_index`] — the hash table from key bytes to slab ids that the state store and the
+//!   orderer's key table share.
 //!
 //! The crate is dependency-light on purpose; it contains no algorithms, only definitions and
 //! small helpers (such as the concurrency predicate of Definition 5) that must be agreed upon
@@ -27,6 +29,7 @@ pub mod config;
 pub mod dep;
 pub mod error;
 pub mod hash;
+pub mod id_index;
 pub mod rwset;
 pub mod txn;
 pub mod version;

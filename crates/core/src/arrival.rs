@@ -53,14 +53,14 @@ impl FabricSharpCC {
         // consulted. Skip all of it: only queue it in the pending set, where block formation's
         // topological sort places it by its acceptance rank as an edge-free transaction.
         if txn.template_class.is_safe() {
-            debug_assert_dependency_free(&txn, &mut self.keys);
+            debug_assert_dependency_free(&txn, &self.keys);
             self.stats.fastpath_accepted += 1;
             return self.accept(txn);
         }
 
         // Step 2: dependency resolution (all kinds except pending-pending c-ww), one key-table
         // lookup per key.
-        let deps = resolve(&txn, &mut self.keys);
+        let deps = resolve(&txn, &self.keys, &mut self.found);
 
         // Step 3: cycle test on the reachability filters. A filter false positive aborts too
         // (preventive abort, Section 4.4), under the same reason.
@@ -83,7 +83,7 @@ impl FabricSharpCC {
 
         // Step 4b: index the pending transaction's accesses for later arrivals and for the ww
         // restoration at block formation, through the ids step 2 found; keep the ids.
-        self.keys.admit(&txn, &mut self.pending_keys);
+        self.keys.admit(&txn, &self.found, &mut self.pending_keys);
         self.accept(txn)
     }
 

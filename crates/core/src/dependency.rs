@@ -15,7 +15,7 @@
 //! they are the only edges reordering can flip, so they are restored later (Algorithm 5) once
 //! the block's commit order has been fixed.
 
-use crate::keys::KeyTable;
+use crate::keys::{Found, KeyTable};
 use eov_common::txn::{Transaction, TxnId};
 
 /// The dependencies of a newly arrived transaction, split into the two roles they play in the
@@ -37,8 +37,8 @@ impl ResolvedDeps {
 }
 
 /// Computes the dependencies of `txn` against the orderer's CW/CR/PW/PR key table — what
-/// arrival and ledger replay both call. It looks each key up once ([`KeyTable::find`]) and
-/// leaves what it found in the table for the caller to intern the keys by.
+/// arrival and ledger replay both call. It looks each key up once ([`KeyTable::find`]) into
+/// `found`, which the caller then interns the keys by.
 ///
 /// The transaction's own id never appears in the result (a transaction cannot depend on
 /// itself), and each side is deduplicated while preserving first-seen order so the downstream
@@ -48,9 +48,8 @@ impl ResolvedDeps {
 /// successors, the last entry of the head the n-wr predecessor. The rw pass runs first, since
 /// rw is the only phase that pushes predecessors before n-wr; each list then comes out in the
 /// order of the four phases above.
-pub(crate) fn resolve(txn: &Transaction, keys: &mut KeyTable) -> ResolvedDeps {
-    keys.find(txn);
-    let keys = &*keys;
+pub(crate) fn resolve(txn: &Transaction, keys: &KeyTable, found: &mut Found) -> ResolvedDeps {
+    keys.find(txn, found);
     let start_ts = txn.start_ts();
     let reads = 0..txn.read_set.len();
     let writes = reads.end..reads.end + txn.write_set.len();
@@ -59,7 +58,7 @@ pub(crate) fn resolve(txn: &Transaction, keys: &mut KeyTable) -> ResolvedDeps {
 
     // rw: committed or pending readers of keys we overwrite — they read the previous value, so
     // they come before us.
-    for record in writes.clone().filter_map(|i| keys.found_record(i)) {
+    for record in writes.clone().filter_map(|i| keys.found_record(found, i)) {
         for &(_, r) in &record.cr {
             predecessors.push(r);
         }
@@ -68,7 +67,7 @@ pub(crate) fn resolve(txn: &Transaction, keys: &mut KeyTable) -> ResolvedDeps {
         }
     }
 
-    for record in reads.filter_map(|i| keys.found_record(i)) {
+    for record in reads.filter_map(|i| keys.found_record(found, i)) {
         let writes = &record.cw;
         let (before, from) = writes.split_at(writes.partition_point(|&(s, _)| s < start_ts));
         // anti-rw: committed or pending writers that overwrite something we read at or after
@@ -86,7 +85,7 @@ pub(crate) fn resolve(txn: &Transaction, keys: &mut KeyTable) -> ResolvedDeps {
     }
 
     // ww: the last committed writer of each key we overwrite.
-    for record in writes.filter_map(|i| keys.found_record(i)) {
+    for record in writes.filter_map(|i| keys.found_record(found, i)) {
         if let Some(&(_, w)) = record.cw.last() {
             predecessors.push(w);
         }
@@ -101,9 +100,9 @@ pub(crate) fn resolve(txn: &Transaction, keys: &mut KeyTable) -> ResolvedDeps {
 /// The runtime check behind the template fast path, in debug builds only: a transaction
 /// tagged [`eov_common::txn::TemplateClass::Safe`] skips resolution, so resolve it anyway
 /// and insist it depends on no tracked transaction. Release builds never run the resolution.
-pub(crate) fn debug_assert_dependency_free(txn: &Transaction, keys: &mut KeyTable) {
+pub(crate) fn debug_assert_dependency_free(txn: &Transaction, keys: &KeyTable) {
     if cfg!(debug_assertions) {
-        let deps = resolve(txn, keys);
+        let deps = resolve(txn, keys, &mut Found::default());
         assert!(
             deps.is_empty(),
             "{:?} is tagged Safe but depends on tracked transactions: {deps:?}",
@@ -165,7 +164,7 @@ mod tests {
 
     #[test]
     fn empty_indices_give_no_dependencies() {
-        let deps = resolve(&sample_txn(), &mut KeyTable::default());
+        let deps = resolve(&sample_txn(), &KeyTable::default(), &mut Found::default());
         assert!(deps.is_empty());
     }
 
@@ -178,7 +177,7 @@ mod tests {
         committed(&mut keys, "A", true, SeqNo::new(1, 1), 2);
         keys.add_pending(&k("A"), true, TxnId(3));
 
-        let deps = resolve(&sample_txn(), &mut keys);
+        let deps = resolve(&sample_txn(), &keys, &mut Found::default());
         assert_eq!(deps.successors, vec![TxnId(1), TxnId(3)]);
         assert_eq!(deps.predecessors, vec![TxnId(2)]);
     }
@@ -190,7 +189,7 @@ mod tests {
         keys.add_pending(&k("B"), false, TxnId(5)); // pending reader of B
         committed(&mut keys, "B", true, SeqNo::new(2, 2), 6); // last committed writer of B
 
-        let deps = resolve(&sample_txn(), &mut keys);
+        let deps = resolve(&sample_txn(), &keys, &mut Found::default());
         assert_eq!(deps.predecessors, vec![TxnId(4), TxnId(5), TxnId(6)]);
         assert!(deps.successors.is_empty());
     }
@@ -203,7 +202,7 @@ mod tests {
         keys.add_pending(&k("B"), false, TxnId(7)); // same id also a predecessor via another key
         keys.add_pending(&k("B"), false, TxnId(100));
 
-        let deps = resolve(&sample_txn(), &mut keys);
+        let deps = resolve(&sample_txn(), &keys, &mut Found::default());
         assert_eq!(deps.successors, vec![TxnId(7)]);
         assert_eq!(deps.predecessors, vec![TxnId(7)]);
     }
@@ -214,7 +213,7 @@ mod tests {
         let txn = Transaction::from_parts(1, 0, [], [(k("X"), Value::from_i64(1))]);
         let mut keys = KeyTable::default();
         committed(&mut keys, "X", true, SeqNo::new(1, 1), 9);
-        let deps = resolve(&txn, &mut keys);
+        let deps = resolve(&txn, &keys, &mut Found::default());
         assert!(deps.successors.is_empty());
         assert_eq!(deps.predecessors, vec![TxnId(9)]);
     }
@@ -298,6 +297,7 @@ mod proptests {
             for (key, id, is_write) in pending {
                 keys.add_pending(&k(key), is_write, TxnId(id));
             }
+            let mut found = Found::default();
             for (id, snapshot, reads, writes) in txns {
                 let txn = Transaction::from_parts(
                     id,
@@ -305,8 +305,7 @@ mod proptests {
                     reads.iter().map(|&key| (k(key), SeqNo::new(snapshot, 1))),
                     writes.iter().map(|&key| (k(key), Value::from_i64(id as i64))),
                 );
-                let model = resolve_four_pass(&txn, &keys);
-                prop_assert_eq!(resolve(&txn, &mut keys), model);
+                prop_assert_eq!(resolve(&txn, &keys, &mut found), resolve_four_pass(&txn, &keys));
             }
         }
     }

@@ -3,8 +3,8 @@
 //!
 //! The paper keeps CW and CR in LevelDB, the record key before the commit sequence, so every
 //! query is a seek to the key's prefix and a short scan in commit order; PW and PR are
-//! in-memory maps. Here one open-addressed hash index maps each record key to a *record id*,
-//! hashing `Key::as_bytes` with a [`FoldState`] as the state store does, and a slab holds one
+//! in-memory maps. Here one hash index maps each record key to a *record id* — the state
+//! store's [`IdIndex`], over `Key::as_bytes` hashed with a [`FoldState`] — and a slab holds one
 //! [`Record`] per key with all four of its runs:
 //!
 //! * CW: `(commit seq, writer)` in commit order — `CW.Before(key, seq)`, `CW.Last(key)` and
@@ -17,12 +17,12 @@
 //! record keys, so no cross-key order is kept; the one place that needs one (Algorithm 5's
 //! per-key ww chains) sorts the few keys it names.
 //!
-//! Each key is hashed once per transaction. An arrival looks its keys up
-//! ([`KeyTable::find`]); resolution reads the records found, and a rejected arrival inserts
-//! nothing. An accepted one interns its missing keys and records itself in PW/PR through the
-//! ids ([`KeyTable::admit`]), and the orderer keeps those ids beside the pending transaction:
-//! block formation records CW/CR, drops stale readers, builds the ww chains and clears PW/PR
-//! by id.
+//! Each key is hashed once per transaction. An arrival looks its keys up ([`KeyTable::find`])
+//! into a [`Found`] list the caller owns; resolution reads the records found, and a rejected
+//! arrival inserts nothing. An accepted one hands the list to [`KeyTable::admit`], which
+//! interns the missing keys and records the transaction in PW/PR through the ids, and the
+//! orderer keeps those ids beside the pending transaction: block formation records CW/CR,
+//! drops stale readers, builds the ww chains and clears PW/PR by id.
 //!
 //! Pruning (Section 4.6) asks the one cross-key question "which keys hold entries of blocks
 //! below the horizon?". A ring of per-block id logs answers it: a record is logged under each
@@ -35,6 +35,7 @@
 //! harmless, because "drop the entries below the horizon" is right for any key.
 
 use eov_common::hash::FoldState;
+use eov_common::id_index::IdIndex;
 use eov_common::rwset::Key;
 use eov_common::txn::{Transaction, TxnId};
 use eov_common::version::SeqNo;
@@ -71,52 +72,34 @@ impl Record {
 
 /// No block: the record is in no id log that pruning has not yet walked.
 const NOT_LOGGED: u64 = u64::MAX;
-/// A vacant slot of the hash index; every other slot is the upper half of its key's hash above
-/// the record id.
-const VACANT: u64 = u64::MAX;
-/// Slots of an empty table's index (a power of two, like every later size).
-const MIN_SLOTS: usize = 16;
-/// The index doubles when more than `MAX_LOAD.0 / MAX_LOAD.1` of its slots are taken.
-const MAX_LOAD: (usize, usize) = (5, 8);
 
 /// The CW/CR/PW/PR indices of Section 4.3 over one hash index and one slab of records.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct KeyTable {
     records: Vec<Record>,
     /// Ids of the records not in the index, reused before the slab grows.
     free: Vec<RecordId>,
-    /// The hash index over the live records; its length is a power of two.
-    slots: Vec<u64>,
+    /// The hash index over the live records.
+    index: IdIndex,
     hasher: FoldState,
-    /// Hash and record id (if any) of each key of the transaction last passed to
-    /// [`KeyTable::find`], reads first.
-    found: Vec<(u64, Option<RecordId>)>,
     /// The ids of the records that got a CW/CR entry in each block, in ascending block order.
     /// A log may name an id twice, or an id freed (and reused) since.
     logs: VecDeque<(u64, Vec<RecordId>)>,
 }
 
-impl Default for KeyTable {
-    fn default() -> Self {
-        KeyTable {
-            records: Vec::new(),
-            free: Vec::new(),
-            slots: vec![VACANT; MIN_SLOTS],
-            hasher: FoldState::default(),
-            found: Vec::new(),
-            logs: VecDeque::new(),
-        }
+/// What [`KeyTable::find`] found for each key of one transaction, reads first: the key's hash
+/// and its record id, if it has one. The caller keeps it from the lookup to
+/// [`KeyTable::admit`] or [`KeyTable::intern_found`] of the same transaction, and reuses it
+/// for the next one.
+#[derive(Debug, Default)]
+pub(crate) struct Found(Vec<(u64, Option<RecordId>)>);
+
+/// Drops the entries of `run` committed below `block` — a few at its front, if any.
+fn drop_below(run: &mut Vec<(SeqNo, TxnId)>, block: u64) {
+    let aged = run.iter().take_while(|(s, _)| s.block < block).count();
+    if aged > 0 {
+        run.drain(..aged);
     }
-}
-
-/// Whether `slot` may hold the key hashing to `hash`.
-fn tagged(slot: u64, hash: u64) -> bool {
-    (slot ^ hash) >> 32 == 0
-}
-
-/// Home position of `hash` (or of a slot made from it) in an index of `1 << bits` slots.
-fn home(hash: u64, bits: u32) -> usize {
-    (hash >> (64 - bits)) as usize
 }
 
 impl KeyTable {
@@ -126,59 +109,52 @@ impl KeyTable {
     }
 
     /// Probes the index for the key whose bytes are `key`: its record id, or the vacant slot a
-    /// new record for it belongs in. The load bound keeps slots vacant, so the walk ends.
+    /// new record for it belongs in.
     fn probe(&self, key: &[u8], hash: u64) -> Result<RecordId, usize> {
-        let mask = self.slots.len() - 1;
-        let mut at = home(hash, self.slots.len().trailing_zeros());
-        loop {
-            let slot = self.slots[at];
-            if slot == VACANT {
-                return Err(at);
-            }
-            let id = slot as RecordId;
-            if tagged(slot, hash) && self.records[id as usize].key.as_bytes() == key {
-                return Ok(id);
-            }
-            at = (at + 1) & mask;
-        }
+        self.index
+            .find(hash, |id| self.record(id).key.as_bytes() == key)
     }
 
-    /// Looks each key of `txn` up once, reads first, and keeps what it found for
-    /// [`KeyTable::found_record`] and [`KeyTable::intern_found`].
-    pub(crate) fn find(&mut self, txn: &Transaction) {
-        self.found.clear();
+    /// Looks each key of `txn` up once, reads first, into `found`.
+    pub(crate) fn find(&self, txn: &Transaction, found: &mut Found) {
+        found.0.clear();
         for key in txn.read_set.keys().chain(txn.write_set.keys()) {
             let hash = self.hasher.hash_bytes(key.as_bytes());
-            let id = self.probe(key.as_bytes(), hash).ok();
-            self.found.push((hash, id));
+            found.0.push((hash, self.probe(key.as_bytes(), hash).ok()));
         }
     }
 
-    /// The record of the `i`-th key of the last [`KeyTable::find`], if that key has one.
-    pub(crate) fn found_record(&self, i: usize) -> Option<&Record> {
-        self.found[i].1.map(|id| self.record(id))
+    /// The record of the `i`-th key `found` lists, if that key has one.
+    pub(crate) fn found_record(&self, found: &Found, i: usize) -> Option<&Record> {
+        found.0[i].1.map(|id| self.record(id))
     }
 
     /// Appends the record id of every key of `txn`, reads first, to `ids`, inserting a record
-    /// for each key the last [`KeyTable::find`] (which must have been of `txn`) did not find.
-    pub(crate) fn intern_found(&mut self, txn: &Transaction, ids: &mut Vec<RecordId>) {
-        debug_assert_eq!(self.found.len(), txn.read_set.len() + txn.write_set.len());
-        for (i, key) in txn.read_set.keys().chain(txn.write_set.keys()).enumerate() {
-            let id = match self.found[i] {
-                (_, Some(id)) => id,
-                // Probe again: an earlier key of `txn` (a key both read and written) may have
-                // inserted it since.
-                (hash, None) => self.intern(key, hash),
-            };
-            ids.push(id);
+    /// for each key `found` (a [`KeyTable::find`] of `txn`) lists without one.
+    pub(crate) fn intern_found(
+        &mut self,
+        txn: &Transaction,
+        found: &Found,
+        ids: &mut Vec<RecordId>,
+    ) {
+        debug_assert_eq!(found.0.len(), txn.read_set.len() + txn.write_set.len());
+        for (key, &(hash, id)) in txn
+            .read_set
+            .keys()
+            .chain(txn.write_set.keys())
+            .zip(&found.0)
+        {
+            // Probe again for a key found missing: an earlier key of `txn` (a key both read and
+            // written) may have inserted it since.
+            ids.push(id.unwrap_or_else(|| self.intern(key, hash)));
         }
     }
 
     /// [`KeyTable::intern_found`], and records `txn` as a pending reader (PR) of its read keys
     /// and a pending writer (PW) of its write keys.
-    pub(crate) fn admit(&mut self, txn: &Transaction, ids: &mut Vec<RecordId>) {
+    pub(crate) fn admit(&mut self, txn: &Transaction, found: &Found, ids: &mut Vec<RecordId>) {
         let from = ids.len();
-        self.intern_found(txn, ids);
+        self.intern_found(txn, found, ids);
         let (reads, writes) = ids[from..].split_at(txn.read_set.len());
         for &id in reads {
             self.records[id as usize].pr.push(txn.id);
@@ -204,10 +180,7 @@ impl KeyTable {
                 id
             }
             None => {
-                let id = RecordId::try_from(self.records.len())
-                    .ok()
-                    .filter(|&id| id != RecordId::MAX)
-                    .expect("record ids fit in 32 bits");
+                let id = RecordId::try_from(self.records.len()).expect("record ids fit in 32 bits");
                 self.records.push(Record {
                     key: key.clone(),
                     hash,
@@ -221,33 +194,12 @@ impl KeyTable {
                 id
             }
         };
-        self.slots[vacant] = hash & !u64::from(u32::MAX) | u64::from(id);
-        let live = self.records.len() - self.free.len();
-        if live * MAX_LOAD.1 > self.slots.len() * MAX_LOAD.0 {
-            self.grow();
-        }
+        self.index.insert(vacant, hash, id);
         id
     }
 
-    /// Doubles the index, re-placing every slot by the hash bits it carries.
-    fn grow(&mut self) {
-        let bits = self.slots.len().trailing_zeros() + 1;
-        assert!(bits <= 32, "a slot carries 32 bits of its key's hash");
-        let mask = (1usize << bits) - 1;
-        let mut slots = vec![VACANT; mask + 1];
-        for &slot in self.slots.iter().filter(|&&slot| slot != VACANT) {
-            let mut at = home(slot, bits);
-            while slots[at] != VACANT {
-                at = (at + 1) & mask;
-            }
-            slots[at] = slot;
-        }
-        self.slots = slots;
-    }
-
-    /// Frees record `id` if it is live and its four runs are empty: it leaves the index
-    /// (backward-shift deletion, so the index needs no tombstones), its runs give their buffers
-    /// back and its id goes on the free list.
+    /// Frees record `id` if it is live and its four runs are empty: it leaves the index, its
+    /// runs give their buffers back and its id goes on the free list.
     fn release(&mut self, id: RecordId) {
         let record = &mut self.records[id as usize];
         if !record.live || !record.is_empty() {
@@ -256,23 +208,7 @@ impl KeyTable {
         record.live = false;
         // Only records in use hold heap: a freed one gives its runs' buffers back.
         (record.cw, record.cr, record.pw, record.pr) = Default::default();
-        let (mask, bits) = (self.slots.len() - 1, self.slots.len().trailing_zeros());
-        let mut hole = home(record.hash, bits);
-        while self.slots[hole] as RecordId != id {
-            hole = (hole + 1) & mask;
-        }
-        let mut at = (hole + 1) & mask;
-        while self.slots[at] != VACANT {
-            // The slot at `at` may fill the hole if the hole is on its probe path, i.e. no
-            // further from `at` than its home is.
-            let from_home = at.wrapping_sub(home(self.slots[at], bits)) & mask;
-            if from_home >= (at.wrapping_sub(hole) & mask) {
-                self.slots[hole] = self.slots[at];
-                hole = at;
-            }
-            at = (at + 1) & mask;
-        }
-        self.slots[hole] = VACANT;
+        self.index.remove(record.hash, id);
         self.free.push(id);
     }
 
@@ -359,9 +295,8 @@ impl KeyTable {
                 if record.logged == logged {
                     record.logged = NOT_LOGGED;
                 }
-                for run in [&mut record.cw, &mut record.cr] {
-                    run.drain(..run.partition_point(|&(s, _)| s.block < block));
-                }
+                drop_below(&mut record.cw, block);
+                drop_below(&mut record.cr, block);
                 self.release(id);
             }
         }
@@ -462,14 +397,14 @@ mod tests {
 
         // Snapshot 4 (start (5,0)): CW.Before(A, (5,0)) = Txn1 is the n-wr predecessor,
         // CW[A][(5,0):] = Txn9 the anti-rw successor, CW.Last(B) = Txn3 the ww predecessor.
-        let deps = resolve(&txn(100, 4, &["A"], &["B"]), &mut keys);
+        let deps = resolve(&txn(100, 4, &["A"], &["B"]), &keys, &mut Found::default());
         assert_eq!(deps.predecessors, [TxnId(1), TxnId(3)]);
         assert_eq!(deps.successors, [TxnId(9)]);
         // Before(key, seq) is strict: a write at exactly `seq` is not "before" it.
-        let deps = resolve(&txn(100, 2, &["A", "C"], &[]), &mut keys);
+        let deps = resolve(&txn(100, 2, &["A", "C"], &[]), &keys, &mut Found::default());
         assert!(deps.predecessors.is_empty());
         assert_eq!(deps.successors, [TxnId(1), TxnId(9)]);
-        let deps = resolve(&txn(100, 9, &["A"], &[]), &mut keys);
+        let deps = resolve(&txn(100, 9, &["A"], &[]), &keys, &mut Found::default());
         assert_eq!(deps.predecessors, [TxnId(9)]);
     }
 
@@ -481,7 +416,7 @@ mod tests {
             committed(&mut keys, "A", true, (block, 1), txn);
         }
         // CW[A][(4,0):] — writers from block 4 onward.
-        let deps = resolve(&txn(100, 3, &["A"], &[]), &mut keys);
+        let deps = resolve(&txn(100, 3, &["A"], &[]), &keys, &mut Found::default());
         assert_eq!(deps.successors, [TxnId(3), TxnId(4)]);
         // Keys never bleed into each other; a repeated seq replaces its writer.
         committed(&mut keys, "AB", true, (1, 1), 99);
@@ -594,8 +529,9 @@ mod tests {
         let mut keys = KeyTable::default();
         let mut ids = Vec::new();
         for t in [txn(3, 0, &["B"], &["A"]), txn(1, 0, &["A"], &["A", "C"])] {
-            resolve(&t, &mut keys);
-            keys.admit(&t, &mut ids);
+            let mut found = Found::default();
+            resolve(&t, &keys, &mut found);
+            keys.admit(&t, &found, &mut ids);
         }
         let a = keys.record_of(&k("A")).unwrap();
         assert_eq!(
@@ -616,8 +552,9 @@ mod tests {
         let mut keys = KeyTable::default();
         let mut ids = Vec::new();
         let t = txn(1, 0, &["A"], &["B"]);
-        resolve(&t, &mut keys);
-        keys.admit(&t, &mut ids);
+        let mut found = Found::default();
+        resolve(&t, &keys, &mut found);
+        keys.admit(&t, &found, &mut ids);
         committed(&mut keys, "B", true, (1, 1), 1);
         keys.clear_pending(&ids);
         assert!(keys.record_of(&k("A")).is_none());
@@ -639,8 +576,9 @@ mod tests {
             txn(3, 0, &[], &["K", "H"]),
         ];
         for t in &txns {
-            resolve(t, &mut keys);
-            keys.admit(t, &mut ids);
+            let mut found = Found::default();
+            resolve(t, &keys, &mut found);
+            keys.admit(t, &found, &mut ids);
         }
         let writes = txns
             .iter()
@@ -840,6 +778,7 @@ mod proptests {
         fn key_table_matches_the_model(ops in vec(op(), 1..160)) {
             let keys = universe();
             let mut table = KeyTable::default();
+            let mut found = Found::default();
             let mut model = Model::default();
             let mut pending: Vec<(Transaction, Range<usize>)> = Vec::new();
             let mut pending_keys: Vec<RecordId> = Vec::new();
@@ -857,10 +796,10 @@ mod proptests {
                 match op {
                     Op::Arrive { lag, reads, writes, accept } => {
                         let txn = make(block.saturating_sub(1 + lag), &reads, &writes);
-                        prop_assert_eq!(resolve(&txn, &mut table), model.resolve(&txn));
+                        prop_assert_eq!(resolve(&txn, &table, &mut found), model.resolve(&txn));
                         if accept {
                             let from = pending_keys.len();
-                            table.admit(&txn, &mut pending_keys);
+                            table.admit(&txn, &found, &mut pending_keys);
                             model.admit(&txn);
                             pending.push((txn, from..pending_keys.len()));
                         }
@@ -887,9 +826,9 @@ mod proptests {
                         // below the horizon or onto a taken slot (which it replaces).
                         let at = block.saturating_sub(back).max(1);
                         let txn = make(at - 1, &reads, &writes);
-                        prop_assert_eq!(resolve(&txn, &mut table), model.resolve(&txn));
+                        prop_assert_eq!(resolve(&txn, &table, &mut found), model.resolve(&txn));
                         let mut ids = Vec::new();
-                        table.intern_found(&txn, &mut ids);
+                        table.intern_found(&txn, &found, &mut ids);
                         table.record_commit(&txn, SeqNo::new(at, seq), &ids);
                         model.commit(&txn, SeqNo::new(at, seq));
                         if at == block {

@@ -19,7 +19,7 @@
 //! the offline oracle in [`crate::serializability`].
 
 use crate::dependency::{debug_assert_dependency_free, resolve};
-use crate::keys::{KeyTable, RecordId};
+use crate::keys::{Found, KeyTable, RecordId};
 use crate::stats::CcStats;
 use crate::untracked::UntrackedLog;
 use eov_common::config::CcConfig;
@@ -39,6 +39,8 @@ pub struct FabricSharpCC {
     pub(crate) untracked: UntrackedLog,
     /// The CW/CR/PW/PR indices of Section 4.3.
     pub(crate) keys: KeyTable,
+    /// What the last dependency resolution found in `keys`, for admitting that transaction.
+    pub(crate) found: Found,
     /// The pending set `P` of Algorithms 2 and 3: every accepted transaction waiting for the
     /// next block, graph-tracked and fast-path alike, in acceptance order. A transaction's
     /// position is the arrival rank block formation's topological sort breaks ties by.
@@ -69,6 +71,7 @@ impl FabricSharpCC {
             graph: DependencyGraph::new(config),
             untracked: UntrackedLog::default(),
             keys: KeyTable::default(),
+            found: Found::default(),
             config,
             pending: Vec::new(),
             pending_keys: Vec::new(),
@@ -119,8 +122,9 @@ impl FabricSharpCC {
     /// (e.g. in blocks formed before the orderer joined, or blocks replayed from the ledger).
     /// The transaction's dependencies are resolved against the current indices, it is inserted
     /// into the graph as a committed node, and the committed-read/-write indices are updated
-    /// (through the same key-table ids) so future arrivals see its conflicts. Transactions already known to the controller (i.e.
-    /// ones it cut itself) are ignored, as are transactions without a commit slot.
+    /// (through the same key-table ids) so future arrivals see its conflicts. Transactions
+    /// already known to the controller (i.e. ones it cut itself) are ignored, as are
+    /// transactions without a commit slot.
     pub fn register_committed(&mut self, txn: &Transaction) {
         let Some(slot) = txn.end_ts else { return };
         // `knows` also covers transactions this controller committed via the template fast
@@ -134,12 +138,12 @@ impl FabricSharpCC {
             // Template fast path: a statically safe transaction never participates in any
             // dependency, so replaying it needs no graph node and no committed-index entries —
             // nothing ever resolves against its keys.
-            debug_assert_dependency_free(txn, &mut self.keys);
+            debug_assert_dependency_free(txn, &self.keys);
         } else {
-            let deps = resolve(txn, &mut self.keys);
+            let deps = resolve(txn, &self.keys, &mut self.found);
             self.graph
                 .insert_pending(txn.id, &deps.predecessors, &deps.successors, slot.block);
-            self.keys.intern_found(txn, &mut ids);
+            self.keys.intern_found(txn, &self.found, &mut ids);
         }
         self.record_commit(txn, slot, &ids);
         self.next_block = self.next_block.max(slot.block + 1);

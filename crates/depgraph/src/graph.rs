@@ -4,7 +4,7 @@
 //! slab indexed by dense interned slots (`crate::interner::Interner`): edges follow the
 //! *dependency order* (`from` must be serialized before `to`) and are stored as immediate
 //! successor lists (`succ`) of `u32` slots mirrored by predecessor lists (`pred`), so removals
-//! touch only a node's neighbourhood and traversals index a `Vec` instead of hashing. Each
+//! touch only a node's own lists and traversals index a `Vec` instead of hashing. Each
 //! node carries `anti_reachable`: a bloom filter of every transaction that can reach it. Cycle
 //! detection for a new transaction then reduces to membership tests between its prospective
 //! predecessors and successors (Section 4.4), and Algorithm 4's reachability maintenance
@@ -31,9 +31,11 @@ pub struct TxnNode {
     /// Immediate successors in dependency order, as interned slots. Only the graph's own
     /// walks read them; nothing outside the crate sees an edge.
     pub(crate) succ: Vec<u32>,
-    /// Immediate predecessors — the mirror of `succ`, maintained so removing a node only has
-    /// to visit its neighbours instead of scanning every successor list in the graph.
-    pub(crate) pred: Vec<u32>,
+    /// Immediate predecessors as `(slot, generation)` — the mirror of `succ`, kept so removing
+    /// a node finds the successor lists that name it without scanning the graph. Removal
+    /// leaves a removed predecessor's entry here; its generation is then older than its slot's
+    /// ([`Interner::generation`]), which marks it stale.
+    pub(crate) pred: Vec<(u32, u32)>,
     /// Every transaction that can reach this node, as a bloom filter: it may hold
     /// transactions that cannot reach the node (false positives), never miss one that can.
     pub anti_reachable: BloomFilter,
@@ -253,7 +255,7 @@ impl DependencyGraph {
                 .expect("interned slots are live");
             if !p_node.succ.contains(&slot) {
                 p_node.succ.push(slot);
-                node.pred.push(p_slot);
+                node.pred.push((p_slot, self.interner.generation(p_slot)));
             }
             node.anti_reachable.insert(p.0);
             // Split borrow: clone nothing — union from an immutable re-borrow after the push.
@@ -282,7 +284,7 @@ impl DependencyGraph {
                 .as_mut()
                 .expect("interned slots are live")
                 .pred
-                .push(slot);
+                .push((slot, self.interner.generation(slot)));
         }
 
         // Propagate to every node reachable from the successors (Algorithm 4 lines 5–7): each
@@ -333,7 +335,7 @@ impl DependencyGraph {
                 .as_mut()
                 .expect("interned slots are live")
                 .pred
-                .push(from);
+                .push((from, self.interner.generation(from)));
         }
         self.union_into(from, &[to]);
     }
@@ -472,9 +474,11 @@ impl DependencyGraph {
         self.nodes[slot as usize].as_mut()
     }
 
-    /// Internal: removes the given nodes and cleans dangling edge references. Cleanup only
-    /// visits the neighbours of removed nodes (via the predecessor mirror), so bulk pruning is
-    /// O(removed × degree) instead of O(survivors × successor-list length).
+    /// Internal: removes the given nodes and every edge into them. An edge lives in its tail's
+    /// `succ` list, so only the removed nodes' live predecessors are visited — none at all
+    /// when pruning, which removes a node only with every predecessor (a predecessor's age
+    /// never exceeds its successor's). A survivor's `pred` list keeps its entries for removed
+    /// nodes; they are stale by generation, and its own removal skips them.
     ///
     /// `ids` must be sorted: slots are released in the order given and the interner recycles
     /// them LIFO, so the order decides future slot assignments (and thus slot-ordered node
@@ -484,24 +488,39 @@ impl DependencyGraph {
             ids.windows(2).all(|w| w[0] < w[1]),
             "ids sorted and distinct"
         );
+        let removed = &mut self.scratch.get_mut().visited;
+        removed.reset(self.nodes.len());
+        let mut gone = Vec::with_capacity(ids.len());
         for &id in ids {
             let Some(slot) = self.interner.release(id) else {
                 continue;
             };
-            let node = self.nodes[slot as usize]
-                .take()
-                .expect("interned slots are live");
-            for p in node.pred {
-                if let Some(p_node) = self.nodes[p as usize].as_mut() {
-                    p_node.succ.retain(|s| *s != slot);
-                }
-            }
-            for s in node.succ {
-                if let Some(s_node) = self.nodes[s as usize].as_mut() {
-                    s_node.pred.retain(|p| *p != slot);
+            removed.insert(slot);
+            gone.push(
+                self.nodes[slot as usize]
+                    .take()
+                    .expect("interned slots are live"),
+            );
+        }
+        for node in &gone {
+            for &(p, generation) in &node.pred {
+                if !removed.contains(p) && self.interner.generation(p) == generation {
+                    let survivor = self.nodes[p as usize]
+                        .as_mut()
+                        .expect("a current generation is live");
+                    survivor.succ.retain(|&s| !removed.contains(s));
                 }
             }
         }
+    }
+
+    /// The live predecessors of a node: its `pred` entries minus the stale ones.
+    #[cfg(test)]
+    pub(crate) fn live_preds<'a>(&'a self, node: &'a TxnNode) -> impl Iterator<Item = u32> + 'a {
+        node.pred
+            .iter()
+            .filter(|&&(p, generation)| self.interner.generation(p) == generation)
+            .map(|&(p, _)| p)
     }
 }
 
@@ -523,7 +542,7 @@ mod tests {
     /// The immediate predecessors of `id`, as transaction ids (empty if `id` is untracked).
     fn predecessors(g: &DependencyGraph, id: TxnId) -> Vec<TxnId> {
         g.node(id)
-            .map(|n| n.pred.iter().map(|&p| g.interner.id_at(p)).collect())
+            .map(|n| g.live_preds(n).map(|p| g.interner.id_at(p)).collect())
             .unwrap_or_default()
     }
 

@@ -21,6 +21,9 @@ pub(crate) struct Interner {
     /// Raw transaction id stored per slot; stale for vacant slots (callers only index live
     /// slots, which the graph guarantees by cleaning adjacency on removal).
     ids: Vec<u64>,
+    /// Per slot, how many times it has been released: a reference to a slot taken with an
+    /// older count names one of its former occupants.
+    generations: Vec<u32>,
     free: Vec<u32>,
 }
 
@@ -60,6 +63,7 @@ impl Interner {
             None => {
                 let slot = u32::try_from(self.ids.len()).expect("slot space exceeds u32");
                 self.ids.push(id.0);
+                self.generations.push(0);
                 slot
             }
         };
@@ -70,8 +74,17 @@ impl Interner {
     /// Releases `id`, returning its now-recyclable slot (or `None` if it was not interned).
     pub(crate) fn release(&mut self, id: TxnId) -> Option<u32> {
         let slot = self.map.remove(&id.0)?;
+        let generation = &mut self.generations[slot as usize];
+        *generation = generation.wrapping_add(1);
         self.free.push(slot);
         Some(slot)
+    }
+
+    /// How many times `slot` has been released; it changes exactly when the slot's occupant
+    /// does.
+    #[inline]
+    pub(crate) fn generation(&self, slot: u32) -> u32 {
+        self.generations[slot as usize]
     }
 
     /// The transaction id stored at a **live** slot.
@@ -111,6 +124,11 @@ mod tests {
         assert_eq!(c, a);
         assert_eq!(i.ids.len(), 2);
         assert_eq!(i.id_at(c), TxnId(3));
+        // The slot's generation moved with its occupant.
+        assert_eq!(
+            (i.generation(c), i.generation(i.get(TxnId(2)).unwrap())),
+            (1, 0)
+        );
         // Releasing an unknown id is a no-op.
         assert_eq!(i.release(TxnId(77)), None);
     }

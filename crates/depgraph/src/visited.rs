@@ -45,8 +45,8 @@ impl EpochVisited {
     }
 
     /// Whether `slot` was visited in the current traversal.
-    #[cfg(test)]
-    fn contains(&self, slot: u32) -> bool {
+    #[inline]
+    pub(crate) fn contains(&self, slot: u32) -> bool {
         self.marks[slot as usize] == self.epoch
     }
 }

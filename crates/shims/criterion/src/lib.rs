@@ -155,15 +155,11 @@ impl Bencher {
 }
 
 /// How many inputs [`Bencher::iter_batched`] prepares at a time. Accepted for API parity:
-/// the shim always prepares one input per iteration.
+/// the shim always prepares one input per iteration. Only the variant a bench uses is here.
 #[derive(Clone, Copy, Debug)]
 pub enum BatchSize {
-    /// Inputs cheap to hold many of.
-    SmallInput,
     /// Inputs too large to hold many of.
     LargeInput,
-    /// One input per iteration.
-    PerIteration,
 }
 
 impl Bencher {

@@ -21,13 +21,14 @@
 //!   position is its id; ids are handed out in first-write order and, because a key is never
 //!   deleted, never reused. A `Chain` holds a key's first version inline and moves to a heap
 //!   vector with the second write, so a key written once costs no allocation of its own.
-//! * **Index.** An open-addressed, linearly probed table of 8-byte slots finds the id: each
-//!   slot is the upper half of the 64-bit hash of the key's bytes above the 32-bit id, and a
-//!   slot's home position is the top bits of that half. A probe therefore compares hashes
-//!   before it dereferences a key, and growing the table re-places its entries from the slots
-//!   alone, without touching a string. The hash is [`eov_common::hash`]'s folded multiply,
-//!   keyed per store from the process's random state (that module's header gives the keying
-//!   argument), and slot positions never reach anything observable.
+//! * **Index.** An [`IdIndex`] — an open-addressed, linearly probed table of 8-byte slots,
+//!   shared with the orderer's key table — finds the id: each slot is the upper half of the
+//!   64-bit hash of the key's bytes above the 32-bit id, and a slot's home position is the top
+//!   bits of that half. A probe therefore compares hashes before it dereferences a key, and
+//!   growing the table re-places its entries from the slots alone, without touching a string.
+//!   The hash is [`eov_common::hash`]'s folded multiply, keyed per store from the process's
+//!   random state (that module's header gives the keying argument), and slot positions never
+//!   reach anything observable.
 //!
 //! `read_at`, `latest`, `history` and a `put` to an existing key are therefore one hash and
 //! one probe, independent of how many keys the store holds, where an ordered map pays a
@@ -54,6 +55,7 @@
 
 use eov_common::error::{CommonError, Result};
 use eov_common::hash::FoldState;
+use eov_common::id_index::IdIndex;
 use eov_common::rwset::{Key, Value};
 use eov_common::txn::Transaction;
 use eov_common::version::SeqNo;
@@ -104,81 +106,26 @@ impl Chain {
     }
 }
 
-/// One slot of the hash index: the upper half of the key's hash above the id of its chain.
-/// A slot's home position is the top bits of that half, so the table grows from its slots
-/// alone.
-#[derive(Clone, Copy)]
-struct Slot(u64);
-
-impl Slot {
-    /// The one id no chain gets: it marks a slot holding nothing. Keys are never deleted, so
-    /// there are no tombstones.
-    const NO_ID: u32 = u32::MAX;
-    const VACANT: Slot = Slot(u64::MAX);
-
-    fn new(hash: u64, id: u32) -> Self {
-        Slot(hash & !u64::from(u32::MAX) | u64::from(id))
-    }
-
-    fn is_vacant(self) -> bool {
-        self.id() == Self::NO_ID
-    }
-
-    fn id(self) -> u32 {
-        self.0 as u32
-    }
-
-    /// Whether this slot may hold the key hashing to `hash`.
-    fn tagged(self, hash: u64) -> bool {
-        (self.0 ^ hash) >> 32 == 0
-    }
-
-    /// Home position of `hash` (or of a slot made from it) in a table of `1 << bits` slots.
-    fn home(hash: u64, bits: u32) -> usize {
-        (hash >> (64 - bits)) as usize
-    }
-}
-
-/// Slots of an empty store's index (a power of two, like every later size).
-const MIN_SLOTS: usize = 8;
-/// The index doubles when more than `MAX_LOAD.0 / MAX_LOAD.1` of its slots are taken: a probe
-/// walks eight slots per cache line and rarely leaves its first line up to there.
-const MAX_LOAD: (usize, usize) = (5, 8);
-
 /// A multi-versioned key-value store with per-block snapshot reads.
 ///
 /// Writes are applied block by block (commits are totally ordered), so the per-key version
 /// vectors are naturally sorted by version and snapshot reads are a binary search.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct MultiVersionStore {
     /// Every key with its version chain, in first-write order (see the module header).
     chains: Vec<(Key, Chain)>,
-    /// The hash index over `chains`; its length is a power of two.
-    slots: Vec<Slot>,
+    /// The hash index over `chains`.
+    index: IdIndex,
     /// Key of the index's hash, shared by this store and its clones.
     hasher: FoldState,
-    /// Tests narrow this to make unrelated keys share hashes; all ones otherwise.
+    /// Bits tests clear from every hash to make unrelated keys share hashes; none otherwise.
     #[cfg(test)]
-    hash_mask: u64,
+    hash_cleared: u64,
     /// Height of the last committed block (0 = only the genesis state exists).
     last_block: u64,
     /// Versions strictly below this block height may have been garbage collected; snapshot
     /// reads below it are refused.
     pruned_below: u64,
-}
-
-impl Default for MultiVersionStore {
-    fn default() -> Self {
-        MultiVersionStore {
-            chains: Vec::new(),
-            slots: vec![Slot::VACANT; MIN_SLOTS],
-            hasher: FoldState::default(),
-            #[cfg(test)]
-            hash_mask: u64::MAX,
-            last_block: 0,
-            pruned_below: 0,
-        }
-    }
 }
 
 /// Content equality: same heights, same keys, same chains — whatever order the keys were
@@ -227,7 +174,7 @@ impl MultiVersionStore {
     #[cfg(test)]
     pub(crate) fn with_hash_mask(mask: u64) -> Self {
         MultiVersionStore {
-            hash_mask: mask,
+            hash_cleared: !mask,
             ..Self::default()
         }
     }
@@ -262,27 +209,17 @@ impl MultiVersionStore {
     fn hash_of(&self, key: &[u8]) -> u64 {
         let hash = self.hasher.hash_bytes(key);
         #[cfg(test)]
-        let hash = hash & self.hash_mask;
+        let hash = hash & !self.hash_cleared;
         hash
     }
 
     /// Probes the index for `key`: the id of its chain, or the vacant slot a new entry for it
-    /// belongs in. The load bound keeps slots vacant, so the walk ends.
+    /// belongs in.
     #[inline]
     fn probe(&self, key: &[u8], hash: u64) -> std::result::Result<usize, usize> {
-        let mask = self.slots.len() - 1;
-        let mut at = Slot::home(hash, self.slots.len().trailing_zeros());
-        loop {
-            let slot = self.slots[at];
-            if slot.is_vacant() {
-                return Err(at);
-            }
-            let id = slot.id() as usize;
-            if slot.tagged(hash) && self.chains[id].0.as_bytes() == key {
-                return Ok(id);
-            }
-            at = (at + 1) & mask;
-        }
+        self.index
+            .find(hash, |id| self.chains[id as usize].0.as_bytes() == key)
+            .map(|id| id as usize)
     }
 
     /// The chain of `key`, if it was ever written.
@@ -291,22 +228,6 @@ impl MultiVersionStore {
         let key = key.as_bytes();
         let id = self.probe(key, self.hash_of(key)).ok()?;
         Some(&self.chains[id].1)
-    }
-
-    /// Doubles the index, re-placing every entry by the hash bits its slot carries.
-    fn grow(&mut self) {
-        let bits = self.slots.len().trailing_zeros() + 1;
-        assert!(bits <= 32, "a slot carries 32 bits of its key's hash");
-        let mask = (1usize << bits) - 1;
-        let mut slots = vec![Slot::VACANT; mask + 1];
-        for slot in self.slots.iter().filter(|slot| !slot.is_vacant()) {
-            let mut at = Slot::home(slot.0, bits);
-            while !slots[at].is_vacant() {
-                at = (at + 1) & mask;
-            }
-            slots[at] = *slot;
-        }
-        self.slots = slots;
     }
 
     /// Installs a single versioned value. Versions must be installed in non-decreasing order
@@ -357,15 +278,9 @@ impl MultiVersionStore {
                 chain.push(next);
             }
             Err(vacant) => {
-                let id = u32::try_from(self.chains.len())
-                    .ok()
-                    .filter(|id| *id != Slot::NO_ID)
-                    .expect("chain ids fit in 32 bits");
+                let id = u32::try_from(self.chains.len()).expect("chain ids fit in 32 bits");
+                self.index.insert(vacant, hash, id);
                 self.chains.push((new_key(), Chain::One(next)));
-                self.slots[vacant] = Slot::new(hash, id);
-                if self.chains.len() * MAX_LOAD.1 > self.slots.len() * MAX_LOAD.0 {
-                    self.grow();
-                }
             }
         }
     }
