@@ -38,6 +38,7 @@ impl Default for IdIndex {
 }
 
 /// Home position of `hash` (or of a slot made from it) in a table of `1 << bits` slots.
+#[inline]
 fn home(hash: u64, bits: u32) -> usize {
     (hash >> (64 - bits)) as usize
 }
@@ -69,6 +70,7 @@ impl IdIndex {
     /// # Panics
     ///
     /// If `id` is `u32::MAX`, or the index would need more than `2^32` slots.
+    #[inline]
     pub fn insert(&mut self, vacant: usize, hash: u64, id: u32) {
         assert!(id != u32::MAX, "ids fit in 32 bits, u32::MAX excluded");
         debug_assert_eq!(self.slots[vacant], VACANT);
