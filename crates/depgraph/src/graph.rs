@@ -761,6 +761,31 @@ mod tests {
         assert_edge_mirror(&g);
     }
 
+    /// A survivor keeps its `pred` entry for a removed node. Removing the survivor later must
+    /// skip that entry, whether the slot is vacant or holds a new node, and still clean the
+    /// edge from the slot's new occupant when that one is a real predecessor.
+    #[test]
+    fn stale_predecessor_entries_are_skipped_on_removal() {
+        let mut g = graph();
+        g.insert_pending(TxnId(1), &[], &[], 1);
+        g.insert_pending(TxnId(2), &[TxnId(1)], &[], 1);
+        g.insert_pending(TxnId(3), &[TxnId(1)], &[], 1);
+        let one = g.slot_of(TxnId(1));
+        g.remove_many(&[TxnId(1)]);
+        // Txn 1's slot is vacant: removing txn 2 must not visit it.
+        g.remove_many(&[TxnId(2)]);
+        assert_edge_mirror(&g);
+        // Txn 5 takes txn 2's slot (the free list is LIFO), and txn 4 takes txn 1's and
+        // precedes txn 3: txn 3 now holds a stale and a live entry for the same slot.
+        g.insert_pending(TxnId(5), &[], &[], 1);
+        g.insert_pending(TxnId(4), &[], &[TxnId(3)], 1);
+        assert_eq!(g.slot_of(TxnId(4)), one);
+        assert_eq!(predecessors(&g, TxnId(3)), vec![TxnId(4)]);
+        g.remove_many(&[TxnId(3)]);
+        assert!(successors(&g, TxnId(4)).is_empty());
+        assert_edge_mirror(&g);
+    }
+
     #[test]
     fn remove_many_only_touches_neighbours_and_keeps_the_mirror_consistent() {
         let mut g = graph();
