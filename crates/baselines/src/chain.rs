@@ -87,7 +87,7 @@ impl SimpleChain {
     /// seeded values live in no block, so replay alone cannot recreate them — and every
     /// `checkpoint_interval` blocks [`Self::commit`] checkpoints the store again. Call it after
     /// [`Self::seed`] and before the first block. `dir` must not exist or be empty: resuming a
-    /// directory is cold recovery's job (`fabricsharp_core::recovery::recover_from_disk`).
+    /// directory is cold recovery's job (`eov_ledger::recover_from_disk`).
     pub fn persist_to(&mut self, dir: impl AsRef<Path>) -> Result<(), LedgerError> {
         let dir = dir.as_ref();
         if self.ledger.height() > 0 {

@@ -2,8 +2,7 @@
 //!
 //! [`paper`] reproduces the paper's evaluation (Figure 1, Tables 1 and 2, Figures 10–15); the
 //! `paper_report` binary prints it (see the README's "Benchmarks and experiments"). The rest
-//! of this library builds the inputs of the micro-benchmarks, the cost-model tests and the
-//! `durable_sweep` / `fastpath_table` binaries.
+//! of this library builds the inputs of the micro-benchmarks and the cost-model tests.
 
 #![forbid(unsafe_code)]
 
@@ -12,7 +11,7 @@ pub mod paper;
 use eov_baselines::api::SystemKind;
 use eov_baselines::SimpleChain;
 use eov_common::config::WorkloadParams;
-use eov_common::rwset::{Key, Value};
+use eov_common::rwset::Key;
 use eov_common::txn::{TemplateClass, Transaction};
 use eov_vstore::MultiVersionStore;
 use eov_workload::generator::{WorkloadGenerator, WorkloadKind};
@@ -80,28 +79,6 @@ pub fn endorsed_txns(kind: WorkloadKind, params: WorkloadParams, count: usize) -
                 .with_template_class(classifier.classify_instance(&template))
         })
         .collect()
-}
-
-/// A vanilla-Fabric chain over 64 accounts of 100 after `blocks` blocks of `per_block` blind
-/// writers (transaction `id` sets `acct:{id % 64}` to `id`): the durable-ledger benchmarks'
-/// input.
-pub fn blind_write_chain(blocks: u64, per_block: u64) -> SimpleChain {
-    let mut chain = SimpleChain::new(SystemKind::Fabric);
-    chain.seed((0..64).map(|i| (Key::new(format!("acct:{i}")), Value::from_i64(100))));
-    for id in 1..=blocks * per_block {
-        let txn = chain.execute(|ctx| {
-            ctx.write(
-                Key::new(format!("acct:{}", id % 64)),
-                Value::from_i64(id as i64),
-            )
-        });
-        assert!(chain.submit(txn).is_accept());
-        if id % per_block == 0 {
-            let txns = chain.cut();
-            chain.commit(txns).unwrap();
-        }
-    }
-    chain
 }
 
 /// The same transactions tagged [`TemplateClass::Unknown`]: every one takes the reference

@@ -15,6 +15,9 @@
 //!   restoration of the deliberately-ignored pending c-ww dependencies.
 //! * `orderer_cc` — [`FabricSharpCC`], the controller that ties the above
 //!   together and is plugged into the ordering service (Figure 8).
+//! * [`recovery`] — Section 4.6: a restarted orderer's controller, re-derived from the last
+//!   `max_span` blocks of its ledger. The state a restart reads back from disk (ledger and
+//!   store) is `eov-ledger`'s cold recovery; the controller is never persisted.
 //! * [`commit`] — the committer: MVCC validation and block application in strict block order,
 //!   shared by every chain facade and the simulator.
 //! * [`theory`] — executable forms of the paper's definitions and the Figure 2a / Figure 3a
@@ -43,8 +46,10 @@ pub mod theory;
 mod untracked;
 
 pub use endorser::{SimulationContext, SnapshotEndorser};
+/// Cold recovery restores persisted state only and lives in `eov-ledger`. Kept under this
+/// path only because `perf/src/driver.rs` imports it from here; it goes once the benchmark
+/// names `eov_ledger::recover_from_disk` (ROADMAP).
+pub use eov_ledger::{recover_from_disk, ColdRecovery};
 pub use orderer_cc::FabricSharpCC;
-pub use recovery::{
-    recover_from_disk, recover_from_ledger, ColdRecovery, RecoveryError, RecoveryReport,
-};
+pub use recovery::recover_from_ledger;
 pub use serializability::{is_serializable, is_strongly_serializable};

@@ -428,7 +428,7 @@ pub(crate) fn checkpoint_heights(
 /// directory can tell. When candidates failed to load and nothing usable is left, the newest
 /// one's error is returned instead — every chain ends in the same full image, and the genesis
 /// values it holds are in no block to replay.
-pub fn latest_checkpoint_at_most(
+pub(crate) fn latest_checkpoint_at_most(
     dir: impl AsRef<Path>,
     max_height: u64,
 ) -> Result<Option<(u64, MultiVersionStore)>, LedgerError> {
@@ -449,7 +449,7 @@ pub fn latest_checkpoint_at_most(
 /// it replayed from block 0). Every file above it is ruled out: either it lies above the
 /// recovered log — a leftover of a torn tail, and the chain may grow differently from here —
 /// or it failed verification, else it would have been the one used.
-pub fn discard_unusable_checkpoints(
+pub(crate) fn discard_unusable_checkpoints(
     dir: impl AsRef<Path>,
     used_height: u64,
 ) -> Result<usize, LedgerError> {

@@ -12,10 +12,10 @@
 //!
 //! Opening a directory walks every record once without building a block: CRC, every field,
 //! the data hash, the height and the `prev_hash` link are checked exactly as decoding and
-//! appending would check them, and [`DurableLedger::open_replaying`] hands the committed writes
-//! to a store on the way. Only the window is decoded. A torn trailing record (the only damage
-//! a crash mid-append can cause) is repaired by physical truncation; everything else is a
-//! typed [`LedgerError`].
+//! appending would check them, and cold recovery ([`crate::recover_from_disk`]) hands the
+//! committed writes to a store on the way. Only the window is decoded. A torn trailing record
+//! (the only damage a crash mid-append can cause) is repaired by physical truncation;
+//! everything else is a typed [`LedgerError`].
 //!
 //! [`LedgerBackend`] keeps the in-memory [`Ledger`] as the zero-cost reference: callers that
 //! never configure a directory pay nothing, and every read goes through the same `Ledger`
@@ -33,9 +33,9 @@ use std::path::{Path, PathBuf};
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DurableOptions {
     /// Rotate to a fresh segment file once the current one reaches this many bytes.
-    pub rotate_bytes: u64,
+    pub(crate) rotate_bytes: u64,
     /// Fsync after every append (see `CcConfig::durable_fsync`).
-    pub fsync: bool,
+    pub(crate) fsync: bool,
     /// Blocks the mirror keeps decoded, counting back from the tip (`CcConfig::max_span`).
     pub(crate) window: u64,
 }
@@ -91,7 +91,7 @@ impl DurableLedger {
     /// [`Self::open`], applying the committed writes of every block above
     /// `store.last_block()` to `store` as the walk passes them: cold recovery's replay onto a
     /// checkpoint, without decoding a block. On an error the store is left part-way.
-    pub fn open_replaying(
+    pub(crate) fn open_replaying(
         dir: impl AsRef<Path>,
         options: DurableOptions,
         store: &mut MultiVersionStore,
@@ -173,11 +173,6 @@ impl DurableLedger {
     /// Height of the last appended block.
     pub fn height(&self) -> u64 {
         self.mirror.height()
-    }
-
-    /// Bytes in the current tail segment (diagnostics/tests).
-    pub fn tail_segment_len(&self) -> u64 {
-        self.writer.tail_len()
     }
 }
 
@@ -343,11 +338,11 @@ mod tests {
         let dir = temp_dir("reject");
         let (mut ledger, _) = DurableLedger::open(&dir, DurableOptions::default()).unwrap();
         fill(&mut ledger, 2);
-        let tail_before = ledger.tail_segment_len();
+        let tail_before = ledger.writer.tail_len();
         let skipped = block_at(9, ledger.ledger().tip_hash());
         let err = ledger.append(skipped).unwrap_err();
         assert!(matches!(err, LedgerError::Chain(_)), "got {err}");
-        assert_eq!(ledger.tail_segment_len(), tail_before, "disk was touched");
+        assert_eq!(ledger.writer.tail_len(), tail_before, "disk was touched");
         assert_eq!(ledger.height(), 2);
         std::fs::remove_dir_all(&dir).unwrap();
     }

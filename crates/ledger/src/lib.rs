@@ -22,6 +22,9 @@
 //!   keeps the last `max_span` blocks decoded) and the [`durable::LedgerBackend`] enum that
 //!   keeps the in-memory ledger as the reference implementation.
 //! * `checkpoint` — periodic multi-version-store snapshots cold recovery replays from.
+//! * `recovery` — [`recover_from_disk`]: a restarted peer's persisted state, the reopened
+//!   ledger and the store (newest valid checkpoint plus the replayed segment suffix). The
+//!   orderer's concurrency state is not persisted; it is re-derived from the ledger.
 //! * `reenact` — provenance queries joining a
 //!   [`MultiVersionStore::value_as_of`](eov_vstore::MultiVersionStore::value_as_of) answer
 //!   back to the committing transaction in the ledger.
@@ -41,14 +44,16 @@ mod checkpoint;
 pub mod codec;
 pub mod durable;
 mod error;
+mod recovery;
 mod reenact;
 mod segment;
 pub mod sha256;
 
 pub use block::{Block, BlockHeader, TxnEntry};
 pub use chain::Ledger;
-pub use checkpoint::{discard_unusable_checkpoints, latest_checkpoint_at_most, write_checkpoint};
+pub use checkpoint::write_checkpoint;
 pub use durable::{DurableLedger, DurableOptions, LedgerBackend, OpenReport};
 pub use error::LedgerError;
+pub use recovery::{recover_from_disk, ColdRecovery};
 pub use reenact::{provenance, Provenance};
 pub use sha256::{sha256, Digest};

@@ -454,7 +454,8 @@ impl SegmentWriter {
         Ok(())
     }
 
-    /// Number of bytes in the current tail segment (diagnostics/tests).
+    /// Number of bytes in the current tail segment.
+    #[cfg(test)]
     pub(crate) fn tail_len(&self) -> u64 {
         self.current.as_ref().map_or(0, |segment| segment.len)
     }

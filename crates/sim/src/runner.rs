@@ -60,7 +60,7 @@ pub struct SimulationConfig {
     /// [`CcConfig::segment_rotate_kib`] / [`CcConfig::durable_fsync`]) and checkpoints at
     /// genesis and every [`CcConfig::checkpoint_interval`] blocks. `None` (the default) keeps
     /// the run in memory; the ledger is bit-identical either way. The directory must not exist
-    /// or be empty: resuming is `fabricsharp_core::recovery::recover_from_disk`'s job. A used
+    /// or be empty: resuming is `eov_ledger::recover_from_disk`'s job. A used
     /// directory, or a failed append or checkpoint, ends the run with the error in
     /// [`SimReport::ledger_error`].
     pub durability_dir: Option<std::path::PathBuf>,

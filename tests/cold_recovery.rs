@@ -8,8 +8,9 @@
 //! 2. killing the log at a byte offset and cold-recovering (newest valid checkpoint + segment
 //!    suffix replay) yields a ledger prefix and store bit-identical to the reference replayed
 //!    to the same height, and the resumed log reaches full bit-identity;
-//! 3. the controller rebuilt by `recover_from_disk` is equivalent to `recover_from_ledger`
-//!    over the same in-memory prefix — same resume block, same verdicts, same next cut —
+//! 3. the controller `recover_from_ledger` rebuilds from the ledger `recover_from_disk`
+//!    reopened (its evicted blocks read back from disk) is equivalent to the one it rebuilds
+//!    from the same in-memory prefix — same resume block, same verdicts, same next cut —
 //!    including on a ledger where untracked fastpath commits interleave with graph-inserted
 //!    ones inside every block;
 //! 4. directories written before store sharding was removed still recover: an unsharded one
@@ -20,11 +21,9 @@ use fabricsharp::common::config::{CcConfig, WorkloadParams};
 use fabricsharp::common::rwset::{Key, Value};
 use fabricsharp::common::txn::{TemplateClass, Transaction};
 use fabricsharp::common::version::SeqNo;
-use fabricsharp::core::recovery::{
-    recover_from_disk, recover_from_ledger, ColdRecovery, RecoveryError,
-};
+use fabricsharp::core::recovery::recover_from_ledger;
 use fabricsharp::core::FabricSharpCC;
-use fabricsharp::ledger::{Ledger, LedgerError};
+use fabricsharp::ledger::{recover_from_disk, ColdRecovery, Ledger, LedgerError};
 use fabricsharp::sim::{SimulationConfig, Simulator};
 use fabricsharp::vstore::MultiVersionStore;
 use fabricsharp::workload::generator::{WorkloadGenerator, WorkloadKind};
@@ -59,8 +58,17 @@ fn sim_config(seed: u64) -> SimulationConfig {
 /// Replays the reference ledger's first `up_to` blocks into a genesis-seeded store.
 fn replay_oracle(config: &SimulationConfig, ledger: &Ledger, up_to: u64) -> MultiVersionStore {
     let generator = WorkloadGenerator::new(config.workload.clone(), config.params, config.seed);
+    replay_from(generator.genesis(), ledger, up_to)
+}
+
+/// Replays the first `up_to` blocks of `ledger` into a store seeded with `genesis`.
+fn replay_from(
+    genesis: impl IntoIterator<Item = (Key, Value)>,
+    ledger: &Ledger,
+    up_to: u64,
+) -> MultiVersionStore {
     let mut store = MultiVersionStore::new();
-    store.seed_genesis(generator.genesis());
+    store.seed_genesis(genesis);
     for block in ledger.iter().take(up_to as usize) {
         let committed: Vec<_> = block.committed().collect();
         store.apply_block(block.number(), committed);
@@ -209,14 +217,10 @@ fn crash_and_recover(seed: u64, chopped: u64) {
         );
     }
 
-    // (3) Disk and in-memory recovery build equivalent controllers.
-    let (from_memory, _) = recover_from_ledger(&prefix, config.cc).expect("memory recovery");
-    assert_controllers_equivalent(
-        recovered.cc,
-        from_memory,
-        smallbank_probes(height),
-        &context,
-    );
+    // (3) The recovered ledger and the in-memory prefix rebuild equivalent controllers.
+    let from_disk = recover_from_ledger(recovered.ledger.ledger(), config.cc).expect("disk");
+    let from_memory = recover_from_ledger(&prefix, config.cc).expect("memory recovery");
+    assert_controllers_equivalent(from_disk, from_memory, smallbank_probes(height), &context);
 
     // (4) The log resumes: append the dropped blocks, reach full bit-identity on disk and in
     // the store.
@@ -368,7 +372,8 @@ fn rescued_instance_ledger_recovers_identically_from_disk() {
     assert_eq!(recovered.ledger.height(), reference.height());
     assert_eq!(recovered.ledger.ledger().tip_hash(), reference.tip_hash());
     assert_eq!(recovered.store, *chain.store());
-    let (from_memory, _) = recover_from_ledger(&reference, config).expect("memory recovery");
+    let from_disk = recover_from_ledger(recovered.ledger.ledger(), config).expect("disk");
+    let from_memory = recover_from_ledger(&reference, config).expect("memory recovery");
     // New accounts (tagged Safe) interleaved with unknown read-writes of genesis accounts.
     let snapshot = reference.height();
     let probes: Vec<Transaction> = (0..6u64)
@@ -396,7 +401,69 @@ fn rescued_instance_ledger_recovers_identically_from_disk() {
             }
         })
         .collect();
-    assert_controllers_equivalent(recovered.cc, from_memory, probes, "rescued");
+    assert_controllers_equivalent(from_disk, from_memory, probes, "rescued");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Vanilla Fabric writes validation-aborted entries into its blocks, which a Fabric# ledger
+/// never holds. Persist such a run with periodic checkpoints, tear the last block off, and
+/// the recovery must still match the reference: the same statuses in the ledger prefix, a
+/// store holding only the committed writes, and the checkpoint above the torn tail replaced
+/// by the one below it.
+#[test]
+fn a_fabric_ledger_with_validation_aborts_recovers_to_the_replayed_oracle() {
+    const BLOCKS: u64 = 12;
+    let config = CcConfig {
+        checkpoint_interval: 4,
+        segment_rotate_kib: 1,
+        ..CcConfig::default()
+    };
+    let mut params = WorkloadParams::default();
+    params.num_accounts = 16;
+    let mut generator = WorkloadGenerator::new(WorkloadKind::ModifiedSmallbank, params, 11);
+    let mut chain = SimpleChain::with_cc_config(SystemKind::Fabric, config);
+    chain.seed(generator.genesis());
+    let dir = temp_dir("fabric-aborts");
+    chain.persist_to(&dir).unwrap();
+    for _ in 0..BLOCKS {
+        // Every transaction of a block is endorsed on the same snapshot, so a later one that
+        // reads what an earlier one writes fails MVCC validation.
+        let snapshot = chain.ledger().height();
+        for _ in 0..10 {
+            let template = generator.next_template();
+            let txn = chain.execute_at(snapshot, |ctx| template.run(ctx));
+            assert!(chain.submit(txn).is_accept(), "Fabric orders everything");
+        }
+        let txns = chain.cut();
+        chain.commit(txns).unwrap();
+    }
+    let reference = prefix_of(chain.ledger(), BLOCKS);
+    assert_eq!(reference.height(), BLOCKS);
+
+    tear_tail(&dir, 9);
+    let recovered = recover_from_disk(&dir, config).expect("cold recovery");
+    let height = recovered.ledger.height();
+    assert_eq!(height, BLOCKS - 1, "the torn block is dropped");
+    let prefix = prefix_of(&reference, height);
+    assert!(
+        prefix
+            .statuses()
+            .iter()
+            .any(|(_, status)| status.is_aborted()),
+        "no validation abort below the tear"
+    );
+    assert_eq!(recovered.ledger.ledger().tip_hash(), prefix.tip_hash());
+    assert_eq!(recovered.ledger.ledger().statuses(), prefix.statuses());
+    assert_eq!(
+        recovered.store,
+        replay_from(generator.genesis(), &reference, height),
+        "recovered store != replayed oracle"
+    );
+    assert_eq!(recovered.checkpoint_height, 8);
+    assert_eq!(
+        recovered.checkpoints_discarded, 1,
+        "checkpoint 12 outlived its block"
+    );
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -481,7 +548,7 @@ fn a_sharded_checkpoint_is_a_typed_error_not_a_silent_restart() {
     let before = file_names(&dir);
     let err = recover_from_disk(&dir, fixture_config().cc).unwrap_err();
     match &err {
-        RecoveryError::Ledger(LedgerError::CorruptCheckpoint { path, detail }) => {
+        LedgerError::CorruptCheckpoint { path, detail } => {
             assert_eq!(*path, dir.join("ckpt-00000000000000000004.bin"));
             assert!(detail.contains("split into 2 shards"), "got {err}");
         }

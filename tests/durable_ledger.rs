@@ -22,9 +22,8 @@
 use fabricsharp::baselines::{SimpleChain, SystemKind};
 use fabricsharp::common::config::{CcConfig, WorkloadParams};
 use fabricsharp::common::rwset::Key;
-use fabricsharp::core::recovery::{recover_from_disk, RecoveryError};
 use fabricsharp::ledger::durable::{DurableLedger, DurableOptions};
-use fabricsharp::ledger::{provenance, write_checkpoint, Ledger, LedgerError};
+use fabricsharp::ledger::{provenance, recover_from_disk, write_checkpoint, Ledger, LedgerError};
 use fabricsharp::vstore::MultiVersionStore;
 use fabricsharp::workload::generator::{WorkloadGenerator, WorkloadKind};
 use proptest::prelude::*;
@@ -267,7 +266,7 @@ fn a_corrupt_genesis_image_is_a_typed_error_not_a_store_without_the_seeded_value
     assert!(
         matches!(
             &err,
-            RecoveryError::Ledger(LedgerError::CorruptCheckpoint { path, .. })
+            LedgerError::CorruptCheckpoint { path, .. }
                 if *path == checkpoints[0]
         ),
         "got {err}"

@@ -21,9 +21,10 @@ fn txn_shape_strategy() -> impl Strategy<Value = TxnShape> {
         .prop_map(|(reads, writes)| TxnShape { reads, writes })
 }
 
-/// Runs the generated workload through a `SimpleChain` of the given system, sealing a block
-/// every `block_size` submissions, and returns the chain.
-fn run_workload(kind: SystemKind, shapes: &[TxnShape], block_size: usize) -> SimpleChain {
+/// Runs the generated workload through a `SimpleChain` of the given system, endorsing every
+/// transaction on the snapshot `lag` blocks behind the tip and sealing a block every
+/// `block_size` submissions, and returns the chain.
+fn run_workload(kind: SystemKind, shapes: &[TxnShape], block_size: usize, lag: u64) -> SimpleChain {
     let mut chain = SimpleChain::new(kind);
     let keys: Vec<Key> = (0..6).map(|i| Key::new(format!("k{i}"))).collect();
     chain.seed(keys.iter().map(|k| (k.clone(), Value::from_i64(100))));
@@ -39,7 +40,8 @@ fn run_workload(kind: SystemKind, shapes: &[TxnShape], block_size: usize) -> Sim
             .iter()
             .map(|w| keys[*w as usize].clone())
             .collect();
-        let txn = chain.execute(|ctx| {
+        let snapshot = chain.ledger().height().saturating_sub(lag);
+        let txn = chain.execute_at(snapshot, |ctx| {
             let mut acc = 0i64;
             for key in &reads {
                 acc += ctx.read_balance(key);
@@ -61,13 +63,15 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// FabricSharp never commits a non-serializable history, even though its peers skip the
-    /// MVCC validation entirely.
+    /// MVCC validation entirely. Endorsing up to three blocks behind the tip lands anti-rw
+    /// edges on committed transactions, the case Algorithm 5's ww restoration must get right.
     #[test]
     fn fabricsharp_histories_are_always_serializable(
         shapes in proptest::collection::vec(txn_shape_strategy(), 1..60),
         block_size in 2usize..12,
+        lag in 0u64..4,
     ) {
-        let chain = run_workload(SystemKind::FabricSharp, &shapes, block_size);
+        let chain = run_workload(SystemKind::FabricSharp, &shapes, block_size, lag);
         prop_assert!(is_serializable(&chain.committed_history()));
         prop_assert!(chain.ledger().verify_integrity().is_ok());
         // FabricSharp places only guaranteed-serializable transactions in blocks, so raw and
@@ -83,7 +87,7 @@ proptest! {
         block_size in 2usize..10,
     ) {
         for kind in [SystemKind::Fabric, SystemKind::FabricPlusPlus, SystemKind::FoccS, SystemKind::FoccL] {
-            let chain = run_workload(kind, &shapes, block_size);
+            let chain = run_workload(kind, &shapes, block_size, 0);
             prop_assert!(is_strongly_serializable(&chain.committed_history()),
                 "{} committed a non-strongly-serializable history", kind);
         }
@@ -96,8 +100,8 @@ proptest! {
         shapes in proptest::collection::vec(txn_shape_strategy(), 1..60),
         block_size in 2usize..12,
     ) {
-        let fabric = run_workload(SystemKind::Fabric, &shapes, block_size);
-        let sharp = run_workload(SystemKind::FabricSharp, &shapes, block_size);
+        let fabric = run_workload(SystemKind::Fabric, &shapes, block_size, 0);
+        let sharp = run_workload(SystemKind::FabricSharp, &shapes, block_size, 0);
         prop_assert!(
             sharp.ledger().committed_txn_count() >= fabric.ledger().committed_txn_count(),
             "Fabric# committed {} but Fabric committed {}",

@@ -21,9 +21,9 @@ use fabricsharp::baselines::{SimpleChain, SystemKind};
 use fabricsharp::common::config::{CcConfig, WorkloadParams};
 use fabricsharp::common::rwset::{Key, Value};
 use fabricsharp::common::txn::{TemplateClass, Transaction};
-use fabricsharp::core::recovery::{recover_from_disk, recover_from_ledger};
+use fabricsharp::core::recovery::recover_from_ledger;
 use fabricsharp::core::FabricSharpCC;
-use fabricsharp::ledger::{Digest, Ledger};
+use fabricsharp::ledger::{recover_from_disk, Digest, Ledger};
 use fabricsharp::vstore::MultiVersionStore;
 use fabricsharp::workload::generator::{TxnTemplate, WorkloadGenerator, WorkloadKind};
 use proptest::prelude::*;
@@ -126,8 +126,8 @@ fn interleaves(ledger: &Ledger) -> bool {
 }
 
 fn recovered(ledger: &Ledger) -> FabricSharpCC {
-    let (cc, report) = recover_from_ledger(ledger, CcConfig::default()).expect("ledger verifies");
-    assert_eq!(report.ledger_height, ledger.height());
+    let cc = recover_from_ledger(ledger, CcConfig::default()).expect("ledger verifies");
+    assert_eq!(cc.next_block(), ledger.height() + 1);
     cc
 }
 
@@ -373,6 +373,7 @@ fn create_account_durable(seed: u64, tagged: bool) -> DurableRun {
     }
 
     let recovered = recover_from_disk(&dir, config).expect("cold recovery");
+    let recovered_cc = recover_from_ledger(recovered.ledger.ledger(), config).expect("verifies");
     std::fs::remove_dir_all(&dir).unwrap();
     DurableRun {
         tip: chain.ledger().tip_hash(),
@@ -382,7 +383,7 @@ fn create_account_durable(seed: u64, tagged: bool) -> DurableRun {
         recovered_tip: recovered.ledger.ledger().tip_hash(),
         recovered_store: recovered.store,
         checkpoint_height: recovered.checkpoint_height,
-        recovered_cc: recovered.cc,
+        recovered_cc,
     }
 }
 
