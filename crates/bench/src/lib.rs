@@ -24,15 +24,6 @@ pub const HOT_ACCOUNTS: usize = 10_000;
 /// `create_account_durable` adds over a 12-second run (840 k fresh keys).
 pub const GROWN_ACCOUNTS: usize = HOT_ACCOUNTS + 420_000;
 
-/// The Smallbank keys of accounts `from..to`, in the order a run first writes them.
-pub fn smallbank_keys(from: usize, to: usize) -> Vec<Key> {
-    smallbank::genesis_accounts(to)
-        .into_iter()
-        .skip(from * 2)
-        .map(|(key, _)| key)
-        .collect()
-}
-
 /// A store holding one version of every Smallbank key of `accounts` accounts.
 pub fn smallbank_store(accounts: usize) -> MultiVersionStore {
     let mut store = MultiVersionStore::new();
@@ -43,7 +34,10 @@ pub fn smallbank_store(accounts: usize) -> MultiVersionStore {
 /// The hot keys in a fixed scattered order (a stride coprime to their count), so that a pass
 /// over them has the locality of a transaction mix and not that of a key-order scan.
 pub fn hot_keys_scattered() -> Vec<Key> {
-    let keys = smallbank_keys(0, HOT_ACCOUNTS);
+    let keys: Vec<Key> = smallbank::genesis_accounts(HOT_ACCOUNTS)
+        .into_iter()
+        .map(|(key, _)| key)
+        .collect();
     (0..keys.len())
         .map(|i| keys[i * 7_919 % keys.len()].clone())
         .collect()

@@ -9,8 +9,9 @@
 //! Only optimised builds carry these tests: a debug build re-checks every `Safe` arrival
 //! against the dependency indices, which is the work the fast path exists to skip, and its
 //! unoptimised store reads sit at the `latest()` bound. Every timing is the median of
-//! [`RUNS`] runs after one warm-up; a ratio that misses its bound is measured once more, so a
-//! transient load spike clears and a real regression fails both times. The tests take one
+//! [`RUNS`] runs after one warm-up (the two `latest()` passes timed in alternation); a ratio
+//! that misses its bound is measured once more, so a transient load spike clears and a real
+//! regression fails both times. The tests take one
 //! lock, so no two of them run at once.
 
 #![cfg(not(debug_assertions))]
@@ -56,6 +57,26 @@ fn median_ns<F: FnMut() -> u64>(mut body: F) -> f64 {
         })
         .collect();
     median_of(samples)
+}
+
+/// Median wall-clock nanoseconds of [`RUNS`] executions of `body` and of `reference`, timed
+/// in alternation (one warm-up of each excluded): a drift in the host's speed reaches both
+/// alike, where timing one body's runs and then the other's compared two moments.
+fn interleaved_median_ns<F: FnMut() -> u64, R: FnMut() -> u64>(
+    mut body: F,
+    mut reference: R,
+) -> (f64, f64) {
+    std::hint::black_box(body());
+    std::hint::black_box(reference());
+    let timed = |run: &mut dyn FnMut() -> u64| {
+        let start = Instant::now();
+        std::hint::black_box(run());
+        start.elapsed().as_nanos()
+    };
+    let (samples, reference_samples) = (0..RUNS)
+        .map(|_| (timed(&mut body), timed(&mut reference)))
+        .unzip();
+    (median_of(samples), median_of(reference_samples))
 }
 
 /// Asserts that `measure`'s `(cost, reference cost)` stand at most `bound` apart, measuring a
@@ -171,7 +192,6 @@ fn hot_latest_cost_does_not_grow_with_the_store() {
     let small = smallbank_store(HOT_ACCOUNTS);
     let grown = smallbank_store(GROWN_ACCOUNTS);
     assert_cost_ratio("hot latest() pass, 860k-key / 20k-key store", 1.5, || {
-        let small_ns = median_ns(|| latest_pass(&small, &hot));
-        (median_ns(|| latest_pass(&grown, &hot)), small_ns)
+        interleaved_median_ns(|| latest_pass(&grown, &hot), || latest_pass(&small, &hot))
     });
 }

@@ -33,10 +33,9 @@
 //! file swapped for a different — even valid — checkpoint is rejected), its chain suffixes
 //! must start above the base height, and after re-applying the recorded prune horizon the
 //! store must hold exactly the recorded number of keys. Re-pruning reproduces the live store
-//! bit for bit as long as no horizon ran ahead of the store's height when it was applied
-//! (pruning all writes once at the newest horizon then keeps exactly what pruning along the
-//! way kept); a store pruned ahead of its height loads with fewer versions than it had, all
-//! of them below the horizon, where no snapshot read is answered anyway.
+//! bit for bit: a prune drops every version superseded at or below its horizon, whenever the
+//! superseding write came, so pruning all writes once at the newest horizon keeps exactly what
+//! pruning along the way kept.
 //!
 //! Recovery tries the candidates at or below the ledger height newest first and takes the
 //! first whose whole chain loads: a bad link costs the links above it, never the restart —
@@ -55,7 +54,7 @@ use crate::error::LedgerError;
 use crate::segment::sync_dir;
 use eov_common::rwset::{Key, Value};
 use eov_common::version::SeqNo;
-use eov_vstore::{MultiVersionStore, VersionedValue};
+use eov_vstore::{MultiVersionStore, VersionRef};
 use std::fs;
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
@@ -142,19 +141,13 @@ fn get_head(r: &mut ByteReader<'_>, crc: u32) -> Result<LinkHead, String> {
 }
 
 /// Encodes the store: counters, then every chain suffix newer than `base_height` (every whole
-/// chain when there is no base) in key order. The store keeps its chains in first-write order,
-/// so the suffixes are picked first and only those sorted: a delta over a large store costs a
-/// scan plus the sort of what changed.
+/// chain when there is no base) in key order. The store keeps its keys in first-write order,
+/// so the keys written above the base are picked first (one compare on a slab entry each) and
+/// only those sorted: a delta over a large store costs a scan plus the sort of what changed.
 fn put_store(w: &mut ByteWriter, store: &MultiVersionStore, base_height: Option<u64>) {
-    let mut suffixes: Vec<(&Key, &[VersionedValue])> = store
-        .chains_in_write_order()
-        .map(|(key, chain)| {
-            let start = base_height.map_or(0, |h| chain.partition_point(|v| v.version.block <= h));
-            (key, &chain[start..])
-        })
-        .filter(|(_, suffix)| !suffix.is_empty())
-        .collect();
+    let mut suffixes: Vec<_> = store.chains_in_write_order(base_height).collect();
     suffixes.sort_unstable_by(|a, b| a.0.cmp(b.0));
+    let above_base = move |v: &VersionRef<'_>| base_height.is_none_or(|h| v.version.block > h);
     put_chains(
         w,
         [
@@ -162,16 +155,19 @@ fn put_store(w: &mut ByteWriter, store: &MultiVersionStore, base_height: Option<
             store.pruned_below(),
             store.key_count() as u64,
         ],
-        suffixes,
+        suffixes
+            .into_iter()
+            .map(|(key, history)| (key, history.take_while(above_base))),
     );
 }
 
-/// Encodes the store's three counters (`last_block`, `pruned_below`, total keys) and `chains`,
-/// which arrive in key order and non-empty.
-fn put_chains<'a>(
+/// Encodes the store's three counters (`last_block`, `pruned_below`, total keys) and `chains`:
+/// each key, in key order, with the versions to write, newest first and at least one. They
+/// are written oldest first.
+fn put_chains<'a, S: Iterator<Item = VersionRef<'a>>>(
     w: &mut ByteWriter,
     counters: [u64; 3],
-    chains: impl IntoIterator<Item = (&'a Key, &'a [VersionedValue])>,
+    chains: impl IntoIterator<Item = (&'a Key, S)>,
 ) {
     for counter in counters {
         w.put_u64(counter);
@@ -179,11 +175,14 @@ fn put_chains<'a>(
     let chains_at = w.len();
     w.put_u64(0);
     let mut count = 0u64;
-    for (key, chain) in chains {
+    let mut chain: Vec<VersionRef<'a>> = Vec::new();
+    for (key, newest_first) in chains {
         count += 1;
+        chain.clear();
+        chain.extend(newest_first);
         w.put_bytes(key.as_bytes());
         w.put_u32(chain.len() as u32);
-        for version in chain {
+        for version in chain.iter().rev() {
             w.put_seqno(version.version);
             w.put_bytes(version.value.as_bytes());
         }
@@ -781,19 +780,25 @@ mod tests {
         last_block: u64,
         chains: &[(&str, u64)],
     ) -> (LinkId, PathBuf) {
-        let chains: Vec<(Key, [VersionedValue; 1])> = chains
+        let values: Vec<Value> = chains
             .iter()
-            .map(|&(key, block)| {
+            .map(|&(_, block)| Value::from_i64(block as i64))
+            .collect();
+        let chains: Vec<(Key, [VersionRef<'_>; 1])> = chains
+            .iter()
+            .zip(&values)
+            .map(|(&(key, block), value)| {
                 let version = SeqNo::new(block, 1);
-                let value = Value::from_i64(block as i64);
-                (Key::new(key), [VersionedValue { version, value }])
+                (Key::new(key), [VersionRef { version, value }])
             })
             .collect();
         let mut w = ByteWriter::new();
         w.put_raw(CHECKPOINT_MAGIC);
         w.put_u64(0);
         put_head(&mut w, height, base);
-        let versions = chains.iter().map(|(key, chain)| (key, &chain[..]));
+        let versions = chains
+            .iter()
+            .map(|(key, chain)| (key, chain.iter().copied()));
         put_chains(&mut w, [last_block, 0, 1], versions);
         let path = dir.join(checkpoint_file_name(height));
         std::fs::write(&path, seal_frame(w, 8, "checkpoint", u32::MAX).unwrap()).unwrap();
@@ -832,12 +837,19 @@ mod tests {
     fn put_store_from_ordered_map(
         w: &mut ByteWriter,
         counters: [u64; 3],
-        chains: &std::collections::BTreeMap<Key, Vec<VersionedValue>>,
+        chains: &std::collections::BTreeMap<Key, Vec<(SeqNo, Value)>>,
         base_height: Option<u64>,
     ) {
         let suffixes = chains.iter().filter_map(|(key, chain)| {
-            let start = base_height.map_or(0, |h| chain.partition_point(|v| v.version.block <= h));
-            (start < chain.len()).then_some((key, &chain[start..]))
+            let start = base_height.map_or(0, |h| chain.partition_point(|v| v.0.block <= h));
+            let newest_first = chain[start..]
+                .iter()
+                .rev()
+                .map(|(version, value)| VersionRef {
+                    version: *version,
+                    value,
+                });
+            (start < chain.len()).then_some((key, newest_first))
         });
         put_chains(w, counters, suffixes);
     }
@@ -853,7 +865,7 @@ mod tests {
             ops in proptest::collection::vec((0u8..5, any::<u64>()), 1..40),
         ) {
             let mut store = MultiVersionStore::new();
-            let mut oracle: std::collections::BTreeMap<Key, Vec<VersionedValue>> = Default::default();
+            let mut oracle: std::collections::BTreeMap<Key, Vec<(SeqNo, Value)>> = Default::default();
             for &(op, arg) in &ops {
                 let block = store.last_block() + 1;
                 if op == 4 {
@@ -861,7 +873,7 @@ mod tests {
                     store.prune_versions_below(horizon);
                     let bound = SeqNo::new(horizon, u32::MAX);
                     for chain in oracle.values_mut() {
-                        let idx = chain.partition_point(|v| v.version <= bound);
+                        let idx = chain.partition_point(|v| v.0 <= bound);
                         if idx > 1 {
                             chain.drain(..idx - 1);
                         }
@@ -873,7 +885,7 @@ mod tests {
                             let (key, version) = (Key::new(name), SeqNo::new(block, t as u32 + 1));
                             let value = Value::from_i64(arg as i64);
                             store.put(&key, version, value.clone());
-                            oracle.entry(key).or_default().push(VersionedValue { version, value });
+                            oracle.entry(key).or_default().push((version, value));
                         }
                     }
                     store.commit_empty_block(block);

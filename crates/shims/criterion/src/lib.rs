@@ -1,18 +1,28 @@
 //! Offline shim for the subset of `criterion` used by this workspace's
-//! benches. It executes every benchmark closure under a small fixed time
-//! budget and prints mean ns/iter — a smoke-bench harness, not a statistics
-//! engine. `sample_size` / `measurement_time` are accepted for API parity
-//! but the budget below keeps `cargo bench` fast regardless.
+//! benches. It executes every benchmark closure for its group's
+//! `measurement_time` (or `BUDGET`) and prints the ns/iter of the fastest
+//! sample — a smoke-bench harness, not a statistics engine. `sample_size` is
+//! accepted for API parity.
+//!
+//! The fastest sample, not the mean: on a shared host, preemption and a
+//! neighbour's load only ever add time, and they come in phases longer than
+//! a fraction of a second. A mean over a fixed 40 ms moved by 20–50 % from
+//! run to run of one binary; the fastest sample of two seconds moves by
+//! 5–10 % on the store's point-operation passes. A sample of [`Bencher::iter`]
+//! is a batch of calls lasting at least `BATCH`, so the clock is read once
+//! per batch, not once per call (reading it per call added about 50 ns to
+//! every call of a fast body).
 
 use std::fmt;
 use std::time::{Duration, Instant};
 
 pub use std::hint::black_box;
 
-/// Per-benchmark wall-clock budget (after one warm-up iteration).
-const BUDGET: Duration = Duration::from_millis(40);
-/// Iteration cap per benchmark, for very fast bodies.
-const MAX_ITERS: u64 = 1_000;
+/// Per-benchmark wall-clock budget (after one warm-up iteration) outside a group that sets its
+/// `measurement_time`.
+const BUDGET: Duration = Duration::from_millis(400);
+/// Shortest sample of [`Bencher::iter`]: calls are batched until one batch takes this long.
+const BATCH: Duration = Duration::from_micros(50);
 
 /// Whether `CRITERION_SMOKE` requests single-iteration smoke mode: every benchmark body runs
 /// exactly once (after the warm-up), so CI can prove the bench binaries still compile and
@@ -38,6 +48,7 @@ impl Criterion {
         BenchmarkGroup {
             _criterion: self,
             name,
+            budget: BUDGET,
         }
     }
 
@@ -47,25 +58,27 @@ impl Criterion {
         id: D,
         f: F,
     ) -> &mut Self {
-        run_one(&id.to_string(), f);
+        run_one(&id.to_string(), BUDGET, f);
         self
     }
 }
 
-/// A named group of benchmarks sharing display context.
+/// A named group of benchmarks sharing display context and a time budget.
 pub struct BenchmarkGroup<'a> {
     _criterion: &'a mut Criterion,
     name: String,
+    budget: Duration,
 }
 
 impl BenchmarkGroup<'_> {
-    /// Accepted for API parity; this shim uses its own fixed budget.
+    /// Accepted for API parity; the shim samples for the whole `measurement_time`.
     pub fn sample_size(&mut self, _n: usize) -> &mut Self {
         self
     }
 
-    /// Accepted for API parity; this shim uses its own fixed budget.
-    pub fn measurement_time(&mut self, _d: Duration) -> &mut Self {
+    /// How long each benchmark of the group is sampled (after its warm-up).
+    pub fn measurement_time(&mut self, budget: Duration) -> &mut Self {
+        self.budget = budget;
         self
     }
 
@@ -75,7 +88,7 @@ impl BenchmarkGroup<'_> {
         id: D,
         f: F,
     ) -> &mut Self {
-        run_one(&format!("{}/{}", self.name, id), f);
+        run_one(&format!("{}/{}", self.name, id), self.budget, f);
         self
     }
 
@@ -89,7 +102,9 @@ impl BenchmarkGroup<'_> {
     where
         F: FnMut(&mut Bencher, &I),
     {
-        run_one(&format!("{}/{}", self.name, id), |b| f(b, input));
+        run_one(&format!("{}/{}", self.name, id), self.budget, |b| {
+            f(b, input)
+        });
         self
     }
 
@@ -126,32 +141,45 @@ impl fmt::Display for BenchmarkId {
 
 /// Handed to benchmark closures; [`Bencher::iter`] performs the measurement.
 pub struct Bencher {
+    /// How long to sample; zero in `CRITERION_SMOKE` mode.
+    budget: Duration,
     iters: u64,
-    mean_ns: f64,
+    /// Nanoseconds per call in the fastest sample.
+    ns: f64,
 }
 
 impl Bencher {
-    /// Times repeated calls of `routine` under the shim's fixed budget (or exactly once in
-    /// `CRITERION_SMOKE` mode).
+    /// Times repeated calls of `routine` for the budget, in batches lasting at least `BATCH`
+    /// (or exactly once in `CRITERION_SMOKE` mode).
     pub fn iter<O, F: FnMut() -> O>(&mut self, mut routine: F) {
         black_box(routine()); // warm-up, excluded from timing
-        let (max_iters, budget) = if smoke_mode() {
-            (1, Duration::ZERO)
-        } else {
-            (MAX_ITERS, BUDGET)
-        };
+        let mut per_batch = 1u64;
+        if !self.budget.is_zero() {
+            let start = Instant::now();
+            while start.elapsed() < BATCH {
+                black_box(routine());
+                per_batch += 1;
+            }
+        }
         let start = Instant::now();
-        let mut iters = 0u64;
-        while iters < max_iters {
-            black_box(routine());
-            iters += 1;
-            if start.elapsed() >= budget {
+        let mut samples = Vec::new();
+        loop {
+            let begin = Instant::now();
+            for _ in 0..per_batch {
+                black_box(routine());
+            }
+            samples.push(begin.elapsed().as_nanos() as f64 / per_batch as f64);
+            if start.elapsed() >= self.budget {
                 break;
             }
         }
-        self.iters = iters;
-        self.mean_ns = start.elapsed().as_nanos() as f64 / iters as f64;
+        self.iters = samples.len() as u64 * per_batch;
+        self.ns = fastest(samples);
     }
+}
+
+fn fastest(samples: Vec<f64>) -> f64 {
+    samples.into_iter().fold(f64::INFINITY, f64::min)
 }
 
 /// How many inputs [`Bencher::iter_batched`] prepares at a time. Accepted for API parity:
@@ -172,39 +200,34 @@ impl Bencher {
         R: FnMut(I) -> O,
     {
         drop(black_box(routine(setup()))); // warm-up, excluded from timing
-        let (max_iters, budget) = if smoke_mode() {
-            (1, Duration::ZERO)
-        } else {
-            (MAX_ITERS, BUDGET)
-        };
         let start = Instant::now();
-        let (mut iters, mut timed) = (0u64, Duration::ZERO);
-        while iters < max_iters {
+        let mut samples = Vec::new();
+        loop {
             let input = setup();
             let begin = Instant::now();
             let output = black_box(routine(input));
-            timed += begin.elapsed();
+            samples.push(begin.elapsed().as_nanos() as f64);
             drop(output);
-            iters += 1;
-            if start.elapsed() >= budget {
+            if start.elapsed() >= self.budget {
                 break;
             }
         }
-        self.iters = iters;
-        self.mean_ns = timed.as_nanos() as f64 / iters as f64;
+        self.iters = samples.len() as u64;
+        self.ns = fastest(samples);
     }
 }
 
-fn run_one<F: FnMut(&mut Bencher)>(label: &str, mut f: F) {
+fn run_one<F: FnMut(&mut Bencher)>(label: &str, budget: Duration, mut f: F) {
     let mut bencher = Bencher {
+        budget: if smoke_mode() { Duration::ZERO } else { budget },
         iters: 0,
-        mean_ns: 0.0,
+        ns: 0.0,
     };
     f(&mut bencher);
     if bencher.iters > 0 {
         println!(
             "  {label}: {:.0} ns/iter ({} iters)",
-            bencher.mean_ns, bencher.iters
+            bencher.ns, bencher.iters
         );
     } else {
         println!("  {label}: benchmark body never called Bencher::iter");

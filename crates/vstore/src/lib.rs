@@ -6,7 +6,9 @@
 //!   `(key, version, value)` tuple whose version is the `(block, seq)` slot of the transaction
 //!   that installed it (Figure 2a of the paper). The store keeps *all* versions so that any
 //!   block snapshot can be read back, which is exactly the storage-snapshot mechanism
-//!   Algorithm 1 relies on (Section 4.2).
+//!   Algorithm 1 relies on (Section 4.2): each key's newest version in its slab entry, every
+//!   superseded one in a single log of fixed-size pages, linked newest to oldest. Reads
+//!   answer with a [`VersionRef`], the slot and a borrowed value.
 //! * [`snapshot`] — [`SnapshotManager`], the latest committed height the endorsers read.
 //! * `timetravel` — the reenactment query surface over the retained history, as
 //!   `MultiVersionStore` methods: [`MultiVersionStore::value_as_of`] ("value of `key` as of
@@ -25,7 +27,7 @@ mod mvstore_model;
 pub mod snapshot;
 mod timetravel;
 
-pub use mvstore::{MultiVersionStore, VersionedValue};
+pub use mvstore::{MultiVersionStore, VersionRef};
 pub use snapshot::SnapshotManager;
 
 /// The name the state store had while it could be sharded. Kept, with

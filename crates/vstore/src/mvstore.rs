@@ -17,10 +17,16 @@
 //! so the layout is built for the point operation (FastFabric, arXiv:1901.00910, made the
 //! same move for Fabric's world state):
 //!
-//! * **Slab.** The version chains live in one append-only `Vec<(Key, Chain)>`. A chain's
-//!   position is its id; ids are handed out in first-write order and, because a key is never
-//!   deleted, never reused. A `Chain` holds a key's first version inline and moves to a heap
-//!   vector with the second write, so a key written once costs no allocation of its own.
+//! * **Slab.** Every key lives in one append-only `Vec<(Key, Version)>` together with its
+//!   newest version. An entry's position is its id; ids are handed out in first-write order
+//!   and, because a key is never deleted, never reused.
+//! * **Log.** A write to a key already held moves the old newest version to the tail of one
+//!   log of fixed-size pages (4 096 versions each) and writes the new one in its place. Every
+//!   version carries a `link`: 1 + the log position of the version it superseded, 0 for none.
+//!   A key's history is the walk from its slab entry down the links, newest first. The log
+//!   holds versions in the order they were superseded, and each page records the newest block
+//!   that superseded one of them (a store loaded from a checkpoint fills it key by key, not in
+//!   block order).
 //! * **Index.** An [`IdIndex`] — an open-addressed, linearly probed table of 8-byte slots,
 //!   shared with the orderer's key table — finds the id: each slot is the upper half of the
 //!   64-bit hash of the key's bytes above the 32-bit id, and a slot's home position is the top
@@ -30,25 +36,31 @@
 //!   random state (that module's header gives the keying argument), and slot positions never
 //!   reach anything observable.
 //!
-//! `read_at`, `latest`, `history` and a `put` to an existing key are therefore one hash and
-//! one probe, independent of how many keys the store holds, where an ordered map pays a
-//! descent of string compares that deepens with it.
+//! `latest`, a `put` to an existing key and a `read_at` whose snapshot sees the newest version
+//! (nine endorsement reads in ten on Smallbank) are therefore one hash, one probe and the slab
+//! entry, independent of how many keys the store holds. An older snapshot walks one link per
+//! newer write of the key.
+//!
+//! Pruning below a horizon `h` makes every version superseded in a block `<= h` unreachable: a
+//! walk does not follow the link of a version written at or below `h`. Leading log pages whose
+//! every version was superseded at or below `h` are freed, so a prune costs O(pages), not
+//! O(keys).
 //!
 //! Nothing ordered is read off the index. The ordered walk ([`MultiVersionStore::iter_history`])
 //! collects from the slab — whose order is the deterministic first-write order, not a hash
 //! order — and sorts **what it emits** by key;
 //! the checkpoint writer, whose deltas emit a small part of a large store, takes
 //! [`MultiVersionStore::chains_in_write_order`], filters first and sorts the rest. Equality is
-//! content equality: two stores holding the same chains are equal whatever order their keys
+//! content equality: two stores holding the same histories are equal whatever order their keys
 //! were first written in (a recovered store is filled in checkpoint order, the live one in
-//! commit order).
+//! commit order) and wherever their log placed the versions.
 //!
-//! Memory per key, beside the bytes of a key or value longer than 22: a 64-byte slab entry
-//! (the 24-byte key with its bytes inline, and a 40-byte chain; ×1–2 while the slab's vector
-//! has room to grow into) and 13–26 bytes of index (8-byte slots at a load between 5/16 and
-//! 5/8). The ordered map spent 40 bytes of node space per entry at a node fill between one
-//! half and full, and every chain began with a 160-byte heap vector of its own — which is
-//! most of the 37 % `create_account_durable`'s peak RSS fell by.
+//! Memory, beside the bytes of a key or value longer than 22: 64 bytes of slab per key (the
+//! 24-byte key with its bytes inline, and its 40-byte newest version; ×1–2 while the slab's
+//! vector has room to grow into), 13–26 bytes of index per key (8-byte slots at a load between
+//! 5/16 and 5/8), and 40 bytes of log per superseded version, with at most one page (160 KiB)
+//! allocated ahead. No key owns an allocation of its own: the per-key version vectors this
+//! replaced held 54.1 MB of capacity for 35.6 MB of versions on `fabric_mvcc_smallbank`.
 //!
 //! The index hashes and compares the key's bytes ([`Key::as_bytes`]), never its `&str`, which
 //! an inline key can only build by checking its UTF-8 again.
@@ -61,60 +73,159 @@ use eov_common::txn::Transaction;
 use eov_common::version::SeqNo;
 use std::fmt;
 
-/// A single version of a value: the commit slot that installed it plus the bytes themselves.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct VersionedValue {
+/// One version of a key as a read returns it: the commit slot that installed it, and the
+/// value, borrowed from the store.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct VersionRef<'a> {
     /// The commit slot `(block, seq)` of the transaction that wrote this version.
     pub version: SeqNo,
     /// The stored value.
-    pub value: Value,
+    pub value: &'a Value,
 }
 
-/// One key's versions, ascending and never empty.
+/// One version as the store holds it: a key's newest version in its slab entry, every
+/// superseded one in the log.
 #[derive(Clone)]
-enum Chain {
-    /// The only version the key has ever had, held in the slab entry itself.
-    One(VersionedValue),
-    /// Two or more versions (or what pruning left of them).
-    Many(Vec<VersionedValue>),
+struct Version {
+    block: u64,
+    seq: u32,
+    /// 1 + the log position of the version this one superseded; 0 when there is none.
+    link: u32,
+    value: Value,
 }
 
-impl Chain {
-    fn as_slice(&self) -> &[VersionedValue] {
-        match self {
-            Chain::One(only) => std::slice::from_ref(only),
-            Chain::Many(versions) => versions,
-        }
+const _: () = assert!(std::mem::size_of::<Version>() == 40);
+const _: () = assert!(std::mem::size_of::<(Key, Version)>() == 64);
+
+impl Version {
+    fn slot(&self) -> SeqNo {
+        SeqNo::new(self.block, self.seq)
     }
 
-    fn newest(&self) -> &VersionedValue {
-        match self {
-            Chain::One(only) => only,
-            Chain::Many(versions) => versions.last().expect("a chain is never empty"),
+    fn as_ref(&self) -> VersionRef<'_> {
+        VersionRef {
+            version: self.slot(),
+            value: &self.value,
         }
     }
+}
 
-    fn push(&mut self, next: VersionedValue) {
-        if let Chain::Many(versions) = self {
-            versions.push(next);
-            return;
+/// log2 of the versions per log page: 4 096 versions, 160 KiB.
+const PAGE_BITS: u32 = 12;
+
+/// Superseded versions in the order they were superseded: a page of the log.
+struct Page {
+    versions: Vec<Version>,
+    /// The newest block in which one of `versions` was superseded.
+    superseded_by: u64,
+}
+
+/// Keeps a clone's capacity at a whole page, so the log's tail page does not regrow.
+impl Clone for Page {
+    fn clone(&self) -> Self {
+        let mut versions = Vec::with_capacity(self.versions.capacity());
+        versions.extend_from_slice(&self.versions);
+        Page {
+            versions,
+            superseded_by: self.superseded_by,
         }
-        let Chain::One(first) = std::mem::replace(self, Chain::Many(Vec::new())) else {
-            unreachable!("not `Many`, so `One`");
-        };
-        *self = Chain::Many(vec![first, next]);
+    }
+}
+
+/// Every superseded version the store has not freed, in pages of `1 << page_bits`.
+#[derive(Clone)]
+struct Log {
+    pages: Vec<Page>,
+    /// Log position of the first version of `pages[0]`: the pages before it were freed.
+    first: usize,
+    /// [`PAGE_BITS`], or fewer in tests so that short histories span pages.
+    page_bits: u32,
+}
+
+impl Default for Log {
+    fn default() -> Self {
+        Log {
+            pages: Vec::new(),
+            first: 0,
+            page_bits: PAGE_BITS,
+        }
+    }
+}
+
+impl Log {
+    fn page_len(&self) -> usize {
+        1 << self.page_bits
+    }
+
+    /// Appends `version`, superseded by a write in block `by`, and returns its link.
+    fn push(&mut self, version: Version, by: u64) -> u32 {
+        let page_len = self.page_len();
+        if self
+            .pages
+            .last()
+            .is_none_or(|page| page.versions.len() == page_len)
+        {
+            self.pages.push(Page {
+                versions: Vec::with_capacity(page_len),
+                superseded_by: 0,
+            });
+        }
+        let tail = self.pages.len() - 1;
+        let page = &mut self.pages[tail];
+        let position = self.first + (tail << self.page_bits) + page.versions.len();
+        page.versions.push(version);
+        page.superseded_by = page.superseded_by.max(by);
+        u32::try_from(position + 1).expect("log positions fit in 32 bits")
+    }
+
+    /// The version `link` names.
+    #[inline]
+    fn get(&self, link: u32) -> &Version {
+        let at = link as usize - 1 - self.first;
+        &self.pages[at >> self.page_bits].versions[at & (self.page_len() - 1)]
+    }
+
+    /// Frees the leading full pages whose every version was superseded below block `live_from`.
+    fn free_below(&mut self, live_from: u64) {
+        let page_len = self.page_len();
+        let dead = self
+            .pages
+            .iter()
+            .take_while(|page| page.versions.len() == page_len && page.superseded_by < live_from)
+            .count();
+        self.pages.drain(..dead);
+        self.first += dead << self.page_bits;
+    }
+}
+
+/// A key's versions, newest first, down to the pruning horizon.
+#[derive(Clone)]
+struct Walk<'a> {
+    store: &'a MultiVersionStore,
+    next: Option<&'a Version>,
+}
+
+impl<'a> Iterator for Walk<'a> {
+    type Item = VersionRef<'a>;
+
+    fn next(&mut self) -> Option<VersionRef<'a>> {
+        let version = self.next?;
+        self.next = self.store.predecessor(version);
+        Some(version.as_ref())
     }
 }
 
 /// A multi-versioned key-value store with per-block snapshot reads.
 ///
-/// Writes are applied block by block (commits are totally ordered), so the per-key version
-/// vectors are naturally sorted by version and snapshot reads are a binary search.
+/// Writes are applied block by block (commits are totally ordered), so each key's versions
+/// arrive in version order, and a snapshot read walks back from the newest one.
 #[derive(Clone, Default)]
 pub struct MultiVersionStore {
-    /// Every key with its version chain, in first-write order (see the module header).
-    chains: Vec<(Key, Chain)>,
-    /// The hash index over `chains`.
+    /// Every key with its newest version, in first-write order (see the module header).
+    entries: Vec<(Key, Version)>,
+    /// Every superseded version whose page is not freed, pruned ones among them.
+    log: Log,
+    /// The hash index over `entries`.
     index: IdIndex,
     /// Key of the index's hash, shared by this store and its clones.
     hasher: FoldState,
@@ -126,37 +237,47 @@ pub struct MultiVersionStore {
     /// Versions strictly below this block height may have been garbage collected; snapshot
     /// reads below it are refused.
     pruned_below: u64,
+    /// 1 + the highest horizon pruned at (0 before the first prune): a version superseded in
+    /// a block below this is pruned, so a walk does not follow the link of a version written
+    /// below it.
+    live_from: u64,
 }
 
-/// Content equality: same heights, same keys, same chains — whatever order the keys were
-/// first written in and wherever the index placed them.
+/// Content equality: same heights, same keys, same histories — whatever order the keys were
+/// first written in and wherever the index and the log placed them.
 impl PartialEq for MultiVersionStore {
     fn eq(&self, other: &Self) -> bool {
-        // Chains are never empty, so a key `other` lacks fails the history comparison.
+        // A history is never empty, so a key `other` lacks fails the comparison.
         self.last_block == other.last_block
             && self.pruned_below == other.pruned_below
-            && self.chains.len() == other.chains.len()
+            && self.entries.len() == other.entries.len()
             && self
-                .chains
+                .entries
                 .iter()
-                .all(|(key, chain)| other.history(key) == chain.as_slice())
+                .all(|(key, newest)| self.walk(newest).eq(other.history(key)))
     }
 }
 
 impl Eq for MultiVersionStore {}
 
-/// Prints the content in key order (what two stores that compare unequal differ in), not the
-/// layout.
+/// Prints the content in key order, each history newest first (what two stores that compare
+/// unequal differ in), not the layout.
 impl fmt::Debug for MultiVersionStore {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        struct Chains<'a>(&'a MultiVersionStore);
-        impl fmt::Debug for Chains<'_> {
+        struct Histories<'a>(&'a MultiVersionStore);
+        impl fmt::Debug for Histories<'_> {
             fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                f.debug_map().entries(self.0.iter_history()).finish()
+                f.debug_map()
+                    .entries(
+                        self.0
+                            .iter_history()
+                            .map(|(key, walk)| (key, walk.collect::<Vec<_>>())),
+                    )
+                    .finish()
             }
         }
         f.debug_struct("MultiVersionStore")
-            .field("chains", &Chains(self))
+            .field("histories", &Histories(self))
             .field("last_block", &self.last_block)
             .field("pruned_below", &self.pruned_below)
             .finish()
@@ -170,13 +291,22 @@ impl MultiVersionStore {
     }
 
     /// A store whose key hashes are cut down to the bits of `mask`, so that unrelated keys
-    /// share a hash (and, with few bits, a home slot): lookups must still tell them apart.
+    /// share a hash (and, with few bits, a home slot): lookups must still tell them apart. Its
+    /// log pages hold `1 << page_bits` versions, so that short histories span pages.
     #[cfg(test)]
-    pub(crate) fn with_hash_mask(mask: u64) -> Self {
-        MultiVersionStore {
+    pub(crate) fn with_test_layout(mask: u64, page_bits: u32) -> Self {
+        let mut store = MultiVersionStore {
             hash_cleared: !mask,
             ..Self::default()
-        }
+        };
+        store.log.page_bits = page_bits;
+        store
+    }
+
+    /// Log pages held, freed ones not counted.
+    #[cfg(test)]
+    pub(crate) fn log_pages(&self) -> usize {
+        self.log.pages.len()
     }
 
     /// Seeds the genesis state (block 0). Each key receives version `(0, i+1)` in iteration
@@ -194,15 +324,15 @@ impl MultiVersionStore {
 
     /// Number of distinct keys ever written.
     pub fn key_count(&self) -> usize {
-        self.chains.len()
+        self.entries.len()
     }
 
     /// Total number of retained versions across all keys (used by pruning tests).
     #[cfg(test)]
     pub(crate) fn version_count(&self) -> usize {
-        self.chains
+        self.entries
             .iter()
-            .map(|(_, chain)| chain.as_slice().len())
+            .map(|(_, newest)| self.walk(newest).count())
             .sum()
     }
 
@@ -213,21 +343,35 @@ impl MultiVersionStore {
         hash
     }
 
-    /// Probes the index for `key`: the id of its chain, or the vacant slot a new entry for it
+    /// Probes the index for `key`: the id of its entry, or the vacant slot a new entry for it
     /// belongs in.
     #[inline]
     fn probe(&self, key: &[u8], hash: u64) -> std::result::Result<usize, usize> {
         self.index
-            .find(hash, |id| self.chains[id as usize].0.as_bytes() == key)
+            .find(hash, |id| self.entries[id as usize].0.as_bytes() == key)
             .map(|id| id as usize)
     }
 
-    /// The chain of `key`, if it was ever written.
+    /// The newest version of `key`, if it was ever written.
     #[inline]
-    fn chain(&self, key: &Key) -> Option<&Chain> {
+    fn newest(&self, key: &Key) -> Option<&Version> {
         let key = key.as_bytes();
         let id = self.probe(key, self.hash_of(key)).ok()?;
-        Some(&self.chains[id].1)
+        Some(&self.entries[id].1)
+    }
+
+    /// The version `version` superseded, unless there is none or it is pruned.
+    #[inline]
+    fn predecessor(&self, version: &Version) -> Option<&Version> {
+        (version.link != 0 && version.block >= self.live_from).then(|| self.log.get(version.link))
+    }
+
+    /// The history that starts at `newest`, newest first.
+    fn walk<'a>(&'a self, newest: &'a Version) -> Walk<'a> {
+        Walk {
+            store: self,
+            next: Some(newest),
+        }
     }
 
     /// Installs a single versioned value. Versions must be installed in non-decreasing order
@@ -239,8 +383,8 @@ impl MultiVersionStore {
     ///
     /// # Panics
     ///
-    /// If `version` is older than the key's newest version: snapshot reads binary-search the
-    /// chain, so an unsorted chain would answer them wrongly from then on.
+    /// If `version` is older than the key's newest version: snapshot reads walk a key's
+    /// versions newest first, so an unsorted history would answer them wrongly from then on.
     pub fn put(&mut self, key: &Key, version: SeqNo, value: Value) {
         self.put_with(key.as_bytes(), || key.clone(), version, value);
     }
@@ -267,20 +411,26 @@ impl MultiVersionStore {
         value: Value,
     ) {
         let hash = self.hash_of(key);
-        let next = VersionedValue { version, value };
+        let next = Version {
+            block: version.block,
+            seq: version.seq,
+            link: 0,
+            value,
+        };
         match self.probe(key, hash) {
             Ok(id) => {
-                let chain = &mut self.chains[id].1;
+                let newest = &mut self.entries[id].1;
                 assert!(
-                    chain.newest().version <= version,
+                    newest.slot() <= version,
                     "versions must be installed in order"
                 );
-                chain.push(next);
+                let superseded = std::mem::replace(newest, next);
+                newest.link = self.log.push(superseded, version.block);
             }
             Err(vacant) => {
-                let id = u32::try_from(self.chains.len()).expect("chain ids fit in 32 bits");
+                let id = u32::try_from(self.entries.len()).expect("key ids fit in 32 bits");
                 self.index.insert(vacant, hash, id);
-                self.chains.push((new_key(), Chain::One(next)));
+                self.entries.push((new_key(), next));
             }
         }
     }
@@ -309,49 +459,53 @@ impl MultiVersionStore {
     }
 
     /// The latest version of `key`, if any.
-    pub fn latest(&self, key: &Key) -> Option<&VersionedValue> {
-        self.chain(key).map(Chain::newest)
+    pub fn latest(&self, key: &Key) -> Option<VersionRef<'_>> {
+        self.newest(key).map(Version::as_ref)
     }
 
     /// The latest value of `key`, if any (convenience wrapper over [`Self::latest`]).
     pub fn latest_value(&self, key: &Key) -> Option<&Value> {
-        self.latest(key).map(|v| &v.value)
+        self.newest(key).map(|newest| &newest.value)
     }
 
     /// Reads `key` as of the snapshot after block `block`: the newest version whose block
     /// component is `<= block`. Returns an error if that snapshot has been pruned.
     ///
-    /// The walk starts at the newest version: endorsement reads a snapshot a few blocks behind
-    /// the tip, so the answer is at most those blocks' writes of the key away, where a binary
-    /// search of a hot key's long chain takes a dependent cache miss per probe. Reads at any
-    /// height binary-search in [`Self::value_as_of`].
-    pub fn read_at(&self, key: &Key, block: u64) -> Result<Option<&VersionedValue>> {
+    /// The newest version is in the key's slab entry; an older snapshot walks back one link
+    /// per newer write of the key. Endorsement reads a snapshot a few blocks behind the tip,
+    /// so the answer is at most those blocks' writes of the key away.
+    pub fn read_at(&self, key: &Key, block: u64) -> Result<Option<VersionRef<'_>>> {
         if block < self.pruned_below {
             return Err(CommonError::SnapshotPruned(block));
         }
-        let bound = SeqNo::new(block, u32::MAX);
-        Ok(self.history(key).iter().rev().find(|v| v.version <= bound))
+        let mut at = self.newest(key);
+        while let Some(version) = at {
+            if version.block <= block {
+                return Ok(Some(version.as_ref()));
+            }
+            at = self.predecessor(version);
+        }
+        Ok(None)
     }
 
-    /// Full version history of `key` (oldest first). Empty if the key was never written.
-    pub fn history(&self, key: &Key) -> &[VersionedValue] {
-        self.chain(key).map_or(&[], Chain::as_slice)
+    /// Every retained version of `key`, newest first. Empty if the key was never written.
+    pub fn history(&self, key: &Key) -> impl Iterator<Item = VersionRef<'_>> + Clone {
+        Walk {
+            store: self,
+            next: self.newest(key),
+        }
     }
 
     /// Garbage-collects versions that are no longer reachable from any snapshot at or above
-    /// `block`: for each key, every version strictly older than the newest version visible at
-    /// `block` is dropped. Snapshot reads below `block` are refused afterwards.
+    /// `block`: every version superseded in a block `<= block` is dropped, so each key keeps
+    /// the newest version visible at `block` and everything newer. A later write in a block
+    /// `<= block` (a prune that ran ahead of the store's height) drops what it supersedes at
+    /// once. Snapshot reads below `block` are refused afterwards.
+    ///
+    /// Frees the leading log pages that hold only dropped versions: O(pages), not O(keys).
     pub fn prune_versions_below(&mut self, block: u64) {
-        let bound = SeqNo::new(block, u32::MAX);
-        for (_, chain) in &mut self.chains {
-            // A single version is the newest visible one or not visible yet: it stays.
-            if let Chain::Many(versions) = chain {
-                let idx = versions.partition_point(|v| v.version <= bound);
-                if idx > 1 {
-                    versions.drain(..idx - 1);
-                }
-            }
-        }
+        self.live_from = self.live_from.max(block.saturating_add(1));
+        self.log.free_below(self.live_from);
         self.pruned_below = self.pruned_below.max(block);
     }
 
@@ -360,25 +514,33 @@ impl MultiVersionStore {
         self.pruned_below
     }
 
-    /// Every `(key, full version chain)` pair in the order the keys were first written —
-    /// deterministic, but not key order. For walks that emit a small part of the store and
-    /// sort that (a delta checkpoint); everything else wants `Self::iter_history`.
-    pub fn chains_in_write_order(&self) -> impl Iterator<Item = (&Key, &[VersionedValue])> {
-        self.chains
+    /// Every key written in a block above `base` (every key for `None`) with its history
+    /// newest first, in the order the keys were first written — deterministic, but not key
+    /// order. For walks that emit a small part of the store and sort that (a delta
+    /// checkpoint): a key with nothing above `base` costs one compare on its slab entry.
+    pub fn chains_in_write_order(
+        &self,
+        base: Option<u64>,
+    ) -> impl Iterator<Item = (&Key, impl Iterator<Item = VersionRef<'_>> + Clone)> {
+        self.entries
             .iter()
-            .map(|(key, chain)| (key, chain.as_slice()))
+            .filter(move |(_, newest)| base.is_none_or(|h| newest.block > h))
+            .map(|(key, newest)| (key, self.walk(newest)))
     }
 
-    /// Iterates over every `(key, full version chain)` pair in key order — the deterministic
-    /// walk the durable checkpoint codec serializes.
-    pub(crate) fn iter_history(&self) -> impl Iterator<Item = (&Key, &[VersionedValue])> {
-        let mut chains: Vec<(&Key, &[VersionedValue])> = self.chains_in_write_order().collect();
-        chains.sort_unstable_by(|a, b| a.0.cmp(b.0));
-        chains.into_iter()
+    /// Iterates over every key with its history (newest first) in key order.
+    pub(crate) fn iter_history(
+        &self,
+    ) -> impl Iterator<Item = (&Key, impl Iterator<Item = VersionRef<'_>> + Clone)> {
+        let mut entries: Vec<&(Key, Version)> = self.entries.iter().collect();
+        entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        entries
+            .into_iter()
+            .map(|(key, newest)| (key, self.walk(newest)))
     }
 
     /// Restores the height and pruning horizon recorded in a checkpoint. Only meaningful
-    /// right after rebuilding the version chains via [`Self::put`]; never regresses either
+    /// right after rebuilding the histories via [`Self::put`]; never regresses either
     /// counter, so a misordered call cannot un-prune anything.
     pub fn restore_heights(&mut self, last_block: u64, pruned_below: u64) {
         self.last_block = self.last_block.max(last_block);
@@ -460,9 +622,9 @@ mod tests {
         let t1 = txn_writing(1, 0, &[("A", 10)]);
         let t2 = txn_writing(2, 0, &[("A", 20)]);
         store.apply_block(1, [(&t1, 1), (&t2, 2)]);
-        let hist = store.history(&k("A"));
+        let hist: Vec<_> = store.history(&k("A")).collect();
         assert_eq!(hist.len(), 3);
-        assert_eq!(hist[2].version, SeqNo::new(1, 2));
+        assert_eq!(hist[0].version, SeqNo::new(1, 2));
         assert_eq!(store.latest_value(&k("A")).unwrap().as_i64(), Some(20));
         assert_eq!(store.version_count(), 3);
     }
@@ -475,12 +637,12 @@ mod tests {
             let t = txn_writing(b, b - 1, &[("A", b as i64)]);
             store.apply_block(b, [(&t, 1)]);
         }
-        assert_eq!(store.history(&k("A")).len(), 6);
+        assert_eq!(store.history(&k("A")).count(), 6);
         store.prune_versions_below(3);
         // The newest version visible at block 3 (written in block 3) must survive, plus the
         // later ones.
-        let hist = store.history(&k("A"));
-        assert_eq!(hist.first().unwrap().version.block, 3);
+        let hist: Vec<_> = store.history(&k("A")).collect();
+        assert_eq!(hist.last().unwrap().version.block, 3);
         assert_eq!(hist.len(), 3);
         // Snapshot reads below the pruning horizon are refused.
         assert_eq!(
@@ -495,7 +657,66 @@ mod tests {
         assert_eq!(store.pruned_below(), 3);
     }
 
-    /// An out-of-order version would leave the chain unsorted under `read_at`'s binary search:
+    /// One key written in 10 000 blocks: its history spans three log pages, and a read at
+    /// any height walks back across page boundaries to the version of that block. Pruning
+    /// frees the first two pages (every version in them was superseded below the horizon);
+    /// the version visible at the horizon stays, its link into the freed pages unfollowed.
+    #[test]
+    fn a_history_spans_log_pages_and_a_prune_frees_the_dead_ones() {
+        let mut store = MultiVersionStore::new();
+        for b in 1..=10_000u64 {
+            store.put(&k("hot"), SeqNo::new(b, 1), Value::from_i64(b as i64));
+            store.put(&k("cold"), SeqNo::new(b, 2), Value::from_i64(-(b as i64)));
+            store.commit_empty_block(b);
+        }
+        assert_eq!(store.log_pages(), 5);
+        for b in [1, 2, 4095, 4096, 4097, 8191, 8192, 8193, 9_999, 10_000] {
+            let read = store.read_at(&k("hot"), b).unwrap().unwrap();
+            assert_eq!(
+                (read.version.block, read.value.as_i64()),
+                (b, Some(b as i64))
+            );
+        }
+        store.prune_versions_below(8_200);
+        assert_eq!(store.log_pages(), 1);
+        let kept: Vec<u64> = store.history(&k("hot")).map(|v| v.version.block).collect();
+        assert_eq!(kept, (8_200..=10_000).rev().collect::<Vec<_>>());
+        assert_eq!(
+            store
+                .read_at(&k("cold"), 8_200)
+                .unwrap()
+                .unwrap()
+                .version
+                .block,
+            8_200
+        );
+        assert_eq!(store.version_count(), 2 * 1_801);
+    }
+
+    /// A page is freed only when every version in it was superseded at or below the horizon,
+    /// whatever order the versions entered it in (a checkpoint load appends key by key): one
+    /// version superseded just above the horizon keeps its page.
+    #[test]
+    fn a_page_holding_a_live_version_is_not_freed() {
+        let mut store = MultiVersionStore::with_test_layout(u64::MAX, 1);
+        // Log: [A1 (superseded in 4), B1 (in 2)], [B2 (in 3), B3 (in 4)].
+        store.put(&k("A"), SeqNo::new(1, 1), Value::from_i64(1));
+        store.put(&k("A"), SeqNo::new(4, 1), Value::from_i64(4));
+        for b in 1..=4u64 {
+            store.put(&k("B"), SeqNo::new(b, 2), Value::from_i64(b as i64));
+        }
+        store.commit_empty_block(4);
+        store.prune_versions_below(3);
+        assert_eq!(store.log_pages(), 2);
+        let a = store.read_at(&k("A"), 3).unwrap().unwrap();
+        assert_eq!((a.version.block, a.value.as_i64()), (1, Some(1)));
+        store.prune_versions_below(4);
+        assert_eq!(store.log_pages(), 0);
+        assert_eq!(store.history(&k("A")).count(), 1);
+        assert_eq!(store.history(&k("B")).count(), 1);
+    }
+
+    /// An out-of-order version would leave the history unsorted under `read_at`'s walk:
     /// refused in release builds too, not only where `debug_assert!` is compiled in.
     #[test]
     #[should_panic(expected = "versions must be installed in order")]

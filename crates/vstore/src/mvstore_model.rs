@@ -1,19 +1,36 @@
 //! Test-only oracle for [`MultiVersionStore`]: the ordered-map layout the store had before its
-//! chains moved into a slab behind a hash index, kept verbatim so the model-based proptest
-//! below can hold the new layout to the old one's every answer — point reads, counts, ordered
-//! walks (order included) and equality — after every operation.
+//! histories moved into a slab and a log behind a hash index, kept as it was but for the type of
+//! a read's answer, so the model-based proptest below can hold the new layout to the old one's
+//! every answer — point reads, counts, ordered walks (order included) and equality — after
+//! every operation.
 
-use crate::mvstore::{MultiVersionStore, VersionedValue};
+use crate::mvstore::{MultiVersionStore, VersionRef};
 use eov_common::error::{CommonError, Result};
 use eov_common::rwset::{Key, Value};
 use eov_common::version::SeqNo;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
-/// `BTreeMap<Key, Vec<VersionedValue>>` plus the two heights: ordered walks are the map's own.
+/// One version, owned by the model.
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct ModelVersion {
+    version: SeqNo,
+    value: Value,
+}
+
+impl ModelVersion {
+    fn as_ref(&self) -> VersionRef<'_> {
+        VersionRef {
+            version: self.version,
+            value: &self.value,
+        }
+    }
+}
+
+/// `BTreeMap<Key, Vec<ModelVersion>>` plus the two heights: ordered walks are the map's own.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 struct ModelStore {
-    data: BTreeMap<Key, Vec<VersionedValue>>,
+    data: BTreeMap<Key, Vec<ModelVersion>>,
     last_block: u64,
     pruned_below: u64,
 }
@@ -23,7 +40,7 @@ impl ModelStore {
         self.data
             .entry(key)
             .or_default()
-            .push(VersionedValue { version, value });
+            .push(ModelVersion { version, value });
     }
 
     fn commit_empty_block(&mut self, block_no: u64) {
@@ -41,11 +58,14 @@ impl ModelStore {
         self.pruned_below = self.pruned_below.max(block);
     }
 
-    fn latest(&self, key: &Key) -> Option<&VersionedValue> {
-        self.data.get(key).and_then(|chain| chain.last())
+    fn latest(&self, key: &Key) -> Option<VersionRef<'_>> {
+        self.data
+            .get(key)
+            .and_then(|chain| chain.last())
+            .map(ModelVersion::as_ref)
     }
 
-    fn read_at(&self, key: &Key, block: u64) -> Result<Option<&VersionedValue>> {
+    fn read_at(&self, key: &Key, block: u64) -> Result<Option<VersionRef<'_>>> {
         if block < self.pruned_below {
             return Err(CommonError::SnapshotPruned(block));
         }
@@ -57,12 +77,14 @@ impl ModelStore {
         Ok(if idx == 0 {
             None
         } else {
-            Some(&chain[idx - 1])
+            Some(chain[idx - 1].as_ref())
         })
     }
 
-    fn history(&self, key: &Key) -> &[VersionedValue] {
-        self.data.get(key).map(|c| c.as_slice()).unwrap_or(&[])
+    /// The history of `key`, newest first, as the store walks it.
+    fn history(&self, key: &Key) -> Vec<VersionRef<'_>> {
+        let chain = self.data.get(key).map_or(&[][..], Vec::as_slice);
+        chain.iter().rev().map(ModelVersion::as_ref).collect()
     }
 
     fn version_count(&self) -> usize {
@@ -70,17 +92,20 @@ impl ModelStore {
     }
 }
 
-/// Every observable answer of `store` against the oracle's.
+/// Every observable answer of `store` against the oracle's: snapshot reads at every height.
 fn assert_agrees(store: &MultiVersionStore, model: &ModelStore, probes: &[Key]) {
     assert_eq!(store.key_count(), model.data.len());
     assert_eq!(store.version_count(), model.version_count());
     assert_eq!(store.last_block(), model.last_block);
     assert_eq!(store.pruned_below(), model.pruned_below);
-    let top = model.last_block + 1;
     for key in probes {
         assert_eq!(store.latest(key), model.latest(key), "latest({key})");
-        assert_eq!(store.history(key), model.history(key), "history({key})");
-        for block in [0, model.pruned_below.saturating_sub(1), top / 2, top] {
+        assert_eq!(
+            store.history(key).collect::<Vec<_>>(),
+            model.history(key),
+            "history({key})"
+        );
+        for block in 0..=model.last_block + 1 {
             assert_eq!(
                 store.read_at(key, block),
                 model.read_at(key, block),
@@ -89,18 +114,40 @@ fn assert_agrees(store: &MultiVersionStore, model: &ModelStore, probes: &[Key]) 
         }
     }
     // The ordered walk: the same pairs in the same order as the ordered map yields them.
-    let histories: Vec<(&Key, &[VersionedValue])> = model
+    let histories: Vec<(&Key, Vec<VersionRef<'_>>)> = model
         .data
-        .iter()
-        .map(|(key, chain)| (key, chain.as_slice()))
+        .keys()
+        .map(|key| (key, model.history(key)))
         .collect();
-    assert_eq!(store.iter_history().collect::<Vec<_>>(), histories);
+    let walked: Vec<(&Key, Vec<VersionRef<'_>>)> = store
+        .iter_history()
+        .map(|(key, walk)| (key, walk.collect()))
+        .collect();
+    assert_eq!(walked, histories);
+}
+
+/// What loading a checkpoint of `store` builds: every history written oldest first, key by
+/// key in key order, into a store of another layout, then pruned at the recorded horizon.
+fn reloaded(store: &MultiVersionStore) -> MultiVersionStore {
+    let mut loaded = MultiVersionStore::with_test_layout(u64::MAX, 3);
+    for (key, walk) in store.iter_history() {
+        let mut chain: Vec<VersionRef<'_>> = walk.collect();
+        chain.reverse();
+        for v in chain {
+            loaded.put(key, v.version, v.value.clone());
+        }
+    }
+    if store.pruned_below() > loaded.pruned_below() {
+        loaded.prune_versions_below(store.pruned_below());
+    }
+    loaded.restore_heights(store.last_block(), store.pruned_below());
+    loaded
 }
 
 /// Applies `ops` to `store` and to the oracle side by side, checking every answer after every
 /// operation. `(op, key, arg)`: puts to a small key space (existing and fresh keys both come
-/// up), puts of keys past 16 bytes, guaranteed-fresh puts, block commits, prunes and clones
-/// (the run continues on the clone).
+/// up), puts of keys past 16 bytes, guaranteed-fresh puts, puts to one hot key (whose history
+/// spans log pages), block commits, prunes and clones (the run continues on the clone).
 fn run_model(mut store: MultiVersionStore, ops: &[(u8, u8, u8)]) {
     let mut model = ModelStore::default();
     // A copy taken at the last clone op: equal to the live pair exactly until either mutates.
@@ -113,6 +160,7 @@ fn run_model(mut store: MultiVersionStore, ops: &[(u8, u8, u8)]) {
             0..=3 => Some(format!("k{}", key % 24)),
             4 => Some(format!("a/key/longer/than/one/hash/block/{}", key % 8)),
             5 => Some(format!("fresh{}", probes.len())),
+            10 | 11 => Some("hot".to_owned()),
             _ => None,
         };
         match (put_key, op) {
@@ -143,8 +191,9 @@ fn run_model(mut store: MultiVersionStore, ops: &[(u8, u8, u8)]) {
         }
         assert_agrees(&store, &model, &probes);
         assert_eq!(store == snapshot.0, model == snapshot.1, "== after {op}");
+        assert_eq!(reloaded(&store), store, "reloaded after {op}");
     }
-    // Content equality: the same chains written in key order into a new store (another
+    // Content equality: the same histories written in key order into a new store (another
     // first-write order, another hash seed) compare equal, and stop doing so with one more.
     let mut rebuilt = MultiVersionStore::new();
     for (key, chain) in &model.data {
@@ -184,15 +233,16 @@ fn equality_ignores_first_write_order() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
-    /// The slab + hash-index store answers like the ordered map after every operation — with
-    /// its real hash, and with hashes forced to collide (two hash values for every key, then
-    /// one).
+    /// The slab + log + hash-index store answers like the ordered map after every operation —
+    /// with its real hash and pages, with one-, two- and four-version log pages, and with
+    /// hashes forced to collide (two hash values for every key, then one).
     #[test]
     fn store_agrees_with_the_ordered_map_after_every_op(
-        ops in proptest::collection::vec((0u8..10, any::<u8>(), any::<u8>()), 1..70),
+        ops in proptest::collection::vec((0u8..12, any::<u8>(), any::<u8>()), 1..70),
     ) {
         run_model(MultiVersionStore::new(), &ops);
-        run_model(MultiVersionStore::with_hash_mask(1), &ops);
-        run_model(MultiVersionStore::with_hash_mask(0), &ops);
+        run_model(MultiVersionStore::with_test_layout(u64::MAX, 0), &ops);
+        run_model(MultiVersionStore::with_test_layout(1, 1), &ops);
+        run_model(MultiVersionStore::with_test_layout(0, 2), &ops);
     }
 }

@@ -1,47 +1,40 @@
 //! Time-travel (reenactment) queries over the retained version history.
 //!
-//! The multi-version store already holds everything a historical audit needs: every key maps
-//! to its full chain of `(version, value)` pairs, sorted by commit slot. The methods here turn
+//! The multi-version store already holds everything a historical audit needs: every key's
+//! newest version links back to the one before it, down to its first. The methods here turn
 //! that into the reenactment query surface of Arab et al. (PAPERS.md): *what was the value of
 //! `key` as of block `h`?* (`value_as_of`), *how did it evolve between `h0` and `h1`?*
 //! (`history_range`), and *which commit slot produced the visible value?* (the `version` of
 //! the `value_as_of` answer — the store half of provenance; `eov_ledger::reenact` joins the
 //! slot back to the committing transaction). Answers below the pruning horizon are refused with the same
 //! [`CommonError::SnapshotPruned`](eov_common::error::CommonError::SnapshotPruned) contract as
-//! snapshot reads, because pruned chains no longer hold the evidence.
+//! snapshot reads, because pruned histories no longer hold the evidence.
 
-use crate::mvstore::{MultiVersionStore, VersionedValue};
+use crate::mvstore::{MultiVersionStore, VersionRef};
 use eov_common::error::{CommonError, Result};
 use eov_common::rwset::Key;
-use eov_common::version::SeqNo;
 
 impl MultiVersionStore {
-    /// The lowest block height whose history is still complete (the pruning horizon).
-    pub(crate) fn oldest_queryable(&self) -> u64 {
-        self.pruned_below()
-    }
-
     /// The value of `key` as of the snapshot after block `height`: the newest version whose
-    /// block component is `<= height`. Errors below the pruning horizon.
-    pub fn value_as_of(&self, key: &Key, height: u64) -> Result<Option<&VersionedValue>> {
-        if height < self.oldest_queryable() {
-            return Err(CommonError::SnapshotPruned(height));
-        }
-        let chain = self.history(key);
-        let idx = chain.partition_point(|v| v.version <= SeqNo::new(height, u32::MAX));
-        Ok(idx.checked_sub(1).map(|i| &chain[i]))
+    /// block component is `<= height` — the snapshot read [`Self::read_at`] answers, under its
+    /// reenactment name. Errors below the pruning horizon.
+    pub fn value_as_of(&self, key: &Key, height: u64) -> Result<Option<VersionRef<'_>>> {
+        self.read_at(key, height)
     }
 
     /// Every version of `key` committed in blocks `h0..=h1` (oldest first). Errors if `h0` is
     /// below the pruning horizon (versions there may already be gone).
-    pub fn history_range(&self, key: &Key, h0: u64, h1: u64) -> Result<&[VersionedValue]> {
-        if h0 < self.oldest_queryable() {
+    pub fn history_range(&self, key: &Key, h0: u64, h1: u64) -> Result<Vec<VersionRef<'_>>> {
+        if h0 < self.pruned_below() {
             return Err(CommonError::SnapshotPruned(h0));
         }
-        let chain = self.history(key);
-        let lo = chain.partition_point(|v| v.version.block < h0);
-        let hi = chain.partition_point(|v| v.version <= SeqNo::new(h1, u32::MAX));
-        Ok(&chain[lo..hi.max(lo)])
+        let mut range: Vec<VersionRef<'_>> = self
+            .history(key)
+            .skip_while(|v| v.version.block > h1)
+            .take_while(|v| v.version.block >= h0)
+            .collect();
+        range.reverse();
+        Ok(range)
     }
 }
 
@@ -50,6 +43,7 @@ mod tests {
     use super::*;
     use eov_common::rwset::Value;
     use eov_common::txn::Transaction;
+    use eov_common::version::SeqNo;
 
     fn k(s: &str) -> Key {
         Key::new(s)
