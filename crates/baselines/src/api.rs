@@ -147,7 +147,8 @@ pub trait ConcurrencyControl {
     /// latest committed versions (used by the baselines for staleness checks).
     fn on_block_committed(&mut self, _block_no: u64, _outcome: &[(Transaction, TxnStatus)]) {}
 
-    /// Early aborts performed by this CC so far, grouped by reason.
+    /// Early aborts performed by this CC so far: each reason with a non-zero count, in
+    /// [`AbortReason::ALL`] order.
     fn early_aborts(&self) -> Vec<(AbortReason, u64)> {
         Vec::new()
     }
@@ -276,5 +277,88 @@ mod tests {
         let statuses = apply_without_validation(&mut store, 1, &[t1]);
         assert_eq!(statuses, vec![TxnStatus::Committed]);
         assert_eq!(store.latest_value(&k("A")).unwrap().as_i64(), Some(5));
+    }
+
+    /// Builds a transaction whose reads name `(key, block, seq)` versions.
+    fn txn(id: u64, snapshot: u64, reads: &[(&str, u64, u32)], writes: &[&str]) -> Transaction {
+        Transaction::from_parts(
+            id,
+            snapshot,
+            reads.iter().map(|&(key, b, s)| (k(key), SeqNo::new(b, s))),
+            writes
+                .iter()
+                .map(|key| (k(key), Value::from_i64(id as i64))),
+        )
+    }
+
+    /// Drives a fresh instance of `kind` into two or three early-abort reasons and returns
+    /// its `early_aborts()`.
+    fn early_aborts_after_conflicts(kind: SystemKind) -> Vec<(AbortReason, u64)> {
+        let mut cc = kind.build(CcConfig {
+            max_span: 1,
+            ..CcConfig::default()
+        });
+        match kind {
+            SystemKind::FabricPlusPlus => {
+                // A simulation that saw block 1 commit is a cross-block read.
+                let _ = cc.on_endorsement(&txn(1, 0, &[("A", 0, 1)], &[]), 1);
+                // Block 1 overwrites A, so txn 3's genesis read of A is stale at the next cut,
+                // where txns 4 and 5 read what the other writes: an in-block cycle.
+                let _ = cc.on_arrival(txn(2, 0, &[], &["A"]));
+                let outcome: Vec<(Transaction, TxnStatus)> = cc
+                    .cut_block()
+                    .into_iter()
+                    .map(|t| (t, TxnStatus::Committed))
+                    .collect();
+                cc.on_block_committed(1, &outcome);
+                let _ = cc.on_arrival(txn(3, 1, &[("A", 0, 1)], &[]));
+                let _ = cc.on_arrival(txn(4, 1, &[("B", 0, 2)], &["C"]));
+                let _ = cc.on_arrival(txn(5, 1, &[("C", 0, 3)], &["B"]));
+                cc.cut_block();
+            }
+            SystemKind::FoccS => {
+                let _ = cc.on_arrival(txn(1, 0, &[], &["H"]));
+                let _ = cc.on_arrival(txn(2, 0, &[], &["H"]));
+                // Txn 5 reads what txn 4 writes and writes what txn 3 reads: a pivot.
+                let _ = cc.on_arrival(txn(3, 0, &[("A", 0, 1)], &["B"]));
+                let _ = cc.on_arrival(txn(4, 0, &[("B", 0, 2)], &["C"]));
+                let _ = cc.on_arrival(txn(5, 0, &[("C", 0, 3)], &["A"]));
+            }
+            SystemKind::FabricSharp => {
+                // With `max_span` 1, a block-0 snapshot is too old for block 1.
+                let _ = cc.on_arrival(txn(1, 0, &[], &["A"]));
+                // Write skew: rw edges both ways and no c-ww edge to reorder by.
+                let _ = cc.on_arrival(txn(2, 1, &[("A", 0, 1)], &["B"]));
+                let _ = cc.on_arrival(txn(3, 1, &[("B", 0, 2)], &["A"]));
+            }
+            SystemKind::Fabric | SystemKind::FoccL => {}
+        }
+        cc.early_aborts()
+    }
+
+    #[test]
+    fn early_aborts_are_listed_in_declaration_order() {
+        use AbortReason::*;
+        let expected = [
+            (
+                SystemKind::FabricPlusPlus,
+                vec![(StaleRead, 1), (CrossBlockRead, 1), (InBlockCycle, 1)],
+            ),
+            (
+                SystemKind::FoccS,
+                vec![(ConcurrentWriteWrite, 1), (DangerousStructure, 1)],
+            ),
+            (
+                SystemKind::FabricSharp,
+                vec![(SnapshotTooOld, 1), (UnreorderableCycle, 1)],
+            ),
+        ];
+        // Each instance once hashed its counts with its own seed; eight fresh builds would
+        // have listed them in more than one order.
+        for _ in 0..8 {
+            for (kind, aborts) in &expected {
+                assert_eq!(&early_aborts_after_conflicts(*kind), aborts, "{kind}");
+            }
+        }
     }
 }

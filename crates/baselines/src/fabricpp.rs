@@ -18,7 +18,7 @@
 //! are not considered.
 
 use crate::api::{ConcurrencyControl, SystemKind};
-use eov_common::abort::AbortReason;
+use eov_common::abort::{AbortCounts, AbortReason};
 use eov_common::rwset::Key;
 use eov_common::txn::{CommitDecision, Transaction, TxnStatus};
 use eov_common::version::SeqNo;
@@ -32,7 +32,7 @@ pub(crate) struct FabricPlusPlusCC {
     /// Latest committed version per key, learnt from `on_block_committed`; used for the
     /// early-abort-of-stale-reads step of the reordering.
     latest_versions: HashMap<Key, SeqNo>,
-    early_aborts: HashMap<AbortReason, u64>,
+    early_aborts: AbortCounts,
 }
 
 impl FabricPlusPlusCC {
@@ -42,12 +42,8 @@ impl FabricPlusPlusCC {
             pending: Vec::new(),
             next_block: 1,
             latest_versions: HashMap::new(),
-            early_aborts: HashMap::new(),
+            early_aborts: AbortCounts::default(),
         }
-    }
-
-    fn record_abort(&mut self, reason: AbortReason) {
-        *self.early_aborts.entry(reason).or_insert(0) += 1;
     }
 
     /// The within-block reordering of Fabric++: returns the surviving transactions in their
@@ -63,7 +59,7 @@ impl FabricPlusPlusCC {
                     .unwrap_or(false)
             });
             if stale {
-                self.record_abort(AbortReason::StaleRead);
+                self.early_aborts.add(AbortReason::StaleRead, 1);
             } else {
                 candidates.push(txn);
             }
@@ -105,7 +101,7 @@ impl FabricPlusPlusCC {
                 })
                 .expect("cycle is non-empty");
             alive[victim] = false;
-            self.record_abort(AbortReason::InBlockCycle);
+            self.early_aborts.add(AbortReason::InBlockCycle, 1);
         }
 
         // Step (d): topological order of the survivors (readers before writers), falling back
@@ -205,7 +201,7 @@ impl ConcurrencyControl for FabricPlusPlusCC {
         // the execute-phase lock but refuses cross-block reads). Read-free transactions have
         // nothing to read across blocks, so they are exempt.
         if latest_block > txn.snapshot_block && !txn.read_set.is_empty() {
-            self.record_abort(AbortReason::CrossBlockRead);
+            self.early_aborts.add(AbortReason::CrossBlockRead, 1);
             CommitDecision::Reject(AbortReason::CrossBlockRead)
         } else {
             CommitDecision::Accept
@@ -257,8 +253,7 @@ impl ConcurrencyControl for FabricPlusPlusCC {
     }
 
     fn early_aborts(&self) -> Vec<(AbortReason, u64)> {
-        // lint-determinism: allow (callers only look pairs up, sum them or fold them into a map)
-        self.early_aborts.iter().map(|(r, c)| (*r, *c)).collect()
+        self.early_aborts.nonzero().collect()
     }
 }
 

@@ -16,11 +16,10 @@
 //! behavioural contrast Figures 10–14 measure.
 
 use crate::api::{ConcurrencyControl, SystemKind};
-use eov_common::abort::AbortReason;
+use eov_common::abort::{AbortCounts, AbortReason};
 use eov_common::rwset::Key;
 use eov_common::txn::{CommitDecision, Transaction, TxnStatus};
 use eov_common::version::{concurrent, SeqNo};
-use std::collections::HashMap;
 
 /// Footprint of a committed transaction kept for concurrency checks against later arrivals.
 #[derive(Clone, Debug)]
@@ -40,7 +39,7 @@ pub(crate) struct FoccSerializableCC {
     next_block: u64,
     /// How many past blocks of committed footprints to retain for concurrency checks.
     history_blocks: u64,
-    early_aborts: HashMap<AbortReason, u64>,
+    early_aborts: AbortCounts,
 }
 
 impl FoccSerializableCC {
@@ -52,12 +51,8 @@ impl FoccSerializableCC {
             committed: Vec::new(),
             next_block: 1,
             history_blocks: 10,
-            early_aborts: HashMap::new(),
+            early_aborts: AbortCounts::default(),
         }
-    }
-
-    fn record_abort(&mut self, reason: AbortReason) {
-        *self.early_aborts.entry(reason).or_insert(0) += 1;
     }
 
     /// Committed transactions concurrent with a transaction having the given timestamps.
@@ -122,10 +117,10 @@ impl ConcurrencyControl for FoccSerializableCC {
         let assumed_end = SeqNo::new(self.next_block, self.pending.len() as u32 + 1);
 
         if self.has_concurrent_ww(&txn, assumed_end) {
-            self.record_abort(AbortReason::ConcurrentWriteWrite);
+            self.early_aborts.add(AbortReason::ConcurrentWriteWrite, 1);
             CommitDecision::Reject(AbortReason::ConcurrentWriteWrite)
         } else if self.has_dangerous_structure(&txn, assumed_end) {
-            self.record_abort(AbortReason::DangerousStructure);
+            self.early_aborts.add(AbortReason::DangerousStructure, 1);
             CommitDecision::Reject(AbortReason::DangerousStructure)
         } else {
             self.pending.push(txn);
@@ -171,8 +166,7 @@ impl ConcurrencyControl for FoccSerializableCC {
     }
 
     fn early_aborts(&self) -> Vec<(AbortReason, u64)> {
-        // lint-determinism: allow (callers only look pairs up, sum them or fold them into a map)
-        self.early_aborts.iter().map(|(r, c)| (*r, *c)).collect()
+        self.early_aborts.nonzero().collect()
     }
 }
 

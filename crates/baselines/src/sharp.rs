@@ -44,12 +44,7 @@ impl ConcurrencyControl for FabricSharpCC {
     }
 
     fn early_aborts(&self) -> Vec<(AbortReason, u64)> {
-        // lint-determinism: allow (callers only look pairs up, sum them or fold them into a map)
-        self.stats()
-            .early_aborts
-            .iter()
-            .map(|(r, c)| (*r, *c))
-            .collect()
+        self.stats().early_aborts.nonzero().collect()
     }
 
     fn avg_hops(&self) -> f64 {

@@ -3,7 +3,7 @@
 //! Each concurrency control aborts transactions for different reasons, and the paper's
 //! evaluation (Figure 14 in particular) breaks the abort rate down by cause. The variants of
 //! [`AbortReason`] cover every cause that appears in any of the five systems implemented in
-//! this repository.
+//! this repository; [`AbortCounts`] tallies them.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -42,6 +42,20 @@ pub enum AbortReason {
 }
 
 impl AbortReason {
+    /// Every reason in declaration order, so `reason as usize` is its position here.
+    /// [`AbortCounts`] indexes by that position and the ledger codec writes it as the reason's
+    /// wire code, so a variant is only ever appended.
+    pub const ALL: [AbortReason; 8] = [
+        AbortReason::StaleRead,
+        AbortReason::CrossBlockRead,
+        AbortReason::SnapshotTooOld,
+        AbortReason::ConcurrentWriteWrite,
+        AbortReason::DangerousStructure,
+        AbortReason::UnreorderableCycle,
+        AbortReason::BloomFalsePositive,
+        AbortReason::InBlockCycle,
+    ];
+
     /// The bucket this reason falls into in the Figure 14 abort-rate breakdown.
     pub fn figure14_bucket(&self) -> &'static str {
         match self {
@@ -68,6 +82,36 @@ impl fmt::Display for AbortReason {
             AbortReason::InBlockCycle => "in-block dependency cycle (Fabric++ reordering)",
         };
         f.write_str(s)
+    }
+}
+
+/// Abort counts per reason. A fixed array in [`AbortReason::ALL`] order rather than a hash
+/// map, so every walk over the counts visits the reasons in the same order in every process.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct AbortCounts([u64; AbortReason::ALL.len()]);
+
+impl AbortCounts {
+    /// Adds `n` aborts for `reason`.
+    pub fn add(&mut self, reason: AbortReason, n: u64) {
+        self.0[reason as usize] += n;
+    }
+
+    /// The aborts recorded for `reason`.
+    pub fn get(&self, reason: AbortReason) -> u64 {
+        self.0[reason as usize]
+    }
+
+    /// The aborts over every reason.
+    pub fn total(&self) -> u64 {
+        self.0.iter().sum()
+    }
+
+    /// Each reason with a non-zero count, and the count, in declaration order.
+    pub fn nonzero(&self) -> impl Iterator<Item = (AbortReason, u64)> {
+        AbortReason::ALL
+            .into_iter()
+            .zip(self.0)
+            .filter(|&(_, n)| n > 0)
     }
 }
 

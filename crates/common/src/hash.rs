@@ -16,7 +16,7 @@
 //! chosen to zero a product. There is deliberately no fixed-seed or unkeyed constructor.
 //!
 //! Iteration order of a map built on this hash is as random per process as with
-//! `RandomState`; the `lint-determinism` check guards every such map the same way.
+//! `RandomState`, so clippy refuses to iterate one (see `clippy.toml`).
 
 use std::collections::hash_map::RandomState;
 use std::fmt;

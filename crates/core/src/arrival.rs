@@ -41,7 +41,7 @@ impl FabricSharpCC {
         // earliest) in block `next_block`, giving it a span of `next_block - b`; spans of
         // max_span or more are rejected.
         if txn.snapshot_block + self.config.max_span <= self.next_block {
-            self.stats.record_abort(AbortReason::SnapshotTooOld);
+            self.stats.early_aborts.add(AbortReason::SnapshotTooOld, 1);
             return CommitDecision::Reject(AbortReason::SnapshotTooOld);
         }
 
@@ -68,7 +68,9 @@ impl FabricSharpCC {
             .graph
             .would_close_cycle(&deps.predecessors, &deps.successors)
         {
-            self.stats.record_abort(AbortReason::UnreorderableCycle);
+            self.stats
+                .early_aborts
+                .add(AbortReason::UnreorderableCycle, 1);
             return CommitDecision::Reject(AbortReason::UnreorderableCycle);
         }
 
@@ -136,7 +138,7 @@ mod tests {
             assert!(cc.on_arrival(t).is_accept());
         }
         assert_eq!(cc.pending_len(), 5);
-        assert_eq!(cc.stats().early_aborts.values().sum::<u64>(), 0);
+        assert_eq!(cc.stats().early_aborts.total(), 0);
         assert!(cc.graph().is_acyclic_exact());
     }
 
@@ -155,7 +157,10 @@ mod tests {
             CommitDecision::Reject(AbortReason::UnreorderableCycle)
         );
         assert_eq!(cc.pending_len(), 1);
-        assert_eq!(cc.stats().early_aborts[&AbortReason::UnreorderableCycle], 1);
+        assert_eq!(
+            cc.stats().early_aborts.get(AbortReason::UnreorderableCycle),
+            1
+        );
     }
 
     #[test]

@@ -28,107 +28,104 @@ pub fn is_serializable(history: &[Transaction]) -> bool {
 
 /// Computes a serial order witnessing serializability (a topological order of the
 /// serialization graph), or `None` if the history is not serializable.
+///
+/// Transactions and keys are numbered densely in history order; the hash maps below only
+/// look positions up, so nothing depends on their iteration order.
 pub(crate) fn serialization_order(history: &[Transaction]) -> Option<Vec<TxnId>> {
     let committed: Vec<&Transaction> = history.iter().filter(|t| t.end_ts.is_some()).collect();
-    let ids: Vec<TxnId> = committed.iter().map(|t| t.id).collect();
-    let id_set: HashSet<TxnId, FoldState> = ids.iter().copied().collect();
-    if ids.len() != id_set.len() {
+    let mut ids: HashSet<TxnId, FoldState> = HashSet::default();
+    if !committed.iter().all(|t| ids.insert(t.id)) {
         // Duplicate transaction ids make the history ill-formed.
         return None;
     }
 
-    // Index writers per key, ordered by commit slot, so ww and rw edges are cheap to derive.
-    let mut writers_by_key: HashMap<&Key, Vec<(SeqNo, TxnId)>, FoldState> = HashMap::default();
-    let mut version_installer: HashMap<(&Key, SeqNo), TxnId, FoldState> = HashMap::default();
-    for txn in &committed {
+    // Writers per key (keys numbered by first write), ordered by commit slot, so ww and rw
+    // edges are cheap to derive.
+    let mut key_index: HashMap<&Key, usize, FoldState> = HashMap::default();
+    let mut writers_by_key: Vec<Vec<(SeqNo, usize)>> = Vec::new();
+    let mut version_installer: HashMap<(&Key, SeqNo), usize, FoldState> = HashMap::default();
+    for (at, txn) in committed.iter().enumerate() {
         let end = txn.end_ts.expect("filtered to committed");
         for w in txn.write_set.iter() {
-            writers_by_key
-                .entry(&w.key)
-                .or_default()
-                .push((end, txn.id));
-            version_installer.insert((&w.key, end), txn.id);
+            let next = writers_by_key.len();
+            let k = *key_index.entry(&w.key).or_insert(next);
+            if k == next {
+                writers_by_key.push(Vec::new());
+            }
+            writers_by_key[k].push((end, at));
+            version_installer.insert((&w.key, end), at);
         }
     }
-    // lint-determinism: allow (each value is sorted independently; visit order is irrelevant)
-    for writers in writers_by_key.values_mut() {
-        writers.sort();
+    for writers in &mut writers_by_key {
+        writers.sort_by_key(|&(slot, at)| (slot, committed[at].id));
     }
 
-    let mut edges: Edges = ids.iter().map(|id| (*id, HashSet::default())).collect();
-    let add_edge = |from: TxnId, to: TxnId, edges: &mut Edges| {
+    let mut successors: Vec<Vec<usize>> = vec![Vec::new(); committed.len()];
+    let mut add_edge = |from: usize, to: usize| {
         if from != to {
-            edges.get_mut(&from).expect("known id").insert(to);
+            successors[from].push(to);
         }
     };
 
     // ww edges: consecutive writers of the same key in commit order.
-    // lint-determinism: allow (edges are a set; insertion order cannot change its contents)
-    for writers in writers_by_key.values() {
+    for writers in &writers_by_key {
         for pair in writers.windows(2) {
-            add_edge(pair[0].1, pair[1].1, &mut edges);
+            add_edge(pair[0].1, pair[1].1);
         }
     }
 
     // wr and rw edges from each read.
-    for txn in &committed {
+    for (at, txn) in committed.iter().enumerate() {
         for read in txn.read_set.iter() {
             let key = &read.key;
             // wr: whoever installed the observed version precedes the reader. Genesis versions
             // (block 0) have no installer in the history.
             if let Some(&installer) = version_installer.get(&(key, read.version)) {
-                add_edge(installer, txn.id, &mut edges);
+                add_edge(installer, at);
             }
             // rw: the reader precedes every writer that installed a *later* version.
-            if let Some(writers) = writers_by_key.get(key) {
-                for &(slot, writer) in writers {
-                    if slot > read.version {
-                        add_edge(txn.id, writer, &mut edges);
-                    }
+            if let Some(&k) = key_index.get(key) {
+                let writers = &writers_by_key[k];
+                let later = writers.partition_point(|&(slot, _)| slot <= read.version);
+                for &(_, writer) in &writers[later..] {
+                    add_edge(at, writer);
                 }
             }
         }
     }
 
-    topological_order(&ids, &edges)
+    for targets in &mut successors {
+        targets.sort_unstable();
+        targets.dedup();
+    }
+    let order = topological_order(&successors)?;
+    Some(order.into_iter().map(|at| committed[at].id).collect())
 }
 
-/// The serialization graph: each committed transaction's successors.
-type Edges = HashMap<TxnId, HashSet<TxnId, FoldState>, FoldState>;
-
-/// Kahn's algorithm; returns `None` when the graph has a cycle. Ties are broken by the order
-/// ids appear in `ids` (commit order), so the witness is stable.
-fn topological_order(ids: &[TxnId], edges: &Edges) -> Option<Vec<TxnId>> {
-    let mut indegree: HashMap<TxnId, usize, FoldState> = ids.iter().map(|id| (*id, 0)).collect();
-    // lint-determinism: allow (indegree increments are commutative)
-    for targets in edges.values() {
-        for t in targets {
-            *indegree.get_mut(t).expect("known id") += 1;
-        }
+/// Kahn's algorithm over positions `0..successors.len()`, each with its successors sorted;
+/// returns `None` when the graph has a cycle. Ready vertices leave in the order they became
+/// ready, the roots and each vertex's released successors by position (commit order), so the
+/// witness is stable.
+fn topological_order(successors: &[Vec<usize>]) -> Option<Vec<usize>> {
+    let mut indegree = vec![0usize; successors.len()];
+    for &t in successors.iter().flatten() {
+        indegree[t] += 1;
     }
-    let mut ready: Vec<TxnId> = ids.iter().filter(|id| indegree[id] == 0).copied().collect();
-    let mut order = Vec::with_capacity(ids.len());
-    while let Some(next) = ready.first().copied() {
-        ready.remove(0);
-        order.push(next);
-        if let Some(targets) = edges.get(&next) {
-            // Deterministic release order: follow the original id order.
-            for id in ids {
-                if targets.contains(id) {
-                    let d = indegree.get_mut(id).expect("known id");
-                    *d -= 1;
-                    if *d == 0 {
-                        ready.push(*id);
-                    }
-                }
+    // `order` doubles as the ready queue: `order[next..]` are ready but not yet released.
+    let mut order: Vec<usize> = (0..successors.len())
+        .filter(|&v| indegree[v] == 0)
+        .collect();
+    let mut next = 0;
+    while let Some(&v) = order.get(next) {
+        next += 1;
+        for &t in &successors[v] {
+            indegree[t] -= 1;
+            if indegree[t] == 0 {
+                order.push(t);
             }
         }
     }
-    if order.len() == ids.len() {
-        Some(order)
-    } else {
-        None
-    }
+    (order.len() == successors.len()).then_some(order)
 }
 
 /// Whether the committed history is *strongly* serializable (Definition 6): serializable with

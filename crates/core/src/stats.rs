@@ -7,8 +7,7 @@
 //! wall-clock panels (Figures 11 and 12 right) are timed by the caller around `on_arrival` /
 //! `cut_block`.
 
-use eov_common::abort::AbortReason;
-use std::collections::HashMap;
+use eov_common::abort::AbortCounts;
 
 /// Cumulative statistics of a concurrency-control instance.
 #[derive(Clone, Debug, Default)]
@@ -23,17 +22,12 @@ pub struct CcStats {
     /// [`TemplateClass::Safe`]: eov_common::txn::TemplateClass::Safe
     pub fastpath_accepted: u64,
     /// Early aborts by reason (before the transaction was sequenced into a block).
-    pub early_aborts: HashMap<AbortReason, u64>,
+    pub early_aborts: AbortCounts,
     /// Total reachability-update hops across all arrivals (Figure 13, "# of hops").
     pub total_hops: u64,
 }
 
 impl CcStats {
-    /// Records an early abort.
-    pub(crate) fn record_abort(&mut self, reason: AbortReason) {
-        *self.early_aborts.entry(reason).or_insert(0) += 1;
-    }
-
     /// Mean reachability hops per arrival.
     pub fn avg_hops(&self) -> f64 {
         if self.arrivals == 0 {
@@ -47,16 +41,16 @@ impl CcStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eov_common::abort::AbortReason;
 
     #[test]
     fn abort_accounting() {
         let mut stats = CcStats::default();
-        stats.record_abort(AbortReason::UnreorderableCycle);
-        stats.record_abort(AbortReason::UnreorderableCycle);
-        stats.record_abort(AbortReason::SnapshotTooOld);
-        assert_eq!(stats.early_aborts.values().sum::<u64>(), 3);
-        assert_eq!(stats.early_aborts[&AbortReason::UnreorderableCycle], 2);
-        assert!(!stats.early_aborts.contains_key(&AbortReason::StaleRead));
+        stats.early_aborts.add(AbortReason::UnreorderableCycle, 2);
+        stats.early_aborts.add(AbortReason::SnapshotTooOld, 1);
+        assert_eq!(stats.early_aborts.total(), 3);
+        assert_eq!(stats.early_aborts.get(AbortReason::UnreorderableCycle), 2);
+        assert_eq!(stats.early_aborts.get(AbortReason::StaleRead), 0);
     }
 
     #[test]

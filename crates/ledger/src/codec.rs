@@ -413,32 +413,16 @@ impl<'a> ByteReader<'a> {
     }
 }
 
-/// `AbortReason` → stable wire code (the enum's declaration order, pinned by tests).
+/// `AbortReason` → stable wire code: its position in [`AbortReason::ALL`], pinned by tests.
 fn abort_code(reason: AbortReason) -> u8 {
-    match reason {
-        AbortReason::StaleRead => 0,
-        AbortReason::CrossBlockRead => 1,
-        AbortReason::SnapshotTooOld => 2,
-        AbortReason::ConcurrentWriteWrite => 3,
-        AbortReason::DangerousStructure => 4,
-        AbortReason::UnreorderableCycle => 5,
-        AbortReason::BloomFalsePositive => 6,
-        AbortReason::InBlockCycle => 7,
-    }
+    reason as u8
 }
 
 fn abort_from_code(code: u8) -> Result<AbortReason, String> {
-    Ok(match code {
-        0 => AbortReason::StaleRead,
-        1 => AbortReason::CrossBlockRead,
-        2 => AbortReason::SnapshotTooOld,
-        3 => AbortReason::ConcurrentWriteWrite,
-        4 => AbortReason::DangerousStructure,
-        5 => AbortReason::UnreorderableCycle,
-        6 => AbortReason::BloomFalsePositive,
-        7 => AbortReason::InBlockCycle,
-        other => return Err(format!("unknown abort-reason code {other}")),
-    })
+    AbortReason::ALL
+        .get(usize::from(code))
+        .copied()
+        .ok_or_else(|| format!("unknown abort-reason code {code}"))
 }
 
 fn put_status(w: &mut ByteWriter, status: TxnStatus) {
@@ -932,9 +916,20 @@ mod tests {
 
     #[test]
     fn every_abort_reason_roundtrips() {
-        for code in 0u8..8 {
-            let reason = abort_from_code(code).expect("declared variant");
-            assert_eq!(abort_code(reason), code);
+        let pinned = [
+            (AbortReason::StaleRead, 0),
+            (AbortReason::CrossBlockRead, 1),
+            (AbortReason::SnapshotTooOld, 2),
+            (AbortReason::ConcurrentWriteWrite, 3),
+            (AbortReason::DangerousStructure, 4),
+            (AbortReason::UnreorderableCycle, 5),
+            (AbortReason::BloomFalsePositive, 6),
+            (AbortReason::InBlockCycle, 7),
+        ];
+        assert_eq!(pinned.len(), AbortReason::ALL.len());
+        for (reason, code) in pinned {
+            assert_eq!(abort_code(reason), code, "{reason:?}");
+            assert_eq!(abort_from_code(code), Ok(reason));
         }
         assert!(abort_from_code(8).is_err());
     }

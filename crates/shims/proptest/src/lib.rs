@@ -1,7 +1,7 @@
 //! Offline shim for the subset of `proptest` used by this workspace.
 //!
 //! Provides the `proptest!` / `prop_assert*!` macros, the [`strategy::Strategy`] trait
-//! with `prop_map`, range and tuple strategies, `collection::{vec, hash_set}`,
+//! with `prop_map`, range and tuple strategies, `collection::vec`,
 //! `any::<T>()`, `sample::Index` and `ProptestConfig::with_cases`.
 //!
 //! Semantics: each test runs `cases` randomized iterations, seeded
@@ -157,8 +157,6 @@ pub mod collection {
     use super::strategy::Strategy;
     use rand::rngs::StdRng;
     use rand::Rng;
-    use std::collections::HashSet;
-    use std::hash::Hash;
     use std::ops::Range;
 
     /// Strategy for `Vec`s with a length drawn from `size`.
@@ -177,41 +175,6 @@ pub mod collection {
         fn generate(&self, rng: &mut StdRng) -> Vec<S::Value> {
             let len = rng.gen_range(self.size.clone());
             (0..len).map(|_| self.elem.generate(rng)).collect()
-        }
-    }
-
-    /// Strategy for `HashSet`s with a target size drawn from `size`.
-    pub struct HashSetStrategy<S> {
-        elem: S,
-        size: Range<usize>,
-    }
-
-    /// Generates `HashSet`s of `elem`-generated values. The target size is
-    /// drawn from `size`; if the element domain is too small to reach it,
-    /// the set is as large as a bounded number of draws allows.
-    pub fn hash_set<S>(elem: S, size: Range<usize>) -> HashSetStrategy<S>
-    where
-        S: Strategy,
-        S::Value: Hash + Eq,
-    {
-        HashSetStrategy { elem, size }
-    }
-
-    impl<S> Strategy for HashSetStrategy<S>
-    where
-        S: Strategy,
-        S::Value: Hash + Eq,
-    {
-        type Value = HashSet<S::Value>;
-        fn generate(&self, rng: &mut StdRng) -> HashSet<S::Value> {
-            let target = rng.gen_range(self.size.clone());
-            let mut set = HashSet::with_capacity(target);
-            let mut attempts = 0usize;
-            while set.len() < target && attempts < target.saturating_mul(16) + 16 {
-                set.insert(self.elem.generate(rng));
-                attempts += 1;
-            }
-            set
         }
     }
 }
@@ -387,11 +350,6 @@ mod tests {
         #[test]
         fn tuples_and_map_compose(pair in (0u64..100, 0u64..100).prop_map(|(a, b)| a + b)) {
             prop_assert!(pair < 199, "sum of two sub-100 values");
-        }
-
-        #[test]
-        fn hash_sets_hit_their_target(s in prop::collection::hash_set(any::<u64>(), 3..6)) {
-            prop_assert!((3..6).contains(&s.len()));
         }
 
         #[test]

@@ -1,9 +1,8 @@
 //! Simulation metrics: everything the paper's figures report.
 
 use eov_baselines::api::SystemKind;
-use eov_common::abort::AbortReason;
+use eov_common::abort::AbortCounts;
 use eov_ledger::LedgerError;
-use std::collections::HashMap;
 
 /// Wall-clock statistics of the per-block formation step (`cut_block`), measured — not
 /// modelled — on the driver thread. This is the end-to-end view of the dependency-graph
@@ -62,7 +61,7 @@ pub struct SimReport {
     pub committed: u64,
     /// Aborts by reason, combining early aborts (endorsement / ordering phase) and
     /// validation-phase aborts (Figure 14's breakdown).
-    pub aborts: HashMap<AbortReason, u64>,
+    pub aborts: AbortCounts,
     /// Blocks appended to the ledger.
     pub blocks: u64,
     /// Mean end-to-end latency of committed transactions, in ms (Figure 10 right).
@@ -116,8 +115,7 @@ impl SimReport {
 
     /// Total aborted transactions (early + validation).
     pub fn aborted(&self) -> u64 {
-        // lint-determinism: allow (sum is commutative; iteration order cannot change it)
-        self.aborts.values().sum()
+        self.aborts.total()
     }
 
     /// Abort rate relative to the offered load, in `[0, 1]`.
@@ -134,42 +132,36 @@ impl SimReport {
     /// `Simulation abort`, `Others`).
     pub fn abort_breakdown(&self) -> Vec<(&'static str, f64)> {
         let total = self.aborted().max(1) as f64;
-        let mut buckets: HashMap<&'static str, u64> = HashMap::new();
-        // lint-determinism: allow (commutative bucket accumulation; output in fixed bucket order)
-        for (reason, count) in &self.aborts {
-            *buckets.entry(reason.figure14_bucket()).or_insert(0) += count;
-        }
         [
             "Concurrent-ww",
             "2 consecutive rw",
             "Simulation abort",
             "Others",
         ]
-        .iter()
-        .map(|name| {
-            (
-                *name,
-                buckets.get(name).copied().unwrap_or(0) as f64 / total,
-            )
+        .into_iter()
+        .map(|bucket| {
+            let count: u64 = self
+                .aborts
+                .nonzero()
+                .filter(|(reason, _)| reason.figure14_bucket() == bucket)
+                .map(|(_, n)| n)
+                .sum();
+            (bucket, count as f64 / total)
         })
         .collect()
-    }
-
-    /// Aborts recorded for a specific reason.
-    pub fn aborts_for(&self, reason: AbortReason) -> u64 {
-        self.aborts.get(&reason).copied().unwrap_or(0)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eov_common::abort::AbortReason;
 
     fn report() -> SimReport {
-        let mut aborts = HashMap::new();
-        aborts.insert(AbortReason::StaleRead, 30);
-        aborts.insert(AbortReason::ConcurrentWriteWrite, 10);
-        aborts.insert(AbortReason::CrossBlockRead, 10);
+        let mut aborts = AbortCounts::default();
+        aborts.add(AbortReason::StaleRead, 30);
+        aborts.add(AbortReason::ConcurrentWriteWrite, 10);
+        aborts.add(AbortReason::CrossBlockRead, 10);
         SimReport {
             system: SystemKind::Fabric,
             duration_s: 10.0,
@@ -197,8 +189,8 @@ mod tests {
         assert_eq!(r.effective_tps(), 85.0);
         assert_eq!(r.aborted(), 50);
         assert!((r.abort_rate() - 0.05).abs() < 1e-12);
-        assert_eq!(r.aborts_for(AbortReason::StaleRead), 30);
-        assert_eq!(r.aborts_for(AbortReason::UnreorderableCycle), 0);
+        assert_eq!(r.aborts.get(AbortReason::StaleRead), 30);
+        assert_eq!(r.aborts.get(AbortReason::UnreorderableCycle), 0);
     }
 
     #[test]

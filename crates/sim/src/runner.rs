@@ -24,7 +24,7 @@ use crate::metrics::{FormationTiming, SimReport};
 use crate::profiles::PipelineProfile;
 use eov_baselines::api::SystemKind;
 use eov_baselines::chain::SimpleChain;
-use eov_common::abort::AbortReason;
+use eov_common::abort::AbortCounts;
 use eov_common::config::{BlockConfig, CcConfig, WorkloadParams};
 use eov_common::rwset::ReadSet;
 use eov_common::txn::{Transaction, TxnId, TxnStatus};
@@ -143,7 +143,7 @@ impl Simulator {
         let mut arrivals_since_cut: usize = 0;
         let mut latency_sum_us: u128 = 0;
         let mut block_span_sum: u64 = 0;
-        let mut validation_aborts: HashMap<AbortReason, u64> = HashMap::new();
+        let mut aborts = AbortCounts::default();
         let mut submitted_at_by_txn: HashMap<TxnId, SimTime> = HashMap::new();
         // All block-cut state (trigger counter and formation samples) lives in one driver so
         // both cut triggers — batch-size and cadence — share a single code path.
@@ -313,7 +313,7 @@ impl Simulator {
                                 block_span_sum += block_no.saturating_sub(entry.txn.snapshot_block);
                             }
                             TxnStatus::Aborted(reason) => {
-                                *validation_aborts.entry(reason).or_insert(0) += 1;
+                                aborts.add(reason, 1);
                             }
                             TxnStatus::Pending => unreachable!("validation assigns final statuses"),
                         }
@@ -324,9 +324,8 @@ impl Simulator {
 
         // Assemble the report.
         let cc = chain.cc();
-        let mut aborts = validation_aborts;
         for (reason, count) in cc.early_aborts() {
-            *aborts.entry(reason).or_insert(0) += count;
+            aborts.add(reason, count);
         }
         let blocks = chain.ledger().height();
         let duration_s = (last_event_at as f64 / 1_000_000.0).max(config.duration_s);

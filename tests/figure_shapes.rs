@@ -80,7 +80,7 @@ fn figure11_shape_focc_s_collapses_under_write_hot_contention() {
         focc_s_hot.effective_tps()
     );
     // The collapse is attributable to concurrent write-write aborts.
-    assert!(focc_s_hot.aborts_for(AbortReason::ConcurrentWriteWrite) > 0);
+    assert!(focc_s_hot.aborts.get(AbortReason::ConcurrentWriteWrite) > 0);
 }
 
 #[test]
@@ -123,7 +123,7 @@ fn figure14_shape_long_simulations_hurt_fabric_and_fabricpp_most() {
     assert!(sharp.effective_tps() > 1.5 * fabric.effective_tps());
     assert!(sharp.effective_tps() > 1.5 * fabricpp.effective_tps());
     // Fabric++'s losses are dominated by simulation aborts.
-    assert!(fabricpp.aborts_for(AbortReason::CrossBlockRead) > 0);
+    assert!(fabricpp.aborts.get(AbortReason::CrossBlockRead) > 0);
 }
 
 #[test]

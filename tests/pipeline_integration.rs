@@ -193,7 +193,7 @@ fn pinned_sim_config(workload: &str, system: SystemKind) -> SimulationConfig {
 fn pin_row(workload: &str, report: &SimReport, ledger: &Ledger) -> String {
     let mut aborts: Vec<String> = report
         .aborts
-        .iter()
+        .nonzero()
         .map(|(reason, n)| format!("{reason:?}:{n}"))
         .collect();
     aborts.sort();
