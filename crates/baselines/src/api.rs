@@ -62,11 +62,11 @@ impl SystemKind {
     /// Builds a boxed concurrency-control instance for this system.
     pub fn build(self, cc_config: CcConfig) -> Box<dyn ConcurrencyControl> {
         match self {
-            SystemKind::Fabric => Box::new(crate::fabric::FabricCC::new()),
-            SystemKind::FabricPlusPlus => Box::new(crate::fabricpp::FabricPlusPlusCC::new()),
+            SystemKind::Fabric => Box::new(crate::fabric::FabricCC::default()),
+            SystemKind::FabricPlusPlus => Box::new(crate::fabricpp::FabricPlusPlusCC::default()),
             SystemKind::FabricSharp => Box::new(fabricsharp_core::FabricSharpCC::new(cc_config)),
             SystemKind::FoccS => Box::new(crate::focc_s::FoccSerializableCC::new()),
-            SystemKind::FoccL => Box::new(crate::focc_l::FoccLightCC::new()),
+            SystemKind::FoccL => Box::new(crate::focc_l::FoccLightCC::default()),
         }
     }
 }
@@ -132,9 +132,11 @@ pub trait ConcurrencyControl {
     /// Number of transactions accepted and waiting for the next block.
     fn pending_len(&self) -> usize;
 
-    /// Forms the next block: returns the transactions in final commit order with `end_ts`
-    /// assigned, advancing the internal block counter. An empty return means nothing was
-    /// pending.
+    /// Forms the next block: returns the transactions in final commit order. An empty return
+    /// means no block: nothing was pending, or everything was dropped. Slots are not this
+    /// method's to assign: [`eov_ledger::Block::build`] gives entry `i` the slot
+    /// `(block, i + 1)`, and `on_block_committed` sees the block's entries in that order.
+    /// (Fabric# stamps the same slots at formation, which its conflict index needs.)
     fn cut_block(&mut self) -> Vec<Transaction>;
 
     /// Whether peers must still run MVCC validation on delivered blocks. FabricSharp returns
@@ -144,7 +146,8 @@ pub trait ConcurrencyControl {
     }
 
     /// Notifies the CC of the validation outcome of a delivered block so it can track the
-    /// latest committed versions (used by the baselines for staleness checks).
+    /// latest committed versions (used by the baselines for staleness checks). `outcome` lists
+    /// the block's entries in order, so entry `i` committed at slot `(block_no, i + 1)`.
     fn on_block_committed(&mut self, _block_no: u64, _outcome: &[(Transaction, TxnStatus)]) {}
 
     /// Early aborts performed by this CC so far: each reason with a non-zero count, in

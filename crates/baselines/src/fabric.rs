@@ -11,23 +11,11 @@
 
 use crate::api::{ConcurrencyControl, SystemKind};
 use eov_common::txn::{CommitDecision, Transaction};
-use eov_common::version::SeqNo;
 
 /// The vanilla Fabric "concurrency control": FIFO batching, validation at the peers.
 #[derive(Debug, Default)]
 pub(crate) struct FabricCC {
     pending: Vec<Transaction>,
-    next_block: u64,
-}
-
-impl FabricCC {
-    /// Creates a new instance starting at block 1.
-    pub(crate) fn new() -> Self {
-        FabricCC {
-            pending: Vec::new(),
-            next_block: 1,
-        }
-    }
 }
 
 impl ConcurrencyControl for FabricCC {
@@ -45,19 +33,7 @@ impl ConcurrencyControl for FabricCC {
     }
 
     fn cut_block(&mut self) -> Vec<Transaction> {
-        if self.pending.is_empty() {
-            return Vec::new();
-        }
-        let block_no = self.next_block;
-        self.next_block += 1;
         std::mem::take(&mut self.pending)
-            .into_iter()
-            .enumerate()
-            .map(|(i, mut txn)| {
-                txn.end_ts = Some(SeqNo::new(block_no, i as u32 + 1));
-                txn
-            })
-            .collect()
     }
 }
 
@@ -65,6 +41,8 @@ impl ConcurrencyControl for FabricCC {
 mod tests {
     use super::*;
     use eov_common::rwset::{Key, Value};
+    use eov_common::version::SeqNo;
+    use eov_ledger::{Block, Digest};
 
     fn txn(id: u64) -> Transaction {
         Transaction::from_parts(
@@ -77,7 +55,7 @@ mod tests {
 
     #[test]
     fn fifo_order_is_preserved_and_slots_assigned() {
-        let mut cc = FabricCC::new();
+        let mut cc = FabricCC::default();
         for id in [5u64, 3, 9] {
             assert!(cc.on_arrival(txn(id)).is_accept());
         }
@@ -85,22 +63,32 @@ mod tests {
         let block = cc.cut_block();
         let ids: Vec<u64> = block.iter().map(|t| t.id.0).collect();
         assert_eq!(ids, vec![5, 3, 9]);
-        assert_eq!(block[0].end_ts, Some(SeqNo::new(1, 1)));
-        assert_eq!(block[2].end_ts, Some(SeqNo::new(1, 3)));
-        assert_eq!(cc.next_block, 2);
         assert_eq!(cc.pending_len(), 0);
+        // The block assigns slots in the cut's order.
+        let block = Block::build(1, Digest::ZERO, block);
+        let slots: Vec<_> = block
+            .entries
+            .iter()
+            .map(|e| (e.txn.id.0, e.txn.end_ts))
+            .collect();
+        let slot = |seq| Some(SeqNo::new(1, seq));
+        assert_eq!(slots, [(5, slot(1)), (3, slot(2)), (9, slot(3))]);
     }
 
     #[test]
     fn empty_cut_does_not_advance_the_block_number() {
-        let mut cc = FabricCC::new();
+        let mut cc = FabricCC::default();
         assert!(cc.cut_block().is_empty());
-        assert_eq!(cc.next_block, 1);
+        // Heights come from the ledger: a cut with nothing pending appends no block.
+        let mut chain = crate::SimpleChain::new(SystemKind::Fabric);
+        assert_eq!(chain.seal_block().block_number, None);
+        let _ = chain.submit(txn(1));
+        assert_eq!(chain.seal_block().block_number, Some(1));
     }
 
     #[test]
     fn fabric_requires_peer_validation_and_never_aborts_early() {
-        let mut cc = FabricCC::new();
+        let mut cc = FabricCC::default();
         assert!(cc.needs_peer_validation());
         assert!(cc.on_endorsement(&txn(1), 10).is_accept());
         assert!(cc.early_aborts().is_empty());

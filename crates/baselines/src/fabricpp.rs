@@ -28,7 +28,6 @@ use std::collections::{BTreeSet, HashMap};
 #[derive(Debug, Default)]
 pub(crate) struct FabricPlusPlusCC {
     pending: Vec<Transaction>,
-    next_block: u64,
     /// Latest committed version per key, learnt from `on_block_committed`; used for the
     /// early-abort-of-stale-reads step of the reordering.
     latest_versions: HashMap<Key, SeqNo>,
@@ -36,16 +35,6 @@ pub(crate) struct FabricPlusPlusCC {
 }
 
 impl FabricPlusPlusCC {
-    /// Creates a new instance starting at block 1.
-    pub(crate) fn new() -> Self {
-        FabricPlusPlusCC {
-            pending: Vec::new(),
-            next_block: 1,
-            latest_versions: HashMap::new(),
-            early_aborts: AbortCounts::default(),
-        }
-    }
-
     /// The within-block reordering of Fabric++: returns the surviving transactions in their
     /// new order; the dropped ones are counted as early aborts.
     fn reorder_block(&mut self, txns: Vec<Transaction>) -> Vec<Transaction> {
@@ -218,35 +207,18 @@ impl ConcurrencyControl for FabricPlusPlusCC {
     }
 
     fn cut_block(&mut self) -> Vec<Transaction> {
-        if self.pending.is_empty() {
-            return Vec::new();
-        }
-        let block_no = self.next_block;
+        // When every transaction is dropped the cut is empty, and no block is appended.
         let batch = std::mem::take(&mut self.pending);
-        let reordered = self.reorder_block(batch);
-        if reordered.is_empty() {
-            // Every transaction was dropped; no block is produced and the number is not
-            // consumed (matching the cutter semantics of never emitting empty blocks).
-            return Vec::new();
-        }
-        self.next_block += 1;
-        reordered
-            .into_iter()
-            .enumerate()
-            .map(|(i, mut txn)| {
-                txn.end_ts = Some(SeqNo::new(block_no, i as u32 + 1));
-                txn
-            })
-            .collect()
+        self.reorder_block(batch)
     }
 
     fn on_block_committed(&mut self, block_no: u64, outcome: &[(Transaction, TxnStatus)]) {
-        self.next_block = self.next_block.max(block_no + 1);
-        for (txn, status) in outcome {
+        // The outcome is the block's entries in order: entry `i` committed at `(block, i + 1)`.
+        for (seq, (txn, status)) in (1..).zip(outcome) {
             if status.is_committed() {
-                let slot = txn.end_ts.expect("committed transactions carry a slot");
                 for write in txn.write_set.iter() {
-                    self.latest_versions.insert(write.key.clone(), slot);
+                    self.latest_versions
+                        .insert(write.key.clone(), SeqNo::new(block_no, seq));
                 }
             }
         }
@@ -279,7 +251,7 @@ mod tests {
 
     #[test]
     fn cross_block_reads_are_aborted_at_endorsement() {
-        let mut cc = FabricPlusPlusCC::new();
+        let mut cc = FabricPlusPlusCC::default();
         let t = txn(1, 3, &[("A", (1, 1))], &["B"]);
         assert!(cc.on_endorsement(&t, 3).is_accept());
         assert_eq!(
@@ -294,12 +266,10 @@ mod tests {
         // The paper's Table 1: within block 3, Fabric++ reorders Txn3 behind Txn4 and Txn5,
         // committing those two and aborting Txn3 (Txn2 is already stale and dropped outright
         // once the committed state is known).
-        let mut cc = FabricPlusPlusCC::new();
+        let mut cc = FabricPlusPlusCC::default();
         // Teach the CC the committed state after block 2 (B and C at version (2,1)).
-        let mut block2_writer = txn(90, 1, &[], &["B", "C"]);
-        block2_writer.end_ts = Some(SeqNo::new(2, 1));
+        let block2_writer = txn(90, 1, &[], &["B", "C"]);
         cc.on_block_committed(2, &[(block2_writer, TxnStatus::Committed)]);
-        cc.next_block = 3;
 
         let txn2 = txn(2, 1, &[("A", (1, 1)), ("B", (1, 2))], &["C"]);
         let txn3 = txn(3, 2, &[("B", (2, 1))], &["C"]);
@@ -325,14 +295,13 @@ mod tests {
             "Txn3 is the cycle-breaking victim, got {ids:?}"
         );
         // Readers of C (4, 5) must come before any writer of C — trivially true since 3 was
-        // dropped; the block is just [4, 5] in some order with slots assigned.
+        // dropped; the block is just [4, 5] in some order.
         assert_eq!(block.len(), 2);
-        assert_eq!(block[0].end_ts.unwrap().block, 3);
     }
 
     #[test]
     fn readers_are_ordered_before_writers_within_a_block() {
-        let mut cc = FabricPlusPlusCC::new();
+        let mut cc = FabricPlusPlusCC::default();
         // Arrival order: writer of X first, then a reader of X — reordering must flip them so
         // the reader survives validation.
         assert!(cc.on_arrival(txn(1, 0, &[], &["X"])).is_accept());
@@ -346,7 +315,7 @@ mod tests {
 
     #[test]
     fn unbreakable_two_txn_cycle_aborts_one_victim() {
-        let mut cc = FabricPlusPlusCC::new();
+        let mut cc = FabricPlusPlusCC::default();
         // t1 reads A writes B, t2 reads B writes A → reader-before-writer constraints both
         // ways → cycle → exactly one of them is aborted.
         assert!(cc
@@ -387,9 +356,9 @@ mod tests {
             }
             cc.cut_block().iter().map(|t| t.id.0).collect()
         };
-        let reference = cut(FabricPlusPlusCC::new());
+        let reference = cut(FabricPlusPlusCC::default());
         for _ in 0..10 {
-            assert_eq!(cut(FabricPlusPlusCC::new()), reference);
+            assert_eq!(cut(FabricPlusPlusCC::default()), reference);
         }
     }
 
@@ -420,19 +389,18 @@ mod tests {
             }
             cc.cut_block().iter().map(|t| t.id.0).collect()
         };
-        let reference = cut(FabricPlusPlusCC::new());
+        let reference = cut(FabricPlusPlusCC::default());
         for _ in 0..10 {
-            assert_eq!(cut(FabricPlusPlusCC::new()), reference);
+            assert_eq!(cut(FabricPlusPlusCC::default()), reference);
         }
     }
 
     #[test]
     fn empty_cut_and_all_dropped_cut_produce_no_block() {
-        let mut cc = FabricPlusPlusCC::new();
+        let mut cc = FabricPlusPlusCC::default();
         assert!(cc.cut_block().is_empty());
         // A single transaction that is already stale: dropped, no block.
-        let mut writer = txn(9, 0, &[], &["A"]);
-        writer.end_ts = Some(SeqNo::new(1, 1));
+        let writer = txn(9, 0, &[], &["A"]);
         cc.on_block_committed(1, &[(writer, TxnStatus::Committed)]);
         assert!(cc
             .on_arrival(txn(1, 0, &[("A", (0, 1))], &["B"]))

@@ -13,25 +13,15 @@
 
 use crate::api::{ConcurrencyControl, SystemKind};
 use eov_common::txn::{CommitDecision, Transaction};
-use eov_common::version::SeqNo;
 use std::collections::HashSet;
 
 /// The Focc-l orderer-side concurrency control.
 #[derive(Debug, Default)]
 pub(crate) struct FoccLightCC {
     pending: Vec<Transaction>,
-    next_block: u64,
 }
 
 impl FoccLightCC {
-    /// Creates a new instance starting at block 1.
-    pub(crate) fn new() -> Self {
-        FoccLightCC {
-            pending: Vec::new(),
-            next_block: 1,
-        }
-    }
-
     /// The sort-based greedy reordering: returns the indices of `txns` in emission order.
     fn greedy_order(txns: &[Transaction]) -> Vec<usize> {
         let n = txns.len();
@@ -99,11 +89,6 @@ impl ConcurrencyControl for FoccLightCC {
     }
 
     fn cut_block(&mut self) -> Vec<Transaction> {
-        if self.pending.is_empty() {
-            return Vec::new();
-        }
-        let block_no = self.next_block;
-        self.next_block += 1;
         let batch = std::mem::take(&mut self.pending);
         let order = Self::greedy_order(&batch);
 
@@ -114,12 +99,7 @@ impl ConcurrencyControl for FoccLightCC {
         let mut slots: Vec<Option<Transaction>> = batch.into_iter().map(Some).collect();
         order
             .into_iter()
-            .enumerate()
-            .map(|(i, idx)| {
-                let mut txn = slots[idx].take().expect("each index emitted once");
-                txn.end_ts = Some(SeqNo::new(block_no, i as u32 + 1));
-                txn
-            })
+            .map(|idx| slots[idx].take().expect("each index emitted once"))
             .collect()
     }
 }
@@ -128,6 +108,7 @@ impl ConcurrencyControl for FoccLightCC {
 mod tests {
     use super::*;
     use eov_common::rwset::{Key, Value};
+    use eov_common::version::SeqNo;
 
     fn k(s: &str) -> Key {
         Key::new(s)
@@ -146,7 +127,7 @@ mod tests {
 
     #[test]
     fn nothing_is_ever_aborted_early() {
-        let mut cc = FoccLightCC::new();
+        let mut cc = FoccLightCC::default();
         for id in 1..=10u64 {
             assert!(cc.on_arrival(txn(id, &[("A", (0, 1))], &["A"])).is_accept());
         }
@@ -157,18 +138,17 @@ mod tests {
 
     #[test]
     fn readers_are_reordered_before_writers() {
-        let mut cc = FoccLightCC::new();
+        let mut cc = FoccLightCC::default();
         // Writer of X arrives first, reader of X second — greedy pass flips them.
         assert!(cc.on_arrival(txn(1, &[], &["X"])).is_accept());
         assert!(cc.on_arrival(txn(2, &[("X", (0, 1))], &["Y"])).is_accept());
         let block = cc.cut_block();
         assert_eq!(block.iter().map(|t| t.id.0).collect::<Vec<_>>(), vec![2, 1]);
-        assert_eq!(block[0].end_ts, Some(SeqNo::new(1, 1)));
     }
 
     #[test]
     fn cycles_keep_every_transaction_in_the_block() {
-        let mut cc = FoccLightCC::new();
+        let mut cc = FoccLightCC::default();
         // Write skew cycle: both stay in the block (Focc-l leaves the abort to validation).
         assert!(cc.on_arrival(txn(1, &[("A", (0, 1))], &["B"])).is_accept());
         assert!(cc.on_arrival(txn(2, &[("B", (0, 2))], &["A"])).is_accept());
@@ -178,7 +158,7 @@ mod tests {
 
     #[test]
     fn independent_transactions_keep_arrival_order() {
-        let mut cc = FoccLightCC::new();
+        let mut cc = FoccLightCC::default();
         for id in [4u64, 2, 7] {
             assert!(cc.on_arrival(txn(id, &[], &["K"])).is_accept());
         }
@@ -189,12 +169,11 @@ mod tests {
             block.iter().map(|t| t.id.0).collect::<Vec<_>>(),
             vec![4, 2, 7]
         );
-        assert_eq!(cc.next_block, 2);
     }
 
     #[test]
     fn every_transaction_is_emitted_exactly_once_under_heavy_conflict() {
-        let mut cc = FoccLightCC::new();
+        let mut cc = FoccLightCC::default();
         for id in 1..=20u64 {
             // Everyone reads and writes the same two keys: maximal conflict.
             assert!(cc

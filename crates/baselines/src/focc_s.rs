@@ -36,6 +36,7 @@ pub(crate) struct FoccSerializableCC {
     pending: Vec<Transaction>,
     /// Recently committed transactions, kept for `history_blocks` blocks.
     committed: Vec<CommittedFootprint>,
+    /// The block being assembled: its number gives an arrival its assumed end slot.
     next_block: u64,
     /// How many past blocks of committed footprints to retain for concurrency checks.
     history_blocks: u64,
@@ -133,28 +134,20 @@ impl ConcurrencyControl for FoccSerializableCC {
     }
 
     fn cut_block(&mut self) -> Vec<Transaction> {
-        if self.pending.is_empty() {
-            return Vec::new();
+        if !self.pending.is_empty() {
+            self.next_block += 1;
         }
-        let block_no = self.next_block;
-        self.next_block += 1;
         std::mem::take(&mut self.pending)
-            .into_iter()
-            .enumerate()
-            .map(|(i, mut txn)| {
-                txn.end_ts = Some(SeqNo::new(block_no, i as u32 + 1));
-                txn
-            })
-            .collect()
     }
 
     fn on_block_committed(&mut self, block_no: u64, outcome: &[(Transaction, TxnStatus)]) {
         self.next_block = self.next_block.max(block_no + 1);
-        for (txn, status) in outcome {
+        // The outcome is the block's entries in order: entry `i` committed at `(block, i + 1)`.
+        for (seq, (txn, status)) in (1..).zip(outcome) {
             if status.is_committed() {
                 self.committed.push(CommittedFootprint {
                     start_ts: txn.start_ts(),
-                    end_ts: txn.end_ts.expect("committed transactions carry a slot"),
+                    end_ts: SeqNo::new(block_no, seq),
                     read_keys: txn.read_set.keys().cloned().collect(),
                     write_keys: txn.write_set.keys().cloned().collect(),
                 });
@@ -231,10 +224,8 @@ mod tests {
         let mut cc = FoccSerializableCC::new();
         // A committed transaction in block 1 that wrote H and was concurrent with anything
         // simulated against block 0.
-        let mut committed = txn(9, 0, &[("Z", (0, 9))], &["H"]);
-        committed.end_ts = Some(SeqNo::new(1, 1));
+        let committed = txn(9, 0, &[("Z", (0, 9))], &["H"]);
         cc.on_block_committed(1, &[(committed, TxnStatus::Committed)]);
-        cc.next_block = 2;
 
         // An incoming transaction simulated against block 0 writing H: concurrent c-ww.
         let decision = cc.on_arrival(txn(2, 0, &[], &["H"]));
@@ -251,8 +242,7 @@ mod tests {
     #[test]
     fn history_window_prunes_old_footprints() {
         let mut cc = FoccSerializableCC::new();
-        let mut old = txn(1, 0, &[], &["H"]);
-        old.end_ts = Some(SeqNo::new(1, 1));
+        let old = txn(1, 0, &[], &["H"]);
         cc.on_block_committed(1, &[(old, TxnStatus::Committed)]);
         assert_eq!(cc.committed.len(), 1);
         // Committing block 20 retires footprints older than 20 - 10.
@@ -267,8 +257,9 @@ mod tests {
         assert!(cc.on_arrival(txn(2, 0, &[], &["B"])).is_accept());
         let block = cc.cut_block();
         assert_eq!(block.iter().map(|t| t.id.0).collect::<Vec<_>>(), vec![1, 2]);
-        assert_eq!(block[1].end_ts, Some(SeqNo::new(1, 2)));
+        assert_eq!(cc.next_block, 2);
         assert!(cc.cut_block().is_empty());
+        assert_eq!(cc.next_block, 2, "an empty cut forms no block");
         assert!(cc.needs_peer_validation());
     }
 }

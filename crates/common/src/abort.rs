@@ -5,11 +5,10 @@
 //! [`AbortReason`] cover every cause that appears in any of the five systems implemented in
 //! this repository; [`AbortCounts`] tallies them.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Why a transaction was aborted.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum AbortReason {
     /// Peer-side MVCC validation failure: the transaction read a key whose version is older
     /// than the latest committed version (vanilla Fabric's validation-phase abort).

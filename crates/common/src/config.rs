@@ -14,10 +14,8 @@
 //! Nothing validates a configuration as a whole. The bloom filter raises `bloom_bits` to at
 //! least 64 and refuses any other count that is not a power of two when the first one is built.
 
-use serde::{Deserialize, Serialize};
-
 /// Block formation parameters used by the ordering service.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct BlockConfig {
     /// Maximum number of transactions batched into a block ("# of transactions per block" in
     /// Table 2; the paper sweeps 50–500 and FabricSharp peaks at 100).
@@ -37,7 +35,7 @@ impl Default for BlockConfig {
 }
 
 /// FabricSharp concurrency-control parameters.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CcConfig {
     /// Maximum allowed block span of a transaction (Section 4.6). Transactions simulated
     /// against a snapshot older than `next_block - max_span` are aborted. The paper fixes
@@ -82,7 +80,7 @@ impl Default for CcConfig {
 }
 
 /// Workload parameters for the modified Smallbank benchmark (Section 5.2, Table 2).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct WorkloadParams {
     /// Total number of bank accounts (the paper uses 10,000).
     pub num_accounts: usize,
@@ -138,7 +136,7 @@ impl WorkloadParams {
 /// The experiment parameter grid of Table 2. Each field lists the values swept by the paper;
 /// the defaults (underlined in the paper) are [`BlockConfig::default`] and
 /// [`WorkloadParams::default`].
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ExperimentGrid {
     /// "# of transactions per block": 50, 100, 200, 300, 400, 500.
     pub block_sizes: Vec<usize>,

@@ -6,11 +6,10 @@
 //! an earlier-committed one (Theorem 1), and `c-ww` is the only dependency whose direction
 //! flips when the commit order of its endpoints is switched (Lemma 4).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The kind of a dependency edge `from → to` in a transaction dependency graph.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum DependencyKind {
     /// Non-concurrent write-write: `from` wrote a key, `to` later overwrote it, and the two do
     /// not overlap.

@@ -6,7 +6,6 @@
 //! orderer-side concurrency controls ever look at.
 
 use crate::version::SeqNo;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -24,7 +23,7 @@ const INLINE_CAP: usize = 22;
 /// (so a map keyed by `Key` can be probed with a `&str`), never which form holds them.
 ///
 /// Hot paths read [`Key::as_bytes`]: [`Key::as_str`] re-checks an inline key's UTF-8.
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 pub struct Key(KeyRepr);
 
 /// The two forms of a [`Key`]. A key of up to `INLINE_CAP` bytes is always `Inline`, with
@@ -200,7 +199,7 @@ impl std::borrow::Borrow<str> for Key {
 /// inline, so creating, cloning or dropping one never touches the heap; a longer one owns a
 /// boxed slice. Either way a `Value` is 24 bytes, and equality, hashing and `Debug` see only
 /// the byte content, never which of the two forms holds it.
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 pub struct Value(Repr);
 
 #[derive(Clone)]
@@ -304,7 +303,7 @@ impl From<&str> for Value {
 }
 
 /// One entry of a readset: a key together with the version that was observed when reading it.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct ReadItem {
     /// The key that was read.
     pub key: Key,
@@ -313,7 +312,7 @@ pub struct ReadItem {
 }
 
 /// One entry of a writeset: a key together with the value the transaction intends to install.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WriteItem {
     /// The key that is written.
     pub key: Key,
@@ -322,7 +321,7 @@ pub struct WriteItem {
 }
 
 /// The readset produced by contract simulation: version dependencies of the transaction.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ReadSet {
     items: Vec<ReadItem>,
 }
@@ -387,7 +386,7 @@ impl FromIterator<(Key, SeqNo)> for ReadSet {
 
 /// The writeset produced by contract simulation: the state updates the transaction installs if
 /// it commits.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct WriteSet {
     items: Vec<WriteItem>,
 }

@@ -8,11 +8,10 @@
 use crate::abort::AbortReason;
 use crate::rwset::{Key, ReadSet, Value, WriteSet};
 use crate::version::{concurrent, EndTs, SeqNo, StartTs};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A unique transaction identifier, assigned by the client/driver when the proposal is created.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TxnId(pub u64);
 
 impl fmt::Debug for TxnId {
@@ -43,7 +42,7 @@ impl From<u64> for TxnId {
 /// the orderer trusts (debug builds re-check it against the dependency indices on every
 /// arrival and replay); re-tagging a transaction `Unknown` yields the same verdicts, commit
 /// order and ledger, only slower.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum TemplateClass {
     /// No static guarantee: full dependency tracking applies.
     #[default]
@@ -61,7 +60,7 @@ impl TemplateClass {
 
 /// An endorsed transaction: the unit that flows from peers through the ordering service into a
 /// block and finally through validation.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Transaction {
     /// Unique identifier.
     pub id: TxnId,
@@ -71,20 +70,17 @@ pub struct Transaction {
     pub write_set: WriteSet,
     /// The block number of the snapshot the simulation ran against (Algorithm 1's `b`).
     pub snapshot_block: u64,
-    /// Number of endorsement signatures collected (the simulator models endorsement policies
-    /// as a simple signer count).
-    pub endorsements: u32,
-    /// Commit slot assigned by consensus, if the transaction has been sequenced.
+    /// Commit slot `(block, position)`, once the transaction has been sequenced. A block
+    /// assigns it from the entry's position (`eov_ledger::Block::build`), and the ledger
+    /// codec derives it from that position instead of storing it.
     pub end_ts: Option<EndTs>,
     /// Static template classification (defaults to [`TemplateClass::Unknown`], the fully
-    /// tracked path). Absent in serialized transactions from older ledgers.
-    #[serde(default)]
+    /// tracked path).
     pub template_class: TemplateClass,
     /// Index of the workload template this instance was generated from: its position in the
-    /// workload's template catalog (`eov_workload::templates::catalog`). `None` (the default,
-    /// and the value for transactions from older ledgers) means "template unknown". The
-    /// ledger codec persists it; nothing in the workspace reads it back.
-    #[serde(default)]
+    /// workload's template catalog (`eov_workload::templates::catalog`). `None` (the default)
+    /// means "template unknown". The ledger codec persists it; nothing in the workspace reads
+    /// it back.
     pub template_id: Option<u16>,
 }
 
@@ -96,7 +92,6 @@ impl Transaction {
             read_set,
             write_set,
             snapshot_block,
-            endorsements: 1,
             end_ts: None,
             template_class: TemplateClass::Unknown,
             template_id: None,
@@ -158,7 +153,7 @@ impl Transaction {
 }
 
 /// The outcome of a transaction as recorded by the driver / simulator.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TxnStatus {
     /// Still in flight (executing, waiting for ordering, or waiting for validation).
     Pending,

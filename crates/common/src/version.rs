@@ -13,7 +13,6 @@
 //!
 //! Sequence numbers are ordered lexicographically, e.g. `(2,1) < (2,2) < (3,0)`.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A two-component blockchain sequence number `(block, seq)`.
@@ -21,7 +20,7 @@ use std::fmt;
 /// `seq == 0` denotes the *snapshot* position right after `block - 1` committed (the paper
 /// writes the snapshot of block `M` as `(M + 1, 0)`); positions `seq >= 1` are transaction
 /// slots inside `block`.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SeqNo {
     /// Block height component.
     pub block: u64,

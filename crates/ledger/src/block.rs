@@ -68,14 +68,13 @@ impl BlockHeader {
     }
 }
 
-/// One transaction slot inside a block: the transaction, its commit slot, and the validity
-/// flag filled in by the validation phase.
+/// One transaction slot inside a block: the transaction and the validity flag filled in by
+/// the validation phase. The slot is the entry's position: entry `i` of block `n` occupies
+/// `(n, i + 1)`, which [`Block::build`] stamps into the transaction's `end_ts`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TxnEntry {
     /// The endorsed transaction.
     pub txn: Transaction,
-    /// The slot `(block, seq)` this transaction occupies.
-    pub slot: SeqNo,
     /// Validation outcome. Entries start `Pending` when the block is cut and are finalised by
     /// the validation phase.
     pub status: TxnStatus,
@@ -86,23 +85,22 @@ pub struct TxnEntry {
 pub struct Block {
     /// The hashed header.
     pub(crate) header: BlockHeader,
-    /// Transactions in their final commit order. Slot sequence numbers start at 1.
+    /// Transactions in their final commit order: entry `i` occupies slot `(number, i + 1)`.
     pub entries: Vec<TxnEntry>,
 }
 
 impl Block {
     /// Builds a block at height `number` chaining to `prev_hash`, assigning slots
-    /// `(number, 1..)` to `txns` in order. All entries start as [`TxnStatus::Pending`].
+    /// `(number, 1..)` to `txns` in order: the one place a commit slot is assigned (Fabric#
+    /// stamps the same slots at formation, which its conflict index needs). All entries start
+    /// as [`TxnStatus::Pending`].
     pub fn build(number: u64, prev_hash: Digest, txns: Vec<Transaction>) -> Self {
-        let entries: Vec<TxnEntry> = txns
-            .into_iter()
-            .enumerate()
-            .map(|(i, mut txn)| {
-                let slot = SeqNo::new(number, i as u32 + 1);
-                txn.end_ts = Some(slot);
+        let entries: Vec<TxnEntry> = (1..)
+            .zip(txns)
+            .map(|(seq, mut txn)| {
+                txn.end_ts = Some(SeqNo::new(number, seq));
                 TxnEntry {
                     txn,
-                    slot,
                     status: TxnStatus::Pending,
                 }
             })
@@ -161,10 +159,10 @@ impl Block {
 
     /// Iterates over the committed transactions together with their intra-block sequence.
     pub fn committed(&self) -> impl Iterator<Item = (&Transaction, u32)> {
-        self.entries
-            .iter()
-            .filter(|e| e.status.is_committed())
-            .map(|e| (&e.txn, e.slot.seq))
+        (1..)
+            .zip(&self.entries)
+            .filter(|(_, e)| e.status.is_committed())
+            .map(|(seq, e)| (&e.txn, seq))
     }
 }
 
@@ -187,9 +185,8 @@ mod tests {
     fn build_assigns_slots_and_end_timestamps() {
         let block = Block::build(3, Digest::ZERO, vec![sample_txn(1), sample_txn(2)]);
         assert_eq!(block.number(), 3);
-        assert_eq!(block.entries[0].slot, SeqNo::new(3, 1));
-        assert_eq!(block.entries[1].slot, SeqNo::new(3, 2));
         assert_eq!(block.entries[0].txn.end_ts, Some(SeqNo::new(3, 1)));
+        assert_eq!(block.entries[1].txn.end_ts, Some(SeqNo::new(3, 2)));
         assert_eq!(block.raw_count(), 2);
         assert_eq!(block.committed_count(), 0);
     }
@@ -207,8 +204,8 @@ mod tests {
 
         assert_eq!(block.raw_count(), 3);
         assert_eq!(block.committed_count(), 2);
-        let committed_ids: Vec<u64> = block.committed().map(|(t, _)| t.id.0).collect();
-        assert_eq!(committed_ids, vec![1, 3]);
+        let committed: Vec<(u64, u32)> = block.committed().map(|(t, seq)| (t.id.0, seq)).collect();
+        assert_eq!(committed, vec![(1, 1), (3, 3)]);
     }
 
     #[test]

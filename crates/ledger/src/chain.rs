@@ -112,8 +112,8 @@ fn check_chain(
 }
 
 /// The chain rules for `block` at height `number` after a block hashing to `prev_hash`
-/// ([`check_chain`]), and its entries in the slots `(number, 1..)` that [`Block::build`]
-/// assigns.
+/// ([`check_chain`]), and every entry's `end_ts` its slot `(number, position)`, as
+/// [`Block::build`] assigns it and decoding derives it.
 fn check_block(block: &Block, number: u64, prev_hash: Digest) -> Result<()> {
     check_chain(
         &block.header,
@@ -123,11 +123,11 @@ fn check_block(block: &Block, number: u64, prev_hash: Digest) -> Result<()> {
     )?;
     let misplaced = (1..)
         .zip(&block.entries)
-        .find(|(seq, e)| e.slot != SeqNo::new(number, *seq));
+        .find(|(seq, e)| e.txn.end_ts != Some(SeqNo::new(number, *seq)));
     if let Some((seq, entry)) = misplaced {
         return Err(chain_fault(
             number,
-            format!("entry {seq} occupies slot {:?}", entry.slot),
+            format!("entry {seq} carries end_ts {:?}", entry.txn.end_ts),
         ));
     }
     Ok(())
@@ -154,9 +154,8 @@ pub(crate) fn walk_record(
         if entry.status.is_committed() {
             committed += 1;
             if let Some(store) = replay.as_deref_mut() {
-                let version = SeqNo::new(number, entry.slot.seq);
                 for (key, value) in entry.writes() {
-                    store.put_utf8(key, version, Value::from_slice(value));
+                    store.put_utf8(key, entry.slot, Value::from_slice(value));
                 }
             }
         }
@@ -198,7 +197,8 @@ impl Ledger {
 
     /// Appends a block, enforcing *no skipping* (height must be exactly `height() + 1`),
     /// *hash chain integrity* (its `prev_hash` must equal the current tip hash) and body
-    /// integrity (its data hash must match its entries, which occupy slots `(height, 1..)`).
+    /// integrity (its data hash must match its entries, whose `end_ts` must be their slots
+    /// `(height, 1..)`).
     pub fn append(&mut self, block: Block) -> Result<()> {
         self.check_next(&block)?;
         self.push_checked(block, None);

@@ -10,19 +10,15 @@
 //! degenerates to a full image: no base, every chain whole.
 //!
 //! ```text
-//! file    = "EOVCKP02" | u32 payload length | u32 CRC-32(payload) | payload
-//! payload = u64 height | u32 shards (0) | u8 partitioning (0)
-//!         | u8 has-base | u64 base height | u32 base payload CRC
-//!         | store
+//! file    = "EOVCKP03" | u32 payload length | u32 CRC-32(payload) | payload
+//! payload = u64 height | u8 has-base | u64 base height | u32 base payload CRC | store
 //! store   = u64 last_block | u64 pruned_below | u64 total keys | u64 chains
 //!         | (key | u32 versions | (seqno | value)*)*      — ascending key order
 //! ```
 //!
-//! The shard count and partitioning tag are what the format recorded while the store could be
-//! split by key; they are always written as 0. A file whose head records store shards was
-//! written by such a configuration, in a layout this reader does not decode, so it is refused
-//! as corrupt, naming its shard count. Passing over it instead would end in a replay from an
-//! empty store, since every link below it was written the same way.
+//! A file carrying the previous format's magic, `EOVCKP02`, is refused as corrupt, naming the
+//! format: it is never read. Every chain of such files ends in a full image of the same format,
+//! so a directory of them reports the error instead of replaying from an empty store.
 //!
 //! Writes encode into one buffer and go through a temp file plus rename, so a crash
 //! mid-checkpoint leaves either the old file set or the new one, never a half-written
@@ -59,12 +55,14 @@ use std::fs;
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
-/// Magic bytes opening every checkpoint file (format version 2: delta chains).
-const CHECKPOINT_MAGIC: &[u8; 8] = b"EOVCKP02";
+/// Magic bytes opening every checkpoint file (format version 3: delta chains).
+const CHECKPOINT_MAGIC: &[u8; 8] = b"EOVCKP03";
+/// The previous format's magic, named when a file carrying it is refused.
+const PREVIOUS_MAGIC: &[u8; 8] = b"EOVCKP02";
 /// Bytes of file frame: magic + payload length + payload CRC.
 const FRAME_LEN: usize = 16;
-/// Bytes of the fixed payload head: height, shard count, partitioning, base pointer.
-const HEAD_LEN: usize = 26;
+/// Bytes of the fixed payload head: height and base pointer.
+const HEAD_LEN: usize = 21;
 
 /// File name of the checkpoint at `height`.
 pub(crate) fn checkpoint_file_name(height: u64) -> String {
@@ -98,8 +96,6 @@ struct LinkHead {
 
 fn put_head(w: &mut ByteWriter, height: u64, base: Option<LinkId>) {
     w.put_u64(height);
-    w.put_u32(0);
-    w.put_u8(0);
     w.put_u8(base.is_some() as u8);
     let base = base.unwrap_or(LinkId { height: 0, crc: 0 });
     w.put_u64(base.height);
@@ -109,16 +105,6 @@ fn put_head(w: &mut ByteWriter, height: u64, base: Option<LinkId>) {
 /// Decodes the payload head; `crc` is the payload CRC from the file frame.
 fn get_head(r: &mut ByteReader<'_>, crc: u32) -> Result<LinkHead, String> {
     let height = r.get_u64("checkpoint height")?;
-    let shards = r.get_u32("shard count")?;
-    if shards != 0 {
-        return Err(format!(
-            "written by a store split into {shards} shards; only unsharded checkpoints load"
-        ));
-    }
-    match r.get_u8("partitioning")? {
-        0 => {}
-        other => return Err(format!("unknown partitioning tag {other}")),
-    }
     let has_base = match r.get_u8("base flag")? {
         0 => false,
         1 => true,
@@ -240,7 +226,7 @@ fn get_store(
 }
 
 /// The newest checkpoint in `dir` strictly below `height` that a delta can build on: the heads
-/// of its chain walk down to a full image (42 bytes per link; payloads are verified when a
+/// of its chain walk down to a full image (37 bytes per link; payloads are verified when a
 /// chain is loaded, not here). A file with a torn frame or a refused head, or one leaning on
 /// such a file, is passed over — what is written next must be loadable.
 fn newest_base(dir: &Path, height: u64) -> Result<Option<LinkId>, LedgerError> {
@@ -306,7 +292,12 @@ fn split_frame<'a>(
     file_len: u64,
 ) -> Result<(u32, &'a [u8]), LedgerError> {
     if bytes.len() < FRAME_LEN || &bytes[..8] != CHECKPOINT_MAGIC {
-        return Err(corrupt(path, "missing or invalid checkpoint header"));
+        let detail = if bytes.starts_with(PREVIOUS_MAGIC) {
+            "checkpoint is in the previous format EOVCKP02; this reader reads EOVCKP03 only"
+        } else {
+            "missing or invalid checkpoint header"
+        };
+        return Err(corrupt(path, detail));
     }
     let len = u32::from_be_bytes(bytes[8..12].try_into().unwrap()) as u64;
     let crc = u32::from_be_bytes(bytes[12..16].try_into().unwrap());
@@ -359,8 +350,7 @@ fn chain_paths(top: &Path) -> Result<Vec<PathBuf>, LedgerError> {
 
 /// Verifies one link of a [`chain_paths`] walk — magic, CRC, head, structure; the walk has
 /// matched its frame CRC to its successor's base pointer — and applies it on top of `below`
-/// (the links under it, already applied; `None` for the full image). A head recording store
-/// shards is refused here as everywhere else a head is decoded.
+/// (the links under it, already applied; `None` for the full image).
 fn apply_link(
     path: &Path,
     below: Option<MultiVersionStore>,
@@ -526,16 +516,6 @@ mod tests {
         }
     }
 
-    /// Rewrites the shard count a checkpoint's head records, re-sealing the CRC: the head a
-    /// store split into `shards` shards wrote.
-    fn record_shards(path: &Path, shards: u32) {
-        let mut bytes = std::fs::read(path).unwrap();
-        bytes[FRAME_LEN + 8..FRAME_LEN + 12].copy_from_slice(&shards.to_be_bytes());
-        let crc = crc32(&bytes[FRAME_LEN..]);
-        bytes[12..16].copy_from_slice(&crc.to_be_bytes());
-        std::fs::write(path, &bytes).unwrap();
-    }
-
     #[test]
     fn latest_checkpoint_respects_height_bound_and_shape() {
         let dir = temp_dir("latest");
@@ -548,26 +528,26 @@ mod tests {
         let (height, _) = latest_checkpoint_at_most(&dir, 100).unwrap().unwrap();
         assert_eq!(height, 9);
         assert!(latest_checkpoint_at_most(&dir, 1).unwrap().is_none());
-        // Every head records shard count 0. One that records store shards is refused by
-        // path and count — never passed over for a replay from an empty store.
+        // A file opening with the previous format's magic is refused by path and format,
+        // never passed over for a replay from an empty store.
         let paths: Vec<PathBuf> = checkpoint_heights(&dir)
             .unwrap()
             .into_iter()
             .map(|(_, path)| path)
             .collect();
         for path in &paths {
-            record_shards(path, 2);
+            let mut bytes = std::fs::read(path).unwrap();
+            bytes[..8].copy_from_slice(PREVIOUS_MAGIC);
+            std::fs::write(path, &bytes).unwrap();
         }
         for max_height in [2u64, 100] {
             let err = latest_checkpoint_at_most(&dir, max_height).unwrap_err();
             assert!(
                 matches!(&err, LedgerError::CorruptCheckpoint { path, detail }
-                    if paths.contains(path) && detail.contains("split into 2 shards")),
+                    if paths.contains(path) && detail.contains("EOVCKP02")),
                 "got {err}"
             );
         }
-        let err = apply_link(&paths[0], None).unwrap_err();
-        assert!(err.to_string().contains("split into 2 shards"), "got {err}");
         // Nor does a writer build on one.
         let (_, at_12) = write_checkpoint(&dir, &populated(12), false).unwrap();
         assert_eq!(peek_head(&at_12).unwrap().base, None);

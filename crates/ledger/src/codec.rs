@@ -1,7 +1,6 @@
 //! Deterministic binary codec for durable ledger records and checkpoints.
 //!
-//! The workspace's serde shim is declaration-only (no serialization backend ships in the
-//! offline container), so the durable formats are hand-rolled: fixed-width big-endian
+//! The durable formats are hand-rolled, with no serialization library: fixed-width big-endian
 //! integers, length-prefixed byte strings, and a dependency-free CRC-32 (IEEE 802.3) over
 //! every framed payload. The CRC matters beyond torn-write detection: a block's `data_hash`
 //! deliberately covers only the transaction ids and read/write sets — *not* the validation
@@ -13,6 +12,22 @@
 //! checkpoints, key order, which `put_store` gets by sorting the chain suffixes it picks from
 //! the store's write-ordered slab), so identical states always produce identical bytes — the
 //! foundation of the bit-identity assertions in the cold-recovery batteries.
+//!
+//! A block record (the payload of one segment frame, see `segment`) states each fact once:
+//!
+//! ```text
+//! record = u64 number | prev_hash (32) | data_hash (32) | u32 entries | entry*
+//! entry  = txn | status
+//! txn    = u64 id | u64 snapshot_block | u8 template class | u8 has-template-id [| u16 id]
+//!        | u32 reads  | (key | u64 block | u32 seq)*
+//!        | u32 writes | (key | value)*
+//! status = u8 0 (pending) | u8 1 (committed) | u8 2 | u8 abort-reason code
+//! key, value = u32 length | bytes
+//! ```
+//!
+//! An entry's commit slot is not stored: entry `i` of block `n` occupies `(n, i + 1)`, and
+//! decoding sets the transaction's `end_ts` to it. The data hash binds entry order, so entries
+//! that trade places no longer match their header.
 
 use crate::block::{Block, BlockHeader, BodyHasher, TxnEntry};
 use crate::error::LedgerError;
@@ -446,7 +461,8 @@ fn get_status(r: &mut ByteReader<'_>) -> Result<TxnStatus, String> {
 }
 
 /// Encodes a block — header, then every entry with its full transaction (including the
-/// status and template metadata the data hash does not cover).
+/// status and template metadata the data hash does not cover) but not its slot, which is its
+/// position.
 pub(crate) fn encode_block(w: &mut ByteWriter, block: &Block) {
     w.put_u64(block.header.number);
     w.put_digest(&block.header.prev_hash);
@@ -454,23 +470,15 @@ pub(crate) fn encode_block(w: &mut ByteWriter, block: &Block) {
     w.put_u32(block.entries.len() as u32);
     for entry in &block.entries {
         encode_txn(w, &entry.txn);
-        w.put_seqno(entry.slot);
         put_status(w, entry.status);
     }
 }
 
-/// Encodes one transaction: every field a block entry stores apart from its slot and status.
+/// Encodes one transaction: every field a block entry stores apart from its status. Its
+/// `end_ts` is the entry's slot, which the record does not store.
 fn encode_txn(w: &mut ByteWriter, txn: &Transaction) {
     w.put_u64(txn.id.0);
     w.put_u64(txn.snapshot_block);
-    w.put_u32(txn.endorsements);
-    match txn.end_ts {
-        None => w.put_u8(0),
-        Some(ts) => {
-            w.put_u8(1);
-            w.put_seqno(ts);
-        }
-    }
     w.put_u8(match txn.template_class {
         TemplateClass::Unknown => 0,
         TemplateClass::Safe => 1,
@@ -509,14 +517,14 @@ pub fn block_payload(block: &Block) -> Vec<u8> {
     w.into_bytes()
 }
 
-/// Bytes of the smallest block entry: the fixed-width fields, both optional fields absent,
-/// no read and no write.
-const MIN_ENTRY_LEN: usize = 8 + 8 + 4 + 1 + 1 + 1 + 4 + 4 + 12 + 1;
+/// Bytes of the smallest block entry: the fixed-width fields, no template id, no read and no
+/// write.
+const MIN_ENTRY_LEN: usize = 8 + 8 + 1 + 1 + 4 + 4 + 1;
 
 /// One block record, parsed field by field without building a [`Block`]: the header first,
 /// then one entry at a time. Every tag, count, length and UTF-8 key is checked, a read or
-/// write set may not name a key twice, entry `i` must occupy slot `(number, i + 1)` (what
-/// [`Block::build`] assigns), and the payload must end with the last entry. The body is hashed
+/// write set may not name a key twice, and the payload must end with the last entry. Entry
+/// `i` gets slot `(number, i + 1)`, what [`Block::build`] assigns. The body is hashed
 /// on the same pass ([`Self::body_hash`]). [`decode_block`] builds blocks from it and the
 /// durable ledger's open walk checks records with it, so the two accept exactly the same
 /// records.
@@ -579,12 +587,6 @@ impl<'a> RecordParser<'a> {
         let id = r.get_u64("txn id")?;
         let snapshot_block = r.get_u64("snapshot block")?;
         hasher.txn(id, snapshot_block);
-        let endorsements = r.get_u32("endorsements")?;
-        let end_ts = match r.get_u8("end_ts tag")? {
-            0 => None,
-            1 => Some(r.get_seqno("end_ts")?),
-            other => return Err(format!("unknown end_ts tag {other}")),
-        };
         let template_class = match r.get_u8("template class")? {
             0 => TemplateClass::Unknown,
             1 => TemplateClass::Safe,
@@ -603,25 +605,16 @@ impl<'a> RecordParser<'a> {
             hasher.write(key, r.get_bytes("write value")?);
             Ok(())
         })?;
-        let slot = r.get_seqno("slot")?;
-        let expected = SeqNo::new(header.number, *parsed + 1);
-        if slot != expected {
-            return Err(format!(
-                "entry {parsed} occupies slot {slot:?}, expected {expected:?}"
-            ));
-        }
         let status = get_status(r)?;
         *parsed += 1;
         Ok(Some(EntryView {
             id,
             snapshot_block,
-            endorsements,
-            end_ts,
             template_class,
             template_id,
             reads,
             writes,
-            slot,
+            slot: SeqNo::new(header.number, *parsed),
             status,
         }))
     }
@@ -679,12 +672,10 @@ impl<'a> Items<'a> {
 }
 
 /// One entry of a record, checked by [`RecordParser::next_entry`]; its reads and writes are
-/// borrowed from the payload.
+/// borrowed from the payload, and its slot comes from its position.
 pub(crate) struct EntryView<'a> {
     pub(crate) id: u64,
     pub(crate) snapshot_block: u64,
-    pub(crate) endorsements: u32,
-    pub(crate) end_ts: Option<SeqNo>,
     pub(crate) template_class: TemplateClass,
     pub(crate) template_id: Option<u16>,
     reads: Items<'a>,
@@ -715,13 +706,11 @@ impl<'a> EntryView<'a> {
                 .map(|(k, v)| (key(k), Value::from_slice(v)))
                 .collect(),
         );
-        txn.endorsements = self.endorsements;
-        txn.end_ts = self.end_ts;
+        txn.end_ts = Some(self.slot);
         txn.template_class = self.template_class;
         txn.template_id = self.template_id;
         TxnEntry {
             txn,
-            slot: self.slot,
             status: self.status,
         }
     }
@@ -788,6 +777,10 @@ mod tests {
         let decoded = decode_block(&block_payload(&block)).expect("roundtrip");
         assert_eq!(decoded, block);
         assert_eq!(Block::data_hash(&decoded.entries), decoded.header.data_hash);
+        // The record stores no slot: every decoded `end_ts` is `(block, position)`.
+        for (seq, entry) in (1..).zip(&decoded.entries) {
+            assert_eq!(entry.txn.end_ts, Some(SeqNo::new(3, seq)));
+        }
     }
 
     /// Keys on both sides of the 22-byte inline limit, and one far past it, in reads and
@@ -828,10 +821,9 @@ mod tests {
         for entry in &block.entries {
             let txn = txn_payload(&entry.txn);
             assert_eq!(&bytes[at..at + txn.len()], txn.as_slice());
-            let mut tail = ByteWriter::new();
-            tail.put_seqno(entry.slot);
-            put_status(&mut tail, entry.status);
-            at += txn.len() + tail.len();
+            let mut status = ByteWriter::new();
+            put_status(&mut status, entry.status);
+            at += txn.len() + status.len();
         }
         assert_eq!(at, bytes.len());
     }
@@ -872,8 +864,7 @@ mod tests {
             header(&mut w, 1);
             w.put_u64(7);
             w.put_u64(0);
-            w.put_u32(0);
-            w.put_raw(&[0, 0, 0]);
+            w.put_raw(&[0, 0]);
             if count_field == 1 {
                 w.put_u32(0);
             }
@@ -887,7 +878,6 @@ mod tests {
         let smallest = Transaction::new(TxnId(1), 0, Default::default(), Default::default());
         let mut w = ByteWriter::new();
         encode_txn(&mut w, &smallest);
-        w.put_seqno(SeqNo::new(1, 1));
         put_status(&mut w, TxnStatus::Pending);
         assert_eq!(w.len(), MIN_ENTRY_LEN);
     }
@@ -902,16 +892,6 @@ mod tests {
         repeated[at + 3..at + 5].copy_from_slice(b"22");
         let err = decode_block(&repeated).unwrap_err();
         assert!(err.contains("twice"), "{err}");
-    }
-
-    #[test]
-    fn an_entry_outside_its_slot_is_an_error() {
-        let mut block = sample_block(2, Digest::ZERO);
-        block.entries.swap(0, 1);
-        assert!(decode_block(&block_payload(&block)).is_err());
-        block.entries.swap(0, 1);
-        block.entries[1].slot = SeqNo::new(3, 2);
-        assert!(decode_block(&block_payload(&block)).is_err());
     }
 
     #[test]

@@ -237,6 +237,7 @@ impl LedgerBackend {
 mod tests {
     use super::*;
     use crate::sha256::Digest;
+    use eov_common::abort::AbortReason;
     use eov_common::error::CommonError;
     use eov_common::rwset::{Key, Value};
     use eov_common::txn::{Transaction, TxnStatus};
@@ -405,7 +406,8 @@ mod tests {
         let mut found = Vec::new();
         for path in segments {
             let bytes = std::fs::read(&path).unwrap();
-            let mut at = 16;
+            // Records start behind the 8-byte magic.
+            let mut at = 8;
             while at + 8 <= bytes.len() {
                 let len = u32::from_be_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
                 found.push((path.clone(), at as u64, len));
@@ -579,33 +581,92 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// Three transactions reading and writing a shared key, two of them committed: a slot
+    /// or status the damage moves reorders versions of one key.
+    fn busy_block(number: u64, prev: Digest) -> Block {
+        let txns = (0..3u64)
+            .map(|i| {
+                Transaction::from_parts(
+                    number * 10 + i,
+                    number - 1,
+                    [(Key::new("A"), SeqNo::new(number - 1, 1))],
+                    [
+                        (Key::new("A"), Value::from_i64(i as i64)),
+                        (Key::new(format!("K{i}")), Value::from_i64(number as i64)),
+                    ],
+                )
+            })
+            .collect();
+        let mut block = Block::build(number, prev, txns);
+        block.entries[0].status = TxnStatus::Committed;
+        block.entries[1].status = TxnStatus::Aborted(AbortReason::StaleRead);
+        block.entries[2].status = TxnStatus::Committed;
+        block
+    }
+
+    /// The record stores no slot, so entries that trade places still decode, each taking the
+    /// slot of its new position. The data hash binds entry order, so opening refuses them.
+    #[test]
+    fn swapped_entries_fail_the_data_hash_check_on_open() {
+        let dir = temp_dir("swapped");
+        let (mut ledger, _) = DurableLedger::open(&dir, DurableOptions::default()).unwrap();
+        fill(&mut ledger, 2);
+        let mut swapped = busy_block(3, ledger.ledger().tip_hash());
+        ledger.append(swapped.clone()).unwrap();
+        swapped.entries.swap(0, 1);
+        let record = segment::frame_record(&swapped).unwrap();
+        let decoded = crate::codec::decode_block(&record[8..]).unwrap();
+        let slots: Vec<_> = decoded
+            .entries
+            .iter()
+            .map(|e| (e.txn.id.0, e.txn.end_ts))
+            .collect();
+        let slot = |seq| Some(SeqNo::new(3, seq));
+        assert_eq!(slots, [(31, slot(1)), (30, slot(2)), (32, slot(3))]);
+
+        let (path, offset, len) = records(&dir)[2].clone();
+        assert_eq!(record.len(), 8 + len, "same entries, same length");
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[offset as usize..][..record.len()].copy_from_slice(&record);
+        std::fs::write(&path, bytes).unwrap();
+        let err = DurableLedger::open(&dir, DurableOptions::default()).unwrap_err();
+        assert!(
+            matches!(&err, LedgerError::Chain(CommonError::ChainIntegrity { block: 3, detail })
+                if detail.contains("data hash")),
+            "got {err}"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A last segment that holds no record, whatever its header bytes, is a torn rotation and
+    /// is removed: a bare header, a short one, a mismatched one, or one whose first record is
+    /// torn. (With records behind it, a mismatched header is refused: `tests/durable_ledger.rs`.)
+    #[test]
+    fn a_header_is_torn_only_with_nothing_behind_it() {
+        let options = DurableOptions {
+            rotate_bytes: 1,
+            ..DurableOptions::default()
+        };
+        for header in [&b"EOVSEG02"[..], b"EOV", b"EOVSEG12", b"EOVSEG02\0\0\0\x09"] {
+            let dir = temp_dir("bare-header");
+            let (mut ledger, _) = DurableLedger::open(&dir, options).unwrap();
+            fill(&mut ledger, 2);
+            let tip = ledger.ledger().tip_hash();
+            drop(ledger);
+            let third = dir.join(segment::segment_file_name(3));
+            std::fs::write(&third, header).unwrap();
+            let (ledger, report) = DurableLedger::open(&dir, options).unwrap();
+            assert_eq!((ledger.height(), ledger.ledger().tip_hash()), (2, tip));
+            let dropped = report.torn.map(|t| t.dropped_bytes);
+            assert_eq!(dropped, Some(header.len() as u64), "{header:?}");
+            assert!(!third.exists(), "{header:?}");
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
     mod proptests {
         use super::*;
-        use eov_common::abort::AbortReason;
         use proptest::prelude::*;
-
-        /// Three transactions reading and writing a shared key, two of them committed: a slot
-        /// or status the damage moves reorders versions of one key.
-        fn busy_block(number: u64, prev: Digest) -> Block {
-            let txns = (0..3u64)
-                .map(|i| {
-                    Transaction::from_parts(
-                        number * 10 + i,
-                        number - 1,
-                        [(Key::new("A"), SeqNo::new(number - 1, 1))],
-                        [
-                            (Key::new("A"), Value::from_i64(i as i64)),
-                            (Key::new(format!("K{i}")), Value::from_i64(number as i64)),
-                        ],
-                    )
-                })
-                .collect();
-            let mut block = Block::build(number, prev, txns);
-            block.entries[0].status = TxnStatus::Committed;
-            block.entries[1].status = TxnStatus::Aborted(AbortReason::StaleRead);
-            block.entries[2].status = TxnStatus::Committed;
-            block
-        }
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(64))]

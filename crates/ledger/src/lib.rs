@@ -26,8 +26,8 @@
 //!   ledger and the store (newest valid checkpoint plus the replayed segment suffix). The
 //!   orderer's concurrency state is not persisted; it is re-derived from the ledger.
 //! * `reenact` — provenance queries joining a
-//!   [`MultiVersionStore::value_as_of`](eov_vstore::MultiVersionStore::value_as_of) answer
-//!   back to the committing transaction in the ledger.
+//!   [`MultiVersionStore::read_at`](eov_vstore::MultiVersionStore::read_at) answer back to the
+//!   committing transaction in the ledger.
 //! * [`adversary`] — the Section 3.5 security model over the ordering service: leader
 //!   policies (honest / front-running / equivocating), the hash-commitment mitigation that
 //!   hides transaction contents until the order is fixed, and the fork audit that compares

@@ -51,8 +51,9 @@ pub struct ColdRecovery {
 /// checkpoints all fail to load is an error ([`LedgerError::CorruptCheckpoint`]), not a
 /// replay: seeded genesis values exist in no block, only in the genesis image every later
 /// checkpoint chains down to (the simulator always writes one), so replaying without it would
-/// return a store that quietly lacks them. Checkpoints written by a store split into shards
-/// are such failures: their head records the shard count, and it is refused.
+/// return a store that quietly lacks them. Checkpoints in the previous format (`EOVCKP02`) are
+/// such failures, refused by name; so are segments in theirs (`EOVSEG01`), which the walk
+/// reports before anything is removed.
 ///
 /// Checkpoint files the recovery ruled out — leftovers above a repaired torn tail, links that
 /// failed verification — are removed before returning, so the deltas written from here on

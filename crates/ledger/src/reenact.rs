@@ -1,13 +1,13 @@
 //! Provenance: joining a time-travel answer back to the committing transaction.
 //!
-//! [`MultiVersionStore::value_as_of`] yields the commit slot `(block, seq)` behind any historical
+//! [`MultiVersionStore::read_at`] yields the commit slot `(block, seq)` behind any historical
 //! value; this module resolves that slot against the ledger to recover *who* wrote it — the
 //! reenactment query of the audit literature ("which transaction, in which block, produced the
 //! balance the auditor is looking at?"). Slot `(0, _)` denotes genesis state, which no
-//! transaction produced. For any later slot the ledger entry is cross-checked against the
-//! store: the slot must match, the entry must be committed, and its write set must contain the
-//! queried key — a mismatch means the store and the ledger have diverged, which is reported as
-//! an internal chain error rather than trusted.
+//! transaction produced. For any later slot the ledger entry at that position is cross-checked
+//! against the store: it must exist, be committed, and write the queried key — a mismatch
+//! means the store and the ledger have diverged, which is reported as an internal chain error
+//! rather than trusted.
 
 use crate::chain::Ledger;
 use crate::error::LedgerError;
@@ -38,7 +38,7 @@ pub fn provenance(
     key: &Key,
     height: u64,
 ) -> Result<Option<Provenance>, LedgerError> {
-    let Some(version) = store.value_as_of(key, height)? else {
+    let Some(version) = store.read_at(key, height)? else {
         return Ok(None);
     };
     let slot = version.version;
@@ -55,9 +55,6 @@ pub fn provenance(
         .entries
         .get((slot.seq as usize).wrapping_sub(1))
         .ok_or_else(|| diverged(key, slot, "no entry at that slot"))?;
-    if entry.slot != slot {
-        return Err(diverged(key, slot, "entry slot mismatch"));
-    }
     if !entry.status.is_committed() {
         return Err(diverged(key, slot, "entry is not committed"));
     }

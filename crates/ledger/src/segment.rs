@@ -1,18 +1,27 @@
 //! Append-only segment files: the on-disk record log behind the durable ledger.
 //!
-//! A ledger directory holds a sorted sequence of segment files named
-//! `seg-<first_block:020>.log`. Each file starts with an 8-byte magic plus the height of its
-//! first block, followed by framed block records: `u32 payload length | u32 CRC-32 | payload`
-//! (see [`crate::codec`]). Appends go to the newest segment until it reaches the configured
-//! rotation size, then a fresh segment is started — so old segments are immutable and the
-//! only file a crash can tear is the last one.
+//! A ledger directory holds a sequence of segment files named `seg-<first_block:020>.log`:
+//!
+//! ```text
+//! segment = "EOVSEG02" | frame*
+//! frame   = u32 payload length | u32 CRC-32(payload) | payload    — one block record
+//! ```
+//!
+//! The payload is a block record (see [`crate::codec`]). The file name is the one place a
+//! segment's first block is stated, and the scan checks it against the segment's first record.
+//! Appends go to the newest segment until it reaches the configured rotation size, then a
+//! fresh segment is started — so old segments are immutable and the only file a crash can
+//! tear is the last one. A segment carrying another magic, the previous format's `EOVSEG01`
+//! included, is refused, not read.
 //!
 //! Scanning applies the standard write-ahead-log tail rule: the first invalid record
 //! (truncated frame, impossible length, CRC mismatch) in the *last* segment marks a torn
 //! trailing write — everything from that offset on is dropped and physically truncated on
-//! repair, never a panic. The same damage in any *earlier* segment cannot be a torn write
-//! (earlier segments were sealed before later ones existed) and surfaces as a typed
-//! [`LedgerError::CorruptRecord`].
+//! repair, never a panic; a last segment left without a record (torn before its first record
+//! landed, or shorter than its header) is removed. The same damage in any *earlier* segment
+//! cannot be a torn write (earlier segments were sealed before later ones existed) and
+//! surfaces as a typed [`LedgerError::CorruptRecord`], as does a whole header that is not
+//! `EOVSEG02` with bytes behind it, wherever it is: a crash cannot write one.
 //!
 //! A record write that fails part-way is cut back off the segment before the error returns,
 //! so the next append lands where the failed one began; a segment that cannot be cut back
@@ -27,10 +36,12 @@ use std::fs;
 use std::io::{BufReader, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-/// Magic bytes opening every segment file (format version 1).
-const SEGMENT_MAGIC: &[u8; 8] = b"EOVSEG01";
-/// Bytes of segment header: magic + first-block height.
-const HEADER_LEN: u64 = 16;
+/// Magic bytes opening every segment file (format version 2).
+const SEGMENT_MAGIC: &[u8; 8] = b"EOVSEG02";
+/// The previous format's magic, named when a segment carrying it is refused.
+const PREVIOUS_MAGIC: &[u8; 8] = b"EOVSEG01";
+/// Bytes of segment header: the magic alone.
+const HEADER_LEN: u64 = 8;
 /// Sanity cap on a single record payload; a "length" above this in the tail is torn garbage.
 const MAX_RECORD_LEN: u32 = 1 << 28;
 
@@ -57,6 +68,17 @@ pub(crate) fn frame_record(block: &Block) -> Result<Vec<u8>, LedgerError> {
 /// lexicographic directory order is the numeric block order for any u64 height).
 pub(crate) fn segment_file_name(first_block: u64) -> String {
     format!("seg-{first_block:020}.log")
+}
+
+/// The first block a segment file name states, if it is one [`segment_file_name`] makes.
+fn first_block_in_name(path: &Path) -> Option<u64> {
+    let name = path.file_name()?.to_str()?;
+    let first_block = name
+        .strip_prefix("seg-")?
+        .strip_suffix(".log")?
+        .parse()
+        .ok()?;
+    (segment_file_name(first_block) == name).then_some(first_block)
 }
 
 /// Where one record sits: the segment holding it (named by its first block) and the byte
@@ -104,7 +126,7 @@ pub struct TornTail {
     /// The segment file holding the torn record.
     pub(crate) segment: PathBuf,
     /// Bytes of the file that remain valid (the repair truncates to this length; `0` means
-    /// even the header was torn and the whole file is removed).
+    /// no record survives and the whole file is removed).
     pub(crate) valid_len: u64,
     /// Bytes dropped by the repair.
     pub dropped_bytes: u64,
@@ -129,54 +151,52 @@ pub(crate) struct TailSegment {
     pub(crate) len: u64,
 }
 
-/// Lists the segment files of `dir` in block order.
-fn segment_paths(dir: &Path) -> Result<Vec<PathBuf>, LedgerError> {
+/// Lists the segment files of `dir` with their first blocks, in block order.
+fn segment_paths(dir: &Path) -> Result<Vec<(u64, PathBuf)>, LedgerError> {
     let entries = fs::read_dir(dir).map_err(|e| LedgerError::io(dir, e))?;
-    let mut paths: Vec<PathBuf> = Vec::new();
+    let mut paths: Vec<(u64, PathBuf)> = Vec::new();
     for entry in entries {
         let path = entry.map_err(|e| LedgerError::io(dir, e))?.path();
-        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
-        if name.starts_with("seg-") && name.ends_with(".log") {
-            paths.push(path);
+        if let Some(first_block) = first_block_in_name(&path) {
+            paths.push((first_block, path));
         }
     }
-    // Zero-padded heights: lexicographic file-name order is numeric block order.
     paths.sort();
     Ok(paths)
 }
 
 /// Scans every segment of `dir`, classifying damage (torn tail vs corrupt record) per the
 /// module rules and handing every CRC-valid record to `visit` in log order: the segment file,
-/// where the record sits, and its payload. `visit` returns the record's block height — the
-/// next segment must start right after it — or the error that ends the scan. The directory
-/// must exist.
+/// where the record sits, and its payload. `visit` checks that each record follows the one
+/// before it and returns its block height, which for a segment's first record must be the
+/// height in the file name, or the error that ends the scan. The directory must exist.
 pub(crate) fn scan_dir(
     dir: &Path,
     mut visit: impl FnMut(&Path, RecordAt, &[u8]) -> Result<u64, LedgerError>,
 ) -> Result<SegmentScan, LedgerError> {
     let paths = segment_paths(dir)?;
     let segment_count = paths.len();
-    let mut last_block: Option<u64> = None;
     let mut torn: Option<TornTail> = None;
     let mut tail: Option<TailSegment> = None;
 
     // One record's payload at a time, whatever the rotation size: the scan's memory is the
     // largest record, not the largest segment.
     let mut payload: Vec<u8> = Vec::new();
-    for (index, path) in paths.iter().enumerate() {
+    for (index, &(first_block, ref path)) in paths.iter().enumerate() {
         let is_last = index + 1 == segment_count;
         let io = |e| LedgerError::io(path, e);
+        let corrupt = |offset, detail: String| LedgerError::CorruptRecord {
+            segment: path.clone(),
+            offset,
+            detail,
+        };
         let file = fs::File::open(path).map_err(io)?;
         let file_len = file.metadata().map_err(io)?.len();
         let mut reader = BufReader::new(file);
 
-        // Header: magic + first block height.
-        let mut header = [0u8; HEADER_LEN as usize];
-        let header_ok = file_len >= HEADER_LEN && {
-            reader.read_exact(&mut header).map_err(io)?;
-            &header[..8] == SEGMENT_MAGIC
-        };
-        if !header_ok {
+        // A header with nothing behind it holds no record, whatever its bytes: as the last
+        // segment, a rotation torn before its first record landed.
+        if file_len <= HEADER_LEN {
             if is_last {
                 torn = Some(TornTail {
                     segment: path.clone(),
@@ -185,22 +205,18 @@ pub(crate) fn scan_dir(
                 });
                 break;
             }
-            return Err(LedgerError::CorruptRecord {
-                segment: path.clone(),
-                offset: 0,
-                detail: "missing or invalid segment header".into(),
-            });
+            return Err(corrupt(0, "segment holds no record".into()));
         }
-        let first_block = u64::from_be_bytes(header[8..16].try_into().unwrap());
-        let expected_first = last_block.map_or(first_block, |n| n.wrapping_add(1));
-        if first_block != expected_first {
-            return Err(LedgerError::CorruptRecord {
-                segment: path.clone(),
-                offset: 8,
-                detail: format!(
-                    "segment claims first block {first_block}, expected {expected_first}"
-                ),
-            });
+        // Bytes follow the header, so a header that does not match is no torn write.
+        let mut magic = [0u8; HEADER_LEN as usize];
+        reader.read_exact(&mut magic).map_err(io)?;
+        if &magic != SEGMENT_MAGIC {
+            let detail = if &magic == PREVIOUS_MAGIC {
+                "segment is in the previous format EOVSEG01; this reader reads EOVSEG02 only"
+            } else {
+                "invalid segment header (expected EOVSEG02)"
+            };
+            return Err(corrupt(0, detail.into()));
         }
 
         let mut offset = HEADER_LEN;
@@ -232,18 +248,16 @@ pub(crate) fn scan_dir(
                     "CRC mismatch"
                 };
                 if is_last {
+                    // A segment whose first record is torn keeps no record: it goes whole.
+                    let valid_len = if offset > HEADER_LEN { offset } else { 0 };
                     torn = Some(TornTail {
                         segment: path.clone(),
-                        valid_len: offset,
-                        dropped_bytes: file_len - offset,
+                        valid_len,
+                        dropped_bytes: file_len - valid_len,
                     });
                     break;
                 }
-                return Err(LedgerError::CorruptRecord {
-                    segment: path.clone(),
-                    offset,
-                    detail: detail.into(),
-                });
+                return Err(corrupt(offset, detail.into()));
             }
             // CRC-valid bytes that fail structural decoding are corruption (or a format bug),
             // never a torn write: the visitor's typed error ends the scan wherever it is.
@@ -251,17 +265,19 @@ pub(crate) fn scan_dir(
                 segment: first_block,
                 offset,
             };
-            last_block = Some(visit(path, at, &payload)?);
+            let number = visit(path, at, &payload)?;
+            if offset == HEADER_LEN && number != first_block {
+                return Err(corrupt(
+                    offset,
+                    format!("segment named for block {first_block} starts with block {number}"),
+                ));
+            }
             offset += 8 + len as u64;
         }
 
         if is_last {
-            let surviving_len = match &torn {
-                Some(t) => t.valid_len,
-                None => file_len,
-            };
-            // A tail torn before the header survives as no file at all.
-            tail = (surviving_len >= HEADER_LEN).then(|| TailSegment {
+            let surviving_len = torn.as_ref().map_or(file_len, |t| t.valid_len);
+            tail = (surviving_len > 0).then(|| TailSegment {
                 path: path.clone(),
                 first_block,
                 len: surviving_len,
@@ -277,9 +293,9 @@ pub(crate) fn scan_dir(
 }
 
 /// Physically repairs a torn tail: truncates the segment to its valid length, or removes the
-/// file entirely when even the header was torn.
+/// file entirely when no record of it survives.
 pub(crate) fn repair_torn_tail(torn: &TornTail) -> Result<(), LedgerError> {
-    if torn.valid_len >= HEADER_LEN {
+    if torn.valid_len > 0 {
         let file = fs::OpenOptions::new()
             .write(true)
             .open(&torn.segment)
@@ -386,10 +402,7 @@ impl SegmentWriter {
                 .append(true)
                 .open(&path)
                 .map_err(|e| LedgerError::io(&path, e))?;
-            let mut header = Vec::with_capacity(HEADER_LEN as usize);
-            header.extend_from_slice(SEGMENT_MAGIC);
-            header.extend_from_slice(&block_number.to_be_bytes());
-            file.write_all(&header)
+            file.write_all(SEGMENT_MAGIC)
                 .map_err(|e| LedgerError::io(&path, e))?;
             if self.fsync {
                 // The record's own `sync_data` below covers the file; its directory entry

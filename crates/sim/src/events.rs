@@ -48,7 +48,7 @@ pub(crate) enum Event {
     },
     /// A cut block has been delivered to the validating peer.
     BlockDelivered {
-        /// The block's transactions in final commit order (with `end_ts` assigned by the CC).
+        /// The block's transactions in final commit order (the block assigns their slots).
         txns: Vec<Transaction>,
         /// Submission times of those transactions (for latency accounting), same order.
         submitted_at: Vec<SimTime>,

@@ -10,10 +10,9 @@
 //!   superseded one in a single log of fixed-size pages, linked newest to oldest. Reads
 //!   answer with a [`VersionRef`], the slot and a borrowed value.
 //! * [`snapshot`] — [`SnapshotManager`], the latest committed height the endorsers read.
-//! * `timetravel` — the reenactment query surface over the retained history, as
-//!   `MultiVersionStore` methods: [`MultiVersionStore::value_as_of`] ("value of `key` as of
-//!   block `h`", with the commit slot behind it) and [`MultiVersionStore::history_range`]
-//!   (block-range histories).
+//! * `timetravel` — the reenactment query surface over the retained history:
+//!   [`MultiVersionStore::read_at`] answers "value of `key` as of block `h`", with the commit
+//!   slot behind it, and [`MultiVersionStore::history_range`] gives block-range histories.
 //!
 //! There is one store, owned by the thread that drives it: the
 //! paper's single global multi-version store (Sections 4.2–4.4), with no key-space

@@ -3,25 +3,19 @@
 //! The multi-version store already holds everything a historical audit needs: every key's
 //! newest version links back to the one before it, down to its first. The methods here turn
 //! that into the reenactment query surface of Arab et al. (PAPERS.md): *what was the value of
-//! `key` as of block `h`?* (`value_as_of`), *how did it evolve between `h0` and `h1`?*
-//! (`history_range`), and *which commit slot produced the visible value?* (the `version` of
-//! the `value_as_of` answer — the store half of provenance; `eov_ledger::reenact` joins the
-//! slot back to the committing transaction). Answers below the pruning horizon are refused with the same
-//! [`CommonError::SnapshotPruned`](eov_common::error::CommonError::SnapshotPruned) contract as
-//! snapshot reads, because pruned histories no longer hold the evidence.
+//! `key` as of block `h`?* (the snapshot read [`MultiVersionStore::read_at`]), *how did it
+//! evolve between `h0` and `h1`?* (`history_range`), and *which commit slot produced the
+//! visible value?* (the `version` of the `read_at` answer — the store half of provenance;
+//! `eov_ledger::reenact` joins the slot back to the committing transaction). Answers below the
+//! pruning horizon are refused with the
+//! [`CommonError::SnapshotPruned`](eov_common::error::CommonError::SnapshotPruned) contract,
+//! because pruned histories no longer hold the evidence.
 
 use crate::mvstore::{MultiVersionStore, VersionRef};
 use eov_common::error::{CommonError, Result};
 use eov_common::rwset::Key;
 
 impl MultiVersionStore {
-    /// The value of `key` as of the snapshot after block `height`: the newest version whose
-    /// block component is `<= height` — the snapshot read [`Self::read_at`] answers, under its
-    /// reenactment name. Errors below the pruning horizon.
-    pub fn value_as_of(&self, key: &Key, height: u64) -> Result<Option<VersionRef<'_>>> {
-        self.read_at(key, height)
-    }
-
     /// Every version of `key` committed in blocks `h0..=h1` (oldest first). Errors if `h0` is
     /// below the pruning horizon (versions there may already be gone).
     pub fn history_range(&self, key: &Key, h0: u64, h1: u64) -> Result<Vec<VersionRef<'_>>> {
@@ -61,20 +55,6 @@ mod tests {
     }
 
     #[test]
-    fn value_as_of_matches_read_at() {
-        let store = populated();
-        for h in 0..=6u64 {
-            for key in [k("A"), k("B"), k("missing")] {
-                assert_eq!(
-                    store.value_as_of(&key, h).unwrap(),
-                    store.read_at(&key, h).unwrap(),
-                    "{key} @ {h}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn history_range_slices_the_chain_by_block() {
         let store = populated();
         let mid = store.history_range(&k("A"), 2, 4).unwrap();
@@ -90,7 +70,7 @@ mod tests {
     #[test]
     fn version_as_of_returns_the_committing_slot() {
         let store = populated();
-        let version_as_of = |key: &str| store.value_as_of(&k(key), 3).unwrap().map(|v| v.version);
+        let version_as_of = |key: &str| store.read_at(&k(key), 3).unwrap().map(|v| v.version);
         assert_eq!(version_as_of("A"), Some(SeqNo::new(3, 1)));
         assert_eq!(version_as_of("B"), Some(SeqNo::new(0, 2)));
         assert_eq!(version_as_of("missing"), None);
@@ -101,7 +81,7 @@ mod tests {
         let mut store = populated();
         store.prune_versions_below(3);
         assert_eq!(
-            store.value_as_of(&k("A"), 2),
+            store.read_at(&k("A"), 2),
             Err(CommonError::SnapshotPruned(2))
         );
         assert_eq!(
@@ -109,7 +89,7 @@ mod tests {
             Err(CommonError::SnapshotPruned(1))
         );
         // At or above the horizon still answers.
-        assert!(store.value_as_of(&k("A"), 3).unwrap().is_some());
+        assert!(store.read_at(&k("A"), 3).unwrap().is_some());
         assert!(!store.history_range(&k("A"), 3, 5).unwrap().is_empty());
     }
 }

@@ -13,8 +13,8 @@
 //!    from the same in-memory prefix — same resume block, same verdicts, same next cut —
 //!    including on a ledger where untracked fastpath commits interleave with graph-inserted
 //!    ones inside every block;
-//! 4. directories written before store sharding was removed still recover: an unsharded one
-//!    to its tip and store, a sharded one to a typed error rather than a replay from nothing.
+//! 4. a directory in the previous durable formats is refused with a typed error naming the
+//!    format, rather than read or replayed from nothing, and keeps every byte.
 
 use fabricsharp::baselines::{SimpleChain, SystemKind};
 use fabricsharp::common::config::{CcConfig, WorkloadParams};
@@ -23,6 +23,7 @@ use fabricsharp::common::txn::{TemplateClass, Transaction};
 use fabricsharp::common::version::SeqNo;
 use fabricsharp::core::recovery::recover_from_ledger;
 use fabricsharp::core::FabricSharpCC;
+use fabricsharp::ledger::durable::{DurableLedger, DurableOptions};
 use fabricsharp::ledger::{recover_from_disk, ColdRecovery, Ledger, LedgerError};
 use fabricsharp::sim::{SimulationConfig, Simulator};
 use fabricsharp::vstore::MultiVersionStore;
@@ -467,11 +468,11 @@ fn a_fabric_ledger_with_validation_aborts_recovers_to_the_replayed_oracle() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// The fixture directories `tests/fixtures/checkpoint_s{0,2}` were written by the last revision
-/// that could shard the store (57703dc), with `CcConfig`'s store-shard count at 0 and at 2:
-/// Fabric# on modified Smallbank, 8 accounts, 40 tps for 0.5 simulated seconds, 4-transaction
-/// blocks and a checkpoint every 2 blocks — 5 blocks in one segment, checkpoints at 0, 2 and
-/// 4. At that revision, for `S` in 0 and 2, as the body of an example's `main`:
+/// `tests/fixtures/checkpoint_s0` is a directory in the previous durable formats (`EOVSEG01`
+/// segments, `EOVCKP02` checkpoints), written by revision 57703dc: Fabric# on modified
+/// Smallbank, 8 accounts, 40 tps for 0.5 simulated seconds, 4-transaction blocks and a
+/// checkpoint every 2 blocks — 5 blocks in one segment, checkpoints at 0, 2 and 4. At that
+/// revision, as the body of an example's `main`:
 ///
 /// ```text
 /// let mut cfg = SimulationConfig::new(SystemKind::FabricSharp, WorkloadKind::ModifiedSmallbank);
@@ -480,25 +481,11 @@ fn a_fabric_ledger_with_validation_aborts_recovers_to_the_replayed_oracle() {
 /// cfg.params.request_rate_tps = 40;
 /// cfg.block.max_txns_per_block = 4;
 /// cfg.cc.checkpoint_interval = 2;
-/// // ...and the store-shard count field of `cfg.cc` set to S.
-/// cfg.durability_dir = Some(format!("tests/fixtures/checkpoint_s{S}").into());
+/// cfg.durability_dir = Some("tests/fixtures/checkpoint_s0".into());
 /// Simulator::run_full(&cfg);
 /// ```
-fn fixture_config() -> SimulationConfig {
-    let mut config =
-        SimulationConfig::new(SystemKind::FabricSharp, WorkloadKind::ModifiedSmallbank);
-    config.duration_s = 0.5;
-    config.params.num_accounts = 8;
-    config.params.request_rate_tps = 40;
-    config.block.max_txns_per_block = 4;
-    config.cc.checkpoint_interval = 2;
-    config
-}
-
-/// The tip both fixture runs ended on.
-const FIXTURE_TIP: &str = "3a2431c76c7ec4e847c01340bfa6a641d137d99ecc27632e3e231c0c4f35b029";
-
-/// Copies a fixture directory to a scratch one (recovery may remove checkpoint files).
+///
+/// Copied to a scratch directory, since a recovery that went wrong could remove files.
 fn copy_fixture(name: &str) -> PathBuf {
     let from = Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests/fixtures")
@@ -512,52 +499,51 @@ fn copy_fixture(name: &str) -> PathBuf {
     to
 }
 
-fn file_names(dir: &Path) -> Vec<String> {
-    let mut names: Vec<String> = std::fs::read_dir(dir)
+/// Every file of `dir` with its bytes, by name.
+fn dir_bytes(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
+    let mut files: Vec<_> = std::fs::read_dir(dir)
         .unwrap()
-        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .map(|e| e.unwrap().path())
+        .map(|p| (p.clone(), std::fs::read(p).unwrap()))
         .collect();
-    names.sort();
-    names
+    files.sort();
+    files
 }
 
-/// An unsharded directory written before store sharding was removed recovers to the tip and
-/// the store it was written with: the checkpoint bytes did not change.
+/// There is no reader for the previous formats. Opening a previous-format directory, or
+/// recovering from it, is a typed error naming the format, never a replay from nothing, and
+/// the refusal leaves every file byte-identical. Without its segment the directory still
+/// refuses: its checkpoints name their own format.
 #[test]
-fn an_unsharded_directory_from_before_the_removal_recovers_its_tip_and_store() {
+fn a_previous_format_directory_is_a_typed_error_that_changes_no_byte() {
     let dir = copy_fixture("checkpoint_s0");
-    let config = fixture_config();
-    let recovered = recover_from_disk(&dir, config.cc).expect("cold recovery");
-    let (_, ledger, store) = Simulator::run_full(&config);
-    assert_eq!(recovered.ledger.ledger().tip_hash().to_hex(), FIXTURE_TIP);
-    assert_eq!(ledger.tip_hash().to_hex(), FIXTURE_TIP);
-    assert_eq!(recovered.ledger.height(), 5);
-    assert_eq!(recovered.checkpoint_height, 4);
-    assert_eq!(recovered.checkpoints_discarded, 0);
-    assert_eq!(recovered.store, store);
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-/// A directory whose checkpoints were written by a store split into 2 shards cannot be read
-/// as an unsharded store. Recovery used to pass every such checkpoint over, replay the blocks
-/// into an empty store and return `Ok` without the genesis balances; now it is a typed error
-/// naming the newest checkpoint and its shard count, and the directory is left as it was.
-#[test]
-fn a_sharded_checkpoint_is_a_typed_error_not_a_silent_restart() {
-    let dir = copy_fixture("checkpoint_s2");
-    let before = file_names(&dir);
-    let err = recover_from_disk(&dir, fixture_config().cc).unwrap_err();
-    match &err {
-        LedgerError::CorruptCheckpoint { path, detail } => {
-            assert_eq!(*path, dir.join("ckpt-00000000000000000004.bin"));
-            assert!(detail.contains("split into 2 shards"), "got {err}");
-        }
-        other => panic!("expected a corrupt-checkpoint error, got {other}"),
+    let before = dir_bytes(&dir);
+    let segment = dir.join("seg-00000000000000000001.log");
+    let errors = [
+        DurableLedger::open(&dir, DurableOptions::default()).map(drop),
+        recover_from_disk(&dir, CcConfig::default()).map(drop),
+    ];
+    for err in errors {
+        let err = err.expect_err("no previous-format reader");
+        assert!(
+            matches!(&err, LedgerError::CorruptRecord { segment: at, detail, .. }
+                if *at == segment && detail.contains("EOVSEG01")),
+            "got {err}"
+        );
+        assert_eq!(dir_bytes(&dir), before, "a refused open changes nothing");
     }
+
+    std::fs::remove_file(&segment).unwrap();
+    let before = dir_bytes(&dir);
+    let err = recover_from_disk(&dir, CcConfig::default()).unwrap_err();
+    assert!(
+        matches!(&err, LedgerError::CorruptCheckpoint { detail, .. } if detail.contains("EOVCKP02")),
+        "got {err}"
+    );
     assert_eq!(
-        file_names(&dir),
+        dir_bytes(&dir),
         before,
-        "a refused recovery removes nothing"
+        "a refused recovery changes nothing"
     );
     std::fs::remove_dir_all(&dir).unwrap();
 }

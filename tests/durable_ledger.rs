@@ -14,10 +14,13 @@
 //!    still rebuild the exact store and drop the links it could not use; a corrupt genesis
 //!    image — the one file every chain ends in — is a typed error, never a store that quietly
 //!    lacks the seeded values;
-//! 5. `value_as_of` / `history_range` / `provenance` on the cold-recovered state match an
-//!    oracle that replays the reference ledger block by block;
+//! 5. `read_at` / `history_range` / `provenance` on the cold-recovered state match an oracle
+//!    that replays the reference ledger block by block;
 //! 6. a record damaged behind a recomputed CRC, in a sealed segment or the tail, makes opening
-//!    and cold recovery return `Ok` or a typed error, never panic.
+//!    and cold recovery return `Ok` or a typed error, never panic;
+//! 7. a segment whose header is not the format's magic, or whose file name states a first
+//!    block its first record does not carry, is a typed error that leaves every byte of the
+//!    directory as it was.
 
 use fabricsharp::baselines::{SimpleChain, SystemKind};
 use fabricsharp::common::config::{CcConfig, WorkloadParams};
@@ -118,9 +121,9 @@ fn provenance_oracle(ledger: &Ledger, key: &Key, height: u64) -> Option<(u64, u3
         .iter()
         .rev()
     {
-        for entry in block.entries.iter().rev() {
+        for (i, entry) in block.entries.iter().enumerate().rev() {
             if entry.status.is_committed() && entry.txn.write_set.iter().any(|w| &w.key == key) {
-                return Some((entry.txn.id.0, entry.slot.seq));
+                return Some((entry.txn.id.0, i as u32 + 1));
             }
         }
     }
@@ -147,12 +150,7 @@ fn persisted_workload_ledger_reopens_bit_identically() {
 fn bit_flip_in_an_earlier_segment_is_a_typed_error_not_a_panic() {
     let dir = temp_dir("bitflip");
     build_and_persist(&dir, 11, 60, 5, 0);
-    let mut segments: Vec<_> = std::fs::read_dir(&dir)
-        .unwrap()
-        .map(|e| e.unwrap().path())
-        .filter(|p| p.extension().is_some_and(|e| e == "log"))
-        .collect();
-    segments.sort();
+    let segments = segment_files(&dir);
     assert!(segments.len() >= 2, "need a non-tail segment to corrupt");
 
     // Flip one payload byte in the middle of the FIRST segment: damage that cannot be a torn
@@ -172,6 +170,82 @@ fn bit_flip_in_an_earlier_segment_is_a_typed_error_not_a_panic() {
     let err = recover_from_disk(&dir, CcConfig::default()).unwrap_err();
     assert!(err.to_string().contains("corrupt record"), "{err}");
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The segment files of `dir`, ascending by first block.
+fn segment_files(dir: &Path) -> Vec<PathBuf> {
+    let mut segments: Vec<_> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|e| e == "log"))
+        .collect();
+    segments.sort();
+    segments
+}
+
+/// Every file of `dir` with its bytes, by name.
+fn dir_bytes(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
+    let mut files: Vec<_> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .map(|p| (p.clone(), std::fs::read(p).unwrap()))
+        .collect();
+    files.sort();
+    files
+}
+
+/// Opening and cold-recovering `dir` both fail with a [`LedgerError::CorruptRecord`] in
+/// `segment` whose detail contains `detail`, and leave every byte of the directory as it was.
+fn assert_refused_unchanged(dir: &Path, segment: &Path, detail: &str) {
+    let before = dir_bytes(dir);
+    let errors = [
+        DurableLedger::open(dir, DurableOptions::default()).map(drop),
+        recover_from_disk(dir, CcConfig::default()).map(drop),
+    ];
+    for err in errors {
+        let err = err.expect_err("a refused directory");
+        assert!(
+            matches!(&err, LedgerError::CorruptRecord { segment: at, detail: d, .. }
+                if at == segment && d.contains(detail)),
+            "got {err}"
+        );
+        assert_eq!(dir_bytes(dir), before, "a refused open changes nothing");
+    }
+}
+
+/// One flipped bit in the magic of the last segment, which holds CRC-valid records, is no
+/// torn rotation: opening and recovery refuse it and neither truncates nor removes anything.
+#[test]
+fn a_flipped_magic_bit_in_the_last_segment_is_a_typed_error_and_removes_nothing() {
+    let dir = temp_dir("magic-flip");
+    build_and_persist(&dir, 19, 60, 5, 4);
+    let last = segment_files(&dir).pop().unwrap();
+    let mut bytes = std::fs::read(&last).unwrap();
+    assert!(bytes.len() > 8 + 8, "the last segment holds a record");
+    bytes[3] ^= 0x04;
+    std::fs::write(&last, &bytes).unwrap();
+    assert_refused_unchanged(&dir, &last, "invalid segment header");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A segment's first block is its file name: renamed to a height its first record does not
+/// carry, the segment is refused — the first segment renamed to 0, the last one past the tip.
+#[test]
+fn a_segment_renamed_away_from_its_first_record_is_a_typed_error() {
+    for victim in ["first", "last"] {
+        let dir = temp_dir(&format!("renamed-{victim}"));
+        build_and_persist(&dir, 23, 60, 5, 4);
+        let segments = segment_files(&dir);
+        assert!(segments.len() >= 2, "1 KiB rotation must have rotated");
+        let (from, to) = match victim {
+            "first" => (&segments[0], 0),
+            _ => (segments.last().unwrap(), 1_000),
+        };
+        let renamed = dir.join(format!("seg-{to:020}.log"));
+        std::fs::rename(from, &renamed).unwrap();
+        assert_refused_unchanged(&dir, &renamed, &format!("named for block {to}"));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }
 
 /// The checkpoint files of `dir`, ascending by height.
@@ -288,9 +362,9 @@ fn time_travel_and_provenance_match_the_replayed_oracle() {
     for height in 0..=reference.height() {
         let oracle = replay_oracle(&reference, seed, height);
         for key in &keys {
-            // value_as_of against the block-by-block replay oracle's latest value.
+            // read_at against the block-by-block replay oracle's latest value.
             assert_eq!(
-                recovered.store.value_as_of(key, height).unwrap(),
+                recovered.store.read_at(key, height).unwrap(),
                 oracle.latest(key),
                 "{key} @ {height}"
             );
@@ -336,12 +410,7 @@ proptest! {
         let reference = build_and_persist(&dir, seed, 50, 4, 0);
         prop_assert!(reference.height() >= 3);
 
-        let mut segments: Vec<_> = std::fs::read_dir(&dir)
-            .unwrap()
-            .map(|e| e.unwrap().path())
-            .filter(|p| p.extension().is_some_and(|e| e == "log"))
-            .collect();
-        segments.sort();
+        let segments = segment_files(&dir);
         let tail = segments.last().unwrap();
         let len = std::fs::metadata(tail).unwrap().len();
         let cut = chopped.min(len - 1).max(1);
@@ -382,16 +451,11 @@ proptest! {
 
 /// Every record of `dir` in log order: its segment and the byte offset of its frame.
 fn record_frames(dir: &Path) -> Vec<(PathBuf, usize)> {
-    let mut segments: Vec<_> = std::fs::read_dir(dir)
-        .unwrap()
-        .map(|e| e.unwrap().path())
-        .filter(|p| p.extension().is_some_and(|e| e == "log"))
-        .collect();
-    segments.sort();
     let mut frames = Vec::new();
-    for segment in segments {
+    for segment in segment_files(dir) {
         let bytes = std::fs::read(&segment).unwrap();
-        let mut at = 16;
+        // Records start behind the 8-byte magic.
+        let mut at = 8;
         while at + 8 <= bytes.len() {
             frames.push((segment.clone(), at));
             at += 8 + u32::from_be_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
