@@ -6,45 +6,10 @@
 //! distinguishes raw throughput (transactions appearing in the ledger) from effective
 //! throughput (transactions whose validity flag is set and whose writes were applied).
 
-use crate::sha256::{sha256, Digest, Sha256};
+use crate::codec::{self, ByteWriter};
+use crate::sha256::{sha256, Digest};
 use eov_common::txn::{Transaction, TxnStatus};
 use eov_common::version::SeqNo;
-
-/// A block's data hash, fed one transaction at a time: its id and snapshot block, then every
-/// read's key and version and every write's key and value, in order. [`Block::data_hash`]
-/// hashes a decoded block through it and the record parser hashes a record's bytes through it
-/// as it checks them, so the two cannot drift apart.
-pub(crate) struct BodyHasher(Sha256);
-
-impl BodyHasher {
-    pub(crate) fn new() -> Self {
-        BodyHasher(Sha256::new())
-    }
-
-    pub(crate) fn txn(&mut self, id: u64, snapshot_block: u64) {
-        let mut head = [0u8; 16];
-        head[..8].copy_from_slice(&id.to_be_bytes());
-        head[8..].copy_from_slice(&snapshot_block.to_be_bytes());
-        self.0.update(&head);
-    }
-
-    pub(crate) fn read(&mut self, key: &[u8], version: SeqNo) {
-        let mut at = [0u8; 12];
-        at[..8].copy_from_slice(&version.block.to_be_bytes());
-        at[8..].copy_from_slice(&version.seq.to_be_bytes());
-        self.0.update(key);
-        self.0.update(&at);
-    }
-
-    pub(crate) fn write(&mut self, key: &[u8], value: &[u8]) {
-        self.0.update(key);
-        self.0.update(value);
-    }
-
-    pub(crate) fn finish(self) -> Digest {
-        self.0.finalize()
-    }
-}
 
 /// The header of a block: everything that is hashed into the chain.
 #[derive(Clone, Debug, PartialEq)]
@@ -53,7 +18,8 @@ pub struct BlockHeader {
     pub(crate) number: u64,
     /// Hash of the previous block's header; [`Digest::ZERO`] for the genesis block.
     pub(crate) prev_hash: Digest,
-    /// Hash over the ordered transaction ids and read/write sets in this block.
+    /// SHA-256 over the block body as its record stores it: the entry count and every
+    /// transaction's encoding, in order (see [`crate::codec`]).
     pub(crate) data_hash: Digest,
 }
 
@@ -116,21 +82,14 @@ impl Block {
         }
     }
 
-    /// Hash over the block body: transaction ids, snapshot blocks, and read/write set keys and
-    /// versions, in order. Any change to the batched transactions changes this digest.
+    /// SHA-256 over the body of the record that stores `entries`: `u32 entries | txn*`, as
+    /// [`codec::encode_body`], the one encoder of a transaction's bytes, writes it.
+    /// Any change to a batched transaction, or to their order, changes this digest; the
+    /// entries' statuses are not part of it.
     pub(crate) fn data_hash(entries: &[TxnEntry]) -> Digest {
-        let mut hasher = BodyHasher::new();
-        for entry in entries {
-            let txn = &entry.txn;
-            hasher.txn(txn.id.0, txn.snapshot_block);
-            for read in txn.read_set.iter() {
-                hasher.read(read.key.as_bytes(), read.version);
-            }
-            for write in txn.write_set.iter() {
-                hasher.write(write.key.as_bytes(), write.value.as_bytes());
-            }
-        }
-        hasher.finish()
+        let mut w = ByteWriter::new();
+        codec::encode_body(&mut w, entries);
+        sha256(&w.into_bytes())
     }
 
     /// Block height.
@@ -220,36 +179,50 @@ mod tests {
         assert_ne!(Block::data_hash(&block.entries), block.header.data_hash);
     }
 
-    /// Streaming the body into the hasher must give the digest of the body staged in one
-    /// buffer (what every ledger on disk was hashed with), and likewise for the header.
+    /// The data hash is SHA-256 over the record's own body bytes, `u32 entries | txn*`: the
+    /// range between the 72-byte header and the one-byte-per-entry status trailer. The header
+    /// hash is SHA-256 over number, previous hash and data hash.
     #[test]
-    fn streamed_hashes_equal_the_hash_of_the_staged_bytes() {
-        let block = Block::build(
+    fn data_hash_is_the_sha256_of_the_record_body() {
+        let mut block = Block::build(
             5,
             sha256(b"prev"),
             (1..=40).map(sample_txn).collect::<Vec<_>>(),
         );
-        let mut body = Vec::new();
-        for entry in &block.entries {
-            body.extend_from_slice(&entry.txn.id.0.to_be_bytes());
-            body.extend_from_slice(&entry.txn.snapshot_block.to_be_bytes());
-            for read in entry.txn.read_set.iter() {
-                body.extend_from_slice(read.key.as_bytes());
-                body.extend_from_slice(&read.version.block.to_be_bytes());
-                body.extend_from_slice(&read.version.seq.to_be_bytes());
-            }
-            for write in entry.txn.write_set.iter() {
-                body.extend_from_slice(write.key.as_bytes());
-                body.extend_from_slice(write.value.as_bytes());
-            }
-        }
+        block.entries[3].status = TxnStatus::Committed;
+        let record = codec::block_payload(&block);
+        let body = &record[72..record.len() - block.entries.len()];
         assert!(body.len() > 1_000, "several compression blocks");
-        assert_eq!(block.header.data_hash, sha256(&body));
+        assert_eq!(body[..4], 40u32.to_be_bytes());
+        assert_eq!(block.header.data_hash, sha256(body));
 
         let mut header = block.header.number.to_be_bytes().to_vec();
         header.extend_from_slice(block.header.prev_hash.as_bytes());
         header.extend_from_slice(block.header.data_hash.as_bytes());
         assert_eq!(block.hash(), sha256(&header));
+    }
+
+    /// One-transaction blocks whose fields run together the same way: a write of `("ab",
+    /// "c")` and one of `("a", "bc")`; a read of `A` at `(0, 1)` and a write to `A` of those 12
+    /// version bytes. Every key, value and count is length-prefixed in the hashed bytes, so
+    /// each pair hashes differently.
+    #[test]
+    fn blocks_whose_fields_run_together_hash_differently() {
+        let write = |key: &str, value: &[u8]| {
+            Transaction::from_parts(1, 0, [], [(Key::new(key), Value::from_slice(value))])
+        };
+        let read = Transaction::from_parts(1, 0, [(Key::new("A"), SeqNo::new(0, 1))], []);
+        let version_bytes = [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1];
+        let pairs = [
+            (write("ab", b"c"), write("a", b"bc")),
+            (read, write("A", &version_bytes)),
+        ];
+        for (a, b) in pairs {
+            let a = Block::build(1, Digest::ZERO, vec![a]);
+            let b = Block::build(1, Digest::ZERO, vec![b]);
+            assert_ne!(a.header.data_hash, b.header.data_hash);
+            assert_ne!(a.hash(), b.hash());
+        }
     }
 
     #[test]

@@ -111,16 +111,11 @@ fn check_chain(
     Ok(())
 }
 
-/// The chain rules for `block` at height `number` after a block hashing to `prev_hash`
-/// ([`check_chain`]), and every entry's `end_ts` its slot `(number, position)`, as
-/// [`Block::build`] assigns it and decoding derives it.
-fn check_block(block: &Block, number: u64, prev_hash: Digest) -> Result<()> {
-    check_chain(
-        &block.header,
-        Block::data_hash(&block.entries),
-        number,
-        prev_hash,
-    )?;
+/// The chain rules for `block`, whose body hashes to `body_hash`, at height `number` after a
+/// block hashing to `prev_hash` ([`check_chain`]), and every entry's `end_ts` its slot
+/// `(number, position)`, as [`Block::build`] assigns it and decoding derives it.
+fn check_block(block: &Block, body_hash: Digest, number: u64, prev_hash: Digest) -> Result<()> {
+    check_chain(&block.header, body_hash, number, prev_hash)?;
     let misplaced = (1..)
         .zip(&block.entries)
         .find(|(seq, e)| e.txn.end_ts != Some(SeqNo::new(number, *seq)));
@@ -134,7 +129,7 @@ fn check_block(block: &Block, number: u64, prev_hash: Digest) -> Result<()> {
 }
 
 /// [`check_block`] over a block's record, without building the block: the record parser
-/// checks every field, the body is hashed as it is parsed, and nothing is allocated per
+/// checks every field, the body slice it parsed is hashed, and nothing is allocated per
 /// transaction. With `replay`, the committed writes of a block above `replay.last_block()`
 /// are applied to that store at their commit versions, as `apply_block` would; a record that
 /// fails a check leaves the store part-way through it.
@@ -200,14 +195,15 @@ impl Ledger {
     /// integrity (its data hash must match its entries, whose `end_ts` must be their slots
     /// `(height, 1..)`).
     pub fn append(&mut self, block: Block) -> Result<()> {
-        self.check_next(&block)?;
+        self.check_next(&block, Block::data_hash(&block.entries))?;
         self.push_checked(block, None);
         Ok(())
     }
 
-    /// The checks of [`Self::append`] alone: `block` may be appended next.
-    pub(crate) fn check_next(&self, block: &Block) -> Result<()> {
-        check_block(block, self.height() + 1, self.tip_hash())
+    /// The checks of [`Self::append`] alone, for `block` whose body hashes to `body_hash`:
+    /// `block` may be appended next.
+    pub(crate) fn check_next(&self, block: &Block, body_hash: Digest) -> Result<()> {
+        check_block(block, body_hash, self.height() + 1, self.tip_hash())
     }
 
     /// The push of [`Self::append`] alone, for a block [`Self::check_next`] accepted with
@@ -333,7 +329,7 @@ impl Ledger {
         for (number, stored) in (1..).zip(&self.blocks) {
             let header = match stored.body.get() {
                 Some(block) => {
-                    check_block(block, number, prev)?;
+                    check_block(block, Block::data_hash(&block.entries), number, prev)?;
                     &block.header
                 }
                 None => {

@@ -2,11 +2,8 @@
 //!
 //! The durable formats are hand-rolled, with no serialization library: fixed-width big-endian
 //! integers, length-prefixed byte strings, and a dependency-free CRC-32 (IEEE 802.3) over
-//! every framed payload. The CRC matters beyond torn-write detection: a block's `data_hash`
-//! deliberately covers only the transaction ids and read/write sets — *not* the validation
-//! statuses or template metadata — so the record CRC is the sole integrity check for those
-//! fields on disk. [`crc32`] runs on a carry-less-multiply kernel where CPUID reports one and
-//! on a slicing-by-8 loop elsewhere, with the same checksum either way.
+//! every framed payload. [`crc32`] runs on a carry-less-multiply kernel where CPUID reports one
+//! and on a slicing-by-8 loop elsewhere, with the same checksum either way.
 //!
 //! Every encoder iterates its inputs in a deterministic order (entry order inside blocks; in
 //! checkpoints, key order, which `put_store` gets by sorting the chain suffixes it picks from
@@ -16,22 +13,30 @@
 //! A block record (the payload of one segment frame, see `segment`) states each fact once:
 //!
 //! ```text
-//! record = u64 number | prev_hash (32) | data_hash (32) | u32 entries | entry*
-//! entry  = txn | status
+//! record = u64 number | prev_hash (32) | data_hash (32) | body | status[entries]
+//! body   = u32 entries | txn*
 //! txn    = u64 id | u64 snapshot_block | u8 template class | u8 has-template-id [| u16 id]
 //!        | u32 reads  | (key | u64 block | u32 seq)*
 //!        | u32 writes | (key | value)*
-//! status = u8 0 (pending) | u8 1 (committed) | u8 2 | u8 abort-reason code
+//! status = u8: 0 pending | 1 committed | 2 + abort-reason code
 //! key, value = u32 length | bytes
 //! ```
+//!
+//! `data_hash` is SHA-256 over `body`, exactly as the record stores it. One encoder writes
+//! those bytes (`encode_body`): building a block, appending it, opening a directory, reading an
+//! evicted block back and verifying the chain all hash what it writes (or the slice a parser
+//! has just checked), so the hash binds every field of every transaction, every length and
+//! count, and the order of the entries. **The statuses are covered by the record CRC alone.**
+//! They sit in a fixed-width trailer outside the hashed body, and nothing binds them to the
+//! chain yet: the CRC catches damage, not a status rewritten and the CRC recomputed.
 //!
 //! An entry's commit slot is not stored: entry `i` of block `n` occupies `(n, i + 1)`, and
 //! decoding sets the transaction's `end_ts` to it. The data hash binds entry order, so entries
 //! that trade places no longer match their header.
 
-use crate::block::{Block, BlockHeader, BodyHasher, TxnEntry};
+use crate::block::{Block, BlockHeader, TxnEntry};
 use crate::error::LedgerError;
-use crate::sha256::Digest;
+use crate::sha256::{sha256, Digest};
 use eov_common::abort::AbortReason;
 use eov_common::rwset::{Key, Value};
 use eov_common::txn::{TemplateClass, Transaction, TxnId, TxnStatus};
@@ -428,54 +433,52 @@ impl<'a> ByteReader<'a> {
     }
 }
 
-/// `AbortReason` → stable wire code: its position in [`AbortReason::ALL`], pinned by tests.
-fn abort_code(reason: AbortReason) -> u8 {
-    reason as u8
-}
-
-fn abort_from_code(code: u8) -> Result<AbortReason, String> {
-    AbortReason::ALL
-        .get(usize::from(code))
-        .copied()
-        .ok_or_else(|| format!("unknown abort-reason code {code}"))
-}
-
-fn put_status(w: &mut ByteWriter, status: TxnStatus) {
+/// A status as its one trailer byte; an abort is 2 + its reason's position in
+/// [`AbortReason::ALL`], pinned by tests.
+fn status_byte(status: TxnStatus) -> u8 {
     match status {
-        TxnStatus::Pending => w.put_u8(0),
-        TxnStatus::Committed => w.put_u8(1),
-        TxnStatus::Aborted(reason) => {
-            w.put_u8(2);
-            w.put_u8(abort_code(reason));
-        }
+        TxnStatus::Pending => 0,
+        TxnStatus::Committed => 1,
+        TxnStatus::Aborted(reason) => 2 + reason as u8,
     }
 }
 
-fn get_status(r: &mut ByteReader<'_>) -> Result<TxnStatus, String> {
-    Ok(match r.get_u8("status tag")? {
-        0 => TxnStatus::Pending,
-        1 => TxnStatus::Committed,
-        2 => TxnStatus::Aborted(abort_from_code(r.get_u8("abort reason")?)?),
-        other => return Err(format!("unknown status tag {other}")),
-    })
+fn status_from_byte(byte: u8) -> Result<TxnStatus, String> {
+    match byte {
+        0 => Ok(TxnStatus::Pending),
+        1 => Ok(TxnStatus::Committed),
+        code => AbortReason::ALL
+            .get(usize::from(code - 2))
+            .map(|&reason| TxnStatus::Aborted(reason))
+            .ok_or_else(|| format!("unknown status byte {code}")),
+    }
 }
 
-/// Encodes a block — header, then every entry with its full transaction (including the
-/// status and template metadata the data hash does not cover) but not its slot, which is its
-/// position.
-pub(crate) fn encode_block(w: &mut ByteWriter, block: &Block) {
+/// Encodes a block's record — header, body and status trailer — and returns the SHA-256 of
+/// its body: the data hash the header must carry.
+pub(crate) fn encode_block(w: &mut ByteWriter, block: &Block) -> Digest {
     w.put_u64(block.header.number);
     w.put_digest(&block.header.prev_hash);
     w.put_digest(&block.header.data_hash);
-    w.put_u32(block.entries.len() as u32);
+    let body_at = w.len();
+    encode_body(w, &block.entries);
+    let body_hash = sha256(&w.buf[body_at..]);
     for entry in &block.entries {
+        w.put_u8(status_byte(entry.status));
+    }
+    body_hash
+}
+
+/// Encodes a block body, `u32 entries | txn*`.
+pub(crate) fn encode_body(w: &mut ByteWriter, entries: &[TxnEntry]) {
+    w.put_u32(entries.len() as u32);
+    for entry in entries {
         encode_txn(w, &entry.txn);
-        put_status(w, entry.status);
     }
 }
 
-/// Encodes one transaction: every field a block entry stores apart from its status. Its
-/// `end_ts` is the entry's slot, which the record does not store.
+/// Encodes one transaction: every field a block entry stores apart from its status (and its
+/// `end_ts`, the entry's slot). The one definition of a transaction's bytes.
 fn encode_txn(w: &mut ByteWriter, txn: &Transaction) {
     w.put_u64(txn.id.0);
     w.put_u64(txn.snapshot_block);
@@ -517,29 +520,33 @@ pub fn block_payload(block: &Block) -> Vec<u8> {
     w.into_bytes()
 }
 
-/// Bytes of the smallest block entry: the fixed-width fields, no template id, no read and no
+/// Bytes of the smallest transaction: the fixed-width fields, no template id, no read and no
 /// write.
-const MIN_ENTRY_LEN: usize = 8 + 8 + 1 + 1 + 4 + 4 + 1;
+const MIN_TXN_LEN: usize = 8 + 8 + 1 + 1 + 4 + 4;
 
 /// One block record, parsed field by field without building a [`Block`]: the header first,
 /// then one entry at a time. Every tag, count, length and UTF-8 key is checked, a read or
-/// write set may not name a key twice, and the payload must end with the last entry. Entry
-/// `i` gets slot `(number, i + 1)`, what [`Block::build`] assigns. The body is hashed
-/// on the same pass ([`Self::body_hash`]). [`decode_block`] builds blocks from it and the
-/// durable ledger's open walk checks records with it, so the two accept exactly the same
-/// records.
+/// write set may not name a key twice, and the last transaction must end where the status
+/// trailer begins. Entry `i` gets slot `(number, i + 1)`, what [`Block::build`] assigns.
+/// [`Self::body_hash`] hashes the body slice once it is parsed. [`decode_block`] builds blocks
+/// from it and the durable ledger's open walk checks records with it, so the two accept
+/// exactly the same records.
 pub(crate) struct RecordParser<'a> {
+    /// Reads the body: the record up to its status trailer.
     r: ByteReader<'a>,
     header: BlockHeader,
-    entry_count: u32,
+    /// One byte per entry, at the end of the record.
+    statuses: &'a [u8],
     parsed: u32,
-    hasher: BodyHasher,
     /// The keys of the read or write set being parsed (reused: one allocation per record).
     seen: Vec<&'a [u8]>,
 }
 
+/// Where a record's body begins: behind its number and two digests.
+const BODY_AT: usize = 8 + 32 + 32;
+
 impl<'a> RecordParser<'a> {
-    /// Parses the record's header.
+    /// Parses the record's header and entry count, and finds its status trailer.
     pub(crate) fn new(payload: &'a [u8]) -> Result<Self, String> {
         let mut r = ByteReader::new(payload);
         let header = BlockHeader {
@@ -547,13 +554,20 @@ impl<'a> RecordParser<'a> {
             prev_hash: r.get_digest("prev_hash")?,
             data_hash: r.get_digest("data_hash")?,
         };
-        let entry_count = r.get_u32("entry count")?;
+        let entries = r.get_u32("entry count")? as usize;
+        let trailer_at = payload
+            .len()
+            .checked_sub(entries)
+            .filter(|&at| at >= r.pos)
+            .ok_or_else(|| format!("{entries} entries leave no room for their statuses"))?;
         Ok(RecordParser {
-            r,
+            r: ByteReader {
+                buf: &payload[..trailer_at],
+                pos: r.pos,
+            },
             header,
-            entry_count,
+            statuses: &payload[trailer_at..],
             parsed: 0,
-            hasher: BodyHasher::new(),
             seen: Vec::new(),
         })
     }
@@ -562,31 +576,29 @@ impl<'a> RecordParser<'a> {
         &self.header
     }
 
-    /// The hash of the body parsed so far: once [`Self::next_entry`] returned `None`, what the
+    /// SHA-256 over the record's body: once [`Self::next_entry`] returned `None`, what the
     /// header's data hash must be.
-    pub(crate) fn body_hash(self) -> Digest {
-        self.hasher.finish()
+    pub(crate) fn body_hash(&self) -> Digest {
+        sha256(&self.r.buf[BODY_AT..])
     }
 
-    /// The next entry, or `None` once every entry was parsed and nothing trails them.
+    /// The next entry, or `None` once every entry was parsed and the body ends there.
     pub(crate) fn next_entry(&mut self) -> Result<Option<EntryView<'a>>, String> {
         let RecordParser {
             r,
             header,
-            entry_count,
+            statuses,
             parsed,
-            hasher,
             seen,
         } = self;
-        if *parsed == *entry_count {
+        let Some(&status) = statuses.get(*parsed as usize) else {
             if !r.is_exhausted() {
-                return Err("trailing bytes after block payload".into());
+                return Err("bytes between the last transaction and the statuses".into());
             }
             return Ok(None);
-        }
+        };
         let id = r.get_u64("txn id")?;
         let snapshot_block = r.get_u64("snapshot block")?;
-        hasher.txn(id, snapshot_block);
         let template_class = match r.get_u8("template class")? {
             0 => TemplateClass::Unknown,
             1 => TemplateClass::Safe,
@@ -597,15 +609,9 @@ impl<'a> RecordParser<'a> {
             1 => Some(r.get_u16("template id")?),
             other => return Err(format!("unknown template id tag {other}")),
         };
-        let reads = Items::take(r, seen, "read", |r, key| {
-            hasher.read(key, r.get_seqno("read version")?);
-            Ok(())
-        })?;
-        let writes = Items::take(r, seen, "write", |r, key| {
-            hasher.write(key, r.get_bytes("write value")?);
-            Ok(())
-        })?;
-        let status = get_status(r)?;
+        let reads = Items::take(r, seen, "read", |r| r.get_seqno("read version").map(drop))?;
+        let writes = Items::take(r, seen, "write", |r| r.get_bytes("write value").map(drop))?;
+        let status = status_from_byte(status)?;
         *parsed += 1;
         Ok(Some(EntryView {
             id,
@@ -636,7 +642,7 @@ impl<'a> Items<'a> {
         r: &mut ByteReader<'a>,
         seen: &mut Vec<&'a [u8]>,
         what: &str,
-        mut rest: impl FnMut(&mut ByteReader<'a>, &'a [u8]) -> Result<(), String>,
+        rest: impl Fn(&mut ByteReader<'a>) -> Result<(), String>,
     ) -> Result<Self, String> {
         let count = r.get_u32(what)?;
         let start = r.pos;
@@ -651,7 +657,7 @@ impl<'a> Items<'a> {
                 return Err(format!("{what} key {key:?} appears twice"));
             }
             seen.push(key);
-            rest(r, key)?;
+            rest(r)?;
         }
         Ok(Items {
             bytes: &r.buf[start..r.pos],
@@ -723,8 +729,8 @@ pub(crate) fn decode_record(payload: &[u8]) -> Result<(Block, Digest), String> {
     let mut parser = RecordParser::new(payload)?;
     // A count is only a claim until the entries are there: reserve no more than the bytes
     // left could hold.
-    let capacity = (parser.entry_count as usize).min(parser.r.remaining() / MIN_ENTRY_LEN);
-    let mut entries = Vec::with_capacity(capacity);
+    let claimed = parser.statuses.len();
+    let mut entries = Vec::with_capacity(claimed.min(parser.r.remaining() / MIN_TXN_LEN));
     while let Some(entry) = parser.next_entry()? {
         entries.push(entry.to_entry());
     }
@@ -816,16 +822,17 @@ mod tests {
     fn block_records_embed_each_txn_payload_verbatim() {
         let block = sample_block(2, Digest::ZERO);
         let bytes = block_payload(&block);
-        // Header: number, two digests, entry count.
-        let mut at = 8 + 32 + 32 + 4;
+        // Header: number, two digests; then the entry count, each transaction and the trailer.
+        let mut at = 8 + 32 + 32;
+        assert_eq!(bytes[at..at + 4], 2u32.to_be_bytes());
+        at += 4;
         for entry in &block.entries {
             let txn = txn_payload(&entry.txn);
             assert_eq!(&bytes[at..at + txn.len()], txn.as_slice());
-            let mut status = ByteWriter::new();
-            put_status(&mut status, entry.status);
-            at += txn.len() + status.len();
+            at += txn.len();
         }
-        assert_eq!(at, bytes.len());
+        // Committed, then aborted as `UnreorderableCycle` (code 5).
+        assert_eq!(&bytes[at..], [1, 2 + 5]);
     }
 
     #[test]
@@ -846,7 +853,7 @@ mod tests {
     }
 
     /// A short record claiming a huge count is an error, and a count reserves no more than the
-    /// bytes left could hold (the smallest entry is `MIN_ENTRY_LEN` bytes).
+    /// bytes left could hold (the smallest transaction is `MIN_TXN_LEN` bytes).
     #[test]
     fn a_short_record_claiming_huge_counts_is_an_error() {
         let header = |w: &mut ByteWriter, entries: u32| {
@@ -869,6 +876,7 @@ mod tests {
                 w.put_u32(0);
             }
             w.put_u32(u32::MAX);
+            w.put_u8(0); // the entry's status
             assert!(
                 decode_block(&w.into_bytes()).is_err(),
                 "count {count_field}"
@@ -878,8 +886,7 @@ mod tests {
         let smallest = Transaction::new(TxnId(1), 0, Default::default(), Default::default());
         let mut w = ByteWriter::new();
         encode_txn(&mut w, &smallest);
-        put_status(&mut w, TxnStatus::Pending);
-        assert_eq!(w.len(), MIN_ENTRY_LEN);
+        assert_eq!(w.len(), MIN_TXN_LEN);
     }
 
     #[test]
@@ -897,21 +904,22 @@ mod tests {
     #[test]
     fn every_abort_reason_roundtrips() {
         let pinned = [
-            (AbortReason::StaleRead, 0),
-            (AbortReason::CrossBlockRead, 1),
-            (AbortReason::SnapshotTooOld, 2),
-            (AbortReason::ConcurrentWriteWrite, 3),
-            (AbortReason::DangerousStructure, 4),
-            (AbortReason::UnreorderableCycle, 5),
-            (AbortReason::BloomFalsePositive, 6),
-            (AbortReason::InBlockCycle, 7),
+            (AbortReason::StaleRead, 2),
+            (AbortReason::CrossBlockRead, 3),
+            (AbortReason::SnapshotTooOld, 4),
+            (AbortReason::ConcurrentWriteWrite, 5),
+            (AbortReason::DangerousStructure, 6),
+            (AbortReason::UnreorderableCycle, 7),
+            (AbortReason::BloomFalsePositive, 8),
+            (AbortReason::InBlockCycle, 9),
         ];
         assert_eq!(pinned.len(), AbortReason::ALL.len());
-        for (reason, code) in pinned {
-            assert_eq!(abort_code(reason), code, "{reason:?}");
-            assert_eq!(abort_from_code(code), Ok(reason));
+        for (reason, byte) in pinned {
+            let status = TxnStatus::Aborted(reason);
+            assert_eq!(status_byte(status), byte, "{reason:?}");
+            assert_eq!(status_from_byte(byte), Ok(status));
         }
-        assert!(abort_from_code(8).is_err());
+        assert!(status_from_byte(10).is_err());
     }
 
     /// The byte-at-a-time CRC-32 the sliced implementation replaced.

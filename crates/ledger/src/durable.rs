@@ -1,9 +1,10 @@
 //! The durable ledger: segment-file persistence behind the in-memory reference [`Ledger`].
 //!
 //! [`DurableLedger`] couples an append-only segment log (see `segment`) with a
-//! [`Ledger`] mirror that enforces the chain rules. Every append validates against the mirror
-//! first — a block that violates no-skipping, the hash link or body integrity is rejected
-//! *before* any byte reaches disk — then writes one CRC-framed record.
+//! [`Ledger`] mirror that enforces the chain rules. Every append encodes the block's record
+//! once and validates it against the mirror, the data hash against the record's own body: a
+//! block that violates no-skipping, the hash link or body integrity is rejected *before* any
+//! byte reaches disk. Then that buffer is CRC-framed and written.
 //!
 //! The mirror keeps only its live window decoded: the last `DurableOptions::window` blocks
 //! (`CcConfig::max_span`, all the concurrency control ever looks back on, Section 4.6). Older
@@ -11,11 +12,11 @@
 //! their bodies back from the segments on demand.
 //!
 //! Opening a directory walks every record once without building a block: CRC, every field,
-//! the data hash, the height and the `prev_hash` link are checked exactly as decoding and
-//! appending would check them, and cold recovery ([`crate::recover_from_disk`]) hands the
-//! committed writes to a store on the way. Only the window is decoded. A torn trailing record
-//! (the only damage a crash mid-append can cause) is repaired by physical truncation;
-//! everything else is a typed [`LedgerError`].
+//! the data hash (of the body slice just parsed), the height and the `prev_hash` link are
+//! checked exactly as decoding and appending would check them, and cold recovery
+//! ([`crate::recover_from_disk`]) hands the committed writes to a store on the way. Only the
+//! window is decoded. A torn trailing record (the only damage a crash mid-append can cause) is
+//! repaired by physical truncation; everything else is a typed [`LedgerError`].
 //!
 //! [`LedgerBackend`] keeps the in-memory [`Ledger`] as the zero-cost reference: callers that
 //! never configure a directory pay nothing, and every read goes through the same `Ledger`
@@ -144,13 +145,14 @@ impl DurableLedger {
         ))
     }
 
-    /// Appends a block: chain-validated against the mirror first, then written as one framed
-    /// record (rotating segments as configured), and only once the write succeeded pushed into
-    /// the mirror — a failed write leaves the height where it was. The block leaving the live
-    /// window is evicted.
+    /// Appends a block: encoded once and chain-validated against the mirror (its body hashed
+    /// from the record), then framed and written (rotating segments as configured), and only
+    /// once the write succeeded pushed into the mirror — a failed write leaves the height where
+    /// it was. The block leaving the live window is evicted.
     pub fn append(&mut self, block: Block) -> Result<(), LedgerError> {
-        self.mirror.check_next(&block)?;
-        let record = segment::frame_record(&block)?;
+        let (record, body_hash) = segment::encode_record(&block);
+        self.mirror.check_next(&block, body_hash)?;
+        let record = segment::seal_record(record)?;
         let at = self.writer.append(block.number(), &record)?;
         self.mirror.push_checked(block, Some(at));
         if let Some(leaving) = self.mirror.height().checked_sub(self.window) {
@@ -614,7 +616,7 @@ mod tests {
         let mut swapped = busy_block(3, ledger.ledger().tip_hash());
         ledger.append(swapped.clone()).unwrap();
         swapped.entries.swap(0, 1);
-        let record = segment::frame_record(&swapped).unwrap();
+        let record = segment::seal_record(segment::encode_record(&swapped).0).unwrap();
         let decoded = crate::codec::decode_block(&record[8..]).unwrap();
         let slots: Vec<_> = decoded
             .entries
@@ -647,7 +649,14 @@ mod tests {
             rotate_bytes: 1,
             ..DurableOptions::default()
         };
-        for header in [&b"EOVSEG02"[..], b"EOV", b"EOVSEG12", b"EOVSEG02\0\0\0\x09"] {
+        let headers = [
+            &b"EOVSEG03"[..],
+            b"EOVSEG02",
+            b"EOV",
+            b"EOVSEG12",
+            b"EOVSEG03\0\0\0\x09",
+        ];
+        for header in headers {
             let dir = temp_dir("bare-header");
             let (mut ledger, _) = DurableLedger::open(&dir, options).unwrap();
             fill(&mut ledger, 2);

@@ -52,8 +52,8 @@ pub struct ColdRecovery {
 /// replay: seeded genesis values exist in no block, only in the genesis image every later
 /// checkpoint chains down to (the simulator always writes one), so replaying without it would
 /// return a store that quietly lacks them. Checkpoints in the previous format (`EOVCKP02`) are
-/// such failures, refused by name; so are segments in theirs (`EOVSEG01`), which the walk
-/// reports before anything is removed.
+/// such failures, refused by name; so are segments in previous formats (`EOVSEG01`,
+/// `EOVSEG02`), which the walk reports before anything is removed.
 ///
 /// Checkpoint files the recovery ruled out — leftovers above a repaired torn tail, links that
 /// failed verification — are removed before returning, so the deltas written from here on

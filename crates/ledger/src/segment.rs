@@ -3,16 +3,17 @@
 //! A ledger directory holds a sequence of segment files named `seg-<first_block:020>.log`:
 //!
 //! ```text
-//! segment = "EOVSEG02" | frame*
+//! segment = "EOVSEG03" | frame*
 //! frame   = u32 payload length | u32 CRC-32(payload) | payload    — one block record
 //! ```
 //!
-//! The payload is a block record (see [`crate::codec`]). The file name is the one place a
+//! The payload is a block record (see [`crate::codec`]); its data hash covers every byte of it
+//! but the status trailer, which only the frame's CRC covers. The file name is the one place a
 //! segment's first block is stated, and the scan checks it against the segment's first record.
 //! Appends go to the newest segment until it reaches the configured rotation size, then a
 //! fresh segment is started — so old segments are immutable and the only file a crash can
-//! tear is the last one. A segment carrying another magic, the previous format's `EOVSEG01`
-//! included, is refused, not read.
+//! tear is the last one. A segment carrying another magic is refused, not read, and the
+//! refusal names the header found (`EOVSEG01` or `EOVSEG02`, the previous formats).
 //!
 //! Scanning applies the standard write-ahead-log tail rule: the first invalid record
 //! (truncated frame, impossible length, CRC mismatch) in the *last* segment marks a torn
@@ -21,7 +22,7 @@
 //! landed, or shorter than its header) is removed. The same damage in any *earlier* segment
 //! cannot be a torn write (earlier segments were sealed before later ones existed) and
 //! surfaces as a typed [`LedgerError::CorruptRecord`], as does a whole header that is not
-//! `EOVSEG02` with bytes behind it, wherever it is: a crash cannot write one.
+//! `EOVSEG03` with bytes behind it, wherever it is: a crash cannot write one.
 //!
 //! A record write that fails part-way is cut back off the segment before the error returns,
 //! so the next append lands where the failed one began; a segment that cannot be cut back
@@ -32,14 +33,13 @@
 use crate::block::Block;
 use crate::codec::{self, ByteWriter};
 use crate::error::LedgerError;
+use crate::sha256::Digest;
 use std::fs;
 use std::io::{BufReader, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-/// Magic bytes opening every segment file (format version 2).
-const SEGMENT_MAGIC: &[u8; 8] = b"EOVSEG02";
-/// The previous format's magic, named when a segment carrying it is refused.
-const PREVIOUS_MAGIC: &[u8; 8] = b"EOVSEG01";
+/// Magic bytes opening every segment file (format version 3).
+const SEGMENT_MAGIC: &[u8; 8] = b"EOVSEG03";
 /// Bytes of segment header: the magic alone.
 const HEADER_LEN: u64 = 8;
 /// Sanity cap on a single record payload; a "length" above this in the tail is torn garbage.
@@ -54,13 +54,19 @@ pub(crate) fn sync_dir(dir: &Path) -> Result<(), LedgerError> {
         .map_err(|e| LedgerError::io(dir, e))
 }
 
-/// Encodes `block` straight into its on-disk record, `u32 length | u32 CRC-32 | payload`.
-/// A payload the scanner's sanity cap would read back as a torn tail is refused here, before
-/// the caller commits to anything.
-pub(crate) fn frame_record(block: &Block) -> Result<Vec<u8>, LedgerError> {
+/// `block`'s record behind room for its frame, and the hash of the record's body: the data
+/// hash its header must carry. [`seal_record`] completes the frame.
+pub(crate) fn encode_record(block: &Block) -> (ByteWriter, Digest) {
     let mut w = ByteWriter::new();
     w.put_u64(0);
-    codec::encode_block(&mut w, block);
+    let body_hash = codec::encode_block(&mut w, block);
+    (w, body_hash)
+}
+
+/// Frames a record [`encode_record`] made, `u32 length | u32 CRC-32 | payload`. A payload the
+/// scanner's sanity cap would read back as a torn tail is refused here, before the caller
+/// commits to anything.
+pub(crate) fn seal_record(w: ByteWriter) -> Result<Vec<u8>, LedgerError> {
     codec::seal_frame(w, 0, "record", MAX_RECORD_LEN)
 }
 
@@ -211,12 +217,15 @@ pub(crate) fn scan_dir(
         let mut magic = [0u8; HEADER_LEN as usize];
         reader.read_exact(&mut magic).map_err(io)?;
         if &magic != SEGMENT_MAGIC {
-            let detail = if &magic == PREVIOUS_MAGIC {
-                "segment is in the previous format EOVSEG01; this reader reads EOVSEG02 only"
-            } else {
-                "invalid segment header (expected EOVSEG02)"
+            // Another format's magic is printable and names itself.
+            let found = match magic.iter().all(u8::is_ascii_graphic) {
+                true => String::from_utf8_lossy(&magic).into_owned(),
+                false => format!("{magic:02x?}"),
             };
-            return Err(corrupt(0, detail.into()));
+            let expected = String::from_utf8_lossy(SEGMENT_MAGIC);
+            let detail =
+                format!("invalid segment header {found}: this reader reads {expected} only");
+            return Err(corrupt(0, detail));
         }
 
         let mut offset = HEADER_LEN;
@@ -378,7 +387,7 @@ impl SegmentWriter {
         })
     }
 
-    /// Appends one record (as framed by [`frame_record`]), rotating first if the tail segment
+    /// Appends one record (as framed by [`seal_record`]), rotating first if the tail segment
     /// is full, and returns where it landed. A write that fails part-way is cut back off, so
     /// the segment ends at its last whole record again.
     pub(crate) fn append(

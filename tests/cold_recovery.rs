@@ -31,6 +31,9 @@ use fabricsharp::workload::generator::{WorkloadGenerator, WorkloadKind};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 
+mod common;
+use common::untagged_tip;
+
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
         "eov-cold-{tag}-{}-{:?}",
@@ -365,7 +368,7 @@ fn rescued_instance_ledger_recovers_identically_from_disk() {
         interleaves(&reference),
         "no block mixes Safe and tracked commits"
     );
-    assert_eq!(untagged.ledger().tip_hash(), reference.tip_hash());
+    assert_eq!(untagged.ledger().tip_hash(), untagged_tip(&reference));
     assert_eq!(untagged.store(), chain.store());
 
     let config = CcConfig::default();

@@ -18,12 +18,15 @@
 //!    that replays the reference ledger block by block;
 //! 6. a record damaged behind a recomputed CRC, in a sealed segment or the tail, makes opening
 //!    and cold recovery return `Ok` or a typed error, never panic;
-//! 7. a segment whose header is not the format's magic, or whose file name states a first
-//!    block its first record does not carry, is a typed error that leaves every byte of the
-//!    directory as it was.
+//! 7. a segment whose header is not the format's magic — a previous format's included — or
+//!    whose file name states a first block its first record does not carry, is a typed error
+//!    that leaves every byte of the directory as it was;
+//! 8. the data hash covers every transaction byte a record stores: a template class flipped
+//!    behind a recomputed CRC is a chain error, and nothing is changed.
 
 use fabricsharp::baselines::{SimpleChain, SystemKind};
 use fabricsharp::common::config::{CcConfig, WorkloadParams};
+use fabricsharp::common::error::CommonError;
 use fabricsharp::common::rwset::Key;
 use fabricsharp::ledger::durable::{DurableLedger, DurableOptions};
 use fabricsharp::ledger::{provenance, recover_from_disk, write_checkpoint, Ledger, LedgerError};
@@ -225,6 +228,57 @@ fn a_flipped_magic_bit_in_the_last_segment_is_a_typed_error_and_removes_nothing(
     bytes[3] ^= 0x04;
     std::fs::write(&last, &bytes).unwrap();
     assert_refused_unchanged(&dir, &last, "invalid segment header");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A segment in the previous format, `EOVSEG02`, written here from its bytes: a header and one
+/// CRC-valid record. Nothing reads it; opening and recovery name the format and change no
+/// byte.
+#[test]
+fn a_previous_format_segment_is_a_typed_error_that_names_its_format() {
+    let dir = temp_dir("eovseg02");
+    std::fs::create_dir_all(&dir).unwrap();
+    // number 1 | prev_hash | data_hash | 0 entries
+    let mut record = 1u64.to_be_bytes().to_vec();
+    record.extend_from_slice(&[0; 32 + 32 + 4]);
+    let mut segment = b"EOVSEG02".to_vec();
+    segment.extend_from_slice(&(record.len() as u32).to_be_bytes());
+    segment.extend_from_slice(&fabricsharp::ledger::codec::crc32(&record).to_be_bytes());
+    segment.extend_from_slice(&record);
+    let path = dir.join("seg-00000000000000000001.log");
+    std::fs::write(&path, segment).unwrap();
+    assert_refused_unchanged(&dir, &path, "EOVSEG02");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The template class is a byte of its transaction, and the data hash covers every
+/// transaction byte a record stores: flipped behind a recomputed CRC, it makes opening fail the
+/// data-hash check, and nothing is changed.
+#[test]
+fn a_flipped_template_class_behind_a_resealed_crc_fails_the_data_hash() {
+    let dir = temp_dir("template-flip");
+    build_and_persist(&dir, 29, 60, 5, 4);
+    let frames = record_frames(&dir);
+    let (segment, at) = &frames[frames.len() / 2];
+    let mut bytes = std::fs::read(segment).unwrap();
+    let len = u32::from_be_bytes(bytes[*at..at + 4].try_into().unwrap()) as usize;
+    let payload = &mut bytes[at + 8..at + 8 + len];
+    // number | prev_hash | data_hash | entry count, then the first transaction's id and
+    // snapshot block: its template class is the next byte.
+    assert!(payload[72..76] != [0; 4], "the record holds a transaction");
+    payload[72 + 4 + 16] ^= 1;
+    let crc = fabricsharp::ledger::codec::crc32(payload);
+    bytes[at + 4..at + 8].copy_from_slice(&crc.to_be_bytes());
+    std::fs::write(segment, &bytes).unwrap();
+
+    let before = dir_bytes(&dir);
+    let err = DurableLedger::open(&dir, DurableOptions::default()).unwrap_err();
+    assert!(
+        matches!(&err, LedgerError::Chain(CommonError::ChainIntegrity { detail, .. })
+            if detail.contains("data hash does not match block body")),
+        "got {err}"
+    );
+    assert_eq!(dir_bytes(&dir), before, "a refused open changes nothing");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

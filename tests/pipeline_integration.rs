@@ -214,36 +214,38 @@ fn pin_row(workload: &str, report: &SimReport, ledger: &Ledger) -> String {
 }
 
 /// [`pin_row`] for every system on modified Smallbank and YCSB-A, recorded while the simulator
-/// still composed its own commit → append → checkpoint step.
+/// still composed its own commit → append → checkpoint step. The tips were re-pinned once, when
+/// the data hash came to cover every transaction byte a record stores; these ledgers,
+/// re-chained with the previous data hash, reproduce the recorded tips.
 const SIMULATOR_PINS: &str = "\
-smallbank Fabric ff80cca79a5e9a60b80f7ded43818bcd508f9ec9c707a47712ba1c5d59f9af49
+smallbank Fabric e7e944c7f454ab169c125ecc2bb8b8c3bb7b506d01c3793fed7f107bf109b52d
   offered=480 in_ledger=480 committed=170 blocks=12 anti_rw=0 fastpath=0 hops=0.000
   aborts StaleRead:310
-smallbank Fabric++ 8fc416e2911765a5cd8c8eb4dd6243a4534db1dd7c29c6f54b9f09f1c2f88aed
+smallbank Fabric++ 613a7f29a97ec34f90818033ef60e6c0dc68a2e2e392e67d5a7b70a8dc5d8a23
   offered=480 in_ledger=237 committed=237 blocks=12 anti_rw=0 fastpath=0 hops=0.000
   aborts CrossBlockRead:12,InBlockCycle:19,StaleRead:212
-smallbank Fabric# fbca9385a6871dfb5bd497f744b2b1dfc3fb5f69425ffdbbfc6290e799d51591
+smallbank Fabric# b8b0a56cf1a20dc06bcf1328be8146b947263e1fbccbf4e77f8e75947ae03f55
   offered=480 in_ledger=267 committed=267 blocks=12 anti_rw=82 fastpath=0 hops=2.244
   aborts UnreorderableCycle:213
-smallbank Focc-s ac8b21a20adc855ccf8ea33725b5e76feca2732029aabb9a9a411c0a7559c6d2
+smallbank Focc-s df88a3ac18deac5a94513c51104276374cadf4967ab03bcf3153d7059d390730
   offered=480 in_ledger=215 committed=116 blocks=12 anti_rw=0 fastpath=0 hops=0.000
   aborts ConcurrentWriteWrite:230,DangerousStructure:35,StaleRead:99
-smallbank Focc-l 553bb53bb9753c5fc4561bf145bd0b50cba1825496e0a54d958a5b65adc99812
+smallbank Focc-l 17938462a607402d8873be802b70fddc5a427aff6e37a939d6707cdb6874abc5
   offered=480 in_ledger=480 committed=190 blocks=12 anti_rw=0 fastpath=0 hops=0.000
   aborts StaleRead:290
-ycsb-a Fabric d66a3f9bfad4a122364d027718d87f63dd19f7923573c67fc9d66ed50026df39
+ycsb-a Fabric b40f83816be68a7bed79904e8ee4a63fb67013f4763eea01f9d2f1f09a0cecff
   offered=480 in_ledger=480 committed=168 blocks=12 anti_rw=0 fastpath=0 hops=0.000
   aborts StaleRead:312
-ycsb-a Fabric++ f4584b77ec288bcf725661b125a6cdfd85d461984ed0d1c871622927c2fff146
+ycsb-a Fabric++ 144866375befaec961fa034350cc3be2f06c8168cefa82c46f7ffc4d5193650a
   offered=480 in_ledger=236 committed=236 blocks=12 anti_rw=0 fastpath=0 hops=0.000
   aborts CrossBlockRead:11,InBlockCycle:12,StaleRead:221
-ycsb-a Fabric# 12b4f03c1f21910e6226f413ebd1ee03cc658e0b92a2c1d6faf2f550849f52fe
+ycsb-a Fabric# 81831e301b8ac0f409b9b6af6597a95f5dafcc103bb05b8c6b9611b3fe81b1ce
   offered=480 in_ledger=305 committed=305 blocks=12 anti_rw=111 fastpath=0 hops=3.558
   aborts UnreorderableCycle:175
-ycsb-a Focc-s 8b75f657c2c7b4b8f327b2f8ee0f4e1609946608668cc6d6d934f6931afb6256
+ycsb-a Focc-s e566225d87efa7222b965d04a7294474dd69fb94ca3f0b43890fc7ec4b519e51
   offered=480 in_ledger=222 committed=100 blocks=12 anti_rw=0 fastpath=0 hops=0.000
   aborts ConcurrentWriteWrite:223,DangerousStructure:35,StaleRead:122
-ycsb-a Focc-l d728b20585c9305e1968edac7973a19074af629bda9e43ddd8f87cd6538a332b
+ycsb-a Focc-l 71674cf8422b1e9a54782ec960795b06fd21f1c36cb8fbd560c626f46508748a
   offered=480 in_ledger=480 committed=189 blocks=12 anti_rw=0 fastpath=0 hops=0.000
   aborts StaleRead:291
 ";

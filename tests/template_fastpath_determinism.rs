@@ -22,6 +22,9 @@ use fabricsharp::sim::runner::{SimulationConfig, Simulator};
 use fabricsharp::workload::generator::{WorkloadGenerator, WorkloadKind};
 use fabricsharp::workload::YcsbProfile;
 
+mod common;
+use common::untagged_tip;
+
 fn base_config(workload: WorkloadKind, seed: u64) -> SimulationConfig {
     let mut config = SimulationConfig::new(SystemKind::FabricSharp, workload);
     config.duration_s = 1.2;
@@ -45,55 +48,58 @@ fn sim_workload(name: &str) -> WorkloadKind {
 }
 
 /// The simulator tags every instance itself, so its reference is a record: per workload and
-/// seed, the Fabric# tip from the last revision where the fast path could be switched off (the
-/// same with it off and on), and the number of arrivals the fast path admitted there with it on.
+/// seed, the Fabric# tip, and the number of arrivals the fast path admitted. The contents were
+/// recorded at the last revision where the fast path could be switched off (the same ledger
+/// with it off and on). The tips were re-pinned once, when the data hash came to cover every
+/// transaction byte a record stores; these ledgers, re-chained with the previous data hash,
+/// reproduce the recorded tips.
 const PINNED_TIPS: [(&str, u64, &str, u64); 8] = [
     (
         "ycsb-c",
         7,
-        "32f82c228643229c5378eac137e8e6cd25acab5e7a9677789530b11eff5edf60",
+        "38a380bcb0150803d8d6183c042d636832d1be353c5e8e4c8412ba0452a3c9ca",
         480,
     ),
     (
         "ycsb-c",
         42,
-        "45604e661f00b0d1bfb9cec04f354f9bca82b1de619988c66eb321984d030eb3",
+        "a89eb872801e41379c9a351c1dc9fa924e3666d3862a5cb76273a35d7f15144c",
         480,
     ),
     (
         "create",
         7,
-        "12c6fbd3739a6f9cd95d8feb7d0b2ecce8a1a14a13b1317214aafb54eeeefa00",
+        "c65a7a27121f89f990def06eb285373adaa33429e68b0864b1002bea4119fef4",
         480,
     ),
     (
         "create",
         42,
-        "12c6fbd3739a6f9cd95d8feb7d0b2ecce8a1a14a13b1317214aafb54eeeefa00",
+        "c65a7a27121f89f990def06eb285373adaa33429e68b0864b1002bea4119fef4",
         480,
     ),
     (
         "ycsb-a",
         7,
-        "3010ea7c95dc53de411ff201e270f0f2a8b0234b987988df19fd6a9ecb3186ca",
+        "cff8cd0c42d74be2986785aeaf23a840a99038ab2f571319091a0b7673eecd13",
         0,
     ),
     (
         "ycsb-a",
         42,
-        "12b4f03c1f21910e6226f413ebd1ee03cc658e0b92a2c1d6faf2f550849f52fe",
+        "81831e301b8ac0f409b9b6af6597a95f5dafcc103bb05b8c6b9611b3fe81b1ce",
         0,
     ),
     (
         "smallbank",
         7,
-        "5069de87096e36bfdbb8d006112cc72b8f82cf991bc31abcc8b1111dd04ff2e0",
+        "033e60b5e24866ac48ec2fda7dafd69c7ccca0f99ce765a4e1eee4ec957235b4",
         0,
     ),
     (
         "smallbank",
         42,
-        "fbca9385a6871dfb5bd497f744b2b1dfc3fb5f69425ffdbbfc6290e799d51591",
+        "b8b0a56cf1a20dc06bcf1328be8146b947263e1fbccbf4e77f8e75947ae03f55",
         0,
     ),
 ];
@@ -183,8 +189,8 @@ fn decisions_and_commit_orders_match_transaction_for_transaction() {
         assert!(is_serializable(&fast.committed_history()));
         assert_eq!(
             reference.ledger().tip_hash(),
-            fast.ledger().tip_hash(),
-            "{name}: tip hash"
+            untagged_tip(fast.ledger()),
+            "{name}: tip hash with the tags cleared"
         );
         assert!(
             reference.ledger().committed_txn_count() > 0,
