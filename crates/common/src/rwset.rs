@@ -10,9 +10,13 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-/// Longest key or value kept inline: the bytes that fit next to a length byte and the enum tag
-/// in the 24 bytes a `Vec<u8>` header would take.
-const INLINE_CAP: usize = 22;
+/// Longest key kept inline: the bytes that fit next to a length byte and the enum tag in the
+/// 24 bytes a `Vec<u8>` header would take.
+const KEY_INLINE_CAP: usize = 22;
+
+/// Longest value kept inline: the bytes that fit next to a length byte and the enum tag in the
+/// 16 bytes of a tag and a one-word pointer.
+const VALUE_INLINE_CAP: usize = 14;
 
 /// A state-database key.
 ///
@@ -26,11 +30,14 @@ const INLINE_CAP: usize = 22;
 #[derive(Clone)]
 pub struct Key(KeyRepr);
 
-/// The two forms of a [`Key`]. A key of up to `INLINE_CAP` bytes is always `Inline`, with
+/// The two forms of a [`Key`]. A key of up to `KEY_INLINE_CAP` bytes is always `Inline`, with
 /// the bytes past `len` zero, so two inline keys are equal exactly when their fields are.
 #[derive(Clone)]
 enum KeyRepr {
-    Inline { len: u8, bytes: [u8; INLINE_CAP] },
+    Inline {
+        len: u8,
+        bytes: [u8; KEY_INLINE_CAP],
+    },
     Shared(Arc<str>),
 }
 
@@ -51,7 +58,7 @@ impl Key {
     /// The inline key holding `bytes`, if they fit; `bytes` must be a whole `str`.
     #[inline]
     fn inline(bytes: &[u8]) -> Option<Self> {
-        let mut inline = [0u8; INLINE_CAP];
+        let mut inline = [0u8; KEY_INLINE_CAP];
         inline.get_mut(..bytes.len())?.copy_from_slice(bytes);
         Some(Key(KeyRepr::Inline {
             len: bytes.len() as u8,
@@ -195,44 +202,51 @@ impl std::borrow::Borrow<str> for Key {
 /// A state-database value.
 ///
 /// Values are opaque byte strings, with convenience constructors for the integer balances
-/// used by the Smallbank workloads. A value of up to 22 bytes — every 8-byte balance — lives
+/// used by the Smallbank workloads. A value of up to 14 bytes — every 8-byte balance — lives
 /// inline, so creating, cloning or dropping one never touches the heap; a longer one owns a
-/// boxed slice. Either way a `Value` is 24 bytes, and equality, hashing and `Debug` see only
-/// the byte content, never which of the two forms holds it.
+/// heap slice behind a one-word box. Either way a `Value` is 16 bytes (a store keeps one per
+/// version), and equality, hashing and `Debug` see only the byte content, never which of the
+/// two forms holds it.
 #[derive(Clone)]
 pub struct Value(Repr);
 
+/// The two forms of a [`Value`]. A value of up to `VALUE_INLINE_CAP` bytes is always
+/// `Inline`; a longer one is `Heap`, whose outer box keeps the variant to one word (a
+/// `Box<[u8]>` is two).
 #[derive(Clone)]
 enum Repr {
-    Inline { len: u8, bytes: [u8; INLINE_CAP] },
-    Heap(Box<[u8]>),
+    Inline {
+        len: u8,
+        bytes: [u8; VALUE_INLINE_CAP],
+    },
+    Heap(Box<Box<[u8]>>),
 }
 
-const _: () = assert!(std::mem::size_of::<Value>() == 24);
+const _: () = assert!(std::mem::size_of::<Value>() == 16);
 
 impl Value {
     /// Creates a value from raw bytes.
     pub fn from_bytes(bytes: impl Into<Vec<u8>>) -> Self {
         let bytes = bytes.into();
-        if bytes.len() <= INLINE_CAP {
+        if bytes.len() <= VALUE_INLINE_CAP {
             Value::from_slice(&bytes)
         } else {
-            Value(Repr::Heap(bytes.into_boxed_slice()))
+            Value(Repr::Heap(Box::new(bytes.into_boxed_slice())))
         }
     }
 
     /// Creates a value holding a copy of `bytes` (decoders build values straight from the
     /// buffer they read, with no intermediate `Vec`).
     pub fn from_slice(bytes: &[u8]) -> Self {
-        if bytes.len() <= INLINE_CAP {
-            let mut inline = [0u8; INLINE_CAP];
+        if bytes.len() <= VALUE_INLINE_CAP {
+            let mut inline = [0u8; VALUE_INLINE_CAP];
             inline[..bytes.len()].copy_from_slice(bytes);
             Value(Repr::Inline {
                 len: bytes.len() as u8,
                 bytes: inline,
             })
         } else {
-            Value(Repr::Heap(bytes.into()))
+            Value(Repr::Heap(Box::new(bytes.into())))
         }
     }
 
@@ -564,6 +578,26 @@ mod tests {
         assert_eq!(Value::default(), Value::from_bytes(Vec::new()));
     }
 
+    /// A value of up to 14 bytes, from every constructor, is the inline form, which owns no
+    /// heap memory; one byte more is boxed.
+    #[test]
+    fn values_up_to_14_bytes_are_inline() {
+        let bytes = [7u8; 64];
+        for len in [0, 1, 8, 13, 14, 15, 16, 22, 23, 64] {
+            let forms = [
+                Value::from_slice(&bytes[..len]),
+                Value::from_bytes(bytes[..len].to_vec()),
+            ];
+            for value in forms {
+                assert_eq!(value.as_bytes(), &bytes[..len]);
+                let inline = matches!(value.0, Repr::Inline { .. });
+                assert_eq!(inline, len <= VALUE_INLINE_CAP, "{len} bytes");
+            }
+        }
+        assert!(matches!(Value::from_i64(i64::MIN).0, Repr::Inline { .. }));
+        assert!(matches!(Value::default().0, Repr::Inline { .. }));
+    }
+
     fn hash_of(value: &impl Hash) -> u64 {
         let mut hasher = std::collections::hash_map::DefaultHasher::new();
         value.hash(&mut hasher);
@@ -573,7 +607,7 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
 
-        /// Inline (≤ 22 bytes) or boxed, a value is its bytes: every constructor round-trips,
+        /// Inline (≤ 14 bytes) or boxed, a value is its bytes: every constructor round-trips,
         /// and `==`, `Hash` and `Debug` depend on the content only — as they did when a value
         /// was a `Vec<u8>`.
         #[test]
@@ -596,7 +630,7 @@ mod tests {
             };
             assert_eq!(format!("{sliced:?}"), debug);
 
-            // One byte more or less — across the 22/23 boundary too — is another value.
+            // One byte more or less — across the 14/15 boundary too — is another value.
             let mut longer = bytes.clone();
             longer.push(0);
             assert_ne!(Value::from_slice(&longer), sliced);

@@ -496,12 +496,12 @@ mod tests {
         for fsync in [false, true] {
             let dir = temp_dir(&format!("rt{fsync}"));
             let mut store = populated(7);
-            // Values on both sides of the 22-byte inline limit, and one far past it.
+            // Values on both sides of the 14-byte inline limit, and one far past it.
             let sized = Transaction::from_parts(
                 80,
                 7,
                 [],
-                [0usize, 22, 23, 4096].map(|len| {
+                [0usize, 14, 15, 4096].map(|len| {
                     let bytes: Vec<u8> = (0..len).map(|i| (i * 7 + len) as u8).collect();
                     (Key::new(format!("len{len}")), Value::from_bytes(bytes))
                 }),

@@ -759,14 +759,14 @@ mod tests {
         )
         .with_template_class(TemplateClass::Safe)
         .with_template_id(Some(3));
-        // Values on both sides of the 22-byte inline limit, and one far past it.
+        // Values on both sides of the 14-byte inline limit, and one far past it.
         let t2 = Transaction::from_parts(
             number * 10 + 1,
             0,
             [],
             [(Key::new("C"), Value::from_i64(-1))]
                 .into_iter()
-                .chain([0usize, 22, 23, 4096].map(|len| {
+                .chain([0usize, 14, 15, 4096].map(|len| {
                     let bytes = (0..len).map(|i| (i * 7 + len) as u8).collect::<Vec<u8>>();
                     (Key::new(format!("len{len}")), Value::from_bytes(bytes))
                 })),
@@ -845,7 +845,7 @@ mod tests {
         // A corrupt value length — past the end, or short enough to be read inline — is an
         // error, not a panic.
         let at = bytes.windows(7).position(|w| w == b"len4096").unwrap() + 7;
-        for len in [u32::MAX, 4097, 21] {
+        for len in [u32::MAX, 4097, 14] {
             let mut corrupt = bytes.clone();
             corrupt[at..at + 4].copy_from_slice(&len.to_be_bytes());
             assert!(decode_block(&corrupt).is_err(), "length {len}");
@@ -893,10 +893,10 @@ mod tests {
     fn a_key_repeated_in_a_read_or_write_set_is_an_error() {
         let block = sample_block(1, Digest::ZERO);
         let bytes = block_payload(&block);
-        // Entry 1 writes `len0`, `len22`, `len23`, ...: make `len23` a second `len22`.
-        let at = bytes.windows(5).position(|w| w == b"len23").unwrap();
+        // Entry 1 writes `len0`, `len14`, `len15`, ...: make `len15` a second `len14`.
+        let at = bytes.windows(5).position(|w| w == b"len15").unwrap();
         let mut repeated = bytes.clone();
-        repeated[at + 3..at + 5].copy_from_slice(b"22");
+        repeated[at + 3..at + 5].copy_from_slice(b"14");
         let err = decode_block(&repeated).unwrap_err();
         assert!(err.contains("twice"), "{err}");
     }

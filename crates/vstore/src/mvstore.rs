@@ -23,10 +23,11 @@
 //! * **Log.** A write to a key already held moves the old newest version to the tail of one
 //!   log of fixed-size pages (4 096 versions each) and writes the new one in its place. Every
 //!   version carries a `link`: 1 + the log position of the version it superseded, 0 for none.
-//!   A key's history is the walk from its slab entry down the links, newest first. The log
-//!   holds versions in the order they were superseded, and each page records the newest block
-//!   that superseded one of them (a store loaded from a checkpoint fills it key by key, not in
-//!   block order).
+//!   Positions count modulo 2³², so a store may supersede any number of versions over its
+//!   life as long as fewer than 2³² − 1 are held at once. A key's history is the walk from
+//!   its slab entry down the links, newest first. The log holds versions in the order they
+//!   were superseded, and each page records the newest block that superseded one of them (a
+//!   store loaded from a checkpoint fills it key by key, not in block order).
 //! * **Index.** An [`IdIndex`] — an open-addressed, linearly probed table of 8-byte slots,
 //!   shared with the orderer's key table — finds the id: each slot is the upper half of the
 //!   64-bit hash of the key's bytes above the 32-bit id, and a slot's home position is the top
@@ -55,15 +56,16 @@
 //! were first written in (a recovered store is filled in checkpoint order, the live one in
 //! commit order) and wherever their log placed the versions.
 //!
-//! Memory, beside the bytes of a key or value longer than 22: 64 bytes of slab per key (the
-//! 24-byte key with its bytes inline, and its 40-byte newest version; ×1–2 while the slab's
-//! vector has room to grow into), 13–26 bytes of index per key (8-byte slots at a load between
-//! 5/16 and 5/8), and 40 bytes of log per superseded version, with at most one page (160 KiB)
-//! allocated ahead. No key owns an allocation of its own: the per-key version vectors this
-//! replaced held 54.1 MB of capacity for 35.6 MB of versions on `fabric_mvcc_smallbank`.
+//! Memory, beside the bytes of a key longer than 22 or a value longer than 14: 56 bytes of
+//! slab per key (the 24-byte key with its bytes inline, and its 32-byte newest version, whose
+//! 16-byte value holds a balance inline; ×1–2 while the slab's vector has room to grow into),
+//! 13–26 bytes of index per key (8-byte slots at a load between 5/16 and 5/8), and 32 bytes
+//! of log per superseded version, with at most one page (128 KiB) allocated ahead. No key
+//! owns an allocation of its own: the per-key version vectors this replaced held 54.1 MB of
+//! capacity for 35.6 MB of versions on `fabric_mvcc_smallbank`.
 //!
-//! The index hashes and compares the key's bytes ([`Key::as_bytes`]), never its `&str`, which
-//! an inline key can only build by checking its UTF-8 again.
+//! The index hashes the key's bytes ([`Key::as_bytes`]), never its `&str`, which an inline key
+//! can only build by checking its UTF-8 again, and compares whole keys where it holds one.
 
 use eov_common::error::{CommonError, Result};
 use eov_common::hash::FoldState;
@@ -94,8 +96,9 @@ struct Version {
     value: Value,
 }
 
-const _: () = assert!(std::mem::size_of::<Version>() == 40);
-const _: () = assert!(std::mem::size_of::<(Key, Version)>() == 64);
+const _: () = assert!(std::mem::size_of::<Version>() == 32);
+const _: () = assert!(std::mem::size_of::<(Key, Version)>() == 56);
+const _: () = assert!(std::mem::size_of::<Value>() == 16);
 
 impl Version {
     fn slot(&self) -> SeqNo {
@@ -110,7 +113,7 @@ impl Version {
     }
 }
 
-/// log2 of the versions per log page: 4 096 versions, 160 KiB.
+/// log2 of the versions per log page: 4 096 versions, 128 KiB.
 const PAGE_BITS: u32 = 12;
 
 /// Superseded versions in the order they were superseded: a page of the log.
@@ -133,11 +136,16 @@ impl Clone for Page {
 }
 
 /// Every superseded version the store has not freed, in pages of `1 << page_bits`.
+///
+/// Log positions count modulo 2³², so only the live log (fewer than 2³² − 1 versions) is
+/// bounded, not how many versions the store supersedes over its life. A link is 1 + a
+/// position, wrapping; the one position in 2³² whose link would be 0 ("none") holds a filler
+/// that no link names.
 #[derive(Clone)]
 struct Log {
     pages: Vec<Page>,
     /// Log position of the first version of `pages[0]`: the pages before it were freed.
-    first: usize,
+    first: u32,
     /// [`PAGE_BITS`], or fewer in tests so that short histories span pages.
     page_bits: u32,
 }
@@ -159,6 +167,35 @@ impl Log {
 
     /// Appends `version`, superseded by a write in block `by`, and returns its link.
     fn push(&mut self, version: Version, by: u64) -> u32 {
+        let mut link = self.next_link();
+        if link == 0 {
+            let filler = Version {
+                block: 0,
+                seq: 0,
+                link: 0,
+                value: Value::default(),
+            };
+            self.append(filler, 0);
+            link = self.next_link();
+        }
+        self.append(version, by);
+        link
+    }
+
+    /// The link of the next version appended: 1 + its position, modulo 2³².
+    fn next_link(&self) -> u32 {
+        let held = self.pages.last().map_or(0, |tail| {
+            ((self.pages.len() - 1) << self.page_bits) + tail.versions.len()
+        });
+        let held = u32::try_from(held)
+            .ok()
+            .filter(|&held| held < u32::MAX)
+            .expect("the live log holds fewer than 2^32 - 1 versions");
+        self.first.wrapping_add(held).wrapping_add(1)
+    }
+
+    /// Puts `version` at the tail, opening a page when the last one is full.
+    fn append(&mut self, version: Version, by: u64) {
         let page_len = self.page_len();
         if self
             .pages
@@ -170,18 +207,15 @@ impl Log {
                 superseded_by: 0,
             });
         }
-        let tail = self.pages.len() - 1;
-        let page = &mut self.pages[tail];
-        let position = self.first + (tail << self.page_bits) + page.versions.len();
+        let page = self.pages.last_mut().expect("a page was just ensured");
         page.versions.push(version);
         page.superseded_by = page.superseded_by.max(by);
-        u32::try_from(position + 1).expect("log positions fit in 32 bits")
     }
 
     /// The version `link` names.
     #[inline]
     fn get(&self, link: u32) -> &Version {
-        let at = link as usize - 1 - self.first;
+        let at = link.wrapping_sub(1).wrapping_sub(self.first) as usize;
         &self.pages[at >> self.page_bits].versions[at & (self.page_len() - 1)]
     }
 
@@ -194,7 +228,9 @@ impl Log {
             .take_while(|page| page.versions.len() == page_len && page.superseded_by < live_from)
             .count();
         self.pages.drain(..dead);
-        self.first += dead << self.page_bits;
+        let freed = u32::try_from(dead << self.page_bits)
+            .expect("the live log holds fewer than 2^32 - 1 versions");
+        self.first = self.first.wrapping_add(freed);
     }
 }
 
@@ -292,14 +328,17 @@ impl MultiVersionStore {
 
     /// A store whose key hashes are cut down to the bits of `mask`, so that unrelated keys
     /// share a hash (and, with few bits, a home slot): lookups must still tell them apart. Its
-    /// log pages hold `1 << page_bits` versions, so that short histories span pages.
+    /// log pages hold `1 << page_bits` versions, so that short histories span pages, and its
+    /// first superseded version takes log position `first`, so that a short history can cross
+    /// the positions' wrap at 2³².
     #[cfg(test)]
-    pub(crate) fn with_test_layout(mask: u64, page_bits: u32) -> Self {
+    pub(crate) fn with_test_layout(mask: u64, page_bits: u32, first: u32) -> Self {
         let mut store = MultiVersionStore {
             hash_cleared: !mask,
             ..Self::default()
         };
         store.log.page_bits = page_bits;
+        store.log.first = first;
         store
     }
 
@@ -343,20 +382,26 @@ impl MultiVersionStore {
         hash
     }
 
-    /// Probes the index for `key`: the id of its entry, or the vacant slot a new entry for it
-    /// belongs in.
+    /// Probes the index for the key `is_key` picks out, whose bytes hash to `hash`: the id of
+    /// its entry, or the vacant slot a new entry for it belongs in.
+    ///
+    /// A caller holding a [`Key`] picks it out with `==`, which compares an inline key's
+    /// fixed-size array in place. Comparing `as_bytes` slices calls `memcmp`, whose 32-byte
+    /// loads straddle a cache line for half of the 56-byte slab entries: a hot `latest` read
+    /// of such a key took 10–15 % longer.
     #[inline]
-    fn probe(&self, key: &[u8], hash: u64) -> std::result::Result<usize, usize> {
+    fn probe(&self, hash: u64, is_key: impl Fn(&Key) -> bool) -> std::result::Result<usize, usize> {
         self.index
-            .find(hash, |id| self.entries[id as usize].0.as_bytes() == key)
+            .find(hash, |id| is_key(&self.entries[id as usize].0))
             .map(|id| id as usize)
     }
 
     /// The newest version of `key`, if it was ever written.
     #[inline]
     fn newest(&self, key: &Key) -> Option<&Version> {
-        let key = key.as_bytes();
-        let id = self.probe(key, self.hash_of(key)).ok()?;
+        let id = self
+            .probe(self.hash_of(key.as_bytes()), |held| held == key)
+            .ok()?;
         Some(&self.entries[id].1)
     }
 
@@ -386,7 +431,8 @@ impl MultiVersionStore {
     /// If `version` is older than the key's newest version: snapshot reads walk a key's
     /// versions newest first, so an unsorted history would answer them wrongly from then on.
     pub fn put(&mut self, key: &Key, version: SeqNo, value: Value) {
-        self.put_with(key.as_bytes(), || key.clone(), version, value);
+        let hash = self.hash_of(key.as_bytes());
+        self.put_with(hash, |held| held == key, || key.clone(), version, value);
     }
 
     /// [`Self::put`] by the key's UTF-8 bytes: a [`Key`] is made (and the bytes checked) only
@@ -397,27 +443,28 @@ impl MultiVersionStore {
     ///
     /// As [`Self::put`], and if the key is new and its bytes are not UTF-8.
     pub fn put_utf8(&mut self, key: &[u8], version: SeqNo, value: Value) {
+        let hash = self.hash_of(key);
         let new_key = || Key::from_utf8(key).expect("a key is UTF-8");
-        self.put_with(key, new_key, version, value);
+        self.put_with(hash, |held| held.as_bytes() == key, new_key, version, value);
     }
 
-    /// Installs `value` under the key whose bytes are `key`; `new_key` makes the [`Key`] a new
-    /// slab entry keeps.
+    /// Installs `value` under the key [`Self::probe`] finds with `hash` and `is_key`;
+    /// `new_key` makes the [`Key`] a new slab entry keeps.
     fn put_with(
         &mut self,
-        key: &[u8],
+        hash: u64,
+        is_key: impl Fn(&Key) -> bool,
         new_key: impl FnOnce() -> Key,
         version: SeqNo,
         value: Value,
     ) {
-        let hash = self.hash_of(key);
         let next = Version {
             block: version.block,
             seq: version.seq,
             link: 0,
             value,
         };
-        match self.probe(key, hash) {
+        match self.probe(hash, is_key) {
             Ok(id) => {
                 let newest = &mut self.entries[id].1;
                 assert!(
@@ -698,7 +745,7 @@ mod tests {
     /// version superseded just above the horizon keeps its page.
     #[test]
     fn a_page_holding_a_live_version_is_not_freed() {
-        let mut store = MultiVersionStore::with_test_layout(u64::MAX, 1);
+        let mut store = MultiVersionStore::with_test_layout(u64::MAX, 1, 0);
         // Log: [A1 (superseded in 4), B1 (in 2)], [B2 (in 3), B3 (in 4)].
         store.put(&k("A"), SeqNo::new(1, 1), Value::from_i64(1));
         store.put(&k("A"), SeqNo::new(4, 1), Value::from_i64(4));
@@ -714,6 +761,77 @@ mod tests {
         assert_eq!(store.log_pages(), 0);
         assert_eq!(store.history(&k("A")).count(), 1);
         assert_eq!(store.history(&k("B")).count(), 1);
+    }
+
+    /// Log positions wrap at 2³² instead of running out. Two-version pages, the first
+    /// position five below the wrap: a history written across it reads back at every height,
+    /// the filler at the position whose link would be 0 is never walked, and prunes free pages
+    /// on both sides of the wrap.
+    #[test]
+    fn log_positions_wrap_past_2_pow_32() {
+        let mut store = MultiVersionStore::with_test_layout(u64::MAX, 1, u32::MAX - 4);
+        for b in 1..=24u64 {
+            store.put(&k("hot"), SeqNo::new(b, 1), Value::from_i64(b as i64));
+            store.commit_empty_block(b);
+            if matches!(b, 12 | 20) {
+                store.prune_versions_below(b - 6);
+            }
+            let lowest = store.pruned_below().max(1);
+            for r in lowest..=b {
+                let read = store.read_at(&k("hot"), r).unwrap().unwrap();
+                assert_eq!(
+                    (read.version.block, read.value.as_i64()),
+                    (r, Some(r as i64))
+                );
+            }
+            let walked: Vec<u64> = store.history(&k("hot")).map(|v| v.version.block).collect();
+            assert_eq!(walked, (lowest..=b).rev().collect::<Vec<_>>());
+        }
+        // 23 superseded versions and the filler in twelve pages; the prune below 14 freed the
+        // seven that hold the filler and blocks 1..=13.
+        assert_eq!(store.pruned_below(), 14);
+        assert_eq!(store.log_pages(), 5);
+    }
+
+    /// Values past the 14-byte inline limit sit boxed in the slab and the log beside inline
+    /// ones: a history of 14-, 15- and 200-byte values reads back at every height, walks
+    /// newest first, survives a clone and a prune, and frees with its pages.
+    #[test]
+    fn a_history_of_long_values_reads_walks_and_prunes() {
+        let value = |b: u64| Value::from_bytes(vec![b as u8; [14, 15, 200][b as usize % 3]]);
+        let mut store = MultiVersionStore::with_test_layout(u64::MAX, 2, 0);
+        for b in 1..=12u64 {
+            store.put(&k("long"), SeqNo::new(b, 1), value(b));
+            store.put(&k("short"), SeqNo::new(b, 2), Value::from_i64(b as i64));
+            store.commit_empty_block(b);
+        }
+        for b in 1..=12u64 {
+            let read = store.read_at(&k("long"), b).unwrap().unwrap();
+            assert_eq!((read.version.block, read.value), (b, &value(b)));
+        }
+        let history = |store: &MultiVersionStore| -> Vec<Value> {
+            store.history(&k("long")).map(|v| v.value.clone()).collect()
+        };
+        assert_eq!(
+            history(&store),
+            (1..=12).rev().map(value).collect::<Vec<_>>()
+        );
+        let copy = store.clone();
+        store.prune_versions_below(9);
+        assert_eq!(
+            history(&store),
+            (9..=12).rev().map(value).collect::<Vec<_>>()
+        );
+        assert_eq!(
+            store.read_at(&k("long"), 8),
+            Err(CommonError::SnapshotPruned(8))
+        );
+        // 22 superseded versions in four-version pages; those of blocks 1..=8 filled four.
+        assert_eq!(store.log_pages(), 2);
+        assert_eq!(
+            history(&copy),
+            (1..=12).rev().map(value).collect::<Vec<_>>()
+        );
     }
 
     /// An out-of-order version would leave the history unsorted under `read_at`'s walk:

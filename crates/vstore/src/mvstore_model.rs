@@ -127,9 +127,10 @@ fn assert_agrees(store: &MultiVersionStore, model: &ModelStore, probes: &[Key]) 
 }
 
 /// What loading a checkpoint of `store` builds: every history written oldest first, key by
-/// key in key order, into a store of another layout, then pruned at the recorded horizon.
+/// key in key order, into a store of another layout (whose log positions wrap after nine
+/// superseded versions), then pruned at the recorded horizon.
 fn reloaded(store: &MultiVersionStore) -> MultiVersionStore {
-    let mut loaded = MultiVersionStore::with_test_layout(u64::MAX, 3);
+    let mut loaded = MultiVersionStore::with_test_layout(u64::MAX, 3, u32::MAX - 9);
     for (key, walk) in store.iter_history() {
         let mut chain: Vec<VersionRef<'_>> = walk.collect();
         chain.reverse();
@@ -234,15 +235,16 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
     /// The slab + log + hash-index store answers like the ordered map after every operation —
-    /// with its real hash and pages, with one-, two- and four-version log pages, and with
-    /// hashes forced to collide (two hash values for every key, then one).
+    /// with its real hash and pages, with one-, two- and four-version log pages, with hashes
+    /// forced to collide (two hash values for every key, then one), and with log positions
+    /// that wrap past 2³² three pages in, prunes freeing pages on both sides of the wrap.
     #[test]
     fn store_agrees_with_the_ordered_map_after_every_op(
         ops in proptest::collection::vec((0u8..12, any::<u8>(), any::<u8>()), 1..70),
     ) {
         run_model(MultiVersionStore::new(), &ops);
-        run_model(MultiVersionStore::with_test_layout(u64::MAX, 0), &ops);
-        run_model(MultiVersionStore::with_test_layout(1, 1), &ops);
-        run_model(MultiVersionStore::with_test_layout(0, 2), &ops);
+        run_model(MultiVersionStore::with_test_layout(u64::MAX, 0, 0), &ops);
+        run_model(MultiVersionStore::with_test_layout(1, 1, u32::MAX - (3 << 1)), &ops);
+        run_model(MultiVersionStore::with_test_layout(0, 2, u32::MAX - (3 << 2)), &ops);
     }
 }
