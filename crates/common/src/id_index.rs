@@ -24,16 +24,17 @@ pub struct IdIndex {
 const VACANT: u64 = u64::MAX;
 /// Slots of an empty index.
 const MIN_SLOTS: usize = 8;
-/// The index doubles when more than `MAX_LOAD.0 / MAX_LOAD.1` of its slots are taken: a probe
-/// walks eight slots per cache line and rarely leaves its first line up to there.
-const MAX_LOAD: (usize, usize) = (5, 8);
+/// The index doubles when more than `MAX_LOAD.0 / MAX_LOAD.1` of its slots are taken, so it
+/// holds 8/7 to 16/7 slots per id (9–18 bytes). At a load α, a linear probe expects to
+/// inspect ½(1 + 1/(1 − α)) slots to find an id and ½(1 + 1/(1 − α)²) to find none (Knuth):
+/// at most 4.5 and 32.5 at the bound. A probe compares eight 8-byte hash tags per cache line
+/// and asks the slab for a key only on a tag match, so even a miss seldom reads more than a
+/// few lines; hashbrown runs at the same bound.
+const MAX_LOAD: (usize, usize) = (7, 8);
 
 impl Default for IdIndex {
     fn default() -> Self {
-        IdIndex {
-            slots: vec![VACANT; MIN_SLOTS],
-            len: 0,
-        }
+        IdIndex::with_capacity(0)
     }
 }
 
@@ -44,6 +45,27 @@ fn home(hash: u64, bits: u32) -> usize {
 }
 
 impl IdIndex {
+    /// An empty index that takes `ids` ids before it first grows: its one table is allocated
+    /// here, so filling it never holds two.
+    ///
+    /// # Panics
+    ///
+    /// If `ids` ids would need more than `2^32` slots.
+    pub fn with_capacity(ids: usize) -> Self {
+        let mut slots = MIN_SLOTS;
+        while ids.saturating_mul(MAX_LOAD.1) > slots * MAX_LOAD.0 {
+            assert!(
+                slots.trailing_zeros() < 32,
+                "a slot carries 32 bits of its key's hash"
+            );
+            slots *= 2;
+        }
+        IdIndex {
+            slots: vec![VACANT; slots],
+            len: 0,
+        }
+    }
+
     /// The id of the key hashing to `hash` — the first id under `hash`'s tag for which
     /// `is_key` holds — or, if there is none, the position a new id for the key belongs in
     /// (for [`IdIndex::insert`]). The load bound keeps slots vacant, so the walk ends.
@@ -136,6 +158,68 @@ mod tests {
     /// A hash with `homes` distinct home regions and three tags, so many keys share a hash.
     fn hash(key: u64, homes: u64) -> u64 {
         (key % homes) << 58 | (key % 3) << 32
+    }
+
+    /// A seeded stream of well-mixed 64-bit hashes (splitmix64).
+    fn hash_stream(seed: u64) -> impl Iterator<Item = u64> {
+        let mut state = seed;
+        std::iter::repeat_with(move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let z = (state ^ state >> 30).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            let z = (z ^ z >> 27).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ z >> 31
+        })
+    }
+
+    /// Inserts an id for each of `hashes`, in order, taking each hash as a new key.
+    fn fill(index: &mut IdIndex, hashes: impl Iterator<Item = u64>) {
+        for (id, hash) in hashes.enumerate() {
+            let vacant = index.find(hash, |_| false).unwrap_err();
+            index.insert(vacant, hash, id as u32);
+        }
+    }
+
+    #[test]
+    fn with_capacity_takes_its_ids_without_growing() {
+        for ids in [0usize, 1, 7, 8, 100, 896, 897, 57_344, 57_345] {
+            let mut index = IdIndex::with_capacity(ids);
+            let slots = index.slots.len();
+            fill(&mut index, hash_stream(ids as u64).take(ids));
+            assert_eq!(index.slots.len(), slots, "{ids} ids");
+            assert_eq!(index.len, ids);
+            // The smallest table that holds them: half as many slots would not.
+            assert!(
+                slots == MIN_SLOTS || ids * MAX_LOAD.1 > slots / 2 * MAX_LOAD.0,
+                "{ids} ids in {slots} slots"
+            );
+        }
+    }
+
+    /// Linear probing at the load bound: a table grown from empty to the most ids its 2^16
+    /// slots take (7/8 of them) from a seeded hash stream. Knuth's expectations there are 4.5
+    /// slots per successful probe and 32.5 per unsuccessful one. The counts are exact for the
+    /// stream, so a bound or a `home` that clusters slots more fails here.
+    #[test]
+    fn probes_stay_short_at_the_load_bound() {
+        const SLOTS: usize = 1 << 16;
+        let ids = SLOTS * MAX_LOAD.0 / MAX_LOAD.1;
+        let mut index = IdIndex::default();
+        fill(&mut index, hash_stream(42).take(ids));
+        assert_eq!(index.slots.len(), SLOTS);
+        let (mask, bits) = (SLOTS - 1, SLOTS.trailing_zeros());
+        // A successful probe inspects the slots from its id's home to the id's own.
+        let hits: usize = (0..SLOTS)
+            .filter(|&at| index.slots[at] != VACANT)
+            .map(|at| (at.wrapping_sub(home(index.slots[at], bits)) & mask) + 1)
+            .sum();
+        // An unsuccessful one, from each home in turn, inspects up to the first vacant slot.
+        let misses: usize = (0..SLOTS)
+            .map(|start| (0..SLOTS).find(|step| index.slots[(start + step) & mask] == VACANT))
+            .map(|steps| steps.expect("the bound keeps slots vacant") + 1)
+            .sum();
+        let (hit, miss) = (hits as f64 / ids as f64, misses as f64 / SLOTS as f64);
+        assert!(hit <= 5.0, "{hit:.2} slots per successful probe");
+        assert!(miss <= 40.0, "{miss:.2} slots per unsuccessful probe");
     }
 
     proptest! {

@@ -24,7 +24,13 @@
 //! mid-checkpoint leaves either the old file set or the new one, never a half-written
 //! checkpoint under the final name.
 //!
-//! Loading walks the base pointers down to a full image, then applies the links oldest-first.
+//! Loading walks the base pointers down to a full image, then applies the links oldest-first
+//! onto one store, allocated up front for the total key count the top link records, so that
+//! the store never grows (and its index never holds two tables) during the load. That count
+//! is read with the heads, before any CRC check, so it is capped at the keys the chain's
+//! payload bytes can encode (`MIN_CHAIN_LEN` bytes each); whatever it claims, the key count
+//! check below decides whether the chain loads.
+//!
 //! Every link must pass its magic, its CRC and the *base CRC* its successor recorded (a base
 //! file swapped for a different — even valid — checkpoint is rejected), its chain suffixes
 //! must start above the base height, and after re-applying the recorded prune horizon the
@@ -63,6 +69,12 @@ const PREVIOUS_MAGIC: &[u8; 8] = b"EOVCKP02";
 const FRAME_LEN: usize = 16;
 /// Bytes of the fixed payload head: height and base pointer.
 const HEAD_LEN: usize = 21;
+/// Bytes a checkpoint's heads-only read takes: the frame, the payload head and the store's
+/// three counters (`last_block`, `pruned_below`, total keys).
+const PEEK_LEN: usize = FRAME_LEN + HEAD_LEN + 24;
+/// The fewest payload bytes that add a key to a store: an empty key, a version count and one
+/// version with an empty value (4 + 4 + 12 + 4).
+const MIN_CHAIN_LEN: u64 = 24;
 
 /// File name of the checkpoint at `height`.
 pub(crate) fn checkpoint_file_name(height: u64) -> String {
@@ -236,7 +248,7 @@ fn newest_base(dir: &Path, height: u64) -> Result<Option<LinkId>, LedgerError> {
         .rev()
         .filter(|(h, _)| *h < height)
         .find_map(|(_, path)| {
-            let head = peek_head(path).ok()?;
+            let head = peek(path).ok()?.head;
             chain_paths(path).is_ok().then_some(head.id)
         }))
 }
@@ -307,53 +319,74 @@ fn split_frame<'a>(
     Ok((crc, &bytes[FRAME_LEN..]))
 }
 
-/// Reads a checkpoint's frame and payload head without reading (or verifying) the rest: how
-/// the writer finds its base and how the loader discovers a chain. The recorded height must be
-/// the file name's; whatever else this returns is confirmed against the CRC-verified payload
-/// when the link is applied.
-fn peek_head(path: &Path) -> Result<LinkHead, LedgerError> {
+/// A checkpoint's front, read without reading (or verifying) the rest.
+struct Peek {
+    head: LinkHead,
+    payload_len: u64,
+    /// The total key count the store records.
+    total_keys: u64,
+}
+
+/// Reads a checkpoint's frame, payload head and store counters without reading (or verifying)
+/// the rest: how the writer finds its base and how the loader discovers a chain and sizes its
+/// store. The recorded height must be the file name's; whatever else this returns is confirmed
+/// against the CRC-verified payload when the link is applied.
+fn peek(path: &Path) -> Result<Peek, LedgerError> {
     let mut file = fs::File::open(path).map_err(|e| LedgerError::io(path, e))?;
     let file_len = file.metadata().map_err(|e| LedgerError::io(path, e))?.len();
-    let mut bytes = [0u8; FRAME_LEN + HEAD_LEN];
+    let mut bytes = [0u8; PEEK_LEN];
     if file.read_exact(&mut bytes).is_err() {
         return Err(corrupt(path, "missing or invalid checkpoint header"));
     }
-    let (crc, head) = split_frame(path, &bytes, file_len)?;
-    let head = get_head(&mut ByteReader::new(head), crc).map_err(|detail| corrupt(path, detail))?;
+    let (crc, front) = split_frame(path, &bytes, file_len)?;
+    let head =
+        get_head(&mut ByteReader::new(front), crc).map_err(|detail| corrupt(path, detail))?;
     if height_in_name(path) != Some(head.id.height) {
         return Err(corrupt(path, "recorded height differs from the file name"));
     }
-    Ok(head)
+    let total_keys = u64::from_be_bytes(front[HEAD_LEN + 16..].try_into().unwrap());
+    Ok(Peek {
+        head,
+        payload_len: file_len - FRAME_LEN as u64,
+        total_keys,
+    })
 }
 
-/// The files of the chain ending at `top`, oldest (the full image) first. Heads only: every
-/// link must exist with a whole frame and carry the CRC its successor recorded.
-fn chain_paths(top: &Path) -> Result<Vec<PathBuf>, LedgerError> {
+/// The files of the chain ending at `top`, oldest (the full image) first, and the keys to size
+/// the store for: the count `top` records, capped at what the chain's payload bytes can encode.
+/// Heads only: every link must exist with a whole frame and carry the CRC its successor
+/// recorded.
+fn chain_paths(top: &Path) -> Result<(Vec<PathBuf>, usize), LedgerError> {
     let dir = top.parent().unwrap_or(Path::new(""));
     let mut paths = vec![top.to_path_buf()];
-    let mut head = peek_head(top)?;
+    let top = peek(top)?;
+    let (mut head, mut payload_bytes) = (top.head, top.payload_len);
     // Base heights strictly descend (`get_head`), so the walk ends.
     while let Some(base) = head.base {
         let path = dir.join(checkpoint_file_name(base.height));
-        head = peek_head(&path)?;
-        if head.id != base {
+        let link = peek(&path)?;
+        if link.head.id != base {
             return Err(corrupt(
                 &path,
                 format!("not the checkpoint its successor built on ({base:?})"),
             ));
         }
+        (head, payload_bytes) = (link.head, payload_bytes + link.payload_len);
         paths.push(path);
     }
     paths.reverse();
-    Ok(paths)
+    let keys = top.total_keys.min(payload_bytes / MIN_CHAIN_LEN);
+    Ok((paths, usize::try_from(keys).unwrap_or(usize::MAX)))
 }
 
 /// Verifies one link of a [`chain_paths`] walk — magic, CRC, head, structure; the walk has
 /// matched its frame CRC to its successor's base pointer — and applies it on top of `below`
-/// (the links under it, already applied; `None` for the full image).
+/// (the links under it, already applied; `None` for the full image, which is applied to an
+/// empty store sized for `keys`).
 fn apply_link(
     path: &Path,
     below: Option<MultiVersionStore>,
+    keys: usize,
 ) -> Result<MultiVersionStore, LedgerError> {
     let bytes = fs::read(path).map_err(|e| LedgerError::io(path, e))?;
     let (crc, payload) = split_frame(path, &bytes, bytes.len() as u64)?;
@@ -363,7 +396,7 @@ fn apply_link(
     let mut r = ByteReader::new(payload);
     let head = get_head(&mut r, crc).map_err(|detail| corrupt(path, detail))?;
     let mut store = match (below, head.base) {
-        (None, None) => MultiVersionStore::new(),
+        (None, None) => MultiVersionStore::with_capacity(keys),
         (Some(store), Some(_)) => store,
         _ => return Err(corrupt(path, "link does not fit the state below it")),
     };
@@ -383,9 +416,10 @@ fn apply_link(
 pub(crate) fn load_checkpoint(
     path: impl AsRef<Path>,
 ) -> Result<(u64, MultiVersionStore), LedgerError> {
+    let (links, keys) = chain_paths(path.as_ref())?;
     let mut store = None;
-    for link in chain_paths(path.as_ref())? {
-        store = Some(apply_link(&link, store)?);
+    for link in links {
+        store = Some(apply_link(&link, store, keys)?);
     }
     let store = store.expect("a chain holds at least its top link");
     Ok((store.last_block(), store))
@@ -458,6 +492,11 @@ mod tests {
     use super::*;
     use eov_common::txn::Transaction;
     use proptest::prelude::*;
+
+    /// [`peek`]'s head alone.
+    fn peek_head(path: &Path) -> Result<LinkHead, LedgerError> {
+        peek(path).map(|peeked| peeked.head)
+    }
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -750,15 +789,16 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// Writes a link at `height` over `base` whose store records `last_block` and holds
-    /// `chains` (one version `(block, 1)` each) in the order given: the CRC is valid whatever
-    /// rule of the format the chains break.
+    /// Writes a link at `height` over `base` whose store records `last_block` and
+    /// `total_keys` and holds `chains` (one version `(block, 1)` each) in the order given: the
+    /// CRC is valid whatever rule of the format the chains or the count break.
     fn write_raw_link(
         dir: &Path,
         height: u64,
         base: Option<LinkId>,
         last_block: u64,
         chains: &[(&str, u64)],
+        total_keys: u64,
     ) -> (LinkId, PathBuf) {
         let values: Vec<Value> = chains
             .iter()
@@ -779,7 +819,7 @@ mod tests {
         let versions = chains
             .iter()
             .map(|(key, chain)| (key, chain.iter().copied()));
-        put_chains(&mut w, [last_block, 0, 1], versions);
+        put_chains(&mut w, [last_block, 0, total_keys], versions);
         let path = dir.join(checkpoint_file_name(height));
         std::fs::write(&path, seal_frame(w, 8, "checkpoint", u32::MAX).unwrap()).unwrap();
         (peek_head(&path).unwrap().id, path)
@@ -790,7 +830,7 @@ mod tests {
         let is_corrupt_at = |path: &Path, err: LedgerError| matches!(&err, LedgerError::CorruptCheckpoint { path: at, .. } if at == path);
         // A full image listing key `a` twice, the second time with an older version.
         let dir = temp_dir("repeated-key");
-        let (_, image) = write_raw_link(&dir, 5, None, 5, &[("a", 5), ("a", 3)]);
+        let (_, image) = write_raw_link(&dir, 5, None, 5, &[("a", 5), ("a", 3)], 1);
         let err = load_checkpoint(&image).unwrap_err();
         assert!(err.to_string().contains("out of key order"), "got {err}");
         assert!(is_corrupt_at(&image, err));
@@ -799,8 +839,8 @@ mod tests {
         // A base holding a version above its own height, under a delta with an older version
         // of the same key that is still above the base height.
         let dir = temp_dir("version-above-height");
-        let (base, base_path) = write_raw_link(&dir, 3, None, 3, &[("a", 5)]);
-        let (_, delta) = write_raw_link(&dir, 6, Some(base), 6, &[("a", 4)]);
+        let (base, base_path) = write_raw_link(&dir, 3, None, 3, &[("a", 5)], 1);
+        let (_, delta) = write_raw_link(&dir, 6, Some(base), 6, &[("a", 4)], 1);
         assert!(is_corrupt_at(
             &base_path,
             load_checkpoint(&delta).unwrap_err()
@@ -809,6 +849,54 @@ mod tests {
             &base_path,
             latest_checkpoint_at_most(&dir, 100).unwrap_err()
         ));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The top link's total key count sizes the loaded store before any CRC is checked. A
+    /// count past what the chain's bytes can encode neither aborts the load nor sizes the
+    /// store past those bytes: the chain loads, or fails, as the count check after the last
+    /// link decides, and recovery passes a refused top over for the link below it.
+    #[test]
+    fn a_key_count_past_the_chain_bytes_is_capped_then_refused() {
+        let dir = temp_dir("key-claim");
+        let (base, base_path) = write_raw_link(&dir, 3, None, 3, &[("a", 1), ("b", 2)], 2);
+        for claim in [u64::MAX, 1 << 40, 4, 3, 0] {
+            let (_, top) = write_raw_link(&dir, 6, Some(base), 6, &[("c", 4)], claim);
+            let (paths, keys) = chain_paths(&top).unwrap();
+            assert_eq!(paths, [base_path.clone(), top.clone()]);
+            let payload_bytes: u64 = paths
+                .iter()
+                .map(|path| std::fs::metadata(path).unwrap().len() - FRAME_LEN as u64)
+                .sum();
+            assert_eq!(keys as u64, claim.min(payload_bytes / MIN_CHAIN_LEN));
+            let recovered = latest_checkpoint_at_most(&dir, 100).unwrap().unwrap();
+            match load_checkpoint(&top) {
+                Ok((6, store)) if claim == 3 => {
+                    assert_eq!(store.key_count(), 3);
+                    assert_eq!(recovered, (6, store));
+                }
+                Err(err) if claim != 3 => {
+                    let refusal = format!(
+                        "store holds 3 keys after the delta, the checkpoint recorded {claim}"
+                    );
+                    assert!(err.to_string().contains(&refusal), "got {err}");
+                    assert_eq!(recovered.0, 3);
+                }
+                other => panic!("claim {claim}: {other:?}"),
+            }
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+
+        // A full image alone, claiming every key there is.
+        let dir = temp_dir("key-claim-image");
+        let (_, image) = write_raw_link(&dir, 5, None, 5, &[("a", 5)], u64::MAX);
+        let payload_bytes = std::fs::metadata(&image).unwrap().len() - FRAME_LEN as u64;
+        assert_eq!(
+            chain_paths(&image).unwrap().1 as u64,
+            payload_bytes / MIN_CHAIN_LEN
+        );
+        let err = load_checkpoint(&image).unwrap_err();
+        assert!(err.to_string().contains("store holds 1 keys"), "got {err}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -59,10 +59,12 @@
 //! Memory, beside the bytes of a key longer than 22 or a value longer than 14: 56 bytes of
 //! slab per key (the 24-byte key with its bytes inline, and its 32-byte newest version, whose
 //! 16-byte value holds a balance inline; ×1–2 while the slab's vector has room to grow into),
-//! 13–26 bytes of index per key (8-byte slots at a load between 5/16 and 5/8), and 32 bytes
+//! 9–18 bytes of index per key (8-byte slots at a load between 7/16 and 7/8), and 32 bytes
 //! of log per superseded version, with at most one page (128 KiB) allocated ahead. No key
 //! owns an allocation of its own: the per-key version vectors this replaced held 54.1 MB of
-//! capacity for 35.6 MB of versions on `fabric_mvcc_smallbank`.
+//! capacity for 35.6 MB of versions on `fabric_mvcc_smallbank`. A store loaded from a checkpoint
+//! is allocated for the key count the checkpoint records ([`MultiVersionStore::with_capacity`]),
+//! so its index never holds an old and a new table at once during the load.
 //!
 //! The index hashes the key's bytes ([`Key::as_bytes`]), never its `&str`, which an inline key
 //! can only build by checking its UTF-8 again, and compares whole keys where it holds one.
@@ -324,6 +326,17 @@ impl MultiVersionStore {
     /// Creates an empty store at height 0 (genesis).
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// An empty store sized for `keys` keys: its slab and its index are allocated once, and
+    /// filling it with that many keys grows neither. How a recovered store is built from a
+    /// checkpoint that records its key count.
+    pub fn with_capacity(keys: usize) -> Self {
+        MultiVersionStore {
+            entries: Vec::with_capacity(keys),
+            index: IdIndex::with_capacity(keys),
+            ..Self::default()
+        }
     }
 
     /// A store whose key hashes are cut down to the bits of `mask`, so that unrelated keys
@@ -640,6 +653,25 @@ mod tests {
         let c2 = store.read_at(&k("C"), 2).unwrap().unwrap();
         assert_eq!(c2.value.as_i64(), Some(201));
         assert_eq!(store.last_block(), 2);
+    }
+
+    /// A sized store keeps its one slab allocation while it fills, and holds what a store grown
+    /// key by key holds.
+    #[test]
+    fn a_store_sized_for_its_keys_fills_without_regrowing() {
+        let keys: Vec<Key> = (0..1000).map(|i| k(&format!("acct:{i}"))).collect();
+        let mut sized = MultiVersionStore::with_capacity(keys.len());
+        let mut grown = MultiVersionStore::new();
+        let capacity = sized.entries.capacity();
+        for (i, key) in keys.iter().enumerate() {
+            sized.put(key, SeqNo::new(0, i as u32 + 1), Value::from_i64(i as i64));
+            grown.put(key, SeqNo::new(0, i as u32 + 1), Value::from_i64(i as i64));
+        }
+        assert_eq!(sized.entries.capacity(), capacity);
+        assert_eq!(sized, grown);
+        assert!(keys
+            .iter()
+            .all(|key| sized.latest(key) == grown.latest(key)));
     }
 
     #[test]
