@@ -199,7 +199,7 @@ fn pin_row(workload: &str, report: &SimReport, ledger: &Ledger) -> String {
     aborts.sort();
     format!(
         "{workload} {} {}\n  offered={} in_ledger={} committed={} blocks={} anti_rw={} \
-         fastpath={} hops={:.3}\n  aborts {}\n",
+         fastpath={} hops={:.3}\n  latency_ms={:.3} block_span={:.3}\n  aborts {}\n",
         report.system,
         ledger.tip_hash().to_hex(),
         report.offered,
@@ -209,6 +209,8 @@ fn pin_row(workload: &str, report: &SimReport, ledger: &Ledger) -> String {
         report.committed_with_anti_rw,
         report.fastpath_accepted,
         report.avg_hops,
+        report.avg_latency_ms,
+        report.avg_block_span,
         aborts.join(",")
     )
 }
@@ -216,37 +218,49 @@ fn pin_row(workload: &str, report: &SimReport, ledger: &Ledger) -> String {
 /// [`pin_row`] for every system on modified Smallbank and YCSB-A, recorded while the simulator
 /// still composed its own commit → append → checkpoint step. The tips were re-pinned once, when
 /// the data hash came to cover every transaction byte a record stores; these ledgers,
-/// re-chained with the previous data hash, reproduce the recorded tips.
+/// re-chained with the previous data hash, reproduce the recorded tips. The latency and block
+/// span fields were added later, recorded while the simulator still carried each request's
+/// submission time through its events and the chain's commit still counted anti-rw commits.
 const SIMULATOR_PINS: &str = "\
 smallbank Fabric e7e944c7f454ab169c125ecc2bb8b8c3bb7b506d01c3793fed7f107bf109b52d
   offered=480 in_ledger=480 committed=170 blocks=12 anti_rw=0 fastpath=0 hops=0.000
+  latency_ms=160.597 block_span=1.918
   aborts StaleRead:310
 smallbank Fabric++ 613a7f29a97ec34f90818033ef60e6c0dc68a2e2e392e67d5a7b70a8dc5d8a23
   offered=480 in_ledger=237 committed=237 blocks=12 anti_rw=0 fastpath=0 hops=0.000
+  latency_ms=178.340 block_span=1.540
   aborts CrossBlockRead:12,InBlockCycle:19,StaleRead:212
 smallbank Fabric# b8b0a56cf1a20dc06bcf1328be8146b947263e1fbccbf4e77f8e75947ae03f55
   offered=480 in_ledger=267 committed=267 blocks=12 anti_rw=82 fastpath=0 hops=2.244
+  latency_ms=134.891 block_span=1.685
   aborts UnreorderableCycle:213
 smallbank Focc-s df88a3ac18deac5a94513c51104276374cadf4967ab03bcf3153d7059d390730
   offered=480 in_ledger=215 committed=116 blocks=12 anti_rw=0 fastpath=0 hops=0.000
+  latency_ms=142.789 block_span=1.784
   aborts ConcurrentWriteWrite:230,DangerousStructure:35,StaleRead:99
 smallbank Focc-l 17938462a607402d8873be802b70fddc5a427aff6e37a939d6707cdb6874abc5
   offered=480 in_ledger=480 committed=190 blocks=12 anti_rw=0 fastpath=0 hops=0.000
+  latency_ms=153.545 block_span=1.874
   aborts StaleRead:290
 ycsb-a Fabric b40f83816be68a7bed79904e8ee4a63fb67013f4763eea01f9d2f1f09a0cecff
   offered=480 in_ledger=480 committed=168 blocks=12 anti_rw=0 fastpath=0 hops=0.000
+  latency_ms=158.001 block_span=1.905
   aborts StaleRead:312
 ycsb-a Fabric++ 144866375befaec961fa034350cc3be2f06c8168cefa82c46f7ffc4d5193650a
   offered=480 in_ledger=236 committed=236 blocks=12 anti_rw=0 fastpath=0 hops=0.000
+  latency_ms=185.085 block_span=1.521
   aborts CrossBlockRead:11,InBlockCycle:12,StaleRead:221
 ycsb-a Fabric# 81831e301b8ac0f409b9b6af6597a95f5dafcc103bb05b8c6b9611b3fe81b1ce
   offered=480 in_ledger=305 committed=305 blocks=12 anti_rw=111 fastpath=0 hops=3.558
+  latency_ms=137.586 block_span=1.767
   aborts UnreorderableCycle:175
 ycsb-a Focc-s e566225d87efa7222b965d04a7294474dd69fb94ca3f0b43890fc7ec4b519e51
   offered=480 in_ledger=222 committed=100 blocks=12 anti_rw=0 fastpath=0 hops=0.000
+  latency_ms=140.684 block_span=1.740
   aborts ConcurrentWriteWrite:223,DangerousStructure:35,StaleRead:122
 ycsb-a Focc-l 71674cf8422b1e9a54782ec960795b06fd21f1c36cb8fbd560c626f46508748a
   offered=480 in_ledger=480 committed=189 blocks=12 anti_rw=0 fastpath=0 hops=0.000
+  latency_ms=152.991 block_span=1.847
   aborts StaleRead:291
 ";
 
