@@ -9,16 +9,16 @@
 
 use eov_common::abort::AbortReason;
 use eov_common::config::CcConfig;
+use eov_common::hash::FoldState;
 use eov_common::rwset::{Key, Value};
 use eov_common::txn::{CommitDecision, Transaction, TxnStatus};
 use eov_common::version::SeqNo;
 use fabricsharp_core::theory::figure2a_fixture;
+use std::collections::HashMap;
 
 // The shared commit semantics live in `fabricsharp_core::commit`; re-exported here because
 // every baseline and the chain facade import them through this module.
-pub use fabricsharp_core::commit::{
-    apply_without_validation, commit_block, count_anti_rw_commits, mvcc_validate_and_apply,
-};
+pub use fabricsharp_core::commit::{apply_without_validation, mvcc_validate_and_apply};
 
 /// Which of the paper's five systems a concurrency control implements.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -112,6 +112,31 @@ pub fn table1_commits(system: SystemKind) -> Vec<u64> {
         .filter(|(_, status)| status.is_committed())
         .map(|(txn, _)| txn.id.0)
         .collect()
+}
+
+/// The in-block conflict graph Fabric++ and Focc-l reorder by: entry `r` lists the positions of
+/// the transactions in `txns` that write a key transaction `r` reads (edge reader → writer: the
+/// reader must come first to pass validation). Writers appear in block order, each once per key
+/// of its write set that `r` reads.
+pub(crate) fn reader_to_writers(txns: &[Transaction]) -> Vec<Vec<usize>> {
+    // A read set holds each key once, so each reader is listed once per key.
+    let mut readers: HashMap<&Key, Vec<usize>, FoldState> = HashMap::default();
+    for (r, reader) in txns.iter().enumerate() {
+        for key in reader.read_set.keys() {
+            readers.entry(key).or_default().push(r);
+        }
+    }
+    let mut writers = vec![Vec::new(); txns.len()];
+    for (w, writer) in txns.iter().enumerate() {
+        for key in writer.write_set.keys() {
+            for &r in readers.get(key).map_or(&[][..], Vec::as_slice) {
+                if r != w {
+                    writers[r].push(w);
+                }
+            }
+        }
+    }
+    writers
 }
 
 /// The orderer/peer-side concurrency-control interface shared by all five systems.
@@ -245,30 +270,6 @@ mod tests {
     }
 
     #[test]
-    fn anti_rw_commits_count_stale_reads_and_in_block_overwrites() {
-        let mut store = seeded_store();
-        // fresh reads A at its current version; stale read A at a version that never existed;
-        // in_block reads B which the first transaction overwrites within the block.
-        let fresh = Transaction::from_parts(
-            1,
-            0,
-            [(k("A"), SeqNo::new(0, 1))],
-            [(k("B"), Value::from_i64(9))],
-        );
-        let stale = Transaction::from_parts(2, 0, [(k("A"), SeqNo::new(5, 5))], []);
-        let in_block = Transaction::from_parts(3, 0, [(k("B"), SeqNo::new(0, 2))], []);
-        assert_eq!(
-            count_anti_rw_commits(&store, &[fresh.clone(), stale.clone(), in_block.clone()]),
-            2
-        );
-        // commit_block without validation applies everything and reports the same count.
-        let outcome = commit_block(&mut store, 1, &[fresh, stale, in_block], false);
-        assert_eq!(outcome.anti_rw_commits, 2);
-        assert_eq!(outcome.statuses, vec![TxnStatus::Committed; 3]);
-        assert_eq!(store.last_block(), 1);
-    }
-
-    #[test]
     fn apply_without_validation_commits_everything() {
         let mut store = seeded_store();
         let t1 = Transaction::from_parts(
@@ -292,6 +293,19 @@ mod tests {
                 .iter()
                 .map(|key| (k(key), Value::from_i64(id as i64))),
         )
+    }
+
+    #[test]
+    fn reader_to_writers_lists_writers_in_block_order_once_per_shared_key() {
+        let block = [
+            txn(1, 0, &[("A", 0, 1), ("B", 0, 2)], &["C"]),
+            txn(2, 0, &[("C", 0, 3)], &["A", "B"]),
+            txn(3, 0, &[("A", 0, 1)], &["A"]),
+            txn(4, 0, &[], &["B", "C"]),
+        ];
+        // Txn 3 reads and writes A: a transaction is never its own writer.
+        let expected: Vec<Vec<usize>> = vec![vec![1, 1, 2, 3], vec![0, 3], vec![1], vec![]];
+        assert_eq!(reader_to_writers(&block), expected);
     }
 
     /// Drives a fresh instance of `kind` into two or three early-abort reasons and returns

@@ -13,7 +13,9 @@
 //! checkpoints every `CcConfig::checkpoint_interval` blocks and returns I/O failures as a
 //! [`LedgerError`].
 
-use crate::api::{commit_block, ConcurrencyControl, SystemKind};
+use crate::api::{
+    apply_without_validation, mvcc_validate_and_apply, ConcurrencyControl, SystemKind,
+};
 use eov_common::abort::AbortReason;
 use eov_common::config::CcConfig;
 use eov_common::error::CommonError;
@@ -21,7 +23,7 @@ use eov_common::rwset::{Key, Value};
 use eov_common::txn::{CommitDecision, Transaction, TxnId, TxnStatus};
 use eov_ledger::durable::{DurableOptions, LedgerBackend};
 use eov_ledger::{write_checkpoint, Block, Ledger, LedgerError};
-use eov_vstore::{MultiVersionStore, SnapshotManager};
+use eov_vstore::MultiVersionStore;
 use fabricsharp_core::endorser::{SimulationContext, SnapshotEndorser};
 use std::path::Path;
 
@@ -35,9 +37,6 @@ pub struct BlockReport {
     pub committed: Vec<TxnId>,
     /// Transactions that were included in the block but aborted during validation.
     pub aborted: Vec<(TxnId, AbortReason)>,
-    /// Transactions that read a version no longer the latest when the block was applied —
-    /// commits that tolerate an anti-rw dependency if the system skips peer validation.
-    pub anti_rw_commits: u64,
 }
 
 /// A single-node EOV blockchain driven synchronously.
@@ -45,7 +44,6 @@ pub struct SimpleChain {
     cc_config: CcConfig,
     store: MultiVersionStore,
     ledger: LedgerBackend,
-    endorser: SnapshotEndorser,
     cc: Box<dyn ConcurrencyControl>,
     next_txn_id: u64,
     /// Early aborts observed at submission time (endorsement or arrival), by transaction.
@@ -68,7 +66,6 @@ impl SimpleChain {
             cc_config,
             store: MultiVersionStore::new(),
             ledger: LedgerBackend::memory(),
-            endorser: SnapshotEndorser::new(SnapshotManager::new()),
             cc: kind.build(cc_config),
             next_txn_id: 1,
             early_aborted: Vec::new(),
@@ -79,7 +76,6 @@ impl SimpleChain {
     /// Seeds the genesis state (block 0).
     pub fn seed(&mut self, entries: impl IntoIterator<Item = (Key, Value)>) {
         self.store.seed_genesis(entries);
-        self.endorser.snapshots().register_block(0);
     }
 
     /// Persists the chain from here on: the ledger moves to CRC-framed segment files in `dir`
@@ -120,7 +116,7 @@ impl SimpleChain {
     {
         let id = TxnId(self.next_txn_id);
         self.next_txn_id += 1;
-        self.endorser.simulate(&self.store, id, logic)
+        SnapshotEndorser.simulate(&self.store, id, logic)
     }
 
     /// Execute phase against an explicit (possibly stale) snapshot — used to reproduce the
@@ -131,8 +127,7 @@ impl SimpleChain {
     {
         let id = TxnId(self.next_txn_id);
         self.next_txn_id += 1;
-        self.endorser
-            .simulate_at(&self.store, id, snapshot_block, logic)
+        SnapshotEndorser.simulate_at(&self.store, id, snapshot_block, logic)
     }
 
     /// Order phase, first half: the peer-side early-abort decision taken when the endorsement
@@ -173,9 +168,10 @@ impl SimpleChain {
         self.cc.cut_block()
     }
 
-    /// Validate phase for one cut block: validate (if the system requires it), apply, append,
-    /// make its snapshot readable, notify the CC; on a persisted chain, checkpoint every
-    /// `checkpoint_interval` blocks. An empty `txns` appends nothing.
+    /// Validate phase for one cut block: validate (if the system requires it) and apply, which
+    /// makes the block's snapshot the one [`Self::execute`] reads; append; notify the CC; on a
+    /// persisted chain, checkpoint every `checkpoint_interval` blocks. An empty `txns` appends
+    /// nothing. `perf/src/driver.rs` times the same calls, one layer each.
     ///
     /// A failed append or checkpoint comes back as the [`LedgerError`]. The store holds the
     /// block's writes by then, so every later `commit` fails too rather than append on top of
@@ -191,20 +187,18 @@ impl SimpleChain {
             return Ok(BlockReport::default());
         }
         let block_no = self.ledger.height() + 1;
-        let outcome = commit_block(
-            &mut self.store,
-            block_no,
-            &txns,
-            self.cc.needs_peer_validation(),
-        );
+        let statuses = if self.cc.needs_peer_validation() {
+            mvcc_validate_and_apply(&mut self.store, block_no, &txns)
+        } else {
+            apply_without_validation(&mut self.store, block_no, &txns)
+        };
         let mut block = Block::build(block_no, self.ledger.as_ledger().tip_hash(), txns);
         let mut report = BlockReport {
             block_number: Some(block_no),
-            anti_rw_commits: outcome.anti_rw_commits,
             ..BlockReport::default()
         };
         let mut validated: Vec<(Transaction, TxnStatus)> = Vec::with_capacity(block.entries.len());
-        for (entry, status) in block.entries.iter_mut().zip(outcome.statuses) {
+        for (entry, status) in block.entries.iter_mut().zip(statuses) {
             entry.status = status;
             match status {
                 TxnStatus::Committed => report.committed.push(entry.txn.id),
@@ -226,7 +220,6 @@ impl SimpleChain {
             self.failed_block = Some(block_no);
             return Err(e);
         }
-        self.endorser.snapshots().register_block(block_no);
         self.cc.on_block_committed(block_no, &validated);
         Ok(report)
     }

@@ -17,7 +17,7 @@
 //! dependencies on transactions in earlier blocks (which are still concurrent, Proposition 3)
 //! are not considered.
 
-use crate::api::{ConcurrencyControl, SystemKind};
+use crate::api::{reader_to_writers, ConcurrencyControl, SystemKind};
 use eov_common::abort::{AbortCounts, AbortReason};
 use eov_common::rwset::Key;
 use eov_common::txn::{CommitDecision, Transaction, TxnStatus};
@@ -63,16 +63,10 @@ impl FabricPlusPlusCC {
         // victim depend on the per-instance hash seed — two identically-fed orderers could
         // cut different blocks, violating the Section 3.5 agreement property (caught by the
         // pipeline determinism harness).
-        let mut edges: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); n];
-        for (w_idx, writer) in candidates.iter().enumerate() {
-            for write in writer.write_set.iter() {
-                for (r_idx, reader) in candidates.iter().enumerate() {
-                    if r_idx != w_idx && reader.read_set.contains(&write.key) {
-                        edges[r_idx].insert(w_idx);
-                    }
-                }
-            }
-        }
+        let edges: Vec<BTreeSet<usize>> = reader_to_writers(&candidates)
+            .into_iter()
+            .map(BTreeSet::from_iter)
+            .collect();
 
         // Step (c): break cycles greedily — while the graph has a cycle, abort the transaction
         // with the highest total degree among nodes on some cycle.

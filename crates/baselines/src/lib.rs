@@ -24,8 +24,5 @@ mod focc_l;
 mod focc_s;
 mod sharp;
 
-pub use api::{
-    apply_without_validation, commit_block, count_anti_rw_commits, mvcc_validate_and_apply,
-    ConcurrencyControl, SystemKind,
-};
+pub use api::{apply_without_validation, mvcc_validate_and_apply, ConcurrencyControl, SystemKind};
 pub use chain::{BlockReport, SimpleChain};

@@ -143,19 +143,20 @@ fn bench_pruning(c: &mut Criterion) {
     group
         .sample_size(20)
         .measurement_time(Duration::from_secs(2));
+    // A 400-node chain whose first half arrived for block 1 and second half for block 10, all
+    // committed: the block-5 threshold prunes the first half.
+    let aged = || {
+        let mut g = DependencyGraph::new(CcConfig::default());
+        for id in 0..400u64 {
+            let preds: Vec<TxnId> = (id.saturating_sub(2)..id).map(TxnId).collect();
+            g.insert_pending(TxnId(id), &preds, &[], if id < 200 { 1 } else { 10 });
+            g.mark_committed(TxnId(id), SeqNo::new(1, id as u32 + 1));
+        }
+        g
+    };
+    assert_eq!(aged().prune_stale(5).len(), 200);
     group.bench_function("prune_half_of_400", |b| {
-        b.iter(|| {
-            let mut g = layered_graph(400, 2, CcConfig::default());
-            for id in 0..400u64 {
-                g.mark_committed(TxnId(id), SeqNo::new(1, id as u32 + 1));
-                if id < 200 {
-                    g.set_age_for_test(TxnId(id), 1);
-                } else {
-                    g.set_age_for_test(TxnId(id), 10);
-                }
-            }
-            g.prune_stale(5).len()
-        });
+        b.iter(|| aged().prune_stale(5).len());
     });
     group.finish();
 }

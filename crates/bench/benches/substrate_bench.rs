@@ -19,7 +19,7 @@ use eov_common::txn::{Transaction, TxnId};
 use eov_common::version::SeqNo;
 use eov_ledger::codec::{block_payload, crc32, decode_block};
 use eov_ledger::{sha256, Block, Digest};
-use eov_vstore::{MultiVersionStore, SnapshotManager};
+use eov_vstore::MultiVersionStore;
 use eov_workload::smallbank::{genesis_accounts, SmallbankContract, SmallbankOp};
 use eov_workload::zipf::Zipfian;
 use eov_workload::{TxnTemplate, WorkloadGenerator, WorkloadKind};
@@ -175,9 +175,7 @@ fn bench_ledger_and_zipf(c: &mut Criterion) {
     // Smallbank endorsement of a SendPayment against a 10k-account snapshot.
     let mut store = MultiVersionStore::new();
     store.seed_genesis(genesis_accounts(10_000));
-    let snapshots = SnapshotManager::new();
-    snapshots.register_block(0);
-    let endorser = SnapshotEndorser::new(snapshots);
+    let endorser = SnapshotEndorser;
     group.bench_function("smallbank_endorse_send_payment", |b| {
         b.iter(|| {
             endorser.simulate_at(&store, TxnId(1), 0, |ctx| {

@@ -1,11 +1,12 @@
 //! Algorithm 1 — snapshot-consistent contract simulation (the execute phase).
 //!
-//! An endorsing peer fetches the number of the last committed block, simulates the contract
-//! invocation against that block's snapshot, and returns the readset, the writeset and the
-//! snapshot block number. Unlike vanilla Fabric, no read-write lock is held against the commit
-//! path: the multi-version store serves the frozen snapshot while validation keeps committing
-//! new blocks (Section 4.2), at the price of possibly producing a transaction whose snapshot
-//! is already a few blocks behind by the time it reaches the orderer.
+//! An endorsing peer fetches the number of the last committed block — the store's own height,
+//! [`MultiVersionStore::last_block`] — simulates the contract invocation against that block's
+//! snapshot, and returns the readset, the writeset and the snapshot block number. Unlike
+//! vanilla Fabric, no read-write lock is held against the commit path: the multi-version store
+//! serves the frozen snapshot while validation keeps committing new blocks (Section 4.2), at
+//! the price of possibly producing a transaction whose snapshot is already a few blocks behind
+//! by the time it reaches the orderer.
 
 use eov_common::rwset::{Key, ReadSet, Value, WriteSet};
 use eov_common::txn::{Transaction, TxnId};
@@ -65,32 +66,27 @@ impl<'a> SimulationContext<'a> {
     }
 }
 
-/// The endorsing peer's simulation entry point.
-///
-/// Cloning is cheap: the latest snapshot height is shared behind an `Arc`.
-#[derive(Clone, Debug)]
-pub struct SnapshotEndorser {
-    snapshots: SnapshotManager,
-}
+/// The endorsing peer's simulation entry point. It holds nothing: every snapshot it reads,
+/// the latest one included, comes from the multi-version store it is handed.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct SnapshotEndorser;
 
 impl SnapshotEndorser {
-    /// Creates an endorser sharing the given snapshot manager with the commit path.
-    pub fn new(snapshots: SnapshotManager) -> Self {
-        SnapshotEndorser { snapshots }
+    /// The endorser; the handle is ignored. Kept in this form only because
+    /// `perf/src/driver.rs` calls it, and goes with [`SnapshotManager`] (ROADMAP item 4).
+    pub fn new(_snapshots: SnapshotManager) -> Self {
+        SnapshotEndorser
     }
 
-    /// The shared snapshot manager (used by the commit path to register new blocks).
-    pub fn snapshots(&self) -> &SnapshotManager {
-        &self.snapshots
-    }
-
-    /// Algorithm 1: simulates `logic` against the latest snapshot of `store` and packages the
-    /// result as an endorsed transaction with the given id.
+    /// Algorithm 1: simulates `logic` against the snapshot of the last block `store` has
+    /// committed (line 1, "fetch the number of the last block", is
+    /// [`MultiVersionStore::last_block`]) and packages the result as an endorsed transaction
+    /// with the given id.
     pub fn simulate<F>(&self, store: &MultiVersionStore, id: TxnId, logic: F) -> Transaction
     where
         F: FnOnce(&mut SimulationContext<'_>),
     {
-        self.simulate_at(store, id, self.snapshots.latest(), logic)
+        self.simulate_at(store, id, store.last_block(), logic)
     }
 
     /// Simulates against an explicit snapshot block — used by tests and by the simulator when
@@ -129,9 +125,7 @@ mod tests {
             (Key::new("alice"), Value::from_i64(100)),
             (Key::new("bob"), Value::from_i64(50)),
         ]);
-        let mgr = SnapshotManager::new();
-        mgr.register_block(0);
-        (store, SnapshotEndorser::new(mgr))
+        (store, SnapshotEndorser)
     }
 
     #[test]
@@ -181,10 +175,9 @@ mod tests {
     #[test]
     fn simulation_uses_the_latest_registered_snapshot() {
         let (mut store, endorser) = setup();
-        // Commit block 1 updating alice, register the snapshot.
+        // Commit block 1 updating alice: the store's height is now the latest snapshot.
         let writer = Transaction::from_parts(9, 0, [], [(Key::new("alice"), Value::from_i64(999))]);
         store.apply_block(1, [(&writer, 1)]);
-        endorser.snapshots().register_block(1);
 
         let txn = endorser.simulate(&store, TxnId(3), |ctx| {
             let a = ctx.read_balance(&Key::new("alice"));
@@ -206,7 +199,6 @@ mod tests {
         let (mut store, endorser) = setup();
         let writer = Transaction::from_parts(9, 0, [], [(Key::new("alice"), Value::from_i64(999))]);
         store.apply_block(1, [(&writer, 1)]);
-        endorser.snapshots().register_block(1);
 
         // Simulating against block 0 still sees the genesis value — that is exactly the stale
         // snapshot scenario the client-delay / read-interval experiments create.

@@ -18,8 +18,9 @@
 //! * [`recovery`] — Section 4.6: a restarted orderer's controller, re-derived from the last
 //!   `max_span` blocks of its ledger. The state a restart reads back from disk (ledger and
 //!   store) is `eov-ledger`'s cold recovery; the controller is never persisted.
-//! * [`commit`] — the committer: MVCC validation and block application in strict block order,
-//!   shared by every chain facade and the simulator.
+//! * [`commit`] — the committer, in strict block order: MVCC validate-and-apply for the
+//!   systems that validate at the peers, apply-only for FabricSharp. `SimpleChain::commit`
+//!   and the benchmark driver call one of the two per block.
 //! * [`theory`] — executable forms of the paper's definitions and the Figure 2a / Figure 3a
 //!   fixtures shared by tests, examples and the Table 1 harness.
 //! * [`serializability`] — an independent offline oracle (multi-version serialization graph)

@@ -46,8 +46,9 @@ impl DependencyGraph {
         self.prune_stale(threshold).len()
     }
 
-    /// Test/diagnostic helper: directly overrides a node's age.
-    pub fn set_age_for_test(&mut self, id: TxnId, age: u64) {
+    /// Test helper: directly overrides a node's age.
+    #[cfg(test)]
+    pub(crate) fn set_age_for_test(&mut self, id: TxnId, age: u64) {
         if let Some(node) = self.node_mut(id) {
             node.age = age;
         }

@@ -30,15 +30,11 @@ pub(crate) enum Event {
     EndorseDone {
         /// The endorsed transaction, simulated at dispatch.
         txn: Transaction,
-        /// When the client originally submitted the request.
-        submitted_at: SimTime,
     },
     /// The transaction reaches the ordering service (after client delay + consensus latency).
     OrdererReceive {
         /// The endorsed transaction.
         txn: Transaction,
-        /// When the client originally submitted the request.
-        submitted_at: SimTime,
     },
     /// The block-formation timeout fires for the window opened when `blocks_formed` blocks had
     /// been cut (stale timeouts are ignored by comparing against the current count).
@@ -50,15 +46,11 @@ pub(crate) enum Event {
     BlockDelivered {
         /// The block's transactions in final commit order (the block assigns their slots).
         txns: Vec<Transaction>,
-        /// Submission times of those transactions (for latency accounting), same order.
-        submitted_at: Vec<SimTime>,
     },
     /// The validator finished processing a delivered block; its effects are applied.
     BlockValidated {
         /// The block's transactions in final commit order.
         txns: Vec<Transaction>,
-        /// Submission times of those transactions, same order.
-        submitted_at: Vec<SimTime>,
     },
 }
 

@@ -76,7 +76,9 @@ pub struct SimReport {
     pub measured_arrival_us_per_txn: f64,
     /// Committed transactions whose commit required tolerating an anti-rw dependency (i.e.
     /// transactions a Strong-Serializability system would have aborted); highlighted in
-    /// Figure 15 as "FastFabric#-antiRW".
+    /// Figure 15 as "FastFabric#-antiRW". The simulator counts them itself, against the store
+    /// just before each block commits, and only for systems that skip peer validation: the
+    /// others abort such a transaction at validation.
     pub committed_with_anti_rw: u64,
     /// Measured per-block formation wall-clock (p50/p99/total) on this machine.
     pub formation: FormationTiming,

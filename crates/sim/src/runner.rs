@@ -18,6 +18,12 @@
 //! The work is one [`SimpleChain`], the node the examples and tests drive: the event loop calls
 //! its `execute_at`, `endorse_check`, `arrive`, `cut` and `commit` at the events above. Simulated
 //! time models the pipeline's overlap; the real work is done in event order, on one thread.
+//!
+//! Two report fields are the event loop's own. A committed transaction's latency runs from its
+//! request's submission, which its id fixes: request `n` is issued at `(n − 1)` inter-arrival
+//! gaps and becomes transaction `n`. [`SimReport::committed_with_anti_rw`] is counted when a
+//! block's `BlockValidated` event fires, against the chain's store just before the block
+//! commits, and only for the systems that skip peer validation.
 
 use crate::events::{ms, Event, EventQueue, SimTime};
 use crate::metrics::{FormationTiming, SimReport};
@@ -26,13 +32,14 @@ use eov_baselines::api::SystemKind;
 use eov_baselines::chain::SimpleChain;
 use eov_common::abort::AbortCounts;
 use eov_common::config::{BlockConfig, CcConfig, WorkloadParams};
-use eov_common::rwset::ReadSet;
+use eov_common::hash::FoldState;
+use eov_common::rwset::{Key, ReadSet};
 use eov_common::txn::{Transaction, TxnId, TxnStatus};
 use eov_common::version::SeqNo;
 use eov_ledger::Ledger;
 use eov_vstore::MultiVersionStore;
 use eov_workload::generator::{WorkloadGenerator, WorkloadKind};
-use std::collections::HashMap;
+use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
 /// Everything one simulation run needs.
@@ -109,7 +116,7 @@ impl Simulator {
         let mut generator =
             WorkloadGenerator::new(config.workload.clone(), config.params, config.seed);
 
-        // The node: store, snapshots, endorser, concurrency control and the ledger of record,
+        // The node: store, endorser, concurrency control and the ledger of record,
         // on disk when a durability directory is configured. A ledger failure ends the run
         // there and is carried in the report.
         let mut chain = SimpleChain::with_cc_config(config.system, config.cc);
@@ -133,6 +140,7 @@ impl Simulator {
         let interarrival_us: SimTime = (1_000_000f64 / config.params.request_rate_tps as f64)
             .round()
             .max(1.0) as SimTime;
+        let submitted_at = |id: TxnId| (id.0 - 1) * interarrival_us;
         let mut last_event_at: SimTime = 0;
 
         // Counters.
@@ -144,7 +152,6 @@ impl Simulator {
         let mut latency_sum_us: u128 = 0;
         let mut block_span_sum: u64 = 0;
         let mut aborts = AbortCounts::default();
-        let mut submitted_at_by_txn: HashMap<TxnId, SimTime> = HashMap::new();
         // All block-cut state (trigger counter and formation samples) lives in one driver so
         // both cut triggers — batch-size and cadence — share a single code path.
         let mut cut = CutDriver::default();
@@ -185,13 +192,8 @@ impl Simulator {
                         .with_template_class(classifier.classify_instance(&template))
                         .with_template_id(classifier.template_index(&template));
                     debug_assert_eq!(txn.id, TxnId(request_no), "ids follow request order");
-                    queue.schedule(
-                        done_at,
-                        Event::EndorseDone {
-                            txn,
-                            submitted_at: now,
-                        },
-                    );
+                    debug_assert_eq!(submitted_at(txn.id), now, "requests follow the id clock");
+                    queue.schedule(done_at, Event::EndorseDone { txn });
                     // Next client request.
                     queue.schedule(
                         now + interarrival_us,
@@ -201,10 +203,7 @@ impl Simulator {
                     );
                 }
 
-                Event::EndorseDone {
-                    mut txn,
-                    submitted_at,
-                } => {
+                Event::EndorseDone { mut txn } => {
                     // Under the vanilla-Fabric lock the simulation effectively ran against the
                     // latest block at completion time; re-simulate if the chain advanced.
                     let height = chain.ledger().height();
@@ -214,15 +213,11 @@ impl Simulator {
                     if chain.endorse_check(&txn).is_accept() {
                         let broadcast_ms =
                             config.params.client_delay_ms as f64 + profile.ordering_latency_ms;
-                        queue.schedule(
-                            now + ms(broadcast_ms),
-                            Event::OrdererReceive { txn, submitted_at },
-                        );
+                        queue.schedule(now + ms(broadcast_ms), Event::OrdererReceive { txn });
                     }
                 }
 
-                Event::OrdererReceive { txn, submitted_at } => {
-                    let id = txn.id;
+                Event::OrdererReceive { txn } => {
                     // The orderer's batching policy counts every delivered transaction,
                     // exactly like Fabric's MaxMessageCount: an early abort still consumes a
                     // slot in the current batch window. (Counting only accepted transactions
@@ -233,26 +228,17 @@ impl Simulator {
                     let started = Instant::now();
                     let decision = chain.arrive(txn);
                     arrival_time += started.elapsed();
-                    if decision.is_accept() {
-                        submitted_at_by_txn.insert(id, submitted_at);
-                        if chain.cc().pending_len() == 1 {
-                            queue.schedule(
-                                now + ms(config.block.block_timeout_ms as f64),
-                                Event::BlockTimeout {
-                                    blocks_formed_at_arming: cut.blocks_formed,
-                                },
-                            );
-                        }
+                    if decision.is_accept() && chain.cc().pending_len() == 1 {
+                        queue.schedule(
+                            now + ms(config.block.block_timeout_ms as f64),
+                            Event::BlockTimeout {
+                                blocks_formed_at_arming: cut.blocks_formed,
+                            },
+                        );
                     }
                     if arrivals_since_cut >= config.block.max_txns_per_block {
                         arrivals_since_cut = 0;
-                        cut.trigger(
-                            &mut chain,
-                            &profile,
-                            &mut submitted_at_by_txn,
-                            &mut queue,
-                            now,
-                        );
+                        cut.trigger(&mut chain, &profile, &mut queue, now);
                     }
                 }
 
@@ -262,17 +248,11 @@ impl Simulator {
                     if cut.blocks_formed == blocks_formed_at_arming && chain.cc().pending_len() > 0
                     {
                         arrivals_since_cut = 0;
-                        cut.trigger(
-                            &mut chain,
-                            &profile,
-                            &mut submitted_at_by_txn,
-                            &mut queue,
-                            now,
-                        );
+                        cut.trigger(&mut chain, &profile, &mut queue, now);
                     }
                 }
 
-                Event::BlockDelivered { txns, submitted_at } => {
+                Event::BlockDelivered { txns } => {
                     // The single validator serves delivered blocks in order; each one occupies
                     // it for the modelled service time.
                     let start = now.max(validator_free_at);
@@ -280,13 +260,16 @@ impl Simulator {
                     validator_free_at = start + ms(service);
                     // The block's effects are applied, and become visible, at the
                     // BlockValidated event.
-                    queue.schedule(
-                        validator_free_at,
-                        Event::BlockValidated { txns, submitted_at },
-                    );
+                    queue.schedule(validator_free_at, Event::BlockValidated { txns });
                 }
 
-                Event::BlockValidated { txns, submitted_at } => {
+                Event::BlockValidated { txns } => {
+                    // Commits that tolerate an anti-rw dependency (a Strong-Serializability
+                    // system would have aborted them); only systems without peer validation
+                    // actually commit them.
+                    if !chain.cc().needs_peer_validation() {
+                        committed_with_anti_rw += count_anti_rw_commits(chain.store(), &txns);
+                    }
                     let started = Instant::now();
                     let report = match chain.commit(txns) {
                         Ok(report) => report,
@@ -296,20 +279,15 @@ impl Simulator {
                         }
                     };
                     commit_us.push(elapsed_us(started));
-                    // Count commits that tolerate an anti-rw dependency (a
-                    // Strong-Serializability system would have aborted them); only systems
-                    // without peer validation actually commit them.
-                    if !chain.cc().needs_peer_validation() {
-                        committed_with_anti_rw += report.anti_rw_commits;
-                    }
                     let block_no = report.block_number.expect("cut blocks are never empty");
                     let block = chain.ledger().block(block_no).expect("block just appended");
-                    for (entry, submitted) in block.entries.iter().zip(submitted_at) {
+                    for entry in &block.entries {
                         in_ledger += 1;
                         match entry.status {
                             TxnStatus::Committed => {
                                 committed += 1;
-                                latency_sum_us += (now.saturating_sub(submitted)) as u128;
+                                latency_sum_us +=
+                                    now.saturating_sub(submitted_at(entry.txn.id)) as u128;
                                 block_span_sum += block_no.saturating_sub(entry.txn.snapshot_block);
                             }
                             TxnStatus::Aborted(reason) => {
@@ -391,6 +369,32 @@ impl Simulator {
     }
 }
 
+/// How many transactions of a block about to be committed read a version that is no longer the
+/// latest: commits that tolerate an anti-rw dependency. Evaluated serially in block order
+/// against the pre-block state plus earlier in-block writes, exactly like the MVCC check
+/// would be. Feeds the Figure 15 "commits a Strong-Serializability system would abort" metric.
+fn count_anti_rw_commits(store: &MultiVersionStore, txns: &[Transaction]) -> u64 {
+    let mut in_block_writes: HashSet<&Key, FoldState> = HashSet::default();
+    let mut count = 0;
+    for txn in txns {
+        let stale = txn.read_set.iter().any(|read| {
+            let overwritten_in_block = in_block_writes.contains(&read.key);
+            let latest = store
+                .latest(&read.key)
+                .map(|vv| vv.version)
+                .unwrap_or(SeqNo::zero());
+            overwritten_in_block || latest != read.version
+        });
+        if stale {
+            count += 1;
+        }
+        for write in txn.write_set.iter() {
+            in_block_writes.insert(&write.key);
+        }
+    }
+    count
+}
+
 /// Wall-clock since `started`, in µs.
 fn elapsed_us(started: Instant) -> u64 {
     started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64
@@ -414,7 +418,6 @@ impl CutDriver {
         &mut self,
         chain: &mut SimpleChain,
         profile: &PipelineProfile,
-        submitted_at_by_txn: &mut HashMap<TxnId, SimTime>,
         queue: &mut EventQueue,
         now: SimTime,
     ) {
@@ -428,21 +431,15 @@ impl CutDriver {
         }
         self.formation_us.push(elapsed_us(formation_started));
         self.blocks_formed += 1;
-        let submitted_at: Vec<SimTime> = txns
-            .iter()
-            .map(|t| submitted_at_by_txn.remove(&t.id).unwrap_or(now))
-            .collect();
         let delay = profile.reorder_ms(chain.cc().kind(), txns.len()) + 2.0;
-        queue.schedule(
-            now + ms(delay),
-            Event::BlockDelivered { txns, submitted_at },
-        );
+        queue.schedule(now + ms(delay), Event::BlockDelivered { txns });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eov_common::rwset::Value;
     use eov_ledger::LedgerError;
 
     fn quick_config(system: SystemKind) -> SimulationConfig {
@@ -452,6 +449,24 @@ mod tests {
         config.params.request_rate_tps = 400;
         config.block.max_txns_per_block = 50;
         config
+    }
+
+    #[test]
+    fn anti_rw_commits_count_stale_reads_and_in_block_overwrites() {
+        let k = |s: &str| Key::new(s);
+        let mut store = MultiVersionStore::new();
+        store.seed_genesis([(k("A"), Value::from_i64(1)), (k("B"), Value::from_i64(2))]);
+        // fresh reads A at its current version; stale read A at a version that never existed;
+        // in_block reads B which the first transaction overwrites within the block.
+        let fresh = Transaction::from_parts(
+            1,
+            0,
+            [(k("A"), SeqNo::new(0, 1))],
+            [(k("B"), Value::from_i64(9))],
+        );
+        let stale = Transaction::from_parts(2, 0, [(k("A"), SeqNo::new(5, 5))], []);
+        let in_block = Transaction::from_parts(3, 0, [(k("B"), SeqNo::new(0, 2))], []);
+        assert_eq!(count_anti_rw_commits(&store, &[fresh, stale, in_block]), 2);
     }
 
     #[test]

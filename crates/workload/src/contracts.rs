@@ -36,17 +36,14 @@ impl KvUpdateContract {
 mod tests {
     use super::*;
     use eov_common::txn::TxnId;
-    use eov_vstore::{MultiVersionStore, SnapshotManager};
+    use eov_vstore::MultiVersionStore;
     use fabricsharp_core::endorser::SnapshotEndorser;
 
     fn endorse(
         contract: &KvUpdateContract,
         store: &MultiVersionStore,
     ) -> eov_common::txn::Transaction {
-        let mgr = SnapshotManager::new();
-        mgr.register_block(store.last_block());
-        let endorser = SnapshotEndorser::new(mgr);
-        endorser.simulate(store, TxnId(1), |ctx| contract.run(ctx))
+        SnapshotEndorser.simulate(store, TxnId(1), |ctx| contract.run(ctx))
     }
 
     #[test]

@@ -185,7 +185,7 @@ impl SmallbankContract {
 mod tests {
     use super::*;
     use eov_common::txn::{Transaction, TxnId};
-    use eov_vstore::{MultiVersionStore, SnapshotManager};
+    use eov_vstore::MultiVersionStore;
     use fabricsharp_core::endorser::SnapshotEndorser;
 
     fn seeded_store(accounts: usize) -> MultiVersionStore {
@@ -195,10 +195,7 @@ mod tests {
     }
 
     fn endorse(store: &MultiVersionStore, op: &SmallbankOp) -> Transaction {
-        let mgr = SnapshotManager::new();
-        mgr.register_block(store.last_block());
-        let endorser = SnapshotEndorser::new(mgr);
-        endorser.simulate(store, TxnId(1), |ctx| SmallbankContract.run(ctx, op))
+        SnapshotEndorser.simulate(store, TxnId(1), |ctx| SmallbankContract.run(ctx, op))
     }
 
     #[test]
