@@ -22,7 +22,8 @@ use eov_common::abort::{AbortCounts, AbortReason};
 use eov_common::rwset::Key;
 use eov_common::txn::{CommitDecision, Transaction, TxnStatus};
 use eov_common::version::SeqNo;
-use std::collections::{BTreeSet, HashMap};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 
 /// The Fabric++ orderer-side concurrency control.
 #[derive(Debug, Default)]
@@ -58,77 +59,71 @@ impl FabricPlusPlusCC {
         // writes a key another transaction in the block read: the reader must be ordered
         // before the writer or it becomes invalid.
         let n = candidates.len();
-        // Deterministic (ordered) edge sets: the cycle-finding DFS below iterates these,
-        // and which cycle it reports decides the abort victim. A `HashSet` here made the
-        // victim depend on the per-instance hash seed — two identically-fed orderers could
-        // cut different blocks, violating the Section 3.5 agreement property (caught by the
-        // pipeline determinism harness).
-        let edges: Vec<BTreeSet<usize>> = reader_to_writers(&candidates)
-            .into_iter()
-            .map(BTreeSet::from_iter)
-            .collect();
+        // Deterministic (ascending, duplicate-free) edge lists: the cycle-finding DFS below
+        // walks these, and which cycle it reports decides the abort victim. A `HashSet` here
+        // made the victim depend on the per-instance hash seed — two identically-fed orderers
+        // could cut different blocks, violating the Section 3.5 agreement property (caught by
+        // the pipeline determinism harness). `reader_to_writers` lists writers in block order,
+        // so dropping adjacent repeats leaves each edge once.
+        let mut edges = reader_to_writers(&candidates);
+        for targets in &mut edges {
+            targets.dedup();
+        }
+        // The same edges from the other end: `preds[j]` lists every `i` with an edge i → j.
+        let mut preds: Vec<Vec<usize>> = vec![Vec::new(); n];
+        for (i, targets) in edges.iter().enumerate() {
+            for &j in targets {
+                preds[j].push(i);
+            }
+        }
 
         // Step (c): break cycles greedily — while the graph has a cycle, abort the transaction
         // with the highest total degree among nodes on some cycle.
         let mut alive: Vec<bool> = vec![true; n];
+        let alive_degree =
+            |alive: &[bool], nodes: &[usize]| nodes.iter().filter(|&&j| alive[j]).count();
         while let Some(cycle_nodes) = find_cycle_nodes(&edges, &alive) {
             let victim = cycle_nodes
                 .iter()
                 .copied()
                 .max_by_key(|&i| {
-                    let out = edges[i].iter().filter(|j| alive[**j]).count();
-                    let inc = (0..n)
-                        .filter(|&j| alive[j] && edges[j].contains(&i))
-                        .count();
-                    (out + inc, i)
+                    let degree = alive_degree(&alive, &edges[i]) + alive_degree(&alive, &preds[i]);
+                    (degree, i)
                 })
                 .expect("cycle is non-empty");
             alive[victim] = false;
             self.early_aborts.add(AbortReason::InBlockCycle, 1);
         }
 
-        // Step (d): topological order of the survivors (readers before writers), falling back
-        // to original position for ties so replicas agree.
-        let mut indegree: Vec<usize> = vec![0; n];
-        for (i, targets) in edges.iter().enumerate() {
-            if !alive[i] {
-                continue;
-            }
-            for &j in targets {
-                if alive[j] {
-                    indegree[j] += 1;
-                }
-            }
-        }
-        let mut ready: Vec<usize> = (0..n).filter(|&i| alive[i] && indegree[i] == 0).collect();
-        let mut order: Vec<usize> = Vec::new();
-        while let Some(&i) = ready.first() {
-            ready.remove(0);
+        // Step (d): topological order of the survivors (readers before writers), the lowest
+        // original position first among the ready ones so replicas agree.
+        let mut indegree: Vec<usize> = (0..n).map(|j| alive_degree(&alive, &preds[j])).collect();
+        let mut ready: BinaryHeap<Reverse<usize>> = (0..n)
+            .filter(|&i| alive[i] && indegree[i] == 0)
+            .map(Reverse)
+            .collect();
+        let mut order: Vec<usize> = Vec::with_capacity(n);
+        while let Some(Reverse(i)) = ready.pop() {
             order.push(i);
             for &j in &edges[i] {
                 if alive[j] {
                     indegree[j] -= 1;
                     if indegree[j] == 0 {
-                        let pos = ready.binary_search(&j).unwrap_or_else(|p| p);
-                        ready.insert(pos, j);
+                        ready.push(Reverse(j));
                     }
                 }
             }
         }
 
-        let mut by_index: HashMap<usize, Transaction> =
-            candidates.into_iter().enumerate().collect();
-        order
-            .into_iter()
-            .filter_map(|i| by_index.remove(&i))
-            .collect()
+        let mut slots: Vec<Option<Transaction>> = candidates.into_iter().map(Some).collect();
+        order.into_iter().filter_map(|i| slots[i].take()).collect()
     }
 }
 
 /// Returns the set of alive nodes that sit on at least one cycle, or `None` if the alive
 /// sub-graph is acyclic. Uses a DFS colouring and reports the grey stack when a back edge is
-/// found.
-fn find_cycle_nodes(edges: &[BTreeSet<usize>], alive: &[bool]) -> Option<Vec<usize>> {
+/// found. Each node's children are taken by index from the end of its edge list.
+fn find_cycle_nodes(edges: &[Vec<usize>], alive: &[bool]) -> Option<Vec<usize>> {
     #[derive(Clone, Copy, PartialEq)]
     enum C {
         White,
@@ -141,13 +136,15 @@ fn find_cycle_nodes(edges: &[BTreeSet<usize>], alive: &[bool]) -> Option<Vec<usi
         if !alive[start] || colour[start] != C::White {
             continue;
         }
-        // Iterative DFS with explicit path tracking.
-        let mut stack: Vec<(usize, Vec<usize>)> =
-            vec![(start, edges[start].iter().copied().collect())];
+        // Iterative DFS with explicit path tracking: each frame is a node and how many of its
+        // children are still to visit.
+        let mut stack: Vec<(usize, usize)> = vec![(start, edges[start].len())];
         colour[start] = C::Grey;
         let mut path = vec![start];
-        while let Some((node, children)) = stack.last_mut() {
-            if let Some(child) = children.pop() {
+        while let Some((node, unvisited)) = stack.last_mut() {
+            if *unvisited > 0 {
+                *unvisited -= 1;
+                let child = edges[*node][*unvisited];
                 if !alive[child] {
                     continue;
                 }
@@ -160,7 +157,7 @@ fn find_cycle_nodes(edges: &[BTreeSet<usize>], alive: &[bool]) -> Option<Vec<usi
                     C::White => {
                         colour[child] = C::Grey;
                         path.push(child);
-                        stack.push((child, edges[child].iter().copied().collect()));
+                        stack.push((child, edges[child].len()));
                     }
                     C::Black => {}
                 }

@@ -14,8 +14,6 @@
 //!   append, optionally persisted) on the caller's thread; examples, tests and the simulator
 //!   all drive it.
 
-#![forbid(unsafe_code)]
-
 pub mod api;
 pub mod chain;
 mod fabric;

@@ -4,8 +4,6 @@
 //! `paper_report` binary prints it (see the README's "Benchmarks and experiments"). The rest
 //! of this library builds the inputs of the micro-benchmarks and the cost-model tests.
 
-#![forbid(unsafe_code)]
-
 pub mod paper;
 
 use eov_baselines::api::SystemKind;

@@ -22,8 +22,6 @@
 //! small helpers (such as the concurrency predicate of Definition 5) that must be agreed upon
 //! by the orderer-side concurrency controls, the state store, and the simulator.
 
-#![forbid(unsafe_code)]
-
 pub mod abort;
 pub mod config;
 pub mod dep;

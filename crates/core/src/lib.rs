@@ -31,8 +31,6 @@
 //! sequence over one store, one CW/CR/PW/PR key table and one dependency graph, as in
 //! the paper's Sections 4.2–4.4.
 
-#![forbid(unsafe_code)]
-
 mod arrival;
 pub mod commit;
 mod dependency;

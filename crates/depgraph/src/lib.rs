@@ -23,8 +23,6 @@
 //! The orderer (`fabricsharp-core`'s `FabricSharpCC`) holds one [`DependencyGraph`] and calls
 //! it directly; the pending set `P` and the log of commits that bypassed the graph are its own.
 
-#![forbid(unsafe_code)]
-
 mod bloom;
 mod cycle;
 pub mod graph;

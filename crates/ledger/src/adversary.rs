@@ -16,7 +16,7 @@
 //! the defence so the example and the integration tests can demonstrate each.
 
 use crate::codec::txn_payload;
-use crate::sha256::{sha256_concat, Digest};
+use crate::sha256::{sha256, Digest};
 use eov_common::rwset::Key;
 use eov_common::txn::Transaction;
 
@@ -88,7 +88,7 @@ pub struct CommitmentMismatch {
 /// The commitment to `txn` under `nonce`: SHA-256 over the nonce followed by the
 /// transaction's codec encoding (`txn_payload`, the bytes a block record stores).
 pub fn commitment_of(nonce: &[u8; 32], txn: &Transaction) -> Digest {
-    sha256_concat([nonce.as_slice(), &txn_payload(txn)])
+    sha256(&[nonce.as_slice(), &txn_payload(txn)].concat())
 }
 
 /// A leader policy decides the proposed order of a batch of submissions.
@@ -252,7 +252,6 @@ pub fn audit_fork<T: PartialEq>(a: &[T], b: &[T]) -> ForkVerdict {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sha256::sha256;
     use eov_common::rwset::Value;
     use eov_common::version::SeqNo;
 

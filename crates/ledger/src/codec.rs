@@ -3,7 +3,7 @@
 //! The durable formats are hand-rolled, with no serialization library: fixed-width big-endian
 //! integers, length-prefixed byte strings, and a dependency-free CRC-32 (IEEE 802.3) over
 //! every framed payload. [`crc32`] runs on a carry-less-multiply kernel where CPUID reports one
-//! and on a slicing-by-8 loop elsewhere, with the same checksum either way.
+//! and on the byte-at-a-time table loop elsewhere, with the same checksum either way.
 //!
 //! Every encoder iterates its inputs in a deterministic order (entry order inside blocks; in
 //! checkpoints, key order, which `put_store` gets by sorting the chain suffixes it picks from
@@ -42,11 +42,10 @@ use eov_common::rwset::{Key, Value};
 use eov_common::txn::{TemplateClass, Transaction, TxnId, TxnStatus};
 use eov_common::version::SeqNo;
 
-/// CRC-32 (IEEE 802.3, reflected) slicing-by-8 tables, built at compile time. `[0]` is the
-/// classic byte-at-a-time table; `[k][b]` is the CRC of byte `b` followed by `k` zero bytes,
-/// so eight table reads fold eight input bytes into the register at once.
-const CRC32_TABLES: [[u32; 256]; 8] = {
-    let mut tables = [[0u32; 256]; 8];
+/// CRC-32 (IEEE 802.3, reflected) table, built at compile time: entry `b` is the CRC of byte
+/// `b`, what one byte-at-a-time step folds into the register.
+const CRC32_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -59,28 +58,18 @@ const CRC32_TABLES: [[u32; 256]; 8] = {
             };
             bit += 1;
         }
-        tables[0][i] = crc;
+        table[i] = crc;
         i += 1;
     }
-    let mut k = 1;
-    while k < 8 {
-        let mut i = 0;
-        while i < 256 {
-            let prev = tables[k - 1][i];
-            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
-            i += 1;
-        }
-        k += 1;
-    }
-    tables
+    table
 };
 
 /// CRC-32 (IEEE) of `bytes`.
 ///
 /// From 64 bytes up, on a CPU whose CPUID reports `pclmulqdq` and `sse4.1`, every whole
 /// 16-byte chunk goes to the carry-less-multiply kernel and the under-16-byte tail to the
-/// slicing-by-8 loop; shorter inputs and other CPUs run on the loop alone. Both paths give the
-/// same checksum, so which one ran never shows on disk.
+/// byte-at-a-time loop; shorter inputs and other CPUs run on the loop alone. Both paths give
+/// the same checksum, so which one ran never shows on disk.
 pub fn crc32(bytes: &[u8]) -> u32 {
     #[cfg(target_arch = "x86_64")]
     if bytes.len() >= 64 {
@@ -88,38 +77,24 @@ pub fn crc32(bytes: &[u8]) -> u32 {
             return !crc32_clmul(detected, !0, bytes);
         }
     }
-    !crc32_sliced(!0, bytes)
+    !crc32_bytewise(!0, bytes)
 }
 
-/// Folds `bytes` into the CRC register `crc` (the caller inverts before and after), eight
-/// bytes per step: the portable path, and the tests' oracle for the kernel.
-fn crc32_sliced(mut crc: u32, bytes: &[u8]) -> u32 {
-    let t = &CRC32_TABLES;
-    let mut chunks = bytes.chunks_exact(8);
-    for c in &mut chunks {
-        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
-        crc = t[7][(lo & 0xFF) as usize]
-            ^ t[6][((lo >> 8) & 0xFF) as usize]
-            ^ t[5][((lo >> 16) & 0xFF) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][c[4] as usize]
-            ^ t[2][c[5] as usize]
-            ^ t[1][c[6] as usize]
-            ^ t[0][c[7] as usize];
-    }
-    for &b in chunks.remainder() {
-        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
-    }
-    crc
+/// Folds `bytes` into the CRC register `crc` (the caller inverts before and after), one table
+/// read per byte: the portable path, the kernel's tail, and the tests' oracle for the kernel.
+fn crc32_bytewise(crc: u32, bytes: &[u8]) -> u32 {
+    bytes.iter().fold(crc, |crc, &b| {
+        (crc >> 8) ^ CRC32_TABLE[((crc ^ b as u32) & 0xFF) as usize]
+    })
 }
 
-/// [`crc32_sliced`] with the whole 16-byte chunks of `bytes` (at least four) folded by the
+/// [`crc32_bytewise`] with the whole 16-byte chunks of `bytes` (at least four) folded by the
 /// carry-less-multiply kernel, through the ledger's one hardware-kernel dispatch.
 #[cfg(target_arch = "x86_64")]
 fn crc32_clmul(detected: clmul::Detected, mut crc: u32, bytes: &[u8]) -> u32 {
     let (chunks, tail) = bytes.as_chunks::<16>();
     crate::sha256::KernelCall::Clmul(detected, &mut crc, chunks).run();
-    crc32_sliced(crc, tail)
+    crc32_bytewise(crc, tail)
 }
 
 /// The CRC-32 kernel on the x86-64 carry-less multiply (`pclmulqdq`).
@@ -922,13 +897,9 @@ mod tests {
         assert!(status_from_byte(10).is_err());
     }
 
-    /// The byte-at-a-time CRC-32 the sliced implementation replaced.
-    fn crc32_bytewise(bytes: &[u8]) -> u32 {
-        let mut crc = 0xFFFF_FFFFu32;
-        for &b in bytes {
-            crc = (crc >> 8) ^ CRC32_TABLES[0][((crc ^ b as u32) & 0xFF) as usize];
-        }
-        !crc
+    /// The byte-at-a-time reference CRC-32 of `bytes`.
+    fn crc32_reference(bytes: &[u8]) -> u32 {
+        !crc32_bytewise(!0, bytes)
     }
 
     #[test]
@@ -938,32 +909,12 @@ mod tests {
         assert_eq!(crc32(b""), 0);
     }
 
-    #[test]
-    fn sliced_crc32_matches_the_bytewise_reference_at_every_alignment() {
-        // Every length 0..=4 KiB covers every remainder of the 8-byte stride; the xorshift
-        // stream keeps the bytes irregular without a generator dependency.
-        let mut state = 0x9E37_79B9_7F4A_7C15u64;
-        let data: Vec<u8> = (0..4096 + 7)
-            .map(|_| {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                (state >> 32) as u8
-            })
-            .collect();
-        for len in 0..=4096 {
-            let start = len % 8;
-            let slice = &data[start..start + len];
-            assert_eq!(crc32(slice), crc32_bytewise(slice), "length {len}");
-        }
-    }
-
-    /// `bytes`' CRC from every path this CPU runs, each named: the dispatch, the slicing-by-8
+    /// `bytes`' CRC from every path this CPU runs, each named: the dispatch, the byte-at-a-time
     /// loop, and, from 64 bytes up where CPUID reports it, the carry-less-multiply kernel.
     fn crc32_every_path(bytes: &[u8]) -> Vec<(&'static str, u32)> {
         let mut paths = vec![
             ("crc32", crc32(bytes)),
-            ("sliced", !crc32_sliced(!0, bytes)),
+            ("bytewise", crc32_reference(bytes)),
         ];
         #[cfg(target_arch = "x86_64")]
         if let (Some(detected), true) = (clmul::detect(), bytes.len() >= 64) {
@@ -1013,7 +964,7 @@ mod tests {
         for len in 0..=1024 {
             for start in 0..16 {
                 let slice = &data[start..start + len];
-                let expected = crc32_bytewise(slice);
+                let expected = crc32_reference(slice);
                 for (path, crc) in crc32_every_path(slice) {
                     assert_eq!(crc, expected, "{path}, length {len}, offset {start}");
                 }
@@ -1093,7 +1044,7 @@ mod tests {
             ) {
                 let data = xorshift_bytes(seed | 1, start + len);
                 let slice = &data[start..];
-                let expected = crc32_bytewise(slice);
+                let expected = crc32_reference(slice);
                 for (path, crc) in crc32_every_path(slice) {
                     prop_assert_eq!(crc, expected, "{}, length {}", path, len);
                 }

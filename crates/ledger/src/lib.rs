@@ -6,8 +6,9 @@
 //! block rather than removing them, so the raw ledger throughput counts them too — this is
 //! exactly the raw-vs-effective distinction of Figure 1).
 //!
-//! * [`mod@sha256`] — the dependency-free SHA-256 behind every block hash: a portable
-//!   compression kernel, and an x86-64 SHA-NI one chosen at run time when CPUID reports it.
+//! * [`mod@sha256`] — the dependency-free, one-shot SHA-256 behind every block hash: FIPS
+//!   180-4's plain compression loop, and an x86-64 SHA-NI kernel chosen at run time when CPUID
+//!   reports it.
 //! * `block` — block headers, block bodies, and per-transaction commit flags.
 //! * `chain` — the append-only hash-chained block store with integrity verification
 //!   (the safety properties of Section 3.5: hash-chain integrity, no skipping, no creation);
@@ -15,7 +16,8 @@
 //! * `error` — the typed [`LedgerError`] every durable operation reports instead of
 //!   panicking.
 //! * [`codec`] — the deterministic big-endian binary codec + CRC-32 behind the disk formats;
-//!   the CRC runs on a carry-less-multiply kernel when CPUID reports `pclmulqdq`.
+//!   the CRC runs on a carry-less-multiply kernel when CPUID reports `pclmulqdq`, and on a
+//!   byte-at-a-time table loop otherwise.
 //! * `segment` — append-only, CRC-framed, size-rotated segment files holding the block
 //!   records, with torn-tail repair on open.
 //! * [`durable`] — [`durable::DurableLedger`] (segment files behind a [`Ledger`] mirror that
@@ -32,10 +34,6 @@
 //!   policies (honest / front-running / equivocating), the hash-commitment mitigation that
 //!   hides transaction contents until the order is fixed, and the fork audit that compares
 //!   replicas' sealed block hashes.
-
-// `deny`, not `forbid`: `sha256` allows the one `unsafe` block, the dispatch that calls the
-// SHA-NI and carry-less-multiply CRC-32 kernels.
-#![deny(unsafe_code)]
 
 pub mod adversary;
 mod block;

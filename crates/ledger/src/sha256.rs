@@ -2,19 +2,19 @@
 //!
 //! The ledger only needs a collision-resistant hash to chain block headers; pulling in a full
 //! crypto crate is unnecessary for the reproduction and is not on the approved dependency
-//! list, so the hash is implemented here directly. `Sha256` takes the message piece by piece
-//! and buffers at most one 64-byte block, so a block body is hashed field by field without
-//! first being copied into one buffer (it is hashed twice per block on the write path and once
-//! more on recovery).
+//! list, so the hash is implemented here directly. [`sha256`] hashes one contiguous buffer
+//! in one shot: every block hash, body hash and commitment is a single call over bytes the
+//! codec has already laid out.
 //!
-//! Full 64-byte blocks go to one of two compression kernels, picked once per hasher from CPUID:
+//! Every whole 64-byte block of the message goes to one compression kernel in one call, and
+//! the padded tail (one or two blocks on the stack) in a second. The kernel is picked per call
+//! from CPUID:
 //!
 //! * **SHA-NI** (`sha_ni::compress_blocks`, x86-64 only) runs on the CPU's SHA extensions
 //!   (`sha256rnds2`, `sha256msg1`, `sha256msg2`) whenever CPUID reports `sha`, `ssse3` and
 //!   `sse4.1`. It keeps the state in two registers across every block of one call.
-//! * **Portable** (`compress_portable`) runs everywhere else: sixteen rounds per loop
-//!   iteration, written out with the working variables renamed instead of shifted, over a
-//!   sixteen-word schedule extended in place. The tests use it as the oracle for the other.
+//! * **Portable** (`compress_portable`) runs everywhere else: FIPS 180-4 §6.2.2 as written, a
+//!   64-word message schedule and 64 rounds. The tests use it as the oracle for the other.
 //!
 //! Both give the same digest for every message, so which one ran never shows in a ledger.
 //!
@@ -81,99 +81,6 @@ const H0: [u32; 8] = [
     0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
 ];
 
-/// Incremental SHA-256: feed the message in any number of [`Sha256::update`] calls, then
-/// [`Sha256::finalize`]. Only a partial trailing block is ever buffered, so hashing a block
-/// body never stages the body itself.
-#[derive(Clone)]
-pub(crate) struct Sha256 {
-    state: [u32; 8],
-    /// Bytes of the current, not yet compressed block (`buffered` of them are valid).
-    block: [u8; 64],
-    buffered: usize,
-    /// Message bytes fed so far.
-    len: u64,
-    /// Where every full block goes.
-    kernel: Kernel,
-}
-
-impl Default for Sha256 {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Sha256 {
-    /// A hasher over the empty message, on the fastest kernel this CPU runs.
-    pub(crate) fn new() -> Self {
-        Self::with_kernel(Kernel::detect())
-    }
-
-    fn with_kernel(kernel: Kernel) -> Self {
-        Sha256 {
-            state: H0,
-            block: [0u8; 64],
-            buffered: 0,
-            len: 0,
-            kernel,
-        }
-    }
-
-    /// Appends `data` to the message.
-    ///
-    /// Inlined so that the common call — a field of a few bytes that fits the buffered block —
-    /// is a length check and a fixed-size store at the call site.
-    #[inline]
-    pub(crate) fn update(&mut self, data: &[u8]) {
-        if data.len() < 64 - self.buffered {
-            self.block[self.buffered..self.buffered + data.len()].copy_from_slice(data);
-            self.buffered += data.len();
-            self.len = self.len.wrapping_add(data.len() as u64);
-        } else {
-            self.update_across_blocks(data);
-        }
-    }
-
-    /// [`Self::update`] for data that completes the buffered block.
-    fn update_across_blocks(&mut self, data: &[u8]) {
-        self.len = self.len.wrapping_add(data.len() as u64);
-        let (head, data) = data.split_at(64 - self.buffered);
-        self.block[self.buffered..].copy_from_slice(head);
-        self.compress_buffered();
-        let (blocks, rest) = data.as_chunks::<64>();
-        if !blocks.is_empty() {
-            self.kernel.compress_blocks(&mut self.state, blocks);
-        }
-        self.block[..rest.len()].copy_from_slice(rest);
-        self.buffered = rest.len();
-    }
-
-    fn compress_buffered(&mut self) {
-        self.kernel
-            .compress_blocks(&mut self.state, std::slice::from_ref(&self.block));
-    }
-
-    /// Pads the final block (0x80, zeros, the 64-bit message length in bits) and returns the
-    /// digest.
-    pub(crate) fn finalize(mut self) -> Digest {
-        let bit_len = self.len.wrapping_mul(8);
-        self.block[self.buffered] = 0x80;
-        self.block[self.buffered + 1..].fill(0);
-        if self.buffered >= 56 {
-            // No room for the length: it goes into one more, otherwise empty, block.
-            self.compress_buffered();
-            self.block.fill(0);
-        }
-        self.block[56..].copy_from_slice(&bit_len.to_be_bytes());
-        self.compress_buffered();
-
-        let mut out = [0u8; 32];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
-        }
-        Digest(out)
-    }
-}
-
 /// A compression kernel: folds full 64-byte blocks into the hash state.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Kernel {
@@ -238,61 +145,40 @@ impl KernelCall<'_> {
     }
 }
 
-/// The portable compression function: folds one 64-byte block into the state.
-///
-/// Sixteen rounds per loop iteration, written out with the eight working variables renamed
-/// from round to round instead of shifted, over a sixteen-word schedule extended in place.
+/// The portable compression function: folds one 64-byte block into the state, as FIPS 180-4
+/// §6.2.2 states it — a 64-word message schedule, then 64 rounds over the eight working
+/// variables.
 fn compress_portable(h: &mut [u32; 8], block: &[u8; 64]) {
-    /// One round; the caller rotates the roles of the working variables.
-    macro_rules! round {
-        ($a:ident, $b:ident, $c:ident, $d:ident, $e:ident, $f:ident, $g:ident, $h:ident, $kw:expr) => {
-            let temp1 = $h
-                .wrapping_add($e.rotate_right(6) ^ $e.rotate_right(11) ^ $e.rotate_right(25))
-                .wrapping_add(($e & $f) ^ (!$e & $g))
-                .wrapping_add($kw);
-            let temp2 = ($a.rotate_right(2) ^ $a.rotate_right(13) ^ $a.rotate_right(22))
-                .wrapping_add(($a & $b) ^ ($a & $c) ^ ($b & $c));
-            $d = $d.wrapping_add(temp1);
-            $h = temp1.wrapping_add(temp2);
-        };
+    let mut w = [0u32; 64];
+    for (word, bytes) in w.iter_mut().zip(block.as_chunks::<4>().0) {
+        *word = u32::from_be_bytes(*bytes);
+    }
+    for t in 16..64 {
+        let s0 = w[t - 15].rotate_right(7) ^ w[t - 15].rotate_right(18) ^ (w[t - 15] >> 3);
+        let s1 = w[t - 2].rotate_right(17) ^ w[t - 2].rotate_right(19) ^ (w[t - 2] >> 10);
+        w[t] = w[t - 16]
+            .wrapping_add(s0)
+            .wrapping_add(w[t - 7])
+            .wrapping_add(s1);
     }
 
-    let mut w = [0u32; 16];
-    for (i, word) in block.chunks_exact(4).enumerate() {
-        w[i] = u32::from_be_bytes([word[0], word[1], word[2], word[3]]);
-    }
     let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut hh] = *h;
-    for (sixteen, k) in K.chunks_exact(16).enumerate() {
-        if sixteen > 0 {
-            // w[i] becomes W[t] for t = 16 * sixteen + i: W[t-16] + s0(W[t-15]) + W[t-7] +
-            // s1(W[t-2]), every index taken modulo 16.
-            for i in 0..16 {
-                let w15 = w[(i + 1) & 15];
-                let w2 = w[(i + 14) & 15];
-                let s0 = w15.rotate_right(7) ^ w15.rotate_right(18) ^ (w15 >> 3);
-                let s1 = w2.rotate_right(17) ^ w2.rotate_right(19) ^ (w2 >> 10);
-                w[i] = w[i]
-                    .wrapping_add(s0)
-                    .wrapping_add(w[(i + 9) & 15])
-                    .wrapping_add(s1);
-            }
-        }
-        round!(a, b, c, d, e, f, g, hh, k[0].wrapping_add(w[0]));
-        round!(hh, a, b, c, d, e, f, g, k[1].wrapping_add(w[1]));
-        round!(g, hh, a, b, c, d, e, f, k[2].wrapping_add(w[2]));
-        round!(f, g, hh, a, b, c, d, e, k[3].wrapping_add(w[3]));
-        round!(e, f, g, hh, a, b, c, d, k[4].wrapping_add(w[4]));
-        round!(d, e, f, g, hh, a, b, c, k[5].wrapping_add(w[5]));
-        round!(c, d, e, f, g, hh, a, b, k[6].wrapping_add(w[6]));
-        round!(b, c, d, e, f, g, hh, a, k[7].wrapping_add(w[7]));
-        round!(a, b, c, d, e, f, g, hh, k[8].wrapping_add(w[8]));
-        round!(hh, a, b, c, d, e, f, g, k[9].wrapping_add(w[9]));
-        round!(g, hh, a, b, c, d, e, f, k[10].wrapping_add(w[10]));
-        round!(f, g, hh, a, b, c, d, e, k[11].wrapping_add(w[11]));
-        round!(e, f, g, hh, a, b, c, d, k[12].wrapping_add(w[12]));
-        round!(d, e, f, g, hh, a, b, c, k[13].wrapping_add(w[13]));
-        round!(c, d, e, f, g, hh, a, b, k[14].wrapping_add(w[14]));
-        round!(b, c, d, e, f, g, hh, a, k[15].wrapping_add(w[15]));
+    for (k, w) in K.iter().zip(w) {
+        let temp1 = hh
+            .wrapping_add(e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25))
+            .wrapping_add((e & f) ^ (!e & g))
+            .wrapping_add(*k)
+            .wrapping_add(w);
+        let temp2 = (a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22))
+            .wrapping_add((a & b) ^ (a & c) ^ (b & c));
+        hh = g;
+        g = f;
+        f = e;
+        e = d.wrapping_add(temp1);
+        d = c;
+        c = b;
+        b = a;
+        a = temp1.wrapping_add(temp2);
     }
 
     for (word, add) in h.iter_mut().zip([a, b, c, d, e, f, g, hh]) {
@@ -404,21 +290,33 @@ mod sha_ni {
     }
 }
 
-/// Computes the SHA-256 digest of `data`.
+/// Computes the SHA-256 digest of `data`, on the fastest kernel this CPU runs.
 pub fn sha256(data: &[u8]) -> Digest {
-    let mut hasher = Sha256::new();
-    hasher.update(data);
-    hasher.finalize()
+    sha256_on(Kernel::detect(), data)
 }
 
-/// Convenience: hash the concatenation of several byte slices (avoids intermediate buffers at
-/// call sites that assemble block headers).
-pub(crate) fn sha256_concat<'a>(parts: impl IntoIterator<Item = &'a [u8]>) -> Digest {
-    let mut hasher = Sha256::new();
-    for p in parts {
-        hasher.update(p);
+/// [`sha256`] on `kernel`: every whole 64-byte block of `data` goes to the kernel in one call,
+/// then the tail, padded (0x80, zeros, the 64-bit message length in bits) to one block, or to
+/// two when it leaves no room for the length.
+fn sha256_on(kernel: Kernel, data: &[u8]) -> Digest {
+    let mut state = H0;
+    let (blocks, tail) = data.as_chunks::<64>();
+    kernel.compress_blocks(&mut state, blocks);
+
+    let mut last = [[0u8; 64]; 2];
+    let padded = if tail.len() < 56 { 1 } else { 2 };
+    let bytes = last.as_flattened_mut();
+    bytes[..tail.len()].copy_from_slice(tail);
+    bytes[tail.len()] = 0x80;
+    let bit_len = (data.len() as u64).wrapping_mul(8);
+    bytes[64 * padded - 8..64 * padded].copy_from_slice(&bit_len.to_be_bytes());
+    kernel.compress_blocks(&mut state, &last[..padded]);
+
+    let mut out = [0u8; 32];
+    for (bytes, word) in out.as_chunks_mut::<4>().0.iter_mut().zip(state) {
+        *bytes = word.to_be_bytes();
     }
-    hasher.finalize()
+    Digest(out)
 }
 
 #[cfg(test)]
@@ -476,22 +374,22 @@ mod tests {
         kernels
     }
 
-    /// On a CPU whose CPUID reports the SHA extensions every hasher runs the hardware kernel,
+    /// On a CPU whose CPUID reports the SHA extensions every hash runs on the hardware kernel,
     /// so a silent fall-back to the portable one fails here and not only in the benchmark.
     #[test]
     fn dispatch_picks_sha_ni_whenever_cpuid_reports_it() {
         #[cfg(target_arch = "x86_64")]
         if is_x86_feature_detected!("sha") && is_x86_feature_detected!("sse4.1") {
-            assert!(matches!(Sha256::new().kernel, Kernel::ShaNi(_)));
+            assert!(matches!(Kernel::detect(), Kernel::ShaNi(_)));
             assert_eq!(kernels().len(), 2);
             return;
         }
-        assert_eq!(Sha256::new().kernel, Kernel::Portable);
+        assert_eq!(Kernel::detect(), Kernel::Portable);
     }
 
-    /// The pre-streaming implementation on the portable kernel, kept as the oracle: copy the
-    /// whole message, pad the copy, compress it block by block.
-    pub(super) fn sha256_padded_copy(data: &[u8]) -> Digest {
+    /// The textbook message padding on the portable kernel, kept as the oracle: copy the whole
+    /// message, pad the copy, compress it block by block.
+    fn sha256_padded_copy(data: &[u8]) -> Digest {
         let mut padded = data.to_vec();
         padded.push(0x80);
         while padded.len() % 64 != 56 {
@@ -509,60 +407,35 @@ mod tests {
         Digest(out)
     }
 
-    /// NIST vectors fed through `update` in two pieces, split at every offset 0..=130 the
-    /// message has, on every kernel: the digest never depends on where the message was cut or
-    /// which kernel compressed it.
+    /// Every kernel this CPU runs, through the one-shot path: every length 0..=200 of an
+    /// irregular message against the padded-copy oracle (every tail length, across the 55/56
+    /// and 63/64/65 padding boundaries, behind zero to three whole blocks), and the million-'a'
+    /// and 64 x 'a' vectors.
     #[test]
-    fn nist_vectors_split_at_every_offset() {
-        let long = vec![b'a'; 1_000];
-        let vectors: [(&[u8], String); 5] = [
-            (b"", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855".into()),
-            (b"abc", "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad".into()),
-            (
-                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
-                "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1".into(),
-            ),
-            (
-                b"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu",
-                "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1".into(),
-            ),
-            // Not a NIST vector: long enough for every offset up to 130, checked by the oracle.
-            (&long, sha256_padded_copy(&long).to_hex()),
-        ];
+    fn every_kernel_matches_the_padded_copy_at_every_tail_length() {
+        let data: Vec<u8> = (0..200u32).map(|i| (i * 7 + i / 13) as u8).collect();
         let million_a = vec![b'a'; 1_000_000];
         for kernel in kernels() {
-            for (message, expected) in &vectors {
-                for split in 0..=message.len().min(130) {
-                    let mut hasher = Sha256::with_kernel(kernel);
-                    hasher.update(&message[..split]);
-                    hasher.update(&message[split..]);
-                    let digest = hasher.finalize().to_hex();
-                    assert_eq!(&digest, expected, "{kernel:?}, split at {split}");
-                }
-            }
-            // The million-'a' vector, fed in pieces whose size never divides the block size,
-            // and in one piece (every block but the padded one in a single kernel call).
-            let mut hasher = Sha256::with_kernel(kernel);
-            for piece in million_a.chunks(130) {
-                hasher.update(piece);
-            }
-            let mut whole = Sha256::with_kernel(kernel);
-            whole.update(&million_a);
-            for digest in [hasher.finalize(), whole.finalize()] {
+            for len in 0..=data.len() {
+                let message = &data[..len];
+                let expected = sha256_padded_copy(message);
                 assert_eq!(
-                    digest.to_hex(),
-                    "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
-                    "{kernel:?}"
+                    sha256_on(kernel, message),
+                    expected,
+                    "{kernel:?}, length {len}"
                 );
             }
+            assert_eq!(
+                sha256_on(kernel, &million_a).to_hex(),
+                "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
+                "{kernel:?}"
+            );
+            assert_eq!(
+                sha256_on(kernel, &[b'a'; 64]).to_hex(),
+                "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb",
+                "{kernel:?}"
+            );
         }
-    }
-
-    #[test]
-    fn concat_matches_single_buffer() {
-        let whole = sha256(b"hello world");
-        let parts = sha256_concat([b"hello".as_slice(), b" ".as_slice(), b"world".as_slice()]);
-        assert_eq!(whole, parts);
     }
 
     #[test]
@@ -597,27 +470,6 @@ mod proptests {
             let i = idx.index(data.len());
             data[i] ^= 0xff;
             prop_assert_ne!(original, sha256(&data));
-        }
-
-        /// However a random message is cut into `update` calls, the digest is the one-shot's,
-        /// and the one-shot's is the padded-copy oracle's.
-        #[test]
-        fn streamed_pieces_match_the_one_shot(
-            data in proptest::collection::vec(any::<u8>(), 0..700),
-            cuts in proptest::collection::vec(any::<prop::sample::Index>(), 0..6),
-        ) {
-            let mut cuts: Vec<usize> = cuts.iter().map(|c| c.index(data.len() + 1)).collect();
-            cuts.sort_unstable();
-            let mut hasher = Sha256::new();
-            let mut from = 0;
-            for cut in cuts {
-                hasher.update(&data[from..cut]);
-                from = cut;
-            }
-            hasher.update(&data[from..]);
-            let one_shot = sha256(&data);
-            prop_assert_eq!(hasher.finalize(), one_shot);
-            prop_assert_eq!(one_shot, super::tests::sha256_padded_copy(&data));
         }
 
         /// Every kernel folds any blocks into any state exactly as the portable one does.

@@ -17,8 +17,6 @@
 //!   commit. The concurrency controls keep no clock: the simulator times each
 //!   `arrive` / `cut` / `commit` call around the call, the same way for all five systems.
 
-#![forbid(unsafe_code)]
-
 mod events;
 mod metrics;
 mod profiles;

@@ -19,8 +19,6 @@
 //! paper's single global multi-version store (Sections 4.2–4.4), with no key-space
 //! partitioning and no lock around it.
 
-#![forbid(unsafe_code)]
-
 mod mvstore;
 #[cfg(test)]
 mod mvstore_model;

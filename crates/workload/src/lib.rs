@@ -16,8 +16,6 @@
 //!   the workspace's only static classifier: every instance of a template gets its template's
 //!   verdict.
 
-#![forbid(unsafe_code)]
-
 mod contracts;
 pub mod generator;
 pub mod smallbank;

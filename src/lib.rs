@@ -44,8 +44,6 @@
 //! assert!(chain.ledger().verify_integrity().is_ok());
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub use eov_baselines as baselines;
 pub use eov_common as common;
 pub use eov_ledger as ledger;

@@ -1,11 +1,10 @@
 //! Repo tooling. Subcommands:
 //!
-//! * `audit-unsafe` — fails unless every first-party crate root (the `src/lib.rs` and
-//!   `src/main.rs` of the facade, `crates/*` minus the third-party stand-ins in
-//!   `crates/shims`, `xtask` and `perf`) declares `#![forbid(unsafe_code)]`, except
-//!   `eov-ledger`, which declares `#![deny(unsafe_code)]`; and unless the code of every `.rs`
-//!   file in the repository (comments and literals blanked out) holds no `unsafe` and no
-//!   `unsafe_code` lint level besides those attributes and [`UNSAFE_SITE`]'s one
+//! * `audit-unsafe` — the root `Cargo.toml` denies `unsafe_code` for every target of every
+//!   workspace member, and rustc enforces that; a file can still lower the level for itself.
+//!   So the audit fails unless the code of every `.rs` file in the repository (comments and
+//!   literals blanked out) holds no `unsafe` and no `unsafe_code` lint level besides a
+//!   `#![forbid(unsafe_code)]`, which only raises it, and [`UNSAFE_SITE`]'s one
 //!   `#[allow(unsafe_code)]` directly above its one `unsafe` block — the ledger's single
 //!   dispatch into its hardware kernels (SHA-NI for SHA-256, carry-less multiply for CRC-32).
 //!
@@ -23,15 +22,9 @@
 //!   under `crates/*/src` (shims aside): the audit is only worth its keep while that lint
 //!   stays on.
 
-#![forbid(unsafe_code)]
-
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-
-/// The crate root that denies `unsafe_code` instead of forbidding it, so that one block can
-/// be allowed.
-const UNSAFE_CRATE_ROOT: &str = "crates/ledger/src/lib.rs";
 
 /// The file holding the one allowed `unsafe` block.
 const UNSAFE_SITE: &str = "crates/ledger/src/sha256.rs";
@@ -59,7 +52,6 @@ fn audit_unsafe() -> ExitCode {
     let relative = |path: &Path| relative(&root, path);
     let mut violations: Vec<String> = Vec::new();
 
-    let roots = crate_roots(&root);
     let mut files: Vec<PathBuf> = Vec::new();
     collect_rs_files(&root, &mut files);
     files.sort();
@@ -67,16 +59,6 @@ fn audit_unsafe() -> ExitCode {
     for path in &files {
         let rel = relative(path);
         let code = code_only(&read(path));
-        if roots.contains(path) {
-            let expected = if rel == UNSAFE_CRATE_ROOT {
-                "#![deny(unsafe_code)]"
-            } else {
-                "#![forbid(unsafe_code)]"
-            };
-            if !code.lines().any(|line| line.trim() == expected) {
-                violations.push(format!("{rel}: crate root lacks `{expected}`"));
-            }
-        }
         let mut allow_lines: Vec<usize> = Vec::new();
         let mut unsafe_lines: Vec<usize> = Vec::new();
         for (i, line) in code.lines().enumerate() {
@@ -84,7 +66,6 @@ fn audit_unsafe() -> ExitCode {
             if word_count(line, "unsafe_code") > 0 {
                 match line.trim() {
                     "#![forbid(unsafe_code)]" => {}
-                    "#![deny(unsafe_code)]" if rel == UNSAFE_CRATE_ROOT => {}
                     "#[allow(unsafe_code)]" if rel == UNSAFE_SITE => allow_lines.push(line_no),
                     other => violations.push(format!(
                         "{rel}:{line_no}: `unsafe_code` lint level outside the audited ones: \
@@ -113,9 +94,7 @@ fn audit_unsafe() -> ExitCode {
     match site {
         Some(line) if violations.is_empty() => {
             println!(
-                "audit-unsafe: OK ({} crate roots, {} files scanned; the one `unsafe` is \
-                 {UNSAFE_SITE}:{line})",
-                roots.len(),
+                "audit-unsafe: OK ({} files scanned; the one `unsafe` is {UNSAFE_SITE}:{line})",
                 files.len()
             );
             return ExitCode::SUCCESS;
@@ -129,26 +108,6 @@ fn audit_unsafe() -> ExitCode {
     }
     eprintln!("\n{} violation(s).", violations.len());
     ExitCode::FAILURE
-}
-
-/// The library and main-binary roots of every first-party package: the facade, `xtask`,
-/// `perf` and each `crates/*` package except the third-party stand-ins under `crates/shims`.
-/// Every other crate root (a `src/bin`, example, test or bench file) is held to the `unsafe`
-/// scan alone.
-fn crate_roots(root: &Path) -> Vec<PathBuf> {
-    let mut packages = vec![root.to_path_buf(), root.join("xtask"), root.join("perf")];
-    let crates = std::fs::read_dir(root.join("crates")).expect("crates/ readable");
-    for entry in crates {
-        let path = entry.expect("dir entry").path();
-        if path.join("Cargo.toml").is_file() {
-            packages.push(path);
-        }
-    }
-    packages
-        .iter()
-        .flat_map(|package| ["src/lib.rs", "src/main.rs"].map(|file| package.join(file)))
-        .filter(|path| path.is_file())
-        .collect()
 }
 
 /// `path` relative to `root`, with `/` separators.
